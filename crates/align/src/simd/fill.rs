@@ -1,0 +1,255 @@
+//! The wavefront block fill, written once over [`Lanes`] — see the layout
+//! rules in the [module header](super).
+
+use super::lanes::{DiagMasks, LaneElem, Lanes};
+use crate::block::{block_diags, BlockCellsT, BlockCtx, BoundaryT, CellValue};
+use crate::{MAX_BLOCK, MAX_BLOCK_DIAGS};
+
+/// One block's inputs and in/out state, in the
+/// [`crate::block::compute_block`] convention, bundled so dispatch hands a
+/// single value to whichever lane impl runs.
+pub(crate) struct BlockIo<'a, T, const B: usize> {
+    pub rcodes: &'a [u8; B],
+    pub qcodes: &'a [u8; B],
+    pub corner: i32,
+    pub west_h: &'a mut BoundaryT<B>,
+    pub west_e: &'a mut BoundaryT<B>,
+    pub north_h: &'a mut BoundaryT<B>,
+    pub north_f: &'a mut BoundaryT<B>,
+    pub cells: &'a mut BlockCellsT<T, B>,
+}
+
+impl<'a, T, const B: usize> BlockIo<'a, T, B> {
+    /// The same block viewed at geometry `N` for a lane impl monomorphic in
+    /// its width. Dispatch calls this under a `B == N` match arm, where it
+    /// is the identity; the asserts turn any other use into a loud panic.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    #[inline(always)]
+    pub fn at_geometry<const N: usize>(self) -> BlockIo<'a, T, N> {
+        assert_eq!(B, N, "lane impl dispatched at the wrong geometry");
+        let cells: *mut BlockCellsT<T, B> = self.cells;
+        BlockIo {
+            rcodes: self.rcodes.first_chunk().expect("B == N"),
+            qcodes: self.qcodes.first_chunk().expect("B == N"),
+            corner: self.corner,
+            west_h: self.west_h.first_chunk_mut().expect("B == N"),
+            west_e: self.west_e.first_chunk_mut().expect("B == N"),
+            north_h: self.north_h.first_chunk_mut().expect("B == N"),
+            north_f: self.north_f.first_chunk_mut().expect("B == N"),
+            // SAFETY: `B == N` (asserted above) makes `BlockCellsT<T, B>` and
+            // `BlockCellsT<T, N>` the same type, and the pointer comes from a
+            // live `&'a mut` this value consumes.
+            cells: unsafe { &mut *cells.cast::<BlockCellsT<T, N>>() },
+        }
+    }
+}
+
+/// Structural lane bitmask of block diagonal `d` at block side `b` (lanes
+/// inside the `b×b` shape regardless of band/table).
+#[inline]
+pub(crate) const fn struct_mask(b: usize, d: usize) -> u16 {
+    let lo = if d >= b { d - (b - 1) } else { 0 };
+    let hi = if d < b { d } else { b - 1 };
+    (((1u32 << (hi + 1)) - (1 << lo)) & 0xFFFF) as u16
+}
+
+/// [`struct_mask`] of every diagonal — the masks of an interior block.
+struct Shape<const B: usize>;
+
+impl<const B: usize> Shape<B> {
+    const MASKS: DiagMasks = {
+        let mut out = [0; MAX_BLOCK_DIAGS + 1];
+        let mut d = 0;
+        while d < block_diags(B) {
+            out[d] = struct_mask(B, d);
+            d += 1;
+        }
+        out
+    };
+}
+
+/// Per-diagonal substitution lanes for a matrix score model: entry
+/// `[d][l] = S(R[l], Q[d-l])` for every in-wavefront lane (`l ≤ d < l+B`),
+/// zero elsewhere (those lanes are masked off downstream). The fill loads
+/// one row per diagonal in place of the fixed-model compare/select.
+///
+/// When the block context carries a [`crate::QueryProfile`] built for this
+/// matrix and query, rows come from its precomputed `S(c, Q[j])` tables
+/// (contiguous reads, no two-level gather); otherwise they fall back to
+/// direct matrix lookups. Both paths produce identical lanes: profile tail
+/// slots score the pad residue exactly as `unpack_block`'s pad-clamped
+/// `qcodes` do.
+#[inline]
+fn matrix_sub_lanes<const B: usize>(
+    ctx: &BlockCtx<'_>,
+    m: &'static crate::scoring::SubstMatrix,
+    j0: i64,
+    rcodes: &[u8; B],
+    qcodes: &[u8; B],
+) -> [[i16; B]; MAX_BLOCK_DIAGS] {
+    let mut out = [[0i16; B]; MAX_BLOCK_DIAGS];
+    match ctx.profile {
+        Some(p) if p.covers(m, ctx.m as usize) => {
+            debug_assert!(j0 >= 0 && j0 < ctx.m, "block starts inside the query");
+            for (l, &rc) in rcodes.iter().enumerate() {
+                let row = &p.row(rc)[j0 as usize..j0 as usize + B];
+                for (k, &s) in row.iter().enumerate() {
+                    out[l + k][l] = s;
+                }
+            }
+        }
+        _ => {
+            for (l, &rc) in rcodes.iter().enumerate() {
+                for (k, &qc) in qcodes.iter().enumerate() {
+                    out[l + k][l] = m.score(rc, qc) as i16;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Fill one `B×B` block as `2B−1` anti-diagonal vectors of lane type `L` —
+/// the only wavefront recurrence in the crate ([`crate::block::fill_scalar`]
+/// is its row-major reference). `inline(always)` with no `target_feature`
+/// of its own: each instantiation compiles inside the feature wrapper (or
+/// the portable dispatch arm) that names it.
+///
+/// # Safety
+/// The CPU must support `L`'s instruction set (see [`Lanes`]).
+#[inline(always)]
+pub(crate) unsafe fn fill_block<L: Lanes<B>, const B: usize>(
+    ctx: &BlockCtx<'_>,
+    i0: i64,
+    j0: i64,
+    io: BlockIo<'_, L::Elem, B>,
+) {
+    let BlockIo { rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells } = io;
+    let narrow = <L::Elem as LaneElem>::narrow;
+    let masked = <L::Elem as CellValue>::MASKED;
+    let diags = block_diags(B);
+
+    let sc = ctx.scoring;
+    let oe = L::splat(narrow(sc.gap_open + sc.gap_extend));
+    let ext = L::splat(narrow(sc.gap_extend));
+    // Fixed-model compare/select constants (zeroed and unused under a
+    // matrix model, where per-diagonal rows replace them).
+    let (f_match, f_mis, f_amb) = sc.model.fixed_params().unwrap_or((0, 0, 0));
+    let v_match = L::splat(narrow(f_match));
+    let v_mis = L::splat(narrow(-f_mis));
+    let v_amb = L::splat(narrow(-f_amb));
+    let v_acgt_max = L::splat(narrow(i32::from(crate::Base::N.code()) - 1));
+    let sub_rows = sc.model.matrix().map(|m| matrix_sub_lanes::<B>(ctx, m, j0, rcodes, qcodes));
+    let neg_inf = L::splat(masked);
+
+    let interior = ctx.block_interior(i0, j0);
+    let masks = if interior { Shape::<B>::MASKS } else { L::edge_masks(ctx, i0, j0) };
+
+    // The boundary arrays double as outputs; snapshot (and narrow) them.
+    let wh_in = L::narrow_boundary(west_h);
+    let we_in = L::narrow_boundary(west_e);
+    let nh_in = L::narrow_boundary(north_h);
+    let nf_in = L::narrow_boundary(north_f);
+
+    // Lane-0 up inputs per diagonal, -∞ past the block shape, so the loop
+    // body is branch-free.
+    let mut bh_pad = [masked; MAX_BLOCK_DIAGS];
+    let mut be_pad = [masked; MAX_BLOCK_DIAGS];
+    bh_pad[..B].copy_from_slice(&wh_in);
+    be_pad[..B].copy_from_slice(&we_in);
+
+    let r_vec = L::load(&rcodes.map(|c| narrow(i32::from(c))), 0);
+    // Lane l of diagonal d reads qcodes[d - l] — a window *descending* in
+    // memory — so a reversed, zero-padded copy turns the sliding query into
+    // one unaligned load per diagonal: qrev[qrev_c - k] = qcodes[k], and
+    // diagonal d's lanes start at qrev[qrev_c - d]. The padding reads as
+    // code 0; those lanes are out of shape.
+    let qrev_c = 2 * B - 2;
+    let mut qrev = [L::Elem::ZERO; 3 * MAX_BLOCK - 1];
+    for (k, &c) in qcodes.iter().enumerate() {
+        qrev[qrev_c - k] = narrow(i32::from(c));
+    }
+
+    // State of diagonal d-1, with "H_{-1}" / "F_{-1}" — the north seed of
+    // row 0 — in lane 0.
+    let mut h_prev = L::shift_in(neg_inf, nh_in[0]);
+    let mut f_prev = L::shift_in(neg_inf, nf_in[0]);
+    let mut e_prev = neg_inf;
+    // Lane 0's diagonal input at d is its up input at d-1 (`H(i0-1, j0+d-1)`,
+    // the corner at d = 0), so row d's `diag` is exactly row d-1's up-shifted
+    // H: carrying it takes one shift per diagonal off the loop-carried chain.
+    let mut dg_next = L::shift_in(neg_inf, narrow(corner));
+
+    let mut e_tmp = [[L::Elem::ZERO; B]; B];
+    let mut f_tmp = [[L::Elem::ZERO; B]; B];
+
+    // The d-1 dependency keeps the arithmetic sequential; finished rows
+    // leave in pairs so wide backends can fuse the two stores. `2B−1` is
+    // odd, so the last row is always the one left pending.
+    let mut pending = neg_inf;
+    for d in 0..diags {
+        let up_h = L::shift_in(h_prev, bh_pad[d]);
+        let up_e = L::shift_in(e_prev, be_pad[d]);
+        let dg = dg_next;
+        dg_next = up_h;
+
+        // Substitution: matrix rows when present, else the fixed model
+        // (ambiguous beats match beats mismatch).
+        let sub = match &sub_rows {
+            Some(rows) => L::widen_sub_row(&rows[d]),
+            None => {
+                let q_vec = L::load(&qrev, qrev_c - d);
+                let eq = L::cmp_eq(r_vec, q_vec);
+                let amb = L::cmp_gt(L::max(r_vec, q_vec), v_acgt_max);
+                L::select(amb, v_amb, L::select(eq, v_match, v_mis))
+            }
+        };
+
+        let e = L::max(L::sub(up_h, oe), L::sub(up_e, ext));
+        let f = L::max(L::sub(h_prev, oe), L::sub(f_prev, ext));
+        let h = L::max(e, L::max(f, L::add(dg, sub)));
+
+        cells.mask[d] = masks[d];
+        let m = L::mask_from_bits(masks[d]);
+        let h_m = L::select(m, h, neg_inf);
+        if d % 2 == 0 {
+            pending = h_m;
+        } else {
+            L::store2(&mut cells.h, d - 1, pending, h_m);
+        }
+        // Interior blocks mask only the stored row: the shape grows one
+        // lane per diagonal, so an out-of-shape lane never shifts into a
+        // valid one and the boundary stages are read at in-shape lanes
+        // only. On edge blocks clipping is semantic — a clipped lane must
+        // read as -∞ from its in-band neighbour.
+        let (e_s, h_s, f_s) = if interior {
+            (e, h, f)
+        } else {
+            (L::select(m, e, neg_inf), h_m, L::select(m, f, neg_inf))
+        };
+        if d >= B - 1 {
+            L::store(&mut e_tmp[d - (B - 1)], e_s);
+            L::store(&mut f_tmp[d - (B - 1)], f_s);
+        }
+        // Pre-seed the north boundary of row d+1 into the out-of-shape
+        // lane d+1, where the next diagonals read it as left/diag.
+        (h_prev, f_prev) = if d + 1 < B {
+            (L::set_lane(h_s, d + 1, nh_in[d + 1]), L::set_lane(f_s, d + 1, nf_in[d + 1]))
+        } else {
+            (h_s, f_s)
+        };
+        e_prev = e_s;
+    }
+    L::store(&mut cells.h[diags - 1], pending);
+
+    // Boundary outputs, once the stores have drained (a scalar read straight
+    // after a vector store costs a store-forward round trip): lane B-1 of
+    // diagonal B-1+k is the block's last row (west output for column k);
+    // lane k of the same diagonal is its last column (north output, row k).
+    for k in 0..B {
+        west_h[k] = cells.h[k + B - 1][B - 1].widen();
+        west_e[k] = e_tmp[k][B - 1].widen();
+        north_h[k] = cells.h[k + B - 1][k].widen();
+        north_f[k] = f_tmp[k][k].widen();
+    }
+}

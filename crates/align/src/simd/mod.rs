@@ -1,0 +1,424 @@
+//! Vectorised block fill: the `B×B` block DP recomputed as an anti-diagonal
+//! wavefront, which removes every intra-iteration dependency (cells on one
+//! block anti-diagonal depend only on the previous two), so each diagonal's
+//! `B` lanes compute in parallel.
+//!
+//! The recurrence is written **once** — `fill::fill_block`, generic over
+//! the block side `B ∈ {8, 16}` and a lane-primitive impl (`lanes::Lanes`:
+//! load/store, shift-in-boundary, add/sub/max, compare, select) — and
+//! instantiated per backend inside a `#[target_feature]` wrapper. Every
+//! instantiation is **bit-identical** to [`crate::block::fill_scalar`] at
+//! the same geometry: each cell's `H/E/F` is computed from exactly the same
+//! inputs with exactly the same integer operations — only the evaluation
+//! order differs, and no reassociation of `max`/`+` takes place.
+//!
+//! ## Wavefront layout
+//!
+//! Lane `l` of diagonal `d` holds cell `(i0+l, j0+d-l)`. With that layout:
+//!
+//! * *left* (`H/F(i, j-1)`) is lane `l` of diagonal `d-1` — no shift;
+//! * *up* (`H/E(i-1, j)`) is lane `l-1` of diagonal `d-1` — shift one lane,
+//!   injecting the west boundary at lane 0 (`-∞` past the block shape);
+//! * *diag* (`H(i-1, j-1)`) is lane `l-1` of diagonal `d-2` — which is
+//!   diagonal `d-1`'s up-shifted `H`, carried over instead of re-shifted;
+//! * the north boundary of row `d+1` is pre-seeded into lane `d+1` of
+//!   diagonal `d`'s state (an out-of-shape lane), so `left`/`diag` reads
+//!   pick it up with no per-lane patching;
+//! * the query codes of diagonal `d` are one window load from a reversed
+//!   copy; reference codes are fixed per lane;
+//! * out-of-band / out-of-table lanes are masked to `-∞` in the stored row
+//!   and — on edge blocks — in the carried state; interior blocks carry
+//!   unmasked state, since no in-shape lane ever reads an out-of-shape one;
+//! * boundary outputs are read back after the last diagonal.
+//!
+//! ## Tiers
+//!
+//! [`fill_wavefront`] runs i32 lanes with wrapping arithmetic, exact under
+//! [`crate::block::BlockCtx::simd_exact`] (which routes tasks whose scores
+//! could approach the `i32` limits — where the scalar fill's
+//! `saturating_add` would differ — back to the scalar fill).
+//! [`fill_wavefront_i16`] is the same wavefront at half the lane width:
+//! saturating arithmetic with [`NEG_INF16`] as the sentinel, gated by
+//! [`crate::block::BlockCtx::i16_exact`] (derived per geometry — see
+//! [`crate::block::BlockCtx::with_block_dim`]). Boundary carries stay `i32`
+//! at the interface and are converted with `i32 → i16` saturation at block
+//! entry (exact for every reachable real value under the gate;
+//! `-∞`-derived values collapse into the sentinel class, which by
+//! construction loses every `max` against a real value just as in the i32
+//! tier). Valid-lane `H` values are therefore bit-identical to the scalar
+//! fill; only masked lanes and boundary slots for masked cells carry a
+//! different (equally ultra-negative) encoding, and nothing downstream
+//! observes those.
+//!
+//! ## Which lanes run
+//!
+//! Lane impl (and the feature level its instantiation is compiled at) per
+//! resolved backend × tier × geometry:
+//!
+//! | backend    | i32, B=8             | i32, B=16       | i16, B=8              | i16, B=16                |
+//! |------------|----------------------|-----------------|-----------------------|--------------------------|
+//! | `avx512`   | `Avx2I32` (avx2)     | `Portable<i32>` | `Sse41I16` (avx2)     | `Avx512I16` (avx512bw+vl)|
+//! | `avx2`     | `Avx2I32` (avx2)     | `Portable<i32>` | `Sse41I16` (avx2)     | `Avx2I16` (avx2)         |
+//! | `sse41`    | `Portable<i32>`      | `Portable<i32>` | `Sse41I16` (sse4.1)   | `Portable<i16>`          |
+//! | `portable` | `Portable<i32>`      | `Portable<i32>` | `Portable<i16>`       | `Portable<i16>`          |
+//!
+//! The adaptive geometry policy ([`crate::block::BlockCtx::geometry_for`])
+//! picks B=16 only for the i16 tier on `avx2`/`avx512`, so the
+//! `Portable<i32>` B=16 column serves forced `--block 16` runs only.
+
+use crate::block::{block_diags, BlockCellsT, BlockCtx, BoundaryT};
+#[cfg(target_arch = "x86_64")]
+use crate::{BLOCK, MAX_BLOCK};
+use fill::{fill_block, BlockIo};
+use lanes::Portable;
+#[cfg(target_arch = "x86_64")]
+use x86::{fill_avx2, fill_avx512, fill_sse41, Avx2I16, Avx2I32, Avx512I16, Sse41I16};
+
+mod fill;
+mod lanes;
+#[cfg(test)]
+mod tests;
+#[cfg(target_arch = "x86_64")]
+mod x86;
+
+/// Sentinel for "minus infinity" in the 16-bit tier: `i16::MIN / 2`, the
+/// same factor-two headroom [`NEG_INF`] keeps in i32 space. Saturating
+/// arithmetic may pin sentinel-derived values anywhere in
+/// `[i16::MIN, NEG_INF16]`; the i16 exactness gate keeps every real value
+/// (and every real value minus one penalty) strictly above that band.
+pub const NEG_INF16: i16 = i16::MIN / 2;
+
+/// Exact `i32 → i16` entry conversion for the 16-bit tier: saturating
+/// narrowing (the scalar twin of `_mm_packs_epi32`). Real values are
+/// unchanged (the gate bounds them well inside i16), `-∞`-class values
+/// saturate into the sentinel band.
+#[inline]
+pub(crate) fn to16(v: i32) -> i16 {
+    v.clamp(i32::from(i16::MIN), i32::from(i16::MAX)) as i16
+}
+
+/// Whether the AVX2 backend will be used on this machine.
+pub fn avx2_active() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Whether the SSE4.1 tier (the 16-bit kernel and the `phminposuw` tracker
+/// fold need nothing newer) is available on this machine.
+pub fn sse41_active() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Whether the AVX-512 backend will be used on this machine. The kernels
+/// need `avx512bw` (16-bit ops at 512/256-bit width) plus `avx512vl` (mask
+/// registers on 256-bit vectors); the AVX2 check rides along so an
+/// `Avx512`-resolved backend may always fall through to the AVX2 kernels
+/// where 512-bit width buys nothing (the B=8 geometry).
+pub fn avx512_active() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("avx512vl")
+            && std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Which wavefront implementation the dispatcher will run. Resolved once
+/// per task (stored in [`BlockCtx`]) so the per-block hot path pays no
+/// repeated feature-detection load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WavefrontBackend {
+    /// x86-64 with AVX-512BW/VL: the B=16 i16 fill runs with mask-register
+    /// lane selects, batch-computed edge masks and fused dual-diagonal zmm
+    /// stores, and the tracker folds the 16-lane argmax with a four-quarter
+    /// `phminposuw` merge. Everything else runs as on [`Self::Avx2`] (the
+    /// B=8 vectors are already full).
+    Avx512,
+    /// x86-64 with AVX2: one 8×i32 AVX2 vector per block diagonal in the
+    /// B=8 i32 tier, 8×i16 SSE vectors in the B=8 i16 tier, and one full
+    /// 16×i16 AVX2 vector per diagonal in the B=16 i16 tier.
+    Avx2,
+    /// x86-64 with SSE4.1 but not AVX2: the B=8 i16 tier still runs its
+    /// vector lanes (they need nothing wider than 128-bit ops); the i32
+    /// tier and the B=16 geometry run the portable lanes.
+    Sse41,
+    /// Array-backed portable lanes for both tiers (see the
+    /// [module table](self#which-lanes-run)).
+    Portable,
+}
+
+impl WavefrontBackend {
+    /// Stable lower-case name (bench rows, stats output).
+    pub fn name(self) -> &'static str {
+        match self {
+            WavefrontBackend::Avx512 => "avx512",
+            WavefrontBackend::Avx2 => "avx2",
+            WavefrontBackend::Sse41 => "sse41",
+            WavefrontBackend::Portable => "portable",
+        }
+    }
+
+    /// Position in the capability chain `Portable < Sse41 < Avx2 < Avx512`
+    /// (a forced choice is clamped to the machine's detected rank).
+    fn rank(self) -> u8 {
+        match self {
+            WavefrontBackend::Portable => 0,
+            WavefrontBackend::Sse41 => 1,
+            WavefrontBackend::Avx2 => 2,
+            WavefrontBackend::Avx512 => 3,
+        }
+    }
+}
+
+/// A requested backend: `Auto` runs the best detected implementation; a
+/// named backend caps the dispatch chain at that level. Parsed from
+/// `AGATHA_BACKEND` / `--backend` and installed process-wide with
+/// [`set_backend_choice`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum BackendChoice {
+    /// Best detected backend (the default).
+    #[default]
+    Auto,
+    /// Dispatch as if this were the best backend the machine supports
+    /// (requests above the detected capability degrade to the detected
+    /// backend — forcing `avx512` on an AVX2 machine runs AVX2).
+    Fixed(WavefrontBackend),
+}
+
+impl BackendChoice {
+    /// Parse a backend name as accepted by `AGATHA_BACKEND` / `--backend`.
+    pub fn parse(name: &str) -> Result<BackendChoice, String> {
+        match name.trim().to_ascii_lowercase().as_str() {
+            "auto" => Ok(BackendChoice::Auto),
+            "avx512" => Ok(BackendChoice::Fixed(WavefrontBackend::Avx512)),
+            "avx2" => Ok(BackendChoice::Fixed(WavefrontBackend::Avx2)),
+            "sse41" => Ok(BackendChoice::Fixed(WavefrontBackend::Sse41)),
+            "portable" => Ok(BackendChoice::Fixed(WavefrontBackend::Portable)),
+            other => Err(format!(
+                "invalid backend '{other}': expected auto, avx512, avx2, sse41 or portable"
+            )),
+        }
+    }
+
+    /// Stable lower-case name (round-trips through [`BackendChoice::parse`]).
+    pub fn name(self) -> &'static str {
+        match self {
+            BackendChoice::Auto => "auto",
+            BackendChoice::Fixed(b) => b.name(),
+        }
+    }
+}
+
+/// Process-wide backend choice, encoded for the atomic: 0 = Auto, else
+/// `rank + 1` of the forced backend. A plain atomic (not a `OnceLock`) so
+/// benches and the backend-sweep tests can flip backends between runs in
+/// one process; resolution stays per task (hoisted into [`BlockCtx`] /
+/// [`crate::diag::DiagTracker`]), so a flip never splits one task's blocks
+/// across backends.
+static BACKEND_CHOICE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
+
+/// Install the process-wide backend choice (see [`BackendChoice`]).
+pub fn set_backend_choice(choice: BackendChoice) {
+    let enc = match choice {
+        BackendChoice::Auto => 0,
+        BackendChoice::Fixed(b) => b.rank() + 1,
+    };
+    BACKEND_CHOICE.store(enc, std::sync::atomic::Ordering::Relaxed);
+}
+
+/// The currently installed process-wide backend choice.
+pub fn backend_choice() -> BackendChoice {
+    match BACKEND_CHOICE.load(std::sync::atomic::Ordering::Relaxed) {
+        0 => BackendChoice::Auto,
+        1 => BackendChoice::Fixed(WavefrontBackend::Portable),
+        2 => BackendChoice::Fixed(WavefrontBackend::Sse41),
+        3 => BackendChoice::Fixed(WavefrontBackend::Avx2),
+        _ => BackendChoice::Fixed(WavefrontBackend::Avx512),
+    }
+}
+
+/// Serializes tests that flip the process-wide [`BackendChoice`] against
+/// tests whose *assertions* observe [`backend()`] (e.g. the geometry
+/// policy test in `block.rs`). Result-only comparisons don't need it —
+/// every backend is bit-identical by contract.
+#[cfg(test)]
+pub(crate) fn backend_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A forced-backend test that panics mid-flip poisons the lock; the
+    // state it guards is restored by the panicking test's unwind path or
+    // irrelevant to the next holder, so keep going.
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The best backend this machine supports (runtime CPU detection, cached
+/// by `std`), ignoring any forced choice. Under Miri, which interprets no
+/// vendor intrinsics worth the name, that is always `Portable`.
+pub fn detected_backend() -> WavefrontBackend {
+    if cfg!(miri) {
+        WavefrontBackend::Portable
+    } else if avx512_active() {
+        WavefrontBackend::Avx512
+    } else if avx2_active() {
+        WavefrontBackend::Avx2
+    } else if sse41_active() {
+        WavefrontBackend::Sse41
+    } else {
+        WavefrontBackend::Portable
+    }
+}
+
+/// Resolve the backend for this machine: the detected capability, capped
+/// by the process-wide [`BackendChoice`] (call once per task, not per
+/// block). Forcing never *raises* the level — a request the CPU cannot
+/// honour clamps to the detected backend, so dispatch stays sound.
+pub fn backend() -> WavefrontBackend {
+    let detected = detected_backend();
+    match backend_choice() {
+        BackendChoice::Auto => detected,
+        BackendChoice::Fixed(forced) => {
+            if forced.rank() <= detected.rank() {
+                forced
+            } else {
+                detected
+            }
+        }
+    }
+}
+
+/// Every backend this machine can actually run, best first — the sweep
+/// domain for forced-backend tests, the CLI's `--verbose` stats, and the
+/// bench's per-backend rows. Always ends with `Portable`.
+pub fn supported_backends() -> Vec<WavefrontBackend> {
+    let detected = detected_backend();
+    [
+        WavefrontBackend::Avx512,
+        WavefrontBackend::Avx2,
+        WavefrontBackend::Sse41,
+        WavefrontBackend::Portable,
+    ]
+    .into_iter()
+    .filter(|b| b.rank() <= detected.rank())
+    .collect()
+}
+
+/// Per-diagonal valid-lane bitmask (`0` when empty).
+#[inline]
+fn lane_mask(ctx: &BlockCtx<'_>, i0: i64, j0: i64, d: usize) -> u16 {
+    match ctx.lane_range(i0, j0, d) {
+        None => 0,
+        Some((lo, hi)) => (((1u32) << (hi + 1)) - (1 << lo)) as u16,
+    }
+}
+
+/// Wavefront fill (drop-in replacement for [`crate::block::fill_scalar`]):
+/// [`fill_block`] over the i32 lanes the pre-resolved backend in `ctx` and
+/// the geometry `B` select.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn fill_wavefront<const B: usize>(
+    ctx: &BlockCtx<'_>,
+    i0: i64,
+    j0: i64,
+    rcodes: &[u8; B],
+    qcodes: &[u8; B],
+    corner: i32,
+    west_h: &mut BoundaryT<B>,
+    west_e: &mut BoundaryT<B>,
+    north_h: &mut BoundaryT<B>,
+    north_f: &mut BoundaryT<B>,
+    cells: &mut BlockCellsT<i32, B>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    use WavefrontBackend::{Avx2, Avx512};
+    let io = BlockIo { rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells };
+    // SAFETY: `backend()` reports Avx2/Avx512 only after a runtime AVX2 check
+    // (`avx512_active` includes it), and the portable lanes need no feature.
+    unsafe {
+        match (ctx.wavefront_backend, B) {
+            #[cfg(target_arch = "x86_64")]
+            (Avx2 | Avx512, BLOCK) => fill_avx2::<Avx2I32, BLOCK>(ctx, i0, j0, io.at_geometry()),
+            _ => fill_block::<Portable<i32>, B>(ctx, i0, j0, io),
+        }
+    }
+}
+
+/// 16-bit-tier wavefront fill (the narrow twin of [`fill_wavefront`]),
+/// staging into a `BlockCellsT<i16, B>` buffer. All lane impls are
+/// bit-identical to each other and — on valid lanes, under
+/// [`BlockCtx::i16_exact`] — to the scalar fill.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn fill_wavefront_i16<const B: usize>(
+    ctx: &BlockCtx<'_>,
+    i0: i64,
+    j0: i64,
+    rcodes: &[u8; B],
+    qcodes: &[u8; B],
+    corner: i32,
+    west_h: &mut BoundaryT<B>,
+    west_e: &mut BoundaryT<B>,
+    north_h: &mut BoundaryT<B>,
+    north_f: &mut BoundaryT<B>,
+    cells: &mut BlockCellsT<i16, B>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    use WavefrontBackend::{Avx2, Avx512, Sse41};
+    let io =
+        BlockIo { rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells: &mut *cells };
+    // SAFETY: `backend()` reports a vector variant only after the runtime
+    // check for its feature level, every level implies the ones below it
+    // (so `Sse41I16` may compile at AVX2), and the portable lanes need none.
+    unsafe {
+        match (ctx.wavefront_backend, B) {
+            #[cfg(target_arch = "x86_64")]
+            (Avx512, MAX_BLOCK) => {
+                fill_avx512::<Avx512I16, MAX_BLOCK>(ctx, i0, j0, io.at_geometry())
+            }
+            #[cfg(target_arch = "x86_64")]
+            (Avx2, MAX_BLOCK) => fill_avx2::<Avx2I16, MAX_BLOCK>(ctx, i0, j0, io.at_geometry()),
+            #[cfg(target_arch = "x86_64")]
+            (Avx2 | Avx512, BLOCK) => fill_avx2::<Sse41I16, BLOCK>(ctx, i0, j0, io.at_geometry()),
+            #[cfg(target_arch = "x86_64")]
+            (Sse41, BLOCK) => fill_sse41::<Sse41I16, BLOCK>(ctx, i0, j0, io.at_geometry()),
+            _ => fill_block::<Portable<i16>, B>(ctx, i0, j0, io),
+        }
+    }
+    debug_overflow_sentinel(cells);
+}
+
+/// Per-block overflow sentinel (debug builds): a valid lane pinned at
+/// `i16::MAX` means a real DP value positively saturated — impossible when
+/// the `i16_exact` gate admitted the task at this geometry, so tripping
+/// this indicates a broken gate or dispatch. Negative saturation is by
+/// design (sentinel class) and harmless.
+#[inline]
+fn debug_overflow_sentinel<const B: usize>(cells: &BlockCellsT<i16, B>) {
+    if cfg!(debug_assertions) {
+        for d in 0..block_diags(B) {
+            for l in 0..B {
+                debug_assert!(
+                    cells.mask[d] & (1 << l) == 0 || cells.h[d][l] != i16::MAX,
+                    "i16 overflow sentinel: valid cell saturated at block ({},{}) \
+                     diag {d} lane {l} — the i16_exact gate must demote such tasks",
+                    cells.i0(),
+                    cells.j0(),
+                );
+            }
+        }
+    }
+}

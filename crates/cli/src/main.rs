@@ -57,7 +57,7 @@ fn main() -> ExitCode {
     // `--verbose REF.fasta` would swallow the first input path as the
     // flag's value.
     let args = Args::parse_with_switches(argv.into_iter().skip(1), &["verbose", "names"]);
-    let result = match command.as_str() {
+    let result = check_flags(&command, &args).and_then(|()| match command.as_str() {
         "align" => cmd_align(&args),
         "demo" => cmd_demo(&args),
         "serve" => cmd_serve(&args),
@@ -74,7 +74,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         other => Err(format!("unknown command '{other}'\n{}", usage())),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -152,6 +152,52 @@ serve options (plus the alignment and common options above):
   --deadline-ms N server-side default deadline; requests that overstay it
                   in the queue are dropped before kernel dispatch
                   (default: none — requests wait forever)";
+
+/// Flags `align`, `demo` and `serve` share: the scoring flags
+/// ([`scoring_from_args`]) and the host options ([`host_opts`]).
+const ENGINE_FLAGS: &[&str] = &[
+    "a",
+    "b",
+    "q",
+    "r",
+    "z",
+    "w",
+    "scenario",
+    "gpus",
+    "threads",
+    "chunk",
+    "prefetch",
+    "carryover",
+    "precision",
+    "block",
+    "backend",
+    "verbose",
+];
+
+/// A flag the subcommand does not read is a usage error, not a no-op: a
+/// mistyped `--thraeds 1` must not quietly run on every core. Keep the
+/// lists in step with [`USAGE`].
+fn check_flags(command: &str, args: &Args) -> Result<(), String> {
+    let (shared, own): (&[&str], &[&str]) = match command {
+        "align" => (ENGINE_FLAGS, &["engine", "o"]),
+        "demo" => (ENGINE_FLAGS, &["engine", "o", "tech", "reads"]),
+        "serve" => {
+            (ENGINE_FLAGS, &["o", "port", "window-ms", "max-batch", "max-queue", "deadline-ms"])
+        }
+        "scenarios" => (&[], &["names"]),
+        "engines" => (&[], &[]),
+        // `help` reads nothing, and the caller reports unknown commands.
+        _ => return Ok(()),
+    };
+    match args.unknown(&[shared, own].concat()).as_slice() {
+        [] => Ok(()),
+        unknown => Err(format!(
+            "unknown option{} {} for `agatha {command}` (see `agatha help`)",
+            if unknown.len() == 1 { "" } else { "s" },
+            unknown.join(", ")
+        )),
+    }
+}
 
 /// [`USAGE`] plus the registered `--scenario` values. The scenario list is
 /// iterated from the registry so a newly declared scenario appears in the

@@ -37,6 +37,90 @@ fn unknown_command_fails() {
 }
 
 #[test]
+fn unknown_flags_are_usage_errors() {
+    // A flag no subcommand reads used to be dropped silently (`align
+    // --no-such-flag 3 REF QRY` aligned and exited 0). It must fail before
+    // any work, naming the flag.
+    let dir = std::env::temp_dir().join(format!("agatha_cli_unk_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let refs = dir.join("ref.fasta");
+    let queries = dir.join("query.fasta");
+    std::fs::write(&refs, ">1\nACGTACGT\n").unwrap();
+    std::fs::write(&queries, ">1\nACGTACGT\n").unwrap();
+    let out_dir = dir.join("out");
+    let pair = [refs.to_str().unwrap(), queries.to_str().unwrap()];
+
+    let cases: [(&[&str], &[&str], &str); 5] = [
+        (&["align", "--no-such-flag", "3"], &pair, "--no-such-flag"),
+        (&["align", "-x", "3"], &pair, "-x"),
+        // A serve-only flag is unknown to align, and a demo-only one to serve.
+        (&["align", "--port", "0"], &pair, "--port"),
+        (&["demo", "--reads", "4", "--thraeds", "1"], &[], "--thraeds"),
+        (&["serve", "--port", "0", "--reads", "4"], &[], "--reads"),
+    ];
+    for (args, positional, flag) in cases {
+        let out = agatha()
+            .args(args)
+            .args(positional)
+            .args(["-o", out_dir.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?} must be a usage error");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown option") && err.contains(flag), "{args:?}: stderr: {err}");
+        assert!(!out_dir.exists(), "{args:?} must fail before writing output");
+    }
+    for sub in ["engines", "scenarios"] {
+        let out = agatha().args([sub, "--bogus"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{sub} --bogus must be a usage error");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("--bogus"));
+    }
+
+    // Every flag the repo's benchmark passes to `align` is still accepted
+    // (its `serve` flags are covered by `serve_accepts_the_benchmark_flags`).
+    let out = agatha()
+        .args(["align", "--scenario", "dna-short", "--threads", "2", "--chunk", "100"])
+        .args(["--verbose", "-o", out_dir.to_str().unwrap()])
+        .args(pair)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(out_dir.join("score.log").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn serve_accepts_the_benchmark_flags() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let dir = std::env::temp_dir().join(format!("agatha_cli_bsrv_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut child = agatha()
+        .args(["serve", "--scenario", "dna-short", "--port", "0", "--threads", "2"])
+        .args(["--window-ms", "2", "--max-queue", "65536", "--deadline-ms", "10000"])
+        .args(["-o", dir.to_str().unwrap()])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut child_out = BufReader::new(child.stdout.take().unwrap());
+    let mut line = String::new();
+    child_out.read_line(&mut line).unwrap();
+    assert!(line.contains("listening on"), "startup line: {line}");
+    let addr = line.trim().rsplit(' ').next().expect("address in startup line").to_string();
+
+    let mut sock = std::net::TcpStream::connect(&addr).unwrap();
+    let mut reader = BufReader::new(sock.try_clone().unwrap());
+    sock.write_all(b"{\"cmd\":\"shutdown\"}\n").unwrap();
+    let mut resp = String::new();
+    reader.read_line(&mut resp).unwrap();
+    assert!(resp.contains("shutting-down"), "shutdown response: {resp}");
+    let status = child.wait().unwrap();
+    assert!(status.success(), "serve exit: {status:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn align_artifact_format_end_to_end() {
     let dir = std::env::temp_dir().join(format!("agatha_cli_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

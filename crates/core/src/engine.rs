@@ -924,12 +924,19 @@ mod tests {
         tasks
     }
 
+    // Kernel stats and unit schedules follow the geometry `Auto` resolves
+    // from the installed backend; tests that compare them across separate
+    // runs hold this so the kernel tests' backend sweep cannot flip it in
+    // between.
+    use crate::kernel::backend_lock;
+
     fn pipeline() -> Pipeline {
         Pipeline::new(Scoring::new(2, 4, 4, 2, 60, 16), AgathaConfig::agatha())
     }
 
     #[test]
     fn chunked_stream_matches_whole_batch() {
+        let _guard = backend_lock();
         let tasks = mk_tasks(30, 110, 41);
         let whole = pipeline().align_batch(&tasks);
         for chunk_size in [1, 7, 30, 64] {
@@ -949,6 +956,7 @@ mod tests {
 
     #[test]
     fn whole_stream_is_bit_identical_including_schedule() {
+        let _guard = backend_lock();
         // One chunk spanning the stream — even the warp latencies and the
         // device schedule must match align_batch exactly.
         let tasks = mk_tasks(18, 90, 7);
@@ -1012,6 +1020,7 @@ mod tests {
 
     #[test]
     fn carry_over_results_and_stats_stay_bit_identical() {
+        let _guard = backend_lock();
         // Carry-over re-shapes warp packing only; results and aggregate
         // stats must equal align_batch exactly at every chunk size.
         let tasks = mk_tasks(29, 100, 23);
@@ -1087,6 +1096,7 @@ mod tests {
 
     #[test]
     fn prefetched_stream_matches_inline() {
+        let _guard = backend_lock();
         let tasks = mk_tasks(41, 90, 43);
         for chunk_size in [4, 16, 64] {
             let mut inline_results = Vec::new();
@@ -1120,6 +1130,7 @@ mod tests {
 
     #[test]
     fn incremental_schedule_matches_recorded_cycles() {
+        let _guard = backend_lock();
         // The summary's device report must be what pooling the recorded
         // cycles would give — recording on exposes both in one run.
         let tasks = mk_tasks(33, 85, 47);
@@ -1267,6 +1278,7 @@ mod tests {
 
     #[test]
     fn dropped_jobs_leave_recycling_bit_identical() {
+        let _guard = backend_lock();
         // Interleaving dropped work must not corrupt or cross-serve the
         // recycled unit buffers: chunks aligned after drops stay
         // bit-identical to the reference.

@@ -472,6 +472,17 @@ fn run_task_geom<const B: usize>(
     }
 }
 
+/// Serializes tests that flip the process-wide backend choice with tests
+/// whose observables depend on the installed backend (Auto geometry
+/// resolution — and with it block counts and kernel stats —, allocation
+/// steady-state, buffer-reuse pointer identity). Alignment *results* are
+/// bit-identical across backends, so result-only tests need no guard.
+#[cfg(test)]
+pub(crate) fn backend_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -658,16 +669,6 @@ mod tests {
         assert!(run.units.is_empty());
     }
 
-    /// Serializes tests that flip the process-wide backend choice with
-    /// tests whose observables depend on the installed backend (Auto
-    /// geometry resolution, allocation steady-state, buffer-reuse pointer
-    /// identity). Alignment *results* are bit-identical across backends,
-    /// so result-only tests need no guard.
-    fn backend_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Tasks of deliberately varying geometry, including a z-dropping one
     /// in the middle and an empty one, to stress workspace reuse.
     fn mixed_tasks() -> (Vec<Task>, Scoring) {
@@ -845,6 +846,7 @@ mod tests {
                     let reference = run_task_ws(&mut ws, t, &s, &cfg);
                     for &b in &backends {
                         simd::set_backend_choice(BackendChoice::Fixed(b));
+                        assert_eq!(simd::backend(), b, "a supported backend survives the clamp");
                         let run = run_task_ws(&mut ws, t, &s, &cfg);
                         assert_eq!(
                             reference,

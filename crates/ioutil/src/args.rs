@@ -90,10 +90,9 @@ impl Args {
     {
         match self.get(name) {
             None => Ok(default),
-            Some(v) => v.parse().map_err(|e| {
-                let dashes = if name.len() > 1 { "--" } else { "-" };
-                format!("invalid value '{v}' for {dashes}{name}: {e}")
-            }),
+            Some(v) => {
+                v.parse().map_err(|e| format!("invalid value '{v}' for {}: {e}", as_typed(name)))
+            }
         }
     }
 
@@ -101,6 +100,25 @@ impl Args {
     pub fn positional(&self) -> &[String] {
         &self.positional
     }
+
+    /// Every flag present that is not in `known`, as the user would type it
+    /// (`-x` / `--name`), sorted — so a command can refuse a mistyped or
+    /// unsupported option instead of silently running without it.
+    pub fn unknown(&self, known: &[&str]) -> Vec<String> {
+        let mut unknown: Vec<String> = self
+            .flags
+            .keys()
+            .filter(|k| !known.contains(&k.as_str()))
+            .map(|k| as_typed(k))
+            .collect();
+        unknown.sort();
+        unknown
+    }
+}
+
+/// A flag name with the dashes it is typed with: `-x`, `--name`.
+fn as_typed(name: &str) -> String {
+    format!("{}{name}", if name.len() > 1 { "--" } else { "-" })
 }
 
 #[cfg(test)]
@@ -127,6 +145,13 @@ mod tests {
         assert_eq!(a.get_num("reads", 0), 100);
         assert!(a.has("verbose"));
         assert_eq!(a.get("verbose"), Some(""));
+    }
+
+    #[test]
+    fn unknown_flags_are_reported_as_typed() {
+        let a = parse("-a 2 --threads 4 --thraeds 4 -x --verbose ref.fa");
+        assert_eq!(a.unknown(&["a", "threads", "verbose"]), ["--thraeds", "-x"]);
+        assert!(a.unknown(&["a", "threads", "thraeds", "x", "verbose"]).is_empty());
     }
 
     #[test]
