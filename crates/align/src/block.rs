@@ -76,9 +76,12 @@ pub const I16_SENTINEL_MAG: i64 = -(crate::simd::NEG_INF16 as i64);
 /// magnitude, i.e. `2^29`. See the derivation on [`BlockCtx::with_block_dim`].
 pub const I32_REACH_BOUND: i64 = I32_SENTINEL_MAG / 2;
 
-/// Largest admissible task reach for the i16 wavefront: half the i16
-/// sentinel magnitude, i.e. `2^13`. See [`BlockCtx::with_block_dim`].
-pub const I16_REACH_BOUND: i64 = I16_SENTINEL_MAG / 2;
+/// How far an i16 lane may sit from its block's base: the top of the i16
+/// sentinel band ([`crate::simd::SENTINEL_BAND16`], half the sentinel
+/// magnitude), i.e. `2^13`. Real offsets stay strictly inside `±2^13`,
+/// sentinel-class lanes at or below `-2^13`. See
+/// [`BlockCtx::with_block_dim`].
+pub const I16_OFFSET_BOUND: i64 = -(crate::simd::SENTINEL_BAND16 as i64);
 
 /// Geometry and scoring context shared by all blocks of one task.
 #[derive(Debug, Clone, Copy)]
@@ -100,15 +103,17 @@ pub struct BlockCtx<'a> {
     /// never actually saturate. When `false`, [`FillMode::Simd`] silently
     /// degrades to the scalar fill.
     pub simd_exact: bool,
-    /// Whether the narrow 16-bit wavefront fill is provably bit-identical to
-    /// the scalar fill for this task: every *reachable* DP value stays far
-    /// enough inside the `i16` range that (a) the entry conversion from the
-    /// `i32` boundary carry is exact, (b) saturating `i16` arithmetic never
-    /// saturates on a real value, and (c) sentinel-class values (derived
-    /// from masked `-∞` cells) always lose every `max` against real values,
-    /// exactly as in the `i32` fills. Strictly stronger than
-    /// [`BlockCtx::simd_exact`]. When `false`, the i16 tier demotes to the
-    /// i32 wavefront (or the scalar fill) — see [`BlockCtx::fill_tier`].
+    /// Whether the block-rebased 16-bit wavefront fill is provably
+    /// bit-identical to the scalar fill for this task: every real `H/E/F` a
+    /// block touches stays within `±2^13` of the block's base, so (a) the
+    /// rebasing conversions at block entry and exit are exact, (b)
+    /// saturating `i16` arithmetic never saturates on a real value, and (c)
+    /// sentinel-class values (derived from masked `-∞` cells) always lose
+    /// every `max` against real values, exactly as in the `i32` fills. A
+    /// property of scoring and geometry only — sequence length enters
+    /// through [`BlockCtx::simd_exact`], which this gate includes. When
+    /// `false`, the i16 tier demotes to the i32 wavefront (or the scalar
+    /// fill) — see [`BlockCtx::fill_tier`].
     pub i16_exact: bool,
     /// Wavefront backend resolved once per task (CPU feature detection is
     /// not free enough to repeat per block).
@@ -137,27 +142,65 @@ impl<'a> BlockCtx<'a> {
     /// not free-standing literals, so narrowing a sentinel or widening the
     /// geometry re-derives the bounds instead of silently weakening the
     /// proof. Let `step` be the largest per-cell score increment and
-    /// `S = |sentinel|` (`2^30` for i32, `2^14` for i16). A tier is exact
-    /// when both hold:
+    /// `S = |sentinel|` (`2^30` for i32, `2^14` for i16).
     ///
-    /// 1. **Reach.** Every reachable DP value satisfies
-    ///    `|H| ≤ reach = step × (n+m+2) < S/2`. Under this bound wrapping,
-    ///    saturating and exact arithmetic agree on every real value, and
-    ///    for the i16 tier the `i32 ↔ i16` boundary conversions are exact.
-    /// 2. **Sentinel drift.** Masked cells re-enter the arithmetic as
-    ///    exactly `-S`; inside one block a sentinel-derived candidate can
-    ///    gain at most `step` per block anti-diagonal before the block
-    ///    boundary re-masks it, i.e. at most `drift = step × (2b−1)` in
-    ///    total. Requiring `drift < S/2` keeps every sentinel-class value
-    ///    below `-S/2 < -reach ≤ min(H)`, so sentinels lose every `max`
-    ///    against real values no matter which fill computed them. This is
-    ///    where the block side enters the proof: doubling `b` doubles the
-    ///    worst-case drift, so B=16 cannot silently weaken the gate.
+    /// **Sentinel drift (both tiers).** Masked cells re-enter the arithmetic
+    /// at or below `-S`; inside one block a sentinel-derived candidate can
+    /// gain at most `step` per block anti-diagonal before the block boundary
+    /// re-masks it, i.e. at most `drift = step × (2b−1)` in total, so
+    /// sentinel-class values stay at or below `-S + drift`. This is where the
+    /// block side enters the proof: doubling `b` doubles the worst-case
+    /// drift, so B=16 cannot silently weaken a gate.
     ///
-    /// For tasks with `n + m + 2 ≥ 2b − 1` (everything but tiny tasks under
-    /// extreme scoring) the reach condition subsumes the drift condition,
-    /// which is why the historical 8×8 gates (`reach < 2^29`,
-    /// `reach < 2^13`) were complete as literals.
+    /// **i32 tier — reach.** Lanes hold absolute scores, so every reachable
+    /// DP value must satisfy `|H| ≤ reach = step × (n+m+2) < S/2`, and
+    /// `drift < S/2` keeps sentinels below `-S/2 < -reach`. Under these
+    /// bounds wrapping, saturating and exact arithmetic agree on every real
+    /// value.
+    ///
+    /// **i16 tier — span.** Lanes hold offsets from the block's `base`, a
+    /// real `H` on its boundary ring (west row, north column, corner: the
+    /// largest of them on edge blocks, the corner itself on interior ones),
+    /// so what must fit is the spread of real values *around one block*,
+    /// not the score itself:
+    ///
+    /// * Adjacent valid cells differ by a bounded amount. Straight from the
+    ///   recurrence, `H(i,j) ≥ H(i−1,j) − (o+e)`, `≥ H(i,j−1) − (o+e)` and
+    ///   `≥ H(i−1,j−1) + min_score`; conversely `H(i,j)` exceeds none of
+    ///   those three neighbours by more than `max_score + o + e` (by
+    ///   induction over anti-diagonals: a substitution step gains at most
+    ///   `max_score` over the diagonal neighbour, which is one gap open from
+    ///   the other two; a cell reached through a gap of length `k` from some
+    ///   origin is matched by the parallel gap from the origin's own
+    ///   neighbour, which the band's convexity keeps valid). So one step
+    ///   between neighbours, in any direction, moves `H` by at most
+    ///   `q = max_score + o + e − min_score`.
+    /// * The valid region (band ∩ table, plus the DP borders) is convex
+    ///   along DP moves: a monotone staircase between two valid cells keeps
+    ///   `i − j` between theirs and stays inside their bounding box. Any
+    ///   two cells of a block's `(b+1)²` neighbourhood (block plus ring) are
+    ///   therefore joined by a valid staircase of at most `2b` steps, and
+    ///   every real `H` there lies within `span = 2b × q` of `base`.
+    ///   (DP-border cells outside the band feed only masked cells, but
+    ///   they can be picked as `base`; they equal their unbanded values,
+    ///   which bound the banded ones from above, and a valid cell at most
+    ///   `b` rows below is reached from the border by one gap-free
+    ///   diagonal, which bounds it from below — so the same span covers
+    ///   them.)
+    /// * A real `E` (or `F`) lies between the `H` of its own cell and that
+    ///   of the neighbour it extends from minus `o + e`; for a ring input
+    ///   that neighbour is one step outside the neighbourhood, which costs
+    ///   at most `max_score + 2(o+e) ≤ 3 × step ≤ drift` more.
+    ///
+    /// Requiring `span + drift < S/2 = 2^13` therefore keeps every real
+    /// offset strictly inside `±2^13` and every sentinel-class lane at or
+    /// below `-2^14 + drift < -2^13`: real values convert exactly, never
+    /// saturate, and win every `max` against a sentinel; at block exit
+    /// anything at or below `-2^13` is written back as exactly `NEG_INF`, so
+    /// the next block (with a different base) saturates it again. Absolute
+    /// scores live in the `i32` carries and the tracker, so the i16 tier
+    /// also needs the i32 reach bound — and nothing else that depends on
+    /// `n + m`.
     pub fn with_block_dim(n: usize, m: usize, scoring: &'a Scoring, b: usize) -> BlockCtx<'a> {
         assert!(b == BLOCK || b == MAX_BLOCK, "unsupported block dim {b}: expected 8 or 16");
         let (ni, mi) = (n as i64, m as i64);
@@ -177,7 +220,12 @@ impl<'a> BlockCtx<'a> {
         let reach = step.saturating_mul(ni + mi + 2);
         let drift = step.saturating_mul(block_diags(b) as i64);
         let simd_exact = reach < I32_REACH_BOUND && drift < I32_REACH_BOUND;
-        let i16_exact = reach < I16_REACH_BOUND && drift < I16_REACH_BOUND;
+        let q = scoring.max_score().max(0) as i64
+            + scoring.gap_open as i64
+            + scoring.gap_extend as i64
+            + (-(scoring.min_score() as i64)).max(0);
+        let span = q.saturating_mul(2 * b as i64);
+        let i16_exact = simd_exact && span.saturating_add(drift) < I16_OFFSET_BOUND;
         BlockCtx {
             n: ni,
             m: mi,
@@ -214,7 +262,8 @@ impl<'a> BlockCtx<'a> {
     ///   gain); AVX2 and AVX-512 both qualify (16×i16 kernels exist for
     ///   each);
     /// * the i16 gate must hold *at the wide geometry* (16-wide blocks
-    ///   drift sentinels further; see [`BlockCtx::with_block_dim`]);
+    ///   spread real values and drift sentinels twice as far; see
+    ///   [`BlockCtx::with_block_dim`]);
     /// * both sequences must span at least two wide blocks and the band
     ///   must admit at least a full wide diagonal (`w ≥ 16` or unbanded) —
     ///   otherwise most 16-lane vectors would run partially masked and the
@@ -366,9 +415,9 @@ impl CellValue for i16 {
 /// diagonal's cells contiguously (and in ascending `i`, preserving the
 /// canonical tie-break).
 ///
-/// `h[d][l]` holds `H(i0+l, j0+d-l)` masked to [`CellValue::MASKED`] for
-/// out-of-band / out-of-table cells; bit `l` of `mask[d]` is set iff that
-/// cell is valid. Slots outside the block shape (`l > d` or `d - l >= B`)
+/// `h[d][l]` holds `H(i0+l, j0+d-l) − base` masked to [`CellValue::MASKED`]
+/// for out-of-band / out-of-table cells; bit `l` of `mask[d]` is set iff
+/// that cell is valid. Slots outside the block shape (`l > d` or `d - l >= B`)
 /// are unspecified — consumers must consult `mask`.
 ///
 /// The buffer is sized for the *widest* geometry ([`MAX_BLOCK_DIAGS`] rows)
@@ -380,6 +429,10 @@ impl CellValue for i16 {
 pub struct BlockCellsT<T, const B: usize> {
     i0: i32,
     j0: i32,
+    /// What the staged values are offsets from: score = `h[d][l] + base` on
+    /// valid lanes. The rebased i16 fill sets it per block; the i32 fills
+    /// stage absolute scores and leave it 0.
+    pub base: i32,
     /// Masked `H` values, anti-diagonal-major. Rows `2B-1..` are unused.
     pub h: [[T; B]; MAX_BLOCK_DIAGS],
     /// Valid-cell bitmask per block anti-diagonal (bit `l` = lane `l`).
@@ -395,6 +448,7 @@ impl<T: CellValue, const B: usize> BlockCellsT<T, B> {
         BlockCellsT {
             i0: 0,
             j0: 0,
+            base: 0,
             h: [[T::MASKED; B]; MAX_BLOCK_DIAGS],
             mask: [0; MAX_BLOCK_DIAGS],
         }
@@ -437,9 +491,9 @@ pub type BlockCells = BlockCellsT<i32, BLOCK>;
 
 /// Default-geometry i16 staging buffer, written by
 /// [`crate::simd::fill_wavefront_i16`] and folded whole-block by
-/// [`crate::diag::DiagTracker::on_block_i16`]. Valid lanes hold exactly the
-/// value the scalar fill computes (widened), which is what makes the i16
-/// tier bit-identical task-wide.
+/// [`crate::diag::DiagTracker::on_block_i16`]. Valid lanes plus the block's
+/// `base` are exactly the values the scalar fill computes, which is what
+/// makes the i16 tier bit-identical task-wide.
 pub type BlockCells16 = BlockCellsT<i16, BLOCK>;
 
 /// Wide-geometry (16×16) i32 staging buffer.
@@ -667,9 +721,10 @@ pub fn compute_block_mode<const B: usize>(
 /// [`compute_block`] on the 16-bit tier: fills one block with the i16
 /// wavefront ([`crate::simd::fill_wavefront_i16`]), staging masked `H`
 /// values into a [`BlockCells16`]-shaped buffer for
-/// [`crate::diag::DiagTracker::on_block_i16`]. Boundary carries stay `i32`
-/// at the interface (converted exactly at block entry/exit), so callers
-/// thread the same boundary state through every tier.
+/// [`crate::diag::DiagTracker::on_block_i16`]. Boundary carries stay
+/// absolute `i32` scores at the interface (rebased exactly at block
+/// entry/exit), so callers thread the same boundary state through every
+/// tier.
 ///
 /// Callers must only select this tier for tasks whose
 /// [`BlockCtx::i16_exact`] gate holds *at this geometry* — that is what
@@ -1019,59 +1074,66 @@ mod tests {
         // PR 3/4 shipped the gates as free-standing literals; the derived
         // forms must be the same numbers or every exactness proof changes.
         assert_eq!(I32_REACH_BOUND, 1 << 29);
-        assert_eq!(I16_REACH_BOUND, 1 << 13);
+        assert_eq!(I16_OFFSET_BOUND, 1 << 13);
         assert_eq!(I32_SENTINEL_MAG, 1 << 30);
         assert_eq!(I16_SENTINEL_MAG, 1 << 14);
+        assert_eq!(I16_OFFSET_BOUND, I16_SENTINEL_MAG / 2);
     }
 
     #[test]
     fn matrix_model_gates_derive_from_declared_bounds() {
-        // Under BLOSUM62 the per-step increment is the declared matrix
-        // maximum (11, tying gap_open + gap_extend = 11 in the preset), not
-        // any DNA constant: reach = 11 × (n + m + 2).
+        // Under BLOSUM62 the gate terms come from the declared matrix bounds
+        // (+11 / −4) and the preset's gaps (10 + 1), not any DNA constant:
+        // q = 11 + 11 + 4 = 26, step = 11, so span + drift is
+        // 16·26 + 15·11 = 581 at B=8 and 32·26 + 31·11 = 1173 at B=16 —
+        // i16-exact at any length the i32 reach admits.
         let sc = Scoring::preset_blosum62();
-        // 250×250 → 11 × 502 = 5522 < 2^13: both geometries stay i16-exact.
         for b in [BLOCK, MAX_BLOCK] {
-            let ctx = BlockCtx::with_block_dim(250, 250, &sc, b);
-            assert!(ctx.simd_exact && ctx.i16_exact, "b={b}");
+            for (n, m) in [(250, 250), (400, 400), (30_000, 30_000)] {
+                let ctx = BlockCtx::with_block_dim(n, m, &sc, b);
+                assert!(ctx.simd_exact && ctx.i16_exact, "b={b} {n}×{m}");
+            }
         }
-        // 400×400 → 11 × 802 = 8822 ≥ 2^13: the i16 tier demotes while the
-        // i32 gate (bound 2^29) is nowhere near.
-        for b in [BLOCK, MAX_BLOCK] {
-            let ctx = BlockCtx::with_block_dim(400, 400, &sc, b);
-            assert!(!ctx.i16_exact, "b={b}");
-            assert!(ctx.simd_exact, "b={b}");
-        }
-        // A fixed model with the same magnitudes gates identically — the
-        // step is model-independent once the bounds agree.
+        // A fixed model with the same bounds gates identically — the gate
+        // is model-independent once the bounds agree — on both sides of it:
+        // scaling every bound by 8 (q = 208, step = 88) passes B=8
+        // (3328 + 1320 = 4648) and fails B=16 (6656 + 2728 = 9384).
         let fixed = Scoring::new(11, 4, 10, 1, sc.zdrop, sc.band_width);
-        assert_eq!(
-            BlockCtx::with_block_dim(250, 250, &fixed, BLOCK).i16_exact,
-            BlockCtx::with_block_dim(250, 250, &sc, BLOCK).i16_exact
-        );
-        assert_eq!(
-            BlockCtx::with_block_dim(400, 400, &fixed, BLOCK).i16_exact,
-            BlockCtx::with_block_dim(400, 400, &sc, BLOCK).i16_exact
-        );
+        let hot = Scoring::new(88, 32, 80, 8, sc.zdrop, sc.band_width);
+        for b in [BLOCK, MAX_BLOCK] {
+            assert!(BlockCtx::with_block_dim(250, 250, &fixed, b).i16_exact, "b={b}");
+        }
+        assert!(BlockCtx::with_block_dim(250, 250, &hot, BLOCK).i16_exact);
+        assert!(!BlockCtx::with_block_dim(250, 250, &hot, MAX_BLOCK).i16_exact);
+        assert!(BlockCtx::with_block_dim(250, 250, &hot, MAX_BLOCK).simd_exact);
     }
 
     #[test]
     fn drift_gate_only_bites_tiny_tasks_under_extreme_scoring() {
-        // Ordinary tasks: reach subsumes drift, both geometries gate alike.
+        // Ordinary scoring: both gates hold at both geometries, and the i16
+        // one no longer cares how long the task is.
         let sc = Scoring::preset_bwa();
         for b in [BLOCK, MAX_BLOCK] {
-            let ctx = BlockCtx::with_block_dim(250, 250, &sc, b);
-            assert!(ctx.simd_exact && ctx.i16_exact, "b={b}");
+            for len in [250, 25_000] {
+                let ctx = BlockCtx::with_block_dim(len, len, &sc, b);
+                assert!(ctx.simd_exact && ctx.i16_exact, "b={b} len={len}");
+            }
         }
-        // A tiny task under huge scoring passes the reach gate but can
-        // drift a sentinel past -S/2 inside one wide block: the drift arm
-        // demotes it. step = 600, reach = 600*8 = 4800 < 2^13, but
-        // drift(16) = 600*31 = 18600 >= 2^13 and drift(8) = 9000 >= 2^13.
+        // Huge scoring on a tiny task: the i32 tier's reach
+        // (600 × 8 = 4800) and drift (600 × 31) are nowhere near 2^29, but
+        // one block already spreads its values past the i16 offset range
+        // (span alone is 16 × 602 at B=8), so the i16 tier demotes it at
+        // both geometries.
         let sc = Scoring::new(600, 1, 0, 1, Scoring::NO_ZDROP, Scoring::NO_BAND);
         let narrow = BlockCtx::with_block_dim(3, 3, &sc, BLOCK);
         let wide = BlockCtx::with_block_dim(3, 3, &sc, MAX_BLOCK);
         assert!(!narrow.i16_exact && !wide.i16_exact);
         assert!(narrow.simd_exact && wide.simd_exact, "drift is tiny at i32 scale");
+        // The i16 gate includes the i32 one: a task whose absolute scores
+        // could leave the i32 reach never runs rebased lanes either.
+        let bwa = Scoring::preset_bwa();
+        let long = BlockCtx::with_block_dim(1 << 27, 1 << 27, &bwa, BLOCK);
+        assert!(!long.simd_exact && !long.i16_exact);
     }
 
     #[test]

@@ -61,6 +61,30 @@ pub struct DiagTracker {
     fold_backend: crate::simd::WavefrontBackend,
 }
 
+/// The band-exhaustion point of an `n × m` table under band half-width `w`:
+/// the first anti-diagonal `c < total` with no in-band cell, or `total` when
+/// every diagonal has one. In closed form, from the bounds of
+/// [`crate::guided::diag_range`]: `lo ≤ hi` reduces to
+/// `c ≤ w + 2·min(n, m) − 2` (the band still overlaps the shorter side) and,
+/// for `w = 0` only, `c` even (odd diagonals miss the main diagonal).
+fn band_cutoff(n: usize, m: usize, w: i64, total: usize) -> usize {
+    let first_empty = if w == 0 { 1 } else { w as usize + 2 * n.min(m) - 1 };
+    first_empty.min(total)
+}
+
+/// The eight staged lanes `row[at..at + 8]` — one half-row of either
+/// geometry, the unit `phminposuw` reduces.
+///
+/// # Safety
+/// Requires SSE2 (baseline on x86-64); `at + 8` must not exceed `B`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn load8<const B: usize>(row: &[i16; B], at: usize) -> std::arch::x86_64::__m128i {
+    debug_assert!(at + 8 <= B, "8-lane reduction past the staged row");
+    // SAFETY: the 16 bytes at `row[at..at + 8]` are in bounds (asserted).
+    std::arch::x86_64::_mm_loadu_si128(row.as_ptr().add(at).cast())
+}
+
 impl DiagTracker {
     /// New tracker for an `n × m` task under `scoring`.
     pub fn new(n: usize, m: usize, scoring: &Scoring) -> DiagTracker {
@@ -108,17 +132,6 @@ impl DiagTracker {
         let (ni, mi) = (n as i64, m as i64);
         let w = if scoring.banded() { scoring.band_width as i64 } else { ni + mi };
         let total = if n == 0 || m == 0 { 0 } else { n + m - 1 };
-        // Find the first empty diagonal (band exhaustion). In-band diagonal
-        // emptiness is monotone at the tail, so scan from the start is fine
-        // but O(total); use the closed form instead: diagonals are nonempty
-        // for c in [0, c_max] where c_max is the last c with cells.
-        let mut cutoff = total;
-        for c in 0..total {
-            if diag_cells(c as i64, ni, mi, w) == 0 {
-                cutoff = c;
-                break;
-            }
-        }
         self.n = ni;
         self.m = mi;
         self.w = w;
@@ -134,7 +147,7 @@ impl DiagTracker {
         self.qend.clear();
         self.qend.resize(total, NEG_INF);
         self.next = 0;
-        self.cutoff = cutoff;
+        self.cutoff = band_cutoff(n, m, w, total);
         self.total = total;
         self.global = MaxCell::ORIGIN;
         self.qend_best = None;
@@ -162,13 +175,15 @@ impl DiagTracker {
     }
 
     /// [`DiagTracker::on_block`] for the 16-bit fill tier: folds a
-    /// 16-bit staging buffer of either geometry, widening each valid lane
-    /// to score space. Valid-lane values are bit-identical to the i32 tiers
-    /// under the `i16_exact` gate, so the fold observes exactly the same
-    /// scores.
+    /// 16-bit staging buffer of either geometry, whose valid lanes hold
+    /// offsets from the block's `base`. Offset plus base is bit-identical to
+    /// the i32 tiers' value under the `i16_exact` gate, so the fold observes
+    /// exactly the same scores; every variant reduces a diagonal on the raw
+    /// offsets (the argmax is offset-invariant) and adds the base to the
+    /// winner.
     ///
     /// The staging buffer must come from a gate-admitted i16 fill: that
-    /// guarantees every valid lane holds a *real* score (strictly above the
+    /// guarantees every valid lane holds a *real* offset (strictly above the
     /// masked-lane sentinel band), which the vectorised per-diagonal argmax
     /// below relies on. Fills driven past the gate would already have
     /// corrupted values; this fold adds no failure mode of its own.
@@ -187,7 +202,7 @@ impl DiagTracker {
             crate::simd::WavefrontBackend::Portable => {}
         }
         self.fold_block(cells.i0(), cells.j0(), &cells.mask, B as i64, |d, l| {
-            i32::from(cells.h[d][l])
+            i32::from(cells.h[d][l]) + cells.base
         });
     }
 
@@ -216,15 +231,17 @@ impl DiagTracker {
         #[allow(clippy::wildcard_imports)]
         use std::arch::x86_64::*;
         let bias = _mm_set1_epi16(i16::MAX);
-        // One 128-bit reduction: order-reversed min over eight i16 lanes
-        // starting at `ptr`, returning (score, lane).
-        let minpos = |ptr: *const i16| {
+        // Staged lanes are offsets from the block's base; the argmax is
+        // offset-invariant, so the base joins after the reduction.
+        let top = i32::from(i16::MAX) + cells.base;
+        // One 128-bit reduction: order-reversed min over the eight i16 lanes
+        // `row[at..at + 8]`, returning (score, lane).
+        let minpos = |row: &[i16; B], at: usize| {
             // Wrapping `0x7FFF - h` is the exact u16 bit pattern of the
             // order-reversed score, for the full i16 range.
-            let row = _mm_loadu_si128(ptr.cast::<__m128i>());
-            let packed = _mm_cvtsi128_si32(_mm_minpos_epu16(_mm_sub_epi16(bias, row))) as u32;
-            let h = i32::from(i16::MAX) - i32::from((packed & 0xFFFF) as u16);
-            (h, (packed >> 16) as usize & 7)
+            let y = _mm_sub_epi16(bias, load8(row, at));
+            let packed = _mm_cvtsi128_si32(_mm_minpos_epu16(y)) as u32;
+            (top - i32::from((packed & 0xFFFF) as u16), at + ((packed >> 16) as usize & 7))
         };
         self.fold_block_argmax(
             cells.i0(),
@@ -232,20 +249,20 @@ impl DiagTracker {
             &cells.mask,
             B as i64,
             |d, _lo, _hi| {
-                let (h, l) = minpos(cells.h[d].as_ptr());
+                let (h, l) = minpos(&cells.h[d], 0);
                 if B == crate::BLOCK {
                     return (h, l);
                 }
                 // Wide row: reduce the high half too; strict `>` keeps the
                 // low half (smaller `i`) on equal scores.
-                let (h_hi, l_hi) = minpos(cells.h[d].as_ptr().add(8));
+                let (h_hi, l_hi) = minpos(&cells.h[d], 8);
                 if h_hi > h {
-                    (h_hi, l_hi + 8)
+                    (h_hi, l_hi)
                 } else {
                     (h, l)
                 }
             },
-            |d, l| i32::from(cells.h[d][l]),
+            |d, l| i32::from(cells.h[d][l]) + cells.base,
         );
     }
 
@@ -323,6 +340,9 @@ impl DiagTracker {
         // compares (the second load is masked: the staging array holds
         // `MAX_BLOCK_DIAGS` = 31 rows, one short of two full vectors).
         let mp = cells.mask.as_ptr().cast::<i16>();
+        debug_assert!(cells.mask.len() >= 16 + 15, "two mask vectors past the staged masks");
+        // SAFETY: masks 0..16 and, under the 15-lane load mask, 16..31 are in
+        // bounds (asserted).
         let m_lo = _mm256_loadu_si256(mp.cast::<__m256i>());
         let m_hi = _mm256_maskz_loadu_epi16(0x7FFF, mp.add(16));
         let z = _mm256_setzero_si256();
@@ -372,9 +392,8 @@ impl DiagTracker {
         let bias = _mm_set1_epi16(i16::MAX);
         let mut packed_lo = [u32::MAX; MAX_BLOCK_DIAGS + 1];
         let mut packed_hi = [u32::MAX; MAX_BLOCK_DIAGS + 1];
-        let minpos = |ptr: *const i16| -> u32 {
-            let row = _mm_loadu_si128(ptr.cast::<__m128i>());
-            _mm_cvtsi128_si32(_mm_minpos_epu16(_mm_sub_epi16(bias, row))) as u32
+        let minpos = |row: &[i16; B], at: usize| -> u32 {
+            _mm_cvtsi128_si32(_mm_minpos_epu16(_mm_sub_epi16(bias, load8(row, at)))) as u32
         };
         // Live rows only (bit-scan over `valid`): edge and run-ahead
         // blocks stage far fewer than 2B−1 live rows, and reducing their
@@ -385,20 +404,20 @@ impl DiagTracker {
         while v != 0 {
             let d = v.trailing_zeros() as usize;
             v &= v - 1;
-            packed_lo[d] = minpos(cells.h[d].as_ptr());
+            packed_lo[d] = minpos(&cells.h[d], 0);
         }
         let mut v = seg(8, B as u32 + 7);
         while v != 0 {
             let d = v.trailing_zeros() as usize;
             v &= v - 1;
-            packed_lo[d] = minpos(cells.h[d].as_ptr());
-            packed_hi[d] = minpos(cells.h[d].as_ptr().add(8));
+            packed_lo[d] = minpos(&cells.h[d], 0);
+            packed_hi[d] = minpos(&cells.h[d], 8);
         }
         let mut v = seg(B as u32 + 7, 32);
         while v != 0 {
             let d = v.trailing_zeros() as usize;
             v &= v - 1;
-            packed_hi[d] = minpos(cells.h[d].as_ptr().add(8));
+            packed_hi[d] = minpos(&cells.h[d], 8);
         }
 
         // Phase 2: two 16-row merge steps over the contiguous
@@ -422,7 +441,9 @@ impl DiagTracker {
         };
         let v_ffff = _mm512_set1_epi32(0xFFFF);
         let v_half = _mm512_set1_epi32(1 << 3);
-        let v_bias = _mm512_set1_epi32(i32::from(i16::MAX));
+        // Staged lanes are offsets from the block's base; the keys order
+        // offsets, and the base joins when a key is decoded to a score.
+        let v_bias = _mm512_set1_epi32(i32::from(i16::MAX) + cells.base);
         let v_i0 = _mm512_set1_epi32(i0);
         let v_15 = _mm512_set1_epi32(0xF);
         for chunk in 0..diags.div_ceil(16) {
@@ -435,6 +456,9 @@ impl DiagTracker {
             // numeric min is max-H first, then low half, then low lane —
             // decoding the low nibble yields the row lane directly
             // (half * 8 + minpos index).
+            debug_assert!(k + 16 <= packed_lo.len(), "key chunk past the packed rows");
+            // SAFETY: `packed_lo[k..k + 16]` and `packed_hi[k..k + 16]` are in
+            // bounds (asserted; the arrays have one length).
             let pl = _mm512_loadu_epi32(packed_lo.as_ptr().add(k).cast::<i32>());
             let ph = _mm512_loadu_epi32(packed_hi.as_ptr().add(k).cast::<i32>());
             let key_lo = _mm512_or_epi32(
@@ -451,10 +475,16 @@ impl DiagTracker {
             // Fault-suppressing masked loads: dead lanes may sit past the
             // table's last diagonal.
             let base = c0 + k;
-            // `seen` accounting for the chunk's live rows. SAFETY: the
-            // highest set `live` bit is `hi_d − k` and `c0 + hi_d < total`
-            // (asserted above), so the masked store stays inside the
-            // `total`-sized vector.
+            // `seen` accounting for the chunk's live rows. SAFETY: masked
+            // lanes are neither read nor written, and the highest live lane
+            // is inside the three `total`-sized vectors (asserted).
+            debug_assert!(
+                base + (15 - live.leading_zeros() as usize) < self.total
+                    && self.seen.len() == self.total
+                    && self.local_score.len() == self.total
+                    && self.local_i.len() == self.total,
+                "live merge lane past the tracker's diagonals"
+            );
             let counts = _mm512_cvtepi16_epi32(popcnt16(if chunk == 0 { m_lo } else { m_hi }));
             let seen_ptr = self.seen.as_mut_ptr().cast::<i32>();
             let cur_seen = _mm512_maskz_loadu_epi32(live, seen_ptr.add(base));
@@ -479,7 +509,7 @@ impl DiagTracker {
             for d in kq.max(skip)..=(kq + B - 1).min(hi_d) {
                 let lq = d - kq;
                 if cells.mask[d] & (1 << lq) != 0 {
-                    self.qend[c0 + d] = i32::from(cells.h[d][lq]);
+                    self.qend[c0 + d] = i32::from(cells.h[d][lq]) + cells.base;
                 }
             }
         }
@@ -906,6 +936,35 @@ mod tests {
             let got = reused.take_result();
             assert_eq!(got, want, "reused tracker diverged on ({r}, {q})");
         }
+    }
+
+    #[test]
+    fn band_cutoff_closed_form_matches_the_scan() {
+        // The closed form against the definition (first diagonal with no
+        // in-band cell), over degenerate, square, tall and wide tables and
+        // bands from the bare main diagonal to wider than the table.
+        let dims: &[usize] =
+            if cfg!(miri) { &[0, 1, 2, 9, 40] } else { &[0, 1, 2, 3, 7, 8, 9, 40, 257] };
+        let mut exhausted = 0;
+        for &n in dims {
+            for &m in dims {
+                let total = if n == 0 || m == 0 { 0 } else { n + m - 1 };
+                let (ni, mi) = (n as i64, m as i64);
+                for w in [0, 1, 2, 3, 7, 8, 15, 16, 17, 100, ni + mi, ni + mi + 5, 1 << 31] {
+                    let scan = (0..total)
+                        .find(|&c| crate::guided::diag_cells(c as i64, ni, mi, w) == 0)
+                        .unwrap_or(total);
+                    assert_eq!(band_cutoff(n, m, w, total), scan, "n={n} m={m} w={w}");
+                    exhausted += usize::from(scan < total);
+                }
+            }
+        }
+        assert!(exhausted > 50, "only {exhausted} cases exhausted their band");
+        // The tracker reports what the closed form found.
+        let s = Scoring::new(2, 4, 4, 2, Scoring::NO_ZDROP, 2);
+        let t = DiagTracker::new(64, 5, &s);
+        assert_eq!(t.cutoff, 2 + 2 * 5 - 1);
+        assert!(t.cutoff < t.total);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The wavefront block fill, written once over [`Lanes`] — see the layout
 //! rules in the [module header](super).
 
-use super::lanes::{DiagMasks, LaneElem, Lanes};
+use super::lanes::{block_base, DiagMasks, LaneElem, Lanes};
 use crate::block::{block_diags, BlockCellsT, BlockCtx, BoundaryT, CellValue};
 use crate::{MAX_BLOCK, MAX_BLOCK_DIAGS};
 
@@ -125,31 +125,46 @@ pub(crate) unsafe fn fill_block<L: Lanes<B>, const B: usize>(
     io: BlockIo<'_, L::Elem, B>,
 ) {
     let BlockIo { rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells } = io;
-    let narrow = <L::Elem as LaneElem>::narrow;
+    let delta = <L::Elem as LaneElem>::delta;
     let masked = <L::Elem as CellValue>::MASKED;
     let diags = block_diags(B);
 
     let sc = ctx.scoring;
-    let oe = L::splat(narrow(sc.gap_open + sc.gap_extend));
-    let ext = L::splat(narrow(sc.gap_extend));
+    let oe = L::splat(delta(sc.gap_open + sc.gap_extend));
+    let ext = L::splat(delta(sc.gap_extend));
     // Fixed-model compare/select constants (zeroed and unused under a
     // matrix model, where per-diagonal rows replace them).
     let (f_match, f_mis, f_amb) = sc.model.fixed_params().unwrap_or((0, 0, 0));
-    let v_match = L::splat(narrow(f_match));
-    let v_mis = L::splat(narrow(-f_mis));
-    let v_amb = L::splat(narrow(-f_amb));
-    let v_acgt_max = L::splat(narrow(i32::from(crate::Base::N.code()) - 1));
+    let v_match = L::splat(delta(f_match));
+    let v_mis = L::splat(delta(-f_mis));
+    let v_amb = L::splat(delta(-f_amb));
+    let v_acgt_max = L::splat(delta(i32::from(crate::Base::N.code()) - 1));
     let sub_rows = sc.model.matrix().map(|m| matrix_sub_lanes::<B>(ctx, m, j0, rcodes, qcodes));
     let neg_inf = L::splat(masked);
 
     let interior = ctx.block_interior(i0, j0);
     let masks = if interior { Shape::<B>::MASKS } else { L::edge_masks(ctx, i0, j0) };
 
-    // The boundary arrays double as outputs; snapshot (and narrow) them.
-    let wh_in = L::narrow_boundary(west_h);
-    let we_in = L::narrow_boundary(west_e);
-    let nh_in = L::narrow_boundary(north_h);
-    let nf_in = L::narrow_boundary(north_f);
+    // Rebased tiers run the block on offsets from a real `H` of its boundary
+    // ring (the recurrence is translation-invariant, so nothing below
+    // changes). Any real ring value serves — the gate bounds the distance
+    // between any two — so interior blocks, whose corner is always a valid
+    // cell, take it as is: that keeps the ring reduction off the
+    // block-to-block dependency chain of a row sweep, where the west carry
+    // arrives last.
+    let base = if !<L::Elem as LaneElem>::REBASED {
+        0
+    } else if interior {
+        corner
+    } else {
+        block_base(corner, west_h, north_h)
+    };
+    cells.base = base;
+    // The boundary arrays double as outputs; snapshot (and rebase) them.
+    let wh_in = L::rebase_boundary(west_h, base);
+    let we_in = L::rebase_boundary(west_e, base);
+    let nh_in = L::rebase_boundary(north_h, base);
+    let nf_in = L::rebase_boundary(north_f, base);
 
     // Lane-0 up inputs per diagonal, -∞ past the block shape, so the loop
     // body is branch-free.
@@ -158,7 +173,7 @@ pub(crate) unsafe fn fill_block<L: Lanes<B>, const B: usize>(
     bh_pad[..B].copy_from_slice(&wh_in);
     be_pad[..B].copy_from_slice(&we_in);
 
-    let r_vec = L::load(&rcodes.map(|c| narrow(i32::from(c))), 0);
+    let r_vec = L::load(&rcodes.map(|c| delta(i32::from(c))), 0);
     // Lane l of diagonal d reads qcodes[d - l] — a window *descending* in
     // memory — so a reversed, zero-padded copy turns the sliding query into
     // one unaligned load per diagonal: qrev[qrev_c - k] = qcodes[k], and
@@ -167,7 +182,7 @@ pub(crate) unsafe fn fill_block<L: Lanes<B>, const B: usize>(
     let qrev_c = 2 * B - 2;
     let mut qrev = [L::Elem::ZERO; 3 * MAX_BLOCK - 1];
     for (k, &c) in qcodes.iter().enumerate() {
-        qrev[qrev_c - k] = narrow(i32::from(c));
+        qrev[qrev_c - k] = delta(i32::from(c));
     }
 
     // State of diagonal d-1, with "H_{-1}" / "F_{-1}" — the north seed of
@@ -178,7 +193,7 @@ pub(crate) unsafe fn fill_block<L: Lanes<B>, const B: usize>(
     // Lane 0's diagonal input at d is its up input at d-1 (`H(i0-1, j0+d-1)`,
     // the corner at d = 0), so row d's `diag` is exactly row d-1's up-shifted
     // H: carrying it takes one shift per diagonal off the loop-carried chain.
-    let mut dg_next = L::shift_in(neg_inf, narrow(corner));
+    let mut dg_next = L::shift_in(neg_inf, <L::Elem as LaneElem>::rebase(corner, base));
 
     let mut e_tmp = [[L::Elem::ZERO; B]; B];
     let mut f_tmp = [[L::Elem::ZERO; B]; B];
@@ -247,9 +262,9 @@ pub(crate) unsafe fn fill_block<L: Lanes<B>, const B: usize>(
     // diagonal B-1+k is the block's last row (west output for column k);
     // lane k of the same diagonal is its last column (north output, row k).
     for k in 0..B {
-        west_h[k] = cells.h[k + B - 1][B - 1].widen();
-        west_e[k] = e_tmp[k][B - 1].widen();
-        north_h[k] = cells.h[k + B - 1][k].widen();
-        north_f[k] = f_tmp[k][k].widen();
+        west_h[k] = cells.h[k + B - 1][B - 1].unbase(base);
+        west_e[k] = e_tmp[k][B - 1].unbase(base);
+        north_h[k] = cells.h[k + B - 1][k].unbase(base);
+        north_f[k] = f_tmp[k][k].unbase(base);
     }
 }

@@ -5,9 +5,9 @@
 //! target (and under Miri) and is the semantic reference the x86 impls in
 //! [`super::x86`] are compared to.
 
-use super::lane_mask;
-use crate::block::{BlockCtx, CellValue};
-use crate::MAX_BLOCK_DIAGS;
+use super::{lane_mask, to16, SENTINEL_BAND16};
+use crate::block::{BlockCtx, CellValue, I32_REACH_BOUND};
+use crate::{MAX_BLOCK_DIAGS, NEG_INF};
 use std::marker::PhantomData;
 use std::ops::{BitAnd, BitOr, Not};
 
@@ -19,17 +19,29 @@ pub(crate) type DiagMasks = [u16; MAX_BLOCK_DIAGS + 1];
 /// arithmetic: wrapping for i32 (exact under `simd_exact`), saturating for
 /// i16 (sentinel-class values pin in the sentinel band instead of wrapping
 /// into plausible scores).
+///
+/// Lanes of the i16 tier hold *offsets from a per-block base* (a real `H`
+/// of the block's boundary ring, see [`block_base`]), so the lane width
+/// bounds the score spread inside one block, never the absolute score; the
+/// i32 tier's base is always 0.
 pub(crate) trait LaneElem:
     CellValue + Ord + BitAnd<Output = Self> + BitOr<Output = Self> + Not<Output = Self>
 {
     const ZERO: Self;
     /// All bits set: a set lane of a [`Portable`] lane mask.
     const ONES: Self;
-    /// Block-entry conversion from the `i32` interface (exact on every real
-    /// value under the tier's gate).
-    fn narrow(v: i32) -> Self;
-    /// Block-exit conversion back to the `i32` interface.
-    fn widen(self) -> i32;
+    /// Whether lanes hold offsets from a per-block base.
+    const REBASED: bool;
+    /// A score *difference* (penalty, substitution score) or residue code as
+    /// a lane value — base-free by nature.
+    fn delta(v: i32) -> Self;
+    /// Block-entry conversion of an absolute `i32` score to a lane value
+    /// (exact on every real value under the tier's gate; `-∞`-class inputs
+    /// land in the tier's sentinel band).
+    fn rebase(v: i32, base: i32) -> Self;
+    /// Block-exit conversion back to an absolute `i32` score. Sentinel-class
+    /// lanes come out as exactly [`NEG_INF`], whatever they drifted to.
+    fn unbase(self, base: i32) -> i32;
     fn add(self, o: Self) -> Self;
     fn sub(self, o: Self) -> Self;
 }
@@ -37,12 +49,17 @@ pub(crate) trait LaneElem:
 impl LaneElem for i32 {
     const ZERO: i32 = 0;
     const ONES: i32 = -1;
+    const REBASED: bool = false;
     #[inline(always)]
-    fn narrow(v: i32) -> i32 {
+    fn delta(v: i32) -> i32 {
         v
     }
     #[inline(always)]
-    fn widen(self) -> i32 {
+    fn rebase(v: i32, _base: i32) -> i32 {
+        v
+    }
+    #[inline(always)]
+    fn unbase(self, _base: i32) -> i32 {
         self
     }
     #[inline(always)]
@@ -58,13 +75,24 @@ impl LaneElem for i32 {
 impl LaneElem for i16 {
     const ZERO: i16 = 0;
     const ONES: i16 = -1;
+    const REBASED: bool = true;
     #[inline(always)]
-    fn narrow(v: i32) -> i16 {
-        super::to16(v)
+    fn delta(v: i32) -> i16 {
+        to16(v)
     }
     #[inline(always)]
-    fn widen(self) -> i32 {
-        i32::from(self)
+    fn rebase(v: i32, base: i32) -> i16 {
+        // No overflow: `base` is a real score (`|base| < 2^29` under
+        // `simd_exact`, which the i16 gate includes) and `v ≥ NEG_INF`.
+        to16(v - base)
+    }
+    #[inline(always)]
+    fn unbase(self, base: i32) -> i32 {
+        if self <= SENTINEL_BAND16 {
+            NEG_INF
+        } else {
+            i32::from(self) + base
+        }
     }
     #[inline(always)]
     fn add(self, o: i16) -> i16 {
@@ -74,6 +102,22 @@ impl LaneElem for i16 {
     fn sub(self, o: i16) -> i16 {
         self.saturating_sub(o)
     }
+}
+
+/// The base of a rebased edge block: the largest of its `2B+1` boundary `H`
+/// inputs. The fold starts at `-I32_REACH_BOUND`, below every real score and
+/// above every `-∞`-class one, so sentinels lose the max; a block with a
+/// valid cell always has a real input (the cell's diagonal predecessor chain
+/// reaches the ring in band), and one without has nothing to offset.
+#[inline(always)]
+pub(crate) fn block_base<const B: usize>(
+    corner: i32,
+    west_h: &[i32; B],
+    north_h: &[i32; B],
+) -> i32 {
+    let floor = -(I32_REACH_BOUND as i32);
+    let ring = west_h.iter().zip(north_h).fold(floor, |acc, (&w, &n)| acc.max(w).max(n));
+    ring.max(corner)
 }
 
 /// `B` lanes of [`Lanes::Elem`] in one vector `V`, with lane predicates `M`
@@ -115,14 +159,14 @@ pub(crate) trait Lanes<const B: usize> {
 
     /// Block-entry conversion of one `i32` boundary carry.
     #[inline(always)]
-    unsafe fn narrow_boundary(src: &[i32; B]) -> [Self::Elem; B] {
-        src.map(Self::Elem::narrow)
+    unsafe fn rebase_boundary(src: &[i32; B], base: i32) -> [Self::Elem; B] {
+        src.map(|v| Self::Elem::rebase(v, base))
     }
 
     /// One substitution row of [`super::fill::matrix_sub_lanes`] as lanes.
     #[inline(always)]
     unsafe fn widen_sub_row(src: &[i16; B]) -> Self::V {
-        Self::load(&src.map(|s| Self::Elem::narrow(i32::from(s))), 0)
+        Self::load(&src.map(|s| Self::Elem::delta(i32::from(s))), 0)
     }
 
     /// Finished rows `d` and `d + 1` into the staging buffer.

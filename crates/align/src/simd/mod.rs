@@ -38,17 +38,27 @@
 //! could approach the `i32` limits — where the scalar fill's
 //! `saturating_add` would differ — back to the scalar fill).
 //! [`fill_wavefront_i16`] is the same wavefront at half the lane width:
-//! saturating arithmetic with [`NEG_INF16`] as the sentinel, gated by
+//! saturating arithmetic with [`NEG_INF16`] as the sentinel, on lanes that
+//! hold *offsets from a per-block base* rather than scores, gated by
 //! [`crate::block::BlockCtx::i16_exact`] (derived per geometry — see
-//! [`crate::block::BlockCtx::with_block_dim`]). Boundary carries stay `i32`
-//! at the interface and are converted with `i32 → i16` saturation at block
-//! entry (exact for every reachable real value under the gate;
-//! `-∞`-derived values collapse into the sentinel class, which by
-//! construction loses every `max` against a real value just as in the i32
-//! tier). Valid-lane `H` values are therefore bit-identical to the scalar
-//! fill; only masked lanes and boundary slots for masked cells carry a
-//! different (equally ultra-negative) encoding, and nothing downstream
-//! observes those.
+//! [`crate::block::BlockCtx::with_block_dim`]). Boundary carries stay
+//! absolute `i32` scores at the interface. At block entry the fill takes a
+//! real boundary `H` input as `base` — the largest of the `2B+1` on edge
+//! blocks, the corner on interior ones, where it is always real and keeps the
+//! reduction off the block-to-block chain — and converts every carry as
+//! `i32 → i16` saturation of `v − base` (exact for every real value
+//! under the gate, which bounds how far a block's values spread around its
+//! ring — not how large they are; `-∞`-derived values collapse into the
+//! sentinel class, which by construction loses every `max` against a real
+//! value just as in the i32 tier). The recurrence is translation-invariant,
+//! so it runs unchanged; the staging buffer records `base` for the tracker
+//! fold, and at block exit real lanes go back out as `x + base` while
+//! anything in the sentinel band (`x ≤ `[`SENTINEL_BAND16`]) is written as
+//! exactly `NEG_INF`, for the next block — with its own base — to saturate
+//! again. Valid-lane `H` values plus `base` are therefore bit-identical to
+//! the scalar fill; only masked lanes and boundary slots for masked cells
+//! carry a different (equally ultra-negative) encoding, and nothing
+//! downstream observes those.
 //!
 //! ## Which lanes run
 //!
@@ -84,14 +94,19 @@ mod x86;
 /// Sentinel for "minus infinity" in the 16-bit tier: `i16::MIN / 2`, the
 /// same factor-two headroom [`NEG_INF`] keeps in i32 space. Saturating
 /// arithmetic may pin sentinel-derived values anywhere in
-/// `[i16::MIN, NEG_INF16]`; the i16 exactness gate keeps every real value
-/// (and every real value minus one penalty) strictly above that band.
+/// `[i16::MIN, NEG_INF16]`, and they may drift up from there by less than
+/// `2^13`; the i16 exactness gate keeps every real offset strictly above
+/// [`SENTINEL_BAND16`].
+///
+/// [`NEG_INF`]: crate::NEG_INF
 pub const NEG_INF16: i16 = i16::MIN / 2;
 
-/// Exact `i32 → i16` entry conversion for the 16-bit tier: saturating
-/// narrowing (the scalar twin of `_mm_packs_epi32`). Real values are
-/// unchanged (the gate bounds them well inside i16), `-∞`-class values
-/// saturate into the sentinel band.
+/// Top of the 16-bit tier's sentinel band, `-2^13`: a lane at or below it is
+/// `-∞`-class, a lane above it is a real offset from the block's base.
+pub const SENTINEL_BAND16: i16 = NEG_INF16 / 2;
+
+/// Saturating `i32 → i16` narrowing (the scalar twin of `_mm_packs_epi32`):
+/// exact inside the i16 range, pinned at the rails outside it.
 #[inline]
 pub(crate) fn to16(v: i32) -> i16 {
     v.clamp(i32::from(i16::MIN), i32::from(i16::MAX)) as i16
@@ -358,10 +373,11 @@ pub(crate) fn fill_wavefront<const B: usize>(
     }
 }
 
-/// 16-bit-tier wavefront fill (the narrow twin of [`fill_wavefront`]),
-/// staging into a `BlockCellsT<i16, B>` buffer. All lane impls are
-/// bit-identical to each other and — on valid lanes, under
-/// [`BlockCtx::i16_exact`] — to the scalar fill.
+/// 16-bit-tier wavefront fill (the narrow, block-rebased twin of
+/// [`fill_wavefront`]), staging offsets from `cells.base` into a
+/// `BlockCellsT<i16, B>` buffer. All lane impls are bit-identical to each
+/// other and — on valid lanes plus `base`, under [`BlockCtx::i16_exact`] —
+/// to the scalar fill.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fill_wavefront_i16<const B: usize>(
     ctx: &BlockCtx<'_>,
@@ -398,27 +414,37 @@ pub(crate) fn fill_wavefront_i16<const B: usize>(
             _ => fill_block::<Portable<i16>, B>(ctx, i0, j0, io),
         }
     }
-    debug_overflow_sentinel(cells);
+    debug_range_sentinel(cells);
 }
 
-/// Per-block overflow sentinel (debug builds): a valid lane pinned at
-/// `i16::MAX` means a real DP value positively saturated — impossible when
-/// the `i16_exact` gate admitted the task at this geometry, so tripping
-/// this indicates a broken gate or dispatch. Negative saturation is by
-/// design (sentinel class) and harmless.
+/// Per-block range sentinel (debug builds): under the `i16_exact` gate every
+/// valid lane is a real offset strictly inside `±2^13` of a real `base`, so
+/// a lane at a rail or in the sentinel band — or a sentinel-class base under
+/// a valid cell — indicates a broken gate or dispatch.
 #[inline]
-fn debug_overflow_sentinel<const B: usize>(cells: &BlockCellsT<i16, B>) {
+fn debug_range_sentinel<const B: usize>(cells: &BlockCellsT<i16, B>) {
     if cfg!(debug_assertions) {
+        let bound = -i32::from(SENTINEL_BAND16);
+        let mut any_valid = false;
         for d in 0..block_diags(B) {
-            for l in 0..B {
+            for l in (0..B).filter(|l| cells.mask[d] & (1 << l) != 0) {
+                any_valid = true;
+                let x = i32::from(cells.h[d][l]);
                 debug_assert!(
-                    cells.mask[d] & (1 << l) == 0 || cells.h[d][l] != i16::MAX,
-                    "i16 overflow sentinel: valid cell saturated at block ({},{}) \
-                     diag {d} lane {l} — the i16_exact gate must demote such tasks",
+                    -bound < x && x < bound,
+                    "i16 range sentinel: offset {x} of a valid cell leaves ±2^13 at block \
+                     ({},{}) diag {d} lane {l} — the i16_exact gate must demote such tasks",
                     cells.i0(),
                     cells.j0(),
                 );
             }
         }
+        debug_assert!(
+            !any_valid || i64::from(cells.base) > -crate::block::I32_REACH_BOUND,
+            "i16 range sentinel: block ({},{}) has a valid cell but no real boundary H to \
+             rebase on",
+            cells.i0(),
+            cells.j0(),
+        );
     }
 }

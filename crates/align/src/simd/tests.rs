@@ -1,5 +1,5 @@
 use super::fill::struct_mask;
-use super::lanes::{DiagMasks, Lanes};
+use super::lanes::{DiagMasks, LaneElem, Lanes};
 use super::*;
 use crate::block::{fill_scalar, BlockCells};
 use crate::pack::PackedSeq;
@@ -17,11 +17,41 @@ impl Rng {
     fn code(&mut self) -> u8 {
         (self.next() % 5) as u8 // includes N
     }
-    fn val(&mut self) -> i32 {
+    /// A real score within 1000 of `bias`.
+    fn real(&mut self, bias: i32) -> i32 {
+        bias + (self.next() % 2000) as i32 - 1000
+    }
+    /// A boundary `E`/`F` input: real, or `-∞` one time in four.
+    fn val(&mut self, bias: i32) -> i32 {
         match self.next() % 4 {
             0 => NEG_INF,
-            _ => (self.next() % 2000) as i32 - 1000,
+            _ => self.real(bias),
         }
+    }
+    /// A boundary `H` input for ring cell `(i, j)`: always real where the
+    /// kernel guarantees it (DP borders and in-band cells — which is what
+    /// makes every valid cell's `H` real), arbitrary elsewhere.
+    fn ring_h(&mut self, ctx: &BlockCtx<'_>, i: i64, j: i64, bias: i32) -> i32 {
+        if i < 0 || j < 0 || ctx.valid(i, j) {
+            self.real(bias)
+        } else {
+            self.val(bias)
+        }
+    }
+    /// Random inputs of the block at `(i0, j0)`: the corner and the
+    /// `[west_h, west_e, north_h, north_f]` carries.
+    fn boundaries<const B: usize>(
+        &mut self,
+        ctx: &BlockCtx<'_>,
+        i0: i64,
+        j0: i64,
+        bias: i32,
+    ) -> (i32, [[i32; B]; 4]) {
+        let west_h = std::array::from_fn(|k| self.ring_h(ctx, i0 - 1, j0 + k as i64, bias));
+        let west_e = std::array::from_fn(|_| self.val(bias));
+        let north_h = std::array::from_fn(|l| self.ring_h(ctx, i0 + l as i64, j0 - 1, bias));
+        let north_f = std::array::from_fn(|_| self.val(bias));
+        (self.ring_h(ctx, i0 - 1, j0 - 1, bias), [west_h, west_e, north_h, north_f])
     }
 }
 
@@ -171,16 +201,16 @@ fn check_block<const B: usize>(
     }
 
     // The 16-bit tier against the same scalar reference. Real values
-    // must match bit for bit; `-∞`-class values (possible here because
-    // the harness feeds arbitrary NEG_INF boundaries, unlike a real
-    // task where in-band diag inputs are always real) may differ in
-    // encoding but must stay in the sentinel band on both sides.
+    // must match bit for bit; `-∞`-class values (boundary `E`/`F` of cells
+    // whose neighbour is masked, and everything of masked cells) differ in
+    // encoding — the rebased tier writes exactly `NEG_INF` — but must be
+    // `-∞`-class on both sides.
     if ctx.i16_exact {
-        let same = |got16: i32, want32: i32, what: &str| {
-            if want32 > i32::from(NEG_INF16) {
-                assert_eq!(got16, want32, "i16: {what} at ({i0},{j0})");
+        let same = |got: i32, want32: i32, what: &str| {
+            if i64::from(want32) > -crate::block::I32_REACH_BOUND {
+                assert_eq!(got, want32, "i16: {what} at ({i0},{j0})");
             } else {
-                assert!(got16 <= i32::from(NEG_INF16), "i16: {what} class at ({i0},{j0})");
+                assert_eq!(got, NEG_INF, "i16: {what} class at ({i0},{j0})");
             }
         };
         let mut runs = Vec::new();
@@ -203,7 +233,7 @@ fn check_block<const B: usize>(
             for d in 0..block_diags(B) {
                 for l in 0..B {
                     if cells_s.mask[d] & (1 << l) != 0 {
-                        same(i32::from(cells_n.h[d][l]), cells_s.h[d][l], "H");
+                        same(cells_n.h[d][l].unbase(cells_n.base), cells_s.h[d][l], "H");
                     }
                 }
             }
@@ -213,7 +243,7 @@ fn check_block<const B: usize>(
                 same(nh_n[k], nh_s[k], "north H");
                 same(nf_n[k], nf_s[k], "north F");
             }
-            runs.push((name, (cells_n.h, wh_n, we_n, nh_n, nf_n)));
+            runs.push((name, (cells_n.h, cells_n.base, wh_n, we_n, nh_n, nf_n)));
         }
         // Every i16 impl must agree with the portable lanes exactly, sentinel
         // encodings included (they are the vector impls' reference).
@@ -225,8 +255,9 @@ fn check_block<const B: usize>(
 
 /// Sweep every block of each scoring (over a shape of its own, never a
 /// block multiple, so the last row and column of blocks are table-edge
-/// partials) at geometry `B`, feeding random codes and boundaries.
-fn fixed_blocks_sweep<const B: usize>(seed: u64, scorings: &[Scoring]) {
+/// partials) at geometry `B`, feeding random codes and boundaries around
+/// `bias` (the score level the rebased tier has to offset away).
+fn fixed_blocks_sweep<const B: usize>(seed: u64, scorings: &[Scoring], bias: i32) {
     let mut rng = Rng(seed);
     for (si, sc) in scorings.iter().enumerate() {
         let (n, m) = (40 + si % 4 * 7, 33 + si % 4 * 5);
@@ -234,34 +265,18 @@ fn fixed_blocks_sweep<const B: usize>(seed: u64, scorings: &[Scoring]) {
         assert!(ctx.simd_exact);
         for bi in 0..ctx.ref_blocks() {
             for bj in 0..ctx.query_blocks() {
-                let mut rcodes = [0u8; B];
-                let mut qcodes = [0u8; B];
-                let mut bounds = [[0i32; B]; 4];
-                for l in 0..B {
-                    rcodes[l] = rng.code();
-                    qcodes[l] = rng.code();
-                    for b in &mut bounds {
-                        b[l] = rng.val();
-                    }
-                }
-                check_block(
-                    &ctx,
-                    bi * B as i64,
-                    bj * B as i64,
-                    &rcodes,
-                    &qcodes,
-                    rng.val(),
-                    bounds[0],
-                    bounds[1],
-                    bounds[2],
-                    bounds[3],
-                );
+                let (i0, j0) = (bi * B as i64, bj * B as i64);
+                let rcodes = [0u8; B].map(|_| rng.code());
+                let qcodes = [0u8; B].map(|_| rng.code());
+                let (corner, [wh, we, nh, nf]) = rng.boundaries::<B>(&ctx, i0, j0, bias);
+                check_block(&ctx, i0, j0, &rcodes, &qcodes, corner, wh, we, nh, nf);
             }
         }
     }
 }
+
 /// The historical four scorings: unbanded, narrow bands, z-drop.
-fn random_blocks_sweep<const B: usize>(seed: u64) {
+fn random_blocks_sweep<const B: usize>(seed: u64, bias: i32) {
     fixed_blocks_sweep::<B>(
         seed,
         &[
@@ -270,24 +285,25 @@ fn random_blocks_sweep<const B: usize>(seed: u64) {
             Scoring::new(1, 9, 0, 1, 40, 11),
             Scoring::new(5, 1, 7, 3, Scoring::NO_ZDROP, Scoring::NO_BAND),
         ],
+        bias,
     );
 }
 
 #[test]
 fn wavefront_matches_scalar_on_random_blocks() {
-    random_blocks_sweep::<BLOCK>(0x5EED);
+    random_blocks_sweep::<BLOCK>(0x5EED, 0);
 }
 
 #[test]
 fn wavefront_matches_scalar_on_random_blocks_wide() {
-    random_blocks_sweep::<MAX_BLOCK>(0x51DE);
+    random_blocks_sweep::<MAX_BLOCK>(0x51DE, 0);
 }
 
 /// Sweep every block of a substitution-matrix scoring at geometry `B`:
 /// all tiers against the scalar fill, with the matrix path exercised
 /// both through direct lookups and through a prepared query profile
 /// (the two must be bit-identical by construction).
-fn matrix_blocks_sweep<const B: usize>(seed: u64, sc: &Scoring) {
+fn matrix_blocks_sweep<const B: usize>(seed: u64, sc: &Scoring, bias: i32) {
     use crate::profile::QueryProfile;
     use crate::scoring::BLOSUM62;
 
@@ -305,28 +321,11 @@ fn matrix_blocks_sweep<const B: usize>(seed: u64, sc: &Scoring) {
         for bi in 0..ctx.ref_blocks() {
             for bj in 0..ctx.query_blocks() {
                 let (i0, j0) = (bi * B as i64, bj * B as i64);
-                let mut rcodes = [0u8; B];
+                let rcodes = [0u8; B].map(|_| (rng.next() % 21) as u8);
                 let mut qb = [0u8; B];
                 q.unpack_block(j0 as usize, &mut qb);
-                let mut bounds = [[0i32; B]; 4];
-                for l in 0..B {
-                    rcodes[l] = (rng.next() % 21) as u8;
-                    for b in &mut bounds {
-                        b[l] = rng.val();
-                    }
-                }
-                check_block(
-                    &ctx,
-                    i0,
-                    j0,
-                    &rcodes,
-                    &qb,
-                    rng.val(),
-                    bounds[0],
-                    bounds[1],
-                    bounds[2],
-                    bounds[3],
-                );
+                let (corner, [wh, we, nh, nf]) = rng.boundaries::<B>(&ctx, i0, j0, bias);
+                check_block(&ctx, i0, j0, &rcodes, &qb, corner, wh, we, nh, nf);
             }
         }
     }
@@ -334,12 +333,12 @@ fn matrix_blocks_sweep<const B: usize>(seed: u64, sc: &Scoring) {
 
 #[test]
 fn matrix_model_matches_scalar_on_random_blocks() {
-    matrix_blocks_sweep::<BLOCK>(0xB105, &Scoring::preset_blosum62());
+    matrix_blocks_sweep::<BLOCK>(0xB105, &Scoring::preset_blosum62(), 0);
 }
 
 #[test]
 fn matrix_model_matches_scalar_on_random_blocks_wide() {
-    matrix_blocks_sweep::<MAX_BLOCK>(0xB162, &Scoring::preset_blosum62());
+    matrix_blocks_sweep::<MAX_BLOCK>(0xB162, &Scoring::preset_blosum62(), 0);
 }
 
 /// One step of the block-grid protocol: compute the block at
@@ -593,70 +592,132 @@ fn oversized_scoring_falls_back_to_scalar() {
     assert!(scalar.0.iter().any(|row| row.contains(&i32::MAX)), "expected saturated cells");
 }
 
-#[test]
-fn i16_gate_boundary_is_exact() {
-    // All-match tasks that land the gate's reachable-score bound
-    // exactly at the i16 threshold (2^13) and one unit inside it:
-    // match = 64 with gap_open = 0, gap_extend = 1 makes the match
-    // score the dominant per-step increment, so the bound is
-    // 64 × (n + m + 2).
+/// `span + drift` of the i16 gate for the fixed model `(a, b, o, e)` at
+/// block side `bdim`, spelled out from the derivation on
+/// [`BlockCtx::with_block_dim`].
+fn gate_sum(a: i64, b: i64, o: i64, e: i64, bdim: i64) -> i64 {
+    2 * bdim * (a + o + e + b) + a.max(b).max(o + e) * (2 * bdim - 1)
+}
+
+/// The i16 gate battery at geometry `B`: `inside`/`at`/`past` are match
+/// scores (mismatch `b`, `gap_open` 0, `gap_extend` 1 each) whose
+/// `span + drift` lands on `2^13 − 1`, `2^13` and `2^13 + 1`.
+fn gate_boundary_battery<const B: usize>(inside: (i32, i32), at: (i32, i32), past: (i32, i32)) {
     use crate::block::{FillMode, FillPrecision, FillTier};
     use crate::guided::guided_align;
 
-    let sc = Scoring::new(64, 1, 0, 1, Scoring::NO_ZDROP, Scoring::NO_BAND);
+    let scoring = |(a, b): (i32, i32)| Scoring::new(a, b, 0, 1, Scoring::NO_ZDROP, 24);
+    let sum = |(a, b): (i32, i32)| gate_sum(a.into(), b.into(), 0, 1, B as i64);
+    assert_eq!((sum(inside), sum(at), sum(past)), (8191, 8192, 8193));
 
-    // n + m + 2 = 127 → bound 8128 < 8192: one inside the gate.
-    let inside = BlockCtx::new(63, 62, &sc);
-    assert!(inside.i16_exact, "63×62 must sit one step inside the i16 gate");
-    assert_eq!(inside.fill_tier(FillMode::Simd, FillPrecision::I16), FillTier::I16);
-    assert_eq!(inside.fill_tier(FillMode::Simd, FillPrecision::Auto), FillTier::I16);
-    assert_eq!(inside.fill_tier(FillMode::Simd, FillPrecision::I32), FillTier::I32);
+    // The gate no longer looks at the task: a 40 bp and a 40 kb pair resolve
+    // alike on either side of it.
+    for (n, m) in [(40, 33), (40_000, 38_000)] {
+        let sc = scoring(inside);
+        let ctx = BlockCtx::with_block_dim(n, m, &sc, B);
+        assert!(ctx.i16_exact, "{n}×{m}: one inside the i16 gate");
+        assert_eq!(ctx.fill_tier(FillMode::Simd, FillPrecision::I16), FillTier::I16);
+        assert_eq!(ctx.fill_tier(FillMode::Simd, FillPrecision::Auto), FillTier::I16);
+        assert_eq!(ctx.fill_tier(FillMode::Simd, FillPrecision::I32), FillTier::I32);
+        for outside in [at, past] {
+            let sc = scoring(outside);
+            let ctx = BlockCtx::with_block_dim(n, m, &sc, B);
+            assert!(!ctx.i16_exact && ctx.simd_exact, "{n}×{m}: must demote to the i32 tier");
+            assert_eq!(ctx.fill_tier(FillMode::Simd, FillPrecision::I16), FillTier::I32);
+            assert_eq!(ctx.fill_tier(FillMode::Simd, FillPrecision::Auto), FillTier::I32);
+            assert_eq!(ctx.fill_tier(FillMode::Scalar, FillPrecision::I16), FillTier::Scalar);
+        }
+    }
 
-    // n + m + 2 = 128 → bound 8192: exactly at the gate — demoted.
-    let at = BlockCtx::new(63, 63, &sc);
-    assert!(!at.i16_exact && at.simd_exact, "63×63 must demote to the i32 tier");
-    assert_eq!(at.fill_tier(FillMode::Simd, FillPrecision::I16), FillTier::I32);
-    assert_eq!(at.fill_tier(FillMode::Simd, FillPrecision::Auto), FillTier::I32);
-    assert_eq!(at.fill_tier(FillMode::Scalar, FillPrecision::I16), FillTier::Scalar);
-
-    // Inside the gate, an all-match task reaches the maximum attainable
-    // score — the adversarial extreme the bound protects — and the i16
-    // tier must still be bit-identical to the scalar fill.
-    let r = PackedSeq::from_codes(&[0u8; 63]);
-    let q = PackedSeq::from_codes(&[0u8; 62]);
-    let want = guided_align(&r, &q, &sc);
-    assert_eq!(want.score, 62 * 64, "all-match task must reach the gate's score regime");
-    let scalar = grid_run::<BLOCK>(&r, &q, &sc, FillMode::Scalar);
-    let narrow = grid_run_i16::<BLOCK>(&r, &q, &sc);
-    assert_eq!(scalar, narrow, "i16 tier at the gate boundary must equal scalar");
-    assert!(scalar.same_alignment(&want));
+    // Inside the gate the i16 tier must equal the scalar fill on the two
+    // extremes the span bounds: an all-match run (every diagonal step climbs
+    // by the full match score, to far beyond i16) and a run into junk (every
+    // step falls by the mismatch, or rides a gap).
+    let mut rng = Rng(0x6A7E + B as u64);
+    let len = if cfg!(miri) { 150 } else { 700 };
+    let all_match = vec![0u8; len];
+    let mut junk_r = vec![0u8; len / 6];
+    let mut junk_q = junk_r.clone();
+    junk_r.extend((0..len * 5 / 7).map(|_| rng.code() % 2));
+    junk_q.extend((0..len * 5 / 7 - 20).map(|_| 2 + rng.code() % 2));
+    let sc = scoring(inside);
+    for (rc, qc) in [(&all_match, &all_match[..len - 10]), (&junk_r, &junk_q[..])] {
+        let (r, q) = (PackedSeq::from_codes(rc), PackedSeq::from_codes(qc));
+        let want = guided_align(&r, &q, &sc);
+        for b in supported_backends() {
+            let scalar = grid_run_on::<B>(b, &r, &q, &sc, FillMode::Scalar);
+            let narrow = grid_run_i16_on::<B>(b, &r, &q, &sc);
+            assert_eq!(scalar, narrow, "{}: i16 tier one inside the gate", b.name());
+            assert!(scalar.same_alignment(&want), "{}: {scalar:?} vs {want:?}", b.name());
+        }
+    }
+    let (r, q) = (PackedSeq::from_codes(&all_match), PackedSeq::from_codes(&all_match[..len - 10]));
+    let top = guided_align(&r, &q, &sc);
+    assert_eq!(top.score, (len as i32 - 10) * inside.0);
+    assert!(top.score > i32::from(i16::MAX), "all-match task must leave the i16 range");
 
     // At the gate, the demoted (i32 wavefront) tier equals scalar too.
-    let q2 = PackedSeq::from_codes(&[0u8; 63]);
-    let scalar2 = grid_run::<BLOCK>(&r, &q2, &sc, FillMode::Scalar);
-    let demoted = grid_run::<BLOCK>(&r, &q2, &sc, FillMode::Simd);
-    assert_eq!(scalar2, demoted, "demoted task must run the exact i32 path");
-    assert_eq!(scalar2.score, 63 * 64);
+    let sc = scoring(at);
+    for b in supported_backends() {
+        let scalar = grid_run_on::<B>(b, &r, &q, &sc, FillMode::Scalar);
+        let demoted = grid_run_on::<B>(b, &r, &q, &sc, FillMode::Simd);
+        assert_eq!(scalar, demoted, "{}: demoted task must run the exact i32 path", b.name());
+        assert_eq!(scalar.score, (len as i32 - 10) * at.0);
+    }
+}
+
+#[test]
+fn i16_gate_boundary_is_exact() {
+    // B = 8: span + drift = 16(a + b + 1) + 15a = 31a + 16(b + 1).
+    gate_boundary_battery::<BLOCK>((257, 13), (256, 15), (255, 17));
+}
+
+#[test]
+fn rebased_i16_scores_far_from_zero_exactly() {
+    // A 9 kb identical pair climbs to 18,000 — more than twice the old
+    // gate's reach and past `i16::MAX / 2` — yet no block's values spread
+    // more than a few dozen around its base.
+    use crate::block::{FillMode, FillPrecision, FillTier};
+    // (Under Miri a 300 bp pair at 60 per match reaches the same score on a
+    // thirtieth of the cells.)
+    let (len, a) = if cfg!(miri) { (300, 60) } else { (9_000, 2) };
+    let sc = Scoring::new(a, 4, 4, 2, 400, if cfg!(miri) { 20 } else { 100 });
+    let codes: Vec<u8> =
+        (0..len as u32).map(|k| (k.wrapping_mul(2_654_435_761) >> 13) as u8 % 4).collect();
+    let seq = PackedSeq::from_codes(&codes);
+    for bdim in [BLOCK, MAX_BLOCK] {
+        let ctx = BlockCtx::with_block_dim(len, len, &sc, bdim);
+        assert_eq!(ctx.fill_tier(FillMode::Simd, FillPrecision::Auto), FillTier::I16, "b={bdim}");
+    }
+    for b in supported_backends() {
+        let narrow = grid_run_i16_on::<BLOCK>(b, &seq, &seq, &sc);
+        let wide = grid_run_i16_on::<MAX_BLOCK>(b, &seq, &seq, &sc);
+        assert_eq!(narrow.score, 18_000, "{}", b.name());
+        assert_eq!(narrow, wide, "{}", b.name());
+        assert_eq!(narrow.qend_score, Some(18_000), "{}: qend carries the base too", b.name());
+    }
 }
 
 /// Bypass the tier gate and drive every raw i16 lane impl on a block whose
-/// DP genuinely exceeds i16 range: the saturating arithmetic must pin at
-/// the rails (never wrap into plausible scores), all impls must agree, and
-/// the scalar fill keeps the exact values — which is precisely why
-/// `fill_tier` demotes such tasks.
+/// DP genuinely leaves the i16 range *around its base*: the saturating
+/// arithmetic must pin at the rails (never wrap into plausible scores), all
+/// impls must agree, and the scalar fill keeps the exact values — which is
+/// precisely why `fill_tier` demotes such tasks.
 fn saturation_probe<const B: usize>() {
-    let sc = Scoring::new(4096, 4, 4, 2, Scoring::NO_ZDROP, Scoring::NO_BAND);
+    let sc = Scoring::new(4800, 4, 4, 2, Scoring::NO_ZDROP, Scoring::NO_BAND);
     let ctx = BlockCtx::with_block_dim(64, 64, &sc, B);
-    assert!(!ctx.i16_exact, "step 4096 must fail the i16 gate");
+    assert!(!ctx.i16_exact, "step 4800 must fail the i16 gate");
     assert!(ctx.simd_exact, "…while still fitting the i32 gate");
 
+    // All-match codes climb 4800 per diagonal step from a ring at ≈ 1.2 M:
+    // the far corner sits B × 4800 ≥ 38,400 above the base.
     let origin = B as i64;
     let rcodes = [0u8; B];
     let qcodes = [0u8; B];
-    let corner = 30_000;
-    let west_h = [29_000; B];
+    let corner = 1_200_000;
+    let west_h = [1_199_000; B];
     let west_e = [NEG_INF; B];
-    let north_h = [29_000; B];
+    let north_h = [1_199_000; B];
     let north_f = [NEG_INF; B];
 
     let mut cells_s = BlockCellsT::<i32, B>::new();
@@ -675,8 +736,8 @@ fn saturation_probe<const B: usize>() {
         &mut cells_s,
     );
     assert!(
-        cells_s.h.iter().any(|row| row.iter().any(|&h| h > i32::from(i16::MAX))),
-        "crafted block must exceed i16 range in the exact fill"
+        cells_s.h.iter().any(|row| row.iter().any(|&h| h - corner > i32::from(i16::MAX))),
+        "crafted block must exceed i16 range around its base in the exact fill"
     );
 
     let mut runs = Vec::new();
@@ -694,13 +755,14 @@ fn saturation_probe<const B: usize>() {
             cells: &mut cells_n,
         };
         fill(&ctx, origin, origin, io);
+        assert_eq!(cells_n.base, corner, "{name}: the base is the largest boundary H");
         let mut saw_rail = false;
         for d in 0..block_diags(B) {
             for l in 0..B {
                 if cells_n.mask[d] & (1 << l) != 0 {
                     let h = cells_n.h[d][l];
                     let exact = cells_s.h[d][l];
-                    if i32::from(h) != exact {
+                    if i32::from(h) + cells_n.base != exact {
                         // Divergence is only ever rail-pinning, never wrap.
                         assert_eq!(h, i16::MAX, "{name}: saturation must pin, not wrap");
                         saw_rail = true;
@@ -715,8 +777,8 @@ fn saturation_probe<const B: usize>() {
         assert_eq!(run, &runs[0].1, "{name} vs portable past the gate");
     }
 
-    // The per-block overflow sentinel catches exactly this regime in
-    // debug builds when the dispatch is (wrongly) driven past the gate.
+    // The per-block range sentinel catches exactly this regime in debug
+    // builds when the dispatch is (wrongly) driven past the gate.
     #[cfg(debug_assertions)]
     {
         let result = std::panic::catch_unwind(|| {
@@ -727,7 +789,7 @@ fn saturation_probe<const B: usize>() {
                 &mut cells,
             );
         });
-        assert!(result.is_err(), "overflow sentinel must trip on a saturated block");
+        assert!(result.is_err(), "range sentinel must trip on a saturated block");
     }
 }
 
@@ -749,66 +811,39 @@ fn lane_impl_sweep_matches_scalar() {
     // query profile}, over interior, band-clipped and table-edge partial
     // blocks — so each impl is held to the scalar reference, and to its
     // same-width siblings on whole staging rows, regardless of what the
-    // dispatcher would have picked on this host.
-    random_blocks_sweep::<BLOCK>(0xF0CE);
-    random_blocks_sweep::<MAX_BLOCK>(0xF1DE);
-    matrix_blocks_sweep::<MAX_BLOCK>(0xFACE, &Scoring::preset_blosum62());
+    // dispatcher would have picked on this host. Each sweep runs at score
+    // levels on both sides of zero and far outside the i16 range, so every
+    // impl's rebasing (boundary subtract, staged base, exit add) is driven
+    // with bases it cannot get away with ignoring.
+    let biases: &[i32] = if cfg!(miri) { &[-70_000] } else { &[0, 50_000, -70_000, 3_000_000] };
     // Band half-widths around the lane counts (a diagonal of the band edge
     // crosses every lane position) down to the degenerate main diagonal.
     let widths: &[i32] = if cfg!(miri) { &[0, 3, 17] } else { &[0, 1, 3, 15, 16, 17] };
     let banded: Vec<Scoring> =
         widths.iter().map(|&w| Scoring::new(2, 4, 4, 2, Scoring::NO_ZDROP, w)).collect();
-    fixed_blocks_sweep::<BLOCK>(0xBA2D, &banded);
-    fixed_blocks_sweep::<MAX_BLOCK>(0xBA3D, &banded);
-    for &w in widths {
-        let sc = Scoring::preset_blosum62().with_band(w);
-        matrix_blocks_sweep::<BLOCK>(0xB1A5 + w as u64, &sc);
-        matrix_blocks_sweep::<MAX_BLOCK>(0xB1B5 + w as u64, &sc);
+    for (k, &bias) in biases.iter().enumerate() {
+        let k = k as u64 * 0x1_0000;
+        random_blocks_sweep::<BLOCK>(0xF0CE + k, bias);
+        random_blocks_sweep::<MAX_BLOCK>(0xF1DE + k, bias);
+        matrix_blocks_sweep::<MAX_BLOCK>(0xFACE + k, &Scoring::preset_blosum62(), bias);
+        fixed_blocks_sweep::<BLOCK>(0xBA2D + k, &banded, bias);
+        fixed_blocks_sweep::<MAX_BLOCK>(0xBA3D + k, &banded, bias);
+        for &w in widths {
+            let sc = Scoring::preset_blosum62().with_band(w);
+            matrix_blocks_sweep::<BLOCK>(0xB1A5 + k + w as u64, &sc, bias);
+            matrix_blocks_sweep::<MAX_BLOCK>(0xB1B5 + k + w as u64, &sc, bias);
+        }
     }
 }
 
 #[test]
 fn avx512_gate_boundary_is_exact_at_wide_geometry() {
-    // The 2^13 gate battery at the wide geometry, dispatched as every
-    // backend this host supports in turn (so the mask-register lanes are
-    // pinned wherever they exist, and every other host still exercises its
-    // own widest arm — the contract is identical).
-    use crate::block::{FillMode, FillPrecision, FillTier};
-    use crate::guided::guided_align;
-
-    let sc = Scoring::new(64, 1, 0, 1, Scoring::NO_ZDROP, Scoring::NO_BAND);
-
-    // n + m + 2 = 127 → bound 8128 < 8192: one inside the gate, and the
-    // gate decision is geometry-independent.
-    let inside = BlockCtx::with_block_dim(63, 62, &sc, MAX_BLOCK);
-    assert!(inside.i16_exact, "63×62 must sit one step inside the i16 gate");
-    assert_eq!(inside.fill_tier(FillMode::Simd, FillPrecision::I16), FillTier::I16);
-    assert_eq!(inside.fill_tier(FillMode::Simd, FillPrecision::Auto), FillTier::I16);
-
-    // n + m + 2 = 128 → bound 8192: exactly at the gate — demoted.
-    let at = BlockCtx::with_block_dim(63, 63, &sc, MAX_BLOCK);
-    assert!(!at.i16_exact && at.simd_exact, "63×63 must demote to the i32 tier");
-    assert_eq!(at.fill_tier(FillMode::Simd, FillPrecision::Auto), FillTier::I32);
-
-    let r = PackedSeq::from_codes(&[0u8; 63]);
-    let q = PackedSeq::from_codes(&[0u8; 62]);
-    let q2 = PackedSeq::from_codes(&[0u8; 63]);
-    let want = guided_align(&r, &q, &sc);
-    assert_eq!(want.score, 62 * 64, "all-match task must reach the gate's score regime");
-    for b in supported_backends() {
-        // Inside the gate an all-match task reaches the maximum attainable
-        // score; the 16-lane i16 fill must still equal the scalar fill.
-        let scalar = grid_run_on::<MAX_BLOCK>(b, &r, &q, &sc, FillMode::Scalar);
-        let narrow = grid_run_i16_on::<MAX_BLOCK>(b, &r, &q, &sc);
-        assert_eq!(scalar, narrow, "{}: wide i16 tier at the gate boundary", b.name());
-        assert!(scalar.same_alignment(&want));
-
-        // At the gate, the demoted path is the wide i32 fill.
-        let scalar2 = grid_run_on::<MAX_BLOCK>(b, &r, &q2, &sc, FillMode::Scalar);
-        let demoted = grid_run_on::<MAX_BLOCK>(b, &r, &q2, &sc, FillMode::Simd);
-        assert_eq!(scalar2, demoted, "{}: demoted task must run the exact i32 path", b.name());
-        assert_eq!(scalar2.score, 63 * 64);
-    }
+    // The gate battery at the wide geometry, dispatched as every backend
+    // this host supports in turn (so the mask-register lanes are pinned
+    // wherever they exist, and every other host still exercises its own
+    // widest arm — the contract is identical).
+    // B = 16: span + drift = 32(a + b + 1) + 31a = 63a + 32(b + 1).
+    gate_boundary_battery::<MAX_BLOCK>((129, 1), (128, 3), (127, 5));
 }
 
 /// The AVX-512 mask ladder at its own feature level.

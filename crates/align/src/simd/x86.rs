@@ -119,10 +119,11 @@ impl Lanes<BLOCK> for Sse41I16 {
         _mm_blendv_epi8(off, on, m)
     }
     #[inline(always)]
-    unsafe fn narrow_boundary(src: &[i32; BLOCK]) -> [i16; BLOCK] {
-        let lo = _mm_loadu_si128(src.as_ptr().cast());
+    unsafe fn rebase_boundary(src: &[i32; BLOCK], base: i32) -> [i16; BLOCK] {
+        let b = _mm_set1_epi32(base);
+        let lo = _mm_sub_epi32(_mm_loadu_si128(src.as_ptr().cast()), b);
         // SAFETY: elements 4..8 of the 8-element source.
-        let hi = _mm_loadu_si128(src.as_ptr().add(4).cast());
+        let hi = _mm_sub_epi32(_mm_loadu_si128(src.as_ptr().add(4).cast()), b);
         let mut out = [0i16; BLOCK];
         Self::store(&mut out, _mm_packs_epi32(lo, hi));
         out
@@ -250,10 +251,11 @@ impl Lanes<MAX_BLOCK> for Avx2I16 {
     /// out as `a0..3, b0..3, a4..7, b4..7`); the `permute4x64` with selector
     /// `0b11011000` (qword order 0,2,1,3) restores source order.
     #[inline(always)]
-    unsafe fn narrow_boundary(src: &[i32; MAX_BLOCK]) -> [i16; MAX_BLOCK] {
-        let a = _mm256_loadu_si256(src.as_ptr().cast());
+    unsafe fn rebase_boundary(src: &[i32; MAX_BLOCK], base: i32) -> [i16; MAX_BLOCK] {
+        let base = _mm256_set1_epi32(base);
+        let a = _mm256_sub_epi32(_mm256_loadu_si256(src.as_ptr().cast()), base);
         // SAFETY: elements 8..16 of the 16-element source.
-        let b = _mm256_loadu_si256(src.as_ptr().add(8).cast());
+        let b = _mm256_sub_epi32(_mm256_loadu_si256(src.as_ptr().add(8).cast()), base);
         let mut out = [0i16; MAX_BLOCK];
         Self::store(&mut out, _mm256_permute4x64_epi64(_mm256_packs_epi32(a, b), 0b11011000));
         out
@@ -281,11 +283,12 @@ impl Lanes<MAX_BLOCK> for Avx512I16 {
     unsafe fn select(m: __mmask16, on: __m256i, off: __m256i) -> __m256i {
         _mm256_mask_blend_epi16(m, off, on)
     }
-    /// A single `vpmovsdw` from the full zmm.
+    /// One subtract and a single `vpmovsdw` on the full zmm.
     #[inline(always)]
-    unsafe fn narrow_boundary(src: &[i32; MAX_BLOCK]) -> [i16; MAX_BLOCK] {
+    unsafe fn rebase_boundary(src: &[i32; MAX_BLOCK], base: i32) -> [i16; MAX_BLOCK] {
+        let off = _mm512_sub_epi32(_mm512_loadu_epi32(src.as_ptr()), _mm512_set1_epi32(base));
         let mut out = [0i16; MAX_BLOCK];
-        Self::store(&mut out, _mm512_cvtsepi32_epi16(_mm512_loadu_epi32(src.as_ptr())));
+        Self::store(&mut out, _mm512_cvtsepi32_epi16(off));
         out
     }
     /// Two finished 16-lane rows are contiguous in the staging buffer, i.e.

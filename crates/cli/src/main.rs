@@ -122,9 +122,11 @@ common options:
                   (flushed at end of stream); off packs every chunk alone.
                   Scores and stats are bit-identical either way
   --precision P   host block-fill lane precision (agatha engine only):
-                  auto | i32 | i16. auto/i16 run the 16-bit wavefront on
-                  every task whose scores provably fit i16 and demote the
-                  rest to i32 — results are bit-identical across tiers
+                  auto | i32 | i16. auto/i16 run the 16-bit wavefront —
+                  lanes hold offsets from a per-block base, so read length
+                  does not matter — unless the scoring is so large that
+                  one block's scores spread past 16 bits; those tasks
+                  demote to i32. Results are bit-identical across tiers
   --block B       host block geometry (agatha engine only): auto | 8 | 16.
                   auto widens to 16x16 blocks (16 i16 lanes per diagonal)
                   on tasks where the wider tile amortises its staging cost;

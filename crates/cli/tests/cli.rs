@@ -469,13 +469,10 @@ fn precision_bogus_is_a_usage_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn precision_i16_on_overflowing_task_demotes_and_stays_correct() {
-    // An 800 bp all-match pair exceeds the i16 exactness gate under the
-    // default scoring (max reachable score bound 6 × 1602 ≥ 2^13), so a
-    // forced `--precision i16` must auto-demote that task to the i32 tier
-    // — observable in the --verbose stats — and still score it exactly.
-    let dir = std::env::temp_dir().join(format!("agatha_cli_povf_{}", std::process::id()));
+/// Align one 800 bp all-match pair with `--precision i16 --verbose` plus
+/// `extra` flags; returns (stdout, score.log).
+fn align_800bp_all_match_i16(tag: &str, extra: &[&str]) -> (String, String) {
+    let dir = std::env::temp_dir().join(format!("agatha_cli_{tag}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let refs = dir.join("ref.fasta");
     let queries = dir.join("query.fasta");
@@ -485,17 +482,37 @@ fn precision_i16_on_overflowing_task_demotes_and_stays_correct() {
     let out_dir = dir.join("out");
     let out = agatha()
         .args(["align", "--precision", "i16", "--verbose"])
+        .args(extra)
         .args(["-o", out_dir.to_str().unwrap()])
         .arg(refs.to_str().unwrap())
         .arg(queries.to_str().unwrap())
         .output()
         .unwrap();
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("fill precision: i16=0 i32=1 scalar=0 (demoted=1)"), "stdout: {text}");
     let scores = std::fs::read_to_string(out_dir.join("score.log")).unwrap();
-    assert_eq!(scores, "1600\n", "800 matches at +2 each");
     std::fs::remove_dir_all(&dir).ok();
+    (String::from_utf8_lossy(&out.stdout).into_owned(), scores)
+}
+
+#[test]
+fn precision_i16_on_overflowing_task_demotes_and_stays_correct() {
+    // Under `-a 300` one block's scores spread past the i16 offset range
+    // (span + drift = 16 × 310 + 15 × 300 ≥ 2^13 even at the 8×8 tile), so
+    // a forced `--precision i16` must auto-demote the task to the i32 tier
+    // — observable in the --verbose stats — and still score it exactly.
+    let (text, scores) = align_800bp_all_match_i16("povf", &["-a", "300"]);
+    assert!(text.contains("fill precision: i16=0 i32=1 scalar=0 (demoted=1)"), "stdout: {text}");
+    assert_eq!(scores, "240000\n", "800 matches at +300 each");
+}
+
+#[test]
+fn precision_i16_on_long_task_stays_on_the_tier() {
+    // The same pair under the default scoring scores 1600 — past the old
+    // length-dependent gate (6 × 1602 ≥ 2^13), which demoted it — and now
+    // runs the rebased i16 tier: read length no longer demotes.
+    let (text, scores) = align_800bp_all_match_i16("plong", &[]);
+    assert!(text.contains("fill precision: i16=1 i32=0 scalar=0 (demoted=0)"), "stdout: {text}");
+    assert_eq!(scores, "1600\n", "800 matches at +2 each");
 }
 
 #[test]

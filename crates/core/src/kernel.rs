@@ -733,40 +733,46 @@ mod tests {
         }
     }
 
+    /// [`mixed_tasks`]' scoring with a match score so large that one block's
+    /// scores spread past the i16 offset range: every task demotes to i32.
+    fn hot_scoring(s: &Scoring) -> Scoring {
+        Scoring::new(300, 4, s.gap_open, s.gap_extend, s.zdrop, s.band_width)
+    }
+
     #[test]
     fn fill_tiers_produce_identical_runs() {
         // Full TaskRun equality across the three-tier matrix (scalar, i32
         // wavefront, i16 wavefront) at both pinned geometries, across every
-        // configuration and the mixed task set — whose 700 bp member
-        // exceeds the i16 gate, so the same assertions also cover the
-        // i16→i32 auto-demotion path.
+        // configuration and the mixed task set — once under a scoring the
+        // i16 gate admits (so the 700 bp member, past the i16 range in
+        // absolute score, runs rebased lanes) and once under one it rejects,
+        // so the same assertions also cover the i16→i32 auto-demotion path.
         use agatha_align::block::{BlockDim, FillPrecision, FillTier};
         let (tasks, s) = mixed_tasks();
         let i16_cfg =
             AgathaConfig::agatha().with_simd_fill(true).with_fill_precision(FillPrecision::I16);
-        let tiers: Vec<FillTier> =
-            tasks.iter().map(|t| i16_cfg.fill_tier_for(t.ref_len(), t.query_len(), &s)).collect();
-        assert!(
-            tiers.contains(&FillTier::I16) && tiers.contains(&FillTier::I32),
-            "mixed tasks must cover both the i16 tier and a demotion: {tiers:?}"
-        );
-        for bd in [BlockDim::B8, BlockDim::B16] {
-            for cfg in all_configs() {
-                let cfg = cfg.with_block_dim(bd);
-                let scalar_cfg = cfg.clone().with_simd_fill(false);
-                let wide_cfg =
-                    cfg.clone().with_simd_fill(true).with_fill_precision(FillPrecision::I32);
-                let narrow_cfg =
-                    cfg.clone().with_simd_fill(true).with_fill_precision(FillPrecision::I16);
-                // One shared workspace alternates tiers across the stream to
-                // prove reuse carries no state between them.
-                let mut ws = KernelWorkspace::new();
-                for t in &tasks {
-                    let a = run_task(t, &s, &scalar_cfg);
-                    let b = run_task_ws(&mut ws, t, &s, &wide_cfg);
-                    let c = run_task_ws(&mut ws, t, &s, &narrow_cfg);
-                    assert_eq!(a, b, "config {cfg:?}, task {}: scalar vs i32 tier", t.id);
-                    assert_eq!(a, c, "config {cfg:?}, task {}: scalar vs i16 tier", t.id);
+        for (s, want) in [(s, FillTier::I16), (hot_scoring(&s), FillTier::I32)] {
+            for t in &tasks {
+                assert_eq!(i16_cfg.fill_tier_for(t.ref_len(), t.query_len(), &s), want);
+            }
+            for bd in [BlockDim::B8, BlockDim::B16] {
+                for cfg in all_configs() {
+                    let cfg = cfg.with_block_dim(bd);
+                    let scalar_cfg = cfg.clone().with_simd_fill(false);
+                    let wide_cfg =
+                        cfg.clone().with_simd_fill(true).with_fill_precision(FillPrecision::I32);
+                    let narrow_cfg =
+                        cfg.clone().with_simd_fill(true).with_fill_precision(FillPrecision::I16);
+                    // One shared workspace alternates tiers across the stream
+                    // to prove reuse carries no state between them.
+                    let mut ws = KernelWorkspace::new();
+                    for t in &tasks {
+                        let a = run_task(t, &s, &scalar_cfg);
+                        let b = run_task_ws(&mut ws, t, &s, &wide_cfg);
+                        let c = run_task_ws(&mut ws, t, &s, &narrow_cfg);
+                        assert_eq!(a, b, "config {cfg:?}, task {}: scalar vs i32 tier", t.id);
+                        assert_eq!(a, c, "config {cfg:?}, task {}: scalar vs i16 tier", t.id);
+                    }
                 }
             }
         }
@@ -819,23 +825,26 @@ mod tests {
     fn backends_produce_identical_results() {
         // Full TaskRun equality across every backend this machine supports,
         // at both pinned geometries and both wavefront precisions, over the
-        // mixed task stream (whose 700 bp member exceeds the i16 gate, so
-        // the i16→i32 demotion path is swept per backend too). One shared
-        // workspace alternates backends task by task — the process-wide
-        // choice flips between runs — proving both that every backend
-        // computes the same runs and that workspace reuse carries no
-        // backend-specific state. On an AVX-512 machine this pits the zmm
-        // kernels and the four-quarter tracker fold directly against the
-        // portable reference.
+        // mixed task stream — plus, at the i16 precision, under a scoring
+        // the i16 gate rejects, so the i16→i32 demotion path is swept per
+        // backend too. One shared workspace alternates backends task by
+        // task — the process-wide choice flips between runs — proving both
+        // that every backend computes the same runs and that workspace reuse
+        // carries no backend-specific state. On an AVX-512 machine this pits
+        // the zmm kernels and the four-quarter tracker fold directly against
+        // the portable reference.
         use agatha_align::block::{BlockDim, FillPrecision};
         use agatha_align::simd::{self, BackendChoice, WavefrontBackend};
         let _guard = backend_lock();
         let restore = simd::backend_choice();
         let (tasks, s) = mixed_tasks();
+        let hot = hot_scoring(&s);
         let backends = simd::supported_backends();
         assert_eq!(backends.last(), Some(&WavefrontBackend::Portable));
         for bd in [BlockDim::B8, BlockDim::B16] {
-            for prec in [FillPrecision::I32, FillPrecision::I16] {
+            for (prec, s) in
+                [(FillPrecision::I32, &s), (FillPrecision::I16, &s), (FillPrecision::I16, &hot)]
+            {
                 let cfg = AgathaConfig::agatha()
                     .with_simd_fill(true)
                     .with_fill_precision(prec)
@@ -843,11 +852,11 @@ mod tests {
                 let mut ws = KernelWorkspace::new();
                 for t in &tasks {
                     simd::set_backend_choice(BackendChoice::Fixed(WavefrontBackend::Portable));
-                    let reference = run_task_ws(&mut ws, t, &s, &cfg);
+                    let reference = run_task_ws(&mut ws, t, s, &cfg);
                     for &b in &backends {
                         simd::set_backend_choice(BackendChoice::Fixed(b));
                         assert_eq!(simd::backend(), b, "a supported backend survives the clamp");
-                        let run = run_task_ws(&mut ws, t, &s, &cfg);
+                        let run = run_task_ws(&mut ws, t, s, &cfg);
                         assert_eq!(
                             reference,
                             run,

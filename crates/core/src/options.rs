@@ -546,10 +546,15 @@ mod tests {
         let s = agatha_align::Scoring::preset_bwa();
         let cfg =
             AgathaConfig::agatha().with_simd_fill(true).with_fill_precision(FillPrecision::I16);
-        // 240 bp short reads fit i16; 4 kb reads exceed the gate under the
-        // same scoring and demote to the i32 wavefront.
-        assert_eq!(cfg.fill_tier_for(240, 240, &s), FillTier::I16);
-        assert_eq!(cfg.fill_tier_for(4000, 4000, &s), FillTier::I32);
+        // The i16 gate bounds the score spread inside one block, so 240 bp
+        // and 4 kb reads both run it; the same reads under a scoring whose
+        // block spread leaves the i16 offset range demote to the i32
+        // wavefront.
+        let hot = agatha_align::Scoring::new(300, 4, 6, 1, 100, 100);
+        for len in [240, 4000] {
+            assert_eq!(cfg.fill_tier_for(len, len, &s), FillTier::I16);
+            assert_eq!(cfg.fill_tier_for(len, len, &hot), FillTier::I32);
+        }
         let wide = cfg.clone().with_fill_precision(FillPrecision::I32);
         assert_eq!(wide.fill_tier_for(240, 240, &s), FillTier::I32);
         let scalar = cfg.with_simd_fill(false);

@@ -463,3 +463,151 @@ proptest! {
         }
     }
 }
+
+/// The i16 block grid of `task` through the public block API *without* a
+/// query profile (the kernel always attaches one to matrix models, so this
+/// is the only way to reach the direct-lookup arm on a whole task).
+fn grid_i16_no_profile<const B: usize>(
+    task: &Task,
+    s: &Scoring,
+) -> agatha_suite::align::GuidedResult {
+    use agatha_suite::align::block::{
+        compute_block_i16, corner_read, north_read, west_init, BlockCellsT, BlockCtx,
+    };
+    use agatha_suite::align::diag::DiagTracker;
+    use agatha_suite::align::NEG_INF;
+    let (n, m) = (task.ref_len(), task.query_len());
+    let ctx = BlockCtx::with_block_dim(n, m, s, B);
+    assert!(ctx.i16_exact && ctx.profile.is_none());
+    let mut tracker = DiagTracker::new(n, m, s);
+    let b = B as i64;
+    let mut row_h = vec![NEG_INF; (ctx.ref_blocks() * b) as usize];
+    let mut row_f = row_h.clone();
+    let (mut rb, mut qb) = ([0u8; B], [0u8; B]);
+    let mut cells = BlockCellsT::<i16, B>::new();
+    'rows: for bj in 0..ctx.query_blocks() {
+        let j0 = bj * b;
+        let Some((lo, hi)) = ctx.row_block_range(bj) else { continue };
+        task.query.unpack_block(j0 as usize, &mut qb);
+        let (mut wh, mut we) = west_init::<B>(&ctx, lo * b, j0);
+        let mut corner = corner_read(&ctx, lo * b, j0, &row_h);
+        for bi in lo..=hi {
+            let i0 = bi * b;
+            task.reference.unpack_block(i0 as usize, &mut rb);
+            let (mut nh, mut nf) = north_read::<B>(&ctx, i0, j0, &row_h, &row_f);
+            let next_corner = nh[B - 1];
+            compute_block_i16(
+                &ctx, i0, j0, &rb, &qb, corner, &mut wh, &mut we, &mut nh, &mut nf, &mut cells,
+            );
+            tracker.on_block_i16(&cells);
+            row_h[i0 as usize..i0 as usize + B].copy_from_slice(&nh);
+            row_f[i0 as usize..i0 as usize + B].copy_from_slice(&nf);
+            corner = next_corner;
+            if tracker.is_finished() {
+                break 'rows;
+            }
+        }
+        if tracker.advance().is_some() {
+            break;
+        }
+    }
+    tracker.result()
+}
+
+proptest! {
+    // kb-scale tasks × every backend × both geometries × two tiers: a few
+    // seconds per case in a debug build, so fewer cases than the block above.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The block-rebased i16 tier on tasks the old absolute-score gate
+    /// (`step × (n+m+2) < 2^13`) could never admit: `n + m` up to ~6,000,
+    /// shaped to push `H` out of the i16 range in both directions — an
+    /// identical pair climbs past 32,767 mid-block under the `hot` model, a
+    /// junk tail (disjoint alphabets after a matching quarter) falls below
+    /// −32,768 — under the CLR fixed model, a fixed model with 6× the
+    /// penalties, and BLOSUM62, over bands from the bare main diagonal
+    /// through the lane counts to 200. Per geometry and backend: full
+    /// `TaskRun` equality between the i16 and i32 tiers and across backends;
+    /// the result equals the scalar `guided_align`, and for BLOSUM62 also the
+    /// i16 block grid without a query profile.
+    #[test]
+    fn rebased_i16_long_task_bit_identity(
+        seq in proptest::collection::vec(0u8..4, 300..3000),
+        shape in 0usize..3,
+        model in 0usize..3,
+        band in 0usize..6,
+        zdrop_on in proptest::bool::ANY,
+    ) {
+        use agatha_suite::align::block::FillTier;
+        use agatha_suite::align::simd::{self, BackendChoice};
+        let s = match model {
+            0 => Scoring::preset_clr(),
+            1 => Scoring::new(12, 24, 24, 12, 400, 0),
+            _ => Scoring::preset_blosum62(),
+        };
+        let s = s.with_band([0, 1, 15, 16, 17, 200][band]);
+        let s = if zdrop_on { s } else { s.with_zdrop(Scoring::NO_ZDROP) };
+        // Reference/query codes from one base stream; for BLOSUM62 each base
+        // spreads over a residue class so both halves of the alphabet occur.
+        let protein = matches!(s.model, ScoreModel::Matrix(_));
+        let quarter = seq.len() / 4;
+        let (mut r, mut q) = (Vec::new(), Vec::new());
+        for (k, &c) in seq.iter().enumerate() {
+            let (rc, qc) = match shape {
+                // A realistic read: a substitution every 37th base, a
+                // deletion every 211th.
+                0 if k % 211 == 210 => (Some(c), None),
+                0 if k % 37 == 36 => (Some(c), Some((c + 1) % 4)),
+                // A junk tail: disjoint alphabets, so every cell mismatches.
+                2 if k >= quarter => (Some(c % 2), Some(2 + c % 2)),
+                _ => (Some(c), Some(c)),
+            };
+            let spread = |c: u8| if protein { c * 5 + (k % 5) as u8 } else { c };
+            r.extend(rc.map(spread));
+            q.extend(qc.map(spread));
+        }
+        let pack = |codes: &[u8]| if protein {
+            PackedSeq::from_protein_codes(codes, &BLOSUM62)
+        } else {
+            PackedSeq::from_codes(codes)
+        };
+        let task = Task { id: 0, reference: pack(&r), query: pack(&q) };
+        let want = guided_align(&task.reference, &task.query, &s);
+        if protein {
+            let narrow = grid_i16_no_profile::<8>(&task, &s);
+            let wide = grid_i16_no_profile::<16>(&task, &s);
+            prop_assert!(narrow.same_alignment(&want), "no profile, B=8: {narrow:?} vs {want:?}");
+            prop_assert_eq!(&narrow, &wide);
+        }
+        let restore = simd::backend_choice();
+        for bd in [BlockDim::B8, BlockDim::B16] {
+            let cfg = AgathaConfig::agatha().with_simd_fill(true).with_block_dim(bd);
+            let i16_cfg = cfg.clone().with_fill_precision(FillPrecision::I16);
+            let i32_cfg = cfg.with_fill_precision(FillPrecision::I32);
+            prop_assert_eq!(
+                i16_cfg.fill_tier_for(task.ref_len(), task.query_len(), &s),
+                FillTier::I16
+            );
+            let mut reference = None;
+            for backend in simd::supported_backends() {
+                simd::set_backend_choice(BackendChoice::Fixed(backend));
+                let i16_run = run_task(&task, &s, &i16_cfg);
+                let i32_run = run_task(&task, &s, &i32_cfg);
+                simd::set_backend_choice(restore);
+                let first = reference.get_or_insert_with(|| i32_run.clone());
+                prop_assert!(*first == i32_run, "i32 tier diverged on {}", backend.name());
+                prop_assert!(
+                    *first == i16_run,
+                    "i16 tier diverged on {}: {:?} vs {:?}",
+                    backend.name(),
+                    i16_run.result,
+                    first.result
+                );
+            }
+            let run = reference.expect("at least the portable backend ran");
+            prop_assert!(run.result.same_alignment(&want),
+                "B={}: {:?} vs {want:?}", bd.name(), run.result);
+            prop_assert_eq!(run.result.cells, want.cells);
+        }
+    }
+}
