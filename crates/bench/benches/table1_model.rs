@@ -32,7 +32,7 @@ fn main() {
         let rows = table1_rows(d.scoring.band_width as u32);
         // Cell counts from the kernel runs (reference semantics).
         let p0 = Pipeline::new(d.scoring, AgathaConfig::baseline());
-        let runs = p0.execute_tasks(&d.tasks);
+        let runs = p0.engine().run_tasks(d.tasks.clone());
         let warps: Vec<Vec<u64>> =
             runs.chunks(4).map(|c| c.iter().map(|r| r.result.cells).collect()).collect();
         let base_model = predict(&rows[0], &warps, &params);

@@ -37,7 +37,9 @@
 use std::time::Instant;
 
 use agatha_align::{BlockDim, FillPrecision, FillTier, Scoring, Task};
-use agatha_core::{kernel::run_task, run_task_ws, AgathaConfig, KernelWorkspace, Pipeline};
+use agatha_core::{
+    kernel::run_task, run_task_ws, AgathaConfig, KernelWorkspace, Pipeline, StreamOptions,
+};
 use agatha_datasets::{generate, scenarios, DatasetSpec, Tech, SCENARIOS};
 
 const SEED: u64 = 1234;
@@ -142,7 +144,9 @@ fn main() {
     let mut engine = pipeline.engine();
     let (stream_s, stream_sum) = best_of(|| {
         let mut sum = 0u64;
-        let mut run = engine.align_stream(tasks.iter().cloned(), CHUNK);
+        // Carry-over off, so each chunk packs alone as whole-batch would.
+        let opts = StreamOptions::new(CHUNK).carry_over(false);
+        let mut run = engine.align_stream_with(tasks.iter().cloned(), opts);
         for chunk in run.by_ref() {
             sum += chunk.report.results.iter().map(|r| r.score.unsigned_abs() as u64).sum::<u64>();
         }
@@ -331,7 +335,6 @@ fn main() {
     // time, never the simulated schedule). Every (prefetch × carry-over)
     // combination's score checksum is asserted against whole-batch —
     // bit-identity on the benched workload.
-    use agatha_core::StreamOptions;
     use agatha_io::{open_fasta_pairs_model, write_fasta, FastaRecord};
 
     let short_pipeline = Pipeline::new(short_scoring, AgathaConfig::agatha());

@@ -1,18 +1,27 @@
-//! Streaming batch engine: a persistent host worker pool with per-worker
-//! reusable [`KernelWorkspace`]s, processing task streams in bounded-memory
-//! chunks.
+//! The host execution path: one chunk-claim worker loop that every batch,
+//! stream chunk and serve request runs through.
 //!
-//! [`Pipeline::align_batch`] materialises every [`TaskRun`] for a batch it
-//! borrows; that is fine for figure reproduction but not for serving
-//! traffic. [`BatchEngine`] instead owns its worker threads for its whole
-//! lifetime: workers pull owned tasks from a shared queue, execute them
-//! with [`run_task_ws`] into their private workspace (zero steady-state
-//! allocation on the kernel hot path), and only one chunk of runs is alive
-//! at a time. Chunk results are yielded as they complete and the
-//! per-chunk [`KernelStats`] / warp latencies are folded incrementally into
-//! a [`StreamSummary`].
+//! Guided alignment's workload is long-tailed and unpredictable, so work is
+//! claimed dynamically, never dealt out statically (static chunking would
+//! recreate on the host exactly the imbalance the paper fixes on the GPU).
+//! A chunk of tasks is published once behind an `Arc`; workers claim
+//! indices from one atomic counter, run the same per-job body (tagged
+//! admission gate → recycle top-up → [`run_task_ws`]) into their private
+//! [`KernelWorkspace`], and hand back one batch of `(index, outcome)` per
+//! worker per chunk. The calling thread is worker 0; the engine keeps
+//! `threads − 1` persistent helper threads for its whole lifetime, so one
+//! thread simply means "no helpers" and a chunk of one task never leaves
+//! the caller.
+//!
+//! On top of that sits one chunk packer (kernel runs → carry split → warp
+//! assignment → simulation → device scheduling). [`Pipeline::align_batch`]
+//! is a stream of one chunk; [`BatchEngine::align_stream_with`] keeps only
+//! one chunk of runs alive at a time, yields chunk reports as they complete
+//! and folds the per-chunk [`KernelStats`] / warp latencies incrementally
+//! into a [`StreamSummary`].
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -32,18 +41,6 @@ use crate::trace::SliceUnit;
 /// state needs roughly one buffer per in-flight task; the cap only guards
 /// against pathological chunk sizes hoarding memory.
 const RECYCLE_POOL_CAP: usize = 4096;
-
-struct Job {
-    /// Chunk generation the job belongs to; results from an older
-    /// generation (e.g. after a caught worker panic aborted a chunk) are
-    /// discarded instead of corrupting the next chunk.
-    gen: u64,
-    idx: usize,
-    task: Task,
-    /// Request metadata for the serve path; `None` for plain batch jobs,
-    /// which skip the clock reads and admission checks entirely.
-    meta: Option<JobMeta>,
-}
 
 /// Per-request metadata attached to a tagged job: when it entered the
 /// queue, when it stops being worth executing, and a kill switch flipped
@@ -106,34 +103,119 @@ struct TagCountersAtomic {
     cancelled: AtomicU64,
 }
 
-/// A persistent alignment worker pool for one [`Pipeline`] configuration.
-///
-/// Dropping the engine shuts the pool down and joins every worker.
-pub struct BatchEngine {
+/// One published chunk: the jobs plus the claim counter every worker draws
+/// from.
+struct Chunk {
+    tasks: Vec<Task>,
+    /// Request metadata of a tagged chunk, indexed like `tasks`; empty for
+    /// plain batch chunks, whose jobs skip the clock reads and admission
+    /// checks entirely.
+    metas: Vec<JobMeta>,
+    /// Next unclaimed index. Only hands out indices: the jobs reach a
+    /// worker through the channel that delivers the chunk and the outcomes
+    /// return through the answer channel, so `Relaxed` suffices.
+    next: AtomicUsize,
+}
+
+/// What one worker did on one chunk: its `(index, outcome)` pairs, or the
+/// payload of the panic that stopped it.
+type WorkerBatch = std::thread::Result<Vec<(usize, JobOutcome)>>;
+
+/// Everything the calling thread and the helpers share.
+struct Shared {
     pipeline: Pipeline,
-    threads: usize,
-    gen: u64,
-    job_tx: Option<Sender<Job>>,
-    result_rx: Receiver<(u64, usize, std::thread::Result<JobOutcome>)>,
-    workers: Vec<JoinHandle<()>>,
-    /// Spent `TaskRun` output buffers (cost-descriptor vectors) returned by
-    /// the per-chunk stats fold; workers drain this into their
-    /// [`KernelWorkspace`] so steady-state streaming allocates nothing per
-    /// task, not even the run outputs (ROADMAP "TaskRun buffer recycling").
-    recycle: Arc<Mutex<Vec<Vec<SliceUnit>>>>,
-    counters: Arc<TagCountersAtomic>,
-    /// Caller-thread workspace for the single-worker fast path: with one
-    /// worker the per-task channel round trip buys no parallelism — it only
-    /// adds two context switches per job — so untagged chunks run inline on
-    /// the calling thread instead (see [`BatchEngine::run_tasks_drain`]).
-    host_ws: KernelWorkspace,
+    clock: Arc<dyn Clock>,
+    counters: TagCountersAtomic,
+    /// Spent `TaskRun` output buffers (cost-descriptor vectors) parked by
+    /// the chunk packer; workers drain this into their [`KernelWorkspace`]
+    /// so steady-state streaming allocates nothing per task, not even the
+    /// run outputs.
+    recycle: Mutex<Vec<Vec<SliceUnit>>>,
+}
+
+impl Shared {
+    /// The worker loop: claim indices until the chunk is exhausted. The
+    /// whole loop sits inside the panic guard — the admission gate calls a
+    /// user-supplied [`Clock`], and a poisoned pool lock must surface on
+    /// the caller too — and the first panic exhausts the counter so no
+    /// worker starts another job of an aborted chunk. The workspace is safe
+    /// to reuse after a panic: every run fully reinitialises it.
+    fn work(&self, chunk: &Chunk, ws: &mut KernelWorkspace) -> WorkerBatch {
+        let batch = catch_unwind(AssertUnwindSafe(|| {
+            let mut done = Vec::new();
+            loop {
+                let idx = chunk.next.fetch_add(1, Ordering::Relaxed);
+                let Some(task) = chunk.tasks.get(idx) else { break };
+                done.push((idx, self.run_job(ws, task, chunk.metas.get(idx))));
+            }
+            done
+        }));
+        if batch.is_err() {
+            chunk.next.store(chunk.tasks.len(), Ordering::Relaxed);
+        }
+        batch
+    }
+
+    fn run_job(&self, ws: &mut KernelWorkspace, task: &Task, meta: Option<&JobMeta>) -> JobOutcome {
+        // Admission gate for tagged jobs: a cancelled or deadline-expired
+        // request must never reach kernel dispatch — checked here, at the
+        // last moment before execution.
+        let mut timing = None;
+        if let Some(m) = meta {
+            let now = self.clock.now_ns();
+            let queue_ns = now.saturating_sub(m.enqueued_ns);
+            if m.cancelled() {
+                self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
+                return JobOutcome::Cancelled { queue_ns };
+            }
+            if m.expired(now) {
+                self.counters.dropped_deadline.fetch_add(1, Ordering::Relaxed);
+                return JobOutcome::DroppedDeadline { queue_ns };
+            }
+            self.counters.dispatched.fetch_add(1, Ordering::Relaxed);
+            timing = Some((now, queue_ns));
+        }
+        // Top up the workspace with spent output buffers so the run's cost
+        // descriptors reuse their capacity. Drain a small batch under one
+        // lock, and only when the local pool is dry, so the per-task hot
+        // path doesn't pay a global lock per job.
+        if ws.recycled_buffers().0 == 0 {
+            let mut pool = self.recycle.lock().expect("recycle pool lock poisoned");
+            let from = pool.len() - pool.len().min(4);
+            for units in pool.drain(from..) {
+                ws.recycle_units(units);
+            }
+        }
+        let run = run_task_ws(ws, task, &self.pipeline.scoring, &self.pipeline.config);
+        let (queue_ns, service_ns) = match timing {
+            Some((start, queue_ns)) => (queue_ns, self.clock.now_ns().saturating_sub(start)),
+            None => (0, 0),
+        };
+        JobOutcome::Completed { run, queue_ns, service_ns }
+    }
+}
+
+/// A persistent alignment worker pool for one [`Pipeline`] configuration:
+/// the calling thread plus `threads − 1` helper threads.
+///
+/// Dropping the engine shuts the pool down and joins every helper.
+pub struct BatchEngine {
+    shared: Arc<Shared>,
+    /// Worker 0's workspace: the calling thread claims jobs like any helper.
+    ws: KernelWorkspace,
+    /// One chunk channel per helper, so a chunk wakes exactly as many
+    /// helpers as it can occupy.
+    helpers: Vec<(Sender<Arc<Chunk>>, JoinHandle<()>)>,
+    /// Where every woken helper answers, once per chunk.
+    done_rx: Receiver<WorkerBatch>,
 }
 
 impl BatchEngine {
-    /// Spawn the worker pool (`pipeline.host_threads`, or all available
-    /// cores when 0). Each worker owns one [`KernelWorkspace`] for its
-    /// entire lifetime. Deadlines are evaluated against the real monotonic
-    /// clock; use [`BatchEngine::with_clock`] to inject a test clock.
+    /// Spawn the pool (`pipeline.host_threads` workers, or all available
+    /// cores when 0, counting the calling thread). Each worker owns one
+    /// [`KernelWorkspace`] for its entire lifetime. Deadlines are evaluated
+    /// against the real monotonic clock; use [`BatchEngine::with_clock`] to
+    /// inject a test clock.
     pub fn new(pipeline: Pipeline) -> BatchEngine {
         BatchEngine::with_clock(pipeline, Arc::new(SystemClock::new()))
     }
@@ -141,148 +223,90 @@ impl BatchEngine {
     /// [`BatchEngine::new`] with an explicit time source for the tagged-job
     /// deadline checks (tests pass [`crate::clock::MockClock`]).
     pub fn with_clock(pipeline: Pipeline, clock: Arc<dyn Clock>) -> BatchEngine {
-        let threads = pipeline.worker_threads().max(1);
-        let (job_tx, job_rx) = channel::<Job>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let (result_tx, result_rx) = channel();
-        let recycle: Arc<Mutex<Vec<Vec<SliceUnit>>>> = Arc::new(Mutex::new(Vec::new()));
-        let counters = Arc::new(TagCountersAtomic::default());
-        let workers = (0..threads)
+        let helper_count = pipeline.worker_threads().max(1) - 1;
+        let shared = Arc::new(Shared {
+            pipeline,
+            clock,
+            counters: TagCountersAtomic::default(),
+            recycle: Mutex::new(Vec::new()),
+        });
+        let (done_tx, done_rx) = channel();
+        let helpers = (0..helper_count)
             .map(|_| {
-                let job_rx = Arc::clone(&job_rx);
-                let result_tx = result_tx.clone();
-                let recycle = Arc::clone(&recycle);
-                let counters = Arc::clone(&counters);
-                let clock = Arc::clone(&clock);
-                let scoring = pipeline.scoring;
-                let config = pipeline.config.clone();
-                std::thread::spawn(move || {
+                let (chunk_tx, chunk_rx) = channel::<Arc<Chunk>>();
+                let shared = Arc::clone(&shared);
+                let done_tx = done_tx.clone();
+                let handle = std::thread::spawn(move || {
                     let mut ws = KernelWorkspace::new();
-                    loop {
-                        // Hold the queue lock only while drawing a job, not
-                        // while executing it.
-                        let job = { job_rx.lock().expect("queue lock poisoned").recv() };
-                        let Ok(Job { gen, idx, task, meta }) = job else { break };
-                        // Admission gate for tagged jobs: a cancelled or
-                        // deadline-expired request must never reach kernel
-                        // dispatch — checked here, at the last moment
-                        // before execution.
-                        let dispatch_ns = meta.as_ref().map(|m| {
-                            let now = clock.now_ns();
-                            (now, now.saturating_sub(m.enqueued_ns))
-                        });
-                        if let (Some(m), Some((now, queue_ns))) = (&meta, dispatch_ns) {
-                            let skipped = if m.cancelled() {
-                                counters.cancelled.fetch_add(1, Ordering::Relaxed);
-                                Some(JobOutcome::Cancelled { queue_ns })
-                            } else if m.expired(now) {
-                                counters.dropped_deadline.fetch_add(1, Ordering::Relaxed);
-                                Some(JobOutcome::DroppedDeadline { queue_ns })
-                            } else {
-                                counters.dispatched.fetch_add(1, Ordering::Relaxed);
-                                None
-                            };
-                            if let Some(outcome) = skipped {
-                                if result_tx.send((gen, idx, Ok(outcome))).is_err() {
-                                    break;
-                                }
-                                continue;
-                            }
-                        }
-                        // Catch panics so the collector can re-raise them
-                        // instead of deadlocking on a result that never
-                        // arrives. The workspace is safe to reuse after a
-                        // panic: every run fully reinitialises it. The
-                        // recycle drain sits inside the guard too: a
-                        // poisoned pool lock must surface as a re-raised
-                        // panic on the caller, not kill this worker and
-                        // strand the job.
-                        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            // Top up the workspace with spent output buffers
-                            // so the run's cost descriptors reuse their
-                            // capacity. Drain a small batch under one lock,
-                            // and only when the local pool is dry, so the
-                            // per-task hot path doesn't pay a global lock
-                            // per job.
-                            if ws.recycled_buffers().0 == 0 {
-                                let mut pool = recycle.lock().expect("recycle pool lock poisoned");
-                                let from = pool.len() - pool.len().min(4);
-                                for units in pool.drain(from..) {
-                                    ws.recycle_units(units);
-                                }
-                            }
-                            run_task_ws(&mut ws, &task, &scoring, &config)
-                        }));
-                        let outcome = run.map(|run| {
-                            let (queue_ns, service_ns) = match dispatch_ns {
-                                Some((start, queue_ns)) => {
-                                    (queue_ns, clock.now_ns().saturating_sub(start))
-                                }
-                                None => (0, 0),
-                            };
-                            JobOutcome::Completed { run, queue_ns, service_ns }
-                        });
-                        if result_tx.send((gen, idx, outcome)).is_err() {
+                    while let Ok(chunk) = chunk_rx.recv() {
+                        let batch = shared.work(&chunk, &mut ws);
+                        // Let go of the chunk before answering: the caller
+                        // takes the task buffer back once everyone has.
+                        drop(chunk);
+                        if done_tx.send(batch).is_err() {
                             break;
                         }
                     }
-                })
+                });
+                (chunk_tx, handle)
             })
             .collect();
-        BatchEngine {
-            pipeline,
-            threads,
-            gen: 0,
-            job_tx: Some(job_tx),
-            result_rx,
-            workers,
-            recycle,
-            counters,
-            host_ws: KernelWorkspace::new(),
-        }
+        BatchEngine { shared, ws: KernelWorkspace::new(), helpers, done_rx }
     }
 
     /// The pipeline configuration this engine serves.
     pub fn pipeline(&self) -> &Pipeline {
-        &self.pipeline
+        &self.shared.pipeline
     }
 
-    /// Worker threads in the pool.
+    /// Worker threads in the pool, the calling thread included.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.helpers.len() + 1
+    }
+
+    /// The one dispatch primitive: publish `tasks` (with `metas` either
+    /// empty or one per task) as a chunk, work on it alongside as many
+    /// helpers as it can occupy, and return one outcome per job in input
+    /// order — worker interleaving never changes the output. `tasks` is
+    /// left empty with its capacity intact, so a stream reuses one chunk
+    /// buffer throughout.
+    ///
+    /// A panic in any worker is re-raised here with its original payload,
+    /// after every woken helper has answered: nothing of an aborted chunk
+    /// is left in flight and the engine stays usable.
+    fn dispatch(&mut self, tasks: &mut Vec<Task>, metas: Vec<JobMeta>) -> Vec<JobOutcome> {
+        let count = tasks.len();
+        debug_assert!(metas.is_empty() || metas.len() == count, "one meta per tagged task");
+        let chunk =
+            Arc::new(Chunk { tasks: std::mem::take(tasks), metas, next: AtomicUsize::new(0) });
+        let woken = self.helpers.len().min(count.saturating_sub(1));
+        for (chunk_tx, _) in &self.helpers[..woken] {
+            chunk_tx.send(Arc::clone(&chunk)).expect("helper threads live until drop");
+        }
+        let own = self.shared.work(&chunk, &mut self.ws);
+        let answers: Vec<WorkerBatch> =
+            (0..woken).map(|_| self.done_rx.recv().expect("every woken helper answers")).collect();
+        let mut out: Vec<Option<JobOutcome>> = (0..count).map(|_| None).collect();
+        for batch in std::iter::once(own).chain(answers) {
+            match batch {
+                Ok(done) => done.into_iter().for_each(|(idx, outcome)| out[idx] = Some(outcome)),
+                Err(payload) => resume_unwind(payload),
+            }
+        }
+        let chunk = Arc::into_inner(chunk).expect("helpers drop the chunk before answering");
+        *tasks = chunk.tasks;
+        tasks.clear();
+        out.into_iter().map(|o| o.expect("every job answered")).collect()
     }
 
     /// Execute one chunk of owned tasks on the pool, returning the runs in
-    /// input order. Deterministic: results are reassembled by index, so
-    /// worker interleaving never changes the output.
+    /// input order.
     pub fn run_tasks(&mut self, mut tasks: Vec<Task>) -> Vec<TaskRun> {
-        self.run_tasks_drain(&mut tasks)
+        self.run_chunk(&mut tasks)
     }
 
-    /// [`BatchEngine::run_tasks`] that drains `tasks` in place, leaving the
-    /// vector empty with its capacity intact — the streaming path reuses
-    /// one chunk buffer across the whole stream instead of allocating per
-    /// chunk.
-    pub fn run_tasks_drain(&mut self, tasks: &mut Vec<Task>) -> Vec<TaskRun> {
-        // Single-worker fast path: with one worker there is no parallelism
-        // to exploit, and routing each task through the job/result channels
-        // costs two context switches per job (measured ~8% of streaming
-        // throughput on short reads on a one-core host). Run the chunk on
-        // the calling thread instead. Bit-identical to the pooled path:
-        // kernels are deterministic and results are index-ordered either
-        // way. Tagged jobs ([`BatchEngine::run_tagged`]) keep the pool for
-        // their last-moment deadline/cancel admission gate.
-        if self.threads == 1 {
-            return self.run_tasks_inline(tasks);
-        }
-        let count = tasks.len();
-        self.gen += 1;
-        let gen = self.gen;
-        let job_tx = self.job_tx.as_ref().expect("engine pool is live until drop");
-        for (idx, task) in tasks.drain(..).enumerate() {
-            job_tx.send(Job { gen, idx, task, meta: None }).expect("worker pool alive");
-        }
-        self.collect_outcomes(gen, count)
+    fn run_chunk(&mut self, tasks: &mut Vec<Task>) -> Vec<TaskRun> {
+        self.dispatch(tasks, Vec::new())
             .into_iter()
             .map(|outcome| match outcome {
                 JobOutcome::Completed { run, .. } => run,
@@ -293,129 +317,43 @@ impl BatchEngine {
             .collect()
     }
 
-    /// The caller-thread half of the single-worker fast path: same recycle
-    /// discipline as a pool worker (drain a small batch of spent buffers
-    /// under one lock, only when the local pool is dry), same workspace
-    /// reuse across the engine's lifetime.
-    fn run_tasks_inline(&mut self, tasks: &mut Vec<Task>) -> Vec<TaskRun> {
-        let mut out = Vec::with_capacity(tasks.len());
-        for task in tasks.drain(..) {
-            if self.host_ws.recycled_buffers().0 == 0 {
-                let mut pool = self.recycle.lock().expect("recycle pool lock poisoned");
-                let from = pool.len() - pool.len().min(4);
-                for units in pool.drain(from..) {
-                    self.host_ws.recycle_units(units);
-                }
-            }
-            out.push(run_task_ws(
-                &mut self.host_ws,
-                &task,
-                &self.pipeline.scoring,
-                &self.pipeline.config,
-            ));
-        }
-        out
-    }
-
     /// Execute owned tasks with per-request [`JobMeta`] (deadline,
     /// cancellation, enqueue tick), returning one [`JobOutcome`] per job in
     /// input order: every job is answered exactly once — completed,
     /// deadline-dropped, or cancelled — never lost. Dropped and cancelled
     /// jobs never reach kernel dispatch (see [`BatchEngine::tag_counters`]).
     pub fn run_tagged(&mut self, jobs: Vec<(Task, JobMeta)>) -> Vec<JobOutcome> {
-        self.run_jobs(jobs.into_iter().map(|(t, m)| (t, Some(m))).collect())
-    }
-
-    fn run_jobs(&mut self, jobs: Vec<(Task, Option<JobMeta>)>) -> Vec<JobOutcome> {
-        let count = jobs.len();
-        self.gen += 1;
-        let gen = self.gen;
-        let job_tx = self.job_tx.as_ref().expect("engine pool is live until drop");
-        for (idx, (task, meta)) in jobs.into_iter().enumerate() {
-            job_tx.send(Job { gen, idx, task, meta }).expect("worker pool alive");
-        }
-        self.collect_outcomes(gen, count)
-    }
-
-    /// Gather `count` results of generation `gen` by index, re-raising any
-    /// worker panic on the calling thread.
-    fn collect_outcomes(&mut self, gen: u64, count: usize) -> Vec<JobOutcome> {
-        let mut out: Vec<Option<JobOutcome>> = (0..count).map(|_| None).collect();
-        let mut received = 0;
-        while received < count {
-            let (g, idx, run) = self.result_rx.recv().expect("worker pool alive");
-            if g != gen {
-                // Leftover from a chunk aborted by a re-raised panic.
-                continue;
-            }
-            received += 1;
-            match run {
-                Ok(outcome) => out[idx] = Some(outcome),
-                // Re-raise a worker panic on the calling thread.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        out.into_iter().map(|r| r.expect("every job answered")).collect()
+        let (mut tasks, metas) = jobs.into_iter().unzip();
+        self.dispatch(&mut tasks, metas)
     }
 
     /// Snapshot of the tagged-job admission counters (dispatched /
     /// deadline-dropped / cancelled).
     pub fn tag_counters(&self) -> TagCounters {
+        let c = &self.shared.counters;
         TagCounters {
-            dispatched: self.counters.dispatched.load(Ordering::Relaxed),
-            dropped_deadline: self.counters.dropped_deadline.load(Ordering::Relaxed),
-            cancelled: self.counters.cancelled.load(Ordering::Relaxed),
+            dispatched: c.dispatched.load(Ordering::Relaxed),
+            dropped_deadline: c.dropped_deadline.load(Ordering::Relaxed),
+            cancelled: c.cancelled.load(Ordering::Relaxed),
         }
     }
 
     /// Align one owned chunk end to end (kernel runs → warp assignment →
-    /// simulation → device scheduling), with the configuration's implied
-    /// ordering strategy. Bit-identical to [`Pipeline::align_batch`] on the
-    /// same tasks.
-    pub fn align_chunk(&mut self, mut tasks: Vec<Task>) -> BatchReport {
-        let strategy = self.pipeline.default_strategy();
-        self.align_chunk_drain(&mut tasks, strategy)
+    /// simulation → device scheduling) on its own: nothing is carried in or
+    /// out. This is [`Pipeline::align_batch_with_strategy`] on a live
+    /// engine.
+    pub fn align_chunk(&mut self, mut tasks: Vec<Task>, strategy: OrderingStrategy) -> BatchReport {
+        self.align_chunk_carry(&mut tasks, &mut Vec::new(), true, strategy)
     }
 
-    /// [`BatchEngine::align_chunk`] with an explicit ordering strategy.
-    pub fn align_chunk_with_strategy(
-        &mut self,
-        mut tasks: Vec<Task>,
-        strategy: OrderingStrategy,
-    ) -> BatchReport {
-        self.align_chunk_drain(&mut tasks, strategy)
-    }
-
-    /// Chunk alignment draining `tasks` in place (capacity preserved for
-    /// the caller's next fill).
-    fn align_chunk_drain(
-        &mut self,
-        tasks: &mut Vec<Task>,
-        strategy: OrderingStrategy,
-    ) -> BatchReport {
-        let workloads: Vec<u64> = tasks.iter().map(|t| t.antidiags() as u64).collect();
-        let runs = self.run_tasks_drain(tasks);
-        // After the stats fold the runs' unit buffers are surplus; park them
-        // for the workers to reuse on the next chunk.
-        let recycle = Arc::clone(&self.recycle);
-        self.pipeline.assemble_report_recycling(&workloads, runs, strategy, move |units| {
-            if units.capacity() == 0 {
-                return; // nothing worth round-tripping
-            }
-            let mut pool = recycle.lock().expect("recycle pool lock poisoned");
-            if pool.len() < RECYCLE_POOL_CAP {
-                pool.push(units);
-            }
-        })
-    }
-
-    /// Chunk alignment with a cross-chunk carry-over bucket. All arrived
-    /// tasks execute (and their results/stats report) immediately; runs
-    /// that would seed an underfull trailing warp join `carry` instead of
-    /// being packed, and enter the *next* chunk's largest-first fill. With
-    /// `flush` the whole pool packs, draining the carry deterministically
-    /// at stream end. Kernel results and stats are packing-independent, so
-    /// carry-over only ever changes the simulated warp schedule.
+    /// The one chunk packer. All arrived tasks execute (and their
+    /// results/stats report) immediately; runs that would seed an underfull
+    /// trailing warp join `carry` instead of being packed, and enter the
+    /// *next* chunk's largest-first fill. With `flush` the whole pool
+    /// packs, draining the carry deterministically — at stream end, or on
+    /// every chunk when carry-over is off. Kernel results and stats are
+    /// packing-independent, so carry-over only ever changes the simulated
+    /// warp schedule.
     fn align_chunk_carry(
         &mut self,
         arrived: &mut Vec<Task>,
@@ -423,13 +361,15 @@ impl BatchEngine {
         flush: bool,
         strategy: OrderingStrategy,
     ) -> BatchReport {
+        // A-priori workload estimate: number of anti-diagonals (§5.6).
         let arrived_workloads: Vec<u64> = arrived.iter().map(|t| t.antidiags() as u64).collect();
-        let runs = self.run_tasks_drain(arrived);
-        let cfg = &self.pipeline.config;
+        let runs = self.run_chunk(arrived);
+        let pipeline = &self.shared.pipeline;
+        let cfg = &pipeline.config;
         let mut stats = KernelStats::new();
         let mut results = Vec::with_capacity(runs.len());
         for r in &runs {
-            stats.add(&r.stats(cfg.subwarp_lanes, cfg, &self.pipeline.cost));
+            stats.add(&r.stats(cfg.subwarp_lanes, cfg, &pipeline.cost));
             results.push(r.result.clone());
         }
         // Packing pool: carried-over runs first (they have waited longest),
@@ -470,11 +410,11 @@ impl BatchEngine {
             strategy,
         );
         let packed_runs: Vec<TaskRun> = packed.into_iter().map(|s| s.run).collect();
-        let (warp_cycles, subwarp_blocks) = self.pipeline.simulate_warps(&packed_runs, &warps);
-        let (devices, device) = self.pipeline.schedule_devices(&warp_cycles);
+        let (warp_cycles, subwarp_blocks) = pipeline.simulate_warps(&packed_runs, &warps);
+        let (devices, device) = pipeline.schedule_devices(&warp_cycles);
         // Packed runs are spent: park their unit buffers for worker reuse.
         {
-            let mut recycled = self.recycle.lock().expect("recycle pool lock poisoned");
+            let mut recycled = self.shared.recycle.lock().expect("recycle pool lock poisoned");
             for mut r in packed_runs {
                 let units = std::mem::take(&mut r.units);
                 if units.capacity() > 0 && recycled.len() < RECYCLE_POOL_CAP {
@@ -484,7 +424,7 @@ impl BatchEngine {
         }
         BatchReport {
             results,
-            elapsed_ms: self.pipeline.spec.cycles_to_ms(device.makespan_cycles),
+            elapsed_ms: pipeline.spec.cycles_to_ms(device.makespan_cycles),
             device,
             devices,
             stats,
@@ -500,42 +440,22 @@ impl BatchEngine {
     /// Panics if the pool mutex is poisoned — a worker died while holding
     /// it, which must fail tests loudly rather than read as "empty pool".
     pub fn recycled_buffers(&self) -> usize {
-        self.recycle.lock().expect("recycle pool lock poisoned").len()
+        self.shared.recycle.lock().expect("recycle pool lock poisoned").len()
     }
 
-    /// Stream `tasks` through the pool in chunks of `chunk_size`. Only one
-    /// chunk of tasks and runs is in memory at a time; iterate the returned
-    /// [`StreamRun`] for per-chunk reports, then call [`StreamRun::finish`]
-    /// for the folded totals. For whole-stream-as-one-chunk behaviour pass
-    /// a chunk size at least as large as the stream.
+    /// Stream `tasks` through the pool in chunks of `opts`' chunk size.
+    /// Only one chunk of tasks and runs is in memory at a time; iterate the
+    /// returned [`StreamRun`] for per-chunk reports, then call
+    /// [`StreamRun::finish`] for the folded totals. With the default
+    /// options (carry-over on, recording off) steady-state memory is one
+    /// chunk of tasks and runs plus at most one warp's worth of carried
+    /// runs plus O(warp slots) schedule state — independent of stream
+    /// length.
     ///
-    /// Compatibility entry point: carry-over off and warp-cycle recording
-    /// on, so the summary (including `warp_cycles` and the device schedule)
-    /// is bit-identical to [`Pipeline::align_batch`] when one chunk spans
-    /// the stream. Note that recording keeps O(stream) warp latencies in
-    /// memory; long-running streams should prefer
-    /// [`BatchEngine::align_stream_with`], whose default options fold the
-    /// device schedule incrementally in O(warp slots) state.
-    ///
-    /// # Panics
-    ///
-    /// `chunk_size == 0` is a usage error (it used to silently mean
-    /// "unbounded", defeating the memory bound that is the point of
-    /// streaming) and panics with a descriptive message; CLI layers must
-    /// validate `--chunk` before calling.
-    pub fn align_stream<I>(&mut self, tasks: I, chunk_size: usize) -> StreamRun<'_, I::IntoIter>
-    where
-        I: IntoIterator<Item = Task>,
-    {
-        let opts = StreamOptions::new(chunk_size).carry_over(false).record_warp_cycles(true);
-        self.align_stream_with(tasks, opts)
-    }
-
-    /// [`BatchEngine::align_stream`] with explicit [`StreamOptions`]. With
-    /// the default options (carry-over on, recording off) steady-state
-    /// memory is one chunk of tasks and runs plus at most one warp's worth
-    /// of carried runs plus O(warp slots) schedule state — independent of
-    /// stream length.
+    /// With carry-over off, warp-cycle recording on and a chunk size at
+    /// least as large as the stream, the summary (including `warp_cycles`
+    /// and the device schedule) is bit-identical to
+    /// [`Pipeline::align_batch`].
     pub fn align_stream_with<I>(
         &mut self,
         tasks: I,
@@ -586,13 +506,14 @@ impl BatchEngine {
         source: ChunkSource<I>,
         opts: StreamOptions,
     ) -> StreamRun<'_, I> {
-        let gpus = self.pipeline.gpus;
+        let pipeline = &self.shared.pipeline;
+        let gpus = pipeline.gpus;
         // Single-GPU streams fold the device schedule incrementally; the
         // multi-GPU split is contiguous over the *whole* stream's warps, so
         // it must retain the latency vector regardless of recording.
-        let sched = (gpus == 1).then(|| SlotSchedule::new(self.pipeline.spec.warp_slots()));
+        let sched = (gpus == 1).then(|| SlotSchedule::new(pipeline.spec.warp_slots()));
         let keep_cycles = opts.record_warp_cycles || gpus > 1;
-        let strategy = self.pipeline.default_strategy();
+        let strategy = pipeline.default_strategy();
         let buf = Vec::with_capacity(opts.chunk_size.min(STREAM_BUF_RESERVE));
         StreamRun {
             engine: self,
@@ -702,15 +623,15 @@ impl std::error::Error for StreamError {}
 
 impl Drop for BatchEngine {
     fn drop(&mut self) {
-        // Closing the job channel makes every worker's recv fail and exit.
-        drop(self.job_tx.take());
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        // Closing a helper's chunk channel makes its recv fail and exit.
+        for (chunk_tx, handle) in self.helpers.drain(..) {
+            drop(chunk_tx);
+            let _ = handle.join();
         }
     }
 }
 
-/// One chunk's worth of output from [`BatchEngine::align_stream`].
+/// One chunk's worth of output from [`BatchEngine::align_stream_with`].
 #[derive(Debug, Clone)]
 pub struct ChunkReport {
     /// Index of the chunk's first task within the stream.
@@ -744,8 +665,8 @@ pub struct StreamSummary {
     pub elapsed_ms: f64,
 }
 
-/// Lazy chunk-by-chunk driver returned by [`BatchEngine::align_stream`]
-/// and friends.
+/// Lazy chunk-by-chunk driver returned by [`BatchEngine::align_stream_with`]
+/// and [`BatchEngine::align_stream_prefetched`].
 pub struct StreamRun<'e, I: Iterator<Item = Task>> {
     engine: &'e mut BatchEngine,
     source: ChunkSource<I>,
@@ -836,18 +757,12 @@ impl<I: Iterator<Item = Task>> Iterator for StreamRun<'_, I> {
         let offset = self.offset;
         self.offset += self.buf.len();
         self.chunks += 1;
-        let report = if self.carry_over {
-            // Flush when the source has ended: the final chunk (or a
-            // trailing carry-only chunk) packs the whole pool.
-            self.engine.align_chunk_carry(
-                &mut self.buf,
-                &mut self.carry,
-                self.source_done,
-                self.strategy,
-            )
-        } else {
-            self.engine.align_chunk_drain(&mut self.buf, self.strategy)
-        };
+        // Flush when the source has ended — the final chunk (or a trailing
+        // carry-only chunk) packs the whole pool — and on every chunk when
+        // carry-over is off, which keeps the carry empty throughout.
+        let flush = self.source_done || !self.carry_over;
+        let report =
+            self.engine.align_chunk_carry(&mut self.buf, &mut self.carry, flush, self.strategy);
         self.stats.add(&report.stats);
         if self.keep_cycles {
             self.warp_cycles.extend_from_slice(&report.warp_cycles);
@@ -883,7 +798,7 @@ impl<I: Iterator<Item = Task>> StreamRun<'_, I> {
         if let Some(error) = self.error.take() {
             return Err(error);
         }
-        let pipeline = &self.engine.pipeline;
+        let pipeline = self.engine.pipeline();
         let device = match &self.sched {
             Some(sched) => sched.report(),
             None => pipeline.schedule_devices(&self.warp_cycles).1,
@@ -934,6 +849,23 @@ mod tests {
         Pipeline::new(Scoring::new(2, 4, 4, 2, 60, 16), AgathaConfig::agatha())
     }
 
+    fn pipeline_on(threads: usize) -> Pipeline {
+        let mut p = pipeline();
+        p.host_threads = threads;
+        p
+    }
+
+    /// Carry-over off and warp-cycle recording on: the options under which
+    /// a chunk spanning the stream reproduces `align_batch` bit for bit.
+    fn plain(chunk_size: usize) -> StreamOptions {
+        StreamOptions::new(chunk_size).carry_over(false).record_warp_cycles(true)
+    }
+
+    fn align_chunk(engine: &mut BatchEngine, tasks: Vec<Task>) -> BatchReport {
+        let strategy = engine.pipeline().default_strategy();
+        engine.align_chunk(tasks, strategy)
+    }
+
     #[test]
     fn chunked_stream_matches_whole_batch() {
         let _guard = backend_lock();
@@ -942,7 +874,7 @@ mod tests {
         for chunk_size in [1, 7, 30, 64] {
             let mut engine = pipeline().engine();
             let mut results = Vec::new();
-            let mut run = engine.align_stream(tasks.iter().cloned(), chunk_size);
+            let mut run = engine.align_stream_with(tasks.iter().cloned(), plain(chunk_size));
             for chunk in run.by_ref() {
                 assert_eq!(chunk.offset, results.len());
                 results.extend(chunk.report.results);
@@ -962,7 +894,7 @@ mod tests {
         let tasks = mk_tasks(18, 90, 7);
         let whole = pipeline().align_batch(&tasks);
         let mut engine = pipeline().engine();
-        let summary = engine.align_stream(tasks.iter().cloned(), tasks.len()).finish();
+        let summary = engine.align_stream_with(tasks.iter().cloned(), plain(tasks.len())).finish();
         assert_eq!(summary.warp_cycles, whole.warp_cycles);
         assert_eq!(summary.device, whole.device);
         assert_eq!(summary.elapsed_ms, whole.elapsed_ms);
@@ -973,10 +905,10 @@ mod tests {
     fn engine_survives_many_chunks() {
         let mut engine = pipeline().engine();
         let tasks = mk_tasks(12, 70, 3);
-        let a = engine.align_chunk(tasks.clone());
-        let b = engine.align_chunk(tasks.clone());
+        let a = align_chunk(&mut engine, tasks.clone());
+        let b = align_chunk(&mut engine, tasks.clone());
         assert_eq!(a.results, b.results);
-        let c = engine.align_chunk(Vec::new());
+        let c = align_chunk(&mut engine, Vec::new());
         assert!(c.results.is_empty());
         assert_eq!(c.elapsed_ms, 0.0);
     }
@@ -985,7 +917,7 @@ mod tests {
     fn chunk_folding_parks_spent_buffers_for_reuse() {
         let mut engine = pipeline().engine();
         let tasks = mk_tasks(16, 80, 9);
-        let a = engine.align_chunk(tasks.clone());
+        let a = align_chunk(&mut engine, tasks.clone());
         // After the first chunk every run's unit buffer is parked (workers
         // had nothing to drain yet).
         assert!(engine.recycled_buffers() > 0, "spent buffers must be parked");
@@ -993,7 +925,7 @@ mod tests {
         // re-park; results stay bit-identical throughout.
         let parked = engine.recycled_buffers();
         for _ in 0..3 {
-            let b = engine.align_chunk(tasks.clone());
+            let b = align_chunk(&mut engine, tasks.clone());
             assert_eq!(a.results, b.results);
         }
         assert!(
@@ -1005,7 +937,7 @@ mod tests {
     #[test]
     fn empty_stream() {
         let mut engine = pipeline().engine();
-        let summary = engine.align_stream(std::iter::empty(), 8).finish();
+        let summary = engine.align_stream_with(std::iter::empty(), plain(8)).finish();
         assert_eq!(summary.tasks, 0);
         assert_eq!(summary.chunks, 0);
         assert_eq!(summary.elapsed_ms, 0.0);
@@ -1015,7 +947,7 @@ mod tests {
     #[should_panic(expected = "chunk_size must be at least 1")]
     fn zero_chunk_size_is_a_usage_error() {
         let mut engine = pipeline().engine();
-        let _ = engine.align_stream(mk_tasks(3, 40, 5), 0);
+        let _ = engine.align_stream_with(mk_tasks(3, 40, 5), plain(0));
     }
 
     #[test]
@@ -1166,7 +1098,7 @@ mod tests {
         assert_eq!(err.message, "synthetic parse failure");
         assert!(err.to_string().contains("chunk 2"), "{err}");
         // The engine stays clean and reusable after a failed stream.
-        let again = engine.align_chunk(mk_tasks(7, 60, 53));
+        let again = align_chunk(&mut engine, mk_tasks(7, 60, 53));
         assert_eq!(again.results, reference.results);
     }
 
@@ -1200,80 +1132,93 @@ mod tests {
             let _ = run.next();
             // Dropped mid-stream: carried runs just drop with it.
         }
-        let rep = engine.align_chunk(tasks.clone());
+        let rep = align_chunk(&mut engine, tasks.clone());
         assert_eq!(rep.results.len(), 20);
     }
 
     use crate::clock::MockClock;
 
-    fn tagged_engine() -> (BatchEngine, Arc<MockClock>) {
+    fn tagged_engine_on(threads: usize) -> (BatchEngine, Arc<MockClock>) {
         let clock = Arc::new(MockClock::new());
-        let mut p = pipeline();
-        p.host_threads = 2;
-        (BatchEngine::with_clock(p, clock.clone()), clock)
+        (BatchEngine::with_clock(pipeline_on(threads), clock.clone()), clock)
     }
 
     #[test]
     fn cancelled_jobs_never_reach_kernel_dispatch() {
-        let (mut engine, _clock) = tagged_engine();
-        let cancel = Arc::new(AtomicBool::new(true));
-        let jobs: Vec<(Task, JobMeta)> = mk_tasks(8, 60, 11)
-            .into_iter()
-            .map(|t| {
-                (
-                    t,
-                    JobMeta {
-                        enqueued_ns: 0,
-                        deadline_ns: None,
-                        cancel: Some(Arc::clone(&cancel)),
-                    },
-                )
-            })
-            .collect();
-        let outcomes = engine.run_tagged(jobs);
-        assert_eq!(outcomes.len(), 8);
-        assert!(outcomes.iter().all(|o| matches!(o, JobOutcome::Cancelled { .. })));
-        let c = engine.tag_counters();
-        assert_eq!(c, TagCounters { dispatched: 0, dropped_deadline: 0, cancelled: 8 });
-        // Nothing executed, so nothing was parked for recycling either: a
-        // cancelled request's buffers cannot leak into another request.
-        assert_eq!(engine.recycled_buffers(), 0);
+        // The gate runs on whichever worker claims the job — with one thread,
+        // on the caller itself.
+        for threads in [1, 2] {
+            let (mut engine, _clock) = tagged_engine_on(threads);
+            let cancel = Arc::new(AtomicBool::new(true));
+            let jobs: Vec<(Task, JobMeta)> = mk_tasks(8, 60, 11)
+                .into_iter()
+                .map(|t| {
+                    (
+                        t,
+                        JobMeta {
+                            enqueued_ns: 0,
+                            deadline_ns: None,
+                            cancel: Some(Arc::clone(&cancel)),
+                        },
+                    )
+                })
+                .collect();
+            let outcomes = engine.run_tagged(jobs);
+            assert_eq!(outcomes.len(), 8);
+            assert!(outcomes.iter().all(|o| matches!(o, JobOutcome::Cancelled { .. })));
+            let c = engine.tag_counters();
+            assert_eq!(c, TagCounters { dispatched: 0, dropped_deadline: 0, cancelled: 8 });
+            // Nothing executed, so nothing was parked for recycling either: a
+            // cancelled request's buffers cannot leak into another request.
+            assert_eq!(engine.recycled_buffers(), 0);
+        }
     }
 
     #[test]
     fn expired_deadlines_drop_before_dispatch() {
-        let (mut engine, clock) = tagged_engine();
-        clock.set_ns(5_000_000);
-        let tasks = mk_tasks(6, 60, 13);
-        let jobs: Vec<(Task, JobMeta)> = tasks
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(i, t)| {
-                // Even indices expired 1ms ago; odd ones have 10ms left.
-                let deadline = if i % 2 == 0 { 4_000_000 } else { 15_000_000 };
-                (t, JobMeta { enqueued_ns: 1_000_000, deadline_ns: Some(deadline), cancel: None })
-            })
-            .collect();
-        let outcomes = engine.run_tagged(jobs);
-        let reference = pipeline().align_batch(&tasks);
-        for (i, o) in outcomes.iter().enumerate() {
-            match o {
-                JobOutcome::DroppedDeadline { queue_ns } => {
-                    assert_eq!(i % 2, 0, "only expired jobs may drop");
-                    assert_eq!(*queue_ns, 4_000_000);
+        // The gate runs on whichever worker claims the job — with one thread,
+        // on the caller itself.
+        for threads in [1, 2] {
+            let (mut engine, clock) = tagged_engine_on(threads);
+            clock.set_ns(5_000_000);
+            let tasks = mk_tasks(6, 60, 13);
+            let jobs: Vec<(Task, JobMeta)> = tasks
+                .iter()
+                .cloned()
+                .enumerate()
+                .map(|(i, t)| {
+                    // Even indices expired 1ms ago; odd ones have 10ms left.
+                    let deadline = if i % 2 == 0 { 4_000_000 } else { 15_000_000 };
+                    (
+                        t,
+                        JobMeta {
+                            enqueued_ns: 1_000_000,
+                            deadline_ns: Some(deadline),
+                            cancel: None,
+                        },
+                    )
+                })
+                .collect();
+            let outcomes = engine.run_tagged(jobs);
+            let reference = pipeline().align_batch(&tasks);
+            for (i, o) in outcomes.iter().enumerate() {
+                match o {
+                    JobOutcome::DroppedDeadline { queue_ns } => {
+                        assert_eq!(i % 2, 0, "only expired jobs may drop");
+                        assert_eq!(*queue_ns, 4_000_000);
+                    }
+                    JobOutcome::Completed { run, .. } => {
+                        assert_eq!(i % 2, 1, "live jobs must complete");
+                        // The surviving results are bit-identical to the batch
+                        // path on the same tasks.
+                        assert_eq!(run.result, reference.results[i]);
+                    }
+                    JobOutcome::Cancelled { .. } => panic!("no cancel flags were set"),
                 }
-                JobOutcome::Completed { run, .. } => {
-                    assert_eq!(i % 2, 1, "live jobs must complete");
-                    // The surviving results are bit-identical to the batch
-                    // path on the same tasks.
-                    assert_eq!(run.result, reference.results[i]);
-                }
-                JobOutcome::Cancelled { .. } => panic!("no cancel flags were set"),
             }
+            let c = engine.tag_counters();
+            assert_eq!(c, TagCounters { dispatched: 3, dropped_deadline: 3, cancelled: 0 });
         }
-        let c = engine.tag_counters();
-        assert_eq!(c, TagCounters { dispatched: 3, dropped_deadline: 3, cancelled: 0 });
     }
 
     #[test]
@@ -1282,9 +1227,9 @@ mod tests {
         // Interleaving dropped work must not corrupt or cross-serve the
         // recycled unit buffers: chunks aligned after drops stay
         // bit-identical to the reference.
-        let (mut engine, clock) = tagged_engine();
+        let (mut engine, clock) = tagged_engine_on(2);
         let tasks = mk_tasks(12, 70, 17);
-        let reference = engine.align_chunk(tasks.clone());
+        let reference = align_chunk(&mut engine, tasks.clone());
         let parked = engine.recycled_buffers();
         assert!(parked > 0);
         clock.set_ns(1_000);
@@ -1298,14 +1243,14 @@ mod tests {
         // Dropped jobs produced no runs: the pool neither grew nor served
         // buffers to phantom requests.
         assert_eq!(engine.recycled_buffers(), parked);
-        let again = engine.align_chunk(tasks.clone());
+        let again = align_chunk(&mut engine, tasks.clone());
         assert_eq!(again.results, reference.results);
         assert_eq!(again.stats, reference.stats);
     }
 
     #[test]
     fn tagged_queue_and_service_latencies_are_measured() {
-        let (mut engine, clock) = tagged_engine();
+        let (mut engine, clock) = tagged_engine_on(2);
         clock.set_ns(2_000_000);
         let jobs: Vec<(Task, JobMeta)> = mk_tasks(3, 50, 19)
             .into_iter()
@@ -1321,5 +1266,134 @@ mod tests {
                 other => panic!("expected completion, got {other:?}"),
             }
         }
+    }
+    /// A long-tailed mix: a few kb-scale tasks among short ones, the long
+    /// ones first, last and in the middle so every worker meets both kinds.
+    fn long_tailed_tasks() -> Vec<Task> {
+        let mut tasks = mk_tasks(37, 60, 61);
+        for (at, long) in [0, 18, 36].into_iter().zip(mk_tasks(3, 1500, 67)) {
+            tasks[at] = long;
+        }
+        tasks
+    }
+
+    #[test]
+    fn pool_matches_a_sequential_kernel_loop() {
+        let _guard = backend_lock();
+        // The pool against the kernel with no pool involved: whichever
+        // worker claims a task, the run equals `run_task` field for field,
+        // in input order — fewer tasks than threads and none at all
+        // included.
+        let mix = long_tailed_tasks();
+        for tasks in [Vec::new(), mix[..2].to_vec(), mix] {
+            let p = pipeline();
+            let want: Vec<TaskRun> =
+                tasks.iter().map(|t| crate::kernel::run_task(t, &p.scoring, &p.config)).collect();
+            for threads in [1, 2, 3, 8] {
+                let mut engine = pipeline_on(threads).engine();
+                assert_eq!(engine.threads(), threads);
+                // Twice: the second pass runs on warm workspaces and
+                // through whatever the first left behind.
+                for pass in 0..2 {
+                    let got = engine.run_tasks(tasks.clone());
+                    assert_eq!(got, want, "{} tasks, {threads} threads, pass {pass}", tasks.len());
+                }
+            }
+        }
+    }
+
+    /// Reads as 0 forever, except that the `fail_on`-th read panics.
+    struct FailingClock {
+        reads: AtomicUsize,
+        fail_on: usize,
+    }
+
+    impl Clock for FailingClock {
+        fn now_ns(&self) -> u64 {
+            let read = self.reads.fetch_add(1, Ordering::SeqCst) + 1;
+            assert!(read != self.fail_on, "test clock failed on read {read}");
+            0
+        }
+    }
+
+    /// Run `body` on its own thread and fail, instead of hanging the suite,
+    /// if it has not finished within a minute.
+    fn within_a_minute(body: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = channel();
+        let runner = std::thread::spawn(move || {
+            body();
+            let _ = done_tx.send(());
+        });
+        match done_rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(()) => runner.join().expect("body finished"),
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("engine call hung"),
+            // The body panicked: fail with its own message.
+            Err(_) => resume_unwind(runner.join().expect_err("body panicked")),
+        }
+    }
+
+    fn live_jobs(tasks: &[Task]) -> Vec<(Task, JobMeta)> {
+        tasks.iter().cloned().map(|t| (t, JobMeta::default())).collect()
+    }
+
+    fn completed_runs(outcomes: Vec<JobOutcome>) -> Vec<TaskRun> {
+        outcomes
+            .into_iter()
+            .map(|o| match o {
+                JobOutcome::Completed { run, .. } => run,
+                other => panic!("expected completion, got {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn panic_in_the_admission_gate_unwinds_on_the_caller_and_the_engine_recovers() {
+        within_a_minute(|| {
+            let _guard = backend_lock();
+            let tasks = mk_tasks(24, 60, 71);
+            for threads in [1, 3] {
+                // Every job reads the clock at the gate and again after its
+                // kernel run, so read 8 falls in the middle of the chunk.
+                let clock = Arc::new(FailingClock { reads: AtomicUsize::new(0), fail_on: 8 });
+                let mut engine = BatchEngine::with_clock(pipeline_on(threads), clock);
+                let payload =
+                    catch_unwind(AssertUnwindSafe(|| engine.run_tagged(live_jobs(&tasks))))
+                        .expect_err("the clock's panic must reach the caller");
+                assert_eq!(
+                    payload.downcast_ref::<String>().map(String::as_str),
+                    Some("test clock failed on read 8"),
+                    "{threads} threads: the original payload is re-raised"
+                );
+                let aborted = engine.tag_counters();
+                assert!(aborted.dispatched < tasks.len() as u64, "the chunk stopped early");
+
+                // The same engine now behaves exactly like a new one: no
+                // stale answer from the aborted chunk, no lost helper.
+                let mut fresh = pipeline_on(threads).engine();
+                assert_eq!(engine.threads(), fresh.threads());
+                let got = completed_runs(engine.run_tagged(live_jobs(&tasks)));
+                assert_eq!(got, completed_runs(fresh.run_tagged(live_jobs(&tasks))));
+                let counters = engine.tag_counters();
+                assert_eq!(counters.dispatched, aborted.dispatched + tasks.len() as u64);
+                assert_eq!((counters.dropped_deadline, counters.cancelled), (0, 0));
+
+                let stream = |engine: &mut BatchEngine| {
+                    let mut run = engine.align_stream_with(tasks.iter().cloned(), plain(7));
+                    let reports: Vec<BatchReport> = run.by_ref().map(|c| c.report).collect();
+                    (reports, run.finish())
+                };
+                let (got_reports, got_summary) = stream(&mut engine);
+                let (want_reports, want_summary) = stream(&mut fresh);
+                assert_eq!(got_reports.len(), want_reports.len());
+                for (got, want) in got_reports.iter().zip(&want_reports) {
+                    assert_eq!(got.results, want.results);
+                    assert_eq!(got.stats, want.stats);
+                    assert_eq!(got.warp_cycles, want.warp_cycles);
+                }
+                assert_eq!(got_summary.stats, want_summary.stats);
+                assert_eq!(got_summary.device, want_summary.device);
+                assert_eq!(got_summary.chunks, want_summary.chunks);
+            }
+        });
     }
 }

@@ -18,10 +18,13 @@
 //!
 //! [`pipeline::Pipeline`] ties everything into a batch aligner; every
 //! feature can be toggled independently through [`options::AgathaConfig`]
-//! for the ablation study (Fig. 9). [`engine::BatchEngine`] wraps the
-//! pipeline in a persistent worker pool with per-worker reusable
-//! [`kernel::KernelWorkspace`]s for bounded-memory streaming
-//! ([`engine::BatchEngine::align_stream`]).
+//! for the ablation study (Fig. 9). [`engine::BatchEngine`] is the one host
+//! execution path under it: the calling thread plus persistent helpers
+//! claim tasks of a published chunk from one counter, each into its own
+//! reusable [`kernel::KernelWorkspace`] — whole batches
+//! ([`pipeline::Pipeline::align_batch`]), bounded-memory streams
+//! ([`engine::BatchEngine::align_stream_with`]) and serve requests
+//! ([`engine::BatchEngine::run_tagged`]) alike.
 
 pub mod bucketing;
 pub mod clock;

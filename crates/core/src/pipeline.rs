@@ -1,19 +1,17 @@
 //! End-to-end batch alignment: tasks → kernel runs → warp assignment →
 //! warp simulation → device scheduling → scores + simulated time.
 //!
-//! Host-side execution parallelises across CPU threads with a shared atomic
-//! work index (tasks have a long-tailed size distribution, so static
-//! chunking would recreate on the host exactly the imbalance the paper
-//! fixes on the GPU).
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! [`Pipeline`] is the configuration (scoring, kernel options, device) and
+//! the simulation half of a report; execution lives in
+//! [`crate::engine::BatchEngine`], and [`Pipeline::align_batch`] is a
+//! stream of one chunk on a short-lived engine.
 
 use agatha_align::{GuidedResult, Scoring, Task};
 use agatha_gpu_sim::{sched, CostModel, DeviceReport, GpuSpec, KernelStats};
 
-use crate::bucketing::{build_warps, OrderingStrategy, WarpAssignment};
+use crate::bucketing::{OrderingStrategy, WarpAssignment};
 use crate::engine::BatchEngine;
-use crate::kernel::{run_task_ws, KernelWorkspace, TaskRun};
+use crate::kernel::TaskRun;
 use crate::options::AgathaConfig;
 use crate::warp_sim::simulate_warp;
 
@@ -95,85 +93,25 @@ impl Pipeline {
     }
 
     /// Align a batch with an explicit ordering strategy (Fig. 11 compares
-    /// several on otherwise identical configurations).
+    /// several on otherwise identical configurations): one chunk on an
+    /// engine of at most one worker per task.
     pub fn align_batch_with_strategy(
         &self,
         tasks: &[Task],
         strategy: OrderingStrategy,
     ) -> BatchReport {
-        let runs = self.execute_tasks(tasks);
-        // A-priori workload estimate: number of anti-diagonals (§5.6).
-        let workloads: Vec<u64> = tasks.iter().map(|t| t.antidiags() as u64).collect();
-        self.assemble_report(&workloads, runs, strategy)
+        let mut sized = self.clone();
+        sized.host_threads = self.worker_threads().min(tasks.len().max(1));
+        BatchEngine::new(sized).align_chunk(tasks.to_vec(), strategy)
     }
 
-    /// Spin up a persistent streaming engine for this configuration. The
-    /// engine owns a worker pool whose threads each reuse a
-    /// [`KernelWorkspace`] across every task they ever execute — the
-    /// entry point for bounded-memory [`BatchEngine::align_stream`] runs.
+    /// Spin up a persistent engine for this configuration: the calling
+    /// thread plus `host_threads − 1` helpers, each reusing one
+    /// [`crate::kernel::KernelWorkspace`] across every task it ever
+    /// executes — the entry point for bounded-memory
+    /// [`BatchEngine::align_stream_with`] runs.
     pub fn engine(&self) -> BatchEngine {
         BatchEngine::new(self.clone())
-    }
-
-    /// Turn warp latencies plus executed runs into a full [`BatchReport`]
-    /// (warp assignment → warp simulation → device scheduling → stats).
-    /// Shared by the borrowed batch path and [`BatchEngine`]'s streaming
-    /// chunks so both produce bit-identical reports for the same tasks.
-    pub(crate) fn assemble_report(
-        &self,
-        workloads: &[u64],
-        runs: Vec<TaskRun>,
-        strategy: OrderingStrategy,
-    ) -> BatchReport {
-        self.assemble_report_recycling(workloads, runs, strategy, |_| {})
-    }
-
-    /// [`Pipeline::assemble_report`] with a recycler for the spent runs'
-    /// output buffers: once a run's stats are folded and its result
-    /// extracted, its `units` vector (with all `row_cols` capacity) is
-    /// surplus — the streaming engine hands it back to the worker pool via
-    /// [`crate::kernel::KernelWorkspace::recycle_units`] instead of freeing
-    /// it, closing the last per-task allocation in the stream path.
-    pub(crate) fn assemble_report_recycling(
-        &self,
-        workloads: &[u64],
-        runs: Vec<TaskRun>,
-        strategy: OrderingStrategy,
-        mut recycle: impl FnMut(Vec<crate::trace::SliceUnit>),
-    ) -> BatchReport {
-        let warps = build_warps(
-            workloads,
-            self.config.subwarps_per_warp(),
-            self.config.tasks_per_subwarp,
-            strategy,
-        );
-
-        let (warp_cycles, subwarp_blocks) = self.simulate_warps(&runs, &warps);
-
-        let (devices, device) = self.schedule_devices(&warp_cycles);
-        let makespan = device.makespan_cycles;
-
-        let mut stats = KernelStats::new();
-        for r in &runs {
-            stats.add(&r.stats(self.config.subwarp_lanes, &self.config, &self.cost));
-        }
-
-        let results = runs
-            .into_iter()
-            .map(|mut r| {
-                recycle(std::mem::take(&mut r.units));
-                r.result
-            })
-            .collect();
-        BatchReport {
-            results,
-            elapsed_ms: self.spec.cycles_to_ms(makespan),
-            device,
-            devices,
-            stats,
-            warp_cycles,
-            subwarp_blocks,
-        }
     }
 
     /// Schedule warp latencies onto the configured device(s): one report
@@ -205,55 +143,10 @@ impl Pipeline {
         }
     }
 
-    /// Execute the kernels for all tasks in parallel on the host. Each
-    /// worker reuses one [`KernelWorkspace`] across all tasks it draws from
-    /// the shared queue, so only the first few tasks per worker pay
-    /// allocation cost.
-    pub fn execute_tasks(&self, tasks: &[Task]) -> Vec<TaskRun> {
-        let threads = self.worker_threads().min(tasks.len().max(1));
-
-        let mut out: Vec<Option<TaskRun>> = (0..tasks.len()).map(|_| None).collect();
-        if threads <= 1 {
-            let mut ws = KernelWorkspace::new();
-            for (i, t) in tasks.iter().enumerate() {
-                out[i] = Some(run_task_ws(&mut ws, t, &self.scoring, &self.config));
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let collected: Vec<Vec<(usize, TaskRun)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        let next = &next;
-                        scope.spawn(move || {
-                            let mut ws = KernelWorkspace::new();
-                            let mut local = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= tasks.len() {
-                                    break;
-                                }
-                                local.push((
-                                    i,
-                                    run_task_ws(&mut ws, &tasks[i], &self.scoring, &self.config),
-                                ));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-            });
-            for (i, run) in collected.into_iter().flatten() {
-                out[i] = Some(run);
-            }
-        }
-        out.into_iter().map(|r| r.expect("every task executed")).collect()
-    }
-
     /// Simulate all warps, returning per-warp cycles (submission order) and
-    /// per-subwarp-slot block accounting. Crate-visible so the streaming
-    /// engine's carry-over packing can simulate a pool that mixes this
-    /// chunk's runs with runs deferred from earlier chunks.
+    /// per-subwarp-slot block accounting, for the engine's chunk packer
+    /// (whose pool may mix a chunk's runs with runs carried over from
+    /// earlier chunks).
     pub(crate) fn simulate_warps(
         &self,
         runs: &[TaskRun],

@@ -173,7 +173,7 @@ mod tests {
     fn oracle_agrees_with_itself_and_probe_beats_apriori() {
         let (tasks, scoring) = mixed_tasks();
         let pipeline = Pipeline::new(scoring, AgathaConfig::agatha());
-        let runs = pipeline.execute_tasks(&tasks);
+        let runs = pipeline.engine().run_tasks(tasks.clone());
         let oracle = predict_workloads(&tasks, Some(&runs), Predictor::Oracle);
         let probe = predict_workloads(&tasks, None, Predictor::SeedDivergence);
         let apriori = predict_workloads(&tasks, None, Predictor::AntiDiags);
@@ -192,7 +192,7 @@ mod tests {
         let cfg = AgathaConfig::agatha();
         let cost = CostModel::for_spec(&GpuSpec::rtx_a6000());
         let pipeline = Pipeline::new(scoring, cfg.clone());
-        let runs = pipeline.execute_tasks(&tasks);
+        let runs = pipeline.engine().run_tasks(tasks.clone());
 
         let makespan = |workloads: &[u64]| {
             let warps = build_warps(

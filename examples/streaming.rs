@@ -10,7 +10,7 @@
 //! that each reuse one kernel workspace, and dropped as soon as their chunk
 //! is reported — memory is bounded by the chunk size, not the stream.
 
-use agatha_suite::core::{AgathaConfig, Pipeline};
+use agatha_suite::core::{AgathaConfig, Pipeline, StreamOptions};
 use agatha_suite::datasets::{generate, DatasetSpec, Tech};
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
     // Any `Iterator<Item = Task>` works here — e.g. `open_fasta_pairs`
     // from agatha-io streams straight off disk. Chunks are yielded as soon
     // as they are aligned.
-    let mut run = engine.align_stream(ds.tasks.iter().cloned(), 128);
+    let mut run = engine.align_stream_with(ds.tasks.iter().cloned(), StreamOptions::new(128));
     for chunk in run.by_ref() {
         let r = &chunk.report;
         println!(
