@@ -8,7 +8,7 @@
 //! geometry ([`crate::MAX_BLOCK`]) runs the i16 wavefront with all 16 AVX2
 //! lanes occupied per block anti-diagonal instead of 8. Geometry is chosen
 //! per task by [`BlockCtx::geometry_for`] (or forced via
-//! `AgathaConfig::with_block_dim` / `AGATHA_BLOCK` / `--block`), and every
+//! `AgathaConfig::with_block_dim` / `--block`), and every
 //! (geometry × precision) combination is bit-identical to the scalar
 //! reference — geometry only changes tiling, never scores.
 //!
@@ -28,9 +28,10 @@
 //! [`BlockCellsT`] staging buffer — anti-diagonal-major, one validity
 //! bitmask per block diagonal — and the caller folds the whole block with
 //! one [`DiagTracker::on_block`] call. With the callback gone the fill
-//! itself is free to vectorise: [`FillMode::Simd`] runs the wavefront
-//! kernel in [`crate::simd`] (AVX2 on x86-64, a portable wavefront
-//! elsewhere), bit-identical to [`FillMode::Scalar`] by construction.
+//! itself is free to vectorise: [`FillMode::Simd`] — the default — runs the
+//! wavefront kernel in [`crate::simd`] (the best detected x86-64 lanes, a
+//! portable wavefront elsewhere), bit-identical to [`FillMode::Scalar`],
+//! the row-major reference, by construction.
 //!
 //! [`DiagTracker`]: crate::diag::DiagTracker
 //! [`DiagTracker::on_block`]: crate::diag::DiagTracker::on_block
@@ -116,8 +117,10 @@ pub struct BlockCtx<'a> {
     /// fill) — see [`BlockCtx::fill_tier`].
     pub i16_exact: bool,
     /// Wavefront backend resolved once per task (CPU feature detection is
-    /// not free enough to repeat per block).
-    pub wavefront_backend: crate::simd::WavefrontBackend,
+    /// not free enough to repeat per block): the detected one, or a cap
+    /// below it installed by [`BlockCtx::with_backend`]. Crate-private
+    /// because the vector dispatch is only sound for a backend the CPU has.
+    pub(crate) wavefront_backend: crate::simd::WavefrontBackend,
     /// Precomputed per-query score rows ([`crate::profile::QueryProfile`])
     /// for substitution-matrix models: the SIMD fills read `S(c, Q[j])`
     /// from these rows instead of the two-level matrix lookup. `None` means
@@ -134,7 +137,8 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// Build from task dimensions, scoring and an explicit block side
-    /// `b ∈ {8, 16}`.
+    /// `b ∈ {8, 16}`, dispatching to the best detected wavefront backend
+    /// ([`BlockCtx::with_backend`] caps it).
     ///
     /// ## Derivation of the exactness gates
     ///
@@ -234,9 +238,17 @@ impl<'a> BlockCtx<'a> {
             scoring,
             simd_exact,
             i16_exact,
-            wavefront_backend: crate::simd::backend(),
+            wavefront_backend: crate::simd::detected_backend(),
             profile: None,
         }
+    }
+
+    /// Cap the wavefront backend at `choice` (`Auto` leaves the detected
+    /// one in place). A cap can only lower the level, so dispatch stays
+    /// sound whatever is asked for.
+    pub fn with_backend(mut self, choice: crate::simd::BackendChoice) -> Self {
+        self.wavefront_backend = choice.cap(self.wavefront_backend);
+        self
     }
 
     /// Attach a prepared per-query score profile (matrix models only; see
@@ -258,9 +270,9 @@ impl<'a> BlockCtx<'a> {
     /// * scalar mode or a forced `I32` precision → B=8 (the i32 wavefront
     ///   already fills its AVX2 vector at 8 lanes; B=16 i32 would fall back
     ///   to the portable fill below the AVX-512 backend);
-    /// * below AVX2 → B=8 (SSE4.1 i16 vectors hold 8 lanes — nothing to
-    ///   gain); AVX2 and AVX-512 both qualify (16×i16 kernels exist for
-    ///   each);
+    /// * `backend` (the one the task will dispatch to) below AVX2 → B=8
+    ///   (SSE4.1 i16 vectors hold 8 lanes — nothing to gain); AVX2 and
+    ///   AVX-512 both qualify (16×i16 kernels exist for each);
     /// * the i16 gate must hold *at the wide geometry* (16-wide blocks
     ///   spread real values and drift sentinels twice as far; see
     ///   [`BlockCtx::with_block_dim`]);
@@ -274,14 +286,13 @@ impl<'a> BlockCtx<'a> {
         scoring: &Scoring,
         mode: FillMode,
         precision: FillPrecision,
+        backend: crate::simd::WavefrontBackend,
     ) -> usize {
+        use crate::simd::WavefrontBackend::{Avx2, Avx512};
         if mode != FillMode::Simd || precision == FillPrecision::I32 {
             return BLOCK;
         }
-        if !matches!(
-            crate::simd::backend(),
-            crate::simd::WavefrontBackend::Avx2 | crate::simd::WavefrontBackend::Avx512
-        ) {
+        if !matches!(backend, Avx2 | Avx512) {
             return BLOCK;
         }
         let wide = BlockCtx::with_block_dim(n, m, scoring, MAX_BLOCK);
@@ -545,8 +556,7 @@ impl FillPrecision {
         }
     }
 
-    /// Parse a user-facing precision name (the CLI's `--precision` values
-    /// and the `AGATHA_PRECISION` environment override).
+    /// Parse a user-facing precision name (the CLI's `--precision` values).
     pub fn parse(s: &str) -> Result<FillPrecision, String> {
         match s.to_ascii_lowercase().as_str() {
             "auto" => Ok(FillPrecision::Auto),
@@ -583,8 +593,7 @@ impl BlockDim {
         }
     }
 
-    /// Parse a user-facing geometry name (the CLI's `--block` values and
-    /// the `AGATHA_BLOCK` environment override).
+    /// Parse a user-facing geometry name (the CLI's `--block` values).
     pub fn parse(s: &str) -> Result<BlockDim, String> {
         match s.to_ascii_lowercase().as_str() {
             "auto" => Ok(BlockDim::Auto),
@@ -594,7 +603,8 @@ impl BlockDim {
         }
     }
 
-    /// Resolve to a concrete block side for one task.
+    /// Resolve to a concrete block side for one task that will dispatch to
+    /// `backend`.
     #[inline]
     pub fn resolve(
         self,
@@ -603,9 +613,10 @@ impl BlockDim {
         scoring: &Scoring,
         mode: FillMode,
         precision: FillPrecision,
+        backend: crate::simd::WavefrontBackend,
     ) -> usize {
         match self {
-            BlockDim::Auto => BlockCtx::geometry_for(n, m, scoring, mode, precision),
+            BlockDim::Auto => BlockCtx::geometry_for(n, m, scoring, mode, precision, backend),
             BlockDim::B8 => BLOCK,
             BlockDim::B16 => MAX_BLOCK,
         }
@@ -638,18 +649,14 @@ impl FillTier {
     }
 }
 
-/// The build-time default fill: `Simd` iff the `simd` cargo feature is
-/// enabled.
+/// The default fill: the vectorised wavefront (tasks whose exactness gates
+/// fail still demote to scalar, see [`BlockCtx::fill_tier`]).
 #[inline]
 pub fn default_fill_mode() -> FillMode {
-    if cfg!(feature = "simd") {
-        FillMode::Simd
-    } else {
-        FillMode::Scalar
-    }
+    FillMode::Simd
 }
 
-/// Compute one block with the build-time default [`FillMode`].
+/// Compute one block with the default [`FillMode`].
 ///
 /// * `rcodes`/`qcodes`: base codes for the block's reference/query spans
 ///   (N-padded past the sequence end, as [`PackedSeq::unpack_block`] yields).
@@ -1138,54 +1145,30 @@ mod tests {
 
     #[test]
     fn geometry_policy_is_conservative() {
-        use crate::simd::WavefrontBackend;
-        // The `want` computation below observes the resolved backend, which
-        // forced-backend tests in `simd.rs` flip under this same lock.
-        let _guard = crate::simd::backend_test_lock();
+        use crate::simd::WavefrontBackend::{Avx2, Avx512, Portable, Sse41};
         let bwa = Scoring::preset_bwa();
-        // Scalar mode and forced-i32 precision never pick the wide geometry.
-        assert_eq!(
-            BlockCtx::geometry_for(240, 240, &bwa, FillMode::Scalar, FillPrecision::Auto),
-            BLOCK
-        );
-        assert_eq!(
-            BlockCtx::geometry_for(240, 240, &bwa, FillMode::Simd, FillPrecision::I32),
-            BLOCK
-        );
-        // Short sequences and narrow bands stay at 8 even when i16 is exact.
-        assert_eq!(
-            BlockCtx::geometry_for(20, 20, &bwa, FillMode::Simd, FillPrecision::Auto),
-            BLOCK
-        );
         let narrow_band = bwa.with_band(8);
-        assert_eq!(
-            BlockCtx::geometry_for(240, 240, &narrow_band, FillMode::Simd, FillPrecision::Auto),
-            BLOCK
-        );
-        // Overflowing scoring can never run the 16-lane i16 kernel.
         let hot = Scoring::new(1 << 12, 4, 6, 1, Scoring::NO_ZDROP, Scoring::NO_BAND);
-        assert_eq!(
-            BlockCtx::geometry_for(240, 240, &hot, FillMode::Simd, FillPrecision::Auto),
-            BLOCK
-        );
-        // The amortizable short-read shape picks 16 exactly on AVX2-or-wider
-        // hosts (both have a 16×i16 kernel).
-        let want = if matches!(
-            crate::simd::backend(),
-            WavefrontBackend::Avx2 | WavefrontBackend::Avx512
-        ) {
-            MAX_BLOCK
-        } else {
-            BLOCK
-        };
-        assert_eq!(
-            BlockCtx::geometry_for(240, 240, &bwa, FillMode::Simd, FillPrecision::Auto),
-            want
-        );
-        assert_eq!(
-            BlockCtx::geometry_for(240, 240, &bwa, FillMode::Simd, FillPrecision::I16),
-            want
-        );
+        // The backend is an argument, so the policy is checked for every
+        // level whatever this host detects.
+        for backend in [Avx512, Avx2, Sse41, Portable] {
+            let pick = |n, m, sc: &Scoring, mode, precision| {
+                BlockCtx::geometry_for(n, m, sc, mode, precision, backend)
+            };
+            // Scalar mode and forced-i32 precision never pick the wide geometry.
+            assert_eq!(pick(240, 240, &bwa, FillMode::Scalar, FillPrecision::Auto), BLOCK);
+            assert_eq!(pick(240, 240, &bwa, FillMode::Simd, FillPrecision::I32), BLOCK);
+            // Short sequences and narrow bands stay at 8 even when i16 is exact.
+            assert_eq!(pick(20, 20, &bwa, FillMode::Simd, FillPrecision::Auto), BLOCK);
+            assert_eq!(pick(240, 240, &narrow_band, FillMode::Simd, FillPrecision::Auto), BLOCK);
+            // Overflowing scoring can never run the 16-lane i16 kernel.
+            assert_eq!(pick(240, 240, &hot, FillMode::Simd, FillPrecision::Auto), BLOCK);
+            // The amortizable short-read shape picks 16 exactly on
+            // AVX2-or-wider backends (both have a 16×i16 kernel).
+            let want = if matches!(backend, Avx2 | Avx512) { MAX_BLOCK } else { BLOCK };
+            assert_eq!(pick(240, 240, &bwa, FillMode::Simd, FillPrecision::Auto), want);
+            assert_eq!(pick(240, 240, &bwa, FillMode::Simd, FillPrecision::I16), want);
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub struct DiagTracker {
     /// reference-semantics cells (sum of expected cells over finalized diagonals)
     cells: u64,
     /// Which vector backend [`DiagTracker::on_block_i16`] folds with.
-    /// Resolved once at construction (the same hoisting
+    /// Resolved once per task (the same hoisting
     /// [`crate::block::BlockCtx`] does for the fill backend) so the
     /// per-block path pays no repeated feature-detection load.
     fold_backend: crate::simd::WavefrontBackend,
@@ -106,7 +106,7 @@ impl DiagTracker {
             qend_best: None,
             finished: None,
             cells: 0,
-            fold_backend: crate::simd::backend(),
+            fold_backend: crate::simd::detected_backend(),
         };
         t.reset(n, m, scoring);
         t
@@ -124,11 +124,10 @@ impl DiagTracker {
         if let Err(e) = crate::task::check_dims(n, m) {
             panic!("DiagTracker: {e}");
         }
-        // Re-resolve the fold backend per task, not just at construction:
-        // benches and the backend-sweep tests flip the process-wide choice
-        // between runs while reusing one workspace, and the fold must
-        // follow the fill's resolution for the same task.
-        self.fold_backend = crate::simd::backend();
+        // Back to the detected fold backend: a cap installed for the
+        // previous task ([`DiagTracker::set_backend`]) must not leak into
+        // this one when a workspace is reused across configurations.
+        self.fold_backend = crate::simd::detected_backend();
         let (ni, mi) = (n as i64, m as i64);
         let w = if scoring.banded() { scoring.band_width as i64 } else { ni + mi };
         let total = if n == 0 || m == 0 { 0 } else { n + m - 1 };
@@ -153,6 +152,13 @@ impl DiagTracker {
         self.qend_best = None;
         self.finished = if total == 0 { Some(StopReason::Completed) } else { None };
         self.cells = 0;
+    }
+
+    /// Cap the fold backend at `choice` for the current task, so the fold
+    /// follows the fill's resolution ([`crate::block::BlockCtx::with_backend`]).
+    /// Call after [`DiagTracker::reset`], which restores the detected one.
+    pub fn set_backend(&mut self, choice: crate::simd::BackendChoice) {
+        self.fold_backend = choice.cap(self.fold_backend);
     }
 
     /// Fold one computed block's staged cells in a single call — the
@@ -190,8 +196,9 @@ impl DiagTracker {
     pub fn on_block_i16<const B: usize>(&mut self, cells: &BlockCellsT<i16, B>) {
         #[cfg(target_arch = "x86_64")]
         match self.fold_backend {
-            // SAFETY: `fold_backend` is only set to a vector variant after
-            // the runtime CPU check in `crate::simd::backend()`.
+            // SAFETY: `fold_backend` is the detected backend or a cap below
+            // it, and detection reports a vector variant only after the
+            // runtime CPU check for its feature level.
             crate::simd::WavefrontBackend::Avx512 => {
                 return unsafe { self.on_block_i16_avx512(cells) }
             }

@@ -204,8 +204,9 @@ impl WavefrontBackend {
 
 /// A requested backend: `Auto` runs the best detected implementation; a
 /// named backend caps the dispatch chain at that level. Parsed from
-/// `AGATHA_BACKEND` / `--backend` and installed process-wide with
-/// [`set_backend_choice`].
+/// `--backend`, carried by value in the kernel configuration, and resolved
+/// per task by [`BackendChoice::resolve`] — there is no process-wide
+/// selector, so two plans with different backends may run concurrently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendChoice {
     /// Best detected backend (the default).
@@ -218,7 +219,7 @@ pub enum BackendChoice {
 }
 
 impl BackendChoice {
-    /// Parse a backend name as accepted by `AGATHA_BACKEND` / `--backend`.
+    /// Parse a backend name as accepted by `--backend`.
     pub fn parse(name: &str) -> Result<BackendChoice, String> {
         match name.trim().to_ascii_lowercase().as_str() {
             "auto" => Ok(BackendChoice::Auto),
@@ -239,52 +240,28 @@ impl BackendChoice {
             BackendChoice::Fixed(b) => b.name(),
         }
     }
-}
 
-/// Process-wide backend choice, encoded for the atomic: 0 = Auto, else
-/// `rank + 1` of the forced backend. A plain atomic (not a `OnceLock`) so
-/// benches and the backend-sweep tests can flip backends between runs in
-/// one process; resolution stays per task (hoisted into [`BlockCtx`] /
-/// [`crate::diag::DiagTracker`]), so a flip never splits one task's blocks
-/// across backends.
-static BACKEND_CHOICE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
+    /// The backend this choice runs when `available` is the best one on
+    /// offer: a pure clamp. Forcing never *raises* the level — a request
+    /// above `available` degrades to it, so dispatch stays sound.
+    pub fn cap(self, available: WavefrontBackend) -> WavefrontBackend {
+        match self {
+            BackendChoice::Fixed(forced) if forced.rank() < available.rank() => forced,
+            _ => available,
+        }
+    }
 
-/// Install the process-wide backend choice (see [`BackendChoice`]).
-pub fn set_backend_choice(choice: BackendChoice) {
-    let enc = match choice {
-        BackendChoice::Auto => 0,
-        BackendChoice::Fixed(b) => b.rank() + 1,
-    };
-    BACKEND_CHOICE.store(enc, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The currently installed process-wide backend choice.
-pub fn backend_choice() -> BackendChoice {
-    match BACKEND_CHOICE.load(std::sync::atomic::Ordering::Relaxed) {
-        0 => BackendChoice::Auto,
-        1 => BackendChoice::Fixed(WavefrontBackend::Portable),
-        2 => BackendChoice::Fixed(WavefrontBackend::Sse41),
-        3 => BackendChoice::Fixed(WavefrontBackend::Avx2),
-        _ => BackendChoice::Fixed(WavefrontBackend::Avx512),
+    /// The backend this choice runs on this machine: [`detected_backend`]
+    /// capped by the choice (call once per task, not per block).
+    pub fn resolve(self) -> WavefrontBackend {
+        self.cap(detected_backend())
     }
 }
 
-/// Serializes tests that flip the process-wide [`BackendChoice`] against
-/// tests whose *assertions* observe [`backend()`] (e.g. the geometry
-/// policy test in `block.rs`). Result-only comparisons don't need it —
-/// every backend is bit-identical by contract.
-#[cfg(test)]
-pub(crate) fn backend_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    // A forced-backend test that panics mid-flip poisons the lock; the
-    // state it guards is restored by the panicking test's unwind path or
-    // irrelevant to the next holder, so keep going.
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// The best backend this machine supports (runtime CPU detection, cached
-/// by `std`), ignoring any forced choice. Under Miri, which interprets no
-/// vendor intrinsics worth the name, that is always `Portable`.
+/// by `std`), i.e. what [`BackendChoice::Auto`] resolves to. Under Miri,
+/// which interprets no vendor intrinsics worth the name, that is always
+/// `Portable`.
 pub fn detected_backend() -> WavefrontBackend {
     if cfg!(miri) {
         WavefrontBackend::Portable
@@ -299,27 +276,8 @@ pub fn detected_backend() -> WavefrontBackend {
     }
 }
 
-/// Resolve the backend for this machine: the detected capability, capped
-/// by the process-wide [`BackendChoice`] (call once per task, not per
-/// block). Forcing never *raises* the level — a request the CPU cannot
-/// honour clamps to the detected backend, so dispatch stays sound.
-pub fn backend() -> WavefrontBackend {
-    let detected = detected_backend();
-    match backend_choice() {
-        BackendChoice::Auto => detected,
-        BackendChoice::Fixed(forced) => {
-            if forced.rank() <= detected.rank() {
-                forced
-            } else {
-                detected
-            }
-        }
-    }
-}
-
 /// Every backend this machine can actually run, best first — the sweep
-/// domain for forced-backend tests, the CLI's `--verbose` stats, and the
-/// bench's per-backend rows. Always ends with `Portable`.
+/// domain for forced-backend tests. Always ends with `Portable`.
 pub fn supported_backends() -> Vec<WavefrontBackend> {
     let detected = detected_backend();
     [
@@ -362,8 +320,9 @@ pub(crate) fn fill_wavefront<const B: usize>(
     #[cfg(target_arch = "x86_64")]
     use WavefrontBackend::{Avx2, Avx512};
     let io = BlockIo { rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells };
-    // SAFETY: `backend()` reports Avx2/Avx512 only after a runtime AVX2 check
-    // (`avx512_active` includes it), and the portable lanes need no feature.
+    // SAFETY: `ctx.wavefront_backend` is the detected backend or a cap below
+    // it, and detection reports Avx2/Avx512 only after a runtime AVX2 check
+    // (`avx512_active` includes it); the portable lanes need no feature.
     unsafe {
         match (ctx.wavefront_backend, B) {
             #[cfg(target_arch = "x86_64")]
@@ -396,9 +355,10 @@ pub(crate) fn fill_wavefront_i16<const B: usize>(
     use WavefrontBackend::{Avx2, Avx512, Sse41};
     let io =
         BlockIo { rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells: &mut *cells };
-    // SAFETY: `backend()` reports a vector variant only after the runtime
-    // check for its feature level, every level implies the ones below it
-    // (so `Sse41I16` may compile at AVX2), and the portable lanes need none.
+    // SAFETY: `ctx.wavefront_backend` is the detected backend or a cap below
+    // it; detection reports a vector variant only after the runtime check
+    // for its feature level, every level implies the ones below it (so
+    // `Sse41I16` may compile at AVX2), and the portable lanes need none.
     unsafe {
         match (ctx.wavefront_backend, B) {
             #[cfg(target_arch = "x86_64")]

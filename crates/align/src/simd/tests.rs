@@ -115,8 +115,7 @@ fn i16_lanes<const B: usize>() -> Vec<(&'static str, Fill<i16, B>)> {
     fills
 }
 
-/// [`fill_wavefront`] (whatever the process-wide backend resolves to) as a
-/// [`Fill`].
+/// [`fill_wavefront`] (on whatever backend `ctx` resolved) as a [`Fill`].
 fn dispatch32<const B: usize>(ctx: &BlockCtx<'_>, i0: i64, j0: i64, io: BlockIo<'_, i32, B>) {
     let BlockIo { rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells } = io;
     fill_wavefront(ctx, i0, j0, rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells);
@@ -370,9 +369,10 @@ fn grid_run_with<const B: usize>(
     step: GridStep<'_, B>,
 ) -> crate::result::GuidedResult {
     use crate::diag::DiagTracker;
-    let mut ctx = BlockCtx::with_block_dim(r.len(), q.len(), sc, B);
-    ctx.wavefront_backend = backend;
+    let choice = BackendChoice::Fixed(backend);
+    let ctx = BlockCtx::with_block_dim(r.len(), q.len(), sc, B).with_backend(choice);
     let mut tracker = DiagTracker::new(r.len(), q.len(), sc);
+    tracker.set_backend(choice);
     let b = B as i64;
     let padded_n = (ctx.ref_blocks() * b) as usize;
     let mut row_h = vec![NEG_INF; padded_n];
@@ -404,14 +404,14 @@ fn grid_run_with<const B: usize>(
     tracker.result()
 }
 
-/// [`grid_run_on`] with the process-wide backend.
+/// [`grid_run_on`] with the detected backend.
 fn grid_run<const B: usize>(
     r: &PackedSeq,
     q: &PackedSeq,
     sc: &Scoring,
     mode: crate::block::FillMode,
 ) -> crate::result::GuidedResult {
-    grid_run_on::<B>(backend(), r, q, sc, mode)
+    grid_run_on::<B>(detected_backend(), r, q, sc, mode)
 }
 
 /// [`grid_run_with`] using an explicit [`crate::block::FillMode`].
@@ -445,7 +445,7 @@ fn grid_run_i16<const B: usize>(
     q: &PackedSeq,
     sc: &Scoring,
 ) -> crate::result::GuidedResult {
-    grid_run_i16_on::<B>(backend(), r, q, sc)
+    grid_run_i16_on::<B>(detected_backend(), r, q, sc)
 }
 
 /// [`grid_run_i16`] dispatching as `backend`.

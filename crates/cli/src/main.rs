@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex};
 
 use agatha_align::{BlockDim, FillPrecision, FillTier, Scoring, Task};
 use agatha_baselines::{run_baseline, Baseline};
-use agatha_core::options::default_prefetch_depth;
+use agatha_core::options::DEFAULT_PREFETCH_DEPTH;
 use agatha_core::{AgathaConfig, Pipeline, StreamOptions};
 use agatha_datasets::{generate, scenarios, DatasetSpec, Scenario, Tech, SCENARIOS};
 use agatha_gpu_sim::GpuSpec;
@@ -104,8 +104,7 @@ common options:
   --scenario S    score under a registered scenario's model instead of the
                   -a/-b/-q/-r flags (which then conflict; -z/-w still
                   override the scenario's guides). `demo --scenario` also
-                  generates the scenario's workload. Defaults to the
-                  AGATHA_SCENARIO environment variable when set.
+                  generates the scenario's workload
   --engine NAME   agatha (default) or a baseline (see `agatha engines`)
   --gpus N        simulate N GPUs (agatha engine only, default 1)
   --threads N     host worker threads (default: all cores)
@@ -113,9 +112,8 @@ common options:
                   only, default 4096, must be at least 1)
   --prefetch N    streaming prefetch depth (align/serve + agatha engine
                   only): a reader thread parses up to N chunks ahead of
-                  kernel execution; 0 parses inline between chunks.
-                  Defaults to the AGATHA_PREFETCH environment variable,
-                  else 2
+                  kernel execution; 0 parses inline between chunks
+                  (default 2)
   --carryover C   cross-chunk warp packing (align + agatha engine only):
                   on (default) defers tasks that would seed an underfull
                   trailing warp into the next chunk's largest-first fill
@@ -134,16 +132,16 @@ common options:
   --backend K     host wavefront backend (agatha engine only): auto |
                   avx512 | avx2 | sse41 | portable. auto runs the best
                   implementation the CPU supports; forcing a level the CPU
-                  lacks clamps down to the detected one. Overrides the
-                  AGATHA_BACKEND environment default; results are
+                  lacks clamps down to the detected one; results are
                   bit-identical across backends
   --verbose       print per-task fill-precision tier, geometry and
-                  backend counts
+                  backend counts (align and demo only)
   -o DIR          output directory (default ./output)
   --tech T        demo technology: hifi | clr | ont (default clr)
   --reads N       demo task count (default 160)
 
-serve options (plus the alignment and common options above):
+serve options (plus the alignment options and --scenario, --gpus, --threads,
+--prefetch, --precision, --block, --backend, -o above):
   --port N        TCP port on 127.0.0.1 (default 0 = ephemeral; the bound
                   address is printed on startup)
   --window-ms N   admission window: how long the first request of a batch
@@ -155,8 +153,9 @@ serve options (plus the alignment and common options above):
                   in the queue are dropped before kernel dispatch
                   (default: none — requests wait forever)";
 
-/// Flags `align`, `demo` and `serve` share: the scoring flags
-/// ([`scoring_from_args`]) and the host options ([`host_opts`]).
+/// Flags `align`, `demo` and `serve` all read: the scoring flags
+/// ([`scoring_from_args`]), the fill plan and pool size ([`agatha_config`],
+/// `--gpus`, `--threads`) and the output directory.
 const ENGINE_FLAGS: &[&str] = &[
     "a",
     "b",
@@ -167,25 +166,24 @@ const ENGINE_FLAGS: &[&str] = &[
     "scenario",
     "gpus",
     "threads",
-    "chunk",
-    "prefetch",
-    "carryover",
     "precision",
     "block",
     "backend",
-    "verbose",
+    "o",
 ];
 
 /// A flag the subcommand does not read is a usage error, not a no-op: a
-/// mistyped `--thraeds 1` must not quietly run on every core. Keep the
-/// lists in step with [`USAGE`].
+/// mistyped `--thraeds 1` must not quietly run on every core, and `demo
+/// --chunk 8` (whole-batch, nothing to chunk) must not pretend it streamed.
+/// Keep the lists in step with [`USAGE`].
 fn check_flags(command: &str, args: &Args) -> Result<(), String> {
     let (shared, own): (&[&str], &[&str]) = match command {
-        "align" => (ENGINE_FLAGS, &["engine", "o"]),
-        "demo" => (ENGINE_FLAGS, &["engine", "o", "tech", "reads"]),
-        "serve" => {
-            (ENGINE_FLAGS, &["o", "port", "window-ms", "max-batch", "max-queue", "deadline-ms"])
-        }
+        "align" => (ENGINE_FLAGS, &["engine", "verbose", "chunk", "prefetch", "carryover"]),
+        "demo" => (ENGINE_FLAGS, &["engine", "verbose", "tech", "reads"]),
+        "serve" => (
+            ENGINE_FLAGS,
+            &["prefetch", "port", "window-ms", "max-batch", "max-queue", "deadline-ms"],
+        ),
         "scenarios" => (&[], &["names"]),
         "engines" => (&[], &[]),
         // `help` reads nothing, and the caller reports unknown commands.
@@ -209,16 +207,9 @@ fn usage() -> String {
     format!("{USAGE}\n\nregistered scenarios (--scenario): {}", names.join(", "))
 }
 
-/// The scenario selected by `--scenario` (or the `AGATHA_SCENARIO`
-/// environment default), if any.
+/// The scenario selected by `--scenario`, if any.
 fn scenario_from_args(args: &Args) -> Result<Option<&'static Scenario>, String> {
-    let name = match args.get("scenario").filter(|s| !s.is_empty()) {
-        Some(n) => n,
-        None => match agatha_core::options::default_scenario() {
-            Some(n) => n,
-            None => return Ok(None),
-        },
-    };
+    let Some(name) = args.get("scenario").filter(|s| !s.is_empty()) else { return Ok(None) };
     match scenarios::find(name) {
         Some(s) => Ok(Some(s)),
         None => {
@@ -268,23 +259,24 @@ fn scoring_from_args(args: &Args) -> Result<(Scoring, Option<&'static Scenario>)
     Ok((scoring, scenario))
 }
 
-/// Numeric knobs shared by `align` and `demo`.
+/// Host options shared by `align`, `demo` and `serve` (a subcommand that
+/// does not read one rejects its flag in [`check_flags`] and sees the
+/// default here).
 struct HostOpts {
     gpus: usize,
     threads: usize,
     chunk: usize,
-    /// `--precision` when given explicitly (also forces the wavefront fill
-    /// on); `None` keeps the build/environment default.
+    /// `--precision` when given explicitly; `None` keeps the default
+    /// (`auto`).
     precision: Option<FillPrecision>,
-    /// `--block` when given explicitly; `None` keeps the build/environment
-    /// default (adaptive per-task geometry).
+    /// `--block` when given explicitly; `None` keeps the default (adaptive
+    /// per-task geometry).
     block: Option<BlockDim>,
-    /// `--backend` when given explicitly; `None` keeps the environment
-    /// default (`AGATHA_BACKEND`, else best detected).
+    /// `--backend` when given explicitly; `None` keeps the default (best
+    /// detected).
     backend: Option<agatha_align::simd::BackendChoice>,
     /// Streaming prefetch depth: chunks the reader thread may parse ahead
-    /// of kernel execution; 0 parses inline. Defaults to the
-    /// `AGATHA_PREFETCH` environment override.
+    /// of kernel execution; 0 parses inline.
     prefetch: usize,
     /// Whether an explicit `--prefetch` was given (baselines reject it).
     prefetch_explicit: bool,
@@ -330,7 +322,7 @@ fn host_opts(args: &Args) -> Result<HostOpts, String> {
     // `--prefetch 0` is meaningful (parse inline), so unlike `--chunk`
     // there is no zero check: the flag's value is the queue bound, not a
     // count that must exist.
-    let prefetch = args.get_num_checked("prefetch", default_prefetch_depth())?;
+    let prefetch = args.get_num_checked("prefetch", DEFAULT_PREFETCH_DEPTH)?;
     let carry = match args.get("carryover") {
         None => true,
         Some(v) => match v.trim().to_ascii_lowercase().as_str() {
@@ -356,25 +348,19 @@ fn host_opts(args: &Args) -> Result<HostOpts, String> {
     })
 }
 
-/// The kernel configuration implied by the host options: full AGAThA, with
-/// an explicit `--precision` both selecting the tier and switching the
-/// wavefront fill on (requesting a lane width only makes sense for the
-/// vectorised fill, whatever the build-time default). `--block` pins the
-/// block geometry but leaves the fill mode alone: the tiling is valid (and
-/// bit-identical) under every fill implementation.
+/// The kernel configuration implied by the host options: full AGAThA on
+/// the default fill plan, with `--precision`, `--block` and `--backend`
+/// each overriding its one field.
 fn agatha_config(opts: &HostOpts) -> AgathaConfig {
-    // `AgathaConfig::agatha()` installs the `AGATHA_BACKEND` environment
-    // default process-wide; an explicit `--backend` then overwrites it, so
-    // the documented env < flag precedence falls out of the ordering here.
     let mut cfg = AgathaConfig::agatha();
     if let Some(p) = opts.precision {
-        cfg = cfg.with_simd_fill(true).with_fill_precision(p);
+        cfg = cfg.with_fill_precision(p);
     }
     if let Some(b) = opts.block {
         cfg = cfg.with_block_dim(b);
     }
     if let Some(k) = opts.backend {
-        agatha_align::simd::set_backend_choice(k);
+        cfg = cfg.with_backend(k);
     }
     cfg
 }
@@ -389,10 +375,9 @@ struct TierStats {
     /// Tasks resolved to the narrow (8x8) / wide (16x16) geometry.
     blocks: [u64; 2],
     /// Tasks served by each wavefront backend, in the capability-chain
-    /// order avx512, avx2, sse41, portable. Resolution is per task (the
-    /// same hoisting the kernel does), so under one process-wide choice
-    /// every task lands in one bucket — the counts make the effective
-    /// backend visible when `--backend`/`AGATHA_BACKEND` got clamped.
+    /// order avx512, avx2, sse41, portable. Every task of one run resolves
+    /// the same plan, so they all land in one bucket — the counts make the
+    /// effective backend visible when `--backend` got clamped.
     backends: [u64; 4],
 }
 
@@ -414,7 +399,7 @@ impl TierStats {
         }
         let b = if cfg.block_dim_for(n, m, scoring) == agatha_align::BLOCK { 0 } else { 1 };
         self.blocks[b] += 1;
-        let k = match agatha_align::simd::backend() {
+        let k = match cfg.backend.resolve() {
             WavefrontBackend::Avx512 => 0,
             WavefrontBackend::Avx2 => 1,
             WavefrontBackend::Sse41 => 2,
@@ -621,12 +606,8 @@ fn cmd_demo(args: &Args) -> Result<(), String> {
     }
     // `--scenario` runs the registered workload: its generator produces the
     // tasks and its preset scores them (with -z/-w overrides). Otherwise
-    // `--tech` selects one of the paper's synthetic dataset profiles; an
-    // explicit `--tech` also supersedes an AGATHA_SCENARIO environment
-    // default (only the explicit flag pair conflicts).
-    let explicit_scenario = args.get("scenario").filter(|s| !s.is_empty()).is_some();
-    let scenario = scenario_from_args(args)?.filter(|_| explicit_scenario || !args.has("tech"));
-    let (demo_name, tasks, scoring) = match scenario {
+    // `--tech` selects one of the paper's synthetic dataset profiles.
+    let (demo_name, tasks, scoring) = match scenario_from_args(args)? {
         Some(s) => {
             if args.has("tech") {
                 return Err(format!(

@@ -3,12 +3,7 @@
 use std::process::Command;
 
 fn agatha() -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_agatha"));
-    // Hermetic against the CI scenario matrix: an ambient AGATHA_SCENARIO
-    // would re-score every DNA fixture below under the scenario's model.
-    // Tests that exercise the override set it explicitly with .env().
-    cmd.env_remove("AGATHA_SCENARIO");
-    cmd
+    Command::new(env!("CARGO_BIN_EXE_agatha"))
 }
 
 #[test]
@@ -50,13 +45,23 @@ fn unknown_flags_are_usage_errors() {
     let out_dir = dir.join("out");
     let pair = [refs.to_str().unwrap(), queries.to_str().unwrap()];
 
-    let cases: [(&[&str], &[&str], &str); 5] = [
+    let cases: [(&[&str], &[&str], &str); 11] = [
         (&["align", "--no-such-flag", "3"], &pair, "--no-such-flag"),
         (&["align", "-x", "3"], &pair, "-x"),
         // A serve-only flag is unknown to align, and a demo-only one to serve.
         (&["align", "--port", "0"], &pair, "--port"),
         (&["demo", "--reads", "4", "--thraeds", "1"], &[], "--thraeds"),
         (&["serve", "--port", "0", "--reads", "4"], &[], "--reads"),
+        // Flags another subcommand reads but this one does not: `demo` runs
+        // whole-batch (nothing to chunk, prefetch or carry over) and `serve`
+        // neither streams a file nor prints the `--verbose` tally. These
+        // used to parse, exit 0 and change nothing.
+        (&["demo", "--reads", "4", "--chunk", "2"], &[], "--chunk"),
+        (&["demo", "--reads", "4", "--prefetch", "2"], &[], "--prefetch"),
+        (&["demo", "--reads", "4", "--carryover", "off"], &[], "--carryover"),
+        (&["serve", "--port", "0", "--chunk", "2"], &[], "--chunk"),
+        (&["serve", "--port", "0", "--carryover", "off"], &[], "--carryover"),
+        (&["serve", "--port", "0", "--verbose"], &[], "--verbose"),
     ];
     for (args, positional, flag) in cases {
         let out = agatha()
@@ -319,16 +324,28 @@ fn prefetch_and_carryover_bogus_values_are_usage_errors() {
 
 #[test]
 fn prefetch_and_carryover_rejected_for_baseline_engines() {
+    // `align` is the one subcommand that reads the two flags (`demo` rejects
+    // them outright, see `unknown_flags_are_usage_errors`).
+    let dir = std::env::temp_dir().join(format!("agatha_cli_pfbase_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let refs = dir.join("ref.fasta");
+    let queries = dir.join("query.fasta");
+    std::fs::write(&refs, ">1\nACGT\n").unwrap();
+    std::fs::write(&queries, ">1\nACGT\n").unwrap();
     for flag in [&["--prefetch", "2"][..], &["--carryover", "on"][..]] {
         let out = agatha()
-            .args(["demo", "--reads", "4", "--engine", "saloba"])
+            .args(["align", "--engine", "saloba"])
             .args(flag)
+            .args(["-o", dir.join("out").to_str().unwrap()])
+            .arg(refs.to_str().unwrap())
+            .arg(queries.to_str().unwrap())
             .output()
             .unwrap();
         assert!(!out.status.success(), "{flag:?} must not be silently ignored by baselines");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("agatha engine"), "{flag:?}: stderr: {err}");
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -683,60 +700,22 @@ fn backend_rejected_for_baseline_engines() {
 }
 
 #[test]
-fn env_backend_default_applies_and_flag_wins() {
-    let dir = std::env::temp_dir().join(format!("agatha_cli_ebk_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let refs = dir.join("ref.fasta");
-    let queries = dir.join("query.fasta");
-    std::fs::write(&refs, ">1\nACGTACGT\n").unwrap();
-    std::fs::write(&queries, ">1\nACGTACGT\n").unwrap();
-    // AGATHA_BACKEND supplies the process default…
+fn the_default_build_is_the_vectorised_build() {
+    // No cargo feature, no flag, no environment: the plain build's default
+    // plan runs the i16 wavefront, and nothing falls back to scalar.
+    let dir = std::env::temp_dir().join(format!("agatha_cli_vec_{}", std::process::id()));
     let out = agatha()
-        .args(["demo", "--reads", "4", "--verbose"])
+        .args(["demo", "--reads", "8", "--verbose"])
         .args(["-o", dir.to_str().unwrap()])
-        .env("AGATHA_BACKEND", "portable")
         .output()
         .unwrap();
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(
-        text.contains("fill backend: avx512=0 avx2=0 sse41=0 portable=4"),
-        "env default must apply: {text}"
-    );
-    // …and an explicit --backend portable wins over an env auto.
-    let out = agatha()
-        .args(["demo", "--reads", "4", "--verbose", "--backend", "portable"])
-        .args(["-o", dir.to_str().unwrap()])
-        .env("AGATHA_BACKEND", "auto")
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        text.contains("fill backend: avx512=0 avx2=0 sse41=0 portable=4"),
-        "flag must win over the env default: {text}"
+        text.contains("fill precision: i16=8 i32=0 scalar=0 (demoted=0)"),
+        "the default fill must be the i16 wavefront: {text}"
     );
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn garbage_env_overrides_fail_loudly_naming_the_variable() {
-    // An unrecognized AGATHA_* value must abort the run with a message
-    // naming the variable — never a silent fall-through to the default.
-    for (var, value) in [
-        ("AGATHA_PRECISION", "fast"),
-        ("AGATHA_BLOCK", "12"),
-        ("AGATHA_BACKEND", "neon"),
-        ("AGATHA_PREFETCH", "junk"),
-    ] {
-        let out = agatha().args(["demo", "--reads", "2"]).env(var, value).output().unwrap();
-        assert!(!out.status.success(), "{var}={value} must not run with the default");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            err.contains(var) && err.contains(&format!("'{value}'")),
-            "{var}: stderr must name the variable and the value: {err}"
-        );
-    }
 }
 
 #[test]
@@ -914,42 +893,6 @@ fn demo_runs_a_registered_scenario_workload() {
     assert!(text.contains("protein-blosum62 scenario"), "stdout: {text}");
     let scores = std::fs::read_to_string(dir.join("score.log")).unwrap();
     assert_eq!(scores.lines().count(), 5);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn env_scenario_default_applies_and_flags_win() {
-    // AGATHA_SCENARIO supplies the default workload…
-    let dir = std::env::temp_dir().join(format!("agatha_cli_escn_{}", std::process::id()));
-    let out = agatha()
-        .args(["demo", "--reads", "3"])
-        .args(["-o", dir.to_str().unwrap()])
-        .env("AGATHA_SCENARIO", "dna-short")
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("dna-short scenario"));
-
-    // …an explicit --scenario overrides it…
-    let out = agatha()
-        .args(["demo", "--reads", "3", "--scenario", "protein-blosum62"])
-        .args(["-o", dir.to_str().unwrap()])
-        .env("AGATHA_SCENARIO", "dna-short")
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("protein-blosum62 scenario"));
-
-    // …and an explicit --tech supersedes the environment default instead of
-    // conflicting with it.
-    let out = agatha()
-        .args(["demo", "--reads", "3", "--tech", "hifi"])
-        .args(["-o", dir.to_str().unwrap()])
-        .env("AGATHA_SCENARIO", "dna-short")
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("HiFi demo"));
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -843,7 +843,6 @@ mod tests {
     // from the installed backend; tests that compare them across separate
     // runs hold this so the kernel tests' backend sweep cannot flip it in
     // between.
-    use crate::kernel::backend_lock;
 
     fn pipeline() -> Pipeline {
         Pipeline::new(Scoring::new(2, 4, 4, 2, 60, 16), AgathaConfig::agatha())
@@ -868,7 +867,6 @@ mod tests {
 
     #[test]
     fn chunked_stream_matches_whole_batch() {
-        let _guard = backend_lock();
         let tasks = mk_tasks(30, 110, 41);
         let whole = pipeline().align_batch(&tasks);
         for chunk_size in [1, 7, 30, 64] {
@@ -888,7 +886,6 @@ mod tests {
 
     #[test]
     fn whole_stream_is_bit_identical_including_schedule() {
-        let _guard = backend_lock();
         // One chunk spanning the stream — even the warp latencies and the
         // device schedule must match align_batch exactly.
         let tasks = mk_tasks(18, 90, 7);
@@ -952,7 +949,6 @@ mod tests {
 
     #[test]
     fn carry_over_results_and_stats_stay_bit_identical() {
-        let _guard = backend_lock();
         // Carry-over re-shapes warp packing only; results and aggregate
         // stats must equal align_batch exactly at every chunk size.
         let tasks = mk_tasks(29, 100, 23);
@@ -1023,12 +1019,11 @@ mod tests {
         // No makespan direction assert: with 7–8 warps on a device whose
         // slots exceed them, makespan is just the max warp latency and
         // fuller warps run longer. The carry-over win is a saturated-device
-        // property, measured by pipeline_bench's carryover_makespan_gain.
+        // property this small stream cannot show.
     }
 
     #[test]
     fn prefetched_stream_matches_inline() {
-        let _guard = backend_lock();
         let tasks = mk_tasks(41, 90, 43);
         for chunk_size in [4, 16, 64] {
             let mut inline_results = Vec::new();
@@ -1062,7 +1057,6 @@ mod tests {
 
     #[test]
     fn incremental_schedule_matches_recorded_cycles() {
-        let _guard = backend_lock();
         // The summary's device report must be what pooling the recorded
         // cycles would give — recording on exposes both in one run.
         let tasks = mk_tasks(33, 85, 47);
@@ -1223,7 +1217,6 @@ mod tests {
 
     #[test]
     fn dropped_jobs_leave_recycling_bit_identical() {
-        let _guard = backend_lock();
         // Interleaving dropped work must not corrupt or cross-serve the
         // recycled unit buffers: chunks aligned after drops stay
         // bit-identical to the reference.
@@ -1279,7 +1272,6 @@ mod tests {
 
     #[test]
     fn pool_matches_a_sequential_kernel_loop() {
-        let _guard = backend_lock();
         // The pool against the kernel with no pool involved: whichever
         // worker claims a task, the run equals `run_task` field for field,
         // in input order — fewer tasks than threads and none at all
@@ -1349,7 +1341,6 @@ mod tests {
     #[test]
     fn panic_in_the_admission_gate_unwinds_on_the_caller_and_the_engine_recovers() {
         within_a_minute(|| {
-            let _guard = backend_lock();
             let tasks = mk_tasks(24, 60, 71);
             for threads in [1, 3] {
                 // Every job reads the clock at the gate and again after its

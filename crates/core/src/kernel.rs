@@ -236,7 +236,10 @@ fn run_task_geom<const B: usize>(
     // Matrix score models get their per-query substitution rows built once
     // per task (a no-op that deactivates the profile under fixed models).
     profile.prepare(&task.query, scoring);
-    let ctx = BlockCtx::with_block_dim(n, m, scoring, B).with_profile(Some(&*profile));
+    // The fill (ctx) and the fold (tracker) both follow the plan's backend.
+    let ctx = BlockCtx::with_block_dim(n, m, scoring, B)
+        .with_backend(cfg.backend)
+        .with_profile(Some(&*profile));
     // Per-task tier resolution: the narrowest fill whose exactness gate
     // holds (i16 → i32 → scalar under Auto/I16; see BlockCtx::fill_tier).
     let tier = ctx.fill_tier(cfg.fill_mode(), cfg.fill_precision);
@@ -245,6 +248,7 @@ fn run_task_geom<const B: usize>(
         _ => FillMode::Scalar,
     };
     tracker.reset(n, m, scoring);
+    tracker.set_backend(cfg.backend);
     if n == 0 || m == 0 {
         return TaskRun {
             id: task.id,
@@ -472,17 +476,6 @@ fn run_task_geom<const B: usize>(
     }
 }
 
-/// Serializes tests that flip the process-wide backend choice with tests
-/// whose observables depend on the installed backend (Auto geometry
-/// resolution — and with it block counts and kernel stats —, allocation
-/// steady-state, buffer-reuse pointer identity). Alignment *results* are
-/// bit-identical across backends, so result-only tests need no guard.
-#[cfg(test)]
-pub(crate) fn backend_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -631,9 +624,9 @@ mod tests {
     #[test]
     fn cycles_monotone_in_lane_count() {
         // Band wide enough that slices span more rows than one subwarp —
-        // at the paper's 8×8 geometry, which this test pins: a forced wide
-        // geometry (AGATHA_BLOCK=16) halves the rows per slice, and 8 lanes
-        // then already cover every row, making c32 == c8.
+        // at the paper's 8×8 geometry, which this test pins: the wide
+        // geometry halves the rows per slice, and 8 lanes then already
+        // cover every row, making c32 == c8.
         let s = Scoring::new(2, 4, 4, 2, 400, 64);
         let (r, q) = pseudo_seq(400, 5, 17);
         let t = task(&r, &q);
@@ -694,7 +687,6 @@ mod tests {
 
     #[test]
     fn workspace_reuse_matches_fresh_allocation() {
-        let _guard = backend_lock();
         let (tasks, s) = mixed_tasks();
         for cfg in all_configs() {
             let mut ws = KernelWorkspace::new();
@@ -786,7 +778,6 @@ mod tests {
         // schedules, block counts, block_dim) may differ — and workspace
         // recycling must carry no state across geometry switches.
         use agatha_align::block::BlockDim;
-        let _guard = backend_lock();
         let (tasks, s) = mixed_tasks();
         for cfg in all_configs() {
             let cfg8 = cfg.clone().with_block_dim(BlockDim::B8);
@@ -828,15 +819,13 @@ mod tests {
         // mixed task stream — plus, at the i16 precision, under a scoring
         // the i16 gate rejects, so the i16→i32 demotion path is swept per
         // backend too. One shared workspace alternates backends task by
-        // task — the process-wide choice flips between runs — proving both
+        // task — each run carries its backend in its config — proving both
         // that every backend computes the same runs and that workspace reuse
         // carries no backend-specific state. On an AVX-512 machine this pits
         // the zmm kernels and the four-quarter tracker fold directly against
         // the portable reference.
         use agatha_align::block::{BlockDim, FillPrecision};
         use agatha_align::simd::{self, BackendChoice, WavefrontBackend};
-        let _guard = backend_lock();
-        let restore = simd::backend_choice();
         let (tasks, s) = mixed_tasks();
         let hot = hot_scoring(&s);
         let backends = simd::supported_backends();
@@ -849,14 +838,13 @@ mod tests {
                     .with_simd_fill(true)
                     .with_fill_precision(prec)
                     .with_block_dim(bd);
+                let on = |b| cfg.clone().with_backend(BackendChoice::Fixed(b));
                 let mut ws = KernelWorkspace::new();
                 for t in &tasks {
-                    simd::set_backend_choice(BackendChoice::Fixed(WavefrontBackend::Portable));
-                    let reference = run_task_ws(&mut ws, t, s, &cfg);
+                    let reference = run_task_ws(&mut ws, t, s, &on(WavefrontBackend::Portable));
                     for &b in &backends {
-                        simd::set_backend_choice(BackendChoice::Fixed(b));
-                        assert_eq!(simd::backend(), b, "a supported backend survives the clamp");
-                        let run = run_task_ws(&mut ws, t, s, &cfg);
+                        assert_eq!(on(b).backend.resolve(), b, "a supported backend survives");
+                        let run = run_task_ws(&mut ws, t, s, &on(b));
                         assert_eq!(
                             reference,
                             run,
@@ -869,12 +857,10 @@ mod tests {
                 }
             }
         }
-        simd::set_backend_choice(restore);
     }
 
     #[test]
     fn recycled_unit_buffers_are_reused() {
-        let _guard = backend_lock();
         let (tasks, s) = mixed_tasks();
         let cfg = AgathaConfig::agatha();
         let mut ws = KernelWorkspace::new();
@@ -896,7 +882,6 @@ mod tests {
 
     #[test]
     fn workspace_reaches_allocation_steady_state() {
-        let _guard = backend_lock();
         let (tasks, s) = mixed_tasks();
         let cfg = AgathaConfig::agatha();
         let mut ws = KernelWorkspace::new();

@@ -1,111 +1,37 @@
 //! Kernel configuration and feature toggles.
-
-use std::sync::OnceLock;
+//!
+//! [`AgathaConfig`] is the one execution plan: every fill decision (mode,
+//! precision, geometry, backend) is a field carried by value from the
+//! caller through [`crate::Pipeline`] into the kernel. Nothing here reads
+//! the environment or process-wide state; the CLI flags are the only way
+//! to ask for something other than the defaults.
 
 use agatha_align::block::{BlockDim, FillPrecision};
+use agatha_align::simd::BackendChoice;
 use agatha_gpu_sim::WARP_LANES;
 
-/// The one shared reader for `AGATHA_*` process-default overrides: unset →
-/// `default`, set → `parse`d value, unparseable (garbage, empty) → a loud
-/// panic naming the variable, rather than silently running the wrong
-/// configuration. Every env-driven default below goes through here so the
-/// unset/garbage semantics cannot drift between variables.
-fn env_override<T>(name: &str, default: T, parse: impl FnOnce(&str) -> Result<T, String>) -> T {
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(v) => parse(&v).unwrap_or_else(|e| panic!("{name} environment override: {e}")),
-    }
-}
+// The three constant `default_*` functions below survive only because the
+// frozen `benchmark/src/measure.rs` imports them for its host block; the
+// next `[benchmark]` issue deletes them.
 
-/// Process-default [`FillPrecision`]: the `AGATHA_PRECISION` environment
-/// variable (`auto` | `i32` | `i16`) when set, else `Auto`. This is how CI
-/// forces the whole test suite through one precision tier without touching
-/// every construction site.
+/// Default [`FillPrecision`]: `Auto`.
 pub fn default_fill_precision() -> FillPrecision {
-    static CACHE: OnceLock<FillPrecision> = OnceLock::new();
-    *CACHE
-        .get_or_init(|| env_override("AGATHA_PRECISION", FillPrecision::Auto, FillPrecision::parse))
+    FillPrecision::Auto
 }
 
-/// Process-default [`BlockDim`]: the `AGATHA_BLOCK` environment variable
-/// (`auto` | `8` | `16`) when set, else `Auto` — the geometry analogue of
-/// [`default_fill_precision`], and the lever CI uses to force the whole
-/// suite through one block geometry.
+/// Default [`BlockDim`]: `Auto`.
 pub fn default_block_dim() -> BlockDim {
-    static CACHE: OnceLock<BlockDim> = OnceLock::new();
-    *CACHE.get_or_init(|| env_override("AGATHA_BLOCK", BlockDim::Auto, BlockDim::parse))
+    BlockDim::Auto
 }
 
-/// Process-default wavefront backend: the `AGATHA_BACKEND` environment
-/// variable (`auto` | `avx512` | `avx2` | `sse41` | `portable`) when set,
-/// else `Auto`. Unlike precision and geometry the backend is not a config
-/// field — it lives in a process-wide selector inside the align crate — so
-/// the first call also installs the parsed choice there via
-/// [`agatha_align::simd::set_backend_choice`]. Callers that want a *flag*
-/// to take precedence over the environment (the CLI `--backend`) must call
-/// this first and then install their own choice on top, which is exactly
-/// the env < flag precedence the CLI documents.
-pub fn default_backend_choice() -> agatha_align::simd::BackendChoice {
-    static CACHE: OnceLock<agatha_align::simd::BackendChoice> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        let choice = env_override(
-            "AGATHA_BACKEND",
-            agatha_align::simd::BackendChoice::Auto,
-            agatha_align::simd::BackendChoice::parse,
-        );
-        agatha_align::simd::set_backend_choice(choice);
-        choice
-    })
-}
-
-/// Prefetch depth used when neither `--prefetch` nor `AGATHA_PREFETCH` is
-/// given: two parsed chunks queued ahead of execution (one being parsed by
-/// the reader, one ready), enough to hide FASTA parsing behind the kernel
-/// without hoarding memory.
+/// Prefetch depth used when `--prefetch` is not given: two parsed chunks
+/// queued ahead of execution (one being parsed by the reader, one ready),
+/// enough to hide FASTA parsing behind the kernel without hoarding memory.
 pub const DEFAULT_PREFETCH_DEPTH: usize = 2;
 
-/// Validate one `AGATHA_PREFETCH` value: a chunk count (`0` disables the
-/// reader thread and streams synchronously).
-fn parse_prefetch_depth(v: &str) -> Result<usize, String> {
-    v.trim().parse::<usize>().map_err(|_| {
-        format!("invalid prefetch depth '{v}' (expected 0 to disable, or a chunk count)")
-    })
-}
-
-/// Process-default streaming prefetch depth: the `AGATHA_PREFETCH`
-/// environment variable when set (`0` = disabled, `N` = at most `N` parsed
-/// chunks queued ahead of kernel execution), else
-/// [`DEFAULT_PREFETCH_DEPTH`]. CI uses it to run the tier-1 suite with the
-/// prefetch stage forced off and on; explicit `--prefetch` flags take
-/// precedence at the CLI layer.
+/// Default streaming prefetch depth: [`DEFAULT_PREFETCH_DEPTH`].
 pub fn default_prefetch_depth() -> usize {
-    static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        env_override("AGATHA_PREFETCH", DEFAULT_PREFETCH_DEPTH, parse_prefetch_depth)
-    })
-}
-
-/// Validate one `AGATHA_SCENARIO` value: names must be non-empty after
-/// trimming. Resolution against the scenario registry happens at the
-/// consumer (the CLI / benches own the registry); this layer only rejects
-/// values that cannot possibly name a scenario.
-fn parse_scenario_name(v: &str) -> Result<Option<String>, String> {
-    let name = v.trim();
-    if name.is_empty() {
-        Err("empty scenario name".to_string())
-    } else {
-        Ok(Some(name.to_string()))
-    }
-}
-
-/// Process-default scenario name: the `AGATHA_SCENARIO` environment
-/// variable when set, else `None`. The workload analogue of
-/// [`default_fill_precision`] / [`default_block_dim`]: CI's scenario matrix
-/// exports it once per job instead of threading `--scenario` through every
-/// invocation.
-pub fn default_scenario() -> Option<&'static str> {
-    static CACHE: OnceLock<Option<String>> = OnceLock::new();
-    CACHE.get_or_init(|| env_override("AGATHA_SCENARIO", None, parse_scenario_name)).as_deref()
+    DEFAULT_PREFETCH_DEPTH
 }
 
 /// Configuration of the AGAThA kernel. Every §4 technique can be toggled
@@ -139,11 +65,11 @@ pub struct AgathaConfig {
     pub lmb_max_diags: usize,
     /// Model Hopper DPX instructions (§6 discussion).
     pub use_dpx: bool,
-    /// Host-side block fill implementation: `true` selects the vectorised
-    /// anti-diagonal wavefront ([`agatha_align::block::FillMode::Simd`]),
-    /// `false` the scalar row-major fill. Both are bit-identical; this only
-    /// changes host wall-time, never results or cost accounting. Defaults
-    /// to the build-time `simd` cargo feature.
+    /// Host-side block fill implementation: `true` (the default) selects
+    /// the vectorised anti-diagonal wavefront
+    /// ([`agatha_align::block::FillMode::Simd`]), `false` the scalar
+    /// row-major reference fill. Both are bit-identical; this only changes
+    /// host wall-time, never results or cost accounting.
     pub simd_fill: bool,
     /// Lane precision preferred by the wavefront fill (ignored when
     /// `simd_fill` is off): `Auto`/`I16` run the 16-bit wavefront on every
@@ -151,27 +77,28 @@ pub struct AgathaConfig {
     /// it bit-identical, demoting to the i32 wavefront (or scalar)
     /// otherwise; `I32` never uses the i16 tier. Like `simd_fill`, this
     /// changes host wall-time only — results and cost accounting are
-    /// bit-identical across all tiers. Defaults to the `AGATHA_PRECISION`
-    /// environment override, else `Auto`.
+    /// bit-identical across all tiers. Defaults to `Auto`.
     pub fill_precision: FillPrecision,
     /// Block geometry for the host-side fill: `Auto` resolves the block
     /// side per task ([`agatha_align::block::BlockCtx::geometry_for`] picks
     /// 16×16 when the task amortizes the wider staging, else the paper's
     /// 8×8), `B8`/`B16` force one side. Orthogonal to `fill_precision`:
     /// geometry picks the tiling, precision the lane width within it, and
-    /// every (geometry × precision) pair is bit-identical. Defaults to the
-    /// `AGATHA_BLOCK` environment override, else `Auto`.
+    /// every (geometry × precision) pair is bit-identical. Defaults to
+    /// `Auto`.
     pub block_dim: BlockDim,
+    /// Wavefront backend for the host-side fill and fold: `Auto` runs the
+    /// best implementation the CPU supports, `Fixed(b)` caps the dispatch
+    /// at `b` (clamped to what the CPU has). Resolved once per task; every
+    /// backend is bit-identical, and the adaptive geometry follows the
+    /// resolved backend. Defaults to `Auto`.
+    pub backend: BackendChoice,
 }
 
 impl AgathaConfig {
     /// The naive exact baseline of the ablation study: guided algorithm on
     /// the SALoBa-style design with none of the §4 techniques.
     pub fn baseline() -> AgathaConfig {
-        // The backend selector is process-wide, not a config field; touching
-        // it here makes every config construction site honour AGATHA_BACKEND
-        // without threading a value through.
-        let _ = default_backend_choice();
         AgathaConfig {
             subwarp_lanes: 8,
             slice_width: 3,
@@ -182,9 +109,10 @@ impl AgathaConfig {
             tasks_per_subwarp: 2,
             lmb_max_diags: 64,
             use_dpx: false,
-            simd_fill: cfg!(feature = "simd"),
-            fill_precision: default_fill_precision(),
-            block_dim: default_block_dim(),
+            simd_fill: true,
+            fill_precision: FillPrecision::Auto,
+            block_dim: BlockDim::Auto,
+            backend: BackendChoice::Auto,
         }
     }
 
@@ -230,9 +158,9 @@ impl AgathaConfig {
         self
     }
 
-    /// Select the block fill implementation (SIMD wavefront vs scalar).
-    /// Results are bit-identical either way; benchmarks use this to measure
-    /// both paths from one binary.
+    /// Select the block fill implementation (SIMD wavefront vs the scalar
+    /// reference). Results are bit-identical either way; tests and
+    /// `kernels_criterion` use this to reach the scalar fill.
     pub fn with_simd_fill(mut self, on: bool) -> AgathaConfig {
         self.simd_fill = on;
         self
@@ -266,6 +194,15 @@ impl AgathaConfig {
         self
     }
 
+    /// Cap the wavefront backend (mirrors
+    /// [`AgathaConfig::with_block_dim`]). Results are bit-identical across
+    /// every backend; sweeps and the CLI `--backend` flag use this to pin a
+    /// level per run.
+    pub fn with_backend(mut self, backend: BackendChoice) -> AgathaConfig {
+        self.backend = backend;
+        self
+    }
+
     /// The fill tier this configuration resolves to for an `n × m` task —
     /// the same per-task decision [`crate::kernel::run_task_ws`] makes, so
     /// callers (CLI `--verbose` stats, benches) can observe i16 demotions
@@ -287,7 +224,14 @@ impl AgathaConfig {
     /// exact per-task decision [`crate::kernel::run_task_ws`] makes.
     #[inline]
     pub fn block_dim_for(&self, n: usize, m: usize, scoring: &agatha_align::Scoring) -> usize {
-        self.block_dim.resolve(n, m, scoring, self.fill_mode(), self.fill_precision)
+        self.block_dim.resolve(
+            n,
+            m,
+            scoring,
+            self.fill_mode(),
+            self.fill_precision,
+            self.backend.resolve(),
+        )
     }
 
     /// Set the subwarp size (Fig. 14).
@@ -327,112 +271,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn env_override_unset_returns_default() {
-        assert_eq!(
-            env_override("AGATHA_TEST_DEFINITELY_UNSET", FillPrecision::Auto, FillPrecision::parse),
-            FillPrecision::Auto
-        );
-        assert_eq!(env_override("AGATHA_TEST_DEFINITELY_UNSET", None, parse_scenario_name), None);
-    }
-
-    #[test]
-    fn env_override_parses_set_values() {
-        std::env::set_var("AGATHA_TEST_PRECISION_OK", "i16");
-        assert_eq!(
-            env_override("AGATHA_TEST_PRECISION_OK", FillPrecision::Auto, FillPrecision::parse),
-            FillPrecision::I16
-        );
-        std::env::set_var("AGATHA_TEST_BLOCK_OK", "16");
-        assert_eq!(
-            env_override("AGATHA_TEST_BLOCK_OK", BlockDim::Auto, BlockDim::parse),
-            BlockDim::B16
-        );
-        std::env::set_var("AGATHA_TEST_SCENARIO_OK", " protein-blosum62 ");
-        assert_eq!(
-            env_override("AGATHA_TEST_SCENARIO_OK", None, parse_scenario_name),
-            Some("protein-blosum62".to_string())
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "AGATHA_TEST_BLOCK_BAD environment override")]
-    fn env_override_panics_on_garbage() {
-        std::env::set_var("AGATHA_TEST_BLOCK_BAD", "7");
-        env_override("AGATHA_TEST_BLOCK_BAD", BlockDim::Auto, BlockDim::parse);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty scenario name")]
-    fn env_override_rejects_empty_scenario() {
-        std::env::set_var("AGATHA_TEST_SCENARIO_EMPTY", "   ");
-        env_override("AGATHA_TEST_SCENARIO_EMPTY", None, parse_scenario_name);
-    }
-
-    // The satellite regression battery for the real variables: garbage in
-    // any `AGATHA_*` override must panic naming that variable, never fall
-    // through to the default. Each test primes the process-default caches
-    // first so concurrently running tests that construct configs read the
-    // already-cached value instead of the garbage this test plants.
-    fn prime_default_caches() {
-        let _ = default_fill_precision();
-        let _ = default_block_dim();
-        let _ = default_backend_choice();
-        let _ = default_scenario();
-        let _ = default_prefetch_depth();
-    }
-
-    #[test]
-    fn prefetch_depth_parses() {
-        assert_eq!(parse_prefetch_depth("0"), Ok(0));
-        assert_eq!(parse_prefetch_depth(" 4 "), Ok(4));
-        let err = parse_prefetch_depth("lots").unwrap_err();
-        assert!(err.contains("'lots'") && err.contains("0 to disable"), "{err}");
-        assert_eq!(
-            env_override(
-                "AGATHA_TEST_PREFETCH_UNSET",
-                DEFAULT_PREFETCH_DEPTH,
-                parse_prefetch_depth
-            ),
-            DEFAULT_PREFETCH_DEPTH
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "AGATHA_PREFETCH environment override: invalid prefetch depth")]
-    fn agatha_prefetch_garbage_names_the_variable() {
-        prime_default_caches();
-        std::env::set_var("AGATHA_PREFETCH", "-3");
-        env_override("AGATHA_PREFETCH", DEFAULT_PREFETCH_DEPTH, parse_prefetch_depth);
-    }
-
-    #[test]
-    #[should_panic(expected = "AGATHA_PRECISION environment override: invalid precision 'fast'")]
-    fn agatha_precision_garbage_names_the_variable() {
-        prime_default_caches();
-        std::env::set_var("AGATHA_PRECISION", "fast");
-        env_override("AGATHA_PRECISION", FillPrecision::Auto, FillPrecision::parse);
-    }
-
-    #[test]
-    #[should_panic(expected = "AGATHA_BLOCK environment override: invalid block dim '12'")]
-    fn agatha_block_garbage_names_the_variable() {
-        prime_default_caches();
-        std::env::set_var("AGATHA_BLOCK", "12");
-        env_override("AGATHA_BLOCK", BlockDim::Auto, BlockDim::parse);
-    }
-
-    #[test]
-    #[should_panic(expected = "AGATHA_BACKEND environment override: invalid backend 'neon'")]
-    fn agatha_backend_garbage_names_the_variable() {
-        use agatha_align::simd::BackendChoice;
-        prime_default_caches();
-        std::env::set_var("AGATHA_BACKEND", "neon");
-        env_override("AGATHA_BACKEND", BackendChoice::Auto, BackendChoice::parse);
-    }
-
-    #[test]
     fn backend_names_parse() {
-        use agatha_align::simd::{BackendChoice, WavefrontBackend};
+        use agatha_align::simd::WavefrontBackend;
         assert_eq!(BackendChoice::parse("auto"), Ok(BackendChoice::Auto));
         assert_eq!(
             BackendChoice::parse("AVX512"),
@@ -452,14 +292,35 @@ mod tests {
     }
 
     #[test]
-    fn default_backend_choice_is_cached_and_round_trips() {
-        // The cached default is stable across calls (it is what gets
-        // installed process-wide on first use) and its name survives a
-        // parse round-trip, so CI's forced-backend matrix can read it back.
-        use agatha_align::simd::BackendChoice;
-        let choice = default_backend_choice();
-        assert_eq!(default_backend_choice(), choice);
-        assert_eq!(BackendChoice::parse(choice.name()), Ok(choice));
+    fn backend_cap_never_raises_the_level() {
+        use agatha_align::simd::WavefrontBackend::{Avx2, Avx512, Portable, Sse41};
+        // The clamp is pure, so the whole table is checkable on any host.
+        for available in [Avx512, Avx2, Sse41, Portable] {
+            assert_eq!(BackendChoice::Auto.cap(available), available);
+            assert_eq!(BackendChoice::Fixed(Portable).cap(available), Portable);
+            assert_eq!(BackendChoice::Fixed(Avx512).cap(available), available);
+        }
+        assert_eq!(BackendChoice::Fixed(Sse41).cap(Avx2), Sse41);
+        assert_eq!(BackendChoice::Fixed(Avx2).cap(Sse41), Sse41);
+        // On this machine: `Auto` is the detected backend, `portable` always
+        // resolves to itself, and the config carries the choice by value.
+        assert_eq!(BackendChoice::Auto.resolve(), agatha_align::simd::detected_backend());
+        let cfg = AgathaConfig::agatha().with_backend(BackendChoice::Fixed(Portable));
+        assert_eq!(cfg.backend.resolve(), Portable);
+        assert_eq!(AgathaConfig::agatha().backend, BackendChoice::Auto);
+    }
+
+    #[test]
+    fn default_plan_runs_the_i16_wavefront() {
+        // The default build is the vectorised build: no feature, no flag.
+        use agatha_align::block::{default_fill_mode, FillMode, FillTier};
+        let s = agatha_align::Scoring::preset_bwa();
+        let cfg = AgathaConfig::agatha();
+        assert!(cfg.simd_fill);
+        assert_eq!(cfg.fill_mode(), FillMode::Simd);
+        assert_eq!(default_fill_mode(), FillMode::Simd);
+        assert_eq!(cfg.fill_tier_for(240, 240, &s), FillTier::I16);
+        assert_eq!(cfg.with_simd_fill(false).fill_tier_for(240, 240, &s), FillTier::Scalar);
     }
 
     #[test]
@@ -533,11 +394,17 @@ mod tests {
         assert_eq!(cfg.block_dim_for(16, 16, &s), BLOCK);
         // The fill tier resolver agrees with the geometry resolver's pick
         // (a B16-forced short read still proves the i16 gate).
-        if cfg!(feature = "simd") {
-            use agatha_align::block::FillTier;
-            let forced = cfg.with_block_dim(BlockDim::B16);
-            assert_eq!(forced.fill_tier_for(240, 240, &s), FillTier::I16);
-        }
+        use agatha_align::block::FillTier;
+        let forced = cfg.clone().with_block_dim(BlockDim::B16);
+        assert_eq!(forced.fill_tier_for(240, 240, &s), FillTier::I16);
+        // Auto follows the backend the plan carries: the amortizable shape
+        // widens exactly when the resolved backend has a 16×i16 kernel, and
+        // a `portable` plan stays at the paper geometry on every host.
+        use agatha_align::simd::WavefrontBackend::{Avx2, Avx512, Portable};
+        let wide_host = matches!(agatha_align::simd::detected_backend(), Avx2 | Avx512);
+        assert_eq!(cfg.block_dim_for(240, 240, &s), if wide_host { MAX_BLOCK } else { BLOCK });
+        let portable = cfg.with_backend(BackendChoice::Fixed(Portable));
+        assert_eq!(portable.block_dim_for(240, 240, &s), BLOCK);
     }
 
     #[test]

@@ -207,8 +207,9 @@ mod tests {
     fn rejoining_speeds_up_imbalanced_warp() {
         // Pinned to the paper's 8×8 geometry: the imbalanced-warp regime
         // this test characterizes assumes the block-row granularity of the
-        // GPU kernel, and a forced wide geometry (AGATHA_BLOCK=16) halves
-        // the rows per slice, collapsing the imbalance being measured.
+        // GPU kernel, and the wide geometry (which `Auto` picks here on
+        // AVX2+ hosts) halves the rows per slice, collapsing the imbalance
+        // being measured.
         let cfg = AgathaConfig::agatha().with_block_dim(agatha_align::BlockDim::B8);
         let big = mk_run(600, 3, &cfg);
         let small = mk_run(100, 5, &cfg);

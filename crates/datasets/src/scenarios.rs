@@ -5,9 +5,9 @@
 //! deterministic task generator, the baseline set it is benchmarked
 //! against, and the fill-tier gate expectation its score bounds imply. One
 //! entry in the [`scenario!`] invocation below surfaces the workload
-//! simultaneously in the CLI (`--scenario` on `align`/`serve`, the
-//! `agatha scenarios` listing), the `AGATHA_SCENARIO` environment override,
-//! the per-scenario `pipeline_bench` rows, and the CI scenario matrix —
+//! simultaneously in the CLI (`--scenario` on `align`/`demo`/`serve`, the
+//! `agatha scenarios` listing), the in-process plan matrix
+//! (`tests/plan_matrix.rs`) and the CI scenario matrix —
 //! none of those sites enumerate names themselves; they all iterate
 //! [`ALL`]. This is the ssufid `wordpress_plugin!` idiom applied to
 //! alignment workloads: declare once, appear everywhere.
@@ -23,7 +23,7 @@ use crate::spec::{generate, DatasetSpec};
 
 /// What the scenario's score-model bounds imply for the overflow gates: a
 /// representative task shape and whether the i16 wavefront's exactness gate
-/// admits it. Registered per scenario so the bench and CI smoke checks can
+/// admits it. Registered per scenario so tests and CI smoke checks can
 /// assert the gate derivation instead of assuming DNA constants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GateExpectation {
@@ -40,7 +40,7 @@ pub struct GateExpectation {
 /// baseline set, gate expectations).
 #[derive(Clone, Copy)]
 pub struct Scenario {
-    /// Registry key (`--scenario` / `AGATHA_SCENARIO` value).
+    /// Registry key (`--scenario` value).
     pub name: &'static str,
     /// One-line description for `agatha scenarios` and `--scenario help`.
     pub summary: &'static str,
@@ -86,8 +86,8 @@ pub fn find(name: &str) -> Option<&'static Scenario> {
 /// Declare the scenario registry. Each `module / STATIC { ... }` block
 /// becomes a module exporting one public static [`Scenario`] plus a row in
 /// [`ALL`]; adding a workload is one new block in the single invocation
-/// below — every consumer (CLI, env override, bench, CI) iterates [`ALL`]
-/// and needs no edit.
+/// below — every consumer (CLI, plan-matrix test, CI) iterates [`ALL`] and
+/// needs no edit.
 #[macro_export]
 macro_rules! scenario {
     ($( $mod_name:ident / $static_name:ident {

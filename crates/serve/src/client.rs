@@ -1,6 +1,6 @@
 //! A small blocking NDJSON client for the serve protocol — what the
-//! integration tests and `serve_bench` drive the daemon with, and a
-//! reference implementation of the wire format for external callers.
+//! integration tests drive the daemon with, and a reference implementation
+//! of the wire format for external callers.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};

@@ -76,7 +76,7 @@ pub struct ServeConfig {
     pub starvation_ns: u64,
     /// Batches the harvester may stage ahead of the executing engine
     /// (0 = harvest and execute on one thread, the pre-split behaviour).
-    /// Defaults to the `AGATHA_PREFETCH` environment override.
+    /// Defaults to [`agatha_core::options::DEFAULT_PREFETCH_DEPTH`].
     pub prefetch: usize,
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
@@ -94,7 +94,7 @@ impl ServeConfig {
             max_queue: 4096,
             default_deadline_ns: None,
             starvation_ns: 0,
-            prefetch: agatha_core::options::default_prefetch_depth(),
+            prefetch: agatha_core::options::DEFAULT_PREFETCH_DEPTH,
             addr: "127.0.0.1:0".to_string(),
         }
     }

@@ -147,7 +147,7 @@ impl HistogramSnapshot {
         self.quantile_ns(0.999) as f64 / 1_000.0
     }
 
-    /// The JSON fragment used in stats dumps and `BENCH_serve.json`:
+    /// The JSON fragment used in stats dumps:
     /// `{"count":N,"p50_us":...,"p99_us":...,"p999_us":...,"max_us":...,"mean_us":...}`.
     pub fn to_json(&self) -> String {
         format!(

@@ -16,8 +16,8 @@
 //!   and the batcher that owns the engine. Deadline-expired requests are
 //!   dropped *before kernel dispatch*; a disconnected client cancels its
 //!   pending work.
-//! * [`client`] — a small blocking client (tests, `serve_bench`,
-//!   reference wire implementation).
+//! * [`client`] — a small blocking client (tests, reference wire
+//!   implementation).
 
 pub mod client;
 pub mod daemon;

@@ -1,0 +1,223 @@
+//! The fill-plan matrix, in process: every registered scenario under every
+//! plan an [`AgathaConfig`] can carry (fill × precision × geometry ×
+//! backend) and every way a stream can be driven (threads × prefetch ×
+//! carry-over). Every score equals the `guided_align` oracle; everything a
+//! report derives from its `TaskRun`s is identical wherever the plans tile
+//! alike. The plan travels by value, so the whole matrix — and two plans
+//! with different backends at the same time — runs in one process with no
+//! environment, no feature and no lock.
+
+use std::collections::btree_map::{BTreeMap, Entry};
+
+use agatha_suite::align::guided::guided_align;
+use agatha_suite::align::simd::WavefrontBackend::{Avx2, Avx512, Portable};
+use agatha_suite::align::simd::{detected_backend, supported_backends, BackendChoice};
+use agatha_suite::align::{BlockDim, FillPrecision, GuidedResult, Scoring, Task};
+use agatha_suite::core::{AgathaConfig, BatchReport, Pipeline, StreamOptions, StreamSummary};
+use agatha_suite::datasets::SCENARIOS;
+use agatha_suite::gpu_sim::KernelStats;
+
+/// Longest sequence kept, cycling per task: kb-scale long reads are cut to
+/// a prefix so the matrix costs seconds in a debug build. The scenario's
+/// score model, alphabet and error profile are what the plans are crossed
+/// with; length has its own tests. The 24 keeps one task in every six below
+/// the two wide blocks adaptive geometry asks for, so `auto` tiles a mix.
+const MAX_LENS: [usize; 6] =
+    if cfg!(miri) { [40, 24, 33, 48, 36, 44] } else { [144, 24, 96, 176, 64, 120] };
+
+/// A small task set of one scenario: generated by its registered generator,
+/// each sequence cut to its [`MAX_LENS`] slot.
+fn scenario_tasks(generate: fn(u64, usize) -> Vec<Task>, count: usize) -> Vec<Task> {
+    let mut tasks = generate(97, count);
+    for (t, cap) in tasks.iter_mut().zip(MAX_LENS.into_iter().cycle()) {
+        t.reference = t.reference.slice(0, t.ref_len().min(cap));
+        t.query = t.query.slice(0, t.query_len().min(cap));
+    }
+    tasks
+}
+
+fn pipeline(scoring: Scoring, cfg: &AgathaConfig, threads: usize) -> Pipeline {
+    let mut p = Pipeline::new(scoring, cfg.clone());
+    p.host_threads = threads;
+    p
+}
+
+/// {scalar} ∪ {precision × block × every backend this host runs}.
+fn fill_plans() -> Vec<(String, AgathaConfig)> {
+    let mut plans = vec![("scalar".to_string(), AgathaConfig::agatha().with_simd_fill(false))];
+    for precision in [FillPrecision::Auto, FillPrecision::I32, FillPrecision::I16] {
+        for block in [BlockDim::Auto, BlockDim::B8, BlockDim::B16] {
+            for backend in supported_backends() {
+                let cfg = AgathaConfig::agatha()
+                    .with_fill_precision(precision)
+                    .with_block_dim(block)
+                    .with_backend(BackendChoice::Fixed(backend));
+                let name = format!("{}/b{}/{}", precision.name(), block.name(), backend.name());
+                plans.push((name, cfg));
+            }
+        }
+    }
+    plans
+}
+
+/// The block side `cfg` resolves for each task: plans that agree here tile
+/// alike, so everything downstream of their `TaskRun`s must agree too.
+fn tiling(cfg: &AgathaConfig, tasks: &[Task], scoring: &Scoring) -> Vec<usize> {
+    tasks.iter().map(|t| cfg.block_dim_for(t.ref_len(), t.query_len(), scoring)).collect()
+}
+
+/// What must not depend on the plan once the tiling is fixed: everything
+/// the report folds out of its `TaskRun`s.
+fn assert_same_report(a: &BatchReport, b: &BatchReport, what: &str) {
+    assert_eq!(a.results, b.results, "{what}: results");
+    assert_eq!(a.stats, b.stats, "{what}: kernel stats");
+    assert_eq!(a.warp_cycles, b.warp_cycles, "{what}: warp latencies");
+    assert_eq!(a.elapsed_ms.to_bits(), b.elapsed_ms.to_bits(), "{what}: simulated time");
+}
+
+#[test]
+fn every_fill_plan_scores_every_scenario_exactly() {
+    let count = if cfg!(miri) { 2 } else { 6 };
+    for s in SCENARIOS {
+        let scoring = (s.scoring)();
+        let tasks = scenario_tasks(s.tasks, count);
+        let oracle: Vec<_> =
+            tasks.iter().map(|t| guided_align(&t.reference, &t.query, &scoring)).collect();
+        // Reports grouped by the geometry each task resolved to: plans that
+        // tile alike (a pinned block; `auto` on backends of one width) must
+        // agree on the whole report, whatever fill, precision or backend
+        // ran. The scalar plan resolves to all-8, so it anchors that group.
+        let mut by_tiling: BTreeMap<Vec<usize>, (String, BatchReport)> = BTreeMap::new();
+        for (name, cfg) in fill_plans() {
+            let what = format!("{} under {name}", s.name);
+            let report = pipeline(scoring, &cfg, 1).align_batch(&tasks);
+            assert_eq!(report.results.len(), tasks.len(), "{what}");
+            for ((got, want), t) in report.results.iter().zip(&oracle).zip(&tasks) {
+                assert_eq!(got.score, want.score, "{what}: task {} score", t.id);
+                assert!(got.same_alignment(want), "{what}: task {}: {got:?} vs {want:?}", t.id);
+            }
+            match by_tiling.entry(tiling(&cfg, &tasks, &scoring)) {
+                Entry::Occupied(e) => {
+                    let (first, want) = e.get();
+                    assert_same_report(&report, want, &format!("{what} vs {first}"));
+                }
+                Entry::Vacant(e) => {
+                    e.insert((name, report));
+                }
+            }
+        }
+        // Both pinned geometries, plus the 8/16 mix `auto` resolves where
+        // the host has a 16-lane kernel.
+        let wide_host = matches!(detected_backend(), Avx2 | Avx512);
+        assert_eq!(by_tiling.len(), if wide_host { 3 } else { 2 }, "{}", s.name);
+    }
+}
+
+/// Drive one stream to completion; `prefetch == 0` is the inline path.
+fn stream(
+    p: &Pipeline,
+    tasks: Vec<Task>,
+    prefetch: usize,
+    opts: StreamOptions,
+) -> (Vec<GuidedResult>, StreamSummary) {
+    let mut engine = p.engine();
+    let mut results = Vec::new();
+    let summary = if prefetch > 0 {
+        let source = tasks.into_iter().map(Ok::<Task, String>);
+        let mut run = engine.align_stream_prefetched(source, prefetch, opts);
+        for chunk in run.by_ref() {
+            results.extend(chunk.report.results);
+        }
+        run.finish_checked().expect("an in-memory source cannot fail")
+    } else {
+        let mut run = engine.align_stream_with(tasks, opts);
+        for chunk in run.by_ref() {
+            results.extend(chunk.report.results);
+        }
+        run.finish()
+    };
+    (results, summary)
+}
+
+#[test]
+fn every_stream_shape_matches_whole_batch_at_a_fixed_plan() {
+    // 13 tasks in chunks of 5: with 8 tasks to a warp every chunk leaves an
+    // underfull trailing warp, so carry-over has something to defer.
+    let (count, chunk) = if cfg!(miri) { (3, 2) } else { (13, 5) };
+    let plans = [
+        ("scalar", AgathaConfig::agatha().with_simd_fill(false)),
+        ("default", AgathaConfig::agatha()),
+        ("portable", AgathaConfig::agatha().with_backend(BackendChoice::Fixed(Portable))),
+    ];
+    for s in SCENARIOS {
+        let scoring = (s.scoring)();
+        let tasks = scenario_tasks(s.tasks, count);
+        let oracle: Vec<i32> =
+            tasks.iter().map(|t| guided_align(&t.reference, &t.query, &scoring).score).collect();
+        for (name, cfg) in &plans {
+            let whole = pipeline(scoring, cfg, 1).align_batch(&tasks);
+            let scores: Vec<i32> = whole.results.iter().map(|r| r.score).collect();
+            assert_eq!(scores, oracle, "{} under {name}", s.name);
+            for carry in [true, false] {
+                // The simulated schedule of a stream depends on how warps
+                // were packed (carry-over), never on who ran the kernel or
+                // who parsed: one (chunks, simulated time) per carry mode.
+                let mut schedule: Option<(usize, u64, KernelStats)> = None;
+                for threads in [1, 2] {
+                    for prefetch in [0, 2, 4] {
+                        let what = format!(
+                            "{} under {name}: threads {threads}, prefetch {prefetch}, carry {carry}",
+                            s.name
+                        );
+                        let opts = StreamOptions::new(chunk).carry_over(carry);
+                        let (results, summary) =
+                            stream(&pipeline(scoring, cfg, threads), tasks.clone(), prefetch, opts);
+                        assert_eq!(results, whole.results, "{what}: results");
+                        assert_eq!(summary.stats, whole.stats, "{what}: stats");
+                        assert_eq!(summary.tasks, tasks.len(), "{what}");
+                        let seen = (summary.chunks, summary.elapsed_ms.to_bits(), summary.stats);
+                        let want = schedule.get_or_insert_with(|| seen.clone());
+                        assert_eq!(&seen, want, "{what}: schedule");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn plans_with_different_backends_run_concurrently() {
+    // The case a process-wide backend selector could not express: a
+    // `portable` plan and a best-detected plan, both with adaptive geometry,
+    // executing at the same time, each identical to its own sequential run.
+    let s = SCENARIOS.iter().find(|s| s.name == "dna-short").expect("dna-short is registered");
+    let scoring = (s.scoring)();
+    let tasks = scenario_tasks(s.tasks, if cfg!(miri) { 2 } else { 8 });
+    let best = detected_backend();
+    let plans = [Portable, best].map(|b| {
+        AgathaConfig::agatha().with_block_dim(BlockDim::Auto).with_backend(BackendChoice::Fixed(b))
+    });
+    let tilings = plans.clone().map(|cfg| tiling(&cfg, &tasks, &scoring));
+    assert!(tilings[0].iter().all(|&b| b == 8), "portable never widens");
+    if matches!(best, Avx2 | Avx512) {
+        // Same tasks, same moment, two geometries.
+        assert!(tilings[1].contains(&16), "{:?}", tilings[1]);
+    }
+    let sequential = plans.clone().map(|cfg| pipeline(scoring, &cfg, 1).align_batch(&tasks));
+    assert_eq!(sequential[0].results, sequential[1].results);
+
+    let start = std::sync::Barrier::new(plans.len());
+    std::thread::scope(|scope| {
+        for (cfg, want) in plans.iter().zip(&sequential) {
+            let (start, tasks) = (&start, &tasks);
+            scope.spawn(move || {
+                start.wait();
+                for round in 0..if cfg!(miri) { 1 } else { 4 } {
+                    let got = pipeline(scoring, cfg, 1).align_batch(tasks);
+                    let what = format!("{} plan, concurrent round {round}", cfg.backend.name());
+                    assert_same_report(&got, want, &what);
+                }
+            });
+        }
+    });
+}

@@ -272,14 +272,13 @@ proptest! {
         } else {
             AgathaConfig::agatha().with_slice_width(slice)
         };
-        let restore = simd::backend_choice();
         for bd in [BlockDim::B8, BlockDim::B16] {
             // Pinned geometry: whole-run equality across backends is only
             // defined at one tiling (Auto's pick depends on the backend).
-            let cfg = base.clone().with_block_dim(bd);
             let mut reference = None;
             for backend in simd::supported_backends() {
-                simd::set_backend_choice(BackendChoice::Fixed(backend));
+                let cfg =
+                    base.clone().with_block_dim(bd).with_backend(BackendChoice::Fixed(backend));
                 let scalar = run_task(&task, &s, &cfg.clone().with_simd_fill(false));
                 let i32_run = run_task(
                     &task,
@@ -291,7 +290,6 @@ proptest! {
                     &s,
                     &cfg.clone().with_simd_fill(true).with_fill_precision(FillPrecision::I16),
                 );
-                simd::set_backend_choice(restore);
                 let want = reference.get_or_insert_with(|| scalar.clone());
                 prop_assert_eq!(&*want, &scalar);
                 prop_assert_eq!(&*want, &i32_run);
@@ -579,7 +577,6 @@ proptest! {
             prop_assert!(narrow.same_alignment(&want), "no profile, B=8: {narrow:?} vs {want:?}");
             prop_assert_eq!(&narrow, &wide);
         }
-        let restore = simd::backend_choice();
         for bd in [BlockDim::B8, BlockDim::B16] {
             let cfg = AgathaConfig::agatha().with_simd_fill(true).with_block_dim(bd);
             let i16_cfg = cfg.clone().with_fill_precision(FillPrecision::I16);
@@ -590,10 +587,9 @@ proptest! {
             );
             let mut reference = None;
             for backend in simd::supported_backends() {
-                simd::set_backend_choice(BackendChoice::Fixed(backend));
-                let i16_run = run_task(&task, &s, &i16_cfg);
-                let i32_run = run_task(&task, &s, &i32_cfg);
-                simd::set_backend_choice(restore);
+                let on = BackendChoice::Fixed(backend);
+                let i16_run = run_task(&task, &s, &i16_cfg.clone().with_backend(on));
+                let i32_run = run_task(&task, &s, &i32_cfg.clone().with_backend(on));
                 let first = reference.get_or_insert_with(|| i32_run.clone());
                 prop_assert!(*first == i32_run, "i32 tier diverged on {}", backend.name());
                 prop_assert!(
