@@ -433,7 +433,7 @@ impl CellValue for i16 {
 ///
 /// The buffer is sized for the *widest* geometry ([`MAX_BLOCK_DIAGS`] rows)
 /// at every `B` so geometry stays a per-task choice without `generic_const_exprs`;
-/// only the first `2B-1` rows of `h`/`mask` are ever written or read. Each
+/// only the first `2B-1` rows of `h`/`mask` are ever written. Each
 /// row is exactly `[T; B]`, so the hot row stride of the default geometry
 /// is unchanged (32 bytes for `i32×8`).
 #[derive(Debug, Clone)]
@@ -447,7 +447,15 @@ pub struct BlockCellsT<T, const B: usize> {
     /// Masked `H` values, anti-diagonal-major. Rows `2B-1..` are unused.
     pub h: [[T; B]; MAX_BLOCK_DIAGS],
     /// Valid-cell bitmask per block anti-diagonal (bit `l` = lane `l`).
-    pub mask: [u16; MAX_BLOCK_DIAGS],
+    /// Entries `2B-1..` stay zero (one spare slot past the widest geometry,
+    /// so the tracker fold reads the masks as one fixed 32-row window).
+    pub mask: [u16; MAX_BLOCK_DIAGS + 1],
+    /// The backend whose lanes staged this block, stamped by the i16 fill so
+    /// that [`crate::diag::DiagTracker::on_block_i16`] folds on the same
+    /// lanes by construction. Crate-private for the reason
+    /// [`BlockCtx::wavefront_backend`] is: vector dispatch is only sound for
+    /// a backend the CPU has. Hand-built staging stays `Portable`.
+    pub(crate) backend: crate::simd::WavefrontBackend,
 }
 
 impl<T: CellValue, const B: usize> BlockCellsT<T, B> {
@@ -461,8 +469,20 @@ impl<T: CellValue, const B: usize> BlockCellsT<T, B> {
             j0: 0,
             base: 0,
             h: [[T::MASKED; B]; MAX_BLOCK_DIAGS],
-            mask: [0; MAX_BLOCK_DIAGS],
+            mask: [0; MAX_BLOCK_DIAGS + 1],
+            backend: crate::simd::WavefrontBackend::Portable,
         }
+    }
+
+    /// The same buffer viewed at geometry `N`, for a lane impl monomorphic
+    /// in its width. Dispatch calls this under a `B == N` match arm, where
+    /// it is the identity; any other use panics.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    #[inline(always)]
+    pub(crate) fn at_geometry<const N: usize>(&self) -> &BlockCellsT<T, N> {
+        (self as &dyn std::any::Any)
+            .downcast_ref()
+            .expect("lane impl dispatched at the wrong geometry")
     }
 
     /// Set the block origin with a *checked* narrowing from the engines'

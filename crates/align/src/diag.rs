@@ -17,16 +17,29 @@
 //! running global maximum to the GMB (global max buffer); engines charge
 //! their cost models for the corresponding accesses while delegating the
 //! *values* here.
+//!
+//! Cells arrive one at a time ([`DiagTracker::on_cell`], the definition) or
+//! a staged block at a time, through two folds held to it on whole tracker
+//! state: the scalar reference [`DiagTracker::on_block`] for i32 staging,
+//! and the one vector fold [`DiagTracker::fold_block`] for i16 staging —
+//! written once over the [`crate::simd`] lane layer, which owns everything
+//! backend-specific (instantiation, feature levels, dispatch).
 
 use crate::block::{block_diags, BlockCellsT};
 use crate::guided::{diag_cells, zdrop_triggered};
 use crate::result::{GuidedResult, MaxCell, StopReason};
 use crate::scoring::Scoring;
+use crate::simd::Lanes;
 use crate::{MAX_BLOCK_DIAGS, NEG_INF};
+
+/// Anti-diagonals in the fixed window one block fold merges: the widest
+/// block's `MAX_BLOCK_DIAGS`, rounded up to whole vectors.
+const WINDOW: usize = MAX_BLOCK_DIAGS + 1;
 
 /// Tracks per-anti-diagonal completion, local maxima and the Z-drop
 /// condition for one alignment task.
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct DiagTracker {
     n: i64,
     m: i64,
@@ -34,7 +47,9 @@ pub struct DiagTracker {
     zdrop: i32,
     gap_extend: i32,
     zdrop_enabled: bool,
-    /// cells seen so far on each anti-diagonal
+    /// cells seen so far on each anti-diagonal. This, `local_score` and
+    /// `local_i` carry [`WINDOW`] never-finalized slack entries past `total`,
+    /// so the window `c0..c0 + WINDOW` of every block is in bounds.
     seen: Vec<u32>,
     /// local maximum score per anti-diagonal
     local_score: Vec<i32>,
@@ -54,11 +69,6 @@ pub struct DiagTracker {
     finished: Option<StopReason>,
     /// reference-semantics cells (sum of expected cells over finalized diagonals)
     cells: u64,
-    /// Which vector backend [`DiagTracker::on_block_i16`] folds with.
-    /// Resolved once per task (the same hoisting
-    /// [`crate::block::BlockCtx`] does for the fill backend) so the
-    /// per-block path pays no repeated feature-detection load.
-    fold_backend: crate::simd::WavefrontBackend,
 }
 
 /// The band-exhaustion point of an `n × m` table under band half-width `w`:
@@ -72,17 +82,46 @@ fn band_cutoff(n: usize, m: usize, w: i64, total: usize) -> usize {
     first_empty.min(total)
 }
 
-/// The eight staged lanes `row[at..at + 8]` — one half-row of either
-/// geometry, the unit `phminposuw` reduces.
-///
-/// # Safety
-/// Requires SSE2 (baseline on x86-64); `at + 8` must not exceed `B`.
-#[cfg(target_arch = "x86_64")]
+/// The [`WINDOW`] per-diagonal entries a block at diagonal `c0` merges into.
 #[inline(always)]
-unsafe fn load8<const B: usize>(row: &[i16; B], at: usize) -> std::arch::x86_64::__m128i {
-    debug_assert!(at + 8 <= B, "8-lane reduction past the staged row");
-    // SAFETY: the 16 bytes at `row[at..at + 8]` are in bounds (asserted).
-    std::arch::x86_64::_mm_loadu_si128(row.as_ptr().add(at).cast())
+fn window<T>(v: &mut [T], c0: usize) -> &mut [T; WINDOW] {
+    v[c0..].first_chunk_mut().expect("tracker slack covers every block's window")
+}
+
+/// Step 3 of [`DiagTracker::fold_block`], a function of its own so that the
+/// three windows are known not to alias: row `d`'s `words` (one per half)
+/// become a candidate `(base + 0x7FFF − y, i0 + lane)`, merged into
+/// `score[d]` / `best_i[d]` where bit `d` of `live` is set; `seen[d]` gains
+/// the popcount of the row's mask on the same rows.
+#[inline(always)]
+fn merge_window<const B: usize>(
+    seen: &mut [u32; WINDOW],
+    score: &mut [i32; WINDOW],
+    best_i: &mut [i32; WINDOW],
+    words: &[[u32; WINDOW]; 2],
+    live: u32,
+    cells: &BlockCellsT<i16, B>,
+) {
+    let (top, i0) = (i32::from(i16::MAX) + cells.base, cells.i0());
+    // A loop of its own: over a lane array the popcount vectorises (to a
+    // nibble table lookup); inside the merge it is bit-twiddling per row
+    // wherever the feature level has no `popcnt`.
+    let mut counts = [0u32; WINDOW];
+    for (count, m) in counts.iter_mut().zip(cells.mask) {
+        *count = m.count_ones();
+    }
+    for d in 0..2 * B {
+        let key = |w: u32, half: u32| (w & 0xFFFF) << 4 | half << 3 | w >> 16;
+        let k = key(words[0][d], 0).min(key(words[1][d], 1));
+        let (h, i) = (top - (k >> 4) as i32, i0 + (k & 15) as i32);
+        // All-ones lane masks, blended by hand: an `if` here may come back
+        // as a branch per diagonal at the levels without masked stores.
+        let live = -((live >> d & 1) as i32);
+        let better = live & -i32::from((h > score[d]) | ((h == score[d]) & (i < best_i[d])));
+        score[d] = h & better | score[d] & !better;
+        best_i[d] = i & better | best_i[d] & !better;
+        seen[d] += counts[d] & live as u32;
+    }
 }
 
 impl DiagTracker {
@@ -106,7 +145,6 @@ impl DiagTracker {
             qend_best: None,
             finished: None,
             cells: 0,
-            fold_backend: crate::simd::detected_backend(),
         };
         t.reset(n, m, scoring);
         t
@@ -124,10 +162,6 @@ impl DiagTracker {
         if let Err(e) = crate::task::check_dims(n, m) {
             panic!("DiagTracker: {e}");
         }
-        // Back to the detected fold backend: a cap installed for the
-        // previous task ([`DiagTracker::set_backend`]) must not leak into
-        // this one when a workspace is reused across configurations.
-        self.fold_backend = crate::simd::detected_backend();
         let (ni, mi) = (n as i64, m as i64);
         let w = if scoring.banded() { scoring.band_width as i64 } else { ni + mi };
         let total = if n == 0 || m == 0 { 0 } else { n + m - 1 };
@@ -138,11 +172,11 @@ impl DiagTracker {
         self.gap_extend = scoring.gap_extend;
         self.zdrop_enabled = scoring.zdrop_enabled();
         self.seen.clear();
-        self.seen.resize(total, 0);
+        self.seen.resize(total + WINDOW, 0);
         self.local_score.clear();
-        self.local_score.resize(total, NEG_INF);
+        self.local_score.resize(total + WINDOW, NEG_INF);
         self.local_i.clear();
-        self.local_i.resize(total, -1);
+        self.local_i.resize(total + WINDOW, -1);
         self.qend.clear();
         self.qend.resize(total, NEG_INF);
         self.next = 0;
@@ -154,480 +188,175 @@ impl DiagTracker {
         self.cells = 0;
     }
 
-    /// Cap the fold backend at `choice` for the current task, so the fold
-    /// follows the fill's resolution ([`crate::block::BlockCtx::with_backend`]).
-    /// Call after [`DiagTracker::reset`], which restores the detected one.
-    pub fn set_backend(&mut self, choice: crate::simd::BackendChoice) {
-        self.fold_backend = choice.cap(self.fold_backend);
+    /// Debug-build contract of one live staged row: diagonal `c` is inside
+    /// the table, its mask `m` is one run of lanes, and *every* valid lane is
+    /// in band, not just the argmax lane — a wrong band mask whose extra cell
+    /// scores below the diagonal max would otherwise slip past debug builds.
+    #[inline(always)]
+    fn debug_check_row(&self, i0: i32, c: usize, m: u16) {
+        debug_assert!(c < self.total, "block diagonal {c} outside table");
+        let (lo, hi) = (m.trailing_zeros(), 15 - m.leading_zeros());
+        debug_assert_eq!(m, ((1u32 << (hi + 1)) - (1 << lo)) as u16, "mask must be a run");
+        for i in i64::from(i0) + i64::from(lo)..=i64::from(i0) + i64::from(hi) {
+            let j = c as i64 - i;
+            debug_assert!(
+                (i - j).abs() <= self.w,
+                "out-of-band cell ({i},{j}) staged for tracker (w = {})",
+                self.w
+            );
+        }
     }
 
-    /// Fold one computed block's staged cells in a single call — the
-    /// batch-update path used by every block engine (the per-cell
-    /// [`DiagTracker::on_cell`] remains for scalar row/diagonal engines and
-    /// tests, but is gone from the block hot loop).
+    /// Fold one computed block's staged cells in a single call. This is the
+    /// scalar reference fold (i32 staging: the reference fill and the i32
+    /// wavefront), and with [`DiagTracker::on_cell`] what the vector fold
+    /// behind [`DiagTracker::on_block_i16`] is held to.
     ///
     /// Semantics are exactly those of feeding every valid cell through
-    /// [`DiagTracker::on_cell`]: the ascending-`i` tie-break is preserved
-    /// (each block diagonal is scanned in ascending lane = ascending `i`
-    /// order against the carried-over maximum from other blocks), and cells
-    /// on already-finalized anti-diagonals (run-ahead past termination) are
-    /// skipped whole-diagonal at a time.
-    ///
-    /// Generic over the block side `B`: the fold walks the first `2B−1`
-    /// staged diagonals, so both geometries share one code path and cannot
-    /// diverge semantically.
+    /// [`DiagTracker::on_cell`]: each block diagonal is scanned in ascending
+    /// lane = ascending `i` order with a strict `>` (equal scores keep the
+    /// smaller `i`), its argmax merged into the carried-over maximum from
+    /// other blocks under the same (score desc, `i` asc) order, and cells on
+    /// already-finalized anti-diagonals (run-ahead past termination) are
+    /// skipped whole-diagonal at a time. The scan walks each mask's run
+    /// `lo..=hi` because [`crate::block::fill_scalar`] leaves out-of-shape
+    /// slots unspecified.
     pub fn on_block<const B: usize>(&mut self, cells: &BlockCellsT<i32, B>) {
-        self.fold_block(cells.i0(), cells.j0(), &cells.mask, B as i64, |d, l| cells.h[d][l]);
-    }
-
-    /// [`DiagTracker::on_block`] for the 16-bit fill tier: folds a
-    /// 16-bit staging buffer of either geometry, whose valid lanes hold
-    /// offsets from the block's `base`. Offset plus base is bit-identical to
-    /// the i32 tiers' value under the `i16_exact` gate, so the fold observes
-    /// exactly the same scores; every variant reduces a diagonal on the raw
-    /// offsets (the argmax is offset-invariant) and adds the base to the
-    /// winner.
-    ///
-    /// The staging buffer must come from a gate-admitted i16 fill: that
-    /// guarantees every valid lane holds a *real* offset (strictly above the
-    /// masked-lane sentinel band), which the vectorised per-diagonal argmax
-    /// below relies on. Fills driven past the gate would already have
-    /// corrupted values; this fold adds no failure mode of its own.
-    pub fn on_block_i16<const B: usize>(&mut self, cells: &BlockCellsT<i16, B>) {
-        #[cfg(target_arch = "x86_64")]
-        match self.fold_backend {
-            // SAFETY: `fold_backend` is the detected backend or a cap below
-            // it, and detection reports a vector variant only after the
-            // runtime CPU check for its feature level.
-            crate::simd::WavefrontBackend::Avx512 => {
-                return unsafe { self.on_block_i16_avx512(cells) }
-            }
-            crate::simd::WavefrontBackend::Avx2 => return unsafe { self.on_block_i16_avx2(cells) },
-            crate::simd::WavefrontBackend::Sse41 => {
-                return unsafe { self.on_block_i16_sse41(cells) }
-            }
-            crate::simd::WavefrontBackend::Portable => {}
-        }
-        self.fold_block(cells.i0(), cells.j0(), &cells.mask, B as i64, |d, l| {
-            i32::from(cells.h[d][l]) + cells.base
-        });
-    }
-
-    /// Vectorised [`DiagTracker::on_block_i16`] body: the shared fold
-    /// scaffold with `phminposuw` as the per-diagonal argmax — it computes
-    /// the local maximum *and* its smallest lane (the canonical
-    /// ascending-`i` tie-break) in a single instruction, via the
-    /// order-reversing map `y = 0x7FFF - h` (max-`h` with ties to the
-    /// smallest lane becomes min-`y` at the first index, which is exactly
-    /// what `phminposuw` returns). Masked lanes hold [`crate::simd::NEG_INF16`],
-    /// whose `y` is strictly above every real lane's, so they never win.
-    ///
-    /// `phminposuw` is 128-bit only, so the wide geometry (`B = 16`) reduces
-    /// each half-row separately and merges with ties to the low half — lane
-    /// numbers ascend with `i`, so "low half on ties" is the same
-    /// ascending-`i` tie-break. `inline(always)` with no `target_feature`
-    /// of its own so each feature wrapper below recompiles it at its own
-    /// feature level (the AVX2 copy gets VEX encodings); never codegenned
-    /// standalone.
-    ///
-    /// # Safety
-    /// Requires SSE4.1 (guaranteed by both wrappers).
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    unsafe fn fold_i16_vector<const B: usize>(&mut self, cells: &BlockCellsT<i16, B>) {
-        #[allow(clippy::wildcard_imports)]
-        use std::arch::x86_64::*;
-        let bias = _mm_set1_epi16(i16::MAX);
-        // Staged lanes are offsets from the block's base; the argmax is
-        // offset-invariant, so the base joins after the reduction.
-        let top = i32::from(i16::MAX) + cells.base;
-        // One 128-bit reduction: order-reversed min over the eight i16 lanes
-        // `row[at..at + 8]`, returning (score, lane).
-        let minpos = |row: &[i16; B], at: usize| {
-            // Wrapping `0x7FFF - h` is the exact u16 bit pattern of the
-            // order-reversed score, for the full i16 range.
-            let y = _mm_sub_epi16(bias, load8(row, at));
-            let packed = _mm_cvtsi128_si32(_mm_minpos_epu16(y)) as u32;
-            (top - i32::from((packed & 0xFFFF) as u16), at + ((packed >> 16) as usize & 7))
-        };
-        self.fold_block_argmax(
-            cells.i0(),
-            cells.j0(),
-            &cells.mask,
-            B as i64,
-            |d, _lo, _hi| {
-                let (h, l) = minpos(&cells.h[d], 0);
-                if B == crate::BLOCK {
-                    return (h, l);
-                }
-                // Wide row: reduce the high half too; strict `>` keeps the
-                // low half (smaller `i`) on equal scores.
-                let (h_hi, l_hi) = minpos(&cells.h[d], 8);
-                if h_hi > h {
-                    (h_hi, l_hi)
-                } else {
-                    (h, l)
-                }
-            },
-            |d, l| i32::from(cells.h[d][l]) + cells.base,
-        );
-    }
-
-    /// [`DiagTracker::fold_i16_vector`] at SSE4.1 codegen.
-    ///
-    /// # Safety
-    /// Requires SSE4.1 (checked by the dispatcher).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "sse4.1")]
-    unsafe fn on_block_i16_sse41<const B: usize>(&mut self, cells: &BlockCellsT<i16, B>) {
-        self.fold_i16_vector(cells);
-    }
-
-    /// [`DiagTracker::fold_i16_vector`] at AVX2 codegen (VEX encodings).
-    ///
-    /// # Safety
-    /// Requires AVX2 (checked by the dispatcher).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn on_block_i16_avx2<const B: usize>(&mut self, cells: &BlockCellsT<i16, B>) {
-        self.fold_i16_vector(cells);
-    }
-
-    /// [`DiagTracker::on_block_i16`] at the AVX-512 level. For the wide
-    /// geometry this is a *batched* fold, not the shared scaffold: phase 1
-    /// runs the `phminposuw` argmax over every staged row branch-free
-    /// (masked lanes hold [`crate::simd::NEG_INF16`] so invalid rows cost
-    /// nothing to reduce and are discarded by mask later), packing each
-    /// row's result into a single order-reversed key
-    /// `(y << 4) | (half << 3) | lane` whose numeric minimum is the
-    /// maximum `H` at its smallest lane — the canonical ascending-`i`
-    /// tie-break (`y = 0x7FFF − h` descends as `h` ascends; the half bit
-    /// and lane index break ties toward smaller `i`). Phase 2 then merges
-    /// all 31 candidates into the per-anti-diagonal `local_score` /
-    /// `local_i` arrays — which a block's rows hit *contiguously* at
-    /// `c0..c0+31` — as two 16-lane masked compare/blend/store steps, and
-    /// folds the `seen` accounting into the same masked windows (a
-    /// nibble-LUT popcount over the staged mask vectors replaces the
-    /// scaffold's 31 scalar read-modify-writes).
-    ///
-    /// The point is the merge: the scaffold's per-row scalar
-    /// read-compare-update is a data-dependent branch per diagonal
-    /// (mispredicted whenever a block does or does not improve on the
-    /// carried maximum — i.e. constantly, on real workloads), and those
-    /// mispredictions dominate the shared fold's cost at B = 16. The
-    /// mask-register merge is branch-free, and the fault-suppressing
-    /// masked loads/stores let the two 16-lane steps straddle the table
-    /// edge without scalar tail handling. Run-ahead rows (`c < next`),
-    /// empty rows, and rows past the last valid diagonal are all cleared
-    /// from one `valid` bitmask; `seen` accounting, the `qend` column
-    /// extract, and the debug-build band checks mirror the scaffold
-    /// exactly.
-    ///
-    /// # Safety
-    /// Requires AVX-512BW/VL (checked by the dispatcher; AVX-512F and the
-    /// SSE4.1 `phminposuw` ride along on any AVX-512 machine).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512bw,avx512vl")]
-    unsafe fn on_block_i16_avx512<const B: usize>(&mut self, cells: &BlockCellsT<i16, B>) {
-        #[allow(clippy::wildcard_imports)]
-        use std::arch::x86_64::*;
-        if B == crate::BLOCK {
-            // Narrow staging: eight lanes per row and eight rows of merge
-            // give the batched path nothing to amortize; run the shared
-            // fold at AVX-512 codegen.
-            return self.fold_i16_vector(cells);
-        }
-        let diags = 2 * B - 1;
-        let i0 = cells.i0();
-        let j0 = cells.j0();
-        let c0 = i0 as usize + j0 as usize;
-
-        // Valid rows: non-empty mask, not run-ahead past a finalized
-        // diagonal. One bit per staged row, built from two 16-lane mask
-        // compares (the second load is masked: the staging array holds
-        // `MAX_BLOCK_DIAGS` = 31 rows, one short of two full vectors).
-        let mp = cells.mask.as_ptr().cast::<i16>();
-        debug_assert!(cells.mask.len() >= 16 + 15, "two mask vectors past the staged masks");
-        // SAFETY: masks 0..16 and, under the 15-lane load mask, 16..31 are in
-        // bounds (asserted).
-        let m_lo = _mm256_loadu_si256(mp.cast::<__m256i>());
-        let m_hi = _mm256_maskz_loadu_epi16(0x7FFF, mp.add(16));
-        let z = _mm256_setzero_si256();
-        let mut valid = u32::from(_mm256_cmpneq_epi16_mask(m_lo, z))
-            | u32::from(_mm256_cmpneq_epi16_mask(m_hi, z)) << 16;
-        valid &= (1u32 << diags) - 1;
-        let skip = self.next.saturating_sub(c0).min(diags);
-        valid &= !0u32 << skip;
-        if valid == 0 {
-            return;
-        }
-        let hi_d = 31 - valid.leading_zeros() as usize;
-        debug_assert!(c0 + hi_d < self.total, "block diagonal {} outside table", c0 + hi_d);
-
-        #[cfg(debug_assertions)]
-        for d in skip..=hi_d {
-            let m = cells.mask[d];
-            if m == 0 {
-                continue;
-            }
-            let lo = m.trailing_zeros() as usize;
-            let hi = 15 - m.leading_zeros() as usize;
-            debug_assert_eq!(m, ((1u32 << (hi + 1)) - (1 << lo)) as u16, "mask must be a run");
-            for l in lo..=hi {
-                let i = i64::from(i0) + l as i64;
-                let c = (c0 + d) as i64;
-                debug_assert!(
-                    (i - (c - i)).abs() <= self.w,
-                    "out-of-band cell ({i},{}) staged for tracker (w = {})",
-                    c - i,
-                    self.w
-                );
-            }
-        }
-
-        // Phase 1: branch-free per-row argmax. Each half-row reduces with
-        // one `phminposuw` on the order-reversed map `y = 0x7FFF − h`
-        // (exact over the full i16 range; see
-        // [`DiagTracker::fold_i16_vector`]), packing to `(lane << 16) | y`.
-        // Structural skip: block diagonal `d` only occupies lanes
-        // `max(0, d−B+1)..=min(d, B−1)`, so rows `d < 8` have an empty high
-        // half and rows `d ≥ B+7` an empty low half — those reductions are
-        // dropped outright and their slots keep the `u32::MAX` sentinel,
-        // whose phase-2 key (`0xFFFFF`) is ≥ every computed key, losing
-        // each `min` (a tie is only possible against an identical
-        // candidate, which decodes identically).
-        let bias = _mm_set1_epi16(i16::MAX);
-        let mut packed_lo = [u32::MAX; MAX_BLOCK_DIAGS + 1];
-        let mut packed_hi = [u32::MAX; MAX_BLOCK_DIAGS + 1];
-        let minpos = |row: &[i16; B], at: usize| -> u32 {
-            _mm_cvtsi128_si32(_mm_minpos_epu16(_mm_sub_epi16(bias, load8(row, at)))) as u32
-        };
-        // Live rows only (bit-scan over `valid`): edge and run-ahead
-        // blocks stage far fewer than 2B−1 live rows, and reducing their
-        // dead rows would cost more than the whole merge. Interior blocks
-        // walk every bit, same as a plain loop.
-        let seg = |lo: u32, hi: u32| valid & (!0u32 << lo) & ((1u64 << hi) as u32).wrapping_sub(1);
-        let mut v = seg(0, 8);
-        while v != 0 {
-            let d = v.trailing_zeros() as usize;
-            v &= v - 1;
-            packed_lo[d] = minpos(&cells.h[d], 0);
-        }
-        let mut v = seg(8, B as u32 + 7);
-        while v != 0 {
-            let d = v.trailing_zeros() as usize;
-            v &= v - 1;
-            packed_lo[d] = minpos(&cells.h[d], 0);
-            packed_hi[d] = minpos(&cells.h[d], 8);
-        }
-        let mut v = seg(B as u32 + 7, 32);
-        while v != 0 {
-            let d = v.trailing_zeros() as usize;
-            v &= v - 1;
-            packed_hi[d] = minpos(&cells.h[d], 8);
-        }
-
-        // Phase 2: two 16-row merge steps over the contiguous
-        // `local_score[c0..]` / `local_i[c0..]` windows, with the `seen`
-        // accounting folded into the same masked windows: a nibble-LUT
-        // popcount over the staged mask vectors (per-byte table lookup,
-        // then a `maddubs` byte-pair sum per u16 lane) replaces the
-        // scaffold's 31 scalar read-modify-writes — dead lanes add
-        // nothing, exactly like the scaffold skipping them, because the
-        // `live` mask gates the store and empty live rows popcount to 0.
-        let pop_lut = _mm256_broadcastsi128_si256(_mm_setr_epi8(
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-        ));
-        let nibble = _mm256_set1_epi8(0x0F);
-        let byte_ones = _mm256_set1_epi8(1);
-        let popcnt16 = |m: __m256i| -> __m256i {
-            let lo = _mm256_shuffle_epi8(pop_lut, _mm256_and_si256(m, nibble));
-            let hi =
-                _mm256_shuffle_epi8(pop_lut, _mm256_and_si256(_mm256_srli_epi16::<4>(m), nibble));
-            _mm256_maddubs_epi16(_mm256_add_epi8(lo, hi), byte_ones)
-        };
-        let v_ffff = _mm512_set1_epi32(0xFFFF);
-        let v_half = _mm512_set1_epi32(1 << 3);
-        // Staged lanes are offsets from the block's base; the keys order
-        // offsets, and the base joins when a key is decoded to a score.
-        let v_bias = _mm512_set1_epi32(i32::from(i16::MAX) + cells.base);
-        let v_i0 = _mm512_set1_epi32(i0);
-        let v_15 = _mm512_set1_epi32(0xF);
-        for chunk in 0..diags.div_ceil(16) {
-            let k = chunk * 16;
-            let live: __mmask16 = (valid >> k) as u16;
-            if live == 0 {
-                continue;
-            }
-            // (y << 4) | (half << 3) | lane, minimized across halves: the
-            // numeric min is max-H first, then low half, then low lane —
-            // decoding the low nibble yields the row lane directly
-            // (half * 8 + minpos index).
-            debug_assert!(k + 16 <= packed_lo.len(), "key chunk past the packed rows");
-            // SAFETY: `packed_lo[k..k + 16]` and `packed_hi[k..k + 16]` are in
-            // bounds (asserted; the arrays have one length).
-            let pl = _mm512_loadu_epi32(packed_lo.as_ptr().add(k).cast::<i32>());
-            let ph = _mm512_loadu_epi32(packed_hi.as_ptr().add(k).cast::<i32>());
-            let key_lo = _mm512_or_epi32(
-                _mm512_slli_epi32::<4>(_mm512_and_epi32(pl, v_ffff)),
-                _mm512_srli_epi32::<16>(pl),
-            );
-            let key_hi = _mm512_or_epi32(
-                _mm512_or_epi32(_mm512_slli_epi32::<4>(_mm512_and_epi32(ph, v_ffff)), v_half),
-                _mm512_srli_epi32::<16>(ph),
-            );
-            let kmin = _mm512_min_epu32(key_lo, key_hi);
-            let cand_h = _mm512_sub_epi32(v_bias, _mm512_srli_epi32::<4>(kmin));
-            let cand_i = _mm512_add_epi32(v_i0, _mm512_and_epi32(kmin, v_15));
-            // Fault-suppressing masked loads: dead lanes may sit past the
-            // table's last diagonal.
-            let base = c0 + k;
-            // `seen` accounting for the chunk's live rows. SAFETY: masked
-            // lanes are neither read nor written, and the highest live lane
-            // is inside the three `total`-sized vectors (asserted).
-            debug_assert!(
-                base + (15 - live.leading_zeros() as usize) < self.total
-                    && self.seen.len() == self.total
-                    && self.local_score.len() == self.total
-                    && self.local_i.len() == self.total,
-                "live merge lane past the tracker's diagonals"
-            );
-            let counts = _mm512_cvtepi16_epi32(popcnt16(if chunk == 0 { m_lo } else { m_hi }));
-            let seen_ptr = self.seen.as_mut_ptr().cast::<i32>();
-            let cur_seen = _mm512_maskz_loadu_epi32(live, seen_ptr.add(base));
-            _mm512_mask_storeu_epi32(seen_ptr.add(base), live, _mm512_add_epi32(cur_seen, counts));
-            let cur_h = _mm512_maskz_loadu_epi32(live, self.local_score.as_ptr().add(base));
-            let cur_i = _mm512_maskz_loadu_epi32(live, self.local_i.as_ptr().add(base));
-            // Canonical merge: higher score wins; equal score goes to the
-            // smaller `i`.
-            let gt = _mm512_cmpgt_epi32_mask(cand_h, cur_h);
-            let eq = _mm512_cmpeq_epi32_mask(cand_h, cur_h);
-            let lt_i = _mm512_cmplt_epi32_mask(cand_i, cur_i);
-            let upd = (gt | (eq & lt_i)) & live;
-            _mm512_mask_storeu_epi32(self.local_score.as_mut_ptr().add(base), upd, cand_h);
-            _mm512_mask_storeu_epi32(self.local_i.as_mut_ptr().add(base), upd, cand_i);
-        }
-
-        // The unique last-query-column cell per diagonal (lane `l = d − kq`),
-        // extracted scalar — at most one run of rows per block touches it.
-        let kq = self.m - 1 - i64::from(j0);
-        if (0..B as i64).contains(&kq) {
-            let kq = kq as usize;
-            for d in kq.max(skip)..=(kq + B - 1).min(hi_d) {
-                let lq = d - kq;
-                if cells.mask[d] & (1 << lq) != 0 {
-                    self.qend[c0 + d] = i32::from(cells.h[d][lq]) + cells.base;
-                }
-            }
-        }
-    }
-
-    /// Shared whole-block fold: semantics of feeding every valid cell
-    /// through [`DiagTracker::on_cell`], with the ascending-`i` tie-break
-    /// preserved and run-ahead diagonals skipped whole. `h(d, l)` reads the
-    /// staged masked `H` value of lane `l` on block diagonal `d`.
-    #[inline(always)]
-    fn fold_block(
-        &mut self,
-        i0: i32,
-        j0: i32,
-        mask: &[u16; MAX_BLOCK_DIAGS],
-        b: i64,
-        h: impl Fn(usize, usize) -> i32,
-    ) {
-        self.fold_block_argmax(
-            i0,
-            j0,
-            mask,
-            b,
-            |d, lo, hi| {
-                // Ascending-lane scan with strict `>`: equal scores keep
-                // the earlier (smaller-`i`) lane.
-                let mut best = h(d, lo);
-                let mut best_l = lo;
-                for l in lo + 1..=hi {
-                    let hv = h(d, l);
-                    if hv > best {
-                        best = hv;
-                        best_l = l;
-                    }
-                }
-                (best, best_l)
-            },
-            &h,
-        );
-    }
-
-    /// The one fold scaffold both tracker folds share (run-ahead skip,
-    /// `seen` accounting, carried-max merge, `qend` extraction), so the
-    /// vector and scalar folds cannot drift apart. `argmax(d, lo, hi)`
-    /// returns the diagonal's maximum staged `H` over valid lanes
-    /// `lo..=hi` and the *smallest* lane attaining it; `h(d, l)` reads one
-    /// staged value. Folding the diagonal-local argmax into the carried
-    /// maximum with the same (score desc, `i` asc) order is equivalent to
-    /// the reference ascending-`i` per-cell scan.
-    ///
-    /// Geometry arrives as one runtime value (`b` lanes per diagonal; the
-    /// `2b−1` staged-diagonal count follows from it) so the one scaffold
-    /// serves every monomorphization of the public folds.
-    #[inline(always)]
-    fn fold_block_argmax(
-        &mut self,
-        i0: i32,
-        j0: i32,
-        mask: &[u16; MAX_BLOCK_DIAGS],
-        b: i64,
-        mut argmax: impl FnMut(usize, usize, usize) -> (i32, usize),
-        h: impl Fn(usize, usize) -> i32,
-    ) {
-        let diags = block_diags(b as usize);
+        let (i0, j0) = (cells.i0(), cells.j0());
         let c0 = i0 as usize + j0 as usize;
         // At most one cell per anti-diagonal sits on the last query column
-        // (j == m-1): lane l = d - kq. Constant across the block.
-        let kq = self.m - 1 - j0 as i64;
-        let block_touches_qend = (0..b).contains(&kq);
-        for (d, &m) in mask.iter().enumerate().take(diags) {
-            if m == 0 {
-                continue; // no valid cell on this block diagonal
-            }
+        // (j == m-1): lane d - kq of block diagonal d.
+        let kq = self.m - 1 - i64::from(j0);
+        for (d, &m) in cells.mask.iter().enumerate().take(block_diags(B)) {
             let c = c0 + d;
-            if c < self.next {
-                continue; // run-ahead past a finalized diagonal
+            if m == 0 || c < self.next {
+                continue; // no valid cell, or run-ahead past a finalized diagonal
             }
-            debug_assert!(c < self.total, "block diagonal {c} outside table");
+            self.debug_check_row(i0, c, m);
             self.seen[c] += m.count_ones();
-            // Valid lanes form a contiguous run in ascending `i`. The
-            // uniform `15 − lz` works for both geometries: a B=8 mask only
-            // occupies the low byte, so its leading_zeros are ≥ 8.
+            // The uniform `15 − lz` works for both geometries: a B=8 mask
+            // only occupies the low byte, so its leading_zeros are ≥ 8.
             let lo = m.trailing_zeros() as usize;
             let hi = 15 - m.leading_zeros() as usize;
-            debug_assert_eq!(m, ((1u32 << (hi + 1)) - (1 << lo)) as u16, "mask must be a run");
-            // Every staged valid lane must be in band, not just the argmax
-            // lane — a wrong band mask whose extra cell scores below the
-            // diagonal max would otherwise slip past debug builds.
-            #[cfg(debug_assertions)]
-            for l in lo..=hi {
-                let i = i64::from(i0) + l as i64;
-                debug_assert!(
-                    (i - (c as i64 - i)).abs() <= self.w,
-                    "out-of-band cell ({i},{}) staged for tracker (w = {})",
-                    c as i64 - i,
-                    self.w
-                );
+            let row = &cells.h[d];
+            let (mut best, mut best_l) = (row[lo], lo);
+            for (l, &h) in row[..=hi].iter().enumerate().skip(lo + 1) {
+                if h > best {
+                    (best, best_l) = (h, l);
+                }
             }
-            let (best, l) = argmax(d, lo, hi);
-            debug_assert!((lo..=hi).contains(&l), "argmax lane {l} outside valid run");
-            let i = i0 + l as i32;
-            // Merge with the carried-over maximum from other blocks under
-            // the canonical tie-break: smallest `i` wins equal scores.
+            let i = i0 + best_l as i32;
             if best > self.local_score[c] || (best == self.local_score[c] && i < self.local_i[c]) {
                 self.local_score[c] = best;
                 self.local_i[c] = i;
             }
-            if block_touches_qend {
-                let lq = d as i64 - kq;
-                if (lo as i64..=hi as i64).contains(&lq) {
-                    self.qend[c] = h(d, lq as usize);
+            let lq = d as i64 - kq;
+            if (lo as i64..=hi as i64).contains(&lq) {
+                self.qend[c] = row[lq as usize];
+            }
+        }
+    }
+
+    /// [`DiagTracker::on_block`] for the 16-bit fill tier: folds a
+    /// 16-bit staging buffer of either geometry, whose valid lanes hold
+    /// offsets from the block's `base`, on the lanes of the backend that
+    /// staged it ([`crate::simd::fold_wavefront_i16`]). Offset plus base is
+    /// bit-identical to the i32 tiers' value under the `i16_exact` gate, so
+    /// the fold observes exactly the same scores.
+    ///
+    /// The staging buffer must come from a gate-admitted i16 fill: that
+    /// guarantees every valid lane holds a *real* offset (strictly above the
+    /// masked-lane sentinel band) and every masked lane
+    /// [`crate::simd::NEG_INF16`], which the row reduce relies on. Fills
+    /// driven past the gate would already have corrupted values; this fold
+    /// adds no failure mode of its own.
+    pub fn on_block_i16<const B: usize>(&mut self, cells: &BlockCellsT<i16, B>) {
+        crate::simd::fold_wavefront_i16(self, cells);
+    }
+
+    /// The one vector fold, generic over the geometry and the lane impl
+    /// (`inline(always)` with no feature attribute of its own, like
+    /// [`crate::simd`]'s fill: each instantiation compiles inside the feature
+    /// wrapper, or the portable dispatch arm, that names it). Three steps:
+    ///
+    /// 1. *Live rows* — non-empty mask, not run-ahead past a finalized
+    ///    diagonal — as one bit per staged row.
+    /// 2. *Row reduce*: [`Lanes::minpos8`] over each structurally non-empty
+    ///    8-lane half of the rows spanning the live ones (half `k` of block
+    ///    diagonal `d` holds in-shape lanes iff `8k ≤ d < B + 8k + 7`). Masked
+    ///    lanes hold [`crate::simd::NEG_INF16`], whose order-reversed `y` is
+    ///    strictly above every real lane's, so they never win and no
+    ///    `lo..=hi` is needed; the argmax is offset-invariant, so the base
+    ///    joins when a word is decoded.
+    /// 3. *Merge*, as plain lane-array code over the [`WINDOW`] anti-diagonals
+    ///    from `c0` — the rows of a block hit `local_score` / `local_i` /
+    ///    `seen` contiguously: each word becomes the key
+    ///    `(y << 4) | (half << 3) | lane`, whose numeric minimum across
+    ///    halves is the maximum `H` at its smallest `i`; the decoded
+    ///    candidate replaces the carried maximum under the canonical (score
+    ///    desc, `i` asc) order; `seen` gains the mask's popcount. All
+    ///    branch-free and gated per lane on the live bit — the merge of
+    ///    [`DiagTracker::on_block`] is a data-dependent branch per diagonal,
+    ///    mispredicted whenever a block does or does not improve on the
+    ///    carried maximum, i.e. constantly. Dead lanes (empty, run-ahead,
+    ///    past `2B−1`, in the slack past the table) are rewritten unchanged.
+    ///
+    /// The `j == m−1` extract stays scalar: at most one run of rows per
+    /// block touches it.
+    ///
+    /// # Safety
+    /// The CPU must support `L`'s instruction set (see [`Lanes`]).
+    #[inline(always)]
+    pub(crate) unsafe fn fold_block<L: Lanes<B>, const B: usize>(
+        &mut self,
+        cells: &BlockCellsT<i16, B>,
+    ) {
+        let diags = block_diags(B);
+        let (i0, j0) = (cells.i0(), cells.j0());
+        let c0 = i0 as usize + j0 as usize;
+        let skip = self.next.saturating_sub(c0).min(diags);
+        let mut valid = 0u32;
+        for (d, &m) in cells.mask.iter().enumerate() {
+            valid |= u32::from(m != 0) << d;
+        }
+        valid &= ((1 << diags) - 1) & (!0 << skip);
+        if valid == 0 {
+            return;
+        }
+        let first = valid.trailing_zeros() as usize;
+        let last = 31 - valid.leading_zeros() as usize;
+        // (Spelled out because the shift could panic, which would keep the
+        // otherwise empty loop alive in release builds.)
+        if cfg!(debug_assertions) {
+            for d in (first..=last).filter(|d| valid >> d & 1 != 0) {
+                self.debug_check_row(i0, c0 + d, cells.mask[d]);
+            }
+        }
+
+        // `u32::MAX` — no candidate — decodes to a key no real lane exceeds.
+        let mut words = [[u32::MAX; WINDOW]; 2];
+        let rows = &cells.h;
+        for (half, words) in words.iter_mut().enumerate().take(B / 8) {
+            for d in first.max(8 * half)..(last + 1).min(B + 8 * half + 7) {
+                words[d] = L::minpos8(&rows[d], half);
+            }
+        }
+
+        merge_window::<B>(
+            window(&mut self.seen, c0),
+            window(&mut self.local_score, c0),
+            window(&mut self.local_i, c0),
+            &words,
+            valid,
+            cells,
+        );
+
+        let kq = self.m - 1 - i64::from(j0);
+        if (0..B as i64).contains(&kq) {
+            let kq = kq as usize;
+            for d in kq.max(skip)..=(kq + B - 1).min(last) {
+                if cells.mask[d] & 1 << (d - kq) != 0 {
+                    self.qend[c0 + d] = i32::from(cells.h[d][d - kq]) + cells.base;
                 }
             }
         }
@@ -913,14 +642,30 @@ mod tests {
         assert!(got.same_alignment(&reference), "{got:?} vs {reference:?}");
     }
 
+    impl DiagTracker {
+        /// The slack entries past `total` still hold what `reset` wrote:
+        /// nothing leaked past the table (or, on a reused tracker, across
+        /// tasks).
+        pub(crate) fn assert_slack_pristine(&self) {
+            assert_eq!(self.seen[self.total..], [0; WINDOW]);
+            assert_eq!(self.local_score[self.total..], [NEG_INF; WINDOW]);
+            assert_eq!(self.local_i[self.total..], [-1; WINDOW]);
+        }
+    }
+
     #[test]
     fn reset_matches_fresh_tracker() {
         // A tracker reused across tasks of different geometry (including a
-        // z-dropping one) must be indistinguishable from a fresh tracker.
+        // z-dropping one, and a large task followed by a tiny one whose
+        // slack lands where the large one kept live diagonals) must be
+        // indistinguishable from a fresh tracker.
+        let long = "ACGTTGCA".repeat(12);
         let cases = [
             ("AGATAGAT", "AGACTATC", Scoring::figure1()),
             ("ACGTACGTGGGGGGGG", "ACGTACGTCCCCCCCC", Scoring::new(2, 4, 4, 2, 4, Scoring::NO_BAND)),
             ("ACGT", "ACGTACGTACGT", Scoring::new(2, 4, 4, 2, Scoring::NO_BAND, 3)),
+            (&long, &long, Scoring::figure1()),
+            ("AC", "A", Scoring::figure1()),
         ];
         let mut reused = DiagTracker::new(0, 0, &Scoring::figure1());
         for (r, q, s) in &cases {
@@ -931,6 +676,8 @@ mod tests {
             let w = if s.banded() { s.band_width as i64 } else { n + m };
             let mut fresh = DiagTracker::new(rp.len(), qp.len(), s);
             reused.reset(rp.len(), qp.len(), s);
+            assert_eq!(reused, fresh, "reset tracker differs from a fresh one on ({r}, {q})");
+            reused.assert_slack_pristine();
             for c in 0..(n + m - 1) {
                 let Some((lo, hi)) = diag_range(c, n, m, w) else { continue };
                 for i in lo..=hi {
@@ -972,75 +719,6 @@ mod tests {
         let t = DiagTracker::new(64, 5, &s);
         assert_eq!(t.cutoff, 2 + 2 * 5 - 1);
         assert!(t.cutoff < t.total);
-    }
-
-    #[test]
-    fn on_block_equals_per_cell_feed() {
-        // Feed the same dense table to one tracker cell by cell and to
-        // another block by block (staged through BlockCells); every
-        // observable (result, frontier behaviour, run-ahead skips) must
-        // agree, including the ascending-i tie-break on equal scores.
-        use crate::block::{compute_block, corner_read, north_read, west_init, BlockCtx};
-        use crate::BLOCK;
-
-        let cases = [
-            ("AGATAGATAGA", "AGACTATCA", Scoring::figure1()),
-            ("ACGTACGTACGTACGTACGT", "ACGTACGTTCGTACGTACGA", Scoring::new(2, 4, 4, 2, 10, 3)),
-            ("AAAAAAAAAAAAAAAA", "AAAAAAAAAAAAAAAA", Scoring::figure1()), // many score ties
-        ];
-        for (r, q, s) in &cases {
-            let (rp, qp) = (seq(r), seq(q));
-            let ctx = BlockCtx::new(rp.len(), qp.len(), s);
-            let b = BLOCK as i64;
-            let padded_n = (ctx.ref_blocks() * b) as usize;
-            let mut row_h = vec![NEG_INF; padded_n];
-            let mut row_f = vec![NEG_INF; padded_n];
-            let (mut rb, mut qb) = ([0u8; BLOCK], [0u8; BLOCK]);
-            let mut cells = crate::block::BlockCells::new();
-            let mut per_cell = DiagTracker::new(rp.len(), qp.len(), s);
-            let mut per_block = DiagTracker::new(rp.len(), qp.len(), s);
-            for bj in 0..ctx.query_blocks() {
-                let j0 = bj * b;
-                let Some((lo, hi)) = ctx.row_block_range(bj) else { continue };
-                qp.unpack_block(j0 as usize, &mut qb);
-                let (mut wh, mut we) = west_init(&ctx, lo * b, j0);
-                let mut corner = corner_read(&ctx, lo * b, j0, &row_h);
-                for bi in lo..=hi {
-                    let i0 = bi * b;
-                    rp.unpack_block(i0 as usize, &mut rb);
-                    let (mut nh, mut nf) = north_read(&ctx, i0, j0, &row_h, &row_f);
-                    let next_corner = nh[BLOCK - 1];
-                    compute_block(
-                        &ctx, i0, j0, &rb, &qb, corner, &mut wh, &mut we, &mut nh, &mut nf,
-                        &mut cells,
-                    );
-                    per_block.on_block(&cells);
-                    for d in 0..crate::block::BLOCK_DIAGS {
-                        for l in 0..BLOCK {
-                            if cells.mask[d] & (1 << l) != 0 {
-                                let i = cells.i0() + l as i32;
-                                let j = cells.j0() + (d - l) as i32;
-                                per_cell.on_cell(i, j, cells.h[d][l]);
-                            }
-                        }
-                    }
-                    row_h[i0 as usize..i0 as usize + BLOCK].copy_from_slice(&nh);
-                    row_f[i0 as usize..i0 as usize + BLOCK].copy_from_slice(&nf);
-                    corner = next_corner;
-                }
-                // Advance both (mid-stream, to exercise run-ahead skips).
-                let a = per_cell.advance();
-                let bstop = per_block.advance();
-                assert_eq!(a, bstop, "case ({r},{q})");
-                assert_eq!(per_cell.frontier(), per_block.frontier());
-                if a.is_some() {
-                    break;
-                }
-            }
-            let want = per_cell.take_result();
-            let got = per_block.take_result();
-            assert_eq!(got, want, "case ({r},{q})");
-        }
     }
 
     #[test]

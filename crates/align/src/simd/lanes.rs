@@ -1,5 +1,6 @@
-//! The lane-primitive layer the one wavefront body ([`super::fill`]) is
-//! written against: a scalar element trait ([`LaneElem`]) carrying each
+//! The lane-primitive layer the one wavefront body ([`super::fill`]) and the
+//! one tracker fold ([`crate::diag::DiagTracker::fold_block`]) are written
+//! against: a scalar element trait ([`LaneElem`]) carrying each
 //! tier's arithmetic, a vector trait ([`Lanes`]) with one impl per backend ×
 //! lane type, and the array-backed [`Portable`] impl that runs on any
 //! target (and under Miri) and is the semantic reference the x86 impls in
@@ -179,6 +180,23 @@ pub(crate) trait Lanes<const B: usize> {
     ) {
         Self::store(&mut rows[d], lo);
         Self::store(&mut rows[d + 1], hi);
+    }
+
+    /// The tracker fold's row reduce over the eight staged i16 lanes
+    /// `row[8 * half..][..8]`: the `phminposuw`-format word `(lane << 16) | y`
+    /// of the smallest `y = 0x7FFF − h` (wrapping: the exact order-reversed
+    /// u16 pattern over the whole i16 range) at the first lane attaining it —
+    /// the maximum `h` at its smallest lane, the canonical ascending-`i`
+    /// tie-break. Independent of [`Lanes::Elem`]: only i16 staging is folded
+    /// through the lanes.
+    #[inline(always)]
+    unsafe fn minpos8(row: &[i16; B], half: usize) -> u32 {
+        let mut best = u32::MAX;
+        for (l, &h) in row[8 * half..][..8].iter().enumerate() {
+            let y = u32::from((i16::MAX as u16).wrapping_sub(h as u16));
+            best = best.min(y << 3 | l as u32);
+        }
+        (best & 7) << 16 | best >> 3
     }
 
     /// Valid-lane masks of every diagonal of the edge block at `(i0, j0)`.

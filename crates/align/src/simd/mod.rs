@@ -6,7 +6,10 @@
 //! The recurrence is written **once** — `fill::fill_block`, generic over
 //! the block side `B ∈ {8, 16}` and a lane-primitive impl (`lanes::Lanes`:
 //! load/store, shift-in-boundary, add/sub/max, compare, select) — and
-//! instantiated per backend inside a `#[target_feature]` wrapper. Every
+//! instantiated per backend inside a `#[target_feature]` wrapper. So is the
+//! tracker fold of the i16 tier's staging
+//! ([`crate::diag::DiagTracker::fold_block`], over the same trait's row
+//! reduce), through the same wrappers and the same dispatch table. Every
 //! instantiation is **bit-identical** to [`crate::block::fill_scalar`] at
 //! the same geometry: each cell's `H/E/F` is computed from exactly the same
 //! inputs with exactly the same integer operations — only the evaluation
@@ -63,7 +66,11 @@
 //! ## Which lanes run
 //!
 //! Lane impl (and the feature level its instantiation is compiled at) per
-//! resolved backend × tier × geometry:
+//! resolved backend × tier × geometry — for the fill and, in the i16
+//! columns, for the tracker fold alike: [`fill_wavefront_i16`] stamps the
+//! backend it ran on into the staging buffer and [`fold_wavefront_i16`]
+//! dispatches on the stamp. (i32 staging folds through the scalar reference,
+//! [`crate::diag::DiagTracker::on_block`].)
 //!
 //! | backend    | i32, B=8             | i32, B=16       | i16, B=8              | i16, B=16                |
 //! |------------|----------------------|-----------------|-----------------------|--------------------------|
@@ -77,12 +84,19 @@
 //! `Portable<i32>` B=16 column serves forced `--block 16` runs only.
 
 use crate::block::{block_diags, BlockCellsT, BlockCtx, BoundaryT};
+use crate::diag::DiagTracker;
 #[cfg(target_arch = "x86_64")]
 use crate::{BLOCK, MAX_BLOCK};
 use fill::{fill_block, BlockIo};
+pub(crate) use lanes::Lanes;
 use lanes::Portable;
 #[cfg(target_arch = "x86_64")]
-use x86::{fill_avx2, fill_avx512, fill_sse41, Avx2I16, Avx2I32, Avx512I16, Sse41I16};
+use x86::{
+    fill_avx2, fill_avx512, fill_sse41, fold_avx2, fold_avx512, fold_sse41, Avx2I16, Avx2I32,
+    Avx512I16, Sse41I16,
+};
+#[cfg(target_arch = "x86_64")]
+use WavefrontBackend::{Avx2, Avx512, Sse41};
 
 mod fill;
 mod lanes;
@@ -124,8 +138,8 @@ pub fn avx2_active() -> bool {
     }
 }
 
-/// Whether the SSE4.1 tier (the 16-bit kernel and the `phminposuw` tracker
-/// fold need nothing newer) is available on this machine.
+/// Whether the SSE4.1 tier (the 8-lane 16-bit kernel and the tracker fold's
+/// `phminposuw` row reduce need nothing newer) is available on this machine.
 pub fn sse41_active() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -162,17 +176,17 @@ pub fn avx512_active() -> bool {
 pub enum WavefrontBackend {
     /// x86-64 with AVX-512BW/VL: the B=16 i16 fill runs with mask-register
     /// lane selects, batch-computed edge masks and fused dual-diagonal zmm
-    /// stores, and the tracker folds the 16-lane argmax with a four-quarter
-    /// `phminposuw` merge. Everything else runs as on [`Self::Avx2`] (the
-    /// B=8 vectors are already full).
+    /// stores, and the tracker fold's merge compiles to two masked 16-lane
+    /// steps. Everything else runs as on [`Self::Avx2`] (the B=8 vectors are
+    /// already full).
     Avx512,
     /// x86-64 with AVX2: one 8×i32 AVX2 vector per block diagonal in the
     /// B=8 i32 tier, 8×i16 SSE vectors in the B=8 i16 tier, and one full
     /// 16×i16 AVX2 vector per diagonal in the B=16 i16 tier.
     Avx2,
     /// x86-64 with SSE4.1 but not AVX2: the B=8 i16 tier still runs its
-    /// vector lanes (they need nothing wider than 128-bit ops); the i32
-    /// tier and the B=16 geometry run the portable lanes.
+    /// vector lanes, fill and fold (they need nothing wider than 128-bit
+    /// ops); the i32 tier and the B=16 geometry run the portable lanes.
     Sse41,
     /// Array-backed portable lanes for both tiers (see the
     /// [module table](self#which-lanes-run)).
@@ -317,8 +331,6 @@ pub(crate) fn fill_wavefront<const B: usize>(
     north_f: &mut BoundaryT<B>,
     cells: &mut BlockCellsT<i32, B>,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    use WavefrontBackend::{Avx2, Avx512};
     let io = BlockIo { rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells };
     // SAFETY: `ctx.wavefront_backend` is the detected backend or a cap below
     // it, and detection reports Avx2/Avx512 only after a runtime AVX2 check
@@ -351,8 +363,6 @@ pub(crate) fn fill_wavefront_i16<const B: usize>(
     north_f: &mut BoundaryT<B>,
     cells: &mut BlockCellsT<i16, B>,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    use WavefrontBackend::{Avx2, Avx512, Sse41};
     let io =
         BlockIo { rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells: &mut *cells };
     // SAFETY: `ctx.wavefront_backend` is the detected backend or a cap below
@@ -374,7 +384,36 @@ pub(crate) fn fill_wavefront_i16<const B: usize>(
             _ => fill_block::<Portable<i16>, B>(ctx, i0, j0, io),
         }
     }
+    cells.backend = ctx.wavefront_backend;
     debug_range_sentinel(cells);
+}
+
+/// The tracker fold of one staged i16 block ([`DiagTracker::fold_block`]),
+/// on the lanes [`fill_wavefront_i16`] filled it with: the same
+/// `(backend, B)` table, read from the backend the fill stamped into the
+/// buffer — so a capped plan cannot fold above its cap, whoever drives it.
+pub(crate) fn fold_wavefront_i16<const B: usize>(
+    tracker: &mut DiagTracker,
+    cells: &BlockCellsT<i16, B>,
+) {
+    // SAFETY: `cells.backend` is `Portable` or a copy of a
+    // `ctx.wavefront_backend` (see [`fill_wavefront_i16`]), i.e. never above
+    // the detected backend, and every level implies the ones below it.
+    unsafe {
+        match (cells.backend, B) {
+            #[cfg(target_arch = "x86_64")]
+            (Avx512, MAX_BLOCK) => {
+                fold_avx512::<Avx512I16, MAX_BLOCK>(tracker, cells.at_geometry())
+            }
+            #[cfg(target_arch = "x86_64")]
+            (Avx2, MAX_BLOCK) => fold_avx2::<Avx2I16, MAX_BLOCK>(tracker, cells.at_geometry()),
+            #[cfg(target_arch = "x86_64")]
+            (Avx2 | Avx512, BLOCK) => fold_avx2::<Sse41I16, BLOCK>(tracker, cells.at_geometry()),
+            #[cfg(target_arch = "x86_64")]
+            (Sse41, BLOCK) => fold_sse41::<Sse41I16, BLOCK>(tracker, cells.at_geometry()),
+            _ => tracker.fold_block::<Portable<i16>, B>(cells),
+        }
+    }
 }
 
 /// Per-block range sentinel (debug builds): under the `i16_exact` gate every

@@ -2,6 +2,7 @@ use super::fill::struct_mask;
 use super::lanes::{DiagMasks, LaneElem, Lanes};
 use super::*;
 use crate::block::{fill_scalar, BlockCells};
+use crate::diag::DiagTracker;
 use crate::pack::PackedSeq;
 use crate::{Scoring, MAX_BLOCK_DIAGS, NEG_INF};
 #[cfg(not(target_arch = "x86_64"))]
@@ -368,11 +369,9 @@ fn grid_run_with<const B: usize>(
     sc: &Scoring,
     step: GridStep<'_, B>,
 ) -> crate::result::GuidedResult {
-    use crate::diag::DiagTracker;
     let choice = BackendChoice::Fixed(backend);
     let ctx = BlockCtx::with_block_dim(r.len(), q.len(), sc, B).with_backend(choice);
     let mut tracker = DiagTracker::new(r.len(), q.len(), sc);
-    tracker.set_backend(choice);
     let b = B as i64;
     let padded_n = (ctx.ref_blocks() * b) as usize;
     let mut row_h = vec![NEG_INF; padded_n];
@@ -833,6 +832,256 @@ fn lane_impl_sweep_matches_scalar() {
             matrix_blocks_sweep::<BLOCK>(0xB1A5 + k + w as u64, &sc, bias);
             matrix_blocks_sweep::<MAX_BLOCK>(0xB1B5 + k + w as u64, &sc, bias);
         }
+    }
+}
+
+/// One fold instantiation (or the dispatcher on one stamped backend).
+type Fold<const B: usize> = Box<dyn Fn(&mut DiagTracker, &BlockCellsT<i16, B>)>;
+
+/// `$wrapper::<$lanes, $n>` as a [`Fold`] at the enclosing function's `B`.
+/// Callers list a vector impl only after [`has`] confirmed its backend.
+macro_rules! lane_fold {
+    ($wrapper:ident, $lanes:ty, $n:expr) => {
+        Box::new(|tracker: &mut DiagTracker, cells: &BlockCellsT<i16, B>| {
+            // SAFETY: only listed when the host supports the wrapper's level.
+            unsafe { $wrapper::<$lanes, { $n }>(tracker, cells.at_geometry()) }
+        })
+    };
+}
+
+/// The fold with no feature wrapper around it (the portable dispatch arm).
+unsafe fn fold_plain<L: Lanes<N>, const N: usize>(
+    tracker: &mut DiagTracker,
+    cells: &BlockCellsT<i16, N>,
+) {
+    tracker.fold_block::<L, N>(cells);
+}
+
+/// Every instantiation of the one fold the host supports at geometry `B` —
+/// the wrapper × lane impl pairs of [`i16_lanes`] — plus the dispatcher on
+/// staging stamped by each supported backend.
+fn i16_folds<const B: usize>() -> Vec<(String, Fold<B>)> {
+    let mut folds: Vec<(String, Fold<B>)> =
+        vec![("portable".into(), lane_fold!(fold_plain, Portable<i16>, B))];
+    #[cfg(target_arch = "x86_64")]
+    {
+        if B == BLOCK && has(WavefrontBackend::Sse41) {
+            folds.push(("sse41".into(), lane_fold!(fold_sse41, Sse41I16, BLOCK)));
+        }
+        if B == BLOCK && has(WavefrontBackend::Avx2) {
+            folds.push(("sse41@avx2".into(), lane_fold!(fold_avx2, Sse41I16, BLOCK)));
+        }
+        if B == MAX_BLOCK && has(WavefrontBackend::Avx2) {
+            folds.push(("avx2".into(), lane_fold!(fold_avx2, Avx2I16, MAX_BLOCK)));
+        }
+        if B == MAX_BLOCK && has(WavefrontBackend::Avx512) {
+            folds.push(("avx512".into(), lane_fold!(fold_avx512, Avx512I16, MAX_BLOCK)));
+        }
+    }
+    for backend in supported_backends() {
+        folds.push((
+            format!("dispatch as {}", backend.name()),
+            Box::new(move |tracker: &mut DiagTracker, cells: &BlockCellsT<i16, B>| {
+                let mut stamped = cells.clone();
+                stamped.backend = backend;
+                tracker.on_block_i16(&stamped);
+            }),
+        ));
+    }
+    folds
+}
+
+/// Stage every block of the `r × q` grid and fold each through every fold
+/// the host supports, through the scalar reference fold
+/// ([`DiagTracker::on_block`], on the scalar fill's i32 staging of the same
+/// block) and — the reference for all of them — cell by cell through
+/// [`DiagTracker::on_cell`], comparing the *whole tracker* after every
+/// block. Every `advance_every` blocks all trackers advance, mid-row. The
+/// grid is fed to the end whatever the trackers decide, and then once more:
+/// a diagonal is only ever finalized with all its cells seen, so a row on a
+/// finalized diagonal (`c < next`, to be skipped) can only be a revisit.
+/// `bias` shifts every staged score, so the fold sees bases far from the
+/// lanes' own range.
+fn fold_sweep_case<const B: usize>(
+    r: &[u8],
+    q: &[u8],
+    sc: &Scoring,
+    bias: i32,
+    advance_every: u64,
+) {
+    use crate::block::{compute_block_i16, compute_block_mode, FillMode};
+    let what = format!("{}×{} B={B} w={} bias={bias}", r.len(), q.len(), sc.band_width);
+    let (rp, qp) = (PackedSeq::from_codes(r), PackedSeq::from_codes(q));
+    let ctx = BlockCtx::with_block_dim(r.len(), q.len(), sc, B);
+    assert!(ctx.i16_exact, "{what}: the sweep stages on the i16 tier");
+    let b = B as i64;
+    let padded_n = (ctx.ref_blocks() * b) as usize;
+    let (mut row_h, mut row_f) = (vec![NEG_INF; padded_n], vec![NEG_INF; padded_n]);
+    let (mut rb, mut qb) = ([0u8; B], [0u8; B]);
+    let mut cells16 = BlockCellsT::<i16, B>::new();
+    let mut cells32 = BlockCellsT::<i32, B>::new();
+
+    let mut staged = Vec::new();
+    for bj in 0..ctx.query_blocks() {
+        let j0 = bj * b;
+        let Some((lo, hi)) = ctx.row_block_range(bj) else { continue };
+        qp.unpack_block(j0 as usize, &mut qb);
+        let (mut wh, mut we) = crate::block::west_init::<B>(&ctx, lo * b, j0);
+        let mut corner = crate::block::corner_read(&ctx, lo * b, j0, &row_h);
+        for bi in lo..=hi {
+            let i0 = bi * b;
+            rp.unpack_block(i0 as usize, &mut rb);
+            let (mut nh, mut nf) = crate::block::north_read::<B>(&ctx, i0, j0, &row_h, &row_f);
+            let next_corner = nh[B - 1];
+            let (mut wh32, mut we32, mut nh32, mut nf32) = (wh, we, nh, nf);
+            compute_block_mode(
+                FillMode::Scalar,
+                &ctx,
+                i0,
+                j0,
+                &rb,
+                &qb,
+                corner,
+                &mut wh32,
+                &mut we32,
+                &mut nh32,
+                &mut nf32,
+                &mut cells32,
+            );
+            compute_block_i16(
+                &ctx,
+                i0,
+                j0,
+                &rb,
+                &qb,
+                corner,
+                &mut wh,
+                &mut we,
+                &mut nh,
+                &mut nf,
+                &mut cells16,
+            );
+            cells16.base += bias;
+            cells32.h.iter_mut().flatten().for_each(|h| *h = h.wrapping_add(bias));
+            staged.push((cells16.clone(), cells32.clone()));
+            row_h[i0 as usize..i0 as usize + B].copy_from_slice(&nh);
+            row_f[i0 as usize..i0 as usize + B].copy_from_slice(&nf);
+            corner = next_corner;
+        }
+    }
+
+    let folds = i16_folds::<B>();
+    let mut per_cell = DiagTracker::new(r.len(), q.len(), sc);
+    let mut per_block = per_cell.clone();
+    let mut folded = vec![per_cell.clone(); folds.len()];
+    let mut blocks = 0u64;
+    // Feeds one block to every tracker; returns how many of its live rows
+    // were run-ahead (to be skipped) and how many were not.
+    let mut feed = |cells16: &BlockCellsT<i16, B>, cells32: &BlockCellsT<i32, B>, last: bool| {
+        let (i0, j0) = (cells16.i0(), cells16.j0());
+        let c0 = i0 as usize + j0 as usize;
+        let live = (0..block_diags(B)).filter(|&d| cells16.mask[d] != 0);
+        let skipped = live.clone().filter(|d| c0 + d < per_cell.frontier()).count();
+        let merged = live.count() - skipped;
+        for d in 0..block_diags(B) {
+            assert_eq!(cells16.mask[d], cells32.mask[d], "{what}: staged masks");
+            for l in (0..B).filter(|l| cells16.mask[d] & (1 << l) != 0) {
+                let h = i32::from(cells16.h[d][l]) + cells16.base;
+                assert_eq!(h, cells32.h[d][l], "{what}: the tiers stage one score");
+                per_cell.on_cell(i0 + l as i32, j0 + (d - l) as i32, h);
+            }
+        }
+        per_block.on_block(cells32);
+        assert_eq!(per_block, per_cell, "{what}: on_block after block ({i0},{j0})");
+        for ((name, fold), tracker) in folds.iter().zip(&mut folded) {
+            fold(tracker, cells16);
+            assert_eq!(*tracker, per_cell, "{what}: {name} fold after block ({i0},{j0})");
+        }
+        blocks += 1;
+        if last || blocks.is_multiple_of(advance_every) {
+            let stop = per_cell.advance();
+            assert_eq!(per_block.advance(), stop, "{what}: on_block stop reason");
+            assert_eq!(per_block, per_cell, "{what}: on_block after advance");
+            for ((name, _), tracker) in folds.iter().zip(&mut folded) {
+                assert_eq!(tracker.advance(), stop, "{what}: {name} stop reason");
+                assert_eq!(*tracker, per_cell, "{what}: {name} fold after advance");
+            }
+        }
+        (skipped, merged)
+    };
+    for (k, (cells16, cells32)) in staged.iter().enumerate() {
+        let (skipped, _) = feed(cells16, cells32, k + 1 == staged.len());
+        assert_eq!(skipped, 0, "{what}: a first visit found its diagonal finalized");
+    }
+    let revisits: Vec<_> =
+        staged.iter().map(|(cells16, cells32)| feed(cells16, cells32, false)).collect();
+    assert!(
+        revisits.iter().any(|&(skipped, _)| skipped > 0),
+        "{what}: the revisit skipped nothing"
+    );
+    let want = per_cell.take_result();
+    if bias == 0 {
+        assert!(want.same_alignment(&crate::guided::guided_align(&rp, &qp, sc)), "{what}");
+    }
+    if want.stop.z_dropped() {
+        let straddles = |&(skipped, merged): &(usize, usize)| skipped > 0 && merged > 0;
+        assert!(
+            revisits.iter().any(straddles),
+            "{what}: no revisited block straddled the frontier"
+        );
+    }
+    for ((name, _), tracker) in folds.iter().zip(&mut folded) {
+        // Dead lanes of the corner blocks' windows wrote nothing past the table.
+        tracker.assert_slack_pristine();
+        assert_eq!(tracker.take_result(), want, "{what}: {name} result");
+    }
+}
+
+#[test]
+fn fold_impl_sweep_matches_per_cell_feed() {
+    // The fold's twin of `lane_impl_sweep_matches_scalar`: every
+    // instantiation of the one vector fold this host supports (each feature
+    // wrapper × lane impl, the portable one, and the dispatcher as every
+    // backend) × both geometries, held to the per-cell feed on whole tracker
+    // state, together with the scalar reference fold.
+    fn both(r: &[u8], q: &[u8], sc: &Scoring, bias: i32, advance_every: u64) {
+        fold_sweep_case::<BLOCK>(r, q, sc, bias, advance_every);
+        fold_sweep_case::<MAX_BLOCK>(r, q, sc, bias, advance_every);
+    }
+    let mut rng = Rng(0xF01D);
+    let mut dna = |len: usize| (0..len).map(|_| rng.code()).collect::<Vec<u8>>();
+    let poly_a = [0u8; 45];
+    // A shared prefix, then unrelated tails: z-drops a third of the way in.
+    let (mut zr, mut zq) = (dna(30), dna(70));
+    zr.splice(0..0, zq[..30].iter().copied());
+    zq.extend(dna(3));
+    let (pr, pq) = (dna(if cfg!(miri) { 37 } else { 83 }), dna(if cfg!(miri) { 29 } else { 61 }));
+    let unbanded = Scoring::new(2, 4, 4, 2, Scoring::NO_ZDROP, Scoring::NO_BAND);
+    let biases: &[i32] = if cfg!(miri) { &[-70_000] } else { &[0, 70_000, -70_000, 3_000_000] };
+    for &bias in biases {
+        // Score ties everywhere: the smallest `i` must win on every diagonal.
+        both(&poly_a, &poly_a[..41], &Scoring::figure1(), bias, 3);
+        // Termination mid-grid, then run-ahead rows to skip (whole blocks
+        // and, where a block straddles the frontier, leading rows).
+        both(&zr, &zq, &Scoring::new(2, 4, 4, 2, 12, Scoring::NO_BAND), bias, 2);
+        both(&zr, &zq, &Scoring::new(2, 4, 4, 2, 12, 9), bias, 1);
+        // The last partial block at the table corner, degenerate tables.
+        both(&pr, &pq, &unbanded, bias, 5);
+        both(&pr[..1], &pq[..1], &unbanded, bias, 1);
+        both(&pr[..1], &pq, &unbanded, bias, 1);
+        both(&pr, &pq[..1], &unbanded, bias, 1);
+    }
+    // The cases of the i32, B = 8 test this sweep generalises.
+    let codes = |s: &str| PackedSeq::from_str_seq(s).to_codes();
+    both(&codes("AGATAGATAGA"), &codes("AGACTATCA"), &Scoring::figure1(), 0, 2);
+    let banded_zdrop = Scoring::new(2, 4, 4, 2, 10, 3);
+    both(&codes("ACGTACGTACGTACGTACGT"), &codes("ACGTACGTTCGTACGTACGA"), &banded_zdrop, 0, 2);
+    // Bands from the bare main diagonal (every other staged row empty) to
+    // around the lane counts.
+    let widths: &[i32] = if cfg!(miri) { &[0, 8] } else { &[0, 1, 3, 7, 8, 9, 15, 16, 17] };
+    for &w in widths {
+        both(&pr, &pr[..pq.len()], &Scoring::new(2, 4, 4, 2, Scoring::NO_ZDROP, w), -70_000, 4);
+        both(&pr, &pq, &Scoring::new(2, 4, 4, 2, 30, w), 0, 4);
     }
 }
 

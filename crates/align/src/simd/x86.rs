@@ -1,60 +1,71 @@
 //! x86-64 lane impls and the `#[target_feature]` wrappers that instantiate
-//! [`fill_block`] at each feature level. An impl is a table of which
-//! instruction performs each [`Lanes`] primitive; everything that differs
-//! between backends lives here and nothing else does.
+//! [`fill_block`] and the tracker fold at each feature level. An impl is a
+//! table of which instruction performs each [`Lanes`] primitive; everything
+//! that differs between backends lives here and nothing else does.
 
 use super::fill::{fill_block, BlockIo};
 use super::lane_mask;
 use super::lanes::{DiagMasks, Lanes};
-use crate::block::BlockCtx;
+use crate::block::{BlockCellsT, BlockCtx};
+use crate::diag::DiagTracker;
 use crate::{BLOCK, MAX_BLOCK, MAX_BLOCK_DIAGS};
 #[allow(clippy::wildcard_imports)]
 use std::arch::x86_64::*;
 
-/// [`fill_block`] compiled with SSE4.1 codegen — the minimum level the
-/// 8×i16 lanes need, serving pre-AVX2 x86-64 at full vector speed.
-///
-/// # Safety
-/// Requires SSE4.1 (checked by the caller), and an `L` needing nothing newer.
-#[target_feature(enable = "sse4.1")]
-pub(super) unsafe fn fill_sse41<L: Lanes<N>, const N: usize>(
-    ctx: &BlockCtx<'_>,
-    i0: i64,
-    j0: i64,
-    io: BlockIo<'_, L::Elem, N>,
-) {
-    fill_block::<L, N>(ctx, i0, j0, io);
+/// The one fill body and the one tracker-fold body compiled at a feature
+/// level, as the `$fill` / `$fold` pair dispatch enters them through.
+macro_rules! feature_level {
+    ($features:literal, $fill:ident, $fold:ident, $(#[$doc:meta])+) => {
+        /// [`fill_block`] at this level:
+        $(#[$doc])+
+        #[target_feature(enable = $features)]
+        pub(super) unsafe fn $fill<L: Lanes<N>, const N: usize>(
+            ctx: &BlockCtx<'_>,
+            i0: i64,
+            j0: i64,
+            io: BlockIo<'_, L::Elem, N>,
+        ) {
+            fill_block::<L, N>(ctx, i0, j0, io);
+        }
+
+        /// [`DiagTracker::fold_block`] at this level:
+        $(#[$doc])+
+        #[target_feature(enable = $features)]
+        pub(super) unsafe fn $fold<L: Lanes<N>, const N: usize>(
+            tracker: &mut DiagTracker,
+            cells: &BlockCellsT<i16, N>,
+        ) {
+            tracker.fold_block::<L, N>(cells);
+        }
+    };
 }
 
-/// [`fill_block`] compiled with AVX2 codegen. For the 128-bit
-/// [`Sse41I16`] lanes this is the same algorithm with VEX 3-operand
-/// encodings, which save the register-move traffic the legacy SSE
-/// destructive forms pay (measurably faster on AVX2 hosts).
-///
-/// # Safety
-/// Requires AVX2 (checked by the caller), and an `L` needing nothing newer.
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn fill_avx2<L: Lanes<N>, const N: usize>(
-    ctx: &BlockCtx<'_>,
-    i0: i64,
-    j0: i64,
-    io: BlockIo<'_, L::Elem, N>,
-) {
-    fill_block::<L, N>(ctx, i0, j0, io);
+feature_level! {
+    "sse4.1", fill_sse41, fold_sse41,
+    /// SSE4.1 codegen — the minimum level the 8×i16 lanes and `phminposuw`
+    /// need, serving pre-AVX2 x86-64 at full vector speed.
+    ///
+    /// # Safety
+    /// Requires SSE4.1 (checked by the caller), and an `L` needing nothing newer.
 }
 
-/// [`fill_block`] compiled with AVX-512BW/VL codegen.
-///
-/// # Safety
-/// Requires AVX-512BW and AVX-512VL (checked by the caller).
-#[target_feature(enable = "avx512bw,avx512vl")]
-pub(super) unsafe fn fill_avx512<L: Lanes<N>, const N: usize>(
-    ctx: &BlockCtx<'_>,
-    i0: i64,
-    j0: i64,
-    io: BlockIo<'_, L::Elem, N>,
-) {
-    fill_block::<L, N>(ctx, i0, j0, io);
+feature_level! {
+    "avx2", fill_avx2, fold_avx2,
+    /// AVX2 codegen. For the 128-bit [`Sse41I16`] lanes this is the same
+    /// algorithm with VEX 3-operand encodings, which save the register-move
+    /// traffic the legacy SSE destructive forms pay (measurably faster on
+    /// AVX2 hosts).
+    ///
+    /// # Safety
+    /// Requires AVX2 (checked by the caller), and an `L` needing nothing newer.
+}
+
+feature_level! {
+    "avx512bw,avx512vl", fill_avx512, fold_avx512,
+    /// AVX-512BW/VL codegen.
+    ///
+    /// # Safety
+    /// Requires AVX-512BW and AVX-512VL (checked by the caller).
 }
 
 /// The primitives that are one instruction each: `name(args) -> V|M = intrinsic;`.
@@ -65,6 +76,19 @@ macro_rules! one_instruction {
             $intrinsic($($arg),+)
         }
     )+};
+}
+
+/// [`Lanes::minpos8`] as the one instruction it is named after, one body for
+/// every i16 impl at geometry `$b` (128-bit only, so the wide impls reduce a
+/// row half by half too).
+macro_rules! minpos8_phminposuw {
+    ($b:expr) => {
+        #[inline(always)]
+        unsafe fn minpos8(row: &[i16; $b], half: usize) -> u32 {
+            let y = _mm_sub_epi16(_mm_set1_epi16(i16::MAX), Sse41I16::load(row, 8 * half));
+            _mm_cvtsi128_si32(_mm_minpos_epu16(y)) as u32
+        }
+    };
 }
 
 /// Lane `l`'s bit of a mask word, as i16 lanes (the vector-mask impls turn
@@ -89,6 +113,7 @@ impl Lanes<BLOCK> for Sse41I16 {
         cmp_eq(a, b) -> M = _mm_cmpeq_epi16;
         cmp_gt(a, b) -> M = _mm_cmpgt_epi16;
     }
+    minpos8_phminposuw!(BLOCK);
     #[inline(always)]
     unsafe fn splat(x: i16) -> __m128i {
         _mm_set1_epi16(x)
@@ -188,6 +213,7 @@ macro_rules! ymm_i16_lanes {
         type Elem = i16;
         type V = __m256i;
 
+        minpos8_phminposuw!(MAX_BLOCK);
         one_instruction! {
             add(a, b) -> V = _mm256_adds_epi16;
             sub(a, b) -> V = _mm256_subs_epi16;

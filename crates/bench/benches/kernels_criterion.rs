@@ -4,10 +4,17 @@
 //! implementation (unlike the figure harnesses, which report simulated
 //! device time).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use std::time::{Duration, Instant};
 
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+
+use agatha_align::block::{
+    block_grid_align, compute_block_i16, corner_read, north_read, west_init, BlockCellsT, BlockCtx,
+};
+use agatha_align::diag::DiagTracker;
 use agatha_align::guided::guided_align;
-use agatha_align::{block::block_grid_align, PackedSeq, Scoring, Task};
+use agatha_align::simd::{supported_backends, BackendChoice, WavefrontBackend};
+use agatha_align::{PackedSeq, Scoring, Task, BLOCK, MAX_BLOCK, NEG_INF};
 use agatha_core::{
     kernel::{run_task, run_task_ws, KernelWorkspace},
     AgathaConfig,
@@ -92,22 +99,115 @@ fn bench_workspace_reuse(c: &mut Criterion) {
     g.finish();
 }
 
+/// One pass over `task`'s block grid on the i16 tier at geometry `B`, fills
+/// capped at `backend` (the `block_grid_align_b` protocol): fill + fold until
+/// the tracker decides when one is given, the fill alone for `stop_after`
+/// blocks otherwise. Returns the blocks filled.
+fn grid_pass<const B: usize>(
+    task: &Task,
+    s: &Scoring,
+    backend: WavefrontBackend,
+    mut tracker: Option<&mut DiagTracker>,
+    stop_after: u64,
+) -> u64 {
+    let (n, m) = (task.ref_len(), task.query_len());
+    let ctx = BlockCtx::with_block_dim(n, m, s, B).with_backend(BackendChoice::Fixed(backend));
+    if let Some(t) = tracker.as_deref_mut() {
+        t.reset(n, m, s);
+    }
+    let b = B as i64;
+    let mut row_h = vec![NEG_INF; (ctx.ref_blocks() * b) as usize];
+    let mut row_f = row_h.clone();
+    let (mut rblock, mut qblock) = ([0u8; B], [0u8; B]);
+    let mut cells = BlockCellsT::<i16, B>::new();
+    let mut blocks = 0;
+    'rows: for bj in 0..ctx.query_blocks() {
+        let j0 = bj * b;
+        let Some((lo, hi)) = ctx.row_block_range(bj) else { continue };
+        task.query.unpack_block(j0 as usize, &mut qblock);
+        let (mut wh, mut we) = west_init::<B>(&ctx, lo * b, j0);
+        let mut corner = corner_read(&ctx, lo * b, j0, &row_h);
+        for bi in lo..=hi {
+            let i0 = bi * b;
+            task.reference.unpack_block(i0 as usize, &mut rblock);
+            let (mut nh, mut nf) = north_read::<B>(&ctx, i0, j0, &row_h, &row_f);
+            let next_corner = nh[B - 1];
+            compute_block_i16(
+                &ctx, i0, j0, &rblock, &qblock, corner, &mut wh, &mut we, &mut nh, &mut nf,
+                &mut cells,
+            );
+            if let Some(t) = tracker.as_deref_mut() {
+                t.on_block_i16(&cells);
+            }
+            row_h[i0 as usize..i0 as usize + B].copy_from_slice(&nh);
+            row_f[i0 as usize..i0 as usize + B].copy_from_slice(&nf);
+            corner = next_corner;
+            blocks += 1;
+            if blocks == stop_after || tracker.as_deref().is_some_and(DiagTracker::is_finished) {
+                break 'rows;
+            }
+        }
+        if tracker.as_deref_mut().is_some_and(|t| t.advance().is_some()) {
+            break;
+        }
+    }
+    // Keep the fill observable when nothing folds it.
+    black_box((&row_h, &cells));
+    blocks
+}
+
+/// Time of the tracker fold alone, one iteration being one block: a
+/// fill + fold pass minus a fill-only replay of the same block count (a clock
+/// around each ~50 ns fold would cost as much as the fold). The two kinds of
+/// pass alternate and each is represented by its median, so that a
+/// preemption or a clock-state flip lands in neither.
+fn fold_only<const B: usize>(
+    task: &Task,
+    s: &Scoring,
+    backend: WavefrontBackend,
+    iters: u64,
+) -> Duration {
+    let mut tracker = DiagTracker::new(0, 0, s);
+    let blocks = grid_pass::<B>(task, s, backend, Some(&mut tracker), u64::MAX);
+    let passes = iters.div_ceil(blocks) as usize;
+    let (mut with_fold, mut fill_only) = (Vec::with_capacity(passes), Vec::with_capacity(passes));
+    for _ in 0..passes {
+        let t0 = Instant::now();
+        black_box(grid_pass::<B>(task, s, backend, Some(&mut tracker), u64::MAX));
+        let t1 = Instant::now();
+        black_box(grid_pass::<B>(task, s, backend, None, blocks));
+        with_fold.push(t1 - t0);
+        fill_only.push(t1.elapsed());
+    }
+    let median = |passes: &mut Vec<Duration>| {
+        let mid = passes.len() / 2;
+        *passes.select_nth_unstable(mid).1
+    };
+    let fold = median(&mut with_fold).saturating_sub(median(&mut fill_only));
+    fold.mul_f64(iters as f64 / blocks as f64)
+}
+
 fn bench_block_fold(c: &mut Criterion) {
-    // The PR-3 lever: per-block staged tracker folds (DiagTracker::on_block)
-    // let the inner loop vectorise. Same kernel, scalar vs wavefront fill —
-    // bit-identical results, different wall time.
+    // What a block costs the tracker (`DiagTracker::on_block_i16`), per
+    // backend level × geometry — including the levels the host's own
+    // dispatch never picks — on a short banded pair (mostly band-clipped
+    // edge blocks) and a kb-scale one (mostly interior blocks).
     let mut g = c.benchmark_group("block_fold");
-    let s = Scoring::new(2, 4, 4, 2, 200, 100);
-    let (r, q) = pseudo_seq(2048, 29, 19);
-    let task = Task::from_strs(0, &r, &q);
-    let cells = run_task(&task, &s, &AgathaConfig::agatha()).result.cells;
-    g.throughput(Throughput::Elements(cells));
-    for (name, simd) in [("scalar_fill", false), ("simd_fill", true)] {
-        let cfg = AgathaConfig::agatha().with_simd_fill(simd);
-        g.bench_function(name, |b| {
-            let mut ws = KernelWorkspace::new();
-            b.iter(|| run_task_ws(&mut ws, &task, &s, &cfg).blocks)
-        });
+    let (short_r, short_q) = pseudo_seq(250, 29, 19);
+    let (kb_r, kb_q) = pseudo_seq(4096, 31, 19);
+    let pairs = [
+        ("short_w24", Task::from_strs(0, &short_r, &short_q), Scoring::new(2, 4, 4, 2, 100, 24)),
+        ("kb_w100", Task::from_strs(1, &kb_r, &kb_q), Scoring::new(2, 4, 4, 2, 200, 100)),
+    ];
+    for backend in supported_backends() {
+        for (pair, task, s) in &pairs {
+            g.bench_function(format!("{}/b8/{pair}", backend.name()), |b| {
+                b.iter_custom(|iters| fold_only::<BLOCK>(task, s, backend, iters))
+            });
+            g.bench_function(format!("{}/b16/{pair}", backend.name()), |b| {
+                b.iter_custom(|iters| fold_only::<MAX_BLOCK>(task, s, backend, iters))
+            });
+        }
     }
     g.finish();
 }

@@ -119,7 +119,7 @@ pub struct KernelWorkspace {
     /// Spent outer `units` vectors returned by [`KernelWorkspace::recycle_units`].
     units_pool: Vec<Vec<SliceUnit>>,
     /// Spent `row_cols` vectors harvested from recycled units.
-    row_cols_pool: Vec<Vec<u16>>,
+    row_cols_pool: Vec<Vec<u32>>,
     /// Per-query substitution rows for matrix score models (inactive under
     /// fixed models); rebuilt per task, reusing the allocation.
     profile: QueryProfile,
@@ -236,7 +236,8 @@ fn run_task_geom<const B: usize>(
     // Matrix score models get their per-query substitution rows built once
     // per task (a no-op that deactivates the profile under fixed models).
     profile.prepare(&task.query, scoring);
-    // The fill (ctx) and the fold (tracker) both follow the plan's backend.
+    // The fill follows the plan's backend, and the fold follows the fill
+    // (the staging buffer carries the backend that filled it).
     let ctx = BlockCtx::with_block_dim(n, m, scoring, B)
         .with_backend(cfg.backend)
         .with_profile(Some(&*profile));
@@ -248,7 +249,6 @@ fn run_task_geom<const B: usize>(
         _ => FillMode::Scalar,
     };
     tracker.reset(n, m, scoring);
-    tracker.set_backend(cfg.backend);
     if n == 0 || m == 0 {
         return TaskRun {
             id: task.id,
@@ -364,7 +364,7 @@ fn run_task_geom<const B: usize>(
                         row_f: &mut [i32],
                         carries: &mut [RowCarry],
                         units: &mut Vec<SliceUnit>,
-                        row_cols_pool: &mut Vec<Vec<u16>>,
+                        row_cols_pool: &mut Vec<Vec<u32>>,
                         blocks_total: &mut u64|
      -> bool {
         let mut unit_blocks = 0u64;
@@ -374,7 +374,12 @@ fn run_task_geom<const B: usize>(
         for seg in rows {
             let blocks = exec_segment(*seg, tracker, cells, cells16, row_h, row_f, carries);
             unit_blocks += blocks;
-            row_cols.push(blocks as u16);
+            // A segment spans at most one block row (< 2^28 blocks under
+            // task admission), so this narrowing is checked, like the one below.
+            row_cols.push(
+                u32::try_from(blocks)
+                    .expect("blocks in one row segment exceed u32: task admission must bound n"),
+            );
         }
         *blocks_total += unit_blocks;
         let before = tracker.frontier();
@@ -571,6 +576,28 @@ mod tests {
         let (q, _) = pseudo_seq(80, 23, 9); // same seed prefix → aligned start
         check_exact(&r, &q, &s);
         check_exact(&q, &r, &s);
+    }
+
+    #[test]
+    fn cost_descriptor_counts_every_block_of_a_long_row() {
+        // In horizontal mode a row segment spans the whole band: an unbanded
+        // 1,048,592 × 8 pair is one block row of 131,074 (B = 8) or 65,537
+        // (B = 16) blocks, more than a `u16` holds. `SliceUnit` documents
+        // `blocks == Σ row_cols`, and the simulated unit is charged from
+        // `row_cols`, so it must hold in every mode.
+        let s = Scoring::new(2, 4, 4, 2, Scoring::NO_ZDROP, Scoring::NO_BAND);
+        let t = task(&"ACGTTGCA".repeat(131_074), "ACGTTGCA");
+        for cfg in all_configs() {
+            let run = run_task(&t, &s, &cfg);
+            assert!(run.blocks > u64::from(u16::MAX), "config {cfg:?}: {} blocks", run.blocks);
+            let mut total = 0;
+            for unit in &run.units {
+                let cols: u64 = unit.row_cols.iter().map(|&c| u64::from(c)).sum();
+                assert_eq!(unit.blocks, cols, "config {cfg:?}: a unit's blocks vs its row_cols");
+                total += cols;
+            }
+            assert_eq!(total, run.blocks, "config {cfg:?}: the task's blocks vs its units");
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub const MODULO_PENALTY_CYCLES: f64 = 3.0;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SliceUnit {
     /// Blocks computed per block-row of the unit, top to bottom.
-    pub row_cols: Vec<u16>,
+    pub row_cols: Vec<u32>,
     /// Total blocks (== sum of `row_cols`).
     pub blocks: u64,
     /// Anti-diagonals newly completed (and termination-checked) at this
@@ -222,7 +222,7 @@ mod tests {
         CostModel::for_spec(&GpuSpec::rtx_a6000())
     }
 
-    fn unit(rows: &[u16], diags: u32, fits: bool) -> SliceUnit {
+    fn unit(rows: &[u32], diags: u32, fits: bool) -> SliceUnit {
         SliceUnit {
             row_cols: rows.to_vec(),
             blocks: rows.iter().map(|&c| c as u64).sum(),
