@@ -24,7 +24,7 @@
 //! ## Staged tracker updates
 //!
 //! Instead of a per-cell callback into the tracker (which serialises the
-//! inner loop), [`compute_block`] writes its masked `H` values into a
+//! inner loop), [`compute_block_mode`] writes its masked `H` values into a
 //! [`BlockCellsT`] staging buffer — anti-diagonal-major, one validity
 //! bitmask per block diagonal — and the caller folds the whole block with
 //! one [`DiagTracker::on_block`] call. With the callback gone the fill
@@ -396,13 +396,10 @@ impl<'a> BlockCtx<'a> {
     }
 }
 
-/// One boundary pair (`H` plus the direction-specific gap score) spanning
-/// `BLOCK` cells of the default geometry.
-pub type Boundary = [i32; BLOCK];
-
-/// A boundary at an explicit block geometry. Boundary carries stay `i32`
-/// in every tier (converted exactly at block entry/exit), so callers thread
-/// the same state through all fills of one geometry.
+/// One boundary (`H`, or the direction-specific gap score) spanning the `B`
+/// cells of a block edge. Boundary carries stay `i32` in every tier
+/// (converted exactly at block entry/exit), so callers thread the same state
+/// through all fills of one geometry.
 pub type BoundaryT<const B: usize> = [i32; B];
 
 /// Cell-value scalar of a block staging buffer: `i32` for the full-width
@@ -519,20 +516,6 @@ impl<T: CellValue, const B: usize> Default for BlockCellsT<T, B> {
 
 /// Default-geometry i32 staging buffer (see [`BlockCellsT`]).
 pub type BlockCells = BlockCellsT<i32, BLOCK>;
-
-/// Default-geometry i16 staging buffer, written by
-/// [`crate::simd::fill_wavefront_i16`] and folded whole-block by
-/// [`crate::diag::DiagTracker::on_block_i16`]. Valid lanes plus the block's
-/// `base` are exactly the values the scalar fill computes, which is what
-/// makes the i16 tier bit-identical task-wide.
-pub type BlockCells16 = BlockCellsT<i16, BLOCK>;
-
-/// Wide-geometry (16×16) i32 staging buffer.
-pub type BlockCellsWide = BlockCellsT<i32, MAX_BLOCK>;
-
-/// Wide-geometry (16×16) i16 staging buffer — the geometry whose block
-/// anti-diagonals fill all 16 lanes of an AVX2 i16 vector.
-pub type BlockCells16Wide = BlockCellsT<i16, MAX_BLOCK>;
 
 /// Which implementation fills a block's cells. Both produce bit-identical
 /// staging buffers and boundary updates; they differ only in speed.
@@ -676,7 +659,8 @@ pub fn default_fill_mode() -> FillMode {
     FillMode::Simd
 }
 
-/// Compute one block with the default [`FillMode`].
+/// Compute one block with the `mode` fill (the i32 wavefront or the scalar
+/// reference; the sweep holds the mode its task's tier resolved to).
 ///
 /// * `rcodes`/`qcodes`: base codes for the block's reference/query spans
 ///   (N-padded past the sequence end, as [`PackedSeq::unpack_block`] yields).
@@ -686,38 +670,6 @@ pub fn default_fill_mode() -> FillMode {
 /// * Every cell's masked `H` lands in `cells`; the caller feeds the whole
 ///   block to the tracker at once via
 ///   [`crate::diag::DiagTracker::on_block`].
-#[allow(clippy::too_many_arguments)]
-pub fn compute_block<const B: usize>(
-    ctx: &BlockCtx<'_>,
-    i0: i64,
-    j0: i64,
-    rcodes: &[u8; B],
-    qcodes: &[u8; B],
-    corner: i32,
-    west_h: &mut BoundaryT<B>,
-    west_e: &mut BoundaryT<B>,
-    north_h: &mut BoundaryT<B>,
-    north_f: &mut BoundaryT<B>,
-    cells: &mut BlockCellsT<i32, B>,
-) {
-    compute_block_mode(
-        default_fill_mode(),
-        ctx,
-        i0,
-        j0,
-        rcodes,
-        qcodes,
-        corner,
-        west_h,
-        west_e,
-        north_h,
-        north_f,
-        cells,
-    );
-}
-
-/// [`compute_block`] with an explicit [`FillMode`] (benchmarks and the
-/// kernel's configuration toggle select the mode per run).
 #[allow(clippy::too_many_arguments)]
 pub fn compute_block_mode<const B: usize>(
     mode: FillMode,
@@ -745,13 +697,12 @@ pub fn compute_block_mode<const B: usize>(
     }
 }
 
-/// [`compute_block`] on the 16-bit tier: fills one block with the i16
+/// [`compute_block_mode`] on the 16-bit tier: fills one block with the i16
 /// wavefront ([`crate::simd::fill_wavefront_i16`]), staging masked `H`
-/// values into a [`BlockCells16`]-shaped buffer for
-/// [`crate::diag::DiagTracker::on_block_i16`]. Boundary carries stay
-/// absolute `i32` scores at the interface (rebased exactly at block
-/// entry/exit), so callers thread the same boundary state through every
-/// tier.
+/// values into an i16 buffer for [`crate::diag::DiagTracker::on_block_i16`].
+/// Boundary carries stay absolute `i32` scores at the interface (rebased
+/// exactly at block entry/exit), so callers thread the same boundary state
+/// through every tier.
 ///
 /// Callers must only select this tier for tasks whose
 /// [`BlockCtx::i16_exact`] gate holds *at this geometry* — that is what
@@ -903,13 +854,14 @@ pub fn corner_read(ctx: &BlockCtx<'_>, i0: i64, j0: i64, row_h: &[i32]) -> i32 {
 }
 
 /// Reference block-grid driver: computes the whole banded table block by
-/// block (query-block rows top-down, each sweeping its reference range) and
-/// returns the exact guided result. Runs at the default (8×8) geometry;
-/// [`block_grid_align_b`] takes an explicit geometry.
+/// block (query-block rows top-down, each sweeping its reference range as
+/// one segment of [`crate::sweep::Sweep`]) and returns the exact guided
+/// result. Runs at the default (8×8) geometry; [`block_grid_align_b`] takes
+/// an explicit geometry.
 ///
 /// This is the skeleton every GPU engine elaborates (with different tiling,
-/// checkpointing and cost accounting); it doubles as the validation target
-/// proving the block DP matches the scalar reference.
+/// checkpointing and cost accounting) over the same sweep; it doubles as the
+/// validation target proving the block DP matches the scalar reference.
 pub fn block_grid_align(
     reference: &PackedSeq,
     query: &PackedSeq,
@@ -918,65 +870,16 @@ pub fn block_grid_align(
     block_grid_align_b::<BLOCK>(reference, query, scoring)
 }
 
-/// [`block_grid_align`] at an explicit block geometry `B`.
+/// [`block_grid_align`] at an explicit block geometry `B`, on the default
+/// fill's full-width tier.
 pub fn block_grid_align_b<const B: usize>(
     reference: &PackedSeq,
     query: &PackedSeq,
     scoring: &Scoring,
 ) -> crate::result::GuidedResult {
     let ctx = BlockCtx::with_block_dim(reference.len(), query.len(), scoring, B);
-    let mut tracker = crate::diag::DiagTracker::new(reference.len(), query.len(), scoring);
-    if reference.is_empty() || query.is_empty() {
-        return tracker.result();
-    }
-    let b = B as i64;
-    let padded_n = (ctx.ref_blocks() * b) as usize;
-    let mut row_h = vec![NEG_INF; padded_n];
-    let mut row_f = vec![NEG_INF; padded_n];
-
-    let mut rblock = [0u8; B];
-    let mut qblock = [0u8; B];
-    let mut cells = BlockCellsT::<i32, B>::new();
-
-    'rows: for bj in 0..ctx.query_blocks() {
-        let j0 = bj * b;
-        let Some((bi_lo, bi_hi)) = ctx.row_block_range(bj) else { continue };
-        query.unpack_block(j0 as usize, &mut qblock);
-        let i_start = bi_lo * b;
-        let (mut west_h, mut west_e) = west_init::<B>(&ctx, i_start, j0);
-        let mut corner = corner_read(&ctx, i_start, j0, &row_h);
-        for bi in bi_lo..=bi_hi {
-            let i0 = bi * b;
-            reference.unpack_block(i0 as usize, &mut rblock);
-            let (mut north_h, mut north_f) = north_read::<B>(&ctx, i0, j0, &row_h, &row_f);
-            // Corner for the *next* block in this sweep, read before overwrite.
-            let next_corner = north_h[B - 1];
-            compute_block(
-                &ctx,
-                i0,
-                j0,
-                &rblock,
-                &qblock,
-                corner,
-                &mut west_h,
-                &mut west_e,
-                &mut north_h,
-                &mut north_f,
-                &mut cells,
-            );
-            tracker.on_block(&cells);
-            row_h[i0 as usize..i0 as usize + B].copy_from_slice(&north_h);
-            row_f[i0 as usize..i0 as usize + B].copy_from_slice(&north_f);
-            corner = next_corner;
-            if tracker.is_finished() {
-                break 'rows;
-            }
-        }
-        if tracker.advance().is_some() {
-            break;
-        }
-    }
-    tracker.result()
+    let tier = ctx.fill_tier(default_fill_mode(), FillPrecision::I32);
+    crate::sweep::grid_align::<B>(ctx, tier, reference, query)
 }
 
 #[cfg(test)]

@@ -21,7 +21,11 @@
 //! Every engine in the workspace — the AGAThA kernel and all GPU baselines —
 //! must produce results identical to [`guided::guided_align`]; the
 //! [`diag::DiagTracker`] in this crate is the shared mechanism that makes the
-//! termination semantics independent of tiling/execution order.
+//! termination semantics independent of tiling/execution order, and
+//! [`sweep::Sweep`] is the one block-row loop (west boundary and corner
+//! handed block to block, south boundary to the row below) that the kernel,
+//! the [`block::block_grid_align`] reference driver, the benches and the
+//! tests all drive.
 
 pub mod banded;
 pub mod base;
@@ -34,15 +38,13 @@ pub mod profile;
 pub mod result;
 pub mod scoring;
 pub mod simd;
+pub mod sweep;
 pub mod task;
 pub mod traceback;
 pub mod xdrop;
 
 pub use base::Base;
-pub use block::{
-    BlockCells, BlockCells16, BlockCells16Wide, BlockCellsT, BlockCellsWide, BlockDim, FillMode,
-    FillPrecision, FillTier,
-};
+pub use block::{BlockCells, BlockCellsT, BlockDim, FillMode, FillPrecision, FillTier};
 pub use pack::PackedSeq;
 pub use profile::QueryProfile;
 pub use result::{GuidedResult, MaxCell};

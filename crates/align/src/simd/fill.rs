@@ -6,8 +6,8 @@ use crate::block::{block_diags, BlockCellsT, BlockCtx, BoundaryT, CellValue};
 use crate::{MAX_BLOCK, MAX_BLOCK_DIAGS};
 
 /// One block's inputs and in/out state, in the
-/// [`crate::block::compute_block`] convention, bundled so dispatch hands a
-/// single value to whichever lane impl runs.
+/// [`crate::block::compute_block_mode`] convention, bundled so dispatch hands
+/// a single value to whichever lane impl runs.
 pub(crate) struct BlockIo<'a, T, const B: usize> {
     pub rcodes: &'a [u8; B],
     pub qcodes: &'a [u8; B],

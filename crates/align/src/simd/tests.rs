@@ -341,68 +341,6 @@ fn matrix_model_matches_scalar_on_random_blocks_wide() {
     matrix_blocks_sweep::<MAX_BLOCK>(0xB162, &Scoring::preset_blosum62(), 0);
 }
 
-/// One step of the block-grid protocol: compute the block at
-/// `(i0, j0)` (with whichever fill the harness is exercising) and feed
-/// the tracker. Boundary arrays follow the [`crate::block::compute_block`]
-/// in/out convention.
-type GridStep<'a, const B: usize> = &'a mut dyn FnMut(
-    &BlockCtx<'_>,
-    i64,
-    i64,
-    &[u8; B],
-    &[u8; B],
-    i32,
-    &mut BoundaryT<B>,
-    &mut BoundaryT<B>,
-    &mut BoundaryT<B>,
-    &mut BoundaryT<B>,
-    &mut crate::diag::DiagTracker,
-);
-
-/// Drive the block grid end-to-end (the one copy of the grid-driving
-/// protocol shared by every fill-tier harness), dispatching the fills as
-/// `backend`, and return the complete guided result.
-fn grid_run_with<const B: usize>(
-    backend: WavefrontBackend,
-    r: &PackedSeq,
-    q: &PackedSeq,
-    sc: &Scoring,
-    step: GridStep<'_, B>,
-) -> crate::result::GuidedResult {
-    let choice = BackendChoice::Fixed(backend);
-    let ctx = BlockCtx::with_block_dim(r.len(), q.len(), sc, B).with_backend(choice);
-    let mut tracker = DiagTracker::new(r.len(), q.len(), sc);
-    let b = B as i64;
-    let padded_n = (ctx.ref_blocks() * b) as usize;
-    let mut row_h = vec![NEG_INF; padded_n];
-    let mut row_f = vec![NEG_INF; padded_n];
-    let (mut rb, mut qb) = ([0u8; B], [0u8; B]);
-    'rows: for bj in 0..ctx.query_blocks() {
-        let j0 = bj * b;
-        let Some((lo, hi)) = ctx.row_block_range(bj) else { continue };
-        q.unpack_block(j0 as usize, &mut qb);
-        let (mut wh, mut we) = crate::block::west_init::<B>(&ctx, lo * b, j0);
-        let mut corner = crate::block::corner_read(&ctx, lo * b, j0, &row_h);
-        for bi in lo..=hi {
-            let i0 = bi * b;
-            r.unpack_block(i0 as usize, &mut rb);
-            let (mut nh, mut nf) = crate::block::north_read::<B>(&ctx, i0, j0, &row_h, &row_f);
-            let next_corner = nh[B - 1];
-            step(&ctx, i0, j0, &rb, &qb, corner, &mut wh, &mut we, &mut nh, &mut nf, &mut tracker);
-            row_h[i0 as usize..i0 as usize + B].copy_from_slice(&nh);
-            row_f[i0 as usize..i0 as usize + B].copy_from_slice(&nf);
-            corner = next_corner;
-            if tracker.is_finished() {
-                break 'rows;
-            }
-        }
-        if tracker.advance().is_some() {
-            break;
-        }
-    }
-    tracker.result()
-}
-
 /// [`grid_run_on`] with the detected backend.
 fn grid_run<const B: usize>(
     r: &PackedSeq,
@@ -413,7 +351,8 @@ fn grid_run<const B: usize>(
     grid_run_on::<B>(detected_backend(), r, q, sc, mode)
 }
 
-/// [`grid_run_with`] using an explicit [`crate::block::FillMode`].
+/// The whole block grid through the shared sweep ([`crate::sweep::grid_align`])
+/// on the full-width tier of `mode`, fills dispatched as `backend`.
 fn grid_run_on<const B: usize>(
     backend: WavefrontBackend,
     r: &PackedSeq,
@@ -421,24 +360,13 @@ fn grid_run_on<const B: usize>(
     sc: &Scoring,
     mode: crate::block::FillMode,
 ) -> crate::result::GuidedResult {
-    let mut cells = BlockCellsT::<i32, B>::new();
-    grid_run_with::<B>(
-        backend,
-        r,
-        q,
-        sc,
-        &mut |ctx, i0, j0, rb, qb, corner, wh, we, nh, nf, tracker| {
-            crate::block::compute_block_mode(
-                mode, ctx, i0, j0, rb, qb, corner, wh, we, nh, nf, &mut cells,
-            );
-            tracker.on_block(&cells);
-        },
-    )
+    let ctx = BlockCtx::with_block_dim(r.len(), q.len(), sc, B)
+        .with_backend(BackendChoice::Fixed(backend));
+    let tier = ctx.fill_tier(mode, crate::block::FillPrecision::I32);
+    crate::sweep::grid_align::<B>(ctx, tier, r, q)
 }
 
-/// [`grid_run_with`] on the 16-bit tier:
-/// [`crate::block::compute_block_i16`] staging into a 16-bit buffer,
-/// folded by `on_block_i16`.
+/// [`grid_run`] on the 16-bit tier.
 fn grid_run_i16<const B: usize>(
     r: &PackedSeq,
     q: &PackedSeq,
@@ -454,28 +382,15 @@ fn grid_run_i16_on<const B: usize>(
     q: &PackedSeq,
     sc: &Scoring,
 ) -> crate::result::GuidedResult {
-    assert!(
-        BlockCtx::with_block_dim(r.len(), q.len(), sc, B).i16_exact,
-        "grid_run_i16 callers must pick gate-admitted tasks"
-    );
-    let mut cells = BlockCellsT::<i16, B>::new();
-    grid_run_with::<B>(
-        backend,
-        r,
-        q,
-        sc,
-        &mut |ctx, i0, j0, rb, qb, corner, wh, we, nh, nf, tracker| {
-            crate::block::compute_block_i16(
-                ctx, i0, j0, rb, qb, corner, wh, we, nh, nf, &mut cells,
-            );
-            tracker.on_block_i16(&cells);
-        },
-    )
+    let ctx = BlockCtx::with_block_dim(r.len(), q.len(), sc, B)
+        .with_backend(BackendChoice::Fixed(backend));
+    assert!(ctx.i16_exact, "grid_run_i16 callers must pick gate-admitted tasks");
+    crate::sweep::grid_align::<B>(ctx, crate::block::FillTier::I16, r, q)
 }
 
 #[test]
 fn wavefront_matches_scalar_via_block_grid() {
-    // End-to-end: drive block_grid_align manually with each fill tier
+    // End-to-end: run the block grid (the shared sweep) on each fill tier
     // at each geometry and compare complete guided results.
     use crate::block::FillMode;
     use crate::guided::guided_align;

@@ -1,0 +1,391 @@
+//! The block-row sweep: the boundary-passing protocol of the block grid
+//! (§2.2), written once.
+//!
+//! A *segment* is a run of consecutive blocks `bi_from..=bi_to` of one
+//! query-block row `bj`, executed west to east: each block takes its west
+//! boundary and corner from the block before it and its north boundary from
+//! the rows stored by the block row above, and leaves its own south boundary
+//! in those rows for the row below. A row may be swept in one segment (the
+//! reference driver, the kernel's horizontal chunks) or cut into several at
+//! any block (the §4.2 slices); what survives between two segments of a row —
+//! the west `H`/`E`, the corner, and whether the row has started — is its
+//! [`RowCarry`], so a sweep is resumable at every block.
+//!
+//! [`Sweep::segment`] is the one copy of that loop. The AGAThA kernel
+//! (`agatha_core::kernel`) schedules segments over it,
+//! [`crate::block::block_grid_align_b`] is [`grid_align`] — each row as one
+//! segment — over it, and the benches and tests drive it rather than the
+//! per-block functions it calls.
+
+use crate::block::{
+    compute_block_i16, compute_block_mode, corner_read, north_read, west_init, BlockCellsT,
+    BlockCtx, FillMode, FillTier,
+};
+use crate::diag::DiagTracker;
+use crate::pack::PackedSeq;
+use crate::result::{GuidedResult, StopReason};
+use crate::{MAX_BLOCK, NEG_INF};
+
+/// What one block row hands from a segment to the next: the west boundary
+/// and the corner its next block reads. Storage is sized for the widest
+/// geometry so one carry vector serves both block sides (a sweep reborrows
+/// the first `B` lanes as `[i32; B]`, no copies).
+#[derive(Debug, Clone)]
+pub struct RowCarry {
+    west_h: [i32; MAX_BLOCK],
+    west_e: [i32; MAX_BLOCK],
+    corner: i32,
+    started: bool,
+}
+
+impl RowCarry {
+    /// The carry of a row no segment has touched yet: its first segment
+    /// reads the west boundary and the corner from the table edge or the
+    /// band edge.
+    pub fn fresh() -> RowCarry {
+        RowCarry {
+            west_h: [NEG_INF; MAX_BLOCK],
+            west_e: [NEG_INF; MAX_BLOCK],
+            corner: NEG_INF,
+            started: false,
+        }
+    }
+}
+
+/// The south boundary (`H`, `F`) of the block rows swept so far, one slot
+/// per reference position padded to whole blocks: what a block reads as its
+/// north boundary and overwrites with its own south boundary. Grow-only and
+/// geometry-agnostic, so callers keep one across tasks; [`Sweep::new`]
+/// resizes and clears it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NorthRows {
+    h: Vec<i32>,
+    f: Vec<i32>,
+}
+
+impl NorthRows {
+    /// Capacity currently held, in cells per row (steady-state reuse must
+    /// stop growing it).
+    pub fn capacity(&self) -> usize {
+        self.h.capacity()
+    }
+}
+
+/// The staging buffer of the task's fill tier — one per sweep, whichever
+/// tier was resolved.
+#[derive(Debug)]
+enum Staging<const B: usize> {
+    /// [`FillTier::I16`]: filled by [`compute_block_i16`].
+    I16(BlockCellsT<i16, B>),
+    /// [`FillTier::I32`] and [`FillTier::Scalar`]: filled by
+    /// [`compute_block_mode`] in the held mode.
+    I32(FillMode, BlockCellsT<i32, B>),
+}
+
+/// One task's block grid, open for sweeping at geometry `B`.
+#[derive(Debug)]
+pub struct Sweep<'a, const B: usize> {
+    ctx: BlockCtx<'a>,
+    reference: &'a PackedSeq,
+    query: &'a PackedSeq,
+    rows: &'a mut NorthRows,
+    tracker: Option<&'a mut DiagTracker>,
+    staging: Staging<B>,
+}
+
+impl<'a, const B: usize> Sweep<'a, B> {
+    /// Open the grid of `reference × query`: `ctx` is the task's context with
+    /// backend and profile already applied, `tier` the fill tier resolved for
+    /// it ([`BlockCtx::fill_tier`]), `tracker` a tracker already reset for
+    /// the task — or `None` to fill only (what a fold-by-difference timing
+    /// needs; the boundaries left in `rows` are the same either way).
+    pub fn new(
+        ctx: BlockCtx<'a>,
+        tier: FillTier,
+        reference: &'a PackedSeq,
+        query: &'a PackedSeq,
+        rows: &'a mut NorthRows,
+        tracker: Option<&'a mut DiagTracker>,
+    ) -> Sweep<'a, B> {
+        assert_eq!(ctx.b, B as i64, "ctx geometry must match the sweep geometry");
+        let dims = (reference.len() as i64, query.len() as i64);
+        assert_eq!((ctx.n, ctx.m), dims, "ctx dimensions must be the sequences' lengths");
+        let padded_n = ctx.ref_blocks() as usize * B;
+        for row in [&mut rows.h, &mut rows.f] {
+            row.clear();
+            row.resize(padded_n, NEG_INF);
+        }
+        let staging = match tier {
+            FillTier::I16 => Staging::I16(BlockCellsT::new()),
+            FillTier::I32 => Staging::I32(FillMode::Simd, BlockCellsT::new()),
+            FillTier::Scalar => Staging::I32(FillMode::Scalar, BlockCellsT::new()),
+        };
+        Sweep { ctx, reference, query, rows, tracker, staging }
+    }
+
+    /// Execute blocks `bi_from..=bi_to` of query-block row `bj`, resuming
+    /// from `carry` (and leaving it ready for the row's next segment): stage
+    /// each block's cells, fold them into the tracker, store its south
+    /// boundary. Returns the blocks executed.
+    pub fn segment(&mut self, carry: &mut RowCarry, bj: i64, bi_from: i64, bi_to: i64) -> u64 {
+        let ctx = &self.ctx;
+        let b = B as i64;
+        let j0 = bj * b;
+        let NorthRows { h: row_h, f: row_f } = &mut *self.rows;
+        let (mut rblock, mut qblock) = ([0u8; B], [0u8; B]);
+        self.query.unpack_block(j0 as usize, &mut qblock);
+        if !carry.started {
+            let (wh, we) = west_init::<B>(ctx, bi_from * b, j0);
+            carry.west_h[..B].copy_from_slice(&wh);
+            carry.west_e[..B].copy_from_slice(&we);
+            carry.corner = corner_read(ctx, bi_from * b, j0, row_h);
+            carry.started = true;
+        }
+        let lanes = "a carry holds the widest geometry's lanes";
+        let west_h: &mut [i32; B] = (&mut carry.west_h[..B]).try_into().expect(lanes);
+        let west_e: &mut [i32; B] = (&mut carry.west_e[..B]).try_into().expect(lanes);
+        let mut blocks = 0u64;
+        for bi in bi_from..=bi_to {
+            let i0 = bi * b;
+            self.reference.unpack_block(i0 as usize, &mut rblock);
+            let (mut nh, mut nf) = north_read::<B>(ctx, i0, j0, row_h, row_f);
+            // The corner of the *next* block, read before the fill turns the
+            // north boundary into this block's south boundary.
+            let next_corner = nh[B - 1];
+            match &mut self.staging {
+                Staging::I16(cells) => {
+                    compute_block_i16(
+                        ctx,
+                        i0,
+                        j0,
+                        &rblock,
+                        &qblock,
+                        carry.corner,
+                        west_h,
+                        west_e,
+                        &mut nh,
+                        &mut nf,
+                        cells,
+                    );
+                    if let Some(tracker) = self.tracker.as_deref_mut() {
+                        tracker.on_block_i16(cells);
+                    }
+                }
+                Staging::I32(mode, cells) => {
+                    compute_block_mode(
+                        *mode,
+                        ctx,
+                        i0,
+                        j0,
+                        &rblock,
+                        &qblock,
+                        carry.corner,
+                        west_h,
+                        west_e,
+                        &mut nh,
+                        &mut nf,
+                        cells,
+                    );
+                    if let Some(tracker) = self.tracker.as_deref_mut() {
+                        tracker.on_block(cells);
+                    }
+                }
+            }
+            row_h[i0 as usize..i0 as usize + B].copy_from_slice(&nh);
+            row_f[i0 as usize..i0 as usize + B].copy_from_slice(&nf);
+            carry.corner = next_corner;
+            blocks += 1;
+        }
+        blocks
+    }
+
+    /// [`DiagTracker::advance`] over the segments fed so far. A fill-only
+    /// sweep never stops.
+    pub fn advance(&mut self) -> Option<StopReason> {
+        self.tracker.as_deref_mut().and_then(DiagTracker::advance)
+    }
+
+    /// [`DiagTracker::frontier`] (0 for a fill-only sweep).
+    pub fn frontier(&self) -> usize {
+        self.tracker.as_deref().map_or(0, DiagTracker::frontier)
+    }
+}
+
+/// The reference schedule: every block row as one segment with a fresh
+/// carry, top-down, [`Sweep::advance`] after each. `ctx` and `tier` are as
+/// for [`Sweep::new`].
+pub fn grid_align<const B: usize>(
+    ctx: BlockCtx<'_>,
+    tier: FillTier,
+    reference: &PackedSeq,
+    query: &PackedSeq,
+) -> GuidedResult {
+    let mut tracker = DiagTracker::new(reference.len(), query.len(), ctx.scoring);
+    let mut rows = NorthRows::default();
+    let mut sweep = Sweep::<B>::new(ctx, tier, reference, query, &mut rows, Some(&mut tracker));
+    for bj in 0..ctx.query_blocks() {
+        let Some((lo, hi)) = ctx.row_block_range(bj) else { continue };
+        sweep.segment(&mut RowCarry::fresh(), bj, lo, hi);
+        if sweep.advance().is_some() {
+            break;
+        }
+    }
+    tracker.result()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::guided::guided_align;
+    use crate::profile::QueryProfile;
+    use crate::scoring::{Scoring, BLOSUM62};
+    use crate::BLOCK;
+
+    /// Sweep the grid with the table cut into slices of block anti-diagonals,
+    /// `width` giving each slice's width in turn: every row's segment of the
+    /// slice, resumed from the row's carry, then `advance`. Returns the north
+    /// rows left behind.
+    fn sliced<const B: usize>(
+        ctx: BlockCtx<'_>,
+        tier: FillTier,
+        (r, q): (&PackedSeq, &PackedSeq),
+        tracker: Option<&mut DiagTracker>,
+        mut width: impl FnMut() -> i64,
+    ) -> NorthRows {
+        let mut rows = NorthRows::default();
+        let mut sweep = Sweep::<B>::new(ctx, tier, r, q, &mut rows, tracker);
+        let mut carries = vec![RowCarry::fresh(); ctx.query_blocks() as usize];
+        let mut d_lo = 0;
+        while d_lo < ctx.ref_blocks() + ctx.query_blocks() - 1 {
+            let d_hi = d_lo + width() - 1;
+            for bj in 0..ctx.query_blocks() {
+                let Some((lo, hi)) = ctx.row_block_range(bj) else { continue };
+                let (from, to) = ((d_lo - bj).max(lo), (d_hi - bj).min(hi));
+                if from <= to {
+                    let blocks = sweep.segment(&mut carries[bj as usize], bj, from, to);
+                    assert_eq!(blocks, (to - from + 1) as u64);
+                }
+            }
+            if sweep.advance().is_some() {
+                break;
+            }
+            d_lo = d_hi + 1;
+        }
+        rows
+    }
+
+    /// The resumability contract on one task at geometry `B`, on every tier
+    /// the gates admit: slices of random widths, one segment per row and the
+    /// scalar reference agree, and folding changes nothing the fill leaves.
+    /// Returns why the task stopped.
+    fn check_resumable<const B: usize>(
+        ctx: BlockCtx<'_>,
+        pair: (&PackedSeq, &PackedSeq),
+        next: &mut impl FnMut() -> u64,
+    ) -> StopReason {
+        let (r, q) = pair;
+        let what = format!("{}×{} B={B} w={}", r.len(), q.len(), ctx.w);
+        let want = guided_align(r, q, ctx.scoring);
+        let any_width = ctx.ref_blocks() + ctx.query_blocks();
+        let tiers = [
+            (FillTier::Scalar, true),
+            (FillTier::I32, ctx.simd_exact),
+            (FillTier::I16, ctx.i16_exact),
+        ];
+        for (tier, _) in tiers.into_iter().filter(|&(_, admitted)| admitted) {
+            let what = format!("{what} {}", tier.name());
+            let per_row = grid_align::<B>(ctx, tier, r, q);
+            assert!(per_row.same_alignment(&want), "{what}: {per_row:?} vs {want:?}");
+            assert_eq!(per_row.cells, want.cells, "{what}");
+
+            let mut random_width = || 1 + (next() % any_width as u64) as i64;
+            let mut tracker = DiagTracker::new(r.len(), q.len(), ctx.scoring);
+            let folded = sliced::<B>(ctx, tier, pair, Some(&mut tracker), &mut random_width);
+            let got = tracker.result();
+            assert_eq!(got, per_row, "{what}: random slices vs one segment per row");
+
+            let whole_rows = sliced::<B>(ctx, tier, pair, None, || any_width);
+            let filled = sliced::<B>(ctx, tier, pair, None, &mut random_width);
+            assert_eq!(filled, whole_rows, "{what}: fill-only north rows, sliced vs whole rows");
+            if got.stop == StopReason::Completed {
+                assert_eq!(folded, whole_rows, "{what}: north rows with and without the fold");
+            }
+        }
+        want.stop
+    }
+
+    #[test]
+    fn a_sweep_is_resumable_at_any_block() {
+        let mut x = 0x5EE9_u64;
+        let mut next = move || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x >> 33
+        };
+        let (cases, max_len) = if cfg!(miri) { (1, 40) } else { (8, 120) };
+        let bands: &[i32] = if cfg!(miri) {
+            &[1, 16, Scoring::NO_BAND]
+        } else {
+            &[0, 1, 15, 16, 17, Scoring::NO_BAND]
+        };
+        let (mut z_dropped, mut completed) = (0, 0);
+        for case in 0..cases {
+            // A mutated copy up to `shared`, then tails over disjoint
+            // alphabets (every cell a mismatch): the alignment extends, then
+            // — under a z-drop threshold — terminates mid-table. Lengths are
+            // near each other on most cases so narrow bands reach the end.
+            let n = 1 + (next() % max_len) as usize;
+            let m = match next() % 4 {
+                0 => 1 + (next() % max_len) as usize,
+                _ => (n + (next() % 17) as usize).saturating_sub(8).max(1),
+            };
+            let shared = n.min(m) * (next() % 4) as usize / 3;
+            let rcodes: Vec<u8> = (0..n).map(|_| (next() % 4) as u8).collect();
+            let qcodes: Vec<u8> = (0..m)
+                .map(|k| match k < shared {
+                    true if next() % 9 != 0 => rcodes[k],
+                    true => (next() % 4) as u8,
+                    false => 2 + (next() % 2) as u8,
+                })
+                .collect();
+            let rcodes: Vec<u8> = rcodes
+                .iter()
+                .enumerate()
+                .map(|(k, &c)| if k < shared { c } else { c % 2 })
+                .collect();
+            let dna = (PackedSeq::from_codes(&rcodes), PackedSeq::from_codes(&qcodes));
+            // The same streams spread over the residue alphabet.
+            let spread = |codes: &[u8]| -> Vec<u8> {
+                codes.iter().enumerate().map(|(k, &c)| c * 5 + (k % 5) as u8).collect()
+            };
+            let protein = (
+                PackedSeq::from_protein_codes(&spread(&rcodes), &BLOSUM62),
+                PackedSeq::from_protein_codes(&spread(&qcodes), &BLOSUM62),
+            );
+            let zdrop = if case % 2 == 0 { 20 } else { Scoring::NO_ZDROP };
+            let mut profile = QueryProfile::new();
+            for &w in bands {
+                let fixed = Scoring::new(2, 4, 4, 2, zdrop, w);
+                let matrix = Scoring::preset_blosum62().with_zdrop(zdrop).with_band(w);
+                profile.prepare(&protein.1, &matrix);
+                for (sc, (r, q), profile) in [
+                    (&fixed, &dna, None),
+                    (&matrix, &protein, None),
+                    (&matrix, &protein, Some(&profile)),
+                ] {
+                    let ctx = |b| BlockCtx::with_block_dim(n, m, sc, b).with_profile(profile);
+                    let stop = check_resumable::<BLOCK>(ctx(BLOCK), (r, q), &mut next);
+                    assert_eq!(
+                        check_resumable::<MAX_BLOCK>(ctx(MAX_BLOCK), (r, q), &mut next),
+                        stop
+                    );
+                    z_dropped += u32::from(stop.z_dropped());
+                    completed += u32::from(stop == StopReason::Completed);
+                }
+            }
+        }
+        assert!(
+            cfg!(miri) || (z_dropped > 10 && completed > 10),
+            "the tasks stopped exercising termination: {z_dropped} z-drops, {completed} completions"
+        );
+    }
+}

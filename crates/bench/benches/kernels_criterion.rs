@@ -8,13 +8,12 @@ use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use agatha_align::block::{
-    block_grid_align, compute_block_i16, corner_read, north_read, west_init, BlockCellsT, BlockCtx,
-};
+use agatha_align::block::{block_grid_align, BlockCtx, FillTier};
 use agatha_align::diag::DiagTracker;
 use agatha_align::guided::guided_align;
 use agatha_align::simd::{supported_backends, BackendChoice, WavefrontBackend};
-use agatha_align::{PackedSeq, Scoring, Task, BLOCK, MAX_BLOCK, NEG_INF};
+use agatha_align::sweep::{NorthRows, RowCarry, Sweep};
+use agatha_align::{PackedSeq, Scoring, Task, BLOCK, MAX_BLOCK};
 use agatha_core::{
     kernel::{run_task, run_task_ws, KernelWorkspace},
     AgathaConfig,
@@ -99,83 +98,53 @@ fn bench_workspace_reuse(c: &mut Criterion) {
     g.finish();
 }
 
-/// One pass over `task`'s block grid on the i16 tier at geometry `B`, fills
-/// capped at `backend` (the `block_grid_align_b` protocol): fill + fold until
-/// the tracker decides when one is given, the fill alone for `stop_after`
-/// blocks otherwise. Returns the blocks filled.
-fn grid_pass<const B: usize>(
-    task: &Task,
-    s: &Scoring,
-    backend: WavefrontBackend,
-    mut tracker: Option<&mut DiagTracker>,
-    stop_after: u64,
-) -> u64 {
-    let (n, m) = (task.ref_len(), task.query_len());
-    let ctx = BlockCtx::with_block_dim(n, m, s, B).with_backend(BackendChoice::Fixed(backend));
-    if let Some(t) = tracker.as_deref_mut() {
-        t.reset(n, m, s);
-    }
-    let b = B as i64;
-    let mut row_h = vec![NEG_INF; (ctx.ref_blocks() * b) as usize];
-    let mut row_f = row_h.clone();
-    let (mut rblock, mut qblock) = ([0u8; B], [0u8; B]);
-    let mut cells = BlockCellsT::<i16, B>::new();
-    let mut blocks = 0;
-    'rows: for bj in 0..ctx.query_blocks() {
-        let j0 = bj * b;
-        let Some((lo, hi)) = ctx.row_block_range(bj) else { continue };
-        task.query.unpack_block(j0 as usize, &mut qblock);
-        let (mut wh, mut we) = west_init::<B>(&ctx, lo * b, j0);
-        let mut corner = corner_read(&ctx, lo * b, j0, &row_h);
-        for bi in lo..=hi {
-            let i0 = bi * b;
-            task.reference.unpack_block(i0 as usize, &mut rblock);
-            let (mut nh, mut nf) = north_read::<B>(&ctx, i0, j0, &row_h, &row_f);
-            let next_corner = nh[B - 1];
-            compute_block_i16(
-                &ctx, i0, j0, &rblock, &qblock, corner, &mut wh, &mut we, &mut nh, &mut nf,
-                &mut cells,
-            );
-            if let Some(t) = tracker.as_deref_mut() {
-                t.on_block_i16(&cells);
-            }
-            row_h[i0 as usize..i0 as usize + B].copy_from_slice(&nh);
-            row_f[i0 as usize..i0 as usize + B].copy_from_slice(&nf);
-            corner = next_corner;
-            blocks += 1;
-            if blocks == stop_after || tracker.as_deref().is_some_and(DiagTracker::is_finished) {
-                break 'rows;
-            }
-        }
-        if tracker.as_deref_mut().is_some_and(|t| t.advance().is_some()) {
-            break;
-        }
-    }
-    // Keep the fill observable when nothing folds it.
-    black_box((&row_h, &cells));
-    blocks
-}
-
 /// Time of the tracker fold alone, one iteration being one block: a
-/// fill + fold pass minus a fill-only replay of the same block count (a clock
-/// around each ~50 ns fold would cost as much as the fold). The two kinds of
-/// pass alternate and each is represented by its median, so that a
-/// preemption or a clock-state flip lands in neither.
+/// fill + fold pass over `task`'s block grid (the shared [`Sweep`] on the i16
+/// tier at geometry `B`, fills capped at `backend`, each row one segment,
+/// until the tracker decides) minus a fill-only replay of the same block
+/// count (a clock around each ~50 ns fold would cost as much as the fold).
+/// The two kinds of pass alternate and each is represented by its median, so
+/// that a preemption or a clock-state flip lands in neither.
 fn fold_only<const B: usize>(
     task: &Task,
     s: &Scoring,
     backend: WavefrontBackend,
     iters: u64,
 ) -> Duration {
+    let (n, m) = (task.ref_len(), task.query_len());
+    let ctx = BlockCtx::with_block_dim(n, m, s, B).with_backend(BackendChoice::Fixed(backend));
     let mut tracker = DiagTracker::new(0, 0, s);
-    let blocks = grid_pass::<B>(task, s, backend, Some(&mut tracker), u64::MAX);
+    let mut rows = NorthRows::default();
+    // Blocks filled by one pass: fill + fold until the tracker decides, or —
+    // given the block count such a pass reported — the fill alone up to the
+    // row that reaches it (a fold pass ends on a row boundary).
+    let mut pass = |fill_only: Option<u64>| {
+        let tracker = fill_only.is_none().then(|| {
+            tracker.reset(n, m, s);
+            &mut tracker
+        });
+        let mut sweep =
+            Sweep::<B>::new(ctx, FillTier::I16, &task.reference, &task.query, &mut rows, tracker);
+        let mut blocks = 0;
+        for bj in 0..ctx.query_blocks() {
+            let Some((lo, hi)) = ctx.row_block_range(bj) else { continue };
+            blocks += sweep.segment(&mut RowCarry::fresh(), bj, lo, hi);
+            if fill_only.is_some_and(|stop| blocks >= stop) || sweep.advance().is_some() {
+                break;
+            }
+        }
+        // Keep the fill observable when nothing folds it.
+        black_box(&sweep);
+        blocks
+    };
+    let blocks = pass(None);
     let passes = iters.div_ceil(blocks) as usize;
     let (mut with_fold, mut fill_only) = (Vec::with_capacity(passes), Vec::with_capacity(passes));
     for _ in 0..passes {
         let t0 = Instant::now();
-        black_box(grid_pass::<B>(task, s, backend, Some(&mut tracker), u64::MAX));
+        black_box(pass(None));
         let t1 = Instant::now();
-        black_box(grid_pass::<B>(task, s, backend, None, blocks));
+        black_box(pass(Some(blocks)));
         with_fold.push(t1 - t0);
         fill_only.push(t1.elapsed());
     }

@@ -107,7 +107,8 @@ common options:
                   generates the scenario's workload
   --engine NAME   agatha (default) or a baseline (see `agatha engines`)
   --gpus N        simulate N GPUs (agatha engine only, default 1)
-  --threads N     host worker threads (default: all cores)
+  --threads N     host worker threads (agatha engine only, default: all
+                  cores)
   --chunk N       streaming chunk size in tasks (align + agatha engine
                   only, default 4096, must be at least 1)
   --prefetch N    streaming prefetch depth (align/serve + agatha engine
@@ -135,7 +136,7 @@ common options:
                   lacks clamps down to the detected one; results are
                   bit-identical across backends
   --verbose       print per-task fill-precision tier, geometry and
-                  backend counts (align and demo only)
+                  backend counts (align and demo + agatha engine only)
   -o DIR          output directory (default ./output)
   --tech T        demo technology: hifi | clr | ont (default clr)
   --reads N       demo task count (default 160)
@@ -278,12 +279,8 @@ struct HostOpts {
     /// Streaming prefetch depth: chunks the reader thread may parse ahead
     /// of kernel execution; 0 parses inline.
     prefetch: usize,
-    /// Whether an explicit `--prefetch` was given (baselines reject it).
-    prefetch_explicit: bool,
     /// Cross-chunk carry-over warp packing for the streaming path.
     carry: bool,
-    /// Whether an explicit `--carryover` was given (baselines reject it).
-    carry_explicit: bool,
     verbose: bool,
 }
 
@@ -341,9 +338,7 @@ fn host_opts(args: &Args) -> Result<HostOpts, String> {
         block,
         backend,
         prefetch,
-        prefetch_explicit: args.has("prefetch"),
         carry,
-        carry_explicit: args.has("carryover"),
         verbose: args.has("verbose"),
     })
 }
@@ -435,46 +430,29 @@ fn agatha_pipeline(scoring: &Scoring, opts: &HostOpts) -> Pipeline {
 }
 
 /// Reject agatha-only flags for engines that would silently ignore them:
-/// the baselines model fixed published hardware setups (and reference
-/// host fills), so pretending `--gpus`/`--precision` took effect would
-/// misreport what was simulated.
-fn check_baseline_gpus(engine: &str, opts: &HostOpts) -> Result<(), String> {
-    if opts.gpus > 1 {
-        return Err(format!(
-            "--gpus {} is only supported by the agatha engine; baseline '{engine}' models \
-             a fixed device setup (drop --gpus or use --engine agatha)",
-            opts.gpus
-        ));
-    }
-    if opts.precision.is_some() {
-        return Err(format!(
-            "--precision is only supported by the agatha engine; baseline '{engine}' runs \
-             its reference fill (drop --precision or use --engine agatha)"
-        ));
-    }
-    if opts.block.is_some() {
-        return Err(format!(
-            "--block is only supported by the agatha engine; baseline '{engine}' runs \
-             its reference block geometry (drop --block or use --engine agatha)"
-        ));
-    }
-    if opts.backend.is_some() {
-        return Err(format!(
-            "--backend is only supported by the agatha engine; baseline '{engine}' runs \
-             its reference fill (drop --backend or use --engine agatha)"
-        ));
-    }
-    if opts.prefetch_explicit {
-        return Err(format!(
-            "--prefetch is only supported by the agatha engine; baseline '{engine}' runs \
-             whole-batch (drop --prefetch or use --engine agatha)"
-        ));
-    }
-    if opts.carry_explicit {
-        return Err(format!(
-            "--carryover is only supported by the agatha engine; baseline '{engine}' runs \
-             whole-batch (drop --carryover or use --engine agatha)"
-        ));
+/// the baselines model fixed published hardware setups and run whole-batch
+/// reference schedules on one thread, so pretending `--gpus`, `--precision`
+/// or `--threads` took effect would misreport what was simulated.
+/// (`--gpus 1` is every baseline's own setup and passes.)
+fn check_baseline_flags(engine: &str, args: &Args, opts: &HostOpts) -> Result<(), String> {
+    let agatha_only = [
+        ("gpus", opts.gpus > 1, "models a fixed device setup"),
+        ("precision", args.has("precision"), "runs its reference fill"),
+        ("block", args.has("block"), "runs its reference block geometry"),
+        ("backend", args.has("backend"), "runs its reference fill"),
+        ("prefetch", args.has("prefetch"), "runs whole-batch"),
+        ("carryover", args.has("carryover"), "runs whole-batch"),
+        ("chunk", args.has("chunk"), "runs whole-batch"),
+        ("threads", args.has("threads"), "runs on one host thread"),
+        ("verbose", args.has("verbose"), "has no fill plan to report"),
+    ];
+    for (flag, given, reason) in agatha_only {
+        if given {
+            return Err(format!(
+                "--{flag} is only supported by the agatha engine; baseline '{engine}' {reason} \
+                 (drop --{flag} or use --engine agatha)"
+            ));
+        }
     }
     Ok(())
 }
@@ -483,6 +461,7 @@ fn run_engine(
     engine: &str,
     tasks: &[Task],
     scoring: &Scoring,
+    args: &Args,
     opts: &HostOpts,
 ) -> Result<(String, Vec<i32>, f64), String> {
     if engine.eq_ignore_ascii_case("agatha") {
@@ -502,7 +481,7 @@ fn run_engine(
         "logan" => Baseline::Logan,
         other => return Err(format!("unknown engine '{other}' (try `agatha engines`)")),
     };
-    check_baseline_gpus(engine, opts)?;
+    check_baseline_flags(engine, args, opts)?;
     let rep = run_baseline(which, tasks, scoring, &GpuSpec::rtx_a6000());
     Ok((rep.name, rep.scores, rep.elapsed_ms))
 }
@@ -587,7 +566,7 @@ fn cmd_align(args: &Args) -> Result<(), String> {
     } else {
         // Baselines execute whole-batch reference schedules; collect.
         let tasks: Vec<Task> = pairs.collect::<Result<_, _>>()?;
-        let (name, scores, ms) = run_engine(engine, &tasks, &scoring, &opts)?;
+        let (name, scores, ms) = run_engine(engine, &tasks, &scoring, args, &opts)?;
         (name, scores, ms, tasks.len())
     };
 
@@ -634,7 +613,7 @@ fn cmd_demo(args: &Args) -> Result<(), String> {
     };
     let engine = args.get("engine").filter(|s| !s.is_empty()).unwrap_or("agatha");
     let opts = host_opts(args)?;
-    let (name, scores, ms) = run_engine(engine, &tasks, &scoring, &opts)?;
+    let (name, scores, ms) = run_engine(engine, &tasks, &scoring, args, &opts)?;
     if opts.verbose && engine.eq_ignore_ascii_case("agatha") {
         let config = agatha_config(&opts);
         let mut tiers = TierStats::default();

@@ -324,16 +324,23 @@ fn prefetch_and_carryover_bogus_values_are_usage_errors() {
 
 #[test]
 fn prefetch_and_carryover_rejected_for_baseline_engines() {
-    // `align` is the one subcommand that reads the two flags (`demo` rejects
-    // them outright, see `unknown_flags_are_usage_errors`).
+    // `align` is the one subcommand that reads the streaming flags (`demo`
+    // rejects them outright, see `unknown_flags_are_usage_errors`); the host
+    // flags `demo` does read are refused for a baseline there too.
     let dir = std::env::temp_dir().join(format!("agatha_cli_pfbase_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let refs = dir.join("ref.fasta");
     let queries = dir.join("query.fasta");
     std::fs::write(&refs, ">1\nACGT\n").unwrap();
     std::fs::write(&queries, ">1\nACGT\n").unwrap();
-    for flag in [&["--prefetch", "2"][..], &["--carryover", "on"][..]] {
-        let out = agatha()
+    for (flag, demo_reads_it) in [
+        (&["--prefetch", "2"][..], false),
+        (&["--carryover", "on"][..], false),
+        (&["--chunk", "8"][..], false),
+        (&["--threads", "1"][..], true),
+        (&["--verbose"][..], true),
+    ] {
+        let align = agatha()
             .args(["align", "--engine", "saloba"])
             .args(flag)
             .args(["-o", dir.join("out").to_str().unwrap()])
@@ -341,9 +348,18 @@ fn prefetch_and_carryover_rejected_for_baseline_engines() {
             .arg(queries.to_str().unwrap())
             .output()
             .unwrap();
-        assert!(!out.status.success(), "{flag:?} must not be silently ignored by baselines");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("agatha engine"), "{flag:?}: stderr: {err}");
+        let demo = demo_reads_it.then(|| {
+            agatha()
+                .args(["demo", "--reads", "4", "--engine", "saloba"])
+                .args(flag)
+                .output()
+                .unwrap()
+        });
+        for out in std::iter::once(align).chain(demo) {
+            assert!(!out.status.success(), "{flag:?} must not be silently ignored by baselines");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("agatha engine"), "{flag:?}: stderr: {err}");
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

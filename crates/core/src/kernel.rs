@@ -8,12 +8,10 @@
 //! verified against the scalar reference in this module's tests and by
 //! property tests at the workspace level.
 
-use agatha_align::block::{
-    compute_block_i16, compute_block_mode, corner_read, north_read, west_init, BlockCellsT,
-    BlockCtx, FillMode, FillTier,
-};
+use agatha_align::block::BlockCtx;
 use agatha_align::diag::DiagTracker;
-use agatha_align::{GuidedResult, QueryProfile, Scoring, Task, BLOCK, MAX_BLOCK, NEG_INF};
+use agatha_align::sweep::{NorthRows, RowCarry, Sweep};
+use agatha_align::{GuidedResult, QueryProfile, Scoring, Task, BLOCK, MAX_BLOCK};
 use agatha_gpu_sim::{CostModel, KernelStats};
 
 use crate::options::AgathaConfig;
@@ -64,29 +62,6 @@ impl TaskRun {
     }
 }
 
-/// Per-block-row state carried across slices (sliced mode) or within a row
-/// sweep (horizontal mode). Boundary storage is sized for the widest
-/// geometry so one carry vector serves both block sides (the generic kernel
-/// body reborrows the first `B` lanes as `[i32; B]`, no copies).
-#[derive(Debug, Clone)]
-struct RowCarry {
-    west_h: [i32; MAX_BLOCK],
-    west_e: [i32; MAX_BLOCK],
-    corner: i32,
-    started: bool,
-}
-
-impl RowCarry {
-    fn fresh() -> RowCarry {
-        RowCarry {
-            west_h: [NEG_INF; MAX_BLOCK],
-            west_e: [NEG_INF; MAX_BLOCK],
-            corner: NEG_INF,
-            started: false,
-        }
-    }
-}
-
 /// A row segment scheduled in one unit: query-block row `bj` sweeping
 /// reference blocks `bi_from..=bi_to`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,23 +71,23 @@ struct RowSeg {
     bi_to: i64,
 }
 
-/// Reusable per-worker scratch for [`run_task_ws`]: the DP row buffers, the
-/// per-row carries, the unit-schedule staging area, recycled output
-/// buffers, and the align-layer [`DiagTracker`]. All of these are grow-only
-/// and geometry-agnostic (carries store the widest boundary; rows pad to
-/// the active block side), so one workspace serves tasks of either block
+/// Reusable per-worker scratch for [`run_task_ws`]: the stored north rows,
+/// the per-row carries (one [`RowCarry`] per block row, carried across
+/// slices), the unit-schedule staging area, recycled output buffers, and the
+/// align-layer [`DiagTracker`]. All of these are grow-only and
+/// geometry-agnostic (carries store the widest boundary; rows pad to the
+/// active block side), so one workspace serves tasks of either block
 /// geometry back to back and reaches a steady state in which executing a
 /// task performs no heap allocation on the kernel hot path — the
-/// fixed-size block staging buffers live on the kernel's stack frame — and
-/// with [`KernelWorkspace::recycle_units`] fed by the engine, not even the
-/// returned [`TaskRun`]'s cost descriptors allocate.
+/// fixed-size block staging buffer lives in the [`Sweep`], on the kernel's
+/// stack frame — and with [`KernelWorkspace::recycle_units`] fed by the
+/// engine, not even the returned [`TaskRun`]'s cost descriptors allocate.
 ///
 /// This is the `block-aligner` idiom: build one long-lived aligner object
 /// and feed it tasks, instead of reallocating per call.
 #[derive(Debug, Clone)]
 pub struct KernelWorkspace {
-    row_h: Vec<i32>,
-    row_f: Vec<i32>,
+    rows: NorthRows,
     carries: Vec<RowCarry>,
     unit_rows: Vec<RowSeg>,
     tracker: DiagTracker,
@@ -135,8 +110,7 @@ impl KernelWorkspace {
     /// Empty workspace; buffers grow on first use.
     pub fn new() -> KernelWorkspace {
         KernelWorkspace {
-            row_h: Vec::new(),
-            row_f: Vec::new(),
+            rows: NorthRows::default(),
             carries: Vec::new(),
             unit_rows: Vec::new(),
             tracker: DiagTracker::new(0, 0, &Scoring::default()),
@@ -149,7 +123,7 @@ impl KernelWorkspace {
     /// Total capacity currently held by the DP row buffers, in cells.
     /// Exposed so tests can assert that steady-state reuse stops growing.
     pub fn row_capacity(&self) -> usize {
-        self.row_h.capacity()
+        self.rows.capacity()
     }
 
     /// Return a spent [`TaskRun`]'s output buffers for reuse by the next
@@ -214,7 +188,93 @@ pub fn run_task_ws(
     }
 }
 
-/// The kernel body, monomorphized per block side `B`.
+/// One task in flight: the open [`Sweep`], the per-row carries its segments
+/// resume from, the unit schedule's cursor and staging area, and the cost
+/// descriptors recorded so far.
+struct TaskExec<'a, const B: usize> {
+    sweep: Sweep<'a, B>,
+    carries: &'a mut [RowCarry],
+    unit_rows: &'a mut Vec<RowSeg>,
+    row_cols_pool: &'a mut Vec<Vec<u32>>,
+    /// The next slice (sliced mode) or block row (horizontal mode) to stage.
+    cursor: i64,
+    units: Vec<SliceUnit>,
+    blocks: u64,
+}
+
+impl<const B: usize> TaskExec<'_, B> {
+    /// Stage the next non-empty checkpoint unit of the schedule into
+    /// `unit_rows` (no per-task schedule materialisation); `false` once the
+    /// schedule is exhausted.
+    fn stage_unit(&mut self, ctx: &BlockCtx<'_>, cfg: &AgathaConfig) -> bool {
+        let (rb, qb) = (ctx.ref_blocks(), ctx.query_blocks());
+        self.unit_rows.clear();
+        if cfg.sliced_diagonal {
+            // §4.2: slice `k` is block anti-diagonals `k·s ..= k·s + s − 1`.
+            let s = cfg.slice_width as i64;
+            while self.unit_rows.is_empty() && self.cursor * s < rb + qb - 1 {
+                let k = self.cursor;
+                self.cursor += 1;
+                for bj in 0..qb {
+                    let Some((rlo, rhi)) = ctx.row_block_range(bj) else { continue };
+                    let w_lo = (k * s - bj).max(rlo);
+                    let w_hi = (k * s + s - 1 - bj).min(rhi);
+                    if w_lo <= w_hi {
+                        self.unit_rows.push(RowSeg { bj, bi_from: w_lo, bi_to: w_hi });
+                    }
+                }
+            }
+        } else {
+            // Horizontal mode: chunks of `subwarp_lanes` full-band rows.
+            while self.unit_rows.len() < cfg.subwarp_lanes && self.cursor < qb {
+                let bj = self.cursor;
+                self.cursor += 1;
+                if let Some((rlo, rhi)) = ctx.row_block_range(bj) {
+                    self.unit_rows.push(RowSeg { bj, bi_from: rlo, bi_to: rhi });
+                }
+            }
+        }
+        !self.unit_rows.is_empty()
+    }
+
+    /// Execute the staged checkpoint unit, record its cost descriptor and
+    /// advance the tracker. Returns true on termination.
+    fn run_unit(&mut self, lmb_fits: bool) -> bool {
+        let mut unit_blocks = 0u64;
+        let mut row_cols = self.row_cols_pool.pop().unwrap_or_default();
+        row_cols.clear();
+        row_cols.reserve(self.unit_rows.len());
+        for seg in self.unit_rows.iter() {
+            let carry = &mut self.carries[seg.bj as usize];
+            let blocks = self.sweep.segment(carry, seg.bj, seg.bi_from, seg.bi_to);
+            unit_blocks += blocks;
+            // A segment spans at most one block row (< 2^28 blocks under
+            // task admission), so this narrowing is checked, like the one below.
+            row_cols.push(
+                u32::try_from(blocks)
+                    .expect("blocks in one row segment exceed u32: task admission must bound n"),
+            );
+        }
+        self.blocks += unit_blocks;
+        let before = self.sweep.frontier();
+        let stop = self.sweep.advance();
+        // Task admission bounds n+m-1 (the total diagonal count) to i32, so
+        // this narrowing is checked rather than silently wrapping.
+        let completed = u32::try_from(self.sweep.frontier() - before)
+            .expect("diagonals completed in one unit exceed u32: task admission must bound n+m");
+        self.units.push(SliceUnit {
+            row_cols,
+            blocks: unit_blocks,
+            diags_completed: completed,
+            lmb_fits,
+        });
+        stop.is_some()
+    }
+}
+
+/// The kernel body, monomorphized per block side `B`: what is the kernel's
+/// own — the §4.2 slice / horizontal-chunk schedule, the cost descriptors,
+/// buffer recycling — over the shared block-row [`Sweep`].
 fn run_task_geom<const B: usize>(
     ws: &mut KernelWorkspace,
     task: &Task,
@@ -223,16 +283,8 @@ fn run_task_geom<const B: usize>(
 ) -> TaskRun {
     let n = task.ref_len();
     let m = task.query_len();
-    let KernelWorkspace {
-        row_h,
-        row_f,
-        carries,
-        unit_rows,
-        tracker,
-        units_pool,
-        row_cols_pool,
-        profile,
-    } = ws;
+    let KernelWorkspace { rows, carries, unit_rows, tracker, units_pool, row_cols_pool, profile } =
+        ws;
     // Matrix score models get their per-query substitution rows built once
     // per task (a no-op that deactivates the profile under fixed models).
     profile.prepare(&task.query, scoring);
@@ -244,10 +296,6 @@ fn run_task_geom<const B: usize>(
     // Per-task tier resolution: the narrowest fill whose exactness gate
     // holds (i16 → i32 → scalar under Auto/I16; see BlockCtx::fill_tier).
     let tier = ctx.fill_tier(cfg.fill_mode(), cfg.fill_precision);
-    let wide_mode = match tier {
-        FillTier::I32 => FillMode::Simd,
-        _ => FillMode::Scalar,
-    };
     tracker.reset(n, m, scoring);
     if n == 0 || m == 0 {
         return TaskRun {
@@ -259,226 +307,29 @@ fn run_task_geom<const B: usize>(
         };
     }
 
-    // Block staging buffers are fixed-size stack arrays, monomorphized per
-    // geometry; the heap-backed scratch above is shared across geometries.
-    let mut cells_buf = BlockCellsT::<i32, B>::new();
-    let mut cells16_buf = BlockCellsT::<i16, B>::new();
-    let (cells, cells16) = (&mut cells_buf, &mut cells16_buf);
-
-    let b = B as i64;
-    let qb = ctx.query_blocks();
-    let rb = ctx.ref_blocks();
-    let padded_n = (rb * b) as usize;
-    row_h.clear();
-    row_h.resize(padded_n, NEG_INF);
-    row_f.clear();
-    row_f.resize(padded_n, NEG_INF);
     carries.clear();
-    carries.resize(qb as usize, RowCarry::fresh());
-
-    let lmb_fits = cfg.sliced_diagonal && B * cfg.slice_width + B - 1 <= cfg.lmb_max_diags;
-
+    carries.resize(ctx.query_blocks() as usize, RowCarry::fresh());
     let mut units: Vec<SliceUnit> = units_pool.pop().unwrap_or_default();
     units.clear();
-    let mut blocks_total: u64 = 0;
-    let mut rblock = [0u8; B];
-    let mut qblock = [0u8; B];
+    let lmb_fits = cfg.sliced_diagonal && B * cfg.slice_width + B - 1 <= cfg.lmb_max_diags;
 
-    // Execute one row segment, updating carries/boundaries, staging each
-    // block's cells and folding them into the tracker one block at a time.
-    let mut exec_segment = |seg: RowSeg,
-                            tracker: &mut DiagTracker,
-                            cells: &mut BlockCellsT<i32, B>,
-                            cells16: &mut BlockCellsT<i16, B>,
-                            row_h: &mut [i32],
-                            row_f: &mut [i32],
-                            carries: &mut [RowCarry]|
-     -> u64 {
-        let j0 = seg.bj * b;
-        task.query.unpack_block(j0 as usize, &mut qblock);
-        let carry = &mut carries[seg.bj as usize];
-        if !carry.started {
-            let (wh, we) = west_init::<B>(&ctx, seg.bi_from * b, j0);
-            carry.west_h[..B].copy_from_slice(&wh);
-            carry.west_e[..B].copy_from_slice(&we);
-            carry.corner = corner_read(&ctx, seg.bi_from * b, j0, row_h);
-            carry.started = true;
-        }
-        // Reborrow the carry's first `B` lanes as the geometry's boundary
-        // arrays (the carry stores the widest geometry; no copies).
-        let west_h: &mut [i32; B] = (&mut carry.west_h[..B]).try_into().unwrap();
-        let west_e: &mut [i32; B] = (&mut carry.west_e[..B]).try_into().unwrap();
-        let mut blocks = 0u64;
-        for bi in seg.bi_from..=seg.bi_to {
-            let i0 = bi * b;
-            task.reference.unpack_block(i0 as usize, &mut rblock);
-            let (mut nh, mut nf) = north_read::<B>(&ctx, i0, j0, row_h, row_f);
-            let next_corner = nh[B - 1];
-            if tier == FillTier::I16 {
-                compute_block_i16(
-                    &ctx,
-                    i0,
-                    j0,
-                    &rblock,
-                    &qblock,
-                    carry.corner,
-                    west_h,
-                    west_e,
-                    &mut nh,
-                    &mut nf,
-                    cells16,
-                );
-                tracker.on_block_i16(cells16);
-            } else {
-                compute_block_mode(
-                    wide_mode,
-                    &ctx,
-                    i0,
-                    j0,
-                    &rblock,
-                    &qblock,
-                    carry.corner,
-                    west_h,
-                    west_e,
-                    &mut nh,
-                    &mut nf,
-                    cells,
-                );
-                tracker.on_block(cells);
-            }
-            row_h[i0 as usize..i0 as usize + B].copy_from_slice(&nh);
-            row_f[i0 as usize..i0 as usize + B].copy_from_slice(&nf);
-            carry.corner = next_corner;
-            blocks += 1;
-        }
-        blocks
-    };
-
-    // Execute one checkpoint unit (a staged set of row segments), record its
-    // cost descriptor and advance the tracker. Returns true on termination.
-    let mut run_unit = |rows: &[RowSeg],
-                        tracker: &mut DiagTracker,
-                        cells: &mut BlockCellsT<i32, B>,
-                        cells16: &mut BlockCellsT<i16, B>,
-                        row_h: &mut [i32],
-                        row_f: &mut [i32],
-                        carries: &mut [RowCarry],
-                        units: &mut Vec<SliceUnit>,
-                        row_cols_pool: &mut Vec<Vec<u32>>,
-                        blocks_total: &mut u64|
-     -> bool {
-        let mut unit_blocks = 0u64;
-        let mut row_cols = row_cols_pool.pop().unwrap_or_default();
-        row_cols.clear();
-        row_cols.reserve(rows.len());
-        for seg in rows {
-            let blocks = exec_segment(*seg, tracker, cells, cells16, row_h, row_f, carries);
-            unit_blocks += blocks;
-            // A segment spans at most one block row (< 2^28 blocks under
-            // task admission), so this narrowing is checked, like the one below.
-            row_cols.push(
-                u32::try_from(blocks)
-                    .expect("blocks in one row segment exceed u32: task admission must bound n"),
-            );
-        }
-        *blocks_total += unit_blocks;
-        let before = tracker.frontier();
-        let stop = tracker.advance();
-        // Task admission bounds n+m-1 (the total diagonal count) to i32, so
-        // this narrowing is checked rather than silently wrapping.
-        let completed = u32::try_from(tracker.frontier() - before)
-            .expect("diagonals completed in one unit exceed u32: task admission must bound n+m");
-        units.push(SliceUnit {
-            row_cols,
-            blocks: unit_blocks,
-            diags_completed: completed,
-            lmb_fits,
-        });
-        stop.is_some()
-    };
-
-    // Stage the unit schedule into the reusable `unit_rows` buffer, one
-    // checkpoint unit at a time (no per-task schedule materialisation).
-    if cfg.sliced_diagonal {
-        let s = cfg.slice_width as i64;
-        let nslices = (rb + qb - 1 + s - 1) / s;
-        for k in 0..nslices {
-            unit_rows.clear();
-            for bj in 0..qb {
-                let Some((rlo, rhi)) = ctx.row_block_range(bj) else { continue };
-                let w_lo = (k * s - bj).max(rlo);
-                let w_hi = (k * s + s - 1 - bj).min(rhi);
-                if w_lo <= w_hi {
-                    unit_rows.push(RowSeg { bj, bi_from: w_lo, bi_to: w_hi });
-                }
-            }
-            if unit_rows.is_empty() {
-                continue;
-            }
-            if run_unit(
-                unit_rows,
-                tracker,
-                cells,
-                cells16,
-                row_h,
-                row_f,
-                carries,
-                &mut units,
-                row_cols_pool,
-                &mut blocks_total,
-            ) {
-                break;
-            }
-        }
-    } else {
-        // Horizontal mode: chunks of `subwarp_lanes` full-band rows.
-        unit_rows.clear();
-        let mut stopped = false;
-        for bj in 0..qb {
-            let Some((rlo, rhi)) = ctx.row_block_range(bj) else { continue };
-            unit_rows.push(RowSeg { bj, bi_from: rlo, bi_to: rhi });
-            if unit_rows.len() == cfg.subwarp_lanes {
-                if run_unit(
-                    unit_rows,
-                    tracker,
-                    cells,
-                    cells16,
-                    row_h,
-                    row_f,
-                    carries,
-                    &mut units,
-                    row_cols_pool,
-                    &mut blocks_total,
-                ) {
-                    stopped = true;
-                    break;
-                }
-                unit_rows.clear();
-            }
-        }
-        if !stopped && !unit_rows.is_empty() {
-            run_unit(
-                unit_rows,
-                tracker,
-                cells,
-                cells16,
-                row_h,
-                row_f,
-                carries,
-                &mut units,
-                row_cols_pool,
-                &mut blocks_total,
-            );
-        }
-    }
-
-    TaskRun {
-        id: task.id,
-        result: tracker.take_result(),
+    let mut exec = TaskExec {
+        sweep: Sweep::<B>::new(ctx, tier, &task.reference, &task.query, rows, Some(&mut *tracker)),
+        carries,
+        unit_rows,
+        row_cols_pool,
+        cursor: 0,
         units,
-        blocks: blocks_total,
-        block_dim: B as u32,
+        blocks: 0,
+    };
+    while exec.stage_unit(&ctx, cfg) {
+        if exec.run_unit(lmb_fits) {
+            break;
+        }
     }
+    let TaskExec { units, blocks, .. } = exec;
+
+    TaskRun { id: task.id, result: tracker.take_result(), units, blocks, block_dim: B as u32 }
 }
 
 #[cfg(test)]

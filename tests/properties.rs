@@ -462,56 +462,6 @@ proptest! {
     }
 }
 
-/// The i16 block grid of `task` through the public block API *without* a
-/// query profile (the kernel always attaches one to matrix models, so this
-/// is the only way to reach the direct-lookup arm on a whole task).
-fn grid_i16_no_profile<const B: usize>(
-    task: &Task,
-    s: &Scoring,
-) -> agatha_suite::align::GuidedResult {
-    use agatha_suite::align::block::{
-        compute_block_i16, corner_read, north_read, west_init, BlockCellsT, BlockCtx,
-    };
-    use agatha_suite::align::diag::DiagTracker;
-    use agatha_suite::align::NEG_INF;
-    let (n, m) = (task.ref_len(), task.query_len());
-    let ctx = BlockCtx::with_block_dim(n, m, s, B);
-    assert!(ctx.i16_exact && ctx.profile.is_none());
-    let mut tracker = DiagTracker::new(n, m, s);
-    let b = B as i64;
-    let mut row_h = vec![NEG_INF; (ctx.ref_blocks() * b) as usize];
-    let mut row_f = row_h.clone();
-    let (mut rb, mut qb) = ([0u8; B], [0u8; B]);
-    let mut cells = BlockCellsT::<i16, B>::new();
-    'rows: for bj in 0..ctx.query_blocks() {
-        let j0 = bj * b;
-        let Some((lo, hi)) = ctx.row_block_range(bj) else { continue };
-        task.query.unpack_block(j0 as usize, &mut qb);
-        let (mut wh, mut we) = west_init::<B>(&ctx, lo * b, j0);
-        let mut corner = corner_read(&ctx, lo * b, j0, &row_h);
-        for bi in lo..=hi {
-            let i0 = bi * b;
-            task.reference.unpack_block(i0 as usize, &mut rb);
-            let (mut nh, mut nf) = north_read::<B>(&ctx, i0, j0, &row_h, &row_f);
-            let next_corner = nh[B - 1];
-            compute_block_i16(
-                &ctx, i0, j0, &rb, &qb, corner, &mut wh, &mut we, &mut nh, &mut nf, &mut cells,
-            );
-            tracker.on_block_i16(&cells);
-            row_h[i0 as usize..i0 as usize + B].copy_from_slice(&nh);
-            row_f[i0 as usize..i0 as usize + B].copy_from_slice(&nf);
-            corner = next_corner;
-            if tracker.is_finished() {
-                break 'rows;
-            }
-        }
-        if tracker.advance().is_some() {
-            break;
-        }
-    }
-    tracker.result()
-}
-
 proptest! {
     // kb-scale tasks × every backend × both geometries × two tiers: a few
     // seconds per case in a debug build, so fewer cases than the block above.
@@ -536,8 +486,9 @@ proptest! {
         band in 0usize..6,
         zdrop_on in proptest::bool::ANY,
     ) {
-        use agatha_suite::align::block::FillTier;
+        use agatha_suite::align::block::{BlockCtx, FillTier};
         use agatha_suite::align::simd::{self, BackendChoice};
+        use agatha_suite::align::sweep::grid_align;
         let s = match model {
             0 => Scoring::preset_clr(),
             1 => Scoring::new(12, 24, 24, 12, 400, 0),
@@ -572,8 +523,13 @@ proptest! {
         let task = Task { id: 0, reference: pack(&r), query: pack(&q) };
         let want = guided_align(&task.reference, &task.query, &s);
         if protein {
-            let narrow = grid_i16_no_profile::<8>(&task, &s);
-            let wide = grid_i16_no_profile::<16>(&task, &s);
+            // The kernel always attaches a query profile to matrix models, so
+            // the shared sweep over a bare ctx is the only way to reach the
+            // direct-lookup arm on a whole task.
+            let ctx = |b| BlockCtx::with_block_dim(task.ref_len(), task.query_len(), &s, b);
+            let (r, q) = (&task.reference, &task.query);
+            let narrow = grid_align::<8>(ctx(8), FillTier::I16, r, q);
+            let wide = grid_align::<16>(ctx(16), FillTier::I16, r, q);
             prop_assert!(narrow.same_alignment(&want), "no profile, B=8: {narrow:?} vs {want:?}");
             prop_assert_eq!(&narrow, &wide);
         }
