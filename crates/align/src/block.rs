@@ -347,18 +347,7 @@ impl<'a> BlockCtx<'a> {
     /// Inclusive range of reference-block columns a query-block row `bj`
     /// must compute so that every in-band cell of its rows is covered.
     pub fn row_block_range(&self, bj: i64) -> Option<(i64, i64)> {
-        let b = self.b;
-        let j_lo = bj * b;
-        let j_hi = (j_lo + b - 1).min(self.m - 1);
-        if j_lo >= self.m {
-            return None;
-        }
-        let i_lo = (j_lo - self.w).max(0);
-        let i_hi = (j_hi + self.w).min(self.n - 1);
-        if i_lo > i_hi {
-            return None;
-        }
-        Some((i_lo / b, i_hi / b))
+        band_row_blocks(self.n, self.m, self.w, self.b, bj)
     }
 
     /// Inclusive valid-lane range of block anti-diagonal `d` for the block
@@ -394,6 +383,25 @@ impl<'a> BlockCtx<'a> {
             && self.valid(i0, j0 + b - 1)
             && self.valid(i0 + b - 1, j0 + b - 1)
     }
+}
+
+/// [`BlockCtx::row_block_range`] as a function of the bare geometry — an
+/// `n × m` table, band half-width `w`, block side `b` — for callers that
+/// tile a task without filling it (the simulated device's trace). Inlined
+/// so that a constant `b` divides by shifting.
+#[inline]
+pub fn band_row_blocks(n: i64, m: i64, w: i64, b: i64, bj: i64) -> Option<(i64, i64)> {
+    let j_lo = bj * b;
+    let j_hi = (j_lo + b - 1).min(m - 1);
+    if j_lo >= m {
+        return None;
+    }
+    let i_lo = (j_lo - w).max(0);
+    let i_hi = (j_hi + w).min(n - 1);
+    if i_lo > i_hi {
+        return None;
+    }
+    Some((i_lo / b, i_hi / b))
 }
 
 /// One boundary (`H`, or the direction-specific gap score) spanning the `B`

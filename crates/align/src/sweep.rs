@@ -6,16 +6,17 @@
 //! boundary and corner from the block before it and its north boundary from
 //! the rows stored by the block row above, and leaves its own south boundary
 //! in those rows for the row below. A row may be swept in one segment (the
-//! reference driver, the kernel's horizontal chunks) or cut into several at
-//! any block (the §4.2 slices); what survives between two segments of a row —
+//! row-major schedule) or cut into several at any block (as the device's
+//! §4.2 slices cut it); what survives between two segments of a row —
 //! the west `H`/`E`, the corner, and whether the row has started — is its
 //! [`RowCarry`], so a sweep is resumable at every block.
 //!
-//! [`Sweep::segment`] is the one copy of that loop. The AGAThA kernel
-//! (`agatha_core::kernel`) schedules segments over it,
-//! [`crate::block::block_grid_align_b`] is [`grid_align`] — each row as one
-//! segment — over it, and the benches and tests drive it rather than the
-//! per-block functions it calls.
+//! [`Sweep::segment`] is the one copy of that loop, and [`Sweep::row_major`]
+//! the one production schedule over it — each row as one segment. The AGAThA
+//! kernel (`agatha_core::kernel`) runs it on its reused workspace,
+//! [`crate::block::block_grid_align_b`] is [`grid_align`] — the same on
+//! buffers of its own — and the benches and tests drive segments rather than
+//! the per-block functions they call.
 
 use crate::block::{
     compute_block_i16, compute_block_mode, corner_read, north_read, west_init, BlockCellsT,
@@ -199,21 +200,31 @@ impl<'a, const B: usize> Sweep<'a, B> {
         blocks
     }
 
+    /// The row-major schedule: every block row as one segment with a fresh
+    /// carry, top-down, [`Sweep::advance`] after each, until the tracker
+    /// decides. Returns the blocks executed.
+    pub fn row_major(&mut self) -> u64 {
+        let ctx = self.ctx;
+        let mut blocks = 0;
+        for bj in 0..ctx.query_blocks() {
+            let Some((lo, hi)) = ctx.row_block_range(bj) else { continue };
+            blocks += self.segment(&mut RowCarry::fresh(), bj, lo, hi);
+            if self.advance().is_some() {
+                break;
+            }
+        }
+        blocks
+    }
+
     /// [`DiagTracker::advance`] over the segments fed so far. A fill-only
     /// sweep never stops.
     pub fn advance(&mut self) -> Option<StopReason> {
         self.tracker.as_deref_mut().and_then(DiagTracker::advance)
     }
-
-    /// [`DiagTracker::frontier`] (0 for a fill-only sweep).
-    pub fn frontier(&self) -> usize {
-        self.tracker.as_deref().map_or(0, DiagTracker::frontier)
-    }
 }
 
-/// The reference schedule: every block row as one segment with a fresh
-/// carry, top-down, [`Sweep::advance`] after each. `ctx` and `tier` are as
-/// for [`Sweep::new`].
+/// [`Sweep::row_major`] on a tracker and north rows of its own. `ctx` and
+/// `tier` are as for [`Sweep::new`].
 pub fn grid_align<const B: usize>(
     ctx: BlockCtx<'_>,
     tier: FillTier,
@@ -222,14 +233,7 @@ pub fn grid_align<const B: usize>(
 ) -> GuidedResult {
     let mut tracker = DiagTracker::new(reference.len(), query.len(), ctx.scoring);
     let mut rows = NorthRows::default();
-    let mut sweep = Sweep::<B>::new(ctx, tier, reference, query, &mut rows, Some(&mut tracker));
-    for bj in 0..ctx.query_blocks() {
-        let Some((lo, hi)) = ctx.row_block_range(bj) else { continue };
-        sweep.segment(&mut RowCarry::fresh(), bj, lo, hi);
-        if sweep.advance().is_some() {
-            break;
-        }
-    }
+    Sweep::<B>::new(ctx, tier, reference, query, &mut rows, Some(&mut tracker)).row_major();
     tracker.result()
 }
 

@@ -13,9 +13,9 @@
 //! disabled, differing only in termination semantics and cost profile.
 
 use agatha_align::{Scoring, Task};
-use agatha_core::trace::unit_cost_with;
+use agatha_core::trace::unit_cost;
 use agatha_core::{kernel, AgathaConfig};
-use agatha_gpu_sim::{host, sched, CostModel, GpuSpec};
+use agatha_gpu_sim::{host, sched, CostModel, GpuSpec, BLOCK_CELLS};
 
 use crate::report::EngineReport;
 
@@ -34,7 +34,10 @@ pub fn run(tasks: &[Task], scoring: &Scoring, spec: &GpuSpec, mm2_target: bool) 
     let task_cycles: Vec<f64> = runs
         .iter()
         .map(|r| {
-            r.units.iter().map(|u| unit_cost_with(u, lanes, &cfg, &cost, mm2_target).cycles).sum()
+            r.units
+                .iter()
+                .map(|u| unit_cost(&r.grid, u, lanes, &cfg, &cost, mm2_target).cycles)
+                .sum()
         })
         .collect();
 
@@ -59,7 +62,7 @@ pub fn run(tasks: &[Task], scoring: &Scoring, spec: &GpuSpec, mm2_target: bool) 
         name: if mm2_target { "SALoBa (MM2-Target)" } else { "SALoBa (Diff-Target)" }.to_string(),
         scores: runs.iter().map(|r| r.result.score).collect(),
         elapsed_ms: spec.cycles_to_ms(makespan),
-        total_cells: runs.iter().map(|r| r.computed_cells()).sum(),
+        total_cells: runs.iter().map(|r| r.device_blocks() * BLOCK_CELLS).sum(),
     }
 }
 

@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks of the hot paths: the scalar guided reference,
-//! the block-grid kernel under each configuration, input packing and the
-//! anti-diagonal tracker. These measure *real host wall-time* of the
+//! the block-grid kernel under each configuration, input packing, the
+//! anti-diagonal tracker and the simulated device's trace. These measure *real host wall-time* of the
 //! implementation (unlike the figure harnesses, which report simulated
 //! device time).
 
@@ -16,8 +16,10 @@ use agatha_align::sweep::{NorthRows, RowCarry, Sweep};
 use agatha_align::{PackedSeq, Scoring, Task, BLOCK, MAX_BLOCK};
 use agatha_core::{
     kernel::{run_task, run_task_ws, KernelWorkspace},
+    trace::device_trace,
     AgathaConfig,
 };
+use agatha_datasets::SCENARIOS;
 
 fn pseudo_seq(len: usize, seed: u64, mutate_every: usize) -> (String, String) {
     let mut r = String::new();
@@ -181,6 +183,30 @@ fn bench_block_fold(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_device_trace(c: &mut Criterion) {
+    // What the simulated device's trace costs the host per task, one
+    // iteration being one task: pure geometry over the task's shape and
+    // stop point, no DP.
+    let mut g = c.benchmark_group("device_trace");
+    let cfg = AgathaConfig::agatha();
+    for name in ["dna-short", "dna-long"] {
+        let scenario = SCENARIOS.iter().find(|s| s.name == name).expect("a registered scenario");
+        let s = (scenario.scoring)();
+        let runs: Vec<_> = (scenario.tasks)(1, 100).iter().map(|t| run_task(t, &s, &cfg)).collect();
+        g.bench_function(name, |b| {
+            b.iter_custom(|iters| {
+                let started = Instant::now();
+                for run in runs.iter().cycle().take(iters as usize) {
+                    let (n, m) = (run.grid.n as usize, run.grid.m as usize);
+                    black_box(device_trace(n, m, s.band_width, &cfg, &run.result));
+                }
+                started.elapsed()
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_packing(c: &mut Criterion) {
     let mut g = c.benchmark_group("packing");
     let (r, _) = pseudo_seq(1 << 16, 41, 0);
@@ -195,6 +221,6 @@ fn bench_packing(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_guided_reference, bench_block_kernel, bench_kernel_configs, bench_workspace_reuse, bench_block_fold, bench_packing
+    targets = bench_guided_reference, bench_block_kernel, bench_kernel_configs, bench_workspace_reuse, bench_block_fold, bench_device_trace, bench_packing
 }
 criterion_main!(benches);

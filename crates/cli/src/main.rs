@@ -129,7 +129,10 @@ common options:
   --block B       host block geometry (agatha engine only): auto | 8 | 16.
                   auto widens to 16x16 blocks (16 i16 lanes per diagonal)
                   on tasks where the wider tile amortises its staging cost;
-                  results are bit-identical across geometries
+                  results are bit-identical across geometries. Host-only,
+                  like --precision and --backend: the simulated device
+                  always runs the paper's 8x8 blocks, so no simulated
+                  number depends on it
   --backend K     host wavefront backend (agatha engine only): auto |
                   avx512 | avx2 | sse41 | portable. auto runs the best
                   implementation the CPU supports; forcing a level the CPU

@@ -839,11 +839,6 @@ mod tests {
         tasks
     }
 
-    // Kernel stats and unit schedules follow the geometry `Auto` resolves
-    // from the installed backend; tests that compare them across separate
-    // runs hold this so the kernel tests' backend sweep cannot flip it in
-    // between.
-
     fn pipeline() -> Pipeline {
         Pipeline::new(Scoring::new(2, 4, 4, 2, 60, 16), AgathaConfig::agatha())
     }

@@ -6,11 +6,12 @@
 //! The four techniques map to modules as follows:
 //!
 //! * **Rolling window** (§4.1) — anti-diagonal maxima tracked in shared
-//!   memory with periodic spills: cost accounting in [`kernel`], semantics
+//!   memory with periodic spills: cost accounting in [`trace`], semantics
 //!   delegated to [`agatha_align::diag::DiagTracker`].
-//! * **Sliced diagonal** (§4.2) — the tiling in [`kernel`]/[`trace`]:
-//!   diagonal slices of `slice_width` blocks bound run-ahead and let the
-//!   local-max buffer fit in shared memory.
+//! * **Sliced diagonal** (§4.2) — the device's tiling, computed in
+//!   [`trace`] from each task's shape: diagonal slices of `slice_width` 8×8
+//!   blocks bound run-ahead and let the local-max buffer fit in shared
+//!   memory. The host side ([`kernel`]) only has to produce the scores.
 //! * **Subwarp rejoining** (§4.3) — the intra-warp work-stealing simulation
 //!   in [`warp_sim`].
 //! * **Uneven bucketing** (§4.4) — the task-to-warp assignment in

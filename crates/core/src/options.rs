@@ -8,6 +8,7 @@
 
 use agatha_align::block::{BlockDim, FillPrecision};
 use agatha_align::simd::BackendChoice;
+use agatha_align::BLOCK;
 use agatha_gpu_sim::WARP_LANES;
 
 // The three constant `default_*` functions below survive only because the
@@ -248,6 +249,14 @@ impl AgathaConfig {
     #[inline]
     pub fn subwarps_per_warp(&self) -> usize {
         WARP_LANES / self.subwarp_lanes
+    }
+
+    /// Whether a slice's anti-diagonal span (`slice_width` blocks of the
+    /// device's 8×8 geometry, plus one block's own diagonals) fits the LMB,
+    /// eliminating global spilling (§4.2). Horizontal chunks never fit.
+    #[inline]
+    pub fn slice_fits_lmb(&self) -> bool {
+        self.sliced_diagonal && BLOCK * self.slice_width + BLOCK - 1 <= self.lmb_max_diags
     }
 
     /// Whether slice widths allow replacing modulo by bitwise-and in the

@@ -48,8 +48,8 @@ pub struct BatchReport {
     pub stats: KernelStats,
     /// Per-warp latencies in submission order (cycles).
     pub warp_cycles: Vec<f64>,
-    /// Fig. 12 data: per subwarp slot, (a-priori assigned blocks,
-    /// actually executed blocks after rejoining).
+    /// Fig. 12 data: per subwarp slot, (a-priori assigned device blocks,
+    /// actually executed device blocks after rejoining).
     pub subwarp_blocks: Vec<(u64, f64)>,
 }
 
@@ -160,7 +160,7 @@ impl Pipeline {
             let outcome = simulate_warp(&queues, &self.config, &self.cost);
             warp_cycles.push(outcome.cycles);
             for (s, q) in w.queues.iter().enumerate() {
-                let assigned: u64 = q.iter().map(|&i| runs[i].blocks).sum();
+                let assigned: u64 = q.iter().map(|&i| runs[i].device_blocks()).sum();
                 subwarp_blocks.push((assigned, outcome.subwarp_blocks[s]));
             }
         }
@@ -262,14 +262,13 @@ mod tests {
         use agatha_align::block::BlockDim;
         let scoring = Scoring::new(2, 4, 4, 2, 60, 16);
         let tasks = mk_tasks(20, 90, 21);
-        // Geometry is pinned per run so block counts convert to cells with
-        // one factor; both geometries must conserve work.
-        for (bd, block_cells) in [(BlockDim::B8, 64), (BlockDim::B16, 256)] {
+        // The accounting is in device blocks, whatever tile the host ran.
+        for bd in [BlockDim::B8, BlockDim::B16] {
             let p = Pipeline::new(scoring, AgathaConfig::agatha().with_block_dim(bd));
             let rep = p.align_batch(&tasks);
             let assigned: u64 = rep.subwarp_blocks.iter().map(|&(a, _)| a).sum();
             let executed: f64 = rep.subwarp_blocks.iter().map(|&(_, e)| e).sum();
-            assert_eq!(assigned, rep.stats.computed_cells / block_cells, "{}", bd.name());
+            assert_eq!(assigned, rep.stats.device_cells / 64, "{}", bd.name());
             assert!((executed - assigned as f64).abs() / (assigned as f64) < 1e-9);
         }
     }

@@ -30,7 +30,8 @@ pub enum Predictor {
     AntiDiags,
     /// Anti-diagonals damped by a sampled divergence probe.
     SeedDivergence,
-    /// The executed block count (requires the runs; perfect prediction).
+    /// The device's executed block count (requires the runs; perfect
+    /// prediction).
     Oracle,
 }
 
@@ -50,7 +51,7 @@ pub fn predict_workloads(tasks: &[Task], runs: Option<&[TaskRun]>, p: Predictor)
         Predictor::Oracle => {
             let runs = runs.expect("oracle predictor needs the executed runs");
             assert_eq!(runs.len(), tasks.len());
-            runs.iter().map(|r| r.blocks.max(1)).collect()
+            runs.iter().map(|r| r.device_blocks().max(1)).collect()
         }
     }
 }

@@ -21,7 +21,7 @@ use crate::trace::unit_cost;
 pub struct WarpOutcome {
     /// Warp latency in cycles.
     pub cycles: f64,
-    /// Blocks executed attributed to each subwarp slot (after rejoining,
+    /// Device blocks executed attributed to each subwarp slot (after rejoining,
     /// lanes execute parts of other subwarps' tasks — Fig. 12's data).
     pub subwarp_blocks: Vec<f64>,
     /// Lane-cycles spent idle waiting at generation barriers or (without
@@ -55,7 +55,7 @@ fn simulate_independent(
         let mut bl = 0.0;
         for run in q {
             t += run.cycles(lanes, cfg, cost);
-            bl += run.blocks as f64;
+            bl += run.device_blocks() as f64;
         }
         busy.push(t);
         blocks.push(bl);
@@ -138,7 +138,7 @@ fn simulate_with_rejoining(
             let group = &mut groups[gi];
             if group.next_unit < group.run.units.len() {
                 let unit = &group.run.units[group.next_unit];
-                let c = unit_cost(unit, group.lanes, cfg, cost);
+                let c = unit_cost(&group.run.grid, unit, group.lanes, cfg, cost, true);
                 group.time += c.cycles;
                 group.next_unit += 1;
                 // Attribute the unit's blocks to member subwarps by lane share.
@@ -205,12 +205,7 @@ mod tests {
 
     #[test]
     fn rejoining_speeds_up_imbalanced_warp() {
-        // Pinned to the paper's 8×8 geometry: the imbalanced-warp regime
-        // this test characterizes assumes the block-row granularity of the
-        // GPU kernel, and the wide geometry (which `Auto` picks here on
-        // AVX2+ hosts) halves the rows per slice, collapsing the imbalance
-        // being measured.
-        let cfg = AgathaConfig::agatha().with_block_dim(agatha_align::BlockDim::B8);
+        let cfg = AgathaConfig::agatha();
         let big = mk_run(600, 3, &cfg);
         let small = mk_run(100, 5, &cfg);
         let queues = vec![vec![&big], vec![&small], vec![&small], vec![&small]];
@@ -266,7 +261,7 @@ mod tests {
         // time of its biggest task.
         assert!(out.cycles > 0.0);
         let blocks_total: f64 = out.subwarp_blocks.iter().sum();
-        let expect: f64 = queues.iter().flatten().map(|r| r.blocks as f64).sum();
+        let expect: f64 = queues.iter().flatten().map(|r| r.device_blocks() as f64).sum();
         assert!(
             (blocks_total - expect).abs() < 1e-6,
             "block attribution must conserve work: {blocks_total} vs {expect}"

@@ -7,9 +7,13 @@ use crate::mem::MemCounters;
 //  plots (Fig. 3b / Fig. 12).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelStats {
-    /// Cells computed, including run-ahead and masked block padding (the
-    /// work the device actually performed).
+    /// Cells the *host* computed to obtain the results, in its own tiles,
+    /// including its run-ahead and masked block padding. Host bookkeeping,
+    /// not a simulated quantity: it varies with the host's fill plan.
     pub computed_cells: u64,
+    /// Cells the *device* executes: its 8×8 blocks × [`crate::BLOCK_CELLS`],
+    /// including run-ahead and masked block padding.
+    pub device_cells: u64,
     /// Cells required by the reference semantics (sum over finalized
     /// anti-diagonals).
     pub reference_cells: u64,
@@ -31,19 +35,19 @@ impl KernelStats {
         KernelStats::default()
     }
 
-    /// Run-ahead overhead: cells computed beyond the reference requirement,
-    /// as a fraction of reference cells.
+    /// Run-ahead overhead: cells the device executes beyond the reference
+    /// requirement, as a fraction of reference cells.
     pub fn runahead_ratio(&self) -> f64 {
         if self.reference_cells == 0 {
             return 0.0;
         }
-        self.computed_cells.saturating_sub(self.reference_cells) as f64
-            / self.reference_cells as f64
+        self.device_cells.saturating_sub(self.reference_cells) as f64 / self.reference_cells as f64
     }
 
     /// Accumulate another scope's stats.
     pub fn add(&mut self, other: &KernelStats) {
         self.computed_cells += other.computed_cells;
+        self.device_cells += other.device_cells;
         self.reference_cells += other.reference_cells;
         self.steps += other.steps;
         self.idle_lane_steps += other.idle_lane_steps;
@@ -59,23 +63,25 @@ mod tests {
 
     #[test]
     fn runahead_ratio_zero_when_exact() {
-        let s = KernelStats { computed_cells: 100, reference_cells: 100, ..Default::default() };
+        let s = KernelStats { device_cells: 100, reference_cells: 100, ..Default::default() };
         assert_eq!(s.runahead_ratio(), 0.0);
     }
 
     #[test]
     fn runahead_ratio_counts_overhead() {
-        let s = KernelStats { computed_cells: 150, reference_cells: 100, ..Default::default() };
+        let s = KernelStats { device_cells: 150, reference_cells: 100, ..Default::default() };
         assert!((s.runahead_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn add_accumulates() {
-        let mut a = KernelStats { computed_cells: 1, tasks: 1, ..Default::default() };
+        let mut a =
+            KernelStats { computed_cells: 1, device_cells: 4, tasks: 1, ..Default::default() };
         let b =
             KernelStats { computed_cells: 2, zdropped_tasks: 1, tasks: 1, ..Default::default() };
         a.add(&b);
         assert_eq!(a.computed_cells, 3);
+        assert_eq!(a.device_cells, 4);
         assert_eq!(a.tasks, 2);
         assert_eq!(a.zdropped_tasks, 1);
     }

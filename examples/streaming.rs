@@ -46,11 +46,11 @@ fn main() {
 
     let summary = run.finish();
     println!(
-        "done: {} tasks in {} chunks, {:.3} ms simulated total, {} cells computed, {} z-dropped",
+        "done: {} tasks in {} chunks, {:.3} ms simulated total, {} device cells, {} z-dropped",
         summary.tasks,
         summary.chunks,
         summary.elapsed_ms,
-        summary.stats.computed_cells,
+        summary.stats.device_cells,
         summary.stats.zdropped_tasks,
     );
 }

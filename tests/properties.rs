@@ -197,9 +197,9 @@ proptest! {
     /// Block geometry is a pure tiling choice. At a pinned geometry every
     /// fill tier — i16 wavefront, i32 wavefront, scalar — stays fully
     /// bit-identical (whole `TaskRun` equality), over random tasks ×
-    /// bands × z-drop × tilings. Across the two geometries the unit
-    /// schedules and block counts legitimately differ (they describe the
-    /// tiling), but the alignment result itself must not move.
+    /// bands × z-drop × tilings. Across the two geometries the host's own
+    /// block counts legitimately differ (they describe the host tiling), but
+    /// neither the alignment result nor the device's trace may move.
     #[test]
     fn geometry_sweep_bit_identity(
         r in dna(150),
@@ -238,6 +238,7 @@ proptest! {
             per_geometry.push(scalar);
         }
         prop_assert_eq!(&per_geometry[0].result, &per_geometry[1].result);
+        prop_assert_eq!(&per_geometry[0].units, &per_geometry[1].units);
     }
 
     /// The wavefront backend is a pure implementation choice: forcing every
