@@ -4,13 +4,13 @@
 //! The paper fixes the block at 8×8 (one packed 32-bit word of literals per
 //! block edge). This module keeps that as the *default* geometry
 //! ([`crate::BLOCK`]) but parameterizes the whole layer over the block side
-//! `B ∈ {8, 16}` so wider SIMD tiers have lanes to fill: the 16-wide
+//! `B ∈ {8, 16}` so wider vectors have lanes to fill: the 16-wide
 //! geometry ([`crate::MAX_BLOCK`]) runs the i16 wavefront with all 16 AVX2
 //! lanes occupied per block anti-diagonal instead of 8. Geometry is chosen
 //! per task by [`BlockCtx::geometry_for`] (or forced via
-//! `AgathaConfig::with_block_dim` / `--block`), and every
-//! (geometry × precision) combination is bit-identical to the scalar
-//! reference — geometry only changes tiling, never scores.
+//! `AgathaConfig::with_block_dim` / `--block`), and every geometry is
+//! bit-identical to the scalar reference — geometry only changes tiling,
+//! never scores.
 //!
 //! A block covers reference positions `[i0, i0+B)` × query positions
 //! `[j0, j0+B)`. Its inputs are the *west* boundary (`H`/`E` at
@@ -24,17 +24,17 @@
 //! ## Staged tracker updates
 //!
 //! Instead of a per-cell callback into the tracker (which serialises the
-//! inner loop), [`compute_block_mode`] writes its masked `H` values into a
-//! [`BlockCellsT`] staging buffer — anti-diagonal-major, one validity
-//! bitmask per block diagonal — and the caller folds the whole block with
-//! one [`DiagTracker::on_block`] call. With the callback gone the fill
-//! itself is free to vectorise: [`FillMode::Simd`] — the default — runs the
-//! wavefront kernel in [`crate::simd`] (the best detected x86-64 lanes, a
-//! portable wavefront elsewhere), bit-identical to [`FillMode::Scalar`],
-//! the row-major reference, by construction.
+//! inner loop), a fill writes its masked `H` values into a [`BlockCellsT`]
+//! staging buffer — anti-diagonal-major, one validity bitmask per block
+//! diagonal — and the caller folds the whole block with one tracker call.
+//! With the callback gone the fill itself is free to vectorise:
+//! [`FillMode::Simd`] — the default — runs the i16 wavefront kernel in
+//! [`crate::simd`] ([`compute_block_i16`] + `DiagTracker::on_block_i16`; the
+//! best detected x86-64 lanes, a portable wavefront elsewhere),
+//! bit-identical to [`FillMode::Scalar`], the row-major reference
+//! ([`fill_scalar`] + `DiagTracker::on_block`), by construction.
 //!
 //! [`DiagTracker`]: crate::diag::DiagTracker
-//! [`DiagTracker::on_block`]: crate::diag::DiagTracker::on_block
 
 use crate::pack::PackedSeq;
 use crate::scoring::Scoring;
@@ -73,8 +73,9 @@ pub const I32_SENTINEL_MAG: i64 = -(NEG_INF as i64);
 pub const I16_SENTINEL_MAG: i64 = -(crate::simd::NEG_INF16 as i64);
 
 /// Largest admissible task *reach* (`step × (n+m+2)`, a bound on `|H|` over
-/// every reachable DP value) for the i32 wavefront: half the sentinel
-/// magnitude, i.e. `2^29`. See the derivation on [`BlockCtx::with_block_dim`].
+/// every reachable DP value) for the absolute `i32` scores the wavefront's
+/// boundary carries and staged bases hold: half the sentinel magnitude, i.e.
+/// `2^29`. See the derivation on [`BlockCtx::with_block_dim`].
 pub const I32_REACH_BOUND: i64 = I32_SENTINEL_MAG / 2;
 
 /// How far an i16 lane may sit from its block's base: the top of the i16
@@ -98,23 +99,17 @@ pub struct BlockCtx<'a> {
     pub b: i64,
     /// Scoring parameters.
     pub scoring: &'a Scoring,
-    /// Whether the wavefront (SIMD) fill is provably bit-identical to the
-    /// scalar fill for this task: every DP value stays far enough from the
-    /// `i32` limits that the scalar path's defensive `saturating_add` can
-    /// never actually saturate. When `false`, [`FillMode::Simd`] silently
-    /// degrades to the scalar fill.
-    pub simd_exact: bool,
     /// Whether the block-rebased 16-bit wavefront fill is provably
     /// bit-identical to the scalar fill for this task: every real `H/E/F` a
     /// block touches stays within `±2^13` of the block's base, so (a) the
     /// rebasing conversions at block entry and exit are exact, (b)
     /// saturating `i16` arithmetic never saturates on a real value, and (c)
     /// sentinel-class values (derived from masked `-∞` cells) always lose
-    /// every `max` against real values, exactly as in the `i32` fills. A
-    /// property of scoring and geometry only — sequence length enters
-    /// through [`BlockCtx::simd_exact`], which this gate includes. When
-    /// `false`, the i16 tier demotes to the i32 wavefront (or the scalar
-    /// fill) — see [`BlockCtx::fill_tier`].
+    /// every `max` against real values, exactly as in the scalar fill. A
+    /// property of scoring and geometry — sequence length enters only through
+    /// the `i32` reach bound on the carries ([`I32_REACH_BOUND`]), which this
+    /// gate includes. When `false`, the task runs the scalar fill — see
+    /// [`BlockCtx::fill_tier`].
     pub i16_exact: bool,
     /// Wavefront backend resolved once per task (CPU feature detection is
     /// not free enough to repeat per block): the detected one, or a cap
@@ -140,15 +135,16 @@ impl<'a> BlockCtx<'a> {
     /// `b ∈ {8, 16}`, dispatching to the best detected wavefront backend
     /// ([`BlockCtx::with_backend`] caps it).
     ///
-    /// ## Derivation of the exactness gates
+    /// ## Derivation of the exactness gate
     ///
-    /// Both wavefront gates are derived from the `-∞` sentinel encodings,
-    /// not free-standing literals, so narrowing a sentinel or widening the
-    /// geometry re-derives the bounds instead of silently weakening the
-    /// proof. Let `step` be the largest per-cell score increment and
-    /// `S = |sentinel|` (`2^30` for i32, `2^14` for i16).
+    /// The gate's bounds are derived from the `-∞` sentinel encodings, not
+    /// free-standing literals, so narrowing a sentinel or widening the
+    /// geometry re-derives them instead of silently weakening the proof.
+    /// Let `step` be the largest per-cell score increment and
+    /// `S = |sentinel|` (`2^30` for the i32 carries, `2^14` for the i16
+    /// lanes).
     ///
-    /// **Sentinel drift (both tiers).** Masked cells re-enter the arithmetic
+    /// **Sentinel drift.** Masked cells re-enter the arithmetic
     /// at or below `-S`; inside one block a sentinel-derived candidate can
     /// gain at most `step` per block anti-diagonal before the block boundary
     /// re-masks it, i.e. at most `drift = step × (2b−1)` in total, so
@@ -156,13 +152,14 @@ impl<'a> BlockCtx<'a> {
     /// block side enters the proof: doubling `b` doubles the worst-case
     /// drift, so B=16 cannot silently weaken a gate.
     ///
-    /// **i32 tier — reach.** Lanes hold absolute scores, so every reachable
-    /// DP value must satisfy `|H| ≤ reach = step × (n+m+2) < S/2`, and
-    /// `drift < S/2` keeps sentinels below `-S/2 < -reach`. Under these
-    /// bounds wrapping, saturating and exact arithmetic agree on every real
-    /// value.
+    /// **i32 carries — reach.** Boundary carries, staged bases and the
+    /// tracker hold absolute scores, so every reachable DP value must
+    /// satisfy `|H| ≤ reach = step × (n+m+2) < S/2`, and `drift < S/2` keeps
+    /// sentinels below `-S/2 < -reach`. Under these bounds `v − base` cannot
+    /// overflow and the scalar fill's defensive `saturating_add` never
+    /// saturates on a real value.
     ///
-    /// **i16 tier — span.** Lanes hold offsets from the block's `base`, a
+    /// **i16 lanes — span.** Lanes hold offsets from the block's `base`, a
     /// real `H` on its boundary ring (west row, north column, corner: the
     /// largest of them on edge blocks, the corner itself on interior ones),
     /// so what must fit is the spread of real values *around one block*,
@@ -202,8 +199,8 @@ impl<'a> BlockCtx<'a> {
     /// saturate, and win every `max` against a sentinel; at block exit
     /// anything at or below `-2^13` is written back as exactly `NEG_INF`, so
     /// the next block (with a different base) saturates it again. Absolute
-    /// scores live in the `i32` carries and the tracker, so the i16 tier
-    /// also needs the i32 reach bound — and nothing else that depends on
+    /// scores live in the `i32` carries and the tracker, so the gate
+    /// includes the reach bound above — and nothing else that depends on
     /// `n + m`.
     pub fn with_block_dim(n: usize, m: usize, scoring: &'a Scoring, b: usize) -> BlockCtx<'a> {
         assert!(b == BLOCK || b == MAX_BLOCK, "unsupported block dim {b}: expected 8 or 16");
@@ -223,20 +220,19 @@ impl<'a> BlockCtx<'a> {
         .unwrap_or(0);
         let reach = step.saturating_mul(ni + mi + 2);
         let drift = step.saturating_mul(block_diags(b) as i64);
-        let simd_exact = reach < I32_REACH_BOUND && drift < I32_REACH_BOUND;
+        let carries_exact = reach < I32_REACH_BOUND && drift < I32_REACH_BOUND;
         let q = scoring.max_score().max(0) as i64
             + scoring.gap_open as i64
             + scoring.gap_extend as i64
             + (-(scoring.min_score() as i64)).max(0);
         let span = q.saturating_mul(2 * b as i64);
-        let i16_exact = simd_exact && span.saturating_add(drift) < I16_OFFSET_BOUND;
+        let i16_exact = carries_exact && span.saturating_add(drift) < I16_OFFSET_BOUND;
         BlockCtx {
             n: ni,
             m: mi,
             w: if scoring.banded() { scoring.band_width as i64 } else { ni + mi },
             b: b as i64,
             scoring,
-            simd_exact,
             i16_exact,
             wavefront_backend: crate::simd::detected_backend(),
             profile: None,
@@ -267,9 +263,8 @@ impl<'a> BlockCtx<'a> {
     /// The policy is deliberately conservative so that `auto` dispatch is
     /// never slower than forced B=8:
     ///
-    /// * scalar mode or a forced `I32` precision → B=8 (the i32 wavefront
-    ///   already fills its AVX2 vector at 8 lanes; B=16 i32 would fall back
-    ///   to the portable fill below the AVX-512 backend);
+    /// * scalar mode → B=8 (the wide side only pays off via the 16-lane
+    ///   wavefront);
     /// * `backend` (the one the task will dispatch to) below AVX2 → B=8
     ///   (SSE4.1 i16 vectors hold 8 lanes — nothing to gain); AVX2 and
     ///   AVX-512 both qualify (16×i16 kernels exist for each);
@@ -285,11 +280,10 @@ impl<'a> BlockCtx<'a> {
         m: usize,
         scoring: &Scoring,
         mode: FillMode,
-        precision: FillPrecision,
         backend: crate::simd::WavefrontBackend,
     ) -> usize {
         use crate::simd::WavefrontBackend::{Avx2, Avx512};
-        if mode != FillMode::Simd || precision == FillPrecision::I32 {
+        if mode != FillMode::Simd {
             return BLOCK;
         }
         if !matches!(backend, Avx2 | Avx512) {
@@ -309,20 +303,15 @@ impl<'a> BlockCtx<'a> {
         MAX_BLOCK
     }
 
-    /// Resolve the per-task fill implementation tier from the requested
-    /// mode and precision: the narrowest tier whose exactness is *proven*
-    /// by the precompute gates. `Auto` and `I16` both prefer the 16-bit
-    /// wavefront and demote (`i16 → i32 → scalar`) when a gate fails; `I32`
-    /// never uses the i16 tier. [`FillMode::Scalar`] ignores precision.
+    /// Resolve the per-task fill tier from the requested mode: the i16
+    /// wavefront when its exactness is *proven* by the gate, the scalar
+    /// reference fill otherwise (and always under [`FillMode::Scalar`]).
+    /// The second parameter is inert: the frozen `benchmark/` passes one.
     #[inline]
-    pub fn fill_tier(&self, mode: FillMode, precision: FillPrecision) -> FillTier {
-        match (mode, precision) {
-            (FillMode::Scalar, _) => FillTier::Scalar,
-            (FillMode::Simd, FillPrecision::Auto | FillPrecision::I16) if self.i16_exact => {
-                FillTier::I16
-            }
-            (FillMode::Simd, _) if self.simd_exact => FillTier::I32,
-            (FillMode::Simd, _) => FillTier::Scalar,
+    pub fn fill_tier(&self, mode: FillMode, _precision: FillPrecision) -> FillTier {
+        match mode {
+            FillMode::Simd if self.i16_exact => FillTier::I16,
+            _ => FillTier::Scalar,
         }
     }
 
@@ -410,8 +399,8 @@ pub fn band_row_blocks(n: i64, m: i64, w: i64, b: i64, bj: i64) -> Option<(i64, 
 /// through all fills of one geometry.
 pub type BoundaryT<const B: usize> = [i32; B];
 
-/// Cell-value scalar of a block staging buffer: `i32` for the full-width
-/// tiers, `i16` for the narrow tier. `MASKED` is the width's `-∞` sentinel.
+/// Cell-value scalar of a block staging buffer: `i32` for the scalar fill,
+/// `i16` for the wavefront. `MASKED` is the width's `-∞` sentinel.
 pub trait CellValue: Copy + PartialEq + std::fmt::Debug + 'static {
     /// The masked ("-∞") encoding at this width.
     const MASKED: Self;
@@ -446,8 +435,8 @@ pub struct BlockCellsT<T, const B: usize> {
     i0: i32,
     j0: i32,
     /// What the staged values are offsets from: score = `h[d][l] + base` on
-    /// valid lanes. The rebased i16 fill sets it per block; the i32 fills
-    /// stage absolute scores and leave it 0.
+    /// valid lanes. The rebased i16 fill sets it per block; the scalar fill
+    /// stages absolute scores and leaves it 0.
     pub base: i32,
     /// Masked `H` values, anti-diagonal-major. Rows `2B-1..` are unused.
     pub h: [[T; B]; MAX_BLOCK_DIAGS],
@@ -531,56 +520,34 @@ pub type BlockCells = BlockCellsT<i32, BLOCK>;
 pub enum FillMode {
     /// Row-major scalar fill (the reference implementation).
     Scalar,
-    /// Anti-diagonal wavefront fill from [`crate::simd`]: AVX2 on x86-64
-    /// when available, a portable wavefront otherwise. Falls back to
+    /// Anti-diagonal i16 wavefront fill from [`crate::simd`]: the best
+    /// detected x86-64 lanes, a portable wavefront otherwise. Falls back to
     /// `Scalar` for tasks where exactness cannot be guaranteed
-    /// ([`BlockCtx::simd_exact`]).
+    /// ([`BlockCtx::i16_exact`]).
     Simd,
 }
 
-/// Requested lane precision for the wavefront fill. Orthogonal to
-/// [`FillMode`]: the mode picks scalar vs wavefront, the precision picks
-/// which wavefront tier to *prefer*; [`BlockCtx::fill_tier`] resolves both
-/// (plus the per-task exactness gates) into the [`FillTier`] actually run.
+/// Shell: with one lane element type there is nothing to request. Kept as a
+/// one-variant enum only because the frozen `benchmark/` names
+/// `fill_tier(mode, precision)`, `AgathaConfig.fill_precision` and
+/// `default_fill_precision().name()`; the next `[benchmark]` issue deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FillPrecision {
-    /// Narrowest provable tier: i16 when [`BlockCtx::i16_exact`], else i32
-    /// when [`BlockCtx::simd_exact`], else scalar.
+    /// The i16 wavefront when [`BlockCtx::i16_exact`], else scalar.
     #[default]
     Auto,
-    /// Never use the i16 tier (i32 wavefront, or scalar when unprovable).
-    I32,
-    /// Prefer the i16 tier explicitly. Still demotes exactly like `Auto`
-    /// when the gate cannot prove i16 exactness — correctness always wins —
-    /// but the intent is observable (demotions are counted by callers).
-    I16,
 }
 
 impl FillPrecision {
-    /// Stable lower-case name (stats output, bench rows); the inverse of
-    /// [`FillPrecision::parse`].
+    /// Stable lower-case name (the benchmark's host block).
     pub fn name(self) -> &'static str {
-        match self {
-            FillPrecision::Auto => "auto",
-            FillPrecision::I32 => "i32",
-            FillPrecision::I16 => "i16",
-        }
-    }
-
-    /// Parse a user-facing precision name (the CLI's `--precision` values).
-    pub fn parse(s: &str) -> Result<FillPrecision, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" => Ok(FillPrecision::Auto),
-            "i32" => Ok(FillPrecision::I32),
-            "i16" => Ok(FillPrecision::I16),
-            other => Err(format!("invalid precision '{other}': expected auto, i32 or i16")),
-        }
+        "auto"
     }
 }
 
-/// Requested block geometry. Orthogonal to both [`FillMode`] and
-/// [`FillPrecision`]: geometry picks the tiling (`B×B` block side), the
-/// others pick the fill implementation within a block.
+/// Requested block geometry. Orthogonal to [`FillMode`]: geometry picks the
+/// tiling (`B×B` block side), the mode the fill implementation within a
+/// block.
 /// [`BlockCtx::geometry_for`] resolves `Auto` per task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BlockDim {
@@ -623,11 +590,10 @@ impl BlockDim {
         m: usize,
         scoring: &Scoring,
         mode: FillMode,
-        precision: FillPrecision,
         backend: crate::simd::WavefrontBackend,
     ) -> usize {
         match self {
-            BlockDim::Auto => BlockCtx::geometry_for(n, m, scoring, mode, precision, backend),
+            BlockDim::Auto => BlockCtx::geometry_for(n, m, scoring, mode, backend),
             BlockDim::B8 => BLOCK,
             BlockDim::B16 => MAX_BLOCK,
         }
@@ -635,15 +601,16 @@ impl BlockDim {
 }
 
 /// The fill implementation tier resolved per task by
-/// [`BlockCtx::fill_tier`]. All three produce bit-identical [`crate::diag::DiagTracker`]
+/// [`BlockCtx::fill_tier`]. Both produce bit-identical [`crate::diag::DiagTracker`]
 /// observations (and therefore identical task results); they differ only in
-/// speed and in which exactness gate they require.
+/// speed and in the exactness gate the wavefront requires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FillTier {
     /// Row-major scalar reference fill.
     Scalar,
-    /// Full-width i32 anti-diagonal wavefront (requires
-    /// [`BlockCtx::simd_exact`]).
+    /// Shell: never produced (there is no i32 wavefront) and run as
+    /// `Scalar` by [`crate::sweep::Sweep::new`]. Kept only because the frozen
+    /// `benchmark/` matches on it; the next `[benchmark]` issue deletes it.
     I32,
     /// 16-bit-lane anti-diagonal wavefront (requires [`BlockCtx::i16_exact`]).
     I16,
@@ -667,8 +634,10 @@ pub fn default_fill_mode() -> FillMode {
     FillMode::Simd
 }
 
-/// Compute one block with the `mode` fill (the i32 wavefront or the scalar
-/// reference; the sweep holds the mode its task's tier resolved to).
+/// Compute one block with the scalar reference fill ([`fill_scalar`]) —
+/// what a task outside the i16 gate runs. The `mode` argument is inert
+/// (every mode fills scalar): the frozen `benchmark/` passes one, and the
+/// next `[benchmark]` issue deletes it.
 ///
 /// * `rcodes`/`qcodes`: base codes for the block's reference/query spans
 ///   (N-padded past the sequence end, as [`PackedSeq::unpack_block`] yields).
@@ -680,7 +649,7 @@ pub fn default_fill_mode() -> FillMode {
 ///   [`crate::diag::DiagTracker::on_block`].
 #[allow(clippy::too_many_arguments)]
 pub fn compute_block_mode<const B: usize>(
-    mode: FillMode,
+    _mode: FillMode,
     ctx: &BlockCtx<'_>,
     i0: i64,
     j0: i64,
@@ -695,22 +664,15 @@ pub fn compute_block_mode<const B: usize>(
 ) {
     debug_assert_eq!(ctx.b, B as i64, "ctx geometry must match the staging buffer geometry");
     cells.set_origin(i0, j0);
-    match mode {
-        FillMode::Simd if ctx.simd_exact => crate::simd::fill_wavefront::<B>(
-            ctx, i0, j0, rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells,
-        ),
-        _ => fill_scalar(
-            ctx, i0, j0, rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells,
-        ),
-    }
+    fill_scalar(ctx, i0, j0, rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells);
 }
 
-/// [`compute_block_mode`] on the 16-bit tier: fills one block with the i16
-/// wavefront ([`crate::simd::fill_wavefront_i16`]), staging masked `H`
-/// values into an i16 buffer for [`crate::diag::DiagTracker::on_block_i16`].
-/// Boundary carries stay absolute `i32` scores at the interface (rebased
-/// exactly at block entry/exit), so callers thread the same boundary state
-/// through every tier.
+/// Compute one block with the i16 wavefront
+/// ([`crate::simd::fill_wavefront_i16`]), in [`compute_block_mode`]'s
+/// argument convention, staging masked `H` values into an i16 buffer for
+/// [`crate::diag::DiagTracker::on_block_i16`]. Boundary carries stay absolute
+/// `i32` scores at the interface (rebased exactly at block entry/exit), so
+/// callers thread the same boundary state through both tiers.
 ///
 /// Callers must only select this tier for tasks whose
 /// [`BlockCtx::i16_exact`] gate holds *at this geometry* — that is what
@@ -878,15 +840,15 @@ pub fn block_grid_align(
     block_grid_align_b::<BLOCK>(reference, query, scoring)
 }
 
-/// [`block_grid_align`] at an explicit block geometry `B`, on the default
-/// fill's full-width tier.
+/// [`block_grid_align`] at an explicit block geometry `B`, on the tier the
+/// default fill resolves for the task.
 pub fn block_grid_align_b<const B: usize>(
     reference: &PackedSeq,
     query: &PackedSeq,
     scoring: &Scoring,
 ) -> crate::result::GuidedResult {
     let ctx = BlockCtx::with_block_dim(reference.len(), query.len(), scoring, B);
-    let tier = ctx.fill_tier(default_fill_mode(), FillPrecision::I32);
+    let tier = ctx.fill_tier(default_fill_mode(), FillPrecision::Auto);
     crate::sweep::grid_align::<B>(ctx, tier, reference, query)
 }
 
@@ -1024,12 +986,12 @@ mod tests {
         // (+11 / −4) and the preset's gaps (10 + 1), not any DNA constant:
         // q = 11 + 11 + 4 = 26, step = 11, so span + drift is
         // 16·26 + 15·11 = 581 at B=8 and 32·26 + 31·11 = 1173 at B=16 —
-        // i16-exact at any length the i32 reach admits.
+        // i16-exact at any length the carries' reach admits.
         let sc = Scoring::preset_blosum62();
         for b in [BLOCK, MAX_BLOCK] {
             for (n, m) in [(250, 250), (400, 400), (30_000, 30_000)] {
                 let ctx = BlockCtx::with_block_dim(n, m, &sc, b);
-                assert!(ctx.simd_exact && ctx.i16_exact, "b={b} {n}×{m}");
+                assert!(ctx.i16_exact, "b={b} {n}×{m}");
             }
         }
         // A fixed model with the same bounds gates identically — the gate
@@ -1043,35 +1005,33 @@ mod tests {
         }
         assert!(BlockCtx::with_block_dim(250, 250, &hot, BLOCK).i16_exact);
         assert!(!BlockCtx::with_block_dim(250, 250, &hot, MAX_BLOCK).i16_exact);
-        assert!(BlockCtx::with_block_dim(250, 250, &hot, MAX_BLOCK).simd_exact);
     }
 
     #[test]
     fn drift_gate_only_bites_tiny_tasks_under_extreme_scoring() {
-        // Ordinary scoring: both gates hold at both geometries, and the i16
-        // one no longer cares how long the task is.
+        // Ordinary scoring: the gate holds at both geometries, however long
+        // the task is.
         let sc = Scoring::preset_bwa();
         for b in [BLOCK, MAX_BLOCK] {
             for len in [250, 25_000] {
                 let ctx = BlockCtx::with_block_dim(len, len, &sc, b);
-                assert!(ctx.simd_exact && ctx.i16_exact, "b={b} len={len}");
+                assert!(ctx.i16_exact, "b={b} len={len}");
             }
         }
-        // Huge scoring on a tiny task: the i32 tier's reach
-        // (600 × 8 = 4800) and drift (600 × 31) are nowhere near 2^29, but
-        // one block already spreads its values past the i16 offset range
-        // (span alone is 16 × 602 at B=8), so the i16 tier demotes it at
-        // both geometries.
+        // Huge scoring on a tiny task: the carries' reach (600 × 8 = 4800)
+        // and drift (600 × 31) are nowhere near 2^29, but one block already
+        // spreads its values past the i16 offset range (span alone is
+        // 16 × 602 at B=8), so the task demotes to scalar at both
+        // geometries.
         let sc = Scoring::new(600, 1, 0, 1, Scoring::NO_ZDROP, Scoring::NO_BAND);
         let narrow = BlockCtx::with_block_dim(3, 3, &sc, BLOCK);
         let wide = BlockCtx::with_block_dim(3, 3, &sc, MAX_BLOCK);
         assert!(!narrow.i16_exact && !wide.i16_exact);
-        assert!(narrow.simd_exact && wide.simd_exact, "drift is tiny at i32 scale");
-        // The i16 gate includes the i32 one: a task whose absolute scores
-        // could leave the i32 reach never runs rebased lanes either.
+        // The gate includes the carries' reach: a task whose absolute scores
+        // could leave it never runs rebased lanes either.
         let bwa = Scoring::preset_bwa();
         let long = BlockCtx::with_block_dim(1 << 27, 1 << 27, &bwa, BLOCK);
-        assert!(!long.simd_exact && !long.i16_exact);
+        assert!(!long.i16_exact);
     }
 
     #[test]
@@ -1083,22 +1043,18 @@ mod tests {
         // The backend is an argument, so the policy is checked for every
         // level whatever this host detects.
         for backend in [Avx512, Avx2, Sse41, Portable] {
-            let pick = |n, m, sc: &Scoring, mode, precision| {
-                BlockCtx::geometry_for(n, m, sc, mode, precision, backend)
-            };
-            // Scalar mode and forced-i32 precision never pick the wide geometry.
-            assert_eq!(pick(240, 240, &bwa, FillMode::Scalar, FillPrecision::Auto), BLOCK);
-            assert_eq!(pick(240, 240, &bwa, FillMode::Simd, FillPrecision::I32), BLOCK);
+            let pick = |n, m, sc: &Scoring, mode| BlockCtx::geometry_for(n, m, sc, mode, backend);
+            // Scalar mode never picks the wide geometry.
+            assert_eq!(pick(240, 240, &bwa, FillMode::Scalar), BLOCK);
             // Short sequences and narrow bands stay at 8 even when i16 is exact.
-            assert_eq!(pick(20, 20, &bwa, FillMode::Simd, FillPrecision::Auto), BLOCK);
-            assert_eq!(pick(240, 240, &narrow_band, FillMode::Simd, FillPrecision::Auto), BLOCK);
+            assert_eq!(pick(20, 20, &bwa, FillMode::Simd), BLOCK);
+            assert_eq!(pick(240, 240, &narrow_band, FillMode::Simd), BLOCK);
             // Overflowing scoring can never run the 16-lane i16 kernel.
-            assert_eq!(pick(240, 240, &hot, FillMode::Simd, FillPrecision::Auto), BLOCK);
+            assert_eq!(pick(240, 240, &hot, FillMode::Simd), BLOCK);
             // The amortizable short-read shape picks 16 exactly on
             // AVX2-or-wider backends (both have a 16×i16 kernel).
             let want = if matches!(backend, Avx2 | Avx512) { MAX_BLOCK } else { BLOCK };
-            assert_eq!(pick(240, 240, &bwa, FillMode::Simd, FillPrecision::Auto), want);
-            assert_eq!(pick(240, 240, &bwa, FillMode::Simd, FillPrecision::I16), want);
+            assert_eq!(pick(240, 240, &bwa, FillMode::Simd), want);
         }
     }
 

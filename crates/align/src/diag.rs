@@ -20,8 +20,9 @@
 //!
 //! Cells arrive one at a time ([`DiagTracker::on_cell`], the definition) or
 //! a staged block at a time, through two folds held to it on whole tracker
-//! state: the scalar reference [`DiagTracker::on_block`] for i32 staging,
-//! and the one vector fold [`DiagTracker::fold_block`] for i16 staging —
+//! state: the scalar reference [`DiagTracker::on_block`] for the scalar
+//! fill's i32 staging, and the one vector fold [`DiagTracker::fold_block`]
+//! for the wavefront's i16 staging —
 //! written once over the [`crate::simd`] lane layer, which owns everything
 //! backend-specific (instantiation, feature levels, dispatch).
 
@@ -208,9 +209,9 @@ impl DiagTracker {
     }
 
     /// Fold one computed block's staged cells in a single call. This is the
-    /// scalar reference fold (i32 staging: the reference fill and the i32
-    /// wavefront), and with [`DiagTracker::on_cell`] what the vector fold
-    /// behind [`DiagTracker::on_block_i16`] is held to.
+    /// scalar reference fold (i32 staging: the reference fill), and with
+    /// [`DiagTracker::on_cell`] what the vector fold behind
+    /// [`DiagTracker::on_block_i16`] is held to.
     ///
     /// Semantics are exactly those of feeding every valid cell through
     /// [`DiagTracker::on_cell`]: each block diagonal is scanned in ascending
@@ -257,12 +258,12 @@ impl DiagTracker {
         }
     }
 
-    /// [`DiagTracker::on_block`] for the 16-bit fill tier: folds a
-    /// 16-bit staging buffer of either geometry, whose valid lanes hold
-    /// offsets from the block's `base`, on the lanes of the backend that
-    /// staged it ([`crate::simd::fold_wavefront_i16`]). Offset plus base is
-    /// bit-identical to the i32 tiers' value under the `i16_exact` gate, so
-    /// the fold observes exactly the same scores.
+    /// [`DiagTracker::on_block`] for the i16 wavefront: folds a 16-bit
+    /// staging buffer of either geometry, whose valid lanes hold offsets
+    /// from the block's `base`, on the lanes of the backend that staged it
+    /// ([`crate::simd::fold_wavefront_i16`]). Offset plus base is
+    /// bit-identical to the scalar fill's value under the `i16_exact` gate,
+    /// so the fold observes exactly the same scores.
     ///
     /// The staging buffer must come from a gate-admitted i16 fill: that
     /// guarantees every valid lane holds a *real* offset (strictly above the

@@ -44,7 +44,7 @@ pub mod traceback;
 pub mod xdrop;
 
 pub use base::Base;
-pub use block::{BlockCells, BlockCellsT, BlockDim, FillMode, FillPrecision, FillTier};
+pub use block::{BlockCells, BlockCellsT, BlockDim, FillMode, FillTier};
 pub use pack::PackedSeq;
 pub use profile::QueryProfile;
 pub use result::{GuidedResult, MaxCell};

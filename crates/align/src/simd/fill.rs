@@ -1,14 +1,15 @@
 //! The wavefront block fill, written once over [`Lanes`] — see the layout
 //! rules in the [module header](super).
 
-use super::lanes::{block_base, DiagMasks, LaneElem, Lanes};
-use crate::block::{block_diags, BlockCellsT, BlockCtx, BoundaryT, CellValue};
+use super::lanes::{block_base, delta, rebase, unbase, DiagMasks, Lanes};
+use super::NEG_INF16;
+use crate::block::{block_diags, BlockCellsT, BlockCtx, BoundaryT};
 use crate::{MAX_BLOCK, MAX_BLOCK_DIAGS};
 
 /// One block's inputs and in/out state, in the
-/// [`crate::block::compute_block_mode`] convention, bundled so dispatch hands
+/// [`crate::block::compute_block_i16`] convention, bundled so dispatch hands
 /// a single value to whichever lane impl runs.
-pub(crate) struct BlockIo<'a, T, const B: usize> {
+pub(crate) struct BlockIo<'a, const B: usize> {
     pub rcodes: &'a [u8; B],
     pub qcodes: &'a [u8; B],
     pub corner: i32,
@@ -16,18 +17,18 @@ pub(crate) struct BlockIo<'a, T, const B: usize> {
     pub west_e: &'a mut BoundaryT<B>,
     pub north_h: &'a mut BoundaryT<B>,
     pub north_f: &'a mut BoundaryT<B>,
-    pub cells: &'a mut BlockCellsT<T, B>,
+    pub cells: &'a mut BlockCellsT<i16, B>,
 }
 
-impl<'a, T, const B: usize> BlockIo<'a, T, B> {
+impl<'a, const B: usize> BlockIo<'a, B> {
     /// The same block viewed at geometry `N` for a lane impl monomorphic in
     /// its width. Dispatch calls this under a `B == N` match arm, where it
     /// is the identity; the asserts turn any other use into a loud panic.
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     #[inline(always)]
-    pub fn at_geometry<const N: usize>(self) -> BlockIo<'a, T, N> {
+    pub fn at_geometry<const N: usize>(self) -> BlockIo<'a, N> {
         assert_eq!(B, N, "lane impl dispatched at the wrong geometry");
-        let cells: *mut BlockCellsT<T, B> = self.cells;
+        let cells: *mut BlockCellsT<i16, B> = self.cells;
         BlockIo {
             rcodes: self.rcodes.first_chunk().expect("B == N"),
             qcodes: self.qcodes.first_chunk().expect("B == N"),
@@ -36,10 +37,10 @@ impl<'a, T, const B: usize> BlockIo<'a, T, B> {
             west_e: self.west_e.first_chunk_mut().expect("B == N"),
             north_h: self.north_h.first_chunk_mut().expect("B == N"),
             north_f: self.north_f.first_chunk_mut().expect("B == N"),
-            // SAFETY: `B == N` (asserted above) makes `BlockCellsT<T, B>` and
-            // `BlockCellsT<T, N>` the same type, and the pointer comes from a
-            // live `&'a mut` this value consumes.
-            cells: unsafe { &mut *cells.cast::<BlockCellsT<T, N>>() },
+            // SAFETY: `B == N` (asserted above) makes `BlockCellsT<i16, B>`
+            // and `BlockCellsT<i16, N>` the same type, and the pointer comes
+            // from a live `&'a mut` this value consumes.
+            cells: unsafe { &mut *cells.cast::<BlockCellsT<i16, N>>() },
         }
     }
 }
@@ -109,7 +110,7 @@ fn matrix_sub_lanes<const B: usize>(
     out
 }
 
-/// Fill one `B×B` block as `2B−1` anti-diagonal vectors of lane type `L` —
+/// Fill one `B×B` block as `2B−1` anti-diagonal vectors of the lanes `L` —
 /// the only wavefront recurrence in the crate ([`crate::block::fill_scalar`]
 /// is its row-major reference). `inline(always)` with no `target_feature`
 /// of its own: each instantiation compiles inside the feature wrapper (or
@@ -122,11 +123,9 @@ pub(crate) unsafe fn fill_block<L: Lanes<B>, const B: usize>(
     ctx: &BlockCtx<'_>,
     i0: i64,
     j0: i64,
-    io: BlockIo<'_, L::Elem, B>,
+    io: BlockIo<'_, B>,
 ) {
     let BlockIo { rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells } = io;
-    let delta = <L::Elem as LaneElem>::delta;
-    let masked = <L::Elem as CellValue>::MASKED;
     let diags = block_diags(B);
 
     let sc = ctx.scoring;
@@ -140,25 +139,18 @@ pub(crate) unsafe fn fill_block<L: Lanes<B>, const B: usize>(
     let v_amb = L::splat(delta(-f_amb));
     let v_acgt_max = L::splat(delta(i32::from(crate::Base::N.code()) - 1));
     let sub_rows = sc.model.matrix().map(|m| matrix_sub_lanes::<B>(ctx, m, j0, rcodes, qcodes));
-    let neg_inf = L::splat(masked);
+    let neg_inf = L::splat(NEG_INF16);
 
     let interior = ctx.block_interior(i0, j0);
     let masks = if interior { Shape::<B>::MASKS } else { L::edge_masks(ctx, i0, j0) };
 
-    // Rebased tiers run the block on offsets from a real `H` of its boundary
-    // ring (the recurrence is translation-invariant, so nothing below
-    // changes). Any real ring value serves — the gate bounds the distance
-    // between any two — so interior blocks, whose corner is always a valid
-    // cell, take it as is: that keeps the ring reduction off the
-    // block-to-block dependency chain of a row sweep, where the west carry
-    // arrives last.
-    let base = if !<L::Elem as LaneElem>::REBASED {
-        0
-    } else if interior {
-        corner
-    } else {
-        block_base(corner, west_h, north_h)
-    };
+    // The block runs on offsets from a real `H` of its boundary ring (the
+    // recurrence is translation-invariant, so nothing below changes). Any
+    // real ring value serves — the gate bounds the distance between any two
+    // — so interior blocks, whose corner is always a valid cell, take it as
+    // is: that keeps the ring reduction off the block-to-block dependency
+    // chain of a row sweep, where the west carry arrives last.
+    let base = if interior { corner } else { block_base(corner, west_h, north_h) };
     cells.base = base;
     // The boundary arrays double as outputs; snapshot (and rebase) them.
     let wh_in = L::rebase_boundary(west_h, base);
@@ -168,8 +160,8 @@ pub(crate) unsafe fn fill_block<L: Lanes<B>, const B: usize>(
 
     // Lane-0 up inputs per diagonal, -∞ past the block shape, so the loop
     // body is branch-free.
-    let mut bh_pad = [masked; MAX_BLOCK_DIAGS];
-    let mut be_pad = [masked; MAX_BLOCK_DIAGS];
+    let mut bh_pad = [NEG_INF16; MAX_BLOCK_DIAGS];
+    let mut be_pad = [NEG_INF16; MAX_BLOCK_DIAGS];
     bh_pad[..B].copy_from_slice(&wh_in);
     be_pad[..B].copy_from_slice(&we_in);
 
@@ -180,7 +172,7 @@ pub(crate) unsafe fn fill_block<L: Lanes<B>, const B: usize>(
     // diagonal d's lanes start at qrev[qrev_c - d]. The padding reads as
     // code 0; those lanes are out of shape.
     let qrev_c = 2 * B - 2;
-    let mut qrev = [L::Elem::ZERO; 3 * MAX_BLOCK - 1];
+    let mut qrev = [0i16; 3 * MAX_BLOCK - 1];
     for (k, &c) in qcodes.iter().enumerate() {
         qrev[qrev_c - k] = delta(i32::from(c));
     }
@@ -193,10 +185,10 @@ pub(crate) unsafe fn fill_block<L: Lanes<B>, const B: usize>(
     // Lane 0's diagonal input at d is its up input at d-1 (`H(i0-1, j0+d-1)`,
     // the corner at d = 0), so row d's `diag` is exactly row d-1's up-shifted
     // H: carrying it takes one shift per diagonal off the loop-carried chain.
-    let mut dg_next = L::shift_in(neg_inf, <L::Elem as LaneElem>::rebase(corner, base));
+    let mut dg_next = L::shift_in(neg_inf, rebase(corner, base));
 
-    let mut e_tmp = [[L::Elem::ZERO; B]; B];
-    let mut f_tmp = [[L::Elem::ZERO; B]; B];
+    let mut e_tmp = [[0i16; B]; B];
+    let mut f_tmp = [[0i16; B]; B];
 
     // The d-1 dependency keeps the arithmetic sequential; finished rows
     // leave in pairs so wide backends can fuse the two stores. `2B−1` is
@@ -211,7 +203,7 @@ pub(crate) unsafe fn fill_block<L: Lanes<B>, const B: usize>(
         // Substitution: matrix rows when present, else the fixed model
         // (ambiguous beats match beats mismatch).
         let sub = match &sub_rows {
-            Some(rows) => L::widen_sub_row(&rows[d]),
+            Some(rows) => L::load(&rows[d], 0),
             None => {
                 let q_vec = L::load(&qrev, qrev_c - d);
                 let eq = L::cmp_eq(r_vec, q_vec);
@@ -262,9 +254,9 @@ pub(crate) unsafe fn fill_block<L: Lanes<B>, const B: usize>(
     // diagonal B-1+k is the block's last row (west output for column k);
     // lane k of the same diagonal is its last column (north output, row k).
     for k in 0..B {
-        west_h[k] = cells.h[k + B - 1][B - 1].unbase(base);
-        west_e[k] = e_tmp[k][B - 1].unbase(base);
-        north_h[k] = cells.h[k + B - 1][k].unbase(base);
-        north_f[k] = f_tmp[k][k].unbase(base);
+        west_h[k] = unbase(cells.h[k + B - 1][B - 1], base);
+        west_e[k] = unbase(e_tmp[k][B - 1], base);
+        north_h[k] = unbase(cells.h[k + B - 1][k], base);
+        north_f[k] = unbase(f_tmp[k][k], base);
     }
 }

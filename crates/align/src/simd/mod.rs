@@ -7,13 +7,13 @@
 //! the block side `B ∈ {8, 16}` and a lane-primitive impl (`lanes::Lanes`:
 //! load/store, shift-in-boundary, add/sub/max, compare, select) — and
 //! instantiated per backend inside a `#[target_feature]` wrapper. So is the
-//! tracker fold of the i16 tier's staging
-//! ([`crate::diag::DiagTracker::fold_block`], over the same trait's row
-//! reduce), through the same wrappers and the same dispatch table. Every
-//! instantiation is **bit-identical** to [`crate::block::fill_scalar`] at
-//! the same geometry: each cell's `H/E/F` is computed from exactly the same
-//! inputs with exactly the same integer operations — only the evaluation
-//! order differs, and no reassociation of `max`/`+` takes place.
+//! tracker fold of its staging ([`crate::diag::DiagTracker::fold_block`],
+//! over the same trait's row reduce), through the same wrappers and the same
+//! dispatch table. Every instantiation is **bit-identical** to
+//! [`crate::block::fill_scalar`] at the same geometry: each cell's `H/E/F` is
+//! computed from exactly the same inputs with exactly the same integer
+//! operations — only the evaluation order differs, and no reassociation of
+//! `max`/`+` takes place.
 //!
 //! ## Wavefront layout
 //!
@@ -34,54 +34,49 @@
 //!   unmasked state, since no in-shape lane ever reads an out-of-shape one;
 //! * boundary outputs are read back after the last diagonal.
 //!
-//! ## Tiers
+//! ## Lanes
 //!
-//! [`fill_wavefront`] runs i32 lanes with wrapping arithmetic, exact under
-//! [`crate::block::BlockCtx::simd_exact`] (which routes tasks whose scores
-//! could approach the `i32` limits — where the scalar fill's
-//! `saturating_add` would differ — back to the scalar fill).
-//! [`fill_wavefront_i16`] is the same wavefront at half the lane width:
+//! There is one lane element type. [`fill_wavefront_i16`] runs `i16` lanes:
 //! saturating arithmetic with [`NEG_INF16`] as the sentinel, on lanes that
 //! hold *offsets from a per-block base* rather than scores, gated by
 //! [`crate::block::BlockCtx::i16_exact`] (derived per geometry — see
-//! [`crate::block::BlockCtx::with_block_dim`]). Boundary carries stay
-//! absolute `i32` scores at the interface. At block entry the fill takes a
-//! real boundary `H` input as `base` — the largest of the `2B+1` on edge
-//! blocks, the corner on interior ones, where it is always real and keeps the
-//! reduction off the block-to-block chain — and converts every carry as
-//! `i32 → i16` saturation of `v − base` (exact for every real value
-//! under the gate, which bounds how far a block's values spread around its
-//! ring — not how large they are; `-∞`-derived values collapse into the
+//! [`crate::block::BlockCtx::with_block_dim`]); a task outside the gate runs
+//! the scalar reference fill instead ([`crate::block::BlockCtx::fill_tier`]).
+//! Boundary carries stay absolute `i32` scores at the interface. At block
+//! entry the fill takes a real boundary `H` input as `base` — the largest of
+//! the `2B+1` on edge blocks, the corner on interior ones, where it is always
+//! real and keeps the reduction off the block-to-block chain — and converts
+//! every carry as `i32 → i16` saturation of `v − base` (exact for every real
+//! value under the gate, which bounds how far a block's values spread around
+//! its ring — not how large they are; `-∞`-derived values collapse into the
 //! sentinel class, which by construction loses every `max` against a real
-//! value just as in the i32 tier). The recurrence is translation-invariant,
-//! so it runs unchanged; the staging buffer records `base` for the tracker
-//! fold, and at block exit real lanes go back out as `x + base` while
-//! anything in the sentinel band (`x ≤ `[`SENTINEL_BAND16`]) is written as
-//! exactly `NEG_INF`, for the next block — with its own base — to saturate
-//! again. Valid-lane `H` values plus `base` are therefore bit-identical to
-//! the scalar fill; only masked lanes and boundary slots for masked cells
-//! carry a different (equally ultra-negative) encoding, and nothing
-//! downstream observes those.
+//! value just as `NEG_INF` does in the scalar fill). The recurrence is
+//! translation-invariant, so it runs unchanged; the staging buffer records
+//! `base` for the tracker fold, and at block exit real lanes go back out as
+//! `x + base` while anything in the sentinel band (`x ≤ `[`SENTINEL_BAND16`])
+//! is written as exactly `NEG_INF`, for the next block — with its own base —
+//! to saturate again. Valid-lane `H` values plus `base` are therefore
+//! bit-identical to the scalar fill; only masked lanes and boundary slots for
+//! masked cells carry a different (equally ultra-negative) encoding, and
+//! nothing downstream observes those.
 //!
 //! ## Which lanes run
 //!
 //! Lane impl (and the feature level its instantiation is compiled at) per
-//! resolved backend × tier × geometry — for the fill and, in the i16
-//! columns, for the tracker fold alike: [`fill_wavefront_i16`] stamps the
-//! backend it ran on into the staging buffer and [`fold_wavefront_i16`]
-//! dispatches on the stamp. (i32 staging folds through the scalar reference,
-//! [`crate::diag::DiagTracker::on_block`].)
+//! resolved backend × geometry — for the fill and for the tracker fold alike:
+//! [`fill_wavefront_i16`] stamps the backend it ran on into the staging
+//! buffer and [`fold_wavefront_i16`] dispatches on the stamp.
 //!
-//! | backend    | i32, B=8             | i32, B=16       | i16, B=8              | i16, B=16                |
-//! |------------|----------------------|-----------------|-----------------------|--------------------------|
-//! | `avx512`   | `Avx2I32` (avx2)     | `Portable<i32>` | `Sse41I16` (avx2)     | `Avx512I16` (avx512bw+vl)|
-//! | `avx2`     | `Avx2I32` (avx2)     | `Portable<i32>` | `Sse41I16` (avx2)     | `Avx2I16` (avx2)         |
-//! | `sse41`    | `Portable<i32>`      | `Portable<i32>` | `Sse41I16` (sse4.1)   | `Portable<i16>`          |
-//! | `portable` | `Portable<i32>`      | `Portable<i32>` | `Portable<i16>`       | `Portable<i16>`          |
+//! | backend    | B=8                   | B=16                     |
+//! |------------|-----------------------|--------------------------|
+//! | `avx512`   | `Sse41I16` (avx2)     | `Avx512I16` (avx512bw+vl)|
+//! | `avx2`     | `Sse41I16` (avx2)     | `Avx2I16` (avx2)         |
+//! | `sse41`    | `Sse41I16` (sse4.1)   | `Portable`               |
+//! | `portable` | `Portable`            | `Portable`               |
 //!
 //! The adaptive geometry policy ([`crate::block::BlockCtx::geometry_for`])
-//! picks B=16 only for the i16 tier on `avx2`/`avx512`, so the
-//! `Portable<i32>` B=16 column serves forced `--block 16` runs only.
+//! picks B=16 only on `avx2`/`avx512`, so the `Portable` B=16 cells below
+//! them serve forced `--block 16` runs only.
 
 use crate::block::{block_diags, BlockCellsT, BlockCtx, BoundaryT};
 use crate::diag::DiagTracker;
@@ -92,8 +87,8 @@ pub(crate) use lanes::Lanes;
 use lanes::Portable;
 #[cfg(target_arch = "x86_64")]
 use x86::{
-    fill_avx2, fill_avx512, fill_sse41, fold_avx2, fold_avx512, fold_sse41, Avx2I16, Avx2I32,
-    Avx512I16, Sse41I16,
+    fill_avx2, fill_avx512, fill_sse41, fold_avx2, fold_avx512, fold_sse41, Avx2I16, Avx512I16,
+    Sse41I16,
 };
 #[cfg(target_arch = "x86_64")]
 use WavefrontBackend::{Avx2, Avx512, Sse41};
@@ -105,7 +100,7 @@ mod tests;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
-/// Sentinel for "minus infinity" in the 16-bit tier: `i16::MIN / 2`, the
+/// Sentinel for "minus infinity" in the 16-bit lanes: `i16::MIN / 2`, the
 /// same factor-two headroom [`NEG_INF`] keeps in i32 space. Saturating
 /// arithmetic may pin sentinel-derived values anywhere in
 /// `[i16::MIN, NEG_INF16]`, and they may drift up from there by less than
@@ -115,7 +110,7 @@ mod x86;
 /// [`NEG_INF`]: crate::NEG_INF
 pub const NEG_INF16: i16 = i16::MIN / 2;
 
-/// Top of the 16-bit tier's sentinel band, `-2^13`: a lane at or below it is
+/// Top of the 16-bit lanes' sentinel band, `-2^13`: a lane at or below it is
 /// `-∞`-class, a lane above it is a real offset from the block's base.
 pub const SENTINEL_BAND16: i16 = NEG_INF16 / 2;
 
@@ -174,21 +169,20 @@ pub fn avx512_active() -> bool {
 /// repeated feature-detection load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WavefrontBackend {
-    /// x86-64 with AVX-512BW/VL: the B=16 i16 fill runs with mask-register
+    /// x86-64 with AVX-512BW/VL: the B=16 fill runs with mask-register
     /// lane selects, batch-computed edge masks and fused dual-diagonal zmm
     /// stores, and the tracker fold's merge compiles to two masked 16-lane
     /// steps. Everything else runs as on [`Self::Avx2`] (the B=8 vectors are
     /// already full).
     Avx512,
-    /// x86-64 with AVX2: one 8×i32 AVX2 vector per block diagonal in the
-    /// B=8 i32 tier, 8×i16 SSE vectors in the B=8 i16 tier, and one full
-    /// 16×i16 AVX2 vector per diagonal in the B=16 i16 tier.
+    /// x86-64 with AVX2: 8×i16 SSE vectors at B=8 and one full 16×i16 AVX2
+    /// vector per diagonal at B=16.
     Avx2,
-    /// x86-64 with SSE4.1 but not AVX2: the B=8 i16 tier still runs its
-    /// vector lanes, fill and fold (they need nothing wider than 128-bit
-    /// ops); the i32 tier and the B=16 geometry run the portable lanes.
+    /// x86-64 with SSE4.1 but not AVX2: B=8 still runs its vector lanes,
+    /// fill and fold (they need nothing wider than 128-bit ops); the B=16
+    /// geometry runs the portable lanes.
     Sse41,
-    /// Array-backed portable lanes for both tiers (see the
+    /// Array-backed portable lanes at both geometries (see the
     /// [module table](self#which-lanes-run)).
     Portable,
 }
@@ -314,41 +308,11 @@ fn lane_mask(ctx: &BlockCtx<'_>, i0: i64, j0: i64, d: usize) -> u16 {
     }
 }
 
-/// Wavefront fill (drop-in replacement for [`crate::block::fill_scalar`]):
-/// [`fill_block`] over the i32 lanes the pre-resolved backend in `ctx` and
-/// the geometry `B` select.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fill_wavefront<const B: usize>(
-    ctx: &BlockCtx<'_>,
-    i0: i64,
-    j0: i64,
-    rcodes: &[u8; B],
-    qcodes: &[u8; B],
-    corner: i32,
-    west_h: &mut BoundaryT<B>,
-    west_e: &mut BoundaryT<B>,
-    north_h: &mut BoundaryT<B>,
-    north_f: &mut BoundaryT<B>,
-    cells: &mut BlockCellsT<i32, B>,
-) {
-    let io = BlockIo { rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells };
-    // SAFETY: `ctx.wavefront_backend` is the detected backend or a cap below
-    // it, and detection reports Avx2/Avx512 only after a runtime AVX2 check
-    // (`avx512_active` includes it); the portable lanes need no feature.
-    unsafe {
-        match (ctx.wavefront_backend, B) {
-            #[cfg(target_arch = "x86_64")]
-            (Avx2 | Avx512, BLOCK) => fill_avx2::<Avx2I32, BLOCK>(ctx, i0, j0, io.at_geometry()),
-            _ => fill_block::<Portable<i32>, B>(ctx, i0, j0, io),
-        }
-    }
-}
-
-/// 16-bit-tier wavefront fill (the narrow, block-rebased twin of
-/// [`fill_wavefront`]), staging offsets from `cells.base` into a
-/// `BlockCellsT<i16, B>` buffer. All lane impls are bit-identical to each
-/// other and — on valid lanes plus `base`, under [`BlockCtx::i16_exact`] —
-/// to the scalar fill.
+/// The wavefront fill: [`fill_block`] over the lanes the pre-resolved backend
+/// in `ctx` and the geometry `B` select, staging offsets from `cells.base`
+/// into a `BlockCellsT<i16, B>` buffer. All lane impls are bit-identical to
+/// each other and — on valid lanes plus `base`, under [`BlockCtx::i16_exact`]
+/// — to the scalar fill.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fill_wavefront_i16<const B: usize>(
     ctx: &BlockCtx<'_>,
@@ -381,7 +345,7 @@ pub(crate) fn fill_wavefront_i16<const B: usize>(
             (Avx2 | Avx512, BLOCK) => fill_avx2::<Sse41I16, BLOCK>(ctx, i0, j0, io.at_geometry()),
             #[cfg(target_arch = "x86_64")]
             (Sse41, BLOCK) => fill_sse41::<Sse41I16, BLOCK>(ctx, i0, j0, io.at_geometry()),
-            _ => fill_block::<Portable<i16>, B>(ctx, i0, j0, io),
+            _ => fill_block::<Portable, B>(ctx, i0, j0, io),
         }
     }
     cells.backend = ctx.wavefront_backend;
@@ -411,7 +375,7 @@ pub(crate) fn fold_wavefront_i16<const B: usize>(
             (Avx2 | Avx512, BLOCK) => fold_avx2::<Sse41I16, BLOCK>(tracker, cells.at_geometry()),
             #[cfg(target_arch = "x86_64")]
             (Sse41, BLOCK) => fold_sse41::<Sse41I16, BLOCK>(tracker, cells.at_geometry()),
-            _ => tracker.fold_block::<Portable<i16>, B>(cells),
+            _ => tracker.fold_block::<Portable, B>(cells),
         }
     }
 }

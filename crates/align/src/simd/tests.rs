@@ -1,5 +1,4 @@
-use super::fill::struct_mask;
-use super::lanes::{DiagMasks, LaneElem, Lanes};
+use super::lanes::{unbase, DiagMasks, Lanes};
 use super::*;
 use crate::block::{fill_scalar, BlockCells};
 use crate::diag::DiagTracker;
@@ -57,18 +56,13 @@ impl Rng {
 }
 
 /// One lane impl (or a dispatcher) as a plain safe function.
-type Fill<T, const B: usize> = for<'a, 'b, 'c> fn(&'a BlockCtx<'b>, i64, i64, BlockIo<'c, T, B>);
+type Fill<const B: usize> = for<'a, 'b, 'c> fn(&'a BlockCtx<'b>, i64, i64, BlockIo<'c, B>);
 
 /// `$wrapper::<$lanes, $n>` as a [`Fill`] at the enclosing function's `B`.
 /// Callers list a vector impl only after [`has`] confirmed its backend.
 macro_rules! lane_fill {
     ($wrapper:ident, $lanes:ty, $n:expr) => {{
-        fn run<const B: usize>(
-            ctx: &BlockCtx<'_>,
-            i0: i64,
-            j0: i64,
-            io: BlockIo<'_, <$lanes as Lanes<{ $n }>>::Elem, B>,
-        ) {
+        fn run<const B: usize>(ctx: &BlockCtx<'_>, i0: i64, j0: i64, io: BlockIo<'_, B>) {
             // SAFETY: only listed when the host supports the wrapper's level.
             unsafe { $wrapper::<$lanes, { $n }>(ctx, i0, j0, io.at_geometry()) }
         }
@@ -82,22 +76,11 @@ fn has(backend: WavefrontBackend) -> bool {
     supported_backends().contains(&backend)
 }
 
-/// Every i32 lane impl the host supports at geometry `B`, portable first.
-fn i32_lanes<const B: usize>() -> Vec<(&'static str, Fill<i32, B>)> {
-    #[allow(unused_mut)]
-    let mut fills = vec![("portable", lane_fill!(fill_block, Portable<i32>, B) as Fill<i32, B>)];
-    #[cfg(target_arch = "x86_64")]
-    if B == BLOCK && has(WavefrontBackend::Avx2) {
-        fills.push(("avx2", lane_fill!(fill_avx2, Avx2I32, BLOCK)));
-    }
-    fills
-}
-
-/// Every i16 lane impl × feature level the host supports at geometry `B`,
+/// Every lane impl × feature level the host supports at geometry `B`,
 /// portable first.
-fn i16_lanes<const B: usize>() -> Vec<(&'static str, Fill<i16, B>)> {
+fn i16_lanes<const B: usize>() -> Vec<(&'static str, Fill<B>)> {
     #[allow(unused_mut)]
-    let mut fills = vec![("portable", lane_fill!(fill_block, Portable<i16>, B) as Fill<i16, B>)];
+    let mut fills = vec![("portable", lane_fill!(fill_block, Portable, B) as Fill<B>)];
     #[cfg(target_arch = "x86_64")]
     {
         if B == BLOCK && has(WavefrontBackend::Sse41) {
@@ -116,14 +99,8 @@ fn i16_lanes<const B: usize>() -> Vec<(&'static str, Fill<i16, B>)> {
     fills
 }
 
-/// [`fill_wavefront`] (on whatever backend `ctx` resolved) as a [`Fill`].
-fn dispatch32<const B: usize>(ctx: &BlockCtx<'_>, i0: i64, j0: i64, io: BlockIo<'_, i32, B>) {
-    let BlockIo { rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells } = io;
-    fill_wavefront(ctx, i0, j0, rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells);
-}
-
 /// [`fill_wavefront_i16`] as a [`Fill`].
-fn dispatch16<const B: usize>(ctx: &BlockCtx<'_>, i0: i64, j0: i64, io: BlockIo<'_, i16, B>) {
+fn dispatch16<const B: usize>(ctx: &BlockCtx<'_>, i0: i64, j0: i64, io: BlockIo<'_, B>) {
     let BlockIo { rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells } = io;
     fill_wavefront_i16(
         ctx, i0, j0, rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells,
@@ -131,9 +108,13 @@ fn dispatch16<const B: usize>(ctx: &BlockCtx<'_>, i0: i64, j0: i64, io: BlockIo<
 }
 
 /// Run one block through the scalar fill and through every lane impl the
-/// host supports (plus the dispatchers) and assert identical masks,
-/// structural-lane `H` and boundary outputs; impls of one lane type must
-/// also agree on whole staging rows, masked lanes included.
+/// host supports (plus the dispatcher) and assert identical masks, valid-lane
+/// `H` and boundary outputs. Real values must match the scalar reference bit
+/// for bit; `-∞`-class values (boundary `E`/`F` of cells whose neighbour is
+/// masked, and everything of masked cells) differ in encoding — the rebased
+/// lanes write exactly `NEG_INF` — but must be `-∞`-class on both sides. The
+/// impls must also agree with each other on whole staging rows, masked lanes
+/// included.
 #[allow(clippy::too_many_arguments)]
 fn check_block<const B: usize>(
     ctx: &BlockCtx<'_>,
@@ -147,6 +128,7 @@ fn check_block<const B: usize>(
     north_h: BoundaryT<B>,
     north_f: BoundaryT<B>,
 ) {
+    assert!(ctx.i16_exact, "the lanes are only ever driven inside the gate");
     let mut cells_s = BlockCellsT::<i32, B>::new();
     let (mut wh_s, mut we_s, mut nh_s, mut nf_s) = (west_h, west_e, north_h, north_f);
     fill_scalar(
@@ -163,93 +145,48 @@ fn check_block<const B: usize>(
         &mut cells_s,
     );
 
-    let mut rows32 = Vec::new();
-    for (name, fill) in i32_lanes::<B>().into_iter().chain([("dispatch", dispatch32::<B> as _)]) {
-        let mut cells_v = BlockCellsT::<i32, B>::new();
-        let (mut wh_v, mut we_v, mut nh_v, mut nf_v) = (west_h, west_e, north_h, north_f);
+    let same = |got: i32, want32: i32, what: &str| {
+        if i64::from(want32) > -crate::block::I32_REACH_BOUND {
+            assert_eq!(got, want32, "i16: {what} at ({i0},{j0})");
+        } else {
+            assert_eq!(got, NEG_INF, "i16: {what} class at ({i0},{j0})");
+        }
+    };
+    let mut runs = Vec::new();
+    for (name, fill) in i16_lanes::<B>().into_iter().chain([("dispatch", dispatch16::<B> as _)]) {
+        let mut cells_n = BlockCellsT::<i16, B>::new();
+        let (mut wh_n, mut we_n, mut nh_n, mut nf_n) = (west_h, west_e, north_h, north_f);
         let io = BlockIo {
             rcodes,
             qcodes,
             corner,
-            west_h: &mut wh_v,
-            west_e: &mut we_v,
-            north_h: &mut nh_v,
-            north_f: &mut nf_v,
-            cells: &mut cells_v,
+            west_h: &mut wh_n,
+            west_e: &mut we_n,
+            north_h: &mut nh_n,
+            north_f: &mut nf_n,
+            cells: &mut cells_n,
         };
         fill(ctx, i0, j0, io);
-        assert_eq!(cells_v.mask, cells_s.mask, "{name}: masks at ({i0},{j0})");
+        assert_eq!(cells_n.mask, cells_s.mask, "{name}: masks at ({i0},{j0})");
         for d in 0..block_diags(B) {
-            let sm = struct_mask(B, d);
             for l in 0..B {
-                if sm & (1 << l) != 0 {
-                    assert_eq!(
-                        cells_v.h[d][l], cells_s.h[d][l],
-                        "{name}: H mismatch at block ({i0},{j0}) diag {d} lane {l}"
-                    );
+                if cells_s.mask[d] & (1 << l) != 0 {
+                    same(unbase(cells_n.h[d][l], cells_n.base), cells_s.h[d][l], "H");
                 }
             }
         }
-        assert_eq!(wh_v, wh_s, "{name}: west H at ({i0},{j0})");
-        assert_eq!(we_v, we_s, "{name}: west E at ({i0},{j0})");
-        assert_eq!(nh_v, nh_s, "{name}: north H at ({i0},{j0})");
-        assert_eq!(nf_v, nf_s, "{name}: north F at ({i0},{j0})");
-        rows32.push((name, cells_v.h));
-    }
-    for (name, rows) in &rows32[1..] {
-        assert_eq!(rows, &rows32[0].1, "i32 {name} vs portable staging rows at ({i0},{j0})");
-    }
-
-    // The 16-bit tier against the same scalar reference. Real values
-    // must match bit for bit; `-∞`-class values (boundary `E`/`F` of cells
-    // whose neighbour is masked, and everything of masked cells) differ in
-    // encoding — the rebased tier writes exactly `NEG_INF` — but must be
-    // `-∞`-class on both sides.
-    if ctx.i16_exact {
-        let same = |got: i32, want32: i32, what: &str| {
-            if i64::from(want32) > -crate::block::I32_REACH_BOUND {
-                assert_eq!(got, want32, "i16: {what} at ({i0},{j0})");
-            } else {
-                assert_eq!(got, NEG_INF, "i16: {what} class at ({i0},{j0})");
-            }
-        };
-        let mut runs = Vec::new();
-        for (name, fill) in i16_lanes::<B>().into_iter().chain([("dispatch", dispatch16::<B> as _)])
-        {
-            let mut cells_n = BlockCellsT::<i16, B>::new();
-            let (mut wh_n, mut we_n, mut nh_n, mut nf_n) = (west_h, west_e, north_h, north_f);
-            let io = BlockIo {
-                rcodes,
-                qcodes,
-                corner,
-                west_h: &mut wh_n,
-                west_e: &mut we_n,
-                north_h: &mut nh_n,
-                north_f: &mut nf_n,
-                cells: &mut cells_n,
-            };
-            fill(ctx, i0, j0, io);
-            assert_eq!(cells_n.mask, cells_s.mask, "{name}: masks at ({i0},{j0})");
-            for d in 0..block_diags(B) {
-                for l in 0..B {
-                    if cells_s.mask[d] & (1 << l) != 0 {
-                        same(cells_n.h[d][l].unbase(cells_n.base), cells_s.h[d][l], "H");
-                    }
-                }
-            }
-            for k in 0..B {
-                same(wh_n[k], wh_s[k], "west H");
-                same(we_n[k], we_s[k], "west E");
-                same(nh_n[k], nh_s[k], "north H");
-                same(nf_n[k], nf_s[k], "north F");
-            }
-            runs.push((name, (cells_n.h, cells_n.base, wh_n, we_n, nh_n, nf_n)));
+        for k in 0..B {
+            same(wh_n[k], wh_s[k], "west H");
+            same(we_n[k], we_s[k], "west E");
+            same(nh_n[k], nh_s[k], "north H");
+            same(nf_n[k], nf_s[k], "north F");
         }
-        // Every i16 impl must agree with the portable lanes exactly, sentinel
-        // encodings included (they are the vector impls' reference).
-        for (name, run) in &runs[1..] {
-            assert_eq!(run, &runs[0].1, "i16 {name} vs portable at ({i0},{j0})");
-        }
+        runs.push((name, (cells_n.h, cells_n.base, wh_n, we_n, nh_n, nf_n)));
+    }
+    // Every impl must agree with the portable lanes exactly, sentinel
+    // encodings included (they are the vector impls' reference).
+    for (name, run) in &runs[1..] {
+        assert_eq!(run, &runs[0].1, "{name} vs portable at ({i0},{j0})");
     }
 }
 
@@ -262,7 +199,6 @@ fn fixed_blocks_sweep<const B: usize>(seed: u64, scorings: &[Scoring], bias: i32
     for (si, sc) in scorings.iter().enumerate() {
         let (n, m) = (40 + si % 4 * 7, 33 + si % 4 * 5);
         let ctx = BlockCtx::with_block_dim(n, m, sc, B);
-        assert!(ctx.simd_exact);
         for bi in 0..ctx.ref_blocks() {
             for bj in 0..ctx.query_blocks() {
                 let (i0, j0) = (bi * B as i64, bj * B as i64);
@@ -300,7 +236,7 @@ fn wavefront_matches_scalar_on_random_blocks_wide() {
 }
 
 /// Sweep every block of a substitution-matrix scoring at geometry `B`:
-/// all tiers against the scalar fill, with the matrix path exercised
+/// every lane impl against the scalar fill, with the matrix path exercised
 /// both through direct lookups and through a prepared query profile
 /// (the two must be bit-identical by construction).
 fn matrix_blocks_sweep<const B: usize>(seed: u64, sc: &Scoring, bias: i32) {
@@ -317,7 +253,7 @@ fn matrix_blocks_sweep<const B: usize>(seed: u64, sc: &Scoring, bias: i32) {
     prof.prepare(&q, sc);
     for use_profile in [false, true] {
         let ctx = BlockCtx::with_block_dim(n, m, sc, B).with_profile(use_profile.then_some(&prof));
-        assert!(ctx.simd_exact && ctx.i16_exact, "blosum62 at {n}×{m} fits both gates");
+        assert!(ctx.i16_exact, "blosum62 at {n}×{m} fits the gate");
         for bi in 0..ctx.ref_blocks() {
             for bj in 0..ctx.query_blocks() {
                 let (i0, j0) = (bi * B as i64, bj * B as i64);
@@ -341,32 +277,18 @@ fn matrix_model_matches_scalar_on_random_blocks_wide() {
     matrix_blocks_sweep::<MAX_BLOCK>(0xB162, &Scoring::preset_blosum62(), 0);
 }
 
-/// [`grid_run_on`] with the detected backend.
-fn grid_run<const B: usize>(
-    r: &PackedSeq,
-    q: &PackedSeq,
-    sc: &Scoring,
-    mode: crate::block::FillMode,
-) -> crate::result::GuidedResult {
-    grid_run_on::<B>(detected_backend(), r, q, sc, mode)
-}
-
 /// The whole block grid through the shared sweep ([`crate::sweep::grid_align`])
-/// on the full-width tier of `mode`, fills dispatched as `backend`.
-fn grid_run_on<const B: usize>(
-    backend: WavefrontBackend,
+/// on the scalar reference fill.
+fn grid_run_scalar<const B: usize>(
     r: &PackedSeq,
     q: &PackedSeq,
     sc: &Scoring,
-    mode: crate::block::FillMode,
 ) -> crate::result::GuidedResult {
-    let ctx = BlockCtx::with_block_dim(r.len(), q.len(), sc, B)
-        .with_backend(BackendChoice::Fixed(backend));
-    let tier = ctx.fill_tier(mode, crate::block::FillPrecision::I32);
-    crate::sweep::grid_align::<B>(ctx, tier, r, q)
+    let ctx = BlockCtx::with_block_dim(r.len(), q.len(), sc, B);
+    crate::sweep::grid_align::<B>(ctx, crate::block::FillTier::Scalar, r, q)
 }
 
-/// [`grid_run`] on the 16-bit tier.
+/// [`grid_run_scalar`] on the i16 wavefront, detected backend.
 fn grid_run_i16<const B: usize>(
     r: &PackedSeq,
     q: &PackedSeq,
@@ -392,7 +314,6 @@ fn grid_run_i16_on<const B: usize>(
 fn wavefront_matches_scalar_via_block_grid() {
     // End-to-end: run the block grid (the shared sweep) on each fill tier
     // at each geometry and compare complete guided results.
-    use crate::block::FillMode;
     use crate::guided::guided_align;
 
     let mut rng = Rng(0xA11E);
@@ -409,16 +330,14 @@ fn wavefront_matches_scalar_via_block_grid() {
             _ => Scoring::new(3, 2, 5, 2, 15, Scoring::NO_BAND),
         };
         let want = guided_align(&rp, &qp, &sc);
-        let scalar = grid_run::<BLOCK>(&rp, &qp, &sc, FillMode::Scalar);
-        let simd = grid_run::<BLOCK>(&rp, &qp, &sc, FillMode::Simd);
+        let scalar = grid_run_scalar::<BLOCK>(&rp, &qp, &sc);
         let narrow = grid_run_i16::<BLOCK>(&rp, &qp, &sc);
-        assert_eq!(scalar, simd, "case {case}: scalar vs simd fill");
         assert_eq!(scalar, narrow, "case {case}: scalar vs i16 fill");
         // The wide geometry tiles the same table differently but must
-        // produce the identical guided result in both precisions.
-        let wide = grid_run::<MAX_BLOCK>(&rp, &qp, &sc, FillMode::Simd);
+        // produce the identical guided result on both tiers.
+        let wide = grid_run_scalar::<MAX_BLOCK>(&rp, &qp, &sc);
         let wide16 = grid_run_i16::<MAX_BLOCK>(&rp, &qp, &sc);
-        assert_eq!(scalar, wide, "case {case}: scalar vs wide i32 fill");
+        assert_eq!(scalar, wide, "case {case}: scalar vs wide scalar fill");
         assert_eq!(scalar, wide16, "case {case}: scalar vs wide i16 fill");
         assert!(scalar.same_alignment(&want), "case {case}: {scalar:?} vs {want:?}");
         assert_eq!(scalar.cells, want.cells, "case {case}");
@@ -429,7 +348,6 @@ fn wavefront_matches_scalar_via_block_grid() {
 fn matrix_model_matches_scalar_via_block_grid() {
     // End-to-end under BLOSUM62: every fill tier at both geometries
     // must reproduce the scalar guided result on protein tasks.
-    use crate::block::FillMode;
     use crate::guided::guided_align;
     use crate::scoring::BLOSUM62;
 
@@ -447,14 +365,12 @@ fn matrix_model_matches_scalar_via_block_grid() {
             Scoring::preset_blosum62().with_zdrop(Scoring::NO_ZDROP).with_band(Scoring::NO_BAND)
         };
         let want = guided_align(&rp, &qp, &sc);
-        let scalar = grid_run::<BLOCK>(&rp, &qp, &sc, FillMode::Scalar);
-        let simd = grid_run::<BLOCK>(&rp, &qp, &sc, FillMode::Simd);
+        let scalar = grid_run_scalar::<BLOCK>(&rp, &qp, &sc);
         let narrow = grid_run_i16::<BLOCK>(&rp, &qp, &sc);
-        let wide = grid_run::<MAX_BLOCK>(&rp, &qp, &sc, FillMode::Simd);
+        let wide = grid_run_scalar::<MAX_BLOCK>(&rp, &qp, &sc);
         let wide16 = grid_run_i16::<MAX_BLOCK>(&rp, &qp, &sc);
-        assert_eq!(scalar, simd, "case {case}: scalar vs simd fill");
         assert_eq!(scalar, narrow, "case {case}: scalar vs i16 fill");
-        assert_eq!(scalar, wide, "case {case}: scalar vs wide i32 fill");
+        assert_eq!(scalar, wide, "case {case}: scalar vs wide scalar fill");
         assert_eq!(scalar, wide16, "case {case}: scalar vs wide i16 fill");
         assert!(scalar.same_alignment(&want), "case {case}: {scalar:?} vs {want:?}");
         assert_eq!(scalar.cells, want.cells, "case {case}");
@@ -464,23 +380,22 @@ fn matrix_model_matches_scalar_via_block_grid() {
 #[test]
 fn oversized_scoring_falls_back_to_scalar() {
     // A scoring whose per-step increment is too large for the wavefront
-    // exactness proof must degrade to the scalar fill (simd_exact off)
-    // when dispatched through compute_block_mode(Simd).
-    use crate::block::{compute_block_mode, FillMode};
+    // exactness proof (even the i32 carries' reach fails) resolves to the
+    // scalar tier, and `compute_block_mode` fills scalar whatever mode it is
+    // handed.
+    use crate::block::{compute_block_mode, FillMode, FillPrecision, FillTier};
 
     let sc = Scoring::new(1 << 28, 4, 4, 2, Scoring::NO_ZDROP, Scoring::NO_BAND);
     let ctx = BlockCtx::new(64, 64, &sc);
-    assert!(!ctx.simd_exact);
+    assert!(!ctx.i16_exact);
+    assert_eq!(ctx.fill_tier(FillMode::Simd, FillPrecision::Auto), FillTier::Scalar);
     let small = Scoring::figure1();
-    assert!(BlockCtx::new(64, 64, &small).simd_exact);
+    assert!(BlockCtx::new(64, 64, &small).i16_exact);
 
     // Craft a block whose DP actually saturates: all-match codes add
     // 2^28 per diagonal step starting from a corner near i32::MAX, so
-    // the scalar fill's saturating_add pins at i32::MAX while a
-    // wavefront fill would wrap. If the Simd dispatch ever stopped
-    // falling back, the outputs below would diverge (or the wavefront
-    // would overflow-panic in debug builds) — either way this test
-    // catches it.
+    // the scalar fill's saturating_add pins at i32::MAX where wrapping
+    // lanes would come back as plausible scores.
     let rcodes = [0u8; BLOCK];
     let qcodes = [0u8; BLOCK];
     let corner = i32::MAX - 100;
@@ -500,7 +415,7 @@ fn oversized_scoring_falls_back_to_scalar() {
     };
     let scalar = run(FillMode::Scalar);
     let simd = run(FillMode::Simd);
-    assert_eq!(scalar, simd, "Simd mode must fall back to the scalar fill when !simd_exact");
+    assert_eq!(scalar, simd, "the mode argument is inert: every mode fills scalar");
     // The crafted inputs really do reach saturation (the discriminating
     // regime for the two add semantics).
     assert!(scalar.0.iter().any(|row| row.contains(&i32::MAX)), "expected saturated cells");
@@ -530,16 +445,13 @@ fn gate_boundary_battery<const B: usize>(inside: (i32, i32), at: (i32, i32), pas
         let sc = scoring(inside);
         let ctx = BlockCtx::with_block_dim(n, m, &sc, B);
         assert!(ctx.i16_exact, "{n}×{m}: one inside the i16 gate");
-        assert_eq!(ctx.fill_tier(FillMode::Simd, FillPrecision::I16), FillTier::I16);
         assert_eq!(ctx.fill_tier(FillMode::Simd, FillPrecision::Auto), FillTier::I16);
-        assert_eq!(ctx.fill_tier(FillMode::Simd, FillPrecision::I32), FillTier::I32);
+        assert_eq!(ctx.fill_tier(FillMode::Scalar, FillPrecision::Auto), FillTier::Scalar);
         for outside in [at, past] {
             let sc = scoring(outside);
             let ctx = BlockCtx::with_block_dim(n, m, &sc, B);
-            assert!(!ctx.i16_exact && ctx.simd_exact, "{n}×{m}: must demote to the i32 tier");
-            assert_eq!(ctx.fill_tier(FillMode::Simd, FillPrecision::I16), FillTier::I32);
-            assert_eq!(ctx.fill_tier(FillMode::Simd, FillPrecision::Auto), FillTier::I32);
-            assert_eq!(ctx.fill_tier(FillMode::Scalar, FillPrecision::I16), FillTier::Scalar);
+            assert!(!ctx.i16_exact, "{n}×{m}: must demote to the scalar fill");
+            assert_eq!(ctx.fill_tier(FillMode::Simd, FillPrecision::Auto), FillTier::Scalar);
         }
     }
 
@@ -558,11 +470,11 @@ fn gate_boundary_battery<const B: usize>(inside: (i32, i32), at: (i32, i32), pas
     for (rc, qc) in [(&all_match, &all_match[..len - 10]), (&junk_r, &junk_q[..])] {
         let (r, q) = (PackedSeq::from_codes(rc), PackedSeq::from_codes(qc));
         let want = guided_align(&r, &q, &sc);
+        let scalar = grid_run_scalar::<B>(&r, &q, &sc);
+        assert!(scalar.same_alignment(&want), "{scalar:?} vs {want:?}");
         for b in supported_backends() {
-            let scalar = grid_run_on::<B>(b, &r, &q, &sc, FillMode::Scalar);
             let narrow = grid_run_i16_on::<B>(b, &r, &q, &sc);
             assert_eq!(scalar, narrow, "{}: i16 tier one inside the gate", b.name());
-            assert!(scalar.same_alignment(&want), "{}: {scalar:?} vs {want:?}", b.name());
         }
     }
     let (r, q) = (PackedSeq::from_codes(&all_match), PackedSeq::from_codes(&all_match[..len - 10]));
@@ -570,14 +482,14 @@ fn gate_boundary_battery<const B: usize>(inside: (i32, i32), at: (i32, i32), pas
     assert_eq!(top.score, (len as i32 - 10) * inside.0);
     assert!(top.score > i32::from(i16::MAX), "all-match task must leave the i16 range");
 
-    // At the gate, the demoted (i32 wavefront) tier equals scalar too.
+    // At the gate, the tier the default fill resolves (scalar) scores the
+    // task exactly.
     let sc = scoring(at);
-    for b in supported_backends() {
-        let scalar = grid_run_on::<B>(b, &r, &q, &sc, FillMode::Scalar);
-        let demoted = grid_run_on::<B>(b, &r, &q, &sc, FillMode::Simd);
-        assert_eq!(scalar, demoted, "{}: demoted task must run the exact i32 path", b.name());
-        assert_eq!(scalar.score, (len as i32 - 10) * at.0);
-    }
+    let ctx = BlockCtx::with_block_dim(r.len(), q.len(), &sc, B);
+    let tier = ctx.fill_tier(FillMode::Simd, FillPrecision::Auto);
+    let demoted = crate::sweep::grid_align::<B>(ctx, tier, &r, &q);
+    assert!(demoted.same_alignment(&guided_align(&r, &q, &sc)), "demoted task must stay exact");
+    assert_eq!(demoted.score, (len as i32 - 10) * at.0);
 }
 
 #[test]
@@ -621,7 +533,6 @@ fn saturation_probe<const B: usize>() {
     let sc = Scoring::new(4800, 4, 4, 2, Scoring::NO_ZDROP, Scoring::NO_BAND);
     let ctx = BlockCtx::with_block_dim(64, 64, &sc, B);
     assert!(!ctx.i16_exact, "step 4800 must fail the i16 gate");
-    assert!(ctx.simd_exact, "…while still fitting the i32 gate");
 
     // All-match codes climb 4800 per diagonal step from a ring at ≈ 1.2 M:
     // the far corner sits B × 4800 ≥ 38,400 above the base.
@@ -777,7 +688,7 @@ unsafe fn fold_plain<L: Lanes<N>, const N: usize>(
 /// staging stamped by each supported backend.
 fn i16_folds<const B: usize>() -> Vec<(String, Fold<B>)> {
     let mut folds: Vec<(String, Fold<B>)> =
-        vec![("portable".into(), lane_fold!(fold_plain, Portable<i16>, B))];
+        vec![("portable".into(), lane_fold!(fold_plain, Portable, B))];
     #[cfg(target_arch = "x86_64")]
     {
         if B == BLOCK && has(WavefrontBackend::Sse41) {
@@ -1048,7 +959,7 @@ fn edge_masks_equal_lane_mask() {
                     }
                     // SAFETY: the portable lanes need no CPU feature.
                     let portable =
-                        unsafe { <Portable<i16> as Lanes<MAX_BLOCK>>::edge_masks(&ctx, i0, j0) };
+                        unsafe { <Portable as Lanes<MAX_BLOCK>>::edge_masks(&ctx, i0, j0) };
                     assert_eq!(portable, want, "default masks, {n}×{m} w={w} block ({i0},{j0})");
                     #[cfg(target_arch = "x86_64")]
                     if has(WavefrontBackend::Avx512) {

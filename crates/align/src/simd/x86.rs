@@ -23,7 +23,7 @@ macro_rules! feature_level {
             ctx: &BlockCtx<'_>,
             i0: i64,
             j0: i64,
-            io: BlockIo<'_, L::Elem, N>,
+            io: BlockIo<'_, N>,
         ) {
             fill_block::<L, N>(ctx, i0, j0, io);
         }
@@ -96,13 +96,12 @@ macro_rules! minpos8_phminposuw {
 const LANE_BIT: [i16; MAX_BLOCK] =
     [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, i16::MIN];
 
-/// 8×i16 in an xmm (B=8 i16 tier). Every instruction is SSE4.1 or older;
+/// 8×i16 in an xmm (B=8). Every instruction is SSE4.1 or older;
 /// AVX2-or-wider hosts run it VEX-encoded through [`fill_avx2`] (the 8-lane
 /// vector leaves wider registers nothing to fuse).
 pub(crate) struct Sse41I16;
 
 impl Lanes<BLOCK> for Sse41I16 {
-    type Elem = i16;
     type V = __m128i;
     type M = __m128i;
 
@@ -128,8 +127,7 @@ impl Lanes<BLOCK> for Sse41I16 {
     unsafe fn store(dst: &mut [i16; BLOCK], v: __m128i) {
         _mm_storeu_si128(dst.as_mut_ptr().cast(), v);
     }
-    /// One `palignr` — the short loop-carried dependency that makes this
-    /// tier faster than the i32 wavefront's permute+blend shift.
+    /// One `palignr` — a short loop-carried dependency.
     #[inline(always)]
     unsafe fn shift_in(v: __m128i, boundary: i16) -> __m128i {
         _mm_alignr_epi8(v, _mm_set1_epi16(boundary), 14)
@@ -155,62 +153,11 @@ impl Lanes<BLOCK> for Sse41I16 {
     }
 }
 
-/// 8×i32 in a ymm (B=8 i32 tier; AVX-512 hosts reuse it — the vector is
-/// already full).
-pub(crate) struct Avx2I32;
-
-impl Lanes<BLOCK> for Avx2I32 {
-    type Elem = i32;
-    type V = __m256i;
-    type M = __m256i;
-
-    one_instruction! {
-        add(a, b) -> V = _mm256_add_epi32;
-        sub(a, b) -> V = _mm256_sub_epi32;
-        max(a, b) -> V = _mm256_max_epi32;
-        cmp_eq(a, b) -> M = _mm256_cmpeq_epi32;
-        cmp_gt(a, b) -> M = _mm256_cmpgt_epi32;
-    }
-    #[inline(always)]
-    unsafe fn splat(x: i32) -> __m256i {
-        _mm256_set1_epi32(x)
-    }
-    #[inline(always)]
-    unsafe fn load(src: &[i32], at: usize) -> __m256i {
-        debug_assert!(at + BLOCK <= src.len(), "8-lane load past the end");
-        // SAFETY: the 32 bytes at `src[at..at + 8]` are in bounds (asserted).
-        _mm256_loadu_si256(src.as_ptr().add(at).cast())
-    }
-    #[inline(always)]
-    unsafe fn store(dst: &mut [i32; BLOCK], v: __m256i) {
-        _mm256_storeu_si256(dst.as_mut_ptr().cast(), v);
-    }
-    #[inline(always)]
-    unsafe fn shift_in(v: __m256i, boundary: i32) -> __m256i {
-        let up = _mm256_permutevar8x32_epi32(v, _mm256_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6));
-        _mm256_blend_epi32(up, _mm256_set1_epi32(boundary), 0x01)
-    }
-    #[inline(always)]
-    unsafe fn mask_from_bits(bits: u16) -> __m256i {
-        let lane_bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
-        _mm256_cmpeq_epi32(_mm256_and_si256(_mm256_set1_epi32(i32::from(bits)), lane_bit), lane_bit)
-    }
-    #[inline(always)]
-    unsafe fn select(m: __m256i, on: __m256i, off: __m256i) -> __m256i {
-        _mm256_blendv_epi8(off, on, m)
-    }
-    #[inline(always)]
-    unsafe fn widen_sub_row(src: &[i16; BLOCK]) -> __m256i {
-        _mm256_cvtepi16_epi32(_mm_loadu_si128(src.as_ptr().cast()))
-    }
-}
-
 /// The 16×i16 ymm operations [`Avx2I16`] and [`Avx512I16`] share: both run
 /// one 256-bit vector per diagonal and differ only in how lanes are
 /// predicated.
 macro_rules! ymm_i16_lanes {
     () => {
-        type Elem = i16;
         type V = __m256i;
 
         minpos8_phminposuw!(MAX_BLOCK);
@@ -253,7 +200,7 @@ macro_rules! ymm_i16_lanes {
     };
 }
 
-/// 16×i16 in a ymm with vector-mask predicates (B=16 i16 tier on AVX2).
+/// 16×i16 in a ymm with vector-mask predicates (B=16 on AVX2).
 pub(crate) struct Avx2I16;
 
 impl Lanes<MAX_BLOCK> for Avx2I16 {
@@ -288,9 +235,9 @@ impl Lanes<MAX_BLOCK> for Avx2I16 {
     }
 }
 
-/// 16×i16 in a ymm with `__mmask16` predicates (B=16 i16 tier on
-/// AVX-512BW/VL): the staged mask word *is* the mask operand, so no mask
-/// vector is ever built, and the north pre-seed is one masked broadcast.
+/// 16×i16 in a ymm with `__mmask16` predicates (B=16 on AVX-512BW/VL): the
+/// staged mask word *is* the mask operand, so no mask vector is ever built,
+/// and the north pre-seed is one masked broadcast.
 pub(crate) struct Avx512I16;
 
 impl Lanes<MAX_BLOCK> for Avx512I16 {

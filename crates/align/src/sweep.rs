@@ -78,9 +78,9 @@ impl NorthRows {
 enum Staging<const B: usize> {
     /// [`FillTier::I16`]: filled by [`compute_block_i16`].
     I16(BlockCellsT<i16, B>),
-    /// [`FillTier::I32`] and [`FillTier::Scalar`]: filled by
-    /// [`compute_block_mode`] in the held mode.
-    I32(FillMode, BlockCellsT<i32, B>),
+    /// [`FillTier::Scalar`]: filled by [`compute_block_mode`], the scalar
+    /// reference.
+    Scalar(BlockCellsT<i32, B>),
 }
 
 /// One task's block grid, open for sweeping at geometry `B`.
@@ -118,8 +118,8 @@ impl<'a, const B: usize> Sweep<'a, B> {
         }
         let staging = match tier {
             FillTier::I16 => Staging::I16(BlockCellsT::new()),
-            FillTier::I32 => Staging::I32(FillMode::Simd, BlockCellsT::new()),
-            FillTier::Scalar => Staging::I32(FillMode::Scalar, BlockCellsT::new()),
+            // `I32` is a shell `BlockCtx::fill_tier` never produces.
+            FillTier::Scalar | FillTier::I32 => Staging::Scalar(BlockCellsT::new()),
         };
         Sweep { ctx, reference, query, rows, tracker, staging }
     }
@@ -172,9 +172,9 @@ impl<'a, const B: usize> Sweep<'a, B> {
                         tracker.on_block_i16(cells);
                     }
                 }
-                Staging::I32(mode, cells) => {
+                Staging::Scalar(cells) => {
                     compute_block_mode(
-                        *mode,
+                        FillMode::Scalar,
                         ctx,
                         i0,
                         j0,
@@ -291,11 +291,7 @@ mod tests {
         let what = format!("{}×{} B={B} w={}", r.len(), q.len(), ctx.w);
         let want = guided_align(r, q, ctx.scoring);
         let any_width = ctx.ref_blocks() + ctx.query_blocks();
-        let tiers = [
-            (FillTier::Scalar, true),
-            (FillTier::I32, ctx.simd_exact),
-            (FillTier::I16, ctx.i16_exact),
-        ];
+        let tiers = [(FillTier::Scalar, true), (FillTier::I16, ctx.i16_exact)];
         for (tier, _) in tiers.into_iter().filter(|&(_, admitted)| admitted) {
             let what = format!("{what} {}", tier.name());
             let per_row = grid_align::<B>(ctx, tier, r, q);

@@ -106,14 +106,6 @@ impl Task {
         let m = self.query_len() as u32;
         (n + m).saturating_sub(1)
     }
-
-    /// A-priori workload estimate in cells for band half-width `w`:
-    /// `antidiags × min(band cells per diagonal)` — the paper's
-    /// `Cells ≈ Antidiags × Band_width` (Eq. 8) without the run-ahead term.
-    pub fn workload_cells(&self, band_width: i32) -> u64 {
-        let per_diag = (2 * band_width + 1).min(self.ref_len().min(self.query_len()) as i32);
-        self.antidiags() as u64 * per_diag.max(1) as u64
-    }
 }
 
 #[cfg(test)]
@@ -138,12 +130,6 @@ mod tests {
         assert_eq!(t.reference.bits(), 8);
         assert_eq!(t.query.pad(), BLOSUM62.pad_code());
         assert_eq!(t.reference.code(1), 1, "R packs to its BLOSUM62 row index");
-    }
-
-    #[test]
-    fn workload_scales_with_band() {
-        let t = Task::from_strs(0, &"A".repeat(100), &"A".repeat(100));
-        assert!(t.workload_cells(50) > t.workload_cells(5));
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::sync::atomic::Ordering;
 
 use std::sync::{Arc, Mutex};
 
-use agatha_align::{BlockDim, FillPrecision, FillTier, Scoring, Task};
+use agatha_align::{BlockDim, FillTier, Scoring, Task};
 use agatha_baselines::{run_baseline, Baseline};
 use agatha_core::options::DEFAULT_PREFETCH_DEPTH;
 use agatha_core::{AgathaConfig, Pipeline, StreamOptions};
@@ -111,41 +111,35 @@ common options:
                   cores)
   --chunk N       streaming chunk size in tasks (align + agatha engine
                   only, default 4096, must be at least 1)
-  --prefetch N    streaming prefetch depth (align/serve + agatha engine
-                  only): a reader thread parses up to N chunks ahead of
-                  kernel execution; 0 parses inline between chunks
-                  (default 2)
+  --prefetch N    streaming prefetch depth (align + agatha engine only): a
+                  reader thread parses up to N chunks ahead of kernel
+                  execution; 0 parses inline between chunks (default 2)
   --carryover C   cross-chunk warp packing (align + agatha engine only):
                   on (default) defers tasks that would seed an underfull
                   trailing warp into the next chunk's largest-first fill
                   (flushed at end of stream); off packs every chunk alone.
                   Scores and stats are bit-identical either way
-  --precision P   host block-fill lane precision (agatha engine only):
-                  auto | i32 | i16. auto/i16 run the 16-bit wavefront —
-                  lanes hold offsets from a per-block base, so read length
-                  does not matter — unless the scoring is so large that
-                  one block's scores spread past 16 bits; those tasks
-                  demote to i32. Results are bit-identical across tiers
   --block B       host block geometry (agatha engine only): auto | 8 | 16.
                   auto widens to 16x16 blocks (16 i16 lanes per diagonal)
                   on tasks where the wider tile amortises its staging cost;
                   results are bit-identical across geometries. Host-only,
-                  like --precision and --backend: the simulated device
-                  always runs the paper's 8x8 blocks, so no simulated
-                  number depends on it
+                  like --backend: the simulated device always runs the
+                  paper's 8x8 blocks, so no simulated number depends on it
   --backend K     host wavefront backend (agatha engine only): auto |
                   avx512 | avx2 | sse41 | portable. auto runs the best
                   implementation the CPU supports; forcing a level the CPU
                   lacks clamps down to the detected one; results are
                   bit-identical across backends
-  --verbose       print per-task fill-precision tier, geometry and
-                  backend counts (align and demo + agatha engine only)
+  --verbose       print per-task fill tier (the 16-bit wavefront, or
+                  scalar for a task whose scoring spreads one block's
+                  scores past 16 bits: demoted), geometry and backend
+                  counts (align and demo + agatha engine only)
   -o DIR          output directory (default ./output)
   --tech T        demo technology: hifi | clr | ont (default clr)
   --reads N       demo task count (default 160)
 
 serve options (plus the alignment options and --scenario, --gpus, --threads,
---prefetch, --precision, --block, --backend, -o above):
+--block, --backend, -o above):
   --port N        TCP port on 127.0.0.1 (default 0 = ephemeral; the bound
                   address is printed on startup)
   --window-ms N   admission window: how long the first request of a batch
@@ -160,21 +154,8 @@ serve options (plus the alignment options and --scenario, --gpus, --threads,
 /// Flags `align`, `demo` and `serve` all read: the scoring flags
 /// ([`scoring_from_args`]), the fill plan and pool size ([`agatha_config`],
 /// `--gpus`, `--threads`) and the output directory.
-const ENGINE_FLAGS: &[&str] = &[
-    "a",
-    "b",
-    "q",
-    "r",
-    "z",
-    "w",
-    "scenario",
-    "gpus",
-    "threads",
-    "precision",
-    "block",
-    "backend",
-    "o",
-];
+const ENGINE_FLAGS: &[&str] =
+    &["a", "b", "q", "r", "z", "w", "scenario", "gpus", "threads", "block", "backend", "o"];
 
 /// A flag the subcommand does not read is a usage error, not a no-op: a
 /// mistyped `--thraeds 1` must not quietly run on every core, and `demo
@@ -184,10 +165,7 @@ fn check_flags(command: &str, args: &Args) -> Result<(), String> {
     let (shared, own): (&[&str], &[&str]) = match command {
         "align" => (ENGINE_FLAGS, &["engine", "verbose", "chunk", "prefetch", "carryover"]),
         "demo" => (ENGINE_FLAGS, &["engine", "verbose", "tech", "reads"]),
-        "serve" => (
-            ENGINE_FLAGS,
-            &["prefetch", "port", "window-ms", "max-batch", "max-queue", "deadline-ms"],
-        ),
+        "serve" => (ENGINE_FLAGS, &["port", "window-ms", "max-batch", "max-queue", "deadline-ms"]),
         "scenarios" => (&[], &["names"]),
         "engines" => (&[], &[]),
         // `help` reads nothing, and the caller reports unknown commands.
@@ -223,43 +201,50 @@ fn scenario_from_args(args: &Args) -> Result<Option<&'static Scenario>, String> 
     }
 }
 
+/// A preset's scoring under the CLI flags: the preset `--{by} {name}`
+/// selected carries the score model, so the substitution and gap flags
+/// `-a/-b/-q/-r` conflict (they would be silently ignored) while the guide
+/// flags `-z/-w` still override.
+fn preset_scoring(args: &Args, by: &str, name: &str, preset: Scoring) -> Result<Scoring, String> {
+    for flag in ["a", "b", "q", "r"] {
+        if args.has(flag) {
+            return Err(format!(
+                "-{flag} conflicts with --{by} {name}: its score model defines the \
+                 substitution scores (drop -{flag} or the --{by})"
+            ));
+        }
+    }
+    let scoring = preset
+        .with_zdrop(args.get_num_checked("z", preset.zdrop)?)
+        .with_band(args.get_num_checked("w", preset.band_width)?);
+    scoring.validate().map_err(|e| format!("invalid scoring parameters (-z/-w): {e}"))?;
+    Ok(scoring)
+}
+
 /// Scoring from the CLI flags, plus the scenario that supplied it (if any).
 ///
-/// With `--scenario`, the scenario's preset carries the score model; the
-/// fixed-model substitution flags `-a/-b/-q/-r` then conflict (they would
-/// be silently ignored) while the guide flags `-z/-w` still override. All
+/// With `--scenario`, the scenario's preset scores ([`preset_scoring`]). All
 /// parameters go through [`Scoring::try_new`]-style validation so invalid
 /// values (`-a 0`, negative penalties) surface as usage errors instead of
 /// panics.
 fn scoring_from_args(args: &Args) -> Result<(Scoring, Option<&'static Scenario>), String> {
     let scenario = scenario_from_args(args)?;
     let scoring = match scenario {
-        Some(s) => {
-            for flag in ["a", "b", "q", "r"] {
-                if args.has(flag) {
-                    return Err(format!(
-                        "-{flag} conflicts with --scenario {}: the scenario's score model \
-                         defines the substitution scores (drop -{flag} or the --scenario)",
-                        s.name
-                    ));
-                }
-            }
-            let mut sc = (s.scoring)();
-            sc = sc.with_zdrop(args.get_num_checked("z", sc.zdrop)?);
-            sc = sc.with_band(args.get_num_checked("w", sc.band_width)?);
-            sc
+        Some(s) => preset_scoring(args, "scenario", s.name, (s.scoring)())?,
+        None => {
+            let flags = Scoring::try_new(
+                args.get_num_checked("a", 2)?,
+                args.get_num_checked("b", 4)?,
+                args.get_num_checked("q", 4)?,
+                args.get_num_checked("r", 2)?,
+                args.get_num_checked("z", 400)?,
+                args.get_num_checked("w", 400)?,
+            )
+            .map_err(|e| format!("invalid scoring parameters (-a/-b/-q/-r/-z/-w): {e}"))?;
+            flags.validate().map_err(|e| format!("invalid scoring parameters (-z/-w): {e}"))?;
+            flags
         }
-        None => Scoring::try_new(
-            args.get_num_checked("a", 2)?,
-            args.get_num_checked("b", 4)?,
-            args.get_num_checked("q", 4)?,
-            args.get_num_checked("r", 2)?,
-            args.get_num_checked("z", 400)?,
-            args.get_num_checked("w", 400)?,
-        )
-        .map_err(|e| format!("invalid scoring parameters (-a/-b/-q/-r/-z/-w): {e}"))?,
     };
-    scoring.validate().map_err(|e| format!("invalid scoring parameters (-z/-w): {e}"))?;
     Ok((scoring, scenario))
 }
 
@@ -270,9 +255,6 @@ struct HostOpts {
     gpus: usize,
     threads: usize,
     chunk: usize,
-    /// `--precision` when given explicitly; `None` keeps the default
-    /// (`auto`).
-    precision: Option<FillPrecision>,
     /// `--block` when given explicitly; `None` keeps the default (adaptive
     /// per-task geometry).
     block: Option<BlockDim>,
@@ -295,12 +277,6 @@ fn host_opts(args: &Args) -> Result<HostOpts, String> {
         // zero.
         return Err("--gpus must be at least 1 (got 0)".to_string());
     }
-    let precision = match args.get("precision") {
-        None => None,
-        Some(v) => Some(
-            FillPrecision::parse(v).map_err(|e| format!("{e}\nusage: --precision auto|i32|i16"))?,
-        ),
-    };
     let block = match args.get("block") {
         None => None,
         Some(v) => Some(BlockDim::parse(v).map_err(|e| format!("{e}\nusage: --block auto|8|16"))?),
@@ -337,7 +313,6 @@ fn host_opts(args: &Args) -> Result<HostOpts, String> {
         gpus,
         threads: args.get_num_checked("threads", 0usize)?,
         chunk,
-        precision,
         block,
         backend,
         prefetch,
@@ -347,13 +322,10 @@ fn host_opts(args: &Args) -> Result<HostOpts, String> {
 }
 
 /// The kernel configuration implied by the host options: full AGAThA on
-/// the default fill plan, with `--precision`, `--block` and `--backend`
-/// each overriding its one field.
+/// the default fill plan, with `--block` and `--backend` each overriding
+/// its one field.
 fn agatha_config(opts: &HostOpts) -> AgathaConfig {
     let mut cfg = AgathaConfig::agatha();
-    if let Some(p) = opts.precision {
-        cfg = cfg.with_fill_precision(p);
-    }
     if let Some(b) = opts.block {
         cfg = cfg.with_block_dim(b);
     }
@@ -364,12 +336,12 @@ fn agatha_config(opts: &HostOpts) -> AgathaConfig {
 }
 
 /// Per-tier task counts for `--verbose`: how many tasks each fill tier
-/// served, how many were demoted from a requested i16, and which block
-/// geometry each task resolved to.
+/// (i16 wavefront, scalar) served, and which block geometry each task
+/// resolved to. Every CLI plan asks for the wavefront, so each scalar task
+/// is one its exactness gate demoted.
 #[derive(Default)]
 struct TierStats {
-    counts: [u64; 3],
-    demoted: u64,
+    counts: [u64; 2],
     /// Tasks resolved to the narrow (8x8) / wide (16x16) geometry.
     blocks: [u64; 2],
     /// Tasks served by each wavefront backend, in the capability-chain
@@ -384,17 +356,7 @@ impl TierStats {
         use agatha_align::simd::WavefrontBackend;
         let (n, m) = (task.ref_len(), task.query_len());
         let tier = cfg.fill_tier_for(n, m, scoring);
-        let slot = match tier {
-            FillTier::I16 => 0,
-            FillTier::I32 => 1,
-            FillTier::Scalar => 2,
-        };
-        self.counts[slot] += 1;
-        let wants_i16 =
-            cfg.simd_fill && matches!(cfg.fill_precision, FillPrecision::Auto | FillPrecision::I16);
-        if wants_i16 && tier != FillTier::I16 {
-            self.demoted += 1;
-        }
+        self.counts[usize::from(tier != FillTier::I16)] += 1;
         let b = if cfg.block_dim_for(n, m, scoring) == agatha_align::BLOCK { 0 } else { 1 };
         self.blocks[b] += 1;
         let k = match cfg.backend.resolve() {
@@ -408,8 +370,8 @@ impl TierStats {
 
     fn print(&self) {
         println!(
-            "fill precision: i16={} i32={} scalar={} (demoted={})",
-            self.counts[0], self.counts[1], self.counts[2], self.demoted
+            "fill precision: i16={} scalar={} (demoted={})",
+            self.counts[0], self.counts[1], self.counts[1]
         );
         println!("block geometry: b8={} b16={}", self.blocks[0], self.blocks[1]);
         println!(
@@ -434,19 +396,18 @@ fn agatha_pipeline(scoring: &Scoring, opts: &HostOpts) -> Pipeline {
 
 /// Reject agatha-only flags for engines that would silently ignore them:
 /// the baselines model fixed published hardware setups and run whole-batch
-/// reference schedules on one thread, so pretending `--gpus`, `--precision`
-/// or `--threads` took effect would misreport what was simulated.
+/// reference schedules on every core, so pretending `--gpus`, `--block` or
+/// `--threads` took effect would misreport what was simulated.
 /// (`--gpus 1` is every baseline's own setup and passes.)
 fn check_baseline_flags(engine: &str, args: &Args, opts: &HostOpts) -> Result<(), String> {
     let agatha_only = [
         ("gpus", opts.gpus > 1, "models a fixed device setup"),
-        ("precision", args.has("precision"), "runs its reference fill"),
         ("block", args.has("block"), "runs its reference block geometry"),
         ("backend", args.has("backend"), "runs its reference fill"),
         ("prefetch", args.has("prefetch"), "runs whole-batch"),
         ("carryover", args.has("carryover"), "runs whole-batch"),
         ("chunk", args.has("chunk"), "runs whole-batch"),
-        ("threads", args.has("threads"), "runs on one host thread"),
+        ("threads", args.has("threads"), "runs on every host core"),
         ("verbose", args.has("verbose"), "has no fill plan to report"),
     ];
     for (flag, given, reason) in agatha_only {
@@ -587,8 +548,9 @@ fn cmd_demo(args: &Args) -> Result<(), String> {
         return Err("--reads must be at least 1 (got 0)".to_string());
     }
     // `--scenario` runs the registered workload: its generator produces the
-    // tasks and its preset scores them (with -z/-w overrides). Otherwise
-    // `--tech` selects one of the paper's synthetic dataset profiles.
+    // tasks and its preset scores them. Otherwise `--tech` selects one of
+    // the paper's synthetic dataset profiles and scoring presets. Either
+    // preset takes -z/-w overrides and refuses -a/-b/-q/-r.
     let (demo_name, tasks, scoring) = match scenario_from_args(args)? {
         Some(s) => {
             if args.has("tech") {
@@ -608,10 +570,12 @@ fn cmd_demo(args: &Args) -> Result<(), String> {
                 "ont" => Tech::Ont,
                 other => return Err(format!("unknown tech '{other}'")),
             };
+            // A usage error must not wait for the dataset to generate.
+            let scoring = preset_scoring(args, "tech", tech.name(), tech.scoring())?;
             let spec =
                 DatasetSpec { name: format!("{} demo", tech.name()), tech, seed: 1234, reads };
             let ds = generate(&spec);
-            (ds.name, ds.tasks, ds.scoring)
+            (ds.name, ds.tasks, scoring)
         }
     };
     let engine = args.get("engine").filter(|s| !s.is_empty()).unwrap_or("agatha");
@@ -661,7 +625,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     cfg.config = agatha_config(&opts);
     cfg.gpus = opts.gpus;
     cfg.threads = opts.threads;
-    cfg.prefetch = opts.prefetch;
     cfg.window_ns = window_ms * 1_000_000;
     cfg.max_batch = max_batch;
     cfg.max_queue = max_queue;
@@ -726,7 +689,7 @@ fn cmd_scenarios(args: &Args) {
         );
         println!(
             "  typical {n}x{m}: i16 wavefront {}; baselines: {}",
-            if s.gate.i16_exact { "exact" } else { "demoted to i32" },
+            if s.gate.i16_exact { "exact" } else { "demoted to scalar" },
             s.baselines.join(", ")
         );
     }

@@ -45,7 +45,7 @@ fn unknown_flags_are_usage_errors() {
     let out_dir = dir.join("out");
     let pair = [refs.to_str().unwrap(), queries.to_str().unwrap()];
 
-    let cases: [(&[&str], &[&str], &str); 11] = [
+    let cases: [(&[&str], &[&str], &str); 12] = [
         (&["align", "--no-such-flag", "3"], &pair, "--no-such-flag"),
         (&["align", "-x", "3"], &pair, "-x"),
         // A serve-only flag is unknown to align, and a demo-only one to serve.
@@ -54,12 +54,14 @@ fn unknown_flags_are_usage_errors() {
         (&["serve", "--port", "0", "--reads", "4"], &[], "--reads"),
         // Flags another subcommand reads but this one does not: `demo` runs
         // whole-batch (nothing to chunk, prefetch or carry over) and `serve`
-        // neither streams a file nor prints the `--verbose` tally. These
+        // neither streams a file (its batcher's staging depth is a constant)
+        // nor prints the `--verbose` tally. These
         // used to parse, exit 0 and change nothing.
         (&["demo", "--reads", "4", "--chunk", "2"], &[], "--chunk"),
         (&["demo", "--reads", "4", "--prefetch", "2"], &[], "--prefetch"),
         (&["demo", "--reads", "4", "--carryover", "off"], &[], "--carryover"),
         (&["serve", "--port", "0", "--chunk", "2"], &[], "--chunk"),
+        (&["serve", "--port", "0", "--prefetch", "2"], &[], "--prefetch"),
         (&["serve", "--port", "0", "--carryover", "off"], &[], "--carryover"),
         (&["serve", "--port", "0", "--verbose"], &[], "--verbose"),
     ];
@@ -359,6 +361,8 @@ fn prefetch_and_carryover_rejected_for_baseline_engines() {
             assert!(!out.status.success(), "{flag:?} must not be silently ignored by baselines");
             let err = String::from_utf8_lossy(&out.stderr);
             assert!(err.contains("agatha engine"), "{flag:?}: stderr: {err}");
+            // The baselines fan out over every core; the reason must say so.
+            assert!(flag[0] != "--threads" || err.contains("every host core"), "stderr: {err}");
         }
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -440,17 +444,18 @@ fn precision_i16_forces_the_tier() {
     std::fs::write(&queries, ">1\nACGTACGTACGTACGT\n>2\nAAAACCCCGGGGTTTT\n").unwrap();
     let out_dir = dir.join("out");
     let out = agatha()
-        .args(["align", "--precision", "i16", "--verbose"])
+        .args(["align", "--verbose"])
         .args(["-o", out_dir.to_str().unwrap()])
         .arg(refs.to_str().unwrap())
         .arg(queries.to_str().unwrap())
         .output()
         .unwrap();
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    // Short all-match pairs sit comfortably inside the i16 gate: every
-    // task runs the i16 tier, nothing demotes, scores stay exact.
+    // Short all-match pairs sit comfortably inside the i16 gate: with no
+    // flag asking for it, every task runs the i16 tier, nothing demotes,
+    // scores stay exact.
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("fill precision: i16=2 i32=0 scalar=0 (demoted=0)"), "stdout: {text}");
+    assert!(text.contains("fill precision: i16=2 scalar=0 (demoted=0)"), "stdout: {text}");
     let scores = std::fs::read_to_string(out_dir.join("score.log")).unwrap();
     assert_eq!(scores, "32\n32\n");
     std::fs::remove_dir_all(&dir).ok();
@@ -481,30 +486,27 @@ fn verbose_before_positionals_does_not_swallow_paths() {
 
 #[test]
 fn precision_bogus_is_a_usage_error() {
-    let dir = std::env::temp_dir().join(format!("agatha_cli_pbad_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let refs = dir.join("ref.fasta");
-    let queries = dir.join("query.fasta");
-    std::fs::write(&refs, ">1\nACGT\n").unwrap();
-    std::fs::write(&queries, ">1\nACGT\n").unwrap();
-    let out = agatha()
-        .args(["align", "--precision", "bogus"])
-        .arg(refs.to_str().unwrap())
-        .arg(queries.to_str().unwrap())
-        .output()
-        .unwrap();
-    assert!(!out.status.success(), "--precision bogus must fail");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("'bogus'") && err.contains("--precision") && err.contains("auto|i32|i16"),
-        "stderr must carry a usage message: {err}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
+    // There is one lane precision, so nothing to select: every value of the
+    // retired flag — a once-valid one included — is the unknown option it
+    // now is, on every subcommand that used to read it (refused before any
+    // input is opened, so the paths need not exist).
+    let cases: [&[&str]; 4] = [
+        &["align", "--precision", "bogus", "ref.fasta", "query.fasta"],
+        &["align", "--precision", "i16", "ref.fasta", "query.fasta"],
+        &["demo", "--reads", "4", "--precision", "i32"],
+        &["serve", "--port", "0", "--precision", "auto"],
+    ];
+    for args in cases {
+        let out = agatha().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?} must be a usage error");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown option --precision"), "{args:?}: stderr: {err}");
+    }
 }
 
-/// Align one 800 bp all-match pair with `--precision i16 --verbose` plus
-/// `extra` flags; returns (stdout, score.log).
-fn align_800bp_all_match_i16(tag: &str, extra: &[&str]) -> (String, String) {
+/// Align one 800 bp all-match pair with `--verbose` plus `extra` flags;
+/// returns (stdout, score.log).
+fn align_800bp_all_match(tag: &str, extra: &[&str]) -> (String, String) {
     let dir = std::env::temp_dir().join(format!("agatha_cli_{tag}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let refs = dir.join("ref.fasta");
@@ -514,7 +516,7 @@ fn align_800bp_all_match_i16(tag: &str, extra: &[&str]) -> (String, String) {
     std::fs::write(&queries, format!(">1\n{seq}\n")).unwrap();
     let out_dir = dir.join("out");
     let out = agatha()
-        .args(["align", "--precision", "i16", "--verbose"])
+        .args(["align", "--verbose"])
         .args(extra)
         .args(["-o", out_dir.to_str().unwrap()])
         .arg(refs.to_str().unwrap())
@@ -531,10 +533,10 @@ fn align_800bp_all_match_i16(tag: &str, extra: &[&str]) -> (String, String) {
 fn precision_i16_on_overflowing_task_demotes_and_stays_correct() {
     // Under `-a 300` one block's scores spread past the i16 offset range
     // (span + drift = 16 × 310 + 15 × 300 ≥ 2^13 even at the 8×8 tile), so
-    // a forced `--precision i16` must auto-demote the task to the i32 tier
-    // — observable in the --verbose stats — and still score it exactly.
-    let (text, scores) = align_800bp_all_match_i16("povf", &["-a", "300"]);
-    assert!(text.contains("fill precision: i16=0 i32=1 scalar=0 (demoted=1)"), "stdout: {text}");
+    // the task must demote to the scalar fill — observable in the --verbose
+    // stats — and still score exactly.
+    let (text, scores) = align_800bp_all_match("povf", &["-a", "300"]);
+    assert!(text.contains("fill precision: i16=0 scalar=1 (demoted=1)"), "stdout: {text}");
     assert_eq!(scores, "240000\n", "800 matches at +300 each");
 }
 
@@ -543,20 +545,21 @@ fn precision_i16_on_long_task_stays_on_the_tier() {
     // The same pair under the default scoring scores 1600 — past the old
     // length-dependent gate (6 × 1602 ≥ 2^13), which demoted it — and now
     // runs the rebased i16 tier: read length no longer demotes.
-    let (text, scores) = align_800bp_all_match_i16("plong", &[]);
-    assert!(text.contains("fill precision: i16=1 i32=0 scalar=0 (demoted=0)"), "stdout: {text}");
+    let (text, scores) = align_800bp_all_match("plong", &[]);
+    assert!(text.contains("fill precision: i16=1 scalar=0 (demoted=0)"), "stdout: {text}");
     assert_eq!(scores, "1600\n", "800 matches at +2 each");
 }
 
 #[test]
 fn precision_rejected_for_baseline_engines() {
+    // Refused before the engine is even looked at: no engine reads it.
     let out = agatha()
         .args(["demo", "--reads", "4", "--engine", "saloba", "--precision", "i16"])
         .output()
         .unwrap();
     assert!(!out.status.success(), "--precision must not be silently ignored by baselines");
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("agatha engine"), "stderr: {err}");
+    assert!(err.contains("unknown option --precision"), "stderr: {err}");
 }
 
 #[test]
@@ -728,7 +731,7 @@ fn the_default_build_is_the_vectorised_build() {
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(
-        text.contains("fill precision: i16=8 i32=0 scalar=0 (demoted=0)"),
+        text.contains("fill precision: i16=8 scalar=0 (demoted=0)"),
         "the default fill must be the i16 wavefront: {text}"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -868,6 +871,35 @@ fn scenario_conflicts_and_unknown_names_are_usage_errors() {
         err.contains("unknown scenario 'no-such'") && err.contains("protein-blosum62"),
         "error lists registered names: {err}"
     );
+}
+
+#[test]
+fn demo_tech_preset_takes_the_guides_and_refuses_the_scoring_flags() {
+    // `demo --tech T` used to ignore all six scoring flags. Its preset is
+    // treated like a scenario's: -a/-b/-q/-r conflict, -z/-w override.
+    let dir = std::env::temp_dir().join(format!("agatha_cli_tech_{}", std::process::id()));
+    let demo = |extra: &[&str]| {
+        agatha()
+            .args(["demo", "--tech", "clr", "--reads", "8", "-o", dir.to_str().unwrap()])
+            .args(extra)
+            .output()
+            .unwrap()
+    };
+    for flag in ["-a", "-b", "-q", "-r"] {
+        let out = demo(&[flag, "3"]);
+        assert!(!out.status.success(), "{flag} with --tech must not be silently ignored");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("conflicts") && err.contains("--tech CLR"), "stderr: {err}");
+    }
+    let simulated = |out: std::process::Output| {
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        text.lines().find(|l| l.contains("ms simulated")).expect("demo summary line").to_string()
+    };
+    let preset = simulated(demo(&[]));
+    let guided = simulated(demo(&["-z", "5", "-w", "3"]));
+    assert_ne!(preset, guided, "-z/-w must reach the run");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

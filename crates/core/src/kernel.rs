@@ -204,8 +204,8 @@ fn run_task_geom<const B: usize>(
     let ctx = BlockCtx::with_block_dim(n, m, scoring, B)
         .with_backend(cfg.backend)
         .with_profile(Some(&*profile));
-    // Per-task tier resolution: the narrowest fill whose exactness gate
-    // holds (i16 → i32 → scalar under Auto/I16; see BlockCtx::fill_tier).
+    // Per-task tier resolution: the i16 wavefront when its exactness gate
+    // holds, the scalar fill otherwise (see BlockCtx::fill_tier).
     let tier = ctx.fill_tier(cfg.fill_mode(), cfg.fill_precision);
     tracker.reset(n, m, scoring);
     // An empty table has no block rows: the sweep runs nothing and the
@@ -487,44 +487,38 @@ pub(crate) mod tests {
     }
 
     /// [`mixed_tasks`]' scoring with a match score so large that one block's
-    /// scores spread past the i16 offset range: every task demotes to i32.
+    /// scores spread past the i16 offset range: every task demotes to scalar.
     fn hot_scoring(s: &Scoring) -> Scoring {
         Scoring::new(300, 4, s.gap_open, s.gap_extend, s.zdrop, s.band_width)
     }
 
     #[test]
     fn fill_tiers_produce_identical_runs() {
-        // Full TaskRun equality across the three-tier matrix (scalar, i32
-        // wavefront, i16 wavefront) at both pinned geometries, across every
+        // Full TaskRun equality between the scalar plan and the default
+        // (wavefront) plan at both pinned geometries, across every
         // configuration and the mixed task set — once under a scoring the
         // i16 gate admits (so the 700 bp member, past the i16 range in
         // absolute score, runs rebased lanes) and once under one it rejects,
-        // so the same assertions also cover the i16→i32 auto-demotion path.
-        use agatha_align::block::{BlockDim, FillPrecision, FillTier};
+        // so the same assertions also cover the i16→scalar demotion path.
+        use agatha_align::block::{BlockDim, FillTier};
         let (tasks, s) = mixed_tasks();
-        let i16_cfg =
-            AgathaConfig::agatha().with_simd_fill(true).with_fill_precision(FillPrecision::I16);
-        for (s, want) in [(s, FillTier::I16), (hot_scoring(&s), FillTier::I32)] {
+        let simd_cfg = AgathaConfig::agatha().with_simd_fill(true);
+        for (s, want) in [(s, FillTier::I16), (hot_scoring(&s), FillTier::Scalar)] {
             for t in &tasks {
-                assert_eq!(i16_cfg.fill_tier_for(t.ref_len(), t.query_len(), &s), want);
+                assert_eq!(simd_cfg.fill_tier_for(t.ref_len(), t.query_len(), &s), want);
             }
             for bd in [BlockDim::B8, BlockDim::B16] {
                 for cfg in all_configs() {
                     let cfg = cfg.with_block_dim(bd);
                     let scalar_cfg = cfg.clone().with_simd_fill(false);
-                    let wide_cfg =
-                        cfg.clone().with_simd_fill(true).with_fill_precision(FillPrecision::I32);
-                    let narrow_cfg =
-                        cfg.clone().with_simd_fill(true).with_fill_precision(FillPrecision::I16);
+                    let simd_cfg = cfg.clone().with_simd_fill(true);
                     // One shared workspace alternates tiers across the stream
                     // to prove reuse carries no state between them.
                     let mut ws = KernelWorkspace::new();
                     for t in &tasks {
-                        let a = run_task(t, &s, &scalar_cfg);
-                        let b = run_task_ws(&mut ws, t, &s, &wide_cfg);
-                        let c = run_task_ws(&mut ws, t, &s, &narrow_cfg);
-                        assert_eq!(a, b, "config {cfg:?}, task {}: scalar vs i32 tier", t.id);
-                        assert_eq!(a, c, "config {cfg:?}, task {}: scalar vs i16 tier", t.id);
+                        let a = run_task_ws(&mut ws, t, &s, &scalar_cfg);
+                        let b = run_task_ws(&mut ws, t, &s, &simd_cfg);
+                        assert_eq!(a, b, "config {cfg:?}, task {}: scalar vs default plan", t.id);
                     }
                 }
             }
@@ -582,29 +576,23 @@ pub(crate) mod tests {
     #[test]
     fn backends_produce_identical_results() {
         // Full TaskRun equality across every backend this machine supports,
-        // at both pinned geometries and both wavefront precisions, over the
-        // mixed task stream — plus, at the i16 precision, under a scoring
-        // the i16 gate rejects, so the i16→i32 demotion path is swept per
-        // backend too. One shared workspace alternates backends task by
+        // at both pinned geometries, over the mixed task stream — plus under
+        // a scoring the i16 gate rejects, so the demotion to scalar is swept
+        // per backend too. One shared workspace alternates backends task by
         // task — each run carries its backend in its config — proving both
         // that every backend computes the same runs and that workspace reuse
         // carries no backend-specific state. On an AVX-512 machine this pits
         // the zmm kernels and the four-quarter tracker fold directly against
         // the portable reference.
-        use agatha_align::block::{BlockDim, FillPrecision};
+        use agatha_align::block::BlockDim;
         use agatha_align::simd::{self, BackendChoice, WavefrontBackend};
         let (tasks, s) = mixed_tasks();
         let hot = hot_scoring(&s);
         let backends = simd::supported_backends();
         assert_eq!(backends.last(), Some(&WavefrontBackend::Portable));
         for bd in [BlockDim::B8, BlockDim::B16] {
-            for (prec, s) in
-                [(FillPrecision::I32, &s), (FillPrecision::I16, &s), (FillPrecision::I16, &hot)]
-            {
-                let cfg = AgathaConfig::agatha()
-                    .with_simd_fill(true)
-                    .with_fill_precision(prec)
-                    .with_block_dim(bd);
+            for s in [&s, &hot] {
+                let cfg = AgathaConfig::agatha().with_simd_fill(true).with_block_dim(bd);
                 let on = |b| cfg.clone().with_backend(BackendChoice::Fixed(b));
                 let mut ws = KernelWorkspace::new();
                 for t in &tasks {
@@ -615,8 +603,9 @@ pub(crate) mod tests {
                         assert_eq!(
                             reference,
                             run,
-                            "geometry {}, precision {prec:?}, task {}: portable vs {}",
+                            "geometry {}, match score {}, task {}: portable vs {}",
                             bd.name(),
+                            s.max_score(),
                             t.id,
                             b.name()
                         );

@@ -34,7 +34,6 @@ pub mod kernel;
 pub mod model;
 pub mod options;
 pub mod pipeline;
-pub mod predictive;
 pub(crate) mod prefetch;
 pub mod trace;
 pub mod warp_sim;

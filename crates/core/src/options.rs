@@ -1,7 +1,7 @@
 //! Kernel configuration and feature toggles.
 //!
 //! [`AgathaConfig`] is the one execution plan: every fill decision (mode,
-//! precision, geometry, backend) is a field carried by value from the
+//! geometry, backend) is a field carried by value from the
 //! caller through [`crate::Pipeline`] into the kernel. Nothing here reads
 //! the environment or process-wide state; the CLI flags are the only way
 //! to ask for something other than the defaults.
@@ -15,7 +15,7 @@ use agatha_gpu_sim::WARP_LANES;
 // frozen `benchmark/src/measure.rs` imports them for its host block; the
 // next `[benchmark]` issue deletes them.
 
-/// Default [`FillPrecision`]: `Auto`.
+/// The one [`FillPrecision`].
 pub fn default_fill_precision() -> FillPrecision {
     FillPrecision::Auto
 }
@@ -28,6 +28,8 @@ pub fn default_block_dim() -> BlockDim {
 /// Prefetch depth used when `--prefetch` is not given: two parsed chunks
 /// queued ahead of execution (one being parsed by the reader, one ready),
 /// enough to hide FASTA parsing behind the kernel without hoarding memory.
+/// Also how many admission batches the serve daemon's harvester stages ahead
+/// of its executor.
 pub const DEFAULT_PREFETCH_DEPTH: usize = 2;
 
 /// Default streaming prefetch depth: [`DEFAULT_PREFETCH_DEPTH`].
@@ -72,21 +74,14 @@ pub struct AgathaConfig {
     /// row-major reference fill. Both are bit-identical; this only changes
     /// host wall-time, never results or cost accounting.
     pub simd_fill: bool,
-    /// Lane precision preferred by the wavefront fill (ignored when
-    /// `simd_fill` is off): `Auto`/`I16` run the 16-bit wavefront on every
-    /// task whose [`agatha_align::block::BlockCtx::i16_exact`] gate proves
-    /// it bit-identical, demoting to the i32 wavefront (or scalar)
-    /// otherwise; `I32` never uses the i16 tier. Like `simd_fill`, this
-    /// changes host wall-time only — results and cost accounting are
-    /// bit-identical across all tiers. Defaults to `Auto`.
+    /// Shell with one value: kept only because the frozen `benchmark/`
+    /// reads the field; the next `[benchmark]` issue deletes it.
     pub fill_precision: FillPrecision,
     /// Block geometry for the host-side fill: `Auto` resolves the block
     /// side per task ([`agatha_align::block::BlockCtx::geometry_for`] picks
     /// 16×16 when the task amortizes the wider staging, else the paper's
-    /// 8×8), `B8`/`B16` force one side. Orthogonal to `fill_precision`:
-    /// geometry picks the tiling, precision the lane width within it, and
-    /// every (geometry × precision) pair is bit-identical. Defaults to
-    /// `Auto`.
+    /// 8×8), `B8`/`B16` force one side. Every geometry is bit-identical.
+    /// Defaults to `Auto`.
     pub block_dim: BlockDim,
     /// Wavefront backend for the host-side fill and fold: `Auto` runs the
     /// best implementation the CPU supports, `Fixed(b)` caps the dispatch
@@ -167,15 +162,6 @@ impl AgathaConfig {
         self
     }
 
-    /// Select the wavefront lane precision (mirrors
-    /// [`AgathaConfig::with_simd_fill`]). Results are bit-identical across
-    /// every precision; benchmarks and the CLI `--precision` flag use this
-    /// to pin a tier per run.
-    pub fn with_fill_precision(mut self, precision: FillPrecision) -> AgathaConfig {
-        self.fill_precision = precision;
-        self
-    }
-
     /// The [`agatha_align::block::FillMode`] this configuration selects.
     #[inline]
     pub fn fill_mode(&self) -> agatha_align::block::FillMode {
@@ -187,7 +173,7 @@ impl AgathaConfig {
     }
 
     /// Select the block geometry (mirrors
-    /// [`AgathaConfig::with_fill_precision`]). Results are bit-identical
+    /// [`AgathaConfig::with_simd_fill`]). Results are bit-identical
     /// across every geometry; benchmarks and the CLI `--block` flag use
     /// this to pin a side per run.
     pub fn with_block_dim(mut self, block_dim: BlockDim) -> AgathaConfig {
@@ -206,8 +192,8 @@ impl AgathaConfig {
 
     /// The fill tier this configuration resolves to for an `n × m` task —
     /// the same per-task decision [`crate::kernel::run_task_ws`] makes, so
-    /// callers (CLI `--verbose` stats, benches) can observe i16 demotions
-    /// without instrumenting the kernel output.
+    /// callers (CLI `--verbose` stats, benches) can observe demotions to the
+    /// scalar fill without instrumenting the kernel output.
     #[inline]
     pub fn fill_tier_for(
         &self,
@@ -225,14 +211,7 @@ impl AgathaConfig {
     /// exact per-task decision [`crate::kernel::run_task_ws`] makes.
     #[inline]
     pub fn block_dim_for(&self, n: usize, m: usize, scoring: &agatha_align::Scoring) -> usize {
-        self.block_dim.resolve(
-            n,
-            m,
-            scoring,
-            self.fill_mode(),
-            self.fill_precision,
-            self.backend.resolve(),
-        )
+        self.block_dim.resolve(n, m, scoring, self.fill_mode(), self.backend.resolve())
     }
 
     /// Set the subwarp size (Fig. 14).
@@ -364,15 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn precision_names_parse() {
-        assert_eq!(FillPrecision::parse("auto"), Ok(FillPrecision::Auto));
-        assert_eq!(FillPrecision::parse("I32"), Ok(FillPrecision::I32));
-        assert_eq!(FillPrecision::parse("i16"), Ok(FillPrecision::I16));
-        let err = FillPrecision::parse("bogus").unwrap_err();
-        assert!(err.contains("'bogus'") && err.contains("auto"), "{err}");
-    }
-
-    #[test]
     fn block_dim_names_parse() {
         assert_eq!(BlockDim::parse("auto"), Ok(BlockDim::Auto));
         assert_eq!(BlockDim::parse("8"), Ok(BlockDim::B8));
@@ -396,9 +366,6 @@ mod tests {
         // (the wide side only pays off via the 16-lane i16 wavefront).
         let scalar = cfg.clone().with_simd_fill(false);
         assert_eq!(scalar.block_dim_for(240, 240, &s), BLOCK);
-        // Auto with the i32 precision pin also stays narrow.
-        let wide_lanes = cfg.clone().with_fill_precision(FillPrecision::I32);
-        assert_eq!(wide_lanes.block_dim_for(240, 240, &s), BLOCK);
         // Tiny tasks never pick the wide geometry.
         assert_eq!(cfg.block_dim_for(16, 16, &s), BLOCK);
         // The fill tier resolver agrees with the geometry resolver's pick
@@ -420,19 +387,16 @@ mod tests {
     fn fill_tier_resolution_demotes_per_task() {
         use agatha_align::block::FillTier;
         let s = agatha_align::Scoring::preset_bwa();
-        let cfg =
-            AgathaConfig::agatha().with_simd_fill(true).with_fill_precision(FillPrecision::I16);
+        let cfg = AgathaConfig::agatha().with_simd_fill(true);
         // The i16 gate bounds the score spread inside one block, so 240 bp
         // and 4 kb reads both run it; the same reads under a scoring whose
-        // block spread leaves the i16 offset range demote to the i32
-        // wavefront.
+        // block spread leaves the i16 offset range demote to the scalar
+        // fill.
         let hot = agatha_align::Scoring::new(300, 4, 6, 1, 100, 100);
         for len in [240, 4000] {
             assert_eq!(cfg.fill_tier_for(len, len, &s), FillTier::I16);
-            assert_eq!(cfg.fill_tier_for(len, len, &hot), FillTier::I32);
+            assert_eq!(cfg.fill_tier_for(len, len, &hot), FillTier::Scalar);
         }
-        let wide = cfg.clone().with_fill_precision(FillPrecision::I32);
-        assert_eq!(wide.fill_tier_for(240, 240, &s), FillTier::I32);
         let scalar = cfg.with_simd_fill(false);
         assert_eq!(scalar.fill_tier_for(240, 240, &s), FillTier::Scalar);
     }

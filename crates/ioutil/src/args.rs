@@ -73,13 +73,6 @@ impl Args {
         self.flags.get(name).map(String::as_str)
     }
 
-    /// Parsed numeric value of a flag, or `default`. Malformed values fall
-    /// back to the default silently — prefer [`Args::get_num_checked`]
-    /// anywhere a wrong number changes results.
-    pub fn get_num<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.get(name).and_then(|v| v.parse().ok()).unwrap_or(default)
-    }
-
     /// Parsed numeric value of a flag, or `default` when the flag is
     /// absent. A flag that is present but malformed (including a bare flag
     /// with no value) is an error: `-z abc` must not silently align with
@@ -132,9 +125,9 @@ mod tests {
     #[test]
     fn artifact_style_short_flags() {
         let a = parse("-a 2 -b 4 -q 4 -r 2 -z 400 -w 500 ref.fa query.fa");
-        assert_eq!(a.get_num("a", 0), 2);
-        assert_eq!(a.get_num("z", 0), 400);
-        assert_eq!(a.get_num("w", 0), 500);
+        assert_eq!(a.get_num_checked("a", 0), Ok(2));
+        assert_eq!(a.get_num_checked("z", 0), Ok(400));
+        assert_eq!(a.get_num_checked("w", 0), Ok(500));
         assert_eq!(a.positional(), &["ref.fa".to_string(), "query.fa".to_string()]);
     }
 
@@ -142,7 +135,7 @@ mod tests {
     fn long_flags_both_forms() {
         let a = parse("--engine=agatha --reads 100 --verbose");
         assert_eq!(a.get("engine"), Some("agatha"));
-        assert_eq!(a.get_num("reads", 0), 100);
+        assert_eq!(a.get_num_checked("reads", 0), Ok(100));
         assert!(a.has("verbose"));
         assert_eq!(a.get("verbose"), Some(""));
     }
@@ -157,13 +150,13 @@ mod tests {
     #[test]
     fn negative_numbers_as_values() {
         let a = parse("-a -4");
-        assert_eq!(a.get_num("a", 0), -4);
+        assert_eq!(a.get_num_checked("a", 0), Ok(-4));
     }
 
     #[test]
     fn defaults_apply() {
         let a = parse("");
-        assert_eq!(a.get_num("z", 400), 400);
+        assert_eq!(a.get_num_checked("z", 400), Ok(400));
         assert!(!a.has("engine"));
     }
 

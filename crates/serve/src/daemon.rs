@@ -16,11 +16,11 @@
 //!   [`BatchEngine::run_tagged`], then answers each request and records
 //!   queue/service/total latency in the lock-free [`ServeMetrics`].
 //!
-//! With [`ServeConfig::prefetch`] > 0 (the default) the batcher splits in
-//! two: a **harvester** thread sweeps the window — answering expiries the
-//! moment they are due instead of after the current kernel batch — and
-//! feeds ready batches through a bounded channel to the **executor**, which
-//! owns the engine. The channel bound caps how many batches wait staged
+//! The batcher is split in two: a **harvester** thread sweeps the window —
+//! answering expiries the moment they are due instead of after the current
+//! kernel batch — and feeds ready batches through a bounded channel to the
+//! **executor**, which owns the engine. The channel bound
+//! ([`DEFAULT_PREFETCH_DEPTH`]) caps how many batches wait staged
 //! (backpressure falls back to the admission queue), and deadline checks
 //! re-run at dispatch inside the engine, so a batch that overstays the
 //! staging channel is still dropped, not served late.
@@ -42,6 +42,7 @@ use std::time::Duration;
 use agatha_align::{ScoreModel, Scoring, Task};
 use agatha_core::clock::{Clock, SystemClock};
 use agatha_core::engine::{BatchEngine, JobMeta, JobOutcome};
+use agatha_core::options::DEFAULT_PREFETCH_DEPTH;
 use agatha_core::{AgathaConfig, Pipeline};
 
 use crate::histogram::{MetricsSnapshot, ServeMetrics};
@@ -74,10 +75,6 @@ pub struct ServeConfig {
     /// Queue waits beyond this count as starvation (0 = derive as
     /// 8 × `window_ns`).
     pub starvation_ns: u64,
-    /// Batches the harvester may stage ahead of the executing engine
-    /// (0 = harvest and execute on one thread, the pre-split behaviour).
-    /// Defaults to [`agatha_core::options::DEFAULT_PREFETCH_DEPTH`].
-    pub prefetch: usize,
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
 }
@@ -94,7 +91,6 @@ impl ServeConfig {
             max_queue: 4096,
             default_deadline_ns: None,
             starvation_ns: 0,
-            prefetch: agatha_core::options::DEFAULT_PREFETCH_DEPTH,
             addr: "127.0.0.1:0".to_string(),
         }
     }
@@ -239,8 +235,7 @@ pub fn serve_with_clock(cfg: ServeConfig, clock: Arc<dyn Clock>) -> Result<Serve
 
     let batcher = {
         let shared = Arc::clone(&shared);
-        let prefetch = cfg.prefetch;
-        std::thread::spawn(move || batcher_loop(engine, &shared, prefetch))
+        std::thread::spawn(move || batcher_loop(engine, &shared))
     };
     let acceptor = {
         let shared = Arc::clone(&shared);
@@ -414,21 +409,14 @@ fn handle_line(
     Flow::Continue
 }
 
-fn batcher_loop(mut engine: BatchEngine, shared: &Arc<Shared>, prefetch: usize) {
-    if prefetch == 0 {
-        while let Some(harvest) = next_harvest(shared) {
-            answer_expired(shared, harvest.expired);
-            execute_batch(&mut engine, shared, harvest.batch);
-        }
-        return;
-    }
+fn batcher_loop(mut engine: BatchEngine, shared: &Arc<Shared>) {
     // Harvester/executor split: the harvester sweeps the window (answering
     // expiries immediately, not after the in-flight kernel batch) and
-    // stages up to `prefetch` ready batches in a bounded channel; this
-    // thread owns the engine and drains them. When the harvester sees the
-    // shutdown drain through (`next_harvest` → `None`) it drops the
-    // sender, which ends the executor's loop after the staged tail.
-    let (tx, rx) = mpsc::sync_channel::<Vec<Pending<ReqCtx>>>(prefetch);
+    // stages up to `DEFAULT_PREFETCH_DEPTH` ready batches in a bounded
+    // channel; this thread owns the engine and drains them. When the
+    // harvester sees the shutdown drain through (`next_harvest` → `None`) it
+    // drops the sender, which ends the executor's loop after the staged tail.
+    let (tx, rx) = mpsc::sync_channel::<Vec<Pending<ReqCtx>>>(DEFAULT_PREFETCH_DEPTH);
     std::thread::scope(|s| {
         s.spawn(move || {
             while let Some(harvest) = next_harvest(shared) {

@@ -42,7 +42,7 @@ fn main() {
             w.last().unwrap(),
             w.last().unwrap() / (sum / w.len() as f64),
             rep.device.utilization,
-            sum / 21.0 / 1.8e6,
+            p.spec.cycles_to_ms(sum / p.spec.warp_slots() as f64),
         );
     }
 }

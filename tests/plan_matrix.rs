@@ -1,6 +1,6 @@
 //! The fill-plan matrix, in process: every registered scenario under every
-//! plan an [`AgathaConfig`] can carry (fill × precision × geometry ×
-//! backend) and every way a stream can be driven (threads × prefetch ×
+//! plan an [`AgathaConfig`] can carry (fill × geometry × backend) and
+//! every way a stream can be driven (threads × prefetch ×
 //! carry-over). Every score equals the `guided_align` oracle, and everything
 //! simulated — the device's trace is computed from the task's shape, never
 //! from the host's tiles — is identical under every plan; only the host's own
@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use agatha_suite::align::guided::guided_align;
 use agatha_suite::align::simd::WavefrontBackend::{Avx2, Avx512, Portable};
 use agatha_suite::align::simd::{detected_backend, supported_backends, BackendChoice};
-use agatha_suite::align::{BlockDim, FillPrecision, GuidedResult, Scoring, Task};
+use agatha_suite::align::{BlockDim, GuidedResult, Scoring, Task};
 use agatha_suite::core::{AgathaConfig, BatchReport, Pipeline, StreamOptions, StreamSummary};
 use agatha_suite::datasets::SCENARIOS;
 use agatha_suite::gpu_sim::KernelStats;
@@ -43,19 +43,15 @@ fn pipeline(scoring: Scoring, cfg: &AgathaConfig, threads: usize) -> Pipeline {
     p
 }
 
-/// {scalar} ∪ {precision × block × every backend this host runs}.
+/// {scalar} ∪ {block × every backend this host runs}.
 fn fill_plans() -> Vec<(String, AgathaConfig)> {
     let mut plans = vec![("scalar".to_string(), AgathaConfig::agatha().with_simd_fill(false))];
-    for precision in [FillPrecision::Auto, FillPrecision::I32, FillPrecision::I16] {
-        for block in [BlockDim::Auto, BlockDim::B8, BlockDim::B16] {
-            for backend in supported_backends() {
-                let cfg = AgathaConfig::agatha()
-                    .with_fill_precision(precision)
-                    .with_block_dim(block)
-                    .with_backend(BackendChoice::Fixed(backend));
-                let name = format!("{}/b{}/{}", precision.name(), block.name(), backend.name());
-                plans.push((name, cfg));
-            }
+    for block in [BlockDim::Auto, BlockDim::B8, BlockDim::B16] {
+        for backend in supported_backends() {
+            let cfg = AgathaConfig::agatha()
+                .with_block_dim(block)
+                .with_backend(BackendChoice::Fixed(backend));
+            plans.push((format!("b{}/{}", block.name(), backend.name()), cfg));
         }
     }
     plans

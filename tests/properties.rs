@@ -6,9 +6,7 @@ use agatha_suite::align::banded::banded_align;
 use agatha_suite::align::block::block_grid_align;
 use agatha_suite::align::guided::guided_align;
 use agatha_suite::align::matrix::full_align;
-use agatha_suite::align::{
-    BlockDim, FillPrecision, PackedSeq, ScoreModel, Scoring, Task, BLOSUM62,
-};
+use agatha_suite::align::{BlockDim, PackedSeq, ScoreModel, Scoring, Task, BLOSUM62};
 use agatha_suite::core::bucketing::{build_warps, OrderingStrategy};
 use agatha_suite::core::{kernel::run_task, AgathaConfig};
 use agatha_suite::gpu_sim::sched;
@@ -146,12 +144,12 @@ proptest! {
         prop_assert_eq!(scalar, simd);
     }
 
-    /// The three fill tiers — i16 wavefront, i32 wavefront, scalar — are
-    /// bit-identical: full `TaskRun` equality (results, unit schedules,
-    /// block counts) over random tasks × bands × z-drop × tilings. The
-    /// `boost` factor scales the match score up to 4096×, pushing a share
-    /// of cases past the i16 exactness gate so the i16→i32 auto-demotion
-    /// path is exercised by the same equality.
+    /// The two fill tiers — i16 wavefront, scalar — are bit-identical: full
+    /// `TaskRun` equality (results, unit schedules, block counts) over
+    /// random tasks × bands × z-drop × tilings. The `boost` factor scales the
+    /// match score up to 4096×, pushing a share of cases past the i16
+    /// exactness gate so the demotion to scalar is exercised by the same
+    /// equality.
     #[test]
     fn i16_i32_scalar_bit_identity(
         r in dna(150),
@@ -180,22 +178,12 @@ proptest! {
         // Pinned geometry, as in `simd_scalar_bit_identity`.
         let cfg = cfg.with_block_dim(if wide { BlockDim::B16 } else { BlockDim::B8 });
         let scalar = run_task(&task, &s, &cfg.clone().with_simd_fill(false));
-        let wide = run_task(
-            &task,
-            &s,
-            &cfg.clone().with_simd_fill(true).with_fill_precision(FillPrecision::I32),
-        );
-        let narrow = run_task(
-            &task,
-            &s,
-            &cfg.with_simd_fill(true).with_fill_precision(FillPrecision::I16),
-        );
-        prop_assert_eq!(&scalar, &wide);
+        let narrow = run_task(&task, &s, &cfg.with_simd_fill(true));
         prop_assert_eq!(&scalar, &narrow);
     }
 
     /// Block geometry is a pure tiling choice. At a pinned geometry every
-    /// fill tier — i16 wavefront, i32 wavefront, scalar — stays fully
+    /// fill tier — i16 wavefront, scalar — stays fully
     /// bit-identical (whole `TaskRun` equality), over random tasks ×
     /// bands × z-drop × tilings. Across the two geometries the host's own
     /// block counts legitimately differ (they describe the host tiling), but
@@ -223,17 +211,7 @@ proptest! {
         for bd in [BlockDim::B8, BlockDim::B16] {
             let cfg = base.clone().with_block_dim(bd);
             let scalar = run_task(&task, &s, &cfg.clone().with_simd_fill(false));
-            let i32_run = run_task(
-                &task,
-                &s,
-                &cfg.clone().with_simd_fill(true).with_fill_precision(FillPrecision::I32),
-            );
-            let i16_run = run_task(
-                &task,
-                &s,
-                &cfg.with_simd_fill(true).with_fill_precision(FillPrecision::I16),
-            );
-            prop_assert_eq!(&scalar, &i32_run);
+            let i16_run = run_task(&task, &s, &cfg.with_simd_fill(true));
             prop_assert_eq!(&scalar, &i16_run);
             per_geometry.push(scalar);
         }
@@ -244,10 +222,10 @@ proptest! {
     /// The wavefront backend is a pure implementation choice: forcing every
     /// backend this machine supports (AVX-512 down to portable) must leave
     /// the whole `TaskRun` — results, unit schedules, block counts —
-    /// bit-identical across backends × both block geometries × all three
-    /// fill tiers, over random tasks × bands × z-drop × tilings. The
-    /// `boost` factor pushes a share of cases past the i16 exactness gate
-    /// so the i16→i32 demotion path is swept per backend too.
+    /// bit-identical across backends × both block geometries × both fill
+    /// tiers, over random tasks × bands × z-drop × tilings. The `boost`
+    /// factor pushes a share of cases past the i16 exactness gate so the
+    /// demotion to scalar is swept per backend too.
     #[test]
     fn backend_sweep_bit_identity(
         r in dna(150),
@@ -281,19 +259,9 @@ proptest! {
                 let cfg =
                     base.clone().with_block_dim(bd).with_backend(BackendChoice::Fixed(backend));
                 let scalar = run_task(&task, &s, &cfg.clone().with_simd_fill(false));
-                let i32_run = run_task(
-                    &task,
-                    &s,
-                    &cfg.clone().with_simd_fill(true).with_fill_precision(FillPrecision::I32),
-                );
-                let i16_run = run_task(
-                    &task,
-                    &s,
-                    &cfg.clone().with_simd_fill(true).with_fill_precision(FillPrecision::I16),
-                );
+                let i16_run = run_task(&task, &s, &cfg.clone().with_simd_fill(true));
                 let want = reference.get_or_insert_with(|| scalar.clone());
                 prop_assert_eq!(&*want, &scalar);
-                prop_assert_eq!(&*want, &i32_run);
                 prop_assert_eq!(&*want, &i16_run);
             }
         }
@@ -303,8 +271,8 @@ proptest! {
     /// model: random protein tasks (full BLOSUM62 alphabet including the
     /// pad residue X) through every fill tier × both block geometries, with
     /// full `TaskRun` equality at each pinned geometry. This is the gate
-    /// re-derivation's proof obligation for matrix models: the i16/i32
-    /// overflow gates use the matrix's declared ±bounds, and the SIMD
+    /// re-derivation's proof obligation for matrix models: the i16
+    /// exactness gate uses the matrix's declared ±bounds, and the SIMD
     /// matrix-lookup path (with and without the query profile) must be
     /// bit-identical to the scalar `S(x, y)` reads.
     #[test]
@@ -332,17 +300,7 @@ proptest! {
         for bd in [BlockDim::B8, BlockDim::B16] {
             let cfg = base.clone().with_block_dim(bd);
             let scalar = run_task(&task, &s, &cfg.clone().with_simd_fill(false));
-            let i32_run = run_task(
-                &task,
-                &s,
-                &cfg.clone().with_simd_fill(true).with_fill_precision(FillPrecision::I32),
-            );
-            let i16_run = run_task(
-                &task,
-                &s,
-                &cfg.with_simd_fill(true).with_fill_precision(FillPrecision::I16),
-            );
-            prop_assert_eq!(&scalar, &i32_run);
+            let i16_run = run_task(&task, &s, &cfg.with_simd_fill(true));
             prop_assert_eq!(&scalar, &i16_run);
             per_geometry.push(scalar);
         }
@@ -351,9 +309,9 @@ proptest! {
             "kernel={:?} want={want:?}", per_geometry[0].result);
     }
 
-    /// Ambiguous-base (`N`) scoring is bit-identical across all three fill
-    /// tiers: sequences with injected N runs through scalar, i32 wavefront
-    /// and i16 wavefront fills at both geometries, full `TaskRun` equality.
+    /// Ambiguous-base (`N`) scoring is bit-identical across both fill tiers:
+    /// sequences with injected N runs through the scalar and i16 wavefront
+    /// fills at both geometries, full `TaskRun` equality.
     /// The ambiguity penalty is varied (including 0) because the SIMD
     /// kernels apply it by blending a splatted constant where the scalar
     /// fill reads the score function directly.
@@ -378,17 +336,7 @@ proptest! {
         let cfg = AgathaConfig::agatha()
             .with_block_dim(if wide { BlockDim::B16 } else { BlockDim::B8 });
         let scalar = run_task(&task, &s, &cfg.clone().with_simd_fill(false));
-        let i32_run = run_task(
-            &task,
-            &s,
-            &cfg.clone().with_simd_fill(true).with_fill_precision(FillPrecision::I32),
-        );
-        let i16_run = run_task(
-            &task,
-            &s,
-            &cfg.with_simd_fill(true).with_fill_precision(FillPrecision::I16),
-        );
-        prop_assert_eq!(&scalar, &i32_run);
+        let i16_run = run_task(&task, &s, &cfg.with_simd_fill(true));
         prop_assert_eq!(&scalar, &i16_run);
     }
 
@@ -476,7 +424,7 @@ proptest! {
     /// −32,768 — under the CLR fixed model, a fixed model with 6× the
     /// penalties, and BLOSUM62, over bands from the bare main diagonal
     /// through the lane counts to 200. Per geometry and backend: full
-    /// `TaskRun` equality between the i16 and i32 tiers and across backends;
+    /// `TaskRun` equality between the i16 tier and the scalar fill and across backends;
     /// the result equals the scalar `guided_align`, and for BLOSUM62 also the
     /// i16 block grid without a query profile.
     #[test]
@@ -535,29 +483,23 @@ proptest! {
             prop_assert_eq!(&narrow, &wide);
         }
         for bd in [BlockDim::B8, BlockDim::B16] {
-            let cfg = AgathaConfig::agatha().with_simd_fill(true).with_block_dim(bd);
-            let i16_cfg = cfg.clone().with_fill_precision(FillPrecision::I16);
-            let i32_cfg = cfg.with_fill_precision(FillPrecision::I32);
+            let i16_cfg = AgathaConfig::agatha().with_simd_fill(true).with_block_dim(bd);
             prop_assert_eq!(
                 i16_cfg.fill_tier_for(task.ref_len(), task.query_len(), &s),
                 FillTier::I16
             );
-            let mut reference = None;
+            let run = run_task(&task, &s, &i16_cfg.clone().with_simd_fill(false));
             for backend in simd::supported_backends() {
                 let on = BackendChoice::Fixed(backend);
                 let i16_run = run_task(&task, &s, &i16_cfg.clone().with_backend(on));
-                let i32_run = run_task(&task, &s, &i32_cfg.clone().with_backend(on));
-                let first = reference.get_or_insert_with(|| i32_run.clone());
-                prop_assert!(*first == i32_run, "i32 tier diverged on {}", backend.name());
                 prop_assert!(
-                    *first == i16_run,
+                    run == i16_run,
                     "i16 tier diverged on {}: {:?} vs {:?}",
                     backend.name(),
                     i16_run.result,
-                    first.result
+                    run.result
                 );
             }
-            let run = reference.expect("at least the portable backend ran");
             prop_assert!(run.result.same_alignment(&want),
                 "B={}: {:?} vs {want:?}", bd.name(), run.result);
             prop_assert_eq!(run.result.cells, want.cells);
