@@ -113,9 +113,10 @@ pub struct BlockCtx<'a> {
     pub i16_exact: bool,
     /// Wavefront backend resolved once per task (CPU feature detection is
     /// not free enough to repeat per block): the detected one, or a cap
-    /// below it installed by [`BlockCtx::with_backend`]. Crate-private
-    /// because the vector dispatch is only sound for a backend the CPU has.
-    pub(crate) wavefront_backend: crate::simd::WavefrontBackend,
+    /// below it installed by [`BlockCtx::with_backend`]. The value proves
+    /// the CPU has the level it names — it holds that level's detection
+    /// token — so the vector dispatch needs no other argument.
+    pub(crate) wavefront_backend: crate::simd::ProvenBackend,
     /// Precomputed per-query score rows ([`crate::profile::QueryProfile`])
     /// for substitution-matrix models: the SIMD fills read `S(c, Q[j])`
     /// from these rows instead of the two-level matrix lookup. `None` means
@@ -234,17 +235,22 @@ impl<'a> BlockCtx<'a> {
             b: b as i64,
             scoring,
             i16_exact,
-            wavefront_backend: crate::simd::detected_backend(),
+            wavefront_backend: crate::simd::ProvenBackend::detect(),
             profile: None,
         }
     }
 
     /// Cap the wavefront backend at `choice` (`Auto` leaves the detected
-    /// one in place). A cap can only lower the level, so dispatch stays
-    /// sound whatever is asked for.
+    /// one in place). A cap can only lower the level — a proof yields the
+    /// levels below it and no others — whatever is asked for.
     pub fn with_backend(mut self, choice: crate::simd::BackendChoice) -> Self {
-        self.wavefront_backend = choice.cap(self.wavefront_backend);
+        self.wavefront_backend = self.wavefront_backend.capped(choice);
         self
+    }
+
+    /// The name of the backend this task dispatches to.
+    pub fn backend(&self) -> crate::simd::WavefrontBackend {
+        self.wavefront_backend.name()
     }
 
     /// Attach a prepared per-query score profile (matrix models only; see
@@ -256,18 +262,22 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// Pick the block side for one task: the wide (16×16) geometry exactly
-    /// when the full-width 16-lane i16 wavefront will actually run on it
-    /// and the task shape amortizes the larger staging buffers; the default
-    /// 8×8 geometry otherwise.
+    /// when the backend's 16-lane i16 wavefront is its faster one and the
+    /// task shape amortizes the larger staging buffers; the default 8×8
+    /// geometry otherwise.
     ///
     /// The policy is deliberately conservative so that `auto` dispatch is
     /// never slower than forced B=8:
     ///
     /// * scalar mode → B=8 (the wide side only pays off via the 16-lane
     ///   wavefront);
-    /// * `backend` (the one the task will dispatch to) below AVX2 → B=8
-    ///   (SSE4.1 i16 vectors hold 8 lanes — nothing to gain); AVX2 and
-    ///   AVX-512 both qualify (16×i16 kernels exist for each);
+    /// * `backend` (the one the task will dispatch to) `sse41` → B=8: its
+    ///   8×i16 vector lanes exist at B=8 only, and the array lanes it would
+    ///   run at B=16 are ≈ 1.5× slower than them. Every other backend
+    ///   qualifies: AVX2 and AVX-512 have 16×i16 kernels, and the `portable`
+    ///   array lanes — which autovectorise to two 128-bit ops per diagonal
+    ///   and pay half the per-block boundary work — measure 1.3–1.5× faster
+    ///   at 16×16 than at 8×8 on all three sequence classes;
     /// * the i16 gate must hold *at the wide geometry* (16-wide blocks
     ///   spread real values and drift sentinels twice as far; see
     ///   [`BlockCtx::with_block_dim`]);
@@ -282,11 +292,10 @@ impl<'a> BlockCtx<'a> {
         mode: FillMode,
         backend: crate::simd::WavefrontBackend,
     ) -> usize {
-        use crate::simd::WavefrontBackend::{Avx2, Avx512};
         if mode != FillMode::Simd {
             return BLOCK;
         }
-        if !matches!(backend, Avx2 | Avx512) {
+        if backend == crate::simd::WavefrontBackend::Sse41 {
             return BLOCK;
         }
         let wide = BlockCtx::with_block_dim(n, m, scoring, MAX_BLOCK);
@@ -446,10 +455,10 @@ pub struct BlockCellsT<T, const B: usize> {
     pub mask: [u16; MAX_BLOCK_DIAGS + 1],
     /// The backend whose lanes staged this block, stamped by the i16 fill so
     /// that [`crate::diag::DiagTracker::on_block_i16`] folds on the same
-    /// lanes by construction. Crate-private for the reason
-    /// [`BlockCtx::wavefront_backend`] is: vector dispatch is only sound for
-    /// a backend the CPU has. Hand-built staging stays `Portable`.
-    pub(crate) backend: crate::simd::WavefrontBackend,
+    /// lanes by construction. Like [`BlockCtx::wavefront_backend`], which it
+    /// is a copy of, the value proves the CPU has the level it names.
+    /// Hand-built staging stays `Portable`.
+    pub(crate) backend: crate::simd::ProvenBackend,
 }
 
 impl<T: CellValue, const B: usize> BlockCellsT<T, B> {
@@ -464,7 +473,7 @@ impl<T: CellValue, const B: usize> BlockCellsT<T, B> {
             base: 0,
             h: [[T::MASKED; B]; MAX_BLOCK_DIAGS],
             mask: [0; MAX_BLOCK_DIAGS + 1],
-            backend: crate::simd::WavefrontBackend::Portable,
+            backend: crate::simd::ProvenBackend::Portable,
         }
     }
 
@@ -1051,9 +1060,11 @@ mod tests {
             assert_eq!(pick(240, 240, &narrow_band, FillMode::Simd), BLOCK);
             // Overflowing scoring can never run the 16-lane i16 kernel.
             assert_eq!(pick(240, 240, &hot, FillMode::Simd), BLOCK);
-            // The amortizable short-read shape picks 16 exactly on
-            // AVX2-or-wider backends (both have a 16×i16 kernel).
-            let want = if matches!(backend, Avx2 | Avx512) { MAX_BLOCK } else { BLOCK };
+            // The amortizable short-read shape picks 16 on every backend
+            // whose 16-lane wavefront is its faster one: the 16×i16 vector
+            // kernels and the portable array lanes, but not `sse41`, whose
+            // vector lanes exist at B=8 only.
+            let want = if backend == Sse41 { BLOCK } else { MAX_BLOCK };
             assert_eq!(pick(240, 240, &bwa, FillMode::Simd), want);
         }
     }

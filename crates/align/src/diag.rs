@@ -304,12 +304,10 @@ impl DiagTracker {
     ///
     /// The `j == m−1` extract stays scalar: at most one run of rows per
     /// block touches it.
-    ///
-    /// # Safety
-    /// The CPU must support `L`'s instruction set (see [`Lanes`]).
     #[inline(always)]
-    pub(crate) unsafe fn fold_block<L: Lanes<B>, const B: usize>(
+    pub(crate) fn fold_block<L: Lanes<B>, const B: usize>(
         &mut self,
+        lanes: L,
         cells: &BlockCellsT<i16, B>,
     ) {
         let diags = block_diags(B);
@@ -339,7 +337,7 @@ impl DiagTracker {
         let rows = &cells.h;
         for (half, words) in words.iter_mut().enumerate().take(B / 8) {
             for d in first.max(8 * half)..(last + 1).min(B + 8 * half + 7) {
-                words[d] = L::minpos8(&rows[d], half);
+                words[d] = lanes.minpos8(&rows[d].as_chunks().0[half]);
             }
         }
 

@@ -27,6 +27,8 @@
 //! the [`block::block_grid_align`] reference driver, the benches and the
 //! tests all drive.
 
+#![deny(unsafe_code)]
+
 pub mod banded;
 pub mod base;
 pub mod block;

@@ -23,24 +23,21 @@ pub(crate) struct BlockIo<'a, const B: usize> {
 impl<'a, const B: usize> BlockIo<'a, B> {
     /// The same block viewed at geometry `N` for a lane impl monomorphic in
     /// its width. Dispatch calls this under a `B == N` match arm, where it
-    /// is the identity; the asserts turn any other use into a loud panic.
+    /// is the identity; any other use panics (the downcast of `cells` fails
+    /// unless `B == N`).
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     #[inline(always)]
     pub fn at_geometry<const N: usize>(self) -> BlockIo<'a, N> {
-        assert_eq!(B, N, "lane impl dispatched at the wrong geometry");
-        let cells: *mut BlockCellsT<i16, B> = self.cells;
+        let wrong = "lane impl dispatched at the wrong geometry";
         BlockIo {
-            rcodes: self.rcodes.first_chunk().expect("B == N"),
-            qcodes: self.qcodes.first_chunk().expect("B == N"),
+            rcodes: self.rcodes.first_chunk().expect(wrong),
+            qcodes: self.qcodes.first_chunk().expect(wrong),
             corner: self.corner,
-            west_h: self.west_h.first_chunk_mut().expect("B == N"),
-            west_e: self.west_e.first_chunk_mut().expect("B == N"),
-            north_h: self.north_h.first_chunk_mut().expect("B == N"),
-            north_f: self.north_f.first_chunk_mut().expect("B == N"),
-            // SAFETY: `B == N` (asserted above) makes `BlockCellsT<i16, B>`
-            // and `BlockCellsT<i16, N>` the same type, and the pointer comes
-            // from a live `&'a mut` this value consumes.
-            cells: unsafe { &mut *cells.cast::<BlockCellsT<i16, N>>() },
+            west_h: self.west_h.first_chunk_mut().expect(wrong),
+            west_e: self.west_e.first_chunk_mut().expect(wrong),
+            north_h: self.north_h.first_chunk_mut().expect(wrong),
+            north_f: self.north_f.first_chunk_mut().expect(wrong),
+            cells: (self.cells as &mut dyn std::any::Any).downcast_mut().expect(wrong),
         }
     }
 }
@@ -115,11 +112,9 @@ fn matrix_sub_lanes<const B: usize>(
 /// is its row-major reference). `inline(always)` with no `target_feature`
 /// of its own: each instantiation compiles inside the feature wrapper (or
 /// the portable dispatch arm) that names it.
-///
-/// # Safety
-/// The CPU must support `L`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-pub(crate) unsafe fn fill_block<L: Lanes<B>, const B: usize>(
+pub(crate) fn fill_block<L: Lanes<B>, const B: usize>(
+    lanes: L,
     ctx: &BlockCtx<'_>,
     i0: i64,
     j0: i64,
@@ -129,20 +124,20 @@ pub(crate) unsafe fn fill_block<L: Lanes<B>, const B: usize>(
     let diags = block_diags(B);
 
     let sc = ctx.scoring;
-    let oe = L::splat(delta(sc.gap_open + sc.gap_extend));
-    let ext = L::splat(delta(sc.gap_extend));
+    let oe = lanes.splat(delta(sc.gap_open + sc.gap_extend));
+    let ext = lanes.splat(delta(sc.gap_extend));
     // Fixed-model compare/select constants (zeroed and unused under a
     // matrix model, where per-diagonal rows replace them).
     let (f_match, f_mis, f_amb) = sc.model.fixed_params().unwrap_or((0, 0, 0));
-    let v_match = L::splat(delta(f_match));
-    let v_mis = L::splat(delta(-f_mis));
-    let v_amb = L::splat(delta(-f_amb));
-    let v_acgt_max = L::splat(delta(i32::from(crate::Base::N.code()) - 1));
+    let v_match = lanes.splat(delta(f_match));
+    let v_mis = lanes.splat(delta(-f_mis));
+    let v_amb = lanes.splat(delta(-f_amb));
+    let v_acgt_max = lanes.splat(delta(i32::from(crate::Base::N.code()) - 1));
     let sub_rows = sc.model.matrix().map(|m| matrix_sub_lanes::<B>(ctx, m, j0, rcodes, qcodes));
-    let neg_inf = L::splat(NEG_INF16);
+    let neg_inf = lanes.splat(NEG_INF16);
 
     let interior = ctx.block_interior(i0, j0);
-    let masks = if interior { Shape::<B>::MASKS } else { L::edge_masks(ctx, i0, j0) };
+    let masks = if interior { Shape::<B>::MASKS } else { lanes.edge_masks(ctx, i0, j0) };
 
     // The block runs on offsets from a real `H` of its boundary ring (the
     // recurrence is translation-invariant, so nothing below changes). Any
@@ -153,10 +148,10 @@ pub(crate) unsafe fn fill_block<L: Lanes<B>, const B: usize>(
     let base = if interior { corner } else { block_base(corner, west_h, north_h) };
     cells.base = base;
     // The boundary arrays double as outputs; snapshot (and rebase) them.
-    let wh_in = L::rebase_boundary(west_h, base);
-    let we_in = L::rebase_boundary(west_e, base);
-    let nh_in = L::rebase_boundary(north_h, base);
-    let nf_in = L::rebase_boundary(north_f, base);
+    let wh_in = lanes.rebase_boundary(west_h, base);
+    let we_in = lanes.rebase_boundary(west_e, base);
+    let nh_in = lanes.rebase_boundary(north_h, base);
+    let nf_in = lanes.rebase_boundary(north_f, base);
 
     // Lane-0 up inputs per diagonal, -∞ past the block shape, so the loop
     // body is branch-free.
@@ -165,7 +160,7 @@ pub(crate) unsafe fn fill_block<L: Lanes<B>, const B: usize>(
     bh_pad[..B].copy_from_slice(&wh_in);
     be_pad[..B].copy_from_slice(&we_in);
 
-    let r_vec = L::load(&rcodes.map(|c| delta(i32::from(c))), 0);
+    let r_vec = lanes.load(&rcodes.map(|c| delta(i32::from(c))));
     // Lane l of diagonal d reads qcodes[d - l] — a window *descending* in
     // memory — so a reversed, zero-padded copy turns the sliding query into
     // one unaligned load per diagonal: qrev[qrev_c - k] = qcodes[k], and
@@ -179,13 +174,13 @@ pub(crate) unsafe fn fill_block<L: Lanes<B>, const B: usize>(
 
     // State of diagonal d-1, with "H_{-1}" / "F_{-1}" — the north seed of
     // row 0 — in lane 0.
-    let mut h_prev = L::shift_in(neg_inf, nh_in[0]);
-    let mut f_prev = L::shift_in(neg_inf, nf_in[0]);
+    let mut h_prev = lanes.shift_in(neg_inf, nh_in[0]);
+    let mut f_prev = lanes.shift_in(neg_inf, nf_in[0]);
     let mut e_prev = neg_inf;
     // Lane 0's diagonal input at d is its up input at d-1 (`H(i0-1, j0+d-1)`,
     // the corner at d = 0), so row d's `diag` is exactly row d-1's up-shifted
     // H: carrying it takes one shift per diagonal off the loop-carried chain.
-    let mut dg_next = L::shift_in(neg_inf, rebase(corner, base));
+    let mut dg_next = lanes.shift_in(neg_inf, rebase(corner, base));
 
     let mut e_tmp = [[0i16; B]; B];
     let mut f_tmp = [[0i16; B]; B];
@@ -195,34 +190,38 @@ pub(crate) unsafe fn fill_block<L: Lanes<B>, const B: usize>(
     // odd, so the last row is always the one left pending.
     let mut pending = neg_inf;
     for d in 0..diags {
-        let up_h = L::shift_in(h_prev, bh_pad[d]);
-        let up_e = L::shift_in(e_prev, be_pad[d]);
+        let up_h = lanes.shift_in(h_prev, bh_pad[d]);
+        let up_e = lanes.shift_in(e_prev, be_pad[d]);
         let dg = dg_next;
         dg_next = up_h;
 
         // Substitution: matrix rows when present, else the fixed model
         // (ambiguous beats match beats mismatch).
         let sub = match &sub_rows {
-            Some(rows) => L::load(&rows[d], 0),
+            Some(rows) => lanes.load(&rows[d]),
             None => {
-                let q_vec = L::load(&qrev, qrev_c - d);
-                let eq = L::cmp_eq(r_vec, q_vec);
-                let amb = L::cmp_gt(L::max(r_vec, q_vec), v_acgt_max);
-                L::select(amb, v_amb, L::select(eq, v_match, v_mis))
+                // In bounds for every `d < 2B − 1`: the window ends at
+                // `qrev_c − d + B ≤ 3B − 2`.
+                let q_win = qrev[qrev_c - d..].first_chunk().expect("window inside qrev");
+                let q_vec = lanes.load(q_win);
+                let eq = lanes.cmp_eq(r_vec, q_vec);
+                let amb = lanes.cmp_gt(lanes.max(r_vec, q_vec), v_acgt_max);
+                lanes.select(amb, v_amb, lanes.select(eq, v_match, v_mis))
             }
         };
 
-        let e = L::max(L::sub(up_h, oe), L::sub(up_e, ext));
-        let f = L::max(L::sub(h_prev, oe), L::sub(f_prev, ext));
-        let h = L::max(e, L::max(f, L::add(dg, sub)));
+        let e = lanes.max(lanes.sub(up_h, oe), lanes.sub(up_e, ext));
+        let f = lanes.max(lanes.sub(h_prev, oe), lanes.sub(f_prev, ext));
+        let h = lanes.max(e, lanes.max(f, lanes.add(dg, sub)));
 
         cells.mask[d] = masks[d];
-        let m = L::mask_from_bits(masks[d]);
-        let h_m = L::select(m, h, neg_inf);
+        let m = lanes.mask_from_bits(masks[d]);
+        let h_m = lanes.select(m, h, neg_inf);
         if d % 2 == 0 {
             pending = h_m;
         } else {
-            L::store2(&mut cells.h, d - 1, pending, h_m);
+            let pair = cells.h[d - 1..].first_chunk_mut().expect("rows d − 1 and d exist");
+            lanes.store2(pair, pending, h_m);
         }
         // Interior blocks mask only the stored row: the shape grows one
         // lane per diagonal, so an out-of-shape lane never shifts into a
@@ -232,22 +231,22 @@ pub(crate) unsafe fn fill_block<L: Lanes<B>, const B: usize>(
         let (e_s, h_s, f_s) = if interior {
             (e, h, f)
         } else {
-            (L::select(m, e, neg_inf), h_m, L::select(m, f, neg_inf))
+            (lanes.select(m, e, neg_inf), h_m, lanes.select(m, f, neg_inf))
         };
         if d >= B - 1 {
-            L::store(&mut e_tmp[d - (B - 1)], e_s);
-            L::store(&mut f_tmp[d - (B - 1)], f_s);
+            lanes.store(&mut e_tmp[d - (B - 1)], e_s);
+            lanes.store(&mut f_tmp[d - (B - 1)], f_s);
         }
         // Pre-seed the north boundary of row d+1 into the out-of-shape
         // lane d+1, where the next diagonals read it as left/diag.
         (h_prev, f_prev) = if d + 1 < B {
-            (L::set_lane(h_s, d + 1, nh_in[d + 1]), L::set_lane(f_s, d + 1, nf_in[d + 1]))
+            (lanes.set_lane(h_s, d + 1, nh_in[d + 1]), lanes.set_lane(f_s, d + 1, nf_in[d + 1]))
         } else {
             (h_s, f_s)
         };
         e_prev = e_s;
     }
-    L::store(&mut cells.h[diags - 1], pending);
+    lanes.store(&mut cells.h[diags - 1], pending);
 
     // Boundary outputs, once the stores have drained (a scalar read straight
     // after a vector store costs a store-forward round trip): lane B-1 of

@@ -64,64 +64,59 @@ pub(crate) fn block_base<const B: usize>(
 }
 
 /// `B` `i16` lanes in one vector `V`, with lane predicates `M` (a vector mask
-/// below AVX-512, a mask register on it). Every method is
-/// `#[inline(always)]` with no `target_feature` of its own, so the body
-/// compiles at the feature level of the wrapper it is instantiated in.
-///
-/// # Safety
-/// The methods of an x86 impl execute that impl's instruction set: callers
-/// must have verified it at runtime (the `#[target_feature]` wrappers in
-/// [`super::x86`] are the only callers, and dispatch checks before entering
-/// them). [`Portable`] has no requirement.
-pub(crate) trait Lanes<const B: usize> {
+/// below AVX-512, a mask register on it). An impl is a `Copy` value whose
+/// existence proves its instructions may run — an x86 impl holds its feature
+/// level's token, [`Portable`] needs none — so every method is safe. Every
+/// method is `#[inline(always)]` with no `target_feature` of its own, so the
+/// body compiles at the feature level of the wrapper it is instantiated in.
+pub(crate) trait Lanes<const B: usize>: Copy {
     type V: Copy;
     type M: Copy;
 
-    unsafe fn splat(x: i16) -> Self::V;
-    /// The `B` lanes `src[at..at + B]`.
-    unsafe fn load(src: &[i16], at: usize) -> Self::V;
-    unsafe fn store(dst: &mut [i16; B], v: Self::V);
+    fn splat(self, x: i16) -> Self::V;
+    fn load(self, src: &[i16; B]) -> Self::V;
+    fn store(self, dst: &mut [i16; B], v: Self::V);
     /// Lane `l` ← lane `l-1`, lane 0 ← `boundary`.
-    unsafe fn shift_in(v: Self::V, boundary: i16) -> Self::V;
-    unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
-    unsafe fn sub(a: Self::V, b: Self::V) -> Self::V;
-    unsafe fn max(a: Self::V, b: Self::V) -> Self::V;
-    unsafe fn cmp_eq(a: Self::V, b: Self::V) -> Self::M;
-    unsafe fn cmp_gt(a: Self::V, b: Self::V) -> Self::M;
+    fn shift_in(self, v: Self::V, boundary: i16) -> Self::V;
+    fn add(self, a: Self::V, b: Self::V) -> Self::V;
+    fn sub(self, a: Self::V, b: Self::V) -> Self::V;
+    fn max(self, a: Self::V, b: Self::V) -> Self::V;
+    fn cmp_eq(self, a: Self::V, b: Self::V) -> Self::M;
+    fn cmp_gt(self, a: Self::V, b: Self::V) -> Self::M;
     /// Lane `l` set iff bit `l` of `bits` is.
-    unsafe fn mask_from_bits(bits: u16) -> Self::M;
+    fn mask_from_bits(self, bits: u16) -> Self::M;
     /// Per lane: `on` where `m` is set, `off` elsewhere.
-    unsafe fn select(m: Self::M, on: Self::V, off: Self::V) -> Self::V;
+    fn select(self, m: Self::M, on: Self::V, off: Self::V) -> Self::V;
 
     /// `v` with lane `lane` replaced by `x` (the north pre-seed).
     #[inline(always)]
-    unsafe fn set_lane(v: Self::V, lane: usize, x: i16) -> Self::V {
-        Self::select(Self::mask_from_bits(1 << lane), Self::splat(x), v)
+    fn set_lane(self, v: Self::V, lane: usize, x: i16) -> Self::V {
+        self.select(self.mask_from_bits(1 << lane), self.splat(x), v)
     }
 
     /// Block-entry conversion of one `i32` boundary carry.
     #[inline(always)]
-    unsafe fn rebase_boundary(src: &[i32; B], base: i32) -> [i16; B] {
+    fn rebase_boundary(self, src: &[i32; B], base: i32) -> [i16; B] {
         src.map(|v| rebase(v, base))
     }
 
-    /// Finished rows `d` and `d + 1` into the staging buffer.
+    /// Two finished rows into their adjacent slots of the staging buffer.
     #[inline(always)]
-    unsafe fn store2(rows: &mut [[i16; B]; MAX_BLOCK_DIAGS], d: usize, lo: Self::V, hi: Self::V) {
-        Self::store(&mut rows[d], lo);
-        Self::store(&mut rows[d + 1], hi);
+    fn store2(self, rows: &mut [[i16; B]; 2], lo: Self::V, hi: Self::V) {
+        self.store(&mut rows[0], lo);
+        self.store(&mut rows[1], hi);
     }
 
-    /// The tracker fold's row reduce over the eight staged i16 lanes
-    /// `row[8 * half..][..8]`: the `phminposuw`-format word `(lane << 16) | y`
-    /// of the smallest `y = 0x7FFF − h` (wrapping: the exact order-reversed
-    /// u16 pattern over the whole i16 range) at the first lane attaining it —
+    /// The tracker fold's row reduce over one eight-lane half of a staged
+    /// i16 row: the `phminposuw`-format word `(lane << 16) | y` of the
+    /// smallest `y = 0x7FFF − h` (wrapping: the exact order-reversed u16
+    /// pattern over the whole i16 range) at the first lane attaining it —
     /// the maximum `h` at its smallest lane, the canonical ascending-`i`
     /// tie-break.
     #[inline(always)]
-    unsafe fn minpos8(row: &[i16; B], half: usize) -> u32 {
+    fn minpos8(self, half: &[i16; 8]) -> u32 {
         let mut best = u32::MAX;
-        for (l, &h) in row[8 * half..][..8].iter().enumerate() {
+        for (l, &h) in half.iter().enumerate() {
             let y = u32::from((i16::MAX as u16).wrapping_sub(h as u16));
             best = best.min(y << 3 | l as u32);
         }
@@ -130,7 +125,7 @@ pub(crate) trait Lanes<const B: usize> {
 
     /// Valid-lane masks of every diagonal of the edge block at `(i0, j0)`.
     #[inline(always)]
-    unsafe fn edge_masks(ctx: &BlockCtx<'_>, i0: i64, j0: i64) -> DiagMasks {
+    fn edge_masks(self, ctx: &BlockCtx<'_>, i0: i64, j0: i64) -> DiagMasks {
         let mut out = [0; MAX_BLOCK_DIAGS + 1];
         for (d, m) in out.iter_mut().enumerate().take(2 * B - 1) {
             *m = lane_mask(ctx, i0, j0, d);
@@ -154,55 +149,55 @@ fn each_lane<const B: usize>(f: impl Fn(usize) -> i16) -> [i16; B] {
 /// Array-backed lanes: straight-line per-lane arithmetic over `[i16; B]`
 /// that LLVM auto-vectorises. Runs wherever no vector impl fits the backend
 /// and geometry.
+#[derive(Clone, Copy)]
 pub(crate) struct Portable;
 
-// The `unsafe fn`s below are safe to call; the qualifier is the trait's.
 impl<const B: usize> Lanes<B> for Portable {
     type V = [i16; B];
     type M = [i16; B];
 
     #[inline(always)]
-    unsafe fn splat(x: i16) -> [i16; B] {
+    fn splat(self, x: i16) -> [i16; B] {
         [x; B]
     }
     #[inline(always)]
-    unsafe fn load(src: &[i16], at: usize) -> [i16; B] {
-        each_lane(|l| src[at + l])
+    fn load(self, src: &[i16; B]) -> [i16; B] {
+        *src
     }
     #[inline(always)]
-    unsafe fn store(dst: &mut [i16; B], v: [i16; B]) {
+    fn store(self, dst: &mut [i16; B], v: [i16; B]) {
         *dst = v;
     }
     #[inline(always)]
-    unsafe fn shift_in(v: [i16; B], boundary: i16) -> [i16; B] {
+    fn shift_in(self, v: [i16; B], boundary: i16) -> [i16; B] {
         each_lane(|l| if l == 0 { boundary } else { v[l - 1] })
     }
     #[inline(always)]
-    unsafe fn add(a: [i16; B], b: [i16; B]) -> [i16; B] {
+    fn add(self, a: [i16; B], b: [i16; B]) -> [i16; B] {
         each_lane(|l| a[l].saturating_add(b[l]))
     }
     #[inline(always)]
-    unsafe fn sub(a: [i16; B], b: [i16; B]) -> [i16; B] {
+    fn sub(self, a: [i16; B], b: [i16; B]) -> [i16; B] {
         each_lane(|l| a[l].saturating_sub(b[l]))
     }
     #[inline(always)]
-    unsafe fn max(a: [i16; B], b: [i16; B]) -> [i16; B] {
+    fn max(self, a: [i16; B], b: [i16; B]) -> [i16; B] {
         each_lane(|l| a[l].max(b[l]))
     }
     #[inline(always)]
-    unsafe fn cmp_eq(a: [i16; B], b: [i16; B]) -> [i16; B] {
+    fn cmp_eq(self, a: [i16; B], b: [i16; B]) -> [i16; B] {
         each_lane(|l| if a[l] == b[l] { -1 } else { 0 })
     }
     #[inline(always)]
-    unsafe fn cmp_gt(a: [i16; B], b: [i16; B]) -> [i16; B] {
+    fn cmp_gt(self, a: [i16; B], b: [i16; B]) -> [i16; B] {
         each_lane(|l| if a[l] > b[l] { -1 } else { 0 })
     }
     #[inline(always)]
-    unsafe fn mask_from_bits(bits: u16) -> [i16; B] {
+    fn mask_from_bits(self, bits: u16) -> [i16; B] {
         each_lane(|l| if bits & (1 << l) != 0 { -1 } else { 0 })
     }
     #[inline(always)]
-    unsafe fn select(m: [i16; B], on: [i16; B], off: [i16; B]) -> [i16; B] {
+    fn select(self, m: [i16; B], on: [i16; B], off: [i16; B]) -> [i16; B] {
         each_lane(|l| (on[l] & m[l]) | (off[l] & !m[l]))
     }
 }

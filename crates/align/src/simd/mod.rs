@@ -75,8 +75,28 @@
 //! | `portable` | `Portable`            | `Portable`               |
 //!
 //! The adaptive geometry policy ([`crate::block::BlockCtx::geometry_for`])
-//! picks B=16 only on `avx2`/`avx512`, so the `Portable` B=16 cells below
-//! them serve forced `--block 16` runs only.
+//! picks B=16 on every backend but `sse41` (measured: the `portable` array
+//! lanes are 1.3–1.5× faster at 16×16 than at 8×8, while `sse41`'s B=16 cell
+//! would trade its vector lanes for them), so the `sse41` B=16 cell serves
+//! forced `--block 16` runs only.
+//!
+//! ## Safety
+//!
+//! One fact stands between this module and safe code — *the CPU has the
+//! feature level* — and a value carries it: `x86::{Sse41, Avx2, Avx512}` are
+//! zero-sized tokens only their `detect()` constructs (or a higher level's
+//! token, which implies the lower ones), an x86 lane impl holds the token of
+//! the level it needs, and a resolved backend ([`ProvenBackend`]) holds its
+//! level's. So [`Lanes`], the fill and the fold are safe code, and the crate
+//! denies `unsafe_code` outside three places:
+//!
+//! * `mod x86` — the intrinsics, each wrapped where a lane method names it,
+//!   on the argument "`self` exists" (plus, for the few loads and stores, an
+//!   array-typed argument whose size is the access's);
+//! * [`fill_wavefront_i16`] and [`fold_wavefront_i16`] — entering a
+//!   `#[target_feature]` wrapper, one `unsafe` per match arm, each with the
+//!   token that proves the wrapper's level in hand;
+//! * `mod tests` — the same calls, level by level.
 
 use crate::block::{block_diags, BlockCellsT, BlockCtx, BoundaryT};
 use crate::diag::DiagTracker;
@@ -91,13 +111,15 @@ use x86::{
     Sse41I16,
 };
 #[cfg(target_arch = "x86_64")]
-use WavefrontBackend::{Avx2, Avx512, Sse41};
+use ProvenBackend::{Avx2, Avx512, Sse41};
 
 mod fill;
 mod lanes;
 #[cfg(test)]
+#[allow(unsafe_code)]
 mod tests;
 #[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
 mod x86;
 
 /// Sentinel for "minus infinity" in the 16-bit lanes: `i16::MIN / 2`, the
@@ -119,49 +141,6 @@ pub const SENTINEL_BAND16: i16 = NEG_INF16 / 2;
 #[inline]
 pub(crate) fn to16(v: i32) -> i16 {
     v.clamp(i32::from(i16::MIN), i32::from(i16::MAX)) as i16
-}
-
-/// Whether the AVX2 backend will be used on this machine.
-pub fn avx2_active() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Whether the SSE4.1 tier (the 8-lane 16-bit kernel and the tracker fold's
-/// `phminposuw` row reduce need nothing newer) is available on this machine.
-pub fn sse41_active() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("sse4.1")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Whether the AVX-512 backend will be used on this machine. The kernels
-/// need `avx512bw` (16-bit ops at 512/256-bit width) plus `avx512vl` (mask
-/// registers on 256-bit vectors); the AVX2 check rides along so an
-/// `Avx512`-resolved backend may always fall through to the AVX2 kernels
-/// where 512-bit width buys nothing (the B=8 geometry).
-pub fn avx512_active() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx512bw")
-            && std::arch::is_x86_feature_detected!("avx512vl")
-            && std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
 }
 
 /// Which wavefront implementation the dispatcher will run. Resolved once
@@ -271,16 +250,79 @@ impl BackendChoice {
 /// which interprets no vendor intrinsics worth the name, that is always
 /// `Portable`.
 pub fn detected_backend() -> WavefrontBackend {
-    if cfg!(miri) {
-        WavefrontBackend::Portable
-    } else if avx512_active() {
-        WavefrontBackend::Avx512
-    } else if avx2_active() {
-        WavefrontBackend::Avx2
-    } else if sse41_active() {
-        WavefrontBackend::Sse41
-    } else {
-        WavefrontBackend::Portable
+    ProvenBackend::detect().name()
+}
+
+/// A [`WavefrontBackend`] together with the proof that this CPU has it: each
+/// vector level holds its token ([`x86`]), so a value cannot name a level
+/// detection did not find. What a task dispatches on ([`BlockCtx`] resolves
+/// one per task, off the per-block path) and what a staged block is stamped
+/// with — [`WavefrontBackend`] is only the public *name* of one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ProvenBackend {
+    #[cfg(target_arch = "x86_64")]
+    Avx512(x86::Avx512),
+    #[cfg(target_arch = "x86_64")]
+    Avx2(x86::Avx2),
+    #[cfg(target_arch = "x86_64")]
+    Sse41(x86::Sse41),
+    Portable,
+}
+
+impl ProvenBackend {
+    /// The best level detection finds.
+    pub(crate) fn detect() -> ProvenBackend {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(level) = x86::Avx512::detect() {
+            return Avx512(level);
+        } else if let Some(level) = x86::Avx2::detect() {
+            return Avx2(level);
+        } else if let Some(level) = x86::Sse41::detect() {
+            return Sse41(level);
+        }
+        ProvenBackend::Portable
+    }
+
+    pub(crate) fn name(self) -> WavefrontBackend {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Avx512(_) => WavefrontBackend::Avx512,
+            #[cfg(target_arch = "x86_64")]
+            Avx2(_) => WavefrontBackend::Avx2,
+            #[cfg(target_arch = "x86_64")]
+            Sse41(_) => WavefrontBackend::Sse41,
+            ProvenBackend::Portable => WavefrontBackend::Portable,
+        }
+    }
+
+    /// One level down the chain — all a proof can ever do but stay.
+    fn lowered(self) -> ProvenBackend {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Avx512(level) => Avx2(level.lower()),
+            #[cfg(target_arch = "x86_64")]
+            Avx2(level) => Sse41(level.lower()),
+            _ => ProvenBackend::Portable,
+        }
+    }
+
+    /// This backend capped at `choice` ([`BackendChoice::cap`] on proofs).
+    pub(crate) fn capped(mut self, choice: BackendChoice) -> ProvenBackend {
+        while choice.cap(self.name()) != self.name() {
+            self = self.lowered();
+        }
+        self
+    }
+
+    /// The level whose lanes run at block side `b`: 8×i16 vectors are full
+    /// at 128 bits, so at B=8 an AVX-512 host runs its AVX2 level.
+    #[inline(always)]
+    fn at_block_dim(self, b: usize) -> ProvenBackend {
+        if b == crate::BLOCK && self.name() == WavefrontBackend::Avx512 {
+            self.lowered()
+        } else {
+            self
+        }
     }
 }
 
@@ -313,7 +355,7 @@ fn lane_mask(ctx: &BlockCtx<'_>, i0: i64, j0: i64, d: usize) -> u16 {
 /// into a `BlockCellsT<i16, B>` buffer. All lane impls are bit-identical to
 /// each other and — on valid lanes plus `base`, under [`BlockCtx::i16_exact`]
 /// — to the scalar fill.
-#[allow(clippy::too_many_arguments)]
+#[allow(unsafe_code, clippy::too_many_arguments)]
 pub(crate) fn fill_wavefront_i16<const B: usize>(
     ctx: &BlockCtx<'_>,
     i0: i64,
@@ -329,24 +371,28 @@ pub(crate) fn fill_wavefront_i16<const B: usize>(
 ) {
     let io =
         BlockIo { rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells: &mut *cells };
-    // SAFETY: `ctx.wavefront_backend` is the detected backend or a cap below
-    // it; detection reports a vector variant only after the runtime check
-    // for its feature level, every level implies the ones below it (so
-    // `Sse41I16` may compile at AVX2), and the portable lanes need none.
-    unsafe {
-        match (ctx.wavefront_backend, B) {
-            #[cfg(target_arch = "x86_64")]
-            (Avx512, MAX_BLOCK) => {
-                fill_avx512::<Avx512I16, MAX_BLOCK>(ctx, i0, j0, io.at_geometry())
-            }
-            #[cfg(target_arch = "x86_64")]
-            (Avx2, MAX_BLOCK) => fill_avx2::<Avx2I16, MAX_BLOCK>(ctx, i0, j0, io.at_geometry()),
-            #[cfg(target_arch = "x86_64")]
-            (Avx2 | Avx512, BLOCK) => fill_avx2::<Sse41I16, BLOCK>(ctx, i0, j0, io.at_geometry()),
-            #[cfg(target_arch = "x86_64")]
-            (Sse41, BLOCK) => fill_sse41::<Sse41I16, BLOCK>(ctx, i0, j0, io.at_geometry()),
-            _ => fill_block::<Portable, B>(ctx, i0, j0, io),
-        }
+    match (ctx.wavefront_backend.at_block_dim(B), B) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level` proves AVX-512BW/VL.
+        (Avx512(level), MAX_BLOCK) => unsafe {
+            fill_avx512(level, Avx512I16(level), ctx, i0, j0, io.at_geometry())
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level` proves AVX2.
+        (Avx2(level), MAX_BLOCK) => unsafe {
+            fill_avx2(level, Avx2I16(level), ctx, i0, j0, io.at_geometry())
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level` proves AVX2.
+        (Avx2(level), BLOCK) => unsafe {
+            fill_avx2(level, Sse41I16(level.lower()), ctx, i0, j0, io.at_geometry())
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level` proves SSE4.1.
+        (Sse41(level), BLOCK) => unsafe {
+            fill_sse41(level, Sse41I16(level), ctx, i0, j0, io.at_geometry())
+        },
+        _ => fill_block(Portable, ctx, i0, j0, io),
     }
     cells.backend = ctx.wavefront_backend;
     debug_range_sentinel(cells);
@@ -354,29 +400,35 @@ pub(crate) fn fill_wavefront_i16<const B: usize>(
 
 /// The tracker fold of one staged i16 block ([`DiagTracker::fold_block`]),
 /// on the lanes [`fill_wavefront_i16`] filled it with: the same
-/// `(backend, B)` table, read from the backend the fill stamped into the
+/// `(backend, B)` table, read from the proof the fill stamped into the
 /// buffer — so a capped plan cannot fold above its cap, whoever drives it.
+#[allow(unsafe_code)]
 pub(crate) fn fold_wavefront_i16<const B: usize>(
     tracker: &mut DiagTracker,
     cells: &BlockCellsT<i16, B>,
 ) {
-    // SAFETY: `cells.backend` is `Portable` or a copy of a
-    // `ctx.wavefront_backend` (see [`fill_wavefront_i16`]), i.e. never above
-    // the detected backend, and every level implies the ones below it.
-    unsafe {
-        match (cells.backend, B) {
-            #[cfg(target_arch = "x86_64")]
-            (Avx512, MAX_BLOCK) => {
-                fold_avx512::<Avx512I16, MAX_BLOCK>(tracker, cells.at_geometry())
-            }
-            #[cfg(target_arch = "x86_64")]
-            (Avx2, MAX_BLOCK) => fold_avx2::<Avx2I16, MAX_BLOCK>(tracker, cells.at_geometry()),
-            #[cfg(target_arch = "x86_64")]
-            (Avx2 | Avx512, BLOCK) => fold_avx2::<Sse41I16, BLOCK>(tracker, cells.at_geometry()),
-            #[cfg(target_arch = "x86_64")]
-            (Sse41, BLOCK) => fold_sse41::<Sse41I16, BLOCK>(tracker, cells.at_geometry()),
-            _ => tracker.fold_block::<Portable, B>(cells),
-        }
+    match (cells.backend.at_block_dim(B), B) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level` proves AVX-512BW/VL.
+        (Avx512(level), MAX_BLOCK) => unsafe {
+            fold_avx512(level, Avx512I16(level), tracker, cells.at_geometry())
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level` proves AVX2.
+        (Avx2(level), MAX_BLOCK) => unsafe {
+            fold_avx2(level, Avx2I16(level), tracker, cells.at_geometry())
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level` proves AVX2.
+        (Avx2(level), BLOCK) => unsafe {
+            fold_avx2(level, Sse41I16(level.lower()), tracker, cells.at_geometry())
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level` proves SSE4.1.
+        (Sse41(level), BLOCK) => unsafe {
+            fold_sse41(level, Sse41I16(level), tracker, cells.at_geometry())
+        },
+        _ => tracker.fold_block(Portable, cells),
     }
 }
 

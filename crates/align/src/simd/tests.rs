@@ -55,45 +55,41 @@ impl Rng {
     }
 }
 
-/// One lane impl (or a dispatcher) as a plain safe function.
-type Fill<const B: usize> = for<'a, 'b, 'c> fn(&'a BlockCtx<'b>, i64, i64, BlockIo<'c, B>);
+/// One lane impl at one feature level, or the dispatcher.
+type Fill<const B: usize> = Box<dyn Fn(&BlockCtx<'_>, i64, i64, BlockIo<'_, B>)>;
 
-/// `$wrapper::<$lanes, $n>` as a [`Fill`] at the enclosing function's `B`.
-/// Callers list a vector impl only after [`has`] confirmed its backend.
-macro_rules! lane_fill {
-    ($wrapper:ident, $lanes:ty, $n:expr) => {{
-        fn run<const B: usize>(ctx: &BlockCtx<'_>, i0: i64, j0: i64, io: BlockIo<'_, B>) {
-            // SAFETY: only listed when the host supports the wrapper's level.
-            unsafe { $wrapper::<$lanes, { $n }>(ctx, i0, j0, io.at_geometry()) }
-        }
-        run::<B>
-    }};
-}
-
-/// Whether this host can run `backend`'s lanes (`Portable` only under Miri).
+/// `$wrapper` entered with the token `$level` and the lanes `$lanes`, as a
+/// [`Fill`] at the enclosing function's `B`.
 #[cfg(target_arch = "x86_64")]
-fn has(backend: WavefrontBackend) -> bool {
-    supported_backends().contains(&backend)
+macro_rules! lane_fill {
+    ($wrapper:ident, $level:expr, $lanes:expr) => {{
+        let (level, lanes) = ($level, $lanes);
+        Box::new(move |ctx: &BlockCtx<'_>, i0, j0, io: BlockIo<'_, B>| {
+            // SAFETY: `level` came from `detect()` and proves the wrapper's level.
+            unsafe { $wrapper(level, lanes, ctx, i0, j0, io.at_geometry()) }
+        })
+    }};
 }
 
 /// Every lane impl × feature level the host supports at geometry `B`,
 /// portable first.
 fn i16_lanes<const B: usize>() -> Vec<(&'static str, Fill<B>)> {
     #[allow(unused_mut)]
-    let mut fills = vec![("portable", lane_fill!(fill_block, Portable, B) as Fill<B>)];
+    let mut fills: Vec<(&'static str, Fill<B>)> =
+        vec![("portable", Box::new(|ctx, i0, j0, io| fill_block(Portable, ctx, i0, j0, io)))];
     #[cfg(target_arch = "x86_64")]
     {
-        if B == BLOCK && has(WavefrontBackend::Sse41) {
-            fills.push(("sse41", lane_fill!(fill_sse41, Sse41I16, BLOCK)));
+        if let (BLOCK, Some(t)) = (B, x86::Sse41::detect()) {
+            fills.push(("sse41", lane_fill!(fill_sse41, t, Sse41I16(t))));
         }
-        if B == BLOCK && has(WavefrontBackend::Avx2) {
-            fills.push(("sse41@avx2", lane_fill!(fill_avx2, Sse41I16, BLOCK)));
+        if let (BLOCK, Some(t)) = (B, x86::Avx2::detect()) {
+            fills.push(("sse41@avx2", lane_fill!(fill_avx2, t, Sse41I16(t.lower()))));
         }
-        if B == MAX_BLOCK && has(WavefrontBackend::Avx2) {
-            fills.push(("avx2", lane_fill!(fill_avx2, Avx2I16, MAX_BLOCK)));
+        if let (MAX_BLOCK, Some(t)) = (B, x86::Avx2::detect()) {
+            fills.push(("avx2", lane_fill!(fill_avx2, t, Avx2I16(t))));
         }
-        if B == MAX_BLOCK && has(WavefrontBackend::Avx512) {
-            fills.push(("avx512", lane_fill!(fill_avx512, Avx512I16, MAX_BLOCK)));
+        if let (MAX_BLOCK, Some(t)) = (B, x86::Avx512::detect()) {
+            fills.push(("avx512", lane_fill!(fill_avx512, t, Avx512I16(t))));
         }
     }
     fills
@@ -153,7 +149,8 @@ fn check_block<const B: usize>(
         }
     };
     let mut runs = Vec::new();
-    for (name, fill) in i16_lanes::<B>().into_iter().chain([("dispatch", dispatch16::<B> as _)]) {
+    let dispatch: Fill<B> = Box::new(dispatch16::<B>);
+    for (name, fill) in i16_lanes::<B>().into_iter().chain([("dispatch", dispatch)]) {
         let mut cells_n = BlockCellsT::<i16, B>::new();
         let (mut wh_n, mut we_n, mut nh_n, mut nf_n) = (west_h, west_e, north_h, north_f);
         let io = BlockIo {
@@ -664,23 +661,17 @@ fn lane_impl_sweep_matches_scalar() {
 /// One fold instantiation (or the dispatcher on one stamped backend).
 type Fold<const B: usize> = Box<dyn Fn(&mut DiagTracker, &BlockCellsT<i16, B>)>;
 
-/// `$wrapper::<$lanes, $n>` as a [`Fold`] at the enclosing function's `B`.
-/// Callers list a vector impl only after [`has`] confirmed its backend.
+/// `$wrapper` entered with the token `$level` and the lanes `$lanes`, as a
+/// [`Fold`] at the enclosing function's `B`.
+#[cfg(target_arch = "x86_64")]
 macro_rules! lane_fold {
-    ($wrapper:ident, $lanes:ty, $n:expr) => {
-        Box::new(|tracker: &mut DiagTracker, cells: &BlockCellsT<i16, B>| {
-            // SAFETY: only listed when the host supports the wrapper's level.
-            unsafe { $wrapper::<$lanes, { $n }>(tracker, cells.at_geometry()) }
+    ($wrapper:ident, $level:expr, $lanes:expr) => {{
+        let (level, lanes) = ($level, $lanes);
+        Box::new(move |tracker: &mut DiagTracker, cells: &BlockCellsT<i16, B>| {
+            // SAFETY: `level` came from `detect()` and proves the wrapper's level.
+            unsafe { $wrapper(level, lanes, tracker, cells.at_geometry()) }
         })
-    };
-}
-
-/// The fold with no feature wrapper around it (the portable dispatch arm).
-unsafe fn fold_plain<L: Lanes<N>, const N: usize>(
-    tracker: &mut DiagTracker,
-    cells: &BlockCellsT<i16, N>,
-) {
-    tracker.fold_block::<L, N>(cells);
+    }};
 }
 
 /// Every instantiation of the one fold the host supports at geometry `B` —
@@ -688,20 +679,20 @@ unsafe fn fold_plain<L: Lanes<N>, const N: usize>(
 /// staging stamped by each supported backend.
 fn i16_folds<const B: usize>() -> Vec<(String, Fold<B>)> {
     let mut folds: Vec<(String, Fold<B>)> =
-        vec![("portable".into(), lane_fold!(fold_plain, Portable, B))];
+        vec![("portable".into(), Box::new(|tracker, cells| tracker.fold_block(Portable, cells)))];
     #[cfg(target_arch = "x86_64")]
     {
-        if B == BLOCK && has(WavefrontBackend::Sse41) {
-            folds.push(("sse41".into(), lane_fold!(fold_sse41, Sse41I16, BLOCK)));
+        if let (BLOCK, Some(t)) = (B, x86::Sse41::detect()) {
+            folds.push(("sse41".into(), lane_fold!(fold_sse41, t, Sse41I16(t))));
         }
-        if B == BLOCK && has(WavefrontBackend::Avx2) {
-            folds.push(("sse41@avx2".into(), lane_fold!(fold_avx2, Sse41I16, BLOCK)));
+        if let (BLOCK, Some(t)) = (B, x86::Avx2::detect()) {
+            folds.push(("sse41@avx2".into(), lane_fold!(fold_avx2, t, Sse41I16(t.lower()))));
         }
-        if B == MAX_BLOCK && has(WavefrontBackend::Avx2) {
-            folds.push(("avx2".into(), lane_fold!(fold_avx2, Avx2I16, MAX_BLOCK)));
+        if let (MAX_BLOCK, Some(t)) = (B, x86::Avx2::detect()) {
+            folds.push(("avx2".into(), lane_fold!(fold_avx2, t, Avx2I16(t))));
         }
-        if B == MAX_BLOCK && has(WavefrontBackend::Avx512) {
-            folds.push(("avx512".into(), lane_fold!(fold_avx512, Avx512I16, MAX_BLOCK)));
+        if let (MAX_BLOCK, Some(t)) = (B, x86::Avx512::detect()) {
+            folds.push(("avx512".into(), lane_fold!(fold_avx512, t, Avx512I16(t))));
         }
     }
     for backend in supported_backends() {
@@ -709,7 +700,7 @@ fn i16_folds<const B: usize>() -> Vec<(String, Fold<B>)> {
             format!("dispatch as {}", backend.name()),
             Box::new(move |tracker: &mut DiagTracker, cells: &BlockCellsT<i16, B>| {
                 let mut stamped = cells.clone();
-                stamped.backend = backend;
+                stamped.backend = ProvenBackend::detect().capped(BackendChoice::Fixed(backend));
                 tracker.on_block_i16(&stamped);
             }),
         ));
@@ -922,13 +913,10 @@ fn avx512_gate_boundary_is_exact_at_wide_geometry() {
 }
 
 /// The AVX-512 mask ladder at its own feature level.
-///
-/// # Safety
-/// Requires AVX-512BW and AVX-512VL.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512bw,avx512vl")]
-unsafe fn avx512_edge_masks(ctx: &BlockCtx<'_>, i0: i64, j0: i64) -> DiagMasks {
-    Avx512I16::edge_masks(ctx, i0, j0)
+fn avx512_edge_masks(lanes: Avx512I16, ctx: &BlockCtx<'_>, i0: i64, j0: i64) -> DiagMasks {
+    lanes.edge_masks(ctx, i0, j0)
 }
 
 #[test]
@@ -957,14 +945,12 @@ fn edge_masks_equal_lane_mask() {
                     for (d, m) in want.iter_mut().enumerate().take(MAX_BLOCK_DIAGS) {
                         *m = lane_mask(&ctx, i0, j0, d);
                     }
-                    // SAFETY: the portable lanes need no CPU feature.
-                    let portable =
-                        unsafe { <Portable as Lanes<MAX_BLOCK>>::edge_masks(&ctx, i0, j0) };
+                    let portable = Lanes::<MAX_BLOCK>::edge_masks(Portable, &ctx, i0, j0);
                     assert_eq!(portable, want, "default masks, {n}×{m} w={w} block ({i0},{j0})");
                     #[cfg(target_arch = "x86_64")]
-                    if has(WavefrontBackend::Avx512) {
-                        // SAFETY: AVX-512BW/VL detected just above.
-                        let ladder = unsafe { avx512_edge_masks(&ctx, i0, j0) };
+                    if let Some(level) = x86::Avx512::detect() {
+                        // SAFETY: `level` proves AVX-512BW/VL.
+                        let ladder = unsafe { avx512_edge_masks(Avx512I16(level), &ctx, i0, j0) };
                         assert_eq!(ladder, want, "ladder, {n}×{m} w={w} block ({i0},{j0})");
                     }
                     checked += 1;
@@ -973,4 +959,42 @@ fn edge_masks_equal_lane_mask() {
         }
     }
     assert!(checked > 1000, "sweep shrank to {checked} blocks");
+}
+
+#[test]
+fn level_tokens_are_detect_only_proofs() {
+    // A token carries a fact, not data: zero-sized and `Copy`, like the lane
+    // impls built from one, so threading the proof through the fill and the
+    // fold costs nothing.
+    fn zero_sized<T: Copy>() -> bool {
+        std::mem::size_of::<T>() == 0
+    }
+    assert!(zero_sized::<Portable>());
+    let supported = supported_backends();
+    #[cfg(target_arch = "x86_64")]
+    {
+        assert!(zero_sized::<x86::Sse41>() && zero_sized::<Sse41I16>());
+        assert!(zero_sized::<x86::Avx2>() && zero_sized::<Avx2I16>());
+        assert!(zero_sized::<x86::Avx512>() && zero_sized::<Avx512I16>());
+        // `detect()` is the public capability list, level by level.
+        let has = |b| supported.contains(&b);
+        assert_eq!(x86::Sse41::detect().is_some(), has(WavefrontBackend::Sse41));
+        assert_eq!(x86::Avx2::detect().is_some(), has(WavefrontBackend::Avx2));
+        assert_eq!(x86::Avx512::detect().is_some(), has(WavefrontBackend::Avx512));
+    }
+    let best = ProvenBackend::detect();
+    assert_eq!(best.name(), detected_backend());
+    assert_eq!(supported[0], detected_backend());
+    if cfg!(miri) {
+        assert_eq!(best.name(), WavefrontBackend::Portable);
+    }
+    // A proof only lowers: capping follows the pure clamp over names, so a
+    // request above the host resolves to a level detection found.
+    for name in ["avx512", "avx2", "sse41", "portable"] {
+        let choice = BackendChoice::parse(name).unwrap();
+        let capped = best.capped(choice);
+        assert_eq!(capped.name(), choice.cap(best.name()));
+        assert!(supported.contains(&capped.name()), "{name} resolved above the host");
+        assert_eq!(capped.capped(BackendChoice::Auto).name(), capped.name());
+    }
 }

@@ -16,6 +16,8 @@
 //! to the scalar reference; Manymap-Diff is verified to *differ* on inputs
 //! that expose its inexact termination.
 
+#![forbid(unsafe_code)]
+
 pub mod cpu;
 pub mod gasal2;
 pub mod logan;

@@ -6,6 +6,8 @@
 //! output of `cargo bench` can be compared side by side with the published
 //! figures (recorded in `EXPERIMENTS.md`).
 
+#![forbid(unsafe_code)]
+
 use agatha_datasets::{generate, Dataset, DatasetSpec};
 
 /// Load the nine paper datasets at the configured benchmark scale.

@@ -29,6 +29,8 @@
 //! dispatch, and a latency-histogram stats dump on shutdown (SIGTERM,
 //! SIGINT, or a `{"cmd":"shutdown"}` request).
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
@@ -121,8 +123,9 @@ common options:
                   Scores and stats are bit-identical either way
   --block B       host block geometry (agatha engine only): auto | 8 | 16.
                   auto widens to 16x16 blocks (16 i16 lanes per diagonal)
-                  on tasks where the wider tile amortises its staging cost;
-                  results are bit-identical across geometries. Host-only,
+                  on tasks where the wider tile amortises its staging cost
+                  (on every backend but sse41, whose vector lanes are 8
+                  wide); results are bit-identical across geometries. Host-only,
                   like --backend: the simulated device always runs the
                   paper's 8x8 blocks, so no simulated number depends on it
   --backend K     host wavefront backend (agatha engine only): auto |

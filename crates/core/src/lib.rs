@@ -27,6 +27,8 @@
 //! ([`engine::BatchEngine::align_stream_with`]) and serve requests
 //! ([`engine::BatchEngine::run_tagged`]) alike.
 
+#![forbid(unsafe_code)]
+
 pub mod bucketing;
 pub mod clock;
 pub mod engine;

@@ -296,6 +296,18 @@ mod tests {
         let cfg = AgathaConfig::agatha().with_backend(BackendChoice::Fixed(Portable));
         assert_eq!(cfg.backend.resolve(), Portable);
         assert_eq!(AgathaConfig::agatha().backend, BackendChoice::Auto);
+        // What a task dispatches with is a proof, and a proof only lowers: a
+        // plan capped above the host (`avx512` on a lesser CPU, any vector
+        // level under Miri) runs a level detection found, and the one the
+        // pure clamp names.
+        let s = agatha_align::Scoring::preset_bwa();
+        let supported = agatha_align::simd::supported_backends();
+        for forced in [Avx512, Avx2, Sse41, Portable] {
+            let choice = BackendChoice::Fixed(forced);
+            let ctx = agatha_align::block::BlockCtx::new(240, 240, &s).with_backend(choice);
+            assert!(supported.contains(&ctx.backend()), "{forced:?} ran {:?}", ctx.backend());
+            assert_eq!(ctx.backend(), choice.resolve());
+        }
     }
 
     #[test]
@@ -374,13 +386,17 @@ mod tests {
         let forced = cfg.clone().with_block_dim(BlockDim::B16);
         assert_eq!(forced.fill_tier_for(240, 240, &s), FillTier::I16);
         // Auto follows the backend the plan carries: the amortizable shape
-        // widens exactly when the resolved backend has a 16×i16 kernel, and
-        // a `portable` plan stays at the paper geometry on every host.
-        use agatha_align::simd::WavefrontBackend::{Avx2, Avx512, Portable};
-        let wide_host = matches!(agatha_align::simd::detected_backend(), Avx2 | Avx512);
-        assert_eq!(cfg.block_dim_for(240, 240, &s), if wide_host { MAX_BLOCK } else { BLOCK });
-        let portable = cfg.with_backend(BackendChoice::Fixed(Portable));
-        assert_eq!(portable.block_dim_for(240, 240, &s), BLOCK);
+        // widens on every backend but `sse41` (whose vector lanes exist at
+        // B=8 only) — a `portable` plan included, on every host.
+        use agatha_align::simd::WavefrontBackend::{Portable, Sse41};
+        let narrow_host = agatha_align::simd::detected_backend() == Sse41;
+        assert_eq!(cfg.block_dim_for(240, 240, &s), if narrow_host { BLOCK } else { MAX_BLOCK });
+        let portable = cfg.clone().with_backend(BackendChoice::Fixed(Portable));
+        assert_eq!(portable.block_dim_for(240, 240, &s), MAX_BLOCK);
+        if agatha_align::simd::supported_backends().contains(&Sse41) {
+            let sse41 = cfg.with_backend(BackendChoice::Fixed(Sse41));
+            assert_eq!(sse41.block_dim_for(240, 240, &s), BLOCK);
+        }
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //!
 //! Everything is seeded and deterministic.
 
+#![forbid(unsafe_code)]
+
 pub mod chain;
 pub mod distributions;
 pub mod genome;

@@ -23,6 +23,8 @@
 //! Everything is deterministic: identical inputs give identical simulated
 //! times on every host.
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod cpu;
 pub mod mem;

@@ -6,6 +6,8 @@
 //! artifact's `score.log` / `time.json` outputs (Appendix A), and a
 //! dependency-free command-line flag parser.
 
+#![forbid(unsafe_code)]
+
 pub mod args;
 pub mod fasta;
 pub mod output;

@@ -54,6 +54,12 @@ use crate::window::{AdmissionWindow, Harvest, Pending, WindowCfg};
 /// How often blocked loops re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(25);
 
+/// Longest request line a connection may buffer before its line end arrives
+/// (16 MiB — two orders of magnitude above the longest read any scenario
+/// generates): past it the client gets one error reply and is disconnected,
+/// so a stream without newlines cannot grow the daemon's memory.
+pub const MAX_REQUEST_LINE: usize = 16 << 20;
+
 /// Full daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -303,9 +309,14 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 break;
             }
             Ok(n) => {
+                // `buf` holds an unterminated line, so a line end can only
+                // be among the bytes this read appends — and, once a line is
+                // cut off, in what follows it, all of it from this read.
+                let mut unscanned = buf.len();
                 buf.extend_from_slice(&chunk[..n]);
-                while let Some(eol) = buf.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = buf.drain(..=eol).collect();
+                while let Some(eol) = buf[unscanned..].iter().position(|&b| b == b'\n') {
+                    let line: Vec<u8> = buf.drain(..=unscanned + eol).collect();
+                    unscanned = 0;
                     let line = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
                     if line.trim().is_empty() {
                         continue;
@@ -313,6 +324,15 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                     if handle_line(&line, shared, &reply_tx, &cancel) == Flow::Close {
                         break 'outer;
                     }
+                }
+                if buf.len() > MAX_REQUEST_LINE {
+                    // Not a client of this protocol: answer once and hang
+                    // up (resynchronising inside a hostile stream is not
+                    // worth a code path); its pending work goes with it.
+                    let reason = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+                    let _ = reply_tx.send(error_response(None, &reason));
+                    cancel.store(true, Ordering::Release);
+                    break;
                 }
             }
             Err(e)
@@ -550,7 +570,9 @@ extern "C" fn on_termination_signal(_sig: i32) {
 /// Install SIGTERM/SIGINT handlers (idempotent) and return the flag they
 /// set. The CLI polls this to turn a signal into a graceful
 /// drain-and-dump shutdown. On non-Unix targets the flag simply never
-/// fires. Uses the platform libc `signal` symbol directly — no crates.
+/// fires. Uses the platform libc `signal` symbol directly — no crates — which
+/// makes this the crate's one sanctioned `unsafe` (the FFI call).
+#[allow(unsafe_code)]
 pub fn termination_flag() -> &'static AtomicBool {
     #[cfg(unix)]
     {

@@ -19,6 +19,8 @@
 //! * [`client`] — a small blocking client (tests, reference wire
 //!   implementation).
 
+#![deny(unsafe_code)]
+
 pub mod client;
 pub mod daemon;
 pub mod histogram;

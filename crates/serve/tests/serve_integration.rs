@@ -290,3 +290,61 @@ fn zero_window_and_zero_queue_are_usage_errors() {
     cfg.max_batch = 0;
     assert!(err(cfg).contains("batch"));
 }
+
+#[test]
+fn request_lines_are_bounded_and_may_span_reads() {
+    use agatha_serve::daemon::MAX_REQUEST_LINE;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{Shutdown, TcpStream};
+
+    let handle = start(|_| {});
+
+    // A client that never sends a line end: one error reply once the line
+    // outgrows the cap, then the connection is closed — promptly, and
+    // whether or not the client is still writing.
+    let t0 = Instant::now();
+    let hostile = TcpStream::connect(handle.addr()).unwrap();
+    let mut replies = BufReader::new(hostile.try_clone().unwrap());
+    let flood = std::thread::spawn(move || {
+        let mut hostile = hostile;
+        let block = vec![b'A'; 1 << 20];
+        for _ in 0..(MAX_REQUEST_LINE >> 20) + 1 {
+            if hostile.write_all(&block).is_err() {
+                break; // the daemon hung up mid-flood
+            }
+        }
+        let _ = hostile.shutdown(Shutdown::Write);
+    });
+    let mut line = String::new();
+    replies.read_line(&mut line).expect("the error reply arrives before the close");
+    let reply = agatha_serve::parse_response(line.trim_end()).unwrap();
+    assert_eq!(reply.status, Status::Error, "raw: {line}");
+    assert!(
+        line.contains(&format!("request line exceeds {MAX_REQUEST_LINE} bytes")),
+        "raw: {line}"
+    );
+    // Nothing follows it: end of stream (a reset, if the daemon closed with
+    // part of the flood still unread, is the same event).
+    line.clear();
+    assert!(matches!(replies.read_line(&mut line), Ok(0) | Err(_)), "second reply: {line}");
+    flood.join().unwrap();
+    assert!(t0.elapsed() < Duration::from_secs(20), "cap took {:?}", t0.elapsed());
+
+    // Other connections never noticed.
+    let mut client = ServeClient::connect(handle.addr()).unwrap();
+    assert_eq!(client.ping().unwrap().status, Status::Ok);
+
+    // A legitimate long line — a 16–32 kb pair, arriving over many 8 KiB
+    // reads — is reassembled intact: it scores exactly `guided_align`.
+    let (r, q) = pairs(1, 16_000, 99).pop().unwrap();
+    assert!(r.len() + q.len() >= 4 * 8192);
+    let want = agatha_align::guided::guided_align(
+        &agatha_align::PackedSeq::from_str_seq(&r),
+        &agatha_align::PackedSeq::from_str_seq(&q),
+        &scoring(),
+    );
+    let resp = client.align(7, &r, &q, None).unwrap();
+    assert_eq!(resp.status, Status::Ok, "raw: {}", resp.raw);
+    assert_eq!(resp.score, Some(want.score));
+    handle.shutdown();
+}

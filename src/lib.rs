@@ -10,6 +10,8 @@
 //! [`datasets`] for synthetic workloads, and [`gpu_sim`] for the execution
 //! model.
 
+#![forbid(unsafe_code)]
+
 pub use agatha_align as align;
 pub use agatha_baselines as baselines;
 pub use agatha_core as core;

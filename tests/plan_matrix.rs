@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use agatha_suite::align::guided::guided_align;
-use agatha_suite::align::simd::WavefrontBackend::{Avx2, Avx512, Portable};
+use agatha_suite::align::simd::WavefrontBackend::{Portable, Sse41};
 use agatha_suite::align::simd::{detected_backend, supported_backends, BackendChoice};
 use agatha_suite::align::{BlockDim, GuidedResult, Scoring, Task};
 use agatha_suite::core::{AgathaConfig, BatchReport, Pipeline, StreamOptions, StreamSummary};
@@ -105,10 +105,9 @@ fn every_fill_plan_scores_every_scenario_exactly() {
                 None => first = Some((name, report)),
             }
         }
-        // Both pinned geometries, plus the 8/16 mix `auto` resolves where
-        // the host has a 16-lane kernel.
-        let wide_host = matches!(detected_backend(), Avx2 | Avx512);
-        assert_eq!(host_cells.len(), if wide_host { 3 } else { 2 }, "{}", s.name);
+        // Both pinned geometries, plus the 8/16 mix `auto` resolves on every
+        // host (every backend but `sse41` widens, `portable` included).
+        assert_eq!(host_cells.len(), 3, "{}", s.name);
     }
 }
 
@@ -192,18 +191,28 @@ fn plans_with_different_backends_run_concurrently() {
     let s = SCENARIOS.iter().find(|s| s.name == "dna-short").expect("dna-short is registered");
     let scoring = (s.scoring)();
     let tasks = scenario_tasks(s.tasks, if cfg!(miri) { 2 } else { 8 });
-    let best = detected_backend();
-    let plans = [Portable, best].map(|b| {
-        AgathaConfig::agatha().with_block_dim(BlockDim::Auto).with_backend(BackendChoice::Fixed(b))
-    });
-    let tilings = plans.clone().map(|cfg| tiling(&cfg, &tasks, &scoring));
-    assert!(tilings[0].iter().all(|&b| b == 8), "portable never widens");
-    if matches!(best, Avx2 | Avx512) {
+    // `sse41` is the one backend whose adaptive geometry never widens (its
+    // vector lanes exist at B=8 only); where the host has it, it runs too.
+    let mut backends = vec![Portable, detected_backend()];
+    backends.extend(supported_backends().into_iter().filter(|&b| b == Sse41));
+    let plans: Vec<AgathaConfig> = backends
+        .iter()
+        .map(|&b| {
+            let cfg = AgathaConfig::agatha().with_block_dim(BlockDim::Auto);
+            cfg.with_backend(BackendChoice::Fixed(b))
+        })
+        .collect();
+    let tilings: Vec<_> = plans.iter().map(|cfg| tiling(cfg, &tasks, &scoring)).collect();
+    assert!(tilings[0].contains(&16), "the portable plan widens on every host");
+    if let Some(narrow) = tilings.get(2) {
         // Same tasks, same moment, two geometries.
-        assert!(tilings[1].contains(&16), "{:?}", tilings[1]);
+        assert!(narrow.iter().all(|&b| b == 8), "sse41 never widens: {narrow:?}");
     }
-    let sequential = plans.clone().map(|cfg| pipeline(scoring, &cfg, 1).align_batch(&tasks));
-    assert_same_report(&sequential[0], &sequential[1], "portable vs best-detected plan");
+    let sequential: Vec<_> =
+        plans.iter().map(|cfg| pipeline(scoring, cfg, 1).align_batch(&tasks)).collect();
+    for other in &sequential[1..] {
+        assert_same_report(&sequential[0], other, "portable vs another backend's plan");
+    }
 
     let start = std::sync::Barrier::new(plans.len());
     std::thread::scope(|scope| {
