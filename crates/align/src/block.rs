@@ -5,8 +5,8 @@
 //! block edge). This module keeps that as the *default* geometry
 //! ([`crate::BLOCK`]) but parameterizes the whole layer over the block side
 //! `B ∈ {8, 16}` so wider vectors have lanes to fill: the 16-wide
-//! geometry ([`crate::MAX_BLOCK`]) runs the i16 wavefront with all 16 AVX2
-//! lanes occupied per block anti-diagonal instead of 8. Geometry is chosen
+//! geometry ([`crate::MAX_BLOCK`]) runs the i16 wavefront with 16 query rows
+//! to a vector instead of 8. Geometry is chosen
 //! per task by [`BlockCtx::geometry_for`] (or forced via
 //! `AgathaConfig::with_block_dim` / `--block`), and every geometry is
 //! bit-identical to the scalar reference — geometry only changes tiling,
@@ -25,11 +25,13 @@
 //!
 //! Instead of a per-cell callback into the tracker (which serialises the
 //! inner loop), a fill writes its masked `H` values into a [`BlockCellsT`]
-//! staging buffer — anti-diagonal-major, one validity bitmask per block
-//! diagonal — and the caller folds the whole block with one tracker call.
+//! staging buffer — anti-diagonal-major, one validity bitmask per
+//! diagonal — and the whole buffer folds with one tracker call.
 //! With the callback gone the fill itself is free to vectorise:
 //! [`FillMode::Simd`] — the default — runs the i16 wavefront kernel in
-//! [`crate::simd`] ([`compute_block_i16`] + `DiagTracker::on_block_i16`; the
+//! [`crate::simd`] (a whole row segment as one wavefront through
+//! [`crate::sweep::Sweep::segment`], or block by block through
+//! [`compute_block_i16`] + `DiagTracker::on_block_i16`; the
 //! best detected x86-64 lanes, a portable wavefront elsewhere),
 //! bit-identical to [`FillMode::Scalar`], the row-major reference
 //! ([`fill_scalar`] + `DiagTracker::on_block`), by construction.
@@ -38,17 +40,7 @@
 
 use crate::pack::PackedSeq;
 use crate::scoring::Scoring;
-use crate::{BLOCK, MAX_BLOCK, MAX_BLOCK_DIAGS, NEG_INF};
-
-/// Number of anti-diagonals crossing one block of the default (`8×8`)
-/// geometry.
-pub const BLOCK_DIAGS: usize = 2 * BLOCK - 1;
-
-/// Number of anti-diagonals crossing one `b × b` block.
-#[inline]
-pub const fn block_diags(b: usize) -> usize {
-    2 * b - 1
-}
+use crate::{BLOCK, MAX_BLOCK, NEG_INF, STAGE_ROWS};
 
 /// Checked ceiling division for non-negative `i64` geometry math (block
 /// counts, origin rounding). The open-coded `(x + d - 1) / d` form wraps
@@ -78,7 +70,7 @@ pub const I16_SENTINEL_MAG: i64 = -(crate::simd::NEG_INF16 as i64);
 /// `2^29`. See the derivation on [`BlockCtx::with_block_dim`].
 pub const I32_REACH_BOUND: i64 = I32_SENTINEL_MAG / 2;
 
-/// How far an i16 lane may sit from its block's base: the top of the i16
+/// How far an i16 lane may sit from its window's base: the top of the i16
 /// sentinel band ([`crate::simd::SENTINEL_BAND16`], half the sentinel
 /// magnitude), i.e. `2^13`. Real offsets stay strictly inside `±2^13`,
 /// sentinel-class lanes at or below `-2^13`. See
@@ -99,11 +91,11 @@ pub struct BlockCtx<'a> {
     pub b: i64,
     /// Scoring parameters.
     pub scoring: &'a Scoring,
-    /// Whether the block-rebased 16-bit wavefront fill is provably
-    /// bit-identical to the scalar fill for this task: every real `H/E/F` a
-    /// block touches stays within `±2^13` of the block's base, so (a) the
-    /// rebasing conversions at block entry and exit are exact, (b)
-    /// saturating `i16` arithmetic never saturates on a real value, and (c)
+    /// Whether the rebased 16-bit wavefront fill is provably bit-identical
+    /// to the scalar fill for this task: every real `H/E/F` in flight stays
+    /// within `±2^13` of the base of the window it is in, so (a) the rebasing
+    /// conversions at entry, exit and re-centring are exact, (b) saturating
+    /// `i16` arithmetic never saturates on a real value, and (c)
     /// sentinel-class values (derived from masked `-∞` cells) always lose
     /// every `max` against real values, exactly as in the scalar fill. A
     /// property of scoring and geometry — sequence length enters only through
@@ -145,13 +137,14 @@ impl<'a> BlockCtx<'a> {
     /// `S = |sentinel|` (`2^30` for the i32 carries, `2^14` for the i16
     /// lanes).
     ///
-    /// **Sentinel drift.** Masked cells re-enter the arithmetic
-    /// at or below `-S`; inside one block a sentinel-derived candidate can
-    /// gain at most `step` per block anti-diagonal before the block boundary
-    /// re-masks it, i.e. at most `drift = step × (2b−1)` in total, so
-    /// sentinel-class values stay at or below `-S + drift`. This is where the
-    /// block side enters the proof: doubling `b` doubles the worst-case
-    /// drift, so B=16 cannot silently weaken a gate.
+    /// **Sentinel drift.** Masked cells re-enter the arithmetic at or below
+    /// `-S`, and a sentinel-derived candidate can gain at most `step` per
+    /// anti-diagonal until something pins it again: the scalar fill's block
+    /// boundary after `2b−1` diagonals, the wavefront's window boundary —
+    /// where it re-centres and re-pins every sentinel-class lane — after
+    /// [`STAGE_ROWS`] steps (a single block's `2b−1` fit in one window). So
+    /// `drift = step × STAGE_ROWS` bounds both, and sentinel-class values
+    /// stay at or below `-S + drift`.
     ///
     /// **i32 carries — reach.** Boundary carries, staged bases and the
     /// tracker hold absolute scores, so every reachable DP value must
@@ -160,11 +153,15 @@ impl<'a> BlockCtx<'a> {
     /// overflow and the scalar fill's defensive `saturating_add` never
     /// saturates on a real value.
     ///
-    /// **i16 lanes — span.** Lanes hold offsets from the block's `base`, a
-    /// real `H` on its boundary ring (west row, north column, corner: the
-    /// largest of them on edge blocks, the corner itself on interior ones),
-    /// so what must fit is the spread of real values *around one block*,
-    /// not the score itself:
+    /// **i16 lanes — span.** Lanes hold offsets from a `base` that follows
+    /// the wavefront: a real `H` of the segment's entry ring (west column,
+    /// corner, the north row over its first block — the largest of them) for
+    /// its first window of [`STAGE_ROWS`] steps, then the largest `H` of the
+    /// last two anti-diagonals of the window before (two, so that a band of
+    /// one diagonal still has a cell; a window none of whose last two rows
+    /// has a cell keeps its base — there is nothing real near the front to
+    /// spread from it). What must fit is the spread of real values *around
+    /// one window of the front*, not the score itself, however long the row:
     ///
     /// * Adjacent valid cells differ by a bounded amount. Straight from the
     ///   recurrence, `H(i,j) ≥ H(i−1,j) − (o+e)`, `≥ H(i,j−1) − (o+e)` and
@@ -179,10 +176,16 @@ impl<'a> BlockCtx<'a> {
     ///   `q = max_score + o + e − min_score`.
     /// * The valid region (band ∩ table, plus the DP borders) is convex
     ///   along DP moves: a monotone staircase between two valid cells keeps
-    ///   `i − j` between theirs and stays inside their bounding box. Any
-    ///   two cells of a block's `(b+1)²` neighbourhood (block plus ring) are
-    ///   therefore joined by a valid staircase of at most `2b` steps, and
-    ///   every real `H` there lies within `span = 2b × q` of `base`.
+    ///   `i − j` between theirs and stays inside their bounding box, and has
+    ///   `|Δi| + |Δj|` steps. While a window is in flight the lanes hold
+    ///   cells of the `b + 1` rows from the north row down, on the
+    ///   anti-diagonals from two before the window's first (the state of the
+    ///   step before, and its diagonal input) to its last; the base is a cell
+    ///   of those rows one or two diagonals before the first (of the entry
+    ///   ring for the first window, which spans the same diagonals). Between
+    ///   the two, `Δ(i+j) ≤ STAGE_ROWS + 1` and `|Δj| ≤ b`, so
+    ///   `|Δi| + |Δj| ≤ STAGE_ROWS + 1 + 2b` and every real `H` in flight
+    ///   lies within `span = (STAGE_ROWS + 2b + 1) × q` of `base`.
     ///   (DP-border cells outside the band feed only masked cells, but
     ///   they can be picked as `base`; they equal their unbanded values,
     ///   which bound the banded ones from above, and a valid cell at most
@@ -195,14 +198,19 @@ impl<'a> BlockCtx<'a> {
     ///   at most `max_score + 2(o+e) ≤ 3 × step ≤ drift` more.
     ///
     /// Requiring `span + drift < S/2 = 2^13` therefore keeps every real
-    /// offset strictly inside `±2^13` and every sentinel-class lane at or
-    /// below `-2^14 + drift < -2^13`: real values convert exactly, never
-    /// saturate, and win every `max` against a sentinel; at block exit
-    /// anything at or below `-2^13` is written back as exactly `NEG_INF`, so
-    /// the next block (with a different base) saturates it again. Absolute
-    /// scores live in the `i32` carries and the tracker, so the gate
-    /// includes the reach bound above — and nothing else that depends on
-    /// `n + m`.
+    /// offset strictly inside `±2^13` of the window's base — and of the next
+    /// window's, which is one of them, so re-centring subtracts a real offset
+    /// from real offsets exactly — and every sentinel-class lane at or below
+    /// `-2^14 + drift < -2^13`: real values convert exactly, never saturate,
+    /// and win every `max` against a sentinel; at a window boundary and at
+    /// segment exit anything at or below `-2^13` is a sentinel, re-pinned to
+    /// `-2^14` or written back as exactly `NEG_INF`, so it never drifts with
+    /// the base and the next segment (with a different base) saturates it
+    /// again. Absolute scores live in the `i32` carries, the staged bases
+    /// and the tracker, so the gate includes the reach bound above — and
+    /// nothing else that depends on `n + m`: the ONT preset needs
+    /// `65 × 12 + 32 × 6 = 972` of the 8,192 at `b = 16`, BLOSUM62
+    /// `65 × 26 + 32 × 11 = 2,042`.
     pub fn with_block_dim(n: usize, m: usize, scoring: &'a Scoring, b: usize) -> BlockCtx<'a> {
         assert!(b == BLOCK || b == MAX_BLOCK, "unsupported block dim {b}: expected 8 or 16");
         let (ni, mi) = (n as i64, m as i64);
@@ -220,13 +228,13 @@ impl<'a> BlockCtx<'a> {
         .max()
         .unwrap_or(0);
         let reach = step.saturating_mul(ni + mi + 2);
-        let drift = step.saturating_mul(block_diags(b) as i64);
+        let drift = step.saturating_mul(STAGE_ROWS as i64);
         let carries_exact = reach < I32_REACH_BOUND && drift < I32_REACH_BOUND;
         let q = scoring.max_score().max(0) as i64
             + scoring.gap_open as i64
             + scoring.gap_extend as i64
             + (-(scoring.min_score() as i64)).max(0);
-        let span = q.saturating_mul(2 * b as i64);
+        let span = q.saturating_mul((STAGE_ROWS + 2 * b + 1) as i64);
         let i16_exact = carries_exact && span.saturating_add(drift) < I16_OFFSET_BOUND;
         BlockCtx {
             n: ni,
@@ -272,19 +280,16 @@ impl<'a> BlockCtx<'a> {
     /// * scalar mode → B=8 (the wide side only pays off via the 16-lane
     ///   wavefront);
     /// * `backend` (the one the task will dispatch to) `sse41` → B=8: its
-    ///   8×i16 vector lanes exist at B=8 only, and the array lanes it would
-    ///   run at B=16 are ≈ 1.5× slower than them. Every other backend
-    ///   qualifies: AVX2 and AVX-512 have 16×i16 kernels, and the `portable`
-    ///   array lanes — which autovectorise to two 128-bit ops per diagonal
-    ///   and pay half the per-block boundary work — measure 1.3–1.5× faster
-    ///   at 16×16 than at 8×8 on all three sequence classes;
+    ///   8×i16 vector lanes exist at B=8 only, and at B=16 it would run the
+    ///   array lanes instead. Every other backend qualifies: AVX2 and
+    ///   AVX-512 have 16×i16 kernels, and the `portable` array lanes
+    ///   autovectorise to two 128-bit ops per step over twice the cells;
     /// * the i16 gate must hold *at the wide geometry* (16-wide blocks
     ///   spread real values and drift sentinels twice as far; see
     ///   [`BlockCtx::with_block_dim`]);
     /// * both sequences must span at least two wide blocks and the band
     ///   must admit at least a full wide diagonal (`w ≥ 16` or unbanded) —
-    ///   otherwise most 16-lane vectors would run partially masked and the
-    ///   larger per-block boundary work cannot amortize.
+    ///   otherwise most 16-lane vectors would run partially masked.
     pub fn geometry_for(
         n: usize,
         m: usize,
@@ -348,38 +353,89 @@ impl<'a> BlockCtx<'a> {
         band_row_blocks(self.n, self.m, self.w, self.b, bj)
     }
 
-    /// Inclusive valid-lane range of block anti-diagonal `d` for the block
-    /// at `(i0, j0)`: lanes `l` (reference offset) whose cell
-    /// `(i0+l, j0+d-l)` is inside the table and the band, or `None` when the
-    /// diagonal has no valid cell. Shared by both fill paths so masking is
-    /// identical by construction.
+    /// Valid-lane bounds of the wavefront over the *strip* of `cols`
+    /// reference positions from `i0` in the block row at `j0`, from its step
+    /// `t0` on (see [`StripLanes`]). Lane `l` of step `t` is the cell
+    /// `(i0 − (B−1) + t + l, j0 + B−1 − l)`: the `B` lanes are the block row's
+    /// query rows, bottom row in lane 0, and a step is one table
+    /// anti-diagonal cut to them. A lane is valid when its cell is inside the
+    /// strip, the table and the band.
     #[inline]
-    pub fn lane_range(&self, i0: i64, j0: i64, d: usize) -> Option<(usize, usize)> {
-        let d = d as i64;
-        let b = self.b;
+    pub(crate) fn strip_lanes(&self, i0: i64, cols: usize, j0: i64, t0: usize) -> StripLanes {
+        let (b, t0) = (self.b, t0 as i64);
         let off = i0 - j0;
-        // l >= d - (m-1-j0)  (j < m);  l <= n-1-i0  (i < n);
-        // |off + 2l - d| <= w  (band);  max(0, d-(b-1)) <= l <= min(b-1, d)
-        // (block shape: 0 <= l < b and 0 <= d-l < b).
-        let lo =
-            0.max(d - (b - 1)).max(d - (self.m - 1 - j0)).max((d - self.w - off + 1).div_euclid(2));
-        let hi = (b - 1).min(d).min(self.n - 1 - i0).min((d + self.w - off).div_euclid(2));
-        if lo <= hi {
-            Some((lo as usize, hi as usize))
-        } else {
-            None
+        let last = (i0 + cols as i64).min(self.n) - 1;
+        // Every term is only ever compared against lanes `0..B` over at most
+        // `STAGE_ROWS` steps, so anything beyond ±2^16 acts exactly like
+        // ±2^16 (never / always binding) and the i32 arithmetic is exact.
+        let near = |x: i64| x.clamp(-(1 << 16), 1 << 16) as i32;
+        StripLanes {
+            // j < m
+            lo_fix: near((j0 + b - self.m).max(0)),
+            // i ≥ i0 and i ≤ last
+            lo_ramp: near(b - 1 - t0),
+            hi_ramp: near(last - i0 + b - 1 - t0),
+            // |i − j| ≤ w, with i − j = off − 2(B−1) + t + 2l
+            lo_band: near(2 * (b - 1) - self.w - off - t0),
+            hi_band: near(2 * (b - 1) + self.w - off - t0),
+            hi_fix: b as i32 - 1,
         }
     }
 
-    /// Whether the whole block at `(i0, j0)` lies inside the table and the
-    /// band (every one of its `B²` cells valid). The valid region is an
-    /// intersection of half-planes, so checking the four corners suffices.
+    /// The steps `from..to` of the strip on which every one of the `B` lanes
+    /// is valid (empty when there is none): each bound of
+    /// [`BlockCtx::strip_lanes`] is monotone in the step, so the full-vector
+    /// steps are one run and the wavefront masks only outside it.
     #[inline]
-    pub fn block_interior(&self, i0: i64, j0: i64) -> bool {
+    pub(crate) fn full_steps(&self, i0: i64, cols: usize, j0: i64) -> (usize, usize) {
         let b = self.b;
-        self.valid(i0 + b - 1, j0)
-            && self.valid(i0, j0 + b - 1)
-            && self.valid(i0 + b - 1, j0 + b - 1)
+        let off = i0 - j0;
+        let last = (i0 + cols as i64).min(self.n) - 1;
+        if j0 + b > self.m {
+            return (0, 0);
+        }
+        let from = (b - 1).max(2 * (b - 1) - self.w - off);
+        let to = (last - i0).min(self.w - off) + 1;
+        (from as usize, to.max(from) as usize)
+    }
+}
+
+/// Valid-lane bounds of consecutive steps of a strip
+/// ([`BlockCtx::strip_lanes`]), relative to the step they were built at: lane
+/// `l` of step `d` is valid iff `lo(d) ≤ l ≤ hi(d)`, each bound the tightest
+/// of a constant, a ramp (the strip's first and last column cross one lane
+/// per step) and a band edge (one lane per two steps). Plain clamped `i32`
+/// arithmetic, so a loop over `d` vectorises where the level has the shifts.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StripLanes {
+    lo_fix: i32,
+    lo_ramp: i32,
+    lo_band: i32,
+    hi_fix: i32,
+    hi_ramp: i32,
+    hi_band: i32,
+}
+
+impl StripLanes {
+    /// `(lo, hi)` of step `d`; empty when `lo > hi`.
+    #[inline(always)]
+    fn range(&self, d: i32) -> (i32, i32) {
+        // ceil(x / 2) = (x + 1) >> 1 and floor(x / 2) = x >> 1.
+        let lo = self.lo_fix.max(self.lo_ramp - d).max((self.lo_band - d + 1) >> 1);
+        let hi = self.hi_fix.min(self.hi_ramp - d).min((self.hi_band - d) >> 1);
+        (lo, hi)
+    }
+
+    /// The valid lanes of step `d` as a bit run (`0` when empty).
+    #[inline(always)]
+    pub(crate) fn mask(&self, d: i32) -> u16 {
+        let (lo, hi) = self.range(d);
+        let run = 1u32.wrapping_shl((hi + 1) as u32).wrapping_sub(1u32.wrapping_shl(lo as u32));
+        if lo <= hi {
+            run as u16
+        } else {
+            0
+        }
     }
 }
 
@@ -423,36 +479,35 @@ impl CellValue for i16 {
     const MASKED: i16 = crate::simd::NEG_INF16;
 }
 
-/// Staging buffer for one computed `B×B` block: the masked `H` value of
-/// every cell plus a per-block-anti-diagonal validity bitmask, laid out
-/// anti-diagonal-major so [`crate::diag::DiagTracker::on_block`] folds each
+/// Staging buffer for up to [`STAGE_ROWS`] anti-diagonals of one block row:
+/// the masked `H` value of every cell plus a validity bitmask per
+/// anti-diagonal, laid out anti-diagonal-major so the tracker folds each
 /// diagonal's cells contiguously (and in ascending `i`, preserving the
-/// canonical tie-break).
+/// canonical tie-break). A single block stages its `2B−1` diagonals; a row
+/// segment's wavefront stages one window of its steps after another.
 ///
-/// `h[d][l]` holds `H(i0+l, j0+d-l) − base` masked to [`CellValue::MASKED`]
-/// for out-of-band / out-of-table cells; bit `l` of `mask[d]` is set iff
-/// that cell is valid. Slots outside the block shape (`l > d` or `d - l >= B`)
-/// are unspecified — consumers must consult `mask`.
+/// The lanes are the block row's `B` query rows, bottom row in lane 0:
+/// `h[d][l]` holds `H(i0 − (B−1) + d + l, j0 + B−1 − l) − base`, masked to
+/// [`CellValue::MASKED`] for out-of-band / out-of-table cells (and cells
+/// outside the staged columns); bit `l` of `mask[d]` is set iff that cell is
+/// valid. The scalar fill leaves unmasked slots it never visits unspecified —
+/// its consumers consult `mask`.
 ///
-/// The buffer is sized for the *widest* geometry ([`MAX_BLOCK_DIAGS`] rows)
-/// at every `B` so geometry stays a per-task choice without `generic_const_exprs`;
-/// only the first `2B-1` rows of `h`/`mask` are ever written. Each
-/// row is exactly `[T; B]`, so the hot row stride of the default geometry
-/// is unchanged (32 bytes for `i32×8`).
+/// Each row is exactly `[T; B]`, so the hot row stride of the default
+/// geometry is unchanged (32 bytes for `i32×8`).
 #[derive(Debug, Clone)]
 pub struct BlockCellsT<T, const B: usize> {
     i0: i32,
     j0: i32,
     /// What the staged values are offsets from: score = `h[d][l] + base` on
-    /// valid lanes. The rebased i16 fill sets it per block; the scalar fill
-    /// stages absolute scores and leaves it 0.
+    /// valid lanes. The rebased i16 fill sets it per staged window; the scalar
+    /// fill stages absolute scores and leaves it 0.
     pub base: i32,
-    /// Masked `H` values, anti-diagonal-major. Rows `2B-1..` are unused.
-    pub h: [[T; B]; MAX_BLOCK_DIAGS],
-    /// Valid-cell bitmask per block anti-diagonal (bit `l` = lane `l`).
-    /// Entries `2B-1..` stay zero (one spare slot past the widest geometry,
-    /// so the tracker fold reads the masks as one fixed 32-row window).
-    pub mask: [u16; MAX_BLOCK_DIAGS + 1],
+    /// Masked `H` values, anti-diagonal-major.
+    pub h: [[T; B]; STAGE_ROWS],
+    /// Valid-cell bitmask per staged anti-diagonal (bit `l` = lane `l`);
+    /// zero on the rows past the staged ones.
+    pub mask: [u16; STAGE_ROWS],
     /// The backend whose lanes staged this block, stamped by the i16 fill so
     /// that [`crate::diag::DiagTracker::on_block_i16`] folds on the same
     /// lanes by construction. Like [`BlockCtx::wavefront_backend`], which it
@@ -462,17 +517,14 @@ pub struct BlockCellsT<T, const B: usize> {
 }
 
 impl<T: CellValue, const B: usize> BlockCellsT<T, B> {
-    /// Number of block anti-diagonals actually used at this geometry.
-    pub const DIAGS: usize = 2 * B - 1;
-
     /// Empty staging buffer (no valid cells).
     pub fn new() -> BlockCellsT<T, B> {
         BlockCellsT {
             i0: 0,
             j0: 0,
             base: 0,
-            h: [[T::MASKED; B]; MAX_BLOCK_DIAGS],
-            mask: [0; MAX_BLOCK_DIAGS + 1],
+            h: [[T::MASKED; B]; STAGE_ROWS],
+            mask: [0; STAGE_ROWS],
             backend: crate::simd::ProvenBackend::Portable,
         }
     }
@@ -505,6 +557,13 @@ impl<T: CellValue, const B: usize> BlockCellsT<T, B> {
     #[inline]
     pub fn i0(&self) -> i32 {
         self.i0
+    }
+
+    /// Reference coordinate of lane 0 on staged row 0 (row `d` lane `l` is
+    /// `d + l` past it).
+    #[inline]
+    pub(crate) fn lane0(&self) -> i32 {
+        self.i0 - (B as i32 - 1)
     }
 
     /// Query coordinate of the block's first column.
@@ -676,12 +735,15 @@ pub fn compute_block_mode<const B: usize>(
     fill_scalar(ctx, i0, j0, rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells);
 }
 
-/// Compute one block with the i16 wavefront
-/// ([`crate::simd::fill_wavefront_i16`]), in [`compute_block_mode`]'s
-/// argument convention, staging masked `H` values into an i16 buffer for
-/// [`crate::diag::DiagTracker::on_block_i16`]. Boundary carries stay absolute
-/// `i32` scores at the interface (rebased exactly at block entry/exit), so
-/// callers thread the same boundary state through both tiers.
+/// Compute one block with the i16 wavefront — the one-block segment of
+/// [`crate::simd::segment_wavefront_i16`], fill only — in
+/// [`compute_block_mode`]'s argument convention, staging masked `H` values
+/// into an i16 buffer for [`crate::diag::DiagTracker::on_block_i16`].
+/// Boundary carries stay absolute `i32` scores at the interface (rebased
+/// exactly at entry and exit), so callers thread the same boundary state
+/// through both tiers. [`crate::sweep::Sweep::segment`] runs whole row
+/// segments as one wavefront instead; this is what drives a grid block by
+/// block.
 ///
 /// Callers must only select this tier for tasks whose
 /// [`BlockCtx::i16_exact`] gate holds *at this geometry* — that is what
@@ -707,10 +769,28 @@ pub fn compute_block_i16<const B: usize>(
         "compute_block_i16 dispatched without the i16 exactness gate; \
          use BlockCtx::fill_tier to resolve the tier"
     );
-    debug_assert_eq!(ctx.b, B as i64, "ctx geometry must match the staging buffer geometry");
-    cells.set_origin(i0, j0);
-    crate::simd::fill_wavefront_i16(
-        ctx, i0, j0, rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells,
+    // The codes of the block's `B` columns, between the `B − 1` columns the
+    // strip's ramps slide over on either side (inactive lanes: any code).
+    let mut lane_codes = [0i16; 3 * MAX_BLOCK];
+    for (slot, &c) in lane_codes[B - 1..].iter_mut().zip(rcodes) {
+        *slot = i16::from(c);
+    }
+    let rcodes = &lane_codes[..3 * B - 2];
+    crate::simd::segment_wavefront_i16(
+        ctx,
+        crate::simd::SegmentIo {
+            i0,
+            j0,
+            rcodes,
+            qcodes,
+            corner,
+            west_h,
+            west_e,
+            north_h,
+            north_f,
+            cells,
+            tracker: None,
+        },
     );
 }
 
@@ -734,7 +814,7 @@ pub(crate) fn fill_scalar<const B: usize>(
     let ext = sc.gap_extend;
     let mut carry = corner; // H(i-1, j0-1) for the current column i
 
-    cells.mask[..block_diags(B)].fill(0);
+    cells.mask.fill(0);
     for l in 0..B {
         let i = i0 + l as i64;
         let mut diag = carry; // H(i-1, j-1) as j advances
@@ -751,8 +831,9 @@ pub(crate) fn fill_scalar<const B: usize>(
             let mut h = e.max(f).max(diag.saturating_add(sub));
 
             let (mut ev, mut fv) = (e, f);
+            // Staged on diagonal `l + k`, in the lane of query row `k`.
             if ctx.valid(i, j) {
-                cells.mask[l + k] |= 1 << l;
+                cells.mask[l + k] |= 1 << (B - 1 - k);
             } else {
                 // Masked: out-of-band / out-of-table cells must read as -∞
                 // to every neighbour, exactly like the scalar reference.
@@ -760,7 +841,7 @@ pub(crate) fn fill_scalar<const B: usize>(
                 ev = NEG_INF;
                 fv = NEG_INF;
             }
-            cells.h[l + k][l] = h;
+            cells.h[l + k][B - 1 - k] = h;
 
             diag = up_h;
             west_h[k] = h;
@@ -994,7 +1075,7 @@ mod tests {
         // Under BLOSUM62 the gate terms come from the declared matrix bounds
         // (+11 / −4) and the preset's gaps (10 + 1), not any DNA constant:
         // q = 11 + 11 + 4 = 26, step = 11, so span + drift is
-        // 16·26 + 15·11 = 581 at B=8 and 32·26 + 31·11 = 1173 at B=16 —
+        // 49·26 + 32·11 = 1626 at B=8 and 65·26 + 32·11 = 2042 at B=16 —
         // i16-exact at any length the carries' reach admits.
         let sc = Scoring::preset_blosum62();
         for b in [BLOCK, MAX_BLOCK] {
@@ -1005,10 +1086,10 @@ mod tests {
         }
         // A fixed model with the same bounds gates identically — the gate
         // is model-independent once the bounds agree — on both sides of it:
-        // scaling every bound by 8 (q = 208, step = 88) passes B=8
-        // (3328 + 1320 = 4648) and fails B=16 (6656 + 2728 = 9384).
+        // scaling every bound by 5 (q = 130, step = 55) passes B=8
+        // (6370 + 1760 = 8130) and fails B=16 (8450 + 1760 = 10210).
         let fixed = Scoring::new(11, 4, 10, 1, sc.zdrop, sc.band_width);
-        let hot = Scoring::new(88, 32, 80, 8, sc.zdrop, sc.band_width);
+        let hot = Scoring::new(55, 20, 50, 5, sc.zdrop, sc.band_width);
         for b in [BLOCK, MAX_BLOCK] {
             assert!(BlockCtx::with_block_dim(250, 250, &fixed, b).i16_exact, "b={b}");
         }
@@ -1028,9 +1109,9 @@ mod tests {
             }
         }
         // Huge scoring on a tiny task: the carries' reach (600 × 8 = 4800)
-        // and drift (600 × 31) are nowhere near 2^29, but one block already
+        // and drift (600 × 32) are nowhere near 2^29, but one window already
         // spreads its values past the i16 offset range (span alone is
-        // 16 × 602 at B=8), so the task demotes to scalar at both
+        // 49 × 602 at B=8), so the task demotes to scalar at both
         // geometries.
         let sc = Scoring::new(600, 1, 0, 1, Scoring::NO_ZDROP, Scoring::NO_BAND);
         let narrow = BlockCtx::with_block_dim(3, 3, &sc, BLOCK);
@@ -1089,8 +1170,9 @@ mod tests {
     #[test]
     fn lane_range_agrees_with_valid() {
         // Brute-force cross-check of the closed-form lane intervals against
-        // per-cell validity, over assorted block origins, bands and both
-        // geometries.
+        // per-cell validity, over assorted strip origins and lengths, bands
+        // and both geometries: lane `l` of step `t` is the cell
+        // `(i0 − (b−1) + t + l, j0 + b−1 − l)`.
         let cases = [
             (64usize, 32usize, 4i32),
             (20, 20, 2),
@@ -1103,43 +1185,34 @@ mod tests {
             for (n, m, w) in cases {
                 let sc = Scoring::new(1, 1, 1, 1, Scoring::NO_ZDROP, w);
                 let ctx = BlockCtx::with_block_dim(n, m, &sc, b);
-                for bi in 0..ctx.ref_blocks() {
-                    for bj in 0..ctx.query_blocks() {
-                        let (i0, j0) = (bi * b as i64, bj * b as i64);
-                        for d in 0..block_diags(b) {
-                            let mut want = 0u16;
-                            for l in 0..b.min(d + 1) {
-                                let k = d - l;
-                                if k < b && ctx.valid(i0 + l as i64, j0 + k as i64) {
-                                    want |= 1 << l;
+                let bi = b as i64;
+                for blocks in 1..=ctx.ref_blocks() {
+                    for bi_from in 0..=ctx.ref_blocks() - blocks {
+                        for bj in 0..ctx.query_blocks() {
+                            let (i0, j0, cols) = (bi_from * bi, bj * bi, blocks as usize * b);
+                            let (full_from, full_to) = ctx.full_steps(i0, cols, j0);
+                            for t in 0..cols + b - 1 {
+                                let mut want = 0u16;
+                                for l in 0..bi {
+                                    let (i, j) = (i0 - (bi - 1) + t as i64 + l, j0 + bi - 1 - l);
+                                    if (i0..i0 + cols as i64).contains(&i) && ctx.valid(i, j) {
+                                        want |= 1 << l;
+                                    }
                                 }
+                                let got = ctx.strip_lanes(i0, cols, j0, t).mask(0);
+                                assert_eq!(
+                                    got, want,
+                                    "b={b} n={n} m={m} w={w} strip ({i0},{j0})×{cols} step {t}: \
+                                     lane range {got:#018b} vs per-cell {want:#018b}"
+                                );
+                                // The full-vector run agrees with all-valid.
+                                assert_eq!(
+                                    (full_from..full_to).contains(&t),
+                                    want == ((1u32 << b) - 1) as u16,
+                                    "b={b} ({i0},{j0})×{cols} w={w} step {t}"
+                                );
                             }
-                            let got = match ctx.lane_range(i0, j0, d) {
-                                None => 0u16,
-                                Some((lo, hi)) => ((1u32 << (hi + 1)) - (1 << lo)) as u16,
-                            };
-                            assert_eq!(
-                                got, want,
-                                "b={b} n={n} m={m} w={w} block ({i0},{j0}) diag {d}: \
-                                 lane_range {got:#018b} vs per-cell {want:#018b}"
-                            );
                         }
-                        // Interior check agrees with all-valid.
-                        let all_valid = (0..block_diags(b)).all(|d| {
-                            let full: u16 = (0..b.min(d + 1))
-                                .filter(|&l| d - l < b)
-                                .fold(0, |acc, l| acc | 1 << l);
-                            let got = match ctx.lane_range(i0, j0, d) {
-                                None => 0u16,
-                                Some((lo, hi)) => ((1u32 << (hi + 1)) - (1 << lo)) as u16,
-                            };
-                            got == full
-                        });
-                        assert_eq!(
-                            ctx.block_interior(i0, j0),
-                            all_valid,
-                            "b={b} ({i0},{j0}) w={w}"
-                        );
                     }
                 }
             }

@@ -26,16 +26,12 @@
 //! written once over the [`crate::simd`] lane layer, which owns everything
 //! backend-specific (instantiation, feature levels, dispatch).
 
-use crate::block::{block_diags, BlockCellsT};
+use crate::block::BlockCellsT;
 use crate::guided::{diag_cells, zdrop_triggered};
 use crate::result::{GuidedResult, MaxCell, StopReason};
 use crate::scoring::Scoring;
 use crate::simd::Lanes;
-use crate::{MAX_BLOCK_DIAGS, NEG_INF};
-
-/// Anti-diagonals in the fixed window one block fold merges: the widest
-/// block's `MAX_BLOCK_DIAGS`, rounded up to whole vectors.
-const WINDOW: usize = MAX_BLOCK_DIAGS + 1;
+use crate::{NEG_INF, STAGE_ROWS as WINDOW};
 
 /// Tracks per-anti-diagonal completion, local maxima and the Z-drop
 /// condition for one alignment task.
@@ -49,8 +45,9 @@ pub struct DiagTracker {
     gap_extend: i32,
     zdrop_enabled: bool,
     /// cells seen so far on each anti-diagonal. This, `local_score` and
-    /// `local_i` carry [`WINDOW`] never-finalized slack entries past `total`,
-    /// so the window `c0..c0 + WINDOW` of every block is in bounds.
+    /// `local_i` carry `WINDOW` (= [`crate::STAGE_ROWS`], what one fold
+    /// merges) never-finalized slack entries past `total`, so the window
+    /// `c0..c0 + WINDOW` of every staged buffer is in bounds.
     seen: Vec<u32>,
     /// local maximum score per anti-diagonal
     local_score: Vec<i32>,
@@ -83,17 +80,18 @@ fn band_cutoff(n: usize, m: usize, w: i64, total: usize) -> usize {
     first_empty.min(total)
 }
 
-/// The [`WINDOW`] per-diagonal entries a block at diagonal `c0` merges into.
+/// The `WINDOW` per-diagonal entries a staged buffer at diagonal `c0` merges
+/// into.
 #[inline(always)]
 fn window<T>(v: &mut [T], c0: usize) -> &mut [T; WINDOW] {
-    v[c0..].first_chunk_mut().expect("tracker slack covers every block's window")
+    v[c0..].first_chunk_mut().expect("tracker slack covers every staged window")
 }
 
 /// Step 3 of [`DiagTracker::fold_block`], a function of its own so that the
 /// three windows are known not to alias: row `d`'s `words` (one per half)
-/// become a candidate `(base + 0x7FFF − y, i0 + lane)`, merged into
-/// `score[d]` / `best_i[d]` where bit `d` of `live` is set; `seen[d]` gains
-/// the popcount of the row's mask on the same rows.
+/// become a candidate `(base + 0x7FFF − y, i0 − (B−1) + d + lane)`, merged
+/// into `score[d]` / `best_i[d]` where bit `d` of `live` is set; `seen[d]`
+/// gains the popcount of the row's mask on the same rows.
 #[inline(always)]
 fn merge_window<const B: usize>(
     seen: &mut [u32; WINDOW],
@@ -103,7 +101,7 @@ fn merge_window<const B: usize>(
     live: u32,
     cells: &BlockCellsT<i16, B>,
 ) {
-    let (top, i0) = (i32::from(i16::MAX) + cells.base, cells.i0());
+    let (top, lane0) = (i32::from(i16::MAX) + cells.base, cells.lane0());
     // A loop of its own: over a lane array the popcount vectorises (to a
     // nibble table lookup); inside the merge it is bit-twiddling per row
     // wherever the feature level has no `popcnt`.
@@ -111,10 +109,10 @@ fn merge_window<const B: usize>(
     for (count, m) in counts.iter_mut().zip(cells.mask) {
         *count = m.count_ones();
     }
-    for d in 0..2 * B {
+    for d in 0..WINDOW {
         let key = |w: u32, half: u32| (w & 0xFFFF) << 4 | half << 3 | w >> 16;
         let k = key(words[0][d], 0).min(key(words[1][d], 1));
-        let (h, i) = (top - (k >> 4) as i32, i0 + (k & 15) as i32);
+        let (h, i) = (top - (k >> 4) as i32, lane0 + d as i32 + (k & 15) as i32);
         // All-ones lane masks, blended by hand: an `if` here may come back
         // as a branch per diagonal at the levels without masked stores.
         let live = -((live >> d & 1) as i32);
@@ -189,10 +187,11 @@ impl DiagTracker {
         self.cells = 0;
     }
 
-    /// Debug-build contract of one live staged row: diagonal `c` is inside
-    /// the table, its mask `m` is one run of lanes, and *every* valid lane is
-    /// in band, not just the argmax lane — a wrong band mask whose extra cell
-    /// scores below the diagonal max would otherwise slip past debug builds.
+    /// Debug-build contract of one live staged row — diagonal `c`, lane 0 at
+    /// reference position `i0`: the diagonal is inside the table, its mask
+    /// `m` is one run of lanes, and *every* valid lane is in band, not just
+    /// the argmax lane — a wrong band mask whose extra cell scores below the
+    /// diagonal max would otherwise slip past debug builds.
     #[inline(always)]
     fn debug_check_row(&self, i0: i32, c: usize, m: u16) {
         debug_assert!(c < self.total, "block diagonal {c} outside table");
@@ -214,7 +213,7 @@ impl DiagTracker {
     /// [`DiagTracker::on_block_i16`] is held to.
     ///
     /// Semantics are exactly those of feeding every valid cell through
-    /// [`DiagTracker::on_cell`]: each block diagonal is scanned in ascending
+    /// [`DiagTracker::on_cell`]: each staged diagonal is scanned in ascending
     /// lane = ascending `i` order with a strict `>` (equal scores keep the
     /// smaller `i`), its argmax merged into the carried-over maximum from
     /// other blocks under the same (score desc, `i` asc) order, and cells on
@@ -223,17 +222,17 @@ impl DiagTracker {
     /// `lo..=hi` because [`crate::block::fill_scalar`] leaves out-of-shape
     /// slots unspecified.
     pub fn on_block<const B: usize>(&mut self, cells: &BlockCellsT<i32, B>) {
-        let (i0, j0) = (cells.i0(), cells.j0());
-        let c0 = i0 as usize + j0 as usize;
+        let c0 = cells.i0() as usize + cells.j0() as usize;
+        let lane0 = cells.lane0();
         // At most one cell per anti-diagonal sits on the last query column
-        // (j == m-1): lane d - kq of block diagonal d.
-        let kq = self.m - 1 - i64::from(j0);
-        for (d, &m) in cells.mask.iter().enumerate().take(block_diags(B)) {
+        // (j == m-1): this lane, when the block row holds that column.
+        let lq = i64::from(cells.j0()) + B as i64 - self.m;
+        for (d, &m) in cells.mask.iter().enumerate() {
             let c = c0 + d;
             if m == 0 || c < self.next {
                 continue; // no valid cell, or run-ahead past a finalized diagonal
             }
-            self.debug_check_row(i0, c, m);
+            self.debug_check_row(lane0 + d as i32, c, m);
             self.seen[c] += m.count_ones();
             // The uniform `15 − lz` works for both geometries: a B=8 mask
             // only occupies the low byte, so its leading_zeros are ≥ 8.
@@ -246,12 +245,11 @@ impl DiagTracker {
                     (best, best_l) = (h, l);
                 }
             }
-            let i = i0 + best_l as i32;
+            let i = lane0 + (d + best_l) as i32;
             if best > self.local_score[c] || (best == self.local_score[c] && i < self.local_i[c]) {
                 self.local_score[c] = best;
                 self.local_i[c] = i;
             }
-            let lq = d as i64 - kq;
             if (lo as i64..=hi as i64).contains(&lq) {
                 self.qend[c] = row[lq as usize];
             }
@@ -260,7 +258,7 @@ impl DiagTracker {
 
     /// [`DiagTracker::on_block`] for the i16 wavefront: folds a 16-bit
     /// staging buffer of either geometry, whose valid lanes hold offsets
-    /// from the block's `base`, on the lanes of the backend that staged it
+    /// from the buffer's `base`, on the lanes of the backend that staged it
     /// ([`crate::simd::fold_wavefront_i16`]). Offset plus base is
     /// bit-identical to the scalar fill's value under the `i16_exact` gate,
     /// so the fold observes exactly the same scores.
@@ -278,20 +276,21 @@ impl DiagTracker {
     /// The one vector fold, generic over the geometry and the lane impl
     /// (`inline(always)` with no feature attribute of its own, like
     /// [`crate::simd`]'s fill: each instantiation compiles inside the feature
-    /// wrapper, or the portable dispatch arm, that names it). Three steps:
+    /// wrapper, or the portable dispatch arm, that names it). A staged row
+    /// *is* a table anti-diagonal — of a single block or of one window of a
+    /// row segment's wavefront alike — so the fold is three steps:
     ///
     /// 1. *Live rows* — non-empty mask, not run-ahead past a finalized
     ///    diagonal — as one bit per staged row.
-    /// 2. *Row reduce*: [`Lanes::minpos8`] over each structurally non-empty
-    ///    8-lane half of the rows spanning the live ones (half `k` of block
-    ///    diagonal `d` holds in-shape lanes iff `8k ≤ d < B + 8k + 7`). Masked
-    ///    lanes hold [`crate::simd::NEG_INF16`], whose order-reversed `y` is
-    ///    strictly above every real lane's, so they never win and no
-    ///    `lo..=hi` is needed; the argmax is offset-invariant, so the base
-    ///    joins when a word is decoded.
-    /// 3. *Merge*, as plain lane-array code over the [`WINDOW`] anti-diagonals
-    ///    from `c0` — the rows of a block hit `local_score` / `local_i` /
-    ///    `seen` contiguously: each word becomes the key
+    /// 2. *Row reduce*: [`Lanes::minpos8`] over each 8-lane half of every
+    ///    row. Masked lanes hold
+    ///    [`crate::simd::NEG_INF16`], whose order-reversed `y` is strictly
+    ///    above every real lane's, so they never win and no `lo..=hi` is
+    ///    needed; the argmax is offset-invariant, so the base joins when a
+    ///    word is decoded.
+    /// 3. *Merge*, as plain lane-array code over the `WINDOW` anti-diagonals
+    ///    from `c0` — the staged rows hit `local_score` / `local_i` / `seen`
+    ///    contiguously: each word becomes the key
     ///    `(y << 4) | (half << 3) | lane`, whose numeric minimum across
     ///    halves is the maximum `H` at its smallest `i`; the decoded
     ///    candidate replaces the carried maximum under the canonical (score
@@ -300,44 +299,43 @@ impl DiagTracker {
     ///    [`DiagTracker::on_block`] is a data-dependent branch per diagonal,
     ///    mispredicted whenever a block does or does not improve on the
     ///    carried maximum, i.e. constantly. Dead lanes (empty, run-ahead,
-    ///    past `2B−1`, in the slack past the table) are rewritten unchanged.
+    ///    past the staged rows, in the slack past the table) are rewritten
+    ///    unchanged.
     ///
-    /// The `j == m−1` extract stays scalar: at most one run of rows per
-    /// block touches it.
+    /// The `j == m−1` extract stays scalar: only the last block row has it.
     #[inline(always)]
     pub(crate) fn fold_block<L: Lanes<B>, const B: usize>(
         &mut self,
         lanes: L,
         cells: &BlockCellsT<i16, B>,
     ) {
-        let diags = block_diags(B);
-        let (i0, j0) = (cells.i0(), cells.j0());
-        let c0 = i0 as usize + j0 as usize;
-        let skip = self.next.saturating_sub(c0).min(diags);
-        let mut valid = 0u32;
-        for (d, &m) in cells.mask.iter().enumerate() {
-            valid |= u32::from(m != 0) << d;
+        crate::simd::debug_range_sentinel(cells);
+        let c0 = cells.i0() as usize + cells.j0() as usize;
+        let skip = self.next.saturating_sub(c0);
+        let mut live = 0u32;
+        for (d, &m) in cells.mask.iter().enumerate().skip(skip) {
+            live |= u32::from(m != 0) << d;
         }
-        valid &= ((1 << diags) - 1) & (!0 << skip);
-        if valid == 0 {
+        if live == 0 {
             return;
         }
-        let first = valid.trailing_zeros() as usize;
-        let last = 31 - valid.leading_zeros() as usize;
+        let live_rows = || (0..WINDOW).filter(|d| live >> d & 1 != 0);
         // (Spelled out because the shift could panic, which would keep the
         // otherwise empty loop alive in release builds.)
         if cfg!(debug_assertions) {
-            for d in (first..=last).filter(|d| valid >> d & 1 != 0) {
-                self.debug_check_row(i0, c0 + d, cells.mask[d]);
+            for d in live_rows() {
+                self.debug_check_row(cells.lane0() + d as i32, c0 + d, cells.mask[d]);
             }
         }
 
-        // `u32::MAX` — no candidate — decodes to a key no real lane exceeds.
+        // Every row, live or not — a fixed trip count costs less than finding
+        // the live span, and the merge drops the words of dead rows.
+        // `u32::MAX` — no candidate, the missing half at B = 8 — decodes to a
+        // key no real lane exceeds.
         let mut words = [[u32::MAX; WINDOW]; 2];
-        let rows = &cells.h;
-        for (half, words) in words.iter_mut().enumerate().take(B / 8) {
-            for d in first.max(8 * half)..(last + 1).min(B + 8 * half + 7) {
-                words[d] = lanes.minpos8(&rows[d].as_chunks().0[half]);
+        for (d, row) in cells.h.iter().enumerate() {
+            for (half, words) in row.as_chunks().0.iter().zip(&mut words) {
+                words[d] = lanes.minpos8(half);
             }
         }
 
@@ -346,17 +344,14 @@ impl DiagTracker {
             window(&mut self.local_score, c0),
             window(&mut self.local_i, c0),
             &words,
-            valid,
+            live,
             cells,
         );
 
-        let kq = self.m - 1 - i64::from(j0);
-        if (0..B as i64).contains(&kq) {
-            let kq = kq as usize;
-            for d in kq.max(skip)..=(kq + B - 1).min(last) {
-                if cells.mask[d] & 1 << (d - kq) != 0 {
-                    self.qend[c0 + d] = i32::from(cells.h[d][d - kq]) + cells.base;
-                }
+        let lq = i64::from(cells.j0()) + B as i64 - self.m;
+        if (0..B as i64).contains(&lq) {
+            for d in live_rows().filter(|&d| cells.mask[d] >> lq & 1 != 0) {
+                self.qend[c0 + d] = i32::from(cells.h[d][lq as usize]) + cells.base;
             }
         }
     }

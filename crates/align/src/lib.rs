@@ -74,8 +74,9 @@ pub const BLOCK: usize = 8;
 /// leaves half of them empty in the narrow tier).
 pub const MAX_BLOCK: usize = 16;
 
-/// Number of anti-diagonals crossing one [`MAX_BLOCK`]-sided block
-/// (`2 × 16 − 1`). Staging buffers are sized for this widest geometry at
-/// every `B` (stable Rust cannot express `[[T; B]; 2*B-1]`); only the first
-/// `2B−1` rows are used.
-pub const MAX_BLOCK_DIAGS: usize = 31;
+/// Anti-diagonals one staging buffer holds, at every `B`: a single block's
+/// `2B−1` (31 at the widest geometry; stable Rust cannot express
+/// `[[T; B]; 2*B-1]`), or one window of a row segment's wavefront — which
+/// folds, and re-centres its `i16` base, once per this many steps (see
+/// [`simd`]).
+pub const STAGE_ROWS: usize = 2 * MAX_BLOCK;

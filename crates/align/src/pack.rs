@@ -174,6 +174,14 @@ impl PackedSeq {
         }
     }
 
+    /// Every code slot in order, word by word — the sequence, then the pad
+    /// codes filling the final word (no per-code index arithmetic).
+    pub fn codes(&self) -> impl Iterator<Item = u8> + '_ {
+        let mask = (1u32 << self.bits).wrapping_sub(1);
+        let shifts = (0..32).step_by(self.bits as usize);
+        self.words.iter().flat_map(move |&w| shifts.clone().map(move |s| (w >> s & mask) as u8))
+    }
+
     /// Unpack the whole sequence to base codes.
     pub fn to_codes(&self) -> Vec<u8> {
         (0..self.len).map(|i| self.code(i)).collect()

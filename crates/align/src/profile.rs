@@ -4,13 +4,15 @@
 //! compare/blend against broadcast constants. A substitution matrix cannot:
 //! each cell needs a table lookup. The classic striped-SW answer is a *query
 //! profile* — for each residue code `c`, precompute the row
-//! `row[c][j] = S(c, Q[j])` once per task, so the per-block work becomes
-//! contiguous row reads indexed by the block's reference codes instead of
-//! two-level `scores[x * dim + y]` gathers.
+//! `S(c, Q[j])` over the whole query once per task, so the wavefront's work
+//! per reference position becomes one contiguous read — the scores of that
+//! position's residue against a block row's `B` query rows, in lane order
+//! ([`QueryProfile::strip`]) — instead of `B` two-level
+//! `scores[x * dim + y]` gathers.
 //!
 //! Rows carry [`crate::MAX_BLOCK`] tail slots holding `S(c, pad)` so a block
-//! whose query span hangs past the sequence end still reads the same scores
-//! the direct lookup produces for pad codes — the profile path is
+//! row whose query span hangs past the sequence end still reads the same
+//! scores the direct lookup produces for pad codes — the profile path is
 //! bit-identical to the lookup path by construction.
 
 use crate::pack::PackedSeq;
@@ -21,7 +23,9 @@ use crate::MAX_BLOCK;
 /// across tasks like the kernel workspace that owns it.
 #[derive(Debug, Clone, Default)]
 pub struct QueryProfile {
-    /// `dim` rows of `stride` i16 scores each (matrix entries fit i8).
+    /// `dim` rows of `stride` i16 scores each (matrix entries fit i8),
+    /// *descending* in `j` — the wavefront's lanes are a block row's query
+    /// rows bottom-up, so a strip reads a row slice as it lies.
     rows: Vec<i16>,
     /// Row length: query length + [`MAX_BLOCK`] pad slots.
     stride: usize,
@@ -53,14 +57,15 @@ impl QueryProfile {
         self.stride = query.len() + MAX_BLOCK;
         self.rows.clear();
         self.rows.resize(self.dim * self.stride, 0);
-        let pad = m.pad_code();
-        for c in 0..self.dim {
-            let row = &mut self.rows[c * self.stride..(c + 1) * self.stride];
-            for (j, slot) in row.iter_mut().enumerate().take(query.len()) {
-                *slot = m.score(c as u8, query.code(j)) as i16;
+        // Query-position-major: one decode of the query, one matrix column
+        // per position scattered down the rows.
+        for (row, c) in self.rows.chunks_exact_mut(self.stride).zip(0..) {
+            row[..MAX_BLOCK].fill(m.score(c, m.pad_code()) as i16);
+        }
+        for (qc, slot) in query.codes().zip((MAX_BLOCK..self.stride).rev()) {
+            for c in 0..self.dim {
+                self.rows[c * self.stride + slot] = m.score(c as u8, qc) as i16;
             }
-            let tail = m.score(c as u8, pad) as i16;
-            row[query.len()..].fill(tail);
         }
     }
 
@@ -71,13 +76,15 @@ impl QueryProfile {
         self.matrix.is_some_and(|m| std::ptr::eq(m, matrix)) && self.query_len == query_len
     }
 
-    /// Score row for residue code `c` (clamped to the ambiguous residue,
-    /// matching [`SubstMatrix::score`]): `row[j] = S(c, Q[j])`, with
-    /// `S(c, pad)` in the [`MAX_BLOCK`] tail slots past the query end.
+    /// Scores of residue code `c` (clamped to the ambiguous residue, matching
+    /// [`SubstMatrix::score`]) against the `B` query rows of the block row at
+    /// `j0`, in the wavefront's lane order: `strip[l] = S(c, Q[j0 + B−1 − l])`,
+    /// with `S(c, pad)` for the rows past the query end.
     #[inline]
-    pub fn row(&self, c: u8) -> &[i16] {
+    pub fn strip<const B: usize>(&self, c: u8, j0: usize) -> &[i16; B] {
         let c = (c as usize).min(self.dim - 1);
-        &self.rows[c * self.stride..(c + 1) * self.stride]
+        let from = (c + 1) * self.stride - j0 - B;
+        self.rows[from..].first_chunk().expect("block rows start inside the query")
     }
 }
 
@@ -85,6 +92,7 @@ impl QueryProfile {
 mod tests {
     use super::*;
     use crate::scoring::BLOSUM62;
+    use crate::BLOCK;
 
     #[test]
     fn rows_match_direct_lookup() {
@@ -95,21 +103,18 @@ mod tests {
         p.prepare(&q, &sc);
         assert!(p.covers(&BLOSUM62, q.len()));
         for c in 0..BLOSUM62.dim as u8 {
-            let row = p.row(c);
-            assert_eq!(row.len(), q.len() + MAX_BLOCK);
-            for (j, &slot) in row.iter().take(q.len()).enumerate() {
-                assert_eq!(i32::from(slot), BLOSUM62.score(c, q.code(j)), "c={c} j={j}");
+            for j0 in (0..q.len()).step_by(MAX_BLOCK) {
+                for (l, &slot) in p.strip::<MAX_BLOCK>(c, j0).iter().enumerate() {
+                    let j = j0 + MAX_BLOCK - 1 - l;
+                    // Past the query end a strip scores like the pad residue.
+                    let qc = if j < q.len() { q.code(j) } else { BLOSUM62.pad_code() };
+                    assert_eq!(i32::from(slot), BLOSUM62.score(c, qc), "c={c} j={j}");
+                }
             }
-            for slot in &row[q.len()..] {
-                assert_eq!(
-                    i32::from(*slot),
-                    BLOSUM62.score(c, BLOSUM62.pad_code()),
-                    "tail must score like the pad residue"
-                );
-            }
+            assert_eq!(p.strip::<BLOCK>(c, 8), p.strip::<MAX_BLOCK>(c, 0).first_chunk().unwrap());
         }
         // Out-of-alphabet row requests clamp exactly like SubstMatrix::score.
-        assert_eq!(p.row(200), p.row(BLOSUM62.pad_code()));
+        assert_eq!(p.strip::<BLOCK>(200, 16), p.strip::<BLOCK>(BLOSUM62.pad_code(), 16));
     }
 
     #[test]

@@ -1,261 +1,292 @@
-//! The wavefront block fill, written once over [`Lanes`] — see the layout
-//! rules in the [module header](super).
+//! The wavefront fill of a row segment, written once over [`Lanes`] — see
+//! the layout rules in the [module header](super).
 
-use super::lanes::{block_base, delta, rebase, unbase, DiagMasks, Lanes};
-use super::NEG_INF16;
-use crate::block::{block_diags, BlockCellsT, BlockCtx, BoundaryT};
-use crate::{MAX_BLOCK, MAX_BLOCK_DIAGS};
+use super::lanes::{delta, each_lane, rebase, ring_base, unbase, Lanes};
+use super::{NEG_INF16, SENTINEL_BAND16};
+use crate::block::{BlockCellsT, BlockCtx, BoundaryT};
+use crate::diag::DiagTracker;
+use crate::{MAX_BLOCK, STAGE_ROWS};
 
-/// One block's inputs and in/out state, in the
-/// [`crate::block::compute_block_i16`] convention, bundled so dispatch hands
-/// a single value to whichever lane impl runs.
-pub(crate) struct BlockIo<'a, const B: usize> {
-    pub rcodes: &'a [u8; B],
+/// One segment's inputs and in/out state — `cols = north_h.len()` reference
+/// positions (whole blocks) from `i0` of the block row at `j0` — bundled so
+/// dispatch hands a single value to whichever lane impl runs. A single block
+/// ([`crate::block::compute_block_i16`]) is the segment with `cols = B`.
+pub(crate) struct SegmentIo<'a, const B: usize> {
+    pub i0: i64,
+    pub j0: i64,
+    /// Residue codes, as lane values, of reference positions
+    /// `i0 − (B−1) .. i0 + cols + (B−1)`: lane `l` of step `t` reads
+    /// `rcodes[t + l]` (the ends are only ever read by inactive lanes).
+    pub rcodes: &'a [i16],
     pub qcodes: &'a [u8; B],
+    /// `H(i0−1, j0−1)`.
     pub corner: i32,
+    /// In `H/E(i0−1, j0+k)`; out `H/E(i0+cols−1, j0+k)`.
     pub west_h: &'a mut BoundaryT<B>,
     pub west_e: &'a mut BoundaryT<B>,
-    pub north_h: &'a mut BoundaryT<B>,
-    pub north_f: &'a mut BoundaryT<B>,
+    /// In `H/F(i0+x, j0−1)`, masked; out `H/F(i0+x, j0+B−1)`.
+    pub north_h: &'a mut [i32],
+    pub north_f: &'a mut [i32],
+    /// Staging of the window in flight (of the whole block when `cols = B`).
     pub cells: &'a mut BlockCellsT<i16, B>,
+    /// Folds every staged window when present; `None` fills only.
+    pub tracker: Option<&'a mut DiagTracker>,
 }
 
-impl<'a, const B: usize> BlockIo<'a, B> {
-    /// The same block viewed at geometry `N` for a lane impl monomorphic in
+impl<'a, const B: usize> SegmentIo<'a, B> {
+    /// The same segment viewed at geometry `N` for a lane impl monomorphic in
     /// its width. Dispatch calls this under a `B == N` match arm, where it
     /// is the identity; any other use panics (the downcast of `cells` fails
     /// unless `B == N`).
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     #[inline(always)]
-    pub fn at_geometry<const N: usize>(self) -> BlockIo<'a, N> {
+    pub fn at_geometry<const N: usize>(self) -> SegmentIo<'a, N> {
         let wrong = "lane impl dispatched at the wrong geometry";
-        BlockIo {
-            rcodes: self.rcodes.first_chunk().expect(wrong),
+        SegmentIo {
+            i0: self.i0,
+            j0: self.j0,
+            rcodes: self.rcodes,
             qcodes: self.qcodes.first_chunk().expect(wrong),
             corner: self.corner,
             west_h: self.west_h.first_chunk_mut().expect(wrong),
             west_e: self.west_e.first_chunk_mut().expect(wrong),
-            north_h: self.north_h.first_chunk_mut().expect(wrong),
-            north_f: self.north_f.first_chunk_mut().expect(wrong),
+            north_h: self.north_h,
+            north_f: self.north_f,
             cells: (self.cells as &mut dyn std::any::Any).downcast_mut().expect(wrong),
+            tracker: self.tracker,
         }
     }
 }
 
-/// Structural lane bitmask of block diagonal `d` at block side `b` (lanes
-/// inside the `b×b` shape regardless of band/table).
-#[inline]
-pub(crate) const fn struct_mask(b: usize, d: usize) -> u16 {
-    let lo = if d >= b { d - (b - 1) } else { 0 };
-    let hi = if d < b { d } else { b - 1 };
-    (((1u32 << (hi + 1)) - (1 << lo)) & 0xFFFF) as u16
-}
-
-/// [`struct_mask`] of every diagonal — the masks of an interior block.
-struct Shape<const B: usize>;
-
-impl<const B: usize> Shape<B> {
-    const MASKS: DiagMasks = {
-        let mut out = [0; MAX_BLOCK_DIAGS + 1];
-        let mut d = 0;
-        while d < block_diags(B) {
-            out[d] = struct_mask(B, d);
-            d += 1;
-        }
-        out
-    };
-}
-
-/// Per-diagonal substitution lanes for a matrix score model: entry
-/// `[d][l] = S(R[l], Q[d-l])` for every in-wavefront lane (`l ≤ d < l+B`),
-/// zero elsewhere (those lanes are masked off downstream). The fill loads
-/// one row per diagonal in place of the fixed-model compare/select.
+/// Per-step substitution lanes of one window for a matrix score model, into
+/// `out`: entry `[d][l] = S(R[d + l], Q[j0 + B−1 − l])`. The fill loads one
+/// row per step in place of the fixed-model compare/select.
 ///
-/// When the block context carries a [`crate::QueryProfile`] built for this
-/// matrix and query, rows come from its precomputed `S(c, Q[j])` tables
-/// (contiguous reads, no two-level gather); otherwise they fall back to
-/// direct matrix lookups. Both paths produce identical lanes: profile tail
-/// slots score the pad residue exactly as `unpack_block`'s pad-clamped
-/// `qcodes` do.
-#[inline]
-fn matrix_sub_lanes<const B: usize>(
+/// The scores of reference position `x` against the `B` query rows are one
+/// contiguous read of the [`crate::QueryProfile`] the block context carries
+/// for this matrix and query — direct matrix lookups otherwise; the two are
+/// identical lanes: profile tail slots score the pad residue exactly as
+/// `unpack_block`'s pad-clamped `qcodes` do. Laid out one position per row,
+/// they are the window unskewed: lane `l` is moved up by `l` rows one binary
+/// digit of `l` at a time, a constant-mask blend per row and digit (the
+/// first on the way in).
+#[inline(always)]
+fn matrix_sub_rows<L: Lanes<B>, const B: usize>(
+    lanes: L,
     ctx: &BlockCtx<'_>,
     m: &'static crate::scoring::SubstMatrix,
     j0: i64,
-    rcodes: &[u8; B],
+    rcodes: &[i16],
     qcodes: &[u8; B],
-) -> [[i16; B]; MAX_BLOCK_DIAGS] {
-    let mut out = [[0i16; B]; MAX_BLOCK_DIAGS];
-    match ctx.profile {
-        Some(p) if p.covers(m, ctx.m as usize) => {
-            debug_assert!(j0 >= 0 && j0 < ctx.m, "block starts inside the query");
-            for (l, &rc) in rcodes.iter().enumerate() {
-                let row = &p.row(rc)[j0 as usize..j0 as usize + B];
-                for (k, &s) in row.iter().enumerate() {
-                    out[l + k][l] = s;
-                }
-            }
-        }
-        _ => {
-            for (l, &rc) in rcodes.iter().enumerate() {
-                for (k, &qc) in qcodes.iter().enumerate() {
-                    out[l + k][l] = m.score(rc, qc) as i16;
-                }
-            }
+    out: &mut [[i16; B]; STAGE_ROWS + MAX_BLOCK],
+) {
+    let profile = ctx.profile.filter(|p| p.covers(m, ctx.m as usize));
+    let scores = |rc: i16| match profile {
+        Some(p) => lanes.load(p.strip(rc as u8, j0 as usize)),
+        None => lanes.load(&each_lane(|l| m.score(rc as u8, qcodes[B - 1 - l]) as i16)),
+    };
+    // The lanes whose index has binary digit `k` set.
+    let digit_set = |k: usize| lanes.mask_from_bits([0xAAAA, 0xCCCC, 0xF0F0, 0xFF00][k]);
+    let mut below = scores(rcodes[0]);
+    for (row, &rc) in out.iter_mut().zip(&rcodes[1..]) {
+        let above = scores(rc);
+        lanes.store(row, lanes.select(digit_set(0), above, below));
+        below = above;
+    }
+    for k in 1..B.ilog2() as usize {
+        for x in 0..(rcodes.len() - 1).saturating_sub(1 << k) {
+            let v = lanes.select(digit_set(k), lanes.load(&out[x + (1 << k)]), lanes.load(&out[x]));
+            lanes.store(&mut out[x], v);
         }
     }
-    out
 }
 
-/// Fill one `B×B` block as `2B−1` anti-diagonal vectors of the lanes `L` —
-/// the only wavefront recurrence in the crate ([`crate::block::fill_scalar`]
-/// is its row-major reference). `inline(always)` with no `target_feature`
-/// of its own: each instantiation compiles inside the feature wrapper (or
-/// the portable dispatch arm) that names it.
+/// Fill one row segment as a single skewed wavefront of the lanes `L`,
+/// [`STAGE_ROWS`] steps at a time — the only wavefront recurrence in the
+/// crate ([`crate::block::fill_scalar`] is its row-major reference) — folding
+/// each staged window into the tracker when there is one. `inline(always)`
+/// with no `target_feature` of its own: each instantiation compiles inside
+/// the feature wrapper (or the portable dispatch arm) that names it.
 #[inline(always)]
-pub(crate) fn fill_block<L: Lanes<B>, const B: usize>(
+pub(crate) fn fill_segment<L: Lanes<B>, const B: usize>(
     lanes: L,
     ctx: &BlockCtx<'_>,
-    i0: i64,
-    j0: i64,
-    io: BlockIo<'_, B>,
+    io: SegmentIo<'_, B>,
 ) {
-    let BlockIo { rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells } = io;
-    let diags = block_diags(B);
+    let SegmentIo {
+        i0,
+        j0,
+        rcodes,
+        qcodes,
+        corner,
+        west_h,
+        west_e,
+        north_h,
+        north_f,
+        cells,
+        mut tracker,
+    } = io;
+    let cols = north_h.len();
+    let steps = cols + B - 1;
+    assert!(cols >= B && cols % B == 0, "a segment is whole blocks");
+    assert_eq!((north_f.len(), rcodes.len()), (cols, steps + B - 1), "segment inputs disagree");
 
     let sc = ctx.scoring;
     let oe = lanes.splat(delta(sc.gap_open + sc.gap_extend));
     let ext = lanes.splat(delta(sc.gap_extend));
     // Fixed-model compare/select constants (zeroed and unused under a
-    // matrix model, where per-diagonal rows replace them).
+    // matrix model, where per-step rows replace them).
     let (f_match, f_mis, f_amb) = sc.model.fixed_params().unwrap_or((0, 0, 0));
     let v_match = lanes.splat(delta(f_match));
     let v_mis = lanes.splat(delta(-f_mis));
     let v_amb = lanes.splat(delta(-f_amb));
     let v_acgt_max = lanes.splat(delta(i32::from(crate::Base::N.code()) - 1));
-    let sub_rows = sc.model.matrix().map(|m| matrix_sub_lanes::<B>(ctx, m, j0, rcodes, qcodes));
+    let matrix = sc.model.matrix();
+    let mut sub_rows = [[0i16; B]; STAGE_ROWS + MAX_BLOCK];
     let neg_inf = lanes.splat(NEG_INF16);
+    let band = lanes.splat(SENTINEL_BAND16);
+    // Lane `l` is query row `j0 + B−1 − l`: its code is fixed, the reference
+    // slides past.
+    let q_vec = lanes.load(&each_lane(|l| delta(i32::from(qcodes[B - 1 - l]))));
+    let full: u16 = ((1u32 << B) - 1) as u16;
+    let (full_from, full_to) = ctx.full_steps(i0, cols, j0);
 
-    let interior = ctx.block_interior(i0, j0);
-    let masks = if interior { Shape::<B>::MASKS } else { lanes.edge_masks(ctx, i0, j0) };
+    // The front runs on offsets from `base`, a real `H` near it (the
+    // recurrence is translation-invariant, so nothing below changes): the
+    // entry ring's largest to start with, then re-centred window by window.
+    let mut base = ring_base(corner, &west_h[..], &north_h[..B]);
+    // State of step t−1. Inactive lanes *hold*: a lane whose row has not
+    // started carries its west boundary — which is what its first cell reads
+    // as left and the lane below it as diagonal — and a lane whose row is
+    // done carries its east boundary out.
+    let mut h_prev = lanes.load(&each_lane(|l| rebase(west_h[B - 1 - l], base)));
+    let mut e_prev = lanes.load(&each_lane(|l| rebase(west_e[B - 1 - l], base)));
+    let mut f_prev = neg_inf;
+    // The top lane's diagonal input at t is its up input at t−1 (the corner
+    // at t = 0), so step t's `diag` is exactly step t−1's up-shifted H:
+    // carrying it takes one shift per step off the loop-carried chain.
+    let mut dg_next = lanes.shift_in(neg_inf, &[rebase(corner, base); B]);
 
-    // The block runs on offsets from a real `H` of its boundary ring (the
-    // recurrence is translation-invariant, so nothing below changes). Any
-    // real ring value serves — the gate bounds the distance between any two
-    // — so interior blocks, whose corner is always a valid cell, take it as
-    // is: that keeps the ring reduction off the block-to-block dependency
-    // chain of a row sweep, where the west carry arrives last.
-    let base = if interior { corner } else { block_base(corner, west_h, north_h) };
-    cells.base = base;
-    // The boundary arrays double as outputs; snapshot (and rebase) them.
-    let wh_in = lanes.rebase_boundary(west_h, base);
-    let we_in = lanes.rebase_boundary(west_e, base);
-    let nh_in = lanes.rebase_boundary(north_h, base);
-    let nf_in = lanes.rebase_boundary(north_f, base);
+    for t0 in (0..steps).step_by(STAGE_ROWS) {
+        let len = (steps - t0).min(STAGE_ROWS);
+        if t0 > 0 {
+            // Re-centre on the largest real `H` of the last two staged rows
+            // (two, so that a band of one diagonal still has one): masked
+            // lanes hold `NEG_INF16` and lose the reduce. Sentinel-class
+            // lanes are re-pinned, so they never drift with the base.
+            let mut y = u32::MAX;
+            for row in &cells.h[STAGE_ROWS - 2..] {
+                for half in row.as_chunks().0 {
+                    y = y.min(lanes.minpos8(half) & 0xFFFF);
+                }
+            }
+            let x = (i16::MAX as u16).wrapping_sub(y as u16) as i16;
+            if x > SENTINEL_BAND16 {
+                base += i32::from(x);
+                let shift = lanes.splat(x);
+                for v in [&mut h_prev, &mut e_prev, &mut f_prev, &mut dg_next] {
+                    *v = lanes.select(lanes.cmp_gt(*v, band), lanes.sub(*v, shift), neg_inf);
+                }
+            }
+        }
+        cells.set_origin(i0 + t0 as i64, j0);
+        cells.base = base;
 
-    // Lane-0 up inputs per diagonal, -∞ past the block shape, so the loop
-    // body is branch-free.
-    let mut bh_pad = [NEG_INF16; MAX_BLOCK_DIAGS];
-    let mut be_pad = [NEG_INF16; MAX_BLOCK_DIAGS];
-    bh_pad[..B].copy_from_slice(&wh_in);
-    be_pad[..B].copy_from_slice(&we_in);
+        // The north row streams in at the top lane, one value per step; past
+        // the segment's columns the top lane is done and reads nothing.
+        let mut nh = [NEG_INF16; STAGE_ROWS + MAX_BLOCK];
+        let mut nf = [NEG_INF16; STAGE_ROWS + MAX_BLOCK];
+        let span = t0.min(cols)..(t0 + len).min(cols);
+        let blocks = north_h[span.clone()].as_chunks::<B>().0.iter();
+        for (k, (h, f)) in blocks.zip(north_f[span].as_chunks::<B>().0).enumerate() {
+            nh[k * B..][..B].copy_from_slice(&lanes.rebase_boundary(h, base));
+            nf[k * B..][..B].copy_from_slice(&lanes.rebase_boundary(f, base));
+        }
 
-    let r_vec = lanes.load(&rcodes.map(|c| delta(i32::from(c))));
-    // Lane l of diagonal d reads qcodes[d - l] — a window *descending* in
-    // memory — so a reversed, zero-padded copy turns the sliding query into
-    // one unaligned load per diagonal: qrev[qrev_c - k] = qcodes[k], and
-    // diagonal d's lanes start at qrev[qrev_c - d]. The padding reads as
-    // code 0; those lanes are out of shape.
-    let qrev_c = 2 * B - 2;
-    let mut qrev = [0i16; 3 * MAX_BLOCK - 1];
-    for (k, &c) in qcodes.iter().enumerate() {
-        qrev[qrev_c - k] = delta(i32::from(c));
-    }
+        // A window of full steps is a whole one; any other asks the strip,
+        // which also has the steps past the segment's last empty.
+        cells.mask = [full; STAGE_ROWS];
+        if t0 < full_from || full_to < t0 + len {
+            let valid = ctx.strip_lanes(i0, cols, j0, t0);
+            for (d, m) in cells.mask.iter_mut().enumerate() {
+                *m = valid.mask(d as i32);
+            }
+        }
+        // Lane `l` of step `d` reads `codes[d + l]`.
+        let codes = &rcodes[t0..t0 + len + B - 1];
+        if let Some(m) = matrix {
+            matrix_sub_rows(lanes, ctx, m, j0, codes, qcodes, &mut sub_rows);
+        }
 
-    // State of diagonal d-1, with "H_{-1}" / "F_{-1}" — the north seed of
-    // row 0 — in lane 0.
-    let mut h_prev = lanes.shift_in(neg_inf, nh_in[0]);
-    let mut f_prev = lanes.shift_in(neg_inf, nf_in[0]);
-    let mut e_prev = neg_inf;
-    // Lane 0's diagonal input at d is its up input at d-1 (`H(i0-1, j0+d-1)`,
-    // the corner at d = 0), so row d's `diag` is exactly row d-1's up-shifted
-    // H: carrying it takes one shift per diagonal off the loop-carried chain.
-    let mut dg_next = lanes.shift_in(neg_inf, rebase(corner, base));
+        // The bottom lane's H and F, step by step: the south boundary.
+        let mut south_h = [0i16; STAGE_ROWS + 1];
+        let mut south_f = [0i16; STAGE_ROWS + 1];
+        for d in 0..len {
+            let up_h = lanes.shift_in(h_prev, nh[d..].first_chunk().expect("a window of slack"));
+            let up_f = lanes.shift_in(f_prev, nf[d..].first_chunk().expect("a window of slack"));
+            let dg = dg_next;
+            dg_next = up_h;
 
-    let mut e_tmp = [[0i16; B]; B];
-    let mut f_tmp = [[0i16; B]; B];
-
-    // The d-1 dependency keeps the arithmetic sequential; finished rows
-    // leave in pairs so wide backends can fuse the two stores. `2B−1` is
-    // odd, so the last row is always the one left pending.
-    let mut pending = neg_inf;
-    for d in 0..diags {
-        let up_h = lanes.shift_in(h_prev, bh_pad[d]);
-        let up_e = lanes.shift_in(e_prev, be_pad[d]);
-        let dg = dg_next;
-        dg_next = up_h;
-
-        // Substitution: matrix rows when present, else the fixed model
-        // (ambiguous beats match beats mismatch).
-        let sub = match &sub_rows {
-            Some(rows) => lanes.load(&rows[d]),
-            None => {
-                // In bounds for every `d < 2B − 1`: the window ends at
-                // `qrev_c − d + B ≤ 3B − 2`.
-                let q_win = qrev[qrev_c - d..].first_chunk().expect("window inside qrev");
-                let q_vec = lanes.load(q_win);
+            // Substitution: matrix rows when present, else the fixed model
+            // (ambiguous beats match beats mismatch).
+            let sub = if matrix.is_some() {
+                lanes.load(&sub_rows[d])
+            } else {
+                let r_vec = lanes.load(codes[d..].first_chunk().expect("codes cover the ramp"));
                 let eq = lanes.cmp_eq(r_vec, q_vec);
                 let amb = lanes.cmp_gt(lanes.max(r_vec, q_vec), v_acgt_max);
                 lanes.select(amb, v_amb, lanes.select(eq, v_match, v_mis))
-            }
-        };
+            };
 
-        let e = lanes.max(lanes.sub(up_h, oe), lanes.sub(up_e, ext));
-        let f = lanes.max(lanes.sub(h_prev, oe), lanes.sub(f_prev, ext));
-        let h = lanes.max(e, lanes.max(f, lanes.add(dg, sub)));
+            let e = lanes.max(lanes.sub(h_prev, oe), lanes.sub(e_prev, ext));
+            let f = lanes.max(lanes.sub(up_h, oe), lanes.sub(up_f, ext));
+            let h = lanes.max(lanes.max(e, lanes.add(dg, sub)), f);
 
-        cells.mask[d] = masks[d];
-        let m = lanes.mask_from_bits(masks[d]);
-        let h_m = lanes.select(m, h, neg_inf);
-        if d % 2 == 0 {
-            pending = h_m;
-        } else {
-            let pair = cells.h[d - 1..].first_chunk_mut().expect("rows d − 1 and d exist");
-            lanes.store2(pair, pending, h_m);
+            let bits = cells.mask[d];
+            let (h_m, f_m) = if bits == full {
+                (h_prev, e_prev) = (h, e);
+                (h, f)
+            } else {
+                // Clipping is semantic — a clipped lane must read as -∞ from
+                // its in-band neighbour — except on the lanes outside the
+                // segment's columns, which hold.
+                let t = t0 + d;
+                let before = (1u32 << (B - 1).saturating_sub(t)) - 1;
+                let after = !0u32 << (steps - t).min(B);
+                let hold = lanes.mask_from_bits((before | after) as u16 & full);
+                let m = lanes.mask_from_bits(bits);
+                let h_m = lanes.select(m, h, neg_inf);
+                h_prev = lanes.select(hold, h_prev, h_m);
+                e_prev = lanes.select(hold, e_prev, lanes.select(m, e, neg_inf));
+                (h_m, lanes.select(m, f, neg_inf))
+            };
+            f_prev = f_m;
+            lanes.store(&mut cells.h[d], h_m);
+            lanes.store_low(south_h[d..].first_chunk_mut().expect("one spare slot"), h_m);
+            lanes.store_low(south_f[d..].first_chunk_mut().expect("one spare slot"), f_m);
         }
-        // Interior blocks mask only the stored row: the shape grows one
-        // lane per diagonal, so an out-of-shape lane never shifts into a
-        // valid one and the boundary stages are read at in-shape lanes
-        // only. On edge blocks clipping is semantic — a clipped lane must
-        // read as -∞ from its in-band neighbour.
-        let (e_s, h_s, f_s) = if interior {
-            (e, h, f)
-        } else {
-            (lanes.select(m, e, neg_inf), h_m, lanes.select(m, f, neg_inf))
-        };
-        if d >= B - 1 {
-            lanes.store(&mut e_tmp[d - (B - 1)], e_s);
-            lanes.store(&mut f_tmp[d - (B - 1)], f_s);
+
+        // Step t's bottom lane is the segment's last row at column
+        // `t − (B−1)`: at most `B−1` steps behind what the top lane has read.
+        let skip = (B - 1).saturating_sub(t0);
+        let out = t0 + skip - (B - 1);
+        for (dst, &x) in north_h[out..].iter_mut().zip(&south_h[skip..len]) {
+            *dst = unbase(x, base);
         }
-        // Pre-seed the north boundary of row d+1 into the out-of-shape
-        // lane d+1, where the next diagonals read it as left/diag.
-        (h_prev, f_prev) = if d + 1 < B {
-            (lanes.set_lane(h_s, d + 1, nh_in[d + 1]), lanes.set_lane(f_s, d + 1, nf_in[d + 1]))
-        } else {
-            (h_s, f_s)
-        };
-        e_prev = e_s;
+        for (dst, &x) in north_f[out..].iter_mut().zip(&south_f[skip..len]) {
+            *dst = unbase(x, base);
+        }
+
+        if let Some(tracker) = tracker.as_deref_mut() {
+            tracker.fold_block(lanes, cells);
+        }
     }
-    lanes.store(&mut cells.h[diags - 1], pending);
 
-    // Boundary outputs, once the stores have drained (a scalar read straight
-    // after a vector store costs a store-forward round trip): lane B-1 of
-    // diagonal B-1+k is the block's last row (west output for column k);
-    // lane k of the same diagonal is its last column (north output, row k).
+    let (mut east_h, mut east_e) = ([0i16; B], [0i16; B]);
+    lanes.store(&mut east_h, h_prev);
+    lanes.store(&mut east_e, e_prev);
     for k in 0..B {
-        west_h[k] = unbase(cells.h[k + B - 1][B - 1], base);
-        west_e[k] = unbase(e_tmp[k][B - 1], base);
-        north_h[k] = unbase(cells.h[k + B - 1][k], base);
-        north_f[k] = unbase(f_tmp[k][k], base);
+        west_h[k] = unbase(east_h[B - 1 - k], base);
+        west_e[k] = unbase(east_e[B - 1 - k], base);
     }
 }

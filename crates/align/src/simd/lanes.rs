@@ -5,19 +5,15 @@
 //! [`Portable`] impl that runs on any target (and under Miri) and is the
 //! semantic reference the x86 impls in [`super::x86`] are compared to.
 //!
-//! Lanes are `i16` and hold *offsets from a per-block base* (a real `H` of
-//! the block's boundary ring, see [`block_base`]), so the lane width bounds
-//! the score spread inside one block, never the absolute score. Arithmetic
-//! saturates: sentinel-class values pin in the sentinel band instead of
-//! wrapping into plausible scores.
+//! Lanes are `i16` and hold *offsets from a moving base* (a real `H` near the
+//! wavefront, see [`ring_base`] and the module header), so the lane width
+//! bounds the score spread around the front, never the absolute score.
+//! Arithmetic saturates: sentinel-class values pin in the sentinel band
+//! instead of wrapping into plausible scores.
 
-use super::{lane_mask, to16, SENTINEL_BAND16};
-use crate::block::{BlockCtx, I32_REACH_BOUND};
-use crate::{MAX_BLOCK_DIAGS, NEG_INF};
-
-/// Per-diagonal lane bitmasks of one block, diagonal-indexed (one spare
-/// slot so 16-diagonal vector steps can write whole chunks).
-pub(crate) type DiagMasks = [u16; MAX_BLOCK_DIAGS + 1];
+use super::{to16, SENTINEL_BAND16};
+use crate::block::I32_REACH_BOUND;
+use crate::NEG_INF;
 
 /// A score *difference* (penalty, substitution score) or residue code as a
 /// lane value — base-free by nature.
@@ -26,8 +22,8 @@ pub(crate) fn delta(v: i32) -> i16 {
     to16(v)
 }
 
-/// Block-entry conversion of an absolute `i32` score to a lane value (exact
-/// on every real value under the i16 gate; `-∞`-class inputs land in the
+/// Entry conversion of an absolute `i32` score to a lane value (exact on
+/// every real value under the i16 gate; `-∞`-class inputs land in the
 /// sentinel band).
 #[inline(always)]
 pub(crate) fn rebase(v: i32, base: i32) -> i16 {
@@ -36,8 +32,8 @@ pub(crate) fn rebase(v: i32, base: i32) -> i16 {
     to16(v - base)
 }
 
-/// Block-exit conversion back to an absolute `i32` score. Sentinel-class
-/// lanes come out as exactly [`NEG_INF`], whatever they drifted to.
+/// Exit conversion back to an absolute `i32` score. Sentinel-class lanes
+/// come out as exactly [`NEG_INF`], whatever they drifted to.
 #[inline(always)]
 pub(crate) fn unbase(x: i16, base: i32) -> i32 {
     if x <= SENTINEL_BAND16 {
@@ -47,20 +43,16 @@ pub(crate) fn unbase(x: i16, base: i32) -> i32 {
     }
 }
 
-/// The base of a rebased edge block: the largest of its `2B+1` boundary `H`
-/// inputs. The fold starts at `-I32_REACH_BOUND`, below every real score and
-/// above every `-∞`-class one, so sentinels lose the max; a block with a
-/// valid cell always has a real input (the cell's diagonal predecessor chain
+/// The base a segment starts on: the largest `H` of its entry ring — corner,
+/// west column, the north row over its first block. The fold starts at
+/// `-I32_REACH_BOUND`, below every real score and above every `-∞`-class
+/// one, so sentinels lose the max; a strip with a valid cell in its first
+/// block always has a real input (the cell's diagonal predecessor chain
 /// reaches the ring in band), and one without has nothing to offset.
 #[inline(always)]
-pub(crate) fn block_base<const B: usize>(
-    corner: i32,
-    west_h: &[i32; B],
-    north_h: &[i32; B],
-) -> i32 {
+pub(crate) fn ring_base(corner: i32, west_h: &[i32], north_h: &[i32]) -> i32 {
     let floor = -(I32_REACH_BOUND as i32);
-    let ring = west_h.iter().zip(north_h).fold(floor, |acc, (&w, &n)| acc.max(w).max(n));
-    ring.max(corner)
+    west_h.iter().chain(north_h).fold(floor.max(corner), |acc, &v| acc.max(v))
 }
 
 /// `B` `i16` lanes in one vector `V`, with lane predicates `M` (a vector mask
@@ -76,8 +68,15 @@ pub(crate) trait Lanes<const B: usize>: Copy {
     fn splat(self, x: i16) -> Self::V;
     fn load(self, src: &[i16; B]) -> Self::V;
     fn store(self, dst: &mut [i16; B], v: Self::V);
-    /// Lane `l` ← lane `l-1`, lane 0 ← `boundary`.
-    fn shift_in(self, v: Self::V, boundary: i16) -> Self::V;
+    /// Lanes 0 and 1 into `dst` — how the strip's bottom lane leaves, one
+    /// step after another into consecutive slots (the next step's store
+    /// overwrites the spare lane).
+    fn store_low(self, dst: &mut [i16; 2], v: Self::V);
+    /// Lane `l` ← lane `l+1`, lane `B-1` ← `next[0]`: one query row down the
+    /// strip, the north row's value entering at the top lane. The rest of
+    /// `next` is ignored — a window of the stream the value is read from, so
+    /// that a vector impl folds the read into the shift.
+    fn shift_in(self, v: Self::V, next: &[i16; B]) -> Self::V;
     fn add(self, a: Self::V, b: Self::V) -> Self::V;
     fn sub(self, a: Self::V, b: Self::V) -> Self::V;
     fn max(self, a: Self::V, b: Self::V) -> Self::V;
@@ -88,23 +87,10 @@ pub(crate) trait Lanes<const B: usize>: Copy {
     /// Per lane: `on` where `m` is set, `off` elsewhere.
     fn select(self, m: Self::M, on: Self::V, off: Self::V) -> Self::V;
 
-    /// `v` with lane `lane` replaced by `x` (the north pre-seed).
-    #[inline(always)]
-    fn set_lane(self, v: Self::V, lane: usize, x: i16) -> Self::V {
-        self.select(self.mask_from_bits(1 << lane), self.splat(x), v)
-    }
-
-    /// Block-entry conversion of one `i32` boundary carry.
+    /// Entry conversion of `B` streamed `i32` boundary values.
     #[inline(always)]
     fn rebase_boundary(self, src: &[i32; B], base: i32) -> [i16; B] {
         src.map(|v| rebase(v, base))
-    }
-
-    /// Two finished rows into their adjacent slots of the staging buffer.
-    #[inline(always)]
-    fn store2(self, rows: &mut [[i16; B]; 2], lo: Self::V, hi: Self::V) {
-        self.store(&mut rows[0], lo);
-        self.store(&mut rows[1], hi);
     }
 
     /// The tracker fold's row reduce over one eight-lane half of a staged
@@ -122,23 +108,13 @@ pub(crate) trait Lanes<const B: usize>: Copy {
         }
         (best & 7) << 16 | best >> 3
     }
-
-    /// Valid-lane masks of every diagonal of the edge block at `(i0, j0)`.
-    #[inline(always)]
-    fn edge_masks(self, ctx: &BlockCtx<'_>, i0: i64, j0: i64) -> DiagMasks {
-        let mut out = [0; MAX_BLOCK_DIAGS + 1];
-        for (d, m) in out.iter_mut().enumerate().take(2 * B - 1) {
-            *m = lane_mask(ctx, i0, j0, d);
-        }
-        out
-    }
 }
 
 /// `[f(0), …, f(B-1)]`, as a plain indexed loop over a zeroed array:
 /// unlike `std::array::from_fn` it always inlines, so LLVM sees every
 /// primitive as `B` isomorphic lane operations it can vectorise.
 #[inline(always)]
-fn each_lane<const B: usize>(f: impl Fn(usize) -> i16) -> [i16; B] {
+pub(crate) fn each_lane<const B: usize>(f: impl Fn(usize) -> i16) -> [i16; B] {
     let mut out = [0; B];
     for (l, slot) in out.iter_mut().enumerate() {
         *slot = f(l);
@@ -169,8 +145,12 @@ impl<const B: usize> Lanes<B> for Portable {
         *dst = v;
     }
     #[inline(always)]
-    fn shift_in(self, v: [i16; B], boundary: i16) -> [i16; B] {
-        each_lane(|l| if l == 0 { boundary } else { v[l - 1] })
+    fn store_low(self, dst: &mut [i16; 2], v: [i16; B]) {
+        *dst = [v[0], v[1]];
+    }
+    #[inline(always)]
+    fn shift_in(self, v: [i16; B], next: &[i16; B]) -> [i16; B] {
+        each_lane(|l| if l == B - 1 { next[0] } else { v[l + 1] })
     }
     #[inline(always)]
     fn add(self, a: [i16; B], b: [i16; B]) -> [i16; B] {

@@ -1,15 +1,20 @@
-//! Vectorised block fill: the `B×B` block DP recomputed as an anti-diagonal
+//! Vectorised fill: the DP of a whole *row segment* — `k` chained `B×B`
+//! blocks of one query-block row — recomputed as one skewed anti-diagonal
 //! wavefront, which removes every intra-iteration dependency (cells on one
-//! block anti-diagonal depend only on the previous two), so each diagonal's
-//! `B` lanes compute in parallel.
+//! anti-diagonal depend only on the previous two), so each step's `B` lanes
+//! compute in parallel, and fills them: `kB + B − 1` steps cover `kB²`
+//! cells, 52 % lane occupancy for a single block, 90 % at `k = 8`, ≥ 95 % on
+//! the 20–27-block band rows production sweeps.
 //!
-//! The recurrence is written **once** — `fill::fill_block`, generic over
+//! The recurrence is written **once** — `fill::fill_segment`, generic over
 //! the block side `B ∈ {8, 16}` and a lane-primitive impl (`lanes::Lanes`:
-//! load/store, shift-in-boundary, add/sub/max, compare, select) — and
-//! instantiated per backend inside a `#[target_feature]` wrapper. So is the
-//! tracker fold of its staging ([`crate::diag::DiagTracker::fold_block`],
-//! over the same trait's row reduce), through the same wrappers and the same
-//! dispatch table. Every instantiation is **bit-identical** to
+//! load/store, shift-down-the-strip, add/sub/max, compare, select) — and
+//! instantiated per backend inside a `#[target_feature]` wrapper, entered
+//! once per segment. So is the tracker fold of its staging
+//! ([`crate::diag::DiagTracker::fold_block`], over the same trait's row
+//! reduce), inlined into the same instantiation; a single block
+//! ([`crate::block::compute_block_i16`]) is the `k = 1` segment of the same
+//! function. Every instantiation is **bit-identical** to
 //! [`crate::block::fill_scalar`] at the same geometry: each cell's `H/E/F` is
 //! computed from exactly the same inputs with exactly the same integer
 //! operations — only the evaluation order differs, and no reassociation of
@@ -17,55 +22,76 @@
 //!
 //! ## Wavefront layout
 //!
-//! Lane `l` of diagonal `d` holds cell `(i0+l, j0+d-l)`. With that layout:
+//! The lanes are the block row's `B` query rows, bottom row in lane 0, and
+//! step `t` is table anti-diagonal `i0 + j0 + t` cut to them: lane `l` of
+//! step `t` holds cell `(i0 − (B−1) + t + l, j0 + B−1 − l)`, so ascending
+//! lane is ascending `i` — the tracker's canonical tie-break order. With
+//! that layout:
 //!
-//! * *left* (`H/F(i, j-1)`) is lane `l` of diagonal `d-1` — no shift;
-//! * *up* (`H/E(i-1, j)`) is lane `l-1` of diagonal `d-1` — shift one lane,
-//!   injecting the west boundary at lane 0 (`-∞` past the block shape);
-//! * *diag* (`H(i-1, j-1)`) is lane `l-1` of diagonal `d-2` — which is
-//!   diagonal `d-1`'s up-shifted `H`, carried over instead of re-shifted;
-//! * the north boundary of row `d+1` is pre-seeded into lane `d+1` of
-//!   diagonal `d`'s state (an out-of-shape lane), so `left`/`diag` reads
-//!   pick it up with no per-lane patching;
-//! * the query codes of diagonal `d` are one window load from a reversed
-//!   copy; reference codes are fixed per lane;
-//! * out-of-band / out-of-table lanes are masked to `-∞` in the stored row
-//!   and — on edge blocks — in the carried state; interior blocks carry
-//!   unmasked state, since no in-shape lane ever reads an out-of-shape one;
-//! * boundary outputs are read back after the last diagonal.
+//! * *left* (`H/E(i−1, j)`) is lane `l` of step `t−1` — no shift;
+//! * *up* (`H/F(i, j−1)`) is lane `l+1` of step `t−1` — shift one lane down
+//!   the strip, the **north row's** value at column `i0 + t` entering at the
+//!   top lane: the north boundary is *streamed*, one value per step;
+//! * *diag* (`H(i−1, j−1)`) is lane `l+1` of step `t−2` — which is step
+//!   `t−1`'s down-shifted `H`, carried over instead of re-shifted;
+//! * the **south boundary** leaves through the bottom lane, one value per
+//!   step, `B−1` columns behind the north read — so both live in the same
+//!   rows, overwritten in place;
+//! * the **west boundary** is what the lanes hold before their row starts
+//!   (lane `l` starts at step `B−1−l`): an inactive lane *holds* its value
+//!   instead of computing, so during the one ramp-up each row's first cell
+//!   finds its west `H/E` as left and the row below finds it as diag; the
+//!   same rule, after a row's last column, leaves the **east boundary** in
+//!   the lanes when the ramp-down ends;
+//! * the reference codes of step `t` are one window load from the task's
+//!   lane-code array; query codes are fixed per lane;
+//! * out-of-band / out-of-table lanes are masked to `-∞` in the staged row
+//!   and in the carried state (clipping is semantic: a clipped lane must
+//!   read as `-∞` from its in-band neighbour). Each bound of the valid-lane
+//!   range is affine in `t` ([`crate::block::BlockCtx::strip_lanes`]), so
+//!   the steps on which every lane is valid are one run
+//!   ([`crate::block::BlockCtx::full_steps`]): they take an unmasked path,
+//!   and a window inside the run computes no masks at all;
+//! * the staged rows are anti-diagonals of the table already, and leave for
+//!   the tracker [`crate::STAGE_ROWS`] at a time — a fixed staging buffer,
+//!   whatever the row's length.
 //!
 //! ## Lanes
 //!
-//! There is one lane element type. [`fill_wavefront_i16`] runs `i16` lanes:
-//! saturating arithmetic with [`NEG_INF16`] as the sentinel, on lanes that
-//! hold *offsets from a per-block base* rather than scores, gated by
-//! [`crate::block::BlockCtx::i16_exact`] (derived per geometry — see
-//! [`crate::block::BlockCtx::with_block_dim`]); a task outside the gate runs
-//! the scalar reference fill instead ([`crate::block::BlockCtx::fill_tier`]).
-//! Boundary carries stay absolute `i32` scores at the interface. At block
-//! entry the fill takes a real boundary `H` input as `base` — the largest of
-//! the `2B+1` on edge blocks, the corner on interior ones, where it is always
-//! real and keeps the reduction off the block-to-block chain — and converts
-//! every carry as `i32 → i16` saturation of `v − base` (exact for every real
-//! value under the gate, which bounds how far a block's values spread around
-//! its ring — not how large they are; `-∞`-derived values collapse into the
-//! sentinel class, which by construction loses every `max` against a real
-//! value just as `NEG_INF` does in the scalar fill). The recurrence is
-//! translation-invariant, so it runs unchanged; the staging buffer records
-//! `base` for the tracker fold, and at block exit real lanes go back out as
-//! `x + base` while anything in the sentinel band (`x ≤ `[`SENTINEL_BAND16`])
-//! is written as exactly `NEG_INF`, for the next block — with its own base —
-//! to saturate again. Valid-lane `H` values plus `base` are therefore
-//! bit-identical to the scalar fill; only masked lanes and boundary slots for
-//! masked cells carry a different (equally ultra-negative) encoding, and
+//! There is one lane element type: `i16` lanes with saturating arithmetic
+//! and [`NEG_INF16`] as the sentinel, holding *offsets from a moving base*
+//! rather than scores, gated by [`crate::block::BlockCtx::i16_exact`]
+//! (derived per geometry — see [`crate::block::BlockCtx::with_block_dim`]);
+//! a task outside the gate runs the scalar reference fill instead
+//! ([`crate::block::BlockCtx::fill_tier`]). Boundary carries stay absolute
+//! `i32` scores at the interface. At segment entry the fill takes the largest
+//! `H` of the entry ring as `base` and converts every carry as `i32 → i16`
+//! saturation of `v − base` — the streamed north values `B` at a time as
+//! they come up — exact for every real value under the gate, which bounds how
+//! far the values in flight spread around the front, not how large they are;
+//! `-∞`-derived values collapse into the sentinel class, which by
+//! construction loses every `max` against a real value just as `NEG_INF`
+//! does in the scalar fill. The recurrence is translation-invariant, so it
+//! runs unchanged. A band row spans thousands of columns, far more than
+//! `±2^13` of drift, so **the base moves**: every [`crate::STAGE_ROWS`]
+//! steps the front is re-centred on the largest real `H` of its last two
+//! staged rows — the difference is subtracted from the carried state, and
+//! sentinel-class lanes are re-pinned to [`NEG_INF16`] so that they never
+//! drift with it. A staged window records its base for the tracker fold, and
+//! on the way out real lanes go as `x + base` while anything in the sentinel
+//! band (`x ≤ `[`SENTINEL_BAND16`]) is written as exactly `NEG_INF`, for the
+//! next segment — with its own base — to saturate again. Valid-lane `H`
+//! values plus base are therefore bit-identical to the scalar fill; only
+//! masked lanes carry a different (equally ultra-negative) encoding, and
 //! nothing downstream observes those.
 //!
 //! ## Which lanes run
 //!
 //! Lane impl (and the feature level its instantiation is compiled at) per
 //! resolved backend × geometry — for the fill and for the tracker fold alike:
-//! [`fill_wavefront_i16`] stamps the backend it ran on into the staging
-//! buffer and [`fold_wavefront_i16`] dispatches on the stamp.
+//! [`segment_wavefront_i16`] folds on the lanes it fills with, stamps them
+//! into the staging buffer, and [`fold_wavefront_i16`] — the fold of a block
+//! filled on its own — dispatches on the stamp.
 //!
 //! | backend    | B=8                   | B=16                     |
 //! |------------|-----------------------|--------------------------|
@@ -75,10 +101,9 @@
 //! | `portable` | `Portable`            | `Portable`               |
 //!
 //! The adaptive geometry policy ([`crate::block::BlockCtx::geometry_for`])
-//! picks B=16 on every backend but `sse41` (measured: the `portable` array
-//! lanes are 1.3–1.5× faster at 16×16 than at 8×8, while `sse41`'s B=16 cell
-//! would trade its vector lanes for them), so the `sse41` B=16 cell serves
-//! forced `--block 16` runs only.
+//! picks B=16 on every backend but `sse41`, whose B=16 cell would trade its
+//! vector lanes for the array ones, so that cell serves forced `--block 16`
+//! runs only.
 //!
 //! ## Safety
 //!
@@ -93,22 +118,23 @@
 //! * `mod x86` — the intrinsics, each wrapped where a lane method names it,
 //!   on the argument "`self` exists" (plus, for the few loads and stores, an
 //!   array-typed argument whose size is the access's);
-//! * [`fill_wavefront_i16`] and [`fold_wavefront_i16`] — entering a
+//! * [`segment_wavefront_i16`] and [`fold_wavefront_i16`] — entering a
 //!   `#[target_feature]` wrapper, one `unsafe` per match arm, each with the
 //!   token that proves the wrapper's level in hand;
 //! * `mod tests` — the same calls, level by level.
 
-use crate::block::{block_diags, BlockCellsT, BlockCtx, BoundaryT};
+use crate::block::{BlockCellsT, BlockCtx};
 use crate::diag::DiagTracker;
 #[cfg(target_arch = "x86_64")]
 use crate::{BLOCK, MAX_BLOCK};
-use fill::{fill_block, BlockIo};
+use fill::fill_segment;
+pub(crate) use fill::SegmentIo;
 pub(crate) use lanes::Lanes;
 use lanes::Portable;
 #[cfg(target_arch = "x86_64")]
 use x86::{
-    fill_avx2, fill_avx512, fill_sse41, fold_avx2, fold_avx512, fold_sse41, Avx2I16, Avx512I16,
-    Sse41I16,
+    fold_avx2, fold_avx512, fold_sse41, segment_avx2, segment_avx512, segment_sse41, Avx2I16,
+    Avx512I16, Sse41I16,
 };
 #[cfg(target_arch = "x86_64")]
 use ProvenBackend::{Avx2, Avx512, Sse41};
@@ -341,65 +367,47 @@ pub fn supported_backends() -> Vec<WavefrontBackend> {
     .collect()
 }
 
-/// Per-diagonal valid-lane bitmask (`0` when empty).
-#[inline]
-fn lane_mask(ctx: &BlockCtx<'_>, i0: i64, j0: i64, d: usize) -> u16 {
-    match ctx.lane_range(i0, j0, d) {
-        None => 0,
-        Some((lo, hi)) => (((1u32) << (hi + 1)) - (1 << lo)) as u16,
-    }
-}
-
-/// The wavefront fill: [`fill_block`] over the lanes the pre-resolved backend
-/// in `ctx` and the geometry `B` select, staging offsets from `cells.base`
-/// into a `BlockCellsT<i16, B>` buffer. All lane impls are bit-identical to
-/// each other and — on valid lanes plus `base`, under [`BlockCtx::i16_exact`]
-/// — to the scalar fill.
-#[allow(unsafe_code, clippy::too_many_arguments)]
-pub(crate) fn fill_wavefront_i16<const B: usize>(
-    ctx: &BlockCtx<'_>,
-    i0: i64,
-    j0: i64,
-    rcodes: &[u8; B],
-    qcodes: &[u8; B],
-    corner: i32,
-    west_h: &mut BoundaryT<B>,
-    west_e: &mut BoundaryT<B>,
-    north_h: &mut BoundaryT<B>,
-    north_f: &mut BoundaryT<B>,
-    cells: &mut BlockCellsT<i16, B>,
-) {
-    let io =
-        BlockIo { rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells: &mut *cells };
+/// The wavefront fill (and, with a tracker, fold) of one row segment:
+/// [`fill_segment`] over the lanes the pre-resolved backend in `ctx` and the
+/// geometry `B` select — one dispatch and one feature boundary per segment,
+/// however many blocks it spans. All lane impls are bit-identical to each
+/// other and — on valid lanes plus base, under [`BlockCtx::i16_exact`] — to
+/// the scalar fill.
+#[allow(unsafe_code)]
+pub(crate) fn segment_wavefront_i16<const B: usize>(ctx: &BlockCtx<'_>, io: SegmentIo<'_, B>) {
+    debug_assert_eq!(ctx.b, B as i64, "ctx geometry must match the staging buffer geometry");
+    let cells = io.cells;
+    cells.backend = ctx.wavefront_backend;
+    let io = SegmentIo { cells: &mut *cells, ..io };
     match (ctx.wavefront_backend.at_block_dim(B), B) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `level` proves AVX-512BW/VL.
         (Avx512(level), MAX_BLOCK) => unsafe {
-            fill_avx512(level, Avx512I16(level), ctx, i0, j0, io.at_geometry())
+            segment_avx512(level, Avx512I16(level), ctx, io.at_geometry())
         },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `level` proves AVX2.
         (Avx2(level), MAX_BLOCK) => unsafe {
-            fill_avx2(level, Avx2I16(level), ctx, i0, j0, io.at_geometry())
+            segment_avx2(level, Avx2I16(level), ctx, io.at_geometry())
         },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `level` proves AVX2.
         (Avx2(level), BLOCK) => unsafe {
-            fill_avx2(level, Sse41I16(level.lower()), ctx, i0, j0, io.at_geometry())
+            segment_avx2(level, Sse41I16(level.lower()), ctx, io.at_geometry())
         },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `level` proves SSE4.1.
         (Sse41(level), BLOCK) => unsafe {
-            fill_sse41(level, Sse41I16(level), ctx, i0, j0, io.at_geometry())
+            segment_sse41(level, Sse41I16(level), ctx, io.at_geometry())
         },
-        _ => fill_block(Portable, ctx, i0, j0, io),
+        _ => fill_segment(Portable, ctx, io),
     }
-    cells.backend = ctx.wavefront_backend;
+    // What is still staged: a segment's last window, a single block whole.
     debug_range_sentinel(cells);
 }
 
 /// The tracker fold of one staged i16 block ([`DiagTracker::fold_block`]),
-/// on the lanes [`fill_wavefront_i16`] filled it with: the same
+/// on the lanes [`segment_wavefront_i16`] filled it with: the same
 /// `(backend, B)` table, read from the proof the fill stamped into the
 /// buffer — so a capped plan cannot fold above its cap, whoever drives it.
 #[allow(unsafe_code)]
@@ -432,34 +440,32 @@ pub(crate) fn fold_wavefront_i16<const B: usize>(
     }
 }
 
-/// Per-block range sentinel (debug builds): under the `i16_exact` gate every
-/// valid lane is a real offset strictly inside `±2^13` of a real `base`, so
-/// a lane at a rail or in the sentinel band — or a sentinel-class base under
-/// a valid cell — indicates a broken gate or dispatch.
+/// Per-row range sentinel (debug builds): under the `i16_exact` gate every
+/// valid lane of a staged row is a real offset strictly inside `±2^13` of a
+/// real base — the row's window's — so a lane at a rail or in the sentinel
+/// band, or a sentinel-class base under a valid cell, indicates a broken
+/// gate, dispatch or re-centring.
 #[inline]
-fn debug_range_sentinel<const B: usize>(cells: &BlockCellsT<i16, B>) {
+pub(crate) fn debug_range_sentinel<const B: usize>(cells: &BlockCellsT<i16, B>) {
     if cfg!(debug_assertions) {
         let bound = -i32::from(SENTINEL_BAND16);
-        let mut any_valid = false;
-        for d in 0..block_diags(B) {
-            for l in (0..B).filter(|l| cells.mask[d] & (1 << l) != 0) {
-                any_valid = true;
-                let x = i32::from(cells.h[d][l]);
+        for (d, (row, mask)) in cells.h.iter().zip(cells.mask).enumerate() {
+            for l in (0..B).filter(|l| mask & (1 << l) != 0) {
+                let x = i32::from(row[l]);
                 debug_assert!(
                     -bound < x && x < bound,
-                    "i16 range sentinel: offset {x} of a valid cell leaves ±2^13 at block \
-                     ({},{}) diag {d} lane {l} — the i16_exact gate must demote such tasks",
+                    "i16 range sentinel: offset {x} of a valid cell leaves ±2^13 at window \
+                     ({},{}) row {d} lane {l} — the i16_exact gate must demote such tasks",
                     cells.i0(),
                     cells.j0(),
                 );
             }
+            debug_assert!(
+                mask == 0 || i64::from(cells.base) > -crate::block::I32_REACH_BOUND,
+                "i16 range sentinel: window ({},{}) has a valid cell but no real H to rebase on",
+                cells.i0(),
+                cells.j0(),
+            );
         }
-        debug_assert!(
-            !any_valid || i64::from(cells.base) > -crate::block::I32_REACH_BOUND,
-            "i16 range sentinel: block ({},{}) has a valid cell but no real boundary H to \
-             rebase on",
-            cells.i0(),
-            cells.j0(),
-        );
     }
 }

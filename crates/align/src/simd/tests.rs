@@ -1,9 +1,9 @@
-use super::lanes::{unbase, DiagMasks, Lanes};
+use super::lanes::{unbase, Lanes};
 use super::*;
-use crate::block::{fill_scalar, BlockCells};
+use crate::block::{fill_scalar, BlockCells, BoundaryT};
 use crate::diag::DiagTracker;
 use crate::pack::PackedSeq;
-use crate::{Scoring, MAX_BLOCK_DIAGS, NEG_INF};
+use crate::{Scoring, NEG_INF, STAGE_ROWS};
 #[cfg(not(target_arch = "x86_64"))]
 use crate::{BLOCK, MAX_BLOCK};
 
@@ -56,7 +56,7 @@ impl Rng {
 }
 
 /// One lane impl at one feature level, or the dispatcher.
-type Fill<const B: usize> = Box<dyn Fn(&BlockCtx<'_>, i64, i64, BlockIo<'_, B>)>;
+type Fill<const B: usize> = Box<dyn Fn(&BlockCtx<'_>, SegmentIo<'_, B>)>;
 
 /// `$wrapper` entered with the token `$level` and the lanes `$lanes`, as a
 /// [`Fill`] at the enclosing function's `B`.
@@ -64,9 +64,9 @@ type Fill<const B: usize> = Box<dyn Fn(&BlockCtx<'_>, i64, i64, BlockIo<'_, B>)>
 macro_rules! lane_fill {
     ($wrapper:ident, $level:expr, $lanes:expr) => {{
         let (level, lanes) = ($level, $lanes);
-        Box::new(move |ctx: &BlockCtx<'_>, i0, j0, io: BlockIo<'_, B>| {
+        Box::new(move |ctx: &BlockCtx<'_>, io: SegmentIo<'_, B>| {
             // SAFETY: `level` came from `detect()` and proves the wrapper's level.
-            unsafe { $wrapper(level, lanes, ctx, i0, j0, io.at_geometry()) }
+            unsafe { $wrapper(level, lanes, ctx, io.at_geometry()) }
         })
     }};
 }
@@ -76,31 +76,33 @@ macro_rules! lane_fill {
 fn i16_lanes<const B: usize>() -> Vec<(&'static str, Fill<B>)> {
     #[allow(unused_mut)]
     let mut fills: Vec<(&'static str, Fill<B>)> =
-        vec![("portable", Box::new(|ctx, i0, j0, io| fill_block(Portable, ctx, i0, j0, io)))];
+        vec![("portable", Box::new(|ctx, io| fill_segment(Portable, ctx, io)))];
     #[cfg(target_arch = "x86_64")]
     {
         if let (BLOCK, Some(t)) = (B, x86::Sse41::detect()) {
-            fills.push(("sse41", lane_fill!(fill_sse41, t, Sse41I16(t))));
+            fills.push(("sse41", lane_fill!(segment_sse41, t, Sse41I16(t))));
         }
         if let (BLOCK, Some(t)) = (B, x86::Avx2::detect()) {
-            fills.push(("sse41@avx2", lane_fill!(fill_avx2, t, Sse41I16(t.lower()))));
+            fills.push(("sse41@avx2", lane_fill!(segment_avx2, t, Sse41I16(t.lower()))));
         }
         if let (MAX_BLOCK, Some(t)) = (B, x86::Avx2::detect()) {
-            fills.push(("avx2", lane_fill!(fill_avx2, t, Avx2I16(t))));
+            fills.push(("avx2", lane_fill!(segment_avx2, t, Avx2I16(t))));
         }
         if let (MAX_BLOCK, Some(t)) = (B, x86::Avx512::detect()) {
-            fills.push(("avx512", lane_fill!(fill_avx512, t, Avx512I16(t))));
+            fills.push(("avx512", lane_fill!(segment_avx512, t, Avx512I16(t))));
         }
     }
     fills
 }
 
-/// [`fill_wavefront_i16`] as a [`Fill`].
-fn dispatch16<const B: usize>(ctx: &BlockCtx<'_>, i0: i64, j0: i64, io: BlockIo<'_, B>) {
-    let BlockIo { rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells } = io;
-    fill_wavefront_i16(
-        ctx, i0, j0, rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells,
-    );
+/// The lane codes of a single block's columns, as
+/// [`crate::block::compute_block_i16`] lays them out for its one-block segment.
+fn lane_codes<const B: usize>(rcodes: &[u8; B]) -> Vec<i16> {
+    let mut codes = vec![0i16; 3 * B - 2];
+    for (slot, &c) in codes[B - 1..].iter_mut().zip(rcodes) {
+        *slot = i16::from(c);
+    }
+    codes
 }
 
 /// Run one block through the scalar fill and through every lane impl the
@@ -149,12 +151,15 @@ fn check_block<const B: usize>(
         }
     };
     let mut runs = Vec::new();
-    let dispatch: Fill<B> = Box::new(dispatch16::<B>);
+    let dispatch: Fill<B> = Box::new(segment_wavefront_i16::<B>);
     for (name, fill) in i16_lanes::<B>().into_iter().chain([("dispatch", dispatch)]) {
         let mut cells_n = BlockCellsT::<i16, B>::new();
+        cells_n.set_origin(i0, j0);
         let (mut wh_n, mut we_n, mut nh_n, mut nf_n) = (west_h, west_e, north_h, north_f);
-        let io = BlockIo {
-            rcodes,
+        let io = SegmentIo {
+            i0,
+            j0,
+            rcodes: &lane_codes(rcodes),
             qcodes,
             corner,
             west_h: &mut wh_n,
@@ -162,10 +167,11 @@ fn check_block<const B: usize>(
             north_h: &mut nh_n,
             north_f: &mut nf_n,
             cells: &mut cells_n,
+            tracker: None,
         };
-        fill(ctx, i0, j0, io);
+        fill(ctx, io);
         assert_eq!(cells_n.mask, cells_s.mask, "{name}: masks at ({i0},{j0})");
-        for d in 0..block_diags(B) {
+        for d in 0..2 * B - 1 {
             for l in 0..B {
                 if cells_s.mask[d] & (1 << l) != 0 {
                     same(unbase(cells_n.h[d][l], cells_n.base), cells_s.h[d][l], "H");
@@ -422,18 +428,21 @@ fn oversized_scoring_falls_back_to_scalar() {
 /// block side `bdim`, spelled out from the derivation on
 /// [`BlockCtx::with_block_dim`].
 fn gate_sum(a: i64, b: i64, o: i64, e: i64, bdim: i64) -> i64 {
-    2 * bdim * (a + o + e + b) + a.max(b).max(o + e) * (2 * bdim - 1)
+    let rows = STAGE_ROWS as i64;
+    (rows + 2 * bdim + 1) * (a + o + e + b) + a.max(b).max(o + e) * rows
 }
 
-/// The i16 gate battery at geometry `B`: `inside`/`at`/`past` are match
-/// scores (mismatch `b`, `gap_open` 0, `gap_extend` 1 each) whose
-/// `span + drift` lands on `2^13 − 1`, `2^13` and `2^13 + 1`.
-fn gate_boundary_battery<const B: usize>(inside: (i32, i32), at: (i32, i32), past: (i32, i32)) {
+/// A match score, a mismatch and a gap open (`gap_extend` 1).
+type GateCase = (i32, i32, i32);
+
+/// The i16 gate battery at geometry `B`: `inside`/`at`/`past` are scorings
+/// whose `span + drift` lands on `2^13 − 1`, `2^13` and `2^13 + 1`.
+fn gate_boundary_battery<const B: usize>(inside: GateCase, at: GateCase, past: GateCase) {
     use crate::block::{FillMode, FillPrecision, FillTier};
     use crate::guided::guided_align;
 
-    let scoring = |(a, b): (i32, i32)| Scoring::new(a, b, 0, 1, Scoring::NO_ZDROP, 24);
-    let sum = |(a, b): (i32, i32)| gate_sum(a.into(), b.into(), 0, 1, B as i64);
+    let scoring = |(a, b, o): GateCase| Scoring::new(a, b, o, 1, Scoring::NO_ZDROP, 24);
+    let sum = |(a, b, o): GateCase| gate_sum(a.into(), b.into(), o.into(), 1, B as i64);
     assert_eq!((sum(inside), sum(at), sum(past)), (8191, 8192, 8193));
 
     // The gate no longer looks at the task: a 40 bp and a 40 kb pair resolve
@@ -491,8 +500,8 @@ fn gate_boundary_battery<const B: usize>(inside: (i32, i32), at: (i32, i32), pas
 
 #[test]
 fn i16_gate_boundary_is_exact() {
-    // B = 8: span + drift = 16(a + b + 1) + 15a = 31a + 16(b + 1).
-    gate_boundary_battery::<BLOCK>((257, 13), (256, 15), (255, 17));
+    // B = 8: span + drift = 49(a + b + o + 1) + 32·max(a, b).
+    gate_boundary_battery::<BLOCK>((86, 24, 0), (60, 60, 7), (83, 29, 0));
 }
 
 #[test]
@@ -566,8 +575,10 @@ fn saturation_probe<const B: usize>() {
     for (name, fill) in i16_lanes::<B>() {
         let mut cells_n = BlockCellsT::<i16, B>::new();
         let (mut wh, mut we, mut nh, mut nf) = (west_h, west_e, north_h, north_f);
-        let io = BlockIo {
-            rcodes: &rcodes,
+        let io = SegmentIo {
+            i0: origin,
+            j0: origin,
+            rcodes: &lane_codes(&rcodes),
             qcodes: &qcodes,
             corner,
             west_h: &mut wh,
@@ -575,11 +586,12 @@ fn saturation_probe<const B: usize>() {
             north_h: &mut nh,
             north_f: &mut nf,
             cells: &mut cells_n,
+            tracker: None,
         };
-        fill(&ctx, origin, origin, io);
+        fill(&ctx, io);
         assert_eq!(cells_n.base, corner, "{name}: the base is the largest boundary H");
         let mut saw_rail = false;
-        for d in 0..block_diags(B) {
+        for d in 0..2 * B - 1 {
             for l in 0..B {
                 if cells_n.mask[d] & (1 << l) != 0 {
                     let h = cells_n.h[d][l];
@@ -606,10 +618,20 @@ fn saturation_probe<const B: usize>() {
         let result = std::panic::catch_unwind(|| {
             let mut cells = BlockCellsT::<i16, B>::new();
             let (mut wh, mut we, mut nh, mut nf) = (west_h, west_e, north_h, north_f);
-            fill_wavefront_i16(
-                &ctx, origin, origin, &rcodes, &qcodes, corner, &mut wh, &mut we, &mut nh, &mut nf,
-                &mut cells,
-            );
+            let io = SegmentIo {
+                i0: origin,
+                j0: origin,
+                rcodes: &lane_codes(&rcodes),
+                qcodes: &qcodes,
+                corner,
+                west_h: &mut wh,
+                west_e: &mut we,
+                north_h: &mut nh,
+                north_f: &mut nf,
+                cells: &mut cells,
+                tracker: None,
+            };
+            segment_wavefront_i16(&ctx, io);
         });
         assert!(result.is_err(), "range sentinel must trip on a saturated block");
     }
@@ -797,15 +819,16 @@ fn fold_sweep_case<const B: usize>(
     let mut feed = |cells16: &BlockCellsT<i16, B>, cells32: &BlockCellsT<i32, B>, last: bool| {
         let (i0, j0) = (cells16.i0(), cells16.j0());
         let c0 = i0 as usize + j0 as usize;
-        let live = (0..block_diags(B)).filter(|&d| cells16.mask[d] != 0);
+        let live = (0..STAGE_ROWS).filter(|&d| cells16.mask[d] != 0);
         let skipped = live.clone().filter(|d| c0 + d < per_cell.frontier()).count();
         let merged = live.count() - skipped;
-        for d in 0..block_diags(B) {
+        for d in 0..STAGE_ROWS {
             assert_eq!(cells16.mask[d], cells32.mask[d], "{what}: staged masks");
             for l in (0..B).filter(|l| cells16.mask[d] & (1 << l) != 0) {
                 let h = i32::from(cells16.h[d][l]) + cells16.base;
                 assert_eq!(h, cells32.h[d][l], "{what}: the tiers stage one score");
-                per_cell.on_cell(i0 + l as i32, j0 + (d - l) as i32, h);
+                let i = cells16.lane0() + (d + l) as i32;
+                per_cell.on_cell(i, j0 + (B - 1 - l) as i32, h);
             }
         }
         per_block.on_block(cells32);
@@ -908,57 +931,267 @@ fn avx512_gate_boundary_is_exact_at_wide_geometry() {
     // this host supports in turn (so the mask-register lanes are pinned
     // wherever they exist, and every other host still exercises its own
     // widest arm — the contract is identical).
-    // B = 16: span + drift = 32(a + b + 1) + 31a = 63a + 32(b + 1).
-    gate_boundary_battery::<MAX_BLOCK>((129, 1), (128, 3), (127, 5));
+    // B = 16: span + drift = 65(a + b + 1) + 32a = 97a + 65(b + 1).
+    gate_boundary_battery::<MAX_BLOCK>((63, 31, 0), (61, 34, 0), (59, 37, 0));
 }
 
-/// The AVX-512 mask ladder at its own feature level.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512bw,avx512vl")]
-fn avx512_edge_masks(lanes: Avx512I16, ctx: &BlockCtx<'_>, i0: i64, j0: i64) -> DiagMasks {
-    lanes.edge_masks(ctx, i0, j0)
+/// The masks [`fill_segment`] stages for the window at step `t0` of the strip
+/// of `cols` columns from `(i0, j0)`, against per-cell validity.
+fn check_window_masks<const B: usize>(
+    ctx: &BlockCtx<'_>,
+    i0: i64,
+    cols: usize,
+    j0: i64,
+    t0: usize,
+) {
+    let lanes = ctx.strip_lanes(i0, cols, j0, t0);
+    let (full_from, full_to) = ctx.full_steps(i0, cols, j0);
+    for d in 0..STAGE_ROWS {
+        let t = (t0 + d) as i64;
+        let mut want = 0u16;
+        for l in 0..B as i64 {
+            let (i, j) = (i0 - (B as i64 - 1) + t + l, j0 + B as i64 - 1 - l);
+            if (i0..i0 + cols as i64).contains(&i) && ctx.valid(i, j) {
+                want |= 1 << l;
+            }
+        }
+        let what = format!("{}×{} w={} strip ({i0},{j0}) × {cols} step {t}", ctx.n, ctx.m, ctx.w);
+        assert_eq!(lanes.mask(d as i32), want, "{what}");
+        assert_eq!(ctx.strip_lanes(i0, cols, j0, t0 + d).mask(0), want, "{what}: rebuilt there");
+        let full = want == ((1u32 << B) - 1) as u16;
+        assert_eq!((full_from..full_to).contains(&(t0 + d)), full, "{what}: full steps");
+    }
 }
 
 #[test]
 fn edge_masks_equal_lane_mask() {
-    // Every `edge_masks` impl against the per-diagonal `lane_mask` it
-    // replaces, as a test of its own: the vector ladder's `debug_assert` is
-    // compiled out of release builds. The sweep covers the ±64 clamp regime
-    // the ladder relies on — lengths at `MAX_SEQ_LEN`, origins far off the
-    // main diagonal, degenerate and huge bands, the last partial block.
-    let sc = Scoring::figure1();
-    let big = crate::MAX_SEQ_LEN;
-    let b = MAX_BLOCK as i64;
-    let mut checked = 0u32;
-    for (n, m) in [(40, 33), (33, 40), (big, big), (big, 17), (17, big), (big - 5, big - 3)] {
-        let (last_i, last_j) = ((n as i64 - 1) / b * b, (m as i64 - 1) / b * b);
-        let origins = |last: i64| [0, b, 4 * b, 5 * b, last / 2 / b * b, last - b, last];
-        for w in [0, 1, 2, 3, 15, 16, 17, 63, 64, 65, 1 << 30, (n + m) as i64] {
-            let mut ctx = BlockCtx::with_block_dim(n, m, &sc, MAX_BLOCK);
-            ctx.w = w;
-            for i0 in origins(last_i) {
-                for j0 in origins(last_j) {
-                    if !(0..n as i64).contains(&i0) || !(0..m as i64).contains(&j0) {
-                        continue;
+    // The clamped window masks of the strip against per-cell validity, as a
+    // test of their own: they decide what every staged row holds. The sweep
+    // covers the clamp regime the i32 bounds rely on — lengths at
+    // `MAX_SEQ_LEN`, origins far off the main diagonal, degenerate and huge
+    // bands, the last partial block, windows deep into a long segment.
+    fn sweep<const B: usize>() -> u32 {
+        let sc = Scoring::figure1();
+        let big = crate::MAX_SEQ_LEN;
+        let b = B as i64;
+        let mut checked = 0u32;
+        for (n, m) in [(40, 33), (33, 40), (big, big), (big, 17), (17, big), (big - 5, big - 3)] {
+            let (last_i, last_j) = ((n as i64 - 1) / b * b, (m as i64 - 1) / b * b);
+            let origins = |last: i64| [0, b, 4 * b, 5 * b, last / 2 / b * b, last - b, last];
+            for w in [0, 1, 2, 3, 15, 16, 17, 63, 64, 65, 1 << 30, (n + m) as i64] {
+                let mut ctx = BlockCtx::with_block_dim(n, m, &sc, B);
+                ctx.w = w;
+                for i0 in origins(last_i) {
+                    for j0 in origins(last_j) {
+                        if !(0..n as i64).contains(&i0) || !(0..m as i64).contains(&j0) {
+                            continue;
+                        }
+                        for blocks in [1, 3, 9] {
+                            let cols = (blocks * B).min((last_i - i0) as usize + B);
+                            for t0 in (0..cols + B - 1).step_by(STAGE_ROWS) {
+                                check_window_masks::<B>(&ctx, i0, cols, j0, t0);
+                                checked += 1;
+                            }
+                        }
                     }
-                    let mut want: DiagMasks = [0; MAX_BLOCK_DIAGS + 1];
-                    for (d, m) in want.iter_mut().enumerate().take(MAX_BLOCK_DIAGS) {
-                        *m = lane_mask(&ctx, i0, j0, d);
-                    }
-                    let portable = Lanes::<MAX_BLOCK>::edge_masks(Portable, &ctx, i0, j0);
-                    assert_eq!(portable, want, "default masks, {n}×{m} w={w} block ({i0},{j0})");
-                    #[cfg(target_arch = "x86_64")]
-                    if let Some(level) = x86::Avx512::detect() {
-                        // SAFETY: `level` proves AVX-512BW/VL.
-                        let ladder = unsafe { avx512_edge_masks(Avx512I16(level), &ctx, i0, j0) };
-                        assert_eq!(ladder, want, "ladder, {n}×{m} w={w} block ({i0},{j0})");
-                    }
-                    checked += 1;
                 }
             }
         }
+        checked
     }
-    assert!(checked > 1000, "sweep shrank to {checked} blocks");
+    let checked = sweep::<BLOCK>() + sweep::<MAX_BLOCK>();
+    assert!(checked > 4000, "sweep shrank to {checked} windows");
+}
+
+/// `shift_in` and `store_low` of the lanes `L` against the portable lanes'
+/// on random vectors.
+fn check_strip_moves<L: Lanes<B>, const B: usize>(lanes: L, name: &str) {
+    let mut rng = Rng(0x5B1F7 + B as u64);
+    let mut random = || -> [i16; B] { [0; B].map(|_| rng.next() as i16) };
+    for _ in 0..64 {
+        let (v, next) = (random(), random());
+        let (mut got, mut want) = ([0i16; B], [0i16; B]);
+        lanes.store(&mut got, lanes.shift_in(lanes.load(&v), &next));
+        Portable.store(&mut want, Portable.shift_in(v, &next));
+        assert_eq!(got, want, "{name}: shift_in of {v:?} with {next:?}");
+        // One query row down: every lane takes its upper neighbour's value
+        // and only `next[0]` enters.
+        assert_eq!((&want[..B - 1], want[B - 1]), (&v[1..], next[0]));
+        let mut low = [0i16; 2];
+        lanes.store_low(&mut low, lanes.load(&v));
+        assert_eq!(low, [v[0], v[1]], "{name}: store_low");
+    }
+}
+
+#[test]
+fn strip_moves_match_the_portable_lanes() {
+    // The re-directed shift on every x86 impl — the ymm carry build
+    // (`permute2x128` + `alignr`) is the part that is easy to get wrong
+    // across the 128-bit halves — and the two-lane store the south boundary
+    // leaves through.
+    check_strip_moves::<_, BLOCK>(Portable, "portable");
+    check_strip_moves::<_, MAX_BLOCK>(Portable, "portable");
+    #[cfg(target_arch = "x86_64")]
+    {
+        if let Some(t) = x86::Sse41::detect() {
+            check_strip_moves(Sse41I16(t), "sse41");
+        }
+        if let Some(t) = x86::Avx2::detect() {
+            check_strip_moves(Avx2I16(t), "avx2");
+        }
+        if let Some(t) = x86::Avx512::detect() {
+            check_strip_moves(Avx512I16(t), "avx512");
+        }
+    }
+}
+
+/// One block of a `B × 2B` table of `1`s with `peaks` raised to `9`, staged
+/// by hand at `(0, j0)` on both tiers (the i16 one on a base of its own).
+fn staged_peaks<const B: usize>(
+    j0: usize,
+    peaks: &[(usize, usize)],
+) -> (BlockCellsT<i16, B>, BlockCellsT<i32, B>) {
+    let (mut cells16, mut cells32) = (BlockCellsT::<i16, B>::new(), BlockCellsT::<i32, B>::new());
+    cells16.set_origin(0, j0 as i64);
+    cells32.set_origin(0, j0 as i64);
+    cells16.base = 1_000;
+    for i in 0..B {
+        for k in 0..B {
+            let h = if peaks.contains(&(i, j0 + k)) { 9 } else { 1 };
+            let (d, l) = (i + k, B - 1 - k);
+            cells32.h[d][l] = h;
+            cells16.h[d][l] = (h - cells16.base) as i16;
+            cells32.mask[d] |= 1 << l;
+        }
+    }
+    cells16.mask = cells32.mask;
+    (cells16, cells32)
+}
+
+/// Equal maxima on one anti-diagonal resolve to the smallest `i` through
+/// every fold, whatever rows and strips they sit in.
+fn tie_case<const B: usize>(peaks: &[(usize, usize)]) {
+    let sc = Scoring::new(2, 4, 4, 2, Scoring::NO_ZDROP, Scoring::NO_BAND);
+    let blocks = [staged_peaks::<B>(0, peaks), staged_peaks::<B>(B, peaks)];
+    let mut per_cell = DiagTracker::new(B, 2 * B, &sc);
+    let mut per_block = per_cell.clone();
+    let folds = i16_folds::<B>();
+    let mut folded = vec![per_cell.clone(); folds.len()];
+    // Strips in both orders: the carried maximum must lose a tie to a
+    // smaller `i` arriving later, and keep it against a larger one.
+    for order in [[0, 1], [1, 0]] {
+        for (cells16, cells32) in order.map(|k| &blocks[k]) {
+            let j0 = cells32.j0();
+            for (i, j) in (0..B as i32).flat_map(|i| (j0..j0 + B as i32).map(move |j| (i, j))) {
+                let peak = peaks.contains(&(i as usize, j as usize));
+                per_cell.on_cell(i, j, if peak { 9 } else { 1 });
+            }
+            per_block.on_block(cells32);
+            assert_eq!(per_block, per_cell, "on_block, strip at {j0}");
+            for ((name, fold), tracker) in folds.iter().zip(&mut folded) {
+                fold(tracker, cells16);
+                assert_eq!(*tracker, per_cell, "{name}, strip at {j0}");
+            }
+        }
+        let want = peaks.iter().min().expect("a peak");
+        let got = per_cell.take_result().max;
+        assert_eq!((got.score, got.i as usize, got.j as usize), (9, want.0, want.1), "{peaks:?}");
+        assert_eq!(per_block.take_result().max, got);
+        for tracker in &mut folded {
+            assert_eq!(tracker.take_result().max, got);
+            tracker.reset(B, 2 * B, &sc);
+        }
+        per_cell.reset(B, 2 * B, &sc);
+        per_block.reset(B, 2 * B, &sc);
+    }
+}
+
+#[test]
+fn ties_resolve_to_the_smallest_i() {
+    fn both(peaks: impl Fn(usize) -> Vec<(usize, usize)>) {
+        tie_case::<BLOCK>(&peaks(BLOCK));
+        tie_case::<MAX_BLOCK>(&peaks(MAX_BLOCK));
+    }
+    // Two rows of one strip, on anti-diagonal b: lanes 3 and 5 of a row.
+    both(|b| vec![(3, b - 3), (5, b - 5)]);
+    both(|b| vec![(b - 1, 1), (1, b - 1)]);
+    // Across the two strips: the second strip's cell has the smaller `i`.
+    both(|b| vec![(3, b - 3), (5, b - 5), (0, b)]);
+    both(|b| vec![(b - 1, 2), (1, b)]);
+}
+
+/// The whole grid swept row by row in segments of `k` blocks (`None`: whole
+/// rows) as `backend`: the tracker, decided, and the north rows left behind.
+fn swept_in_segments<const B: usize>(
+    ctx: BlockCtx<'_>,
+    (r, q): (&PackedSeq, &PackedSeq),
+    k: Option<i64>,
+) -> (DiagTracker, crate::sweep::NorthRows) {
+    use crate::sweep::{NorthRows, RowCarry, Sweep};
+    let mut tracker = DiagTracker::new(r.len(), q.len(), ctx.scoring);
+    let mut rows = NorthRows::default();
+    let tier = crate::block::FillTier::I16;
+    let mut sweep = Sweep::<B>::new(ctx, tier, r, q, &mut rows, Some(&mut tracker));
+    for bj in 0..ctx.query_blocks() {
+        let Some((lo, hi)) = ctx.row_block_range(bj) else { continue };
+        let mut carry = RowCarry::fresh();
+        let mut from = lo;
+        while from <= hi {
+            let to = k.map_or(hi, |k| (from + k - 1).min(hi));
+            sweep.segment(&mut carry, bj, from, to);
+            from = to + 1;
+        }
+        if sweep.advance().is_some() {
+            break;
+        }
+    }
+    (tracker, rows)
+}
+
+#[test]
+fn segment_length_changes_nothing() {
+    // A row cut into segments of 1, 2, 3 or 8 blocks or swept whole leaves
+    // the same tracker and the same north rows, on every backend: ramps,
+    // window boundaries and re-centrings move with the cuts, values do not.
+    use crate::profile::QueryProfile;
+    use crate::scoring::BLOSUM62;
+    fn check<const B: usize>(ctx: BlockCtx<'_>, pair: (&PackedSeq, &PackedSeq)) {
+        let want = swept_in_segments::<B>(ctx, pair, None);
+        for backend in supported_backends() {
+            let ctx = ctx.with_backend(BackendChoice::Fixed(backend));
+            for k in [None, Some(1), Some(2), Some(3), Some(8)] {
+                let got = swept_in_segments::<B>(ctx, pair, k);
+                let what = format!("B={B} w={} {} k={k:?}", ctx.w, backend.name());
+                assert_eq!(got.0, want.0, "{what}: tracker");
+                assert!(got.1 == want.1, "{what}: north rows");
+            }
+        }
+    }
+    let mut rng = Rng(0x5E65);
+    let (n, m) = if cfg!(miri) { (70, 45) } else { (300, 210) };
+    let rcodes: Vec<u8> = (0..n).map(|_| rng.code()).collect();
+    let qcodes: Vec<u8> =
+        (0..m).map(|k| if rng.next().is_multiple_of(7) { rng.code() } else { rcodes[k] }).collect();
+    let dna = (PackedSeq::from_codes(&rcodes), PackedSeq::from_codes(&qcodes));
+    let spread = |codes: &[u8]| -> Vec<u8> {
+        codes.iter().enumerate().map(|(k, &c)| c * 4 + (k % 5) as u8).collect()
+    };
+    let protein = (
+        PackedSeq::from_protein_codes(&spread(&rcodes), &BLOSUM62),
+        PackedSeq::from_protein_codes(&spread(&qcodes), &BLOSUM62),
+    );
+    let mut profile = QueryProfile::new();
+    for w in [40, Scoring::NO_BAND] {
+        let fixed = Scoring::new(2, 4, 4, 2, 60, w);
+        let matrix = Scoring::preset_blosum62().with_zdrop(Scoring::NO_ZDROP).with_band(w);
+        profile.prepare(&protein.1, &matrix);
+        let cases = [(&fixed, &dna, None), (&matrix, &protein, Some(&profile))];
+        for (sc, (r, q), profile) in cases {
+            let ctx = |b| BlockCtx::with_block_dim(n, m, sc, b).with_profile(profile);
+            check::<BLOCK>(ctx(BLOCK), (r, q));
+            check::<MAX_BLOCK>(ctx(MAX_BLOCK), (r, q));
+        }
+    }
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! x86-64 feature-level tokens, lane impls and the `#[target_feature]`
-//! wrappers that instantiate [`fill_block`] and the tracker fold at each
+//! wrappers that instantiate [`fill_segment`] and the tracker fold at each
 //! level. An impl is a table of which instruction performs each [`Lanes`]
 //! primitive; everything that differs between backends lives here and nothing
 //! else does — including every `unsafe` below the dispatch arms (see the
@@ -7,12 +7,11 @@
 //! level, a lane impl holds one, so inside a lane method "`self` exists" is
 //! the whole safety argument.
 
-use super::fill::{fill_block, BlockIo};
-use super::lane_mask;
-use super::lanes::{DiagMasks, Lanes};
+use super::fill::{fill_segment, SegmentIo};
+use super::lanes::Lanes;
 use crate::block::{BlockCellsT, BlockCtx};
 use crate::diag::DiagTracker;
-use crate::{BLOCK, MAX_BLOCK, MAX_BLOCK_DIAGS};
+use crate::{BLOCK, MAX_BLOCK};
 use std::arch::is_x86_feature_detected;
 #[allow(clippy::wildcard_imports)]
 use std::arch::x86_64::*;
@@ -57,25 +56,25 @@ impl<const RANK: u8> Level<RANK> {
     }
 }
 
-/// The one fill body and the one tracker-fold body compiled at a feature
-/// level, as the `$fill` / `$fold` pair dispatch enters them through. Safe
-/// functions: `_level` proves what `#[target_feature]` assumes, and `L`
-/// proves its own instructions — the `unsafe` is at the call, where the
-/// compiler asks for the level and the caller shows the token.
+/// The one segment body (fill, and fold of every staged window) and the one
+/// tracker-fold body compiled at a feature level, as the `$segment` / `$fold`
+/// pair dispatch enters them through — once per segment, once per block
+/// folded on its own. Safe functions: `_level` proves what
+/// `#[target_feature]` assumes, and `L` proves its own instructions — the
+/// `unsafe` is at the call, where the compiler asks for the level and the
+/// caller shows the token.
 macro_rules! feature_level {
-    ($features:literal, $token:ident, $fill:ident, $fold:ident, $(#[$doc:meta])+) => {
-        /// [`fill_block`] at this level:
+    ($features:literal, $token:ident, $segment:ident, $fold:ident, $(#[$doc:meta])+) => {
+        /// [`fill_segment`] at this level:
         $(#[$doc])+
         #[target_feature(enable = $features)]
-        pub(super) fn $fill<L: Lanes<N>, const N: usize>(
+        pub(super) fn $segment<L: Lanes<N>, const N: usize>(
             _level: $token,
             lanes: L,
             ctx: &BlockCtx<'_>,
-            i0: i64,
-            j0: i64,
-            io: BlockIo<'_, N>,
+            io: SegmentIo<'_, N>,
         ) {
-            fill_block(lanes, ctx, i0, j0, io);
+            fill_segment(lanes, ctx, io);
         }
 
         /// [`DiagTracker::fold_block`] at this level:
@@ -93,13 +92,13 @@ macro_rules! feature_level {
 }
 
 feature_level! {
-    "sse4.1", Sse41, fill_sse41, fold_sse41,
+    "sse4.1", Sse41, segment_sse41, fold_sse41,
     /// SSE4.1 codegen — the minimum level the 8×i16 lanes and `phminposuw`
     /// need, serving pre-AVX2 x86-64 at full vector speed.
 }
 
 feature_level! {
-    "avx2", Avx2, fill_avx2, fold_avx2,
+    "avx2", Avx2, segment_avx2, fold_avx2,
     /// AVX2 codegen. For the 128-bit [`Sse41I16`] lanes this is the same
     /// algorithm with VEX 3-operand encodings, which save the register-move
     /// traffic the legacy SSE destructive forms pay (measurably faster on
@@ -107,7 +106,7 @@ feature_level! {
 }
 
 feature_level! {
-    "avx512bw,avx512vl", Avx512, fill_avx512, fold_avx512,
+    "avx512bw,avx512vl", Avx512, segment_avx512, fold_avx512,
     /// AVX-512BW/VL codegen.
 }
 
@@ -146,7 +145,7 @@ const LANE_BIT: [i16; MAX_BLOCK] =
     [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, i16::MIN];
 
 /// 8×i16 in an xmm (B=8). Every instruction is SSE4.1 or older;
-/// AVX2-or-wider hosts run it VEX-encoded through [`fill_avx2`] (the 8-lane
+/// AVX2-or-wider hosts run it VEX-encoded through [`segment_avx2`] (the 8-lane
 /// vector leaves wider registers nothing to fuse).
 #[derive(Clone, Copy)]
 pub(crate) struct Sse41I16(pub Sse41);
@@ -180,9 +179,14 @@ impl Lanes<BLOCK> for Sse41I16 {
             // Writes the 16 bytes of `dst`.
             _mm_storeu_si128(dst.as_mut_ptr().cast(), v);
         }
-        /// One `palignr` — a short loop-carried dependency.
-        fn shift_in(self, v: __m128i, boundary: i16) -> __m128i {
-            _mm_alignr_epi8(v, _mm_set1_epi16(boundary), 14)
+        fn store_low(self, dst: &mut [i16; 2], v: __m128i) {
+            // Writes the 4 bytes of `dst`.
+            _mm_storeu_si32(dst.as_mut_ptr().cast(), v);
+        }
+        /// One `palignr` — a short loop-carried dependency — with the load
+        /// of `next` as its memory operand.
+        fn shift_in(self, v: __m128i, next: &[i16; BLOCK]) -> __m128i {
+            _mm_alignr_epi8(self.load(next), v, 2)
         }
         fn mask_from_bits(self, bits: u16) -> __m128i {
             let lane_bit = self.load(LANE_BIT.first_chunk().expect("8 of 16"));
@@ -233,21 +237,25 @@ macro_rules! ymm_i16_lanes {
                 // Writes the 32 bytes of `dst`.
                 _mm256_storeu_si256(dst.as_mut_ptr().cast(), v);
             }
+            fn store_low(self, dst: &mut [i16; 2], v: __m256i) {
+                // Writes the 4 bytes of `dst`.
+                _mm_storeu_si32(dst.as_mut_ptr().cast(), _mm256_castsi256_si128(v));
+            }
             /// `_mm256_alignr_epi8` concatenates per 128-bit half, so the
-            /// carry operand must hold — in byte position 14..16 of each half
-            /// — the value entering that half's lane 0: `boundary` for the
-            /// low half, `v`'s lane 7 for the high half.
-            /// `permute2x128(set1(boundary), v, 0x20)` builds exactly that:
-            /// `[set1(boundary)_lo | v_lo]`.
+            /// carry operand must hold — in byte position 0..2 of each half —
+            /// the value entering that half's top lane: `v`'s lane 8 for the
+            /// low half, `next[0]` for the high half.
+            /// `permute2x128(v, next, 0x21)` builds exactly that, `[v_hi |
+            /// next_lo]`, with the load of `next` as its memory operand.
             ///
             /// AVX-512 keeps this sequence rather than a cross-lane `vpermw`:
-            /// the shift sits on the loop-carried chain, and here the
-            /// boundary broadcast folds into the carry build off-chain,
-            /// whereas `vpermw` plus a lane-0 masked broadcast stacks both on
-            /// it (measurably slower per diagonal on Skylake-X/Ice Lake).
-            fn shift_in(self, v: __m256i, boundary: i16) -> __m256i {
-                let carry = _mm256_permute2x128_si256(_mm256_set1_epi16(boundary), v, 0x20);
-                _mm256_alignr_epi8(v, carry, 14)
+            /// the shift sits on the loop-carried chain, and here the read of
+            /// the entering value folds into the carry build off-chain,
+            /// whereas `vpermw` plus a top-lane masked broadcast stacks both
+            /// on it (measurably slower per step on Skylake-X/Ice Lake).
+            fn shift_in(self, v: __m256i, next: &[i16; MAX_BLOCK]) -> __m256i {
+                let carry = _mm256_permute2x128_si256(v, self.load(next), 0x21);
+                _mm256_alignr_epi8(carry, v, 2)
             }
         }
     };
@@ -289,8 +297,7 @@ impl Lanes<MAX_BLOCK> for Avx2I16 {
 }
 
 /// 16×i16 in a ymm with `__mmask16` predicates (B=16 on AVX-512BW/VL): the
-/// staged mask word *is* the mask operand, so no mask vector is ever built,
-/// and the north pre-seed is one masked broadcast.
+/// staged mask word *is* the mask operand, so no mask vector is ever built.
 #[derive(Clone, Copy)]
 pub(crate) struct Avx512I16(pub Avx512);
 
@@ -316,72 +323,6 @@ impl Lanes<MAX_BLOCK> for Avx512I16 {
             let off = _mm512_sub_epi32(_mm512_loadu_epi32(src.as_ptr()), _mm512_set1_epi32(base));
             let mut out = [0i16; MAX_BLOCK];
             self.store(&mut out, _mm512_cvtsepi32_epi16(off));
-            out
-        }
-        /// Two finished 16-lane rows are contiguous in the staging buffer,
-        /// i.e. exactly one zmm: the staging traffic runs at 512-bit width
-        /// (the store writes the 64 bytes of `rows`).
-        fn store2(self, rows: &mut [[i16; MAX_BLOCK]; 2], lo: __m256i, hi: __m256i) {
-            let pair = _mm512_inserti64x4::<1>(_mm512_castsi256_si512(lo), hi);
-            _mm512_storeu_epi16(rows.as_mut_ptr().cast(), pair);
-        }
-        /// All `2B−1` masks in two 16-diagonal vector steps instead of 31
-        /// branchy scalar range computations — the dominant per-block
-        /// overhead of edge blocks, and under a short band a large fraction
-        /// of blocks are edge blocks.
-        ///
-        /// [`BlockCtx::lane_range`]'s four lower and four upper bounds are
-        /// all affine in `d`, so 16 diagonals evaluate as one `max`/`min`
-        /// ladder over an i32 lane vector. The i64 geometry terms are
-        /// pre-clamped to `±64` scalars first: every term is only ever
-        /// compared against the in-block range `[0, B−1]`, so any value
-        /// beyond `±64` acts exactly like `±64` (still never/always binding),
-        /// keeping the i32 lanes exact. Empty diagonals (`lo > hi`, including
-        /// everything the clamps pushed out of range) zero their mask through
-        /// the `nonempty` mask-register; `vpsllvd` yields 0 for any shift
-        /// count ≥ 32, so the out-of-range `lo`/`hi` lanes cannot leak bits
-        /// into live ones.
-        fn edge_masks(self, ctx: &BlockCtx<'_>, i0: i64, j0: i64) -> DiagMasks {
-            let off = i0 - j0;
-            let mq = (ctx.m - 1 - j0).min(63) as i32;
-            let ni = (ctx.n - 1 - i0).min(63) as i32;
-            // `lo` band term: ceil((d − w − off) / 2) = (d + (1 − w − off)) >> 1.
-            let t_lo = (1 - ctx.w - off).clamp(-64, 64) as i32;
-            // `hi` band term: floor((d + w − off) / 2) = (d + (w − off)) >> 1.
-            let t_hi = (ctx.w - off).clamp(-64, 64) as i32;
-            let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-            let one = _mm512_set1_epi32(1);
-            let last = _mm512_set1_epi32(MAX_BLOCK as i32 - 1);
-            let mut out: DiagMasks = [0; MAX_BLOCK_DIAGS + 1];
-            for (chunk, out) in out.as_chunks_mut::<16>().0.iter_mut().enumerate() {
-                let d = _mm512_add_epi32(lanes, _mm512_set1_epi32(chunk as i32 * 16));
-                let lo = _mm512_max_epi32(
-                    _mm512_max_epi32(_mm512_setzero_si512(), _mm512_sub_epi32(d, last)),
-                    _mm512_max_epi32(
-                        _mm512_sub_epi32(d, _mm512_set1_epi32(mq)),
-                        _mm512_srai_epi32::<1>(_mm512_add_epi32(d, _mm512_set1_epi32(t_lo))),
-                    ),
-                );
-                let hi = _mm512_min_epi32(
-                    _mm512_min_epi32(last, d),
-                    _mm512_min_epi32(
-                        _mm512_set1_epi32(ni),
-                        _mm512_srai_epi32::<1>(_mm512_add_epi32(d, _mm512_set1_epi32(t_hi))),
-                    ),
-                );
-                let nonempty = _mm512_cmple_epi32_mask(lo, hi);
-                // ((1 << (hi+1)) − (1 << lo)) — the contiguous run lo..=hi.
-                let bits = _mm512_maskz_sub_epi32(
-                    nonempty,
-                    _mm512_sllv_epi32(one, _mm512_add_epi32(hi, one)),
-                    _mm512_sllv_epi32(one, lo),
-                );
-                // Writes the 32 bytes of this chunk's 16 masks.
-                _mm256_storeu_si256(out.as_mut_ptr().cast(), _mm512_cvtepi32_epi16(bits));
-            }
-            for (d, &m) in out.iter().enumerate().take(MAX_BLOCK_DIAGS) {
-                debug_assert_eq!(m, lane_mask(ctx, i0, j0, d), "edge mask diverged at d = {d}");
-            }
             out
         }
     }

@@ -2,29 +2,44 @@
 //! (§2.2), written once.
 //!
 //! A *segment* is a run of consecutive blocks `bi_from..=bi_to` of one
-//! query-block row `bj`, executed west to east: each block takes its west
-//! boundary and corner from the block before it and its north boundary from
-//! the rows stored by the block row above, and leaves its own south boundary
-//! in those rows for the row below. A row may be swept in one segment (the
+//! query-block row `bj`, executed west to east. It takes its west boundary
+//! and corner from the segment before it and its north boundary from the
+//! rows stored by the block row above, and leaves its own south boundary in
+//! those rows for the row below. A row may be swept in one segment (the
 //! row-major schedule) or cut into several at any block (as the device's
 //! §4.2 slices cut it); what survives between two segments of a row —
 //! the west `H`/`E`, the corner, and whether the row has started — is its
 //! [`RowCarry`], so a sweep is resumable at every block.
+//!
+//! On the i16 tier a segment is **one wavefront**
+//! ([`crate::simd::segment_wavefront_i16`]): the `B` lanes are the block
+//! row's query rows and a step is one table anti-diagonal cut to them, so
+//! `k` blocks take `kB + B − 1` vector steps (≥ 95 % full lanes on a band
+//! row) with one ramp, one dispatch and one feature boundary. Per step the
+//! north row's `H`/`F` at the next column enter at the strip's top lane and
+//! the bottom lane's `H`/`F` leave as the south boundary, `B − 1` columns
+//! behind — both through [`NorthRows`], read and overwritten in place; the
+//! west column is seeded into the lanes during the ramp-up and the east
+//! column read out of them after the ramp-down, which is why a segment still
+//! starts and ends on the carry's `i32` column. Staged anti-diagonals fold
+//! into the tracker a fixed window at a time. The scalar tier runs the same
+//! segment block by block.
 //!
 //! [`Sweep::segment`] is the one copy of that loop, and [`Sweep::row_major`]
 //! the one production schedule over it — each row as one segment. The AGAThA
 //! kernel (`agatha_core::kernel`) runs it on its reused workspace,
 //! [`crate::block::block_grid_align_b`] is [`grid_align`] — the same on
 //! buffers of its own — and the benches and tests drive segments rather than
-//! the per-block functions they call.
+//! the per-block functions.
 
-use crate::block::{
-    compute_block_i16, compute_block_mode, corner_read, north_read, west_init, BlockCellsT,
-    BlockCtx, FillMode, FillTier,
-};
+use std::ops::Range;
+
+use crate::block::{compute_block_mode, corner_read, west_init};
+use crate::block::{BlockCellsT, BlockCtx, FillMode, FillTier};
 use crate::diag::DiagTracker;
 use crate::pack::PackedSeq;
 use crate::result::{GuidedResult, StopReason};
+use crate::simd::{segment_wavefront_i16, SegmentIo};
 use crate::{MAX_BLOCK, NEG_INF};
 
 /// What one block row hands from a segment to the next: the west boundary
@@ -53,15 +68,19 @@ impl RowCarry {
     }
 }
 
-/// The south boundary (`H`, `F`) of the block rows swept so far, one slot
-/// per reference position padded to whole blocks: what a block reads as its
-/// north boundary and overwrites with its own south boundary. Grow-only and
-/// geometry-agnostic, so callers keep one across tasks; [`Sweep::new`]
-/// resizes and clears it.
+/// A sweep's per-reference-position state, padded to whole blocks: the
+/// south boundary (`H`, `F`) of the block rows swept so far — what a segment
+/// reads as its north boundary and overwrites with its own south boundary —
+/// and the reference's residue codes as the wavefront's lanes read them.
+/// Grow-only and geometry-agnostic, so callers keep one across tasks;
+/// [`Sweep::new`] resizes and refills it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NorthRows {
     h: Vec<i32>,
     f: Vec<i32>,
+    /// `B − 1` slots, the padded reference, `B − 1` slots: a strip's lanes
+    /// slide over one window of it per step, ramps included.
+    rcodes: Vec<i16>,
 }
 
 impl NorthRows {
@@ -76,10 +95,10 @@ impl NorthRows {
 /// tier was resolved.
 #[derive(Debug)]
 enum Staging<const B: usize> {
-    /// [`FillTier::I16`]: filled by [`compute_block_i16`].
+    /// [`FillTier::I16`]: one window of a segment's wavefront at a time.
     I16(BlockCellsT<i16, B>),
     /// [`FillTier::Scalar`]: filled by [`compute_block_mode`], the scalar
-    /// reference.
+    /// reference, block by block.
     Scalar(BlockCellsT<i32, B>),
 }
 
@@ -87,11 +106,31 @@ enum Staging<const B: usize> {
 #[derive(Debug)]
 pub struct Sweep<'a, const B: usize> {
     ctx: BlockCtx<'a>,
-    reference: &'a PackedSeq,
     query: &'a PackedSeq,
     rows: &'a mut NorthRows,
     tracker: Option<&'a mut DiagTracker>,
     staging: Staging<B>,
+}
+
+/// Turn the stored rows over `span` into the north boundary of the block row
+/// at `j0`, in place: the DP border when `j0 == 0`, otherwise what the row
+/// above stored wherever `(i, j0−1)` is a cell of the band and the table —
+/// the rest of `span` holds older rows' leftovers and reads as `-∞`.
+fn north_in_place(ctx: &BlockCtx<'_>, j0: i64, span: Range<usize>, h: &mut [i32], f: &mut [i32]) {
+    if j0 == 0 {
+        for i in span.clone() {
+            h[i] = ctx.scoring.border(i as i32);
+        }
+        f[span].fill(NEG_INF);
+        return;
+    }
+    let inside = |i: i64| i.clamp(span.start as i64, span.end as i64) as usize;
+    let from = inside(j0 - 1 - ctx.w);
+    let to = inside((j0 + ctx.w).min(ctx.n)).max(from);
+    for row in [h, f] {
+        row[span.start..from].fill(NEG_INF);
+        row[to..span.end].fill(NEG_INF);
+    }
 }
 
 impl<'a, const B: usize> Sweep<'a, B> {
@@ -116,88 +155,102 @@ impl<'a, const B: usize> Sweep<'a, B> {
             row.clear();
             row.resize(padded_n, NEG_INF);
         }
+        rows.rcodes.clear();
+        rows.rcodes.resize(B - 1, 0);
+        rows.rcodes.extend(reference.codes().map(i16::from));
+        rows.rcodes.resize(padded_n + 2 * (B - 1), i16::from(reference.pad()));
         let staging = match tier {
-            FillTier::I16 => Staging::I16(BlockCellsT::new()),
+            FillTier::I16 => {
+                assert!(
+                    ctx.i16_exact,
+                    "i16 sweep opened without the i16 exactness gate; \
+                     use BlockCtx::fill_tier to resolve the tier"
+                );
+                Staging::I16(BlockCellsT::new())
+            }
             // `I32` is a shell `BlockCtx::fill_tier` never produces.
             FillTier::Scalar | FillTier::I32 => Staging::Scalar(BlockCellsT::new()),
         };
-        Sweep { ctx, reference, query, rows, tracker, staging }
+        Sweep { ctx, query, rows, tracker, staging }
     }
 
     /// Execute blocks `bi_from..=bi_to` of query-block row `bj`, resuming
     /// from `carry` (and leaving it ready for the row's next segment): stage
-    /// each block's cells, fold them into the tracker, store its south
+    /// the segment's cells, fold them into the tracker, store its south
     /// boundary. Returns the blocks executed.
     pub fn segment(&mut self, carry: &mut RowCarry, bj: i64, bi_from: i64, bi_to: i64) -> u64 {
+        if bi_from > bi_to {
+            return 0;
+        }
         let ctx = &self.ctx;
-        let b = B as i64;
-        let j0 = bj * b;
-        let NorthRows { h: row_h, f: row_f } = &mut *self.rows;
-        let (mut rblock, mut qblock) = ([0u8; B], [0u8; B]);
+        let (i0, j0) = (bi_from * B as i64, bj * B as i64);
+        let span = i0 as usize..(bi_to + 1) as usize * B;
+        let NorthRows { h: row_h, f: row_f, rcodes } = &mut *self.rows;
+        let mut qblock = [0u8; B];
         self.query.unpack_block(j0 as usize, &mut qblock);
         if !carry.started {
-            let (wh, we) = west_init::<B>(ctx, bi_from * b, j0);
+            let (wh, we) = west_init::<B>(ctx, i0, j0);
             carry.west_h[..B].copy_from_slice(&wh);
             carry.west_e[..B].copy_from_slice(&we);
-            carry.corner = corner_read(ctx, bi_from * b, j0, row_h);
+            carry.corner = corner_read(ctx, i0, j0, row_h);
             carry.started = true;
         }
         let lanes = "a carry holds the widest geometry's lanes";
         let west_h: &mut [i32; B] = (&mut carry.west_h[..B]).try_into().expect(lanes);
         let west_e: &mut [i32; B] = (&mut carry.west_e[..B]).try_into().expect(lanes);
-        let mut blocks = 0u64;
-        for bi in bi_from..=bi_to {
-            let i0 = bi * b;
-            self.reference.unpack_block(i0 as usize, &mut rblock);
-            let (mut nh, mut nf) = north_read::<B>(ctx, i0, j0, row_h, row_f);
-            // The corner of the *next* block, read before the fill turns the
-            // north boundary into this block's south boundary.
-            let next_corner = nh[B - 1];
-            match &mut self.staging {
-                Staging::I16(cells) => {
-                    compute_block_i16(
-                        ctx,
-                        i0,
-                        j0,
-                        &rblock,
-                        &qblock,
-                        carry.corner,
-                        west_h,
-                        west_e,
-                        &mut nh,
-                        &mut nf,
-                        cells,
-                    );
-                    if let Some(tracker) = self.tracker.as_deref_mut() {
-                        tracker.on_block_i16(cells);
-                    }
-                }
-                Staging::Scalar(cells) => {
+        north_in_place(ctx, j0, span.clone(), row_h, row_f);
+        // The corner of the row's *next* segment, read before the fill turns
+        // the north boundary into this segment's south boundary.
+        let next_corner = row_h[span.end - 1];
+        // Lane codes from `B − 1` columns before the segment to as many after.
+        let rcodes = &rcodes[span.start..span.end + 2 * (B - 1)];
+        let (north_h, north_f) = (&mut row_h[span.clone()], &mut row_f[span]);
+        match &mut self.staging {
+            Staging::I16(cells) => segment_wavefront_i16(
+                ctx,
+                SegmentIo {
+                    i0,
+                    j0,
+                    rcodes,
+                    qcodes: &qblock,
+                    corner: carry.corner,
+                    west_h,
+                    west_e,
+                    north_h,
+                    north_f,
+                    cells,
+                    tracker: self.tracker.as_deref_mut(),
+                },
+            ),
+            Staging::Scalar(cells) => {
+                let mut corner = carry.corner;
+                let blocks = north_h.as_chunks_mut::<B>().0.iter_mut();
+                for (k, (nh, nf)) in blocks.zip(north_f.as_chunks_mut::<B>().0).enumerate() {
+                    let rblock = std::array::from_fn(|l| rcodes[B - 1 + k * B + l] as u8);
+                    let next = nh[B - 1];
                     compute_block_mode(
                         FillMode::Scalar,
                         ctx,
-                        i0,
+                        i0 + (k * B) as i64,
                         j0,
                         &rblock,
                         &qblock,
-                        carry.corner,
+                        corner,
                         west_h,
                         west_e,
-                        &mut nh,
-                        &mut nf,
+                        nh,
+                        nf,
                         cells,
                     );
                     if let Some(tracker) = self.tracker.as_deref_mut() {
                         tracker.on_block(cells);
                     }
+                    corner = next;
                 }
             }
-            row_h[i0 as usize..i0 as usize + B].copy_from_slice(&nh);
-            row_f[i0 as usize..i0 as usize + B].copy_from_slice(&nf);
-            carry.corner = next_corner;
-            blocks += 1;
         }
-        blocks
+        carry.corner = next_corner;
+        (bi_to - bi_from + 1) as u64
     }
 
     /// The row-major schedule: every block row as one segment with a fresh
@@ -312,6 +365,97 @@ mod tests {
             }
         }
         want.stop
+    }
+
+    /// One long task on every supported backend at geometry `B`: the i16
+    /// sweep's result and the north rows it leaves are the scalar tier's, and
+    /// — when `long_rows` — the last block row alone spreads further than an
+    /// i16 lane reaches from one base.
+    fn check_long_rows<const B: usize>(
+        ctx: BlockCtx<'_>,
+        (r, q): (&PackedSeq, &PackedSeq),
+        long_rows: bool,
+    ) {
+        let what = format!("{}×{} B={B}", r.len(), q.len());
+        assert!(ctx.i16_exact, "{what}: the task runs the wavefront");
+        let run = |ctx: BlockCtx<'_>, tier| {
+            let mut rows = NorthRows::default();
+            let mut tracker = DiagTracker::new(r.len(), q.len(), ctx.scoring);
+            Sweep::<B>::new(ctx, tier, r, q, &mut rows, Some(&mut tracker)).row_major();
+            (tracker.result(), rows)
+        };
+        let (want, scalar_rows) = run(ctx, FillTier::Scalar);
+        let reference = guided_align(r, q, ctx.scoring);
+        assert!(want.same_alignment(&reference), "{what}: {want:?} vs {reference:?}");
+        assert_eq!(want.cells, reference.cells, "{what}");
+        let real = || scalar_rows.h.iter().filter(|&&h| h > NEG_INF / 2).map(|&h| i64::from(h));
+        let spread = real().max().expect("a real H") - real().min().expect("a real H");
+        assert_eq!(
+            spread > crate::block::I16_OFFSET_BOUND,
+            long_rows,
+            "{what}: the last block row spreads {spread}"
+        );
+        for backend in crate::simd::supported_backends() {
+            let ctx = ctx.with_backend(crate::simd::BackendChoice::Fixed(backend));
+            // (In debug builds the range sentinel checks every staged row
+            // against its window's base on the way.)
+            let (got, rows) = run(ctx, FillTier::I16);
+            assert_eq!(got, want, "{what} {}: result", backend.name());
+            assert!(rows == scalar_rows, "{what} {}: north rows", backend.name());
+        }
+    }
+
+    #[test]
+    fn a_long_row_recentres_its_base() {
+        // Unbanded rows thousands of columns long: along one the scores fall
+        // (or, on an identical pair, climb) further than ±2^13, so a single
+        // base per segment could not hold them — the window-by-window
+        // re-centring has to. A long query over a short reference moves the
+        // base as far without a long row. (Under Miri steeper gaps reach the
+        // same spread over a fraction of the cells.)
+        let (len, dna): (usize, _) =
+            if cfg!(miri) { (208, (2, 4, 8, 70)) } else { (6_000, (2, 4, 4, 2)) };
+        let dna = Scoring::new(dna.0, dna.1, dna.2, dna.3, Scoring::NO_ZDROP, Scoring::NO_BAND);
+        // (Whole blocks, so that the stored boundary is a row of the table.)
+        let protein_len = (len * 3 / 2).next_multiple_of(MAX_BLOCK);
+        let mut x = 0x10_46_u64;
+        let mut codes = |len: usize, alphabet: u64| -> Vec<u8> {
+            let mut next = || {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ((x >> 33) % alphabet) as u8
+            };
+            (0..len).map(|_| next()).collect()
+        };
+        let (long, short) = (codes(len, 4), codes(64, 4));
+        let (long, short) = (PackedSeq::from_codes(&long), PackedSeq::from_codes(&short));
+        let mut shapes = vec![(&long, &short, true), (&short, &long, false)];
+        if !cfg!(miri) {
+            // Identical sequences: `H` climbs past 12,000 down the diagonal.
+            shapes.push((&long, &long, true));
+        }
+        for (r, q, long_rows) in shapes {
+            let ctx = |b| BlockCtx::with_block_dim(r.len(), q.len(), &dna, b);
+            check_long_rows::<BLOCK>(ctx(BLOCK), (r, q), long_rows);
+            check_long_rows::<MAX_BLOCK>(ctx(MAX_BLOCK), (r, q), long_rows);
+        }
+
+        let (open, extend) = if cfg!(miri) { (8, 60) } else { (10, 1) };
+        let matrix =
+            Scoring::with_matrix(&BLOSUM62, open, extend, Scoring::NO_ZDROP, Scoring::NO_BAND);
+        let (long, short) = (codes(protein_len, 21), codes(64, 21));
+        let long = PackedSeq::from_protein_codes(&long, &BLOSUM62);
+        let short = PackedSeq::from_protein_codes(&short, &BLOSUM62);
+        let mut profile = QueryProfile::new();
+        for (r, q, long_rows) in [(&long, &short, true), (&short, &long, false)] {
+            profile.prepare(q, &matrix);
+            for profile in [None, Some(&profile)] {
+                let ctx = |b| {
+                    BlockCtx::with_block_dim(r.len(), q.len(), &matrix, b).with_profile(profile)
+                };
+                check_long_rows::<BLOCK>(ctx(BLOCK), (r, q), long_rows);
+                check_long_rows::<MAX_BLOCK>(ctx(MAX_BLOCK), (r, q), long_rows);
+            }
+        }
     }
 
     #[test]

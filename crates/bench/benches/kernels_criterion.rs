@@ -183,6 +183,58 @@ fn bench_block_fold(c: &mut Criterion) {
     g.finish();
 }
 
+/// Time of the i16 fill alone over segments of `k` blocks, one iteration
+/// being one block: row after row of an unbanded table, each row's first `k`
+/// blocks as one segment on a fresh carry (a fill-only [`Sweep`], fills
+/// capped at `backend`), so every segment's inputs are the real boundaries of
+/// the rows above it. Only the segments are on the clock.
+fn segment_fill<const B: usize>(
+    task: &Task,
+    s: &Scoring,
+    backend: WavefrontBackend,
+    k: i64,
+    iters: u64,
+) -> Duration {
+    let (n, m) = (task.ref_len(), task.query_len());
+    let ctx = BlockCtx::with_block_dim(n, m, s, B).with_backend(BackendChoice::Fixed(backend));
+    let mut rows = NorthRows::default();
+    let (mut blocks, mut spent) = (0, Duration::ZERO);
+    while blocks < iters {
+        let mut sweep =
+            Sweep::<B>::new(ctx, FillTier::I16, &task.reference, &task.query, &mut rows, None);
+        let started = Instant::now();
+        for bj in 0..ctx.query_blocks() {
+            blocks += sweep.segment(&mut RowCarry::fresh(), bj, 0, k - 1);
+        }
+        spent += started.elapsed();
+        black_box(&sweep);
+    }
+    spent.mul_f64(iters as f64 / blocks as f64)
+}
+
+fn bench_segment_fill(c: &mut Criterion) {
+    // What a block costs the fill as its segment grows: `k` chained blocks
+    // are `kB + B − 1` vector steps over `kB²` cells, so lane occupancy
+    // climbs 52 → 76 → 90 → 97 % from k = 1 to k = 27 (a tracked band row)
+    // and the ramp, the dispatch and the boundary conversions are paid once
+    // per segment — ns per block should fall accordingly on every backend.
+    let mut g = c.benchmark_group("segment_fill");
+    let (r, q) = pseudo_seq(1024, 43, 19);
+    let task = Task::from_strs(0, &r[..27 * MAX_BLOCK], &q);
+    let s = Scoring::new(2, 4, 4, 2, Scoring::NO_ZDROP, Scoring::NO_BAND);
+    for backend in supported_backends() {
+        for k in [1, 3, 8, 27] {
+            g.bench_function(format!("{}/b8/k{k}", backend.name()), |b| {
+                b.iter_custom(|iters| segment_fill::<BLOCK>(&task, &s, backend, k, iters))
+            });
+            g.bench_function(format!("{}/b16/k{k}", backend.name()), |b| {
+                b.iter_custom(|iters| segment_fill::<MAX_BLOCK>(&task, &s, backend, k, iters))
+            });
+        }
+    }
+    g.finish();
+}
+
 fn bench_device_trace(c: &mut Criterion) {
     // What the simulated device's trace costs the host per task, one
     // iteration being one task: pure geometry over the task's shape and
@@ -221,6 +273,6 @@ fn bench_packing(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_guided_reference, bench_block_kernel, bench_kernel_configs, bench_workspace_reuse, bench_block_fold, bench_device_trace, bench_packing
+    targets = bench_guided_reference, bench_block_kernel, bench_kernel_configs, bench_workspace_reuse, bench_block_fold, bench_segment_fill, bench_device_trace, bench_packing
 }
 criterion_main!(benches);
