@@ -2,15 +2,15 @@
 //! distribution" (§2.2) shared by every GPU-style engine.
 //!
 //! The paper fixes the block at 8×8 (one packed 32-bit word of literals per
-//! block edge). This module keeps that as the *default* geometry
-//! ([`crate::BLOCK`]) but parameterizes the whole layer over the block side
-//! `B ∈ {8, 16}` so wider vectors have lanes to fill: the 16-wide
-//! geometry ([`crate::MAX_BLOCK`]) runs the i16 wavefront with 16 query rows
-//! to a vector instead of 8. Geometry is chosen
-//! per task by [`BlockCtx::geometry_for`] (or forced via
-//! `AgathaConfig::with_block_dim` / `--block`), and every geometry is
-//! bit-identical to the scalar reference — geometry only changes tiling,
-//! never scores.
+//! block edge), and the simulated device always tiles at it
+//! ([`crate::BLOCK`]). The host's tile is only a speed decision, so this
+//! module parameterizes the whole layer over the block side `B ∈ {8, 16}`
+//! so wider vectors have lanes to fill: the 16-wide geometry
+//! ([`crate::MAX_BLOCK`]) runs the i16 wavefront with 16 query rows to a
+//! vector instead of 8. One rule, [`BlockCtx::geometry_for`], picks the side
+//! per task from the backend's lane width and the i16 gate — there is no
+//! flag or plan field for it — and every geometry is bit-identical to the
+//! scalar reference: geometry only changes tiling, never scores.
 //!
 //! A block covers reference positions `[i0, i0+B)` × query positions
 //! `[j0, j0+B)`. Its inputs are the *west* boundary (`H`/`E` at
@@ -214,6 +214,21 @@ impl<'a> BlockCtx<'a> {
     pub fn with_block_dim(n: usize, m: usize, scoring: &'a Scoring, b: usize) -> BlockCtx<'a> {
         assert!(b == BLOCK || b == MAX_BLOCK, "unsupported block dim {b}: expected 8 or 16");
         let (ni, mi) = (n as i64, m as i64);
+        BlockCtx {
+            n: ni,
+            m: mi,
+            w: if scoring.banded() { scoring.band_width as i64 } else { ni + mi },
+            b: b as i64,
+            scoring,
+            i16_exact: BlockCtx::i16_gate(n, m, scoring, b),
+            wavefront_backend: crate::simd::ProvenBackend::detect(),
+            profile: None,
+        }
+    }
+
+    /// The exactness gate of [`BlockCtx::i16_exact`] at block side `b`, as
+    /// derived on [`BlockCtx::with_block_dim`].
+    fn i16_gate(n: usize, m: usize, scoring: &Scoring, b: usize) -> bool {
         // Largest scoring increment that can be applied per DP step,
         // derived from the model's declared substitution bounds (for the
         // fixed DNA model this reproduces the historical
@@ -227,7 +242,7 @@ impl<'a> BlockCtx<'a> {
         .into_iter()
         .max()
         .unwrap_or(0);
-        let reach = step.saturating_mul(ni + mi + 2);
+        let reach = step.saturating_mul(n as i64 + m as i64 + 2);
         let drift = step.saturating_mul(STAGE_ROWS as i64);
         let carries_exact = reach < I32_REACH_BOUND && drift < I32_REACH_BOUND;
         let q = scoring.max_score().max(0) as i64
@@ -235,17 +250,7 @@ impl<'a> BlockCtx<'a> {
             + scoring.gap_extend as i64
             + (-(scoring.min_score() as i64)).max(0);
         let span = q.saturating_mul((STAGE_ROWS + 2 * b + 1) as i64);
-        let i16_exact = carries_exact && span.saturating_add(drift) < I16_OFFSET_BOUND;
-        BlockCtx {
-            n: ni,
-            m: mi,
-            w: if scoring.banded() { scoring.band_width as i64 } else { ni + mi },
-            b: b as i64,
-            scoring,
-            i16_exact,
-            wavefront_backend: crate::simd::ProvenBackend::detect(),
-            profile: None,
-        }
+        carries_exact && span.saturating_add(drift) < I16_OFFSET_BOUND
     }
 
     /// Cap the wavefront backend at `choice` (`Auto` leaves the detected
@@ -269,52 +274,32 @@ impl<'a> BlockCtx<'a> {
         self
     }
 
-    /// Pick the block side for one task: the wide (16×16) geometry exactly
-    /// when the backend's 16-lane i16 wavefront is its faster one and the
-    /// task shape amortizes the larger staging buffers; the default 8×8
-    /// geometry otherwise.
+    /// The host block side of an `n × m` task whose wavefront runs on
+    /// `backend`: the one place the 8-vs-16 choice is made (the kernel,
+    /// `AgathaConfig::{block_dim_for, fill_tier_for}` and the CLI's
+    /// `--verbose` tally all ask it). 16, unless
     ///
-    /// The policy is deliberately conservative so that `auto` dispatch is
-    /// never slower than forced B=8:
+    /// * `backend` is `sse41`, whose 8×i16 vector lanes exist at B=8 only
+    ///   (at B=16 it would run the array lanes, 2.2–2.4× slower), or
+    /// * the task's i16 gate holds at 8 but not at 16 (16-wide windows
+    ///   spread real values further; see [`BlockCtx::with_block_dim`]): at
+    ///   8 it keeps the wavefront, at 16 it would demote to the scalar fill.
     ///
-    /// * scalar mode → B=8 (the wide side only pays off via the 16-lane
-    ///   wavefront);
-    /// * `backend` (the one the task will dispatch to) `sse41` → B=8: its
-    ///   8×i16 vector lanes exist at B=8 only, and at B=16 it would run the
-    ///   array lanes instead. Every other backend qualifies: AVX2 and
-    ///   AVX-512 have 16×i16 kernels, and the `portable` array lanes
-    ///   autovectorise to two 128-bit ops per step over twice the cells;
-    /// * the i16 gate must hold *at the wide geometry* (16-wide blocks
-    ///   spread real values and drift sentinels twice as far; see
-    ///   [`BlockCtx::with_block_dim`]);
-    /// * both sequences must span at least two wide blocks and the band
-    ///   must admit at least a full wide diagonal (`w ≥ 16` or unbanded) —
-    ///   otherwise most 16-lane vectors would run partially masked.
+    /// AVX2 and AVX-512 have 16×i16 kernels, and the `portable` array lanes
+    /// autovectorise to two 128-bit ops per step over twice the cells. The
+    /// simulated device tiles at 8×8 whatever this returns.
     pub fn geometry_for(
         n: usize,
         m: usize,
         scoring: &Scoring,
-        mode: FillMode,
         backend: crate::simd::WavefrontBackend,
     ) -> usize {
-        if mode != FillMode::Simd {
-            return BLOCK;
+        let gate = |b| BlockCtx::i16_gate(n, m, scoring, b);
+        if backend == crate::simd::WavefrontBackend::Sse41 || (!gate(MAX_BLOCK) && gate(BLOCK)) {
+            BLOCK
+        } else {
+            MAX_BLOCK
         }
-        if backend == crate::simd::WavefrontBackend::Sse41 {
-            return BLOCK;
-        }
-        let wide = BlockCtx::with_block_dim(n, m, scoring, MAX_BLOCK);
-        if !wide.i16_exact {
-            return BLOCK;
-        }
-        let (ni, mi) = (n as i64, m as i64);
-        if ni.min(mi) < 2 * MAX_BLOCK as i64 {
-            return BLOCK;
-        }
-        if scoring.banded() && (scoring.band_width as i64) < MAX_BLOCK as i64 {
-            return BLOCK;
-        }
-        MAX_BLOCK
     }
 
     /// Resolve the per-task fill tier from the requested mode: the i16
@@ -613,58 +598,21 @@ impl FillPrecision {
     }
 }
 
-/// Requested block geometry. Orthogonal to [`FillMode`]: geometry picks the
-/// tiling (`B×B` block side), the mode the fill implementation within a
-/// block.
-/// [`BlockCtx::geometry_for`] resolves `Auto` per task.
+/// Shell: the host block side is not requested, it follows the lanes and the
+/// i16 gate ([`BlockCtx::geometry_for`]). Kept as a one-variant enum only
+/// because the frozen `benchmark/` records `default_block_dim().name()`; the
+/// next `[benchmark]` issue deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BlockDim {
-    /// Per-task adaptive choice ([`BlockCtx::geometry_for`]).
+    /// [`BlockCtx::geometry_for`], per task.
     #[default]
     Auto,
-    /// Force the paper's 8×8 geometry.
-    B8,
-    /// Force the wide 16×16 geometry (16 i16 lanes per block diagonal).
-    B16,
 }
 
 impl BlockDim {
-    /// Stable lower-case name (stats output, bench rows); the inverse of
-    /// [`BlockDim::parse`].
+    /// Stable lower-case name (the benchmark's host block).
     pub fn name(self) -> &'static str {
-        match self {
-            BlockDim::Auto => "auto",
-            BlockDim::B8 => "8",
-            BlockDim::B16 => "16",
-        }
-    }
-
-    /// Parse a user-facing geometry name (the CLI's `--block` values).
-    pub fn parse(s: &str) -> Result<BlockDim, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" => Ok(BlockDim::Auto),
-            "8" | "b8" => Ok(BlockDim::B8),
-            "16" | "b16" => Ok(BlockDim::B16),
-            other => Err(format!("invalid block dim '{other}': expected auto, 8 or 16")),
-        }
-    }
-
-    /// Resolve to a concrete block side for one task that will dispatch to
-    /// `backend`.
-    #[inline]
-    pub fn resolve(
-        self,
-        n: usize,
-        m: usize,
-        scoring: &Scoring,
-        mode: FillMode,
-        backend: crate::simd::WavefrontBackend,
-    ) -> usize {
-        match self {
-            BlockDim::Auto => BlockCtx::geometry_for(n, m, scoring, mode, backend),
-            BlockDim::B8 => BLOCK,
-            BlockDim::B16 => MAX_BLOCK,
-        }
+        "auto"
     }
 }
 
@@ -1128,25 +1076,27 @@ mod tests {
     fn geometry_policy_is_conservative() {
         use crate::simd::WavefrontBackend::{Avx2, Avx512, Portable, Sse41};
         let bwa = Scoring::preset_bwa();
-        let narrow_band = bwa.with_band(8);
+        // Match 80, gaps 4+2: span + drift is 49·90 + 32·80 = 6,970 at B=8
+        // and 65·90 + 2,560 = 8,410 at B=16 — inside the gate at 8 only.
+        let window = Scoring::new(80, 4, 4, 2, Scoring::NO_ZDROP, Scoring::NO_BAND);
+        assert!(BlockCtx::i16_gate(240, 240, &window, BLOCK));
+        assert!(!BlockCtx::i16_gate(240, 240, &window, MAX_BLOCK));
         let hot = Scoring::new(1 << 12, 4, 6, 1, Scoring::NO_ZDROP, Scoring::NO_BAND);
-        // The backend is an argument, so the policy is checked for every
-        // level whatever this host detects.
+        // The backend is an argument, so the rule is checked for every level
+        // whatever this host detects.
         for backend in [Avx512, Avx2, Sse41, Portable] {
-            let pick = |n, m, sc: &Scoring, mode| BlockCtx::geometry_for(n, m, sc, mode, backend);
-            // Scalar mode never picks the wide geometry.
-            assert_eq!(pick(240, 240, &bwa, FillMode::Scalar), BLOCK);
-            // Short sequences and narrow bands stay at 8 even when i16 is exact.
-            assert_eq!(pick(20, 20, &bwa, FillMode::Simd), BLOCK);
-            assert_eq!(pick(240, 240, &narrow_band, FillMode::Simd), BLOCK);
-            // Overflowing scoring can never run the 16-lane i16 kernel.
-            assert_eq!(pick(240, 240, &hot, FillMode::Simd), BLOCK);
-            // The amortizable short-read shape picks 16 on every backend
-            // whose 16-lane wavefront is its faster one: the 16×i16 vector
-            // kernels and the portable array lanes, but not `sse41`, whose
-            // vector lanes exist at B=8 only.
-            let want = if backend == Sse41 { BLOCK } else { MAX_BLOCK };
-            assert_eq!(pick(240, 240, &bwa, FillMode::Simd), want);
+            let pick = |n, m, sc: &Scoring| BlockCtx::geometry_for(n, m, sc, backend);
+            // `sse41`'s vector lanes are 8 wide; every other backend has a
+            // 16-lane wavefront, whatever the task's shape.
+            let wide = if backend == Sse41 { BLOCK } else { MAX_BLOCK };
+            assert_eq!(pick(240, 240, &bwa), wide);
+            assert_eq!(pick(16, 16, &bwa), wide);
+            assert_eq!(pick(240, 240, &bwa.with_band(4)), wide);
+            // Only 8×8 keeps the gate-window task on the i16 wavefront.
+            assert_eq!(pick(240, 240, &window), BLOCK);
+            // Outside the gate at both sides, no tile keeps it: scalar at
+            // the usual side.
+            assert_eq!(pick(240, 240, &hot), wide);
         }
     }
 

@@ -46,7 +46,7 @@ pub mod traceback;
 pub mod xdrop;
 
 pub use base::Base;
-pub use block::{BlockCells, BlockCellsT, BlockDim, FillMode, FillTier};
+pub use block::{BlockCells, BlockCellsT, FillMode, FillTier};
 pub use pack::PackedSeq;
 pub use profile::QueryProfile;
 pub use result::{GuidedResult, MaxCell};

@@ -100,10 +100,11 @@
 //! | `sse41`    | `Sse41I16` (sse4.1)   | `Portable`               |
 //! | `portable` | `Portable`            | `Portable`               |
 //!
-//! The adaptive geometry policy ([`crate::block::BlockCtx::geometry_for`])
-//! picks B=16 on every backend but `sse41`, whose B=16 cell would trade its
-//! vector lanes for the array ones, so that cell serves forced `--block 16`
-//! runs only.
+//! The tile rule ([`crate::block::BlockCtx::geometry_for`]) picks B=16 on
+//! every backend but `sse41`, whose B=16 cell would trade its vector lanes
+//! for the array ones and so never runs in production; AVX2 and AVX-512
+//! reach B=8 only through the gate window — a task whose i16 gate holds at
+//! 8 but not at 16.
 //!
 //! ## Safety
 //!

@@ -37,7 +37,7 @@ use std::sync::atomic::Ordering;
 
 use std::sync::{Arc, Mutex};
 
-use agatha_align::{BlockDim, FillTier, Scoring, Task};
+use agatha_align::{FillTier, Scoring, Task};
 use agatha_baselines::{run_baseline, Baseline};
 use agatha_core::options::DEFAULT_PREFETCH_DEPTH;
 use agatha_core::{AgathaConfig, Pipeline, StreamOptions};
@@ -48,6 +48,28 @@ use agatha_serve::{termination_flag, ServeConfig};
 
 /// Default `--chunk`: tasks held in memory at once when streaming.
 const DEFAULT_CHUNK: usize = 4096;
+
+/// `println!` through [`print_stdout`]: every line the CLI writes to stdout.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        print_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Write to stdout; a reader that went away (`agatha scenarios | head -1`)
+/// ends the process quietly. std ignores SIGPIPE, so `println!` would panic
+/// on the broken pipe instead, and restoring the signal takes the `unsafe`
+/// this crate forbids.
+fn print_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("agatha: writing stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -72,7 +94,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         "help" | "--help" | "-h" => {
-            println!("{}", usage());
+            outln!("{}", usage());
             Ok(())
         }
         other => Err(format!("unknown command '{other}'\n{}", usage())),
@@ -121,18 +143,15 @@ common options:
                   trailing warp into the next chunk's largest-first fill
                   (flushed at end of stream); off packs every chunk alone.
                   Scores and stats are bit-identical either way
-  --block B       host block geometry (agatha engine only): auto | 8 | 16.
-                  auto widens to 16x16 blocks (16 i16 lanes per diagonal)
-                  on tasks where the wider tile amortises its staging cost
-                  (on every backend but sse41, whose vector lanes are 8
-                  wide); results are bit-identical across geometries. Host-only,
-                  like --backend: the simulated device always runs the
-                  paper's 8x8 blocks, so no simulated number depends on it
   --backend K     host wavefront backend (agatha engine only): auto |
                   avx512 | avx2 | sse41 | portable. auto runs the best
                   implementation the CPU supports; forcing a level the CPU
                   lacks clamps down to the detected one; results are
-                  bit-identical across backends
+                  bit-identical across backends. The host tiles 16x16
+                  blocks, 8x8 on sse41 (8-wide lanes) and for a task whose
+                  scoring keeps the 16-bit wavefront at 8x8 only. Host-only:
+                  the simulated device always runs the paper's 8x8 blocks,
+                  so no simulated number depends on it
   --verbose       print per-task fill tier (the 16-bit wavefront, or
                   scalar for a task whose scoring spreads one block's
                   scores past 16 bits: demoted), geometry and backend
@@ -142,7 +161,7 @@ common options:
   --reads N       demo task count (default 160)
 
 serve options (plus the alignment options and --scenario, --gpus, --threads,
---block, --backend, -o above):
+--backend, -o above):
   --port N        TCP port on 127.0.0.1 (default 0 = ephemeral; the bound
                   address is printed on startup)
   --window-ms N   admission window: how long the first request of a batch
@@ -158,7 +177,7 @@ serve options (plus the alignment options and --scenario, --gpus, --threads,
 /// ([`scoring_from_args`]), the fill plan and pool size ([`agatha_config`],
 /// `--gpus`, `--threads`) and the output directory.
 const ENGINE_FLAGS: &[&str] =
-    &["a", "b", "q", "r", "z", "w", "scenario", "gpus", "threads", "block", "backend", "o"];
+    &["a", "b", "q", "r", "z", "w", "scenario", "gpus", "threads", "backend", "o"];
 
 /// A flag the subcommand does not read is a usage error, not a no-op: a
 /// mistyped `--thraeds 1` must not quietly run on every core, and `demo
@@ -258,9 +277,6 @@ struct HostOpts {
     gpus: usize,
     threads: usize,
     chunk: usize,
-    /// `--block` when given explicitly; `None` keeps the default (adaptive
-    /// per-task geometry).
-    block: Option<BlockDim>,
     /// `--backend` when given explicitly; `None` keeps the default (best
     /// detected).
     backend: Option<agatha_align::simd::BackendChoice>,
@@ -280,10 +296,6 @@ fn host_opts(args: &Args) -> Result<HostOpts, String> {
         // zero.
         return Err("--gpus must be at least 1 (got 0)".to_string());
     }
-    let block = match args.get("block") {
-        None => None,
-        Some(v) => Some(BlockDim::parse(v).map_err(|e| format!("{e}\nusage: --block auto|8|16"))?),
-    };
     let backend = match args.get("backend") {
         None => None,
         Some(v) => Some(
@@ -316,7 +328,6 @@ fn host_opts(args: &Args) -> Result<HostOpts, String> {
         gpus,
         threads: args.get_num_checked("threads", 0usize)?,
         chunk,
-        block,
         backend,
         prefetch,
         carry,
@@ -325,23 +336,20 @@ fn host_opts(args: &Args) -> Result<HostOpts, String> {
 }
 
 /// The kernel configuration implied by the host options: full AGAThA on
-/// the default fill plan, with `--block` and `--backend` each overriding
-/// its one field.
+/// the default fill plan, `--backend` overriding its one field.
 fn agatha_config(opts: &HostOpts) -> AgathaConfig {
-    let mut cfg = AgathaConfig::agatha();
-    if let Some(b) = opts.block {
-        cfg = cfg.with_block_dim(b);
+    let cfg = AgathaConfig::agatha();
+    match opts.backend {
+        Some(k) => cfg.with_backend(k),
+        None => cfg,
     }
-    if let Some(k) = opts.backend {
-        cfg = cfg.with_backend(k);
-    }
-    cfg
 }
 
 /// Per-tier task counts for `--verbose`: how many tasks each fill tier
 /// (i16 wavefront, scalar) served, and which block geometry each task
-/// resolved to. Every CLI plan asks for the wavefront, so each scalar task
-/// is one its exactness gate demoted.
+/// resolved to (the kernel's own rule, `AgathaConfig::block_dim_for`). Every
+/// CLI plan asks for the wavefront, so each scalar task is one its exactness
+/// gate demoted.
 #[derive(Default)]
 struct TierStats {
     counts: [u64; 2],
@@ -372,15 +380,12 @@ impl TierStats {
     }
 
     fn print(&self) {
-        println!(
-            "fill precision: i16={} scalar={} (demoted={})",
-            self.counts[0], self.counts[1], self.counts[1]
-        );
-        println!("block geometry: b8={} b16={}", self.blocks[0], self.blocks[1]);
-        println!(
-            "fill backend: avx512={} avx2={} sse41={} portable={}",
-            self.backends[0], self.backends[1], self.backends[2], self.backends[3]
-        );
+        let [i16, scalar] = self.counts;
+        let [b8, b16] = self.blocks;
+        let [avx512, avx2, sse41, portable] = self.backends;
+        outln!("fill precision: i16={i16} scalar={scalar} (demoted={scalar})");
+        outln!("block geometry: b8={b8} b16={b16}");
+        outln!("fill backend: avx512={avx512} avx2={avx2} sse41={sse41} portable={portable}");
     }
 }
 
@@ -399,13 +404,12 @@ fn agatha_pipeline(scoring: &Scoring, opts: &HostOpts) -> Pipeline {
 
 /// Reject agatha-only flags for engines that would silently ignore them:
 /// the baselines model fixed published hardware setups and run whole-batch
-/// reference schedules on every core, so pretending `--gpus`, `--block` or
+/// reference schedules on every core, so pretending `--gpus`, `--backend` or
 /// `--threads` took effect would misreport what was simulated.
 /// (`--gpus 1` is every baseline's own setup and passes.)
 fn check_baseline_flags(engine: &str, args: &Args, opts: &HostOpts) -> Result<(), String> {
     let agatha_only = [
         ("gpus", opts.gpus > 1, "models a fixed device setup"),
-        ("block", args.has("block"), "runs its reference block geometry"),
         ("backend", args.has("backend"), "runs its reference fill"),
         ("prefetch", args.has("prefetch"), "runs whole-batch"),
         ("carryover", args.has("carryover"), "runs whole-batch"),
@@ -540,8 +544,8 @@ fn cmd_align(args: &Args) -> Result<(), String> {
     let dir = out_dir(args)?;
     write_score_log(&dir.join("score.log"), &scores)?;
     write_time_json(&dir.join("time.json"), &name, ms, tasks)?;
-    println!("{name}: {tasks} pairs, simulated kernel time {ms:.3} ms");
-    println!("wrote {}/score.log and {}/time.json", dir.display(), dir.display());
+    outln!("{name}: {tasks} pairs, simulated kernel time {ms:.3} ms");
+    outln!("wrote {}/score.log and {}/time.json", dir.display(), dir.display());
     Ok(())
 }
 
@@ -596,7 +600,7 @@ fn cmd_demo(args: &Args) -> Result<(), String> {
     let dir = out_dir(args)?;
     write_score_log(&dir.join("score.log"), &scores)?;
     write_time_json(&dir.join("time.json"), &name, ms, tasks.len())?;
-    println!("{demo_name}: {} tasks via {name}: {ms:.3} ms simulated", tasks.len());
+    outln!("{demo_name}: {} tasks via {name}: {ms:.3} ms simulated", tasks.len());
     Ok(())
 }
 
@@ -637,7 +641,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 
     // The address line is the daemon's contract with scripts (and the CLI
     // tests): flush so a piped stdout sees it before the first request.
-    println!("agatha serve: listening on {}", handle.addr());
+    outln!("agatha serve: listening on {}", handle.addr());
     std::io::Write::flush(&mut std::io::stdout()).ok();
 
     // Park until either a termination signal or a client-requested
@@ -656,12 +660,12 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     }
     let snapshot = handle.join();
 
-    print!("{}", snapshot.render_table());
+    print_stdout(format_args!("{}", snapshot.render_table()));
     let dir = out_dir(args)?;
     let stats_path = dir.join("serve_stats.json");
     std::fs::write(&stats_path, format!("{}\n", snapshot.to_json()))
         .map_err(|e| format!("write {}: {e}", stats_path.display()))?;
-    println!("wrote {}", stats_path.display());
+    outln!("wrote {}", stats_path.display());
     Ok(())
 }
 
@@ -671,16 +675,16 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 fn cmd_scenarios(args: &Args) {
     if args.has("names") {
         for s in SCENARIOS {
-            println!("{}", s.name);
+            outln!("{}", s.name);
         }
         return;
     }
     for s in SCENARIOS {
         let sc = (s.scoring)();
         let (n, m) = s.gate.typical_dims;
-        println!("{}", s.name);
-        println!("  {}", s.summary);
-        println!(
+        outln!("{}", s.name);
+        outln!("  {}", s.summary);
+        outln!(
             "  model {} (scores {:+}..{:+}), gaps {}+{}k, z={} w={}",
             sc.model.name(),
             sc.min_score(),
@@ -690,7 +694,7 @@ fn cmd_scenarios(args: &Args) {
             sc.zdrop,
             sc.band_width
         );
-        println!(
+        outln!(
             "  typical {n}x{m}: i16 wavefront {}; baselines: {}",
             if s.gate.i16_exact { "exact" } else { "demoted to scalar" },
             s.baselines.join(", ")
@@ -699,11 +703,11 @@ fn cmd_scenarios(args: &Args) {
 }
 
 fn cmd_engines() {
-    println!("agatha            AGAThA (this paper): RW + SD + SR + UB");
-    println!("cpu               Minimap2 on 16C/32T SSE4 (reference)");
-    println!("cpu-avx512        mm2-fast on 48C/96T AVX512");
-    println!("gasal2[-diff]     GASAL2-like inter-query kernel");
-    println!("saloba[-diff]     SALoBa-like intra-query kernel");
-    println!("manymap[-diff]    Manymap-like anti-diagonal kernel");
-    println!("logan             LOGAN-like adaptive-band X-drop");
+    outln!("agatha            AGAThA (this paper): RW + SD + SR + UB");
+    outln!("cpu               Minimap2 on 16C/32T SSE4 (reference)");
+    outln!("cpu-avx512        mm2-fast on 48C/96T AVX512");
+    outln!("gasal2[-diff]     GASAL2-like inter-query kernel");
+    outln!("saloba[-diff]     SALoBa-like intra-query kernel");
+    outln!("manymap[-diff]    Manymap-like anti-diagonal kernel");
+    outln!("logan             LOGAN-like adaptive-band X-drop");
 }

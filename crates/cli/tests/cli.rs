@@ -564,9 +564,10 @@ fn precision_rejected_for_baseline_engines() {
 
 #[test]
 fn block_geometry_is_forceable_and_bit_identical() {
-    // `--block 8` and `--block 16` must both be accepted and score
-    // identically (and identically to the adaptive default): geometry is
-    // a tiling choice, never a numerics choice.
+    // The host tile follows the backend: `--backend sse41` runs 8x8 (where
+    // the CPU has SSE4.1), `portable` 16x16, and both score identically
+    // (and identically to the default): geometry is a tiling choice, never a
+    // numerics choice.
     let dir = std::env::temp_dir().join(format!("agatha_cli_blk_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let refs = dir.join("ref.fasta");
@@ -579,10 +580,11 @@ fn block_geometry_is_forceable_and_bit_identical() {
     }
     std::fs::write(&refs, rf).unwrap();
     std::fs::write(&queries, qf).unwrap();
-    let run = |block: &str, out: &str| {
+    let run = |flags: &[&str], out: &str| {
         let out_dir = dir.join(out);
         let st = agatha()
-            .args(["align", "-w", "100", "--block", block, "--verbose"])
+            .args(["align", "-w", "100", "--verbose"])
+            .args(flags)
             .args(["-o", out_dir.to_str().unwrap()])
             .arg(refs.to_str().unwrap())
             .arg(queries.to_str().unwrap())
@@ -592,50 +594,83 @@ fn block_geometry_is_forceable_and_bit_identical() {
         let text = String::from_utf8_lossy(&st.stdout).to_string();
         (std::fs::read_to_string(out_dir.join("score.log")).unwrap(), text)
     };
-    let (narrow, narrow_text) = run("8", "b8");
-    let (wide, wide_text) = run("16", "b16");
-    let (auto, _) = run("auto", "auto");
+    let (narrow, narrow_text) = run(&["--backend", "sse41"], "sse41");
+    let (wide, wide_text) = run(&["--backend", "portable"], "portable");
+    let (auto, _) = run(&[], "auto");
     assert_eq!(narrow, wide, "scores must be bit-identical across geometries");
-    assert_eq!(narrow, auto, "adaptive geometry must not change scores");
+    assert_eq!(narrow, auto, "the default tile must not change scores");
     assert_eq!(narrow.lines().count(), 6);
-    // The --verbose geometry line reflects the forced tiling.
-    assert!(narrow_text.contains("block geometry: b8=6 b16=0"), "stdout: {narrow_text}");
+    // The --verbose geometry line reflects the tile the backend ran.
     assert!(wide_text.contains("block geometry: b8=0 b16=6"), "stdout: {wide_text}");
+    if narrow_text.contains("sse41=6") {
+        assert!(narrow_text.contains("block geometry: b8=6 b16=0"), "stdout: {narrow_text}");
+    }
+    // A scoring inside the i16 gate at 8x8 only tiles 8x8 on every backend.
+    let (_, window_text) = run(&["-a", "80", "--backend", "portable"], "window");
+    assert!(window_text.contains("block geometry: b8=6 b16=0"), "stdout: {window_text}");
+    assert!(window_text.contains("(demoted=0)"), "stdout: {window_text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn block_bogus_is_a_usage_error() {
-    let dir = std::env::temp_dir().join(format!("agatha_cli_bbad_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let refs = dir.join("ref.fasta");
-    let queries = dir.join("query.fasta");
-    std::fs::write(&refs, ">1\nACGT\n").unwrap();
-    std::fs::write(&queries, ">1\nACGT\n").unwrap();
-    let out = agatha()
-        .args(["align", "--block", "12"])
-        .arg(refs.to_str().unwrap())
-        .arg(queries.to_str().unwrap())
-        .output()
-        .unwrap();
-    assert!(!out.status.success(), "--block 12 must fail");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("'12'") && err.contains("--block") && err.contains("auto|8|16"),
-        "stderr must carry a usage message: {err}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
+    // The host tile is not a knob: `--block` is an unknown option on every
+    // engine subcommand, whatever its value (refused before any input is
+    // opened, so the paths need not exist).
+    let cases: [&[&str]; 4] = [
+        &["align", "--block", "12", "ref.fasta", "query.fasta"],
+        &["align", "--block", "8", "ref.fasta", "query.fasta"],
+        &["demo", "--reads", "4", "--block", "16"],
+        &["serve", "--port", "0", "--block", "auto"],
+    ];
+    for args in cases {
+        let out = agatha().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?} must be a usage error");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown option --block"), "{args:?}: stderr: {err}");
+    }
 }
 
 #[test]
 fn block_rejected_for_baseline_engines() {
+    // Refused before the engine is even looked at: no engine reads it.
     let out = agatha()
         .args(["demo", "--reads", "4", "--engine", "saloba", "--block", "16"])
         .output()
         .unwrap();
     assert!(!out.status.success(), "--block must not be silently ignored by baselines");
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("agatha engine"), "stderr: {err}");
+    assert!(err.contains("unknown option --block"), "stderr: {err}");
+}
+
+#[test]
+fn a_closed_stdout_ends_the_process_quietly() {
+    // `agatha scenarios | head -1`: std ignores SIGPIPE, so a write to a
+    // pipe whose reader is gone fails with EPIPE, which `println!` turns
+    // into a panic (exit 101). The read end is closed before the child
+    // writes anything, so every case hits it.
+    let dir = std::env::temp_dir().join(format!("agatha_cli_pipe_{}", std::process::id()));
+    let cases: [&[&str]; 4] = [
+        &["scenarios"],
+        &["engines"],
+        &["--help"],
+        &["demo", "--reads", "8", "--verbose", "-o", dir.to_str().unwrap()],
+    ];
+    for args in cases {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = agatha()
+            .args(args)
+            .stdout(writer)
+            .stderr(std::process::Stdio::piped())
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("panicked"), "{args:?}: stderr: {err}");
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {:?}", out.status);
+        assert!(out.status.code().is_some(), "{args:?} died by a signal: {:?}", out.status);
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

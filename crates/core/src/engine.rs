@@ -51,7 +51,7 @@ pub struct JobMeta {
     /// Clock tick at which the request was admitted (for queue-latency
     /// accounting).
     pub enqueued_ns: u64,
-    /// Absolute deadline: a job still undisptached at this tick is dropped
+    /// Absolute deadline: a job still undispatched at this tick is dropped
     /// *before* kernel dispatch and reported as such.
     pub deadline_ns: Option<u64>,
     /// Cooperative cancellation: set by the owner (e.g. on client

@@ -41,8 +41,9 @@ pub struct TaskRun {
     /// Blocks the *host* computed (including its run-ahead), in tiles of
     /// `block_dim`.
     pub blocks: u64,
-    /// Block side the host tiled this task with (the per-task resolution of
-    /// [`AgathaConfig::block_dim_for`]): 8 or 16.
+    /// Block side the host tiled this task with: 8 or 16, as
+    /// [`AgathaConfig::block_dim_for`] resolves it from the plan's backend
+    /// and the task's i16 gate.
     pub block_dim: u32,
     /// The task's shape on the device; `units` are read against it.
     pub grid: DeviceGrid,
@@ -167,12 +168,12 @@ pub fn run_task(task: &Task, scoring: &Scoring, cfg: &AgathaConfig) -> TaskRun {
 /// state. Results are bit-identical to [`run_task`] regardless of what the
 /// workspace was previously used for.
 ///
-/// Geometry dispatch happens here, once per task: the configured
-/// [`agatha_align::block::BlockDim`] resolves to a concrete block side
-/// (adaptive under `Auto`) and selects the matching monomorphization of the
-/// kernel body. The alignment result and the device trace are bit-identical
-/// across geometries; only the host's own counts (`blocks`, `block_dim`)
-/// differ.
+/// Geometry dispatch happens here, once per task:
+/// [`AgathaConfig::block_dim_for`] (16, or 8 on `sse41` lanes and for a task
+/// inside the i16 gate at 8 only) selects the matching monomorphization of
+/// the kernel body. The alignment result and the device trace are
+/// bit-identical across geometries; only the host's own counts (`blocks`,
+/// `block_dim`) differ.
 pub fn run_task_ws(
     ws: &mut KernelWorkspace,
     task: &Task,
@@ -462,26 +463,33 @@ pub(crate) mod tests {
         assert!(zdropped.result.stop.z_dropped());
     }
 
+    /// The kernel body at both host geometries, whatever `cfg` would
+    /// resolve: 8×8, then 16×16.
+    fn both_geometries(
+        ws: &mut KernelWorkspace,
+        t: &Task,
+        s: &Scoring,
+        cfg: &AgathaConfig,
+    ) -> [TaskRun; 2] {
+        [run_task_geom::<BLOCK>(ws, t, s, cfg), run_task_geom::<MAX_BLOCK>(ws, t, s, cfg)]
+    }
+
     #[test]
     fn simd_and_scalar_fill_produce_identical_runs() {
         // Full TaskRun equality (results, device traces, host block counts)
         // between the two fill paths, across every configuration and the
-        // mixed task set (including z-drop early termination). Geometry is
-        // pinned so both paths tile identically — the scalar fill never
-        // resolves to the wide geometry under Auto, and TaskRun equality is
-        // only meaningful at one tiling; cross-geometry identity is covered
-        // by `geometries_produce_identical_results`.
-        use agatha_align::block::BlockDim;
+        // mixed task set (including z-drop early termination), with the
+        // kernel body driven at each geometry; cross-geometry identity is
+        // covered by `geometries_produce_identical_results`.
         let (tasks, s) = mixed_tasks();
-        for bd in [BlockDim::B8, BlockDim::B16] {
-            for cfg in all_configs() {
-                let scalar_cfg = cfg.clone().with_simd_fill(false).with_block_dim(bd);
-                let simd_cfg = cfg.clone().with_simd_fill(true).with_block_dim(bd);
-                for t in &tasks {
-                    let a = run_task(t, &s, &scalar_cfg);
-                    let b = run_task(t, &s, &simd_cfg);
-                    assert_eq!(a, b, "config {cfg:?}, block dim {}, task {}", bd.name(), t.id);
-                }
+        let mut ws = KernelWorkspace::new();
+        for cfg in all_configs() {
+            let scalar_cfg = cfg.clone().with_simd_fill(false);
+            let simd_cfg = cfg.clone().with_simd_fill(true);
+            for t in &tasks {
+                let a = both_geometries(&mut ws, t, &s, &scalar_cfg);
+                let b = both_geometries(&mut ws, t, &s, &simd_cfg);
+                assert_eq!(a, b, "config {cfg:?}, task {}", t.id);
             }
         }
     }
@@ -495,31 +503,28 @@ pub(crate) mod tests {
     #[test]
     fn fill_tiers_produce_identical_runs() {
         // Full TaskRun equality between the scalar plan and the default
-        // (wavefront) plan at both pinned geometries, across every
-        // configuration and the mixed task set — once under a scoring the
-        // i16 gate admits (so the 700 bp member, past the i16 range in
-        // absolute score, runs rebased lanes) and once under one it rejects,
-        // so the same assertions also cover the i16→scalar demotion path.
-        use agatha_align::block::{BlockDim, FillTier};
+        // (wavefront) plan at both geometries, across every configuration
+        // and the mixed task set — once under a scoring the i16 gate admits
+        // (so the 700 bp member, past the i16 range in absolute score, runs
+        // rebased lanes) and once under one it rejects, so the same
+        // assertions also cover the i16→scalar demotion path.
+        use agatha_align::block::FillTier;
         let (tasks, s) = mixed_tasks();
         let simd_cfg = AgathaConfig::agatha().with_simd_fill(true);
         for (s, want) in [(s, FillTier::I16), (hot_scoring(&s), FillTier::Scalar)] {
             for t in &tasks {
                 assert_eq!(simd_cfg.fill_tier_for(t.ref_len(), t.query_len(), &s), want);
             }
-            for bd in [BlockDim::B8, BlockDim::B16] {
-                for cfg in all_configs() {
-                    let cfg = cfg.with_block_dim(bd);
-                    let scalar_cfg = cfg.clone().with_simd_fill(false);
-                    let simd_cfg = cfg.clone().with_simd_fill(true);
-                    // One shared workspace alternates tiers across the stream
-                    // to prove reuse carries no state between them.
-                    let mut ws = KernelWorkspace::new();
-                    for t in &tasks {
-                        let a = run_task_ws(&mut ws, t, &s, &scalar_cfg);
-                        let b = run_task_ws(&mut ws, t, &s, &simd_cfg);
-                        assert_eq!(a, b, "config {cfg:?}, task {}: scalar vs default plan", t.id);
-                    }
+            for cfg in all_configs() {
+                let scalar_cfg = cfg.clone().with_simd_fill(false);
+                let simd_cfg = cfg.clone().with_simd_fill(true);
+                // One shared workspace alternates tiers across the stream to
+                // prove reuse carries no state between them.
+                let mut ws = KernelWorkspace::new();
+                for t in &tasks {
+                    let a = both_geometries(&mut ws, t, &s, &scalar_cfg);
+                    let b = both_geometries(&mut ws, t, &s, &simd_cfg);
+                    assert_eq!(a, b, "config {cfg:?}, task {}: scalar vs default plan", t.id);
                 }
             }
         }
@@ -532,18 +537,14 @@ pub(crate) mod tests {
         // device's trace must be bit-identical across B — only the host's
         // own counts (blocks, block_dim) may differ — and workspace
         // recycling must carry no state across geometry switches.
-        use agatha_align::block::BlockDim;
         let (tasks, s) = mixed_tasks();
         for cfg in all_configs() {
-            let cfg8 = cfg.clone().with_block_dim(BlockDim::B8);
-            let cfg16 = cfg.clone().with_block_dim(BlockDim::B16);
-            let auto = cfg.clone().with_block_dim(BlockDim::Auto);
             let mut ws = KernelWorkspace::new();
             for t in &tasks {
-                let narrow = run_task(t, &s, &cfg8);
-                let wide = run_task_ws(&mut ws, t, &s, &cfg16);
-                let narrow_reused = run_task_ws(&mut ws, t, &s, &cfg8);
-                let adaptive = run_task_ws(&mut ws, t, &s, &auto);
+                let narrow = run_task_geom::<BLOCK>(&mut KernelWorkspace::new(), t, &s, &cfg);
+                let wide = run_task_geom::<MAX_BLOCK>(&mut ws, t, &s, &cfg);
+                let narrow_reused = run_task_geom::<BLOCK>(&mut ws, t, &s, &cfg);
+                let resolved = run_task_ws(&mut ws, t, &s, &cfg);
                 assert_eq!(narrow.block_dim, 8);
                 assert_eq!(wide.block_dim, 16);
                 assert_eq!(
@@ -560,15 +561,15 @@ pub(crate) mod tests {
                 // Same geometry after a wide run on the same workspace:
                 // full TaskRun equality proves recycling holds across B.
                 assert_eq!(narrow, narrow_reused, "config {cfg:?}, task {}", t.id);
-                // Auto resolves per task; whatever it picks, the result is
-                // the same and the pick matches the config resolver.
-                assert_eq!(narrow.result, adaptive.result, "config {cfg:?}, task {}", t.id);
+                // The plan's own run is the run at the side it resolves.
                 assert_eq!(
-                    adaptive.block_dim as usize,
-                    auto.block_dim_for(t.ref_len(), t.query_len(), &s),
+                    resolved.block_dim as usize,
+                    cfg.block_dim_for(t.ref_len(), t.query_len(), &s),
                     "config {cfg:?}, task {}",
                     t.id
                 );
+                let pinned = if resolved.block_dim == 8 { &narrow } else { &wide };
+                assert_eq!(&resolved, pinned, "config {cfg:?}, task {}", t.id);
             }
         }
     }
@@ -576,40 +577,35 @@ pub(crate) mod tests {
     #[test]
     fn backends_produce_identical_results() {
         // Full TaskRun equality across every backend this machine supports,
-        // at both pinned geometries, over the mixed task stream — plus under
-        // a scoring the i16 gate rejects, so the demotion to scalar is swept
+        // at both geometries, over the mixed task stream — plus under a
+        // scoring the i16 gate rejects, so the demotion to scalar is swept
         // per backend too. One shared workspace alternates backends task by
         // task — each run carries its backend in its config — proving both
         // that every backend computes the same runs and that workspace reuse
         // carries no backend-specific state. On an AVX-512 machine this pits
         // the zmm kernels and the four-quarter tracker fold directly against
         // the portable reference.
-        use agatha_align::block::BlockDim;
         use agatha_align::simd::{self, BackendChoice, WavefrontBackend};
         let (tasks, s) = mixed_tasks();
         let hot = hot_scoring(&s);
         let backends = simd::supported_backends();
         assert_eq!(backends.last(), Some(&WavefrontBackend::Portable));
-        for bd in [BlockDim::B8, BlockDim::B16] {
-            for s in [&s, &hot] {
-                let cfg = AgathaConfig::agatha().with_simd_fill(true).with_block_dim(bd);
-                let on = |b| cfg.clone().with_backend(BackendChoice::Fixed(b));
-                let mut ws = KernelWorkspace::new();
-                for t in &tasks {
-                    let reference = run_task_ws(&mut ws, t, s, &on(WavefrontBackend::Portable));
-                    for &b in &backends {
-                        assert_eq!(on(b).backend.resolve(), b, "a supported backend survives");
-                        let run = run_task_ws(&mut ws, t, s, &on(b));
-                        assert_eq!(
-                            reference,
-                            run,
-                            "geometry {}, match score {}, task {}: portable vs {}",
-                            bd.name(),
-                            s.max_score(),
-                            t.id,
-                            b.name()
-                        );
-                    }
+        for s in [&s, &hot] {
+            let on = |b| AgathaConfig::agatha().with_backend(BackendChoice::Fixed(b));
+            let mut ws = KernelWorkspace::new();
+            for t in &tasks {
+                let reference = both_geometries(&mut ws, t, s, &on(WavefrontBackend::Portable));
+                for &b in &backends {
+                    assert_eq!(on(b).backend.resolve(), b, "a supported backend survives");
+                    let runs = both_geometries(&mut ws, t, s, &on(b));
+                    assert_eq!(
+                        reference,
+                        runs,
+                        "match score {}, task {}: portable vs {}",
+                        s.max_score(),
+                        t.id,
+                        b.name()
+                    );
                 }
             }
         }

@@ -1,8 +1,9 @@
 //! Kernel configuration and feature toggles.
 //!
 //! [`AgathaConfig`] is the one execution plan: every fill decision (mode,
-//! geometry, backend) is a field carried by value from the
-//! caller through [`crate::Pipeline`] into the kernel. Nothing here reads
+//! backend) is a field carried by value from the caller through
+//! [`crate::Pipeline`] into the kernel, and the host tile follows from the
+//! backend per task ([`AgathaConfig::block_dim_for`]). Nothing here reads
 //! the environment or process-wide state; the CLI flags are the only way
 //! to ask for something other than the defaults.
 
@@ -20,7 +21,7 @@ pub fn default_fill_precision() -> FillPrecision {
     FillPrecision::Auto
 }
 
-/// Default [`BlockDim`]: `Auto`.
+/// The one [`BlockDim`].
 pub fn default_block_dim() -> BlockDim {
     BlockDim::Auto
 }
@@ -39,7 +40,9 @@ pub fn default_prefetch_depth() -> usize {
 
 /// Configuration of the AGAThA kernel. Every §4 technique can be toggled
 /// independently so the ablation study (Fig. 9) and the sensitivity studies
-/// (Fig. 10 slice width, Fig. 14 subwarp size) are all expressible.
+/// (Fig. 10 slice width, Fig. 14 subwarp size) are all expressible. The
+/// host block side is not a field: it follows the backend and each task's
+/// i16 gate ([`AgathaConfig::block_dim_for`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AgathaConfig {
     /// Threads per subwarp (8 in the final design; Fig. 14 sweeps 8/16/32).
@@ -77,17 +80,12 @@ pub struct AgathaConfig {
     /// Shell with one value: kept only because the frozen `benchmark/`
     /// reads the field; the next `[benchmark]` issue deletes it.
     pub fill_precision: FillPrecision,
-    /// Block geometry for the host-side fill: `Auto` resolves the block
-    /// side per task ([`agatha_align::block::BlockCtx::geometry_for`] picks
-    /// 16×16 when the task amortizes the wider staging, else the paper's
-    /// 8×8), `B8`/`B16` force one side. Every geometry is bit-identical.
-    /// Defaults to `Auto`.
-    pub block_dim: BlockDim,
     /// Wavefront backend for the host-side fill and fold: `Auto` runs the
     /// best implementation the CPU supports, `Fixed(b)` caps the dispatch
     /// at `b` (clamped to what the CPU has). Resolved once per task; every
-    /// backend is bit-identical, and the adaptive geometry follows the
-    /// resolved backend. Defaults to `Auto`.
+    /// backend is bit-identical, and the host block side follows the
+    /// resolved backend ([`AgathaConfig::block_dim_for`]). Defaults to
+    /// `Auto`.
     pub backend: BackendChoice,
 }
 
@@ -107,7 +105,6 @@ impl AgathaConfig {
             use_dpx: false,
             simd_fill: true,
             fill_precision: FillPrecision::Auto,
-            block_dim: BlockDim::Auto,
             backend: BackendChoice::Auto,
         }
     }
@@ -172,19 +169,10 @@ impl AgathaConfig {
         }
     }
 
-    /// Select the block geometry (mirrors
-    /// [`AgathaConfig::with_simd_fill`]). Results are bit-identical
-    /// across every geometry; benchmarks and the CLI `--block` flag use
-    /// this to pin a side per run.
-    pub fn with_block_dim(mut self, block_dim: BlockDim) -> AgathaConfig {
-        self.block_dim = block_dim;
-        self
-    }
-
     /// Cap the wavefront backend (mirrors
-    /// [`AgathaConfig::with_block_dim`]). Results are bit-identical across
+    /// [`AgathaConfig::with_simd_fill`]). Results are bit-identical across
     /// every backend; sweeps and the CLI `--backend` flag use this to pin a
-    /// level per run.
+    /// level per run — and with it the host tile (`sse41` runs 8×8).
     pub fn with_backend(mut self, backend: BackendChoice) -> AgathaConfig {
         self.backend = backend;
         self
@@ -207,11 +195,12 @@ impl AgathaConfig {
     }
 
     /// The block side this configuration resolves to for an `n × m` task —
-    /// the geometry analogue of [`AgathaConfig::fill_tier_for`], again the
-    /// exact per-task decision [`crate::kernel::run_task_ws`] makes.
+    /// [`agatha_align::block::BlockCtx::geometry_for`] on the resolved
+    /// backend, the exact per-task decision [`crate::kernel::run_task_ws`]
+    /// makes.
     #[inline]
     pub fn block_dim_for(&self, n: usize, m: usize, scoring: &agatha_align::Scoring) -> usize {
-        self.block_dim.resolve(n, m, scoring, self.fill_mode(), self.backend.resolve())
+        agatha_align::block::BlockCtx::geometry_for(n, m, scoring, self.backend.resolve())
     }
 
     /// Set the subwarp size (Fig. 14).
@@ -356,46 +345,41 @@ mod tests {
 
     #[test]
     fn block_dim_names_parse() {
-        assert_eq!(BlockDim::parse("auto"), Ok(BlockDim::Auto));
-        assert_eq!(BlockDim::parse("8"), Ok(BlockDim::B8));
-        assert_eq!(BlockDim::parse("B16"), Ok(BlockDim::B16));
-        let err = BlockDim::parse("12").unwrap_err();
-        assert!(err.contains("'12'") && err.contains("auto"), "{err}");
+        // The shell's one name, which the frozen benchmark records.
+        assert_eq!(default_block_dim(), BlockDim::Auto);
+        assert_eq!(default_block_dim().name(), "auto");
     }
 
     #[test]
     fn block_dim_resolution_is_per_task() {
+        use agatha_align::block::FillTier;
+        use agatha_align::simd::WavefrontBackend::{Portable, Sse41};
         use agatha_align::{BLOCK, MAX_BLOCK};
         let s = agatha_align::Scoring::preset_bwa();
-        let cfg = AgathaConfig::agatha().with_simd_fill(true).with_block_dim(BlockDim::Auto);
-        // Forced geometries resolve to themselves regardless of the task.
-        assert_eq!(cfg.clone().with_block_dim(BlockDim::B8).block_dim_for(240, 240, &s), BLOCK);
-        assert_eq!(
-            cfg.clone().with_block_dim(BlockDim::B16).block_dim_for(240, 240, &s),
-            MAX_BLOCK
-        );
-        // Auto under the scalar fill always stays at the paper geometry
-        // (the wide side only pays off via the 16-lane i16 wavefront).
-        let scalar = cfg.clone().with_simd_fill(false);
-        assert_eq!(scalar.block_dim_for(240, 240, &s), BLOCK);
-        // Tiny tasks never pick the wide geometry.
-        assert_eq!(cfg.block_dim_for(16, 16, &s), BLOCK);
-        // The fill tier resolver agrees with the geometry resolver's pick
-        // (a B16-forced short read still proves the i16 gate).
-        use agatha_align::block::FillTier;
-        let forced = cfg.clone().with_block_dim(BlockDim::B16);
-        assert_eq!(forced.fill_tier_for(240, 240, &s), FillTier::I16);
-        // Auto follows the backend the plan carries: the amortizable shape
-        // widens on every backend but `sse41` (whose vector lanes exist at
-        // B=8 only) — a `portable` plan included, on every host.
-        use agatha_align::simd::WavefrontBackend::{Portable, Sse41};
+        // Match 80: inside the i16 gate at 8×8 only.
+        let window = agatha_align::Scoring::new(80, 4, 4, 2, 400, 400);
+        let cfg = AgathaConfig::agatha();
+        // The tile follows the backend the plan carries — `portable` widens
+        // on every host, `sse41` never — and not the fill mode or the shape.
         let narrow_host = agatha_align::simd::detected_backend() == Sse41;
-        assert_eq!(cfg.block_dim_for(240, 240, &s), if narrow_host { BLOCK } else { MAX_BLOCK });
+        let wide = if narrow_host { BLOCK } else { MAX_BLOCK };
+        for plan in [cfg.clone(), cfg.clone().with_simd_fill(false)] {
+            assert_eq!(plan.block_dim_for(240, 240, &s), wide);
+            assert_eq!(plan.block_dim_for(16, 16, &s), wide);
+        }
         let portable = cfg.clone().with_backend(BackendChoice::Fixed(Portable));
         assert_eq!(portable.block_dim_for(240, 240, &s), MAX_BLOCK);
         if agatha_align::simd::supported_backends().contains(&Sse41) {
-            let sse41 = cfg.with_backend(BackendChoice::Fixed(Sse41));
+            let sse41 = cfg.clone().with_backend(BackendChoice::Fixed(Sse41));
             assert_eq!(sse41.block_dim_for(240, 240, &s), BLOCK);
+        }
+        // Per task: a scoring inside the gate at 8 only tiles 8×8 on every
+        // backend, and the tier resolver, asking the same rule, keeps it on
+        // the wavefront.
+        for plan in [cfg.clone(), portable] {
+            assert_eq!(plan.block_dim_for(240, 240, &window), BLOCK);
+            assert_eq!(plan.fill_tier_for(240, 240, &window), FillTier::I16);
+            assert_eq!(plan.fill_tier_for(240, 240, &s), FillTier::I16);
         }
     }
 

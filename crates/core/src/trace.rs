@@ -739,7 +739,7 @@ mod tests {
         // What the traces of 200 `dna-long` tasks hold on the heap. The
         // parent commit (one `Vec<u32>` of row counts inside every 40-byte
         // unit, host tiles) held 797,468 bytes for the same tasks under the
-        // default plan and 2,221,964 under `--block 8`, the geometry this
+        // default plan and 2,221,964 with the host at 8×8, the geometry this
         // trace is always at.
         let s =
             agatha_datasets::SCENARIOS.iter().find(|s| s.name == "dna-long").expect("registered");

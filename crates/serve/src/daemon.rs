@@ -9,7 +9,8 @@
 //!   shared [`AdmissionWindow`] — a full queue answers 503 *immediately*
 //!   (bounded queue wait, the backpressure contract), a disconnect flips
 //!   the connection's cancel flag so its pending work is dropped before
-//!   kernel dispatch;
+//!   kernel dispatch; a client that stops reading is hung up on the same way
+//!   once a reply write has blocked for [`REPLY_WRITE_TIMEOUT`];
 //! * one **batcher** owns the [`BatchEngine`]: it sleeps until the window
 //!   closes, sweeps deadline-expired requests (answered as `dropped`
 //!   without dispatch), hands the batch to the engine via
@@ -59,6 +60,12 @@ const POLL: Duration = Duration::from_millis(25);
 /// generates): past it the client gets one error reply and is disconnected,
 /// so a stream without newlines cannot grow the daemon's memory.
 pub const MAX_REQUEST_LINE: usize = 16 << 20;
+
+/// Longest a reply write may block on a client that does not read (its
+/// socket buffers full): past it the client is disconnected, its pending
+/// work cancelled and its queued replies freed, so a reader that never
+/// reads cannot grow the daemon's memory without bound.
+pub const REPLY_WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Full daemon configuration.
 #[derive(Debug, Clone)]
@@ -275,31 +282,41 @@ fn acceptor_loop(listener: TcpListener, shared: &Arc<Shared>) {
 fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL));
+    let _ = stream.set_write_timeout(Some(REPLY_WRITE_TIMEOUT));
     let Ok(write_half) = stream.try_clone() else { return };
-
-    // Dedicated writer: responses are produced by this reader (errors,
-    // rejections) *and* by the batcher thread (completions, drops), so all
-    // writes funnel through one channel to keep lines atomic.
-    let (reply_tx, reply_rx) = mpsc::channel::<String>();
-    let writer = std::thread::spawn(move || {
-        let mut out = write_half;
-        for line in reply_rx {
-            let mut bytes = line.into_bytes();
-            bytes.push(b'\n');
-            if out.write_all(&bytes).is_err() {
-                break;
-            }
-        }
-    });
 
     // One cancel flag for the whole connection: a disconnect cancels every
     // request this client still has in flight.
     let cancel = Arc::new(AtomicBool::new(false));
+
+    // Dedicated writer: responses are produced by this reader (errors,
+    // rejections) *and* by the batcher thread (completions, drops), so all
+    // writes funnel through one channel to keep lines atomic. A write that
+    // fails or times out hangs up on the client: its pending work is
+    // cancelled, the shutdown ends the reader below, and leaving the loop
+    // drops the receiver — queued replies are freed, later sends fail.
+    let (reply_tx, reply_rx) = mpsc::channel::<String>();
+    let writer = {
+        let cancel = Arc::clone(&cancel);
+        std::thread::spawn(move || {
+            let mut out = write_half;
+            for line in reply_rx {
+                let mut bytes = line.into_bytes();
+                bytes.push(b'\n');
+                if out.write_all(&bytes).is_err() {
+                    cancel.store(true, Ordering::Release);
+                    let _ = out.shutdown(std::net::Shutdown::Both);
+                    break;
+                }
+            }
+        })
+    };
+
     let mut input = stream;
     let mut buf = Vec::new();
     let mut chunk = [0u8; 8192];
     'outer: loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.shutdown.load(Ordering::SeqCst) || cancel.load(Ordering::Acquire) {
             break;
         }
         match input.read(&mut chunk) {

@@ -348,3 +348,43 @@ fn request_lines_are_bounded_and_may_span_reads() {
     assert_eq!(resp.score, Some(want.score));
     handle.shutdown();
 }
+
+#[test]
+fn a_client_that_never_reads_is_disconnected() {
+    use agatha_serve::daemon::REPLY_WRITE_TIMEOUT;
+    use std::io::{ErrorKind, Write};
+    use std::net::TcpStream;
+
+    let handle = start(|_| {});
+    // Stats requests, 32 a millisecond, and not one reply read: once the
+    // socket buffers hold what they can, a reply write blocks, times out and
+    // the daemon hangs up. A write that blocks with part of a line sent may
+    // wait a second timeout; the rest is slack for filling the buffers.
+    let limit = REPLY_WRITE_TIMEOUT * 2 + Duration::from_secs(5);
+    let mut hog = TcpStream::connect(handle.addr()).unwrap();
+    hog.set_write_timeout(Some(Duration::from_millis(200))).unwrap();
+    let flood = std::thread::spawn(move || {
+        let t0 = Instant::now();
+        let burst = "{\"cmd\":\"stats\"}\n".repeat(32);
+        while t0.elapsed() < limit {
+            match hog.write_all(burst.as_bytes()) {
+                Ok(()) => std::thread::sleep(Duration::from_millis(1)),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                // Reset or broken pipe: the daemon hung up.
+                Err(_) => return Some(t0.elapsed()),
+            }
+        }
+        None
+    });
+
+    // Meanwhile, with the hog's replies piling up, another connection is
+    // served as usual.
+    std::thread::sleep(REPLY_WRITE_TIMEOUT / 2);
+    let mut client = ServeClient::connect(handle.addr()).unwrap();
+    assert_eq!(client.ping().unwrap().status, Status::Ok);
+
+    let hung_up = flood.join().unwrap();
+    assert!(hung_up.is_some(), "a client that never reads is still connected after {limit:?}");
+    assert_eq!(client.ping().unwrap().status, Status::Ok);
+    handle.shutdown();
+}

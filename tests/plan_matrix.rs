@@ -1,6 +1,6 @@
 //! The fill-plan matrix, in process: every registered scenario under every
-//! plan an [`AgathaConfig`] can carry (fill × geometry × backend) and
-//! every way a stream can be driven (threads × prefetch ×
+//! plan an [`AgathaConfig`] can carry (fill × backend — the host tile follows
+//! the backend) and every way a stream can be driven (threads × prefetch ×
 //! carry-over). Every score equals the `guided_align` oracle, and everything
 //! simulated — the device's trace is computed from the task's shape, never
 //! from the host's tiles — is identical under every plan; only the host's own
@@ -10,10 +10,11 @@
 
 use std::collections::BTreeMap;
 
+use agatha_suite::align::block::{BlockCtx, FillTier};
 use agatha_suite::align::guided::guided_align;
 use agatha_suite::align::simd::WavefrontBackend::{Portable, Sse41};
 use agatha_suite::align::simd::{detected_backend, supported_backends, BackendChoice};
-use agatha_suite::align::{BlockDim, GuidedResult, Scoring, Task};
+use agatha_suite::align::{GuidedResult, Scoring, Task};
 use agatha_suite::core::{AgathaConfig, BatchReport, Pipeline, StreamOptions, StreamSummary};
 use agatha_suite::datasets::SCENARIOS;
 use agatha_suite::gpu_sim::KernelStats;
@@ -21,8 +22,8 @@ use agatha_suite::gpu_sim::KernelStats;
 /// Longest sequence kept, cycling per task: kb-scale long reads are cut to
 /// a prefix so the matrix costs seconds in a debug build. The scenario's
 /// score model, alphabet and error profile are what the plans are crossed
-/// with; length has its own tests. The 24 keeps one task in every six below
-/// the two wide blocks adaptive geometry asks for, so `auto` tiles a mix.
+/// with; length has its own tests. The 24 keeps one task in every six
+/// shorter than two 16-wide blocks.
 const MAX_LENS: [usize; 6] =
     if cfg!(miri) { [40, 24, 33, 48, 36, 44] } else { [144, 24, 96, 176, 64, 120] };
 
@@ -43,16 +44,12 @@ fn pipeline(scoring: Scoring, cfg: &AgathaConfig, threads: usize) -> Pipeline {
     p
 }
 
-/// {scalar} ∪ {block × every backend this host runs}.
+/// {scalar} ∪ {every backend this host runs}.
 fn fill_plans() -> Vec<(String, AgathaConfig)> {
     let mut plans = vec![("scalar".to_string(), AgathaConfig::agatha().with_simd_fill(false))];
-    for block in [BlockDim::Auto, BlockDim::B8, BlockDim::B16] {
-        for backend in supported_backends() {
-            let cfg = AgathaConfig::agatha()
-                .with_block_dim(block)
-                .with_backend(BackendChoice::Fixed(backend));
-            plans.push((format!("b{}/{}", block.name(), backend.name()), cfg));
-        }
+    for backend in supported_backends() {
+        let cfg = AgathaConfig::agatha().with_backend(BackendChoice::Fixed(backend));
+        plans.push((backend.name().to_string(), cfg));
     }
     plans
 }
@@ -83,8 +80,8 @@ fn every_fill_plan_scores_every_scenario_exactly() {
             tasks.iter().map(|t| guided_align(&t.reference, &t.query, &scoring)).collect();
         // One report for every plan: the scalar plan, first, anchors it. The
         // host's cell count is the one thing that follows the tiling — equal
-        // wherever the tasks resolved to the same block sides (a pinned
-        // block; `auto` on backends of one width).
+        // wherever the tasks resolved to the same block sides (backends of
+        // one lane width).
         let mut first: Option<(String, BatchReport)> = None;
         let mut host_cells: BTreeMap<Vec<usize>, u64> = BTreeMap::new();
         for (name, cfg) in fill_plans() {
@@ -105,9 +102,9 @@ fn every_fill_plan_scores_every_scenario_exactly() {
                 None => first = Some((name, report)),
             }
         }
-        // Both pinned geometries, plus the 8/16 mix `auto` resolves on every
-        // host (every backend but `sse41` widens, `portable` included).
-        assert_eq!(host_cells.len(), 3, "{}", s.name);
+        // 16×16 everywhere, and 8×8 on `sse41` where the host has it.
+        let widths = if supported_backends().contains(&Sse41) { 2 } else { 1 };
+        assert_eq!(host_cells.len(), widths, "{}", s.name);
     }
 }
 
@@ -191,16 +188,13 @@ fn plans_with_different_backends_run_concurrently() {
     let s = SCENARIOS.iter().find(|s| s.name == "dna-short").expect("dna-short is registered");
     let scoring = (s.scoring)();
     let tasks = scenario_tasks(s.tasks, if cfg!(miri) { 2 } else { 8 });
-    // `sse41` is the one backend whose adaptive geometry never widens (its
-    // vector lanes exist at B=8 only); where the host has it, it runs too.
+    // `sse41` is the one backend that tiles 8×8 (its vector lanes exist at
+    // B=8 only); where the host has it, it runs too.
     let mut backends = vec![Portable, detected_backend()];
     backends.extend(supported_backends().into_iter().filter(|&b| b == Sse41));
     let plans: Vec<AgathaConfig> = backends
         .iter()
-        .map(|&b| {
-            let cfg = AgathaConfig::agatha().with_block_dim(BlockDim::Auto);
-            cfg.with_backend(BackendChoice::Fixed(b))
-        })
+        .map(|&b| AgathaConfig::agatha().with_backend(BackendChoice::Fixed(b)))
         .collect();
     let tilings: Vec<_> = plans.iter().map(|cfg| tiling(cfg, &tasks, &scoring)).collect();
     assert!(tilings[0].contains(&16), "the portable plan widens on every host");
@@ -228,4 +222,72 @@ fn plans_with_different_backends_run_concurrently() {
             });
         }
     });
+}
+
+/// The host tile of each task under `cfg`, as the kernel recorded it on the
+/// runs the pipeline's engine returns; every score equals `guided_align`'s.
+fn host_tiles(scoring: Scoring, cfg: &AgathaConfig, tasks: &[Task], what: &str) -> Vec<u32> {
+    let runs = pipeline(scoring, cfg, 1).engine().run_tasks(tasks.to_vec());
+    for (run, t) in runs.iter().zip(tasks) {
+        let want = guided_align(&t.reference, &t.query, &scoring);
+        assert_eq!(run.result.score, want.score, "{what}: task {} score", t.id);
+        assert!(run.result.same_alignment(&want), "{what}: task {}", t.id);
+    }
+    runs.iter().map(|r| r.block_dim).collect()
+}
+
+#[test]
+fn the_host_tile_follows_the_lanes_and_the_gate() {
+    let count = if cfg!(miri) { 2 } else { 6 };
+    let plan = |b| AgathaConfig::agatha().with_backend(BackendChoice::Fixed(b));
+    let detected = AgathaConfig::agatha();
+    let sse41 = supported_backends().contains(&Sse41).then(|| plan(Sse41));
+    // The detected backend's lanes are 16 wide unless the host stops at
+    // SSE4.1.
+    let wide = if detected_backend() == Sse41 { 8 } else { 16 };
+
+    // Every registered scenario, plus 16-bp pairs and a band of 8: the
+    // task's shape does not pick the tile.
+    let short = SCENARIOS.iter().find(|s| s.name == "dna-short").expect("dna-short is registered");
+    let mut cases: Vec<(String, Scoring, Vec<Task>)> = SCENARIOS
+        .iter()
+        .map(|s| (s.name.to_string(), (s.scoring)(), scenario_tasks(s.tasks, count)))
+        .collect();
+    let mut tiny = scenario_tasks(short.tasks, count);
+    for t in &mut tiny {
+        t.reference = t.reference.slice(0, t.ref_len().min(16));
+        t.query = t.query.slice(0, t.query_len().min(16));
+    }
+    cases.push(("16-bp pairs".to_string(), (short.scoring)(), tiny));
+    let narrow_band = (short.scoring)().with_band(8);
+    cases.push(("-w 8".to_string(), narrow_band, scenario_tasks(short.tasks, count)));
+    for (what, scoring, tasks) in &cases {
+        let tiles = host_tiles(*scoring, &detected, tasks, what);
+        assert!(tiles.iter().all(|&b| b == wide), "{what}, detected backend: {tiles:?}");
+        let tiles = host_tiles(*scoring, &plan(Portable), tasks, what);
+        assert!(tiles.iter().all(|&b| b == 16), "{what}, portable: {tiles:?}");
+        if let Some(sse41) = &sse41 {
+            let tiles = host_tiles(*scoring, sse41, tasks, what);
+            assert!(tiles.iter().all(|&b| b == 8), "{what}, sse41: {tiles:?}");
+        }
+    }
+
+    // Match 80, gaps 4+2: inside the i16 gate at 8×8 only, so every backend
+    // tiles 8×8 to keep the task on the wavefront.
+    let window = Scoring::new(80, 4, 4, 2, 400, 400);
+    let tasks = scenario_tasks(short.tasks, count);
+    for t in &tasks {
+        let ctx = |b| BlockCtx::with_block_dim(t.ref_len(), t.query_len(), &window, b);
+        assert!(ctx(8).i16_exact && !ctx(16).i16_exact, "task {} is in the gate window", t.id);
+    }
+    for backend in supported_backends() {
+        let what = format!("gate window on {}", backend.name());
+        let cfg = plan(backend);
+        let tiles = host_tiles(window, &cfg, &tasks, &what);
+        assert!(tiles.iter().all(|&b| b == 8), "{what}: {tiles:?}");
+        for t in &tasks {
+            let tier = cfg.fill_tier_for(t.ref_len(), t.query_len(), &window);
+            assert_eq!(tier, FillTier::I16, "{what}: task {}", t.id);
+        }
+    }
 }

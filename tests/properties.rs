@@ -6,10 +6,19 @@ use agatha_suite::align::banded::banded_align;
 use agatha_suite::align::block::block_grid_align;
 use agatha_suite::align::guided::guided_align;
 use agatha_suite::align::matrix::full_align;
-use agatha_suite::align::{BlockDim, PackedSeq, ScoreModel, Scoring, Task, BLOSUM62};
+use agatha_suite::align::simd::{BackendChoice, WavefrontBackend};
+use agatha_suite::align::{PackedSeq, ScoreModel, Scoring, Task, BLOSUM62};
 use agatha_suite::core::bucketing::{build_warps, OrderingStrategy};
-use agatha_suite::core::{kernel::run_task, AgathaConfig};
+use agatha_suite::core::kernel::{run_task, TaskRun};
+use agatha_suite::core::AgathaConfig;
 use agatha_suite::gpu_sim::sched;
+
+/// `cfg` pinned to a host tile through its backend: `portable` runs 16×16,
+/// `sse41` 8×8 (on a host without SSE4.1 it clamps to `portable`).
+fn tiled(cfg: AgathaConfig, wide: bool) -> AgathaConfig {
+    let backend = if wide { WavefrontBackend::Portable } else { WavefrontBackend::Sse41 };
+    cfg.with_backend(BackendChoice::Fixed(backend))
+}
 
 fn dna(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(0u8..5, 1..max_len)
@@ -136,9 +145,8 @@ proptest! {
         } else {
             AgathaConfig::agatha().with_slice_width(slice)
         };
-        // Pinned geometry: the adaptive choice depends on the fill mode, so
-        // whole-run equality across fills is only defined at a fixed tiling.
-        let cfg = cfg.with_block_dim(if wide { BlockDim::B16 } else { BlockDim::B8 });
+        // Both tiles, through the backend that runs each.
+        let cfg = tiled(cfg, wide);
         let scalar = run_task(&task, &s, &cfg.clone().with_simd_fill(false));
         let simd = run_task(&task, &s, &cfg.with_simd_fill(true));
         prop_assert_eq!(scalar, simd);
@@ -175,15 +183,15 @@ proptest! {
         } else {
             AgathaConfig::agatha().with_slice_width(slice)
         };
-        // Pinned geometry, as in `simd_scalar_bit_identity`.
-        let cfg = cfg.with_block_dim(if wide { BlockDim::B16 } else { BlockDim::B8 });
+        // Both tiles, as in `simd_scalar_bit_identity`.
+        let cfg = tiled(cfg, wide);
         let scalar = run_task(&task, &s, &cfg.clone().with_simd_fill(false));
         let narrow = run_task(&task, &s, &cfg.with_simd_fill(true));
         prop_assert_eq!(&scalar, &narrow);
     }
 
-    /// Block geometry is a pure tiling choice. At a pinned geometry every
-    /// fill tier — i16 wavefront, scalar — stays fully
+    /// Block geometry is a pure tiling choice. At each tile (pinned through
+    /// the backend) every fill tier — i16 wavefront, scalar — stays fully
     /// bit-identical (whole `TaskRun` equality), over random tasks ×
     /// bands × z-drop × tilings. Across the two geometries the host's own
     /// block counts legitimately differ (they describe the host tiling), but
@@ -208,8 +216,8 @@ proptest! {
             AgathaConfig::agatha().with_slice_width(slice)
         };
         let mut per_geometry = Vec::new();
-        for bd in [BlockDim::B8, BlockDim::B16] {
-            let cfg = base.clone().with_block_dim(bd);
+        for wide in [false, true] {
+            let cfg = tiled(base.clone(), wide);
             let scalar = run_task(&task, &s, &cfg.clone().with_simd_fill(false));
             let i16_run = run_task(&task, &s, &cfg.with_simd_fill(true));
             prop_assert_eq!(&scalar, &i16_run);
@@ -222,8 +230,9 @@ proptest! {
     /// The wavefront backend is a pure implementation choice: forcing every
     /// backend this machine supports (AVX-512 down to portable) must leave
     /// the whole `TaskRun` — results, unit schedules, block counts —
-    /// bit-identical across backends × both block geometries × both fill
-    /// tiers, over random tasks × bands × z-drop × tilings. The `boost`
+    /// bit-identical across backends of one tile × both fill tiers, and the
+    /// result and unit schedule across tiles (`sse41` runs 8×8), over random
+    /// tasks × bands × z-drop × tilings. The `boost`
     /// factor pushes a share of cases past the i16 exactness gate so the
     /// demotion to scalar is swept per backend too.
     #[test]
@@ -237,7 +246,7 @@ proptest! {
         slice in 1usize..20,
         horizontal in proptest::bool::ANY,
     ) {
-        use agatha_suite::align::simd::{self, BackendChoice};
+        use agatha_suite::align::simd;
         let mut s = s;
         if let ScoreModel::Fixed { ref mut match_score, .. } = s.model {
             *match_score *= [1, 64, 4096][boost];
@@ -251,26 +260,29 @@ proptest! {
         } else {
             AgathaConfig::agatha().with_slice_width(slice)
         };
-        for bd in [BlockDim::B8, BlockDim::B16] {
-            // Pinned geometry: whole-run equality across backends is only
-            // defined at one tiling (Auto's pick depends on the backend).
-            let mut reference = None;
-            for backend in simd::supported_backends() {
-                let cfg =
-                    base.clone().with_block_dim(bd).with_backend(BackendChoice::Fixed(backend));
-                let scalar = run_task(&task, &s, &cfg.clone().with_simd_fill(false));
-                let i16_run = run_task(&task, &s, &cfg.clone().with_simd_fill(true));
-                let want = reference.get_or_insert_with(|| scalar.clone());
-                prop_assert_eq!(&*want, &scalar);
-                prop_assert_eq!(&*want, &i16_run);
+        // The first run of each tile: whole-run equality across backends is
+        // only defined at one tiling.
+        let mut per_tile: Vec<TaskRun> = Vec::new();
+        for backend in simd::supported_backends() {
+            let cfg = base.clone().with_backend(BackendChoice::Fixed(backend));
+            let scalar = run_task(&task, &s, &cfg.clone().with_simd_fill(false));
+            let i16_run = run_task(&task, &s, &cfg.with_simd_fill(true));
+            prop_assert_eq!(&scalar, &i16_run);
+            match per_tile.iter().find(|r| r.block_dim == scalar.block_dim) {
+                Some(want) => prop_assert_eq!(want, &scalar),
+                None => per_tile.push(scalar),
             }
+        }
+        for other in &per_tile[1..] {
+            prop_assert_eq!(&per_tile[0].result, &other.result);
+            prop_assert_eq!(&per_tile[0].units, &other.units);
         }
     }
 
     /// `geometry_sweep_bit_identity` under the substitution-matrix score
     /// model: random protein tasks (full BLOSUM62 alphabet including the
     /// pad residue X) through every fill tier × both block geometries, with
-    /// full `TaskRun` equality at each pinned geometry. This is the gate
+    /// full `TaskRun` equality at each tile. This is the gate
     /// re-derivation's proof obligation for matrix models: the i16
     /// exactness gate uses the matrix's declared ±bounds, and the SIMD
     /// matrix-lookup path (with and without the query profile) must be
@@ -297,8 +309,8 @@ proptest! {
             AgathaConfig::agatha().with_slice_width(slice)
         };
         let mut per_geometry = Vec::new();
-        for bd in [BlockDim::B8, BlockDim::B16] {
-            let cfg = base.clone().with_block_dim(bd);
+        for wide in [false, true] {
+            let cfg = tiled(base.clone(), wide);
             let scalar = run_task(&task, &s, &cfg.clone().with_simd_fill(false));
             let i16_run = run_task(&task, &s, &cfg.with_simd_fill(true));
             prop_assert_eq!(&scalar, &i16_run);
@@ -333,8 +345,7 @@ proptest! {
         let s = if zdrop_on { s } else { s.with_zdrop(Scoring::NO_ZDROP) };
         let (rp, qp) = (PackedSeq::from_codes(&r), PackedSeq::from_codes(&q));
         let task = Task { id: 0, reference: rp, query: qp };
-        let cfg = AgathaConfig::agatha()
-            .with_block_dim(if wide { BlockDim::B16 } else { BlockDim::B8 });
+        let cfg = tiled(AgathaConfig::agatha(), wide);
         let scalar = run_task(&task, &s, &cfg.clone().with_simd_fill(false));
         let i16_run = run_task(&task, &s, &cfg.with_simd_fill(true));
         prop_assert_eq!(&scalar, &i16_run);
@@ -412,8 +423,8 @@ proptest! {
 }
 
 proptest! {
-    // kb-scale tasks × every backend × both geometries × two tiers: a few
-    // seconds per case in a debug build, so fewer cases than the block above.
+    // kb-scale tasks × every backend (both tiles) × two tiers: a few seconds
+    // per case in a debug build, so fewer cases than the block above.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The block-rebased i16 tier on tasks the old absolute-score gate
@@ -423,8 +434,9 @@ proptest! {
     /// junk tail (disjoint alphabets after a matching quarter) falls below
     /// −32,768 — under the CLR fixed model, a fixed model with 6× the
     /// penalties, and BLOSUM62, over bands from the bare main diagonal
-    /// through the lane counts to 200. Per geometry and backend: full
-    /// `TaskRun` equality between the i16 tier and the scalar fill and across backends;
+    /// through the lane counts to 200. Per backend (`sse41` tiles 8×8, the
+    /// others 16×16): full `TaskRun` equality between the i16 tier and the
+    /// scalar fill;
     /// the result equals the scalar `guided_align`, and for BLOSUM62 also the
     /// i16 block grid without a query profile.
     #[test]
@@ -436,7 +448,7 @@ proptest! {
         zdrop_on in proptest::bool::ANY,
     ) {
         use agatha_suite::align::block::{BlockCtx, FillTier};
-        use agatha_suite::align::simd::{self, BackendChoice};
+        use agatha_suite::align::simd;
         use agatha_suite::align::sweep::grid_align;
         let s = match model {
             0 => Scoring::preset_clr(),
@@ -482,26 +494,23 @@ proptest! {
             prop_assert!(narrow.same_alignment(&want), "no profile, B=8: {narrow:?} vs {want:?}");
             prop_assert_eq!(&narrow, &wide);
         }
-        for bd in [BlockDim::B8, BlockDim::B16] {
-            let i16_cfg = AgathaConfig::agatha().with_simd_fill(true).with_block_dim(bd);
+        for backend in simd::supported_backends() {
+            let i16_cfg = AgathaConfig::agatha().with_backend(BackendChoice::Fixed(backend));
             prop_assert_eq!(
                 i16_cfg.fill_tier_for(task.ref_len(), task.query_len(), &s),
                 FillTier::I16
             );
             let run = run_task(&task, &s, &i16_cfg.clone().with_simd_fill(false));
-            for backend in simd::supported_backends() {
-                let on = BackendChoice::Fixed(backend);
-                let i16_run = run_task(&task, &s, &i16_cfg.clone().with_backend(on));
-                prop_assert!(
-                    run == i16_run,
-                    "i16 tier diverged on {}: {:?} vs {:?}",
-                    backend.name(),
-                    i16_run.result,
-                    run.result
-                );
-            }
+            let i16_run = run_task(&task, &s, &i16_cfg);
+            prop_assert!(
+                run == i16_run,
+                "i16 tier diverged on {}: {:?} vs {:?}",
+                backend.name(),
+                i16_run.result,
+                run.result
+            );
             prop_assert!(run.result.same_alignment(&want),
-                "B={}: {:?} vs {want:?}", bd.name(), run.result);
+                "{} (B={}): {:?} vs {want:?}", backend.name(), run.block_dim, run.result);
             prop_assert_eq!(run.result.cells, want.cells);
         }
     }
