@@ -40,17 +40,12 @@ impl Base {
         self as u8
     }
 
-    /// Parse from an ASCII character (case-insensitive). Unknown characters
-    /// become `N`, matching common FASTA-reader behaviour.
+    /// Parse from a character (case-insensitive, `U` reads as `T`) through
+    /// the [`crate::pack::DNA`] table. Unknown characters become `N`,
+    /// matching common FASTA-reader behaviour.
     #[inline]
     pub fn from_char(c: char) -> Base {
-        match c.to_ascii_uppercase() {
-            'A' => Base::A,
-            'C' => Base::C,
-            'G' => Base::G,
-            'T' | 'U' => Base::T,
-            _ => Base::N,
-        }
+        Base::from_code(crate::pack::DNA.code(c))
     }
 
     /// Upper-case ASCII character for this base.
@@ -90,9 +85,9 @@ impl std::fmt::Display for Base {
     }
 }
 
-/// Convert an ASCII string into base codes.
+/// Convert a string into base codes, one per `char`.
 pub fn codes_from_str(s: &str) -> Vec<u8> {
-    s.chars().map(|c| Base::from_char(c).code()).collect()
+    crate::pack::DNA.codes(s)
 }
 
 /// Render base codes as an ASCII string.

@@ -10,6 +10,12 @@
 //! for protein) and its pad code (`N` for DNA, `X` for protein) per
 //! instance; all the DNA constructors keep the historical 4-bit layout
 //! bit-for-bit.
+//!
+//! Text enters through this module only: every character → code decision —
+//! [`Base::from_char`], [`SubstMatrix::code_of`], the `codes_from_str`
+//! helpers, the string constructors below, the FASTA reader and the serve
+//! request path — reads one [`CodeTable`] per alphabet ([`DNA`], or a
+//! matrix's [`SubstMatrix::table`]), built at compile time.
 
 use crate::base::Base;
 use crate::scoring::SubstMatrix;
@@ -22,6 +28,97 @@ pub const BASES_PER_WORD: usize = 8;
 pub const BITS_PER_BASE: u32 = 4;
 /// Mask extracting one base from a word at the default (DNA) width.
 pub const BASE_MASK: u32 = 0xF;
+
+/// One alphabet's character → code decision: a case-insensitive table over
+/// the 128 ASCII bytes, with the packing width and pad code its sequences
+/// use. Anything outside the alphabet — and every non-ASCII byte or `char`
+/// — decodes to the pad code.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CodeTable {
+    codes: [u8; 128],
+    bits: u32,
+    pad: u8,
+}
+
+/// The DNA table: `ACGTN` to codes 0–4 in either case, `U` reads as `T`,
+/// everything else is `N`; packed at 4 bits.
+pub const DNA: CodeTable = {
+    let mut t = CodeTable::from_alphabet("ACGTN", BITS_PER_BASE);
+    t.codes[b'U' as usize] = Base::T as u8;
+    t.codes[b'u' as usize] = Base::T as u8;
+    t
+};
+
+impl CodeTable {
+    /// The table of an ASCII `alphabet` in code order (its last letter is
+    /// the pad code): a byte decodes to the first position of its upper-case
+    /// form in `alphabet`, or to the pad code.
+    pub const fn from_alphabet(alphabet: &str, bits: u32) -> CodeTable {
+        let letters = alphabet.as_bytes();
+        assert!(
+            !letters.is_empty() && letters.len() <= 1 << bits,
+            "the alphabet must be non-empty and fit its width"
+        );
+        let pad = (letters.len() - 1) as u8;
+        let mut codes = [pad; 128];
+        let mut b = 0;
+        while b < 128 {
+            let up = (b as u8).to_ascii_uppercase();
+            let mut i = 0;
+            while i < letters.len() {
+                assert!(letters[i].is_ascii(), "the alphabet must be ASCII");
+                if letters[i] == up {
+                    codes[b] = i as u8;
+                    break;
+                }
+                i += 1;
+            }
+            b += 1;
+        }
+        CodeTable { codes, bits, pad }
+    }
+
+    /// Code of one `char`.
+    #[inline]
+    pub fn code(&self, c: char) -> u8 {
+        self.codes.get(c as usize).copied().unwrap_or(self.pad)
+    }
+
+    /// Append one code per byte of `bytes` to `out` (a byte ≥ 0x80 decodes to
+    /// the pad code; on ASCII input this is one code per `char`).
+    #[inline]
+    pub fn decode_bytes(&self, bytes: &[u8], out: &mut Vec<u8>) {
+        out.extend(
+            bytes.iter().map(|&b| self.codes.get(usize::from(b)).copied().unwrap_or(self.pad)),
+        );
+    }
+
+    /// Append one code per `char` of `s` to `out`.
+    pub fn decode(&self, s: &str, out: &mut Vec<u8>) {
+        if s.is_ascii() {
+            self.decode_bytes(s.as_bytes(), out);
+        } else {
+            out.extend(s.chars().map(|c| self.code(c)));
+        }
+    }
+
+    /// The codes of `s`, one per `char`.
+    pub fn codes(&self, s: &str) -> Vec<u8> {
+        let mut out = Vec::with_capacity(s.len());
+        self.decode(s, &mut out);
+        out
+    }
+
+    /// Pack codes at this alphabet's width and pad.
+    pub fn pack(&self, codes: &[u8]) -> PackedSeq {
+        PackedSeq::from_codes_wide(codes, self.bits, self.pad)
+    }
+
+    /// Decode and pack `s`, one code per `char`.
+    pub fn pack_str(&self, s: &str) -> PackedSeq {
+        self.pack(&self.codes(s))
+    }
+}
 
 /// An immutable residue sequence packed at `bits` bits per code (4 for the
 /// five-letter DNA alphabet, 8 for protein alphabets).
@@ -42,51 +139,38 @@ impl PackedSeq {
     /// Pack a slice of DNA base codes (0–4; anything larger is clamped to
     /// `N`) at the default 4-bit width.
     pub fn from_codes(codes: &[u8]) -> PackedSeq {
-        PackedSeq::from_codes_wide(codes, BITS_PER_BASE, Base::N.code())
+        DNA.pack(codes)
     }
 
     /// Pack a slice of residue codes at an explicit bit width with an
     /// explicit pad code (codes above `pad` are clamped to `pad`; the pad
-    /// code itself must fit `bits`). `bits` must divide 32.
+    /// code itself must fit `bits`). `bits` is 4 or 8.
     pub fn from_codes_wide(codes: &[u8], bits: u32, pad: u8) -> PackedSeq {
-        assert!(bits > 0 && 32 % bits == 0, "bits must divide 32, got {bits}");
-        assert!(
-            u32::from(pad) < (1u32 << bits).min(256),
-            "pad code {pad} does not fit {bits} bits"
-        );
-        let per = (32 / bits) as usize;
-        let mut words = vec![0u32; codes.len().div_ceil(per)];
-        for (i, &c) in codes.iter().enumerate() {
-            let code = u32::from(if c > pad { pad } else { c });
-            words[i / per] |= code << (bits * (i % per) as u32);
-        }
-        // Fill the tail with the pad code so whole-word block loads are
-        // deterministic.
-        let tail_start = codes.len() % per;
-        if tail_start != 0 {
-            let last = words.len() - 1;
-            for k in tail_start..per {
-                words[last] |= u32::from(pad) << (bits * k as u32);
-            }
-        }
+        assert!(bits == 4 || bits == 8, "bits must be 4 or 8, got {bits}");
+        assert!(u32::from(pad) < 1u32 << bits, "pad code {pad} does not fit {bits} bits");
+        let words = if bits == 4 {
+            pack_words(codes, pad, nibbles)
+        } else {
+            pack_words(codes, pad, u32::from_le_bytes)
+        };
         PackedSeq { words, len: codes.len(), bits, pad }
     }
 
     /// Pack protein residue codes for a substitution matrix: 8 bits per
     /// code, padded with the matrix's ambiguous residue (`X`).
     pub fn from_protein_codes(codes: &[u8], matrix: &SubstMatrix) -> PackedSeq {
-        PackedSeq::from_codes_wide(codes, 8, matrix.pad_code())
+        matrix.table.pack(codes)
     }
 
-    /// Pack a protein sequence from an ASCII string under a substitution
-    /// matrix's alphabet (unknown characters become the ambiguous residue).
+    /// Pack a protein sequence from a string under a substitution matrix's
+    /// alphabet (unknown characters become the ambiguous residue).
     pub fn from_protein_str(s: &str, matrix: &SubstMatrix) -> PackedSeq {
-        PackedSeq::from_protein_codes(&matrix.codes_from_str(s), matrix)
+        matrix.table.pack_str(s)
     }
 
-    /// Pack from an ASCII string (characters outside `ACGTU` become `N`).
+    /// Pack from a string (characters outside `ACGTU` become `N`).
     pub fn from_str_seq(s: &str) -> PackedSeq {
-        PackedSeq::from_codes(&crate::base::codes_from_str(s))
+        DNA.pack_str(s)
     }
 
     /// Pack from typed bases.
@@ -201,6 +285,39 @@ impl PackedSeq {
         let codes: Vec<u8> = (start..start + len).map(|i| self.code(i)).collect();
         PackedSeq::from_codes_wide(&codes, self.bits, self.pad)
     }
+}
+
+/// `codes` at `PER` codes per word, each clamped to `pad` and laid into a
+/// word by `word`, the final word's unused slots filled with `pad` so that
+/// whole-word block loads read deterministic data. The clamp runs over a
+/// pad-initialised 64-code block at a time, so it vectorises and the tail
+/// needs no case of its own.
+fn pack_words<const PER: usize>(
+    codes: &[u8],
+    pad: u8,
+    word: impl Fn([u8; PER]) -> u32,
+) -> Vec<u32> {
+    let mut words = Vec::with_capacity(codes.len().div_ceil(PER));
+    for block in codes.chunks(64) {
+        let mut clamped = [pad; 64];
+        for (slot, &c) in clamped.iter_mut().zip(block) {
+            *slot = c.min(pad);
+        }
+        let used = block.len().div_ceil(PER) * PER;
+        words.extend(
+            clamped[..used].chunks_exact(PER).map(|w| word(w.try_into().expect("PER codes"))),
+        );
+    }
+    words
+}
+
+/// Eight 4-bit codes (one per byte) to one word, byte `k` to nibble `k`:
+/// three shift-or-mask steps halve the spacing 8 → 4 → 2 → 1 bytes.
+fn nibbles(codes: [u8; 8]) -> u32 {
+    let v = u64::from_le_bytes(codes);
+    let v = (v | v >> 4) & 0x00FF_00FF_00FF_00FF;
+    let v = (v | v >> 8) & 0x0000_FFFF_0000_FFFF;
+    (v | v >> 16) as u32
 }
 
 #[cfg(test)]
@@ -336,6 +453,119 @@ mod tests {
         // String packing goes through the matrix alphabet.
         let ps = PackedSeq::from_protein_str("ARNdw?", &BLOSUM62);
         assert_eq!(ps.to_codes(), vec![0, 1, 2, 3, 17, 20]);
+    }
+
+    /// The per-code packing formula: code `i` at bits `[bits*(i%per), +bits)`
+    /// of word `i/per`, clamped to `pad`, the final word's tail padded.
+    fn per_code_words(codes: &[u8], bits: u32, pad: u8) -> Vec<u32> {
+        let per = (32 / bits) as usize;
+        let slots = codes.len().div_ceil(per) * per;
+        let mut words = vec![0u32; slots / per];
+        for i in 0..slots {
+            let c = codes.get(i).map_or(pad, |&c| c.min(pad));
+            words[i / per] |= u32::from(c) << (bits * (i % per) as u32);
+        }
+        words
+    }
+
+    #[test]
+    fn word_packer_matches_the_per_code_formula() {
+        for (bits, pad) in [(4, 4), (4, 15), (8, 20), (8, 255)] {
+            for len in 0..=70usize {
+                // Over the 256 rotations every position sees every code,
+                // above and below the clamp.
+                for rot in 0..256usize {
+                    let codes: Vec<u8> = (0..len).map(|i| ((i * 97 + rot) % 256) as u8).collect();
+                    let p = PackedSeq::from_codes_wide(&codes, bits, pad);
+                    assert_eq!(p.words(), per_code_words(&codes, bits, pad), "{bits}/{pad}/{len}");
+                    assert_eq!((p.len(), p.bits(), p.pad()), (len, bits, pad));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bits must be 4 or 8")]
+    fn word_packer_takes_4_or_8_bits() {
+        PackedSeq::from_codes_wide(&[0, 1], 2, 1);
+    }
+
+    /// The character decoders the tables replaced: a `match` for DNA and a
+    /// linear search of the alphabet for a matrix.
+    fn dna_by_match(c: char) -> u8 {
+        match c.to_ascii_uppercase() {
+            'A' => 0,
+            'C' => 1,
+            'G' => 2,
+            'T' | 'U' => 3,
+            _ => 4,
+        }
+    }
+
+    fn blosum62_by_search(c: char) -> u8 {
+        use crate::scoring::BLOSUM62;
+        let up = c.to_ascii_uppercase();
+        BLOSUM62.alphabet.chars().position(|a| a == up).map_or(BLOSUM62.pad_code(), |i| i as u8)
+    }
+
+    #[test]
+    fn tables_agree_with_the_char_decoders_on_every_ascii_byte() {
+        use crate::scoring::BLOSUM62;
+        for b in 0u8..128 {
+            let c = char::from(b);
+            assert_eq!(DNA.code(c), dna_by_match(c), "{b:#x}");
+            assert_eq!(Base::from_char(c).code(), dna_by_match(c), "{b:#x}");
+            assert_eq!(BLOSUM62.table.code(c), blosum62_by_search(c), "{b:#x}");
+            assert_eq!(BLOSUM62.code_of(c), blosum62_by_search(c), "{b:#x}");
+            let mut one = Vec::new();
+            DNA.decode_bytes(&[b], &mut one);
+            BLOSUM62.table.decode_bytes(&[b], &mut one);
+            assert_eq!(one, [dna_by_match(c), blosum62_by_search(c)], "{b:#x}");
+        }
+        for b in 0x80u8..=0xFF {
+            let mut one = Vec::new();
+            DNA.decode_bytes(&[b], &mut one);
+            BLOSUM62.table.decode_bytes(&[b], &mut one);
+            assert_eq!(one, [Base::N.code(), BLOSUM62.pad_code()], "{b:#x}");
+        }
+        assert_eq!((DNA.bits, DNA.pad), (BITS_PER_BASE, Base::N.code()));
+        assert_eq!((BLOSUM62.table.bits, BLOSUM62.table.pad), (8, BLOSUM62.pad_code()));
+    }
+
+    #[test]
+    fn string_packing_matches_a_per_char_decode() {
+        use crate::scoring::BLOSUM62;
+        // Letters of both alphabets in both cases, whitespace, multi-byte
+        // characters (2, 3 and 4 bytes, Unicode whitespace among them), and
+        // arbitrary scalar values.
+        let pool: Vec<char> =
+            "ACGTNUacgtnuXxWwRrBbZz* \t\r\n\u{0B}\u{85}\u{A0}é\u{3000}\u{10FFFF}😀"
+                .chars()
+                .collect();
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for case in 0..2000 {
+            let len = (next() % 80) as usize;
+            let s: String = (0..len)
+                .map(|_| match next() % 4 {
+                    0 => char::from_u32((next() % 0x11_0000) as u32).unwrap_or('?'),
+                    _ => pool[(next() % pool.len() as u64) as usize],
+                })
+                .collect();
+            let dna: Vec<u8> = s.chars().map(dna_by_match).collect();
+            assert_eq!(PackedSeq::from_str_seq(&s), PackedSeq::from_codes(&dna), "case {case}");
+            let protein: Vec<u8> = s.chars().map(blosum62_by_search).collect();
+            assert_eq!(
+                PackedSeq::from_protein_str(&s, &BLOSUM62),
+                PackedSeq::from_protein_codes(&protein, &BLOSUM62),
+                "case {case}"
+            );
+        }
     }
 
     #[test]

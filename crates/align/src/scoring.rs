@@ -17,6 +17,7 @@
 //! proof instead of silently weakening it.
 
 use crate::base::Base;
+use crate::pack::{CodeTable, DNA};
 
 /// A substitution matrix over a residue alphabet (protein scoring).
 ///
@@ -30,6 +31,10 @@ pub struct SubstMatrix {
     /// Residue alphabet in code order; the final character is the
     /// ambiguous/pad residue.
     pub alphabet: &'static str,
+    /// `alphabet`'s character → code table at 8 bits per code, built at
+    /// compile time (`CodeTable::from_alphabet(alphabet, 8)`; checked by
+    /// [`SubstMatrix::validate`]).
+    pub table: CodeTable,
     /// Alphabet size (number of residue codes).
     pub dim: usize,
     /// `dim × dim` substitution scores, row-major.
@@ -56,16 +61,17 @@ impl SubstMatrix {
         (self.dim - 1) as u8
     }
 
-    /// Residue code for an ASCII character (case-insensitive); characters
-    /// outside the alphabet map to the ambiguous residue.
+    /// Residue code for a character (case-insensitive) through
+    /// [`SubstMatrix::table`]; characters outside the alphabet map to the
+    /// ambiguous residue.
+    #[inline]
     pub fn code_of(&self, c: char) -> u8 {
-        let up = c.to_ascii_uppercase();
-        self.alphabet.chars().position(|a| a == up).map_or(self.pad_code(), |i| i as u8)
+        self.table.code(c)
     }
 
-    /// Encode an ASCII residue string to codes.
+    /// Encode a residue string to codes, one per `char`.
     pub fn codes_from_str(&self, s: &str) -> Vec<u8> {
-        s.chars().map(|c| self.code_of(c)).collect()
+        self.table.codes(s)
     }
 
     /// Check declared bounds and shape against the score table.
@@ -82,6 +88,9 @@ impl SubstMatrix {
         if self.alphabet.chars().count() != self.dim {
             return Err(format!("matrix {}: alphabet length != dim {}", self.name, self.dim));
         }
+        if self.table != CodeTable::from_alphabet(self.alphabet, 8) {
+            return Err(format!("matrix {}: code table does not match the alphabet", self.name));
+        }
         let max = self.scores.iter().copied().max().unwrap() as i32;
         let min = self.scores.iter().copied().min().unwrap() as i32;
         if max != self.max_score || min != self.min_score {
@@ -97,6 +106,9 @@ impl SubstMatrix {
     }
 }
 
+/// BLOSUM62's residues in code order, `X` last.
+const BLOSUM62_ALPHABET: &str = "ARNDCQEGHILKMFPSTWYVX";
+
 /// BLOSUM62 over the 20 standard amino acids plus `X` (ambiguous/pad).
 ///
 /// The 20×20 core is the standard BLOSUM62 table (order `ARNDCQEGHILKMFPSTWYV`,
@@ -105,7 +117,8 @@ impl SubstMatrix {
 /// behaves like DNA's flat `-ambig` penalty.
 pub static BLOSUM62: SubstMatrix = SubstMatrix {
     name: "blosum62",
-    alphabet: "ARNDCQEGHILKMFPSTWYVX",
+    alphabet: BLOSUM62_ALPHABET,
+    table: CodeTable::from_alphabet(BLOSUM62_ALPHABET, 8),
     dim: 21,
     #[rustfmt::skip]
     scores: &[
@@ -241,6 +254,16 @@ impl ScoreModel {
         match self {
             ScoreModel::Fixed { .. } => Base::N.code(),
             ScoreModel::Matrix(m) => m.pad_code(),
+        }
+    }
+
+    /// The character → code table input text decodes through under this
+    /// model: [`DNA`] for the fixed model, the matrix's own table otherwise.
+    #[inline]
+    pub fn code_table(&self) -> &'static CodeTable {
+        match self {
+            ScoreModel::Fixed { .. } => &DNA,
+            ScoreModel::Matrix(m) => &m.table,
         }
     }
 

@@ -68,14 +68,8 @@ impl Task {
         query: &str,
         model: &crate::scoring::ScoreModel,
     ) -> Task {
-        match model.matrix() {
-            None => Task::from_strs(id, reference, query),
-            Some(m) => Task {
-                id,
-                reference: PackedSeq::from_protein_str(reference, m),
-                query: PackedSeq::from_protein_str(query, m),
-            },
-        }
+        let table = model.code_table();
+        Task { id, reference: table.pack_str(reference), query: table.pack_str(query) }
     }
 
     /// Checked admission: every engine narrows this task's cell coordinates

@@ -1,8 +1,8 @@
 //! Criterion microbenchmarks of the hot paths: the scalar guided reference,
-//! the block-grid kernel under each configuration, input packing, the
-//! anti-diagonal tracker and the simulated device's trace. These measure *real host wall-time* of the
-//! implementation (unlike the figure harnesses, which report simulated
-//! device time).
+//! the block-grid kernel under each configuration, input packing, FASTA
+//! parsing, the anti-diagonal tracker and the simulated device's trace.
+//! These measure *real host wall-time* of the implementation (unlike the
+//! figure harnesses, which report simulated device time).
 
 use std::time::{Duration, Instant};
 
@@ -20,6 +20,7 @@ use agatha_core::{
     AgathaConfig,
 };
 use agatha_datasets::SCENARIOS;
+use agatha_io::FastaReader;
 
 fn pseudo_seq(len: usize, seed: u64, mutate_every: usize) -> (String, String) {
     let mut r = String::new();
@@ -265,14 +266,55 @@ fn bench_packing(c: &mut Criterion) {
     let codes = agatha_align::base::codes_from_str(&r);
     g.throughput(Throughput::Elements(codes.len() as u64));
     g.bench_function("pack_4bit", |b| b.iter(|| PackedSeq::from_codes(&codes)));
+    let residues: Vec<u8> = codes.iter().enumerate().map(|(i, &c)| (c + i as u8) % 21).collect();
+    g.bench_function("pack_8bit", |b| {
+        b.iter(|| PackedSeq::from_protein_codes(&residues, &agatha_align::BLOSUM62))
+    });
     let packed = PackedSeq::from_codes(&codes);
     g.bench_function("unpack", |b| b.iter(|| packed.to_codes()));
+    g.finish();
+}
+
+fn bench_fasta_parse(c: &mut Criterion) {
+    // The reader over an in-memory file of ≈ 4 MB: 10 kb records wrapped at
+    // 60 columns, decoded and packed, per alphabet.
+    let mut g = c.benchmark_group("fasta_parse");
+    for (name, matrix) in [("dna", None), ("blosum62", Some(&agatha_align::BLOSUM62))] {
+        let letters: &[u8] = if matrix.is_some() { b"ARNDCQEGHILKMFPSTWYV" } else { b"ACGT" };
+        let mut file = Vec::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for record in 0.. {
+            if file.len() >= 4 << 20 {
+                break;
+            }
+            file.extend_from_slice(format!(">read{record}\n").as_bytes());
+            let seq: Vec<u8> = (0..10_000)
+                .map(|_| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    letters[(x >> 33) as usize % letters.len()]
+                })
+                .collect();
+            for line in seq.chunks(60) {
+                file.extend_from_slice(line);
+                file.push(b'\n');
+            }
+        }
+        g.throughput(Throughput::Bytes(file.len() as u64));
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                FastaReader::new(&file[..])
+                    .with_matrix(matrix)
+                    .map(|r| r.expect("a well-formed file").seq.len())
+                    .sum::<usize>()
+            })
+        });
+    }
     g.finish();
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_guided_reference, bench_block_kernel, bench_kernel_configs, bench_workspace_reuse, bench_block_fold, bench_segment_fill, bench_device_trace, bench_packing
+    targets = bench_guided_reference, bench_block_kernel, bench_kernel_configs, bench_workspace_reuse, bench_block_fold, bench_segment_fill, bench_device_trace, bench_packing, bench_fasta_parse
 }
 criterion_main!(benches);

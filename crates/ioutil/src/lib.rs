@@ -18,3 +18,12 @@ pub use fasta::{
     FastaPairs, FastaReader, FastaRecord,
 };
 pub use output::{write_score_log, write_time_json};
+
+/// Per-process-unique scratch dir for unit tests, so concurrent test runs
+/// (two checkouts, parallel CI jobs) never race on the same files.
+#[cfg(test)]
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("agatha_io_{name}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}

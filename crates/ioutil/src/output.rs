@@ -55,12 +55,12 @@ mod tests {
 
     #[test]
     fn score_log_roundtrip() {
-        let dir = std::env::temp_dir().join("agatha_out_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::scratch_dir("score_log");
         let path = dir.join("score.log");
         write_score_log(&path, &[10, -5, 0, 42]).unwrap();
         let back = std::fs::read_to_string(&path).unwrap();
         assert_eq!(back, "10\n-5\n0\n42\n");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

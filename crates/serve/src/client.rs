@@ -84,11 +84,13 @@ impl ServeClient {
 
     /// Read the next raw response line.
     pub fn recv_line(&mut self) -> Result<String, String> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line).map_err(|e| format!("recv: {e}"))?;
+        let mut line = Vec::new();
+        let n = self.reader.read_until(b'\n', &mut line).map_err(|e| format!("recv: {e}"))?;
         if n == 0 {
             return Err("server closed the connection".to_string());
         }
+        let line = String::from_utf8(line)
+            .map_err(|_| "recv: stream did not contain valid UTF-8".to_string())?;
         Ok(line.trim_end().to_string())
     }
 
