@@ -4,7 +4,6 @@
 //! ```text
 //! agatha align [-a M] [-b X] [-q O] [-r E] [-z Z] [-w W] \
 //!              [--engine NAME] [--gpus N] [--threads N] [--chunk N] \
-//!              [--prefetch N] [--carryover on|off] \
 //!              [-o DIR] REF.fasta QUERY.fasta
 //! agatha demo  [--tech hifi|clr|ont] [--reads N] [-o DIR]
 //! agatha serve [--port N] [--window-ms N] [--max-queue N] [--deadline-ms N]
@@ -14,14 +13,13 @@
 //!
 //! `align` scores each pair `(REF[i], QUERY[i])` and writes `score.log`
 //! plus `time.json` (simulated kernel time) into the output directory.
-//! With the default `agatha` engine the input files are *streamed*: tasks
-//! are read, aligned on a persistent worker pool (one reusable kernel
+//! With the default `agatha` engine the input files are *streamed*: a
+//! reader thread parses them up to two chunks ahead of kernel execution,
+//! tasks are aligned on a persistent worker pool (one reusable kernel
 //! workspace per thread) and released chunk by chunk, so memory stays
-//! bounded by `--chunk` regardless of input size. With `--prefetch N`
-//! (default on) a reader thread parses up to `N` chunks ahead of kernel
-//! execution, and `--carryover` (default on) defers tasks that would seed
-//! an underfull trailing warp into the next chunk's packing — results are
-//! bit-identical either way.
+//! bounded by `--chunk` regardless of input size. Tasks that would seed an
+//! underfull trailing warp are deferred into the next chunk's packing, which
+//! moves only the simulated schedule, never a score.
 //!
 //! `serve` runs the online alignment daemon of `agatha-serve`: NDJSON
 //! requests over a local TCP socket, admission-window batching, bounded
@@ -135,14 +133,6 @@ common options:
                   cores)
   --chunk N       streaming chunk size in tasks (align + agatha engine
                   only, default 4096, must be at least 1)
-  --prefetch N    streaming prefetch depth (align + agatha engine only): a
-                  reader thread parses up to N chunks ahead of kernel
-                  execution; 0 parses inline between chunks (default 2)
-  --carryover C   cross-chunk warp packing (align + agatha engine only):
-                  on (default) defers tasks that would seed an underfull
-                  trailing warp into the next chunk's largest-first fill
-                  (flushed at end of stream); off packs every chunk alone.
-                  Scores and stats are bit-identical either way
   --backend K     host wavefront backend (agatha engine only): auto |
                   avx512 | avx2 | sse41 | portable. auto runs the best
                   implementation the CPU supports; forcing a level the CPU
@@ -179,20 +169,28 @@ serve options (plus the alignment options and --scenario, --gpus, --threads,
 const ENGINE_FLAGS: &[&str] =
     &["a", "b", "q", "r", "z", "w", "scenario", "gpus", "threads", "backend", "o"];
 
+/// The flags `command` reads, as (shared, own) lists; `None` for `help`,
+/// which reads nothing, and for an unknown command. Keep the lists in step
+/// with [`USAGE`] (a unit test checks both directions).
+fn accepted_flags(command: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    match command {
+        "align" => Some((ENGINE_FLAGS, &["engine", "verbose", "chunk"])),
+        "demo" => Some((ENGINE_FLAGS, &["engine", "verbose", "tech", "reads"])),
+        "serve" => {
+            Some((ENGINE_FLAGS, &["port", "window-ms", "max-batch", "max-queue", "deadline-ms"]))
+        }
+        "scenarios" => Some((&[], &["names"])),
+        "engines" => Some((&[], &[])),
+        _ => None,
+    }
+}
+
 /// A flag the subcommand does not read is a usage error, not a no-op: a
 /// mistyped `--thraeds 1` must not quietly run on every core, and `demo
 /// --chunk 8` (whole-batch, nothing to chunk) must not pretend it streamed.
-/// Keep the lists in step with [`USAGE`].
 fn check_flags(command: &str, args: &Args) -> Result<(), String> {
-    let (shared, own): (&[&str], &[&str]) = match command {
-        "align" => (ENGINE_FLAGS, &["engine", "verbose", "chunk", "prefetch", "carryover"]),
-        "demo" => (ENGINE_FLAGS, &["engine", "verbose", "tech", "reads"]),
-        "serve" => (ENGINE_FLAGS, &["port", "window-ms", "max-batch", "max-queue", "deadline-ms"]),
-        "scenarios" => (&[], &["names"]),
-        "engines" => (&[], &[]),
-        // `help` reads nothing, and the caller reports unknown commands.
-        _ => return Ok(()),
-    };
+    // The caller reports unknown commands.
+    let Some((shared, own)) = accepted_flags(command) else { return Ok(()) };
     match args.unknown(&[shared, own].concat()).as_slice() {
         [] => Ok(()),
         unknown => Err(format!(
@@ -280,11 +278,6 @@ struct HostOpts {
     /// `--backend` when given explicitly; `None` keeps the default (best
     /// detected).
     backend: Option<agatha_align::simd::BackendChoice>,
-    /// Streaming prefetch depth: chunks the reader thread may parse ahead
-    /// of kernel execution; 0 parses inline.
-    prefetch: usize,
-    /// Cross-chunk carry-over warp packing for the streaming path.
-    carry: bool,
     verbose: bool,
 }
 
@@ -310,27 +303,11 @@ fn host_opts(args: &Args) -> Result<HostOpts, String> {
         // large chunk says the same thing honestly.
         return Err("--chunk must be at least 1 (got 0)".to_string());
     }
-    // `--prefetch 0` is meaningful (parse inline), so unlike `--chunk`
-    // there is no zero check: the flag's value is the queue bound, not a
-    // count that must exist.
-    let prefetch = args.get_num_checked("prefetch", DEFAULT_PREFETCH_DEPTH)?;
-    let carry = match args.get("carryover") {
-        None => true,
-        Some(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "on" => true,
-            "off" => false,
-            other => {
-                return Err(format!("invalid --carryover '{other}' (expected on or off)"));
-            }
-        },
-    };
     Ok(HostOpts {
         gpus,
         threads: args.get_num_checked("threads", 0usize)?,
         chunk,
         backend,
-        prefetch,
-        carry,
         verbose: args.has("verbose"),
     })
 }
@@ -389,6 +366,8 @@ impl TierStats {
     }
 }
 
+/// Create the `-o` directory. Every subcommand calls it once its flags are
+/// checked and before any work, so an unusable `-o` fails fast.
 fn out_dir(args: &Args) -> Result<PathBuf, String> {
     let dir = PathBuf::from(args.get("o").filter(|s| !s.is_empty()).unwrap_or("output"));
     std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
@@ -411,8 +390,6 @@ fn check_baseline_flags(engine: &str, args: &Args, opts: &HostOpts) -> Result<()
     let agatha_only = [
         ("gpus", opts.gpus > 1, "models a fixed device setup"),
         ("backend", args.has("backend"), "runs its reference fill"),
-        ("prefetch", args.has("prefetch"), "runs whole-batch"),
-        ("carryover", args.has("carryover"), "runs whole-batch"),
         ("chunk", args.has("chunk"), "runs whole-batch"),
         ("threads", args.has("threads"), "runs on every host core"),
         ("verbose", args.has("verbose"), "has no fill plan to report"),
@@ -428,19 +405,13 @@ fn check_baseline_flags(engine: &str, args: &Args, opts: &HostOpts) -> Result<()
     Ok(())
 }
 
-fn run_engine(
-    engine: &str,
-    tasks: &[Task],
-    scoring: &Scoring,
-    args: &Args,
-    opts: &HostOpts,
-) -> Result<(String, Vec<i32>, f64), String> {
-    if engine.eq_ignore_ascii_case("agatha") {
-        let rep = agatha_pipeline(scoring, opts).align_batch(tasks);
-        let scores = rep.results.iter().map(|r| r.score).collect();
-        return Ok(("AGAThA".to_string(), scores, rep.elapsed_ms));
-    }
+/// The baseline `--engine` selects, or `None` for the agatha engine (the
+/// default). A baseline refuses the agatha-only flags
+/// ([`check_baseline_flags`]).
+fn baseline_from_args(args: &Args, opts: &HostOpts) -> Result<Option<Baseline>, String> {
+    let engine = args.get("engine").filter(|s| !s.is_empty()).unwrap_or("agatha");
     let which = match engine.to_ascii_lowercase().as_str() {
+        "agatha" => return Ok(None),
         "cpu" | "minimap2" => Baseline::CpuSse4,
         "cpu-avx512" => Baseline::CpuAvx512,
         "gasal2" => Baseline::Gasal2Mm2,
@@ -453,8 +424,28 @@ fn run_engine(
         other => return Err(format!("unknown engine '{other}' (try `agatha engines`)")),
     };
     check_baseline_flags(engine, args, opts)?;
-    let rep = run_baseline(which, tasks, scoring, &GpuSpec::rtx_a6000());
-    Ok((rep.name, rep.scores, rep.elapsed_ms))
+    Ok(Some(which))
+}
+
+/// Align a whole batch on the agatha engine (`baseline` is `None`) or on a
+/// baseline: (engine name, scores, simulated ms).
+fn run_engine(
+    baseline: Option<Baseline>,
+    tasks: &[Task],
+    scoring: &Scoring,
+    opts: &HostOpts,
+) -> (String, Vec<i32>, f64) {
+    match baseline {
+        None => {
+            let rep = agatha_pipeline(scoring, opts).align_batch(tasks);
+            let scores = rep.results.iter().map(|r| r.score).collect();
+            ("AGAThA".to_string(), scores, rep.elapsed_ms)
+        }
+        Some(which) => {
+            let rep = run_baseline(which, tasks, scoring, &GpuSpec::rtx_a6000());
+            (rep.name, rep.scores, rep.elapsed_ms)
+        }
+    }
 }
 
 fn cmd_align(args: &Args) -> Result<(), String> {
@@ -463,91 +454,64 @@ fn cmd_align(args: &Args) -> Result<(), String> {
         return Err(format!("align needs REF.fasta and QUERY.fasta\n{}", usage()));
     }
     let (scoring, _) = scoring_from_args(args)?;
-    let engine = args.get("engine").filter(|s| !s.is_empty()).unwrap_or("agatha");
     let opts = host_opts(args)?;
+    let baseline = baseline_from_args(args, &opts)?;
     // Input packs under the score model's alphabet: a matrix scenario reads
     // the FASTA as 8-bit protein residues, the fixed model as 4-bit DNA.
     let pairs =
         open_fasta_pairs_model(&PathBuf::from(&pos[0]), &PathBuf::from(&pos[1]), &scoring.model)?;
+    let dir = out_dir(args)?;
 
-    let (name, scores, ms, tasks) = if engine.eq_ignore_ascii_case("agatha") {
-        // Streaming path: tasks flow straight from the files into the
-        // persistent worker pool, one `--chunk` at a time. With
-        // `--prefetch` the parsing runs on a reader thread, so the tier
-        // tally lives behind a mutex (uncontended: one reader, locked once
-        // per task, and only when `--verbose` asks for it).
-        let config = agatha_config(&opts);
-        let tiers = Arc::new(Mutex::new(TierStats::default()));
-        let mut pool = agatha_pipeline(&scoring, &opts).engine();
-        let stream_opts = StreamOptions::new(opts.chunk).carry_over(opts.carry);
-        let mut scores = Vec::new();
-        let summary = if opts.prefetch > 0 {
+    let (name, scores, ms, tasks) = match baseline {
+        None => {
+            // Streaming path: a reader thread parses the files up to
+            // `DEFAULT_PREFETCH_DEPTH` chunks ahead of the persistent worker
+            // pool, one `--chunk` at a time. The tier tally runs on the
+            // reader, so it lives behind a mutex (uncontended: one reader,
+            // locked once per task, and only when `--verbose` asks for it).
+            let tiers = Arc::new(Mutex::new(TierStats::default()));
             let tally = Arc::clone(&tiers);
-            let (verbose, tally_config, tally_scoring) = (opts.verbose, config.clone(), scoring);
+            let (verbose, config) = (opts.verbose, agatha_config(&opts));
             let source = pairs.inspect(move |t| {
-                if verbose {
-                    if let Ok(task) = t {
-                        tally.lock().expect("tier stats lock poisoned").tally(
-                            &tally_config,
-                            &tally_scoring,
-                            task,
-                        );
-                    }
+                if let (true, Ok(task)) = (verbose, t) {
+                    tally.lock().expect("tier stats lock poisoned").tally(&config, &scoring, task);
                 }
             });
-            let mut run = pool.align_stream_prefetched(source, opts.prefetch, stream_opts);
+            let mut pool = agatha_pipeline(&scoring, &opts).engine();
+            let mut run = pool.align_stream_prefetched(
+                source,
+                DEFAULT_PREFETCH_DEPTH,
+                StreamOptions::new(opts.chunk),
+            );
+            let mut scores = Vec::new();
             for chunk in run.by_ref() {
                 scores.extend(chunk.report.results.iter().map(|r| r.score));
             }
             // A parse failure surfaces here as a `StreamError` naming the
             // chunk it interrupted; chunks before it were already scored.
-            run.finish_checked().map_err(|e| e.to_string())?
-        } else {
-            let mut io_err: Option<String> = None;
-            let task_iter = pairs
-                .map_while(|t| match t {
-                    Ok(task) => Some(task),
-                    Err(e) => {
-                        io_err = Some(e);
-                        None
-                    }
-                })
-                .inspect(|task| {
-                    if opts.verbose {
-                        tiers
-                            .lock()
-                            .expect("tier stats lock poisoned")
-                            .tally(&config, &scoring, task);
-                    }
-                });
-            let mut run = pool.align_stream_with(task_iter, stream_opts);
-            for chunk in run.by_ref() {
-                scores.extend(chunk.report.results.iter().map(|r| r.score));
+            let summary = run.finish_checked().map_err(|e| e.to_string())?;
+            if opts.verbose {
+                tiers.lock().expect("tier stats lock poisoned").print();
             }
-            let summary = run.finish();
-            if let Some(e) = io_err {
-                return Err(e);
-            }
-            summary
-        };
-        if opts.verbose {
-            tiers.lock().expect("tier stats lock poisoned").print();
+            ("AGAThA".to_string(), scores, summary.elapsed_ms, summary.tasks)
         }
-        ("AGAThA".to_string(), scores, summary.elapsed_ms, summary.tasks)
-    } else {
-        // Baselines execute whole-batch reference schedules; collect.
-        let tasks: Vec<Task> = pairs.collect::<Result<_, _>>()?;
-        let (name, scores, ms) = run_engine(engine, &tasks, &scoring, args, &opts)?;
-        (name, scores, ms, tasks.len())
+        Some(_) => {
+            // Baselines execute whole-batch reference schedules; collect.
+            let tasks: Vec<Task> = pairs.collect::<Result<_, _>>()?;
+            let (name, scores, ms) = run_engine(baseline, &tasks, &scoring, &opts);
+            (name, scores, ms, tasks.len())
+        }
     };
 
-    let dir = out_dir(args)?;
     write_score_log(&dir.join("score.log"), &scores)?;
     write_time_json(&dir.join("time.json"), &name, ms, tasks)?;
     outln!("{name}: {tasks} pairs, simulated kernel time {ms:.3} ms");
     outln!("wrote {}/score.log and {}/time.json", dir.display(), dir.display());
     Ok(())
 }
+
+/// A demo workload, generated only once every flag has been checked.
+type Workload = Box<dyn FnOnce() -> (String, Vec<Task>)>;
 
 fn cmd_demo(args: &Args) -> Result<(), String> {
     let reads = args.get_num_checked("reads", 160usize)?;
@@ -558,7 +522,7 @@ fn cmd_demo(args: &Args) -> Result<(), String> {
     // tasks and its preset scores them. Otherwise `--tech` selects one of
     // the paper's synthetic dataset profiles and scoring presets. Either
     // preset takes -z/-w overrides and refuses -a/-b/-q/-r.
-    let (demo_name, tasks, scoring) = match scenario_from_args(args)? {
+    let (scoring, workload): (Scoring, Workload) = match scenario_from_args(args)? {
         Some(s) => {
             if args.has("tech") {
                 return Err(format!(
@@ -568,7 +532,7 @@ fn cmd_demo(args: &Args) -> Result<(), String> {
                 ));
             }
             let (scoring, _) = scoring_from_args(args)?;
-            (format!("{} scenario", s.name), (s.tasks)(1234, reads), scoring)
+            (scoring, Box::new(move || (format!("{} scenario", s.name), (s.tasks)(1234, reads))))
         }
         None => {
             let tech = match args.get("tech").unwrap_or("clr").to_ascii_lowercase().as_str() {
@@ -577,18 +541,26 @@ fn cmd_demo(args: &Args) -> Result<(), String> {
                 "ont" => Tech::Ont,
                 other => return Err(format!("unknown tech '{other}'")),
             };
-            // A usage error must not wait for the dataset to generate.
             let scoring = preset_scoring(args, "tech", tech.name(), tech.scoring())?;
             let spec =
                 DatasetSpec { name: format!("{} demo", tech.name()), tech, seed: 1234, reads };
-            let ds = generate(&spec);
-            (ds.name, ds.tasks, scoring)
+            (
+                scoring,
+                Box::new(move || {
+                    let ds = generate(&spec);
+                    (ds.name, ds.tasks)
+                }),
+            )
         }
     };
-    let engine = args.get("engine").filter(|s| !s.is_empty()).unwrap_or("agatha");
     let opts = host_opts(args)?;
-    let (name, scores, ms) = run_engine(engine, &tasks, &scoring, args, &opts)?;
-    if opts.verbose && engine.eq_ignore_ascii_case("agatha") {
+    let baseline = baseline_from_args(args, &opts)?;
+    let dir = out_dir(args)?;
+
+    let (demo_name, tasks) = workload();
+    let (name, scores, ms) = run_engine(baseline, &tasks, &scoring, &opts);
+    // A baseline refuses `--verbose`, so this is the agatha engine's plan.
+    if opts.verbose {
         let config = agatha_config(&opts);
         let mut tiers = TierStats::default();
         for t in &tasks {
@@ -597,7 +569,6 @@ fn cmd_demo(args: &Args) -> Result<(), String> {
         tiers.print();
     }
 
-    let dir = out_dir(args)?;
     write_score_log(&dir.join("score.log"), &scores)?;
     write_time_json(&dir.join("time.json"), &name, ms, tasks.len())?;
     outln!("{demo_name}: {} tasks via {name}: {ms:.3} ms simulated", tasks.len());
@@ -627,6 +598,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if deadline_ms == Some(0) {
         return Err("--deadline-ms must be at least 1 (got 0)".to_string());
     }
+    // Created before the daemon starts: the stats dump at shutdown must not
+    // be the first to find that `-o` is unusable.
+    let dir = out_dir(args)?;
 
     let mut cfg = ServeConfig::new(scoring);
     cfg.config = agatha_config(&opts);
@@ -661,7 +635,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let snapshot = handle.join();
 
     print_stdout(format_args!("{}", snapshot.render_table()));
-    let dir = out_dir(args)?;
     let stats_path = dir.join("serve_stats.json");
     std::fs::write(&stats_path, format!("{}\n", snapshot.to_json()))
         .map_err(|e| format!("write {}: {e}", stats_path.display()))?;
@@ -710,4 +683,55 @@ fn cmd_engines() {
     outln!("saloba[-diff]     SALoBa-like intra-query kernel");
     outln!("manymap[-diff]    Manymap-like anti-diagonal kernel");
     outln!("logan             LOGAN-like adaptive-band X-drop");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every subcommand with a flag list.
+    const COMMANDS: [&str; 5] = ["align", "demo", "serve", "scenarios", "engines"];
+
+    /// How a flag is spelled on the command line: `-x`, or `--name`.
+    fn spelled(flag: &str) -> String {
+        if flag.len() == 1 {
+            format!("-{flag}")
+        } else {
+            format!("--{flag}")
+        }
+    }
+
+    /// The `-x` / `--name` tokens of [`USAGE`], in their spelled form.
+    fn usage_flags() -> Vec<&'static str> {
+        USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|t| {
+                let name = t.trim_start_matches('-');
+                t.starts_with('-') && name.starts_with(|c: char| c.is_ascii_alphabetic())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn usage_and_the_accepted_flags_agree() {
+        let documented = usage_flags();
+        let mut accepted = Vec::new();
+        for command in COMMANDS {
+            let (shared, own) = accepted_flags(command).expect("a subcommand with flags");
+            for flag in shared.iter().chain(own) {
+                let flag = spelled(flag);
+                assert!(
+                    documented.contains(&flag.as_str()),
+                    "`{command}` reads {flag}: not in USAGE"
+                );
+                accepted.push(flag);
+            }
+        }
+        for flag in documented {
+            assert!(
+                accepted.iter().any(|f| f == flag),
+                "USAGE names {flag}: no subcommand reads it"
+            );
+        }
+    }
 }

@@ -45,7 +45,7 @@ fn unknown_flags_are_usage_errors() {
     let out_dir = dir.join("out");
     let pair = [refs.to_str().unwrap(), queries.to_str().unwrap()];
 
-    let cases: [(&[&str], &[&str], &str); 12] = [
+    let cases: [(&[&str], &[&str], &str); 10] = [
         (&["align", "--no-such-flag", "3"], &pair, "--no-such-flag"),
         (&["align", "-x", "3"], &pair, "-x"),
         // A serve-only flag is unknown to align, and a demo-only one to serve.
@@ -53,17 +53,16 @@ fn unknown_flags_are_usage_errors() {
         (&["demo", "--reads", "4", "--thraeds", "1"], &[], "--thraeds"),
         (&["serve", "--port", "0", "--reads", "4"], &[], "--reads"),
         // Flags another subcommand reads but this one does not: `demo` runs
-        // whole-batch (nothing to chunk, prefetch or carry over) and `serve`
-        // neither streams a file (its batcher's staging depth is a constant)
-        // nor prints the `--verbose` tally. These
-        // used to parse, exit 0 and change nothing.
+        // whole-batch (nothing to chunk) and `serve` neither streams a file
+        // nor prints the `--verbose` tally. These used to parse, exit 0 and
+        // change nothing.
         (&["demo", "--reads", "4", "--chunk", "2"], &[], "--chunk"),
-        (&["demo", "--reads", "4", "--prefetch", "2"], &[], "--prefetch"),
-        (&["demo", "--reads", "4", "--carryover", "off"], &[], "--carryover"),
         (&["serve", "--port", "0", "--chunk", "2"], &[], "--chunk"),
-        (&["serve", "--port", "0", "--prefetch", "2"], &[], "--prefetch"),
-        (&["serve", "--port", "0", "--carryover", "off"], &[], "--carryover"),
         (&["serve", "--port", "0", "--verbose"], &[], "--verbose"),
+        // The stream's shape is not a knob: `align` always parses on the
+        // prefetch reader and packs with carry-over.
+        (&["align", "--prefetch", "0"], &pair, "--prefetch"),
+        (&["align", "--carryover", "off"], &pair, "--carryover"),
     ];
     for (args, positional, flag) in cases {
         let out = agatha()
@@ -162,11 +161,59 @@ fn align_rejects_mismatched_files() {
     std::fs::write(&refs, ">1\nACGT\n>2\nACGT\n").unwrap();
     std::fs::write(&queries, ">1\nACGT\n").unwrap();
     let out = agatha()
-        .args(["align", refs.to_str().unwrap(), queries.to_str().unwrap()])
+        .args(["align", "-o", dir.join("out").to_str().unwrap()])
+        .args([refs.to_str().unwrap(), queries.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("equal number"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_uncreatable_output_dir_fails_before_any_work() {
+    // `-o` below a regular file cannot be created. Each subcommand must find
+    // out before it works: `align` and `demo` before they align (no
+    // `--verbose` tally on stdout), `serve` before it listens — not at
+    // shutdown, after a whole session, where the stats dump would be lost.
+    let dir = std::env::temp_dir().join(format!("agatha_cli_badout_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let refs = dir.join("ref.fasta");
+    let queries = dir.join("query.fasta");
+    std::fs::write(&refs, ">1\nACGTACGT\n").unwrap();
+    std::fs::write(&queries, ">1\nACGTACGT\n").unwrap();
+    let file = dir.join("file");
+    std::fs::write(&file, "not a directory\n").unwrap();
+    let out_dir = file.join("out");
+    let o = out_dir.to_str().unwrap();
+    let cases: [&[&str]; 3] = [
+        &["align", "--verbose", "-o", o, refs.to_str().unwrap(), queries.to_str().unwrap()],
+        &["demo", "--reads", "4", "--verbose", "-o", o],
+        &["serve", "--port", "0", "-o", o],
+    ];
+    for args in cases {
+        let mut child = agatha()
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        // A daemon that listened first would wait for a shutdown request.
+        let t0 = std::time::Instant::now();
+        while child.try_wait().unwrap().is_none() {
+            if t0.elapsed() > std::time::Duration::from_secs(30) {
+                child.kill().ok();
+                panic!("{args:?} still running: -o was not checked before the work");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?} must fail");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.is_empty(), "{args:?} worked before failing: {stdout}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("create") && err.contains(o), "{args:?}: stderr: {err}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -247,97 +294,31 @@ fn chunked_streaming_scores_match_whole_batch() {
     // A chunk larger than the input aligns everything in one go (the
     // retired `--chunk 0` spelling of "whole batch").
     let whole = run(&["--chunk", "1024"], "whole");
-    let chunked = run(&["--chunk", "2", "--threads", "2"], "chunked");
-    assert_eq!(whole, chunked, "chunked streaming must score identically");
     assert_eq!(whole.lines().count(), 9);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn prefetch_and_carryover_scores_match_inline_streaming() {
-    // The prefetched reader thread and the cross-chunk carry-over packing
-    // are execution-overlap features: every combination must write a
-    // byte-identical score.log.
-    let dir = std::env::temp_dir().join(format!("agatha_cli_pf_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let refs = dir.join("ref.fasta");
-    let queries = dir.join("query.fasta");
-    let mut rf = String::new();
-    let mut qf = String::new();
-    for i in 0..11 {
-        rf.push_str(&format!(">r{i}\n{}\n", "ACGTTGCAACGTTGCA".repeat(i % 4 + 1)));
-        qf.push_str(&format!(">q{i}\n{}\n", "ACGTAGCAACGTTGCA".repeat(i % 4 + 1)));
-    }
-    std::fs::write(&refs, rf).unwrap();
-    std::fs::write(&queries, qf).unwrap();
-    let run = |extra: &[&str], out: &str| {
-        let out_dir = dir.join(out);
-        let st = agatha()
-            .args(["align", "-w", "100", "--chunk", "3"])
-            .args(extra)
-            .args(["-o", out_dir.to_str().unwrap()])
-            .arg(refs.to_str().unwrap())
-            .arg(queries.to_str().unwrap())
-            .output()
-            .unwrap();
-        assert!(st.status.success(), "stderr: {}", String::from_utf8_lossy(&st.stderr));
-        std::fs::read_to_string(out_dir.join("score.log")).unwrap()
-    };
-    let inline = run(&["--prefetch", "0", "--carryover", "off"], "inline");
-    assert_eq!(inline.lines().count(), 11);
-    for (extra, out) in [
-        (&["--prefetch", "0", "--carryover", "on"][..], "carry"),
-        (&["--prefetch", "3", "--carryover", "off"][..], "pf"),
-        (&["--prefetch", "3", "--carryover", "on"][..], "pf_carry"),
+    // Chunk 3 ends the stream on a full chunk, so the carried tasks pack in
+    // a flush chunk of their own.
+    for (flags, out) in [
+        (&["--chunk", "2", "--threads", "2"], "chunked"),
+        (&["--chunk", "2", "--threads", "1"], "chunked_1t"),
+        (&["--chunk", "3", "--threads", "2"], "chunked_3"),
     ] {
-        assert_eq!(run(extra, out), inline, "{out} must score identically to inline streaming");
+        assert_eq!(run(flags, out), whole, "{flags:?}: chunked streaming must score identically");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn prefetch_and_carryover_bogus_values_are_usage_errors() {
-    let dir = std::env::temp_dir().join(format!("agatha_cli_pfbad_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let refs = dir.join("ref.fasta");
-    let queries = dir.join("query.fasta");
-    std::fs::write(&refs, ">1\nACGT\n").unwrap();
-    std::fs::write(&queries, ">1\nACGT\n").unwrap();
-    let out = agatha()
-        .args(["align", "--prefetch", "lots"])
-        .arg(refs.to_str().unwrap())
-        .arg(queries.to_str().unwrap())
-        .output()
-        .unwrap();
-    assert!(!out.status.success(), "--prefetch lots must fail");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("'lots'") && err.contains("--prefetch"), "stderr: {err}");
-    let out = agatha()
-        .args(["align", "--carryover", "maybe"])
-        .arg(refs.to_str().unwrap())
-        .arg(queries.to_str().unwrap())
-        .output()
-        .unwrap();
-    assert!(!out.status.success(), "--carryover maybe must fail");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("'maybe'") && err.contains("--carryover"), "stderr: {err}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn prefetch_and_carryover_rejected_for_baseline_engines() {
-    // `align` is the one subcommand that reads the streaming flags (`demo`
-    // rejects them outright, see `unknown_flags_are_usage_errors`); the host
-    // flags `demo` does read are refused for a baseline there too.
-    let dir = std::env::temp_dir().join(format!("agatha_cli_pfbase_{}", std::process::id()));
+fn host_flags_rejected_for_baseline_engines() {
+    // `align` is the one subcommand that reads `--chunk` (`demo` rejects it
+    // outright, see `unknown_flags_are_usage_errors`); the host flags `demo`
+    // does read are refused for a baseline there too.
+    let dir = std::env::temp_dir().join(format!("agatha_cli_hostbase_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let refs = dir.join("ref.fasta");
     let queries = dir.join("query.fasta");
     std::fs::write(&refs, ">1\nACGT\n").unwrap();
     std::fs::write(&queries, ">1\nACGT\n").unwrap();
     for (flag, demo_reads_it) in [
-        (&["--prefetch", "2"][..], false),
-        (&["--carryover", "on"][..], false),
         (&["--chunk", "8"][..], false),
         (&["--threads", "1"][..], true),
         (&["--verbose"][..], true),
@@ -380,13 +361,13 @@ fn midstream_parse_error_surfaces_under_prefetch() {
     std::fs::write(&refs, ">1\nACGT\n>2\nACGT\n>3\nACGT\n").unwrap();
     std::fs::write(&queries, ">1\nACGT\n>2\nACGT\n").unwrap();
     let out = agatha()
-        .args(["align", "--chunk", "1", "--prefetch", "2"])
+        .args(["align", "--chunk", "1"])
         .args(["-o", dir.join("out").to_str().unwrap()])
         .arg(refs.to_str().unwrap())
         .arg(queries.to_str().unwrap())
         .output()
         .unwrap();
-    assert!(!out.status.success(), "uneven pairs must fail under prefetch");
+    assert!(!out.status.success(), "uneven pairs must fail the run");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("equal number"), "stderr carries the parse error: {err}");
     assert!(err.contains("chunk"), "stderr names the interrupted chunk: {err}");

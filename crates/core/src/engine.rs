@@ -17,8 +17,8 @@
 //! assignment → simulation → device scheduling). [`Pipeline::align_batch`]
 //! is a stream of one chunk; [`BatchEngine::align_stream_with`] keeps only
 //! one chunk of runs alive at a time, yields chunk reports as they complete
-//! and folds the per-chunk [`KernelStats`] / warp latencies incrementally
-//! into a [`StreamSummary`].
+//! and folds the per-chunk [`KernelStats`] and device schedule
+//! incrementally into a [`StreamSummary`].
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -350,10 +350,10 @@ impl BatchEngine {
     /// results/stats report) immediately; runs that would seed an underfull
     /// trailing warp join `carry` instead of being packed, and enter the
     /// *next* chunk's largest-first fill. With `flush` the whole pool
-    /// packs, draining the carry deterministically — at stream end, or on
-    /// every chunk when carry-over is off. Kernel results and stats are
-    /// packing-independent, so carry-over only ever changes the simulated
-    /// warp schedule.
+    /// packs, draining the carry deterministically — at stream end, and for
+    /// [`BatchEngine::align_chunk`], which packs a chunk alone. Kernel
+    /// results and stats are packing-independent, so carry-over only ever
+    /// changes the simulated warp schedule.
     fn align_chunk_carry(
         &mut self,
         arrived: &mut Vec<Task>,
@@ -443,19 +443,20 @@ impl BatchEngine {
         self.shared.recycle.lock().expect("recycle pool lock poisoned").len()
     }
 
-    /// Stream `tasks` through the pool in chunks of `opts`' chunk size.
+    /// Stream an in-memory task iterator through the pool in chunks of
+    /// `opts`' chunk size, driven on the calling thread (fallible sources
+    /// such as FASTA go through [`BatchEngine::align_stream_prefetched`]).
     /// Only one chunk of tasks and runs is in memory at a time; iterate the
     /// returned [`StreamRun`] for per-chunk reports, then call
-    /// [`StreamRun::finish`] for the folded totals. With the default
-    /// options (carry-over on, recording off) steady-state memory is one
-    /// chunk of tasks and runs plus at most one warp's worth of carried
-    /// runs plus O(warp slots) schedule state — independent of stream
-    /// length.
+    /// [`StreamRun::finish`] for the folded totals. Every chunk packs with
+    /// carry-over, so on one GPU steady-state memory is one chunk of tasks
+    /// and runs plus at most one warp's worth of carried runs plus
+    /// O(warp slots) schedule state — independent of stream length.
     ///
-    /// With carry-over off, warp-cycle recording on and a chunk size at
-    /// least as large as the stream, the summary (including `warp_cycles`
-    /// and the device schedule) is bit-identical to
-    /// [`Pipeline::align_batch`].
+    /// With a chunk size larger than the stream, the chunk reports' warp
+    /// latencies and the summary's device schedule are bit-identical to
+    /// [`Pipeline::align_batch`]'s (at exactly the stream's length the
+    /// trailing underfull warp is deferred into a carry-only flush chunk).
     pub fn align_stream_with<I>(
         &mut self,
         tasks: I,
@@ -482,8 +483,8 @@ impl BatchEngine {
     ///
     /// # Panics
     ///
-    /// `prefetch_depth == 0` is a usage error — use
-    /// [`BatchEngine::align_stream_with`] for a synchronous stream.
+    /// `prefetch_depth == 0` is a usage error — an in-memory source goes
+    /// through [`BatchEngine::align_stream_with`].
     pub fn align_stream_prefetched<S>(
         &mut self,
         source: S,
@@ -507,28 +508,24 @@ impl BatchEngine {
         opts: StreamOptions,
     ) -> StreamRun<'_, I> {
         let pipeline = &self.shared.pipeline;
-        let gpus = pipeline.gpus;
-        // Single-GPU streams fold the device schedule incrementally; the
-        // multi-GPU split is contiguous over the *whole* stream's warps, so
-        // it must retain the latency vector regardless of recording.
-        let sched = (gpus == 1).then(|| SlotSchedule::new(pipeline.spec.warp_slots()));
-        let keep_cycles = opts.record_warp_cycles || gpus > 1;
+        let schedule = if pipeline.gpus == 1 {
+            StreamSchedule::Pooled(SlotSchedule::new(pipeline.spec.warp_slots()))
+        } else {
+            StreamSchedule::Retained(Vec::new())
+        };
         let strategy = pipeline.default_strategy();
         let buf = Vec::with_capacity(opts.chunk_size.min(STREAM_BUF_RESERVE));
         StreamRun {
             engine: self,
             source,
             chunk_size: opts.chunk_size,
-            carry_over: opts.carry_over,
-            keep_cycles,
             strategy,
             buf,
             carry: Vec::new(),
             offset: 0,
             chunks: 0,
             stats: KernelStats::new(),
-            warp_cycles: Vec::new(),
-            sched,
+            schedule,
             error: None,
             source_done: false,
         }
@@ -549,42 +546,35 @@ struct CarrySlot {
     workload: u64,
 }
 
-/// Knobs for [`BatchEngine::align_stream_with`] /
-/// [`BatchEngine::align_stream_prefetched`].
+/// The configuration of a stream ([`BatchEngine::align_stream_with`] /
+/// [`BatchEngine::align_stream_prefetched`]): its chunk size, which is at
+/// least 1. Nothing else is configurable — every stream packs its warps
+/// with carry-over.
 #[derive(Debug, Clone)]
 pub struct StreamOptions {
     chunk_size: usize,
-    carry_over: bool,
-    record_warp_cycles: bool,
 }
 
 impl StreamOptions {
-    /// Streaming defaults: carry-over on, warp-cycle recording off.
+    /// A stream of `chunk_size` tasks per chunk.
     ///
     /// # Panics
     ///
     /// `chunk_size == 0` is a usage error.
     pub fn new(chunk_size: usize) -> StreamOptions {
         assert!(chunk_size >= 1, "stream chunk_size must be at least 1 (got 0)");
-        StreamOptions { chunk_size, carry_over: true, record_warp_cycles: false }
+        StreamOptions { chunk_size }
     }
+}
 
-    /// Defer tasks that would seed an underfull trailing warp into the next
-    /// chunk's fill (results and stats are unaffected; only the simulated
-    /// warp schedule changes). Default on.
-    pub fn carry_over(mut self, on: bool) -> StreamOptions {
-        self.carry_over = on;
-        self
-    }
-
-    /// Retain every warp latency in [`StreamSummary::warp_cycles`]. Off by
-    /// default because it grows O(stream length), defeating the streaming
-    /// memory bound; the summary's device schedule is folded incrementally
-    /// either way.
-    pub fn record_warp_cycles(mut self, on: bool) -> StreamOptions {
-        self.record_warp_cycles = on;
-        self
-    }
+/// How a stream folds its warps into the device schedule.
+enum StreamSchedule {
+    /// One GPU: the pooled slot schedule, extended chunk by chunk in
+    /// O(warp slots) memory.
+    Pooled(SlotSchedule),
+    /// Several GPUs: the split is contiguous over the *whole* stream's
+    /// warps, so every latency is retained until the stream ends.
+    Retained(Vec<f64>),
 }
 
 /// Where a [`StreamRun`] draws its chunks from.
@@ -649,17 +639,12 @@ pub struct StreamSummary {
     pub chunks: usize,
     /// Aggregate execution statistics (identical to a whole-batch run's).
     pub stats: KernelStats,
-    /// Per-warp latencies across all chunks, in submission order. Empty
-    /// unless recording was requested
-    /// ([`StreamOptions::record_warp_cycles`], or multi-GPU pipelines,
-    /// whose contiguous split needs the full vector) — the device schedule
-    /// below is folded incrementally either way.
-    pub warp_cycles: Vec<f64>,
     /// Straggler-device schedule of all the stream's warps as one pooled
     /// submission sequence on the configured device(s) — a chunk's warps
     /// may start in slots freed mid-way through the previous chunk, which
-    /// is why a chunk size spanning the whole stream reproduces
-    /// `align_batch` exactly.
+    /// is why a chunk size larger than the stream reproduces `align_batch`
+    /// exactly. The warps' latencies are in the chunk reports
+    /// ([`BatchReport::warp_cycles`]), in submission order.
     pub device: DeviceReport,
     /// Simulated kernel time of the whole stream in milliseconds.
     pub elapsed_ms: f64,
@@ -671,8 +656,6 @@ pub struct StreamRun<'e, I: Iterator<Item = Task>> {
     engine: &'e mut BatchEngine,
     source: ChunkSource<I>,
     chunk_size: usize,
-    carry_over: bool,
-    keep_cycles: bool,
     strategy: OrderingStrategy,
     /// Reusable chunk buffer: drained by the engine each chunk, refilled in
     /// place, so steady-state streaming allocates nothing per chunk.
@@ -682,9 +665,7 @@ pub struct StreamRun<'e, I: Iterator<Item = Task>> {
     offset: usize,
     chunks: usize,
     stats: KernelStats,
-    warp_cycles: Vec<f64>,
-    /// Incremental pooled device schedule (single-GPU pipelines).
-    sched: Option<SlotSchedule>,
+    schedule: StreamSchedule,
     error: Option<StreamError>,
     source_done: bool,
 }
@@ -757,18 +738,15 @@ impl<I: Iterator<Item = Task>> Iterator for StreamRun<'_, I> {
         let offset = self.offset;
         self.offset += self.buf.len();
         self.chunks += 1;
-        // Flush when the source has ended — the final chunk (or a trailing
-        // carry-only chunk) packs the whole pool — and on every chunk when
-        // carry-over is off, which keeps the carry empty throughout.
-        let flush = self.source_done || !self.carry_over;
+        // The final chunk (or a trailing carry-only chunk) packs the whole
+        // pool.
+        let flush = self.source_done;
         let report =
             self.engine.align_chunk_carry(&mut self.buf, &mut self.carry, flush, self.strategy);
         self.stats.add(&report.stats);
-        if self.keep_cycles {
-            self.warp_cycles.extend_from_slice(&report.warp_cycles);
-        }
-        if let Some(sched) = &mut self.sched {
-            sched.extend(&report.warp_cycles);
+        match &mut self.schedule {
+            StreamSchedule::Pooled(sched) => sched.extend(&report.warp_cycles),
+            StreamSchedule::Retained(cycles) => cycles.extend_from_slice(&report.warp_cycles),
         }
         Some(ChunkReport { offset, report })
     }
@@ -799,9 +777,9 @@ impl<I: Iterator<Item = Task>> StreamRun<'_, I> {
             return Err(error);
         }
         let pipeline = self.engine.pipeline();
-        let device = match &self.sched {
-            Some(sched) => sched.report(),
-            None => pipeline.schedule_devices(&self.warp_cycles).1,
+        let device = match &self.schedule {
+            StreamSchedule::Pooled(sched) => sched.report(),
+            StreamSchedule::Retained(cycles) => pipeline.schedule_devices(cycles).1,
         };
         Ok(StreamSummary {
             tasks: self.offset,
@@ -809,7 +787,6 @@ impl<I: Iterator<Item = Task>> StreamRun<'_, I> {
             stats: std::mem::replace(&mut self.stats, KernelStats::new()),
             elapsed_ms: pipeline.spec.cycles_to_ms(device.makespan_cycles),
             device,
-            warp_cycles: std::mem::take(&mut self.warp_cycles),
         })
     }
 }
@@ -849,12 +826,6 @@ mod tests {
         p
     }
 
-    /// Carry-over off and warp-cycle recording on: the options under which
-    /// a chunk spanning the stream reproduces `align_batch` bit for bit.
-    fn plain(chunk_size: usize) -> StreamOptions {
-        StreamOptions::new(chunk_size).carry_over(false).record_warp_cycles(true)
-    }
-
     fn align_chunk(engine: &mut BatchEngine, tasks: Vec<Task>) -> BatchReport {
         let strategy = engine.pipeline().default_strategy();
         engine.align_chunk(tasks, strategy)
@@ -867,7 +838,8 @@ mod tests {
         for chunk_size in [1, 7, 30, 64] {
             let mut engine = pipeline().engine();
             let mut results = Vec::new();
-            let mut run = engine.align_stream_with(tasks.iter().cloned(), plain(chunk_size));
+            let mut run =
+                engine.align_stream_with(tasks.iter().cloned(), StreamOptions::new(chunk_size));
             for chunk in run.by_ref() {
                 assert_eq!(chunk.offset, results.len());
                 results.extend(chunk.report.results);
@@ -881,16 +853,22 @@ mod tests {
 
     #[test]
     fn whole_stream_is_bit_identical_including_schedule() {
-        // One chunk spanning the stream — even the warp latencies and the
-        // device schedule must match align_batch exactly.
+        // One chunk larger than the stream — even the warp latencies and the
+        // device schedule must match align_batch exactly, on one GPU (the
+        // pooled schedule) and on several (the retained latencies).
         let tasks = mk_tasks(18, 90, 7);
-        let whole = pipeline().align_batch(&tasks);
-        let mut engine = pipeline().engine();
-        let summary = engine.align_stream_with(tasks.iter().cloned(), plain(tasks.len())).finish();
-        assert_eq!(summary.warp_cycles, whole.warp_cycles);
-        assert_eq!(summary.device, whole.device);
-        assert_eq!(summary.elapsed_ms, whole.elapsed_ms);
-        assert_eq!(summary.chunks, 1);
+        for gpus in [1, 3] {
+            let whole = pipeline().with_gpus(gpus).align_batch(&tasks);
+            let mut engine = pipeline().with_gpus(gpus).engine();
+            let opts = StreamOptions::new(tasks.len() + 1);
+            let mut run = engine.align_stream_with(tasks.iter().cloned(), opts);
+            let cycles: Vec<f64> = run.by_ref().flat_map(|c| c.report.warp_cycles).collect();
+            let summary = run.finish();
+            assert_eq!(cycles, whole.warp_cycles, "{gpus} GPUs");
+            assert_eq!(summary.device, whole.device, "{gpus} GPUs");
+            assert_eq!(summary.elapsed_ms, whole.elapsed_ms, "{gpus} GPUs");
+            assert_eq!(summary.chunks, 1, "{gpus} GPUs");
+        }
     }
 
     #[test]
@@ -929,7 +907,7 @@ mod tests {
     #[test]
     fn empty_stream() {
         let mut engine = pipeline().engine();
-        let summary = engine.align_stream_with(std::iter::empty(), plain(8)).finish();
+        let summary = engine.align_stream_with(std::iter::empty(), StreamOptions::new(8)).finish();
         assert_eq!(summary.tasks, 0);
         assert_eq!(summary.chunks, 0);
         assert_eq!(summary.elapsed_ms, 0.0);
@@ -939,7 +917,7 @@ mod tests {
     #[should_panic(expected = "chunk_size must be at least 1")]
     fn zero_chunk_size_is_a_usage_error() {
         let mut engine = pipeline().engine();
-        let _ = engine.align_stream_with(mk_tasks(3, 40, 5), plain(0));
+        let _ = engine.align_stream_with(mk_tasks(3, 40, 5), StreamOptions::new(0));
     }
 
     #[test]
@@ -961,7 +939,6 @@ mod tests {
             assert_eq!(results, whole.results, "chunk_size {chunk_size}");
             assert_eq!(summary.stats, whole.stats, "chunk_size {chunk_size}");
             assert_eq!(summary.tasks, tasks.len());
-            assert!(summary.warp_cycles.is_empty(), "recording defaults off");
         }
     }
 
@@ -991,26 +968,25 @@ mod tests {
 
     #[test]
     fn carry_over_reduces_trailing_warp_count() {
-        // 4 chunks of 13 tasks: no-carry packs ceil(13/8) = 2 warps per
-        // chunk (8 underfull); carry packs full warps throughout and only
-        // the flush may run short.
+        // 4 chunks of 13 tasks: each packed alone takes ceil(13/8) = 2 warps
+        // (8 in all, 4 underfull); the stream packs full warps throughout
+        // and only the flush may run short.
         let tasks = mk_tasks(52, 70, 37);
-        let count_warps = |carry: bool| {
-            let mut engine = pipeline().engine();
-            let opts = StreamOptions::new(13).carry_over(carry);
-            let mut run = engine.align_stream_with(tasks.iter().cloned(), opts);
-            let mut warps = Vec::new();
-            for chunk in run.by_ref() {
-                warps.push(chunk.report.warp_cycles.len());
-            }
-            (warps, run.finish())
-        };
-        let (warps_plain, sum_plain) = count_warps(false);
-        let (warps_carry, sum_carry) = count_warps(true);
-        assert_eq!(warps_plain, vec![2, 2, 2, 2]);
+        let mut engine = pipeline().engine();
+        let mut alone_stats = KernelStats::new();
+        let mut alone_warps = Vec::new();
+        for slice in tasks.chunks(13) {
+            let report = align_chunk(&mut engine, slice.to_vec());
+            alone_stats.add(&report.stats);
+            alone_warps.push(report.warp_cycles.len());
+        }
+        let mut run = engine.align_stream_with(tasks.iter().cloned(), StreamOptions::new(13));
+        let stream_warps: usize = run.by_ref().map(|c| c.report.warp_cycles.len()).sum();
+        let summary = run.finish();
+        assert_eq!(alone_warps, vec![2, 2, 2, 2]);
         // 52 tasks = 6 full warps + one flush warp of the last 4.
-        assert_eq!(warps_carry.iter().sum::<usize>(), 7);
-        assert_eq!(sum_plain.stats, sum_carry.stats);
+        assert_eq!(stream_warps, 7);
+        assert_eq!(summary.stats, alone_stats);
         // No makespan direction assert: with 7–8 warps on a device whose
         // slots exceed them, makespan is just the max warp latency and
         // fuller warps run longer. The carry-over win is a saturated-device
@@ -1019,8 +995,10 @@ mod tests {
 
     #[test]
     fn prefetched_stream_matches_inline() {
+        // Chunk 41 ends the stream on a full chunk of 5 warps + 1 task: that
+        // task is deferred into a carry-only flush chunk.
         let tasks = mk_tasks(41, 90, 43);
-        for chunk_size in [4, 16, 64] {
+        for chunk_size in [4, 16, 41, 64] {
             let mut inline_results = Vec::new();
             let inline_summary = {
                 let mut engine = pipeline().engine();
@@ -1031,35 +1009,45 @@ mod tests {
                 }
                 run.finish()
             };
-            let mut pf_results = Vec::new();
-            let pf_summary = {
-                let mut engine = pipeline().engine();
-                let source = tasks.clone().into_iter().map(Ok::<Task, String>);
-                let mut run =
-                    engine.align_stream_prefetched(source, 2, StreamOptions::new(chunk_size));
-                for chunk in run.by_ref() {
-                    pf_results.extend(chunk.report.results);
-                }
-                run.finish_checked().expect("no source errors")
-            };
-            assert_eq!(pf_results, inline_results, "chunk_size {chunk_size}");
-            assert_eq!(pf_summary.stats, inline_summary.stats);
-            assert_eq!(pf_summary.device, inline_summary.device);
-            assert_eq!(pf_summary.tasks, inline_summary.tasks);
-            assert_eq!(pf_summary.chunks, inline_summary.chunks);
+            if chunk_size == tasks.len() {
+                assert_eq!(inline_summary.chunks, 2, "one full chunk, then the carry flush");
+            }
+            for depth in [2, 4] {
+                let what = format!("chunk_size {chunk_size}, prefetch {depth}");
+                let mut pf_results = Vec::new();
+                let pf_summary = {
+                    let mut engine = pipeline().engine();
+                    let source = tasks.clone().into_iter().map(Ok::<Task, String>);
+                    let mut run = engine.align_stream_prefetched(
+                        source,
+                        depth,
+                        StreamOptions::new(chunk_size),
+                    );
+                    for chunk in run.by_ref() {
+                        pf_results.extend(chunk.report.results);
+                    }
+                    run.finish_checked().expect("no source errors")
+                };
+                assert_eq!(pf_results, inline_results, "{what}");
+                assert_eq!(pf_summary.stats, inline_summary.stats, "{what}");
+                assert_eq!(pf_summary.device, inline_summary.device, "{what}");
+                assert_eq!(pf_summary.tasks, inline_summary.tasks, "{what}");
+                assert_eq!(pf_summary.chunks, inline_summary.chunks, "{what}");
+            }
         }
     }
 
     #[test]
     fn incremental_schedule_matches_recorded_cycles() {
-        // The summary's device report must be what pooling the recorded
-        // cycles would give — recording on exposes both in one run.
+        // The summary's device report must be what pooling the chunk
+        // reports' latencies would give.
         let tasks = mk_tasks(33, 85, 47);
         let mut engine = pipeline().engine();
-        let opts = StreamOptions::new(6).record_warp_cycles(true);
-        let summary = engine.align_stream_with(tasks.iter().cloned(), opts).finish();
-        assert!(!summary.warp_cycles.is_empty());
-        let (_, pooled) = engine.pipeline().schedule_devices(&summary.warp_cycles);
+        let mut run = engine.align_stream_with(tasks.iter().cloned(), StreamOptions::new(6));
+        let cycles: Vec<f64> = run.by_ref().flat_map(|c| c.report.warp_cycles).collect();
+        let summary = run.finish();
+        assert!(!cycles.is_empty());
+        let (_, pooled) = engine.pipeline().schedule_devices(&cycles);
         assert_eq!(summary.device, pooled);
     }
 
@@ -1364,7 +1352,8 @@ mod tests {
                 assert_eq!((counters.dropped_deadline, counters.cancelled), (0, 0));
 
                 let stream = |engine: &mut BatchEngine| {
-                    let mut run = engine.align_stream_with(tasks.iter().cloned(), plain(7));
+                    let mut run =
+                        engine.align_stream_with(tasks.iter().cloned(), StreamOptions::new(7));
                     let reports: Vec<BatchReport> = run.by_ref().map(|c| c.report).collect();
                     (reports, run.finish())
                 };

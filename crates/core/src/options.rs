@@ -26,11 +26,11 @@ pub fn default_block_dim() -> BlockDim {
     BlockDim::Auto
 }
 
-/// Prefetch depth used when `--prefetch` is not given: two parsed chunks
-/// queued ahead of execution (one being parsed by the reader, one ready),
-/// enough to hide FASTA parsing behind the kernel without hoarding memory.
-/// Also how many admission batches the serve daemon's harvester stages ahead
-/// of its executor.
+/// The prefetch depth `agatha align` streams its FASTA input at: two parsed
+/// chunks queued ahead of execution (one being parsed by the reader, one
+/// ready), enough to hide FASTA parsing behind the kernel without hoarding
+/// memory. Also how many admission batches the serve daemon's harvester
+/// stages ahead of its executor.
 pub const DEFAULT_PREFETCH_DEPTH: usize = 2;
 
 /// Default streaming prefetch depth: [`DEFAULT_PREFETCH_DEPTH`].

@@ -20,7 +20,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 fn main() {
     // 1. A reference genome, written to and read back from FASTA.
     let genome = generate_genome(80_000, 77);
-    let dir = std::env::temp_dir().join("agatha_full_pipeline");
+    let dir = std::env::temp_dir().join(format!("agatha_full_pipeline_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let ref_path = dir.join("reference.fasta");
     write_fasta(

@@ -28,9 +28,10 @@ fn main() {
         engine.threads()
     );
 
-    // Any `Iterator<Item = Task>` works here — e.g. `open_fasta_pairs`
-    // from agatha-io streams straight off disk. Chunks are yielded as soon
-    // as they are aligned.
+    // Any in-memory `Iterator<Item = Task>` works here; chunks are yielded
+    // as soon as they are aligned. A fallible source — `open_fasta_pairs`
+    // from agatha-io streams `Result`s straight off disk — goes through
+    // `align_stream_prefetched`, which parses on a reader thread.
     let mut run = engine.align_stream_with(ds.tasks.iter().cloned(), StreamOptions::new(128));
     for chunk in run.by_ref() {
         let r = &chunk.report;

@@ -6,12 +6,6 @@ use agatha_suite::core::{AgathaConfig, OrderingStrategy, Pipeline, StreamOptions
 use agatha_suite::datasets::{generate, long_short_mix, DatasetSpec, Tech};
 use agatha_suite::gpu_sim::GpuSpec;
 
-/// Carry-over off and warp-cycle recording on: each chunk packs alone, as a
-/// whole batch of the same tasks would.
-fn plain(chunk_size: usize) -> StreamOptions {
-    StreamOptions::new(chunk_size).carry_over(false).record_warp_cycles(true)
-}
-
 fn dataset(tech: Tech, seed: u64, reads: usize) -> agatha_suite::datasets::Dataset {
     generate(&DatasetSpec { name: format!("{} e2e", tech.name()), tech, seed, reads })
 }
@@ -87,7 +81,8 @@ fn chunked_streaming_is_bit_identical_to_whole_batch() {
         let mut engine = p.engine();
         let mut results = Vec::new();
         let mut chunks = 0;
-        let mut run = engine.align_stream_with(d.tasks.iter().cloned(), plain(chunk_size));
+        let mut run =
+            engine.align_stream_with(d.tasks.iter().cloned(), StreamOptions::new(chunk_size));
         for chunk in run.by_ref() {
             assert_eq!(chunk.offset, results.len());
             assert!(chunk.report.elapsed_ms >= 0.0);
@@ -110,8 +105,8 @@ fn streaming_engine_reusable_across_datasets() {
     let p = Pipeline::new(dataset(Tech::Clr, 3, 40).scoring, AgathaConfig::agatha());
     let mut engine = p.engine();
     let d = dataset(Tech::Clr, 3, 40);
-    let first = engine.align_stream_with(d.tasks.iter().cloned(), plain(16)).finish();
-    let second = engine.align_stream_with(d.tasks.iter().cloned(), plain(16)).finish();
+    let first = engine.align_stream_with(d.tasks.iter().cloned(), StreamOptions::new(16)).finish();
+    let second = engine.align_stream_with(d.tasks.iter().cloned(), StreamOptions::new(16)).finish();
     assert_eq!(first.stats, second.stats);
     assert_eq!(first.elapsed_ms, second.elapsed_ms);
 }

@@ -1,7 +1,7 @@
 //! The fill-plan matrix, in process: every registered scenario under every
 //! plan an [`AgathaConfig`] can carry (fill × backend — the host tile follows
-//! the backend) and every way a stream can be driven (threads × prefetch ×
-//! carry-over). Every score equals the `guided_align` oracle, and everything
+//! the backend) and every way a stream can be driven (threads × prefetch).
+//! Every score equals the `guided_align` oracle, and everything
 //! simulated — the device's trace is computed from the task's shape, never
 //! from the host's tiles — is identical under every plan; only the host's own
 //! cell count follows the tiling. The plan travels by value, so the whole
@@ -136,9 +136,11 @@ fn stream(
 
 #[test]
 fn every_stream_shape_matches_whole_batch_at_a_fixed_plan() {
-    // 13 tasks in chunks of 5: with 8 tasks to a warp every chunk leaves an
-    // underfull trailing warp, so carry-over has something to defer.
-    let (count, chunk) = if cfg!(miri) { (3, 2) } else { (13, 5) };
+    // Chunks of 5 with 8 tasks to a warp: every chunk leaves an underfull
+    // trailing warp, so carry-over has something to defer. 13 tasks end on
+    // a partial chunk, which flushes the carry; 15 end on a full chunk, so
+    // the carry packs in a flush chunk of its own.
+    let (counts, chunk) = if cfg!(miri) { ([3, 4], 2) } else { ([13, 15], 5) };
     let plans = [
         ("scalar", AgathaConfig::agatha().with_simd_fill(false)),
         ("default", AgathaConfig::agatha()),
@@ -146,27 +148,32 @@ fn every_stream_shape_matches_whole_batch_at_a_fixed_plan() {
     ];
     for s in SCENARIOS {
         let scoring = (s.scoring)();
-        let tasks = scenario_tasks(s.tasks, count);
-        let oracle: Vec<i32> =
-            tasks.iter().map(|t| guided_align(&t.reference, &t.query, &scoring).score).collect();
-        for (name, cfg) in &plans {
-            let whole = pipeline(scoring, cfg, 1).align_batch(&tasks);
-            let scores: Vec<i32> = whole.results.iter().map(|r| r.score).collect();
-            assert_eq!(scores, oracle, "{} under {name}", s.name);
-            for carry in [true, false] {
+        for count in counts {
+            let tasks = scenario_tasks(s.tasks, count);
+            let oracle: Vec<i32> = tasks
+                .iter()
+                .map(|t| guided_align(&t.reference, &t.query, &scoring).score)
+                .collect();
+            for (name, cfg) in &plans {
+                let whole = pipeline(scoring, cfg, 1).align_batch(&tasks);
+                let scores: Vec<i32> = whole.results.iter().map(|r| r.score).collect();
+                assert_eq!(scores, oracle, "{} under {name}", s.name);
                 // The simulated schedule of a stream depends on how warps
-                // were packed (carry-over), never on who ran the kernel or
-                // who parsed: one (chunks, simulated time) per carry mode.
+                // were packed, never on who ran the kernel or who parsed:
+                // one (chunks, simulated time) for every shape.
                 let mut schedule: Option<(usize, u64, KernelStats)> = None;
                 for threads in [1, 2] {
                     for prefetch in [0, 2, 4] {
                         let what = format!(
-                            "{} under {name}: threads {threads}, prefetch {prefetch}, carry {carry}",
+                            "{} ({count} tasks) under {name}: threads {threads}, prefetch {prefetch}",
                             s.name
                         );
-                        let opts = StreamOptions::new(chunk).carry_over(carry);
-                        let (results, summary) =
-                            stream(&pipeline(scoring, cfg, threads), tasks.clone(), prefetch, opts);
+                        let (results, summary) = stream(
+                            &pipeline(scoring, cfg, threads),
+                            tasks.clone(),
+                            prefetch,
+                            StreamOptions::new(chunk),
+                        );
                         assert_eq!(results, whole.results, "{what}: results");
                         assert_eq!(summary.stats, whole.stats, "{what}: stats");
                         assert_eq!(summary.tasks, tasks.len(), "{what}");

@@ -1,8 +1,8 @@
-//! Streaming-path properties: cross-chunk carry-over packing and the
-//! prefetched reader must be invisible in results — bit-identical to the
-//! whole-batch aligner at every chunk size and thread count — and a source
-//! that fails mid-stream must surface a clean [`StreamError`], never a
-//! reader-thread panic.
+//! Streaming-path properties: cross-chunk carry-over packing (every stream
+//! packs with it) and the prefetched reader must be invisible in results —
+//! bit-identical to the whole-batch aligner at every chunk size and thread
+//! count — and a source that fails mid-stream must surface a clean
+//! [`StreamError`], never a reader-thread panic.
 
 use proptest::prelude::*;
 
@@ -39,8 +39,8 @@ fn pipeline(threads: usize) -> Pipeline {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Whole-batch, plain streaming, carry-over streaming and prefetched
-    /// carry-over streaming all produce the same results and stats.
+    /// Whole-batch, in-memory streaming and prefetched streaming all
+    /// produce the same results and stats.
     #[test]
     fn stream_carryover_bit_identity(
         count in 1usize..40,
@@ -52,9 +52,9 @@ proptest! {
         let tasks = lcg_tasks(count, 60, seed);
         let whole = pipeline(threads).align_batch(&tasks);
 
-        for (carry, prefetch) in [(false, 0usize), (true, 0), (false, 2), (true, 2)] {
+        for prefetch in [0, 2] {
             let mut engine = pipeline(threads).engine();
-            let opts = StreamOptions::new(chunk_size).carry_over(carry);
+            let opts = StreamOptions::new(chunk_size);
             let mut results = Vec::new();
             let summary = if prefetch > 0 {
                 let source = tasks.clone().into_iter().map(Ok::<Task, String>);
