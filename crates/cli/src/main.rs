@@ -128,7 +128,8 @@ common options:
                   override the scenario's guides). `demo --scenario` also
                   generates the scenario's workload
   --engine NAME   agatha (default) or a baseline (see `agatha engines`)
-  --gpus N        simulate N GPUs (agatha engine only, default 1)
+  --gpus N        simulate N GPUs (align and demo + agatha engine only,
+                  default 1)
   --threads N     host worker threads (agatha engine only, default: all
                   cores)
   --chunk N       streaming chunk size in tasks (align + agatha engine
@@ -150,7 +151,7 @@ common options:
   --tech T        demo technology: hifi | clr | ont (default clr)
   --reads N       demo task count (default 160)
 
-serve options (plus the alignment options and --scenario, --gpus, --threads,
+serve options (plus the alignment options and --scenario, --threads,
 --backend, -o above):
   --port N        TCP port on 127.0.0.1 (default 0 = ephemeral; the bound
                   address is printed on startup)
@@ -165,17 +166,18 @@ serve options (plus the alignment options and --scenario, --gpus, --threads,
 
 /// Flags `align`, `demo` and `serve` all read: the scoring flags
 /// ([`scoring_from_args`]), the fill plan and pool size ([`agatha_config`],
-/// `--gpus`, `--threads`) and the output directory.
+/// `--threads`) and the output directory. Only `align` and `demo` simulate
+/// devices, so only they read `--gpus`.
 const ENGINE_FLAGS: &[&str] =
-    &["a", "b", "q", "r", "z", "w", "scenario", "gpus", "threads", "backend", "o"];
+    &["a", "b", "q", "r", "z", "w", "scenario", "threads", "backend", "o"];
 
 /// The flags `command` reads, as (shared, own) lists; `None` for `help`,
 /// which reads nothing, and for an unknown command. Keep the lists in step
 /// with [`USAGE`] (a unit test checks both directions).
 fn accepted_flags(command: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
     match command {
-        "align" => Some((ENGINE_FLAGS, &["engine", "verbose", "chunk"])),
-        "demo" => Some((ENGINE_FLAGS, &["engine", "verbose", "tech", "reads"])),
+        "align" => Some((ENGINE_FLAGS, &["gpus", "engine", "verbose", "chunk"])),
+        "demo" => Some((ENGINE_FLAGS, &["gpus", "engine", "verbose", "tech", "reads"])),
         "serve" => {
             Some((ENGINE_FLAGS, &["port", "window-ms", "max-batch", "max-queue", "deadline-ms"]))
         }
@@ -579,10 +581,18 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let (scoring, _) = scoring_from_args(args)?;
     let opts = host_opts(args)?;
     let port: u16 = args.get_num_checked("port", 0u16)?;
+    // Milliseconds → the daemon's nanosecond ticks, or a usage error naming
+    // the flag when they do not fit.
+    let ms_to_ns = |flag: &str, ms: u64| {
+        ms.checked_mul(1_000_000).ok_or_else(|| {
+            format!("--{flag} {ms} is too large (at most {} ms)", u64::MAX / 1_000_000)
+        })
+    };
     let window_ms: u64 = args.get_num_checked("window-ms", 5u64)?;
     if window_ms == 0 {
         return Err("--window-ms must be at least 1 (got 0)".to_string());
     }
+    let window_ns = ms_to_ns("window-ms", window_ms)?;
     let max_batch: usize = args.get_num_checked("max-batch", 1024usize)?;
     if max_batch == 0 {
         return Err("--max-batch must be at least 1 (got 0)".to_string());
@@ -598,18 +608,18 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if deadline_ms == Some(0) {
         return Err("--deadline-ms must be at least 1 (got 0)".to_string());
     }
+    let default_deadline_ns = deadline_ms.map(|ms| ms_to_ns("deadline-ms", ms)).transpose()?;
     // Created before the daemon starts: the stats dump at shutdown must not
     // be the first to find that `-o` is unusable.
     let dir = out_dir(args)?;
 
     let mut cfg = ServeConfig::new(scoring);
     cfg.config = agatha_config(&opts);
-    cfg.gpus = opts.gpus;
     cfg.threads = opts.threads;
-    cfg.window_ns = window_ms * 1_000_000;
+    cfg.window_ns = window_ns;
     cfg.max_batch = max_batch;
     cfg.max_queue = max_queue;
-    cfg.default_deadline_ns = deadline_ms.map(|ms| ms * 1_000_000);
+    cfg.default_deadline_ns = default_deadline_ns;
     cfg.addr = format!("127.0.0.1:{port}");
     let handle = agatha_serve::serve(cfg)?;
 

@@ -45,7 +45,7 @@ fn unknown_flags_are_usage_errors() {
     let out_dir = dir.join("out");
     let pair = [refs.to_str().unwrap(), queries.to_str().unwrap()];
 
-    let cases: [(&[&str], &[&str], &str); 10] = [
+    let cases: [(&[&str], &[&str], &str); 11] = [
         (&["align", "--no-such-flag", "3"], &pair, "--no-such-flag"),
         (&["align", "-x", "3"], &pair, "-x"),
         // A serve-only flag is unknown to align, and a demo-only one to serve.
@@ -59,6 +59,8 @@ fn unknown_flags_are_usage_errors() {
         (&["demo", "--reads", "4", "--chunk", "2"], &[], "--chunk"),
         (&["serve", "--port", "0", "--chunk", "2"], &[], "--chunk"),
         (&["serve", "--port", "0", "--verbose"], &[], "--verbose"),
+        // The daemon's engine schedules no simulated devices.
+        (&["serve", "--port", "0", "--gpus", "2"], &[], "--gpus"),
         // The stream's shape is not a knob: `align` always parses on the
         // prefetch reader and packs with carry-over.
         (&["align", "--prefetch", "0"], &pair, "--prefetch"),
@@ -793,6 +795,19 @@ fn serve_zero_knobs_are_usage_errors() {
         assert!(!out.status.success(), "{flag} 0 must be a usage error");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(flag) && err.contains("at least 1"), "{flag}: stderr: {err}");
+    }
+}
+
+#[test]
+fn serve_knobs_past_the_nanosecond_range_are_usage_errors() {
+    // 18446744073710 ms is one past `u64::MAX` ns: it used to panic in a
+    // debug build and silently set a sub-millisecond window in release.
+    for flag in ["--window-ms", "--deadline-ms"] {
+        let out = agatha().args(["serve", flag, "18446744073710"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flag} must be a usage error");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag) && err.contains("too large"), "{flag}: stderr: {err}");
+        assert!(!err.contains("panicked"), "{flag}: stderr: {err}");
     }
 }
 

@@ -21,7 +21,7 @@
 //! incrementally into a [`StreamSummary`].
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -84,25 +84,6 @@ pub enum JobOutcome {
     Cancelled { queue_ns: u64 },
 }
 
-/// Monotonic counters for the tagged-job admission decisions, readable at
-/// any time via [`BatchEngine::tag_counters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TagCounters {
-    /// Tagged jobs that reached kernel dispatch.
-    pub dispatched: u64,
-    /// Tagged jobs dropped because their deadline passed while queued.
-    pub dropped_deadline: u64,
-    /// Tagged jobs dropped because their cancel flag was set.
-    pub cancelled: u64,
-}
-
-#[derive(Default)]
-struct TagCountersAtomic {
-    dispatched: AtomicU64,
-    dropped_deadline: AtomicU64,
-    cancelled: AtomicU64,
-}
-
 /// One published chunk: the jobs plus the claim counter every worker draws
 /// from.
 struct Chunk {
@@ -125,7 +106,6 @@ type WorkerBatch = std::thread::Result<Vec<(usize, JobOutcome)>>;
 struct Shared {
     pipeline: Pipeline,
     clock: Arc<dyn Clock>,
-    counters: TagCountersAtomic,
     /// Spent `TaskRun` output buffers (cost-descriptor vectors) parked by
     /// the chunk packer; workers drain this into their [`KernelWorkspace`]
     /// so steady-state streaming allocates nothing per task, not even the
@@ -165,14 +145,11 @@ impl Shared {
             let now = self.clock.now_ns();
             let queue_ns = now.saturating_sub(m.enqueued_ns);
             if m.cancelled() {
-                self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
                 return JobOutcome::Cancelled { queue_ns };
             }
             if m.expired(now) {
-                self.counters.dropped_deadline.fetch_add(1, Ordering::Relaxed);
                 return JobOutcome::DroppedDeadline { queue_ns };
             }
-            self.counters.dispatched.fetch_add(1, Ordering::Relaxed);
             timing = Some((now, queue_ns));
         }
         // Top up the workspace with spent output buffers so the run's cost
@@ -224,12 +201,7 @@ impl BatchEngine {
     /// deadline checks (tests pass [`crate::clock::MockClock`]).
     pub fn with_clock(pipeline: Pipeline, clock: Arc<dyn Clock>) -> BatchEngine {
         let helper_count = pipeline.worker_threads().max(1) - 1;
-        let shared = Arc::new(Shared {
-            pipeline,
-            clock,
-            counters: TagCountersAtomic::default(),
-            recycle: Mutex::new(Vec::new()),
-        });
+        let shared = Arc::new(Shared { pipeline, clock, recycle: Mutex::new(Vec::new()) });
         let (done_tx, done_rx) = channel();
         let helpers = (0..helper_count)
             .map(|_| {
@@ -321,21 +293,10 @@ impl BatchEngine {
     /// cancellation, enqueue tick), returning one [`JobOutcome`] per job in
     /// input order: every job is answered exactly once — completed,
     /// deadline-dropped, or cancelled — never lost. Dropped and cancelled
-    /// jobs never reach kernel dispatch (see [`BatchEngine::tag_counters`]).
+    /// jobs never reach kernel dispatch.
     pub fn run_tagged(&mut self, jobs: Vec<(Task, JobMeta)>) -> Vec<JobOutcome> {
         let (mut tasks, metas) = jobs.into_iter().unzip();
         self.dispatch(&mut tasks, metas)
-    }
-
-    /// Snapshot of the tagged-job admission counters (dispatched /
-    /// deadline-dropped / cancelled).
-    pub fn tag_counters(&self) -> TagCounters {
-        let c = &self.shared.counters;
-        TagCounters {
-            dispatched: c.dispatched.load(Ordering::Relaxed),
-            dropped_deadline: c.dropped_deadline.load(Ordering::Relaxed),
-            cancelled: c.cancelled.load(Ordering::Relaxed),
-        }
     }
 
     /// Align one owned chunk end to end (kernel runs → warp assignment →
@@ -1143,8 +1104,6 @@ mod tests {
             let outcomes = engine.run_tagged(jobs);
             assert_eq!(outcomes.len(), 8);
             assert!(outcomes.iter().all(|o| matches!(o, JobOutcome::Cancelled { .. })));
-            let c = engine.tag_counters();
-            assert_eq!(c, TagCounters { dispatched: 0, dropped_deadline: 0, cancelled: 8 });
             // Nothing executed, so nothing was parked for recycling either: a
             // cancelled request's buffers cannot leak into another request.
             assert_eq!(engine.recycled_buffers(), 0);
@@ -1177,6 +1136,7 @@ mod tests {
                 })
                 .collect();
             let outcomes = engine.run_tagged(jobs);
+            assert_eq!(outcomes.len(), tasks.len());
             let reference = pipeline().align_batch(&tasks);
             for (i, o) in outcomes.iter().enumerate() {
                 match o {
@@ -1193,8 +1153,6 @@ mod tests {
                     JobOutcome::Cancelled { .. } => panic!("no cancel flags were set"),
                 }
             }
-            let c = engine.tag_counters();
-            assert_eq!(c, TagCounters { dispatched: 3, dropped_deadline: 3, cancelled: 0 });
         }
     }
 
@@ -1329,7 +1287,8 @@ mod tests {
                 // Every job reads the clock at the gate and again after its
                 // kernel run, so read 8 falls in the middle of the chunk.
                 let clock = Arc::new(FailingClock { reads: AtomicUsize::new(0), fail_on: 8 });
-                let mut engine = BatchEngine::with_clock(pipeline_on(threads), clock);
+                let reads = || clock.reads.load(Ordering::SeqCst);
+                let mut engine = BatchEngine::with_clock(pipeline_on(threads), clock.clone());
                 let payload =
                     catch_unwind(AssertUnwindSafe(|| engine.run_tagged(live_jobs(&tasks))))
                         .expect_err("the clock's panic must reach the caller");
@@ -1338,8 +1297,8 @@ mod tests {
                     Some("test clock failed on read 8"),
                     "{threads} threads: the original payload is re-raised"
                 );
-                let aborted = engine.tag_counters();
-                assert!(aborted.dispatched < tasks.len() as u64, "the chunk stopped early");
+                let aborted = reads();
+                assert!(aborted < 2 * tasks.len(), "the chunk stopped early: {aborted} reads");
 
                 // The same engine now behaves exactly like a new one: no
                 // stale answer from the aborted chunk, no lost helper.
@@ -1347,9 +1306,8 @@ mod tests {
                 assert_eq!(engine.threads(), fresh.threads());
                 let got = completed_runs(engine.run_tagged(live_jobs(&tasks)));
                 assert_eq!(got, completed_runs(fresh.run_tagged(live_jobs(&tasks))));
-                let counters = engine.tag_counters();
-                assert_eq!(counters.dispatched, aborted.dispatched + tasks.len() as u64);
-                assert_eq!((counters.dropped_deadline, counters.cancelled), (0, 0));
+                // Each job passed the gate and was timed once: two reads apiece.
+                assert_eq!(reads(), aborted + 2 * tasks.len());
 
                 let stream = |engine: &mut BatchEngine| {
                     let mut run =

@@ -44,7 +44,7 @@ pub use bucketing::OrderingStrategy;
 pub use clock::{Clock, MockClock, SystemClock};
 pub use engine::{
     BatchEngine, ChunkReport, JobMeta, JobOutcome, StreamError, StreamOptions, StreamRun,
-    StreamSummary, TagCounters,
+    StreamSummary,
 };
 pub use kernel::{run_task, run_task_ws, KernelWorkspace, TaskRun};
 pub use options::AgathaConfig;

@@ -29,8 +29,7 @@ pub fn default_block_dim() -> BlockDim {
 /// The prefetch depth `agatha align` streams its FASTA input at: two parsed
 /// chunks queued ahead of execution (one being parsed by the reader, one
 /// ready), enough to hide FASTA parsing behind the kernel without hoarding
-/// memory. Also how many admission batches the serve daemon's harvester
-/// stages ahead of its executor.
+/// memory.
 pub const DEFAULT_PREFETCH_DEPTH: usize = 2;
 
 /// Default streaming prefetch depth: [`DEFAULT_PREFETCH_DEPTH`].

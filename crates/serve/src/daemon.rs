@@ -11,23 +11,21 @@
 //!   the connection's cancel flag so its pending work is dropped before
 //!   kernel dispatch; a client that stops reading is hung up on the same way
 //!   once a reply write has blocked for [`REPLY_WRITE_TIMEOUT`];
-//! * one **batcher** owns the [`BatchEngine`]: it sleeps until the window
-//!   closes, sweeps deadline-expired requests (answered as `dropped`
-//!   without dispatch), hands the batch to the engine via
-//!   [`BatchEngine::run_tagged`], then answers each request and records
-//!   queue/service/total latency in the lock-free [`ServeMetrics`].
+//! * connection **writers** send each connection's replies, one line at a
+//!   time;
+//! * one **batcher** owns the [`BatchEngine`] (and through it the engine's
+//!   helper threads): it sleeps until the window closes, sweeps
+//!   deadline-expired requests (answered as `dropped` without dispatch),
+//!   hands the batch to the engine via [`BatchEngine::run_tagged`], then
+//!   answers each request and records queue/service/total latency in the
+//!   lock-free [`ServeMetrics`].
 //!
-//! The batcher is split in two: a **harvester** thread sweeps the window —
-//! answering expiries the moment they are due instead of after the current
-//! kernel batch — and feeds ready batches through a bounded channel to the
-//! **executor**, which owns the engine. The channel bound
-//! ([`DEFAULT_PREFETCH_DEPTH`]) caps how many batches wait staged
-//! (backpressure falls back to the admission queue), and deadline checks
-//! re-run at dispatch inside the engine, so a batch that overstays the
-//! staging channel is still dropped, not served late.
-//!
-//! While the batcher executes batch *N*, readers fill window *N+1*, so
-//! admission and kernel execution overlap. All shutdown paths (SIGTERM via
+//! The window has one consumer, so at most `max_queue` requests wait, plus
+//! the one batch on the engine. While the batcher executes batch *N*,
+//! readers fill window *N+1*, so admission and kernel execution overlap; an
+//! expiry that falls due meanwhile is answered when batch *N* returns (and
+//! deadlines are re-checked at dispatch inside the engine, so nothing is
+//! served late). All shutdown paths (SIGTERM via
 //! [`termination_flag`], the `{"cmd":"shutdown"}` request, or
 //! [`ServeHandle::request_shutdown`]) drain the queue — every admitted
 //! request is answered before the daemon exits.
@@ -43,7 +41,6 @@ use std::time::Duration;
 use agatha_align::{ScoreModel, Scoring, Task};
 use agatha_core::clock::{Clock, SystemClock};
 use agatha_core::engine::{BatchEngine, JobMeta, JobOutcome};
-use agatha_core::options::DEFAULT_PREFETCH_DEPTH;
 use agatha_core::{AgathaConfig, Pipeline};
 
 use crate::histogram::{MetricsSnapshot, ServeMetrics};
@@ -72,8 +69,6 @@ pub const REPLY_WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 pub struct ServeConfig {
     pub scoring: Scoring,
     pub config: AgathaConfig,
-    /// Simulated GPUs for the engine pipeline.
-    pub gpus: usize,
     /// Host worker threads (0 = all cores).
     pub threads: usize,
     /// Admission window length in nanoseconds (must be ≥ 1).
@@ -97,7 +92,6 @@ impl ServeConfig {
         ServeConfig {
             scoring,
             config: AgathaConfig::agatha(),
-            gpus: 1,
             threads: 0,
             window_ns: 5_000_000, // 5ms
             max_batch: 1024,
@@ -121,15 +115,12 @@ impl ServeConfig {
         if self.starvation_ns > 0 {
             self.starvation_ns
         } else {
-            8 * self.window_ns
+            self.window_ns.saturating_mul(8)
         }
     }
 
     pub fn validate(&self) -> Result<(), String> {
         self.window_cfg().validate()?;
-        if self.gpus == 0 {
-            return Err("gpus must be at least 1 (got 0)".to_string());
-        }
         if self.default_deadline_ns == Some(0) {
             return Err("default deadline must be at least 1ns (omit it for none)".to_string());
         }
@@ -242,7 +233,7 @@ pub fn serve_with_clock(cfg: ServeConfig, clock: Arc<dyn Clock>) -> Result<Serve
         model: cfg.scoring.model,
     });
 
-    let mut pipeline = Pipeline::new(cfg.scoring, cfg.config.clone()).with_gpus(cfg.gpus);
+    let mut pipeline = Pipeline::new(cfg.scoring, cfg.config.clone());
     pipeline.host_threads = cfg.threads;
     let engine = BatchEngine::with_clock(pipeline, Arc::clone(&shared.clock));
 
@@ -419,10 +410,12 @@ fn handle_line(
                 return Flow::Continue;
             }
             let now = shared.clock.now_ns();
+            // A client's `deadline_ms` may be any positive i64: saturate, so
+            // a far deadline stays far instead of panicking or wrapping.
             let deadline_ns = a
                 .deadline_ms
-                .map(|ms| now + ms * 1_000_000)
-                .or_else(|| shared.default_deadline_ns.map(|d| now + d));
+                .map(|ms| now.saturating_add(ms.saturating_mul(1_000_000)))
+                .or_else(|| shared.default_deadline_ns.map(|d| now.saturating_add(d)));
             let pending = Pending {
                 task,
                 deadline_ns,
@@ -446,32 +439,13 @@ fn handle_line(
     Flow::Continue
 }
 
+/// The window's one consumer: harvest, answer, execute, until the shutdown
+/// drain has emptied the window.
 fn batcher_loop(mut engine: BatchEngine, shared: &Arc<Shared>) {
-    // Harvester/executor split: the harvester sweeps the window (answering
-    // expiries immediately, not after the in-flight kernel batch) and
-    // stages up to `DEFAULT_PREFETCH_DEPTH` ready batches in a bounded
-    // channel; this thread owns the engine and drains them. When the
-    // harvester sees the shutdown drain through (`next_harvest` → `None`) it
-    // drops the sender, which ends the executor's loop after the staged tail.
-    let (tx, rx) = mpsc::sync_channel::<Vec<Pending<ReqCtx>>>(DEFAULT_PREFETCH_DEPTH);
-    std::thread::scope(|s| {
-        s.spawn(move || {
-            while let Some(harvest) = next_harvest(shared) {
-                answer_expired(shared, harvest.expired);
-                if harvest.batch.is_empty() {
-                    continue;
-                }
-                if tx.send(harvest.batch).is_err() {
-                    // Executor gone (it never exits first in practice —
-                    // scoped threads make a panic there abort the scope).
-                    break;
-                }
-            }
-        });
-        for batch in rx {
-            execute_batch(&mut engine, shared, batch);
-        }
-    });
+    while let Some(harvest) = next_harvest(shared) {
+        answer_expired(shared, harvest.expired);
+        execute_batch(&mut engine, shared, harvest.batch);
+    }
 }
 
 /// Block until there is something to answer: expired requests, a closed
@@ -512,9 +486,8 @@ fn answer_expired(shared: &Arc<Shared>, expired: Vec<Pending<ReqCtx>>) {
 }
 
 /// Dispatch one harvested batch to the engine and answer every request in
-/// it. Deadlines are re-checked inside [`BatchEngine::run_tagged`], so a
-/// batch that waited in the prefetch staging channel still drops its
-/// overdue requests before kernel dispatch.
+/// it. Deadlines and cancel flags are re-checked inside
+/// [`BatchEngine::run_tagged`], at each job's dispatch.
 fn execute_batch(engine: &mut BatchEngine, shared: &Arc<Shared>, batch: Vec<Pending<ReqCtx>>) {
     let metrics = &shared.metrics;
     if batch.is_empty() {

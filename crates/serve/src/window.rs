@@ -115,7 +115,7 @@ impl<C> AdmissionWindow<C> {
         self.queue.push_back(p);
         match self.window_close {
             // First request of an empty queue opens a fresh window…
-            None => self.window_close = Some(now + self.cfg.window_ns),
+            None => self.window_close = Some(now.saturating_add(self.cfg.window_ns)),
             // …and a full batch closes it early.
             Some(close) if self.queue.len() >= self.cfg.max_batch && close > now => {
                 self.window_close = Some(now);

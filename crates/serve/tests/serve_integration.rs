@@ -278,6 +278,101 @@ fn shutdown_command_drains_and_acknowledges() {
 }
 
 #[test]
+fn max_queue_bounds_what_waits_behind_a_running_batch() {
+    // One long unbanded pair occupies the engine; short requests keep
+    // arriving behind it, one window apart. The window's one consumer is
+    // the batcher that runs the engine, so at most `max_queue` of them wait
+    // — nothing is harvested ahead of the engine into a second queue.
+    let unbanded = Scoring::new(2, 4, 4, 2, Scoring::NO_ZDROP, Scoring::NO_BAND);
+    let mut cfg = ServeConfig::new(unbanded);
+    cfg.threads = 1;
+    cfg.window_ns = 1_000_000;
+    cfg.max_batch = 1;
+    cfg.max_queue = 2;
+    let handle = serve(cfg.clone()).expect("daemon starts");
+    let mut client = ServeClient::connect(handle.addr()).unwrap();
+    let short = pairs(11, 40, 7);
+    let gap = Duration::from_millis(15);
+    // The long pair should outlast the send phase four times over. A debug
+    // build takes far longer than that at 3 kb; a faster build gets a longer
+    // pair (unbanded, its cost grows roughly with the square of the length;
+    // the run below checks that the pair did hold the engine).
+    let (long_seq, _) = pairs(1, 32_000, 5).pop().unwrap();
+    let calibration = client.align(0, &long_seq[..3_000], &long_seq[..3_000], None).unwrap();
+    let took = calibration.service_us.expect("an ok reply carries its service time").max(1);
+    let want = 4 * gap.as_micros() as u64 * short.len() as u64;
+    let mut len = (3_000.0 * (want as f64 / took as f64).sqrt().max(1.0)) as usize;
+    loop {
+        let long = &long_seq[..len.min(long_seq.len())];
+        client.send_align(0, long, long, None).unwrap();
+        let sending = Instant::now();
+        for (i, (r, q)) in short.iter().enumerate() {
+            std::thread::sleep(gap);
+            client.send_align(i as i64 + 1, &r[..40], &q[..40], None).unwrap();
+        }
+        let send_phase = sending.elapsed();
+        let (mut ok, mut rejected, mut long_total_us) = (0, 0, 0);
+        for _ in 0..=short.len() {
+            let resp = client.recv().unwrap();
+            match resp.status {
+                Status::Ok => ok += 1,
+                Status::Rejected => rejected += 1,
+                other => panic!("unexpected {other:?}: {}", resp.raw),
+            }
+            if resp.id == Some(0) {
+                long_total_us = resp.total_us.expect("an ok reply carries its total time");
+            }
+        }
+        assert_eq!(ok + rejected, 1 + short.len(), "every request answered exactly once");
+        // The bound binds only while the long batch holds the engine. If it
+        // returned before the last short request was sent (plus a gap for it
+        // to be read), the window could drain and admit more: run again with
+        // a longer pair rather than judge the bound on that run.
+        let held_us = (send_phase + gap).as_micros() as u64;
+        if long_total_us <= held_us {
+            assert!(
+                long.len() < long_seq.len(),
+                "a {} bp pair returned after {long_total_us} µs, before the {held_us} µs \
+                 send phase ended; the probe cannot hold the engine on this host",
+                long.len()
+            );
+            len = 2 * long.len();
+            continue;
+        }
+        assert!(
+            ok <= cfg.max_queue + cfg.max_batch,
+            "{ok} requests admitted: more than max_queue ({}) waited behind the running batch \
+             ({} bp pair held the engine {long_total_us} µs; 3 kb took {took} µs)",
+            cfg.max_queue,
+            long.len()
+        );
+        break;
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn hostile_deadlines_and_windows_neither_panic_nor_wrap() {
+    // Any positive `deadline_ms` parses: i64::MAX ms used to overflow the
+    // nanosecond arithmetic (a panic on the connection's reader, the client
+    // left without a reply), and 18446744073710 ms wrapped to well under a
+    // millisecond (the request came back dropped). A `u64::MAX` ns window
+    // overflowed its close tick and the default starvation line the same
+    // way; a one-request batch closes it at once.
+    let handle = start(|cfg| {
+        cfg.window_ns = u64::MAX;
+        cfg.max_batch = 1;
+    });
+    let mut client = ServeClient::connect(handle.addr()).unwrap();
+    let (r, q) = pairs(1, 60, 11).pop().unwrap();
+    for (id, deadline_ms) in [(1, i64::MAX as u64), (2, 18_446_744_073_710)] {
+        let resp = client.align(id, &r, &q, Some(deadline_ms)).unwrap();
+        assert_eq!(resp.status, Status::Ok, "deadline_ms {deadline_ms}: {}", resp.raw);
+    }
+    handle.shutdown();
+}
+
+#[test]
 fn zero_window_and_zero_queue_are_usage_errors() {
     let err = |cfg: ServeConfig| serve(cfg).err().expect("config must be rejected");
     let mut cfg = ServeConfig::new(scoring());
