@@ -104,6 +104,24 @@ pub fn guided_align_ws(
     scoring: &Scoring,
     ws: &mut GuidedWorkspace,
 ) -> GuidedResult {
+    guided_align_until(reference, query, scoring, ws, |_, global, local| {
+        scoring.zdrop_enabled() && zdrop_triggered(global, local, scoring.zdrop, scoring.gap_extend)
+    })
+}
+
+/// The anti-diagonal DP loop with its termination test as a parameter:
+/// after anti-diagonal `c` is filled, `stop_at(c, global, local)` sees the
+/// running global maximum over diagonals `< c` and `c`'s local maximum, and
+/// `true` ends the scan as [`StopReason::ZDrop`] with `c` excluded.
+/// [`guided_align_ws`] passes the exact Z-drop rule (Eq. 4–7); a baseline
+/// modelling an approximate rule passes its own.
+pub fn guided_align_until(
+    reference: &PackedSeq,
+    query: &PackedSeq,
+    scoring: &Scoring,
+    ws: &mut GuidedWorkspace,
+    mut stop_at: impl FnMut(i64, MaxCell, MaxCell) -> bool,
+) -> GuidedResult {
     let n = reference.len() as i64;
     let m = query.len() as i64;
     if n == 0 || m == 0 {
@@ -197,7 +215,7 @@ pub fn guided_align_ws(
             ws.f[ef_slot][(hi + 1) as usize] = NEG_INF;
         }
 
-        if scoring.zdrop_enabled() && zdrop_triggered(global, local, scoring.zdrop, ext) {
+        if stop_at(c, global, local) {
             stop = StopReason::ZDrop { antidiag: c as u32 };
             break;
         }

@@ -16,9 +16,9 @@
 //!   (no gap-length adjustment, no position constraint) and only every 8th
 //!   anti-diagonal — faster to check, but can terminate differently.
 
-use agatha_align::guided::{diag_range, guided_align};
-use agatha_align::result::{GuidedResult, MaxCell, StopReason};
-use agatha_align::{PackedSeq, Scoring, Task, NEG_INF};
+use agatha_align::guided::{guided_align, guided_align_until, GuidedWorkspace};
+use agatha_align::result::GuidedResult;
+use agatha_align::{PackedSeq, Scoring, Task};
 use agatha_gpu_sim::{host, sched, CostModel, GpuSpec, WARP_LANES};
 
 use crate::report::EngineReport;
@@ -75,107 +75,16 @@ pub fn run(tasks: &[Task], scoring: &Scoring, spec: &GpuSpec, mm2_target: bool) 
     }
 }
 
-/// The Diff-Target scalar: banded affine DP, approximate drop condition.
+/// The Diff-Target scalar: the guided DP loop with the approximate drop
+/// condition — a plain score drop greater than `Z`, sampled every
+/// `DIFF_CHECK_INTERVAL` anti-diagonals.
 pub fn inexact_guided(reference: &PackedSeq, query: &PackedSeq, scoring: &Scoring) -> GuidedResult {
-    // Reuse the exact per-diagonal machinery but with the approximate check;
-    // the easiest faithful implementation recomputes diagonals directly.
-    let n = reference.len() as i64;
-    let m = query.len() as i64;
-    if n == 0 || m == 0 {
-        return GuidedResult {
-            score: 0,
-            max: MaxCell::ORIGIN,
-            qend_score: None,
-            stop: StopReason::Completed,
-            antidiags: 0,
-            cells: 0,
-        };
-    }
-    let w = if scoring.banded() { scoring.band_width as i64 } else { n + m };
-    let oe = scoring.gap_open + scoring.gap_extend;
-    let ext = scoring.gap_extend;
-    let rc = reference.to_codes();
-    let qc = query.to_codes();
-
-    let nu = n as usize;
-    let mut h = [vec![NEG_INF; nu], vec![NEG_INF; nu], vec![NEG_INF; nu]];
-    let mut e = [vec![NEG_INF; nu], vec![NEG_INF; nu]];
-    let mut f = [vec![NEG_INF; nu], vec![NEG_INF; nu]];
-
-    let mut global = MaxCell::ORIGIN;
-    let mut qend: Option<i32> = None;
-    let mut cells = 0u64;
-    let mut stop = StopReason::Completed;
-    let mut last = -1i64;
-
-    for c in 0..(n + m - 1) {
-        let Some((lo, hi)) = diag_range(c, n, m, w) else {
-            stop = StopReason::BandExhausted { antidiag: c as u32 };
-            break;
-        };
-        let (hs, hp, hp2) = ((c % 3) as usize, ((c + 2) % 3) as usize, ((c + 1) % 3) as usize);
-        let (efs, efp) = ((c % 2) as usize, ((c + 1) % 2) as usize);
-        let mut local = MaxCell { score: NEG_INF, i: -1, j: -1 };
-        for i in lo..=hi {
-            let j = c - i;
-            let iu = i as usize;
-            let up_h = if i == 0 { scoring.border(j as i32) } else { h[hp][iu - 1] };
-            let up_e = if i == 0 { NEG_INF } else { e[efp][iu - 1] };
-            let left_h = if j == 0 { scoring.border(i as i32) } else { h[hp][iu] };
-            let left_f = if j == 0 { NEG_INF } else { f[efp][iu] };
-            let dg = if i == 0 && j == 0 {
-                0
-            } else if i == 0 {
-                scoring.border((j - 1) as i32)
-            } else if j == 0 {
-                scoring.border((i - 1) as i32)
-            } else {
-                h[hp2][iu - 1]
-            };
-            let ev = (up_h - oe).max(up_e - ext);
-            let fv = (left_h - oe).max(left_f - ext);
-            let sub = scoring.substitution(rc[iu], qc[j as usize]);
-            let hv = ev.max(fv).max(dg.saturating_add(sub));
-            h[hs][iu] = hv;
-            e[efs][iu] = ev;
-            f[efs][iu] = fv;
-            if hv > local.score {
-                local = MaxCell { score: hv, i: i as i32, j: j as i32 };
-            }
-            if j == m - 1 {
-                qend = Some(qend.map_or(hv, |q| q.max(hv)));
-            }
-            cells += 1;
-        }
-        if lo > 0 {
-            h[hs][(lo - 1) as usize] = NEG_INF;
-            e[efs][(lo - 1) as usize] = NEG_INF;
-            f[efs][(lo - 1) as usize] = NEG_INF;
-        }
-        if hi + 1 < n {
-            h[hs][(hi + 1) as usize] = NEG_INF;
-            e[efs][(hi + 1) as usize] = NEG_INF;
-            f[efs][(hi + 1) as usize] = NEG_INF;
-        }
-        last = c;
-        // The inexact check: plain score drop, sampled every few diagonals.
-        if scoring.zdrop_enabled()
+    let ws = &mut GuidedWorkspace::new();
+    guided_align_until(reference, query, scoring, ws, |c, global, local| {
+        scoring.zdrop_enabled()
             && c % DIFF_CHECK_INTERVAL == DIFF_CHECK_INTERVAL - 1
             && (global.score as i64 - local.score as i64) > scoring.zdrop as i64
-        {
-            stop = StopReason::ZDrop { antidiag: c as u32 };
-            break;
-        }
-        global.fold(local);
-    }
-    GuidedResult {
-        score: global.score,
-        max: global,
-        qend_score: qend,
-        stop,
-        antidiags: (last + 1) as u32,
-        cells,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -6,12 +6,13 @@
 //! recreate on the host exactly the imbalance the paper fixes on the GPU).
 //! A chunk of tasks is published once behind an `Arc`; workers claim
 //! indices from one atomic counter, run the same per-job body (tagged
-//! admission gate → recycle top-up → [`run_task_ws`]) into their private
-//! [`KernelWorkspace`], and hand back one batch of `(index, outcome)` per
-//! worker per chunk. The calling thread is worker 0; the engine keeps
-//! `threads − 1` persistent helper threads for its whole lifetime, so one
-//! thread simply means "no helpers" and a chunk of one task never leaves
-//! the caller.
+//! admission gate → [`run_task_ws`]) on their private [`KernelWorkspace`]
+//! scratch, and hand back one batch of `(index, outcome)` per worker per
+//! chunk. The calling thread is worker 0; the engine keeps `threads − 1`
+//! persistent helper threads for its whole lifetime, so one thread simply
+//! means "no helpers" and a chunk of one task never leaves the caller.
+//! Outputs are owned: each run allocates its own trace and whoever consumes
+//! the run drops it — no memory flows back to the workers.
 //!
 //! On top of that sits one chunk packer (kernel runs → carry split → warp
 //! assignment → simulation → device scheduling). [`Pipeline::align_batch`]
@@ -23,7 +24,7 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use agatha_align::Task;
@@ -35,12 +36,6 @@ use crate::clock::{Clock, SystemClock};
 use crate::kernel::{run_task_ws, KernelWorkspace, TaskRun};
 use crate::pipeline::{BatchReport, Pipeline};
 use crate::prefetch::{ChunkMsg, PrefetchedChunks};
-use crate::trace::SliceUnit;
-
-/// Upper bound on buffers parked in the engine-wide recycle pool. Steady
-/// state needs roughly one buffer per in-flight task; the cap only guards
-/// against pathological chunk sizes hoarding memory.
-const RECYCLE_POOL_CAP: usize = 4096;
 
 /// Per-request metadata attached to a tagged job: when it entered the
 /// queue, when it stops being worth executing, and a kill switch flipped
@@ -106,20 +101,15 @@ type WorkerBatch = std::thread::Result<Vec<(usize, JobOutcome)>>;
 struct Shared {
     pipeline: Pipeline,
     clock: Arc<dyn Clock>,
-    /// Spent `TaskRun` output buffers (cost-descriptor vectors) parked by
-    /// the chunk packer; workers drain this into their [`KernelWorkspace`]
-    /// so steady-state streaming allocates nothing per task, not even the
-    /// run outputs.
-    recycle: Mutex<Vec<Vec<SliceUnit>>>,
 }
 
 impl Shared {
     /// The worker loop: claim indices until the chunk is exhausted. The
     /// whole loop sits inside the panic guard — the admission gate calls a
-    /// user-supplied [`Clock`], and a poisoned pool lock must surface on
-    /// the caller too — and the first panic exhausts the counter so no
-    /// worker starts another job of an aborted chunk. The workspace is safe
-    /// to reuse after a panic: every run fully reinitialises it.
+    /// user-supplied [`Clock`], whose panic must surface on the caller —
+    /// and the first panic exhausts the counter so no worker starts another
+    /// job of an aborted chunk. The workspace is safe to reuse after a
+    /// panic: every run fully reinitialises it.
     fn work(&self, chunk: &Chunk, ws: &mut KernelWorkspace) -> WorkerBatch {
         let batch = catch_unwind(AssertUnwindSafe(|| {
             let mut done = Vec::new();
@@ -151,17 +141,6 @@ impl Shared {
                 return JobOutcome::DroppedDeadline { queue_ns };
             }
             timing = Some((now, queue_ns));
-        }
-        // Top up the workspace with spent output buffers so the run's cost
-        // descriptors reuse their capacity. Drain a small batch under one
-        // lock, and only when the local pool is dry, so the per-task hot
-        // path doesn't pay a global lock per job.
-        if ws.recycled_buffers().0 == 0 {
-            let mut pool = self.recycle.lock().expect("recycle pool lock poisoned");
-            let from = pool.len() - pool.len().min(4);
-            for units in pool.drain(from..) {
-                ws.recycle_units(units);
-            }
         }
         let run = run_task_ws(ws, task, &self.pipeline.scoring, &self.pipeline.config);
         let (queue_ns, service_ns) = match timing {
@@ -201,7 +180,7 @@ impl BatchEngine {
     /// deadline checks (tests pass [`crate::clock::MockClock`]).
     pub fn with_clock(pipeline: Pipeline, clock: Arc<dyn Clock>) -> BatchEngine {
         let helper_count = pipeline.worker_threads().max(1) - 1;
-        let shared = Arc::new(Shared { pipeline, clock, recycle: Mutex::new(Vec::new()) });
+        let shared = Arc::new(Shared { pipeline, clock });
         let (done_tx, done_rx) = channel();
         let helpers = (0..helper_count)
             .map(|_| {
@@ -240,8 +219,8 @@ impl BatchEngine {
     /// empty or one per task) as a chunk, work on it alongside as many
     /// helpers as it can occupy, and return one outcome per job in input
     /// order — worker interleaving never changes the output. `tasks` is
-    /// left empty with its capacity intact, so a stream reuses one chunk
-    /// buffer throughout.
+    /// left empty with its capacity intact, so an inline stream reuses one
+    /// chunk buffer throughout.
     ///
     /// A panic in any worker is re-raised here with its original payload,
     /// after every woken helper has answered: nothing of an aborted chunk
@@ -373,16 +352,6 @@ impl BatchEngine {
         let packed_runs: Vec<TaskRun> = packed.into_iter().map(|s| s.run).collect();
         let (warp_cycles, subwarp_blocks) = pipeline.simulate_warps(&packed_runs, &warps);
         let (devices, device) = pipeline.schedule_devices(&warp_cycles);
-        // Packed runs are spent: park their unit buffers for worker reuse.
-        {
-            let mut recycled = self.shared.recycle.lock().expect("recycle pool lock poisoned");
-            for mut r in packed_runs {
-                let units = std::mem::take(&mut r.units);
-                if units.capacity() > 0 && recycled.len() < RECYCLE_POOL_CAP {
-                    recycled.push(units);
-                }
-            }
-        }
         BatchReport {
             results,
             elapsed_ms: pipeline.spec.cycles_to_ms(device.makespan_cycles),
@@ -394,14 +363,11 @@ impl BatchEngine {
         }
     }
 
-    /// Buffers currently parked in the recycle pool (test visibility).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool mutex is poisoned — a worker died while holding
-    /// it, which must fail tests loudly rather than read as "empty pool".
+    /// Shell: always 0. The engine parks no buffers — each run owns its
+    /// trace — and this survives only because the frozen `benchmark/` reads
+    /// it; it goes when the benchmark stops reading it.
     pub fn recycled_buffers(&self) -> usize {
-        self.shared.recycle.lock().expect("recycle pool lock poisoned").len()
+        0
     }
 
     /// Stream an in-memory task iterator through the pool in chunks of
@@ -618,8 +584,9 @@ pub struct StreamRun<'e, I: Iterator<Item = Task>> {
     source: ChunkSource<I>,
     chunk_size: usize,
     strategy: OrderingStrategy,
-    /// Reusable chunk buffer: drained by the engine each chunk, refilled in
-    /// place, so steady-state streaming allocates nothing per chunk.
+    /// The chunk to run next: an inline source refills it in place after
+    /// the engine drains it; a prefetched stream replaces it with each chunk
+    /// the reader parsed.
     buf: Vec<Task>,
     /// Runs deferred by the carry-over bucket, awaiting a later pack.
     carry: Vec<CarrySlot>,
@@ -653,11 +620,8 @@ impl<I: Iterator<Item = Task>> StreamRun<'_, I> {
             }
             ChunkSource::Prefetched(pf) => {
                 let mut terminal = match pf.next_msg() {
-                    ChunkMsg::Chunk(mut chunk) => {
-                        // Swap our spent buffer for the parsed chunk and
-                        // send the old one back to the reader for reuse.
-                        std::mem::swap(&mut self.buf, &mut chunk);
-                        pf.recycle(chunk);
+                    ChunkMsg::Chunk(chunk) => {
+                        self.buf = chunk;
                         // A partial chunk is always the last: resolve its
                         // terminator now (the reader sent it right behind)
                         // so this chunk can flush the carry.
@@ -842,27 +806,6 @@ mod tests {
         let c = align_chunk(&mut engine, Vec::new());
         assert!(c.results.is_empty());
         assert_eq!(c.elapsed_ms, 0.0);
-    }
-
-    #[test]
-    fn chunk_folding_parks_spent_buffers_for_reuse() {
-        let mut engine = pipeline().engine();
-        let tasks = mk_tasks(16, 80, 9);
-        let a = align_chunk(&mut engine, tasks.clone());
-        // After the first chunk every run's unit buffer is parked (workers
-        // had nothing to drain yet).
-        assert!(engine.recycled_buffers() > 0, "spent buffers must be parked");
-        // Subsequent chunks drain the pool back through the workers and
-        // re-park; results stay bit-identical throughout.
-        let parked = engine.recycled_buffers();
-        for _ in 0..3 {
-            let b = align_chunk(&mut engine, tasks.clone());
-            assert_eq!(a.results, b.results);
-        }
-        assert!(
-            engine.recycled_buffers() <= parked + tasks.len(),
-            "pool must not grow unboundedly"
-        );
     }
 
     #[test]
@@ -1104,9 +1047,6 @@ mod tests {
             let outcomes = engine.run_tagged(jobs);
             assert_eq!(outcomes.len(), 8);
             assert!(outcomes.iter().all(|o| matches!(o, JobOutcome::Cancelled { .. })));
-            // Nothing executed, so nothing was parked for recycling either: a
-            // cancelled request's buffers cannot leak into another request.
-            assert_eq!(engine.recycled_buffers(), 0);
         }
     }
 
@@ -1157,15 +1097,13 @@ mod tests {
     }
 
     #[test]
-    fn dropped_jobs_leave_recycling_bit_identical() {
-        // Interleaving dropped work must not corrupt or cross-serve the
-        // recycled unit buffers: chunks aligned after drops stay
-        // bit-identical to the reference.
+    fn dropped_jobs_leave_later_chunks_bit_identical() {
+        // Interleaving dropped work must leave no trace on the workers:
+        // chunks aligned after an all-dropped batch stay bit-identical to
+        // the first.
         let (mut engine, clock) = tagged_engine_on(2);
         let tasks = mk_tasks(12, 70, 17);
         let reference = align_chunk(&mut engine, tasks.clone());
-        let parked = engine.recycled_buffers();
-        assert!(parked > 0);
         clock.set_ns(1_000);
         let dead: Vec<(Task, JobMeta)> = tasks
             .iter()
@@ -1174,9 +1112,6 @@ mod tests {
             .collect();
         let outcomes = engine.run_tagged(dead);
         assert!(outcomes.iter().all(|o| matches!(o, JobOutcome::DroppedDeadline { .. })));
-        // Dropped jobs produced no runs: the pool neither grew nor served
-        // buffers to phantom requests.
-        assert_eq!(engine.recycled_buffers(), parked);
         let again = align_chunk(&mut engine, tasks.clone());
         assert_eq!(again.results, reference.results);
         assert_eq!(again.stats, reference.stats);

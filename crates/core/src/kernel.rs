@@ -86,14 +86,14 @@ impl TaskRun {
 }
 
 /// Reusable per-worker scratch for [`run_task_ws`]: the stored north rows,
-/// the align-layer [`DiagTracker`], the per-query profile and recycled output
-/// buffers. All of these are grow-only and geometry-agnostic (rows pad to the
-/// active block side), so one workspace serves tasks of either block
-/// geometry back to back and reaches a steady state in which executing a
-/// task performs no heap allocation on the kernel hot path — the
-/// fixed-size block staging buffer lives in the [`Sweep`], on the kernel's
-/// stack frame — and with [`KernelWorkspace::recycle_units`] fed by the
-/// engine, not even the returned [`TaskRun`]'s cost descriptors allocate.
+/// the align-layer [`DiagTracker`] and the per-query profile. All of these
+/// are grow-only and geometry-agnostic (rows pad to the active block side),
+/// so one workspace serves tasks of either block geometry back to back and
+/// reaches a steady state in which executing a task performs no heap
+/// allocation on the kernel hot path — the fixed-size block staging buffer
+/// lives in the [`Sweep`], on the kernel's stack frame. The scratch never
+/// leaves its worker; the returned [`TaskRun`] owns its trace, allocated
+/// per run.
 ///
 /// This is the `block-aligner` idiom: build one long-lived aligner object
 /// and feed it tasks, instead of reallocating per call.
@@ -101,17 +101,10 @@ impl TaskRun {
 pub struct KernelWorkspace {
     rows: NorthRows,
     tracker: DiagTracker,
-    /// Spent `units` vectors returned by [`KernelWorkspace::recycle_units`].
-    units_pool: Vec<Vec<SliceUnit>>,
     /// Per-query substitution rows for matrix score models (inactive under
     /// fixed models); rebuilt per task, reusing the allocation.
     profile: QueryProfile,
 }
-
-/// Bound on the recycled-buffer pool: a task needs one `units` vector, so a
-/// small pool reaches steady state; anything beyond is dropped rather than
-/// hoarded.
-const UNITS_POOL_CAP: usize = 4;
 
 impl KernelWorkspace {
     /// Empty workspace; buffers grow on first use.
@@ -119,7 +112,6 @@ impl KernelWorkspace {
         KernelWorkspace {
             rows: NorthRows::default(),
             tracker: DiagTracker::new(0, 0, &Scoring::default()),
-            units_pool: Vec::new(),
             profile: QueryProfile::new(),
         }
     }
@@ -130,23 +122,15 @@ impl KernelWorkspace {
         self.rows.capacity()
     }
 
-    /// Return a spent [`TaskRun`]'s `units` vector for reuse by the next
-    /// [`run_task_ws`] call. Callers (the streaming engine, batch drivers)
-    /// invoke this after folding a run's stats, closing the last per-task
-    /// allocation in the stream path.
-    pub fn recycle_units(&mut self, mut units: Vec<SliceUnit>) {
-        units.clear();
-        if self.units_pool.len() < UNITS_POOL_CAP {
-            self.units_pool.push(units);
-        }
-    }
+    /// Shell: drops `units`. A run owns its trace, so nothing is taken
+    /// back; this survives only because the frozen `benchmark/` calls it,
+    /// and it goes when the benchmark stops calling it.
+    pub fn recycle_units(&mut self, _units: Vec<SliceUnit>) {}
 
-    /// `units` vectors currently waiting in the recycle pool — test and
-    /// diagnostic visibility. A one-tuple only because the frozen
-    /// `benchmark/` reads `.0`; the next `[benchmark]` issue makes it a
-    /// `usize`.
+    /// Shell: always `(0,)`, for the same frozen caller as
+    /// [`KernelWorkspace::recycle_units`]; deleted with it.
     pub fn recycled_buffers(&self) -> (usize,) {
-        (self.units_pool.len(),)
+        (0,)
     }
 }
 
@@ -196,7 +180,7 @@ fn run_task_geom<const B: usize>(
 ) -> TaskRun {
     let n = task.ref_len();
     let m = task.query_len();
-    let KernelWorkspace { rows, tracker, units_pool, profile } = ws;
+    let KernelWorkspace { rows, tracker, profile } = ws;
     // Matrix score models get their per-query substitution rows built once
     // per task (a no-op that deactivates the profile under fixed models).
     profile.prepare(&task.query, scoring);
@@ -217,7 +201,7 @@ fn run_task_geom<const B: usize>(
     let result = tracker.take_result();
 
     let grid = DeviceGrid::new(n, m, scoring.band_width);
-    let mut units = units_pool.pop().unwrap_or_default();
+    let mut units = Vec::new();
     grid.trace(cfg, &result, &mut units);
     TaskRun { id: task.id, result, units, blocks, block_dim: B as u32, grid }
 }
@@ -609,25 +593,6 @@ pub(crate) mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn recycled_unit_buffers_are_reused() {
-        let (tasks, s) = mixed_tasks();
-        let cfg = AgathaConfig::agatha();
-        let mut ws = KernelWorkspace::new();
-        let baseline = run_task_ws(&mut ws, &tasks[0], &s, &cfg);
-        let run = run_task_ws(&mut ws, &tasks[0], &s, &cfg);
-        let units_ptr = run.units.as_ptr();
-        assert!(!run.units.is_empty());
-        ws.recycle_units(run.units);
-        assert_eq!(ws.recycled_buffers().0, 1);
-        // The next run must draw the same allocation back out of the pool —
-        // and produce identical output.
-        let again = run_task_ws(&mut ws, &tasks[0], &s, &cfg);
-        assert_eq!(again.units.as_ptr(), units_ptr, "units buffer must be reused");
-        assert_eq!(again, baseline);
-        assert_eq!(ws.recycled_buffers().0, 0, "pool drained by the run");
     }
 
     #[test]

@@ -64,12 +64,6 @@ pub struct AgathaConfig {
     /// Task-queue depth per subwarp slot: how many alignment "generations"
     /// a warp processes (Fig. 6 shows two).
     pub tasks_per_subwarp: usize,
-    /// LMB capacity per subwarp in anti-diagonal rows. When a slice's span
-    /// fits, no global spilling is needed (§4.2); the default corresponds
-    /// to `3 × block_size` rows per lane of a 100 KiB-SM budget.
-    pub lmb_max_diags: usize,
-    /// Model Hopper DPX instructions (§6 discussion).
-    pub use_dpx: bool,
     /// Host-side block fill implementation: `true` (the default) selects
     /// the vectorised anti-diagonal wavefront
     /// ([`agatha_align::block::FillMode::Simd`]), `false` the scalar
@@ -88,6 +82,12 @@ pub struct AgathaConfig {
     pub backend: BackendChoice,
 }
 
+/// LMB capacity per subwarp in anti-diagonal rows
+/// ([`AgathaConfig::slice_fits_lmb`]): when a slice's span fits, no global
+/// spilling is needed (§4.2). 64 corresponds to `3 × block_size` rows per
+/// lane of a 100 KiB-SM budget.
+const LMB_MAX_DIAGS: usize = 64;
+
 impl AgathaConfig {
     /// The naive exact baseline of the ablation study: guided algorithm on
     /// the SALoBa-style design with none of the §4 techniques.
@@ -100,8 +100,6 @@ impl AgathaConfig {
             subwarp_rejoining: false,
             uneven_bucketing: false,
             tasks_per_subwarp: 2,
-            lmb_max_diags: 64,
-            use_dpx: false,
             simd_fill: true,
             fill_precision: FillPrecision::Auto,
             backend: BackendChoice::Auto,
@@ -223,7 +221,7 @@ impl AgathaConfig {
     /// eliminating global spilling (§4.2). Horizontal chunks never fit.
     #[inline]
     pub fn slice_fits_lmb(&self) -> bool {
-        self.sliced_diagonal && BLOCK * self.slice_width + BLOCK - 1 <= self.lmb_max_diags
+        self.sliced_diagonal && BLOCK * self.slice_width + BLOCK - 1 <= LMB_MAX_DIAGS
     }
 
     /// Whether slice widths allow replacing modulo by bitwise-and in the

@@ -57,17 +57,14 @@ impl Pipeline {
     /// AGAThA on a single RTX A6000 (the paper's primary setup).
     pub fn new(scoring: Scoring, config: AgathaConfig) -> Pipeline {
         let spec = GpuSpec::rtx_a6000();
-        let mut cost = CostModel::for_spec(&spec);
-        cost.use_dpx = config.use_dpx;
+        let cost = CostModel::for_spec(&spec);
         Pipeline { scoring, config, spec, cost, gpus: 1, host_threads: 0 }
     }
 
     /// Change the target GPU.
     pub fn with_spec(mut self, spec: GpuSpec) -> Pipeline {
-        let mut cost = CostModel::for_spec(&spec);
-        cost.use_dpx = self.config.use_dpx;
+        self.cost = CostModel::for_spec(&spec);
         self.spec = spec;
-        self.cost = cost;
         self
     }
 
@@ -272,6 +269,23 @@ mod tests {
             assert_eq!(assigned, rep.stats.device_cells / 64, "{}", backend.name());
             assert!((executed - assigned as f64).abs() / (assigned as f64) < 1e-9);
         }
+    }
+
+    #[test]
+    fn a_dpx_spec_is_priced_with_dpx() {
+        // §6: DPX comes from the device spec alone, so a Hopper-like
+        // pipeline prices its cells with DPX and simulates faster than the
+        // same pipeline with it cleared.
+        let scoring = Scoring::new(2, 4, 4, 2, 60, 16);
+        let tasks = mk_tasks(24, 120, 31);
+        let hopper =
+            Pipeline::new(scoring, AgathaConfig::agatha()).with_spec(GpuSpec::hopper_like());
+        assert!(hopper.cost.use_dpx, "the spec declares DPX");
+        let mut cleared = hopper.clone();
+        cleared.cost.use_dpx = false;
+        let dpx = hopper.align_batch(&tasks).elapsed_ms;
+        let plain = cleared.align_batch(&tasks).elapsed_ms;
+        assert!(dpx < plain, "DPX must help: {dpx} vs {plain}");
     }
 
     #[test]

@@ -16,11 +16,10 @@
 //! disconnect *without* a terminator means the reader died abnormally and
 //! is synthesised into a [`ChunkMsg::Failed`].
 //!
-//! Spent chunk buffers flow back to the reader over a return channel, so
-//! steady-state prefetching recycles the same `depth + 2` task vectors
-//! instead of allocating per chunk.
+//! Data flows one way: the reader allocates each chunk it parses, and the
+//! stream that runs the chunk drops it. Nothing is sent back.
 
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::thread::JoinHandle;
 
 use agatha_align::Task;
@@ -47,7 +46,6 @@ pub(crate) enum ChunkMsg {
 /// reader thread.
 pub(crate) struct PrefetchedChunks {
     rx: Option<Receiver<ChunkMsg>>,
-    ret_tx: Sender<Vec<Task>>,
     reader: Option<JoinHandle<()>>,
 }
 
@@ -62,13 +60,10 @@ impl PrefetchedChunks {
         assert!(chunk_size >= 1, "prefetch chunk_size must be at least 1");
         assert!(depth >= 1, "prefetch depth must be at least 1");
         let (tx, rx) = sync_channel::<ChunkMsg>(depth);
-        let (ret_tx, ret_rx) = channel::<Vec<Task>>();
         let reader = std::thread::Builder::new()
             .name("agatha-prefetch".into())
             .spawn(move || loop {
-                let mut buf = ret_rx.try_recv().unwrap_or_default();
-                buf.clear();
-                buf.reserve(chunk_size.min(RESERVE_CAP));
+                let mut buf = Vec::with_capacity(chunk_size.min(RESERVE_CAP));
                 let terminal = loop {
                     if buf.len() == chunk_size {
                         break None;
@@ -88,7 +83,7 @@ impl PrefetchedChunks {
                 }
             })
             .expect("spawn prefetch reader thread");
-        PrefetchedChunks { rx: Some(rx), ret_tx, reader: Some(reader) }
+        PrefetchedChunks { rx: Some(rx), reader: Some(reader) }
     }
 
     /// Block until the next message. After a terminator has been returned
@@ -99,14 +94,6 @@ impl PrefetchedChunks {
             // The reader always sends Done/Failed before exiting normally;
             // a bare disconnect means it died mid-stream.
             Err(_) => ChunkMsg::Failed("prefetch reader thread terminated unexpectedly".into()),
-        }
-    }
-
-    /// Hand a spent chunk buffer back to the reader for reuse.
-    pub(crate) fn recycle(&self, buf: Vec<Task>) {
-        if buf.capacity() > 0 {
-            // The reader may already have exited; then the buffer just drops.
-            let _ = self.ret_tx.send(buf);
         }
     }
 }
@@ -134,10 +121,7 @@ mod tests {
         let mut sizes = Vec::new();
         loop {
             match pf.next_msg() {
-                ChunkMsg::Chunk(c) => {
-                    sizes.push(c.len());
-                    pf.recycle(c);
-                }
+                ChunkMsg::Chunk(c) => sizes.push(c.len()),
                 ChunkMsg::Done => return (sizes, None),
                 ChunkMsg::Failed(e) => return (sizes, Some(e)),
             }

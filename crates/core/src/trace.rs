@@ -154,6 +154,11 @@ impl DeviceGrid {
         let s = cfg.slice_width.clamp(1, 1 << 30) as i64;
         // The unit covers block rows `top..bot`; `k` is the next slice.
         let (mut top, mut bot, mut k, mut done) = (0i64, 0i64, 0i64, 0i64);
+        // Each unit moves the frontier past at least `span` anti-diagonals
+        // (a slice's `s` block diagonals, or a chunk's block rows), so the
+        // trace needs at most this many units: one allocation per run.
+        let span = B * if cfg.sliced_diagonal { s } else { cfg.subwarp_lanes.max(1) as i64 };
+        units.reserve(((stop + span - 1) / span) as usize);
         while done < stop && top < rows {
             let (d0, d1) = if cfg.sliced_diagonal {
                 // §4.2: slice `k` is block anti-diagonals `k·s ..= k·s + s − 1`.

@@ -133,10 +133,10 @@ fn dpx_discussion_speedup() {
     // §6: DPX accelerates the compute term; the kernel should get faster
     // but far less than the raw instruction speedup (memory-bound).
     let d = dataset(Tech::Clr, 11, 80);
-    let mut cfg = AgathaConfig::agatha();
-    let plain = Pipeline::new(d.scoring, cfg.clone()).align_batch(&d.tasks).elapsed_ms;
-    cfg.use_dpx = true;
-    let dpx = Pipeline::new(d.scoring, cfg).align_batch(&d.tasks).elapsed_ms;
+    let mut pipeline = Pipeline::new(d.scoring, AgathaConfig::agatha());
+    let plain = pipeline.align_batch(&d.tasks).elapsed_ms;
+    pipeline.cost.use_dpx = true;
+    let dpx = pipeline.align_batch(&d.tasks).elapsed_ms;
     assert!(dpx < plain, "DPX must help: {dpx} vs {plain}");
     assert!(plain / dpx < 2.2, "DPX gain is bounded by the memory share");
 }
