@@ -71,12 +71,6 @@ impl Base {
             Base::N => Base::N,
         }
     }
-
-    /// Whether this is one of the four unambiguous literals.
-    #[inline]
-    pub fn is_unambiguous(self) -> bool {
-        !matches!(self, Base::N)
-    }
 }
 
 impl std::fmt::Display for Base {

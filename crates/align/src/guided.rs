@@ -104,23 +104,77 @@ pub fn guided_align_ws(
     scoring: &Scoring,
     ws: &mut GuidedWorkspace,
 ) -> GuidedResult {
-    guided_align_until(reference, query, scoring, ws, |_, global, local| {
-        scoring.zdrop_enabled() && zdrop_triggered(global, local, scoring.zdrop, scoring.gap_extend)
-    })
+    guided_align_until(reference, query, scoring, ws, exact_zdrop(scoring), |_, _, _, _| {})
 }
 
-/// The anti-diagonal DP loop with its termination test as a parameter:
-/// after anti-diagonal `c` is filled, `stop_at(c, global, local)` sees the
+/// The exact termination test (Eq. 4–7) as a `stop_at` rule for
+/// [`guided_align_until`].
+pub(crate) fn exact_zdrop(scoring: &Scoring) -> impl Fn(i64, MaxCell, MaxCell) -> bool + '_ {
+    |_, global, local| {
+        scoring.zdrop_enabled() && zdrop_triggered(global, local, scoring.zdrop, scoring.gap_extend)
+    }
+}
+
+/// The candidates one cell's maxima chose between (Eq. 1–3):
+/// `E = max(e_open, e_extend)`, `F = max(f_open, f_extend)` and
+/// `H = max(E, F, diag)`.
+#[derive(Debug, Clone, Copy)]
+pub struct CellCandidates {
+    /// `H(i-1,j) - (α+β)`.
+    pub e_open: i32,
+    /// `E(i-1,j) - β`.
+    pub e_extend: i32,
+    /// `H(i,j-1) - (α+β)`.
+    pub f_open: i32,
+    /// `F(i,j-1) - β`.
+    pub f_extend: i32,
+    /// `H(i-1,j-1) + S(R[i], Q[j])`.
+    pub diag: i32,
+    /// `H(i,j)`.
+    pub h: i32,
+}
+
+impl CellCandidates {
+    /// The cell whose `H` is the best of these five candidates.
+    #[inline]
+    pub(crate) fn new(e_open: i32, e_extend: i32, f_open: i32, f_extend: i32, diag: i32) -> Self {
+        let h = e_open.max(e_extend).max(f_open.max(f_extend)).max(diag);
+        CellCandidates { e_open, e_extend, f_open, f_extend, diag, h }
+    }
+
+    /// `E(i,j)`.
+    #[inline]
+    pub(crate) fn e(&self) -> i32 {
+        self.e_open.max(self.e_extend)
+    }
+
+    /// `F(i,j)`.
+    #[inline]
+    pub(crate) fn f(&self) -> i32 {
+        self.f_open.max(self.f_extend)
+    }
+}
+
+/// The anti-diagonal DP loop with its termination test and a per-cell
+/// observer as parameters.
+///
+/// After anti-diagonal `c` is filled, `stop_at(c, global, local)` sees the
 /// running global maximum over diagonals `< c` and `c`'s local maximum, and
 /// `true` ends the scan as [`StopReason::ZDrop`] with `c` excluded.
 /// [`guided_align_ws`] passes the exact Z-drop rule (Eq. 4–7); a baseline
 /// modelling an approximate rule passes its own.
+///
+/// `observe(i, j, lo, &cell)` sees every computed cell, anti-diagonal by
+/// anti-diagonal and by rising `i` within one, where `lo` is the first
+/// in-band `i` of anti-diagonal `i + j`. Score-only callers pass a no-op;
+/// [`crate::traceback::guided_align_traced`] records directions.
 pub fn guided_align_until(
     reference: &PackedSeq,
     query: &PackedSeq,
     scoring: &Scoring,
     ws: &mut GuidedWorkspace,
     mut stop_at: impl FnMut(i64, MaxCell, MaxCell) -> bool,
+    mut observe: impl FnMut(i64, i64, i64, &CellCandidates),
 ) -> GuidedResult {
     let n = reference.len() as i64;
     let m = query.len() as i64;
@@ -183,14 +237,20 @@ pub fn guided_align_until(
                 ws.h[h_prev2_slot][iu - 1]
             };
 
-            let e = (up_h - open_ext).max(up_e - ext);
-            let f = (left_h - open_ext).max(left_f - ext);
             let sub = scoring.substitution(rcodes[iu], qcodes[j as usize]);
-            let h = e.max(f).max(diag_h.saturating_add(sub));
+            let cell = CellCandidates::new(
+                up_h - open_ext,
+                up_e - ext,
+                left_h - open_ext,
+                left_f - ext,
+                diag_h.saturating_add(sub),
+            );
+            observe(i, j, lo, &cell);
+            let h = cell.h;
 
             ws.h[h_slot][iu] = h;
-            ws.e[ef_slot][iu] = e;
-            ws.f[ef_slot][iu] = f;
+            ws.e[ef_slot][iu] = cell.e();
+            ws.f[ef_slot][iu] = cell.f();
 
             if h > local.score {
                 local = MaxCell { score: h, i: i as i32, j: j as i32 };

@@ -19,13 +19,19 @@
 //! anti-diagonal.
 //!
 //! Every engine in the workspace — the AGAThA kernel and all GPU baselines —
-//! must produce results identical to [`guided::guided_align`]; the
-//! [`diag::DiagTracker`] in this crate is the shared mechanism that makes the
-//! termination semantics independent of tiling/execution order, and
-//! [`sweep::Sweep`] is the one block-row loop (west boundary and corner
-//! handed block to block, south boundary to the row below) that the kernel,
-//! the [`block::block_grid_align`] reference driver, the benches and the
-//! tests all drive.
+//! must produce results identical to [`guided::guided_align`]. Its loop,
+//! [`guided::guided_align_until`], is the one that fills anti-diagonals
+//! with the guided recurrence: the score-only callers pass it a no-op
+//! per-cell observer, and [`traceback::guided_align_traced`] passes a
+//! recorder of direction bytes, walked back by the same walker and
+//! rendered by the same CIGAR renderer as the full-table oracle
+//! [`matrix::full_align`]. [`banded::banded_align`] is the independently
+//! ordered cross-check. The [`diag::DiagTracker`] in this crate is the
+//! shared mechanism that makes the termination semantics independent of
+//! tiling/execution order, and [`sweep::Sweep`] is the one block-row loop
+//! (west boundary and corner handed block to block, south boundary to the
+//! row below) that the kernel, the [`block::block_grid_align`] reference
+//! driver, the benches and the tests all drive.
 
 #![deny(unsafe_code)]
 

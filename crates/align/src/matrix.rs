@@ -5,6 +5,7 @@
 //! (the "Alignment Result" of Figure 1) in examples. It is **not** meant for
 //! long reads — that is the whole point of the paper.
 
+use crate::guided::CellCandidates;
 use crate::pack::PackedSeq;
 use crate::result::MaxCell;
 use crate::scoring::Scoring;
@@ -69,42 +70,48 @@ impl FullAlignment {
 
     /// Compact CIGAR-like string (`=`, `X`, `D`, `I` run-length encoded).
     pub fn cigar(&self) -> String {
-        let mut out = String::new();
-        let mut run = 0usize;
-        let mut prev: Option<char> = None;
-        for op in &self.ops {
-            let c = match op {
-                AlignOp::Match => '=',
-                AlignOp::Mismatch => 'X',
-                AlignOp::Delete => 'D',
-                AlignOp::Insert => 'I',
-            };
-            match prev {
-                Some(p) if p == c => run += 1,
-                Some(p) => {
-                    out.push_str(&format!("{run}{p}"));
-                    prev = Some(c);
-                    run = 1;
-                }
-                None => {
-                    prev = Some(c);
-                    run = 1;
-                }
-            }
-        }
-        if let Some(p) = prev {
-            out.push_str(&format!("{run}{p}"));
-        }
-        out
+        cigar(&self.ops)
     }
 }
 
-// Traceback direction encoding, two bits per matrix:
+/// Run-length encode `ops` as a CIGAR-like string (`=`, `X`, `D`, `I`).
+pub(crate) fn cigar(ops: &[AlignOp]) -> String {
+    let mut out = String::new();
+    for run in ops.chunk_by(|a, b| a == b) {
+        let symbol = match run[0] {
+            AlignOp::Match => '=',
+            AlignOp::Mismatch => 'X',
+            AlignOp::Delete => 'D',
+            AlignOp::Insert => 'I',
+        };
+        out.push_str(&format!("{}{symbol}", run.len()));
+    }
+    out
+}
+
+// Traceback direction encoding, two bits for H's source and one flag each
+// for E and F:
 const H_FROM_DIAG: u8 = 0;
 const H_FROM_E: u8 = 1; // gap along reference (Delete)
 const H_FROM_F: u8 = 2; // gap along query (Insert)
 const E_EXTEND: u8 = 4; // E came from E(i-1,j) rather than H(i-1,j)
 const F_EXTEND: u8 = 8; // F came from F(i,j-1) rather than H(i,j-1)
+
+/// The direction byte of one cell. Ties go to the diagonal, then to `E`,
+/// and to opening a gap rather than extending one.
+#[inline]
+pub(crate) fn direction(cell: &CellCandidates) -> u8 {
+    let src = if cell.h == cell.diag {
+        H_FROM_DIAG
+    } else if cell.h == cell.e() {
+        H_FROM_E
+    } else {
+        H_FROM_F
+    };
+    let e = if cell.e_extend > cell.e_open { E_EXTEND } else { 0 };
+    let f = if cell.f_extend > cell.f_open { F_EXTEND } else { 0 };
+    src | e | f
+}
 
 /// Maximum table size (cells) accepted by [`full_align`]; larger inputs
 /// should use the banded/guided engines.
@@ -149,40 +156,21 @@ pub fn full_align(reference: &PackedSeq, query: &PackedSeq, scoring: &Scoring) -
             let up_h = h_row[j + 1];
             let up_e = e_row[j + 1];
 
-            let (e, e_ext) = if up_h - open_ext >= up_e - ext {
-                (up_h - open_ext, false)
-            } else {
-                (up_e - ext, true)
-            };
-            let (fv, f_ext) = if left_h - open_ext >= f - ext {
-                (left_h - open_ext, false)
-            } else {
-                (f - ext, true)
-            };
-            f = fv;
             let sub = scoring.substitution(rcodes[i], qcodes[j]);
-            let dh = diag_h.saturating_add(sub);
+            let cell = CellCandidates::new(
+                up_h - open_ext,
+                up_e - ext,
+                left_h - open_ext,
+                f - ext,
+                diag_h.saturating_add(sub),
+            );
+            dir[i * m + j] = direction(&cell);
+            let h = cell.h;
 
-            let (h, src) = if dh >= e && dh >= fv {
-                (dh, H_FROM_DIAG)
-            } else if e >= fv {
-                (e, H_FROM_E)
-            } else {
-                (fv, H_FROM_F)
-            };
-
-            let mut d = src;
-            if e_ext {
-                d |= E_EXTEND;
-            }
-            if f_ext {
-                d |= F_EXTEND;
-            }
-            dir[i * m + j] = d;
-
+            f = cell.f();
             diag_h = up_h;
             h_row[j + 1] = h;
-            e_row[j + 1] = e;
+            e_row[j + 1] = cell.e();
             left_h = h;
 
             if h > best.score {
@@ -191,11 +179,15 @@ pub fn full_align(reference: &PackedSeq, query: &PackedSeq, scoring: &Scoring) -
         }
     }
 
-    let ops = if best.score > 0 { traceback(&dir, m, best) } else { Vec::new() };
+    let ops = traceback(best, |i, j| dir[i * m + j]);
     FullAlignment { score: best.score, max: best, ops }
 }
 
-fn traceback(dir: &[u8], m: usize, start: MaxCell) -> Vec<AlignOp> {
+/// Walk a direction table back from `start` to the origin, reading cell
+/// `(i, j)`'s byte through `dir` wherever the table keeps it. Diagonal
+/// moves come out as [`AlignOp::Match`] until [`classify_ops`] labels them;
+/// from [`MaxCell::ORIGIN`] (score 0) the walk is empty.
+pub(crate) fn traceback(start: MaxCell, dir: impl Fn(usize, usize) -> u8) -> Vec<AlignOp> {
     #[derive(Clone, Copy, PartialEq)]
     enum State {
         H,
@@ -206,11 +198,11 @@ fn traceback(dir: &[u8], m: usize, start: MaxCell) -> Vec<AlignOp> {
     let (mut i, mut j) = (start.i, start.j);
     let mut state = State::H;
     while i >= 0 && j >= 0 {
-        let d = dir[i as usize * m + j as usize];
+        let d = dir(i as usize, j as usize);
         match state {
             State::H => match d & 3 {
                 H_FROM_DIAG => {
-                    ops.push(AlignOp::Match); // refined below by caller? no: decide here
+                    ops.push(AlignOp::Match);
                     i -= 1;
                     j -= 1;
                 }
@@ -247,15 +239,16 @@ fn traceback(dir: &[u8], m: usize, start: MaxCell) -> Vec<AlignOp> {
 }
 
 /// Post-process ops to distinguish matches from mismatches (traceback marks
-/// all diagonal moves as [`AlignOp::Match`]).
+/// all diagonal moves as [`AlignOp::Match`]): a diagonal move is a match iff
+/// both residue codes are equal and neither is its sequence's pad code
+/// (`N` for DNA, `X` for protein), so an ambiguous residue never matches.
 pub fn classify_ops(ops: &mut [AlignOp], reference: &PackedSeq, query: &PackedSeq) {
     let (mut i, mut j) = (0usize, 0usize);
     for op in ops.iter_mut() {
         match op {
             AlignOp::Match | AlignOp::Mismatch => {
-                let eq = reference.code(i) == query.code(j)
-                    && reference.base(i).is_unambiguous()
-                    && query.base(j).is_unambiguous();
+                let (r, q) = (reference.code(i), query.code(j));
+                let eq = r == q && r != reference.pad() && q != query.pad();
                 *op = if eq { AlignOp::Match } else { AlignOp::Mismatch };
                 i += 1;
                 j += 1;

@@ -2,18 +2,18 @@
 //! used when the mapper needs base-level alignments, not only scores.
 //!
 //! The paper's kernels are score-only (the artifact outputs `score.log`),
-//! but Minimap2's pipeline runs a traceback pass over accepted extensions;
-//! this module provides that capability with the same guided semantics —
-//! identical scores, termination and maxima as [`crate::guided`] — plus the
-//! operation path to the global maximum. Memory is `O(band × antidiags)`
-//! direction bytes, bounded by [`MAX_TRACE_CELLS`].
+//! but Minimap2's pipeline runs a traceback pass over accepted extensions.
+//! This module is the reference loop [`crate::guided::guided_align_until`]
+//! with a recorder as its per-cell observer, so scores, termination and
+//! maxima are [`crate::guided`]'s by construction, followed by
+//! [`crate::matrix`]'s walker from the global maximum. Memory is
+//! `O(band × antidiags)` direction bytes, bounded by [`MAX_TRACE_CELLS`].
 
-use crate::guided::{diag_range, zdrop_triggered};
-use crate::matrix::AlignOp;
+use crate::guided::{exact_zdrop, guided_align_until, CellCandidates, GuidedWorkspace};
+use crate::matrix::{classify_ops, direction, traceback, AlignOp};
 use crate::pack::PackedSeq;
-use crate::result::{GuidedResult, MaxCell, StopReason};
+use crate::result::GuidedResult;
 use crate::scoring::Scoring;
-use crate::NEG_INF;
 
 /// Maximum number of stored direction cells (band × anti-diagonals).
 pub const MAX_TRACE_CELLS: usize = 1 << 28;
@@ -31,243 +31,42 @@ pub struct TracedAlignment {
 impl TracedAlignment {
     /// Run-length encoded CIGAR-like string (`=`,`X`,`D`,`I`).
     pub fn cigar(&self) -> String {
-        let mut out = String::new();
-        let mut run = 0usize;
-        let mut prev: Option<char> = None;
-        for op in &self.ops {
-            let c = match op {
-                AlignOp::Match => '=',
-                AlignOp::Mismatch => 'X',
-                AlignOp::Delete => 'D',
-                AlignOp::Insert => 'I',
-            };
-            match prev {
-                Some(p) if p == c => run += 1,
-                Some(p) => {
-                    out.push_str(&format!("{run}{p}"));
-                    prev = Some(c);
-                    run = 1;
-                }
-                None => {
-                    prev = Some(c);
-                    run = 1;
-                }
-            }
-        }
-        if let Some(p) = prev {
-            out.push_str(&format!("{run}{p}"));
-        }
-        out
+        crate::matrix::cigar(&self.ops)
     }
 }
 
-// Direction encoding (two bits for H source, one each for E/F extension).
-const H_FROM_DIAG: u8 = 0;
-const H_FROM_E: u8 = 1;
-const H_FROM_F: u8 = 2;
-const E_EXTEND: u8 = 4;
-const F_EXTEND: u8 = 8;
-
-/// Guided alignment with traceback. Semantics match
-/// [`crate::guided::guided_align`] exactly; additionally records per-cell
-/// directions within the band and walks back from the global maximum.
+/// Guided alignment with traceback: [`crate::guided::guided_align`]'s loop
+/// recording each in-band cell's direction, then a walk back from the
+/// global maximum.
 pub fn guided_align_traced(
     reference: &PackedSeq,
     query: &PackedSeq,
     scoring: &Scoring,
 ) -> TracedAlignment {
-    let n = reference.len() as i64;
-    let m = query.len() as i64;
-    if n == 0 || m == 0 {
-        return TracedAlignment {
-            result: GuidedResult {
-                score: 0,
-                max: MaxCell::ORIGIN,
-                qend_score: None,
-                stop: StopReason::Completed,
-                antidiags: 0,
-                cells: 0,
-            },
-            ops: Vec::new(),
-        };
-    }
+    let (n, m) = (reference.len() as i64, query.len() as i64);
     let w = if scoring.banded() { scoring.band_width as i64 } else { n + m };
     let band = (2 * w + 1).min(n.max(m)) as usize + 2;
-    let total = (n + m - 1) as usize;
+    // An empty side fills no anti-diagonal.
+    let total = if n == 0 || m == 0 { 0 } else { (n + m - 1) as usize };
     assert!(
         band.checked_mul(total).is_some_and(|c| c <= MAX_TRACE_CELLS),
         "traceback table too large ({band} x {total})"
     );
-    let oe = scoring.gap_open + scoring.gap_extend;
-    let ext = scoring.gap_extend;
-    let rc = reference.to_codes();
-    let qc = query.to_codes();
 
-    // Rolling per-diagonal arrays indexed by i, as in the scalar reference.
-    let nu = n as usize;
-    let mut h = [vec![NEG_INF; nu], vec![NEG_INF; nu], vec![NEG_INF; nu]];
-    let mut e = [vec![NEG_INF; nu], vec![NEG_INF; nu]];
-    let mut f = [vec![NEG_INF; nu], vec![NEG_INF; nu]];
-
-    // Direction storage: per diagonal, per offset (i - lo).
+    // Direction bytes per anti-diagonal `c`, at offset `i - lo_of[c]`.
     let mut dirs: Vec<u8> = vec![0; band * total];
-    let mut lo_of: Vec<i64> = vec![0; total];
-
-    let mut global = MaxCell::ORIGIN;
-    let mut qend: Option<i32> = None;
-    let mut cells = 0u64;
-    let mut stop = StopReason::Completed;
-    let mut last = -1i64;
-
-    for c in 0..(n + m - 1) {
-        let Some((lo, hi)) = diag_range(c, n, m, w) else {
-            stop = StopReason::BandExhausted { antidiag: c as u32 };
-            break;
-        };
-        lo_of[c as usize] = lo;
-        let (hs, hp, hp2) = ((c % 3) as usize, ((c + 2) % 3) as usize, ((c + 1) % 3) as usize);
-        let (efs, efp) = ((c % 2) as usize, ((c + 1) % 2) as usize);
-        let mut local = MaxCell { score: NEG_INF, i: -1, j: -1 };
-        let mut diag_qend: Option<i32> = None;
-        for i in lo..=hi {
-            let j = c - i;
-            let iu = i as usize;
-            let up_h = if i == 0 { scoring.border(j as i32) } else { h[hp][iu - 1] };
-            let up_e = if i == 0 { NEG_INF } else { e[efp][iu - 1] };
-            let left_h = if j == 0 { scoring.border(i as i32) } else { h[hp][iu] };
-            let left_f = if j == 0 { NEG_INF } else { f[efp][iu] };
-            let dgh = if i == 0 && j == 0 {
-                0
-            } else if i == 0 {
-                scoring.border((j - 1) as i32)
-            } else if j == 0 {
-                scoring.border((i - 1) as i32)
-            } else {
-                h[hp2][iu - 1]
-            };
-
-            let (ev, e_ext) =
-                if up_h - oe >= up_e - ext { (up_h - oe, false) } else { (up_e - ext, true) };
-            let (fv, f_ext) = if left_h - oe >= left_f - ext {
-                (left_h - oe, false)
-            } else {
-                (left_f - ext, true)
-            };
-            let sub = scoring.substitution(rc[iu], qc[j as usize]);
-            let dh = dgh.saturating_add(sub);
-            let (hv, src) = if dh >= ev && dh >= fv {
-                (dh, H_FROM_DIAG)
-            } else if ev >= fv {
-                (ev, H_FROM_E)
-            } else {
-                (fv, H_FROM_F)
-            };
-
-            let mut d = src;
-            if e_ext {
-                d |= E_EXTEND;
-            }
-            if f_ext {
-                d |= F_EXTEND;
-            }
-            dirs[c as usize * band + (i - lo) as usize] = d;
-
-            h[hs][iu] = hv;
-            e[efs][iu] = ev;
-            f[efs][iu] = fv;
-            if hv > local.score {
-                local = MaxCell { score: hv, i: i as i32, j: j as i32 };
-            }
-            if j == m - 1 {
-                diag_qend = Some(hv);
-            }
-            cells += 1;
-        }
-        if lo > 0 {
-            h[hs][(lo - 1) as usize] = NEG_INF;
-            e[efs][(lo - 1) as usize] = NEG_INF;
-            f[efs][(lo - 1) as usize] = NEG_INF;
-        }
-        if hi + 1 < n {
-            h[hs][(hi + 1) as usize] = NEG_INF;
-            e[efs][(hi + 1) as usize] = NEG_INF;
-            f[efs][(hi + 1) as usize] = NEG_INF;
-        }
-        last = c;
-        if scoring.zdrop_enabled() && zdrop_triggered(global, local, scoring.zdrop, ext) {
-            stop = StopReason::ZDrop { antidiag: c as u32 };
-            break;
-        }
-        global.fold(local);
-        if let Some(v) = diag_qend {
-            qend = Some(qend.map_or(v, |q| q.max(v)));
-        }
-    }
-
-    let result = GuidedResult {
-        score: global.score,
-        max: global,
-        qend_score: qend,
-        stop,
-        antidiags: (last + 1) as u32,
-        cells,
-    };
-
-    let ops = if global.score > 0 { walk_back(&dirs, &lo_of, band, global) } else { Vec::new() };
-    let mut traced = TracedAlignment { result, ops };
-    crate::matrix::classify_ops(&mut traced.ops, reference, query);
-    traced
-}
-
-fn walk_back(dirs: &[u8], lo_of: &[i64], band: usize, start: MaxCell) -> Vec<AlignOp> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum State {
-        H,
-        E,
-        F,
-    }
-    let mut ops = Vec::new();
-    let (mut i, mut j) = (start.i as i64, start.j as i64);
-    let mut state = State::H;
-    while i >= 0 && j >= 0 {
+    let mut lo_of: Vec<usize> = vec![0; total];
+    let record = |i: i64, j: i64, lo: i64, cell: &CellCandidates| {
         let c = (i + j) as usize;
-        let d = dirs[c * band + (i - lo_of[c]) as usize];
-        match state {
-            State::H => match d & 3 {
-                H_FROM_DIAG => {
-                    ops.push(AlignOp::Match);
-                    i -= 1;
-                    j -= 1;
-                }
-                H_FROM_E => state = State::E,
-                _ => state = State::F,
-            },
-            State::E => {
-                ops.push(AlignOp::Delete);
-                if d & E_EXTEND == 0 {
-                    state = State::H;
-                }
-                i -= 1;
-            }
-            State::F => {
-                ops.push(AlignOp::Insert);
-                if d & F_EXTEND == 0 {
-                    state = State::H;
-                }
-                j -= 1;
-            }
-        }
-    }
-    while i >= 0 {
-        ops.push(AlignOp::Delete);
-        i -= 1;
-    }
-    while j >= 0 {
-        ops.push(AlignOp::Insert);
-        j -= 1;
-    }
-    ops.reverse();
-    ops
+        lo_of[c] = lo as usize;
+        dirs[c * band + (i - lo) as usize] = direction(cell);
+    };
+    let ws = &mut GuidedWorkspace::new();
+    let result = guided_align_until(reference, query, scoring, ws, exact_zdrop(scoring), record);
+
+    let mut ops = traceback(result.max, |i, j| dirs[(i + j) * band + i - lo_of[i + j]]);
+    classify_ops(&mut ops, reference, query);
+    TracedAlignment { result, ops }
 }
 
 #[cfg(test)]
@@ -275,6 +74,7 @@ mod tests {
     use super::*;
     use crate::guided::guided_align;
     use crate::matrix::{full_align_classified, score_ops};
+    use crate::BLOSUM62;
 
     fn seq(s: &str) -> PackedSeq {
         PackedSeq::from_str_seq(s)
@@ -327,6 +127,24 @@ mod tests {
         let t = guided_align_traced(&r, &q, &s);
         assert!(t.result.stop.z_dropped());
         assert_eq!(t.cigar(), "32=");
+    }
+
+    #[test]
+    fn identical_protein_residues_are_matches() {
+        let s = Scoring::preset_blosum62();
+        let p = PackedSeq::from_protein_str("MKTAYIAKQRQISFVKSHFSRQLEERLGLIEVQ", &BLOSUM62);
+        assert_eq!(guided_align_traced(&p, &p, &s).cigar(), "33=");
+        assert_eq!(full_align_classified(&p, &p, &s).cigar(), "33=");
+    }
+
+    #[test]
+    fn pad_residues_never_match() {
+        let s = Scoring::preset_blosum62();
+        let p = PackedSeq::from_protein_str("MKWXWAC", &BLOSUM62);
+        assert_eq!(guided_align_traced(&p, &p, &s).cigar(), "3=1X3=");
+        let s = Scoring::figure1();
+        let d = seq("ACGTNACGT");
+        assert_eq!(guided_align_traced(&d, &d, &s).cigar(), "4=1X4=");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   anti-diagonal — faster to check, but can terminate differently.
 
 use agatha_align::guided::{guided_align, guided_align_until, GuidedWorkspace};
-use agatha_align::result::GuidedResult;
+use agatha_align::result::{GuidedResult, MaxCell};
 use agatha_align::{PackedSeq, Scoring, Task};
 use agatha_gpu_sim::{host, sched, CostModel, GpuSpec, WARP_LANES};
 
@@ -80,11 +80,12 @@ pub fn run(tasks: &[Task], scoring: &Scoring, spec: &GpuSpec, mm2_target: bool) 
 /// `DIFF_CHECK_INTERVAL` anti-diagonals.
 pub fn inexact_guided(reference: &PackedSeq, query: &PackedSeq, scoring: &Scoring) -> GuidedResult {
     let ws = &mut GuidedWorkspace::new();
-    guided_align_until(reference, query, scoring, ws, |c, global, local| {
+    let diff_target = |c: i64, global: MaxCell, local: MaxCell| {
         scoring.zdrop_enabled()
             && c % DIFF_CHECK_INTERVAL == DIFF_CHECK_INTERVAL - 1
             && (global.score as i64 - local.score as i64) > scoring.zdrop as i64
-    })
+    };
+    guided_align_until(reference, query, scoring, ws, diff_target, |_, _, _, _| {})
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! Every bench target regenerates one table or figure of the paper: it
 //! loads the nine synthetic datasets (size controlled by `AGATHA_READS`),
 //! runs the relevant engines, and prints rows in the paper's layout so the
-//! output of `cargo bench` can be compared side by side with the published
-//! figures (recorded in `EXPERIMENTS.md`).
+//! output of `cargo bench` can be compared side by side with the paper's
+//! published figures.
 
 #![forbid(unsafe_code)]
 

@@ -6,8 +6,10 @@
 //! seed-and-chain stage into extension-alignment tasks.
 //!
 //! What matters for reproducing the paper's *performance* results is the
-//! task-size and termination-behaviour distribution, not genomic content
-//! (DESIGN.md §1). The generators therefore model:
+//! task-size and termination-behaviour distribution, not genomic content:
+//! the simulated device trace is computed from each task's shape and the
+//! anti-diagonal where it stopped (the README's "Host and device"). The
+//! generators therefore model:
 //!
 //! * technology-specific read-length distributions (log-normal bodies with
 //!   Pareto tails; ONT's tail is the heaviest),

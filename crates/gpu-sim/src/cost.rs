@@ -1,4 +1,4 @@
-//! The calibrated cost model (DESIGN.md §6).
+//! The calibrated cost model.
 //!
 //! Latency of an execution scope follows the paper's Table 1 decomposition:
 //! a compute term proportional to lockstep block-steps and a memory term

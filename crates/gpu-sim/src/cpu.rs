@@ -35,8 +35,9 @@ impl CpuSpec {
     ///
     /// The CPU is modelled at full size while the GPU model is a
     /// `1/SIM_SCALE` device slice; the resulting constant offset is part of
-    /// the one-time calibration that pins the AGAThA-vs-CPU headline to the
-    /// paper's figure (DESIGN.md §6).
+    /// the one-time calibration (the constants of
+    /// [`crate::CostModel::for_spec`]) that pins the AGAThA-vs-CPU headline
+    /// to the paper's figure.
     pub fn ms_for_cells(&self, cells: u64) -> f64 {
         cells as f64 / (self.threads as f64 * self.cells_per_ns_per_thread) / 1e6
     }

@@ -1,8 +1,8 @@
 //! # agatha-gpu-sim
 //!
 //! A discrete SIMT execution-model simulator — the substitute for the CUDA
-//! GPUs the paper evaluates on (see `DESIGN.md` §1 for the substitution
-//! argument).
+//! GPUs the paper evaluates on (the README's "Host and device" section says
+//! which half of a run is computed and which is simulated).
 //!
 //! The simulator is deliberately *not* a cycle-accurate microarchitecture
 //! model. It follows the paper's own performance model (Table 1):

@@ -5,8 +5,9 @@ use proptest::prelude::*;
 use agatha_suite::align::banded::banded_align;
 use agatha_suite::align::block::block_grid_align;
 use agatha_suite::align::guided::guided_align;
-use agatha_suite::align::matrix::full_align;
+use agatha_suite::align::matrix::{full_align, score_ops, AlignOp};
 use agatha_suite::align::simd::{BackendChoice, WavefrontBackend};
+use agatha_suite::align::traceback::guided_align_traced;
 use agatha_suite::align::{PackedSeq, ScoreModel, Scoring, Task, BLOSUM62};
 use agatha_suite::core::bucketing::{build_warps, OrderingStrategy};
 use agatha_suite::core::kernel::{run_task, TaskRun};
@@ -349,6 +350,64 @@ proptest! {
         let scalar = run_task(&task, &s, &cfg.clone().with_simd_fill(false));
         let i16_run = run_task(&task, &s, &cfg.with_simd_fill(true));
         prop_assert_eq!(&scalar, &i16_run);
+    }
+
+    /// The traced path is the reference loop plus a walk: on DNA and
+    /// BLOSUM62 pairs (empty sides, Z-drops and exhausted bands included)
+    /// its result equals `guided_align` in full, its ops re-score to that
+    /// score and run from the origin to the maximum cell, and a diagonal
+    /// move is a match iff its two codes are equal and not the pad code.
+    #[test]
+    fn traced_is_the_reference_plus_a_walk(
+        r in proptest::collection::vec(0u8..21, 0..160),
+        noise in proptest::collection::vec(0u8..21, 0..160),
+        related in proptest::bool::ANY,
+        protein_pair in proptest::bool::ANY,
+        s in scoring_strategy(),
+        banded in proptest::bool::ANY,
+    ) {
+        // A related query is the reference with a substitution wherever the
+        // noise hits a multiple of 7 and a deletion a third of the way in,
+        // so long alignments (and their Z-drops) occur too.
+        let mut q: Vec<u8> = if related {
+            r.iter().zip(noise.iter().cycle()).map(|(&a, &b)| if b % 7 == 0 { b } else { a }).collect()
+        } else {
+            noise
+        };
+        if related && q.len() > 8 {
+            let at = q.len() / 3;
+            q.drain(at..at + (r.len() % 5));
+        }
+        let (s, rp, qp) = if protein_pair {
+            let s = Scoring::preset_blosum62().with_zdrop(s.zdrop * 4).with_band(s.band_width);
+            let pack = |codes: &[u8]| PackedSeq::from_protein_codes(codes, &BLOSUM62);
+            (s, pack(&r), pack(&q))
+        } else {
+            let pack = |codes: &[u8]| PackedSeq::from_codes(&codes.iter().map(|c| c % 5).collect::<Vec<_>>());
+            (s, pack(&r), pack(&q))
+        };
+        let s = if banded { s } else { s.with_band(Scoring::NO_BAND) };
+        let traced = guided_align_traced(&rp, &qp, &s);
+        prop_assert_eq!(&traced.result, &guided_align(&rp, &qp, &s));
+        prop_assert_eq!(score_ops(&traced.ops, &rp, &qp, &s), traced.result.score);
+        if traced.result.score == 0 {
+            prop_assert!(traced.ops.is_empty());
+        }
+        let (mut i, mut j) = (0usize, 0usize);
+        for op in &traced.ops {
+            match op {
+                AlignOp::Match | AlignOp::Mismatch => {
+                    let (a, b) = (rp.code(i), qp.code(j));
+                    prop_assert_eq!(*op == AlignOp::Match, a == b && a != rp.pad());
+                    i += 1;
+                    j += 1;
+                }
+                AlignOp::Delete => i += 1,
+                AlignOp::Insert => j += 1,
+            }
+        }
+        let max = traced.result.max;
+        prop_assert_eq!((i as i64, j as i64), (max.i as i64 + 1, max.j as i64 + 1));
     }
 
     /// The guided score is monotone in the band width (a wider band can
