@@ -35,6 +35,9 @@ pub struct QueryProfile {
     query_len: usize,
     /// The matrix the rows were built for (`None` = inactive).
     matrix: Option<&'static SubstMatrix>,
+    /// The query's codes, clamped into the alphabet: scratch the rows are
+    /// swept from, kept for its allocation.
+    codes: Vec<usize>,
 }
 
 impl QueryProfile {
@@ -55,17 +58,16 @@ impl QueryProfile {
         self.dim = m.dim;
         self.query_len = query.len();
         self.stride = query.len() + MAX_BLOCK;
+        // Row-major: one decode of the query, clamped like
+        // `SubstMatrix::score`, then each row swept along it, last query
+        // position first, from its residue's matrix row.
+        let pad = usize::from(m.pad_code());
+        self.codes.clear();
+        self.codes.extend(query.codes().take(self.query_len).map(|qc| usize::from(qc).min(pad)));
         self.rows.clear();
-        self.rows.resize(self.dim * self.stride, 0);
-        // Query-position-major: one decode of the query, one matrix column
-        // per position scattered down the rows.
-        for (row, c) in self.rows.chunks_exact_mut(self.stride).zip(0..) {
-            row[..MAX_BLOCK].fill(m.score(c, m.pad_code()) as i16);
-        }
-        for (qc, slot) in query.codes().zip((MAX_BLOCK..self.stride).rev()) {
-            for c in 0..self.dim {
-                self.rows[c * self.stride + slot] = m.score(c as u8, qc) as i16;
-            }
+        for scores in m.scores.chunks_exact(m.dim) {
+            self.rows.extend(std::iter::repeat_n(i16::from(scores[pad]), MAX_BLOCK));
+            self.rows.extend(self.codes.iter().rev().map(|&qc| i16::from(scores[qc])));
         }
     }
 

@@ -33,12 +33,7 @@ pub fn run(tasks: &[Task], scoring: &Scoring, spec: &GpuSpec, mm2_target: bool) 
     let lanes = cfg.subwarp_lanes;
     let task_cycles: Vec<f64> = runs
         .iter()
-        .map(|r| {
-            r.units
-                .iter()
-                .map(|u| unit_cost(&r.grid, u, lanes, &cfg, &cost, mm2_target).cycles)
-                .sum()
-        })
+        .map(|r| r.units.iter().map(|u| unit_cost(u, lanes, &cfg, &cost, mm2_target).cycles).sum())
         .collect();
 
     let warps = agatha_core::bucketing::build_warps(

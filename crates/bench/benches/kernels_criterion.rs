@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks of the hot paths: the scalar guided reference,
 //! the block-grid kernel under each configuration, input packing, FASTA
-//! parsing, the anti-diagonal tracker and the simulated device's trace.
+//! parsing, the anti-diagonal tracker, the simulated device's trace and the
+//! warp simulation the chunk packer runs.
 //! These measure *real host wall-time* of the implementation (unlike the
 //! figure harnesses, which report simulated device time).
 
@@ -15,9 +16,11 @@ use agatha_align::simd::{supported_backends, BackendChoice, WavefrontBackend};
 use agatha_align::sweep::{NorthRows, RowCarry, Sweep};
 use agatha_align::{PackedSeq, Scoring, Task, BLOCK, MAX_BLOCK};
 use agatha_core::{
-    kernel::{run_task, run_task_ws, KernelWorkspace},
+    bucketing::build_warps,
+    kernel::{run_task, run_task_ws, KernelWorkspace, TaskRun},
     trace::device_trace,
-    AgathaConfig,
+    warp_sim::simulate_warp,
+    AgathaConfig, OrderingStrategy,
 };
 use agatha_datasets::SCENARIOS;
 use agatha_io::FastaReader;
@@ -239,21 +242,55 @@ fn bench_segment_fill(c: &mut Criterion) {
 fn bench_device_trace(c: &mut Criterion) {
     // What the simulated device's trace costs the host per task, one
     // iteration being one task: pure geometry over the task's shape and
-    // stop point, no DP.
+    // stop point, no DP — the walk over every unit's block rows and its
+    // fold into the unit summaries the cost model prices.
     let mut g = c.benchmark_group("device_trace");
     let cfg = AgathaConfig::agatha();
     for name in ["dna-short", "dna-long"] {
         let scenario = SCENARIOS.iter().find(|s| s.name == name).expect("a registered scenario");
         let s = (scenario.scoring)();
-        let runs: Vec<_> = (scenario.tasks)(1, 100).iter().map(|t| run_task(t, &s, &cfg)).collect();
+        let runs: Vec<_> = (scenario.tasks)(1, 100)
+            .iter()
+            .map(|t| (t.ref_len(), t.query_len(), run_task(t, &s, &cfg).result))
+            .collect();
         g.bench_function(name, |b| {
             b.iter_custom(|iters| {
                 let started = Instant::now();
-                for run in runs.iter().cycle().take(iters as usize) {
-                    let (n, m) = (run.grid.n as usize, run.grid.m as usize);
-                    black_box(device_trace(n, m, s.band_width, &cfg, &run.result));
+                for (n, m, result) in runs.iter().cycle().take(iters as usize) {
+                    black_box(device_trace(*n, *m, s.band_width, &cfg, result));
                 }
                 started.elapsed()
+            })
+        });
+    }
+    g.finish();
+}
+
+fn bench_warp_sim(c: &mut Criterion) {
+    // The serial half of the chunk packer: `simulate_warp` over every warp
+    // of one packed chunk — a `dna-short` chunk at the CLI's default size,
+    // and a `dna-long` one — with subwarp rejoining, each unit priced from
+    // its summary. One iteration is one chunk; throughput counts its tasks.
+    let mut g = c.benchmark_group("warp_sim");
+    let cfg = AgathaConfig::agatha();
+    let cost = agatha_gpu_sim::CostModel::for_spec(&agatha_gpu_sim::GpuSpec::rtx_a6000());
+    for (name, reads) in [("dna-short", 4096), ("dna-long", 512)] {
+        let scenario = SCENARIOS.iter().find(|s| s.name == name).expect("a registered scenario");
+        let s = (scenario.scoring)();
+        let tasks = (scenario.tasks)(1, reads);
+        let runs: Vec<TaskRun> = tasks.iter().map(|t| run_task(t, &s, &cfg)).collect();
+        let workloads: Vec<u64> = tasks.iter().map(|t| u64::from(t.antidiags())).collect();
+        let (subwarps, depth) = (cfg.subwarps_per_warp(), cfg.tasks_per_subwarp);
+        let warps = build_warps(&workloads, subwarps, depth, OrderingStrategy::UnevenBucketing);
+        g.throughput(Throughput::Elements(reads as u64));
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let warp_cycles = warps.iter().map(|w| {
+                    let queues: Vec<Vec<&TaskRun>> =
+                        w.queues.iter().map(|q| q.iter().map(|&i| &runs[i]).collect()).collect();
+                    simulate_warp(&queues, &cfg, &cost).cycles
+                });
+                warp_cycles.sum::<f64>()
             })
         });
     }
@@ -315,6 +352,6 @@ fn bench_fasta_parse(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_guided_reference, bench_block_kernel, bench_kernel_configs, bench_workspace_reuse, bench_block_fold, bench_segment_fill, bench_device_trace, bench_packing, bench_fasta_parse
+    targets = bench_guided_reference, bench_block_kernel, bench_kernel_configs, bench_workspace_reuse, bench_block_fold, bench_segment_fill, bench_device_trace, bench_warp_sim, bench_packing, bench_fasta_parse
 }
 criterion_main!(benches);

@@ -12,6 +12,9 @@
 //!   least-loaded warps, so bucket *sizes* end up uneven while bucket
 //!   *workloads* equalise.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 /// Ordering strategy for building warp assignments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OrderingStrategy {
@@ -66,7 +69,7 @@ pub fn build_warps(
         OrderingStrategy::Sorted => {
             let mut idx: Vec<usize> = (0..t).collect();
             // Stable sort keeps incoming order among equal workloads.
-            idx.sort_by_key(|&i| std::cmp::Reverse(workloads[i]));
+            idx.sort_by_key(|&i| Reverse(workloads[i]));
             idx
         }
         OrderingStrategy::UnevenBucketing => {
@@ -111,16 +114,14 @@ fn uneven_bucketing(
 ) -> Vec<WarpAssignment> {
     let t = workloads.len();
     let mut idx: Vec<usize> = (0..t).collect();
-    idx.sort_by_key(|&i| std::cmp::Reverse(workloads[i]));
+    idx.sort_by_key(|&i| Reverse(workloads[i]));
     // One long task per warp per generation.
     let long_count = (num_warps * g).min(t);
-    let long: Vec<usize> = idx[..long_count].to_vec();
-    let long_set: std::collections::HashSet<usize> = long.iter().copied().collect();
+    let (long, rest) = idx.split_at(long_count);
     // Everything else, largest first (LPT): big fillers place at shallow
     // queue depths where they overlap the warp's other work, and the tail
     // of short tasks stacks into deep, cheap generations. Ties keep the
     // incoming order (`idx` is a stable sort of `0..t`).
-    let rest: Vec<usize> = idx.iter().copied().filter(|i| !long_set.contains(i)).collect();
 
     let mut warps: Vec<WarpAssignment> =
         (0..num_warps).map(|_| WarpAssignment { queues: vec![Vec::new(); n] }).collect();
@@ -139,24 +140,25 @@ fn uneven_bucketing(
     // fewer tasks, then lower index), and within it to the least-loaded
     // subwarp queue. Queue depths are unbounded — the warp simply runs more
     // generations where the bucketing piled short tasks together. The warp
-    // ordering lives in a BTreeSet keyed by (load, task count, index) — the
-    // single source of per-warp totals — so each placement is
+    // ordering lives in a min-heap keyed by (load, task count, index), the
+    // single source of per-warp totals; the index makes every key unique,
+    // so the heap pops exactly the least one, and each placement is
     // O(log warps + n), not a rescan of every warp.
-    let mut by_load: std::collections::BTreeSet<(u64, usize, usize)> = (0..num_warps)
+    let mut by_load: BinaryHeap<Reverse<(u64, usize, usize)>> = (0..num_warps)
         .map(|w| {
             let load = queue_load[w].iter().sum::<u64>();
             let count = warps[w].queues.iter().map(Vec::len).sum::<usize>();
-            (load, count, w)
+            Reverse((load, count, w))
         })
         .collect();
-    for &task in &rest {
-        let (load, count, w) = by_load.pop_first().expect("at least one warp");
+    for &task in rest {
+        let Reverse((load, count, w)) = by_load.pop().expect("at least one warp");
         let s = (0..n)
             .min_by_key(|&s| (queue_load[w][s], warps[w].queues[s].len(), s))
             .expect("at least one subwarp");
         warps[w].queues[s].push(task);
         queue_load[w][s] += workloads[task];
-        by_load.insert((load + workloads[task], count + 1, w));
+        by_load.push(Reverse((load + workloads[task], count + 1, w)));
     }
     warps
 }
@@ -185,7 +187,7 @@ pub fn carry_split(workloads: &[u64], capacity: usize) -> (Vec<usize>, Vec<usize
     let mut idx: Vec<usize> = (0..t).collect();
     // Stable sort, descending workload: the tail holds the smallest
     // workloads, later pool positions last among equals.
-    idx.sort_by_key(|&i| std::cmp::Reverse(workloads[i]));
+    idx.sort_by_key(|&i| Reverse(workloads[i]));
     let mut defer: Vec<usize> = idx[t - spill..].to_vec();
     defer.sort_unstable();
     let deferred: Vec<bool> = {

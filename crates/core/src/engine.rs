@@ -15,7 +15,11 @@
 //! the run drops it — no memory flows back to the workers.
 //!
 //! On top of that sits one chunk packer (kernel runs → carry split → warp
-//! assignment → simulation → device scheduling). [`Pipeline::align_batch`]
+//! assignment → simulation → device scheduling). The device trace is walked
+//! on the workers, inside [`run_task_ws`], and each run leaves its worker
+//! with every unit already summarised: the packer's stats fold and the
+//! simulation step — the rejoining event loop — price a unit in O(1) from
+//! its summary and never re-derive its rows. [`Pipeline::align_batch`]
 //! is a stream of one chunk; [`BatchEngine::align_stream_with`] keeps only
 //! one chunk of runs alive at a time, yields chunk reports as they complete
 //! and folds the per-chunk [`KernelStats`] and device schedule

@@ -6,11 +6,14 @@
 //! resolves for the host CPU. [`TaskRun::blocks`], [`TaskRun::block_dim`] and
 //! [`TaskRun::computed_cells`] count that work.
 //!
-//! **What the device would have done.** [`TaskRun::units`], the per-unit cost
-//! descriptors every simulated number is folded from, are
-//! [`crate::trace::DeviceGrid::trace`] of the task's shape and of where it
+//! **What the device would have done.** [`TaskRun::units`], the per-unit work
+//! summaries every simulated number is folded from, are
+//! [`crate::trace::device_trace`] of the task's shape and of where it
 //! stopped: the §4.2 slices (or horizontal chunks) at the paper's 8×8 blocks,
-//! independent of the host half.
+//! independent of the host half. The trace is walked here, on the worker
+//! that aligned the task, and each unit leaves it with everything its price
+//! needs at any lane count, so [`TaskRun::stats`], [`TaskRun::cycles`] and
+//! the warp simulation price a unit in O(1) without re-deriving its rows.
 //!
 //! Exactness: the DP values and termination decisions are identical across
 //! every configuration — tiling affects only *which extra cells get
@@ -25,7 +28,7 @@ use agatha_align::{GuidedResult, QueryProfile, Scoring, Task, BLOCK, MAX_BLOCK};
 use agatha_gpu_sim::{CostModel, KernelStats, BLOCK_CELLS};
 
 use crate::options::AgathaConfig;
-use crate::trace::{unit_cost, DeviceGrid, SliceUnit};
+use crate::trace::{device_trace, unit_cost, SliceUnit};
 
 /// Output of executing one task through the kernel.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,9 +37,9 @@ pub struct TaskRun {
     pub id: u32,
     /// Exact guided-alignment result.
     pub result: GuidedResult,
-    /// The *device's* cost descriptors, one per checkpoint unit of its
+    /// The *device's* work summaries, one per checkpoint unit of its
     /// schedule at 8×8 blocks, in execution order
-    /// ([`crate::trace::DeviceGrid::trace`]).
+    /// ([`crate::trace::device_trace`]).
     pub units: Vec<SliceUnit>,
     /// Blocks the *host* computed (including its run-ahead), in tiles of
     /// `block_dim`.
@@ -45,8 +48,6 @@ pub struct TaskRun {
     /// [`AgathaConfig::block_dim_for`] resolves it from the plan's backend
     /// and the task's i16 gate.
     pub block_dim: u32,
-    /// The task's shape on the device; `units` are read against it.
-    pub grid: DeviceGrid,
 }
 
 impl TaskRun {
@@ -62,7 +63,12 @@ impl TaskRun {
         self.units.iter().map(|u| u.blocks).sum()
     }
 
-    /// Aggregate stats at a fixed lane count under a cost model.
+    /// Aggregate stats at a fixed lane count under a cost model, O(1) per
+    /// unit.
+    ///
+    /// # Panics
+    ///
+    /// If no group of `cfg`'s subwarps has `lanes` lanes.
     pub fn stats(&self, lanes: usize, cfg: &AgathaConfig, cost: &CostModel) -> KernelStats {
         let mut s = KernelStats::new();
         s.computed_cells = self.computed_cells();
@@ -70,7 +76,7 @@ impl TaskRun {
         s.tasks = 1;
         s.zdropped_tasks = u64::from(self.result.stop.z_dropped());
         for u in &self.units {
-            let c = unit_cost(&self.grid, u, lanes, cfg, cost, true);
+            let c = unit_cost(u, lanes, cfg, cost, true);
             s.device_cells += u.blocks * BLOCK_CELLS;
             s.steps += c.steps;
             s.idle_lane_steps += c.idle_lane_steps;
@@ -79,9 +85,13 @@ impl TaskRun {
         s
     }
 
-    /// Subwarp latency in cycles at a fixed lane count.
+    /// Subwarp latency in cycles at a fixed lane count, O(1) per unit.
+    ///
+    /// # Panics
+    ///
+    /// If no group of `cfg`'s subwarps has `lanes` lanes.
     pub fn cycles(&self, lanes: usize, cfg: &AgathaConfig, cost: &CostModel) -> f64 {
-        self.units.iter().map(|u| unit_cost(&self.grid, u, lanes, cfg, cost, true).cycles).sum()
+        self.units.iter().map(|u| unit_cost(u, lanes, cfg, cost, true).cycles).sum()
     }
 }
 
@@ -200,10 +210,8 @@ fn run_task_geom<const B: usize>(
             .row_major();
     let result = tracker.take_result();
 
-    let grid = DeviceGrid::new(n, m, scoring.band_width);
-    let mut units = Vec::new();
-    grid.trace(cfg, &result, &mut units);
-    TaskRun { id: task.id, result, units, blocks, block_dim: B as u32, grid }
+    let units = device_trace(n, m, scoring.band_width, cfg, &result);
+    TaskRun { id: task.id, result, units, blocks, block_dim: B as u32 }
 }
 
 #[cfg(test)]
@@ -307,17 +315,18 @@ pub(crate) mod tests {
     fn cost_descriptor_counts_every_block_of_a_long_row() {
         // In horizontal mode a row segment spans the whole band: an unbanded
         // 1,048,592 × 8 pair is one block row of 131,074 device blocks, more
-        // than a `u16` holds. `SliceUnit` documents `blocks == Σ unit_rows`,
-        // and the simulated unit is charged from the re-derived rows, so it
-        // must hold in every mode.
+        // than a `u16` holds. The one row is the unit's widest and its
+        // boundary row, so a chunk runs it in 131,074 lockstep steps.
         let s = Scoring::new(2, 4, 4, 2, Scoring::NO_ZDROP, Scoring::NO_BAND);
         let t = task(&"ACGTTGCA".repeat(131_074), "ACGTTGCA");
         for cfg in all_configs() {
             let run = run_task(&t, &s, &cfg);
             assert_eq!(run.device_blocks(), 131_074, "config {cfg:?}");
-            for unit in &run.units {
-                let cols: u64 = run.grid.unit_rows(unit).sum();
-                assert_eq!(unit.blocks, cols, "config {cfg:?}: a unit's blocks vs its rows");
+            if !cfg.sliced_diagonal {
+                let cost = CostModel::for_spec(&GpuSpec::rtx_a6000());
+                let stats = run.stats(cfg.subwarp_lanes, &cfg, &cost);
+                assert_eq!(stats.steps, 131_074, "config {cfg:?}");
+                assert_eq!(stats.mem.global_inter, 6 * 131_074, "config {cfg:?}");
             }
         }
     }
@@ -537,8 +546,7 @@ pub(crate) mod tests {
                     t.id
                 );
                 assert_eq!(
-                    (&narrow.units, narrow.grid),
-                    (&wide.units, wide.grid),
+                    &narrow.units, &wide.units,
                     "config {cfg:?}, task {}: the device trace must not depend on geometry",
                     t.id
                 );

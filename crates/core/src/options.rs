@@ -82,6 +82,11 @@ pub struct AgathaConfig {
     pub backend: BackendChoice,
 }
 
+/// Most subwarps one warp holds: subwarps of 8, 16 or 32 lanes. A rejoined
+/// group is a whole number of subwarps, so the device trace prices each unit
+/// at this many lane counts at most ([`crate::trace::SliceUnit`]).
+pub const MAX_SUBWARPS: usize = 4;
+
 /// LMB capacity per subwarp in anti-diagonal rows
 /// ([`AgathaConfig::slice_fits_lmb`]): when a slice's span fits, no global
 /// spilling is needed (§4.2). 64 corresponds to `3 × block_size` rows per
@@ -200,11 +205,17 @@ impl AgathaConfig {
         agatha_align::block::BlockCtx::geometry_for(n, m, scoring, self.backend.resolve())
     }
 
-    /// Set the subwarp size (Fig. 14).
+    /// Set the subwarp size (Fig. 14 sweeps 8, 16 and 32).
+    ///
+    /// # Panics
+    ///
+    /// Unless `lanes` divides the warp into at most [`MAX_SUBWARPS`]
+    /// subwarps.
     pub fn with_subwarp(mut self, lanes: usize) -> AgathaConfig {
         assert!(
-            (1..=WARP_LANES).contains(&lanes) && WARP_LANES.is_multiple_of(lanes),
-            "subwarp must divide the warp"
+            (WARP_LANES / MAX_SUBWARPS..=WARP_LANES).contains(&lanes)
+                && WARP_LANES.is_multiple_of(lanes),
+            "subwarp must divide the warp into at most {MAX_SUBWARPS} subwarps"
         );
         self.subwarp_lanes = lanes;
         self

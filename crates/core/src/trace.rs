@@ -1,5 +1,5 @@
 //! The simulated device's trace: what the GPU kernel would have executed for
-//! a task, as per-checkpoint-unit work descriptors, and their latency under
+//! a task, as per-checkpoint-unit work summaries, and their latency under
 //! the cost model.
 //!
 //! The trace is *computed*, not recorded. The device tiles every task at the
@@ -13,16 +13,21 @@
 //! function, and a simulated number cannot depend on the host.
 //!
 //! There is one [`SliceUnit`] per checkpoint unit — a *chunk* in horizontal
-//! mode, a *slice* in sliced-diagonal mode. A unit records enough geometry to
-//! re-evaluate its latency under a different lane count, which is exactly
-//! what subwarp rejoining needs: when subwarps merge at a slice boundary,
-//! the remaining units of the absorbed task run with more lanes.
+//! mode, a *slice* in sliced-diagonal mode. The walk that finds a unit's
+//! block rows folds them, as it goes, into everything the cost model reads
+//! of them: the unit's blocks and rows, the anti-diagonals its checkpoint
+//! completes, its lockstep steps at every lane count a rejoined group can
+//! reach — subwarp rejoining (§4.3) re-prices the remaining slices of a task
+//! each time its group gains lanes — and, in horizontal mode, the blocks on
+//! the chunk's boundary row. The walk runs once per task, on the worker that
+//! aligned it; [`unit_cost`] then prices a unit in O(1) wherever it is
+//! priced, and no row is stored or walked again.
 
 use agatha_align::block::band_row_blocks;
 use agatha_align::{check_dims, GuidedResult, Scoring, BLOCK};
 use agatha_gpu_sim::{AccessKind, CostModel, MemCounters, WARP_LANES};
 
-use crate::options::AgathaConfig;
+use crate::options::{AgathaConfig, MAX_SUBWARPS};
 
 /// Global transactions per block for per-cell anti-diagonal max updates
 /// when the rolling window is off (64 lane updates, partially coalesced).
@@ -62,16 +67,15 @@ pub const MODULO_PENALTY_CYCLES: f64 = 3.0;
 const B: i64 = BLOCK as i64;
 
 /// The shape of one task on the device: table dimensions and band
-/// half-width. With a [`SliceUnit`] it re-derives the unit's per-row block
-/// counts, so the trace stores none.
+/// half-width, from which [`DeviceGrid::trace`] derives every unit's rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeviceGrid {
+struct DeviceGrid {
     /// Reference length.
-    pub n: u32,
+    n: u32,
     /// Query length.
-    pub m: u32,
+    m: u32,
     /// Band half-width, `n + m` when unbanded or wider than the table.
-    pub w: u32,
+    w: u32,
 }
 
 impl DeviceGrid {
@@ -81,7 +85,7 @@ impl DeviceGrid {
     ///
     /// Panics on dimensions task admission refuses ([`check_dims`]): past
     /// them the fields below would not hold the shape.
-    pub fn new(n: usize, m: usize, band: i32) -> DeviceGrid {
+    fn new(n: usize, m: usize, band: i32) -> DeviceGrid {
         assert!(check_dims(n, m).is_ok(), "DeviceGrid: {n} × {m} is past task admission");
         // Admitted: n, m ≤ i32::MAX / 2, so n + m fits too.
         let (n, m) = (n as u32, m as u32);
@@ -125,19 +129,10 @@ impl DeviceGrid {
         i0 + j0 + ((i0 - j0).abs() - i64::from(self.w)).max(0)
     }
 
-    /// Blocks `unit` executes in each of its block rows, top to bottom.
-    pub fn unit_rows(&self, unit: &SliceUnit) -> impl Iterator<Item = u64> + '_ {
-        let (d0, d1) = (i64::from(unit.diag_lo), i64::from(unit.diag_hi));
-        let top = i64::from(unit.row_from);
-        (top..top + i64::from(unit.rows)).map(move |bj| {
-            let (from, to, _) = self.cut(bj, d0, d1);
-            (to - from + 1) as u64
-        })
-    }
-
     /// Append the task's device trace to `units`: walk the checkpoint
     /// schedule of `cfg` until the anti-diagonal frontier reaches the point
-    /// where `result` says the task stopped.
+    /// where `result` says the task stopped, summarising each unit's rows
+    /// as they are derived.
     ///
     /// The frontier after a unit is the smallest anti-diagonal that still has
     /// an in-band cell in an unexecuted block — what
@@ -146,19 +141,30 @@ impl DeviceGrid {
     /// of its range, so per row that is [`DeviceGrid::first_diag`] of the
     /// first unexecuted block, and among the rows no unit has reached yet the
     /// topmost decides.
-    pub fn trace(&self, cfg: &AgathaConfig, result: &GuidedResult, units: &mut Vec<SliceUnit>) {
+    fn trace(&self, cfg: &AgathaConfig, result: &GuidedResult, units: &mut Vec<SliceUnit>) {
+        let p = cfg.subwarp_lanes;
+        let groups = cfg.subwarps_per_warp();
+        assert!(
+            groups <= MAX_SUBWARPS && WARP_LANES.is_multiple_of(p),
+            "a {p}-lane subwarp does not divide the warp into at most {MAX_SUBWARPS} subwarps"
+        );
         let rows = self.rows();
         let stop = i64::from(result.antidiags);
         // A slice wider than any admitted grid (< 2^29 block anti-diagonals)
-        // is the whole grid; the clamp keeps `diag_hi` inside its `u32`.
+        // is the whole grid; the clamp keeps `d1` below 2^31.
         let s = cfg.slice_width.clamp(1, 1 << 30) as i64;
         // The unit covers block rows `top..bot`; `k` is the next slice.
         let (mut top, mut bot, mut k, mut done) = (0i64, 0i64, 0i64, 0i64);
         // Each unit moves the frontier past at least `span` anti-diagonals
         // (a slice's `s` block diagonals, or a chunk's block rows), so the
         // trace needs at most this many units: one allocation per run.
-        let span = B * if cfg.sliced_diagonal { s } else { cfg.subwarp_lanes.max(1) as i64 };
+        let span = B * if cfg.sliced_diagonal { s } else { p as i64 };
         units.reserve(((stop + span - 1) / span) as usize);
+        // A slice taller than one subwarp deals its rows round-robin to a
+        // group's lanes; `dealt[i % DEAL_PERIOD]` sums the blocks of its rows
+        // `i` (`slot` below), enough to add up any group's lanes. Zeroed
+        // after each slice.
+        let mut dealt = [0u64; DEAL_PERIOD];
         while done < stop && top < rows {
             let (d0, d1) = if cfg.sliced_diagonal {
                 // §4.2: slice `k` is block anti-diagonals `k·s ..= k·s + s − 1`.
@@ -175,42 +181,118 @@ impl DeviceGrid {
                 (d0, d0 + s - 1)
             } else {
                 // Horizontal mode: chunks of `subwarp_lanes` full-band rows.
-                (top, bot) = (bot, (bot + cfg.subwarp_lanes.max(1) as i64).min(rows));
+                (top, bot) = (bot, (bot + p as i64).min(rows));
                 (0, i64::from(u32::MAX))
             };
             if top == bot {
                 continue; // a slice between two rows of a narrow band, or past the last
             }
-            let mut blocks = 0u64;
+            // Rows and block anti-diagonals of an admitted grid are below
+            // 2^29 (`d1` below 2^31, see `s`), and `frontier − done` is at
+            // most `result.antidiags`: every narrowing to `u32` of them is
+            // lossless.
+            let height = (bot - top) as usize;
+            let deals = cfg.sliced_diagonal && height > p;
+            let (mut blocks, mut widest, mut last) = (0u64, 0u64, 0u64);
             let mut frontier =
                 if bot < rows { self.first_diag(self.row(bot).0, bot) } else { stop };
+            let mut slot = 0;
             for bj in top..bot {
                 let (from, to, hi) = self.cut(bj, d0, d1);
-                blocks += (to - from + 1) as u64;
+                let cols = (to - from + 1) as u64;
+                blocks += cols;
+                widest = widest.max(cols);
+                last = cols;
+                if deals {
+                    dealt[slot] += cols;
+                    slot = if slot + 1 == DEAL_PERIOD { 0 } else { slot + 1 };
+                }
                 if to < hi {
                     frontier = frontier.min(self.first_diag(to + 1, bj));
                 }
             }
             let frontier = frontier.min(stop);
-            // Rows and block anti-diagonals of an admitted grid are below
-            // 2^29 (`d1` below 2^31, see `s`), and `frontier − done` is at
-            // most `result.antidiags`: every narrowing below is lossless.
+            let steps =
+                |n: u64| u32::try_from(n).expect("a unit's busiest lane holds < 2^32 blocks");
+            let mut lockstep = [0u32; MAX_SUBWARPS];
+            if cfg.sliced_diagonal {
+                // Sliced-diagonal geometry (§4.2): successive chunks move
+                // down-left, so a new chunk's dependencies come from the
+                // *previous slice* — the stagger pipeline fills once per
+                // slice (depth = the base subwarp size) and never drains
+                // between chunks. Merged subwarps (§4.3) run as parallel
+                // pipelines over interleaved rows (`__match_any_sync` keeps
+                // subwarp-local thread IDs), so a group's steps are its
+                // busiest lane's blocks. Adjacent slices overlap their
+                // fill/drain phases (the next slice's first rows depend only
+                // on completed data); roughly half the pipeline bubble
+                // remains for the boundary termination check. A group at
+                // least as wide as the slice runs every row on a lane of its
+                // own.
+                let fill = (p as u64 - 1).div_ceil(2);
+                let dealt = &mut dealt[..height.min(DEAL_PERIOD)];
+                for (g, out) in lockstep.iter_mut().take(groups).enumerate() {
+                    let lanes = (g + 1) * p;
+                    let busiest = if lanes < height { busiest_lane(dealt, lanes) } else { widest };
+                    *out = steps(busiest + fill);
+                }
+                if deals {
+                    dealt.fill(0);
+                }
+            } else {
+                // Horizontal-only geometry (§2.2): a chunk's first row
+                // depends on the row directly above (previous chunk's last
+                // row), so the stagger pipeline drains and refills at every
+                // chunk boundary, and the boundary row's H/F cross through
+                // global memory. A row holds under 2^28 blocks and a chunk
+                // at most 32 rows.
+                lockstep[0] = steps(widest + height as u64 - 1);
+                lockstep[1] = steps(last);
+            }
             units.push(SliceUnit {
                 blocks,
                 diags_completed: (frontier - done) as u32,
-                row_from: top as u32,
-                rows: (bot - top) as u32,
-                diag_lo: d0 as u32,
-                diag_hi: d1 as u32,
+                rows: height as u32,
+                lockstep,
             });
             done = frontier;
         }
     }
 }
 
+/// Rows a slice deals its blocks over before its lanes repeat: a multiple of
+/// every group width (8, 16, 24 and 32 lanes).
+const DEAL_PERIOD: usize = 96;
+
+/// The busiest lane's blocks when a slice's rows `i`, summed into
+/// `dealt[i % DEAL_PERIOD]`, are dealt round-robin to `lanes` lanes: one
+/// fold per group width, so that each runs at a constant width.
+fn busiest_lane(dealt: &[u64], lanes: usize) -> u64 {
+    fn fold<const L: usize>(dealt: &[u64]) -> u64 {
+        let mut sums = [0u64; L];
+        for rows in dealt.chunks(L) {
+            sums.iter_mut().zip(rows).for_each(|(sum, &cols)| *sum += cols);
+        }
+        sums.into_iter().max().unwrap_or(0)
+    }
+    match lanes {
+        8 => fold::<8>(dealt),
+        16 => fold::<16>(dealt),
+        24 => fold::<24>(dealt),
+        32 => fold::<32>(dealt),
+        _ => unreachable!("a group is 1 to 4 subwarps of 8, 16 or 32 lanes, at most the warp"),
+    }
+}
+
 /// The device trace of an `n × m` task under band half-width `band`
 /// ([`Scoring::band_width`]) that stopped where `result` says: one
 /// [`SliceUnit`] per checkpoint unit of `cfg`'s schedule, in execution order.
+///
+/// # Panics
+///
+/// On dimensions task admission refuses ([`check_dims`]), and on a plan
+/// whose subwarps do not divide the warp into at most
+/// [`MAX_SUBWARPS`] subwarps.
 pub fn device_trace(
     n: usize,
     m: usize,
@@ -223,25 +305,66 @@ pub fn device_trace(
     units
 }
 
-/// Work descriptor for one checkpoint unit: block rows
-/// `row_from .. row_from + rows` of the task's [`DeviceGrid`], each cut to
-/// block anti-diagonals `diag_lo ..= diag_hi` (a horizontal chunk's cut is
-/// `0 ..= u32::MAX`: whole rows). [`DeviceGrid::unit_rows`] expands it.
+/// One checkpoint unit's work, summarised by the walk that derived its block
+/// rows: what [`unit_cost`] reads of them, for any lane count a group of the
+/// tracing plan's subwarps can reach. It is priced under the plan that
+/// traced it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SliceUnit {
-    /// Total blocks (== the sum of [`DeviceGrid::unit_rows`]).
+    /// Total blocks.
     pub blocks: u64,
     /// Anti-diagonals newly completed (and termination-checked) at this
     /// unit's checkpoint.
     pub diags_completed: u32,
-    /// First block row of the unit.
-    pub row_from: u32,
     /// Block rows in the unit; every one of them executes at least a block.
     pub rows: u32,
-    /// First block anti-diagonal of the unit's cut.
-    pub diag_lo: u32,
-    /// Last block anti-diagonal of the unit's cut.
-    pub diag_hi: u32,
+    /// Sliced: `lockstep[g]` is the unit's lockstep steps on a group of
+    /// `g + 1` subwarps — its rows dealt round-robin to `(g + 1) ×
+    /// subwarp_lanes` lanes — and 0 past the warp. Horizontal: a chunk holds
+    /// at most one subwarp's rows, so every group runs it in the same steps:
+    /// `[steps, blocks of the chunk's boundary row, 0, 0]`.
+    lockstep: [u32; MAX_SUBWARPS],
+}
+
+impl SliceUnit {
+    /// The unit's lockstep steps on a group of `lanes` lanes, and its global
+    /// intermediate-value transactions.
+    ///
+    /// # Panics
+    ///
+    /// If no group of `cfg`'s subwarps has `lanes` lanes.
+    #[inline]
+    fn work(&self, lanes: usize, cfg: &AgathaConfig) -> Work {
+        let p = cfg.subwarp_lanes;
+        // A group is one or more whole subwarps, at most the warp.
+        let g = (1..=MAX_SUBWARPS)
+            .find(|&g| g * p == lanes && lanes <= WARP_LANES)
+            .unwrap_or_else(|| panic!("no group of {p}-lane subwarps has {lanes} lanes"));
+        let rows = u64::from(self.rows);
+        // Inside a slice all intermediate boundary exchange stays in shared
+        // memory; only the slice-edge west values go through global memory
+        // (the "Additional Memory Access" of Fig. 5(c)).
+        let (steps, inter) = if cfg.sliced_diagonal {
+            (self.lockstep[g - 1], GLOBAL_WEST_PER_ROW * rows)
+        } else {
+            (self.lockstep[0], GLOBAL_INTER_PER_BOUNDARY_BLOCK * u64::from(self.lockstep[1]))
+        };
+        Work { steps: u64::from(steps), blocks: self.blocks, rows, inter }
+    }
+}
+
+/// What the cost model reads of one unit at one lane count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Work {
+    /// Lockstep block-steps.
+    steps: u64,
+    /// Blocks executed.
+    blocks: u64,
+    /// Block rows.
+    rows: u64,
+    /// Global intermediate-value transactions: slice-edge west values, or
+    /// a chunk's boundary-row vectors.
+    inter: u64,
 }
 
 /// Latency evaluation output for one unit.
@@ -257,13 +380,18 @@ pub struct UnitCost {
     pub mem: MemCounters,
 }
 
-/// Evaluate one unit's latency for a subwarp of `lanes` threads.
-/// `track_maxima: false` drops all guided-alignment bookkeeping
-/// (anti-diagonal max tracking and termination checks): the Diff-Target
-/// baselines compute plain banded alignment, which keeps only a running
-/// register maximum — no per-diagonal state, no GMB.
+/// Evaluate one unit's latency for a group of `lanes` threads, in O(1)
+/// from its summary. `track_maxima: false` drops all guided-alignment
+/// bookkeeping (anti-diagonal max tracking and termination checks): the
+/// Diff-Target baselines compute plain banded alignment, which keeps only a
+/// running register maximum — no per-diagonal state, no GMB.
+///
+/// # Panics
+///
+/// If no group of `cfg`'s subwarps has `lanes` lanes: a multiple of
+/// `subwarp_lanes` up to the warp.
+#[inline]
 pub fn unit_cost(
-    grid: &DeviceGrid,
     unit: &SliceUnit,
     lanes: usize,
     cfg: &AgathaConfig,
@@ -271,15 +399,15 @@ pub fn unit_cost(
     track_maxima: bool,
 ) -> UnitCost {
     let diags = u64::from(unit.diags_completed);
-    rows_cost(grid.unit_rows(unit), diags, cfg.slice_fits_lmb(), lanes, cfg, cost, track_maxima)
+    price(unit.work(lanes, cfg), diags, cfg.slice_fits_lmb(), lanes, cfg, cost, track_maxima)
 }
 
-/// The cost of a unit given as its per-row block counts, top to bottom, in
-/// one pass over them. `window_fits`: whether the unit's anti-diagonal span
-/// fits the LMB, eliminating global spilling (§4.2) — on the device
-/// [`AgathaConfig::slice_fits_lmb`].
-fn rows_cost(
-    row_cols: impl Iterator<Item = u64>,
+/// The cost of a unit's work. `window_fits`: whether the unit's
+/// anti-diagonal span fits the LMB, eliminating global spilling (§4.2) — on
+/// the device [`AgathaConfig::slice_fits_lmb`].
+#[inline]
+fn price(
+    work: Work,
     diags: u64,
     window_fits: bool,
     lanes: usize,
@@ -287,58 +415,9 @@ fn rows_cost(
     cost: &CostModel,
     track_maxima: bool,
 ) -> UnitCost {
-    debug_assert!((1..=WARP_LANES).contains(&lanes), "a subwarp is 1..={WARP_LANES} lanes");
-    let mut steps = 0u64;
+    let Work { steps, blocks, rows, inter } = work;
     let mut mem = MemCounters::new();
-    let (mut blocks, mut rows) = (0u64, 0u64);
-
-    if cfg.sliced_diagonal {
-        // Sliced-diagonal geometry (§4.2): successive chunks move down-left,
-        // so a new chunk's dependencies come from the *previous slice* —
-        // the stagger pipeline fills once per slice (depth = the base
-        // subwarp size) and never drains between chunks. Merged subwarps
-        // (§4.3) run as parallel pipelines over interleaved rows
-        // (`__match_any_sync` keeps subwarp-local thread IDs).
-        let p = cfg.subwarp_lanes.min(lanes).max(1);
-        let mut lane_blocks = [0u64; WARP_LANES];
-        for (cols, lane) in row_cols.zip((0..lanes).cycle()) {
-            lane_blocks[lane] += cols;
-            blocks += cols;
-            rows += 1;
-        }
-        let max_blocks = lane_blocks.into_iter().max().unwrap_or(0);
-        // Adjacent slices overlap their fill/drain phases (the next slice's
-        // first rows depend only on completed data); roughly half the
-        // pipeline bubble remains for the boundary termination check.
-        steps = max_blocks + (p as u64 - 1).div_ceil(2);
-        // All intermediate boundary exchange inside a slice stays in shared
-        // memory; only the slice-edge west values go through global memory
-        // (the "Additional Memory Access" of Fig. 5(c)).
-        mem.global(AccessKind::Intermediate, GLOBAL_WEST_PER_ROW * rows);
-    } else {
-        // Horizontal-only geometry (§2.2): a chunk's first row depends on
-        // the row directly above (previous chunk's last row), so the
-        // stagger pipeline drains and refills at every chunk boundary, and
-        // the boundary rows' H/F cross through global memory.
-        let mut boundary_blocks = 0u64; // blocks on chunk-boundary rows
-        let mut row_cols = row_cols.peekable();
-        while let Some(&first) = row_cols.peek() {
-            let (mut len, mut max_cols, mut last) = (0u64, 0u64, 0u64);
-            for cols in row_cols.by_ref().take(lanes) {
-                len += 1;
-                blocks += cols;
-                max_cols = max_cols.max(cols);
-                last = cols;
-            }
-            steps += max_cols + len - 1;
-            if rows > 0 {
-                boundary_blocks += first;
-            }
-            boundary_blocks += last;
-            rows += len;
-        }
-        mem.global(AccessKind::Intermediate, GLOBAL_INTER_PER_BOUNDARY_BLOCK * boundary_blocks);
-    }
+    mem.global(AccessKind::Intermediate, inter);
 
     // ---- Lane-parallel per-step overheads --------------------------------
     // Work every lane performs inside its block — LMB updates in banked
@@ -401,14 +480,66 @@ fn rows_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::run_task;
     use crate::kernel::tests::{all_configs, mixed_tasks};
+    use crate::kernel::{run_task, TaskRun};
     use agatha_align::guided::guided_align;
     use agatha_align::Task;
-    use agatha_gpu_sim::GpuSpec;
+    use agatha_gpu_sim::{GpuSpec, KernelStats};
 
     fn cost() -> CostModel {
         CostModel::for_spec(&GpuSpec::rtx_a6000())
+    }
+
+    /// The reference a unit's summary is checked against: the cost of a
+    /// unit given as its per-row block counts, top to bottom, with the
+    /// lockstep steps and the chunk-boundary blocks derived from the rows at
+    /// `lanes` — the rows dealt round-robin to the lanes (sliced), or taken
+    /// `lanes` at a time, each group draining the stagger pipeline
+    /// (horizontal).
+    fn rows_cost(
+        row_cols: impl Iterator<Item = u64>,
+        diags: u64,
+        window_fits: bool,
+        lanes: usize,
+        cfg: &AgathaConfig,
+        cost: &CostModel,
+        track_maxima: bool,
+    ) -> UnitCost {
+        assert!((1..=WARP_LANES).contains(&lanes), "a subwarp is 1..={WARP_LANES} lanes");
+        let (mut steps, mut blocks, mut rows) = (0u64, 0u64, 0u64);
+        let inter = if cfg.sliced_diagonal {
+            let p = cfg.subwarp_lanes.min(lanes).max(1);
+            let mut lane_blocks = [0u64; WARP_LANES];
+            for (cols, lane) in row_cols.zip((0..lanes).cycle()) {
+                lane_blocks[lane] += cols;
+                blocks += cols;
+                rows += 1;
+            }
+            let max_blocks = lane_blocks.into_iter().max().unwrap_or(0);
+            steps = max_blocks + (p as u64 - 1).div_ceil(2);
+            GLOBAL_WEST_PER_ROW * rows
+        } else {
+            let mut boundary_blocks = 0u64;
+            let mut row_cols = row_cols.peekable();
+            while let Some(&first) = row_cols.peek() {
+                let (mut len, mut max_cols, mut last) = (0u64, 0u64, 0u64);
+                for cols in row_cols.by_ref().take(lanes) {
+                    len += 1;
+                    blocks += cols;
+                    max_cols = max_cols.max(cols);
+                    last = cols;
+                }
+                steps += max_cols + len - 1;
+                if rows > 0 {
+                    boundary_blocks += first;
+                }
+                boundary_blocks += last;
+                rows += len;
+            }
+            GLOBAL_INTER_PER_BOUNDARY_BLOCK * boundary_blocks
+        };
+        let work = Work { steps, blocks, rows, inter };
+        price(work, diags, window_fits, lanes, cfg, cost, track_maxima)
     }
 
     /// A unit given by its explicit per-row block counts and LMB fit — the
@@ -425,7 +556,7 @@ mod tests {
         RowsUnit { row_cols: rows.to_vec(), diags, fits }
     }
 
-    fn unit_cost(u: &RowsUnit, lanes: usize, cfg: &AgathaConfig, cost: &CostModel) -> UnitCost {
+    fn cost_of(u: &RowsUnit, lanes: usize, cfg: &AgathaConfig, cost: &CostModel) -> UnitCost {
         let rows = u.row_cols.iter().map(|&c| u64::from(c));
         rows_cost(rows, u64::from(u.diags), u.fits, lanes, cfg, cost, true)
     }
@@ -434,9 +565,9 @@ mod tests {
     fn more_lanes_fewer_steps() {
         let cfg = AgathaConfig::agatha();
         let u = unit(&[3; 32], 24, true);
-        let c8 = unit_cost(&u, 8, &cfg, &cost());
-        let c16 = unit_cost(&u, 16, &cfg, &cost());
-        let c32 = unit_cost(&u, 32, &cfg, &cost());
+        let c8 = cost_of(&u, 8, &cfg, &cost());
+        let c16 = cost_of(&u, 16, &cfg, &cost());
+        let c32 = cost_of(&u, 32, &cfg, &cost());
         assert!(c16.steps < c8.steps);
         assert!(c32.steps < c16.steps);
         assert!(c32.cycles < c8.cycles);
@@ -448,8 +579,8 @@ mod tests {
         // the reason subwarp rejoining needs slices spanning many rows.
         let cfg = AgathaConfig::agatha();
         let u = unit(&[3; 6], 24, true);
-        let c8 = unit_cost(&u, 8, &cfg, &cost());
-        let c32 = unit_cost(&u, 32, &cfg, &cost());
+        let c8 = cost_of(&u, 8, &cfg, &cost());
+        let c32 = cost_of(&u, 32, &cfg, &cost());
         assert_eq!(c8.steps, c32.steps);
     }
 
@@ -458,8 +589,8 @@ mod tests {
         let base = AgathaConfig::baseline();
         let rw = base.clone().with_rw(true);
         let u = unit(&[13; 8], 64, false);
-        let no = unit_cost(&u, 8, &base, &cost());
-        let yes = unit_cost(&u, 8, &rw, &cost());
+        let no = cost_of(&u, 8, &base, &cost());
+        let yes = cost_of(&u, 8, &rw, &cost());
         assert!(no.mem.global_anti > 3 * yes.mem.global_anti);
         assert!(yes.mem.shared > no.mem.shared);
         assert!(yes.cycles < no.cycles, "RW must be faster: {} vs {}", yes.cycles, no.cycles);
@@ -470,8 +601,8 @@ mod tests {
         let cfg = AgathaConfig::baseline().with_rw(true).with_sd(true);
         let fits = unit(&[3; 8], 24, true);
         let spills = unit(&[3; 8], 24, false);
-        let a = unit_cost(&fits, 8, &cfg, &cost());
-        let b = unit_cost(&spills, 8, &cfg, &cost());
+        let a = cost_of(&fits, 8, &cfg, &cost());
+        let b = cost_of(&spills, 8, &cfg, &cost());
         assert_eq!(a.mem.global_anti, 0);
         assert!(b.mem.global_anti > 0);
         assert!(a.cycles < b.cycles);
@@ -482,8 +613,8 @@ mod tests {
         let horizontal = AgathaConfig::baseline().with_rw(true);
         let sliced = horizontal.clone().with_sd(true);
         let u = unit(&[3; 8], 24, false);
-        let h = unit_cost(&u, 8, &horizontal, &cost());
-        let s = unit_cost(&u, 8, &sliced, &cost());
+        let h = cost_of(&u, 8, &horizontal, &cost());
+        let s = cost_of(&u, 8, &sliced, &cost());
         // Horizontal pays per chunk-boundary block; sliced pays the per-row
         // slice-edge west values of Fig. 5(c).
         assert!(h.mem.global_inter > 0);
@@ -495,8 +626,8 @@ mod tests {
         let cfg3 = AgathaConfig::agatha().with_slice_width(3);
         let cfg4 = AgathaConfig::agatha().with_slice_width(4);
         let u = unit(&[4; 8], 32, true);
-        let a = unit_cost(&u, 8, &cfg3, &cost());
-        let b = unit_cost(&u, 8, &cfg4, &cost());
+        let a = cost_of(&u, 8, &cfg3, &cost());
+        let b = cost_of(&u, 8, &cfg4, &cost());
         assert!(b.cycles > a.cycles);
     }
 
@@ -506,7 +637,7 @@ mod tests {
         // Sliced mode: 8 rows of 4 blocks on 8 lanes, half-overlapped fill:
         // steps = 4 + ceil(7/2) = 8; idle = 8 * (8 - 4).
         let u = unit(&[4; 8], 0, true);
-        let c = unit_cost(&u, 8, &cfg, &cost());
+        let c = cost_of(&u, 8, &cfg, &cost());
         assert_eq!(c.steps, 8);
         assert_eq!(c.idle_lane_steps, 8 * 4);
     }
@@ -516,7 +647,7 @@ mod tests {
         let cfg = AgathaConfig::baseline();
         // Horizontal mode drains per chunk: steps = 4 + 7 = 11.
         let u = unit(&[4; 8], 0, false);
-        let c = unit_cost(&u, 8, &cfg, &cost());
+        let c = cost_of(&u, 8, &cfg, &cost());
         assert_eq!(c.steps, 11);
         assert_eq!(c.idle_lane_steps, 8 * 7);
     }
@@ -624,27 +755,84 @@ mod tests {
         }
     }
 
-    /// [`device_trace`] equals the cell-by-cell walk, unit for unit.
-    fn check_trace(grid: &CellGrid, band: i32, cfg: &AgathaConfig, antidiags: u32, what: &str) {
-        let result = GuidedResult {
+    /// A result that stopped after `antidiags` anti-diagonals: all the
+    /// trace reads of one.
+    fn stopped_at(antidiags: u32) -> GuidedResult {
+        GuidedResult {
             score: 0,
             max: agatha_align::MaxCell::ORIGIN,
             qend_score: None,
             stop: agatha_align::result::StopReason::Completed,
             antidiags,
             cells: 0,
-        };
-        let device = DeviceGrid::new(grid.n, grid.m, band);
-        let got = device_trace(grid.n, grid.m, band, cfg, &result);
+        }
+    }
+
+    /// Every lane count a group of `cfg`'s subwarps can have.
+    fn group_lanes(cfg: &AgathaConfig) -> impl Iterator<Item = usize> {
+        let p = cfg.subwarp_lanes;
+        (1..=cfg.subwarps_per_warp()).map(move |g| g * p)
+    }
+
+    /// [`device_trace`] equals the cell-by-cell walk, unit for unit: every
+    /// stored field against the walked rows, and every unit's O(1) price
+    /// against [`rows_cost`] over those rows — bit for bit, at every lane
+    /// count a group can reach, with and without maxima tracking — and so
+    /// the run's [`KernelStats`] and cycles too.
+    fn check_trace(grid: &CellGrid, band: i32, cfg: &AgathaConfig, antidiags: u32, what: &str) {
+        let cost = cost();
+        let got = device_trace(grid.n, grid.m, band, cfg, &stopped_at(antidiags));
         let want = grid.trace(cfg, antidiags);
         assert_eq!(got.len(), want.len(), "{what}: units");
+        let walked = |rows: &[u64], diags: u32, lanes: usize, track: bool| {
+            let (diags, fits) = (u64::from(diags), cfg.slice_fits_lmb());
+            rows_cost(rows.iter().copied(), diags, fits, lanes, cfg, &cost, track)
+        };
         for (k, (u, (rows, diags))) in got.iter().zip(&want).enumerate() {
-            assert_eq!(&device.unit_rows(u).collect::<Vec<_>>(), rows, "{what}: unit {k} rows");
-            assert_eq!(u.blocks, rows.iter().sum::<u64>(), "{what}: unit {k} blocks");
-            assert_eq!(u.diags_completed, *diags, "{what}: unit {k} diagonals completed");
+            let what = format!("{what}: unit {k}");
+            assert_eq!(u.blocks, rows.iter().sum::<u64>(), "{what} blocks");
+            assert_eq!(u.diags_completed, *diags, "{what}: diagonals completed");
+            assert_eq!(u.rows as usize, rows.len(), "{what}: rows");
+            let mut lockstep = [0u64; MAX_SUBWARPS];
+            if cfg.sliced_diagonal {
+                for (steps, lanes) in lockstep.iter_mut().zip(group_lanes(cfg)) {
+                    *steps = walked(rows, 0, lanes, true).steps;
+                }
+            } else {
+                lockstep[0] = walked(rows, 0, cfg.subwarp_lanes, true).steps;
+                lockstep[1] = *rows.last().expect("a unit has a row");
+            }
+            assert_eq!(u.lockstep.map(u64::from), lockstep, "{what}: lockstep");
+            for lanes in group_lanes(cfg) {
+                for track in [true, false] {
+                    let (a, b) = (
+                        super::unit_cost(u, lanes, cfg, &cost, track),
+                        walked(rows, *diags, lanes, track),
+                    );
+                    assert_eq!(a.cycles.to_bits(), b.cycles.to_bits(), "{what}: cycles at {lanes}");
+                    assert_eq!(a, b, "{what}: price at {lanes} lanes, maxima tracked: {track}");
+                }
+            }
         }
         let done: u32 = got.iter().map(|u| u.diags_completed).sum();
         assert_eq!(done, antidiags, "{what}: the walk ends where the task stopped");
+        let run =
+            TaskRun { id: 0, result: stopped_at(antidiags), units: got, blocks: 0, block_dim: 8 };
+        for lanes in group_lanes(cfg) {
+            let mut stats = KernelStats::new();
+            stats.tasks = 1;
+            for (rows, diags) in &want {
+                let c = walked(rows, *diags, lanes, true);
+                stats.device_cells += rows.iter().sum::<u64>() * agatha_gpu_sim::BLOCK_CELLS;
+                stats.steps += c.steps;
+                stats.idle_lane_steps += c.idle_lane_steps;
+                stats.mem.add(&c.mem);
+            }
+            assert_eq!(run.stats(lanes, cfg, &cost), stats, "{what}: stats at {lanes} lanes");
+            let cycles: f64 =
+                want.iter().map(|(rows, d)| walked(rows, *d, lanes, true).cycles).sum();
+            assert_eq!(run.cycles(lanes, cfg, &cost).to_bits(), cycles.to_bits(), "{what}: cycles");
+        }
     }
 
     /// [`all_configs`] under both schedules.
@@ -739,9 +927,63 @@ mod tests {
     }
 
     #[test]
+    fn unit_prices_match_the_walked_rows_on_random_shapes() {
+        // Random shapes, the edge shapes above and one whose slices cross
+        // more than `DEAL_PERIOD` block rows, each under a random band and
+        // stopped early, mid-table and at its natural end, under both
+        // schedules at slice widths 1/3/7/8/64 and subwarps 8/16/32.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut draw = |below: usize| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) as usize % below
+        };
+        let edges = [(0, 5), (5, 0), (1, 1), (7, 9), (8, 8), (9, 8), (16, 40), (40, 16)];
+        let edges = edges.into_iter().chain([(65, 64), (100, 3), (3, 100), (120, 77), (790, 810)]);
+        let random: Vec<(usize, usize)> = (0..24).map(|_| (draw(160), draw(160))).collect();
+        let mut plans = Vec::new();
+        for sliced in [true, false] {
+            for width in [1, 3, 7, 8, 64] {
+                for subwarp in [8, 16, 32] {
+                    let cfg = AgathaConfig::agatha().with_slice_width(width).with_subwarp(subwarp);
+                    plans.push(cfg.with_sd(sliced));
+                }
+            }
+        }
+        for (n, m) in random.into_iter().chain(edges) {
+            let band = match draw(4) {
+                _ if n > DEAL_PERIOD * B as usize => Scoring::NO_BAND,
+                0 => Scoring::NO_BAND,
+                1 => (n + m) as i32,
+                _ => draw(48) as i32,
+            };
+            let grid = CellGrid::new(n, m, band);
+            let end = grid.natural_stop();
+            // A non-empty table stops after at least one anti-diagonal.
+            let mut stops = vec![1.min(end), end.min(1 + draw(end as usize + 1) as u32), end];
+            stops.dedup();
+            for cfg in &plans {
+                for &antidiags in &stops {
+                    let what = format!("{n}×{m} w={band} stop {antidiags}, {cfg:?}");
+                    check_trace(&grid, band, cfg, antidiags, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no group of 8-lane subwarps has 12 lanes")]
+    fn an_unreachable_lane_count_panics() {
+        let (tasks, s) = mixed_tasks();
+        let cfg = AgathaConfig::agatha();
+        run_task(&tasks[0], &s, &cfg).cycles(12, &cfg, &cost());
+    }
+
+    #[test]
     fn the_trace_is_small() {
         assert!(std::mem::size_of::<SliceUnit>() <= 32);
-        // What the traces of 200 `dna-long` tasks hold on the heap. The
+        // What the traces of 200 `dna-long` tasks hold on the heap: every
+        // per-unit byte a run holds, the summaries the cost model prices
+        // included, sits inside its units. The
         // parent commit (one `Vec<u32>` of row counts inside every 40-byte
         // unit, host tiles) held 797,468 bytes for the same tasks under the
         // default plan and 2,221,964 with the host at 8×8, the geometry this

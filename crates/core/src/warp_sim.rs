@@ -9,6 +9,12 @@
 //! slices with more lanes. New tasks are fetched only when *no* active
 //! subwarp remains ("Reset Subwarps" in Fig. 6), i.e. generation by
 //! generation.
+//!
+//! A merged group re-prices the rest of its task at its new width, and
+//! every such price is O(1): each [`crate::trace::SliceUnit`] carries its
+//! lockstep steps at every lane count a group can reach, folded by the
+//! trace walk on the worker that ran the task, so the simulation never
+//! re-derives a unit's rows.
 
 use agatha_gpu_sim::CostModel;
 
@@ -138,7 +144,7 @@ fn simulate_with_rejoining(
             let group = &mut groups[gi];
             if group.next_unit < group.run.units.len() {
                 let unit = &group.run.units[group.next_unit];
-                let c = unit_cost(&group.run.grid, unit, group.lanes, cfg, cost, true);
+                let c = unit_cost(unit, group.lanes, cfg, cost, true);
                 group.time += c.cycles;
                 group.next_unit += 1;
                 // Attribute the unit's blocks to member subwarps by lane share.

@@ -11,8 +11,8 @@ use agatha_suite::align::traceback::guided_align_traced;
 use agatha_suite::align::{PackedSeq, ScoreModel, Scoring, Task, BLOSUM62};
 use agatha_suite::core::bucketing::{build_warps, OrderingStrategy};
 use agatha_suite::core::kernel::{run_task, TaskRun};
-use agatha_suite::core::AgathaConfig;
-use agatha_suite::gpu_sim::sched;
+use agatha_suite::core::{AgathaConfig, Pipeline};
+use agatha_suite::gpu_sim::{sched, GpuSpec};
 
 /// `cfg` pinned to a host tile through its backend: `portable` runs 16×16,
 /// `sse41` 8×8 (on a host without SSE4.1 it clamps to `portable`).
@@ -448,11 +448,17 @@ proptest! {
         }
     }
 
-    /// List-scheduling makespan respects the classic bounds.
+    /// List-scheduling makespan respects the classic bounds — Graham's
+    /// `Σ/slots + (1 − 1/slots)·max` above — never falls when a warp is
+    /// appended, and folds incrementally: a [`sched::SlotSchedule`] fed the
+    /// latencies in arbitrary pieces reports what [`sched::schedule`] does
+    /// on their concatenation.
     #[test]
     fn makespan_bounds(
         lats in proptest::collection::vec(0.0f64..1e6, 1..200),
         slots in 1usize..64,
+        extra in 0.0f64..1e6,
+        cuts in proptest::collection::vec(0usize..200, 0..6),
     ) {
         let m = sched::makespan_cycles(&lats, slots);
         let total: f64 = lats.iter().sum();
@@ -460,6 +466,44 @@ proptest! {
         prop_assert!(m <= total + 1e-6);
         prop_assert!(m >= max - 1e-6);
         prop_assert!(m >= total / slots as f64 - 1e-6);
+        let graham = total / slots as f64 + (1.0 - 1.0 / slots as f64) * max;
+        prop_assert!(m <= graham * (1.0 + 1e-12) + 1e-6, "{m} above Graham's {graham}");
+        let appended: Vec<f64> = lats.iter().copied().chain([extra]).collect();
+        prop_assert!(sched::makespan_cycles(&appended, slots) >= m);
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (lats.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut folded = sched::SlotSchedule::new(slots);
+        let mut from = 0;
+        for to in cuts.into_iter().chain([lats.len()]) {
+            folded.extend(&lats[from..to]);
+            from = to;
+        }
+        prop_assert_eq!(folded.report(), sched::schedule(&lats, slots));
+    }
+
+    /// A DPX device never simulates a batch slower than the same device
+    /// with DPX cleared: every unit's cell cost falls, nothing else moves.
+    #[test]
+    fn dpx_never_simulates_slower(
+        pairs in proptest::collection::vec((dna(240), dna(240)), 1..40),
+        s in scoring_strategy(),
+    ) {
+        let tasks: Vec<Task> = pairs
+            .iter()
+            .zip(0..)
+            .map(|((r, q), id)| Task {
+                id,
+                reference: PackedSeq::from_codes(r),
+                query: PackedSeq::from_codes(q),
+            })
+            .collect();
+        let mut dpx = Pipeline::new(s, AgathaConfig::agatha()).with_spec(GpuSpec::hopper_like());
+        dpx.host_threads = 1;
+        prop_assert!(dpx.cost.use_dpx, "the spec declares DPX");
+        let mut cleared = dpx.clone();
+        cleared.cost.use_dpx = false;
+        let (fast, slow) = (dpx.align_batch(&tasks), cleared.align_batch(&tasks));
+        prop_assert!(fast.elapsed_ms <= slow.elapsed_ms, "{} vs {}", fast.elapsed_ms, slow.elapsed_ms);
     }
 
     /// Z-drop can only ever reduce computed work, never change the scores'
