@@ -24,6 +24,16 @@
 //! one chunk of runs alive at a time, yields chunk reports as they complete
 //! and folds the per-chunk [`KernelStats`] and device schedule
 //! incrementally into a [`StreamSummary`].
+//!
+//! A stream cuts its chunks by one rule, `fill_chunk`: a chunk closes at
+//! the chunk size or where the source ends. The inline source runs it on
+//! the calling thread; the prefetch reader (`crate::prefetch`) runs it
+//! on its own and hands over each chunk with its verdict. Either way the
+//! chunk in which the source ended — short, or empty when the end falls on
+//! a chunk boundary — carries how it ended: that chunk packs the whole
+//! carry, and a source error becomes the [`StreamError`] that
+//! [`StreamRun::finish_checked`] returns, at the chunk and task offset
+//! where the source failed.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -39,7 +49,7 @@ use crate::bucketing::{build_warps, carry_split, OrderingStrategy};
 use crate::clock::{Clock, SystemClock};
 use crate::kernel::{run_task_ws, KernelWorkspace, TaskRun};
 use crate::pipeline::{BatchReport, Pipeline};
-use crate::prefetch::{ChunkMsg, PrefetchedChunks};
+use crate::prefetch::PrefetchedChunks;
 
 /// Per-request metadata attached to a tagged job: when it entered the
 /// queue, when it stops being worth executing, and a kill switch flipped
@@ -324,28 +334,25 @@ impl BatchEngine {
                 .zip(arrived_workloads)
                 .map(|(run, workload)| CarrySlot { run, workload }),
         );
-        let capacity = cfg.subwarps_per_warp() * cfg.tasks_per_subwarp;
-        let (packed, deferred) = if flush {
-            (pool, Vec::new())
+        // Split in pool order: what `carry_split` keeps packs now, the rest
+        // is the next chunk's carry.
+        let packed = if flush {
+            pool
         } else {
+            let capacity = cfg.subwarps_per_warp() * cfg.tasks_per_subwarp;
             let pool_workloads: Vec<u64> = pool.iter().map(|s| s.workload).collect();
-            let (_, defer) = carry_split(&pool_workloads, capacity);
-            let mut deferred_flag = vec![false; pool.len()];
-            for &i in &defer {
-                deferred_flag[i] = true;
-            }
-            let mut packed = Vec::with_capacity(pool.len() - defer.len());
-            let mut deferred = Vec::with_capacity(defer.len());
-            for (slot, flag) in pool.into_iter().zip(deferred_flag) {
-                if flag {
-                    deferred.push(slot);
-                } else {
+            let (keep, _) = carry_split(&pool_workloads, capacity);
+            let mut keep = keep.into_iter().peekable();
+            let mut packed = Vec::with_capacity(keep.len());
+            for (i, slot) in pool.into_iter().enumerate() {
+                if keep.next_if_eq(&i).is_some() {
                     packed.push(slot);
+                } else {
+                    carry.push(slot);
                 }
             }
-            (packed, deferred)
+            packed
         };
-        *carry = deferred;
         let packed_workloads: Vec<u64> = packed.iter().map(|s| s.workload).collect();
         let warps = build_warps(
             &packed_workloads,
@@ -388,15 +395,13 @@ impl BatchEngine {
     /// latencies and the summary's device schedule are bit-identical to
     /// [`Pipeline::align_batch`]'s (at exactly the stream's length the
     /// trailing underfull warp is deferred into a carry-only flush chunk).
-    pub fn align_stream_with<I>(
-        &mut self,
-        tasks: I,
-        opts: StreamOptions,
-    ) -> StreamRun<'_, I::IntoIter>
+    pub fn align_stream_with<'e, I>(&'e mut self, tasks: I, opts: StreamOptions) -> StreamRun<'e>
     where
         I: IntoIterator<Item = Task>,
+        I::IntoIter: 'e,
     {
-        self.stream_run(ChunkSource::Inline(tasks.into_iter()), opts)
+        let mut tasks = tasks.into_iter().map(Ok);
+        self.stream_run(move |buf| fill_chunk(&mut tasks, opts.chunk_size, buf))
     }
 
     /// Stream from a fallible task source with a bounded prefetch stage: a
@@ -421,7 +426,7 @@ impl BatchEngine {
         source: S,
         prefetch_depth: usize,
         opts: StreamOptions,
-    ) -> StreamRun<'_, std::iter::Empty<Task>>
+    ) -> StreamRun<'_>
     where
         S: Iterator<Item = Result<Task, String>> + Send + 'static,
     {
@@ -429,15 +434,14 @@ impl BatchEngine {
             prefetch_depth >= 1,
             "prefetch_depth must be at least 1 (use align_stream_with for a synchronous stream)"
         );
-        let pf = PrefetchedChunks::spawn(source, opts.chunk_size, prefetch_depth);
-        self.stream_run(ChunkSource::Prefetched(pf), opts)
+        let mut pf = PrefetchedChunks::spawn(source, opts.chunk_size, prefetch_depth);
+        self.stream_run(move |buf| pf.next_chunk(buf))
     }
 
-    fn stream_run<I: Iterator<Item = Task>>(
-        &mut self,
-        source: ChunkSource<I>,
-        opts: StreamOptions,
-    ) -> StreamRun<'_, I> {
+    fn stream_run<'e>(
+        &'e mut self,
+        source: impl FnMut(&mut Vec<Task>) -> SourceEnd + 'e,
+    ) -> StreamRun<'e> {
         let pipeline = &self.shared.pipeline;
         let schedule = if pipeline.gpus == 1 {
             StreamSchedule::Pooled(SlotSchedule::new(pipeline.spec.warp_slots()))
@@ -445,28 +449,55 @@ impl BatchEngine {
             StreamSchedule::Retained(Vec::new())
         };
         let strategy = pipeline.default_strategy();
-        let buf = Vec::with_capacity(opts.chunk_size.min(STREAM_BUF_RESERVE));
         StreamRun {
             engine: self,
-            source,
-            chunk_size: opts.chunk_size,
+            source: Some(Box::new(source)),
             strategy,
-            buf,
+            buf: Vec::new(),
             carry: Vec::new(),
             offset: 0,
             chunks: 0,
             stats: KernelStats::new(),
             schedule,
             error: None,
-            source_done: false,
         }
     }
 }
 
-/// Initial capacity clamp for the reusable stream chunk buffer: a
-/// whole-stream-sized `chunk_size` grows organically instead of reserving
-/// it all up front.
-const STREAM_BUF_RESERVE: usize = 8192;
+/// How a stream source ended, as of the chunk just filled: `None` while it
+/// has more tasks, else `Ok` for a clean end or the source's error.
+pub(crate) type SourceEnd = Option<Result<(), String>>;
+
+/// A stream's source: fills the chunk buffer and says how the source ended,
+/// if it did, by [`fill_chunk`]'s contract.
+type ChunkFill<'e> = Box<dyn FnMut(&mut Vec<Task>) -> SourceEnd + 'e>;
+
+/// Initial capacity clamp for a chunk buffer: a whole-stream-sized
+/// `chunk_size` grows organically instead of reserving it all up front.
+const CHUNK_RESERVE: usize = 8192;
+
+/// The one rule for where a stream cuts its chunks: pull tasks from `source`
+/// into `buf` until it holds `chunk_size` or the source ends. Returns how
+/// the source ended — cleanly, or with its error — if it did in this chunk,
+/// and `None` for a full chunk (the source is not probed past it). An empty
+/// `buf` first gets room for the chunk, up to [`CHUNK_RESERVE`] tasks.
+///
+/// Both stream sources cut through it: the inline source on the calling
+/// thread, the prefetch reader on its own.
+pub(crate) fn fill_chunk<S>(source: &mut S, chunk_size: usize, buf: &mut Vec<Task>) -> SourceEnd
+where
+    S: Iterator<Item = Result<Task, String>>,
+{
+    buf.reserve_exact(chunk_size.min(CHUNK_RESERVE));
+    while buf.len() < chunk_size {
+        match source.next() {
+            Some(Ok(task)) => buf.push(task),
+            Some(Err(e)) => return Some(Err(e)),
+            None => return Some(Ok(())),
+        }
+    }
+    None
+}
 
 /// A run executed but not yet packed into a warp: deferred from the chunk
 /// it arrived in so it can join a later chunk's largest-first fill instead
@@ -506,14 +537,6 @@ enum StreamSchedule {
     /// Several GPUs: the split is contiguous over the *whole* stream's
     /// warps, so every latency is retained until the stream ends.
     Retained(Vec<f64>),
-}
-
-/// Where a [`StreamRun`] draws its chunks from.
-enum ChunkSource<I> {
-    /// The caller's iterator, driven synchronously on this thread.
-    Inline(I),
-    /// A prefetch reader thread parsing ahead of execution.
-    Prefetched(PrefetchedChunks),
 }
 
 /// A stream source failure (e.g. malformed FASTA mid-stream), attributed
@@ -583,10 +606,10 @@ pub struct StreamSummary {
 
 /// Lazy chunk-by-chunk driver returned by [`BatchEngine::align_stream_with`]
 /// and [`BatchEngine::align_stream_prefetched`].
-pub struct StreamRun<'e, I: Iterator<Item = Task>> {
+pub struct StreamRun<'e> {
     engine: &'e mut BatchEngine,
-    source: ChunkSource<I>,
-    chunk_size: usize,
+    /// `None` once the source has ended.
+    source: Option<ChunkFill<'e>>,
     strategy: OrderingStrategy,
     /// The chunk to run next: an inline source refills it in place after
     /// the engine drains it; a prefetched stream replaces it with each chunk
@@ -599,77 +622,34 @@ pub struct StreamRun<'e, I: Iterator<Item = Task>> {
     stats: KernelStats,
     schedule: StreamSchedule,
     error: Option<StreamError>,
-    source_done: bool,
 }
 
-impl<I: Iterator<Item = Task>> StreamRun<'_, I> {
-    /// Pull up to `chunk_size` tasks into `buf`, setting `source_done` (and
-    /// `error`) when the source ends.
-    fn fill_buf(&mut self) {
-        if self.source_done {
-            return;
-        }
-        debug_assert!(self.buf.is_empty(), "chunk buffer drained each iteration");
-        match &mut self.source {
-            ChunkSource::Inline(tasks) => {
-                while self.buf.len() < self.chunk_size {
-                    match tasks.next() {
-                        Some(t) => self.buf.push(t),
-                        None => {
-                            self.source_done = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            ChunkSource::Prefetched(pf) => {
-                let mut terminal = match pf.next_msg() {
-                    ChunkMsg::Chunk(chunk) => {
-                        self.buf = chunk;
-                        // A partial chunk is always the last: resolve its
-                        // terminator now (the reader sent it right behind)
-                        // so this chunk can flush the carry.
-                        (self.buf.len() < self.chunk_size).then(|| pf.next_msg())
-                    }
-                    msg => Some(msg),
-                };
-                match terminal.take() {
-                    None => {}
-                    Some(ChunkMsg::Done) => self.source_done = true,
-                    Some(ChunkMsg::Failed(message)) => {
-                        self.source_done = true;
-                        self.error = Some(StreamError {
-                            chunk: self.chunks,
-                            offset: self.offset + self.buf.len(),
-                            message,
-                        });
-                    }
-                    Some(ChunkMsg::Chunk(_)) => {
-                        unreachable!("prefetch protocol: a partial chunk is terminal")
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl<I: Iterator<Item = Task>> Iterator for StreamRun<'_, I> {
+impl Iterator for StreamRun<'_> {
     type Item = ChunkReport;
 
     fn next(&mut self) -> Option<ChunkReport> {
-        self.fill_buf();
-        if self.buf.is_empty() && (self.carry.is_empty() || !self.source_done) {
-            // Nothing arrived and nothing to flush (an empty carry, or a
-            // source that merely hasn't ended — unreachable for well-formed
-            // sources, which never yield an empty non-final chunk).
+        if let Some(fill) = &mut self.source {
+            if let Some(end) = fill(&mut self.buf) {
+                self.source = None;
+                if let Err(message) = end {
+                    self.error = Some(StreamError {
+                        chunk: self.chunks,
+                        offset: self.offset + self.buf.len(),
+                        message,
+                    });
+                }
+            }
+        }
+        if self.buf.is_empty() && self.carry.is_empty() {
+            // Nothing arrived and nothing carried: the stream is over.
             return None;
         }
         let offset = self.offset;
         self.offset += self.buf.len();
         self.chunks += 1;
-        // The final chunk (or a trailing carry-only chunk) packs the whole
-        // pool.
-        let flush = self.source_done;
+        // The chunk the source ended in (or a trailing carry-only chunk)
+        // packs the whole pool.
+        let flush = self.source.is_none();
         let report =
             self.engine.align_chunk_carry(&mut self.buf, &mut self.carry, flush, self.strategy);
         self.stats.add(&report.stats);
@@ -681,7 +661,7 @@ impl<I: Iterator<Item = Task>> Iterator for StreamRun<'_, I> {
     }
 }
 
-impl<I: Iterator<Item = Task>> StreamRun<'_, I> {
+impl StreamRun<'_> {
     /// Drain any unprocessed chunks, then fold the totals. The final device
     /// schedule treats all warps of the stream as one submission sequence on
     /// the pipeline's device(s).
@@ -942,6 +922,75 @@ mod tests {
                 assert_eq!(pf_summary.tasks, inline_summary.tasks, "{what}");
                 assert_eq!(pf_summary.chunks, inline_summary.chunks, "{what}");
             }
+        }
+    }
+
+    /// Each chunk of a stream as `(offset, results, warp latencies)`, and
+    /// the stream's end.
+    type Cut = (Vec<(usize, usize, Vec<f64>)>, Result<StreamSummary, StreamError>);
+
+    fn cut(mut run: StreamRun<'_>) -> Cut {
+        let chunks = run
+            .by_ref()
+            .map(|c| (c.offset, c.report.results.len(), c.report.warp_cycles))
+            .collect();
+        (chunks, run.finish_checked())
+    }
+
+    #[test]
+    fn inline_and_prefetched_streams_cut_the_same_chunks() {
+        // Every length up to a few warps against chunk sizes below, at and
+        // past the capacity of a warp (8) and the stream: short, full and
+        // carry-only final chunks all arise.
+        let tasks = mk_tasks(40, 30, 73);
+        let mut engine = pipeline().engine();
+        for len in 0..=tasks.len() {
+            for chunk_size in [1, 2, 3, 7, 40, 41] {
+                let opts = StreamOptions::new(chunk_size);
+                let (want, want_end) =
+                    cut(engine.align_stream_with(tasks[..len].iter().cloned(), opts.clone()));
+                let want_end = want_end.expect("an in-memory source cannot fail");
+                for depth in [1, 2] {
+                    let what = format!("{len} tasks, chunk_size {chunk_size}, prefetch {depth}");
+                    let owned = tasks[..len].to_vec();
+                    let source = owned.into_iter().map(Ok::<Task, String>);
+                    let (got, got_end) =
+                        cut(engine.align_stream_prefetched(source, depth, opts.clone()));
+                    let got_end = got_end.expect("an in-memory source cannot fail");
+                    assert_eq!(got, want, "{what}");
+                    assert_eq!(got_end.tasks, want_end.tasks, "{what}");
+                    assert_eq!(got_end.chunks, want_end.chunks, "{what}");
+                    assert_eq!(got_end.stats, want_end.stats, "{what}");
+                    assert_eq!(got_end.device, want_end.device, "{what}");
+                    assert_eq!(got_end.elapsed_ms, want_end.elapsed_ms, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_source_failing_on_a_chunk_boundary_still_flushes_the_carry() {
+        // The source fails right after its 6th task, at chunk size 3: two
+        // full chunks (each leaving an underfull warp's worth deferred), then
+        // the chunk the failure ended the source in, which arrives empty and
+        // flushes the carry.
+        let tasks = mk_tasks(6, 60, 79);
+        for depth in [1, 2] {
+            let mut engine = pipeline().engine();
+            let source = tasks
+                .clone()
+                .into_iter()
+                .map(Ok::<Task, String>)
+                .chain(std::iter::once(Err("bad record".to_string())));
+            let (chunks, end) =
+                cut(engine.align_stream_prefetched(source, depth, StreamOptions::new(3)));
+            let shape: Vec<(usize, usize)> = chunks.iter().map(|c| (c.0, c.1)).collect();
+            assert_eq!(shape, [(0, 3), (3, 3), (6, 0)], "prefetch {depth}");
+            assert!(chunks[..2].iter().all(|c| c.2.is_empty()), "both chunks defer everything");
+            assert_eq!(chunks[2].2.len(), 1, "the flush packs the six carried runs");
+            let err = end.expect_err("the source failed");
+            assert_eq!((err.chunk, err.offset), (2, 6), "prefetch {depth}");
+            assert_eq!(err.message, "bad record");
         }
     }
 

@@ -8,13 +8,15 @@
 //! on `send`, bounding live memory to `depth` queued chunks plus the one
 //! being filled and the one being executed.
 //!
-//! Error protocol: the reader never panics the process on a source error.
-//! Every stream ends with exactly one terminator — [`ChunkMsg::Done`] or
-//! [`ChunkMsg::Failed`] — sent immediately after the (possibly partial)
-//! chunk in which the stream ended, so the consumer can attribute a parse
-//! error to the exact chunk and task offset where it occurred. A channel
-//! disconnect *without* a terminator means the reader died abnormally and
-//! is synthesised into a [`ChunkMsg::Failed`].
+//! The reader cuts chunks with the stream's one rule,
+//! [`crate::engine::fill_chunk`], and sends one message per chunk: its
+//! tasks and how the source ended, if it did. The chunk in which the
+//! source ended — possibly partial, possibly empty — is the last and
+//! carries that end (clean, or the source's error), so the consumer can
+//! attribute a parse error to the exact chunk and task offset where it
+//! occurred. The reader never panics the process on a source error; a
+//! channel disconnect before the last chunk means it died abnormally and
+//! reads as a failed end.
 //!
 //! Data flows one way: the reader allocates each chunk it parses, and the
 //! stream that runs the chunk drops it. Nothing is sent back.
@@ -24,28 +26,13 @@ use std::thread::JoinHandle;
 
 use agatha_align::Task;
 
-/// Initial capacity clamp for chunk buffers: a pathological `chunk_size`
-/// (e.g. "whole stream as one chunk") should grow organically, not reserve
-/// gigabytes up front.
-const RESERVE_CAP: usize = 8192;
-
-/// One message from the reader thread to the stream consumer.
-pub(crate) enum ChunkMsg {
-    /// A parsed chunk of tasks. Full (`chunk_size` tasks) except possibly
-    /// the final chunk before a terminator.
-    Chunk(Vec<Task>),
-    /// The source ended cleanly. Terminal.
-    Done,
-    /// The source yielded an error (e.g. malformed FASTA). Terminal: the
-    /// reader stops at the first error, after shipping the tasks that
-    /// parsed before it.
-    Failed(String),
-}
+use crate::engine::{fill_chunk, SourceEnd};
 
 /// Handle to a running prefetch reader. Dropping it unblocks and joins the
 /// reader thread.
 pub(crate) struct PrefetchedChunks {
-    rx: Option<Receiver<ChunkMsg>>,
+    /// Each parsed chunk with [`fill_chunk`]'s verdict on the source.
+    rx: Option<Receiver<(Vec<Task>, SourceEnd)>>,
     reader: Option<JoinHandle<()>>,
 }
 
@@ -59,26 +46,15 @@ impl PrefetchedChunks {
     {
         assert!(chunk_size >= 1, "prefetch chunk_size must be at least 1");
         assert!(depth >= 1, "prefetch depth must be at least 1");
-        let (tx, rx) = sync_channel::<ChunkMsg>(depth);
+        let (tx, rx) = sync_channel(depth);
         let reader = std::thread::Builder::new()
             .name("agatha-prefetch".into())
             .spawn(move || loop {
-                let mut buf = Vec::with_capacity(chunk_size.min(RESERVE_CAP));
-                let terminal = loop {
-                    if buf.len() == chunk_size {
-                        break None;
-                    }
-                    match source.next() {
-                        Some(Ok(task)) => buf.push(task),
-                        Some(Err(e)) => break Some(ChunkMsg::Failed(e)),
-                        None => break Some(ChunkMsg::Done),
-                    }
-                };
-                if !buf.is_empty() && tx.send(ChunkMsg::Chunk(buf)).is_err() {
-                    return; // consumer gone; stop reading
-                }
-                if let Some(t) = terminal {
-                    let _ = tx.send(t);
+                let mut tasks = Vec::new();
+                let end = fill_chunk(&mut source, chunk_size, &mut tasks);
+                let last = end.is_some();
+                // A send error means the consumer is gone: stop reading.
+                if tx.send((tasks, end)).is_err() || last {
                     return;
                 }
             })
@@ -86,14 +62,18 @@ impl PrefetchedChunks {
         PrefetchedChunks { rx: Some(rx), reader: Some(reader) }
     }
 
-    /// Block until the next message. After a terminator has been returned
-    /// the caller must not call this again.
-    pub(crate) fn next_msg(&mut self) -> ChunkMsg {
+    /// Block until the next parsed chunk and put it in `buf`, returning how
+    /// the source ended if it did in this chunk — [`fill_chunk`]'s contract.
+    /// After it has returned an end the caller must not call it again.
+    pub(crate) fn next_chunk(&mut self, buf: &mut Vec<Task>) -> SourceEnd {
         match self.rx.as_ref().expect("prefetch receiver live until drop").recv() {
-            Ok(msg) => msg,
-            // The reader always sends Done/Failed before exiting normally;
-            // a bare disconnect means it died mid-stream.
-            Err(_) => ChunkMsg::Failed("prefetch reader thread terminated unexpectedly".into()),
+            Ok((tasks, end)) => {
+                *buf = tasks;
+                end
+            }
+            // The reader always sends the chunk that ends the source before
+            // exiting normally; a bare disconnect means it died mid-stream.
+            Err(_) => Some(Err("prefetch reader thread terminated unexpectedly".into())),
         }
     }
 }
@@ -119,11 +99,14 @@ mod tests {
 
     fn drain(pf: &mut PrefetchedChunks) -> (Vec<usize>, Option<String>) {
         let mut sizes = Vec::new();
+        let mut chunk = Vec::new();
         loop {
-            match pf.next_msg() {
-                ChunkMsg::Chunk(c) => sizes.push(c.len()),
-                ChunkMsg::Done => return (sizes, None),
-                ChunkMsg::Failed(e) => return (sizes, Some(e)),
+            let end = pf.next_chunk(&mut chunk);
+            if !chunk.is_empty() {
+                sizes.push(chunk.len());
+            }
+            if let Some(end) = end {
+                return (sizes, end.err());
             }
         }
     }
@@ -164,11 +147,9 @@ mod tests {
         // without hanging.
         let src = (0..10_000).map(|i| Ok(task(i)));
         let mut pf = PrefetchedChunks::spawn(src, 8, 1);
-        if let ChunkMsg::Chunk(c) = pf.next_msg() {
-            assert_eq!(c.len(), 8);
-        } else {
-            panic!("expected a chunk");
-        }
+        let mut chunk = Vec::new();
+        assert!(pf.next_chunk(&mut chunk).is_none(), "expected a full chunk");
+        assert_eq!(chunk.len(), 8);
         drop(pf);
     }
 }

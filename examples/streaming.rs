@@ -33,8 +33,11 @@ fn main() {
     // from agatha-io streams `Result`s straight off disk — goes through
     // `align_stream_prefetched`, which parses on a reader thread.
     let mut run = engine.align_stream_with(ds.tasks.iter().cloned(), StreamOptions::new(128));
+    let mut reported = 0;
     for chunk in run.by_ref() {
         let r = &chunk.report;
+        assert_eq!(chunk.offset, reported, "chunk offsets must be contiguous");
+        reported += r.results.len();
         println!(
             "  chunk @{:>4}: {:>3} tasks, {:>2} warps, {:.3} ms simulated, {:.1}% run-ahead",
             chunk.offset,
@@ -46,6 +49,8 @@ fn main() {
     }
 
     let summary = run.finish();
+    assert_eq!(summary.tasks, 600, "every task of the stream is reported");
+    assert_eq!(reported, summary.tasks);
     println!(
         "done: {} tasks in {} chunks, {:.3} ms simulated total, {} device cells, {} z-dropped",
         summary.tasks,
