@@ -1,0 +1,188 @@
+//! The work ledger: every deterministic number a stream produces, pinned.
+//!
+//! The simulator stands in for the GPU, so the results, the kernel
+//! statistics, the warp packing and the simulated schedule are a
+//! deterministic function of the tree. This test streams three registered
+//! scenarios (seed 1234) through [`BatchEngine::align_stream_with`] at
+//! several chunk sizes and thread counts and renders each stream as one line
+//! of text: a digest of the results, every [`KernelStats`] field, the chunk
+//! and warp counts, and the warp latencies, subwarp block accounting and
+//! simulated milliseconds as `f64::to_bits` — so "bit-identical" means
+//! exactly that. `tests/work_ledger.txt` holds the expected lines.
+//!
+//! On a mismatch a test prints its scenario's differing lines. A change that moves
+//! a number on purpose edits the ledger by hand and names every moved line,
+//! with its reason, in CHANGES.md; there is no switch that rewrites it.
+//!
+//! [`BatchEngine::align_stream_with`]: agatha_suite::core::BatchEngine::align_stream_with
+
+use agatha_suite::align::{GuidedResult, Task};
+use agatha_suite::core::{AgathaConfig, Pipeline, StreamOptions};
+use agatha_suite::datasets::SCENARIOS;
+use agatha_suite::gpu_sim::{KernelStats, MemCounters};
+
+/// The pinned lines, one per stream, each scenario's in the order
+/// [`ledger`] renders them.
+const LEDGER: &str = include_str!("work_ledger.txt");
+
+/// Scenarios and their read counts: enough short tasks that chunks of 7
+/// and 100 both cut, few enough that a debug build streams them all in a
+/// few seconds (one test per scenario, so they run side by side).
+const STREAMS: [(&str, usize); 3] = [("dna-short", 101), ("dna-long", 9), ("protein-blosum62", 40)];
+
+/// Chunk sizes: below one warp's capacity, a few warps, and the whole
+/// stream as one chunk.
+const CHUNKS: [usize; 3] = [7, 100, usize::MAX];
+
+const THREADS: [usize; 2] = [1, 2];
+
+/// FNV-1a over a stream of 64-bit words.
+#[derive(Clone, Copy)]
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Digest {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn result(&mut self, r: &GuidedResult) {
+        // Signed fields go in as their two's-complement bits.
+        self.word(r.score as u64);
+        self.word(r.max.score as u64);
+        self.word(r.max.i as u64);
+        self.word(r.max.j as u64);
+        self.word(r.qend_score.map_or(u64::MAX, |s| s as u32 as u64));
+        self.word(r.stop.antidiag().map_or(u64::MAX, u64::from));
+        self.word(u64::from(r.stop.z_dropped()));
+        self.word(u64::from(r.antidiags));
+        self.word(r.cells);
+    }
+}
+
+/// Every [`KernelStats`] field, named. The destructuring is exhaustive, so a
+/// new field does not compile until it is added here (and to the ledger).
+fn stats_fields(s: &KernelStats) -> String {
+    let KernelStats {
+        computed_cells,
+        device_cells,
+        reference_cells,
+        steps,
+        idle_lane_steps,
+        mem,
+        zdropped_tasks,
+        tasks,
+    } = s;
+    let MemCounters { global_anti, global_inter, global_term, global_seq, shared, reduce } = mem;
+    format!(
+        "computed_cells={computed_cells} device_cells={device_cells} \
+         reference_cells={reference_cells} steps={steps} idle_lane_steps={idle_lane_steps} \
+         global_anti={global_anti} global_inter={global_inter} global_term={global_term} \
+         global_seq={global_seq} shared={shared} reduce={reduce} \
+         zdropped_tasks={zdropped_tasks} tasks={tasks}"
+    )
+}
+
+/// One stream, rendered as its ledger line.
+fn stream_line(scenario: &str, tasks: &[Task], pipeline: &Pipeline, chunk: usize) -> String {
+    let mut engine = pipeline.engine();
+    let mut run = engine.align_stream_with(tasks.iter().cloned(), StreamOptions::new(chunk));
+    let (mut results, mut cycles, mut subwarps) = (Digest::new(), Digest::new(), Digest::new());
+    let mut warps = 0usize;
+    for c in run.by_ref() {
+        c.report.results.iter().for_each(|r| results.result(r));
+        warps += c.report.warp_cycles.len();
+        c.report.warp_cycles.iter().for_each(|w| cycles.word(w.to_bits()));
+        for &(assigned, executed) in &c.report.subwarp_blocks {
+            subwarps.word(assigned);
+            subwarps.word(executed.to_bits());
+        }
+    }
+    let summary = run.finish();
+    let chunk = if chunk == usize::MAX { "whole".to_string() } else { chunk.to_string() };
+    format!(
+        "{scenario} chunk={chunk} threads={} results={:016x} {} chunks={} warps={warps} \
+         warp_cycles={:016x} subwarp_blocks={:016x} elapsed_ms={:016x}",
+        pipeline.host_threads,
+        results.0,
+        stats_fields(&summary.stats),
+        summary.chunks,
+        cycles.0,
+        subwarps.0,
+        summary.elapsed_ms.to_bits(),
+    )
+}
+
+/// One scenario's lines, in a fixed order.
+fn ledger(name: &str) -> Vec<String> {
+    let (_, reads) = STREAMS.into_iter().find(|s| s.0 == name).expect("a ledgered stream");
+    let scenario = SCENARIOS.iter().find(|s| s.name == name).expect("a registered scenario");
+    let tasks = (scenario.tasks)(1234, reads);
+    let mut lines = Vec::new();
+    for chunk in CHUNKS {
+        for threads in THREADS {
+            let mut pipeline = Pipeline::new((scenario.scoring)(), AgathaConfig::agatha());
+            pipeline.host_threads = threads;
+            lines.push(stream_line(name, &tasks, &pipeline, chunk));
+        }
+    }
+    lines
+}
+
+/// Compare one scenario's lines with its lines in the ledger, printing
+/// every line that differs.
+fn check(name: &str) {
+    let got = ledger(name);
+    let prefix = format!("{name} ");
+    let want: Vec<&str> = LEDGER.lines().filter(|l| l.starts_with(&prefix)).collect();
+    let mut differing = Vec::new();
+    for i in 0..got.len().max(want.len()) {
+        let (g, w) = (got.get(i).map(String::as_str), want.get(i).copied());
+        if g != w {
+            differing.push(format!(
+                "  ledger: {}\n  now:    {}",
+                w.unwrap_or("(none)"),
+                g.unwrap_or("(none)")
+            ));
+        }
+    }
+    assert!(
+        differing.is_empty(),
+        "{} of {} work-ledger lines of {name} differ:\n{}",
+        differing.len(),
+        got.len(),
+        differing.join("\n")
+    );
+}
+
+#[test]
+fn the_dna_short_ledger_is_unchanged() {
+    check("dna-short");
+}
+
+#[test]
+fn the_dna_long_ledger_is_unchanged() {
+    check("dna-long");
+}
+
+#[test]
+fn the_protein_blosum62_ledger_is_unchanged() {
+    check("protein-blosum62");
+}
+
+#[test]
+fn every_ledger_line_belongs_to_a_stream() {
+    let lines = LEDGER.lines().filter(|l| !l.is_empty());
+    let expected = STREAMS.len() * CHUNKS.len() * THREADS.len();
+    assert_eq!(lines.clone().count(), expected, "one line per stream");
+    for line in lines {
+        let scenario = line.split(' ').next().unwrap_or_default();
+        assert!(STREAMS.iter().any(|s| s.0 == scenario), "unknown stream: {line}");
+    }
+}
