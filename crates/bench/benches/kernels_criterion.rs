@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks of the hot paths: the scalar guided reference,
 //! the block-grid kernel under each configuration, input packing, FASTA
-//! parsing, the anti-diagonal tracker, the simulated device's trace and the
-//! warp simulation the chunk packer runs.
+//! parsing, the anti-diagonal tracker, the simulated device's trace, the
+//! warp simulation the chunk packer runs, and the packer itself on a live
+//! engine.
 //! These measure *real host wall-time* of the implementation (unlike the
 //! figure harnesses, which report simulated device time).
 
@@ -20,7 +21,7 @@ use agatha_core::{
     kernel::{run_task, run_task_ws, KernelWorkspace, TaskRun},
     trace::device_trace,
     warp_sim::simulate_warp,
-    AgathaConfig, OrderingStrategy,
+    AgathaConfig, BatchEngine, JobMeta, OrderingStrategy, Pipeline,
 };
 use agatha_datasets::SCENARIOS;
 use agatha_io::FastaReader;
@@ -267,8 +268,8 @@ fn bench_device_trace(c: &mut Criterion) {
 }
 
 fn bench_warp_sim(c: &mut Criterion) {
-    // The serial half of the chunk packer: `simulate_warp` over every warp
-    // of one packed chunk — a `dna-short` chunk at the CLI's default size,
+    // The rejoining simulation the packer's warp jobs run: `simulate_warp`
+    // over every warp of one packed chunk — a `dna-short` chunk at the CLI's default size,
     // and a `dna-long` one — with subwarp rejoining, each unit priced from
     // its summary. One iteration is one chunk; throughput counts its tasks.
     let mut g = c.benchmark_group("warp_sim");
@@ -294,6 +295,64 @@ fn bench_warp_sim(c: &mut Criterion) {
             })
         });
     }
+    g.finish();
+}
+
+fn bench_packer(c: &mut Criterion) {
+    // The chunk packer on a live 2-worker engine, one 4,096-task `dna-short`
+    // chunk per iteration (the CLI's default chunk), its tasks cloned
+    // outside the timed region:
+    // - `align_chunk`: the whole packer (kernels, trace walks, stats, warp
+    //   simulation, device scheduling);
+    // - `run_tasks`: the kernels and trace walks alone, so `align_chunk −
+    //   run_tasks` is the packer's serial remainder;
+    // - `run_tagged`: the serve path, the kernels without a trace walk;
+    // - `serial_remainder`: that difference paired per iteration (the chunk
+    //   through `align_chunk`, then through `run_tasks`), so host noise
+    //   common to both cancels; signed until the batch total.
+    let mut g = c.benchmark_group("packer");
+    let scenario = SCENARIOS.iter().find(|s| s.name == "dna-short").expect("a registered scenario");
+    let tasks = (scenario.tasks)(1, 4096);
+    let mut pipeline = Pipeline::new((scenario.scoring)(), AgathaConfig::agatha());
+    pipeline.host_threads = 2;
+    let strategy = pipeline.default_strategy();
+    let mut engine = pipeline.engine();
+    g.throughput(Throughput::Elements(tasks.len() as u64));
+    let mut timed = |name: &str, run: &mut dyn FnMut(&mut BatchEngine, Vec<Task>)| {
+        g.bench_function(name, |b| {
+            b.iter_custom(|iters| {
+                let mut spent = Duration::ZERO;
+                for _ in 0..iters {
+                    let chunk = tasks.clone();
+                    let started = Instant::now();
+                    run(&mut engine, chunk);
+                    spent += started.elapsed();
+                }
+                spent
+            })
+        });
+    };
+    timed("align_chunk", &mut |e, chunk| drop(black_box(e.align_chunk(chunk, strategy))));
+    timed("run_tasks", &mut |e, chunk| drop(black_box(e.run_tasks(chunk))));
+    timed("run_tagged", &mut |e, chunk| {
+        let jobs = chunk.into_iter().map(|t| (t, JobMeta::default())).collect();
+        drop(black_box(e.run_tagged(jobs)))
+    });
+    g.bench_function("serial_remainder", |b| {
+        b.iter_custom(|iters| {
+            let mut spent_ns = 0.0f64;
+            for _ in 0..iters {
+                let (packed, bare) = (tasks.clone(), tasks.clone());
+                let started = Instant::now();
+                drop(black_box(engine.align_chunk(packed, strategy)));
+                spent_ns += started.elapsed().as_nanos() as f64;
+                let started = Instant::now();
+                drop(black_box(engine.run_tasks(bare)));
+                spent_ns -= started.elapsed().as_nanos() as f64;
+            }
+            Duration::from_nanos(spent_ns.max(0.0) as u64)
+        })
+    });
     g.finish();
 }
 
@@ -352,6 +411,6 @@ fn bench_fasta_parse(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_guided_reference, bench_block_kernel, bench_kernel_configs, bench_workspace_reuse, bench_block_fold, bench_segment_fill, bench_device_trace, bench_warp_sim, bench_packing, bench_fasta_parse
+    targets = bench_guided_reference, bench_block_kernel, bench_kernel_configs, bench_workspace_reuse, bench_block_fold, bench_segment_fill, bench_device_trace, bench_warp_sim, bench_packer, bench_packing, bench_fasta_parse
 }
 criterion_main!(benches);

@@ -358,7 +358,8 @@ mod tests {
         // ships with, in simulated makespan per registered scenario. A key
         // change that moved this far would be the §4.4 key; until then the
         // anti-diagonal count stays the one workload estimator.
-        use crate::{AgathaConfig, Pipeline};
+        use crate::warp_sim::simulate_warp;
+        use crate::{AgathaConfig, Pipeline, TaskRun};
 
         let cfg = AgathaConfig::agatha();
         for scenario in agatha_datasets::SCENARIOS {
@@ -372,7 +373,17 @@ mod tests {
                     cfg.tasks_per_subwarp,
                     OrderingStrategy::UnevenBucketing,
                 );
-                let (warp_cycles, _) = pipeline.simulate_warps(&runs, &warps);
+                let warp_cycles: Vec<f64> = warps
+                    .iter()
+                    .map(|w| {
+                        let queues: Vec<Vec<&TaskRun>> = w
+                            .queues
+                            .iter()
+                            .map(|q| q.iter().map(|&i| &runs[i]).collect())
+                            .collect();
+                        simulate_warp(&queues, &cfg, &pipeline.cost).cycles
+                    })
+                    .collect();
                 pipeline.schedule_devices(&warp_cycles).1.makespan_cycles
             };
             let antidiags: Vec<u64> = tasks.iter().map(|t| u64::from(t.antidiags())).collect();

@@ -1,29 +1,39 @@
-//! The host execution path: one chunk-claim worker loop that every batch,
+//! The host execution path: one job-claim worker loop that every batch,
 //! stream chunk and serve request runs through.
 //!
 //! Guided alignment's workload is long-tailed and unpredictable, so work is
 //! claimed dynamically, never dealt out statically (static chunking would
 //! recreate on the host exactly the imbalance the paper fixes on the GPU).
-//! A chunk of tasks is published once behind an `Arc`; workers claim
-//! indices from one atomic counter, run the same per-job body (tagged
-//! admission gate → [`run_task_ws`]) on their private [`KernelWorkspace`]
-//! scratch, and hand back one batch of `(index, outcome)` per worker per
-//! chunk. The calling thread is worker 0; the engine keeps `threads − 1`
-//! persistent helper threads for its whole lifetime, so one thread simply
-//! means "no helpers" and a chunk of one task never leaves the caller.
-//! Outputs are owned: each run allocates its own trace and whoever consumes
-//! the run drops it — no memory flows back to the workers.
+//! A chunk is published once behind an `Arc` with its list of jobs; workers
+//! claim job indices from one atomic counter, run each on their private
+//! [`KernelWorkspace`] scratch, and hand back one batch of keyed outputs per
+//! worker per chunk. The calling thread is worker 0; the engine keeps
+//! `threads − 1` persistent helper threads for its whole lifetime, so one
+//! thread simply means "no helpers", and a chunk wakes only as many helpers
+//! as it has jobs beyond the caller's first. Outputs are owned: each run
+//! allocates its own trace and whoever consumes the run drops it — no
+//! memory flows back to the workers.
 //!
-//! On top of that sits one chunk packer (kernel runs → carry split → warp
-//! assignment → simulation → device scheduling). The device trace is walked
-//! on the workers, inside [`run_task_ws`], and each run leaves its worker
-//! with every unit already summarised: the packer's stats fold and the
-//! simulation step — the rejoining event loop — price a unit in O(1) from
-//! its summary and never re-derive its rows. [`Pipeline::align_batch`]
-//! is a stream of one chunk; [`BatchEngine::align_stream_with`] keeps only
-//! one chunk of runs alive at a time, yields chunk reports as they complete
-//! and folds the per-chunk [`KernelStats`] and device schedule
-//! incrementally into a [`StreamSummary`].
+//! A job is one of three kinds. [`BatchEngine::run_tasks`] claims tasks and
+//! runs [`run_task_ws`] (align, then walk the device trace);
+//! [`BatchEngine::run_tagged`] claims serve requests and runs the admission
+//! gate, then [`align_task_ws`] alone — a request is never priced. The
+//! chunk packer claims *warps*: no packing decision needs a kernel result,
+//! since `carry_split` and `build_warps` read only the a-priori workload
+//! (`Task::antidiags`, §5.6), so the packer splits the carry and builds the
+//! warps first, as the paper assigns tasks to warps before launch (§4.4).
+//! A warp job aligns the warp's new tasks, folds their [`KernelStats`] into
+//! its worker's total, walks and prices their traces, runs the rejoining
+//! simulation over them plus any carried runs, and drops the units: a
+//! packed run's trace lives for one warp on one core, and a chunk's traces
+//! never coexist. A deferred job aligns and prices one arrival into the
+//! next chunk's carry. The calling thread only assembles the report —
+//! results in arrival order, warp latencies in submission order, the carry
+//! in pool order — and schedules the devices. [`Pipeline::align_batch`] is
+//! a stream of one chunk; [`BatchEngine::align_stream_with`] keeps only one
+//! chunk alive at a time, yields chunk reports as they complete and folds
+//! the per-chunk [`KernelStats`] and device schedule incrementally into a
+//! [`StreamSummary`].
 //!
 //! A stream cuts its chunks by one rule, `fill_chunk`: a chunk closes at
 //! the chunk size or where the source ends. The inline source runs it on
@@ -41,15 +51,16 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use agatha_align::Task;
+use agatha_align::{GuidedResult, Task};
 use agatha_gpu_sim::sched::SlotSchedule;
 use agatha_gpu_sim::{DeviceReport, KernelStats};
 
-use crate::bucketing::{build_warps, carry_split, OrderingStrategy};
+use crate::bucketing::{build_warps, carry_split, OrderingStrategy, WarpAssignment};
 use crate::clock::{Clock, SystemClock};
-use crate::kernel::{run_task_ws, KernelWorkspace, TaskRun};
+use crate::kernel::{align_task_ws, run_task_ws, HostRun, KernelWorkspace, TaskRun};
 use crate::pipeline::{BatchReport, Pipeline};
 use crate::prefetch::PrefetchedChunks;
+use crate::warp_sim::simulate_warp;
 
 /// Per-request metadata attached to a tagged job: when it entered the
 /// queue, when it stops being worth executing, and a kill switch flipped
@@ -83,8 +94,9 @@ impl JobMeta {
 #[derive(Debug)]
 pub enum JobOutcome {
     /// Executed; `queue_ns` is time from enqueue to dispatch, `service_ns`
-    /// the kernel execution time.
-    Completed { run: TaskRun, queue_ns: u64, service_ns: u64 },
+    /// the kernel execution time. A request is aligned, never priced: `run`
+    /// is the host half alone, with no device trace.
+    Completed { run: HostRun, queue_ns: u64, service_ns: u64 },
     /// Deadline passed while the job was still queued; the kernel was
     /// never dispatched.
     DroppedDeadline { queue_ns: u64 },
@@ -93,23 +105,101 @@ pub enum JobOutcome {
     Cancelled { queue_ns: u64 },
 }
 
-/// One published chunk: the jobs plus the claim counter every worker draws
-/// from.
+/// One published chunk: the tasks, what its jobs are, and the claim counter
+/// every worker draws from.
 struct Chunk {
     tasks: Vec<Task>,
-    /// Request metadata of a tagged chunk, indexed like `tasks`; empty for
-    /// plain batch chunks, whose jobs skip the clock reads and admission
-    /// checks entirely.
-    metas: Vec<JobMeta>,
-    /// Next unclaimed index. Only hands out indices: the jobs reach a
-    /// worker through the channel that delivers the chunk and the outcomes
-    /// return through the answer channel, so `Relaxed` suffices.
+    jobs: Jobs,
+    /// Next unclaimed job. Only hands out indices: the jobs reach a worker
+    /// through the channel that delivers the chunk and the outputs return
+    /// through the answer channel, so `Relaxed` suffices.
     next: AtomicUsize,
 }
 
-/// What one worker did on one chunk: its `(index, outcome)` pairs, or the
-/// payload of the panic that stopped it.
-type WorkerBatch = std::thread::Result<Vec<(usize, JobOutcome)>>;
+/// What a chunk's jobs are.
+enum Jobs {
+    /// One job per task: align it and walk its device trace
+    /// ([`BatchEngine::run_tasks`]).
+    Runs,
+    /// One job per tagged request, indexed like the tasks: the admission
+    /// gate, then the alignment alone ([`BatchEngine::run_tagged`]).
+    Tagged(Vec<JobMeta>),
+    /// The packer's plan, made before any kernel runs: one job per warp in
+    /// submission order, then one per deferred arrival.
+    Pack(Packing),
+}
+
+/// A chunk's packing plan. Pool index `p` names carried run `carry[p]`
+/// when `p < carry.len()`, else arrived task `p − carry.len()`.
+struct Packing {
+    /// Runs carried in from earlier chunks, already aligned and priced.
+    carry: Vec<CarrySlot>,
+    /// The warps, their queues holding pool indices.
+    warps: Vec<WarpAssignment>,
+    /// Arrivals the carry split defers to the next chunk, ascending.
+    deferred: Vec<usize>,
+}
+
+impl Chunk {
+    /// How many jobs the chunk holds: what its helpers can claim.
+    fn job_count(&self) -> usize {
+        match &self.jobs {
+            Jobs::Runs | Jobs::Tagged(_) => self.tasks.len(),
+            Jobs::Pack(pack) => pack.warps.len() + pack.deferred.len(),
+        }
+    }
+}
+
+/// One simulated warp: its latency in cycles and, per subwarp slot,
+/// (assigned device blocks, executed device blocks after rejoining).
+struct SimulatedWarp {
+    cycles: f64,
+    subwarp_blocks: Vec<(u64, f64)>,
+}
+
+/// What one worker — or, merged, a whole chunk — produced. Every entry is
+/// keyed by its job index, except `results`, keyed by arrival index; each
+/// kind of chunk fills only its own fields.
+#[derive(Default)]
+struct Done {
+    /// [`Jobs::Runs`]: the priced runs.
+    runs: Vec<(usize, TaskRun)>,
+    /// [`Jobs::Tagged`]: the outcomes.
+    outcomes: Vec<(usize, JobOutcome)>,
+    /// [`Jobs::Pack`]: the simulated warps.
+    warps: Vec<(usize, SimulatedWarp)>,
+    /// [`Jobs::Pack`]: the deferred arrivals, priced, for the next carry.
+    carry: Vec<(usize, CarrySlot)>,
+    /// [`Jobs::Pack`]: every arrival's result.
+    results: Vec<(usize, GuidedResult)>,
+    /// [`Jobs::Pack`]: the stats of every arrival the worker priced.
+    stats: KernelStats,
+}
+
+impl Done {
+    /// Fold another worker's output into this one, unordered.
+    fn absorb(&mut self, other: Done) {
+        self.runs.extend(other.runs);
+        self.outcomes.extend(other.outcomes);
+        self.warps.extend(other.warps);
+        self.carry.extend(other.carry);
+        self.results.extend(other.results);
+        self.stats.add(&other.stats);
+    }
+
+    /// Put every list in key order: worker interleaving never shows.
+    fn sort(&mut self) {
+        self.runs.sort_unstable_by_key(|e| e.0);
+        self.outcomes.sort_unstable_by_key(|e| e.0);
+        self.warps.sort_unstable_by_key(|e| e.0);
+        self.carry.sort_unstable_by_key(|e| e.0);
+        self.results.sort_unstable_by_key(|e| e.0);
+    }
+}
+
+/// What one worker did on one chunk, or the payload of the panic that
+/// stopped it.
+type WorkerBatch = std::thread::Result<Done>;
 
 /// Everything the calling thread and the helpers share.
 struct Shared {
@@ -118,50 +208,133 @@ struct Shared {
 }
 
 impl Shared {
-    /// The worker loop: claim indices until the chunk is exhausted. The
-    /// whole loop sits inside the panic guard — the admission gate calls a
+    /// The worker loop: claim jobs until the chunk is exhausted. The whole
+    /// loop sits inside the panic guard — the admission gate calls a
     /// user-supplied [`Clock`], whose panic must surface on the caller —
     /// and the first panic exhausts the counter so no worker starts another
     /// job of an aborted chunk. The workspace is safe to reuse after a
     /// panic: every run fully reinitialises it.
     fn work(&self, chunk: &Chunk, ws: &mut KernelWorkspace) -> WorkerBatch {
+        let jobs = chunk.job_count();
         let batch = catch_unwind(AssertUnwindSafe(|| {
-            let mut done = Vec::new();
+            let mut done = Done::default();
             loop {
                 let idx = chunk.next.fetch_add(1, Ordering::Relaxed);
-                let Some(task) = chunk.tasks.get(idx) else { break };
-                done.push((idx, self.run_job(ws, task, chunk.metas.get(idx))));
+                if idx >= jobs {
+                    break;
+                }
+                self.run_job(ws, chunk, idx, &mut done);
             }
             done
         }));
         if batch.is_err() {
-            chunk.next.store(chunk.tasks.len(), Ordering::Relaxed);
+            chunk.next.store(jobs, Ordering::Relaxed);
         }
         batch
     }
 
-    fn run_job(&self, ws: &mut KernelWorkspace, task: &Task, meta: Option<&JobMeta>) -> JobOutcome {
-        // Admission gate for tagged jobs: a cancelled or deadline-expired
-        // request must never reach kernel dispatch — checked here, at the
-        // last moment before execution.
-        let mut timing = None;
-        if let Some(m) = meta {
-            let now = self.clock.now_ns();
-            let queue_ns = now.saturating_sub(m.enqueued_ns);
-            if m.cancelled() {
-                return JobOutcome::Cancelled { queue_ns };
+    fn run_job(&self, ws: &mut KernelWorkspace, chunk: &Chunk, idx: usize, done: &mut Done) {
+        let Pipeline { scoring, config, .. } = &self.pipeline;
+        match &chunk.jobs {
+            Jobs::Runs => {
+                done.runs.push((idx, run_task_ws(ws, &chunk.tasks[idx], scoring, config)))
             }
-            if m.expired(now) {
-                return JobOutcome::DroppedDeadline { queue_ns };
+            Jobs::Tagged(metas) => {
+                done.outcomes.push((idx, self.run_tagged_job(ws, &chunk.tasks[idx], &metas[idx])))
             }
-            timing = Some((now, queue_ns));
+            Jobs::Pack(pack) => match pack.warps.get(idx) {
+                Some(warp) => {
+                    let simulated = self.run_warp(ws, &chunk.tasks, pack, warp, done);
+                    done.warps.push((idx, simulated));
+                }
+                None => {
+                    let i = pack.deferred[idx - pack.warps.len()];
+                    let task = &chunk.tasks[i];
+                    let run = self.price_arrival(ws, task, i, done);
+                    done.carry.push((idx, CarrySlot { run, workload: task.antidiags() as u64 }));
+                }
+            },
         }
-        let run = run_task_ws(ws, task, &self.pipeline.scoring, &self.pipeline.config);
-        let (queue_ns, service_ns) = match timing {
-            Some((start, queue_ns)) => (queue_ns, self.clock.now_ns().saturating_sub(start)),
-            None => (0, 0),
-        };
+    }
+
+    fn run_tagged_job(&self, ws: &mut KernelWorkspace, task: &Task, meta: &JobMeta) -> JobOutcome {
+        // Admission gate: a cancelled or deadline-expired request must never
+        // reach kernel dispatch — checked here, at the last moment before
+        // execution.
+        let start = self.clock.now_ns();
+        let queue_ns = start.saturating_sub(meta.enqueued_ns);
+        if meta.cancelled() {
+            return JobOutcome::Cancelled { queue_ns };
+        }
+        if meta.expired(start) {
+            return JobOutcome::DroppedDeadline { queue_ns };
+        }
+        let run = align_task_ws(ws, task, &self.pipeline.scoring, &self.pipeline.config);
+        let service_ns = self.clock.now_ns().saturating_sub(start);
         JobOutcome::Completed { run, queue_ns, service_ns }
+    }
+
+    /// Align and price arrival `i`: its result joins the chunk's, its stats
+    /// the worker's total.
+    fn price_arrival(
+        &self,
+        ws: &mut KernelWorkspace,
+        task: &Task,
+        i: usize,
+        done: &mut Done,
+    ) -> TaskRun {
+        let Pipeline { scoring, config, cost, .. } = &self.pipeline;
+        let run = run_task_ws(ws, task, scoring, config);
+        done.stats.add(&run.stats(config.subwarp_lanes, config, cost));
+        done.results.push((i, run.result.clone()));
+        run
+    }
+
+    /// A warp job: align and price the warp's arrivals, simulate the warp
+    /// over them and its carried runs, and drop the arrivals' units — they
+    /// live for this one warp, on this one worker.
+    fn run_warp(
+        &self,
+        ws: &mut KernelWorkspace,
+        tasks: &[Task],
+        pack: &Packing,
+        warp: &WarpAssignment,
+        done: &mut Done,
+    ) -> SimulatedWarp {
+        let Pipeline { config, cost, .. } = &self.pipeline;
+        let carried = pack.carry.len();
+        // Per queue slot, the arrival priced here, or `None` for a run the
+        // chunk that executed it priced.
+        let fresh: Vec<Vec<Option<TaskRun>>> = warp
+            .queues
+            .iter()
+            .map(|q| {
+                q.iter()
+                    .map(|&p| {
+                        let i = p.checked_sub(carried)?;
+                        Some(self.price_arrival(ws, &tasks[i], i, done))
+                    })
+                    .collect()
+            })
+            .collect();
+        let queues: Vec<Vec<&TaskRun>> = warp
+            .queues
+            .iter()
+            .zip(&fresh)
+            .map(|(q, f)| {
+                q.iter()
+                    .zip(f)
+                    .map(|(&p, run)| run.as_ref().unwrap_or_else(|| &pack.carry[p].run))
+                    .collect()
+            })
+            .collect();
+        let outcome = simulate_warp(&queues, config, cost);
+        let subwarp_blocks = queues
+            .iter()
+            .zip(outcome.subwarp_blocks)
+            .map(|(q, executed)| (q.iter().map(|r| r.device_blocks()).sum(), executed))
+            .collect();
+        SimulatedWarp { cycles: outcome.cycles, subwarp_blocks }
     }
 }
 
@@ -229,85 +402,80 @@ impl BatchEngine {
         self.helpers.len() + 1
     }
 
-    /// The one dispatch primitive: publish `tasks` (with `metas` either
-    /// empty or one per task) as a chunk, work on it alongside as many
-    /// helpers as it can occupy, and return one outcome per job in input
-    /// order — worker interleaving never changes the output. `tasks` is
-    /// left empty with its capacity intact, so an inline stream reuses one
-    /// chunk buffer throughout.
+    /// The one dispatch primitive: publish `tasks` and their `jobs` as a
+    /// chunk, work on it alongside as many helpers as it has jobs to claim,
+    /// and return what the workers did, merged and in key order — worker
+    /// interleaving never changes the output — with the jobs handed back.
+    /// `tasks` is left empty with its capacity intact, so an inline stream
+    /// reuses one chunk buffer throughout.
     ///
     /// A panic in any worker is re-raised here with its original payload,
     /// after every woken helper has answered: nothing of an aborted chunk
     /// is left in flight and the engine stays usable.
-    fn dispatch(&mut self, tasks: &mut Vec<Task>, metas: Vec<JobMeta>) -> Vec<JobOutcome> {
-        let count = tasks.len();
-        debug_assert!(metas.is_empty() || metas.len() == count, "one meta per tagged task");
+    fn dispatch(&mut self, tasks: &mut Vec<Task>, jobs: Jobs) -> (Done, Jobs) {
         let chunk =
-            Arc::new(Chunk { tasks: std::mem::take(tasks), metas, next: AtomicUsize::new(0) });
-        let woken = self.helpers.len().min(count.saturating_sub(1));
+            Arc::new(Chunk { tasks: std::mem::take(tasks), jobs, next: AtomicUsize::new(0) });
+        let woken = self.helpers.len().min(chunk.job_count().saturating_sub(1));
         for (chunk_tx, _) in &self.helpers[..woken] {
             chunk_tx.send(Arc::clone(&chunk)).expect("helper threads live until drop");
         }
         let own = self.shared.work(&chunk, &mut self.ws);
         let answers: Vec<WorkerBatch> =
             (0..woken).map(|_| self.done_rx.recv().expect("every woken helper answers")).collect();
-        let mut out: Vec<Option<JobOutcome>> = (0..count).map(|_| None).collect();
+        let mut done = Done::default();
         for batch in std::iter::once(own).chain(answers) {
             match batch {
-                Ok(done) => done.into_iter().for_each(|(idx, outcome)| out[idx] = Some(outcome)),
+                Ok(batch) => done.absorb(batch),
                 Err(payload) => resume_unwind(payload),
             }
         }
+        done.sort();
         let chunk = Arc::into_inner(chunk).expect("helpers drop the chunk before answering");
         *tasks = chunk.tasks;
         tasks.clear();
-        out.into_iter().map(|o| o.expect("every job answered")).collect()
+        (done, chunk.jobs)
     }
 
-    /// Execute one chunk of owned tasks on the pool, returning the runs in
-    /// input order.
+    /// Execute one chunk of owned tasks on the pool — each aligned and its
+    /// device trace walked — returning the runs in input order.
     pub fn run_tasks(&mut self, mut tasks: Vec<Task>) -> Vec<TaskRun> {
-        self.run_chunk(&mut tasks)
-    }
-
-    fn run_chunk(&mut self, tasks: &mut Vec<Task>) -> Vec<TaskRun> {
-        self.dispatch(tasks, Vec::new())
-            .into_iter()
-            .map(|outcome| match outcome {
-                JobOutcome::Completed { run, .. } => run,
-                // Untagged jobs carry no deadline or cancel flag, so no
-                // other outcome is reachable.
-                other => unreachable!("untagged job produced {other:?}"),
-            })
-            .collect()
+        let (done, _) = self.dispatch(&mut tasks, Jobs::Runs);
+        done.runs.into_iter().map(|(_, run)| run).collect()
     }
 
     /// Execute owned tasks with per-request [`JobMeta`] (deadline,
     /// cancellation, enqueue tick), returning one [`JobOutcome`] per job in
     /// input order: every job is answered exactly once — completed,
     /// deadline-dropped, or cancelled — never lost. Dropped and cancelled
-    /// jobs never reach kernel dispatch.
+    /// jobs never reach kernel dispatch, and a completed one is aligned but
+    /// never priced: the serve path walks no device trace.
     pub fn run_tagged(&mut self, jobs: Vec<(Task, JobMeta)>) -> Vec<JobOutcome> {
         let (mut tasks, metas) = jobs.into_iter().unzip();
-        self.dispatch(&mut tasks, metas)
+        let (done, _) = self.dispatch(&mut tasks, Jobs::Tagged(metas));
+        done.outcomes.into_iter().map(|(_, outcome)| outcome).collect()
     }
 
-    /// Align one owned chunk end to end (kernel runs → warp assignment →
-    /// simulation → device scheduling) on its own: nothing is carried in or
-    /// out. This is [`Pipeline::align_batch_with_strategy`] on a live
-    /// engine.
+    /// Align one owned chunk end to end (warp plan → warp jobs → device
+    /// scheduling) on its own: nothing is carried in or out. This is
+    /// [`Pipeline::align_batch_with_strategy`] on a live engine.
     pub fn align_chunk(&mut self, mut tasks: Vec<Task>, strategy: OrderingStrategy) -> BatchReport {
         self.align_chunk_carry(&mut tasks, &mut Vec::new(), true, strategy)
     }
 
-    /// The one chunk packer. All arrived tasks execute (and their
-    /// results/stats report) immediately; runs that would seed an underfull
-    /// trailing warp join `carry` instead of being packed, and enter the
-    /// *next* chunk's largest-first fill. With `flush` the whole pool
-    /// packs, draining the carry deterministically — at stream end, and for
-    /// [`BatchEngine::align_chunk`], which packs a chunk alone. Kernel
-    /// results and stats are packing-independent, so carry-over only ever
-    /// changes the simulated warp schedule.
+    /// The one chunk packer. Packing needs no kernel result — `carry_split`
+    /// and `build_warps` read only the a-priori workload (§5.6), as the
+    /// paper assigns tasks to warps before launch (§4.4) — so the plan comes
+    /// first, and the warp is what the workers claim. A warp job aligns its
+    /// arrivals, prices them and simulates the warp over them plus any
+    /// carried runs; a deferred job aligns and prices one arrival into the
+    /// next chunk's carry, where it enters that chunk's largest-first fill
+    /// instead of seeding an underfull trailing warp. Every arrival's result
+    /// and stats report in this chunk, and a carried run's in the chunk
+    /// that ran it, so results and stats are packing-independent and
+    /// carry-over only ever changes the simulated warp schedule. With
+    /// `flush` the whole pool packs, draining the carry deterministically —
+    /// at stream end, and for [`BatchEngine::align_chunk`], which packs a
+    /// chunk alone.
     fn align_chunk_carry(
         &mut self,
         arrived: &mut Vec<Task>,
@@ -315,60 +483,60 @@ impl BatchEngine {
         flush: bool,
         strategy: OrderingStrategy,
     ) -> BatchReport {
-        // A-priori workload estimate: number of anti-diagonals (§5.6).
-        let arrived_workloads: Vec<u64> = arrived.iter().map(|t| t.antidiags() as u64).collect();
-        let runs = self.run_chunk(arrived);
-        let pipeline = &self.shared.pipeline;
-        let cfg = &pipeline.config;
-        let mut stats = KernelStats::new();
-        let mut results = Vec::with_capacity(runs.len());
-        for r in &runs {
-            stats.add(&r.stats(cfg.subwarp_lanes, cfg, &pipeline.cost));
-            results.push(r.result.clone());
-        }
-        // Packing pool: carried-over runs first (they have waited longest),
-        // then this chunk's runs in arrival order.
-        let mut pool = std::mem::take(carry);
-        pool.extend(
-            runs.into_iter()
-                .zip(arrived_workloads)
-                .map(|(run, workload)| CarrySlot { run, workload }),
-        );
-        // Split in pool order: what `carry_split` keeps packs now, the rest
-        // is the next chunk's carry.
-        let packed = if flush {
-            pool
+        let cfg = &self.shared.pipeline.config;
+        // The packing pool: carried runs first (they have waited longest),
+        // then this chunk's arrivals, each keyed by its a-priori workload
+        // estimate, the number of anti-diagonals (§5.6).
+        let carried = std::mem::take(carry);
+        let pool: Vec<u64> = carried
+            .iter()
+            .map(|s| s.workload)
+            .chain(arrived.iter().map(|t| t.antidiags() as u64))
+            .collect();
+        // What `carry_split` keeps packs now; the rest is the next carry.
+        let (keep, defer) = if flush {
+            ((0..pool.len()).collect(), Vec::new())
         } else {
-            let capacity = cfg.subwarps_per_warp() * cfg.tasks_per_subwarp;
-            let pool_workloads: Vec<u64> = pool.iter().map(|s| s.workload).collect();
-            let (keep, _) = carry_split(&pool_workloads, capacity);
-            let mut keep = keep.into_iter().peekable();
-            let mut packed = Vec::with_capacity(keep.len());
-            for (i, slot) in pool.into_iter().enumerate() {
-                if keep.next_if_eq(&i).is_some() {
-                    packed.push(slot);
-                } else {
-                    carry.push(slot);
-                }
-            }
-            packed
+            carry_split(&pool, cfg.warp_capacity())
         };
-        let packed_workloads: Vec<u64> = packed.iter().map(|s| s.workload).collect();
-        let warps = build_warps(
-            &packed_workloads,
-            cfg.subwarps_per_warp(),
-            cfg.tasks_per_subwarp,
-            strategy,
+        let packed: Vec<u64> = keep.iter().map(|&p| pool[p]).collect();
+        let mut warps =
+            build_warps(&packed, cfg.subwarps_per_warp(), cfg.tasks_per_subwarp, strategy);
+        for slot in warps.iter_mut().flat_map(|w| w.queues.iter_mut().flatten()) {
+            *slot = keep[*slot];
+        }
+        // Carried runs deferred again just wait; each deferred arrival is a
+        // job.
+        let (again, deferred) = defer.split_at(defer.partition_point(|&p| p < carried.len()));
+        let deferred = deferred.iter().map(|&p| p - carried.len()).collect();
+        let arrivals = arrived.len();
+        let (done, jobs) =
+            self.dispatch(arrived, Jobs::Pack(Packing { carry: carried, warps, deferred }));
+        let Jobs::Pack(Packing { carry: carried, .. }) = jobs else {
+            unreachable!("dispatch hands back the jobs it was given")
+        };
+        // The next carry, in pool order: the carried runs deferred again,
+        // then the deferred arrivals. The packed carried runs drop here.
+        let mut again = again.iter().copied().peekable();
+        carry.extend(
+            carried.into_iter().enumerate().filter_map(|(p, s)| again.next_if_eq(&p).map(|_| s)),
         );
-        let packed_runs: Vec<TaskRun> = packed.into_iter().map(|s| s.run).collect();
-        let (warp_cycles, subwarp_blocks) = pipeline.simulate_warps(&packed_runs, &warps);
+        carry.extend(done.carry.into_iter().map(|(_, slot)| slot));
+        debug_assert_eq!(done.results.len(), arrivals, "every arrival is in one job");
+        let mut warp_cycles = Vec::with_capacity(done.warps.len());
+        let mut subwarp_blocks = Vec::new();
+        for (_, warp) in done.warps {
+            warp_cycles.push(warp.cycles);
+            subwarp_blocks.extend(warp.subwarp_blocks);
+        }
+        let pipeline = &self.shared.pipeline;
         let (devices, device) = pipeline.schedule_devices(&warp_cycles);
         BatchReport {
-            results,
+            results: done.results.into_iter().map(|(_, r)| r).collect(),
             elapsed_ms: pipeline.spec.cycles_to_ms(device.makespan_cycles),
             device,
             devices,
-            stats,
+            stats: done.stats,
             warp_cycles,
             subwarp_blocks,
         }
@@ -384,12 +552,13 @@ impl BatchEngine {
     /// Stream an in-memory task iterator through the pool in chunks of
     /// `opts`' chunk size, driven on the calling thread (fallible sources
     /// such as FASTA go through [`BatchEngine::align_stream_prefetched`]).
-    /// Only one chunk of tasks and runs is in memory at a time; iterate the
-    /// returned [`StreamRun`] for per-chunk reports, then call
-    /// [`StreamRun::finish`] for the folded totals. Every chunk packs with
-    /// carry-over, so on one GPU steady-state memory is one chunk of tasks
-    /// and runs plus at most one warp's worth of carried runs plus
-    /// O(warp slots) schedule state — independent of stream length.
+    /// Only one chunk of tasks and results is in memory at a time, with the
+    /// device traces of one warp per worker; iterate the returned
+    /// [`StreamRun`] for per-chunk reports, then call [`StreamRun::finish`]
+    /// for the folded totals. Every chunk packs with carry-over, so on one
+    /// GPU steady-state memory is that plus at most one warp's worth of
+    /// carried runs plus O(warp slots) schedule state — independent of
+    /// stream length.
     ///
     /// With a chunk size larger than the stream, the chunk reports' warp
     /// latencies and the summary's device schedule are bit-identical to
@@ -1223,6 +1392,83 @@ mod tests {
         }
     }
 
+    /// One task per length: an LCG reference of `len` bases and a copy
+    /// with a mismatch every 19th, so workloads order like the lengths.
+    fn sized_tasks(lens: &[usize], seed: u64) -> Vec<Task> {
+        let mut x = seed | 1;
+        let mut tasks = Vec::new();
+        for (id, &len) in lens.iter().enumerate() {
+            let (mut r, mut q) = (String::new(), String::new());
+            for k in 0..len {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let c = ['A', 'C', 'G', 'T'][(x >> 33) as usize % 4];
+                r.push(c);
+                q.push(if k % 19 == 0 { 'T' } else { c });
+            }
+            tasks.push(Task::from_strs(id as u32, &r, &q));
+        }
+        tasks
+    }
+
+    /// Every chunk report of a stream and its summary, rendered whole:
+    /// `Debug` prints each f64 in its shortest round-trip form, so equal
+    /// strings mean equal fields, floats by their bits.
+    fn stream_reports(threads: usize, tasks: &[Task], chunk_size: usize) -> Vec<String> {
+        let mut engine = pipeline_on(threads).engine();
+        let opts = StreamOptions::new(chunk_size);
+        let mut run = engine.align_stream_with(tasks.iter().cloned(), opts);
+        let mut reports: Vec<String> = run.by_ref().map(|c| format!("{c:?}")).collect();
+        reports.push(format!("{:?}", run.finish()));
+        reports
+    }
+
+    #[test]
+    fn every_claim_shape_reports_the_same_on_any_worker_count() {
+        // A warp holds 8 tasks (`carry_over_defers_the_trailing_underfull_
+        // warp` pins it). Each stream puts the packer's job list in one
+        // shape, and its chunk reports must not depend on who claims what.
+        let lens = [90, 80, 70, 60, 20, 95, 85, 75, 65, 30];
+        let mixed = sized_tasks(&lens, 83);
+        // The mixed stream's second chunk pools the five carried runs with
+        // five arrivals, and the split defers one of each.
+        let workloads: Vec<u64> = mixed.iter().map(|t| t.antidiags() as u64).collect();
+        assert_eq!(carry_split(&workloads, 8).1, [4, 9], "one carried run, one arrival");
+        let cases: [(&str, Vec<Task>, usize); 6] = [
+            // One full chunk of one warp: a single job, so at 3 and 8
+            // threads most helpers stay asleep.
+            ("one warp", mk_tasks(8, 70, 89), 8),
+            // A chunk under one warp's capacity defers every arrival: only
+            // deferred jobs, then a carry-only flush chunk packs them.
+            ("only deferred jobs, then a carry-only flush", mk_tasks(5, 70, 97), 5),
+            ("a carry-only flush after full warps", mk_tasks(13, 60, 101), 13),
+            ("an empty stream", Vec::new(), 4),
+            ("a deferred set of carried runs and arrivals", mixed, 5),
+            ("warps and deferred arrivals of a long tail", long_tailed_tasks(), 12),
+        ];
+        for (what, tasks, chunk_size) in cases {
+            let want = stream_reports(1, &tasks, chunk_size);
+            for threads in [2, 3, 8] {
+                let got = stream_reports(threads, &tasks, chunk_size);
+                assert_eq!(got, want, "{what}: {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn a_claim_shape_shows_in_its_chunk_reports() {
+        // The shapes the test above relies on, as the reports see them.
+        let shape = |tasks: &[Task], chunk_size: usize| -> Vec<(usize, usize)> {
+            let mut engine = pipeline_on(2).engine();
+            let run = engine.align_stream_with(tasks.to_vec(), StreamOptions::new(chunk_size));
+            run.map(|c| (c.report.results.len(), c.report.warp_cycles.len())).collect()
+        };
+        assert_eq!(shape(&mk_tasks(8, 70, 89), 8), [(8, 1)]);
+        assert_eq!(shape(&mk_tasks(5, 70, 97), 5), [(5, 0), (0, 1)]);
+        let mixed = sized_tasks(&[90, 80, 70, 60, 20, 95, 85, 75, 65, 30], 83);
+        assert_eq!(shape(&mixed, 5), [(5, 0), (5, 1), (0, 1)]);
+        assert_eq!(shape(&[], 4), []);
+    }
+
     /// Reads as 0 forever, except that the `fail_on`-th read panics.
     struct FailingClock {
         reads: AtomicUsize,
@@ -1257,7 +1503,7 @@ mod tests {
         tasks.iter().cloned().map(|t| (t, JobMeta::default())).collect()
     }
 
-    fn completed_runs(outcomes: Vec<JobOutcome>) -> Vec<TaskRun> {
+    fn completed_runs(outcomes: Vec<JobOutcome>) -> Vec<HostRun> {
         outcomes
             .into_iter()
             .map(|o| match o {

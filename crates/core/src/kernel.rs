@@ -3,17 +3,21 @@
 //! **What the host computes.** One task's real DP values: the row-major
 //! schedule of the shared block-row [`Sweep`] — every band row one segment,
 //! a termination check after it — at whatever tile, tier and backend the plan
-//! resolves for the host CPU. [`TaskRun::blocks`], [`TaskRun::block_dim`] and
-//! [`TaskRun::computed_cells`] count that work.
+//! resolves for the host CPU. [`align_task_ws`] runs it and returns a
+//! [`HostRun`]: the result and the host's own block count
+//! ([`HostRun::blocks`], [`HostRun::block_dim`]). A serve request stops
+//! here.
 //!
-//! **What the device would have done.** [`TaskRun::units`], the per-unit work
-//! summaries every simulated number is folded from, are
-//! [`crate::trace::device_trace`] of the task's shape and of where it
-//! stopped: the §4.2 slices (or horizontal chunks) at the paper's 8×8 blocks,
-//! independent of the host half. The trace is walked here, on the worker
-//! that aligned the task, and each unit leaves it with everything its price
-//! needs at any lane count, so [`TaskRun::stats`], [`TaskRun::cycles`] and
-//! the warp simulation price a unit in O(1) without re-deriving its rows.
+//! **What the device would have done.** [`HostRun::priced`] walks the
+//! device trace — [`crate::trace::device_trace`] of the task's shape and of
+//! where it stopped: the §4.2 slices (or horizontal chunks) at the paper's
+//! 8×8 blocks, independent of the host half — into [`TaskRun::units`], the
+//! per-unit work summaries every simulated number is folded from. Only the
+//! chunk packer prices, inside the warp job that simulates the task, and
+//! each unit leaves the walk with everything its price needs at any lane
+//! count, so [`TaskRun::stats`], [`TaskRun::cycles`] and the warp
+//! simulation price a unit in O(1) without re-deriving its rows.
+//! [`run_task_ws`] is the composition of the two halves.
 //!
 //! Exactness: the DP values and termination decisions are identical across
 //! every configuration — tiling affects only *which extra cells get
@@ -102,8 +106,8 @@ impl TaskRun {
 /// reaches a steady state in which executing a task performs no heap
 /// allocation on the kernel hot path — the fixed-size block staging buffer
 /// lives in the [`Sweep`], on the kernel's stack frame. The scratch never
-/// leaves its worker; the returned [`TaskRun`] owns its trace, allocated
-/// per run.
+/// leaves its worker; a priced [`TaskRun`] owns its trace, allocated per
+/// run.
 ///
 /// This is the `block-aligner` idiom: build one long-lived aligner object
 /// and feed it tasks, instead of reallocating per call.
@@ -159,35 +163,72 @@ pub fn run_task(task: &Task, scoring: &Scoring, cfg: &AgathaConfig) -> TaskRun {
 }
 
 /// Execute one task under `cfg` reusing `ws` for every piece of scratch
-/// state. Results are bit-identical to [`run_task`] regardless of what the
-/// workspace was previously used for.
-///
-/// Geometry dispatch happens here, once per task:
-/// [`AgathaConfig::block_dim_for`] (16, or 8 on `sse41` lanes and for a task
-/// inside the i16 gate at 8 only) selects the matching monomorphization of
-/// the kernel body. The alignment result and the device trace are
-/// bit-identical across geometries; only the host's own counts (`blocks`,
-/// `block_dim`) differ.
+/// state, then walk its device trace: [`align_task_ws`] followed by
+/// [`HostRun::priced`]. Results are bit-identical to [`run_task`]
+/// regardless of what the workspace was previously used for.
 pub fn run_task_ws(
     ws: &mut KernelWorkspace,
     task: &Task,
     scoring: &Scoring,
     cfg: &AgathaConfig,
 ) -> TaskRun {
-    match cfg.block_dim_for(task.ref_len(), task.query_len(), scoring) {
-        MAX_BLOCK => run_task_geom::<MAX_BLOCK>(ws, task, scoring, cfg),
-        _ => run_task_geom::<BLOCK>(ws, task, scoring, cfg),
+    align_task_ws(ws, task, scoring, cfg).priced(task, scoring, cfg)
+}
+
+/// The host half of a run: the exact result and the host's own block count,
+/// with no device trace. This is all a serve request needs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HostRun {
+    /// Task identifier (copied from the input).
+    pub id: u32,
+    /// Exact guided-alignment result.
+    pub result: GuidedResult,
+    /// Blocks the host computed (including its run-ahead), in tiles of
+    /// `block_dim`.
+    pub blocks: u64,
+    /// Block side the host tiled this task with (see [`TaskRun::block_dim`]).
+    pub block_dim: u32,
+}
+
+impl HostRun {
+    /// Price the run: walk the device's trace of `task` ([`device_trace`] of
+    /// its shape and of where this run stopped) into a [`TaskRun`]. `task`,
+    /// `scoring` and `cfg` must be the ones the run was aligned with.
+    pub fn priced(self, task: &Task, scoring: &Scoring, cfg: &AgathaConfig) -> TaskRun {
+        let units =
+            device_trace(task.ref_len(), task.query_len(), scoring.band_width, cfg, &self.result);
+        let HostRun { id, result, blocks, block_dim } = self;
+        TaskRun { id, result, units, blocks, block_dim }
     }
 }
 
-/// The kernel body, monomorphized per host block side `B`: the row-major
-/// sweep for the result, then the device's trace of it.
-fn run_task_geom<const B: usize>(
+/// Align one task under `cfg` reusing `ws`, without pricing it.
+///
+/// Geometry dispatch happens here, once per task:
+/// [`AgathaConfig::block_dim_for`] (16, or 8 on `sse41` lanes and for a task
+/// inside the i16 gate at 8 only) selects the matching monomorphization of
+/// the kernel body. The alignment result is bit-identical across
+/// geometries; only the host's own counts (`blocks`, `block_dim`) differ.
+pub fn align_task_ws(
     ws: &mut KernelWorkspace,
     task: &Task,
     scoring: &Scoring,
     cfg: &AgathaConfig,
-) -> TaskRun {
+) -> HostRun {
+    match cfg.block_dim_for(task.ref_len(), task.query_len(), scoring) {
+        MAX_BLOCK => align_task_geom::<MAX_BLOCK>(ws, task, scoring, cfg),
+        _ => align_task_geom::<BLOCK>(ws, task, scoring, cfg),
+    }
+}
+
+/// The kernel body, monomorphized per host block side `B`: the row-major
+/// sweep for the result.
+fn align_task_geom<const B: usize>(
+    ws: &mut KernelWorkspace,
+    task: &Task,
+    scoring: &Scoring,
+    cfg: &AgathaConfig,
+) -> HostRun {
     let n = task.ref_len();
     let m = task.query_len();
     let KernelWorkspace { rows, tracker, profile } = ws;
@@ -208,10 +249,7 @@ fn run_task_geom<const B: usize>(
     let blocks =
         Sweep::<B>::new(ctx, tier, &task.reference, &task.query, rows, Some(&mut *tracker))
             .row_major();
-    let result = tracker.take_result();
-
-    let units = device_trace(n, m, scoring.band_width, cfg, &result);
-    TaskRun { id: task.id, result, units, blocks, block_dim: B as u32 }
+    HostRun { id: task.id, result: tracker.take_result(), blocks, block_dim: B as u32 }
 }
 
 #[cfg(test)]
@@ -454,6 +492,16 @@ pub(crate) mod tests {
         // The z-drop input really exercised the early-termination path.
         let zdropped = run_task(&tasks[1], &s, &AgathaConfig::agatha());
         assert!(zdropped.result.stop.z_dropped());
+    }
+
+    /// The kernel body at host geometry `B`, priced.
+    fn run_task_geom<const B: usize>(
+        ws: &mut KernelWorkspace,
+        t: &Task,
+        s: &Scoring,
+        cfg: &AgathaConfig,
+    ) -> TaskRun {
+        align_task_geom::<B>(ws, t, s, cfg).priced(t, s, cfg)
     }
 
     /// The kernel body at both host geometries, whatever `cfg` would

@@ -21,11 +21,13 @@
 //! feature can be toggled independently through [`options::AgathaConfig`]
 //! for the ablation study (Fig. 9). [`engine::BatchEngine`] is the one host
 //! execution path under it: the calling thread plus persistent helpers
-//! claim tasks of a published chunk from one counter, each into its own
+//! claim the jobs of a published chunk from one counter, each into its own
 //! reusable [`kernel::KernelWorkspace`] — whole batches
-//! ([`pipeline::Pipeline::align_batch`]), bounded-memory streams
-//! ([`engine::BatchEngine::align_stream_with`]) and serve requests
-//! ([`engine::BatchEngine::run_tagged`]) alike.
+//! ([`pipeline::Pipeline::align_batch`]) and bounded-memory streams
+//! ([`engine::BatchEngine::align_stream_with`]), whose jobs are warps
+//! planned from the a-priori workloads before any kernel runs, and serve
+//! requests ([`engine::BatchEngine::run_tagged`]), aligned and never
+//! priced.
 
 #![forbid(unsafe_code)]
 
@@ -46,6 +48,6 @@ pub use engine::{
     BatchEngine, ChunkReport, JobMeta, JobOutcome, StreamError, StreamOptions, StreamRun,
     StreamSummary,
 };
-pub use kernel::{run_task, run_task_ws, KernelWorkspace, TaskRun};
+pub use kernel::{align_task_ws, run_task, run_task_ws, HostRun, KernelWorkspace, TaskRun};
 pub use options::AgathaConfig;
 pub use pipeline::{BatchReport, Pipeline};

@@ -1,19 +1,19 @@
-//! End-to-end batch alignment: tasks → kernel runs → warp assignment →
-//! warp simulation → device scheduling → scores + simulated time.
+//! End-to-end batch alignment: tasks → warp plan → warp jobs (kernel runs,
+//! trace walks, warp simulation) → device scheduling → scores + simulated
+//! time.
 //!
-//! [`Pipeline`] is the configuration (scoring, kernel options, device) and
-//! the simulation half of a report; execution lives in
+//! [`Pipeline`] is the configuration (scoring, kernel options, device, host
+//! workers) and the device-scheduling step of a report; execution lives in
 //! [`crate::engine::BatchEngine`], and [`Pipeline::align_batch`] is a
-//! stream of one chunk on a short-lived engine.
+//! stream of one chunk on a short-lived engine of at most one worker per
+//! warp.
 
 use agatha_align::{GuidedResult, Scoring, Task};
 use agatha_gpu_sim::{sched, CostModel, DeviceReport, GpuSpec, KernelStats};
 
-use crate::bucketing::{OrderingStrategy, WarpAssignment};
+use crate::bucketing::OrderingStrategy;
 use crate::engine::BatchEngine;
-use crate::kernel::TaskRun;
 use crate::options::AgathaConfig;
-use crate::warp_sim::simulate_warp;
 
 /// A configured aligner: scoring, kernel options and target device.
 #[derive(Debug, Clone)]
@@ -28,7 +28,9 @@ pub struct Pipeline {
     pub cost: CostModel,
     /// Number of identical GPUs (tasks split evenly; §5.8).
     pub gpus: usize,
-    /// Host threads for the simulation itself (0 = all available).
+    /// The engine's worker count, the calling thread included: the workers
+    /// that run the kernels, walk and price the device traces and simulate
+    /// the warps (0 = all available cores).
     pub host_threads: usize,
 }
 
@@ -91,14 +93,15 @@ impl Pipeline {
 
     /// Align a batch with an explicit ordering strategy (Fig. 11 compares
     /// several on otherwise identical configurations): one chunk on an
-    /// engine of at most one worker per task.
+    /// engine of at most one worker per warp, the unit its workers claim.
     pub fn align_batch_with_strategy(
         &self,
         tasks: &[Task],
         strategy: OrderingStrategy,
     ) -> BatchReport {
+        let warps = tasks.len().div_ceil(self.config.warp_capacity());
         let mut sized = self.clone();
-        sized.host_threads = self.worker_threads().min(tasks.len().max(1));
+        sized.host_threads = self.worker_threads().min(warps.max(1));
         BatchEngine::new(sized).align_chunk(tasks.to_vec(), strategy)
     }
 
@@ -138,30 +141,6 @@ impl Pipeline {
         } else {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         }
-    }
-
-    /// Simulate all warps, returning per-warp cycles (submission order) and
-    /// per-subwarp-slot block accounting, for the engine's chunk packer
-    /// (whose pool may mix a chunk's runs with runs carried over from
-    /// earlier chunks).
-    pub(crate) fn simulate_warps(
-        &self,
-        runs: &[TaskRun],
-        warps: &[WarpAssignment],
-    ) -> (Vec<f64>, Vec<(u64, f64)>) {
-        let mut warp_cycles = Vec::with_capacity(warps.len());
-        let mut subwarp_blocks = Vec::new();
-        for w in warps {
-            let queues: Vec<Vec<&TaskRun>> =
-                w.queues.iter().map(|q| q.iter().map(|&i| &runs[i]).collect()).collect();
-            let outcome = simulate_warp(&queues, &self.config, &self.cost);
-            warp_cycles.push(outcome.cycles);
-            for (s, q) in w.queues.iter().enumerate() {
-                let assigned: u64 = q.iter().map(|&i| runs[i].device_blocks()).sum();
-                subwarp_blocks.push((assigned, outcome.subwarp_blocks[s]));
-            }
-        }
-        (warp_cycles, subwarp_blocks)
     }
 }
 
