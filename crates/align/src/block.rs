@@ -4,10 +4,11 @@
 //! The paper fixes the block at 8×8 (one packed 32-bit word of literals per
 //! block edge), and the simulated device always tiles at it
 //! ([`crate::BLOCK`]). The host's tile is only a speed decision, so this
-//! module parameterizes the whole layer over the block side `B ∈ {8, 16}`
+//! module parameterizes the whole layer over the block side `B ∈ {8, 16, 32}`
 //! so wider vectors have lanes to fill: the 16-wide geometry
 //! ([`crate::MAX_BLOCK`]) runs the i16 wavefront with 16 query rows to a
-//! vector instead of 8. One rule, [`BlockCtx::geometry_for`], picks the side
+//! vector instead of 8, the 32-wide one ([`crate::MAX_STRIP`], row segments
+//! only) with 32 to a zmm. One rule, [`BlockCtx::geometry_for`], picks the side
 //! per task from the backend's lane width and the i16 gate — there is no
 //! flag or plan field for it — and every geometry is bit-identical to the
 //! scalar reference: geometry only changes tiling, never scores.
@@ -40,7 +41,7 @@
 
 use crate::pack::PackedSeq;
 use crate::scoring::Scoring;
-use crate::{BLOCK, MAX_BLOCK, NEG_INF, STAGE_ROWS};
+use crate::{BLOCK, MAX_BLOCK, MAX_STRIP, NEG_INF, STAGE_ROWS};
 
 /// Checked ceiling division for non-negative `i64` geometry math (block
 /// counts, origin rounding). The open-coded `(x + d - 1) / d` form wraps
@@ -86,7 +87,7 @@ pub struct BlockCtx<'a> {
     pub m: i64,
     /// Band half-width (large value = unbanded).
     pub w: i64,
-    /// Block side length (8 or 16). Must agree with the `const B` of every
+    /// Block side length (8, 16 or 32). Must agree with the `const B` of every
     /// staging buffer this ctx is used with; the fills debug-assert it.
     pub b: i64,
     /// Scoring parameters.
@@ -125,7 +126,7 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// Build from task dimensions, scoring and an explicit block side
-    /// `b ∈ {8, 16}`, dispatching to the best detected wavefront backend
+    /// `b ∈ {8, 16, 32}`, dispatching to the best detected wavefront backend
     /// ([`BlockCtx::with_backend`] caps it).
     ///
     /// ## Derivation of the exactness gate
@@ -142,7 +143,8 @@ impl<'a> BlockCtx<'a> {
     /// anti-diagonal until something pins it again: the scalar fill's block
     /// boundary after `2b−1` diagonals, the wavefront's window boundary —
     /// where it re-centres and re-pins every sentinel-class lane — after
-    /// [`STAGE_ROWS`] steps (a single block's `2b−1` fit in one window). So
+    /// [`STAGE_ROWS`] steps (at `b` = 8 and 16 a single block's `2b−1` fit in
+    /// one window; at 32 blocks run only as segments, window by window). So
     /// `drift = step × STAGE_ROWS` bounds both, and sentinel-class values
     /// stay at or below `-S + drift`.
     ///
@@ -208,11 +210,17 @@ impl<'a> BlockCtx<'a> {
     /// the base and the next segment (with a different base) saturates it
     /// again. Absolute scores live in the `i32` carries, the staged bases
     /// and the tracker, so the gate includes the reach bound above — and
-    /// nothing else that depends on `n + m`: the ONT preset needs
-    /// `65 × 12 + 32 × 6 = 972` of the 8,192 at `b = 16`, BLOSUM62
-    /// `65 × 26 + 32 × 11 = 2,042`.
+    /// nothing else that depends on `n + m` ([`BlockCtx::i16_window_sum`] is
+    /// `span + drift`): the ONT preset needs `65 × 12 + 32 × 6 = 972` of the
+    /// 8,192 at `b = 16`, BLOSUM62 `65 × 26 + 32 × 11 = 2,042`; at `b = 32`
+    /// the window sum is `97 × q + 32 × step` — bwa `97 × 12 + 32 × 7 =
+    /// 1,388`, the CLR and ONT presets 1,356, BLOSUM62 `97 × 26 + 32 × 11 =
+    /// 2,874`.
     pub fn with_block_dim(n: usize, m: usize, scoring: &'a Scoring, b: usize) -> BlockCtx<'a> {
-        assert!(b == BLOCK || b == MAX_BLOCK, "unsupported block dim {b}: expected 8 or 16");
+        assert!(
+            b == BLOCK || b == MAX_BLOCK || b == MAX_STRIP,
+            "unsupported block dim {b}: expected 8, 16 or 32"
+        );
         let (ni, mi) = (n as i64, m as i64);
         BlockCtx {
             n: ni,
@@ -229,11 +237,19 @@ impl<'a> BlockCtx<'a> {
     /// The exactness gate of [`BlockCtx::i16_exact`] at block side `b`, as
     /// derived on [`BlockCtx::with_block_dim`].
     fn i16_gate(n: usize, m: usize, scoring: &Scoring, b: usize) -> bool {
-        // Largest scoring increment that can be applied per DP step,
-        // derived from the model's declared substitution bounds (for the
-        // fixed DNA model this reproduces the historical
-        // max(mismatch, ambig, match_score) arm exactly).
-        let step = [
+        let step = BlockCtx::max_step(scoring);
+        let reach = step.saturating_mul(n as i64 + m as i64 + 2);
+        let drift = step.saturating_mul(STAGE_ROWS as i64);
+        let carries_exact = reach < I32_REACH_BOUND && drift < I32_REACH_BOUND;
+        carries_exact && BlockCtx::i16_window_sum(scoring, b) < I16_OFFSET_BOUND
+    }
+
+    /// Largest scoring increment that can be applied per DP step, derived
+    /// from the model's declared substitution bounds (for the fixed DNA
+    /// model this reproduces the historical max(mismatch, ambig,
+    /// match_score) arm exactly).
+    fn max_step(scoring: &Scoring) -> i64 {
+        [
             scoring.gap_open as i64 + scoring.gap_extend as i64,
             scoring.gap_extend as i64,
             scoring.max_score() as i64,
@@ -241,16 +257,21 @@ impl<'a> BlockCtx<'a> {
         ]
         .into_iter()
         .max()
-        .unwrap_or(0);
-        let reach = step.saturating_mul(n as i64 + m as i64 + 2);
-        let drift = step.saturating_mul(STAGE_ROWS as i64);
-        let carries_exact = reach < I32_REACH_BOUND && drift < I32_REACH_BOUND;
+        .unwrap_or(0)
+    }
+
+    /// `span + drift` of the i16 gate at block side `b` (see
+    /// [`BlockCtx::with_block_dim`]): how much of the `2^13` offset range
+    /// ([`I16_OFFSET_BOUND`]) one window of the front may use under
+    /// `scoring`. The gate holds at `b` iff this is below the bound and the
+    /// task's reach fits the `i32` carries.
+    pub fn i16_window_sum(scoring: &Scoring, b: usize) -> i64 {
+        let drift = BlockCtx::max_step(scoring).saturating_mul(STAGE_ROWS as i64);
         let q = scoring.max_score().max(0) as i64
             + scoring.gap_open as i64
             + scoring.gap_extend as i64
             + (-(scoring.min_score() as i64)).max(0);
-        let span = q.saturating_mul((STAGE_ROWS + 2 * b + 1) as i64);
-        carries_exact && span.saturating_add(drift) < I16_OFFSET_BOUND
+        q.saturating_mul((STAGE_ROWS + 2 * b + 1) as i64).saturating_add(drift)
     }
 
     /// Cap the wavefront backend at `choice` (`Auto` leaves the detected
@@ -275,27 +296,34 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// The host block side of an `n × m` task whose wavefront runs on
-    /// `backend`: the one place the 8-vs-16 choice is made (the kernel,
+    /// `backend`: the one place the 8 / 16 / 32 choice is made (the kernel,
     /// `AgathaConfig::{block_dim_for, fill_tier_for}` and the CLI's
-    /// `--verbose` tally all ask it). 16, unless
+    /// `--verbose` tally all ask it).
     ///
-    /// * `backend` is `sse41`, whose 8×i16 vector lanes exist at B=8 only
-    ///   (at B=16 it would run the array lanes, 2.2–2.4× slower), or
-    /// * the task's i16 gate holds at 8 but not at 16 (16-wide windows
-    ///   spread real values further; see [`BlockCtx::with_block_dim`]): at
-    ///   8 it keeps the wavefront, at 16 it would demote to the scalar fill.
+    /// * 32 on `avx512` when the task's i16 gate holds at 32: one zmm of 32
+    ///   query rows per step, twice the cells of the 16-lane strip on the
+    ///   same per-step dependency chain.
+    /// * 8 on `sse41`, whose 8×i16 vector lanes exist at B=8 only (at B=16
+    ///   it would run the array lanes, 2.2–2.4× slower), and for a task whose
+    ///   i16 gate holds at 8 but not at 16 (wider windows spread real values
+    ///   further; see [`BlockCtx::with_block_dim`]): at 8 it keeps the
+    ///   wavefront, at 16 it would demote to the scalar fill.
+    /// * 16 otherwise. AVX2 has a 16×i16 kernel (which AVX-512 runs too),
+    ///   and the `portable` array lanes autovectorise to two 128-bit ops per
+    ///   step over twice the cells.
     ///
-    /// AVX2 and AVX-512 have 16×i16 kernels, and the `portable` array lanes
-    /// autovectorise to two 128-bit ops per step over twice the cells. The
-    /// simulated device tiles at 8×8 whatever this returns.
+    /// The simulated device tiles at 8×8 whatever this returns.
     pub fn geometry_for(
         n: usize,
         m: usize,
         scoring: &Scoring,
         backend: crate::simd::WavefrontBackend,
     ) -> usize {
+        use crate::simd::WavefrontBackend::{Avx512, Sse41};
         let gate = |b| BlockCtx::i16_gate(n, m, scoring, b);
-        if backend == crate::simd::WavefrontBackend::Sse41 || (!gate(MAX_BLOCK) && gate(BLOCK)) {
+        if backend == Avx512 && gate(MAX_STRIP) {
+            MAX_STRIP
+        } else if backend == Sse41 || (!gate(MAX_BLOCK) && gate(BLOCK)) {
             BLOCK
         } else {
             MAX_BLOCK
@@ -411,13 +439,15 @@ impl StripLanes {
         (lo, hi)
     }
 
-    /// The valid lanes of step `d` as a bit run (`0` when empty).
+    /// The valid lanes of step `d` as a bit run (`0` when empty). A
+    /// non-empty run has `0 ≤ lo ≤ hi ≤ B−1 ≤ 31`, so both shifts stay
+    /// inside the word, up to lane 31 of the 32-lane strip.
     #[inline(always)]
-    pub(crate) fn mask(&self, d: i32) -> u16 {
+    pub(crate) fn mask(&self, d: i32) -> u32 {
         let (lo, hi) = self.range(d);
-        let run = 1u32.wrapping_shl((hi + 1) as u32).wrapping_sub(1u32.wrapping_shl(lo as u32));
+        let run = u32::MAX.wrapping_shr((31 - hi) as u32) & u32::MAX.wrapping_shl(lo as u32);
         if lo <= hi {
-            run as u16
+            run
         } else {
             0
         }
@@ -479,20 +509,23 @@ impl CellValue for i16 {
 /// its consumers consult `mask`.
 ///
 /// Each row is exactly `[T; B]`, so the hot row stride of the default
-/// geometry is unchanged (32 bytes for `i32×8`).
+/// geometry is unchanged (32 bytes for `i32×8`). The rows come first in a
+/// cache-line-aligned buffer, so a row of the 32-lane strip (one zmm) is
+/// one line, and no narrower row straddles two.
 #[derive(Debug, Clone)]
+#[repr(C, align(64))]
 pub struct BlockCellsT<T, const B: usize> {
+    /// Masked `H` values, anti-diagonal-major.
+    pub h: [[T; B]; STAGE_ROWS],
     i0: i32,
     j0: i32,
     /// What the staged values are offsets from: score = `h[d][l] + base` on
     /// valid lanes. The rebased i16 fill sets it per staged window; the scalar
     /// fill stages absolute scores and leaves it 0.
     pub base: i32,
-    /// Masked `H` values, anti-diagonal-major.
-    pub h: [[T; B]; STAGE_ROWS],
     /// Valid-cell bitmask per staged anti-diagonal (bit `l` = lane `l`);
     /// zero on the rows past the staged ones.
-    pub mask: [u16; STAGE_ROWS],
+    pub mask: [u32; STAGE_ROWS],
     /// The backend whose lanes staged this block, stamped by the i16 fill so
     /// that [`crate::diag::DiagTracker::on_block_i16`] folds on the same
     /// lanes by construction. Like [`BlockCtx::wavefront_backend`], which it
@@ -712,6 +745,7 @@ pub fn compute_block_i16<const B: usize>(
     north_f: &mut BoundaryT<B>,
     cells: &mut BlockCellsT<i16, B>,
 ) {
+    const { assert!(B <= MAX_BLOCK, "a single block's diagonals fit one window") };
     assert!(
         ctx.i16_exact,
         "compute_block_i16 dispatched without the i16 exactness gate; \
@@ -906,12 +940,14 @@ mod tests {
         assert!(got.same_alignment(&want), "\nblock: {got:?}\nscalar: {want:?}");
         assert_eq!(got.cells, want.cells, "reference cell counts must agree");
         assert_eq!(got.antidiags, want.antidiags);
-        // The wide geometry covers the table with a different tiling but
+        // The wide geometries cover the table with a different tiling but
         // must land on the same guided result.
-        let wide = block_grid_align_b::<MAX_BLOCK>(&r, &q, scoring);
-        assert!(wide.same_alignment(&want), "\nwide block: {wide:?}\nscalar: {want:?}");
-        assert_eq!(wide.cells, want.cells);
-        assert_eq!(wide.antidiags, want.antidiags);
+        for wide in [block_grid_align_b::<MAX_BLOCK>, block_grid_align_b::<MAX_STRIP>] {
+            let wide = wide(&r, &q, scoring);
+            assert!(wide.same_alignment(&want), "\nwide block: {wide:?}\nscalar: {want:?}");
+            assert_eq!(wide.cells, want.cells);
+            assert_eq!(wide.antidiags, want.antidiags);
+        }
     }
 
     #[test]
@@ -1026,7 +1062,7 @@ mod tests {
         // 49·26 + 32·11 = 1626 at B=8 and 65·26 + 32·11 = 2042 at B=16 —
         // i16-exact at any length the carries' reach admits.
         let sc = Scoring::preset_blosum62();
-        for b in [BLOCK, MAX_BLOCK] {
+        for b in [BLOCK, MAX_BLOCK, MAX_STRIP] {
             for (n, m) in [(250, 250), (400, 400), (30_000, 30_000)] {
                 let ctx = BlockCtx::with_block_dim(n, m, &sc, b);
                 assert!(ctx.i16_exact, "b={b} {n}×{m}");
@@ -1047,10 +1083,10 @@ mod tests {
 
     #[test]
     fn drift_gate_only_bites_tiny_tasks_under_extreme_scoring() {
-        // Ordinary scoring: the gate holds at both geometries, however long
+        // Ordinary scoring: the gate holds at every geometry, however long
         // the task is.
         let sc = Scoring::preset_bwa();
-        for b in [BLOCK, MAX_BLOCK] {
+        for b in [BLOCK, MAX_BLOCK, MAX_STRIP] {
             for len in [250, 25_000] {
                 let ctx = BlockCtx::with_block_dim(len, len, &sc, b);
                 assert!(ctx.i16_exact, "b={b} len={len}");
@@ -1081,20 +1117,36 @@ mod tests {
         let window = Scoring::new(80, 4, 4, 2, Scoring::NO_ZDROP, Scoring::NO_BAND);
         assert!(BlockCtx::i16_gate(240, 240, &window, BLOCK));
         assert!(!BlockCtx::i16_gate(240, 240, &window, MAX_BLOCK));
+        // Match 50, gaps 4+2: 65·60 + 32·50 = 5,500 at B=16 and 97·60 +
+        // 1,600 = 7,420 at B=32 — inside both; match 64 (97·74 + 2,048 =
+        // 9,226) only at 16.
+        let strip = Scoring::new(50, 4, 4, 2, Scoring::NO_ZDROP, Scoring::NO_BAND);
+        let no_strip = Scoring::new(64, 4, 4, 2, Scoring::NO_ZDROP, Scoring::NO_BAND);
+        assert!(BlockCtx::i16_gate(240, 240, &strip, MAX_STRIP));
+        assert!(BlockCtx::i16_gate(240, 240, &no_strip, MAX_BLOCK));
+        assert!(!BlockCtx::i16_gate(240, 240, &no_strip, MAX_STRIP));
         let hot = Scoring::new(1 << 12, 4, 6, 1, Scoring::NO_ZDROP, Scoring::NO_BAND);
         // The backend is an argument, so the rule is checked for every level
         // whatever this host detects.
         for backend in [Avx512, Avx2, Sse41, Portable] {
             let pick = |n, m, sc: &Scoring| BlockCtx::geometry_for(n, m, sc, backend);
-            // `sse41`'s vector lanes are 8 wide; every other backend has a
+            // `sse41`'s vector lanes are 8 wide, `avx512`'s zmm strip is 32
+            // wide wherever the gate holds at 32; every other backend has a
             // 16-lane wavefront, whatever the task's shape.
-            let wide = if backend == Sse41 { BLOCK } else { MAX_BLOCK };
-            assert_eq!(pick(240, 240, &bwa), wide);
-            assert_eq!(pick(16, 16, &bwa), wide);
-            assert_eq!(pick(240, 240, &bwa.with_band(4)), wide);
+            let (wide, widest) = match backend {
+                Sse41 => (BLOCK, BLOCK),
+                Avx512 => (MAX_BLOCK, MAX_STRIP),
+                _ => (MAX_BLOCK, MAX_BLOCK),
+            };
+            assert_eq!(pick(240, 240, &bwa), widest);
+            assert_eq!(pick(16, 16, &bwa), widest);
+            assert_eq!(pick(240, 240, &bwa.with_band(4)), widest);
+            assert_eq!(pick(240, 240, &strip), widest);
+            // A task inside the gate at 16 but not at 32 keeps the 16 strip.
+            assert_eq!(pick(240, 240, &no_strip), wide);
             // Only 8×8 keeps the gate-window task on the i16 wavefront.
             assert_eq!(pick(240, 240, &window), BLOCK);
-            // Outside the gate at both sides, no tile keeps it: scalar at
+            // Outside the gate at every side, no tile keeps it: scalar at
             // the usual side.
             assert_eq!(pick(240, 240, &hot), wide);
         }
@@ -1121,7 +1173,7 @@ mod tests {
     fn lane_range_agrees_with_valid() {
         // Brute-force cross-check of the closed-form lane intervals against
         // per-cell validity, over assorted strip origins and lengths, bands
-        // and both geometries: lane `l` of step `t` is the cell
+        // and every geometry: lane `l` of step `t` is the cell
         // `(i0 − (b−1) + t + l, j0 + b−1 − l)`.
         let cases = [
             (64usize, 32usize, 4i32),
@@ -1131,7 +1183,7 @@ mod tests {
             (8, 8, 1),
             (33, 47, 11),
         ];
-        for b in [BLOCK, MAX_BLOCK] {
+        for b in [BLOCK, MAX_BLOCK, MAX_STRIP] {
             for (n, m, w) in cases {
                 let sc = Scoring::new(1, 1, 1, 1, Scoring::NO_ZDROP, w);
                 let ctx = BlockCtx::with_block_dim(n, m, &sc, b);
@@ -1142,7 +1194,7 @@ mod tests {
                             let (i0, j0, cols) = (bi_from * bi, bj * bi, blocks as usize * b);
                             let (full_from, full_to) = ctx.full_steps(i0, cols, j0);
                             for t in 0..cols + b - 1 {
-                                let mut want = 0u16;
+                                let mut want = 0u32;
                                 for l in 0..bi {
                                     let (i, j) = (i0 - (bi - 1) + t as i64 + l, j0 + bi - 1 - l);
                                     if (i0..i0 + cols as i64).contains(&i) && ctx.valid(i, j) {
@@ -1153,12 +1205,12 @@ mod tests {
                                 assert_eq!(
                                     got, want,
                                     "b={b} n={n} m={m} w={w} strip ({i0},{j0})×{cols} step {t}: \
-                                     lane range {got:#018b} vs per-cell {want:#018b}"
+                                     lane range {got:#034b} vs per-cell {want:#034b}"
                                 );
                                 // The full-vector run agrees with all-valid.
                                 assert_eq!(
                                     (full_from..full_to).contains(&t),
-                                    want == ((1u32 << b) - 1) as u16,
+                                    want == u32::MAX >> (32 - b),
                                     "b={b} ({i0},{j0})×{cols} w={w} step {t}"
                                 );
                             }

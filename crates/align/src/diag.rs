@@ -88,8 +88,8 @@ fn window<T>(v: &mut [T], c0: usize) -> &mut [T; WINDOW] {
 }
 
 /// Step 3 of [`DiagTracker::fold_block`], a function of its own so that the
-/// three windows are known not to alias: row `d`'s `words` (one per half)
-/// become a candidate `(base + 0x7FFF − y, i0 − (B−1) + d + lane)`, merged
+/// three windows are known not to alias: row `d`'s key `(y << 5) | lane`
+/// becomes a candidate `(base + 0x7FFF − y, i0 − (B−1) + d + lane)`, merged
 /// into `score[d]` / `best_i[d]` where bit `d` of `live` is set; `seen[d]`
 /// gains the popcount of the row's mask on the same rows.
 #[inline(always)]
@@ -97,7 +97,7 @@ fn merge_window<const B: usize>(
     seen: &mut [u32; WINDOW],
     score: &mut [i32; WINDOW],
     best_i: &mut [i32; WINDOW],
-    words: &[[u32; WINDOW]; 2],
+    keys: &[u32; WINDOW],
     live: u32,
     cells: &BlockCellsT<i16, B>,
 ) {
@@ -109,10 +109,8 @@ fn merge_window<const B: usize>(
     for (count, m) in counts.iter_mut().zip(cells.mask) {
         *count = m.count_ones();
     }
-    for d in 0..WINDOW {
-        let key = |w: u32, half: u32| (w & 0xFFFF) << 4 | half << 3 | w >> 16;
-        let k = key(words[0][d], 0).min(key(words[1][d], 1));
-        let (h, i) = (top - (k >> 4) as i32, lane0 + d as i32 + (k & 15) as i32);
+    for (d, &k) in keys.iter().enumerate() {
+        let (h, i) = (top - (k >> 5) as i32, lane0 + d as i32 + (k & 31) as i32);
         // All-ones lane masks, blended by hand: an `if` here may come back
         // as a branch per diagonal at the levels without masked stores.
         let live = -((live >> d & 1) as i32);
@@ -193,10 +191,10 @@ impl DiagTracker {
     /// the argmax lane — a wrong band mask whose extra cell scores below the
     /// diagonal max would otherwise slip past debug builds.
     #[inline(always)]
-    fn debug_check_row(&self, i0: i32, c: usize, m: u16) {
+    fn debug_check_row(&self, i0: i32, c: usize, m: u32) {
         debug_assert!(c < self.total, "block diagonal {c} outside table");
-        let (lo, hi) = (m.trailing_zeros(), 15 - m.leading_zeros());
-        debug_assert_eq!(m, ((1u32 << (hi + 1)) - (1 << lo)) as u16, "mask must be a run");
+        let (lo, hi) = (m.trailing_zeros(), 31 - m.leading_zeros());
+        debug_assert_eq!(m, ((1u64 << (hi + 1)) - (1 << lo)) as u32, "mask must be a run");
         for i in i64::from(i0) + i64::from(lo)..=i64::from(i0) + i64::from(hi) {
             let j = c as i64 - i;
             debug_assert!(
@@ -234,10 +232,10 @@ impl DiagTracker {
             }
             self.debug_check_row(lane0 + d as i32, c, m);
             self.seen[c] += m.count_ones();
-            // The uniform `15 − lz` works for both geometries: a B=8 mask
-            // only occupies the low byte, so its leading_zeros are ≥ 8.
+            // The uniform `31 − lz` works for every geometry: a narrower
+            // mask only occupies the low bits, so its leading_zeros are more.
             let lo = m.trailing_zeros() as usize;
-            let hi = 15 - m.leading_zeros() as usize;
+            let hi = 31 - m.leading_zeros() as usize;
             let row = &cells.h[d];
             let (mut best, mut best_l) = (row[lo], lo);
             for (l, &h) in row[..=hi].iter().enumerate().skip(lo + 1) {
@@ -257,7 +255,8 @@ impl DiagTracker {
     }
 
     /// [`DiagTracker::on_block`] for the i16 wavefront: folds a 16-bit
-    /// staging buffer of either geometry, whose valid lanes hold offsets
+    /// staging buffer of a single block (`B ≤` [`crate::MAX_BLOCK`], whose
+    /// `2B−1` diagonals fit one window), whose valid lanes hold offsets
     /// from the buffer's `base`, on the lanes of the backend that staged it
     /// ([`crate::simd::fold_wavefront_i16`]). Offset plus base is
     /// bit-identical to the scalar fill's value under the `i16_exact` gate,
@@ -282,20 +281,18 @@ impl DiagTracker {
     ///
     /// 1. *Live rows* — non-empty mask, not run-ahead past a finalized
     ///    diagonal — as one bit per staged row.
-    /// 2. *Row reduce*: [`Lanes::minpos8`] over each 8-lane half of every
-    ///    row. Masked lanes hold
+    /// 2. *Row reduce*: [`Lanes::max_keys`] — per row, the maximum `H` at
+    ///    its smallest lane, as one ordered key. Masked lanes hold
     ///    [`crate::simd::NEG_INF16`], whose order-reversed `y` is strictly
     ///    above every real lane's, so they never win and no `lo..=hi` is
     ///    needed; the argmax is offset-invariant, so the base joins when a
-    ///    word is decoded.
+    ///    key is decoded.
     /// 3. *Merge*, as plain lane-array code over the `WINDOW` anti-diagonals
     ///    from `c0` — the staged rows hit `local_score` / `local_i` / `seen`
-    ///    contiguously: each word becomes the key
-    ///    `(y << 4) | (half << 3) | lane`, whose numeric minimum across
-    ///    halves is the maximum `H` at its smallest `i`; the decoded
-    ///    candidate replaces the carried maximum under the canonical (score
-    ///    desc, `i` asc) order; `seen` gains the mask's popcount. All
-    ///    branch-free and gated per lane on the live bit — the merge of
+    ///    contiguously: each key decodes to a candidate, which replaces the
+    ///    carried maximum under the canonical (score desc, `i` asc) order;
+    ///    `seen` gains the mask's popcount. All branch-free and gated per
+    ///    lane on the live bit — the merge of
     ///    [`DiagTracker::on_block`] is a data-dependent branch per diagonal,
     ///    mispredicted whenever a block does or does not improve on the
     ///    carried maximum, i.e. constantly. Dead lanes (empty, run-ahead,
@@ -311,11 +308,14 @@ impl DiagTracker {
     ) {
         crate::simd::debug_range_sentinel(cells);
         let c0 = cells.i0() as usize + cells.j0() as usize;
-        let skip = self.next.saturating_sub(c0);
+        // (A fixed trip count, the run-ahead rows cut off after: the loop
+        // compiles to one vector compare.)
         let mut live = 0u32;
-        for (d, &m) in cells.mask.iter().enumerate().skip(skip) {
+        for (d, &m) in cells.mask.iter().enumerate() {
             live |= u32::from(m != 0) << d;
         }
+        let skip = u32::try_from(self.next.saturating_sub(c0)).ok();
+        live &= skip.and_then(|skip| u32::MAX.checked_shl(skip)).unwrap_or(0);
         if live == 0 {
             return;
         }
@@ -329,21 +329,14 @@ impl DiagTracker {
         }
 
         // Every row, live or not — a fixed trip count costs less than finding
-        // the live span, and the merge drops the words of dead rows.
-        // `u32::MAX` — no candidate, the missing half at B = 8 — decodes to a
-        // key no real lane exceeds.
-        let mut words = [[u32::MAX; WINDOW]; 2];
-        for (d, row) in cells.h.iter().enumerate() {
-            for (half, words) in row.as_chunks().0.iter().zip(&mut words) {
-                words[d] = lanes.minpos8(half);
-            }
-        }
+        // the live span, and the merge drops the keys of dead rows.
+        let keys = lanes.max_keys(&cells.h);
 
         merge_window::<B>(
             window(&mut self.seen, c0),
             window(&mut self.local_score, c0),
             window(&mut self.local_i, c0),
-            &words,
+            &keys,
             live,
             cells,
         );

@@ -71,18 +71,28 @@ pub const NEG_INF: i32 = i32::MIN / 2;
 /// The paper packs 8 literals per 32-bit word (4 bits each) and configures
 /// the score table "in units of blocks comprising 8×8 cells, which forms the
 /// smallest unit for workload distribution" (§2.2). The block layer is
-/// parameterized over the side (`B ∈ {8, 16}`, see [`MAX_BLOCK`]); this is
-/// the paper's geometry and the default.
+/// parameterized over the side (`B ∈ {8, 16, 32}`, see [`MAX_BLOCK`] and
+/// [`MAX_STRIP`]); this is the paper's geometry and the default.
 pub const BLOCK: usize = 8;
 
-/// Widest supported block side: the 16×16 geometry whose block
-/// anti-diagonals fill all 16 lanes of an AVX2 i16 vector (the 8×8 geometry
-/// leaves half of them empty in the narrow tier).
+/// Widest block side a *single* block runs at: the 16×16 geometry whose
+/// block anti-diagonals fill all 16 lanes of an AVX2 i16 vector, and whose
+/// `2B−1 = 31` anti-diagonals fit one staging window — so the per-block
+/// entry points (`compute_block_i16`, `on_block_i16`) take `B ≤ MAX_BLOCK`.
 pub const MAX_BLOCK: usize = 16;
 
+/// Widest row strip: the 32-lane geometry, one AVX-512 zmm of i16 lanes per
+/// anti-diagonal. A 32×32 block has 63 anti-diagonals, more than one staging
+/// window, so this side runs only as whole row segments
+/// ([`sweep::Sweep::segment`]), which stage and fold window by window. Per-row
+/// storage (row carries, profile pad slots, the fill's window scratch) is
+/// sized for it.
+pub const MAX_STRIP: usize = 32;
+
 /// Anti-diagonals one staging buffer holds, at every `B`: a single block's
-/// `2B−1` (31 at the widest geometry; stable Rust cannot express
+/// `2B−1` at `B ≤` [`MAX_BLOCK`] (31 at 16; stable Rust cannot express
 /// `[[T; B]; 2*B-1]`), or one window of a row segment's wavefront — which
 /// folds, and re-centres its `i16` base, once per this many steps (see
-/// [`simd`]).
-pub const STAGE_ROWS: usize = 2 * MAX_BLOCK;
+/// [`simd`]). Fixed, not derived from the widest strip: the i16 gate's window
+/// sum grows with it at every geometry.
+pub const STAGE_ROWS: usize = 32;

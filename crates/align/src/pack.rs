@@ -247,7 +247,7 @@ impl PackedSeq {
     }
 
     /// Unpack `B` consecutive base codes starting at `start` into `out`
-    /// (one block edge of either geometry), clamping out-of-range positions
+    /// (one block edge of any geometry), clamping out-of-range positions
     /// to the pad code (`N` for DNA). This mirrors how a GPU thread expands
     /// packed words into registers when entering a block.
     #[inline]

@@ -10,14 +10,14 @@
 //! ([`QueryProfile::strip`]) — instead of `B` two-level
 //! `scores[x * dim + y]` gathers.
 //!
-//! Rows carry [`crate::MAX_BLOCK`] tail slots holding `S(c, pad)` so a block
-//! row whose query span hangs past the sequence end still reads the same
+//! Rows carry [`crate::MAX_STRIP`] tail slots holding `S(c, pad)` so a block
+//! row of any geometry whose query span hangs past the sequence end still reads the same
 //! scores the direct lookup produces for pad codes — the profile path is
 //! bit-identical to the lookup path by construction.
 
 use crate::pack::PackedSeq;
 use crate::scoring::{Scoring, SubstMatrix};
-use crate::MAX_BLOCK;
+use crate::MAX_STRIP;
 
 /// Precomputed `S(c, Q[j])` rows for one (matrix, query) pair, reusable
 /// across tasks like the kernel workspace that owns it.
@@ -27,7 +27,7 @@ pub struct QueryProfile {
     /// *descending* in `j` — the wavefront's lanes are a block row's query
     /// rows bottom-up, so a strip reads a row slice as it lies.
     rows: Vec<i16>,
-    /// Row length: query length + [`MAX_BLOCK`] pad slots.
+    /// Row length: query length + [`MAX_STRIP`] pad slots.
     stride: usize,
     /// Alphabet size of the matrix the rows were built for.
     dim: usize,
@@ -57,7 +57,7 @@ impl QueryProfile {
         self.matrix = Some(m);
         self.dim = m.dim;
         self.query_len = query.len();
-        self.stride = query.len() + MAX_BLOCK;
+        self.stride = query.len() + MAX_STRIP;
         // Row-major: one decode of the query, clamped like
         // `SubstMatrix::score`, then each row swept along it, last query
         // position first, from its residue's matrix row.
@@ -66,7 +66,7 @@ impl QueryProfile {
         self.codes.extend(query.codes().take(self.query_len).map(|qc| usize::from(qc).min(pad)));
         self.rows.clear();
         for scores in m.scores.chunks_exact(m.dim) {
-            self.rows.extend(std::iter::repeat_n(i16::from(scores[pad]), MAX_BLOCK));
+            self.rows.extend(std::iter::repeat_n(i16::from(scores[pad]), MAX_STRIP));
             self.rows.extend(self.codes.iter().rev().map(|&qc| i16::from(scores[qc])));
         }
     }
@@ -94,7 +94,7 @@ impl QueryProfile {
 mod tests {
     use super::*;
     use crate::scoring::BLOSUM62;
-    use crate::BLOCK;
+    use crate::{BLOCK, MAX_BLOCK};
 
     #[test]
     fn rows_match_direct_lookup() {
@@ -105,15 +105,19 @@ mod tests {
         p.prepare(&q, &sc);
         assert!(p.covers(&BLOSUM62, q.len()));
         for c in 0..BLOSUM62.dim as u8 {
-            for j0 in (0..q.len()).step_by(MAX_BLOCK) {
-                for (l, &slot) in p.strip::<MAX_BLOCK>(c, j0).iter().enumerate() {
-                    let j = j0 + MAX_BLOCK - 1 - l;
+            for j0 in (0..q.len()).step_by(MAX_STRIP) {
+                for (l, &slot) in p.strip::<MAX_STRIP>(c, j0).iter().enumerate() {
+                    let j = j0 + MAX_STRIP - 1 - l;
                     // Past the query end a strip scores like the pad residue.
                     let qc = if j < q.len() { q.code(j) } else { BLOSUM62.pad_code() };
                     assert_eq!(i32::from(slot), BLOSUM62.score(c, qc), "c={c} j={j}");
                 }
             }
             assert_eq!(p.strip::<BLOCK>(c, 8), p.strip::<MAX_BLOCK>(c, 0).first_chunk().unwrap());
+            assert_eq!(
+                p.strip::<MAX_BLOCK>(c, 16),
+                p.strip::<MAX_STRIP>(c, 0).first_chunk().unwrap()
+            );
         }
         // Out-of-alphabet row requests clamp exactly like SubstMatrix::score.
         assert_eq!(p.strip::<BLOCK>(200, 16), p.strip::<BLOCK>(BLOSUM62.pad_code(), 16));

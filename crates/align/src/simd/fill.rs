@@ -5,7 +5,7 @@ use super::lanes::{delta, each_lane, rebase, ring_base, unbase, Lanes};
 use super::{NEG_INF16, SENTINEL_BAND16};
 use crate::block::{BlockCellsT, BlockCtx, BoundaryT};
 use crate::diag::DiagTracker;
-use crate::{MAX_BLOCK, STAGE_ROWS};
+use crate::{MAX_STRIP, STAGE_ROWS};
 
 /// One segment's inputs and in/out state — `cols = north_h.len()` reference
 /// positions (whole blocks) from `i0` of the block row at `j0` — bundled so
@@ -69,7 +69,7 @@ impl<'a, const B: usize> SegmentIo<'a, B> {
 /// `unpack_block`'s pad-clamped `qcodes` do. Laid out one position per row,
 /// they are the window unskewed: lane `l` is moved up by `l` rows one binary
 /// digit of `l` at a time, a constant-mask blend per row and digit (the
-/// first on the way in).
+/// lowest and the highest on the way in) — five digits at 32 lanes.
 #[inline(always)]
 fn matrix_sub_rows<L: Lanes<B>, const B: usize>(
     lanes: L,
@@ -78,7 +78,7 @@ fn matrix_sub_rows<L: Lanes<B>, const B: usize>(
     j0: i64,
     rcodes: &[i16],
     qcodes: &[u8; B],
-    out: &mut [[i16; B]; STAGE_ROWS + MAX_BLOCK],
+    out: &mut [[i16; B]; STAGE_ROWS + MAX_STRIP],
 ) {
     let profile = ctx.profile.filter(|p| p.covers(m, ctx.m as usize));
     let scores = |rc: i16| match profile {
@@ -86,15 +86,25 @@ fn matrix_sub_rows<L: Lanes<B>, const B: usize>(
         None => lanes.load(&each_lane(|l| m.score(rc as u8, qcodes[B - 1 - l]) as i16)),
     };
     // The lanes whose index has binary digit `k` set.
-    let digit_set = |k: usize| lanes.mask_from_bits([0xAAAA, 0xCCCC, 0xF0F0, 0xFF00][k]);
-    let mut below = scores(rcodes[0]);
-    for (row, &rc) in out.iter_mut().zip(&rcodes[1..]) {
-        let above = scores(rc);
-        lanes.store(row, lanes.select(digit_set(0), above, below));
-        below = above;
+    let digit_set = |k: usize| {
+        lanes.mask_from_bits([0xAAAA_AAAA, 0xCCCC_CCCC, 0xF0F0_F0F0, 0xFF00_FF00, 0xFFFF_0000][k])
+    };
+    // The lowest and the highest digit on the way in, from a sliding pair
+    // of profile rows each; then the rest, the widest first: each later pass
+    // reads fewer rows ahead, so each pass only moves the rows the passes
+    // after it read — those of the window's `len` steps at the last.
+    let (top, half) = (B.ilog2() as usize - 1, B / 2);
+    let len = rcodes.len() + 1 - B;
+    let (mut lo, mut hi) = (scores(rcodes[0]), scores(rcodes[half]));
+    for (x, row) in out[..len + half - 2].iter_mut().enumerate() {
+        let (lo_up, hi_up) = (scores(rcodes[x + 1]), scores(rcodes[x + half + 1]));
+        let (lo_v, hi_v) =
+            (lanes.select(digit_set(0), lo_up, lo), lanes.select(digit_set(0), hi_up, hi));
+        lanes.store(row, lanes.select(digit_set(top), hi_v, lo_v));
+        (lo, hi) = (lo_up, hi_up);
     }
-    for k in 1..B.ilog2() as usize {
-        for x in 0..(rcodes.len() - 1).saturating_sub(1 << k) {
+    for k in (1..top).rev() {
+        for x in 0..len + (1 << k) - 2 {
             let v = lanes.select(digit_set(k), lanes.load(&out[x + (1 << k)]), lanes.load(&out[x]));
             lanes.store(&mut out[x], v);
         }
@@ -141,14 +151,14 @@ pub(crate) fn fill_segment<L: Lanes<B>, const B: usize>(
     let v_mis = lanes.splat(delta(-f_mis));
     let v_amb = lanes.splat(delta(-f_amb));
     let v_acgt_max = lanes.splat(delta(i32::from(crate::Base::N.code()) - 1));
-    let matrix = sc.model.matrix();
-    let mut sub_rows = [[0i16; B]; STAGE_ROWS + MAX_BLOCK];
+    // (Only a matrix model has per-step rows to fill.)
+    let mut sub_rows = sc.model.matrix().map(|m| (m, [[0i16; B]; STAGE_ROWS + MAX_STRIP]));
     let neg_inf = lanes.splat(NEG_INF16);
     let band = lanes.splat(SENTINEL_BAND16);
     // Lane `l` is query row `j0 + B−1 − l`: its code is fixed, the reference
     // slides past.
     let q_vec = lanes.load(&each_lane(|l| delta(i32::from(qcodes[B - 1 - l]))));
-    let full: u16 = ((1u32 << B) - 1) as u16;
+    let full = u32::MAX >> (32 - B);
     let (full_from, full_to) = ctx.full_steps(i0, cols, j0);
 
     // The front runs on offsets from `base`, a real `H` near it (the
@@ -174,12 +184,8 @@ pub(crate) fn fill_segment<L: Lanes<B>, const B: usize>(
             // (two, so that a band of one diagonal still has one): masked
             // lanes hold `NEG_INF16` and lose the reduce. Sentinel-class
             // lanes are re-pinned, so they never drift with the base.
-            let mut y = u32::MAX;
-            for row in &cells.h[STAGE_ROWS - 2..] {
-                for half in row.as_chunks().0 {
-                    y = y.min(lanes.minpos8(half) & 0xFFFF);
-                }
-            }
+            let keys = lanes.max_keys::<2>(cells.h.last_chunk().expect("two staged rows"));
+            let y = keys[0].min(keys[1]) >> 5;
             let x = (i16::MAX as u16).wrapping_sub(y as u16) as i16;
             if x > SENTINEL_BAND16 {
                 base += i32::from(x);
@@ -194,8 +200,8 @@ pub(crate) fn fill_segment<L: Lanes<B>, const B: usize>(
 
         // The north row streams in at the top lane, one value per step; past
         // the segment's columns the top lane is done and reads nothing.
-        let mut nh = [NEG_INF16; STAGE_ROWS + MAX_BLOCK];
-        let mut nf = [NEG_INF16; STAGE_ROWS + MAX_BLOCK];
+        let mut nh = [NEG_INF16; STAGE_ROWS + MAX_STRIP];
+        let mut nf = [NEG_INF16; STAGE_ROWS + MAX_STRIP];
         let span = t0.min(cols)..(t0 + len).min(cols);
         let blocks = north_h[span.clone()].as_chunks::<B>().0.iter();
         for (k, (h, f)) in blocks.zip(north_f[span].as_chunks::<B>().0).enumerate() {
@@ -214,8 +220,8 @@ pub(crate) fn fill_segment<L: Lanes<B>, const B: usize>(
         }
         // Lane `l` of step `d` reads `codes[d + l]`.
         let codes = &rcodes[t0..t0 + len + B - 1];
-        if let Some(m) = matrix {
-            matrix_sub_rows(lanes, ctx, m, j0, codes, qcodes, &mut sub_rows);
+        if let Some((m, rows)) = &mut sub_rows {
+            matrix_sub_rows(lanes, ctx, m, j0, codes, qcodes, rows);
         }
 
         // The bottom lane's H and F, step by step: the south boundary.
@@ -229,8 +235,8 @@ pub(crate) fn fill_segment<L: Lanes<B>, const B: usize>(
 
             // Substitution: matrix rows when present, else the fixed model
             // (ambiguous beats match beats mismatch).
-            let sub = if matrix.is_some() {
-                lanes.load(&sub_rows[d])
+            let sub = if let Some((_, rows)) = &sub_rows {
+                lanes.load(&rows[d])
             } else {
                 let r_vec = lanes.load(codes[d..].first_chunk().expect("codes cover the ramp"));
                 let eq = lanes.cmp_eq(r_vec, q_vec);
@@ -251,13 +257,19 @@ pub(crate) fn fill_segment<L: Lanes<B>, const B: usize>(
                 // its in-band neighbour — except on the lanes outside the
                 // segment's columns, which hold.
                 let t = t0 + d;
-                let before = (1u32 << (B - 1).saturating_sub(t)) - 1;
-                let after = !0u32 << (steps - t).min(B);
-                let hold = lanes.mask_from_bits((before | after) as u16 & full);
+                // (In u64: at 32 lanes a shift by the full width is one.)
+                let before = (1u64 << (B - 1).saturating_sub(t)) - 1;
+                let after = !0u64 << (steps - t).min(B);
+                let hold = (before | after) as u32 & full;
                 let m = lanes.mask_from_bits(bits);
-                let h_m = lanes.select(m, h, neg_inf);
-                h_prev = lanes.select(hold, h_prev, h_m);
-                e_prev = lanes.select(hold, e_prev, lanes.select(m, e, neg_inf));
+                let (h_m, e_m) = (lanes.select(m, h, neg_inf), lanes.select(m, e, neg_inf));
+                if hold == 0 {
+                    (h_prev, e_prev) = (h_m, e_m);
+                } else {
+                    let hold = lanes.mask_from_bits(hold);
+                    h_prev = lanes.select(hold, h_prev, h_m);
+                    e_prev = lanes.select(hold, e_prev, e_m);
+                }
                 (h_m, lanes.select(m, f, neg_inf))
             };
             f_prev = f_m;

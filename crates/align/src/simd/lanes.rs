@@ -83,7 +83,7 @@ pub(crate) trait Lanes<const B: usize>: Copy {
     fn cmp_eq(self, a: Self::V, b: Self::V) -> Self::M;
     fn cmp_gt(self, a: Self::V, b: Self::V) -> Self::M;
     /// Lane `l` set iff bit `l` of `bits` is.
-    fn mask_from_bits(self, bits: u16) -> Self::M;
+    fn mask_from_bits(self, bits: u32) -> Self::M;
     /// Per lane: `on` where `m` is set, `off` elsewhere.
     fn select(self, m: Self::M, on: Self::V, off: Self::V) -> Self::V;
 
@@ -93,20 +93,22 @@ pub(crate) trait Lanes<const B: usize>: Copy {
         src.map(|v| rebase(v, base))
     }
 
-    /// The tracker fold's row reduce over one eight-lane half of a staged
-    /// i16 row: the `phminposuw`-format word `(lane << 16) | y` of the
-    /// smallest `y = 0x7FFF − h` (wrapping: the exact order-reversed u16
-    /// pattern over the whole i16 range) at the first lane attaining it —
-    /// the maximum `h` at its smallest lane, the canonical ascending-`i`
-    /// tie-break.
+    /// The tracker fold's row reduce, over `N` staged i16 rows: per row,
+    /// the key `(y << 5) | lane` of its smallest `y = 0x7FFF − h` (wrapping:
+    /// the exact order-reversed u16 pattern over the whole i16 range) at the
+    /// first lane attaining it — the maximum `h` at its smallest lane, the
+    /// canonical ascending-`i` tie-break, as one number whose order is the
+    /// merge's.
     #[inline(always)]
-    fn minpos8(self, half: &[i16; 8]) -> u32 {
-        let mut best = u32::MAX;
-        for (l, &h) in half.iter().enumerate() {
-            let y = u32::from((i16::MAX as u16).wrapping_sub(h as u16));
-            best = best.min(y << 3 | l as u32);
+    fn max_keys<const N: usize>(self, rows: &[[i16; B]; N]) -> [u32; N] {
+        let mut keys = [u32::MAX; N];
+        for (key, row) in keys.iter_mut().zip(rows) {
+            for (l, &h) in row.iter().enumerate() {
+                *key =
+                    (*key).min(u32::from((i16::MAX as u16).wrapping_sub(h as u16)) << 5 | l as u32);
+            }
         }
-        (best & 7) << 16 | best >> 3
+        keys
     }
 }
 
@@ -173,7 +175,7 @@ impl<const B: usize> Lanes<B> for Portable {
         each_lane(|l| if a[l] > b[l] { -1 } else { 0 })
     }
     #[inline(always)]
-    fn mask_from_bits(self, bits: u16) -> [i16; B] {
+    fn mask_from_bits(self, bits: u32) -> [i16; B] {
         each_lane(|l| if bits & (1 << l) != 0 { -1 } else { 0 })
     }
     #[inline(always)]

@@ -7,14 +7,14 @@
 //! the 20–27-block band rows production sweeps.
 //!
 //! The recurrence is written **once** — `fill::fill_segment`, generic over
-//! the block side `B ∈ {8, 16}` and a lane-primitive impl (`lanes::Lanes`:
+//! the block side `B ∈ {8, 16, 32}` and a lane-primitive impl (`lanes::Lanes`:
 //! load/store, shift-down-the-strip, add/sub/max, compare, select) — and
 //! instantiated per backend inside a `#[target_feature]` wrapper, entered
 //! once per segment. So is the tracker fold of its staging
 //! ([`crate::diag::DiagTracker::fold_block`], over the same trait's row
 //! reduce), inlined into the same instantiation; a single block
-//! ([`crate::block::compute_block_i16`]) is the `k = 1` segment of the same
-//! function. Every instantiation is **bit-identical** to
+//! ([`crate::block::compute_block_i16`], `B ≤` [`crate::MAX_BLOCK`]) is the
+//! `k = 1` segment of the same function. Every instantiation is **bit-identical** to
 //! [`crate::block::fill_scalar`] at the same geometry: each cell's `H/E/F` is
 //! computed from exactly the same inputs with exactly the same integer
 //! operations — only the evaluation order differs, and no reassociation of
@@ -93,18 +93,24 @@
 //! into the staging buffer, and [`fold_wavefront_i16`] — the fold of a block
 //! filled on its own — dispatches on the stamp.
 //!
-//! | backend    | B=8                   | B=16                     |
-//! |------------|-----------------------|--------------------------|
-//! | `avx512`   | `Sse41I16` (avx2)     | `Avx512I16` (avx512bw+vl)|
-//! | `avx2`     | `Sse41I16` (avx2)     | `Avx2I16` (avx2)         |
-//! | `sse41`    | `Sse41I16` (sse4.1)   | `Portable`               |
-//! | `portable` | `Portable`            | `Portable`               |
+//! | backend    | B=8                 | B=16                      | B=32                         |
+//! |------------|---------------------|---------------------------|------------------------------|
+//! | `avx512`   | `Sse41I16` (avx2)   | `Avx2I16` (avx2)          | `Avx512I16x32` (avx512bw+vl) |
+//! | `avx2`     | `Sse41I16` (avx2)   | `Avx2I16` (avx2)          | `Portable`                   |
+//! | `sse41`    | `Sse41I16` (sse4.1) | `Portable`                | `Portable`                   |
+//! | `portable` | `Portable`          | `Portable`                | `Portable`                   |
 //!
-//! The tile rule ([`crate::block::BlockCtx::geometry_for`]) picks B=16 on
-//! every backend but `sse41`, whose B=16 cell would trade its vector lanes
-//! for the array ones and so never runs in production; AVX2 and AVX-512
-//! reach B=8 only through the gate window — a task whose i16 gate holds at
-//! 8 but not at 16.
+//! The tile rule ([`crate::block::BlockCtx::geometry_for`]) picks B=32 on
+//! `avx512` wherever the task's i16 gate holds at 32, B=16 on every other
+//! backend but `sse41`, and B=8 on `sse41`: a cell whose lanes are the
+//! array ones never runs in production (the portable lanes run at 16 only
+//! on the `portable` backend; tests and Miri drive them at every side).
+//! The wider backends reach a narrower side only through the gate: B=16 for
+//! a task inside the gate at 16 but not at 32, B=8 for one inside it at 8
+//! only. Only the 32-lane strip fills a zmm, so below 32 `avx512` runs the
+//! `avx2` lanes. At B=32 the fold reduces each staged row once (the zmm's
+//! halves folded with an unsigned `min` into one `phminposuw`, the first
+//! lane from a compare), at B=16 once per 8-lane half.
 //!
 //! ## Safety
 //!
@@ -127,15 +133,15 @@
 use crate::block::{BlockCellsT, BlockCtx};
 use crate::diag::DiagTracker;
 #[cfg(target_arch = "x86_64")]
-use crate::{BLOCK, MAX_BLOCK};
+use crate::{BLOCK, MAX_BLOCK, MAX_STRIP};
 use fill::fill_segment;
 pub(crate) use fill::SegmentIo;
 pub(crate) use lanes::Lanes;
 use lanes::Portable;
 #[cfg(target_arch = "x86_64")]
 use x86::{
-    fold_avx2, fold_avx512, fold_sse41, segment_avx2, segment_avx512, segment_sse41, Avx2I16,
-    Avx512I16, Sse41I16,
+    fold_avx2, fold_sse41, segment_avx2, segment_avx512, segment_sse41, Avx2I16, Avx512I16x32,
+    Sse41I16,
 };
 #[cfg(target_arch = "x86_64")]
 use ProvenBackend::{Avx2, Avx512, Sse41};
@@ -175,11 +181,10 @@ pub(crate) fn to16(v: i32) -> i16 {
 /// repeated feature-detection load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WavefrontBackend {
-    /// x86-64 with AVX-512BW/VL: the B=16 fill runs with mask-register
-    /// lane selects, batch-computed edge masks and fused dual-diagonal zmm
-    /// stores, and the tracker fold's merge compiles to two masked 16-lane
-    /// steps. Everything else runs as on [`Self::Avx2`] (the B=8 vectors are
-    /// already full).
+    /// x86-64 with AVX-512BW/VL: the B=32 strip runs one zmm of 32 query
+    /// rows per step under `__mmask32` predicates (its own tile side, see
+    /// [`crate::block::BlockCtx::geometry_for`]). B=16 and B=8 run as on
+    /// [`Self::Avx2`] (only the 32-lane strip fills a zmm).
     Avx512,
     /// x86-64 with AVX2: 8×i16 SSE vectors at B=8 and one full 16×i16 AVX2
     /// vector per diagonal at B=16.
@@ -188,7 +193,7 @@ pub enum WavefrontBackend {
     /// fill and fold (they need nothing wider than 128-bit ops); the B=16
     /// geometry runs the portable lanes.
     Sse41,
-    /// Array-backed portable lanes at both geometries (see the
+    /// Array-backed portable lanes at every geometry (see the
     /// [module table](self#which-lanes-run)).
     Portable,
 }
@@ -341,11 +346,11 @@ impl ProvenBackend {
         self
     }
 
-    /// The level whose lanes run at block side `b`: 8×i16 vectors are full
-    /// at 128 bits, so at B=8 an AVX-512 host runs its AVX2 level.
+    /// The level whose lanes run at block side `b`: only the 32-lane strip
+    /// fills a zmm, so below it an AVX-512 host runs its AVX2 level.
     #[inline(always)]
     fn at_block_dim(self, b: usize) -> ProvenBackend {
-        if b == crate::BLOCK && self.name() == WavefrontBackend::Avx512 {
+        if b < crate::MAX_STRIP && self.name() == WavefrontBackend::Avx512 {
             self.lowered()
         } else {
             self
@@ -383,8 +388,8 @@ pub(crate) fn segment_wavefront_i16<const B: usize>(ctx: &BlockCtx<'_>, io: Segm
     match (ctx.wavefront_backend.at_block_dim(B), B) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `level` proves AVX-512BW/VL.
-        (Avx512(level), MAX_BLOCK) => unsafe {
-            segment_avx512(level, Avx512I16(level), ctx, io.at_geometry())
+        (Avx512(level), MAX_STRIP) => unsafe {
+            segment_avx512(level, Avx512I16x32(level), ctx, io.at_geometry())
         },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `level` proves AVX2.
@@ -416,12 +421,8 @@ pub(crate) fn fold_wavefront_i16<const B: usize>(
     tracker: &mut DiagTracker,
     cells: &BlockCellsT<i16, B>,
 ) {
+    const { assert!(B <= crate::MAX_BLOCK, "a single block's diagonals fit one window") };
     match (cells.backend.at_block_dim(B), B) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level` proves AVX-512BW/VL.
-        (Avx512(level), MAX_BLOCK) => unsafe {
-            fold_avx512(level, Avx512I16(level), tracker, cells.at_geometry())
-        },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `level` proves AVX2.
         (Avx2(level), MAX_BLOCK) => unsafe {

@@ -5,7 +5,7 @@ use crate::diag::DiagTracker;
 use crate::pack::PackedSeq;
 use crate::{Scoring, NEG_INF, STAGE_ROWS};
 #[cfg(not(target_arch = "x86_64"))]
-use crate::{BLOCK, MAX_BLOCK};
+use crate::{BLOCK, MAX_BLOCK, MAX_STRIP};
 
 /// Deterministic xorshift-ish stream for test inputs.
 struct Rng(u64);
@@ -88,8 +88,8 @@ fn i16_lanes<const B: usize>() -> Vec<(&'static str, Fill<B>)> {
         if let (MAX_BLOCK, Some(t)) = (B, x86::Avx2::detect()) {
             fills.push(("avx2", lane_fill!(segment_avx2, t, Avx2I16(t))));
         }
-        if let (MAX_BLOCK, Some(t)) = (B, x86::Avx512::detect()) {
-            fills.push(("avx512", lane_fill!(segment_avx512, t, Avx512I16(t))));
+        if let (MAX_STRIP, Some(t)) = (B, x86::Avx512::detect()) {
+            fills.push(("avx512x32", lane_fill!(segment_avx512, t, Avx512I16x32(t))));
         }
     }
     fills
@@ -713,9 +713,6 @@ fn i16_folds<const B: usize>() -> Vec<(String, Fold<B>)> {
         if let (MAX_BLOCK, Some(t)) = (B, x86::Avx2::detect()) {
             folds.push(("avx2".into(), lane_fold!(fold_avx2, t, Avx2I16(t))));
         }
-        if let (MAX_BLOCK, Some(t)) = (B, x86::Avx512::detect()) {
-            folds.push(("avx512".into(), lane_fold!(fold_avx512, t, Avx512I16(t))));
-        }
     }
     for backend in supported_backends() {
         folds.push((
@@ -927,10 +924,9 @@ fn fold_impl_sweep_matches_per_cell_feed() {
 
 #[test]
 fn avx512_gate_boundary_is_exact_at_wide_geometry() {
-    // The gate battery at the wide geometry, dispatched as every backend
-    // this host supports in turn (so the mask-register lanes are pinned
-    // wherever they exist, and every other host still exercises its own
-    // widest arm — the contract is identical).
+    // The gate battery at the wide block geometry, dispatched as every
+    // backend this host supports in turn (every host exercises its own
+    // 16-lane arm — the contract is identical).
     // B = 16: span + drift = 65(a + b + 1) + 32a = 97a + 65(b + 1).
     gate_boundary_battery::<MAX_BLOCK>((63, 31, 0), (61, 34, 0), (59, 37, 0));
 }
@@ -948,7 +944,7 @@ fn check_window_masks<const B: usize>(
     let (full_from, full_to) = ctx.full_steps(i0, cols, j0);
     for d in 0..STAGE_ROWS {
         let t = (t0 + d) as i64;
-        let mut want = 0u16;
+        let mut want = 0u32;
         for l in 0..B as i64 {
             let (i, j) = (i0 - (B as i64 - 1) + t + l, j0 + B as i64 - 1 - l);
             if (i0..i0 + cols as i64).contains(&i) && ctx.valid(i, j) {
@@ -958,7 +954,7 @@ fn check_window_masks<const B: usize>(
         let what = format!("{}×{} w={} strip ({i0},{j0}) × {cols} step {t}", ctx.n, ctx.m, ctx.w);
         assert_eq!(lanes.mask(d as i32), want, "{what}");
         assert_eq!(ctx.strip_lanes(i0, cols, j0, t0 + d).mask(0), want, "{what}: rebuilt there");
-        let full = want == ((1u32 << B) - 1) as u16;
+        let full = want == u32::MAX >> (32 - B);
         assert_eq!((full_from..full_to).contains(&(t0 + d)), full, "{what}: full steps");
     }
 }
@@ -999,7 +995,7 @@ fn edge_masks_equal_lane_mask() {
         }
         checked
     }
-    let checked = sweep::<BLOCK>() + sweep::<MAX_BLOCK>();
+    let checked = sweep::<BLOCK>() + sweep::<MAX_BLOCK>() + sweep::<MAX_STRIP>();
     assert!(checked > 4000, "sweep shrank to {checked} windows");
 }
 
@@ -1031,6 +1027,7 @@ fn strip_moves_match_the_portable_lanes() {
     // leaves through.
     check_strip_moves::<_, BLOCK>(Portable, "portable");
     check_strip_moves::<_, MAX_BLOCK>(Portable, "portable");
+    check_strip_moves::<_, MAX_STRIP>(Portable, "portable");
     #[cfg(target_arch = "x86_64")]
     {
         if let Some(t) = x86::Sse41::detect() {
@@ -1040,7 +1037,61 @@ fn strip_moves_match_the_portable_lanes() {
             check_strip_moves(Avx2I16(t), "avx2");
         }
         if let Some(t) = x86::Avx512::detect() {
-            check_strip_moves(Avx512I16(t), "avx512");
+            check_strip_moves(Avx512I16x32(t), "avx512x32");
+        }
+    }
+}
+
+/// [`Lanes::max_keys`] of the lanes `L` against the portable lanes' on
+/// random rows — ties planted at random lanes, masked lanes, the i16 rails —
+/// and against its definition: the largest `h`, at its first lane.
+fn check_row_reduce<L: Lanes<B>, const B: usize>(lanes: L, name: &str) {
+    let mut rng = Rng(0x3E0 + B as u64);
+    for case in 0..if cfg!(miri) { 8 } else { 512 } {
+        let rows = [[0i16; B]; STAGE_ROWS].map(|row| {
+            let mut row = row.map(|_| match rng.next() % 4 {
+                0 => NEG_INF16,
+                _ => (rng.next() % 64) as i16 - 32,
+            });
+            let top = match (case + rng.next()) % 4 {
+                0 => i16::MAX,
+                1 => i16::MIN,
+                _ => (rng.next() % 128) as i16 - 64,
+            };
+            for _ in 0..rng.next() % 3 {
+                row[(rng.next() % B as u64) as usize] = top;
+            }
+            row
+        });
+        let got = lanes.max_keys(&rows);
+        assert_eq!(got, Portable.max_keys(&rows), "{name}: case {case}");
+        for (row, key) in rows.iter().zip(got) {
+            let best = *row.iter().max().expect("lanes");
+            let first = row.iter().position(|&h| h == best).expect("the max") as u32;
+            let y = u32::from((i16::MAX as u16).wrapping_sub(best as u16));
+            assert_eq!(key, y << 5 | first, "{name}: {row:?}");
+        }
+    }
+}
+
+#[test]
+fn row_reduce_matches_the_portable_lanes() {
+    // The fold's row reduce on every impl and width: one `phminposuw` per
+    // 8-lane half below 32 lanes, one per row at 32 (the halves folded with
+    // an unsigned min, the first lane from a compare) — ties included.
+    check_row_reduce::<_, BLOCK>(Portable, "portable");
+    check_row_reduce::<_, MAX_BLOCK>(Portable, "portable");
+    check_row_reduce::<_, MAX_STRIP>(Portable, "portable");
+    #[cfg(target_arch = "x86_64")]
+    {
+        if let Some(t) = x86::Sse41::detect() {
+            check_row_reduce(Sse41I16(t), "sse41");
+        }
+        if let Some(t) = x86::Avx2::detect() {
+            check_row_reduce(Avx2I16(t), "avx2");
+        }
+        if let Some(t) = x86::Avx512::detect() {
+            check_row_reduce(Avx512I16x32(t), "avx512x32");
         }
     }
 }
@@ -1190,6 +1241,35 @@ fn segment_length_changes_nothing() {
             let ctx = |b| BlockCtx::with_block_dim(n, m, sc, b).with_profile(profile);
             check::<BLOCK>(ctx(BLOCK), (r, q));
             check::<MAX_BLOCK>(ctx(MAX_BLOCK), (r, q));
+            check::<MAX_STRIP>(ctx(MAX_STRIP), (r, q));
+        }
+    }
+}
+
+#[test]
+fn the_32_lane_ramps_match_the_scalar_tier() {
+    // At 32 lanes a one-block segment is ramps only — 31 steps up, 31 down
+    // — and its hold masks run up to lane 31, where a 32-bit shift by the
+    // full width overflows. One- and two-block segments on every backend,
+    // under bands whose edge crosses the ramps, against the scalar tier.
+    use crate::block::FillTier;
+    let mut rng = Rng(0x3232);
+    let (n, m) = if cfg!(miri) { (70, 66) } else { (150, 140) };
+    let rcodes: Vec<u8> = (0..n).map(|_| rng.code()).collect();
+    let qcodes: Vec<u8> =
+        (0..m).map(|k| if rng.next().is_multiple_of(9) { rng.code() } else { rcodes[k] }).collect();
+    let (r, q) = (PackedSeq::from_codes(&rcodes), PackedSeq::from_codes(&qcodes));
+    for w in [0, 5, 31, 32, 33, Scoring::NO_BAND] {
+        let sc = Scoring::new(2, 4, 4, 2, 40, w);
+        let ctx = BlockCtx::with_block_dim(n, m, &sc, MAX_STRIP);
+        let want = crate::sweep::grid_align::<MAX_STRIP>(ctx, FillTier::Scalar, &r, &q);
+        assert!(want.same_alignment(&crate::guided::guided_align(&r, &q, &sc)), "w={w}");
+        for backend in supported_backends() {
+            let ctx = ctx.with_backend(BackendChoice::Fixed(backend));
+            for k in [Some(1), Some(2), None] {
+                let got = swept_in_segments::<MAX_STRIP>(ctx, (&r, &q), k).0.take_result();
+                assert_eq!(got, want, "w={w} {} k={k:?}", backend.name());
+            }
         }
     }
 }
@@ -1208,7 +1288,7 @@ fn level_tokens_are_detect_only_proofs() {
     {
         assert!(zero_sized::<x86::Sse41>() && zero_sized::<Sse41I16>());
         assert!(zero_sized::<x86::Avx2>() && zero_sized::<Avx2I16>());
-        assert!(zero_sized::<x86::Avx512>() && zero_sized::<Avx512I16>());
+        assert!(zero_sized::<x86::Avx512>() && zero_sized::<Avx512I16x32>());
         // `detect()` is the public capability list, level by level.
         let has = |b| supported.contains(&b);
         assert_eq!(x86::Sse41::detect().is_some(), has(WavefrontBackend::Sse41));

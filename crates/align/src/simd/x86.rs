@@ -11,7 +11,7 @@ use super::fill::{fill_segment, SegmentIo};
 use super::lanes::Lanes;
 use crate::block::{BlockCellsT, BlockCtx};
 use crate::diag::DiagTracker;
-use crate::{BLOCK, MAX_BLOCK};
+use crate::{BLOCK, MAX_BLOCK, MAX_STRIP};
 use std::arch::is_x86_feature_detected;
 #[allow(clippy::wildcard_imports)]
 use std::arch::x86_64::*;
@@ -27,9 +27,9 @@ pub(crate) struct Level<const RANK: u8>(());
 pub(crate) type Sse41 = Level<1>;
 /// AVX2: one 16×i16 ymm per diagonal at B=16, VEX encodings at B=8.
 pub(crate) type Avx2 = Level<2>;
-/// AVX-512BW (16-bit ops at 512/256-bit width) plus AVX-512VL (mask registers
-/// on 256-bit vectors). AVX2 is part of the probe, so this level may always
-/// run the AVX2 kernels where 512-bit width buys nothing (the B=8 geometry).
+/// AVX-512BW (16-bit ops at 512-bit width, `__mmask32` predicates) plus
+/// AVX-512VL: the 32-lane zmm strip. AVX2 is part of the probe, so this level
+/// runs the AVX2 kernels at every narrower side.
 pub(crate) type Avx512 = Level<3>;
 
 impl<const RANK: u8> Level<RANK> {
@@ -59,23 +59,13 @@ impl<const RANK: u8> Level<RANK> {
 /// The one segment body (fill, and fold of every staged window) and the one
 /// tracker-fold body compiled at a feature level, as the `$segment` / `$fold`
 /// pair dispatch enters them through — once per segment, once per block
-/// folded on its own. Safe functions: `_level` proves what
-/// `#[target_feature]` assumes, and `L` proves its own instructions — the
-/// `unsafe` is at the call, where the compiler asks for the level and the
-/// caller shows the token.
+/// folded on its own (a level no such block reaches has no `$fold`). Safe
+/// functions: `_level` proves what `#[target_feature]` assumes, and `L`
+/// proves its own instructions — the `unsafe` is at the call, where the
+/// compiler asks for the level and the caller shows the token.
 macro_rules! feature_level {
     ($features:literal, $token:ident, $segment:ident, $fold:ident, $(#[$doc:meta])+) => {
-        /// [`fill_segment`] at this level:
-        $(#[$doc])+
-        #[target_feature(enable = $features)]
-        pub(super) fn $segment<L: Lanes<N>, const N: usize>(
-            _level: $token,
-            lanes: L,
-            ctx: &BlockCtx<'_>,
-            io: SegmentIo<'_, N>,
-        ) {
-            fill_segment(lanes, ctx, io);
-        }
+        feature_level! { $features, $token, $segment, $(#[$doc])+ }
 
         /// [`DiagTracker::fold_block`] at this level:
         $(#[$doc])+
@@ -87,6 +77,19 @@ macro_rules! feature_level {
             cells: &BlockCellsT<i16, N>,
         ) {
             tracker.fold_block(lanes, cells);
+        }
+    };
+    ($features:literal, $token:ident, $segment:ident, $(#[$doc:meta])+) => {
+        /// [`fill_segment`] at this level:
+        $(#[$doc])+
+        #[target_feature(enable = $features)]
+        pub(super) fn $segment<L: Lanes<N>, const N: usize>(
+            _level: $token,
+            lanes: L,
+            ctx: &BlockCtx<'_>,
+            io: SegmentIo<'_, N>,
+        ) {
+            fill_segment(lanes, ctx, io);
         }
     };
 }
@@ -106,8 +109,10 @@ feature_level! {
 }
 
 feature_level! {
-    "avx512bw,avx512vl", Avx512, segment_avx512, fold_avx512,
-    /// AVX-512BW/VL codegen.
+    "avx512bw,avx512vl", Avx512, segment_avx512,
+    /// AVX-512BW/VL codegen. Only the 32-lane strip runs here, and it folds
+    /// inside its segment: a block folded on its own is at most 16 lanes,
+    /// which this level runs at [`Avx2`].
 }
 
 /// The methods of an x86 lane impl: `#[inline(always)]`, with the body — the
@@ -150,6 +155,20 @@ const LANE_BIT: [i16; MAX_BLOCK] =
 #[derive(Clone, Copy)]
 pub(crate) struct Sse41I16(pub Sse41);
 
+impl Sse41I16 {
+    /// The row reduce as the one instruction it is named after: the
+    /// `phminposuw` word `(lane << 16) | y` of the smallest `y = 0x7FFF − h`
+    /// over 8 lanes, at its first lane.
+    #[inline(always)]
+    fn minpos(self, row: &[i16; BLOCK]) -> u32 {
+        // SAFETY: `self` holds the SSE4.1 token.
+        unsafe {
+            let y = _mm_sub_epi16(_mm_set1_epi16(i16::MAX), self.load(row));
+            _mm_cvtsi128_si32(_mm_minpos_epu16(y)) as u32
+        }
+    }
+}
+
 impl Lanes<BLOCK> for Sse41I16 {
     type V = __m128i;
     type M = __m128i;
@@ -161,13 +180,20 @@ impl Lanes<BLOCK> for Sse41I16 {
         cmp_eq(a, b) -> M = _mm_cmpeq_epi16;
         cmp_gt(a, b) -> M = _mm_cmpgt_epi16;
     }
-    lane_methods! {
-        /// [`Lanes::minpos8`] as the one instruction it is named after (the
-        /// load reads the 16 bytes of `half`).
-        fn minpos8(self, half: &[i16; 8]) -> u32 {
-            let y = _mm_sub_epi16(_mm_set1_epi16(i16::MAX), _mm_loadu_si128(half.as_ptr().cast()));
-            _mm_cvtsi128_si32(_mm_minpos_epu16(y)) as u32
+    /// One `phminposuw` per row ([`Sse41I16::minpos`]), its word turned
+    /// into a key in a loop of its own (which vectorises).
+    #[inline(always)]
+    fn max_keys<const N: usize>(self, rows: &[[i16; BLOCK]; N]) -> [u32; N] {
+        let mut keys = [0; N];
+        for (key, row) in keys.iter_mut().zip(rows) {
+            *key = self.minpos(row);
         }
+        for key in &mut keys {
+            *key = (*key & 0xFFFF) << 5 | *key >> 16;
+        }
+        keys
+    }
+    lane_methods! {
         fn splat(self, x: i16) -> __m128i {
             _mm_set1_epi16(x)
         }
@@ -188,7 +214,7 @@ impl Lanes<BLOCK> for Sse41I16 {
         fn shift_in(self, v: __m128i, next: &[i16; BLOCK]) -> __m128i {
             _mm_alignr_epi8(self.load(next), v, 2)
         }
-        fn mask_from_bits(self, bits: u16) -> __m128i {
+        fn mask_from_bits(self, bits: u32) -> __m128i {
             let lane_bit = self.load(LANE_BIT.first_chunk().expect("8 of 16"));
             _mm_cmpeq_epi16(_mm_and_si128(_mm_set1_epi16(bits as i16), lane_bit), lane_bit)
         }
@@ -207,74 +233,65 @@ impl Lanes<BLOCK> for Sse41I16 {
     }
 }
 
-/// The 16×i16 ymm operations [`Avx2I16`] and [`Avx512I16`] share: both run
-/// one 256-bit vector per diagonal and differ only in how lanes are
-/// predicated.
-macro_rules! ymm_i16_lanes {
-    () => {
-        type V = __m256i;
-
-        /// `phminposuw` is 128-bit only, so the wide impls reduce a row half
-        /// by half on the 8-lane impl their level implies.
-        #[inline(always)]
-        fn minpos8(self, half: &[i16; 8]) -> u32 {
-            Sse41I16(self.0.lower()).minpos8(half)
-        }
-        one_instruction! {
-            add(a, b) -> V = _mm256_adds_epi16;
-            sub(a, b) -> V = _mm256_subs_epi16;
-            max(a, b) -> V = _mm256_max_epi16;
-        }
-        lane_methods! {
-            fn splat(self, x: i16) -> __m256i {
-                _mm256_set1_epi16(x)
-            }
-            fn load(self, src: &[i16; MAX_BLOCK]) -> __m256i {
-                // Reads the 32 bytes of `src`.
-                _mm256_loadu_si256(src.as_ptr().cast())
-            }
-            fn store(self, dst: &mut [i16; MAX_BLOCK], v: __m256i) {
-                // Writes the 32 bytes of `dst`.
-                _mm256_storeu_si256(dst.as_mut_ptr().cast(), v);
-            }
-            fn store_low(self, dst: &mut [i16; 2], v: __m256i) {
-                // Writes the 4 bytes of `dst`.
-                _mm_storeu_si32(dst.as_mut_ptr().cast(), _mm256_castsi256_si128(v));
-            }
-            /// `_mm256_alignr_epi8` concatenates per 128-bit half, so the
-            /// carry operand must hold — in byte position 0..2 of each half —
-            /// the value entering that half's top lane: `v`'s lane 8 for the
-            /// low half, `next[0]` for the high half.
-            /// `permute2x128(v, next, 0x21)` builds exactly that, `[v_hi |
-            /// next_lo]`, with the load of `next` as its memory operand.
-            ///
-            /// AVX-512 keeps this sequence rather than a cross-lane `vpermw`:
-            /// the shift sits on the loop-carried chain, and here the read of
-            /// the entering value folds into the carry build off-chain,
-            /// whereas `vpermw` plus a top-lane masked broadcast stacks both
-            /// on it (measurably slower per step on Skylake-X/Ice Lake).
-            fn shift_in(self, v: __m256i, next: &[i16; MAX_BLOCK]) -> __m256i {
-                let carry = _mm256_permute2x128_si256(v, self.load(next), 0x21);
-                _mm256_alignr_epi8(carry, v, 2)
-            }
-        }
-    };
-}
-
-/// 16×i16 in a ymm with vector-mask predicates (B=16 on AVX2).
+/// 16×i16 in a ymm with vector-mask predicates (B=16 on AVX2 and AVX-512).
 #[derive(Clone, Copy)]
 pub(crate) struct Avx2I16(pub Avx2);
 
 impl Lanes<MAX_BLOCK> for Avx2I16 {
+    type V = __m256i;
     type M = __m256i;
-    ymm_i16_lanes!();
 
+    /// `phminposuw` on each 8-lane half (on the 8-lane impl the level
+    /// implies), then the two words of every row merged as keys, the
+    /// high half's lanes 8 up, in a loop of its own (which vectorises).
+    #[inline(always)]
+    fn max_keys<const N: usize>(self, rows: &[[i16; MAX_BLOCK]; N]) -> [u32; N] {
+        let half = Sse41I16(self.0.lower());
+        let (mut lo, mut hi) = ([0; N], [0; N]);
+        for ((lo, hi), row) in lo.iter_mut().zip(&mut hi).zip(rows) {
+            *lo = half.minpos(row.first_chunk().expect("the low half"));
+            *hi = half.minpos(row.last_chunk().expect("the high half"));
+        }
+        let key = |w: u32, from: u32| (w & 0xFFFF) << 5 | ((w >> 16) + from);
+        for (lo, hi) in lo.iter_mut().zip(hi) {
+            *lo = key(*lo, 0).min(key(hi, 8));
+        }
+        lo
+    }
     one_instruction! {
+        add(a, b) -> V = _mm256_adds_epi16;
+        sub(a, b) -> V = _mm256_subs_epi16;
+        max(a, b) -> V = _mm256_max_epi16;
         cmp_eq(a, b) -> M = _mm256_cmpeq_epi16;
         cmp_gt(a, b) -> M = _mm256_cmpgt_epi16;
     }
     lane_methods! {
-        fn mask_from_bits(self, bits: u16) -> __m256i {
+        fn splat(self, x: i16) -> __m256i {
+            _mm256_set1_epi16(x)
+        }
+        fn load(self, src: &[i16; MAX_BLOCK]) -> __m256i {
+            // Reads the 32 bytes of `src`.
+            _mm256_loadu_si256(src.as_ptr().cast())
+        }
+        fn store(self, dst: &mut [i16; MAX_BLOCK], v: __m256i) {
+            // Writes the 32 bytes of `dst`.
+            _mm256_storeu_si256(dst.as_mut_ptr().cast(), v);
+        }
+        fn store_low(self, dst: &mut [i16; 2], v: __m256i) {
+            // Writes the 4 bytes of `dst`.
+            _mm_storeu_si32(dst.as_mut_ptr().cast(), _mm256_castsi256_si128(v));
+        }
+        /// `_mm256_alignr_epi8` concatenates per 128-bit half, so the
+        /// carry operand must hold — in byte position 0..2 of each half —
+        /// the value entering that half's top lane: `v`'s lane 8 for the
+        /// low half, `next[0]` for the high half.
+        /// `permute2x128(v, next, 0x21)` builds exactly that, `[v_hi |
+        /// next_lo]`, with the load of `next` as its memory operand.
+        fn shift_in(self, v: __m256i, next: &[i16; MAX_BLOCK]) -> __m256i {
+            let carry = _mm256_permute2x128_si256(v, self.load(next), 0x21);
+            _mm256_alignr_epi8(carry, v, 2)
+        }
+        fn mask_from_bits(self, bits: u32) -> __m256i {
             let (bits, lane_bit) = (_mm256_set1_epi16(bits as i16), self.load(&LANE_BIT));
             _mm256_cmpeq_epi16(_mm256_and_si256(bits, lane_bit), lane_bit)
         }
@@ -296,33 +313,92 @@ impl Lanes<MAX_BLOCK> for Avx2I16 {
     }
 }
 
-/// 16×i16 in a ymm with `__mmask16` predicates (B=16 on AVX-512BW/VL): the
-/// staged mask word *is* the mask operand, so no mask vector is ever built.
+/// 32×i16 in a zmm with `__mmask32` predicates (B=32 on AVX-512BW): two of
+/// the 16-lane strip's block rows in one wavefront, on the same per-step
+/// dependency chain.
 #[derive(Clone, Copy)]
-pub(crate) struct Avx512I16(pub Avx512);
+pub(crate) struct Avx512I16x32(pub Avx512);
 
-impl Lanes<MAX_BLOCK> for Avx512I16 {
-    type M = __mmask16;
-    ymm_i16_lanes!();
+impl Lanes<MAX_STRIP> for Avx512I16x32 {
+    type V = __m512i;
+    type M = __mmask32;
+
+    /// One reduce per row: the zmm's 256-bit and then 128-bit halves fold
+    /// with an unsigned `min`, one `phminposuw` takes the value, and the
+    /// first lane holding it comes from a compare into a mask register.
+    #[inline(always)]
+    fn max_keys<const N: usize>(self, rows: &[[i16; MAX_STRIP]; N]) -> [u32; N] {
+        let mut keys = [0; N];
+        for (key, row) in keys.iter_mut().zip(rows) {
+            // SAFETY: `self` holds the AVX-512BW/VL token (which implies AVX2
+            // and SSE4.1).
+            *key = unsafe {
+                let y = _mm512_sub_epi16(_mm512_set1_epi16(i16::MAX), self.load(row));
+                let y256 =
+                    _mm256_min_epu16(_mm512_castsi512_si256(y), _mm512_extracti64x4_epi64(y, 1));
+                let y128 =
+                    _mm_min_epu16(_mm256_castsi256_si128(y256), _mm256_extracti128_si256(y256, 1));
+                let word = _mm_minpos_epu16(y128);
+                let first = _mm512_cmpeq_epi16_mask(y, _mm512_broadcastw_epi16(word));
+                (_mm_cvtsi128_si32(word) as u32 & 0xFFFF) << 5 | first.trailing_zeros()
+            };
+        }
+        keys
+    }
 
     one_instruction! {
-        cmp_eq(a, b) -> M = _mm256_cmpeq_epi16_mask;
-        cmp_gt(a, b) -> M = _mm256_cmpgt_epi16_mask;
+        add(a, b) -> V = _mm512_adds_epi16;
+        sub(a, b) -> V = _mm512_subs_epi16;
+        max(a, b) -> V = _mm512_max_epi16;
+        cmp_eq(a, b) -> M = _mm512_cmpeq_epi16_mask;
+        cmp_gt(a, b) -> M = _mm512_cmpgt_epi16_mask;
     }
     #[inline(always)]
-    fn mask_from_bits(self, bits: u16) -> __mmask16 {
+    fn mask_from_bits(self, bits: u32) -> __mmask32 {
         bits
     }
     lane_methods! {
-        fn select(self, m: __mmask16, on: __m256i, off: __m256i) -> __m256i {
-            _mm256_mask_blend_epi16(m, off, on)
+        fn splat(self, x: i16) -> __m512i {
+            _mm512_set1_epi16(x)
         }
-        /// One subtract and a single `vpmovsdw` on the full zmm (the load
-        /// reads the 64 bytes of `src`).
-        fn rebase_boundary(self, src: &[i32; MAX_BLOCK], base: i32) -> [i16; MAX_BLOCK] {
-            let off = _mm512_sub_epi32(_mm512_loadu_epi32(src.as_ptr()), _mm512_set1_epi32(base));
-            let mut out = [0i16; MAX_BLOCK];
-            self.store(&mut out, _mm512_cvtsepi32_epi16(off));
+        fn load(self, src: &[i16; MAX_STRIP]) -> __m512i {
+            // Reads the 64 bytes of `src`.
+            _mm512_loadu_si512(src.as_ptr().cast())
+        }
+        fn store(self, dst: &mut [i16; MAX_STRIP], v: __m512i) {
+            // Writes the 64 bytes of `dst`.
+            _mm512_storeu_si512(dst.as_mut_ptr().cast(), v);
+        }
+        fn store_low(self, dst: &mut [i16; 2], v: __m512i) {
+            // Writes the 4 bytes of `dst`.
+            _mm_storeu_si32(dst.as_mut_ptr().cast(), _mm512_castsi512_si128(v));
+        }
+        /// The ymm impls' two-op chain at 512 bits: `_mm512_alignr_epi8`
+        /// also concatenates per 128-bit lane, so the carry holds `v`'s
+        /// quarters one up and `next`'s lowest quarter on top — `valignq` by
+        /// two qwords over `[next | v]`. Only that quarter of `next` is read
+        /// (its 16 bytes, which a 2-byte-strided window splits across cache
+        /// lines a quarter as often as the whole 64).
+        fn shift_in(self, v: __m512i, next: &[i16; MAX_STRIP]) -> __m512i {
+            let low = _mm512_castsi128_si512(_mm_loadu_si128(next.as_ptr().cast()));
+            _mm512_alignr_epi8(_mm512_alignr_epi64(low, v, 2), v, 2)
+        }
+        fn select(self, m: __mmask32, on: __m512i, off: __m512i) -> __m512i {
+            _mm512_mask_blend_epi16(m, off, on)
+        }
+        /// A subtract and a `vpmovsdw` per 16 elements (the loads read the
+        /// 128 bytes of `src`).
+        fn rebase_boundary(self, src: &[i32; MAX_STRIP], base: i32) -> [i16; MAX_STRIP] {
+            let base = _mm512_set1_epi32(base);
+            let lo = _mm512_sub_epi32(_mm512_loadu_epi32(src.as_ptr()), base);
+            let hi = _mm512_sub_epi32(_mm512_loadu_epi32(src.as_ptr().add(16)), base);
+            let mut out = [0i16; MAX_STRIP];
+            let packed = _mm512_inserti64x4(
+                _mm512_castsi256_si512(_mm512_cvtsepi32_epi16(lo)),
+                _mm512_cvtsepi32_epi16(hi),
+                1,
+            );
+            self.store(&mut out, packed);
             out
         }
     }

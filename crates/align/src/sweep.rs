@@ -34,22 +34,22 @@
 
 use std::ops::Range;
 
-use crate::block::{compute_block_mode, corner_read, west_init};
-use crate::block::{BlockCellsT, BlockCtx, FillMode, FillTier};
+use crate::block::{corner_read, fill_scalar, west_init};
+use crate::block::{BlockCellsT, BlockCtx, FillTier};
 use crate::diag::DiagTracker;
 use crate::pack::PackedSeq;
 use crate::result::{GuidedResult, StopReason};
 use crate::simd::{segment_wavefront_i16, SegmentIo};
-use crate::{MAX_BLOCK, NEG_INF};
+use crate::{MAX_BLOCK, MAX_STRIP, NEG_INF};
 
 /// What one block row hands from a segment to the next: the west boundary
 /// and the corner its next block reads. Storage is sized for the widest
-/// geometry so one carry vector serves both block sides (a sweep reborrows
+/// geometry so one carry vector serves every block side (a sweep reborrows
 /// the first `B` lanes as `[i32; B]`, no copies).
 #[derive(Debug, Clone)]
 pub struct RowCarry {
-    west_h: [i32; MAX_BLOCK],
-    west_e: [i32; MAX_BLOCK],
+    west_h: [i32; MAX_STRIP],
+    west_e: [i32; MAX_STRIP],
     corner: i32,
     started: bool,
 }
@@ -60,8 +60,8 @@ impl RowCarry {
     /// band edge.
     pub fn fresh() -> RowCarry {
         RowCarry {
-            west_h: [NEG_INF; MAX_BLOCK],
-            west_e: [NEG_INF; MAX_BLOCK],
+            west_h: [NEG_INF; MAX_STRIP],
+            west_e: [NEG_INF; MAX_STRIP],
             corner: NEG_INF,
             started: false,
         }
@@ -97,8 +97,8 @@ impl NorthRows {
 enum Staging<const B: usize> {
     /// [`FillTier::I16`]: one window of a segment's wavefront at a time.
     I16(BlockCellsT<i16, B>),
-    /// [`FillTier::Scalar`]: filled by [`compute_block_mode`], the scalar
-    /// reference, block by block.
+    /// [`FillTier::Scalar`]: filled by [`fill_scalar`], the scalar
+    /// reference, block by block ([`scalar_segment`]).
     Scalar(BlockCellsT<i32, B>),
 }
 
@@ -223,29 +223,18 @@ impl<'a, const B: usize> Sweep<'a, B> {
                 },
             ),
             Staging::Scalar(cells) => {
-                let mut corner = carry.corner;
-                let blocks = north_h.as_chunks_mut::<B>().0.iter_mut();
-                for (k, (nh, nf)) in blocks.zip(north_f.as_chunks_mut::<B>().0).enumerate() {
-                    let rblock = std::array::from_fn(|l| rcodes[B - 1 + k * B + l] as u8);
-                    let next = nh[B - 1];
-                    compute_block_mode(
-                        FillMode::Scalar,
-                        ctx,
-                        i0 + (k * B) as i64,
-                        j0,
-                        &rblock,
-                        &qblock,
-                        corner,
-                        west_h,
-                        west_e,
-                        nh,
-                        nf,
-                        cells,
+                let cols = &rcodes[B - 1..];
+                let (corner, tracker) = (carry.corner, self.tracker.as_deref_mut());
+                let (row, west) = ((i0, j0), (&mut west_h[..], &mut west_e[..]));
+                if B <= MAX_BLOCK {
+                    scalar_segment(
+                        ctx, row, cols, &qblock, corner, west, north_h, north_f, cells, tracker,
                     );
-                    if let Some(tracker) = self.tracker.as_deref_mut() {
-                        tracker.on_block(cells);
-                    }
-                    corner = next;
+                } else {
+                    let cells = &mut BlockCellsT::<i32, MAX_BLOCK>::new();
+                    scalar_segment(
+                        ctx, row, cols, &qblock, corner, west, north_h, north_f, cells, tracker,
+                    );
                 }
             }
         }
@@ -276,6 +265,48 @@ impl<'a, const B: usize> Sweep<'a, B> {
     }
 }
 
+/// The scalar tier of one segment — `rcodes` its columns' codes, `qcodes`,
+/// `west` and `corner` its rows' — in blocks of `S` query rows, each filled
+/// by [`fill_scalar`] and folded on its own. A block of more than
+/// [`MAX_BLOCK`] rows has more anti-diagonals than one staging buffer holds,
+/// so such a segment runs as sub-rows of `S = MAX_BLOCK` rows, top-down: each
+/// a segment of its own on its slice of the west column, over the north rows
+/// the sub-row above left. Otherwise `S` is the segment's side and there is
+/// one sub-row.
+#[allow(clippy::too_many_arguments)]
+fn scalar_segment<const S: usize>(
+    ctx: &BlockCtx<'_>,
+    (i0, j0): (i64, i64),
+    rcodes: &[i16],
+    qcodes: &[u8],
+    mut corner: i32,
+    (west_h, west_e): (&mut [i32], &mut [i32]),
+    north_h: &mut [i32],
+    north_f: &mut [i32],
+    cells: &mut BlockCellsT<i32, S>,
+    mut tracker: Option<&mut DiagTracker>,
+) {
+    let west = west_h.as_chunks_mut::<S>().0.iter_mut().zip(west_e.as_chunks_mut::<S>().0);
+    for (q, ((wh, we), qblock)) in west.zip(qcodes.as_chunks::<S>().0).enumerate() {
+        // The next sub-row's corner is this one's last west value, read
+        // before the fill turns the column into its east boundary.
+        let next_row = wh[S - 1];
+        let blocks = north_h.as_chunks_mut::<S>().0.iter_mut().zip(north_f.as_chunks_mut::<S>().0);
+        for (k, (nh, nf)) in blocks.enumerate() {
+            let rblock = std::array::from_fn(|l| rcodes[k * S + l] as u8);
+            let next = nh[S - 1];
+            let (i, j) = (i0 + (k * S) as i64, j0 + (q * S) as i64);
+            cells.set_origin(i, j);
+            fill_scalar(ctx, i, j, &rblock, qblock, corner, wh, we, nh, nf, cells);
+            if let Some(tracker) = tracker.as_deref_mut() {
+                tracker.on_block(cells);
+            }
+            corner = next;
+        }
+        corner = next_row;
+    }
+}
+
 /// [`Sweep::row_major`] on a tracker and north rows of its own. `ctx` and
 /// `tier` are as for [`Sweep::new`].
 pub fn grid_align<const B: usize>(
@@ -296,7 +327,8 @@ mod tests {
     use crate::guided::guided_align;
     use crate::profile::QueryProfile;
     use crate::scoring::{Scoring, BLOSUM62};
-    use crate::BLOCK;
+    use crate::simd::WavefrontBackend;
+    use crate::{BLOCK, MAX_BLOCK};
 
     /// Sweep the grid with the table cut into slices of block anti-diagonals,
     /// `width` giving each slice's width in turn: every row's segment of the
@@ -367,13 +399,15 @@ mod tests {
         want.stop
     }
 
-    /// One long task on every supported backend at geometry `B`: the i16
-    /// sweep's result and the north rows it leaves are the scalar tier's, and
-    /// — when `long_rows` — the last block row alone spreads further than an
-    /// i16 lane reaches from one base.
+    /// One long task on every backend that runs lanes of its own at
+    /// geometry `B`: the i16 sweep's result and the north rows it leaves
+    /// are the scalar tier's (whose result matches `reference`), and — when
+    /// `long_rows` — the last block row alone spreads further than an i16
+    /// lane reaches from one base.
     fn check_long_rows<const B: usize>(
         ctx: BlockCtx<'_>,
         (r, q): (&PackedSeq, &PackedSeq),
+        reference: &GuidedResult,
         long_rows: bool,
     ) {
         let what = format!("{}×{} B={B}", r.len(), q.len());
@@ -385,8 +419,7 @@ mod tests {
             (tracker.result(), rows)
         };
         let (want, scalar_rows) = run(ctx, FillTier::Scalar);
-        let reference = guided_align(r, q, ctx.scoring);
-        assert!(want.same_alignment(&reference), "{what}: {want:?} vs {reference:?}");
+        assert!(want.same_alignment(reference), "{what}: {want:?} vs {reference:?}");
         assert_eq!(want.cells, reference.cells, "{what}");
         let real = || scalar_rows.h.iter().filter(|&&h| h > NEG_INF / 2).map(|&h| i64::from(h));
         let spread = real().max().expect("a real H") - real().min().expect("a real H");
@@ -395,7 +428,14 @@ mod tests {
             long_rows,
             "{what}: the last block row spreads {spread}"
         );
-        for backend in crate::simd::supported_backends() {
+        // (Past its vector width a backend runs the portable lanes, which
+        // the portable backend covers.)
+        let own_lanes = |b: &WavefrontBackend| match b {
+            WavefrontBackend::Sse41 => B <= BLOCK,
+            WavefrontBackend::Avx2 => B <= MAX_BLOCK,
+            _ => true,
+        };
+        for backend in crate::simd::supported_backends().into_iter().filter(own_lanes) {
             let ctx = ctx.with_backend(crate::simd::BackendChoice::Fixed(backend));
             // (In debug builds the range sentinel checks every staged row
             // against its window's base on the way.)
@@ -411,13 +451,14 @@ mod tests {
         // (or, on an identical pair, climb) further than ±2^13, so a single
         // base per segment could not hold them — the window-by-window
         // re-centring has to. A long query over a short reference moves the
-        // base as far without a long row. (Under Miri steeper gaps reach the
-        // same spread over a fraction of the cells.)
+        // base as far without a long row. (Under Miri steeper gaps, still
+        // inside the i16 gate at 32, reach the same spread over a fraction of
+        // the cells. Whole blocks at every side, so that the stored boundary
+        // is a row of the table.)
         let (len, dna): (usize, _) =
-            if cfg!(miri) { (208, (2, 4, 8, 70)) } else { (6_000, (2, 4, 4, 2)) };
+            if cfg!(miri) { (224, (2, 4, 2, 56)) } else { (6_016, (2, 4, 4, 2)) };
         let dna = Scoring::new(dna.0, dna.1, dna.2, dna.3, Scoring::NO_ZDROP, Scoring::NO_BAND);
-        // (Whole blocks, so that the stored boundary is a row of the table.)
-        let protein_len = (len * 3 / 2).next_multiple_of(MAX_BLOCK);
+        let protein_len = (len * 3 / 2).next_multiple_of(MAX_STRIP);
         let mut x = 0x10_46_u64;
         let mut codes = |len: usize, alphabet: u64| -> Vec<u8> {
             let mut next = || {
@@ -435,11 +476,13 @@ mod tests {
         }
         for (r, q, long_rows) in shapes {
             let ctx = |b| BlockCtx::with_block_dim(r.len(), q.len(), &dna, b);
-            check_long_rows::<BLOCK>(ctx(BLOCK), (r, q), long_rows);
-            check_long_rows::<MAX_BLOCK>(ctx(MAX_BLOCK), (r, q), long_rows);
+            let want = guided_align(r, q, &dna);
+            check_long_rows::<BLOCK>(ctx(BLOCK), (r, q), &want, long_rows);
+            check_long_rows::<MAX_BLOCK>(ctx(MAX_BLOCK), (r, q), &want, long_rows);
+            check_long_rows::<MAX_STRIP>(ctx(MAX_STRIP), (r, q), &want, long_rows);
         }
 
-        let (open, extend) = if cfg!(miri) { (8, 60) } else { (10, 1) };
+        let (open, extend) = if cfg!(miri) { (8, 44) } else { (10, 1) };
         let matrix =
             Scoring::with_matrix(&BLOSUM62, open, extend, Scoring::NO_ZDROP, Scoring::NO_BAND);
         let (long, short) = (codes(protein_len, 21), codes(64, 21));
@@ -448,12 +491,14 @@ mod tests {
         let mut profile = QueryProfile::new();
         for (r, q, long_rows) in [(&long, &short, true), (&short, &long, false)] {
             profile.prepare(q, &matrix);
+            let want = guided_align(r, q, &matrix);
             for profile in [None, Some(&profile)] {
                 let ctx = |b| {
                     BlockCtx::with_block_dim(r.len(), q.len(), &matrix, b).with_profile(profile)
                 };
-                check_long_rows::<BLOCK>(ctx(BLOCK), (r, q), long_rows);
-                check_long_rows::<MAX_BLOCK>(ctx(MAX_BLOCK), (r, q), long_rows);
+                check_long_rows::<BLOCK>(ctx(BLOCK), (r, q), &want, long_rows);
+                check_long_rows::<MAX_BLOCK>(ctx(MAX_BLOCK), (r, q), &want, long_rows);
+                check_long_rows::<MAX_STRIP>(ctx(MAX_STRIP), (r, q), &want, long_rows);
             }
         }
     }
@@ -518,10 +563,9 @@ mod tests {
                 ] {
                     let ctx = |b| BlockCtx::with_block_dim(n, m, sc, b).with_profile(profile);
                     let stop = check_resumable::<BLOCK>(ctx(BLOCK), (r, q), &mut next);
-                    assert_eq!(
-                        check_resumable::<MAX_BLOCK>(ctx(MAX_BLOCK), (r, q), &mut next),
-                        stop
-                    );
+                    let wide = check_resumable::<MAX_BLOCK>(ctx(MAX_BLOCK), (r, q), &mut next);
+                    let strip = check_resumable::<MAX_STRIP>(ctx(MAX_STRIP), (r, q), &mut next);
+                    assert_eq!((wide, strip), (stop, stop));
                     z_dropped += u32::from(stop.z_dropped());
                     completed += u32::from(stop == StopReason::Completed);
                 }

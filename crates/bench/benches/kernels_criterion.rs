@@ -15,7 +15,7 @@ use agatha_align::diag::DiagTracker;
 use agatha_align::guided::guided_align;
 use agatha_align::simd::{supported_backends, BackendChoice, WavefrontBackend};
 use agatha_align::sweep::{NorthRows, RowCarry, Sweep};
-use agatha_align::{PackedSeq, Scoring, Task, BLOCK, MAX_BLOCK};
+use agatha_align::{PackedSeq, Scoring, Task, BLOCK, MAX_BLOCK, MAX_STRIP};
 use agatha_core::{
     bucketing::build_warps,
     kernel::{run_task, run_task_ws, KernelWorkspace, TaskRun},
@@ -167,7 +167,9 @@ fn bench_block_fold(c: &mut Criterion) {
     // What a block costs the tracker (`DiagTracker::on_block_i16`), per
     // backend level × geometry — including the levels the host's own
     // dispatch never picks — on a short banded pair (mostly band-clipped
-    // edge blocks) and a kb-scale one (mostly interior blocks).
+    // edge blocks) and a kb-scale one (mostly interior blocks). The 32-lane
+    // strip runs on AVX-512 only: its rows are `avx512/b32`, a block of four
+    // times a b16 block's cells.
     let mut g = c.benchmark_group("block_fold");
     let (short_r, short_q) = pseudo_seq(250, 29, 19);
     let (kb_r, kb_q) = pseudo_seq(4096, 31, 19);
@@ -183,6 +185,11 @@ fn bench_block_fold(c: &mut Criterion) {
             g.bench_function(format!("{}/b16/{pair}", backend.name()), |b| {
                 b.iter_custom(|iters| fold_only::<MAX_BLOCK>(task, s, backend, iters))
             });
+            if backend == WavefrontBackend::Avx512 {
+                g.bench_function(format!("avx512/b32/{pair}"), |b| {
+                    b.iter_custom(|iters| fold_only::<MAX_STRIP>(task, s, backend, iters))
+                });
+            }
         }
     }
     g.finish();
@@ -223,6 +230,9 @@ fn bench_segment_fill(c: &mut Criterion) {
     // climbs 52 → 76 → 90 → 97 % from k = 1 to k = 27 (a tracked band row)
     // and the ramp, the dispatch and the boundary conversions are paid once
     // per segment — ns per block should fall accordingly on every backend.
+    // The 32-lane strip (`avx512/b32`, AVX-512 only) runs segments of 1, 4
+    // and 13 blocks: the columns of b16's k = 2, 8 and 27 near enough, so
+    // its ns per block over four compares with b16's at the same lengths.
     let mut g = c.benchmark_group("segment_fill");
     let (r, q) = pseudo_seq(1024, 43, 19);
     let task = Task::from_strs(0, &r[..27 * MAX_BLOCK], &q);
@@ -235,6 +245,13 @@ fn bench_segment_fill(c: &mut Criterion) {
             g.bench_function(format!("{}/b16/k{k}", backend.name()), |b| {
                 b.iter_custom(|iters| segment_fill::<MAX_BLOCK>(&task, &s, backend, k, iters))
             });
+        }
+        if backend == WavefrontBackend::Avx512 {
+            for k in [1, 4, 13] {
+                g.bench_function(format!("avx512/b32/k{k}"), |b| {
+                    b.iter_custom(|iters| segment_fill::<MAX_STRIP>(&task, &s, backend, k, iters))
+                });
+            }
         }
     }
     g.finish();

@@ -138,9 +138,11 @@ common options:
                   avx512 | avx2 | sse41 | portable. auto runs the best
                   implementation the CPU supports; forcing a level the CPU
                   lacks clamps down to the detected one; results are
-                  bit-identical across backends. The host tiles 16x16
-                  blocks, 8x8 on sse41 (8-wide lanes) and for a task whose
-                  scoring keeps the 16-bit wavefront at 8x8 only. Host-only:
+                  bit-identical across backends. The host tiles 32x32
+                  blocks on avx512 (32-lane strips) wherever the task's
+                  scoring keeps the 16-bit wavefront at 32, otherwise
+                  16x16, and 8x8 on sse41 (8-wide lanes) and for a task
+                  whose scoring keeps it at 8x8 only. Host-only:
                   the simulated device always runs the paper's 8x8 blocks,
                   so no simulated number depends on it
   --verbose       print per-task fill tier (the 16-bit wavefront, or
@@ -332,8 +334,8 @@ fn agatha_config(opts: &HostOpts) -> AgathaConfig {
 #[derive(Default)]
 struct TierStats {
     counts: [u64; 2],
-    /// Tasks resolved to the narrow (8x8) / wide (16x16) geometry.
-    blocks: [u64; 2],
+    /// Tasks resolved to the 8x8 / 16x16 / 32x32 geometry.
+    blocks: [u64; 3],
     /// Tasks served by each wavefront backend, in the capability-chain
     /// order avx512, avx2, sse41, portable. Every task of one run resolves
     /// the same plan, so they all land in one bucket — the counts make the
@@ -347,8 +349,7 @@ impl TierStats {
         let (n, m) = (task.ref_len(), task.query_len());
         let tier = cfg.fill_tier_for(n, m, scoring);
         self.counts[usize::from(tier != FillTier::I16)] += 1;
-        let b = if cfg.block_dim_for(n, m, scoring) == agatha_align::BLOCK { 0 } else { 1 };
-        self.blocks[b] += 1;
+        self.blocks[cfg.block_dim_for(n, m, scoring).ilog2() as usize - 3] += 1;
         let k = match cfg.backend.resolve() {
             WavefrontBackend::Avx512 => 0,
             WavefrontBackend::Avx2 => 1,
@@ -360,10 +361,10 @@ impl TierStats {
 
     fn print(&self) {
         let [i16, scalar] = self.counts;
-        let [b8, b16] = self.blocks;
+        let [b8, b16, b32] = self.blocks;
         let [avx512, avx2, sse41, portable] = self.backends;
         outln!("fill precision: i16={i16} scalar={scalar} (demoted={scalar})");
-        outln!("block geometry: b8={b8} b16={b16}");
+        outln!("block geometry: b8={b8} b16={b16} b32={b32}");
         outln!("fill backend: avx512={avx512} avx2={avx2} sse41={sse41} portable={portable}");
     }
 }

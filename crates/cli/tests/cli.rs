@@ -548,7 +548,8 @@ fn precision_rejected_for_baseline_engines() {
 #[test]
 fn block_geometry_is_forceable_and_bit_identical() {
     // The host tile follows the backend: `--backend sse41` runs 8x8 (where
-    // the CPU has SSE4.1), `portable` 16x16, and both score identically
+    // the CPU has SSE4.1), `portable` 16x16, the default 32x32 where the CPU
+    // has AVX-512, and all score identically
     // (and identically to the default): geometry is a tiling choice, never a
     // numerics choice.
     let dir = std::env::temp_dir().join(format!("agatha_cli_blk_{}", std::process::id()));
@@ -579,18 +580,27 @@ fn block_geometry_is_forceable_and_bit_identical() {
     };
     let (narrow, narrow_text) = run(&["--backend", "sse41"], "sse41");
     let (wide, wide_text) = run(&["--backend", "portable"], "portable");
-    let (auto, _) = run(&[], "auto");
+    let (auto, auto_text) = run(&[], "auto");
     assert_eq!(narrow, wide, "scores must be bit-identical across geometries");
     assert_eq!(narrow, auto, "the default tile must not change scores");
     assert_eq!(narrow.lines().count(), 6);
-    // The --verbose geometry line reflects the tile the backend ran.
-    assert!(wide_text.contains("block geometry: b8=0 b16=6"), "stdout: {wide_text}");
+    // The --verbose geometry line reflects the tile the backend ran: 32x32
+    // on an AVX-512 host, 16x16 on AVX2, 8x8 on SSE4.1 (the detected one).
+    assert!(wide_text.contains("block geometry: b8=0 b16=6 b32=0"), "stdout: {wide_text}");
     if narrow_text.contains("sse41=6") {
-        assert!(narrow_text.contains("block geometry: b8=6 b16=0"), "stdout: {narrow_text}");
+        assert!(narrow_text.contains("block geometry: b8=6 b16=0 b32=0"), "{narrow_text}");
     }
+    let auto_geometry = if auto_text.contains("avx512=6") {
+        "block geometry: b8=0 b16=0 b32=6"
+    } else if auto_text.contains("avx2=6") || auto_text.contains("portable=6") {
+        "block geometry: b8=0 b16=6 b32=0"
+    } else {
+        "block geometry: b8=6 b16=0 b32=0"
+    };
+    assert!(auto_text.contains(auto_geometry), "stdout: {auto_text}");
     // A scoring inside the i16 gate at 8x8 only tiles 8x8 on every backend.
     let (_, window_text) = run(&["-a", "80", "--backend", "portable"], "window");
-    assert!(window_text.contains("block geometry: b8=6 b16=0"), "stdout: {window_text}");
+    assert!(window_text.contains("block geometry: b8=6 b16=0 b32=0"), "stdout: {window_text}");
     assert!(window_text.contains("(demoted=0)"), "stdout: {window_text}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -28,7 +28,7 @@
 use agatha_align::block::BlockCtx;
 use agatha_align::diag::DiagTracker;
 use agatha_align::sweep::{NorthRows, Sweep};
-use agatha_align::{GuidedResult, QueryProfile, Scoring, Task, BLOCK, MAX_BLOCK};
+use agatha_align::{GuidedResult, QueryProfile, Scoring, Task, BLOCK, MAX_BLOCK, MAX_STRIP};
 use agatha_gpu_sim::{CostModel, KernelStats, BLOCK_CELLS};
 
 use crate::options::AgathaConfig;
@@ -48,7 +48,7 @@ pub struct TaskRun {
     /// Blocks the *host* computed (including its run-ahead), in tiles of
     /// `block_dim`.
     pub blocks: u64,
-    /// Block side the host tiled this task with: 8 or 16, as
+    /// Block side the host tiled this task with: 8, 16 or 32, as
     /// [`AgathaConfig::block_dim_for`] resolves it from the plan's backend
     /// and the task's i16 gate.
     pub block_dim: u32,
@@ -205,8 +205,9 @@ impl HostRun {
 /// Align one task under `cfg` reusing `ws`, without pricing it.
 ///
 /// Geometry dispatch happens here, once per task:
-/// [`AgathaConfig::block_dim_for`] (16, or 8 on `sse41` lanes and for a task
-/// inside the i16 gate at 8 only) selects the matching monomorphization of
+/// [`AgathaConfig::block_dim_for`] (32 on `avx512` inside the i16 gate at 32;
+/// otherwise 16, or 8 on `sse41` lanes and for a task inside the gate at 8
+/// only) selects the matching monomorphization of
 /// the kernel body. The alignment result is bit-identical across
 /// geometries; only the host's own counts (`blocks`, `block_dim`) differ.
 pub fn align_task_ws(
@@ -216,6 +217,7 @@ pub fn align_task_ws(
     cfg: &AgathaConfig,
 ) -> HostRun {
     match cfg.block_dim_for(task.ref_len(), task.query_len(), scoring) {
+        MAX_STRIP => align_task_geom::<MAX_STRIP>(ws, task, scoring, cfg),
         MAX_BLOCK => align_task_geom::<MAX_BLOCK>(ws, task, scoring, cfg),
         _ => align_task_geom::<BLOCK>(ws, task, scoring, cfg),
     }
@@ -504,15 +506,19 @@ pub(crate) mod tests {
         align_task_geom::<B>(ws, t, s, cfg).priced(t, s, cfg)
     }
 
-    /// The kernel body at both host geometries, whatever `cfg` would
-    /// resolve: 8×8, then 16×16.
-    fn both_geometries(
+    /// The kernel body at every host geometry, whatever `cfg` would
+    /// resolve: 8×8, 16×16, then 32×32.
+    fn every_geometry(
         ws: &mut KernelWorkspace,
         t: &Task,
         s: &Scoring,
         cfg: &AgathaConfig,
-    ) -> [TaskRun; 2] {
-        [run_task_geom::<BLOCK>(ws, t, s, cfg), run_task_geom::<MAX_BLOCK>(ws, t, s, cfg)]
+    ) -> [TaskRun; 3] {
+        [
+            run_task_geom::<BLOCK>(ws, t, s, cfg),
+            run_task_geom::<MAX_BLOCK>(ws, t, s, cfg),
+            run_task_geom::<MAX_STRIP>(ws, t, s, cfg),
+        ]
     }
 
     #[test]
@@ -528,8 +534,8 @@ pub(crate) mod tests {
             let scalar_cfg = cfg.clone().with_simd_fill(false);
             let simd_cfg = cfg.clone().with_simd_fill(true);
             for t in &tasks {
-                let a = both_geometries(&mut ws, t, &s, &scalar_cfg);
-                let b = both_geometries(&mut ws, t, &s, &simd_cfg);
+                let a = every_geometry(&mut ws, t, &s, &scalar_cfg);
+                let b = every_geometry(&mut ws, t, &s, &simd_cfg);
                 assert_eq!(a, b, "config {cfg:?}, task {}", t.id);
             }
         }
@@ -544,7 +550,7 @@ pub(crate) mod tests {
     #[test]
     fn fill_tiers_produce_identical_runs() {
         // Full TaskRun equality between the scalar plan and the default
-        // (wavefront) plan at both geometries, across every configuration
+        // (wavefront) plan at every geometry, across every configuration
         // and the mixed task set — once under a scoring the i16 gate admits
         // (so the 700 bp member, past the i16 range in absolute score, runs
         // rebased lanes) and once under one it rejects, so the same
@@ -563,8 +569,8 @@ pub(crate) mod tests {
                 // prove reuse carries no state between them.
                 let mut ws = KernelWorkspace::new();
                 for t in &tasks {
-                    let a = both_geometries(&mut ws, t, &s, &scalar_cfg);
-                    let b = both_geometries(&mut ws, t, &s, &simd_cfg);
+                    let a = every_geometry(&mut ws, t, &s, &scalar_cfg);
+                    let b = every_geometry(&mut ws, t, &s, &simd_cfg);
                     assert_eq!(a, b, "config {cfg:?}, task {}: scalar vs default plan", t.id);
                 }
             }
@@ -584,21 +590,23 @@ pub(crate) mod tests {
             for t in &tasks {
                 let narrow = run_task_geom::<BLOCK>(&mut KernelWorkspace::new(), t, &s, &cfg);
                 let wide = run_task_geom::<MAX_BLOCK>(&mut ws, t, &s, &cfg);
+                let strip = run_task_geom::<MAX_STRIP>(&mut ws, t, &s, &cfg);
                 let narrow_reused = run_task_geom::<BLOCK>(&mut ws, t, &s, &cfg);
                 let resolved = run_task_ws(&mut ws, t, &s, &cfg);
-                assert_eq!(narrow.block_dim, 8);
-                assert_eq!(wide.block_dim, 16);
-                assert_eq!(
-                    narrow.result, wide.result,
-                    "config {cfg:?}, task {}: result must not depend on geometry",
-                    t.id
-                );
-                assert_eq!(
-                    &narrow.units, &wide.units,
-                    "config {cfg:?}, task {}: the device trace must not depend on geometry",
-                    t.id
-                );
-                // Same geometry after a wide run on the same workspace:
+                assert_eq!((narrow.block_dim, wide.block_dim, strip.block_dim), (8, 16, 32));
+                for other in [&wide, &strip] {
+                    assert_eq!(
+                        narrow.result, other.result,
+                        "config {cfg:?}, task {}: result must not depend on geometry",
+                        t.id
+                    );
+                    assert_eq!(
+                        &narrow.units, &other.units,
+                        "config {cfg:?}, task {}: the device trace must not depend on geometry",
+                        t.id
+                    );
+                }
+                // Same geometry after wider runs on the same workspace:
                 // full TaskRun equality proves recycling holds across B.
                 assert_eq!(narrow, narrow_reused, "config {cfg:?}, task {}", t.id);
                 // The plan's own run is the run at the side it resolves.
@@ -608,7 +616,11 @@ pub(crate) mod tests {
                     "config {cfg:?}, task {}",
                     t.id
                 );
-                let pinned = if resolved.block_dim == 8 { &narrow } else { &wide };
+                let pinned = match resolved.block_dim {
+                    8 => &narrow,
+                    16 => &wide,
+                    _ => &strip,
+                };
                 assert_eq!(&resolved, pinned, "config {cfg:?}, task {}", t.id);
             }
         }
@@ -617,13 +629,13 @@ pub(crate) mod tests {
     #[test]
     fn backends_produce_identical_results() {
         // Full TaskRun equality across every backend this machine supports,
-        // at both geometries, over the mixed task stream — plus under a
+        // at every geometry, over the mixed task stream — plus under a
         // scoring the i16 gate rejects, so the demotion to scalar is swept
         // per backend too. One shared workspace alternates backends task by
         // task — each run carries its backend in its config — proving both
         // that every backend computes the same runs and that workspace reuse
         // carries no backend-specific state. On an AVX-512 machine this pits
-        // the zmm kernels and the four-quarter tracker fold directly against
+        // the zmm kernels and their one-reduce-per-row tracker fold directly against
         // the portable reference.
         use agatha_align::simd::{self, BackendChoice, WavefrontBackend};
         let (tasks, s) = mixed_tasks();
@@ -634,10 +646,10 @@ pub(crate) mod tests {
             let on = |b| AgathaConfig::agatha().with_backend(BackendChoice::Fixed(b));
             let mut ws = KernelWorkspace::new();
             for t in &tasks {
-                let reference = both_geometries(&mut ws, t, s, &on(WavefrontBackend::Portable));
+                let reference = every_geometry(&mut ws, t, s, &on(WavefrontBackend::Portable));
                 for &b in &backends {
                     assert_eq!(on(b).backend.resolve(), b, "a supported backend survives");
-                    let runs = both_geometries(&mut ws, t, s, &on(b));
+                    let runs = every_geometry(&mut ws, t, s, &on(b));
                     assert_eq!(
                         reference,
                         runs,

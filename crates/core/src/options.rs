@@ -369,16 +369,20 @@ mod tests {
     #[test]
     fn block_dim_resolution_is_per_task() {
         use agatha_align::block::FillTier;
-        use agatha_align::simd::WavefrontBackend::{Portable, Sse41};
-        use agatha_align::{BLOCK, MAX_BLOCK};
+        use agatha_align::simd::WavefrontBackend::{Avx512, Portable, Sse41};
+        use agatha_align::{BLOCK, MAX_BLOCK, MAX_STRIP};
         let s = agatha_align::Scoring::preset_bwa();
         // Match 80: inside the i16 gate at 8×8 only.
         let window = agatha_align::Scoring::new(80, 4, 4, 2, 400, 400);
         let cfg = AgathaConfig::agatha();
         // The tile follows the backend the plan carries — `portable` widens
-        // on every host, `sse41` never — and not the fill mode or the shape.
-        let narrow_host = agatha_align::simd::detected_backend() == Sse41;
-        let wide = if narrow_host { BLOCK } else { MAX_BLOCK };
+        // to 16 on every host, `avx512` to 32, `sse41` never — and not the
+        // fill mode or the shape.
+        let wide = match agatha_align::simd::detected_backend() {
+            Sse41 => BLOCK,
+            Avx512 => MAX_STRIP,
+            _ => MAX_BLOCK,
+        };
         for plan in [cfg.clone(), cfg.clone().with_simd_fill(false)] {
             assert_eq!(plan.block_dim_for(240, 240, &s), wide);
             assert_eq!(plan.block_dim_for(16, 16, &s), wide);

@@ -13,7 +13,7 @@
 //! alignment workloads: declare once, appear everywhere.
 
 use agatha_align::block::BlockCtx;
-use agatha_align::{PackedSeq, Scoring, Task, BLOCK, BLOSUM62, MAX_BLOCK};
+use agatha_align::{PackedSeq, Scoring, Task, BLOCK, BLOSUM62, MAX_BLOCK, MAX_STRIP};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,7 +30,7 @@ pub struct GateExpectation {
     /// Representative `(reference, query)` lengths for this workload.
     pub typical_dims: (usize, usize),
     /// Whether `BlockCtx::i16_exact` holds for a task of those dimensions
-    /// under this scenario's scoring, at either block geometry (the gate
+    /// under this scenario's scoring, at every block geometry (the gate
     /// bounds the score spread inside one block, so the dimensions only
     /// enter through the i32 reach it includes).
     pub i16_exact: bool,
@@ -72,7 +72,7 @@ impl Scenario {
     pub fn check_gate(&self) -> bool {
         let sc = (self.scoring)();
         let (n, m) = self.gate.typical_dims;
-        [BLOCK, MAX_BLOCK]
+        [BLOCK, MAX_BLOCK, MAX_STRIP]
             .iter()
             .all(|&b| BlockCtx::with_block_dim(n, m, &sc, b).i16_exact == self.gate.i16_exact)
     }
@@ -268,6 +268,31 @@ mod tests {
                 "{}: registered i16_exact diverges from the derived gate",
                 s.name
             );
+        }
+    }
+
+    #[test]
+    fn every_scenario_keeps_the_i16_gate_at_32_lanes() {
+        // The 32-lane strip serves a scenario only where its gate holds at
+        // 32: print how much of the i16 offset range one window uses, and
+        // hold every registered workload to it.
+        use agatha_align::block::{BlockCtx, I16_OFFSET_BOUND};
+        use agatha_align::simd::WavefrontBackend::Avx512;
+        for s in ALL {
+            let sc = (s.scoring)();
+            let (n, m) = s.gate.typical_dims;
+            let sums = [BLOCK, MAX_BLOCK, MAX_STRIP].map(|b| BlockCtx::i16_window_sum(&sc, b));
+            println!(
+                "{}: i16 window sum b8={} b16={} b32={} of {I16_OFFSET_BOUND} (b32 margin {})",
+                s.name,
+                sums[0],
+                sums[1],
+                sums[2],
+                I16_OFFSET_BOUND - sums[2]
+            );
+            assert!(sums[2] < I16_OFFSET_BOUND, "{}: the gate fails at 32", s.name);
+            assert!(BlockCtx::with_block_dim(n, m, &sc, MAX_STRIP).i16_exact, "{}", s.name);
+            assert_eq!(BlockCtx::geometry_for(n, m, &sc, Avx512), MAX_STRIP, "{}", s.name);
         }
     }
 

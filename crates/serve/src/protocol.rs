@@ -121,6 +121,16 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
+            // The run up to the next quote, backslash or control byte goes in
+            // as one validated slice: none of them can sit inside a multibyte
+            // UTF-8 sequence, so a run boundary never splits a character.
+            let rest = &self.bytes[self.pos..];
+            let run = rest.iter().position(|&b| matches!(b, b'"' | b'\\' | 0..0x20));
+            let run = &rest[..run.unwrap_or(rest.len())];
+            s.push_str(
+                std::str::from_utf8(run).map_err(|e| format!("invalid UTF-8 in string: {e}"))?,
+            );
+            self.pos += run.len();
             match self.next() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => return Ok(s),
@@ -142,24 +152,7 @@ impl Parser<'_> {
                     }
                     other => return Err(format!("bad escape {other:?}")),
                 },
-                Some(b) if b < 0x20 => return Err("raw control byte in string".to_string()),
-                Some(b) => {
-                    // Re-assemble UTF-8 multibyte sequences byte-for-byte.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    if start + len > self.bytes.len() {
-                        return Err("truncated UTF-8 sequence".to_string());
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..start + len])
-                        .map_err(|e| format!("invalid UTF-8 in string: {e}"))?;
-                    s.push_str(chunk);
-                    self.pos = start + len;
-                }
+                Some(_) => return Err("raw control byte in string".to_string()),
             }
         }
     }
@@ -377,6 +370,31 @@ mod tests {
         assert_eq!(obj["reason"], JsonValue::Str("deadline".to_string()));
         let obj = parse_flat_object(&error_response(None, "bad \"x\"")).unwrap();
         assert_eq!(obj["reason"], JsonValue::Str("bad \"x\"".to_string()));
+    }
+
+    #[test]
+    fn strings_split_at_escapes_keep_every_character() {
+        // Multibyte characters (2, 3 and 4 bytes) right before and after
+        // escapes, at either end of a string, and between adjacent escapes:
+        // each run between escapes is copied whole.
+        let cases = [
+            (r#""""#, ""),
+            (r#""é""#, "é"),
+            (r#""\"é""#, "\"é"),
+            (r#""é\"""#, "é\""),
+            (r#""€\\𝄞\n""#, "€\\𝄞\n"),
+            (r#""\u00e9€\u20ac""#, "é€€"),
+            (r#""a\t\r\/ü𝄞b""#, "a\t\r/ü𝄞b"),
+            (r#""ACGT\"ACGT€""#, "ACGT\"ACGT€"),
+        ];
+        for (text, want) in cases {
+            let obj = parse_flat_object(&format!(r#"{{"k": {text}, "é\"": 1}}"#)).unwrap();
+            assert_eq!(obj["k"], JsonValue::Str(want.to_string()), "{text}");
+            assert_eq!(obj["é\""], JsonValue::Int(1), "{text}");
+        }
+        for bad in [r#"{"k": "é"#, r#"{"k": "é\"#, "{\"k\": \"é\u{1}\"}", r#"{"k": "\x"}"#] {
+            assert!(parse_flat_object(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use agatha_suite::align::block::{BlockCtx, FillTier};
 use agatha_suite::align::guided::guided_align;
-use agatha_suite::align::simd::WavefrontBackend::{Portable, Sse41};
+use agatha_suite::align::simd::WavefrontBackend::{Avx512, Portable, Sse41};
 use agatha_suite::align::simd::{detected_backend, supported_backends, BackendChoice};
 use agatha_suite::align::{GuidedResult, Scoring, Task};
 use agatha_suite::core::{AgathaConfig, BatchReport, Pipeline, StreamOptions, StreamSummary};
@@ -102,9 +102,10 @@ fn every_fill_plan_scores_every_scenario_exactly() {
                 None => first = Some((name, report)),
             }
         }
-        // 16×16 everywhere, and 8×8 on `sse41` where the host has it.
-        let widths = if supported_backends().contains(&Sse41) { 2 } else { 1 };
-        assert_eq!(host_cells.len(), widths, "{}", s.name);
+        // 16×16 everywhere, 8×8 on `sse41` and 32×32 on `avx512` where the
+        // host has them.
+        let has = |b| usize::from(supported_backends().contains(&b));
+        assert_eq!(host_cells.len(), 1 + has(Sse41) + has(Avx512), "{}", s.name);
     }
 }
 
@@ -249,9 +250,14 @@ fn the_host_tile_follows_the_lanes_and_the_gate() {
     let plan = |b| AgathaConfig::agatha().with_backend(BackendChoice::Fixed(b));
     let detected = AgathaConfig::agatha();
     let sse41 = supported_backends().contains(&Sse41).then(|| plan(Sse41));
-    // The detected backend's lanes are 16 wide unless the host stops at
-    // SSE4.1.
-    let wide = if detected_backend() == Sse41 { 8 } else { 16 };
+    let avx512 = supported_backends().contains(&Avx512).then(|| plan(Avx512));
+    // The detected backend's lanes are 32 wide on AVX-512 and 16 wide unless
+    // the host stops at SSE4.1.
+    let wide = match detected_backend() {
+        Avx512 => 32,
+        Sse41 => 8,
+        _ => 16,
+    };
 
     // Every registered scenario, plus 16-bp pairs and a band of 8: the
     // task's shape does not pick the tile.
@@ -276,6 +282,10 @@ fn the_host_tile_follows_the_lanes_and_the_gate() {
         if let Some(sse41) = &sse41 {
             let tiles = host_tiles(*scoring, sse41, tasks, what);
             assert!(tiles.iter().all(|&b| b == 8), "{what}, sse41: {tiles:?}");
+        }
+        if let Some(avx512) = &avx512 {
+            let tiles = host_tiles(*scoring, avx512, tasks, what);
+            assert!(tiles.iter().all(|&b| b == 32), "{what}, avx512: {tiles:?}");
         }
     }
 

@@ -10,12 +10,22 @@
 //! simulated milliseconds as `f64::to_bits` — so "bit-identical" means
 //! exactly that. `tests/work_ledger.txt` holds the expected lines.
 //!
+//! One column depends on the host: `computed_cells`, the cells the host's own
+//! tiles covered, follows the tile side the stream's tasks resolved (32 on an
+//! AVX-512 host, 16 on AVX2), so it is rendered keyed by that side —
+//! `computed_cells[b32]=…` — and a ledger line holds one value per side.
+//! A host checks the side it resolves; each scenario also streams its
+//! whole-chunk, one-worker case capped at `avx2`, whose every device column,
+//! result and simulated time must equal the default run's, so an AVX-512 host
+//! checks the 16-side value too.
+//!
 //! On a mismatch a test prints its scenario's differing lines. A change that moves
 //! a number on purpose edits the ledger by hand and names every moved line,
 //! with its reason, in CHANGES.md; there is no switch that rewrites it.
 //!
 //! [`BatchEngine::align_stream_with`]: agatha_suite::core::BatchEngine::align_stream_with
 
+use agatha_suite::align::simd::{BackendChoice, WavefrontBackend};
 use agatha_suite::align::{GuidedResult, Task};
 use agatha_suite::core::{AgathaConfig, Pipeline, StreamOptions};
 use agatha_suite::datasets::SCENARIOS;
@@ -66,9 +76,10 @@ impl Digest {
     }
 }
 
-/// Every [`KernelStats`] field, named. The destructuring is exhaustive, so a
-/// new field does not compile until it is added here (and to the ledger).
-fn stats_fields(s: &KernelStats) -> String {
+/// Every [`KernelStats`] field, named, the host column keyed by `geometry`.
+/// The destructuring is exhaustive, so a new field does not compile until it
+/// is added here (and to the ledger).
+fn stats_fields(s: &KernelStats, geometry: &str) -> String {
     let KernelStats {
         computed_cells,
         device_cells,
@@ -81,12 +92,23 @@ fn stats_fields(s: &KernelStats) -> String {
     } = s;
     let MemCounters { global_anti, global_inter, global_term, global_seq, shared, reduce } = mem;
     format!(
-        "computed_cells={computed_cells} device_cells={device_cells} \
+        "computed_cells[{geometry}]={computed_cells} device_cells={device_cells} \
          reference_cells={reference_cells} steps={steps} idle_lane_steps={idle_lane_steps} \
          global_anti={global_anti} global_inter={global_inter} global_term={global_term} \
          global_seq={global_seq} shared={shared} reduce={reduce} \
          zdropped_tasks={zdropped_tasks} tasks={tasks}"
     )
+}
+
+/// The host tile side(s) the stream's tasks resolve under `pipeline`, as the
+/// key of its host column: `b16`, `b32` — or `b8+b16` were they to differ.
+fn geometry(tasks: &[Task], pipeline: &Pipeline) -> String {
+    let (cfg, scoring) = (&pipeline.config, &pipeline.scoring);
+    let mut sides: Vec<usize> =
+        tasks.iter().map(|t| cfg.block_dim_for(t.ref_len(), t.query_len(), scoring)).collect();
+    sides.sort_unstable();
+    sides.dedup();
+    sides.iter().map(|b| format!("b{b}")).collect::<Vec<_>>().join("+")
 }
 
 /// One stream, rendered as its ledger line.
@@ -111,7 +133,7 @@ fn stream_line(scenario: &str, tasks: &[Task], pipeline: &Pipeline, chunk: usize
          warp_cycles={:016x} subwarp_blocks={:016x} elapsed_ms={:016x}",
         pipeline.host_threads,
         results.0,
-        stats_fields(&summary.stats),
+        stats_fields(&summary.stats, &geometry(tasks, pipeline)),
         summary.chunks,
         cycles.0,
         subwarps.0,
@@ -119,44 +141,72 @@ fn stream_line(scenario: &str, tasks: &[Task], pipeline: &Pipeline, chunk: usize
     )
 }
 
-/// One scenario's lines, in a fixed order.
-fn ledger(name: &str) -> Vec<String> {
+/// One scenario's lines, in a fixed order, then its whole-chunk one-worker
+/// line streamed again capped at `avx2`.
+fn ledger(name: &str) -> (Vec<String>, String) {
     let (_, reads) = STREAMS.into_iter().find(|s| s.0 == name).expect("a ledgered stream");
     let scenario = SCENARIOS.iter().find(|s| s.name == name).expect("a registered scenario");
     let tasks = (scenario.tasks)(1234, reads);
+    let pipeline = |threads, cfg| {
+        let mut pipeline = Pipeline::new((scenario.scoring)(), cfg);
+        pipeline.host_threads = threads;
+        pipeline
+    };
     let mut lines = Vec::new();
     for chunk in CHUNKS {
         for threads in THREADS {
-            let mut pipeline = Pipeline::new((scenario.scoring)(), AgathaConfig::agatha());
-            pipeline.host_threads = threads;
-            lines.push(stream_line(name, &tasks, &pipeline, chunk));
+            lines.push(stream_line(
+                name,
+                &tasks,
+                &pipeline(threads, AgathaConfig::agatha()),
+                chunk,
+            ));
         }
     }
-    lines
+    let avx2 = AgathaConfig::agatha().with_backend(BackendChoice::Fixed(WavefrontBackend::Avx2));
+    (lines, stream_line(name, &tasks, &pipeline(1, avx2), usize::MAX))
+}
+
+/// `line` without its host column.
+fn device_columns(line: &str) -> Vec<&str> {
+    line.split(' ').filter(|field| !field.starts_with("computed_cells[")).collect()
+}
+
+/// A ledger line as a host that tiles like `rendered` renders it: the host
+/// column of every other tile side dropped.
+fn as_rendered(ledger_line: &str, rendered: &str) -> String {
+    let host = rendered.split(' ').find(|f| f.starts_with("computed_cells[")).unwrap_or("");
+    let key = &host[..host.find('=').map_or(0, |k| k + 1)];
+    let keep = |field: &&str| !field.starts_with("computed_cells[") || field.starts_with(key);
+    ledger_line.split(' ').filter(keep).collect::<Vec<_>>().join(" ")
 }
 
 /// Compare one scenario's lines with its lines in the ledger, printing
-/// every line that differs.
+/// every line that differs. The capped stream is held to its default run on
+/// every column but the host's, and to the ledger line of that run.
 fn check(name: &str) {
-    let got = ledger(name);
+    let (got, capped) = ledger(name);
+    let whole = CHUNKS.len() * THREADS.len() - THREADS.len();
+    assert_eq!(
+        device_columns(&capped),
+        device_columns(&got[whole]),
+        "{name}: capping the backend at avx2 moved a column the host plan must not move"
+    );
     let prefix = format!("{name} ");
     let want: Vec<&str> = LEDGER.lines().filter(|l| l.starts_with(&prefix)).collect();
+    assert_eq!(want.len(), got.len(), "{name}: one ledger line per stream");
     let mut differing = Vec::new();
-    for i in 0..got.len().max(want.len()) {
-        let (g, w) = (got.get(i).map(String::as_str), want.get(i).copied());
-        if g != w {
-            differing.push(format!(
-                "  ledger: {}\n  now:    {}",
-                w.unwrap_or("(none)"),
-                g.unwrap_or("(none)")
-            ));
+    for (g, w) in got.iter().zip(&want).chain([(&capped, &want[whole])]) {
+        let w = as_rendered(w, g);
+        if *g != w {
+            differing.push(format!("  ledger: {w}\n  now:    {g}"));
         }
     }
     assert!(
         differing.is_empty(),
         "{} of {} work-ledger lines of {name} differ:\n{}",
         differing.len(),
-        got.len(),
+        got.len() + 1,
         differing.join("\n")
     );
 }
