@@ -295,6 +295,16 @@ impl<'a> BlockCtx<'a> {
         self
     }
 
+    /// Whether this task's wavefront reads a [`crate::QueryProfile`]: under
+    /// a matrix model, on every lane impl but the 32-lane strip's, which
+    /// looks its windows up in the matrix (see
+    /// [`crate::simd`'s table](crate::simd#which-lanes-run)). Where it is
+    /// `false` the profile is never read, so a caller need not build one.
+    pub fn reads_profile(&self) -> bool {
+        let b = self.b as usize;
+        self.scoring.model.matrix().is_some_and(|m| self.wavefront_backend.reads_profile(b, m))
+    }
+
     /// The host block side of an `n × m` task whose wavefront runs on
     /// `backend`: the one place the 8 / 16 / 32 choice is made (the kernel,
     /// `AgathaConfig::{block_dim_for, fill_tier_for}` and the CLI's

@@ -14,6 +14,14 @@
 //! row of any geometry whose query span hangs past the sequence end still reads the same
 //! scores the direct lookup produces for pad codes — the profile path is
 //! bit-identical to the lookup path by construction.
+//!
+//! Who reads it: the default `Lanes::sub_rows` of the wavefront fill, i.e.
+//! every lane impl at 8 and 16 lanes and the portable lanes at 32. The
+//! 32-lane AVX-512 strip does not — it looks each window's reference codes
+//! up in the matrix's compile-time column table
+//! ([`crate::SubstMatrix::columns`]) with one permute per lane — so the
+//! kernel builds no profile for a task tiled at 32 there
+//! ([`crate::block::BlockCtx::reads_profile`]).
 
 use crate::pack::PackedSeq;
 use crate::scoring::{Scoring, SubstMatrix};
@@ -69,6 +77,13 @@ impl QueryProfile {
             self.rows.extend(std::iter::repeat_n(i16::from(scores[pad]), MAX_STRIP));
             self.rows.extend(self.codes.iter().rev().map(|&qc| i16::from(scores[qc])));
         }
+    }
+
+    /// Whether no rows were ever built (the profile was never prepared
+    /// under a matrix model).
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
     }
 
     /// Whether these rows were built for exactly this matrix and query

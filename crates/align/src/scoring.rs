@@ -18,6 +18,7 @@
 
 use crate::base::Base;
 use crate::pack::{CodeTable, DNA};
+use crate::MAX_STRIP;
 
 /// A substitution matrix over a residue alphabet (protein scoring).
 ///
@@ -44,9 +45,43 @@ pub struct SubstMatrix {
     /// Smallest (most negative) entry of `scores` (declared, asserted by
     /// tests).
     pub min_score: i32,
+    /// `scores` as one column per query residue, built at compile time
+    /// ([`SubstMatrix::lane_columns`]; checked by [`SubstMatrix::validate`]):
+    /// what the 32-lane strip looks a window's reference codes up in.
+    /// `None` for an alphabet wider than [`MAX_STRIP`].
+    pub columns: Option<LaneColumns>,
 }
 
+/// A matrix's scores as [`MAX_STRIP`] columns of [`MAX_STRIP`] `i16`
+/// entries, `columns[q][r] = S(r, q)`: one vector register of scores per
+/// query residue, indexed by the reference residue. Codes at or past `dim`
+/// (either index) hold the ambiguous residue's scores, as
+/// [`SubstMatrix::score`] clamps them.
+pub type LaneColumns = [[i16; MAX_STRIP]; MAX_STRIP];
+
 impl SubstMatrix {
+    /// The column table of the `dim × dim` row-major `scores` (see
+    /// [`LaneColumns`]), or `None` when the alphabet is wider than
+    /// [`MAX_STRIP`] or `scores` is not `dim × dim`.
+    pub const fn lane_columns(scores: &[i8], dim: usize) -> Option<LaneColumns> {
+        if dim == 0 || dim > MAX_STRIP || scores.len() != dim * dim {
+            return None;
+        }
+        let mut columns = [[0i16; MAX_STRIP]; MAX_STRIP];
+        let mut q = 0;
+        while q < MAX_STRIP {
+            let qc = if q < dim { q } else { dim - 1 };
+            let mut r = 0;
+            while r < MAX_STRIP {
+                let rc = if r < dim { r } else { dim - 1 };
+                columns[q][r] = scores[rc * dim + qc] as i16;
+                r += 1;
+            }
+            q += 1;
+        }
+        Some(columns)
+    }
+
     /// Substitution score between residue codes `x` and `y`. Codes at or
     /// beyond `dim` (foreign-alphabet input) clamp to the ambiguous residue.
     #[inline(always)]
@@ -91,6 +126,9 @@ impl SubstMatrix {
         if self.table != CodeTable::from_alphabet(self.alphabet, 8) {
             return Err(format!("matrix {}: code table does not match the alphabet", self.name));
         }
+        if self.columns != SubstMatrix::lane_columns(self.scores, self.dim) {
+            return Err(format!("matrix {}: column table does not match the scores", self.name));
+        }
         let max = self.scores.iter().copied().max().unwrap() as i32;
         let min = self.scores.iter().copied().min().unwrap() as i32;
         if max != self.max_score || min != self.min_score {
@@ -109,6 +147,9 @@ impl SubstMatrix {
 /// BLOSUM62's residues in code order, `X` last.
 const BLOSUM62_ALPHABET: &str = "ARNDCQEGHILKMFPSTWYVX";
 
+/// [`BLOSUM62`]'s alphabet size.
+const BLOSUM62_DIM: usize = 21;
+
 /// BLOSUM62 over the 20 standard amino acids plus `X` (ambiguous/pad).
 ///
 /// The 20×20 core is the standard BLOSUM62 table (order `ARNDCQEGHILKMFPSTWYV`,
@@ -119,35 +160,39 @@ pub static BLOSUM62: SubstMatrix = SubstMatrix {
     name: "blosum62",
     alphabet: BLOSUM62_ALPHABET,
     table: CodeTable::from_alphabet(BLOSUM62_ALPHABET, 8),
-    dim: 21,
-    #[rustfmt::skip]
-    scores: &[
-    //   A   R   N   D   C   Q   E   G   H   I   L   K   M   F   P   S   T   W   Y   V   X
-         4, -1, -2, -2,  0, -1, -1,  0, -2, -1, -1, -1, -1, -2, -1,  1,  0, -3, -2,  0, -1,
-        -1,  5,  0, -2, -3,  1,  0, -2,  0, -3, -2,  2, -1, -3, -2, -1, -1, -3, -2, -3, -1,
-        -2,  0,  6,  1, -3,  0,  0,  0,  1, -3, -3,  0, -2, -3, -2,  1,  0, -4, -2, -3, -1,
-        -2, -2,  1,  6, -3,  0,  2, -1, -1, -3, -4, -1, -3, -3, -1,  0, -1, -4, -3, -3, -1,
-         0, -3, -3, -3,  9, -3, -4, -3, -3, -1, -1, -3, -1, -2, -3, -1, -1, -2, -2, -1, -1,
-        -1,  1,  0,  0, -3,  5,  2, -2,  0, -3, -2,  1,  0, -3, -1,  0, -1, -2, -1, -2, -1,
-        -1,  0,  0,  2, -4,  2,  5, -2,  0, -3, -3,  1, -2, -3, -1,  0, -1, -3, -2, -2, -1,
-         0, -2,  0, -1, -3, -2, -2,  6, -2, -4, -4, -2, -3, -3, -2,  0, -2, -2, -3, -3, -1,
-        -2,  0,  1, -1, -3,  0,  0, -2,  8, -3, -3, -1, -2, -1, -2, -1, -2, -2,  2, -3, -1,
-        -1, -3, -3, -3, -1, -3, -3, -4, -3,  4,  2, -3,  1,  0, -3, -2, -1, -3, -1,  3, -1,
-        -1, -2, -3, -4, -1, -2, -3, -4, -3,  2,  4, -2,  2,  0, -3, -2, -1, -2, -1,  1, -1,
-        -1,  2,  0, -1, -3,  1,  1, -2, -1, -3, -2,  5, -1, -3, -1,  0, -1, -3, -2, -2, -1,
-        -1, -1, -2, -3, -1,  0, -2, -3, -2,  1,  2, -1,  5,  0, -2, -1, -1, -1, -1,  1, -1,
-        -2, -3, -3, -3, -2, -3, -3, -3, -1,  0,  0, -3,  0,  6, -4, -2, -2,  1,  3, -1, -1,
-        -1, -2, -2, -1, -3, -1, -1, -2, -2, -3, -3, -1, -2, -4,  7, -1, -1, -4, -3, -2, -1,
-         1, -1,  1,  0, -1,  0,  0,  0, -1, -2, -2,  0, -1, -2, -1,  4,  1, -3, -2, -2, -1,
-         0, -1,  0, -1, -1, -1, -1, -2, -2, -1, -1, -1, -1, -2, -1,  1,  5, -2, -2,  0, -1,
-        -3, -3, -4, -4, -2, -2, -3, -2, -2, -3, -2, -3, -1,  1, -4, -3, -2, 11,  2, -3, -1,
-        -2, -2, -2, -3, -2, -1, -2, -3,  2, -1, -1, -2, -1,  3, -3, -2, -2,  2,  7, -1, -1,
-         0, -3, -3, -3, -1, -2, -2, -3, -3,  3,  1, -2,  1, -1, -2, -2,  0, -3, -1,  4, -1,
-        -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    ],
+    dim: BLOSUM62_DIM,
+    scores: &BLOSUM62_SCORES,
     max_score: 11,
     min_score: -4,
+    columns: SubstMatrix::lane_columns(&BLOSUM62_SCORES, BLOSUM62_DIM),
 };
+
+/// [`BLOSUM62`]'s scores, row-major in code order.
+#[rustfmt::skip]
+const BLOSUM62_SCORES: [i8; BLOSUM62_DIM * BLOSUM62_DIM] = [
+//   A   R   N   D   C   Q   E   G   H   I   L   K   M   F   P   S   T   W   Y   V   X
+     4, -1, -2, -2,  0, -1, -1,  0, -2, -1, -1, -1, -1, -2, -1,  1,  0, -3, -2,  0, -1,
+    -1,  5,  0, -2, -3,  1,  0, -2,  0, -3, -2,  2, -1, -3, -2, -1, -1, -3, -2, -3, -1,
+    -2,  0,  6,  1, -3,  0,  0,  0,  1, -3, -3,  0, -2, -3, -2,  1,  0, -4, -2, -3, -1,
+    -2, -2,  1,  6, -3,  0,  2, -1, -1, -3, -4, -1, -3, -3, -1,  0, -1, -4, -3, -3, -1,
+     0, -3, -3, -3,  9, -3, -4, -3, -3, -1, -1, -3, -1, -2, -3, -1, -1, -2, -2, -1, -1,
+    -1,  1,  0,  0, -3,  5,  2, -2,  0, -3, -2,  1,  0, -3, -1,  0, -1, -2, -1, -2, -1,
+    -1,  0,  0,  2, -4,  2,  5, -2,  0, -3, -3,  1, -2, -3, -1,  0, -1, -3, -2, -2, -1,
+     0, -2,  0, -1, -3, -2, -2,  6, -2, -4, -4, -2, -3, -3, -2,  0, -2, -2, -3, -3, -1,
+    -2,  0,  1, -1, -3,  0,  0, -2,  8, -3, -3, -1, -2, -1, -2, -1, -2, -2,  2, -3, -1,
+    -1, -3, -3, -3, -1, -3, -3, -4, -3,  4,  2, -3,  1,  0, -3, -2, -1, -3, -1,  3, -1,
+    -1, -2, -3, -4, -1, -2, -3, -4, -3,  2,  4, -2,  2,  0, -3, -2, -1, -2, -1,  1, -1,
+    -1,  2,  0, -1, -3,  1,  1, -2, -1, -3, -2,  5, -1, -3, -1,  0, -1, -3, -2, -2, -1,
+    -1, -1, -2, -3, -1,  0, -2, -3, -2,  1,  2, -1,  5,  0, -2, -1, -1, -1, -1,  1, -1,
+    -2, -3, -3, -3, -2, -3, -3, -3, -1,  0,  0, -3,  0,  6, -4, -2, -2,  1,  3, -1, -1,
+    -1, -2, -2, -1, -3, -1, -1, -2, -2, -3, -3, -1, -2, -4,  7, -1, -1, -4, -3, -2, -1,
+     1, -1,  1,  0, -1,  0,  0,  0, -1, -2, -2,  0, -1, -2, -1,  4,  1, -3, -2, -2, -1,
+     0, -1,  0, -1, -1, -1, -1, -2, -2, -1, -1, -1, -1, -2, -1,  1,  5, -2, -2,  0, -1,
+    -3, -3, -4, -4, -2, -2, -3, -2, -2, -3, -2, -3, -1,  1, -4, -3, -2, 11,  2, -3, -1,
+    -2, -2, -2, -3, -2, -1, -2, -3,  2, -1, -1, -2, -1,  3, -3, -2, -2,  2,  7, -1, -1,
+     0, -3, -3, -3, -1, -2, -2, -3, -3,  3,  1, -2,  1, -1, -2, -2,  0, -3, -1,  4, -1,
+    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+];
 
 /// The per-cell substitution model: how `S(x, y)` is computed.
 ///
@@ -617,6 +662,22 @@ mod tests {
         }
         assert_eq!(code('?'), BLOSUM62.pad_code());
         assert_eq!(BLOSUM62.score(200, 0), BLOSUM62.score(BLOSUM62.pad_code(), 0));
+    }
+
+    #[test]
+    fn lane_columns_are_the_clamped_lookup() {
+        let columns = BLOSUM62.columns.as_ref().expect("21 residues fit 32 lanes");
+        for (q, column) in columns.iter().enumerate() {
+            for (r, &s) in column.iter().enumerate() {
+                assert_eq!(i32::from(s), BLOSUM62.score(r as u8, q as u8), "S({r}, {q})");
+            }
+        }
+        // A table that is not square, or an alphabet wider than the strip,
+        // has no columns.
+        assert_eq!(SubstMatrix::lane_columns(&[0; 6], 2), None);
+        assert_eq!(SubstMatrix::lane_columns(&[0; 33 * 33], 33), None);
+        let wrong = SubstMatrix { columns: None, ..BLOSUM62 };
+        assert!(wrong.validate().unwrap_err().contains("column table"));
     }
 
     #[test]

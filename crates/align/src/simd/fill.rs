@@ -59,8 +59,9 @@ impl<'a, const B: usize> SegmentIo<'a, B> {
 }
 
 /// Per-step substitution lanes of one window for a matrix score model, into
-/// `out`: entry `[d][l] = S(R[d + l], Q[j0 + B−1 − l])`. The fill loads one
-/// row per step in place of the fixed-model compare/select.
+/// `out`: entry `[d][l] = S(R[d + l], Q[j0 + B−1 − l])` — the default
+/// [`Lanes::sub_rows`]. The fill loads one row per step in place of the
+/// fixed-model compare/select.
 ///
 /// The scores of reference position `x` against the `B` query rows are one
 /// contiguous read of the [`crate::QueryProfile`] the block context carries
@@ -71,7 +72,7 @@ impl<'a, const B: usize> SegmentIo<'a, B> {
 /// digit of `l` at a time, a constant-mask blend per row and digit (the
 /// lowest and the highest on the way in) — five digits at 32 lanes.
 #[inline(always)]
-fn matrix_sub_rows<L: Lanes<B>, const B: usize>(
+pub(super) fn matrix_sub_rows<L: Lanes<B>, const B: usize>(
     lanes: L,
     ctx: &BlockCtx<'_>,
     m: &'static crate::scoring::SubstMatrix,
@@ -221,7 +222,7 @@ pub(crate) fn fill_segment<L: Lanes<B>, const B: usize>(
         // Lane `l` of step `d` reads `codes[d + l]`.
         let codes = &rcodes[t0..t0 + len + B - 1];
         if let Some((m, rows)) = &mut sub_rows {
-            matrix_sub_rows(lanes, ctx, m, j0, codes, qcodes, rows);
+            lanes.sub_rows(ctx, m, j0, codes, qcodes, rows);
         }
 
         // The bottom lane's H and F, step by step: the south boundary.

@@ -11,9 +11,11 @@
 //! Arithmetic saturates: sentinel-class values pin in the sentinel band
 //! instead of wrapping into plausible scores.
 
+use super::fill::matrix_sub_rows;
 use super::{to16, SENTINEL_BAND16};
-use crate::block::I32_REACH_BOUND;
-use crate::NEG_INF;
+use crate::block::{BlockCtx, I32_REACH_BOUND};
+use crate::scoring::SubstMatrix;
+use crate::{MAX_STRIP, NEG_INF, STAGE_ROWS};
 
 /// A score *difference* (penalty, substitution score) or residue code as a
 /// lane value — base-free by nature.
@@ -91,6 +93,26 @@ pub(crate) trait Lanes<const B: usize>: Copy {
     #[inline(always)]
     fn rebase_boundary(self, src: &[i32; B], base: i32) -> [i16; B] {
         src.map(|v| rebase(v, base))
+    }
+
+    /// The substitution rows of one window under the matrix `m`, into `out`:
+    /// `out[d][l] = S(codes[d + l], Q[j0 + B−1 − l])` for each of the
+    /// window's `codes.len() + 1 − B` steps `d` (rows past them may hold anything),
+    /// `qcodes` the block row's query codes. By default the window unskews
+    /// rows of the [`crate::QueryProfile`] in `ctx` ([`matrix_sub_rows`]);
+    /// an impl that looks the scores up another way need not read it (see
+    /// [`super::ProvenBackend::reads_profile`]).
+    #[inline(always)]
+    fn sub_rows(
+        self,
+        ctx: &BlockCtx<'_>,
+        m: &'static SubstMatrix,
+        j0: i64,
+        codes: &[i16],
+        qcodes: &[u8; B],
+        out: &mut [[i16; B]; STAGE_ROWS + MAX_STRIP],
+    ) {
+        matrix_sub_rows(self, ctx, m, j0, codes, qcodes, out);
     }
 
     /// The tracker fold's row reduce, over `N` staged i16 rows: per row,

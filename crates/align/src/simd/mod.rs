@@ -45,6 +45,14 @@
 //!   the lanes when the ramp-down ends;
 //! * the reference codes of step `t` are one window load from the task's
 //!   lane-code array; query codes are fixed per lane;
+//! * substitution: the fixed model compares the reference window with the
+//!   query lanes and selects a constant; a matrix model loads one row per
+//!   step, written per staged window by `Lanes::sub_rows`. By default the
+//!   window unskews rows of the task's [`crate::QueryProfile`] (one
+//!   contiguous read per reference position); the 32-lane strip reads no
+//!   profile — per lane one `vpermw` of its reference codes through the
+//!   matrix column of its query residue ([`crate::SubstMatrix::columns`]),
+//!   then one 32×32 transpose turns the lane streams into the step rows;
 //! * out-of-band / out-of-table lanes are masked to `-∞` in the staged row
 //!   and in the carried state (clipping is semantic: a clipped lane must
 //!   read as `-∞` from its in-band neighbour). Each bound of the valid-lane
@@ -93,12 +101,19 @@
 //! into the staging buffer, and [`fold_wavefront_i16`] — the fold of a block
 //! filled on its own — dispatches on the stamp.
 //!
-//! | backend    | B=8                 | B=16                      | B=32                         |
-//! |------------|---------------------|---------------------------|------------------------------|
-//! | `avx512`   | `Sse41I16` (avx2)   | `Avx2I16` (avx2)          | `Avx512I16x32` (avx512bw+vl) |
-//! | `avx2`     | `Sse41I16` (avx2)   | `Avx2I16` (avx2)          | `Portable`                   |
-//! | `sse41`    | `Sse41I16` (sse4.1) | `Portable`                | `Portable`                   |
-//! | `portable` | `Portable`          | `Portable`                | `Portable`                   |
+//! | backend    | B=8                 | B=16                      | B=32                         | matrix rows from            |
+//! |------------|---------------------|---------------------------|------------------------------|-----------------------------|
+//! | `avx512`   | `Sse41I16` (avx2)   | `Avx2I16` (avx2)          | `Avx512I16x32` (avx512bw+vl) | profile; column table at 32 |
+//! | `avx2`     | `Sse41I16` (avx2)   | `Avx2I16` (avx2)          | `Portable`                   | profile                     |
+//! | `sse41`    | `Sse41I16` (sse4.1) | `Portable`                | `Portable`                   | profile                     |
+//! | `portable` | `Portable`          | `Portable`                | `Portable`                   | profile                     |
+//!
+//! The last column is where a matrix model's substitution rows come from
+//! (`Lanes::sub_rows`): every impl but `Avx512I16x32` unskews the task's
+//! [`crate::QueryProfile`]; `Avx512I16x32` looks its windows up in the
+//! matrix's column table (a matrix of more than 32 residues has none and
+//! falls back to the profile). The kernel builds a profile only for a task
+//! whose lanes read one ([`crate::block::BlockCtx::reads_profile`]).
 //!
 //! The tile rule ([`crate::block::BlockCtx::geometry_for`]) picks B=32 on
 //! `avx512` wherever the task's i16 gate holds at 32, B=16 on every other
@@ -132,6 +147,7 @@
 
 use crate::block::{BlockCellsT, BlockCtx};
 use crate::diag::DiagTracker;
+use crate::scoring::SubstMatrix;
 #[cfg(target_arch = "x86_64")]
 use crate::{BLOCK, MAX_BLOCK, MAX_STRIP};
 use fill::fill_segment;
@@ -344,6 +360,19 @@ impl ProvenBackend {
             self = self.lowered();
         }
         self
+    }
+
+    /// Whether the lanes this level runs at block side `b` read the
+    /// [`crate::QueryProfile`] of the matrix `m` ([`Lanes::sub_rows`]):
+    /// every impl but the 32-lane strip's, which looks each window up in the
+    /// matrix's column table where it has one.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+    pub(crate) fn reads_profile(self, b: usize, m: &SubstMatrix) -> bool {
+        match (self.at_block_dim(b), b) {
+            #[cfg(target_arch = "x86_64")]
+            (Avx512(_), MAX_STRIP) => m.columns.is_none(),
+            _ => true,
+        }
     }
 
     /// The level whose lanes run at block side `b`: only the 32-lane strip

@@ -436,14 +436,20 @@ fn gate_sum(a: i64, b: i64, o: i64, e: i64, bdim: i64) -> i64 {
 type GateCase = (i32, i32, i32);
 
 /// The i16 gate battery at geometry `B`: `inside`/`at`/`past` are scorings
-/// whose `span + drift` lands on `2^13 − 1`, `2^13` and `2^13 + 1`.
-fn gate_boundary_battery<const B: usize>(inside: GateCase, at: GateCase, past: GateCase) {
+/// whose `span + drift` lands on `inside_sum` (the largest sum below `2^13`
+/// the geometry reaches), `2^13` and `2^13 + 1`.
+fn gate_boundary_battery<const B: usize>(
+    inside_sum: i64,
+    inside: GateCase,
+    at: GateCase,
+    past: GateCase,
+) {
     use crate::block::{FillMode, FillPrecision, FillTier};
     use crate::guided::guided_align;
 
     let scoring = |(a, b, o): GateCase| Scoring::new(a, b, o, 1, Scoring::NO_ZDROP, 24);
     let sum = |(a, b, o): GateCase| gate_sum(a.into(), b.into(), o.into(), 1, B as i64);
-    assert_eq!((sum(inside), sum(at), sum(past)), (8191, 8192, 8193));
+    assert_eq!((sum(inside), sum(at), sum(past)), (inside_sum, 8192, 8193));
 
     // The gate no longer looks at the task: a 40 bp and a 40 kb pair resolve
     // alike on either side of it.
@@ -466,7 +472,10 @@ fn gate_boundary_battery<const B: usize>(inside: GateCase, at: GateCase, past: G
     // by the full match score, to far beyond i16) and a run into junk (every
     // step falls by the mismatch, or rides a gap).
     let mut rng = Rng(0x6A7E + B as u64);
-    let len = if cfg!(miri) { 150 } else { 700 };
+    // Long enough for the all-match score to leave i16 — `(len − 10)·a >
+    // i16::MAX` — at the case's match score `a`.
+    let climb = i16::MAX as usize / inside.0 as usize + 12;
+    let len = if cfg!(miri) { climb } else { climb.max(700) };
     let all_match = vec![0u8; len];
     let mut junk_r = vec![0u8; len / 6];
     let mut junk_q = junk_r.clone();
@@ -501,7 +510,7 @@ fn gate_boundary_battery<const B: usize>(inside: GateCase, at: GateCase, past: G
 #[test]
 fn i16_gate_boundary_is_exact() {
     // B = 8: span + drift = 49(a + b + o + 1) + 32·max(a, b).
-    gate_boundary_battery::<BLOCK>((86, 24, 0), (60, 60, 7), (83, 29, 0));
+    gate_boundary_battery::<BLOCK>(8191, (86, 24, 0), (60, 60, 7), (83, 29, 0));
 }
 
 #[test]
@@ -510,22 +519,24 @@ fn rebased_i16_scores_far_from_zero_exactly() {
     // gate's reach and past `i16::MAX / 2` — yet no block's values spread
     // more than a few dozen around its base.
     use crate::block::{FillMode, FillPrecision, FillTier};
-    // (Under Miri a 300 bp pair at 60 per match reaches the same score on a
-    // thirtieth of the cells.)
-    let (len, a) = if cfg!(miri) { (300, 60) } else { (9_000, 2) };
+    // (Under Miri a 360 bp pair at 50 per match — inside the gate at 32 —
+    // reaches the same score on a twenty-fifth of the cells.)
+    let (len, a) = if cfg!(miri) { (360, 50) } else { (9_000, 2) };
     let sc = Scoring::new(a, 4, 4, 2, 400, if cfg!(miri) { 20 } else { 100 });
     let codes: Vec<u8> =
         (0..len as u32).map(|k| (k.wrapping_mul(2_654_435_761) >> 13) as u8 % 4).collect();
     let seq = PackedSeq::from_codes(&codes);
-    for bdim in [BLOCK, MAX_BLOCK] {
+    for bdim in [BLOCK, MAX_BLOCK, MAX_STRIP] {
         let ctx = BlockCtx::with_block_dim(len, len, &sc, bdim);
         assert_eq!(ctx.fill_tier(FillMode::Simd, FillPrecision::Auto), FillTier::I16, "b={bdim}");
     }
     for b in supported_backends() {
         let narrow = grid_run_i16_on::<BLOCK>(b, &seq, &seq, &sc);
         let wide = grid_run_i16_on::<MAX_BLOCK>(b, &seq, &seq, &sc);
+        let strip = grid_run_i16_on::<MAX_STRIP>(b, &seq, &seq, &sc);
         assert_eq!(narrow.score, 18_000, "{}", b.name());
         assert_eq!(narrow, wide, "{}", b.name());
+        assert_eq!(narrow, strip, "{}: at 32", b.name());
         assert_eq!(narrow.qend_score, Some(18_000), "{}: qend carries the base too", b.name());
     }
 }
@@ -928,7 +939,17 @@ fn avx512_gate_boundary_is_exact_at_wide_geometry() {
     // backend this host supports in turn (every host exercises its own
     // 16-lane arm — the contract is identical).
     // B = 16: span + drift = 65(a + b + 1) + 32a = 97a + 65(b + 1).
-    gate_boundary_battery::<MAX_BLOCK>((63, 31, 0), (61, 34, 0), (59, 37, 0));
+    gate_boundary_battery::<MAX_BLOCK>(8191, (63, 31, 0), (61, 34, 0), (59, 37, 0));
+}
+
+#[test]
+fn gate_boundary_is_exact_at_the_32_lane_strip() {
+    // The tile AVX-512 hosts run, on every backend this host supports (the
+    // others run their portable lanes at 32).
+    // B = 32: span + drift = 97(a + b + o + 1) + 32·max, i.e. 129·max + 97·rest:
+    // 8,191 would need max ≡ 65 (mod 97), past the 63 that 129·max ≤ 8,191
+    // allows, so the largest sum inside the gate is 8,171.
+    gate_boundary_battery::<MAX_STRIP>(8171, (28, 28, 18), (62, 1, 0), (59, 5, 0));
 }
 
 /// The masks [`fill_segment`] stages for the window at step `t0` of the strip
@@ -1309,5 +1330,109 @@ fn level_tokens_are_detect_only_proofs() {
         assert_eq!(capped.name(), choice.cap(best.name()));
         assert!(supported.contains(&capped.name()), "{name} resolved above the host");
         assert_eq!(capped.capped(BackendChoice::Auto).name(), capped.name());
+    }
+}
+
+/// [`Lanes::sub_rows`] of the lanes `L` at geometry `B` against its
+/// definition, `S(codes[d + l], Q[j0 + B−1 − l])` by direct lookup, and
+/// against the default (the profile's rows unskewed, and the same with no
+/// profile), on random windows of every length at every `j0` of a query
+/// that ends inside a block row: the window codes and the query span every
+/// 8-bit code, in-alphabet, the pad and past the alphabet (clamped).
+fn check_sub_rows<L: Lanes<B>, const B: usize>(lanes: L, name: &str) {
+    use crate::profile::QueryProfile;
+    use crate::scoring::BLOSUM62;
+    let sc = Scoring::preset_blosum62();
+    let mut rng = Rng(0xB62 + B as u64);
+    // Mostly residues, with the pad and foreign codes among them.
+    let mut code = || match rng.next() % 8 {
+        0 => (rng.next() % 256) as u8,
+        _ => (rng.next() % BLOSUM62.dim as u64) as u8,
+    };
+    let qlen = if cfg!(miri) { B + 3 } else { 3 * B + 5 };
+    let qcodes: Vec<u8> = (0..qlen).map(|_| code()).collect();
+    let q = PackedSeq::from_codes_wide(&qcodes, 8, BLOSUM62.pad_code());
+    let mut profile = QueryProfile::new();
+    profile.prepare(&q, &sc);
+    let ctx = BlockCtx::with_block_dim(qlen, qlen, &sc, B);
+    let profiled = ctx.with_profile(Some(&profile));
+    let lens: &[usize] =
+        if cfg!(miri) { &[1, STAGE_ROWS] } else { &[1, 2, 7, B - 1, B, STAGE_ROWS] };
+    // Every eighth window code counts through all 8-bit codes.
+    let (mut seen, mut count) = ([false; 256], 0u8);
+    for j0 in 0..qlen {
+        // Rows past the query end hold the pad, as `unpack_block` lays them.
+        let rows: [u8; B] =
+            std::array::from_fn(|k| qcodes.get(j0 + k).copied().unwrap_or(BLOSUM62.pad_code()));
+        for &len in lens {
+            let codes: Vec<i16> = (0..len + B - 1)
+                .map(|k| {
+                    let c = if k % 8 == 0 { count } else { code() };
+                    count = count.wrapping_add(u8::from(k % 8 == 0));
+                    seen[usize::from(c)] = true;
+                    i16::from(c)
+                })
+                .collect();
+            let mut got = [[0i16; B]; STAGE_ROWS + MAX_STRIP];
+            lanes.sub_rows(&ctx, &BLOSUM62, j0 as i64, &codes, &rows, &mut got);
+            for (d, row) in got[..len].iter().enumerate() {
+                for (l, &s) in row.iter().enumerate() {
+                    let want = BLOSUM62.score(codes[d + l] as u8, rows[B - 1 - l]);
+                    assert_eq!(i32::from(s), want, "{name}: j0={j0} len={len} step {d} lane {l}");
+                }
+            }
+            for ctx in [&ctx, &profiled] {
+                let mut default = [[0i16; B]; STAGE_ROWS + MAX_STRIP];
+                fill::matrix_sub_rows(
+                    Portable,
+                    ctx,
+                    &BLOSUM62,
+                    j0 as i64,
+                    &codes,
+                    &rows,
+                    &mut default,
+                );
+                assert_eq!(got[..len], default[..len], "{name}: j0={j0} len={len}");
+            }
+        }
+    }
+    if !cfg!(miri) {
+        assert!(seen.iter().all(|&s| s), "{name}: every 8-bit code in some window");
+    }
+}
+
+#[test]
+fn matrix_windows_match_the_direct_lookup() {
+    // The default primitive at every side, and the 32-lane strip's one
+    // `vpermw` per lane plus transpose where the host has AVX-512.
+    check_sub_rows::<_, BLOCK>(Portable, "portable");
+    check_sub_rows::<_, MAX_BLOCK>(Portable, "portable");
+    check_sub_rows::<_, MAX_STRIP>(Portable, "portable");
+    #[cfg(target_arch = "x86_64")]
+    {
+        if let Some(t) = x86::Avx2::detect() {
+            check_sub_rows(Avx2I16(t), "avx2");
+        }
+        if let Some(t) = x86::Avx512::detect() {
+            check_sub_rows(Avx512I16x32(t), "avx512x32");
+        }
+    }
+}
+
+#[test]
+fn only_the_32_lane_strip_skips_the_profile() {
+    use crate::scoring::BLOSUM62;
+    let (sc, dna) = (Scoring::preset_blosum62(), Scoring::preset_clr());
+    // A matrix without a column table unskews the profile everywhere.
+    let no_columns = crate::scoring::SubstMatrix { columns: None, ..BLOSUM62 };
+    for backend in supported_backends() {
+        let choice = BackendChoice::Fixed(backend);
+        for b in [BLOCK, MAX_BLOCK, MAX_STRIP] {
+            let strip = backend == WavefrontBackend::Avx512 && b == MAX_STRIP;
+            let ctx = |sc| BlockCtx::with_block_dim(100, 100, sc, b).with_backend(choice);
+            assert_eq!(ctx(&sc).reads_profile(), !strip, "{} b{b}", backend.name());
+            assert!(!ctx(&dna).reads_profile(), "the fixed model has no profile");
+            assert!(ctx(&sc).wavefront_backend.reads_profile(b, &no_columns));
+        }
     }
 }

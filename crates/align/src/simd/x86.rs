@@ -7,11 +7,12 @@
 //! level, a lane impl holds one, so inside a lane method "`self` exists" is
 //! the whole safety argument.
 
-use super::fill::{fill_segment, SegmentIo};
+use super::fill::{fill_segment, matrix_sub_rows, SegmentIo};
 use super::lanes::Lanes;
 use crate::block::{BlockCellsT, BlockCtx};
 use crate::diag::DiagTracker;
-use crate::{BLOCK, MAX_BLOCK, MAX_STRIP};
+use crate::scoring::SubstMatrix;
+use crate::{BLOCK, MAX_BLOCK, MAX_STRIP, STAGE_ROWS};
 use std::arch::is_x86_feature_detected;
 #[allow(clippy::wildcard_imports)]
 use std::arch::x86_64::*;
@@ -252,9 +253,8 @@ impl Lanes<MAX_BLOCK> for Avx2I16 {
             *lo = half.minpos(row.first_chunk().expect("the low half"));
             *hi = half.minpos(row.last_chunk().expect("the high half"));
         }
-        let key = |w: u32, from: u32| (w & 0xFFFF) << 5 | ((w >> 16) + from);
         for (lo, hi) in lo.iter_mut().zip(hi) {
-            *lo = key(*lo, 0).min(key(hi, 8));
+            *lo = ((*lo & 0xFFFF) << 5 | *lo >> 16).min((hi & 0xFFFF) << 5 | ((hi >> 16) + 8));
         }
         lo
     }
@@ -313,6 +313,63 @@ impl Lanes<MAX_BLOCK> for Avx2I16 {
     }
 }
 
+/// Slot `s` of the 32-lane strip's transpose ([`transpose_32x32`]) takes
+/// lane `l` = `s` with its five bits reversed, and leaves as step row
+/// `ROW_OF_SLOT[s]`: the network's fixed input and output orders, folded
+/// into the loads and stores around it.
+const LANE_OF_SLOT: [usize; MAX_STRIP] = {
+    let mut lanes = [0; MAX_STRIP];
+    let mut s = 0;
+    while s < MAX_STRIP {
+        lanes[s] = s.reverse_bits() >> (usize::BITS - MAX_STRIP.ilog2());
+        s += 1;
+    }
+    lanes
+};
+
+/// See [`LANE_OF_SLOT`]: slot `s` of the transpose's output is step row
+/// `d` with `d`'s two top bits the two low bits of `s`, swapped, and its
+/// three low bits the three top bits of `s`.
+const ROW_OF_SLOT: [usize; MAX_STRIP] = {
+    let mut rows = [0; MAX_STRIP];
+    let mut s = 0;
+    while s < MAX_STRIP {
+        rows[s] = (s & 1) << 4 | (s & 2) << 2 | s >> 2;
+        s += 1;
+    }
+    rows
+};
+
+/// The 32×32 `i16` transpose of the 32-lane strip's window lookups: five
+/// rounds of one pattern — slot `k` meets slot `k + 16`, and their two
+/// interleavings become slots `2k` and `2k + 1` — at 16, 32 and 64 bits
+/// inside each 128-bit quarter (`vpunpck{l,h}{wd,dq,qdq}`), then twice over
+/// whole quarters (`vshufi64x2`). Each round moves one bit of the lane index
+/// from the slot into the element and one bit of the element index the other
+/// way, so with the lanes entering at [`LANE_OF_SLOT`], element `d` of lane
+/// `l` leaves as element `l` of the slot whose [`ROW_OF_SLOT`] is `d`.
+#[inline(always)]
+fn transpose_32x32(_level: Avx512, v: &mut [__m512i; MAX_STRIP]) {
+    const HALF: usize = MAX_STRIP / 2;
+    macro_rules! round {
+        ($lo:path, $hi:path) => {
+            let w = *v;
+            for k in 0..HALF {
+                v[2 * k] = $lo(w[k], w[k + HALF]);
+                v[2 * k + 1] = $hi(w[k], w[k + HALF]);
+            }
+        };
+    }
+    // SAFETY: `_level` proves AVX-512BW (and with it AVX-512F).
+    unsafe {
+        round!(_mm512_unpacklo_epi16, _mm512_unpackhi_epi16);
+        round!(_mm512_unpacklo_epi32, _mm512_unpackhi_epi32);
+        round!(_mm512_unpacklo_epi64, _mm512_unpackhi_epi64);
+        round!(_mm512_shuffle_i64x2::<0x88>, _mm512_shuffle_i64x2::<0xDD>);
+        round!(_mm512_shuffle_i64x2::<0x88>, _mm512_shuffle_i64x2::<0xDD>);
+    }
+}
+
 /// 32×i16 in a zmm with `__mmask32` predicates (B=32 on AVX-512BW): two of
 /// the 16-lane strip's block rows in one wavefront, on the same per-step
 /// dependency chain.
@@ -344,6 +401,53 @@ impl Lanes<MAX_STRIP> for Avx512I16x32 {
             };
         }
         keys
+    }
+
+    /// No profile: lane `l`'s scores over the window's steps are one
+    /// `vpermw` of its reference codes from `l` on — clamped to the
+    /// alphabet, a full zmm from a padded copy when the window is short —
+    /// through the matrix column of its query residue
+    /// ([`SubstMatrix::columns`]), `S(codes[d + l], Q[j0 + 31 − l])` at
+    /// element `d`; one [`transpose_32x32`] turns the 32 lane streams into
+    /// the 32 step rows. Plain loops: a closure here would be compiled
+    /// outside the feature wrapper. A matrix without columns (more than 32
+    /// residues) unskews the profile as the other impls do.
+    #[inline(always)]
+    fn sub_rows(
+        self,
+        ctx: &BlockCtx<'_>,
+        m: &'static SubstMatrix,
+        j0: i64,
+        codes: &[i16],
+        qcodes: &[u8; MAX_STRIP],
+        out: &mut [[i16; MAX_STRIP]; STAGE_ROWS + MAX_STRIP],
+    ) {
+        let Some(columns) = &m.columns else {
+            return matrix_sub_rows(self, ctx, m, j0, codes, qcodes, out);
+        };
+        let top = m.dim - 1;
+        let mut padded = [0i16; 2 * MAX_STRIP];
+        let window = if codes.len() == 2 * MAX_STRIP - 1 {
+            codes
+        } else {
+            padded[..codes.len()].copy_from_slice(codes);
+            &padded[..]
+        };
+        // SAFETY: `self` holds the AVX-512BW/VL token.
+        unsafe {
+            let top_code = _mm512_set1_epi16(top as i16);
+            let mut v = [_mm512_setzero_si512(); MAX_STRIP];
+            for (slot, &l) in v.iter_mut().zip(&LANE_OF_SLOT) {
+                let column = &columns[usize::from(qcodes[MAX_STRIP - 1 - l]).min(top)];
+                let lane_codes = window[l..].first_chunk().expect("a window of slack");
+                let r = _mm512_min_epu16(self.load(lane_codes), top_code);
+                *slot = _mm512_permutexvar_epi16(r, self.load(column));
+            }
+            transpose_32x32(self.0, &mut v);
+            for (&row, &v) in ROW_OF_SLOT.iter().zip(&v) {
+                self.store(&mut out[row], v);
+            }
+        }
     }
 
     one_instruction! {

@@ -15,7 +15,7 @@ use agatha_align::diag::DiagTracker;
 use agatha_align::guided::guided_align;
 use agatha_align::simd::{supported_backends, BackendChoice, WavefrontBackend};
 use agatha_align::sweep::{NorthRows, RowCarry, Sweep};
-use agatha_align::{PackedSeq, Scoring, Task, BLOCK, MAX_BLOCK, MAX_STRIP};
+use agatha_align::{PackedSeq, QueryProfile, Scoring, Task, BLOCK, BLOSUM62, MAX_BLOCK, MAX_STRIP};
 use agatha_core::{
     bucketing::build_warps,
     kernel::{run_task, run_task_ws, KernelWorkspace, TaskRun},
@@ -27,14 +27,25 @@ use agatha_datasets::SCENARIOS;
 use agatha_io::FastaReader;
 
 fn pseudo_seq(len: usize, seed: u64, mutate_every: usize) -> (String, String) {
+    pseudo_seq_over("ACGT", len, seed, mutate_every)
+}
+
+/// A reference of `len` letters of `alphabet` and a query equal to it but at
+/// every `mutate_every`-th position, which holds the alphabet's last letter.
+fn pseudo_seq_over(alphabet: &str, len: usize, seed: u64, mutate_every: usize) -> (String, String) {
+    let letters: Vec<char> = alphabet.chars().collect();
     let mut r = String::new();
     let mut q = String::new();
     let mut x = seed | 1;
     for k in 0..len {
         x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let c = ['A', 'C', 'G', 'T'][(x >> 33) as usize % 4];
+        let c = letters[(x >> 33) as usize % letters.len()];
         r.push(c);
-        q.push(if mutate_every > 0 && k % mutate_every == 0 { 'T' } else { c });
+        q.push(if mutate_every > 0 && k % mutate_every == 0 {
+            letters[letters.len() - 1]
+        } else {
+            c
+        });
     }
     (r, q)
 }
@@ -198,8 +209,10 @@ fn bench_block_fold(c: &mut Criterion) {
 /// Time of the i16 fill alone over segments of `k` blocks, one iteration
 /// being one block: row after row of an unbanded table, each row's first `k`
 /// blocks as one segment on a fresh carry (a fill-only [`Sweep`], fills
-/// capped at `backend`), so every segment's inputs are the real boundaries of
-/// the rows above it. Only the segments are on the clock.
+/// capped at `backend`, a matrix model's query profile built off the clock
+/// where the lanes read one, as the kernel does), so every segment's inputs
+/// are the real boundaries of the rows above it. Only the segments are on
+/// the clock.
 fn segment_fill<const B: usize>(
     task: &Task,
     s: &Scoring,
@@ -209,6 +222,9 @@ fn segment_fill<const B: usize>(
 ) -> Duration {
     let (n, m) = (task.ref_len(), task.query_len());
     let ctx = BlockCtx::with_block_dim(n, m, s, B).with_backend(BackendChoice::Fixed(backend));
+    let mut profile = QueryProfile::new();
+    profile.prepare(&task.query, s);
+    let ctx = ctx.with_profile(ctx.reads_profile().then_some(&profile));
     let mut rows = NorthRows::default();
     let (mut blocks, mut spent) = (0, Duration::ZERO);
     while blocks < iters {
@@ -233,10 +249,17 @@ fn bench_segment_fill(c: &mut Criterion) {
     // The 32-lane strip (`avx512/b32`, AVX-512 only) runs segments of 1, 4
     // and 13 blocks: the columns of b16's k = 2, 8 and 27 near enough, so
     // its ns per block over four compares with b16's at the same lengths.
+    // The `blosum62` rows fill a protein pair of the same shape under the
+    // matrix: `avx2/b16` unskews query-profile rows (every impl's default),
+    // `avx512/b32` looks each window up in the matrix's column table.
     let mut g = c.benchmark_group("segment_fill");
     let (r, q) = pseudo_seq(1024, 43, 19);
     let task = Task::from_strs(0, &r[..27 * MAX_BLOCK], &q);
     let s = Scoring::new(2, 4, 4, 2, Scoring::NO_ZDROP, Scoring::NO_BAND);
+    let blosum = Scoring::with_matrix(&BLOSUM62, 10, 1, Scoring::NO_ZDROP, Scoring::NO_BAND);
+    // The 20 residues, `X` left out.
+    let (r, q) = pseudo_seq_over(&BLOSUM62.alphabet[..20], 1024, 47, 19);
+    let protein = Task::from_strs_model(1, &r[..27 * MAX_BLOCK], &q, &blosum.model);
     for backend in supported_backends() {
         for k in [1, 3, 8, 27] {
             g.bench_function(format!("{}/b8/k{k}", backend.name()), |b| {
@@ -246,10 +269,20 @@ fn bench_segment_fill(c: &mut Criterion) {
                 b.iter_custom(|iters| segment_fill::<MAX_BLOCK>(&task, &s, backend, k, iters))
             });
         }
+        if backend == WavefrontBackend::Avx2 {
+            for k in [1, 8, 27] {
+                g.bench_function(format!("avx2/b16/blosum62/k{k}"), |b| {
+                    b.iter_custom(|i| segment_fill::<MAX_BLOCK>(&protein, &blosum, backend, k, i))
+                });
+            }
+        }
         if backend == WavefrontBackend::Avx512 {
             for k in [1, 4, 13] {
                 g.bench_function(format!("avx512/b32/k{k}"), |b| {
                     b.iter_custom(|iters| segment_fill::<MAX_STRIP>(&task, &s, backend, k, iters))
+                });
+                g.bench_function(format!("avx512/b32/blosum62/k{k}"), |b| {
+                    b.iter_custom(|i| segment_fill::<MAX_STRIP>(&protein, &blosum, backend, k, i))
                 });
             }
         }

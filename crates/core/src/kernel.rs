@@ -234,14 +234,18 @@ fn align_task_geom<const B: usize>(
     let n = task.ref_len();
     let m = task.query_len();
     let KernelWorkspace { rows, tracker, profile } = ws;
-    // Matrix score models get their per-query substitution rows built once
-    // per task (a no-op that deactivates the profile under fixed models).
-    profile.prepare(&task.query, scoring);
     // The fill follows the plan's backend, and the fold follows the fill
     // (the staging buffer carries the backend that filled it).
-    let ctx = BlockCtx::with_block_dim(n, m, scoring, B)
-        .with_backend(cfg.backend)
-        .with_profile(Some(&*profile));
+    let ctx = BlockCtx::with_block_dim(n, m, scoring, B).with_backend(cfg.backend);
+    // Matrix score models get their per-query substitution rows built once
+    // per task — where the lanes read them: the 32-lane strip looks its
+    // windows up in the matrix instead.
+    let ctx = if ctx.reads_profile() {
+        profile.prepare(&task.query, scoring);
+        ctx.with_profile(Some(&*profile))
+    } else {
+        ctx
+    };
     // Per-task tier resolution: the i16 wavefront when its exactness gate
     // holds, the scalar fill otherwise (see BlockCtx::fill_tier).
     let tier = ctx.fill_tier(cfg.fill_mode(), cfg.fill_precision);
@@ -679,5 +683,28 @@ pub(crate) mod tests {
             }
         }
         assert_eq!(ws.row_capacity(), cap, "steady-state reuse must not regrow buffers");
+    }
+
+    #[test]
+    fn the_32_lane_strip_builds_no_profile() {
+        // Streamed on the `avx512` plan, every protein task tiles at 32 and
+        // looks its windows up in the matrix: the workspace's profile is
+        // never built. Capped at `avx2`, the same tasks build it.
+        use agatha_align::simd::{detected_backend, BackendChoice, WavefrontBackend};
+        let s = agatha_datasets::scenarios::find("protein-blosum62").expect("registered");
+        let (tasks, scoring) = ((s.tasks)(1234, 24), (s.scoring)());
+        let on = |b| AgathaConfig::agatha().with_backend(BackendChoice::Fixed(b));
+        let mut ws = KernelWorkspace::new();
+        for t in &tasks {
+            let run = align_task_ws(&mut ws, t, &scoring, &on(WavefrontBackend::Avx512));
+            if detected_backend() == WavefrontBackend::Avx512 {
+                assert_eq!(run.block_dim, MAX_STRIP as u32, "task {}", t.id);
+            }
+        }
+        assert_eq!(ws.profile.is_empty(), detected_backend() == WavefrontBackend::Avx512);
+        if detected_backend() != WavefrontBackend::Portable {
+            align_task_ws(&mut ws, &tasks[0], &scoring, &on(WavefrontBackend::Avx2));
+            assert!(!ws.profile.is_empty(), "the 16-lane strip unskews the profile");
+        }
     }
 }
