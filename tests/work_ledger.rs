@@ -19,6 +19,10 @@
 //! result and simulated time must equal the default run's, so an AVX-512 host
 //! checks the 16-side value too.
 //!
+//! Every baseline engine has one line per scenario too: a digest of its
+//! scores, the cells it computed and its simulated milliseconds, from
+//! [`run_baseline`] over the whole stream.
+//!
 //! On a mismatch a test prints its scenario's differing lines. A change that moves
 //! a number on purpose edits the ledger by hand and names every moved line,
 //! with its reason, in CHANGES.md; there is no switch that rewrites it.
@@ -26,10 +30,11 @@
 //! [`BatchEngine::align_stream_with`]: agatha_suite::core::BatchEngine::align_stream_with
 
 use agatha_suite::align::simd::{BackendChoice, WavefrontBackend};
-use agatha_suite::align::{GuidedResult, Task};
+use agatha_suite::align::{GuidedResult, Scoring, Task};
+use agatha_suite::baselines::{run_baseline, Baseline};
 use agatha_suite::core::{AgathaConfig, Pipeline, StreamOptions};
 use agatha_suite::datasets::SCENARIOS;
-use agatha_suite::gpu_sim::{KernelStats, MemCounters};
+use agatha_suite::gpu_sim::{GpuSpec, KernelStats, MemCounters};
 
 /// The pinned lines, one per stream, each scenario's in the order
 /// [`ledger`] renders them.
@@ -39,6 +44,13 @@ const LEDGER: &str = include_str!("work_ledger.txt");
 /// and 100 both cut, few enough that a debug build streams them all in a
 /// few seconds (one test per scenario, so they run side by side).
 const STREAMS: [(&str, usize); 3] = [("dna-short", 101), ("dna-long", 9), ("protein-blosum62", 40)];
+
+/// The baselines' read counts: fewer, to keep the nine engines × two runs
+/// of each line within a couple of seconds of a debug build, yet more than
+/// two chunks of 7 on `dna-short` and `protein-blosum62`, so a stream cut
+/// into small chunks carries runs across chunks on every engine.
+const BASELINE_READS: [(&str, usize); 3] =
+    [("dna-short", 17), ("dna-long", 2), ("protein-blosum62", 12)];
 
 /// Chunk sizes: below one warp's capacity, a few warps, and the whole
 /// stream as one chunk.
@@ -100,6 +112,20 @@ fn stats_fields(s: &KernelStats, geometry: &str) -> String {
     )
 }
 
+/// One baseline engine over a scenario's whole stream, rendered as its
+/// ledger line.
+fn baseline_line(which: Baseline, scenario: &str, tasks: &[Task], scoring: &Scoring) -> String {
+    let report = run_baseline(which, tasks, scoring, &GpuSpec::rtx_a6000());
+    let mut scores = Digest::new();
+    report.scores.iter().for_each(|&s| scores.word(s as u64));
+    format!(
+        "baseline={which:?} {scenario} scores={:016x} total_cells={} elapsed_ms={:016x}",
+        scores.0,
+        report.total_cells,
+        report.elapsed_ms.to_bits(),
+    )
+}
+
 /// The host tile side(s) the stream's tasks resolve under `pipeline`, as the
 /// key of its host column: `b16`, `b32` — or `b8+b16` were they to differ.
 fn geometry(tasks: &[Task], pipeline: &Pipeline) -> String {
@@ -141,17 +167,26 @@ fn stream_line(scenario: &str, tasks: &[Task], pipeline: &Pipeline, chunk: usize
     )
 }
 
-/// One scenario's lines, in a fixed order, then its whole-chunk one-worker
-/// line streamed again capped at `avx2`.
-fn ledger(name: &str) -> (Vec<String>, String) {
-    let (_, reads) = STREAMS.into_iter().find(|s| s.0 == name).expect("a ledgered stream");
+/// A scenario's first `reads` tasks of `streams`, and a pipeline on its
+/// scoring.
+fn scenario(
+    name: &str,
+    streams: [(&str, usize); 3],
+) -> (Vec<Task>, impl Fn(usize, AgathaConfig) -> Pipeline) {
+    let (_, reads) = streams.into_iter().find(|s| s.0 == name).expect("a ledgered stream");
     let scenario = SCENARIOS.iter().find(|s| s.name == name).expect("a registered scenario");
-    let tasks = (scenario.tasks)(1234, reads);
     let pipeline = |threads, cfg| {
         let mut pipeline = Pipeline::new((scenario.scoring)(), cfg);
         pipeline.host_threads = threads;
         pipeline
     };
+    ((scenario.tasks)(1234, reads), pipeline)
+}
+
+/// One scenario's lines, in a fixed order, then its whole-chunk one-worker
+/// line streamed again capped at `avx2`.
+fn ledger(name: &str) -> (Vec<String>, String) {
+    let (tasks, pipeline) = scenario(name, STREAMS);
     let mut lines = Vec::new();
     for chunk in CHUNKS {
         for threads in THREADS {
@@ -165,6 +200,13 @@ fn ledger(name: &str) -> (Vec<String>, String) {
     }
     let avx2 = AgathaConfig::agatha().with_backend(BackendChoice::Fixed(WavefrontBackend::Avx2));
     (lines, stream_line(name, &tasks, &pipeline(1, avx2), usize::MAX))
+}
+
+/// Every baseline's line for one scenario, in [`Baseline::ALL`] order.
+fn baseline_ledger(name: &str) -> Vec<String> {
+    let (tasks, pipeline) = scenario(name, BASELINE_READS);
+    let scoring = pipeline(0, AgathaConfig::baseline()).scoring;
+    Baseline::ALL.iter().map(|&which| baseline_line(which, name, &tasks, &scoring)).collect()
 }
 
 /// `line` without its host column.
@@ -211,6 +253,29 @@ fn check(name: &str) {
     );
 }
 
+/// Compare one scenario's baseline lines with the ledger's, printing every
+/// line that differs.
+fn check_baselines(name: &str) {
+    let got = baseline_ledger(name);
+    let suffix = format!(" {name} ");
+    let want: Vec<&str> =
+        LEDGER.lines().filter(|l| l.starts_with("baseline=") && l.contains(&suffix)).collect();
+    assert_eq!(want.len(), got.len(), "{name}: one ledger line per baseline engine");
+    let differing: Vec<String> = got
+        .iter()
+        .zip(&want)
+        .filter(|(g, w)| g != w)
+        .map(|(g, w)| format!("  ledger: {w}\n  now:    {g}"))
+        .collect();
+    assert!(
+        differing.is_empty(),
+        "{} of {} baseline lines of {name} differ:\n{}",
+        differing.len(),
+        got.len(),
+        differing.join("\n")
+    );
+}
+
 #[test]
 fn the_dna_short_ledger_is_unchanged() {
     check("dna-short");
@@ -227,12 +292,35 @@ fn the_protein_blosum62_ledger_is_unchanged() {
 }
 
 #[test]
+fn the_dna_short_baselines_are_unchanged() {
+    check_baselines("dna-short");
+}
+
+#[test]
+fn the_dna_long_baselines_are_unchanged() {
+    check_baselines("dna-long");
+}
+
+#[test]
+fn the_protein_blosum62_baselines_are_unchanged() {
+    check_baselines("protein-blosum62");
+}
+
+#[test]
 fn every_ledger_line_belongs_to_a_stream() {
     let lines = LEDGER.lines().filter(|l| !l.is_empty());
-    let expected = STREAMS.len() * CHUNKS.len() * THREADS.len();
+    let expected = STREAMS.len() * (CHUNKS.len() * THREADS.len() + Baseline::ALL.len());
     assert_eq!(lines.clone().count(), expected, "one line per stream");
     for line in lines {
-        let scenario = line.split(' ').next().unwrap_or_default();
+        let mut fields = line.split(' ');
+        let mut scenario = fields.next().unwrap_or_default();
+        if let Some(engine) = scenario.strip_prefix("baseline=") {
+            assert!(
+                Baseline::ALL.iter().any(|b| format!("{b:?}") == engine),
+                "unknown engine: {line}"
+            );
+            scenario = fields.next().unwrap_or_default();
+        }
         assert!(STREAMS.iter().any(|s| s.0 == scenario), "unknown stream: {line}");
     }
 }
