@@ -1,45 +1,36 @@
-//! The Minimap2 CPU baseline: the exact guided algorithm executed by the
-//! scalar reference, with a calibrated multithreaded throughput model
-//! (§5.1's 16C/32T SSE4 machine and §5.8's 48C/96T AVX512 machine).
+//! The Minimap2 CPU baseline: the exact guided algorithm, with a calibrated
+//! multithreaded throughput model (§5.1's 16C/32T SSE4 machine and §5.8's
+//! 48C/96T AVX512 machine).
 //!
 //! Reads are distributed across CPU threads; at tens of thousands of reads
 //! per batch the balance is near-perfect, so the time model is simply total
-//! reference cells over aggregate throughput.
+//! reference cells over aggregate throughput: the plan's warps cost nothing,
+//! and the engine times the stream's summed reference cells on the CPU.
 
-use agatha_align::guided::{guided_align_ws, GuidedWorkspace};
-use agatha_align::{Scoring, Task};
-use agatha_gpu_sim::{host, CpuSpec};
+use agatha_align::Task;
+use agatha_core::{BaselineRun, KernelWorkspace, Pipeline};
 
-use crate::report::EngineReport;
+use crate::report::kernel;
 
-/// Run the CPU engine.
-pub fn run(tasks: &[Task], scoring: &Scoring, cpu: &CpuSpec) -> EngineReport {
-    // Thread-local workspaces avoid per-task allocation, like ksw2's
-    // reusable buffers.
-    let results = host::parallel_map(tasks.len(), 0, {
-        |i| {
-            thread_local! {
-                static WS: std::cell::RefCell<GuidedWorkspace> =
-                    std::cell::RefCell::new(GuidedWorkspace::new());
-            }
-            WS.with(|ws| {
-                guided_align_ws(&tasks[i].reference, &tasks[i].query, scoring, &mut ws.borrow_mut())
-            })
-        }
-    });
-    let total_cells: u64 = results.iter().map(|r| r.cells).sum();
-    EngineReport {
-        name: cpu.name.to_string(),
-        scores: results.iter().map(|r| r.score).collect(),
-        elapsed_ms: cpu.ms_for_cells(total_cells),
-        total_cells,
-    }
+pub(crate) fn task(ws: &mut KernelWorkspace, task: &Task, pipeline: &Pipeline) -> BaselineRun {
+    let result = kernel(ws, task, pipeline, true).0.result;
+    BaselineRun { cells: result.cells, result, cycles: 0.0 }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{run_baseline, Baseline, EngineReport};
     use agatha_align::guided::guided_align;
+    use agatha_align::Scoring;
+    use agatha_gpu_sim::CpuSpec;
+    use agatha_gpu_sim::GpuSpec;
+
+    fn run(tasks: &[Task], scoring: &Scoring, cpu: &CpuSpec) -> EngineReport {
+        let which =
+            if *cpu == CpuSpec::sse4_16c32t() { Baseline::CpuSse4 } else { Baseline::CpuAvx512 };
+        run_baseline(which, tasks, scoring, &GpuSpec::rtx_a6000())
+    }
 
     fn tasks() -> Vec<Task> {
         vec![

@@ -9,13 +9,16 @@
 //! per-anti-diagonal maxima in global memory *uncoalesced* — each lane
 //! works on a different task, so neighbouring lanes never share a buffer.
 //! This is why GASAL2 (MM2-Target) ends up slower than the CPU in Fig. 8.
+//!
+//! A lane's result comes from the kernel: the exact guided result under
+//! MM2-Target, and under Diff-Target the kernel with Z-drop off, which fills
+//! the same banded table as the banded kernel (`banded_align`), cell for
+//! cell.
 
-use agatha_align::banded::banded_align;
-use agatha_align::guided::guided_align;
-use agatha_align::{GuidedResult, Scoring, Task};
-use agatha_gpu_sim::{host, sched, CostModel, GpuSpec, WARP_LANES};
+use agatha_align::Task;
+use agatha_core::{BaselineRun, KernelWorkspace, Pipeline};
 
-use crate::report::EngineReport;
+use crate::report::kernel;
 
 /// Global transactions per cell for the MM2-Target per-cell max update
 /// (uncoalesced: one transaction per lane access).
@@ -24,45 +27,31 @@ const MM2_ANTI_TX_PER_CELL: f64 = 0.25;
 /// (well coalesced within a lane's row walk).
 const BASE_TX_PER_CELL: f64 = 1.0 / 16.0;
 
-/// Run the GASAL2-like engine.
-pub fn run(tasks: &[Task], scoring: &Scoring, spec: &GpuSpec, mm2_target: bool) -> EngineReport {
-    let cost = CostModel::for_spec(spec);
-
-    let results: Vec<GuidedResult> = host::parallel_map(tasks.len(), 0, |i| {
-        if mm2_target {
-            guided_align(&tasks[i].reference, &tasks[i].query, scoring)
-        } else {
-            banded_align(&tasks[i].reference, &tasks[i].query, scoring)
-        }
-    });
-
-    // Per-lane latency: sequential cell processing plus global traffic.
-    let lane_cycles: Vec<f64> = results
-        .iter()
-        .map(|r| {
-            let cells = r.cells;
-            let tx_per_cell =
-                BASE_TX_PER_CELL + if mm2_target { MM2_ANTI_TX_PER_CELL } else { 0.0 };
-            cost.sequential_cycles(cells, (cells as f64 * tx_per_cell) as u64)
-        })
-        .collect();
-
-    // 32 alignments per warp, incoming order; warp latency = slowest lane.
-    let warp_cycles: Vec<f64> =
-        lane_cycles.chunks(WARP_LANES).map(|c| c.iter().copied().fold(0.0, f64::max)).collect();
-
-    let makespan = sched::makespan_cycles(&warp_cycles, spec.warp_slots());
-    EngineReport {
-        name: if mm2_target { "GASAL2 (MM2-Target)" } else { "GASAL2 (Diff-Target)" }.to_string(),
-        scores: results.iter().map(|r| r.score).collect(),
-        elapsed_ms: spec.cycles_to_ms(makespan),
-        total_cells: results.iter().map(|r| r.cells).sum(),
-    }
+/// One lane's alignment: sequential cell processing plus global traffic.
+pub(crate) fn task<const MM2: bool>(
+    ws: &mut KernelWorkspace,
+    task: &Task,
+    pipeline: &Pipeline,
+) -> BaselineRun {
+    let result = kernel(ws, task, pipeline, MM2).0.result;
+    let cells = result.cells;
+    let tx_per_cell = BASE_TX_PER_CELL + if MM2 { MM2_ANTI_TX_PER_CELL } else { 0.0 };
+    let cycles = pipeline.cost.sequential_cycles(cells, (cells as f64 * tx_per_cell) as u64);
+    BaselineRun { result, cells, cycles }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{run_baseline, Baseline, EngineReport};
+    use agatha_align::guided::guided_align;
+    use agatha_align::Scoring;
+    use agatha_gpu_sim::GpuSpec;
+
+    fn run(tasks: &[Task], scoring: &Scoring, spec: &GpuSpec, mm2: bool) -> EngineReport {
+        let which = if mm2 { Baseline::Gasal2Mm2 } else { Baseline::Gasal2Diff };
+        run_baseline(which, tasks, scoring, spec)
+    }
 
     fn mk_tasks(n: usize) -> Vec<Task> {
         let mut out = Vec::new();

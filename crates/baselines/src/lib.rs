@@ -15,6 +15,11 @@
 //! (§5.2). Every MM2-Target engine is verified to produce results identical
 //! to the scalar reference; Manymap-Diff is verified to *differ* on inputs
 //! that expose its inexact termination.
+//!
+//! No engine here executes anything itself: each module supplies a
+//! [`agatha_core::BaselinePlan`] (one task's DP and price, and how many tasks
+//! share a warp), and [`Baseline::pipeline`] runs it on AGAThA's streaming
+//! engine. [`run_baseline`] is one chunk on that engine.
 
 #![forbid(unsafe_code)]
 

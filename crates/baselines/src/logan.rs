@@ -7,53 +7,48 @@
 //! Its linear gap score "is less expensive in both computation and memory"
 //! (§5.3), modelled as a reduced per-cell cost.
 
-use agatha_align::xdrop::{xdrop_align, XDropParams};
-use agatha_align::{Scoring, Task};
-use agatha_gpu_sim::{host, sched, CostModel, GpuSpec, WARP_LANES};
-
-use crate::report::EngineReport;
+use agatha_align::result::StopReason;
+use agatha_align::xdrop::{xdrop_align, XDropParams, XDropResult};
+use agatha_align::{GuidedResult, Task};
+use agatha_core::{BaselineRun, KernelWorkspace, Pipeline};
+use agatha_gpu_sim::WARP_LANES;
 
 /// Linear-gap DP computes one running score instead of H/E/F — fewer
 /// registers, fewer max operations.
 const LINEAR_GAP_CELL_FACTOR: f64 = 0.6;
 
-/// Run the LOGAN-like engine.
-pub fn run(tasks: &[Task], scoring: &Scoring, spec: &GpuSpec) -> EngineReport {
-    let cost = CostModel::for_spec(spec);
+/// One warp's X-drop alignment, an anti-diagonal at a time. It reports its
+/// score, best cell and workload; X-drop has no Z-drop stop and no end
+/// score.
+pub(crate) fn task(_: &mut KernelWorkspace, task: &Task, pipeline: &Pipeline) -> BaselineRun {
+    let Pipeline { scoring, cost, .. } = pipeline;
     let params = XDropParams::from_scoring(scoring);
-
-    let results = host::parallel_map(tasks.len(), 0, |i| {
-        xdrop_align(&tasks[i].reference, &tasks[i].query, scoring, &params)
-    });
-
-    let warp_cycles: Vec<f64> = results
-        .iter()
-        .map(|r| {
-            let diags = r.antidiags as f64;
-            let rounds = (r.cells as f64 / WARP_LANES as f64).max(diags);
-            let compute =
-                rounds * WARP_LANES as f64 * cost.effective_cell_cycles() * LINEAR_GAP_CELL_FACTOR;
-            let sync = diags * cost.sync_cycles;
-            // Band trimming per diagonal: one reduction, no global traffic.
-            let trim = diags * cost.reduce_cycles;
-            let exchange = diags * 6.0 * cost.sync_cycles; // boundary shuffles per diagonal
-            let seq = diags / 4.0 * cost.global_tx_cycles;
-            compute + sync + exchange + trim + seq
-        })
-        .collect();
-
-    let makespan = sched::makespan_cycles(&warp_cycles, spec.warp_slots());
-    EngineReport {
-        name: "LOGAN (Diff-Target)".to_string(),
-        scores: results.iter().map(|r| r.score).collect(),
-        elapsed_ms: spec.cycles_to_ms(makespan),
-        total_cells: results.iter().map(|r| r.cells).sum(),
-    }
+    let XDropResult { score, max, antidiags, cells, .. } =
+        xdrop_align(&task.reference, &task.query, scoring, &params);
+    let stop = StopReason::Completed;
+    let result = GuidedResult { score, max, qend_score: None, stop, antidiags, cells };
+    let diags = result.antidiags as f64;
+    let rounds = (result.cells as f64 / WARP_LANES as f64).max(diags);
+    let compute =
+        rounds * WARP_LANES as f64 * cost.effective_cell_cycles() * LINEAR_GAP_CELL_FACTOR;
+    let sync = diags * cost.sync_cycles;
+    // Band trimming per diagonal: one reduction, no global traffic.
+    let trim = diags * cost.reduce_cycles;
+    let exchange = diags * 6.0 * cost.sync_cycles; // boundary shuffles per diagonal
+    let seq = diags / 4.0 * cost.global_tx_cycles;
+    BaselineRun { cells: result.cells, result, cycles: compute + sync + exchange + trim + seq }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{run_baseline, Baseline, EngineReport};
+    use agatha_align::Scoring;
+    use agatha_gpu_sim::GpuSpec;
+
+    fn run(tasks: &[Task], scoring: &Scoring, spec: &GpuSpec) -> EngineReport {
+        run_baseline(Baseline::Logan, tasks, scoring, spec)
+    }
 
     fn mk_tasks(n: usize, junk_tail: bool) -> Vec<Task> {
         let mut out = Vec::new();

@@ -16,63 +16,50 @@
 //!   (no gap-length adjustment, no position constraint) and only every 8th
 //!   anti-diagonal — faster to check, but can terminate differently.
 
-use agatha_align::guided::{guided_align, guided_align_until, GuidedWorkspace};
+use agatha_align::guided::{guided_align_until, GuidedWorkspace};
 use agatha_align::result::{GuidedResult, MaxCell};
 use agatha_align::{PackedSeq, Scoring, Task};
-use agatha_gpu_sim::{host, sched, CostModel, GpuSpec, WARP_LANES};
+use agatha_core::{BaselineRun, KernelWorkspace, Pipeline};
+use agatha_gpu_sim::WARP_LANES;
 
-use crate::report::EngineReport;
+use crate::report::kernel;
 
 /// How often the Diff-Target variant evaluates its (approximate)
 /// termination condition.
 const DIFF_CHECK_INTERVAL: i64 = 8;
 
-/// Run the Manymap-like engine.
-pub fn run(tasks: &[Task], scoring: &Scoring, spec: &GpuSpec, mm2_target: bool) -> EngineReport {
-    let cost = CostModel::for_spec(spec);
-
-    let results: Vec<GuidedResult> = host::parallel_map(tasks.len(), 0, |i| {
-        if mm2_target {
-            guided_align(&tasks[i].reference, &tasks[i].query, scoring)
-        } else {
-            inexact_guided(&tasks[i].reference, &tasks[i].query, scoring)
-        }
-    });
-
-    // One warp per alignment: per anti-diagonal, the warp computes
-    // ceil(cells/32) lockstep rounds of 32 cells plus a synchronisation and
-    // a termination check.
-    let warp_cycles: Vec<f64> = results
-        .iter()
-        .map(|r| {
-            let diags = r.antidiags as f64;
-            let rounds = (r.cells as f64 / WARP_LANES as f64).max(diags); // >= 1 round per diag
-            let compute = rounds * WARP_LANES as f64 * cost.effective_cell_cycles();
-            let sync = diags * cost.sync_cycles;
-            // boundary shuffles per diagonal
-            let exchange = diags * 6.0 * cost.sync_cycles;
-            // MM2-Target keeps the GMB in a register and checks with one
-            // warp reduction per anti-diagonal; the original (Diff-Target)
-            // check reads its max buffer from global memory every 8th
-            // anti-diagonal. Combined with the exact variant's slightly
-            // earlier termination, guiding *helps* Manymap (§5.3).
-            let term = if mm2_target {
-                diags * cost.reduce_cycles
-            } else {
-                diags / DIFF_CHECK_INTERVAL as f64 * (cost.reduce_cycles + cost.global_tx_cycles)
-            };
-            let seq = diags / 4.0 * cost.global_tx_cycles; // packed loads every 8 diagonals, 2 streams
-            compute + sync + exchange + term + seq
-        })
-        .collect();
-
-    let makespan = sched::makespan_cycles(&warp_cycles, spec.warp_slots());
-    EngineReport {
-        name: if mm2_target { "Manymap (MM2-Target)" } else { "Manymap (Diff-Target)" }.to_string(),
-        scores: results.iter().map(|r| r.score).collect(),
-        elapsed_ms: spec.cycles_to_ms(makespan),
-        total_cells: results.iter().map(|r| r.cells).sum(),
-    }
+/// One warp's alignment. Per anti-diagonal, the warp computes
+/// ceil(cells/32) lockstep rounds of 32 cells plus a synchronisation and a
+/// termination check.
+pub(crate) fn task<const MM2: bool>(
+    ws: &mut KernelWorkspace,
+    task: &Task,
+    pipeline: &Pipeline,
+) -> BaselineRun {
+    let result = if MM2 {
+        kernel(ws, task, pipeline, true).0.result
+    } else {
+        inexact_guided(&task.reference, &task.query, &pipeline.scoring)
+    };
+    let cost = &pipeline.cost;
+    let diags = result.antidiags as f64;
+    let rounds = (result.cells as f64 / WARP_LANES as f64).max(diags); // >= 1 round per diag
+    let compute = rounds * WARP_LANES as f64 * cost.effective_cell_cycles();
+    let sync = diags * cost.sync_cycles;
+    // boundary shuffles per diagonal
+    let exchange = diags * 6.0 * cost.sync_cycles;
+    // MM2-Target keeps the GMB in a register and checks with one warp
+    // reduction per anti-diagonal; the original (Diff-Target) check reads
+    // its max buffer from global memory every 8th anti-diagonal. Combined
+    // with the exact variant's slightly earlier termination, guiding *helps*
+    // Manymap (§5.3).
+    let term = if MM2 {
+        diags * cost.reduce_cycles
+    } else {
+        diags / DIFF_CHECK_INTERVAL as f64 * (cost.reduce_cycles + cost.global_tx_cycles)
+    };
+    let seq = diags / 4.0 * cost.global_tx_cycles; // packed loads every 8 diagonals, 2 streams
+    BaselineRun { cells: result.cells, result, cycles: compute + sync + exchange + term + seq }
 }
 
 /// The Diff-Target scalar: the guided DP loop with the approximate drop
@@ -91,6 +78,14 @@ pub fn inexact_guided(reference: &PackedSeq, query: &PackedSeq, scoring: &Scorin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{run_baseline, Baseline, EngineReport};
+    use agatha_align::guided::guided_align;
+    use agatha_gpu_sim::GpuSpec;
+
+    fn run(tasks: &[Task], scoring: &Scoring, spec: &GpuSpec, mm2: bool) -> EngineReport {
+        let which = if mm2 { Baseline::ManymapMm2 } else { Baseline::ManymapDiff };
+        run_baseline(which, tasks, scoring, spec)
+    }
 
     fn seq(s: &str) -> PackedSeq {
         PackedSeq::from_str_seq(s)

@@ -1,7 +1,11 @@
-//! Uniform engine interface for the benchmark harnesses.
+//! Uniform engine interface for the benchmark harnesses: each engine is a
+//! [`BaselinePlan`] that a [`Pipeline`] runs on the streaming engine.
 
 use agatha_align::{Scoring, Task};
-use agatha_gpu_sim::GpuSpec;
+use agatha_core::{
+    align_task_ws, AgathaConfig, BaselinePlan, BaselineTask, HostRun, KernelWorkspace, Pipeline,
+};
+use agatha_gpu_sim::{CpuSpec, GpuSpec, WARP_LANES};
 
 /// Output of running one engine over one dataset.
 #[derive(Debug, Clone)]
@@ -88,29 +92,72 @@ impl Baseline {
                 | Baseline::ManymapMm2
         )
     }
+
+    /// The engine as a plan the streaming engine runs: its module's task,
+    /// and its warp as queues × tasks per queue. GASAL2 runs one task per
+    /// lane, SALoBa [`AgathaConfig::baseline`]'s subwarps, Manymap and LOGAN
+    /// a whole warp per task, and the CPU one task per claim.
+    pub fn plan(self) -> BaselinePlan {
+        use crate::{cpu, gasal2, logan, manymap, saloba};
+        let cfg = AgathaConfig::baseline();
+        let subwarps = (cfg.subwarps_per_warp(), cfg.tasks_per_subwarp);
+        let (run, (queues, tasks_per_queue)): (BaselineTask, _) = match self {
+            Baseline::CpuSse4 | Baseline::CpuAvx512 => (cpu::task, (1, 1)),
+            Baseline::Gasal2Diff => (gasal2::task::<false>, (WARP_LANES, 1)),
+            Baseline::Gasal2Mm2 => (gasal2::task::<true>, (WARP_LANES, 1)),
+            Baseline::SalobaDiff => (saloba::task::<false>, subwarps),
+            Baseline::SalobaMm2 => (saloba::task::<true>, subwarps),
+            Baseline::ManymapDiff => (manymap::task::<false>, (1, 1)),
+            Baseline::ManymapMm2 => (manymap::task::<true>, (1, 1)),
+            Baseline::Logan => (logan::task, (1, 1)),
+        };
+        let cpu = match self {
+            Baseline::CpuSse4 => Some(CpuSpec::sse4_16c32t()),
+            Baseline::CpuAvx512 => Some(CpuSpec::avx512_48c96t()),
+            _ => None,
+        };
+        let name = cpu.as_ref().map_or(self.name(), |cpu| cpu.name);
+        BaselinePlan { name, run, queues, tasks_per_queue, cpu }
+    }
+
+    /// A pipeline that runs this engine under `scoring` on the paper's
+    /// device, on every host core, with [`AgathaConfig::baseline`]: SALoBa's
+    /// design, and the fill plan of every engine that runs the kernel.
+    pub fn pipeline(self, scoring: Scoring) -> Pipeline {
+        let pipeline = Pipeline::new(scoring, AgathaConfig::baseline());
+        Pipeline { baseline: Some(self.plan()), ..pipeline }
+    }
 }
 
-/// Run one baseline engine on a GPU spec (ignored by the CPU engines).
+/// The kernel's host half on the worker's workspace: under MM2-Target the
+/// exact result, bit-identical to the scalar reference, and under
+/// Diff-Target the whole band, without the Z-drop.
+pub(crate) fn kernel(
+    ws: &mut KernelWorkspace,
+    task: &Task,
+    pipeline: &Pipeline,
+    mm2_target: bool,
+) -> (HostRun, Scoring) {
+    let scoring = pipeline.scoring;
+    let scoring = if mm2_target { scoring } else { scoring.with_zdrop(Scoring::NO_ZDROP) };
+    (align_task_ws(ws, task, &scoring, &pipeline.config), scoring)
+}
+
+/// Run one baseline engine on a GPU spec (ignored by the CPU engines): one
+/// chunk on the engine.
 pub fn run_baseline(
     which: Baseline,
     tasks: &[Task],
     scoring: &Scoring,
     spec: &GpuSpec,
 ) -> EngineReport {
-    match which {
-        Baseline::CpuSse4 => {
-            crate::cpu::run(tasks, scoring, &agatha_gpu_sim::CpuSpec::sse4_16c32t())
-        }
-        Baseline::CpuAvx512 => {
-            crate::cpu::run(tasks, scoring, &agatha_gpu_sim::CpuSpec::avx512_48c96t())
-        }
-        Baseline::Gasal2Diff => crate::gasal2::run(tasks, scoring, spec, false),
-        Baseline::Gasal2Mm2 => crate::gasal2::run(tasks, scoring, spec, true),
-        Baseline::SalobaDiff => crate::saloba::run(tasks, scoring, spec, false),
-        Baseline::SalobaMm2 => crate::saloba::run(tasks, scoring, spec, true),
-        Baseline::ManymapDiff => crate::manymap::run(tasks, scoring, spec, false),
-        Baseline::ManymapMm2 => crate::manymap::run(tasks, scoring, spec, true),
-        Baseline::Logan => crate::logan::run(tasks, scoring, spec),
+    let pipeline = which.pipeline(*scoring).with_spec(spec.clone());
+    let report = pipeline.align_batch(tasks);
+    EngineReport {
+        name: pipeline.engine_name().to_string(),
+        scores: report.results.iter().map(|r| r.score).collect(),
+        elapsed_ms: report.elapsed_ms,
+        total_cells: report.stats.device_cells,
     }
 }
 

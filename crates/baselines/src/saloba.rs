@@ -9,62 +9,45 @@
 //!   per-cell global-memory max updates, termination checked at chunk ends
 //!   with full-band run-ahead.
 //!
-//! Both reuse `agatha-core`'s kernel executor with all §4 techniques
-//! disabled, differing only in termination semantics and cost profile.
+//! Both run `agatha-core`'s kernel under `AgathaConfig::baseline()` (all §4
+//! techniques off, the subwarps a warp packs) and price its device trace,
+//! differing only in termination semantics and cost profile: Diff-Target
+//! prices without maxima tracking.
 
-use agatha_align::{Scoring, Task};
+use agatha_align::Task;
 use agatha_core::trace::unit_cost;
-use agatha_core::{kernel, AgathaConfig};
-use agatha_gpu_sim::{host, sched, CostModel, GpuSpec, BLOCK_CELLS};
+use agatha_core::{BaselineRun, KernelWorkspace, Pipeline};
+use agatha_gpu_sim::BLOCK_CELLS;
 
-use crate::report::EngineReport;
+use crate::report::kernel;
 
-/// Run the SALoBa-like engine. `mm2_target` selects the guided (exact)
-/// variant; otherwise the banded Diff-Target variant runs.
-pub fn run(tasks: &[Task], scoring: &Scoring, spec: &GpuSpec, mm2_target: bool) -> EngineReport {
-    let cfg = AgathaConfig::baseline();
-    let cost = CostModel::for_spec(spec);
-    let scoring_eff = if mm2_target { *scoring } else { scoring.with_zdrop(Scoring::NO_ZDROP) };
-
-    let runs =
-        host::parallel_map(tasks.len(), 0, |i| kernel::run_task(&tasks[i], &scoring_eff, &cfg));
-
-    // Subwarp latencies; tasks fill warps in incoming order, no rejoining.
-    let lanes = cfg.subwarp_lanes;
-    let task_cycles: Vec<f64> = runs
-        .iter()
-        .map(|r| r.units.iter().map(|u| unit_cost(u, lanes, &cfg, &cost, mm2_target).cycles).sum())
-        .collect();
-
-    let warps = agatha_core::bucketing::build_warps(
-        &tasks.iter().map(|t| t.antidiags() as u64).collect::<Vec<_>>(),
-        cfg.subwarps_per_warp(),
-        cfg.tasks_per_subwarp,
-        agatha_core::OrderingStrategy::Original,
-    );
-    let warp_cycles: Vec<f64> = warps
-        .iter()
-        .map(|w| {
-            w.queues
-                .iter()
-                .map(|q| q.iter().map(|&i| task_cycles[i]).sum::<f64>())
-                .fold(0.0, f64::max)
-        })
-        .collect();
-
-    let makespan = sched::makespan_cycles(&warp_cycles, spec.warp_slots());
-    EngineReport {
-        name: if mm2_target { "SALoBa (MM2-Target)" } else { "SALoBa (Diff-Target)" }.to_string(),
-        scores: runs.iter().map(|r| r.result.score).collect(),
-        elapsed_ms: spec.cycles_to_ms(makespan),
-        total_cells: runs.iter().map(|r| r.device_blocks() * BLOCK_CELLS).sum(),
-    }
+/// One subwarp's task: the kernel's result and its device trace, priced at
+/// the subwarp's lanes.
+pub(crate) fn task<const MM2: bool>(
+    ws: &mut KernelWorkspace,
+    task: &Task,
+    pipeline: &Pipeline,
+) -> BaselineRun {
+    let Pipeline { config, cost, .. } = pipeline;
+    let (host, scoring) = kernel(ws, task, pipeline, MM2);
+    let run = host.priced(task, &scoring, config);
+    let lanes = config.subwarp_lanes;
+    let cycles = run.units.iter().map(|u| unit_cost(u, lanes, config, cost, MM2).cycles).sum();
+    BaselineRun { cells: run.device_blocks() * BLOCK_CELLS, result: run.result, cycles }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{run_baseline, Baseline, EngineReport};
     use agatha_align::guided::guided_align;
+    use agatha_align::Scoring;
+    use agatha_gpu_sim::GpuSpec;
+
+    fn run(tasks: &[Task], scoring: &Scoring, spec: &GpuSpec, mm2: bool) -> EngineReport {
+        let which = if mm2 { Baseline::SalobaMm2 } else { Baseline::SalobaDiff };
+        run_baseline(which, tasks, scoring, spec)
+    }
 
     fn mk_tasks() -> Vec<Task> {
         let mut out = Vec::new();

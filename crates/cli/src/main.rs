@@ -13,13 +13,14 @@
 //!
 //! `align` scores each pair `(REF[i], QUERY[i])` and writes `score.log`
 //! plus `time.json` (simulated kernel time) into the output directory.
-//! With the default `agatha` engine the input files are *streamed*: a
-//! reader thread parses them up to two chunks ahead of kernel execution,
-//! tasks are aligned on a persistent worker pool (one reusable kernel
-//! workspace per thread) and released chunk by chunk, so memory stays
-//! bounded by `--chunk` regardless of input size. Tasks that would seed an
-//! underfull trailing warp are deferred into the next chunk's packing, which
-//! moves only the simulated schedule, never a score.
+//! Under every `--engine` the input files are *streamed*: a reader thread
+//! parses them up to two chunks ahead of kernel execution, tasks are aligned
+//! on a persistent worker pool (one reusable kernel workspace per thread)
+//! and released chunk by chunk, so memory stays bounded by `--chunk`
+//! regardless of input size. Tasks that would seed an underfull trailing
+//! warp are deferred into the next chunk's packing, which moves only
+//! AGAThA's simulated schedule, never a score; a baseline takes its tasks
+//! in incoming order, so its schedule does not move either.
 //!
 //! `serve` runs the online alignment daemon of `agatha-serve`: NDJSON
 //! requests over a local TCP socket, admission-window batching, bounded
@@ -36,11 +37,10 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use agatha_align::{FillTier, Scoring, Task};
-use agatha_baselines::{run_baseline, Baseline};
+use agatha_baselines::Baseline;
 use agatha_core::options::DEFAULT_PREFETCH_DEPTH;
 use agatha_core::{AgathaConfig, Pipeline, StreamOptions};
 use agatha_datasets::{generate, scenarios, DatasetSpec, Scenario, Tech, SCENARIOS};
-use agatha_gpu_sim::GpuSpec;
 use agatha_io::{open_fasta_pairs_model, write_score_log, write_time_json, Args};
 use agatha_serve::{termination_flag, ServeConfig};
 
@@ -130,10 +130,9 @@ common options:
   --engine NAME   agatha (default) or a baseline (see `agatha engines`)
   --gpus N        simulate N GPUs (align and demo + agatha engine only,
                   default 1)
-  --threads N     host worker threads (agatha engine only, default: all
-                  cores)
-  --chunk N       streaming chunk size in tasks (align + agatha engine
-                  only, default 4096, must be at least 1)
+  --threads N     host worker threads (default: all cores)
+  --chunk N       streaming chunk size in tasks (align only, default 4096,
+                  must be at least 1)
   --backend K     host wavefront backend (agatha engine only): auto |
                   avx512 | avx2 | sse41 | portable. auto runs the best
                   implementation the CPU supports; forcing a level the CPU
@@ -377,24 +376,28 @@ fn out_dir(args: &Args) -> Result<PathBuf, String> {
     Ok(dir)
 }
 
-/// Build the AGAThA pipeline for the requested host options.
-fn agatha_pipeline(scoring: &Scoring, opts: &HostOpts) -> Pipeline {
-    let mut p = Pipeline::new(*scoring, agatha_config(opts)).with_gpus(opts.gpus);
+/// The pipeline `--engine` selects under the host options: AGAThA on its
+/// fill plan, or a baseline on its own.
+fn engine_pipeline(scoring: &Scoring, opts: &HostOpts, baseline: Option<Baseline>) -> Pipeline {
+    let p = match baseline {
+        None => Pipeline::new(*scoring, agatha_config(opts)),
+        Some(which) => which.pipeline(*scoring),
+    };
+    let mut p = p.with_gpus(opts.gpus);
     p.host_threads = opts.threads;
     p
 }
 
 /// Reject agatha-only flags for engines that would silently ignore them:
-/// the baselines model fixed published hardware setups and run whole-batch
-/// reference schedules on every core, so pretending `--gpus`, `--backend` or
-/// `--threads` took effect would misreport what was simulated.
-/// (`--gpus 1` is every baseline's own setup and passes.)
+/// the baselines model fixed published hardware setups on the default fill
+/// plan, so pretending `--gpus` or `--backend` took effect would misreport
+/// what was simulated. (`--gpus 1` is every baseline's own setup and passes.)
+/// `--threads` and `--chunk` are the engine's, and every baseline runs on
+/// it.
 fn check_baseline_flags(engine: &str, args: &Args, opts: &HostOpts) -> Result<(), String> {
     let agatha_only = [
         ("gpus", opts.gpus > 1, "models a fixed device setup"),
-        ("backend", args.has("backend"), "runs its reference fill"),
-        ("chunk", args.has("chunk"), "runs whole-batch"),
-        ("threads", args.has("threads"), "runs on every host core"),
+        ("backend", args.has("backend"), "runs the default fill plan"),
         ("verbose", args.has("verbose"), "has no fill plan to report"),
     ];
     for (flag, given, reason) in agatha_only {
@@ -430,27 +433,6 @@ fn baseline_from_args(args: &Args, opts: &HostOpts) -> Result<Option<Baseline>, 
     Ok(Some(which))
 }
 
-/// Align a whole batch on the agatha engine (`baseline` is `None`) or on a
-/// baseline: (engine name, scores, simulated ms).
-fn run_engine(
-    baseline: Option<Baseline>,
-    tasks: &[Task],
-    scoring: &Scoring,
-    opts: &HostOpts,
-) -> (String, Vec<i32>, f64) {
-    match baseline {
-        None => {
-            let rep = agatha_pipeline(scoring, opts).align_batch(tasks);
-            let scores = rep.results.iter().map(|r| r.score).collect();
-            ("AGAThA".to_string(), scores, rep.elapsed_ms)
-        }
-        Some(which) => {
-            let rep = run_baseline(which, tasks, scoring, &GpuSpec::rtx_a6000());
-            (rep.name, rep.scores, rep.elapsed_ms)
-        }
-    }
-}
-
 fn cmd_align(args: &Args) -> Result<(), String> {
     let pos = args.positional();
     if pos.len() != 2 {
@@ -465,49 +447,41 @@ fn cmd_align(args: &Args) -> Result<(), String> {
         open_fasta_pairs_model(&PathBuf::from(&pos[0]), &PathBuf::from(&pos[1]), &scoring.model)?;
     let dir = out_dir(args)?;
 
-    let (name, scores, ms, tasks) = match baseline {
-        None => {
-            // Streaming path: a reader thread parses the files up to
-            // `DEFAULT_PREFETCH_DEPTH` chunks ahead of the persistent worker
-            // pool, one `--chunk` at a time. The tier tally runs on the
-            // reader, so it lives behind a mutex (uncontended: one reader,
-            // locked once per task, and only when `--verbose` asks for it).
-            let tiers = Arc::new(Mutex::new(TierStats::default()));
-            let tally = Arc::clone(&tiers);
-            let (verbose, config) = (opts.verbose, agatha_config(&opts));
-            let source = pairs.inspect(move |t| {
-                if let (true, Ok(task)) = (verbose, t) {
-                    tally.lock().expect("tier stats lock poisoned").tally(&config, &scoring, task);
-                }
-            });
-            let mut pool = agatha_pipeline(&scoring, &opts).engine();
-            let mut run = pool.align_stream_prefetched(
-                source,
-                DEFAULT_PREFETCH_DEPTH,
-                StreamOptions::new(opts.chunk),
-            );
-            let mut scores = Vec::new();
-            for chunk in run.by_ref() {
-                scores.extend(chunk.report.results.iter().map(|r| r.score));
-            }
-            // A parse failure surfaces here as a `StreamError` naming the
-            // chunk it interrupted; chunks before it were already scored.
-            let summary = run.finish_checked().map_err(|e| e.to_string())?;
-            if opts.verbose {
-                tiers.lock().expect("tier stats lock poisoned").print();
-            }
-            ("AGAThA".to_string(), scores, summary.elapsed_ms, summary.tasks)
+    // A reader thread parses the files up to `DEFAULT_PREFETCH_DEPTH` chunks
+    // ahead of the persistent worker pool, one `--chunk` at a time. The tier
+    // tally runs on the reader, so it lives behind a mutex (uncontended: one
+    // reader, locked once per task, and only when `--verbose` asks for it;
+    // a baseline refuses `--verbose`, so this is the agatha engine's plan).
+    let tiers = Arc::new(Mutex::new(TierStats::default()));
+    let tally = Arc::clone(&tiers);
+    let (verbose, config) = (opts.verbose, agatha_config(&opts));
+    let source = pairs.inspect(move |t| {
+        if let (true, Ok(task)) = (verbose, t) {
+            tally.lock().expect("tier stats lock poisoned").tally(&config, &scoring, task);
         }
-        Some(_) => {
-            // Baselines execute whole-batch reference schedules; collect.
-            let tasks: Vec<Task> = pairs.collect::<Result<_, _>>()?;
-            let (name, scores, ms) = run_engine(baseline, &tasks, &scoring, &opts);
-            (name, scores, ms, tasks.len())
-        }
-    };
+    });
+    let pipeline = engine_pipeline(&scoring, &opts, baseline);
+    let name = pipeline.engine_name();
+    let mut pool = pipeline.engine();
+    let mut run = pool.align_stream_prefetched(
+        source,
+        DEFAULT_PREFETCH_DEPTH,
+        StreamOptions::new(opts.chunk),
+    );
+    let mut scores = Vec::new();
+    for chunk in run.by_ref() {
+        scores.extend(chunk.report.results.iter().map(|r| r.score));
+    }
+    // A parse failure surfaces here as a `StreamError` naming the chunk it
+    // interrupted; chunks before it were already scored.
+    let summary = run.finish_checked().map_err(|e| e.to_string())?;
+    if opts.verbose {
+        tiers.lock().expect("tier stats lock poisoned").print();
+    }
+    let (ms, tasks) = (summary.elapsed_ms, summary.tasks);
 
     write_score_log(&dir.join("score.log"), &scores)?;
-    write_time_json(&dir.join("time.json"), &name, ms, tasks)?;
+    write_time_json(&dir.join("time.json"), name, ms, tasks)?;
     outln!("{name}: {tasks} pairs, simulated kernel time {ms:.3} ms");
     outln!("wrote {}/score.log and {}/time.json", dir.display(), dir.display());
     Ok(())
@@ -561,7 +535,11 @@ fn cmd_demo(args: &Args) -> Result<(), String> {
     let dir = out_dir(args)?;
 
     let (demo_name, tasks) = workload();
-    let (name, scores, ms) = run_engine(baseline, &tasks, &scoring, &opts);
+    let pipeline = engine_pipeline(&scoring, &opts, baseline);
+    let name = pipeline.engine_name();
+    let report = pipeline.align_batch(&tasks);
+    let scores: Vec<i32> = report.results.iter().map(|r| r.score).collect();
+    let ms = report.elapsed_ms;
     // A baseline refuses `--verbose`, so this is the agatha engine's plan.
     if opts.verbose {
         let config = agatha_config(&opts);
@@ -573,7 +551,7 @@ fn cmd_demo(args: &Args) -> Result<(), String> {
     }
 
     write_score_log(&dir.join("score.log"), &scores)?;
-    write_time_json(&dir.join("time.json"), &name, ms, tasks.len())?;
+    write_time_json(&dir.join("time.json"), name, ms, tasks.len())?;
     outln!("{demo_name}: {} tasks via {name}: {ms:.3} ms simulated", tasks.len());
     Ok(())
 }

@@ -311,43 +311,115 @@ fn chunked_streaming_scores_match_whole_batch() {
 
 #[test]
 fn host_flags_rejected_for_baseline_engines() {
-    // `align` is the one subcommand that reads `--chunk` (`demo` rejects it
-    // outright, see `unknown_flags_are_usage_errors`); the host flags `demo`
-    // does read are refused for a baseline there too.
+    // A baseline runs on the engine, so it reads `--threads` and `--chunk`;
+    // it has no fill plan for `--verbose` to report, on `align` or `demo`.
     let dir = std::env::temp_dir().join(format!("agatha_cli_hostbase_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let refs = dir.join("ref.fasta");
     let queries = dir.join("query.fasta");
     std::fs::write(&refs, ">1\nACGT\n").unwrap();
     std::fs::write(&queries, ">1\nACGT\n").unwrap();
-    for (flag, demo_reads_it) in [
-        (&["--chunk", "8"][..], false),
-        (&["--threads", "1"][..], true),
-        (&["--verbose"][..], true),
-    ] {
-        let align = agatha()
-            .args(["align", "--engine", "saloba"])
-            .args(flag)
-            .args(["-o", dir.join("out").to_str().unwrap()])
+    let align = agatha()
+        .args(["align", "--engine", "saloba", "--verbose"])
+        .args(["-o", dir.join("out").to_str().unwrap()])
+        .arg(refs.to_str().unwrap())
+        .arg(queries.to_str().unwrap())
+        .output()
+        .unwrap();
+    let demo = agatha()
+        .args(["demo", "--reads", "4", "--engine", "saloba", "--verbose"])
+        .output()
+        .unwrap();
+    for out in [align, demo] {
+        assert!(!out.status.success(), "--verbose must not be silently ignored by baselines");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("agatha engine"), "stderr: {err}");
+        assert!(err.contains("no fill plan"), "stderr: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Write `pairs` reference/query pairs of uneven lengths (an LCG's bases,
+/// the query with a substitution every 13th base) to `dir`, returning the
+/// two paths.
+fn write_pairs(dir: &std::path::Path, pairs: usize) -> (std::path::PathBuf, std::path::PathBuf) {
+    let (mut rf, mut qf) = (String::new(), String::new());
+    let mut x = 7u64;
+    for i in 0..pairs {
+        let (mut r, mut q) = (String::new(), String::new());
+        for k in 0..40 + (i * 37) % 160 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let c = ['A', 'C', 'G', 'T'][(x >> 33) as usize % 4];
+            r.push(c);
+            q.push(if k % 13 == 5 { 'A' } else { c });
+        }
+        rf.push_str(&format!(">r{i}\n{r}\n"));
+        qf.push_str(&format!(">q{i}\n{q}\n"));
+    }
+    let (refs, queries) = (dir.join("ref.fasta"), dir.join("query.fasta"));
+    std::fs::write(&refs, rf).unwrap();
+    std::fs::write(&queries, qf).unwrap();
+    (refs, queries)
+}
+
+#[test]
+fn baseline_engines_stream_the_same_at_every_shape() {
+    // A baseline takes its tasks in incoming order, so its warps, scores and
+    // simulated time do not depend on how the stream is chunked or on how
+    // many workers claim them. 45 pairs at chunk 7 carry runs across chunks
+    // on every shape (a GASAL2 warp holds 32 tasks, a SALoBa warp 8).
+    let dir = std::env::temp_dir().join(format!("agatha_cli_baseshape_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (refs, queries) = write_pairs(&dir, 45);
+    let run = |engine: &str, shape: &[&str]| {
+        let out_dir = dir.join(format!("{engine}_{}", shape.join("_")));
+        let out = agatha()
+            .args(["align", "-w", "100", "--engine", engine])
+            .args(shape)
+            .args(["-o", out_dir.to_str().unwrap()])
             .arg(refs.to_str().unwrap())
             .arg(queries.to_str().unwrap())
             .output()
             .unwrap();
-        let demo = demo_reads_it.then(|| {
-            agatha()
-                .args(["demo", "--reads", "4", "--engine", "saloba"])
-                .args(flag)
-                .output()
-                .unwrap()
-        });
-        for out in std::iter::once(align).chain(demo) {
-            assert!(!out.status.success(), "{flag:?} must not be silently ignored by baselines");
-            let err = String::from_utf8_lossy(&out.stderr);
-            assert!(err.contains("agatha engine"), "{flag:?}: stderr: {err}");
-            // The baselines fan out over every core; the reason must say so.
-            assert!(flag[0] != "--threads" || err.contains("every host core"), "stderr: {err}");
-        }
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let read = |file: &str| std::fs::read_to_string(out_dir.join(file)).unwrap();
+        (read("score.log"), read("time.json"), String::from_utf8_lossy(&out.stdout).into_owned())
+    };
+    for engine in ["saloba", "gasal2", "cpu", "logan"] {
+        let whole = run(engine, &["--threads", "1", "--chunk", "4096"]);
+        assert_eq!(whole.0.lines().count(), 45, "{engine}");
+        let chunked = run(engine, &["--threads", "2", "--chunk", "7"]);
+        assert_eq!(chunked.0, whole.0, "{engine}: score.log");
+        assert_eq!(chunked.1, whole.1, "{engine}: time.json");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_broken_input_fails_the_same_under_a_baseline() {
+    // The query file ends after 5 of 8 pairs: both engines align the pairs
+    // before it and fail with the stream's chunk-and-offset error.
+    let dir = std::env::temp_dir().join(format!("agatha_cli_basebroken_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (refs, queries) = write_pairs(&dir, 8);
+    let text = std::fs::read_to_string(&queries).unwrap();
+    let cut: String = text.lines().take(10).map(|l| format!("{l}\n")).collect();
+    std::fs::write(&queries, cut).unwrap();
+    let stderr = |engine: &str| {
+        let out = agatha()
+            .args(["align", "--chunk", "2", "--engine", engine])
+            .args(["-o", dir.join(engine).to_str().unwrap()])
+            .arg(refs.to_str().unwrap())
+            .arg(queries.to_str().unwrap())
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{engine}: uneven pairs must fail the run");
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    let agatha_err = stderr("agatha");
+    assert!(agatha_err.contains("chunk 2 (task offset 5)"), "stderr: {agatha_err}");
+    assert!(agatha_err.contains("equal number"), "stderr: {agatha_err}");
+    assert_eq!(stderr("saloba"), agatha_err);
     std::fs::remove_dir_all(&dir).ok();
 }
 

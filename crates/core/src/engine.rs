@@ -26,7 +26,9 @@
 //! its worker's total, walks and prices their traces, runs the rejoining
 //! simulation over them plus any carried runs, and drops the units: a
 //! packed run's trace lives for one warp on one core, and a chunk's traces
-//! never coexist. A deferred job aligns and prices one arrival into the
+//! never coexist. A comparator engine ([`crate::BaselinePlan`]) runs through
+//! the same packer and warp jobs; its plan aligns and prices each task. A
+//! deferred job aligns and prices one arrival into the
 //! next chunk's carry. The calling thread only assembles the report —
 //! results in arrival order, warp latencies in submission order, the carry
 //! in pool order — and schedules the devices. [`Pipeline::align_batch`] is
@@ -58,7 +60,7 @@ use agatha_gpu_sim::{DeviceReport, KernelStats};
 use crate::bucketing::{build_warps, carry_split, OrderingStrategy, WarpAssignment};
 use crate::clock::{Clock, SystemClock};
 use crate::kernel::{align_task_ws, run_task_ws, HostRun, KernelWorkspace, TaskRun};
-use crate::pipeline::{BatchReport, Pipeline};
+use crate::pipeline::{BaselineRun, BatchReport, Pipeline};
 use crate::prefetch::PrefetchedChunks;
 use crate::warp_sim::simulate_warp;
 
@@ -275,19 +277,34 @@ impl Shared {
     }
 
     /// Align and price arrival `i`: its result joins the chunk's, its stats
-    /// the worker's total.
+    /// the worker's total. A baseline's plan does both in place of the
+    /// kernel and its device trace.
     fn price_arrival(
         &self,
         ws: &mut KernelWorkspace,
         task: &Task,
         i: usize,
         done: &mut Done,
-    ) -> TaskRun {
-        let Pipeline { scoring, config, cost, .. } = &self.pipeline;
+    ) -> Priced {
+        let pipeline = &self.pipeline;
+        if let Some(plan) = &pipeline.baseline {
+            // A baseline prices no steps or traffic of its own.
+            let BaselineRun { result, cells, cycles } = (plan.run)(ws, task, pipeline);
+            done.stats.add(&KernelStats {
+                device_cells: cells,
+                reference_cells: result.cells,
+                zdropped_tasks: u64::from(result.stop.z_dropped()),
+                tasks: 1,
+                ..KernelStats::new()
+            });
+            done.results.push((i, result));
+            return Priced::Cycles(cycles);
+        }
+        let Pipeline { scoring, config, cost, .. } = pipeline;
         let run = run_task_ws(ws, task, scoring, config);
         done.stats.add(&run.stats(config.subwarp_lanes, config, cost));
         done.results.push((i, run.result.clone()));
-        run
+        Priced::Trace(run)
     }
 
     /// A warp job: align and price the warp's arrivals, simulate the warp
@@ -301,11 +318,11 @@ impl Shared {
         warp: &WarpAssignment,
         done: &mut Done,
     ) -> SimulatedWarp {
-        let Pipeline { config, cost, .. } = &self.pipeline;
+        let Pipeline { config, cost, baseline, .. } = &self.pipeline;
         let carried = pack.carry.len();
         // Per queue slot, the arrival priced here, or `None` for a run the
         // chunk that executed it priced.
-        let fresh: Vec<Vec<Option<TaskRun>>> = warp
+        let fresh: Vec<Vec<Option<Priced>>> = warp
             .queues
             .iter()
             .map(|q| {
@@ -317,17 +334,15 @@ impl Shared {
                     .collect()
             })
             .collect();
-        let queues: Vec<Vec<&TaskRun>> = warp
-            .queues
-            .iter()
-            .zip(&fresh)
-            .map(|(q, f)| {
-                q.iter()
-                    .zip(f)
-                    .map(|(&p, run)| run.as_ref().unwrap_or_else(|| &pack.carry[p].run))
-                    .collect()
-            })
-            .collect();
+        let queues = warp.queues.iter().zip(&fresh).map(move |(q, f)| {
+            q.iter().zip(f).map(move |(&p, run)| run.as_ref().unwrap_or_else(|| &pack.carry[p].run))
+        });
+        if baseline.is_some() {
+            // A baseline's queues run side by side, each its tasks in turn.
+            let cycles = queues.map(|q| q.map(Priced::cycles).sum::<f64>()).fold(0.0, f64::max);
+            return SimulatedWarp { cycles, subwarp_blocks: Vec::new() };
+        }
+        let queues: Vec<Vec<&TaskRun>> = queues.map(|q| q.map(Priced::trace).collect()).collect();
         let outcome = simulate_warp(&queues, config, cost);
         let subwarp_blocks = queues
             .iter()
@@ -483,7 +498,8 @@ impl BatchEngine {
         flush: bool,
         strategy: OrderingStrategy,
     ) -> BatchReport {
-        let cfg = &self.shared.pipeline.config;
+        let pipeline = &self.shared.pipeline;
+        let (queues, per_queue) = pipeline.warp_shape();
         // The packing pool: carried runs first (they have waited longest),
         // then this chunk's arrivals, each keyed by its a-priori workload
         // estimate, the number of anti-diagonals (§5.6).
@@ -493,15 +509,18 @@ impl BatchEngine {
             .map(|s| s.workload)
             .chain(arrived.iter().map(|t| t.antidiags() as u64))
             .collect();
-        // What `carry_split` keeps packs now; the rest is the next carry.
-        let (keep, defer) = if flush {
-            ((0..pool.len()).collect(), Vec::new())
+        // What the carry split keeps packs now; the rest is the next carry.
+        // Incoming order carries its trailing arrivals, so its warps are the
+        // same consecutive tasks at every chunk size; a flush packs them all.
+        let (t, capacity) = (pool.len(), queues * per_queue);
+        let (keep, defer) = if flush || strategy == OrderingStrategy::Original {
+            let kept = if flush { t } else { t - t % capacity };
+            ((0..kept).collect(), (kept..t).collect())
         } else {
-            carry_split(&pool, cfg.warp_capacity())
+            carry_split(&pool, capacity)
         };
         let packed: Vec<u64> = keep.iter().map(|&p| pool[p]).collect();
-        let mut warps =
-            build_warps(&packed, cfg.subwarps_per_warp(), cfg.tasks_per_subwarp, strategy);
+        let mut warps = build_warps(&packed, queues, per_queue, strategy);
         for slot in warps.iter_mut().flat_map(|w| w.queues.iter_mut().flatten()) {
             *slot = keep[*slot];
         }
@@ -533,7 +552,7 @@ impl BatchEngine {
         let (devices, device) = pipeline.schedule_devices(&warp_cycles);
         BatchReport {
             results: done.results.into_iter().map(|(_, r)| r).collect(),
-            elapsed_ms: pipeline.spec.cycles_to_ms(device.makespan_cycles),
+            elapsed_ms: pipeline.elapsed_ms(&device, &done.stats),
             device,
             devices,
             stats: done.stats,
@@ -672,9 +691,30 @@ where
 /// it arrived in so it can join a later chunk's largest-first fill instead
 /// of seeding an underfull trailing warp.
 struct CarrySlot {
-    run: TaskRun,
+    run: Priced,
     /// A-priori workload estimate (anti-diagonals), cached from the task.
     workload: u64,
+}
+
+/// An arrival aligned and priced for the warp that packs it. A pipeline
+/// prices every run one way, so a warp never mixes the two.
+enum Priced {
+    /// AGAThA's: the device trace the warp simulation walks.
+    Trace(TaskRun),
+    /// A baseline's: the cycles the task occupies its queue.
+    Cycles(f64),
+}
+
+impl Priced {
+    fn trace(&self) -> &TaskRun {
+        let Priced::Trace(run) = self else { unreachable!("an AGAThA warp packs traces") };
+        run
+    }
+
+    fn cycles(&self) -> f64 {
+        let Priced::Cycles(cycles) = self else { unreachable!("a baseline warp packs cycles") };
+        *cycles
+    }
 }
 
 /// The configuration of a stream ([`BatchEngine::align_stream_with`] /
@@ -862,8 +902,8 @@ impl StreamRun<'_> {
         Ok(StreamSummary {
             tasks: self.offset,
             chunks: self.chunks,
+            elapsed_ms: pipeline.elapsed_ms(&device, &self.stats),
             stats: std::mem::replace(&mut self.stats, KernelStats::new()),
-            elapsed_ms: pipeline.spec.cycles_to_ms(device.makespan_cycles),
             device,
         })
     }
@@ -996,6 +1036,37 @@ mod tests {
             assert_eq!(results, whole.results, "chunk_size {chunk_size}");
             assert_eq!(summary.stats, whole.stats, "chunk_size {chunk_size}");
             assert_eq!(summary.tasks, tasks.len());
+        }
+    }
+
+    #[test]
+    fn an_incoming_order_stream_reports_the_same_at_every_chunk_size() {
+        // Under `Original` order the carry is the trailing arrivals, so every
+        // warp is the same run of consecutive tasks at every chunk size: the
+        // warp latencies, the pooled schedule and the results all equal one
+        // whole chunk's. (Deferring the smallest tasks would reorder them.)
+        let tasks = mk_tasks(131, 40, 103);
+        let baseline = |threads| {
+            let mut p = Pipeline::new(Scoring::new(2, 4, 4, 2, 60, 16), AgathaConfig::baseline());
+            p.host_threads = threads;
+            assert_eq!(p.default_strategy(), OrderingStrategy::Original);
+            p
+        };
+        let stream = |threads, chunk_size| {
+            let mut engine = baseline(threads).engine();
+            let mut run =
+                engine.align_stream_with(tasks.iter().cloned(), StreamOptions::new(chunk_size));
+            let (mut results, mut cycles) = (Vec::new(), Vec::new());
+            for chunk in run.by_ref() {
+                results.extend(chunk.report.results);
+                cycles.extend(chunk.report.warp_cycles);
+            }
+            (results, cycles, run.finish().elapsed_ms)
+        };
+        let whole = stream(1, tasks.len() + 1);
+        assert_eq!(whole.1.len(), tasks.len().div_ceil(8));
+        for (threads, chunk_size) in [(1, 7), (2, 7), (2, 100)] {
+            assert_eq!(stream(threads, chunk_size), whole, "chunk {chunk_size}, {threads} threads");
         }
     }
 

@@ -20,7 +20,8 @@
 //! [`pipeline::Pipeline`] ties everything into a batch aligner; every
 //! feature can be toggled independently through [`options::AgathaConfig`]
 //! for the ablation study (Fig. 9). [`engine::BatchEngine`] is the one host
-//! execution path under it: the calling thread plus persistent helpers
+//! execution path under it, for AGAThA and for every comparator engine
+//! ([`pipeline::BaselinePlan`]): the calling thread plus persistent helpers
 //! claim the jobs of a published chunk from one counter, each into its own
 //! reusable [`kernel::KernelWorkspace`] — whole batches
 //! ([`pipeline::Pipeline::align_batch`]) and bounded-memory streams
@@ -50,4 +51,4 @@ pub use engine::{
 };
 pub use kernel::{align_task_ws, run_task, run_task_ws, HostRun, KernelWorkspace, TaskRun};
 pub use options::AgathaConfig;
-pub use pipeline::{BatchReport, Pipeline};
+pub use pipeline::{BaselinePlan, BaselineRun, BaselineTask, BatchReport, Pipeline};

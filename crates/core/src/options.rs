@@ -227,14 +227,6 @@ impl AgathaConfig {
         WARP_LANES / self.subwarp_lanes
     }
 
-    /// Tasks one warp holds before bucketing deepens its queues: subwarps ×
-    /// tasks per subwarp. A packed pool of `t` tasks makes `⌈t / capacity⌉`
-    /// warps, and the carry split keeps a multiple of it.
-    #[inline]
-    pub fn warp_capacity(&self) -> usize {
-        self.subwarps_per_warp() * self.tasks_per_subwarp
-    }
-
     /// Whether a slice's anti-diagonal span (`slice_width` blocks of the
     /// device's 8×8 geometry, plus one block's own diagonals) fits the LMB,
     /// eliminating global spilling (§4.2). Horizontal chunks never fit.

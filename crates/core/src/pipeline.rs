@@ -3,17 +3,52 @@
 //! time.
 //!
 //! [`Pipeline`] is the configuration (scoring, kernel options, device, host
-//! workers) and the device-scheduling step of a report; execution lives in
+//! workers, and the comparator engine if it runs one) and the
+//! device-scheduling step of a report; execution lives in
 //! [`crate::engine::BatchEngine`], and [`Pipeline::align_batch`] is a
 //! stream of one chunk on a short-lived engine of at most one worker per
 //! warp.
 
 use agatha_align::{GuidedResult, Scoring, Task};
-use agatha_gpu_sim::{sched, CostModel, DeviceReport, GpuSpec, KernelStats};
+use agatha_gpu_sim::{sched, CostModel, CpuSpec, DeviceReport, GpuSpec, KernelStats};
 
 use crate::bucketing::OrderingStrategy;
 use crate::engine::BatchEngine;
+use crate::kernel::KernelWorkspace;
 use crate::options::AgathaConfig;
+
+/// A comparator engine (§5.2) as the engine runs it: one task's DP and
+/// price, and how many tasks share a warp. Chunking, claiming, carrying and
+/// scheduling are the engine's, as for AGAThA.
+#[derive(Debug, Clone)]
+pub struct BaselinePlan {
+    /// Report name (the figure row label).
+    pub name: &'static str,
+    /// Align and price one task on the worker's workspace.
+    pub run: BaselineTask,
+    /// Queues per warp: a warp takes its tasks in arrival order,
+    /// round-robin over them, and lasts as long as its slowest queue.
+    pub queues: usize,
+    /// Tasks per queue, run one after the other.
+    pub tasks_per_queue: usize,
+    /// A CPU engine's machine, which times the summed reference cells; its
+    /// warps cost nothing.
+    pub cpu: Option<CpuSpec>,
+}
+
+/// A baseline's per-task body: align and price one task.
+pub type BaselineTask = fn(&mut KernelWorkspace, &Task, &Pipeline) -> BaselineRun;
+
+/// One baseline task, aligned and priced.
+#[derive(Debug, Clone)]
+pub struct BaselineRun {
+    /// The engine's result.
+    pub result: GuidedResult,
+    /// DP cells the engine computes.
+    pub cells: u64,
+    /// Cycles the task occupies its queue.
+    pub cycles: f64,
+}
 
 /// A configured aligner: scoring, kernel options and target device.
 #[derive(Debug, Clone)]
@@ -32,6 +67,8 @@ pub struct Pipeline {
     /// that run the kernels, walk and price the device traces and simulate
     /// the warps (0 = all available cores).
     pub host_threads: usize,
+    /// The comparator engine run in AGAThA's place, if any.
+    pub baseline: Option<BaselinePlan>,
 }
 
 /// Everything a batch run produces.
@@ -60,7 +97,12 @@ impl Pipeline {
     pub fn new(scoring: Scoring, config: AgathaConfig) -> Pipeline {
         let spec = GpuSpec::rtx_a6000();
         let cost = CostModel::for_spec(&spec);
-        Pipeline { scoring, config, spec, cost, gpus: 1, host_threads: 0 }
+        Pipeline { scoring, config, spec, cost, gpus: 1, host_threads: 0, baseline: None }
+    }
+
+    /// The engine's report name: AGAThA, or the comparator's.
+    pub fn engine_name(&self) -> &'static str {
+        self.baseline.as_ref().map_or("AGAThA", |b| b.name)
     }
 
     /// Change the target GPU.
@@ -77,9 +119,10 @@ impl Pipeline {
         self
     }
 
-    /// The ordering strategy implied by the configuration.
+    /// The ordering strategy implied by the configuration. A baseline takes
+    /// its tasks in incoming order.
     pub fn default_strategy(&self) -> OrderingStrategy {
-        if self.config.uneven_bucketing {
+        if self.config.uneven_bucketing && self.baseline.is_none() {
             OrderingStrategy::UnevenBucketing
         } else {
             OrderingStrategy::Original
@@ -99,7 +142,8 @@ impl Pipeline {
         tasks: &[Task],
         strategy: OrderingStrategy,
     ) -> BatchReport {
-        let warps = tasks.len().div_ceil(self.config.warp_capacity());
+        let (queues, per_queue) = self.warp_shape();
+        let warps = tasks.len().div_ceil(queues * per_queue);
         let mut sized = self.clone();
         sized.host_threads = self.worker_threads().min(warps.max(1));
         BatchEngine::new(sized).align_chunk(tasks.to_vec(), strategy)
@@ -132,6 +176,24 @@ impl Pipeline {
             .cloned()
             .expect("at least one device");
         (devices, straggler)
+    }
+
+    /// Queues per warp and tasks per queue: the baseline's, or subwarps and
+    /// tasks per subwarp.
+    pub(crate) fn warp_shape(&self) -> (usize, usize) {
+        match &self.baseline {
+            Some(plan) => (plan.queues, plan.tasks_per_queue),
+            None => (self.config.subwarps_per_warp(), self.config.tasks_per_subwarp),
+        }
+    }
+
+    /// Simulated milliseconds: the straggler `device`'s makespan, or a CPU
+    /// baseline's time for `stats`' reference cells.
+    pub(crate) fn elapsed_ms(&self, device: &DeviceReport, stats: &KernelStats) -> f64 {
+        match self.baseline.as_ref().and_then(|b| b.cpu.as_ref()) {
+            Some(cpu) => cpu.ms_for_cells(stats.reference_cells),
+            None => self.spec.cycles_to_ms(device.makespan_cycles),
+        }
     }
 
     /// Number of host worker threads implied by the configuration.

@@ -21,7 +21,9 @@
 //! scheduler to produce the kernel makespan.
 //!
 //! Everything is deterministic: identical inputs give identical simulated
-//! times on every host.
+//! times on every host. The crate prices and schedules; it executes
+//! nothing and owns no threads — every engine, AGAThA's and the baselines',
+//! runs on `agatha-core`'s streaming engine.
 
 #![forbid(unsafe_code)]
 
@@ -51,5 +53,3 @@ pub const SIM_SCALE: u32 = 32;
 
 /// Cells per block-step per lane (8×8 blocks; §2.2).
 pub const BLOCK_CELLS: u64 = 64;
-
-pub mod host;

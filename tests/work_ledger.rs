@@ -20,8 +20,10 @@
 //! checks the 16-side value too.
 //!
 //! Every baseline engine has one line per scenario too: a digest of its
-//! scores, the cells it computed and its simulated milliseconds, from
-//! [`run_baseline`] over the whole stream.
+//! scores, the cells it computed and its simulated milliseconds. Each is
+//! run whole ([`run_baseline`]) and streamed in chunks of 7, and both runs
+//! must render the ledger's line: a baseline takes its tasks in incoming
+//! order, so its warps are the same at every chunk size.
 //!
 //! On a mismatch a test prints its scenario's differing lines. A change that moves
 //! a number on purpose edits the ledger by hand and names every moved line,
@@ -112,17 +114,38 @@ fn stats_fields(s: &KernelStats, geometry: &str) -> String {
     )
 }
 
-/// One baseline engine over a scenario's whole stream, rendered as its
-/// ledger line.
-fn baseline_line(which: Baseline, scenario: &str, tasks: &[Task], scoring: &Scoring) -> String {
-    let report = run_baseline(which, tasks, scoring, &GpuSpec::rtx_a6000());
-    let mut scores = Digest::new();
-    report.scores.iter().for_each(|&s| scores.word(s as u64));
+/// One baseline engine over a scenario's stream, rendered as its ledger
+/// line: whole through [`run_baseline`], or cut into chunks of `chunk` on a
+/// two-worker engine. Both must render the same line.
+fn baseline_line(
+    which: Baseline,
+    scenario: &str,
+    tasks: &[Task],
+    scoring: &Scoring,
+    chunk: Option<usize>,
+) -> String {
+    let (scores, total_cells, elapsed_ms) = match chunk {
+        None => {
+            let report = run_baseline(which, tasks, scoring, &GpuSpec::rtx_a6000());
+            (report.scores, report.total_cells, report.elapsed_ms)
+        }
+        Some(chunk) => {
+            let mut pipeline = which.pipeline(*scoring);
+            pipeline.host_threads = 2;
+            let mut engine = pipeline.engine();
+            let mut run = engine.align_stream_with(tasks.to_vec(), StreamOptions::new(chunk));
+            let scores: Vec<i32> =
+                run.by_ref().flat_map(|c| c.report.results).map(|r| r.score).collect();
+            let summary = run.finish();
+            (scores, summary.stats.device_cells, summary.elapsed_ms)
+        }
+    };
+    let mut digest = Digest::new();
+    scores.iter().for_each(|&s| digest.word(s as u64));
     format!(
-        "baseline={which:?} {scenario} scores={:016x} total_cells={} elapsed_ms={:016x}",
-        scores.0,
-        report.total_cells,
-        report.elapsed_ms.to_bits(),
+        "baseline={which:?} {scenario} scores={:016x} total_cells={total_cells} elapsed_ms={:016x}",
+        digest.0,
+        elapsed_ms.to_bits(),
     )
 }
 
@@ -202,11 +225,17 @@ fn ledger(name: &str) -> (Vec<String>, String) {
     (lines, stream_line(name, &tasks, &pipeline(1, avx2), usize::MAX))
 }
 
-/// Every baseline's line for one scenario, in [`Baseline::ALL`] order.
-fn baseline_ledger(name: &str) -> Vec<String> {
+/// Every baseline's line for one scenario, in [`Baseline::ALL`] order, run
+/// whole and in chunks of 7.
+fn baseline_ledger(name: &str) -> [Vec<String>; 2] {
     let (tasks, pipeline) = scenario(name, BASELINE_READS);
     let scoring = pipeline(0, AgathaConfig::baseline()).scoring;
-    Baseline::ALL.iter().map(|&which| baseline_line(which, name, &tasks, &scoring)).collect()
+    [None, Some(7)].map(|chunk| {
+        Baseline::ALL
+            .iter()
+            .map(|&which| baseline_line(which, name, &tasks, &scoring, chunk))
+            .collect()
+    })
 }
 
 /// `line` without its host column.
@@ -253,25 +282,23 @@ fn check(name: &str) {
     );
 }
 
-/// Compare one scenario's baseline lines with the ledger's, printing every
-/// line that differs.
+/// Compare one scenario's baseline lines, whole and chunked, with the
+/// ledger's, printing every line that differs.
 fn check_baselines(name: &str) {
-    let got = baseline_ledger(name);
     let suffix = format!(" {name} ");
     let want: Vec<&str> =
         LEDGER.lines().filter(|l| l.starts_with("baseline=") && l.contains(&suffix)).collect();
-    assert_eq!(want.len(), got.len(), "{name}: one ledger line per baseline engine");
-    let differing: Vec<String> = got
-        .iter()
-        .zip(&want)
-        .filter(|(g, w)| g != w)
-        .map(|(g, w)| format!("  ledger: {w}\n  now:    {g}"))
-        .collect();
+    let mut differing = Vec::new();
+    for (got, shape) in baseline_ledger(name).iter().zip(["whole", "chunk 7"]) {
+        assert_eq!(want.len(), got.len(), "{name}: one ledger line per baseline engine");
+        for (g, w) in got.iter().zip(&want).filter(|(g, w)| g != w) {
+            differing.push(format!("  ledger: {w}\n  {shape}: {g}"));
+        }
+    }
     assert!(
         differing.is_empty(),
-        "{} of {} baseline lines of {name} differ:\n{}",
+        "{} baseline lines of {name} differ:\n{}",
         differing.len(),
-        got.len(),
         differing.join("\n")
     );
 }
