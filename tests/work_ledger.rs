@@ -25,6 +25,11 @@
 //! must render the ledger's line: a baseline takes its tasks in incoming
 //! order, so its warps are the same at every chunk size.
 //!
+//! Each plan of the ablation and sensitivity figures (Figs. 9, 10, 11 and
+//! 14) has one line per scenario too, run whole on one worker at the
+//! baselines' read counts: the stream line's device columns (the host
+//! column is the scenario lines' to pin) without the chunk count.
+//!
 //! On a mismatch a test prints its scenario's differing lines. A change that moves
 //! a number on purpose edits the ledger by hand and names every moved line,
 //! with its reason, in CHANGES.md; there is no switch that rewrites it.
@@ -34,7 +39,7 @@
 use agatha_suite::align::simd::{BackendChoice, WavefrontBackend};
 use agatha_suite::align::{GuidedResult, Scoring, Task};
 use agatha_suite::baselines::{run_baseline, Baseline};
-use agatha_suite::core::{AgathaConfig, Pipeline, StreamOptions};
+use agatha_suite::core::{AgathaConfig, OrderingStrategy, Pipeline, StreamOptions};
 use agatha_suite::datasets::SCENARIOS;
 use agatha_suite::gpu_sim::{GpuSpec, KernelStats, MemCounters};
 
@@ -59,6 +64,22 @@ const BASELINE_READS: [(&str, usize); 3] =
 const CHUNKS: [usize; 3] = [7, 100, usize::MAX];
 
 const THREADS: [usize; 2] = [1, 2];
+
+/// The plans with a line of their own: the ablation steps below full
+/// AGAThA (Fig. 9), rejoining with a sorted order (Fig. 11), slice width 7
+/// (Fig. 10) and the plain subwarps of 16 and 32 lanes (Fig. 14).
+fn plans() -> [(&'static str, fn() -> AgathaConfig); 8] {
+    [
+        ("baseline", AgathaConfig::baseline),
+        ("+rw", || AgathaConfig::baseline().with_rw(true)),
+        ("+rw+sd", || AgathaConfig::baseline().with_rw(true).with_sd(true)),
+        ("+rw+sd+sr", || AgathaConfig::baseline().with_rw(true).with_sd(true).with_sr(true)),
+        ("sr+sort", || AgathaConfig::agatha().with_ub(false)),
+        ("s=7", || AgathaConfig::agatha().with_slice_width(7)),
+        ("subwarp=16", || AgathaConfig::agatha().with_sr(false).with_ub(false).with_subwarp(16)),
+        ("subwarp=32", || AgathaConfig::agatha().with_sr(false).with_ub(false).with_subwarp(32)),
+    ]
+}
 
 /// FNV-1a over a stream of 64-bit words.
 #[derive(Clone, Copy)]
@@ -190,6 +211,41 @@ fn stream_line(scenario: &str, tasks: &[Task], pipeline: &Pipeline, chunk: usize
     )
 }
 
+/// One plan over a scenario's tasks, run whole on one worker, rendered as
+/// its ledger line.
+fn plan_line(label: &str, scenario: &str, tasks: &[Task], pipeline: &Pipeline) -> String {
+    let report = if label == "sr+sort" {
+        pipeline.align_batch_with_strategy(tasks, OrderingStrategy::Sorted)
+    } else {
+        let mut engine = pipeline.engine();
+        let mut run =
+            engine.align_stream_with(tasks.iter().cloned(), StreamOptions::new(usize::MAX));
+        let mut report = run.next().expect("one whole chunk").report;
+        let summary = run.finish();
+        assert_eq!(summary.chunks, 1, "{label} {scenario}: one whole chunk");
+        report.elapsed_ms = summary.elapsed_ms;
+        report
+    };
+    let (mut results, mut cycles, mut subwarps) = (Digest::new(), Digest::new(), Digest::new());
+    report.results.iter().for_each(|r| results.result(r));
+    report.warp_cycles.iter().for_each(|w| cycles.word(w.to_bits()));
+    for &(assigned, executed) in &report.subwarp_blocks {
+        subwarps.word(assigned);
+        subwarps.word(executed.to_bits());
+    }
+    let line = format!(
+        "plan={label} {scenario} results={:016x} {} warps={} warp_cycles={:016x} \
+         subwarp_blocks={:016x} elapsed_ms={:016x}",
+        results.0,
+        stats_fields(&report.stats, ""),
+        report.warp_cycles.len(),
+        cycles.0,
+        subwarps.0,
+        report.elapsed_ms.to_bits(),
+    );
+    device_columns(&line).join(" ")
+}
+
 /// A scenario's first `reads` tasks of `streams`, and a pipeline on its
 /// scoring.
 fn scenario(
@@ -236,6 +292,15 @@ fn baseline_ledger(name: &str) -> [Vec<String>; 2] {
             .map(|&which| baseline_line(which, name, &tasks, &scoring, chunk))
             .collect()
     })
+}
+
+/// Every plan's line for one scenario, in [`plans`] order.
+fn plan_ledger(name: &str) -> Vec<String> {
+    let (tasks, pipeline) = scenario(name, BASELINE_READS);
+    plans()
+        .iter()
+        .map(|(label, plan)| plan_line(label, name, &tasks, &pipeline(1, plan())))
+        .collect()
 }
 
 /// `line` without its host column.
@@ -303,6 +368,28 @@ fn check_baselines(name: &str) {
     );
 }
 
+/// Compare one scenario's plan lines with the ledger's, printing every
+/// line that differs.
+fn check_plans(name: &str) {
+    let suffix = format!(" {name} ");
+    let want: Vec<&str> =
+        LEDGER.lines().filter(|l| l.starts_with("plan=") && l.contains(&suffix)).collect();
+    let got = plan_ledger(name);
+    assert_eq!(want.len(), got.len(), "{name}: one ledger line per plan");
+    let differing: Vec<String> = got
+        .iter()
+        .zip(&want)
+        .filter(|(g, w)| g != w)
+        .map(|(g, w)| format!("  ledger: {w}\n  now:    {g}"))
+        .collect();
+    assert!(
+        differing.is_empty(),
+        "{} plan lines of {name} differ:\n{}",
+        differing.len(),
+        differing.join("\n")
+    );
+}
+
 #[test]
 fn the_dna_short_ledger_is_unchanged() {
     check("dna-short");
@@ -334,9 +421,25 @@ fn the_protein_blosum62_baselines_are_unchanged() {
 }
 
 #[test]
+fn the_dna_short_plans_are_unchanged() {
+    check_plans("dna-short");
+}
+
+#[test]
+fn the_dna_long_plans_are_unchanged() {
+    check_plans("dna-long");
+}
+
+#[test]
+fn the_protein_blosum62_plans_are_unchanged() {
+    check_plans("protein-blosum62");
+}
+
+#[test]
 fn every_ledger_line_belongs_to_a_stream() {
     let lines = LEDGER.lines().filter(|l| !l.is_empty());
-    let expected = STREAMS.len() * (CHUNKS.len() * THREADS.len() + Baseline::ALL.len());
+    let expected =
+        STREAMS.len() * (CHUNKS.len() * THREADS.len() + Baseline::ALL.len() + plans().len());
     assert_eq!(lines.clone().count(), expected, "one line per stream");
     for line in lines {
         let mut fields = line.split(' ');
@@ -346,6 +449,9 @@ fn every_ledger_line_belongs_to_a_stream() {
                 Baseline::ALL.iter().any(|b| format!("{b:?}") == engine),
                 "unknown engine: {line}"
             );
+            scenario = fields.next().unwrap_or_default();
+        } else if let Some(plan) = scenario.strip_prefix("plan=") {
+            assert!(plans().iter().any(|p| p.0 == plan), "unknown plan: {line}");
             scenario = fields.next().unwrap_or_default();
         }
         assert!(STREAMS.iter().any(|s| s.0 == scenario), "unknown stream: {line}");
