@@ -1,4 +1,4 @@
-//! Uniform engine interface for the benchmark harnesses: each engine is a
+//! Uniform engine interface for the scorecard and the tests: each engine is a
 //! [`BaselinePlan`] that a [`Pipeline`] runs on the streaming engine.
 
 use agatha_align::{Scoring, Task};
@@ -21,14 +21,7 @@ pub struct EngineReport {
     pub total_cells: u64,
 }
 
-impl EngineReport {
-    /// Speedup of this engine relative to a reference time.
-    pub fn speedup_vs(&self, reference_ms: f64) -> f64 {
-        reference_ms / self.elapsed_ms
-    }
-}
-
-/// Registry of all baseline engines, for sweeping in the harnesses.
+/// Registry of all baseline engines, for sweeping in the scorecard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Baseline {
     /// Minimap2 on the default CPU (16C/32T SSE4).

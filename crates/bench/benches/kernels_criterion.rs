@@ -4,7 +4,7 @@
 //! warp simulation the chunk packer runs, and the packer itself on a live
 //! engine.
 //! These measure *real host wall-time* of the implementation (unlike the
-//! figure harnesses, which report simulated device time).
+//! scorecard, which reports simulated device time).
 
 use std::time::{Duration, Instant};
 
@@ -365,7 +365,6 @@ fn bench_packer(c: &mut Criterion) {
     let tasks = (scenario.tasks)(1, 4096);
     let mut pipeline = Pipeline::new((scenario.scoring)(), AgathaConfig::agatha());
     pipeline.host_threads = 2;
-    let strategy = pipeline.default_strategy();
     let mut engine = pipeline.engine();
     g.throughput(Throughput::Elements(tasks.len() as u64));
     let mut timed = |name: &str, run: &mut dyn FnMut(&mut BatchEngine, Vec<Task>)| {
@@ -382,7 +381,7 @@ fn bench_packer(c: &mut Criterion) {
             })
         });
     };
-    timed("align_chunk", &mut |e, chunk| drop(black_box(e.align_chunk(chunk, strategy))));
+    timed("align_chunk", &mut |e, chunk| drop(black_box(e.align_chunk(chunk))));
     timed("run_tasks", &mut |e, chunk| drop(black_box(e.run_tasks(chunk))));
     timed("run_tagged", &mut |e, chunk| {
         let jobs = chunk.into_iter().map(|t| (t, JobMeta::default())).collect();
@@ -394,7 +393,7 @@ fn bench_packer(c: &mut Criterion) {
             for _ in 0..iters {
                 let (packed, bare) = (tasks.clone(), tasks.clone());
                 let started = Instant::now();
-                drop(black_box(engine.align_chunk(packed, strategy)));
+                drop(black_box(engine.align_chunk(packed)));
                 spent_ns += started.elapsed().as_nanos() as f64;
                 let started = Instant::now();
                 drop(black_box(engine.run_tasks(bare)));

@@ -1,20 +1,15 @@
-//! Shared harness utilities for the figure/table benchmarks.
+//! The reproduction scorecard and the criterion microbenchmarks.
 //!
-//! Every bench target regenerates one table or figure of the paper: it
-//! loads the nine synthetic datasets (size controlled by `AGATHA_READS`),
-//! runs the relevant engines, and prints rows in the paper's layout so the
-//! output of `cargo bench` can be compared side by side with the paper's
-//! published figures.
+//! `cargo bench -p agatha-bench --bench scorecard` regenerates every figure
+//! and table of the paper's evaluation on the nine synthetic datasets, in
+//! paper order, and checks the claim the paper makes of each
+//! ([`scorecard`]); it exits non-zero when a claim's recorded verdict flips.
+//! `--bench kernels_criterion` times the host kernels, the FASTA parser and
+//! the packer.
 
 #![forbid(unsafe_code)]
 
-use agatha_datasets::{generate, Dataset, DatasetSpec};
-
-/// Load the nine paper datasets at the configured benchmark scale.
-pub fn nine_datasets() -> Vec<Dataset> {
-    let reads = DatasetSpec::default_reads();
-    DatasetSpec::nine_paper_datasets(reads).iter().map(generate).collect()
-}
+pub mod scorecard;
 
 /// Geometric mean (the paper's aggregate for speedups).
 pub fn geomean(xs: &[f64]) -> f64 {
@@ -31,24 +26,6 @@ pub fn row(label: &str, cells: &[String]) -> String {
         s.push_str(&format!("{c:>12}"));
     }
     s
-}
-
-/// Header line for the nine datasets plus a geometric-mean column.
-pub fn dataset_header(datasets: &[Dataset]) -> String {
-    let mut cells: Vec<String> = datasets.iter().map(|d| d.name.replace(' ', "")).collect();
-    cells.push("GeoMean".to_string());
-    row("", &cells)
-}
-
-/// Print a standard figure banner.
-pub fn banner(figure: &str, what: &str) {
-    println!();
-    println!("==== {figure}: {what} ====");
-    println!(
-        "(synthetic datasets, {} tasks each; simulated device time — compare shapes, \
-         not absolute ms)",
-        DatasetSpec::default_reads()
-    );
 }
 
 #[cfg(test)]

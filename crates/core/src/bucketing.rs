@@ -73,7 +73,7 @@ pub fn build_warps(
             idx
         }
         OrderingStrategy::UnevenBucketing => {
-            return uneven_bucketing(workloads, n, g, num_warps);
+            return uneven_buckets(workloads, n, g, num_warps);
         }
     };
 
@@ -106,12 +106,7 @@ fn sequential_fill(order: &[usize], n: usize, num_warps: usize, g: usize) -> Vec
 /// would hand every extreme-holding warp a full complement of short tasks
 /// on top of its straggler, recreating the inter-warp imbalance the scheme
 /// exists to remove.
-fn uneven_bucketing(
-    workloads: &[u64],
-    n: usize,
-    g: usize,
-    num_warps: usize,
-) -> Vec<WarpAssignment> {
+fn uneven_buckets(workloads: &[u64], n: usize, g: usize, num_warps: usize) -> Vec<WarpAssignment> {
     let t = workloads.len();
     let mut idx: Vec<usize> = (0..t).collect();
     idx.sort_by_key(|&i| Reverse(workloads[i]));

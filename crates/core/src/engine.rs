@@ -472,9 +472,9 @@ impl BatchEngine {
 
     /// Align one owned chunk end to end (warp plan → warp jobs → device
     /// scheduling) on its own: nothing is carried in or out. This is
-    /// [`Pipeline::align_batch_with_strategy`] on a live engine.
-    pub fn align_chunk(&mut self, mut tasks: Vec<Task>, strategy: OrderingStrategy) -> BatchReport {
-        self.align_chunk_carry(&mut tasks, &mut Vec::new(), true, strategy)
+    /// [`Pipeline::align_batch`] on a live engine.
+    pub fn align_chunk(&mut self, mut tasks: Vec<Task>) -> BatchReport {
+        self.align_chunk_carry(&mut tasks, &mut Vec::new(), true)
     }
 
     /// The one chunk packer. Packing needs no kernel result — `carry_split`
@@ -496,10 +496,10 @@ impl BatchEngine {
         arrived: &mut Vec<Task>,
         carry: &mut Vec<CarrySlot>,
         flush: bool,
-        strategy: OrderingStrategy,
     ) -> BatchReport {
         let pipeline = &self.shared.pipeline;
         let (queues, per_queue) = pipeline.warp_shape();
+        let strategy = pipeline.default_strategy();
         // The packing pool: carried runs first (they have waited longest),
         // then this chunk's arrivals, each keyed by its a-priori workload
         // estimate, the number of anti-diagonals (§5.6).
@@ -636,11 +636,9 @@ impl BatchEngine {
         } else {
             StreamSchedule::Retained(Vec::new())
         };
-        let strategy = pipeline.default_strategy();
         StreamRun {
             engine: self,
             source: Some(Box::new(source)),
-            strategy,
             buf: Vec::new(),
             carry: Vec::new(),
             offset: 0,
@@ -819,7 +817,6 @@ pub struct StreamRun<'e> {
     engine: &'e mut BatchEngine,
     /// `None` once the source has ended.
     source: Option<ChunkFill<'e>>,
-    strategy: OrderingStrategy,
     /// The chunk to run next: an inline source refills it in place after
     /// the engine drains it; a prefetched stream replaces it with each chunk
     /// the reader parsed.
@@ -859,8 +856,7 @@ impl Iterator for StreamRun<'_> {
         // The chunk the source ended in (or a trailing carry-only chunk)
         // packs the whole pool.
         let flush = self.source.is_none();
-        let report =
-            self.engine.align_chunk_carry(&mut self.buf, &mut self.carry, flush, self.strategy);
+        let report = self.engine.align_chunk_carry(&mut self.buf, &mut self.carry, flush);
         self.stats.add(&report.stats);
         match &mut self.schedule {
             StreamSchedule::Pooled(sched) => sched.extend(&report.warp_cycles),
@@ -944,11 +940,6 @@ mod tests {
         p
     }
 
-    fn align_chunk(engine: &mut BatchEngine, tasks: Vec<Task>) -> BatchReport {
-        let strategy = engine.pipeline().default_strategy();
-        engine.align_chunk(tasks, strategy)
-    }
-
     #[test]
     fn chunked_stream_matches_whole_batch() {
         let tasks = mk_tasks(30, 110, 41);
@@ -993,10 +984,10 @@ mod tests {
     fn engine_survives_many_chunks() {
         let mut engine = pipeline().engine();
         let tasks = mk_tasks(12, 70, 3);
-        let a = align_chunk(&mut engine, tasks.clone());
-        let b = align_chunk(&mut engine, tasks.clone());
+        let a = engine.align_chunk(tasks.clone());
+        let b = engine.align_chunk(tasks.clone());
         assert_eq!(a.results, b.results);
-        let c = align_chunk(&mut engine, Vec::new());
+        let c = engine.align_chunk(Vec::new());
         assert!(c.results.is_empty());
         assert_eq!(c.elapsed_ms, 0.0);
     }
@@ -1071,6 +1062,54 @@ mod tests {
     }
 
     #[test]
+    fn a_stream_follows_the_plans_ordering() {
+        // The packer takes its ordering from the plan, so under every
+        // ordering a whole-chunk stream is `align_batch` to the bit, and
+        // cutting it into chunks of 7 on two workers moves only the warps.
+        let tasks = mk_tasks(29, 100, 61);
+        let mut schedules = Vec::new();
+        for ordering in [
+            OrderingStrategy::Original,
+            OrderingStrategy::Sorted,
+            OrderingStrategy::UnevenBucketing,
+        ] {
+            let plan = |threads| {
+                let mut p = Pipeline::new(
+                    Scoring::new(2, 4, 4, 2, 60, 16),
+                    AgathaConfig::agatha().with_ordering(ordering),
+                );
+                p.host_threads = threads;
+                p
+            };
+            let stream = |threads, chunk_size| {
+                let mut engine = plan(threads).engine();
+                let mut run =
+                    engine.align_stream_with(tasks.iter().cloned(), StreamOptions::new(chunk_size));
+                let (mut results, mut cycles) = (Vec::new(), Vec::new());
+                for chunk in run.by_ref() {
+                    results.extend(chunk.report.results);
+                    cycles.extend(chunk.report.warp_cycles.iter().map(|c| c.to_bits()));
+                }
+                (results, cycles, run.finish())
+            };
+            let batch = plan(0).align_batch(&tasks);
+            let (results, cycles, whole) = stream(1, tasks.len() + 1);
+            let batch_cycles: Vec<u64> = batch.warp_cycles.iter().map(|c| c.to_bits()).collect();
+            assert_eq!(results, batch.results, "{ordering:?}");
+            assert_eq!(cycles, batch_cycles, "{ordering:?}");
+            assert_eq!(whole.elapsed_ms.to_bits(), batch.elapsed_ms.to_bits(), "{ordering:?}");
+            let (chunked, _, summary) = stream(2, 7);
+            assert_eq!(chunked, results, "{ordering:?}");
+            assert_eq!(summary.stats, whole.stats, "{ordering:?}");
+            schedules.push(cycles);
+        }
+        // Each ordering packs its own warps.
+        assert_ne!(schedules[0], schedules[1]);
+        assert_ne!(schedules[1], schedules[2]);
+        assert_ne!(schedules[0], schedules[2]);
+    }
+
+    #[test]
     fn carry_over_defers_the_trailing_underfull_warp() {
         // Default capacity is subwarps_per_warp × tasks_per_subwarp = 8.
         // 13 tasks in a chunk → 5 would seed an underfull warp; with carry
@@ -1104,7 +1143,7 @@ mod tests {
         let mut alone_stats = KernelStats::new();
         let mut alone_warps = Vec::new();
         for slice in tasks.chunks(13) {
-            let report = align_chunk(&mut engine, slice.to_vec());
+            let report = engine.align_chunk(slice.to_vec());
             alone_stats.add(&report.stats);
             alone_warps.push(report.warp_cycles.len());
         }
@@ -1272,7 +1311,7 @@ mod tests {
         assert_eq!(err.message, "synthetic parse failure");
         assert!(err.to_string().contains("chunk 2"), "{err}");
         // The engine stays clean and reusable after a failed stream.
-        let again = align_chunk(&mut engine, mk_tasks(7, 60, 53));
+        let again = engine.align_chunk(mk_tasks(7, 60, 53));
         assert_eq!(again.results, reference.results);
     }
 
@@ -1306,7 +1345,7 @@ mod tests {
             let _ = run.next();
             // Dropped mid-stream: carried runs just drop with it.
         }
-        let rep = align_chunk(&mut engine, tasks.clone());
+        let rep = engine.align_chunk(tasks.clone());
         assert_eq!(rep.results.len(), 20);
     }
 
@@ -1396,7 +1435,7 @@ mod tests {
         // the first.
         let (mut engine, clock) = tagged_engine_on(2);
         let tasks = mk_tasks(12, 70, 17);
-        let reference = align_chunk(&mut engine, tasks.clone());
+        let reference = engine.align_chunk(tasks.clone());
         clock.set_ns(1_000);
         let dead: Vec<(Task, JobMeta)> = tasks
             .iter()
@@ -1405,7 +1444,7 @@ mod tests {
             .collect();
         let outcomes = engine.run_tagged(dead);
         assert!(outcomes.iter().all(|o| matches!(o, JobOutcome::DroppedDeadline { .. })));
-        let again = align_chunk(&mut engine, tasks.clone());
+        let again = engine.align_chunk(tasks.clone());
         assert_eq!(again.results, reference.results);
         assert_eq!(again.stats, reference.stats);
     }

@@ -5,8 +5,9 @@
 //! `Cells = Antidiags × Band_width + Runahead` (Eq. 8), aggregated by
 //! `MAX`/`AVG` over subwarps and warps depending on which balancing
 //! techniques are active. This module evaluates all five design rows over
-//! a measured workload so the `table1_model` bench can print the predicted
-//! latencies next to the simulated ones.
+//! a measured workload so the scorecard (`agatha_bench::scorecard`) can
+//! print the predicted speedups next to the simulated ones and check that
+//! both rank the designs alike.
 
 /// How a level combines its children's latencies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -12,6 +12,8 @@ use agatha_align::simd::BackendChoice;
 use agatha_align::BLOCK;
 use agatha_gpu_sim::WARP_LANES;
 
+use crate::bucketing::OrderingStrategy;
+
 // The three constant `default_*` functions below survive only because the
 // frozen `benchmark/src/measure.rs` imports them for its host block; the
 // next `[benchmark]` issue deletes them.
@@ -59,8 +61,12 @@ pub struct AgathaConfig {
     /// §4.3 subwarp rejoining (intra-warp work stealing at slice
     /// boundaries).
     pub subwarp_rejoining: bool,
-    /// §4.4 uneven bucketing (inter-warp workload balancing).
-    pub uneven_bucketing: bool,
+    /// The order the chunk packer assigns tasks to warps in: §4.4 uneven
+    /// bucketing (inter-warp workload balancing) in the final design,
+    /// incoming order in the baseline, or the §5.6 sorted comparison
+    /// (Figs. 11–13). A comparator engine takes its tasks in incoming order
+    /// whatever this says ([`crate::Pipeline::default_strategy`]).
+    pub ordering: OrderingStrategy,
     /// Task-queue depth per subwarp slot: how many alignment "generations"
     /// a warp processes (Fig. 6 shows two).
     pub tasks_per_subwarp: usize,
@@ -103,7 +109,7 @@ impl AgathaConfig {
             rolling_window: false,
             sliced_diagonal: false,
             subwarp_rejoining: false,
-            uneven_bucketing: false,
+            ordering: OrderingStrategy::Original,
             tasks_per_subwarp: 2,
             simd_fill: true,
             fill_precision: FillPrecision::Auto,
@@ -117,7 +123,7 @@ impl AgathaConfig {
             rolling_window: true,
             sliced_diagonal: true,
             subwarp_rejoining: true,
-            uneven_bucketing: true,
+            ordering: OrderingStrategy::UnevenBucketing,
             ..AgathaConfig::baseline()
         }
     }
@@ -140,9 +146,10 @@ impl AgathaConfig {
         self
     }
 
-    /// Ablation step `+UB`.
-    pub fn with_ub(mut self, on: bool) -> AgathaConfig {
-        self.uneven_bucketing = on;
+    /// Set the task ordering: ablation step `+UB` is `UnevenBucketing`,
+    /// and Figs. 11–13 compare all three.
+    pub fn with_ordering(mut self, ordering: OrderingStrategy) -> AgathaConfig {
+        self.ordering = ordering;
         self
     }
 
@@ -326,7 +333,7 @@ mod tests {
         assert_eq!(c.subwarp_lanes, 8);
         assert_eq!(c.slice_width, 3);
         assert!(c.rolling_window && c.sliced_diagonal);
-        assert!(c.subwarp_rejoining && c.uneven_bucketing);
+        assert!(c.subwarp_rejoining && c.ordering == OrderingStrategy::UnevenBucketing);
         assert_eq!(c.subwarps_per_warp(), 4);
     }
 
@@ -348,7 +355,7 @@ mod tests {
     fn ablation_chain() {
         let c = AgathaConfig::baseline().with_rw(true).with_sd(true);
         assert!(c.rolling_window && c.sliced_diagonal);
-        assert!(!c.subwarp_rejoining && !c.uneven_bucketing);
+        assert!(!c.subwarp_rejoining && c.ordering == OrderingStrategy::Original);
     }
 
     #[test]

@@ -119,34 +119,23 @@ impl Pipeline {
         self
     }
 
-    /// The ordering strategy implied by the configuration. A baseline takes
-    /// its tasks in incoming order.
+    /// The order the chunk packer assigns tasks to warps in: the plan's
+    /// [`AgathaConfig::ordering`], or incoming order for a baseline.
     pub fn default_strategy(&self) -> OrderingStrategy {
-        if self.config.uneven_bucketing && self.baseline.is_none() {
-            OrderingStrategy::UnevenBucketing
-        } else {
-            OrderingStrategy::Original
+        match self.baseline {
+            Some(_) => OrderingStrategy::Original,
+            None => self.config.ordering,
         }
     }
 
-    /// Align a batch using the configuration's implied ordering.
+    /// Align a batch: one chunk on an engine of at most one worker per
+    /// warp, the unit its workers claim.
     pub fn align_batch(&self, tasks: &[Task]) -> BatchReport {
-        self.align_batch_with_strategy(tasks, self.default_strategy())
-    }
-
-    /// Align a batch with an explicit ordering strategy (Fig. 11 compares
-    /// several on otherwise identical configurations): one chunk on an
-    /// engine of at most one worker per warp, the unit its workers claim.
-    pub fn align_batch_with_strategy(
-        &self,
-        tasks: &[Task],
-        strategy: OrderingStrategy,
-    ) -> BatchReport {
         let (queues, per_queue) = self.warp_shape();
         let warps = tasks.len().div_ceil(queues * per_queue);
         let mut sized = self.clone();
         sized.host_threads = self.worker_threads().min(warps.max(1));
-        BatchEngine::new(sized).align_chunk(tasks.to_vec(), strategy)
+        BatchEngine::new(sized).align_chunk(tasks.to_vec())
     }
 
     /// Spin up a persistent engine for this configuration: the calling
@@ -248,10 +237,13 @@ mod tests {
     fn strategies_do_not_change_scores() {
         let scoring = Scoring::new(2, 4, 4, 2, 60, 16);
         let tasks = mk_tasks(17, 100, 99);
-        let p = Pipeline::new(scoring, AgathaConfig::agatha());
-        let a = p.align_batch_with_strategy(&tasks, OrderingStrategy::Original);
-        let b = p.align_batch_with_strategy(&tasks, OrderingStrategy::Sorted);
-        let c = p.align_batch_with_strategy(&tasks, OrderingStrategy::UnevenBucketing);
+        let run = |ordering| {
+            Pipeline::new(scoring, AgathaConfig::agatha().with_ordering(ordering))
+                .align_batch(&tasks)
+        };
+        let a = run(OrderingStrategy::Original);
+        let b = run(OrderingStrategy::Sorted);
+        let c = run(OrderingStrategy::UnevenBucketing);
         for i in 0..tasks.len() {
             assert!(a.results[i].same_alignment(&b.results[i]));
             assert!(a.results[i].same_alignment(&c.results[i]));

@@ -56,12 +56,6 @@ impl DatasetSpec {
         }
         specs
     }
-
-    /// Default benchmark-scale task count, overridable through the
-    /// `AGATHA_READS` environment variable.
-    pub fn default_reads() -> usize {
-        std::env::var("AGATHA_READS").ok().and_then(|v| v.parse().ok()).unwrap_or(300)
-    }
 }
 
 /// Generate the dataset described by `spec`.

@@ -4,7 +4,7 @@
 //! a compute term proportional to lockstep block-steps and a memory term
 //! proportional to category-weighted transactions. The constants below were
 //! calibrated once against the paper's headline ratios and are frozen; every
-//! figure harness uses the same numbers.
+//! figure of the scorecard (`agatha_bench::scorecard`) uses the same numbers.
 
 use crate::mem::MemCounters;
 use crate::spec::GpuSpec;

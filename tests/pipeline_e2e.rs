@@ -43,13 +43,12 @@ fn techniques_point_the_right_direction() {
 fn uneven_bucketing_beats_original_on_skewed_mix() {
     // Fig. 13's regime: few long reads among many short ones.
     let d = long_short_mix(10.0, 240, 77);
-    let cfg = AgathaConfig::agatha().with_ub(false);
-    let orig = Pipeline::new(d.scoring, cfg.clone())
-        .align_batch_with_strategy(&d.tasks, OrderingStrategy::Original)
-        .elapsed_ms;
-    let ub = Pipeline::new(d.scoring, cfg)
-        .align_batch_with_strategy(&d.tasks, OrderingStrategy::UnevenBucketing)
-        .elapsed_ms;
+    let ms = |ordering| {
+        Pipeline::new(d.scoring, AgathaConfig::agatha().with_ordering(ordering))
+            .align_batch(&d.tasks)
+            .elapsed_ms
+    };
+    let (orig, ub) = (ms(OrderingStrategy::Original), ms(OrderingStrategy::UnevenBucketing));
     assert!(ub <= orig * 1.02, "UB must not lose on skewed mixes: {ub} vs {orig}");
 }
 
@@ -150,9 +149,9 @@ fn scores_stable_across_devices_and_strategies() {
             Pipeline::new(d.scoring, AgathaConfig::agatha()).with_spec(spec).align_batch(&d.tasks);
         assert_eq!(rep.results, base.results, "scores must not depend on the device");
     }
-    for strat in [OrderingStrategy::Sorted, OrderingStrategy::UnevenBucketing] {
-        let rep = Pipeline::new(d.scoring, AgathaConfig::agatha())
-            .align_batch_with_strategy(&d.tasks, strat);
+    for ordering in [OrderingStrategy::Original, OrderingStrategy::Sorted] {
+        let cfg = AgathaConfig::agatha().with_ordering(ordering);
+        let rep = Pipeline::new(d.scoring, cfg).align_batch(&d.tasks);
         assert_eq!(rep.results, base.results, "scores must not depend on scheduling");
     }
 }

@@ -65,19 +65,22 @@ const CHUNKS: [usize; 3] = [7, 100, usize::MAX];
 
 const THREADS: [usize; 2] = [1, 2];
 
+/// A plan's label and its configuration.
+type Plan = (&'static str, fn() -> AgathaConfig);
+
 /// The plans with a line of their own: the ablation steps below full
 /// AGAThA (Fig. 9), rejoining with a sorted order (Fig. 11), slice width 7
 /// (Fig. 10) and the plain subwarps of 16 and 32 lanes (Fig. 14).
-fn plans() -> [(&'static str, fn() -> AgathaConfig); 8] {
+fn plans() -> [Plan; 8] {
     [
         ("baseline", AgathaConfig::baseline),
         ("+rw", || AgathaConfig::baseline().with_rw(true)),
         ("+rw+sd", || AgathaConfig::baseline().with_rw(true).with_sd(true)),
         ("+rw+sd+sr", || AgathaConfig::baseline().with_rw(true).with_sd(true).with_sr(true)),
-        ("sr+sort", || AgathaConfig::agatha().with_ub(false)),
+        ("sr+sort", || AgathaConfig::agatha().with_ordering(OrderingStrategy::Sorted)),
         ("s=7", || AgathaConfig::agatha().with_slice_width(7)),
-        ("subwarp=16", || AgathaConfig::agatha().with_sr(false).with_ub(false).with_subwarp(16)),
-        ("subwarp=32", || AgathaConfig::agatha().with_sr(false).with_ub(false).with_subwarp(32)),
+        ("subwarp=16", || plain_subwarps(16)),
+        ("subwarp=32", || plain_subwarps(32)),
     ]
 }
 
@@ -211,21 +214,23 @@ fn stream_line(scenario: &str, tasks: &[Task], pipeline: &Pipeline, chunk: usize
     )
 }
 
+/// Fig. 14's RW+SD kernel on subwarps of `lanes`, without rejoining, in
+/// incoming order.
+fn plain_subwarps(lanes: usize) -> AgathaConfig {
+    AgathaConfig::agatha()
+        .with_sr(false)
+        .with_ordering(OrderingStrategy::Original)
+        .with_subwarp(lanes)
+}
+
 /// One plan over a scenario's tasks, run whole on one worker, rendered as
 /// its ledger line.
 fn plan_line(label: &str, scenario: &str, tasks: &[Task], pipeline: &Pipeline) -> String {
-    let report = if label == "sr+sort" {
-        pipeline.align_batch_with_strategy(tasks, OrderingStrategy::Sorted)
-    } else {
-        let mut engine = pipeline.engine();
-        let mut run =
-            engine.align_stream_with(tasks.iter().cloned(), StreamOptions::new(usize::MAX));
-        let mut report = run.next().expect("one whole chunk").report;
-        let summary = run.finish();
-        assert_eq!(summary.chunks, 1, "{label} {scenario}: one whole chunk");
-        report.elapsed_ms = summary.elapsed_ms;
-        report
-    };
+    let mut engine = pipeline.engine();
+    let mut run = engine.align_stream_with(tasks.iter().cloned(), StreamOptions::new(usize::MAX));
+    let report = run.next().expect("one whole chunk").report;
+    let summary = run.finish();
+    assert_eq!(summary.chunks, 1, "{label} {scenario}: one whole chunk");
     let (mut results, mut cycles, mut subwarps) = (Digest::new(), Digest::new(), Digest::new());
     report.results.iter().for_each(|r| results.result(r));
     report.warp_cycles.iter().for_each(|w| cycles.word(w.to_bits()));
@@ -241,7 +246,7 @@ fn plan_line(label: &str, scenario: &str, tasks: &[Task], pipeline: &Pipeline) -
         report.warp_cycles.len(),
         cycles.0,
         subwarps.0,
-        report.elapsed_ms.to_bits(),
+        summary.elapsed_ms.to_bits(),
     );
     device_columns(&line).join(" ")
 }
