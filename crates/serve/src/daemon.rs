@@ -11,14 +11,18 @@
 //!   the connection's cancel flag so its pending work is dropped before
 //!   kernel dispatch; a client that stops reading is hung up on the same way
 //!   once a reply write has blocked for [`REPLY_WRITE_TIMEOUT`];
-//! * connection **writers** send each connection's replies, one line at a
-//!   time;
+//! * connection **writers** send each connection's replies: every reply
+//!   queued when a writer wakes goes out in one write, whole lines only;
 //! * one **batcher** owns the [`BatchEngine`] (and through it the engine's
 //!   helper threads): it sleeps until the window closes, sweeps
 //!   deadline-expired requests (answered as `dropped` without dispatch),
 //!   hands the batch to the engine via [`BatchEngine::run_tagged`], then
 //!   answers each request and records queue/service/total latency in the
-//!   lock-free [`ServeMetrics`].
+//!   lock-free [`ServeMetrics`]. It runs each batch to completion, so while
+//!   it sleeps every engine worker is idle: the window closes as soon as
+//!   the queue holds one request per worker (or a full `max_batch`), and
+//!   with one worker a request reaching an idle daemon is dispatched at
+//!   once.
 //!
 //! The window has one consumer, so at most `max_queue` requests wait, plus
 //! the one batch on the engine. While the batcher executes batch *N*,
@@ -71,7 +75,9 @@ pub struct ServeConfig {
     pub config: AgathaConfig,
     /// Host worker threads (0 = all cores).
     pub threads: usize,
-    /// Admission window length in nanoseconds (must be ≥ 1).
+    /// Admission window length in nanoseconds (must be ≥ 1): how long an
+    /// idle engine waits to give each worker a request (one worker never
+    /// waits).
     pub window_ns: u64,
     /// Largest batch dispatched to the engine at once.
     pub max_batch: usize,
@@ -282,19 +288,26 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
 
     // Dedicated writer: responses are produced by this reader (errors,
     // rejections) *and* by the batcher thread (completions, drops), so all
-    // writes funnel through one channel to keep lines atomic. A write that
-    // fails or times out hangs up on the client: its pending work is
-    // cancelled, the shutdown ends the reader below, and leaving the loop
-    // drops the receiver — queued replies are freed, later sends fail.
+    // writes funnel through one channel to keep lines atomic. Each wake
+    // sends every reply already queued, whole lines, in one write — a
+    // batch's replies to one client leave together — and never waits for a
+    // reply not yet produced. A write that fails or times out hangs up on
+    // the client: its pending work is cancelled, the shutdown ends the
+    // reader below, and leaving the loop drops the receiver — queued
+    // replies are freed, later sends fail.
     let (reply_tx, reply_rx) = mpsc::channel::<String>();
     let writer = {
         let cancel = Arc::clone(&cancel);
         std::thread::spawn(move || {
             let mut out = write_half;
-            for line in reply_rx {
-                let mut bytes = line.into_bytes();
-                bytes.push(b'\n');
-                if out.write_all(&bytes).is_err() {
+            let mut burst = Vec::new();
+            while let Ok(first) = reply_rx.recv() {
+                burst.clear();
+                for line in std::iter::once(first).chain(reply_rx.try_iter()) {
+                    burst.extend_from_slice(line.as_bytes());
+                    burst.push(b'\n');
+                }
+                if out.write_all(&burst).is_err() {
                     cancel.store(true, Ordering::Release);
                     let _ = out.shutdown(std::net::Shutdown::Both);
                     break;
@@ -442,7 +455,8 @@ fn handle_line(
 /// The window's one consumer: harvest, answer, execute, until the shutdown
 /// drain has emptied the window.
 fn batcher_loop(mut engine: BatchEngine, shared: &Arc<Shared>) {
-    while let Some(harvest) = next_harvest(shared) {
+    let workers = engine.threads();
+    while let Some(harvest) = next_harvest(shared, workers) {
         answer_expired(shared, harvest.expired);
         execute_batch(&mut engine, shared, harvest.batch);
     }
@@ -450,11 +464,17 @@ fn batcher_loop(mut engine: BatchEngine, shared: &Arc<Shared>) {
 
 /// Block until there is something to answer: expired requests, a closed
 /// window's batch, or (on shutdown with an empty queue) `None` to exit.
-fn next_harvest(shared: &Arc<Shared>) -> Option<Harvest<ReqCtx>> {
+///
+/// The batcher runs each batch to completion before it comes back here, so
+/// while it waits all `workers` of the engine are idle: once the queue holds
+/// a request for each of them, the window closes at once instead of holding
+/// requests an idle worker could already be running. (A full `max_batch`
+/// closes it inside the window itself.)
+fn next_harvest(shared: &Arc<Shared>, workers: usize) -> Option<Harvest<ReqCtx>> {
     let mut window = shared.window.lock().expect("window lock poisoned");
     loop {
         let now = shared.clock.now_ns();
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.shutdown.load(Ordering::SeqCst) || window.len() >= workers {
             window.force_close(now);
         }
         let harvest = window.collect_due(now);

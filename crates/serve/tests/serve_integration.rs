@@ -2,12 +2,16 @@
 //! backpressure, deadline drops, disconnect cancellation, and
 //! results-match-`align_batch` bit-identity.
 
+use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use agatha_align::{Scoring, Task};
 use agatha_core::{AgathaConfig, Pipeline};
-use agatha_serve::{serve, ServeClient, ServeConfig, ServeHandle, Status};
+use agatha_serve::{
+    serve, serve_with_clock, MockClock, ServeClient, ServeConfig, ServeHandle, Status,
+};
 
 /// Deterministic sequence-pair corpus (same generator family as the engine
 /// tests: LCG bases with periodic mismatches).
@@ -82,13 +86,15 @@ fn round_trip_scores_match_align_batch() {
 #[test]
 fn saturation_rejects_immediately_and_accepted_stay_bit_identical() {
     // A long admission window plays the role of slow service: with
-    // max_batch (8) above max_queue (3), the early-close path can't fire,
-    // so everything offered during the 500ms window beyond 3 queued
-    // requests must be rejected *immediately* — not after the batch runs.
+    // max_batch (8) and the worker count (4) both above max_queue (3),
+    // neither early-close path can fire — an idle engine dispatches once
+    // its queue holds a request per worker, and 3 never do — so everything
+    // offered during the 500ms window beyond 3 queued requests must be
+    // rejected *immediately* — not after the batch runs.
     let corpus = pairs(30, 250, 13);
     let want = reference_scores(&corpus);
     let handle = start(|cfg| {
-        cfg.threads = 1;
+        cfg.threads = 4;
         cfg.window_ns = 500_000_000;
         cfg.max_batch = 8;
         cfg.max_queue = 3;
@@ -148,8 +154,11 @@ fn saturation_rejects_immediately_and_accepted_stay_bit_identical() {
 #[test]
 fn deadline_drops_report_and_never_dispatch() {
     let corpus = pairs(5, 100, 3);
+    // Six workers, more than the five requests: an idle engine dispatches
+    // once it holds a request per worker, so with fewer workers the
+    // requests would be served at once instead of waiting on the window.
     let handle = start(|cfg| {
-        cfg.threads = 1;
+        cfg.threads = 6;
         cfg.window_ns = 400_000_000; // 0.4s window...
         cfg.starvation_ns = 10_000_000; // ...and a 10ms starvation line
     });
@@ -180,8 +189,10 @@ fn deadline_drops_report_and_never_dispatch() {
 #[test]
 fn client_disconnect_cancels_pending_work() {
     let corpus = pairs(3, 100, 29);
+    // Four workers, more than the three requests, so the idle engine keeps
+    // them on the window (it dispatches once it holds one per worker).
     let handle = start(|cfg| {
-        cfg.threads = 1;
+        cfg.threads = 4;
         cfg.window_ns = 300_000_000;
     });
     {
@@ -201,6 +212,97 @@ fn client_disconnect_cancels_pending_work() {
     assert_eq!(snap.cancelled, 3);
     assert_eq!(snap.completed, 0);
     assert_eq!(snap.service.count(), 0, "cancelled requests must never reach kernel dispatch");
+}
+
+/// A raw connection to a daemon whose reads give up after `timeout`, so a
+/// reply that never comes fails the test instead of hanging it.
+fn timed_connection(handle: &ServeHandle, timeout: Duration) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.set_read_timeout(Some(timeout)).unwrap();
+    let reader = BufReader::new(stream.try_clone().unwrap());
+    (stream, reader)
+}
+
+fn send(stream: &mut TcpStream, id: i64, (r, q): &(String, String)) {
+    let line = agatha_serve::protocol::align_request_line(id, r, q, None);
+    stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+}
+
+/// The next reply, or `None` once the read timeout passes without one.
+fn reply_within(reader: &mut BufReader<TcpStream>) -> Option<agatha_serve::Response> {
+    let mut line = String::new();
+    match reader.read_line(&mut line) {
+        Ok(n) if n > 0 => Some(agatha_serve::parse_response(line.trim_end()).unwrap()),
+        Ok(_) => panic!("the daemon closed the connection"),
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => None,
+        Err(e) => panic!("recv: {e}"),
+    }
+}
+
+fn start_on(clock: &Arc<MockClock>, threads: usize) -> ServeHandle {
+    let mut cfg = ServeConfig::new(scoring());
+    cfg.threads = threads;
+    cfg.window_ns = 10_000_000_000; // 10s
+    serve_with_clock(cfg, Arc::clone(clock) as _).expect("daemon starts")
+}
+
+#[test]
+fn an_idle_single_worker_dispatches_without_waiting_out_the_window() {
+    // The clock never moves, so the 10 s window never closes on time: the
+    // request is answered only because an idle engine with one worker has
+    // nothing to wait for.
+    let corpus = pairs(1, 120, 5);
+    let want = reference_scores(&corpus);
+    let clock = Arc::new(MockClock::new());
+    let handle = start_on(&clock, 1);
+    let (mut stream, mut reader) = timed_connection(&handle, Duration::from_secs(5));
+    send(&mut stream, 0, &corpus[0]);
+    let resp = reply_within(&mut reader).expect("a lone request waited on the window");
+    assert_eq!(resp.status, Status::Ok, "raw: {}", resp.raw);
+    assert_eq!(resp.score, Some(want[0]));
+    let snap = handle.shutdown();
+    assert_eq!((snap.completed, snap.batches), (1, 1));
+}
+
+#[test]
+fn an_idle_engine_waits_for_a_request_per_worker_or_the_window() {
+    let corpus = pairs(2, 120, 9);
+    let want = reference_scores(&corpus);
+    let clock = Arc::new(MockClock::new());
+    let handle = start_on(&clock, 2);
+    let (mut stream, mut reader) = timed_connection(&handle, Duration::from_millis(200));
+    // One request for two idle workers: held while the clock sits inside
+    // the window.
+    send(&mut stream, 0, &corpus[0]);
+    if let Some(resp) = reply_within(&mut reader) {
+        panic!("a lone request on two workers was answered inside the window: {}", resp.raw);
+    }
+    // A second request gives each worker one: both go out in one batch.
+    send(&mut stream, 1, &corpus[1]);
+    reader.get_ref().set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut scores = [None; 2];
+    for _ in 0..2 {
+        let resp = reply_within(&mut reader).expect("two requests on two workers wait no longer");
+        assert_eq!(resp.status, Status::Ok, "raw: {}", resp.raw);
+        scores[resp.id.unwrap() as usize] = resp.score;
+    }
+    assert_eq!(scores, [Some(want[0]), Some(want[1])]);
+    let snap = handle.shutdown();
+    assert_eq!((snap.completed, snap.batches), (2, 1));
+
+    // The window still bounds the wait: once the clock passes it, a lone
+    // request is dispatched.
+    let clock = Arc::new(MockClock::new());
+    let handle = start_on(&clock, 2);
+    let (mut stream, mut reader) = timed_connection(&handle, Duration::from_millis(200));
+    send(&mut stream, 0, &corpus[0]);
+    assert!(reply_within(&mut reader).is_none(), "answered before the window closed");
+    clock.advance_ms(10_000);
+    reader.get_ref().set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let resp = reply_within(&mut reader).expect("the closed window released the request");
+    assert_eq!(resp.score, Some(want[0]), "raw: {}", resp.raw);
+    let snap = handle.shutdown();
+    assert_eq!((snap.completed, snap.batches), (1, 1));
 }
 
 #[test]
@@ -389,8 +491,7 @@ fn zero_window_and_zero_queue_are_usage_errors() {
 #[test]
 fn request_lines_are_bounded_and_may_span_reads() {
     use agatha_serve::daemon::MAX_REQUEST_LINE;
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::{Shutdown, TcpStream};
+    use std::net::Shutdown;
 
     let handle = start(|_| {});
 
@@ -447,8 +548,6 @@ fn request_lines_are_bounded_and_may_span_reads() {
 #[test]
 fn a_client_that_never_reads_is_disconnected() {
     use agatha_serve::daemon::REPLY_WRITE_TIMEOUT;
-    use std::io::{ErrorKind, Write};
-    use std::net::TcpStream;
 
     let handle = start(|_| {});
     // Stats requests, 32 a millisecond, and not one reply read: once the
