@@ -133,9 +133,10 @@ impl<C> AdmissionWindow<C> {
 
     /// Force the window closed: everything still queued becomes immediately
     /// collectable. The daemon calls it on the shutdown drain, and whenever
-    /// its idle engine has a queued request for every worker — the rule
-    /// lives in the daemon, which knows the worker count; this state machine
-    /// only knows `max_batch`.
+    /// a window that opened on its idle engine holds a request for every
+    /// worker — the rule lives in the daemon, which knows the worker count
+    /// and whether the engine is busy; this state machine only knows
+    /// `max_batch`.
     pub fn force_close(&mut self, now: u64) {
         if !self.queue.is_empty() {
             self.window_close = Some(now);

@@ -306,6 +306,52 @@ fn an_idle_engine_waits_for_a_request_per_worker_or_the_window() {
 }
 
 #[test]
+fn requests_that_arrive_during_a_batch_wait_out_their_window() {
+    // One worker and a clock that moves only when told. A long unbanded
+    // pair reaches the idle engine and is dispatched at once; a short
+    // request sent while it runs finds the engine busy, so it waits out its
+    // 10 s window even after the long batch returns.
+    let unbanded = Scoring::new(2, 4, 4, 2, Scoring::NO_ZDROP, Scoring::NO_BAND);
+    let mut cfg = ServeConfig::new(unbanded);
+    cfg.threads = 1;
+    cfg.window_ns = 10_000_000_000;
+    let clock = Arc::new(MockClock::new());
+    let handle = serve_with_clock(cfg, Arc::clone(&clock) as _).expect("daemon starts");
+    let (mut stream, mut reader) = timed_connection(&handle, Duration::from_secs(60));
+    // The long pair must hold the engine well past the short request's
+    // send: size it from a 3 kb pair's wall time (unbanded, its cost grows
+    // roughly with the square of the length).
+    let (long_seq, _) = pairs(1, 32_000, 5).pop().unwrap();
+    let calibration = (long_seq[..3_000].to_string(), long_seq[..3_000].to_string());
+    let timing = Instant::now();
+    send(&mut stream, 0, &calibration);
+    reply_within(&mut reader).expect("the calibration pair is answered");
+    let took = timing.elapsed().as_secs_f64().max(1e-4);
+    let len = ((3_000.0 * (0.5 / took).sqrt()) as usize).clamp(3_000, long_seq.len());
+    let long = (long_seq[..len].to_string(), long_seq[..len].to_string());
+    let short = pairs(1, 40, 7).pop().unwrap();
+
+    let running = Instant::now();
+    send(&mut stream, 1, &long);
+    std::thread::sleep(Duration::from_millis(50));
+    send(&mut stream, 2, &short);
+    let resp = reply_within(&mut reader).expect("the long pair is answered");
+    assert_eq!((resp.id, resp.status), (Some(1), Status::Ok), "raw: {}", resp.raw);
+    let held = running.elapsed();
+    assert!(held >= Duration::from_millis(100), "a {len} bp pair held the engine only {held:?}");
+    reader.get_ref().set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+    if let Some(resp) = reply_within(&mut reader) {
+        panic!("a request queued behind a running batch skipped its window: {}", resp.raw);
+    }
+    clock.advance_ms(10_000);
+    reader.get_ref().set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let resp = reply_within(&mut reader).expect("the closed window released the request");
+    assert_eq!((resp.id, resp.status), (Some(2), Status::Ok), "raw: {}", resp.raw);
+    let snap = handle.shutdown();
+    assert_eq!((snap.completed, snap.batches), (3, 3));
+}
+
+#[test]
 fn concurrent_clients_are_answered_exactly_once() {
     let corpus = Arc::new(pairs(25, 90, 41));
     let want = Arc::new(reference_scores(&corpus));
