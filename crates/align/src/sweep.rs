@@ -451,14 +451,17 @@ mod tests {
         // (or, on an identical pair, climb) further than ±2^13, so a single
         // base per segment could not hold them — the window-by-window
         // re-centring has to. A long query over a short reference moves the
-        // base as far without a long row. (Under Miri steeper gaps, still
-        // inside the i16 gate at 32, reach the same spread over a fraction of
-        // the cells. Whole blocks at every side, so that the stored boundary
-        // is a row of the table.)
+        // base as far without a long row. (Steeper gaps, still inside the
+        // i16 gate at 32, reach the same spread over a fraction of the cells:
+        // the protein shapes' always, the DNA shapes' under Miri; a steep
+        // match score takes the identical pair up as far over 224 bases.
+        // Whole blocks at every side, so that the stored boundary is a row
+        // of the table.)
         let (len, dna): (usize, _) =
             if cfg!(miri) { (224, (2, 4, 2, 56)) } else { (6_016, (2, 4, 4, 2)) };
         let dna = Scoring::new(dna.0, dna.1, dna.2, dna.3, Scoring::NO_ZDROP, Scoring::NO_BAND);
-        let protein_len = (len * 3 / 2).next_multiple_of(MAX_STRIP);
+        let climb = Scoring::new(56, 4, 2, 2, Scoring::NO_ZDROP, Scoring::NO_BAND);
+        let protein_len = 11 * MAX_STRIP;
         let mut x = 0x10_46_u64;
         let mut codes = |len: usize, alphabet: u64| -> Vec<u8> {
             let mut next = || {
@@ -469,22 +472,23 @@ mod tests {
         };
         let (long, short) = (codes(len, 4), codes(64, 4));
         let (long, short) = (PackedSeq::from_codes(&long), PackedSeq::from_codes(&short));
-        let mut shapes = vec![(&long, &short, true), (&short, &long, false)];
+        let head = long.slice(0, 224);
+        let mut shapes = vec![(&long, &short, true, &dna), (&short, &long, false, &dna)];
         if !cfg!(miri) {
             // Identical sequences: `H` climbs past 12,000 down the diagonal.
-            shapes.push((&long, &long, true));
+            let top = guided_align(&head, &head, &climb).score;
+            assert!(top > 12_000, "the identical pair climbs to {top}");
+            shapes.push((&head, &head, true, &climb));
         }
-        for (r, q, long_rows) in shapes {
-            let ctx = |b| BlockCtx::with_block_dim(r.len(), q.len(), &dna, b);
-            let want = guided_align(r, q, &dna);
+        for (r, q, long_rows, scoring) in shapes {
+            let ctx = |b| BlockCtx::with_block_dim(r.len(), q.len(), scoring, b);
+            let want = guided_align(r, q, scoring);
             check_long_rows::<BLOCK>(ctx(BLOCK), (r, q), &want, long_rows);
             check_long_rows::<MAX_BLOCK>(ctx(MAX_BLOCK), (r, q), &want, long_rows);
             check_long_rows::<MAX_STRIP>(ctx(MAX_STRIP), (r, q), &want, long_rows);
         }
 
-        let (open, extend) = if cfg!(miri) { (8, 44) } else { (10, 1) };
-        let matrix =
-            Scoring::with_matrix(&BLOSUM62, open, extend, Scoring::NO_ZDROP, Scoring::NO_BAND);
+        let matrix = Scoring::with_matrix(&BLOSUM62, 8, 44, Scoring::NO_ZDROP, Scoring::NO_BAND);
         let (long, short) = (codes(protein_len, 21), codes(64, 21));
         let long = PackedSeq::from_protein_codes(&long, &BLOSUM62);
         let short = PackedSeq::from_protein_codes(&short, &BLOSUM62);

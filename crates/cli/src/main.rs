@@ -156,10 +156,10 @@ serve options (plus the alignment options and --scenario, --threads,
 --backend, -o above):
   --port N        TCP port on 127.0.0.1 (default 0 = ephemeral; the bound
                   address is printed on startup)
-  --window-ms N   admission window: how long an idle engine waits to give
-                  each worker a request (with --threads 1 it never waits),
-                  and how long requests that arrive during a batch wait
-                  (default 5)
+  --window-ms N   admission window: how long an idle engine with several
+                  workers waits to give each a request; an idle engine
+                  takes what is queued, whenever the window opened (with
+                  --threads 1 it never waits) (default 5)
   --max-batch N   largest batch dispatched to the engine (default 1024)
   --max-queue N   admission queue bound; offers beyond it are answered
                   with an immediate 503-style rejection (default 4096)

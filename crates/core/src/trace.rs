@@ -111,14 +111,6 @@ impl DeviceGrid {
             .expect("a block row above `rows()` holds an in-band cell")
     }
 
-    /// Row `bj` cut to block anti-diagonals `d0..=d1`: the inclusive block
-    /// columns inside the cut, and the row's last column.
-    #[inline]
-    fn cut(&self, bj: i64, d0: i64, d1: i64) -> (i64, i64, i64) {
-        let (lo, hi) = self.row(bj);
-        ((d0 - bj).max(lo), (d1 - bj).min(hi), hi)
-    }
-
     /// First anti-diagonal with an in-band cell in block `(bi, bj)` of a
     /// row's range: the block's corner diagonal, pushed along the block's
     /// edge by however far the corner lies outside the band. Non-decreasing
@@ -196,20 +188,65 @@ impl DeviceGrid {
             let (mut blocks, mut widest, mut last) = (0u64, 0u64, 0u64);
             let mut frontier =
                 if bot < rows { self.first_diag(self.row(bot).0, bot) } else { stop };
-            let mut slot = 0;
-            for bj in top..bot {
-                let (from, to, hi) = self.cut(bj, d0, d1);
+            // Row `bj`, block columns `lo..=hi`, cut to block anti-diagonals
+            // `d0..=d1` and folded into the unit.
+            let mut fold_row = |bj: i64, (lo, hi): (i64, i64)| {
+                let (from, to) = ((d0 - bj).max(lo), (d1 - bj).min(hi));
                 let cols = (to - from + 1) as u64;
                 blocks += cols;
                 widest = widest.max(cols);
-                last = cols;
+                if bj == bot - 1 {
+                    last = cols;
+                }
                 if deals {
-                    dealt[slot] += cols;
-                    slot = if slot + 1 == DEAL_PERIOD { 0 } else { slot + 1 };
+                    dealt[(bj - top) as usize % DEAL_PERIOD] += cols;
                 }
                 if to < hi {
                     frontier = frontier.min(self.first_diag(to + 1, bj));
                 }
+            };
+            // Interior rows hold the whole cut: `bj + lo ≤ d0` holds on a
+            // prefix of the rows and `bj + hi > d1` on a suffix (both sides
+            // grow with `bj`), so they are one run `a..b`, found by folding
+            // the rows outside it one by one from both ends. (A horizontal
+            // chunk has no interior row: no row reaches past `d1`.)
+            let (mut a, mut b) = (top, bot);
+            while a < b {
+                let (lo, hi) = self.row(b - 1);
+                if b - 1 + lo <= d0 {
+                    break;
+                }
+                fold_row(b - 1, (lo, hi));
+                b -= 1;
+            }
+            while a < b {
+                let (lo, hi) = self.row(a);
+                if a + hi > d1 {
+                    break;
+                }
+                fold_row(a, (lo, hi));
+                a += 1;
+            }
+            if a < b {
+                // Each interior row adds the cut's `d1 − d0 + 1` blocks, and
+                // its frontier `first_diag(d1 − bj + 1, bj)` is least at the
+                // row nearest the block diagonal's midpoint.
+                let cols = (d1 - d0 + 1) as u64;
+                blocks += cols * (b - a) as u64;
+                widest = widest.max(cols);
+                if b == bot {
+                    last = cols;
+                }
+                if deals {
+                    let (i0, i1) = ((a - top) as usize, (b - top) as usize);
+                    let laps = (i1 - i0) / DEAL_PERIOD;
+                    dealt.iter_mut().for_each(|sum| *sum += cols * laps as u64);
+                    for i in i0 + laps * DEAL_PERIOD..i1 {
+                        dealt[i % DEAL_PERIOD] += cols;
+                    }
+                }
+                let r = ((d1 + 1) / 2).clamp(a, b - 1);
+                frontier = frontier.min(self.first_diag(d1 - r + 1, r));
             }
             let frontier = frontier.min(stop);
             let steps =

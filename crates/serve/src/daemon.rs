@@ -19,11 +19,12 @@
 //!   hands the batch to the engine via [`BatchEngine::run_tagged`], then
 //!   answers each request and records queue/service/total latency in the
 //!   lock-free [`ServeMetrics`]. It runs each batch to completion, so while
-//!   it sleeps every engine worker is idle: a window that opens then closes
-//!   as soon as it holds one request per worker (with one worker a request
-//!   reaching an idle daemon is dispatched at once), while requests that
-//!   arrived during a batch wait out their window (any window closes early
-//!   on a full `max_batch`).
+//!   it sleeps every engine worker is idle: it takes what is queued as soon
+//!   as the queue holds one request per worker, whenever the window opened
+//!   (with one worker it never sleeps while a request waits, and requests
+//!   that arrived during a batch run as soon as it returns); the window is
+//!   how long an idle engine with several workers waits to give each a
+//!   request, and a full `max_batch` closes it early.
 //!
 //! The window has one consumer, so at most `max_queue` requests wait, plus
 //! the one batch on the engine. While the batcher executes batch *N*,
@@ -77,8 +78,9 @@ pub struct ServeConfig {
     /// Host worker threads (0 = all cores).
     pub threads: usize,
     /// Admission window length in nanoseconds (must be ≥ 1): how long an
-    /// idle engine waits to give each worker a request (one worker never
-    /// waits), and how long requests that arrive during a batch wait.
+    /// idle engine with several workers waits to give each a request (one
+    /// worker never waits); an idle engine takes what is queued, whenever
+    /// the window opened.
     pub window_ns: u64,
     /// Largest batch dispatched to the engine at once.
     pub max_batch: usize,
@@ -148,14 +150,6 @@ struct Shared {
     window: Mutex<AdmissionWindow<ReqCtx>>,
     wake: Condvar,
     shutdown: AtomicBool,
-    /// Whether the engine is running a batch (set around
-    /// [`BatchEngine::run_tagged`] by the batcher).
-    engine_busy: AtomicBool,
-    /// Whether the open window opened while the engine was busy: set by the
-    /// offer that opens a window, under the window lock. Such a window is
-    /// waited out; one that opened on an idle engine closes once it holds a
-    /// request per worker.
-    window_under_load: AtomicBool,
     metrics: Arc<ServeMetrics>,
     clock: Arc<dyn Clock>,
     starvation_ns: u64,
@@ -240,8 +234,6 @@ pub fn serve_with_clock(cfg: ServeConfig, clock: Arc<dyn Clock>) -> Result<Serve
         window: Mutex::new(AdmissionWindow::new(cfg.window_cfg())?),
         wake: Condvar::new(),
         shutdown: AtomicBool::new(false),
-        engine_busy: AtomicBool::new(false),
-        window_under_load: AtomicBool::new(false),
         metrics: Arc::new(ServeMetrics::new()),
         clock,
         starvation_ns: cfg.starvation_threshold_ns(),
@@ -447,15 +439,8 @@ fn handle_line(
                 ctx: ReqCtx { id: a.id, reply: reply_tx.clone(), cancel: Arc::clone(cancel) },
             };
             let mut window = shared.window.lock().expect("window lock poisoned");
-            let opens_window = window.is_empty();
             match window.offer(pending, now) {
-                Ok(()) => {
-                    if opens_window {
-                        let busy = shared.engine_busy.load(Ordering::SeqCst);
-                        shared.window_under_load.store(busy, Ordering::SeqCst);
-                    }
-                    shared.wake.notify_all();
-                }
+                Ok(()) => shared.wake.notify_all(),
                 Err(rejected) => {
                     // Bounded-queue backpressure: answer 503 now, while
                     // still holding nothing but the reply channel — the
@@ -484,20 +469,16 @@ fn batcher_loop(mut engine: BatchEngine, shared: &Arc<Shared>) {
 /// window's batch, or (on shutdown with an empty queue) `None` to exit.
 ///
 /// The batcher runs each batch to completion before it comes back here, so
-/// while it waits all `workers` of the engine are idle. A window that opened
-/// on the idle engine closes as soon as it holds a request for each worker,
-/// instead of holding requests an idle worker could already be running. A
-/// window that opened while a batch ran shows load: its requests wait it
-/// out as before, so under load batches keep the window's pace rather than
-/// the host's momentary CPU speed. (A full `max_batch` closes any window
-/// inside its time.)
+/// while it waits all `workers` of the engine are idle: once the window holds
+/// a request for each of them it closes at once, whether it opened on the
+/// idle engine or during the last batch, instead of holding requests an idle
+/// worker could already be running. (A full `max_batch` closes it inside the
+/// window itself.)
 fn next_harvest(shared: &Arc<Shared>, workers: usize) -> Option<Harvest<ReqCtx>> {
     let mut window = shared.window.lock().expect("window lock poisoned");
     loop {
         let now = shared.clock.now_ns();
-        let idle_window_full =
-            !shared.window_under_load.load(Ordering::SeqCst) && window.len() >= workers;
-        if shared.shutdown.load(Ordering::SeqCst) || idle_window_full {
+        if shared.shutdown.load(Ordering::SeqCst) || window.len() >= workers {
             window.force_close(now);
         }
         let harvest = window.collect_due(now);
@@ -550,9 +531,7 @@ fn execute_batch(engine: &mut BatchEngine, shared: &Arc<Shared>, batch: Vec<Pend
             (p.task, meta)
         })
         .collect();
-    shared.engine_busy.store(true, Ordering::SeqCst);
     let outcomes = engine.run_tagged(jobs);
-    shared.engine_busy.store(false, Ordering::SeqCst);
     for (outcome, (ctx, enqueued_ns)) in outcomes.into_iter().zip(ctxs) {
         match outcome {
             JobOutcome::Completed { run, queue_ns, service_ns } => {

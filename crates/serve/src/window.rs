@@ -133,10 +133,9 @@ impl<C> AdmissionWindow<C> {
 
     /// Force the window closed: everything still queued becomes immediately
     /// collectable. The daemon calls it on the shutdown drain, and whenever
-    /// a window that opened on its idle engine holds a request for every
-    /// worker — the rule lives in the daemon, which knows the worker count
-    /// and whether the engine is busy; this state machine only knows
-    /// `max_batch`.
+    /// its idle engine finds a request queued for every worker, whenever the
+    /// window opened — the rule lives in the daemon, which knows the worker
+    /// count; this state machine only knows `max_batch`.
     pub fn force_close(&mut self, now: u64) {
         if !self.queue.is_empty() {
             self.window_close = Some(now);
