@@ -908,8 +908,9 @@ pub fn corner_read(ctx: &BlockCtx<'_>, i0: i64, j0: i64, row_h: &[i32]) -> i32 {
 /// Reference block-grid driver: computes the whole banded table block by
 /// block (query-block rows top-down, each sweeping its reference range as
 /// one segment of [`crate::sweep::Sweep`]) and returns the exact guided
-/// result. Runs at the default (8×8) geometry; [`block_grid_align_b`] takes
-/// an explicit geometry.
+/// result. Runs at the default (8×8) geometry, on the tier the default fill
+/// resolves for the task; [`crate::sweep::grid_align`] takes an explicit
+/// geometry.
 ///
 /// This is the skeleton every GPU engine elaborates (with different tiling,
 /// checkpointing and cost accounting) over the same sweep; it doubles as the
@@ -919,19 +920,9 @@ pub fn block_grid_align(
     query: &PackedSeq,
     scoring: &Scoring,
 ) -> crate::result::GuidedResult {
-    block_grid_align_b::<BLOCK>(reference, query, scoring)
-}
-
-/// [`block_grid_align`] at an explicit block geometry `B`, on the tier the
-/// default fill resolves for the task.
-pub fn block_grid_align_b<const B: usize>(
-    reference: &PackedSeq,
-    query: &PackedSeq,
-    scoring: &Scoring,
-) -> crate::result::GuidedResult {
-    let ctx = BlockCtx::with_block_dim(reference.len(), query.len(), scoring, B);
+    let ctx = BlockCtx::with_block_dim(reference.len(), query.len(), scoring, BLOCK);
     let tier = ctx.fill_tier(default_fill_mode(), FillPrecision::Auto);
-    crate::sweep::grid_align::<B>(ctx, tier, reference, query)
+    crate::sweep::grid_align::<BLOCK>(ctx, tier, reference, query)
 }
 
 #[cfg(test)]
@@ -952,8 +943,13 @@ mod tests {
         assert_eq!(got.antidiags, want.antidiags);
         // The wide geometries cover the table with a different tiling but
         // must land on the same guided result.
-        for wide in [block_grid_align_b::<MAX_BLOCK>, block_grid_align_b::<MAX_STRIP>] {
-            let wide = wide(&r, &q, scoring);
+        let ctx = |b| BlockCtx::with_block_dim(r.len(), q.len(), scoring, b);
+        let tier = |b| ctx(b).fill_tier(default_fill_mode(), FillPrecision::Auto);
+        let wides = [
+            crate::sweep::grid_align::<MAX_BLOCK>(ctx(MAX_BLOCK), tier(MAX_BLOCK), &r, &q),
+            crate::sweep::grid_align::<MAX_STRIP>(ctx(MAX_STRIP), tier(MAX_STRIP), &r, &q),
+        ];
+        for wide in wides {
             assert!(wide.same_alignment(&want), "\nwide block: {wide:?}\nscalar: {want:?}");
             assert_eq!(wide.cells, want.cells);
             assert_eq!(wide.antidiags, want.antidiags);

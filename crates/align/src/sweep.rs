@@ -28,9 +28,9 @@
 //! [`Sweep::segment`] is the one copy of that loop, and [`Sweep::row_major`]
 //! the one production schedule over it — each row as one segment. The AGAThA
 //! kernel (`agatha_core::kernel`) runs it on its reused workspace,
-//! [`crate::block::block_grid_align_b`] is [`grid_align`] — the same on
-//! buffers of its own — and the benches and tests drive segments rather than
-//! the per-block functions.
+//! [`grid_align`] is the same on buffers of its own (the reference driver
+//! [`crate::block::block_grid_align`] is its 8×8 case), and the benches and
+//! tests drive segments rather than the per-block functions.
 
 use std::ops::Range;
 

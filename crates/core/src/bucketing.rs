@@ -344,61 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn oracle_key_headroom_over_antidiags_is_bounded() {
-        // The measured size of the paper's §6 future work ("if we predict
-        // exactly when the termination condition is met … the kernel could
-        // remove most of the remaining workload imbalance"): uneven bucketing
-        // keyed by what each task *will* execute on the device — a perfect
-        // termination predictor — against the a-priori anti-diagonal key it
-        // ships with, in simulated makespan per registered scenario. A key
-        // change that moved this far would be the §4.4 key; until then the
-        // anti-diagonal count stays the one workload estimator.
-        use crate::warp_sim::simulate_warp;
-        use crate::{AgathaConfig, Pipeline, TaskRun};
-
-        let cfg = AgathaConfig::agatha();
-        for scenario in agatha_datasets::SCENARIOS {
-            let tasks = (scenario.tasks)(1234, 480);
-            let pipeline = Pipeline::new((scenario.scoring)(), cfg.clone());
-            let runs = pipeline.engine().run_tasks(tasks.clone());
-            let makespan = |workloads: &[u64]| {
-                let warps = build_warps(
-                    workloads,
-                    cfg.subwarps_per_warp(),
-                    cfg.tasks_per_subwarp,
-                    OrderingStrategy::UnevenBucketing,
-                );
-                let warp_cycles: Vec<f64> = warps
-                    .iter()
-                    .map(|w| {
-                        let queues: Vec<Vec<&TaskRun>> = w
-                            .queues
-                            .iter()
-                            .map(|q| q.iter().map(|&i| &runs[i]).collect())
-                            .collect();
-                        simulate_warp(&queues, &cfg, &pipeline.cost).cycles
-                    })
-                    .collect();
-                pipeline.schedule_devices(&warp_cycles).1.makespan_cycles
-            };
-            let antidiags: Vec<u64> = tasks.iter().map(|t| u64::from(t.antidiags())).collect();
-            let executed: Vec<u64> = runs.iter().map(|r| r.device_blocks().max(1)).collect();
-            let gain = 1.0 - makespan(&executed) / makespan(&antidiags);
-            println!(
-                "{}: oracle key gains {:+.1} % over anti-diagonals",
-                scenario.name,
-                gain * 100.0
-            );
-            assert!(
-                gain < 0.20,
-                "{}: oracle headroom grew to {:.1} %",
-                scenario.name,
-                gain * 100.0
-            );
-        }
-    }
-
-    #[test]
     fn carry_split_is_a_partition() {
         let wl: Vec<u64> = (0..29).map(|i| (i * 13 % 7) as u64).collect();
         for cap in [1, 2, 8, 29, 64] {

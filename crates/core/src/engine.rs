@@ -947,16 +947,19 @@ mod tests {
         for chunk_size in [1, 7, 30, 64] {
             let mut engine = pipeline().engine();
             let mut results = Vec::new();
+            let mut chunks = 0;
             let mut run =
                 engine.align_stream_with(tasks.iter().cloned(), StreamOptions::new(chunk_size));
             for chunk in run.by_ref() {
                 assert_eq!(chunk.offset, results.len());
                 results.extend(chunk.report.results);
+                chunks += 1;
             }
             let summary = run.finish();
             assert_eq!(results, whole.results, "chunk_size {chunk_size}");
             assert_eq!(summary.stats, whole.stats, "chunk_size {chunk_size}");
             assert_eq!(summary.tasks, tasks.len());
+            assert_eq!(summary.chunks, chunks, "chunk_size {chunk_size}");
         }
     }
 
@@ -1221,7 +1224,7 @@ mod tests {
         // Every length up to a few warps against chunk sizes below, at and
         // past the capacity of a warp (8) and the stream: short, full and
         // carry-only final chunks all arise.
-        let tasks = mk_tasks(40, 30, 73);
+        let tasks = mk_tasks(40, 8, 73);
         let mut engine = pipeline().engine();
         for len in 0..=tasks.len() {
             for chunk_size in [1, 2, 3, 7, 40, 41] {

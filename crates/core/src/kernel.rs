@@ -363,8 +363,11 @@ pub(crate) mod tests {
         // boundary row, so a chunk runs it in 131,074 lockstep steps.
         let s = Scoring::new(2, 4, 4, 2, Scoring::NO_ZDROP, Scoring::NO_BAND);
         let t = task(&"ACGTTGCA".repeat(131_074), "ACGTTGCA");
+        // The plans differ only in how the device walks the table, so the
+        // host aligns the pair once and each plan prices that run.
+        let host = align_task_ws(&mut KernelWorkspace::new(), &t, &s, &AgathaConfig::agatha());
         for cfg in all_configs() {
-            let run = run_task(&t, &s, &cfg);
+            let run = host.clone().priced(&t, &s, &cfg);
             assert_eq!(run.device_blocks(), 131_074, "config {cfg:?}");
             if !cfg.sliced_diagonal {
                 let cost = CostModel::for_spec(&GpuSpec::rtx_a6000());

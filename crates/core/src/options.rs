@@ -161,8 +161,8 @@ impl AgathaConfig {
     }
 
     /// Select the block fill implementation (SIMD wavefront vs the scalar
-    /// reference). Results are bit-identical either way; tests and
-    /// `kernels_criterion` use this to reach the scalar fill.
+    /// reference). Results are bit-identical either way; the tests use this
+    /// to reach the scalar fill.
     pub fn with_simd_fill(mut self, on: bool) -> AgathaConfig {
         self.simd_fill = on;
         self
