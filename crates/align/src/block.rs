@@ -421,6 +421,27 @@ impl<'a> BlockCtx<'a> {
         let to = (last - i0).min(self.w - off) + 1;
         (from as usize, to.max(from) as usize)
     }
+
+    /// The steps `from..to` of the strip on which some lane is valid — the
+    /// hull, by anti-diagonal, of the cells the strip has in the table and
+    /// the band (`(0, 0)` when it has none); the wavefront clips the steps
+    /// outside it. Step `t` is anti-diagonal `i0 + j0 + t`, and over the
+    /// strip's cells — `i0 ≤ i ≤ last`, `j0 ≤ j ≤ j_last`, `|i − j| ≤ w` —
+    /// the smallest `i + j` lies on the lowest query row that has a cell,
+    /// at its smallest `i`, the largest on the highest row at its largest.
+    #[inline]
+    pub(crate) fn live_steps(&self, i0: i64, cols: usize, j0: i64) -> (usize, usize) {
+        let last = (i0 + cols as i64).min(self.n) - 1;
+        let j_last = (j0 + self.b).min(self.m) - 1;
+        let (j_lo, j_hi) = (j0.max(i0 - self.w), j_last.min(last + self.w));
+        if j_lo > j_hi || i0 > last {
+            return (0, 0);
+        }
+        let c0 = i0 + j0;
+        let from = i0.max(j_lo - self.w) + j_lo - c0;
+        let to = last.min(j_hi + self.w) + j_hi - c0 + 1;
+        (from as usize, to as usize)
+    }
 }
 
 /// Valid-lane bounds of consecutive steps of a strip
@@ -1199,6 +1220,7 @@ mod tests {
                         for bj in 0..ctx.query_blocks() {
                             let (i0, j0, cols) = (bi_from * bi, bj * bi, blocks as usize * b);
                             let (full_from, full_to) = ctx.full_steps(i0, cols, j0);
+                            let (live_from, live_to) = ctx.live_steps(i0, cols, j0);
                             for t in 0..cols + b - 1 {
                                 let mut want = 0u32;
                                 for l in 0..bi {
@@ -1219,6 +1241,15 @@ mod tests {
                                     want == u32::MAX >> (32 - b),
                                     "b={b} ({i0},{j0})×{cols} w={w} step {t}"
                                 );
+                                // No valid lane outside the live hull, and
+                                // one on each of its ends.
+                                assert!(
+                                    want == 0 || (live_from..live_to).contains(&t),
+                                    "b={b} ({i0},{j0})×{cols} w={w} step {t} outside the live steps"
+                                );
+                                if live_from < live_to && (t == live_from || t + 1 == live_to) {
+                                    assert_ne!(want, 0, "b={b} ({i0},{j0})×{cols} w={w} end {t}");
+                                }
                             }
                         }
                     }

@@ -25,13 +25,31 @@
 //! for the wavefront's i16 staging —
 //! written once over the [`crate::simd`] lane layer, which owns everything
 //! backend-specific (instantiation, feature levels, dispatch).
+//!
+//! Finalizing is batched too. [`DiagTracker::advance`] does not step
+//! diagonal by diagonal: one compare of `seen` against the closed-form
+//! expected counts per chunk of 16 diagonals finds how far the complete
+//! run reaches, and the run folds as reductions — its first largest local
+//! maximum, its largest `qend`, and its largest fall below the running
+//! global maximum, which decides whether any diagonal of it could Z-drop
+//! (only a run that could is walked one diagonal at a time, to the drop).
+//! Each of the four per-diagonal arrays carries `WINDOW` slack entries past
+//! the table, so both a staged window and a chunk from any unfinalized
+//! diagonal read in bounds. The i16 wavefront finalizes at the end of each
+//! segment it fills, inside its feature wrapper, so those loops run on the
+//! fill's vector level; the tests keep the per-diagonal loop as the
+//! reference the batched one is held to, field by field.
 
 use crate::block::BlockCellsT;
 use crate::guided::{diag_cells, zdrop_triggered};
 use crate::result::{GuidedResult, MaxCell, StopReason};
 use crate::scoring::Scoring;
-use crate::simd::Lanes;
+use crate::simd::{Lanes, Portable};
 use crate::{NEG_INF, STAGE_ROWS as WINDOW};
+
+/// Diagonals [`DiagTracker::advance`] checks for completion per compare; a
+/// chunk must fit the slack.
+pub(crate) const CHUNK: usize = 16;
 
 /// Tracks per-anti-diagonal completion, local maxima and the Z-drop
 /// condition for one alignment task.
@@ -44,10 +62,11 @@ pub struct DiagTracker {
     zdrop: i32,
     gap_extend: i32,
     zdrop_enabled: bool,
-    /// cells seen so far on each anti-diagonal. This, `local_score` and
-    /// `local_i` carry `WINDOW` (= [`crate::STAGE_ROWS`], what one fold
-    /// merges) never-finalized slack entries past `total`, so the window
-    /// `c0..c0 + WINDOW` of every staged buffer is in bounds.
+    /// cells seen so far on each anti-diagonal. This and the other three
+    /// per-diagonal arrays carry `WINDOW` (= [`crate::STAGE_ROWS`], what one
+    /// fold merges) never-finalized slack entries past `total`, so the
+    /// window `c0..c0 + WINDOW` of every staged buffer, and every batch
+    /// [`DiagTracker::advance`] reads, is in bounds.
     seen: Vec<u32>,
     /// local maximum score per anti-diagonal
     local_score: Vec<i32>,
@@ -65,8 +84,6 @@ pub struct DiagTracker {
     global: MaxCell,
     qend_best: Option<i32>,
     finished: Option<StopReason>,
-    /// reference-semantics cells (sum of expected cells over finalized diagonals)
-    cells: u64,
 }
 
 /// The band-exhaustion point of an `n × m` table under band half-width `w`:
@@ -90,15 +107,15 @@ fn window<T>(v: &mut [T], c0: usize) -> &mut [T; WINDOW] {
 /// Step 3 of [`DiagTracker::fold_block`], a function of its own so that the
 /// three windows are known not to alias: row `d`'s key `(y << 5) | lane`
 /// becomes a candidate `(base + 0x7FFF − y, i0 − (B−1) + d + lane)`, merged
-/// into `score[d]` / `best_i[d]` where bit `d` of `live` is set; `seen[d]`
-/// gains the popcount of the row's mask on the same rows.
+/// into `score[d]` / `best_i[d]` where bit `d` of `open` is set; `seen[d]`
+/// gains the popcount of the row's mask where bit `d` of `live` is.
 #[inline(always)]
 fn merge_window<const B: usize>(
     seen: &mut [u32; WINDOW],
     score: &mut [i32; WINDOW],
     best_i: &mut [i32; WINDOW],
     keys: &[u32; WINDOW],
-    live: u32,
+    (live, open): (u32, u32),
     cells: &BlockCellsT<i16, B>,
 ) {
     let (top, lane0) = (i32::from(i16::MAX) + cells.base, cells.lane0());
@@ -109,12 +126,18 @@ fn merge_window<const B: usize>(
     for (count, m) in counts.iter_mut().zip(cells.mask) {
         *count = m.count_ones();
     }
+    if open == 0 {
+        for (seen, (&count, d)) in seen.iter_mut().zip(counts.iter().zip(0..)) {
+            *seen += count & (-((live >> d & 1) as i32)) as u32;
+        }
+        return;
+    }
     for (d, &k) in keys.iter().enumerate() {
         let (h, i) = (top - (k >> 5) as i32, lane0 + d as i32 + (k & 31) as i32);
         // All-ones lane masks, blended by hand: an `if` here may come back
         // as a branch per diagonal at the levels without masked stores.
-        let live = -((live >> d & 1) as i32);
-        let better = live & -i32::from((h > score[d]) | ((h == score[d]) & (i < best_i[d])));
+        let (live, open) = (-((live >> d & 1) as i32), -((open >> d & 1) as i32));
+        let better = open & -i32::from((h > score[d]) | ((h == score[d]) & (i < best_i[d])));
         score[d] = h & better | score[d] & !better;
         best_i[d] = i & better | best_i[d] & !better;
         seen[d] += counts[d] & live as u32;
@@ -141,7 +164,6 @@ impl DiagTracker {
             global: MaxCell::ORIGIN,
             qend_best: None,
             finished: None,
-            cells: 0,
         };
         t.reset(n, m, scoring);
         t
@@ -175,14 +197,13 @@ impl DiagTracker {
         self.local_i.clear();
         self.local_i.resize(total + WINDOW, -1);
         self.qend.clear();
-        self.qend.resize(total, NEG_INF);
+        self.qend.resize(total + WINDOW, NEG_INF);
         self.next = 0;
         self.cutoff = band_cutoff(n, m, w, total);
         self.total = total;
         self.global = MaxCell::ORIGIN;
         self.qend_best = None;
         self.finished = if total == 0 { Some(StopReason::Completed) } else { None };
-        self.cells = 0;
     }
 
     /// Debug-build contract of one live staged row — diagonal `c`, lane 0 at
@@ -281,18 +302,22 @@ impl DiagTracker {
     ///
     /// 1. *Live rows* — non-empty mask, not run-ahead past a finalized
     ///    diagonal — as one bit per staged row.
-    /// 2. *Row reduce*: [`Lanes::max_keys`] — per row, the maximum `H` at
-    ///    its smallest lane, as one ordered key. Masked lanes hold
+    /// 2. *Row reduce*: [`Lanes::max_keys_above`] — per row, the maximum
+    ///    `H` at its smallest lane, as one ordered key. Masked lanes hold
     ///    [`crate::simd::NEG_INF16`], whose order-reversed `y` is strictly
     ///    above every real lane's, so they never win and no `lo..=hi` is
     ///    needed; the argmax is offset-invariant, so the base joins when a
-    ///    key is decoded.
+    ///    key is decoded. A row whose maximum lies strictly below its
+    ///    diagonal's carried one cannot change it, so a lane impl that has
+    ///    the maxima of a whole window cheaply (the 32-lane strip's
+    ///    reduction tree) closes those rows and looks for the first lane of
+    ///    the others only — most rows of a band row off its alignment path.
     /// 3. *Merge*, as plain lane-array code over the `WINDOW` anti-diagonals
     ///    from `c0` — the staged rows hit `local_score` / `local_i` / `seen`
     ///    contiguously: each key decodes to a candidate, which replaces the
-    ///    carried maximum under the canonical (score desc, `i` asc) order;
-    ///    `seen` gains the mask's popcount. All branch-free and gated per
-    ///    lane on the live bit — the merge of
+    ///    carried maximum under the canonical (score desc, `i` asc) order
+    ///    where the row is open; `seen` gains the mask's popcount where it
+    ///    is live. All branch-free and gated per lane — the merge of
     ///    [`DiagTracker::on_block`] is a data-dependent branch per diagonal,
     ///    mispredicted whenever a block does or does not improve on the
     ///    carried maximum, i.e. constantly. Dead lanes (empty, run-ahead,
@@ -305,15 +330,12 @@ impl DiagTracker {
         &mut self,
         lanes: L,
         cells: &BlockCellsT<i16, B>,
+        closed_run: &mut bool,
     ) {
         crate::simd::debug_range_sentinel(cells);
         let c0 = cells.i0() as usize + cells.j0() as usize;
-        // (A fixed trip count, the run-ahead rows cut off after: the loop
-        // compiles to one vector compare.)
-        let mut live = 0u32;
-        for (d, &m) in cells.mask.iter().enumerate() {
-            live |= u32::from(m != 0) << d;
-        }
+        // The run-ahead rows are cut off after.
+        let mut live = lanes.nonzero_rows(&cells.mask);
         let skip = u32::try_from(self.next.saturating_sub(c0)).ok();
         live &= skip.and_then(|skip| u32::MAX.checked_shl(skip)).unwrap_or(0);
         if live == 0 {
@@ -328,23 +350,35 @@ impl DiagTracker {
             }
         }
 
-        // Every row, live or not — a fixed trip count costs less than finding
-        // the live span, and the merge drops the keys of dead rows.
-        let keys = lanes.max_keys(&cells.h);
-
+        // The live rows that can still raise their diagonal's maximum, and
+        // their keys — none, while a segment's windows lie wholly below the
+        // maxima carried for their diagonals.
+        let floor = window(&mut self.local_score, c0);
+        *closed_run = *closed_run && lanes.window_below(&cells.h, floor, cells.base, live);
+        let (keys, open) = if *closed_run {
+            ([0; WINDOW], 0)
+        } else {
+            lanes.max_keys_above(&cells.h, floor, cells.base, live)
+        };
         merge_window::<B>(
             window(&mut self.seen, c0),
             window(&mut self.local_score, c0),
             window(&mut self.local_i, c0),
             &keys,
-            live,
+            (live, open),
             cells,
         );
 
         let lq = i64::from(cells.j0()) + B as i64 - self.m;
         if (0..B as i64).contains(&lq) {
-            for d in live_rows().filter(|&d| cells.mask[d] >> lq & 1 != 0) {
-                self.qend[c0 + d] = i32::from(cells.h[d][lq as usize]) + cells.base;
+            // Every row, the cells off the last query row kept: a select,
+            // where a loop over those rows is a branch a row.
+            let (qend, lq) = (window(&mut self.qend, c0), lq as usize);
+            for (d, (q, (h, &m))) in
+                qend.iter_mut().zip(cells.h.iter().zip(&cells.mask)).enumerate()
+            {
+                let on = live >> d & m >> lq & 1 != 0;
+                *q = if on { i32::from(h[lq]) + cells.base } else { *q };
             }
         }
     }
@@ -386,40 +420,64 @@ impl DiagTracker {
     /// Returns the stop reason once the alignment is decided.
     ///
     /// Engines call this at chunk/slice boundaries; calling it more or less
-    /// often changes only run-ahead cost, never the result.
+    /// often changes only run-ahead cost, never the result. The i16
+    /// wavefront also calls it after folding a segment's last window
+    /// ([`DiagTracker::advance_inlined`]), so a sweep's own call after the
+    /// segment finds the frontier diagonal still incomplete, or the
+    /// alignment decided, in one check.
+    ///
+    /// The complete diagonals finalize as one run, not one step each:
+    /// `seen` against the closed-form expected counts, [`CHUNK`] diagonals
+    /// per compare, finds how far the run reaches, and
+    /// [`DiagTracker::finalize`] folds it chunk by chunk. A chunk from any
+    /// diagonal before `total` reads at most [`CHUNK`] `≤ WINDOW` entries,
+    /// inside the slack past the table.
     pub fn advance(&mut self) -> Option<StopReason> {
+        self.advance_inlined::<_, { crate::BLOCK }>(Portable)
+    }
+
+    /// [`DiagTracker::advance`], `inline(always)`: called from inside a
+    /// wavefront's feature wrapper, its loops compile at the fill's level
+    /// (a chunk's compare is then a handful of vector instructions).
+    #[inline(always)]
+    pub(crate) fn advance_inlined<L: Lanes<B>, const B: usize>(
+        &mut self,
+        lanes: L,
+    ) -> Option<StopReason> {
         if self.finished.is_some() {
             return self.finished;
         }
-        while self.next < self.cutoff {
-            let c = self.next;
-            let expected = self.expected(c);
-            if self.seen[c] < expected {
-                return None; // incomplete; engines must keep filling
+        let mut end = self.next;
+        if end < self.cutoff && self.seen[end] < self.expected(end) {
+            return None; // incomplete; engines must keep filling
+        }
+        // Chunk by chunk, each compare independent of the last: only the
+        // chunk's start carries from one to the next.
+        while end < self.cutoff {
+            let expected = self.expected_chunk(end);
+            let seen =
+                self.seen[end..].first_chunk::<CHUNK>().expect("tracker slack covers a chunk");
+            let short = lanes.chunk_short(seen, &expected);
+            if short != 0 || self.cutoff - end <= CHUNK {
+                let done = (short.trailing_zeros() as usize).min(self.cutoff - end);
+                debug_assert!(
+                    seen[..done] == expected[..done],
+                    "diagonals {end}..{}: saw {:?} cells, expected {:?}",
+                    end + done,
+                    &seen[..done],
+                    &expected[..done]
+                );
+                end += done;
+                break;
             }
-            debug_assert!(
-                self.seen[c] == expected,
-                "diagonal {c}: saw {} cells, expected {expected}",
-                self.seen[c]
-            );
-            let local = MaxCell {
-                score: self.local_score[c],
-                i: self.local_i[c],
-                j: c as i32 - self.local_i[c],
-            };
-            self.cells += expected as u64;
-            self.next = c + 1;
-            if self.zdrop_enabled
-                && zdrop_triggered(self.global, local, self.zdrop, self.gap_extend)
-            {
-                self.finished = Some(StopReason::ZDrop { antidiag: c as u32 });
-                return self.finished;
-            }
-            self.global.fold(local);
-            if self.qend[c] > NEG_INF {
-                let v = self.qend[c];
-                self.qend_best = Some(self.qend_best.map_or(v, |q| q.max(v)));
-            }
+            debug_assert_eq!(seen, &expected, "diagonals {end}..{}", end + CHUNK);
+            end += CHUNK;
+        }
+        if self.finalize(lanes, end) {
+            return self.finished;
+        }
+        if end < self.cutoff {
+            return None;
         }
         self.finished = Some(if self.cutoff == self.total {
             StopReason::Completed
@@ -427,6 +485,113 @@ impl DiagTracker {
             StopReason::BandExhausted { antidiag: self.cutoff as u32 }
         });
         self.finished
+    }
+
+    /// [`DiagTracker::expected`] of the [`CHUNK`] diagonals from `c0`, as
+    /// one loop of `i32` lane arithmetic: the band half-width is clamped to
+    /// `n + m` (wider bands bind nowhere), so every term fits, and the
+    /// halvings are shifts.
+    #[inline(always)]
+    fn expected_chunk(&self, c0: usize) -> [u32; CHUNK] {
+        let (n, m) = (self.n as i32, self.m as i32);
+        let w = self.w.min(self.n + self.m) as i32;
+        let mut out = [0u32; CHUNK];
+        for (d, e) in out.iter_mut().enumerate() {
+            let c = (c0 + d) as i32;
+            // `diag_range`: lo = max(0, c − m + 1, ⌈(c − w)/2⌉),
+            // hi = min(n − 1, c, ⌊(c + w)/2⌋) — the sum in `u32`.
+            let lo = 0.max(c - m + 1).max((c - w + 1) >> 1);
+            let hi = (n - 1).min(c).min(((c as u32 + w as u32) >> 1) as i32);
+            *e = (hi - lo + 1).max(0) as u32;
+        }
+        out
+    }
+
+    /// Finalize the complete diagonals `next..end` as the per-diagonal
+    /// loop would (its scalar twin is in the tests). Returns whether one of
+    /// them Z-dropped.
+    ///
+    /// A diagonal drops only if the global maximum before it exceeds its
+    /// local one by more than `zdrop` (the rule's gap term is
+    /// non-negative). Within a chunk, that maximum is at most the larger of
+    /// the one before the chunk and the chunk's largest local maximum — so
+    /// a run none of whose chunks holds a local maximum more than `zdrop`
+    /// below that bound, which is every run of an alignment still on
+    /// course, cannot drop, and folds as a chunk maximum and one compare
+    /// per chunk ([`Lanes::chunk_max`], [`Lanes::chunk_any_below`]) and an
+    /// element-wise `qend` maximum. The global maximum becomes the first
+    /// diagonal holding the run's largest local maximum if that beats it
+    /// (strict `>`: the earliest diagonal keeps a tie). Any other run is
+    /// walked diagonal by diagonal up to the drop.
+    #[inline(always)]
+    fn finalize<L: Lanes<B>, const B: usize>(&mut self, lanes: L, end: usize) -> bool {
+        let c0 = self.next;
+        if end - c0 < CHUNK {
+            return self.finalize_each(end);
+        }
+        let (mut top, mut raised, mut steep) = (self.global.score, None, false);
+        let mut q = [NEG_INF; CHUNK];
+        for k in (c0..end).step_by(CHUNK) {
+            // The last chunk ends at `end`, overlapping the one before: the
+            // maxima are idempotent, and the bound below only grows where
+            // `top` includes a later diagonal.
+            let k = k.min(end - CHUNK);
+            let score = self.local_score[k..].first_chunk::<CHUNK>().expect("a chunk");
+            let qend = self.qend[k..].first_chunk::<CHUNK>().expect("a chunk");
+            for (q, &v) in q.iter_mut().zip(qend) {
+                *q = (*q).max(v);
+            }
+            let hi = lanes.chunk_max(score);
+            // (No overflow while Z-drop is enabled: `zdrop < NO_ZDROP`.)
+            steep |= lanes.chunk_any_below(score, top.max(hi).saturating_sub(self.zdrop));
+            if hi > top {
+                (top, raised) = (hi, Some(k));
+            }
+        }
+        let q = lanes.chunk_max(&q);
+        if self.zdrop_enabled && (steep || self.gap_extend < 0) {
+            return self.finalize_each(end);
+        }
+        // The run's maximum first appears in the chunk that raised `top` to
+        // it, and nowhere before that chunk.
+        if let Some(k) = raised {
+            let d = self.local_score[k..end].iter().position(|&s| s == top);
+            let c = k + d.expect("the maximum is in its chunk");
+            let i = self.local_i[c];
+            self.global = MaxCell { score: top, i, j: c as i32 - i };
+        }
+        if q > NEG_INF {
+            self.qend_best = Some(self.qend_best.map_or(q, |b| b.max(q)));
+        }
+        self.next = end;
+        false
+    }
+
+    /// [`DiagTracker::finalize`] one diagonal at a time, for a run that may
+    /// Z-drop or is shorter than a chunk: the reference semantics, stopping
+    /// at the drop.
+    #[inline(never)]
+    fn finalize_each(&mut self, end: usize) -> bool {
+        for c in self.next..end {
+            let local = MaxCell {
+                score: self.local_score[c],
+                i: self.local_i[c],
+                j: c as i32 - self.local_i[c],
+            };
+            self.next = c + 1;
+            if self.zdrop_enabled
+                && zdrop_triggered(self.global, local, self.zdrop, self.gap_extend)
+            {
+                self.finished = Some(StopReason::ZDrop { antidiag: c as u32 });
+                return true;
+            }
+            self.global.fold(local);
+            if self.qend[c] > NEG_INF {
+                let v = self.qend[c];
+                self.qend_best = Some(self.qend_best.map_or(v, |q| q.max(v)));
+            }
+        }
+        false
     }
 
     /// Whether the alignment outcome is decided.
@@ -453,10 +618,13 @@ impl DiagTracker {
         self.global
     }
 
-    /// Reference-semantics cell count over finalized diagonals.
+    /// Reference-semantics cell count over finalized diagonals: a
+    /// finalized diagonal saw exactly its expected cells and takes no more,
+    /// so this is the sum of their `seen` — taken when asked for, not at
+    /// every finalize.
     #[inline]
     pub fn reference_cells(&self) -> u64 {
-        self.cells
+        self.seen[..self.next].iter().map(|&s| u64::from(s)).sum()
     }
 
     /// Consume the tracker into the final result. Must only be called once
@@ -486,7 +654,7 @@ impl DiagTracker {
             qend_score: self.qend_best,
             stop,
             antidiags,
-            cells: self.cells,
+            cells: self.reference_cells(),
         }
     }
 }
@@ -638,6 +806,147 @@ mod tests {
             assert_eq!(self.local_score[self.total..], [NEG_INF; WINDOW]);
             assert_eq!(self.local_i[self.total..], [-1; WINDOW]);
         }
+    }
+
+    impl DiagTracker {
+        /// The per-diagonal finalize [`DiagTracker::advance`] batches, kept
+        /// as its reference: one diagonal at a time, in order.
+        fn advance_reference(&mut self) -> Option<StopReason> {
+            if self.finished.is_some() {
+                return self.finished;
+            }
+            while self.next < self.cutoff {
+                let c = self.next;
+                let expected = self.expected(c);
+                if self.seen[c] < expected {
+                    return None;
+                }
+                let local = MaxCell {
+                    score: self.local_score[c],
+                    i: self.local_i[c],
+                    j: c as i32 - self.local_i[c],
+                };
+                self.next = c + 1;
+                if self.zdrop_enabled
+                    && zdrop_triggered(self.global, local, self.zdrop, self.gap_extend)
+                {
+                    self.finished = Some(StopReason::ZDrop { antidiag: c as u32 });
+                    return self.finished;
+                }
+                self.global.fold(local);
+                if self.qend[c] > NEG_INF {
+                    let v = self.qend[c];
+                    self.qend_best = Some(self.qend_best.map_or(v, |q| q.max(v)));
+                }
+            }
+            self.finished = Some(if self.cutoff == self.total {
+                StopReason::Completed
+            } else {
+                StopReason::BandExhausted { antidiag: self.cutoff as u32 }
+            });
+            self.finished
+        }
+    }
+
+    /// xorshift64: the test's only source of randomness, fixed-seeded.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, bound: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % bound
+        }
+    }
+
+    #[test]
+    fn batched_advance_matches_the_per_diagonal_reference() {
+        // Two trackers fed the same cells, one finalizing runs chunk by
+        // chunk and one diagonal by diagonal, must agree on every field
+        // after every `advance`, and the reference cells must be the sum
+        // of the finalized diagonals' expected counts: over tables smaller
+        // and larger than a chunk, bands 0, 1, 15 and none, Z-drop on and
+        // off, scores from a narrow range around a rise-then-fall trend
+        // (ties across diagonals and across lanes, drops that fire early,
+        // late or never), fed in a random order in random portions — and
+        // diagonal by diagonal in runs one short of, equal to and one past
+        // a chunk and two.
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        let dims: &[usize] =
+            if cfg!(miri) { &[1, 5, 34] } else { &[1, 2, 5, 31, 32, 33, 34, 64, 65, 97, 150] };
+        let runs = [CHUNK - 1, CHUNK, CHUNK + 1, 1, 2 * CHUNK - 1, 2 * CHUNK + 1];
+        let (mut dropped, mut advances) = (0, 0);
+        for &n in dims {
+            for &m in dims {
+                for band in [0, 1, 15, Scoring::NO_BAND] {
+                    for zdrop in [6, Scoring::NO_ZDROP] {
+                        let s = Scoring::new(2, 4, 4, 2, zdrop, band);
+                        let (ni, mi) = (n as i64, m as i64);
+                        let w = if s.banded() { i64::from(band) } else { ni + mi };
+                        let peak = rng.below((n + m) as u64) as i32;
+                        let mut cells = Vec::new();
+                        for c in 0..ni + mi - 1 {
+                            let Some((lo, hi)) = diag_range(c, ni, mi, w) else { continue };
+                            let trend =
+                                if (c as i32) < peak { c as i32 } else { 3 * peak - 2 * c as i32 };
+                            for i in lo..=hi {
+                                let h = trend / 2 + rng.below(4) as i32;
+                                cells.push((i as i32, (c - i) as i32, h));
+                            }
+                        }
+                        for ordered in [false, true] {
+                            if !ordered {
+                                for k in (1..cells.len()).rev() {
+                                    cells.swap(k, rng.below(k as u64 + 1) as usize);
+                                }
+                            } else {
+                                cells.sort_by_key(|&(i, j, _)| (i + j, i));
+                            }
+                            let mut batched = DiagTracker::new(n, m, &s);
+                            let mut reference = batched.clone();
+                            let (mut fed, mut run) = (0, 0);
+                            while fed < cells.len() {
+                                let portion = if ordered {
+                                    // The cells of the next `runs[run]` diagonals.
+                                    let c_end = cells[fed].0 + cells[fed].1 + runs[run] as i32;
+                                    run = (run + 1) % runs.len();
+                                    cells[fed..]
+                                        .iter()
+                                        .take_while(|&&(i, j, _)| i + j < c_end)
+                                        .count()
+                                } else {
+                                    1 + rng.below(2 * CHUNK as u64) as usize
+                                };
+                                for &(i, j, h) in &cells[fed..(fed + portion).min(cells.len())] {
+                                    batched.on_cell(i, j, h);
+                                    reference.on_cell(i, j, h);
+                                }
+                                fed += portion;
+                                assert_eq!(batched.advance(), reference.advance_reference());
+                                assert_eq!(
+                                    batched, reference,
+                                    "n={n} m={m} band={band} zdrop={zdrop}"
+                                );
+                                let finalized = (0..batched.next).map(|c| batched.expected(c));
+                                assert_eq!(
+                                    batched.reference_cells(),
+                                    finalized.map(u64::from).sum::<u64>(),
+                                    "n={n} m={m} band={band} zdrop={zdrop}: cells"
+                                );
+                                advances += 1;
+                            }
+                            dropped += usize::from(matches!(
+                                batched.advance(),
+                                Some(StopReason::ZDrop { .. })
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(dropped > dims.len(), "only {dropped} of the cases dropped");
+        assert!(advances > 20 * dims.len(), "only {advances} advances");
     }
 
     #[test]

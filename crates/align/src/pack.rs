@@ -220,9 +220,11 @@ impl PackedSeq {
     #[inline]
     pub fn code(&self, i: usize) -> u8 {
         debug_assert!(i < self.len, "base index {i} out of range (len {})", self.len);
-        let per = (32 / self.bits) as usize;
+        // `per = 32 / bits` is 8 or 4: a shift and a mask, not a division.
+        let per_log = 5 - self.bits.trailing_zeros();
         let mask = (1u32 << self.bits).wrapping_sub(1);
-        ((self.words[i / per] >> (self.bits * (i % per) as u32)) & mask) as u8
+        let slot = (i & ((1 << per_log) - 1)) as u32;
+        ((self.words[i >> per_log] >> (self.bits * slot)) & mask) as u8
     }
 
     /// Typed base at position `i`.
@@ -264,6 +266,28 @@ impl PackedSeq {
         let mask = (1u32 << self.bits).wrapping_sub(1);
         let shifts = (0..32).step_by(self.bits as usize);
         self.words.iter().flat_map(move |&w| shifts.clone().map(move |s| (w >> s & mask) as u8))
+    }
+
+    /// [`PackedSeq::codes`] appended to `out` as `i16` lane values, a word
+    /// at a time: a fixed count of shifts and masks per word, where the
+    /// iterator takes a branch per code.
+    pub fn extend_lane_codes(&self, out: &mut Vec<i16>) {
+        fn unpack<const PER: usize>(words: &[u32], out: &mut Vec<i16>) {
+            let bits = (32 / PER) as u32;
+            let mask = (1u32 << bits) - 1;
+            let start = out.len();
+            out.resize(start + words.len() * PER, 0);
+            for (&w, slots) in words.iter().zip(out[start..].as_chunks_mut::<PER>().0) {
+                for (k, slot) in slots.iter_mut().enumerate() {
+                    *slot = (w >> (bits * k as u32) & mask) as i16;
+                }
+            }
+        }
+        if self.bits == 4 {
+            unpack::<8>(&self.words, out);
+        } else {
+            unpack::<4>(&self.words, out);
+        }
     }
 
     /// Unpack the whole sequence to base codes.
@@ -380,6 +404,26 @@ mod tests {
         let p = PackedSeq::from_codes(&codes);
         let s = p.slice(5, 9);
         assert_eq!(s.to_codes(), &codes[5..14]);
+    }
+
+    #[test]
+    fn lane_codes_and_indexed_codes_match_the_iterator() {
+        // Both widths, lengths around a word: every slot `extend_lane_codes`
+        // writes is the iterator's, after what `out` held; `code(i)` is the
+        // iterator's slot `i`.
+        let protein = crate::BLOSUM62.table;
+        for len in [0, 1, 3, 4, 5, 7, 8, 9, 31, 33] {
+            let codes: Vec<u8> = (0..len).map(|k| (k * 7 % 23) as u8).collect();
+            for p in [PackedSeq::from_codes(&codes), protein.pack(&codes)] {
+                let mut out = vec![-1i16; 3];
+                p.extend_lane_codes(&mut out);
+                let want: Vec<i16> = [-1; 3].into_iter().chain(p.codes().map(i16::from)).collect();
+                assert_eq!(out, want, "{} bits, {len} codes", p.bits());
+                for (i, c) in p.codes().take(len).enumerate() {
+                    assert_eq!(p.code(i), c, "{} bits, code {i}", p.bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,27 @@
 //! The wavefront fill of a row segment, written once over [`Lanes`] — see
 //! the layout rules in the [module header](super).
+//!
+//! Only the steps on which some lane is valid run
+//! ([`crate::block::BlockCtx::live_steps`], the hull of the segment's cells
+//! in the band and the table, by anti-diagonal). A band row's first and
+//! last block reach past the band edge, so up to `B − 1` steps at each end
+//! of its wavefront have no valid lane — 15 % of the steps of a `dna-short`
+//! sweep. A clipped step would have computed `−∞` for every lane that was
+//! running and held the others, so the fill sets that state in closed form
+//! instead: on entry, the lanes that started before the first live step
+//! hold `−∞` and the diagonal carried into it is the up-shift of the step
+//! before; on exit, the lanes still running at the last live step end on
+//! `−∞`, and so does the south boundary under every clipped step. A window
+//! stages its clipped rows as `−∞` (what the re-centring and the fold
+//! would have read), and a window wholly clipped is neither filled nor
+//! folded. The recurrence itself stays one loop — the CI step "the
+//! recurrence is written once" counts its `shift_in` of `h_prev`.
 
 use super::lanes::{delta, each_lane, rebase, ring_base, unbase, Lanes};
 use super::{NEG_INF16, SENTINEL_BAND16};
 use crate::block::{BlockCellsT, BlockCtx, BoundaryT};
 use crate::diag::DiagTracker;
+use crate::NEG_INF;
 use crate::{MAX_STRIP, STAGE_ROWS};
 
 /// One segment's inputs and in/out state — `cols = north_h.len()` reference
@@ -161,6 +178,12 @@ pub(crate) fn fill_segment<L: Lanes<B>, const B: usize>(
     let q_vec = lanes.load(&each_lane(|l| delta(i32::from(qcodes[B - 1 - l]))));
     let full = u32::MAX >> (32 - B);
     let (full_from, full_to) = ctx.full_steps(i0, cols, j0);
+    // Only the steps `live_from..live_to` have a valid lane: the fill clips
+    // the rest and sets the state they would have left.
+    let (live_from, live_to) = ctx.live_steps(i0, cols, j0);
+    // The lanes that start on a step before `t`: lane `l` starts at step
+    // `B−1−l`. (In u64: at 32 lanes a shift by the full width is one.)
+    let started = |t: usize| lanes.mask_from_bits(!((1u64 << (B - t.min(B))) - 1) as u32 & full);
 
     // The front runs on offsets from `base`, a real `H` near it (the
     // recurrence is translation-invariant, so nothing below changes): the
@@ -177,10 +200,34 @@ pub(crate) fn fill_segment<L: Lanes<B>, const B: usize>(
     // at t = 0), so step t's `diag` is exactly step t−1's up-shifted H:
     // carrying it takes one shift per step off the loop-carried chain.
     let mut dg_next = lanes.shift_in(neg_inf, &[rebase(corner, base); B]);
+    if live_from > 0 {
+        // The clipped lead-in: a lane that started on it computed only −∞
+        // and holds it; the others still hold their west boundary. The
+        // diagonal carried into `live_from` is the up-shift of the state
+        // one step earlier, the north value at `live_from − 1` on top.
+        let north = north_h.get(live_from - 1).map_or(NEG_INF16, |&h| rebase(h, base));
+        dg_next =
+            lanes.shift_in(lanes.select(started(live_from - 1), neg_inf, h_prev), &[north; B]);
+        h_prev = lanes.select(started(live_from), neg_inf, h_prev);
+        e_prev = lanes.select(started(live_from), neg_inf, e_prev);
+        // Their bottom lane left −∞ as the south boundary.
+        let dead = live_from.saturating_sub(B - 1);
+        north_h[..dead].fill(NEG_INF);
+        north_f[..dead].fill(NEG_INF);
+    }
 
-    for t0 in (0..steps).step_by(STAGE_ROWS) {
+    // Whether every window folded so far lay below its diagonals' maxima:
+    // a band row's first windows do, once a row above has crossed them on
+    // the alignment path, and the fold tests only while they do.
+    let mut closed_run = true;
+    for t0 in (0..live_to).step_by(STAGE_ROWS) {
         let len = (steps - t0).min(STAGE_ROWS);
-        if t0 > 0 {
+        // The window's live steps; a window wholly in the lead-in is skipped.
+        let run = live_from.saturating_sub(t0)..(live_to - t0).min(len);
+        if run.is_empty() {
+            continue;
+        }
+        if t0 > live_from {
             // Re-centre on the largest real `H` of the last two staged rows
             // (two, so that a band of one diagonal still has one): masked
             // lanes hold `NEG_INF16` and lose the reduce. Sentinel-class
@@ -225,10 +272,14 @@ pub(crate) fn fill_segment<L: Lanes<B>, const B: usize>(
             lanes.sub_rows(ctx, m, j0, codes, qcodes, rows);
         }
 
-        // The bottom lane's H and F, step by step: the south boundary.
-        let mut south_h = [0i16; STAGE_ROWS + 1];
-        let mut south_f = [0i16; STAGE_ROWS + 1];
-        for d in 0..len {
+        // The bottom lane's H and F, step by step: the south boundary. A
+        // clipped step leaves −∞, and stages a row of it.
+        let mut south_h = [NEG_INF16; STAGE_ROWS + 1];
+        let mut south_f = [NEG_INF16; STAGE_ROWS + 1];
+        for d in (0..run.start).chain(run.end..STAGE_ROWS) {
+            lanes.store(&mut cells.h[d], neg_inf);
+        }
+        for d in run.clone() {
             let up_h = lanes.shift_in(h_prev, nh[d..].first_chunk().expect("a window of slack"));
             let up_f = lanes.shift_in(f_prev, nf[d..].first_chunk().expect("a window of slack"));
             let dg = dg_next;
@@ -278,6 +329,8 @@ pub(crate) fn fill_segment<L: Lanes<B>, const B: usize>(
             lanes.store_low(south_h[d..].first_chunk_mut().expect("one spare slot"), h_m);
             lanes.store_low(south_f[d..].first_chunk_mut().expect("one spare slot"), f_m);
         }
+        // (The last step's spare slot is a clipped step's, if any.)
+        (south_h[run.end], south_f[run.end]) = (NEG_INF16, NEG_INF16);
 
         // Step t's bottom lane is the segment's last row at column
         // `t − (B−1)`: at most `B−1` steps behind what the top lane has read.
@@ -291,10 +344,25 @@ pub(crate) fn fill_segment<L: Lanes<B>, const B: usize>(
         }
 
         if let Some(tracker) = tracker.as_deref_mut() {
-            tracker.fold_block(lanes, cells);
+            tracker.fold_block(lanes, cells, &mut closed_run);
         }
     }
 
+    // The clipped tail: a lane whose row was still running at `live_to`
+    // ends on −∞, and so does the bottom lane's south boundary.
+    if live_to < steps {
+        let running = lanes.mask_from_bits(((1u64 << (steps - live_to).min(B)) - 1) as u32);
+        h_prev = lanes.select(running, neg_inf, h_prev);
+        e_prev = lanes.select(running, neg_inf, e_prev);
+        let dead = live_to.saturating_sub(B - 1);
+        north_h[dead..].fill(NEG_INF);
+        north_f[dead..].fill(NEG_INF);
+    }
+
+    // Finalize what the windows completed here, at the fill's feature level.
+    if let Some(tracker) = tracker {
+        tracker.advance_inlined(lanes);
+    }
     let (mut east_h, mut east_e) = ([0i16; B], [0i16; B]);
     lanes.store(&mut east_h, h_prev);
     lanes.store(&mut east_e, e_prev);

@@ -14,6 +14,7 @@
 use super::fill::matrix_sub_rows;
 use super::{to16, SENTINEL_BAND16};
 use crate::block::{BlockCtx, I32_REACH_BOUND};
+use crate::diag::CHUNK;
 use crate::scoring::SubstMatrix;
 use crate::{MAX_STRIP, NEG_INF, STAGE_ROWS};
 
@@ -131,6 +132,75 @@ pub(crate) trait Lanes<const B: usize>: Copy {
             }
         }
         keys
+    }
+
+    /// The row reduce of one staged window, given what the rows merge into:
+    /// the keys of [`Lanes::max_keys`] and the rows of `open` that hold one.
+    /// An impl may leave out a row whose largest `h + base` lies strictly
+    /// below `floor[d]`, the carried maximum of its diagonal — such a row
+    /// cannot replace it, and a tie could (its `i` may be the smaller), so
+    /// the test is strict — clearing its bit and leaving its key
+    /// unspecified. By default every row is reduced.
+    #[inline(always)]
+    fn max_keys_above(
+        self,
+        rows: &[[i16; B]; STAGE_ROWS],
+        _floor: &[i32; STAGE_ROWS],
+        _base: i32,
+        open: u32,
+    ) -> ([u32; STAGE_ROWS], u32) {
+        (self.max_keys(rows), open)
+    }
+
+    /// Bit `d` set where `masks[d]` is not zero: a staged window's rows
+    /// with a valid lane.
+    #[inline(always)]
+    fn nonzero_rows(self, masks: &[u32; STAGE_ROWS]) -> u32 {
+        let mut rows = 0;
+        for (d, &m) in masks.iter().enumerate() {
+            rows |= u32::from(m != 0) << d;
+        }
+        rows
+    }
+
+    /// Whether every row of a staged window lies strictly below `floor`,
+    /// the maxima carried for its diagonals, on the rows of `live`: then
+    /// none is open ([`Lanes::max_keys_above`]). An impl may answer from a
+    /// bound — the window's largest `h` against the smallest live floor —
+    /// and may always answer `false`, as by default.
+    #[inline(always)]
+    fn window_below(
+        self,
+        _rows: &[[i16; B]; STAGE_ROWS],
+        _floor: &[i32; STAGE_ROWS],
+        _base: i32,
+        _live: u32,
+    ) -> bool {
+        false
+    }
+
+    /// The largest of one chunk of the tracker's per-diagonal `i32`s — a
+    /// [`DiagTracker::advance`](crate::diag::DiagTracker::advance) step.
+    #[inline(always)]
+    fn chunk_max(self, v: &[i32; CHUNK]) -> i32 {
+        v.iter().fold(i32::MIN, |hi, &x| hi.max(x))
+    }
+
+    /// Whether an entry of the chunk lies below `floor`.
+    #[inline(always)]
+    fn chunk_any_below(self, v: &[i32; CHUNK], floor: i32) -> bool {
+        v.iter().any(|&x| x < floor)
+    }
+
+    /// Bit `d` set where `seen[d] < expected[d]`: the chunk's incomplete
+    /// diagonals.
+    #[inline(always)]
+    fn chunk_short(self, seen: &[u32; CHUNK], expected: &[u32; CHUNK]) -> u32 {
+        let mut short = 0;
+        for (d, (&s, &e)) in seen.iter().zip(expected).enumerate() {
+            short |= u32::from(s < e) << d;
+        }
+        short
     }
 }
 

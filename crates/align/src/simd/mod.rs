@@ -59,7 +59,11 @@
 //!   range is affine in `t` ([`crate::block::BlockCtx::strip_lanes`]), so
 //!   the steps on which every lane is valid are one run
 //!   ([`crate::block::BlockCtx::full_steps`]): they take an unmasked path,
-//!   and a window inside the run computes no masks at all;
+//!   and a window inside the run computes no masks at all. The steps with
+//!   no valid lane at all sit at the two ends of the strip
+//!   ([`crate::block::BlockCtx::live_steps`]) and are clipped: the fill
+//!   sets the state they would have left instead of running them (see
+//!   `fill`'s header);
 //! * the staged rows are anti-diagonals of the table already, and leave for
 //!   the tracker [`crate::STAGE_ROWS`] at a time — a fixed staging buffer,
 //!   whatever the row's length.
@@ -153,7 +157,7 @@ use crate::{BLOCK, MAX_BLOCK, MAX_STRIP};
 use fill::fill_segment;
 pub(crate) use fill::SegmentIo;
 pub(crate) use lanes::Lanes;
-use lanes::Portable;
+pub(crate) use lanes::Portable;
 #[cfg(target_arch = "x86_64")]
 use x86::{
     fold_avx2, fold_sse41, segment_avx2, segment_avx512, segment_sse41, Avx2I16, Avx512I16x32,
@@ -467,7 +471,7 @@ pub(crate) fn fold_wavefront_i16<const B: usize>(
         (Sse41(level), BLOCK) => unsafe {
             fold_sse41(level, Sse41I16(level), tracker, cells.at_geometry())
         },
-        _ => tracker.fold_block(Portable, cells),
+        _ => tracker.fold_block(Portable, cells, &mut true),
     }
 }
 

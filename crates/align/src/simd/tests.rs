@@ -711,8 +711,10 @@ macro_rules! lane_fold {
 /// the wrapper × lane impl pairs of [`i16_lanes`] — plus the dispatcher on
 /// staging stamped by each supported backend.
 fn i16_folds<const B: usize>() -> Vec<(String, Fold<B>)> {
-    let mut folds: Vec<(String, Fold<B>)> =
-        vec![("portable".into(), Box::new(|tracker, cells| tracker.fold_block(Portable, cells)))];
+    let mut folds: Vec<(String, Fold<B>)> = vec![(
+        "portable".into(),
+        Box::new(|tracker, cells| tracker.fold_block(Portable, cells, &mut true)),
+    )];
     #[cfg(target_arch = "x86_64")]
     {
         if let (BLOCK, Some(t)) = (B, x86::Sse41::detect()) {
@@ -963,6 +965,7 @@ fn check_window_masks<const B: usize>(
 ) {
     let lanes = ctx.strip_lanes(i0, cols, j0, t0);
     let (full_from, full_to) = ctx.full_steps(i0, cols, j0);
+    let (live_from, live_to) = ctx.live_steps(i0, cols, j0);
     for d in 0..STAGE_ROWS {
         let t = (t0 + d) as i64;
         let mut want = 0u32;
@@ -977,6 +980,11 @@ fn check_window_masks<const B: usize>(
         assert_eq!(ctx.strip_lanes(i0, cols, j0, t0 + d).mask(0), want, "{what}: rebuilt there");
         let full = want == u32::MAX >> (32 - B);
         assert_eq!((full_from..full_to).contains(&(t0 + d)), full, "{what}: full steps");
+        let live = (live_from..live_to).contains(&(t0 + d));
+        assert!(want == 0 || live, "{what}: a valid lane outside the live steps");
+        if live_from < live_to && (t0 + d == live_from || t0 + d + 1 == live_to) {
+            assert_ne!(want, 0, "{what}: an end of the live steps without a valid lane");
+        }
     }
 }
 
@@ -1114,6 +1122,90 @@ fn row_reduce_matches_the_portable_lanes() {
         if let Some(t) = x86::Avx512::detect() {
             check_row_reduce(Avx512I16x32(t), "avx512x32");
         }
+    }
+}
+
+/// The tracker's helpers on the lanes `L` against their definitions (the
+/// portable defaults): the open rows of [`Lanes::max_keys_above`] and their
+/// keys, [`Lanes::window_below`] (a `true` must be right; `false` is always
+/// allowed), the live-row mask and the finalize's chunk reductions — on
+/// random rows with ties, masked lanes and rails, floors around the rows'
+/// maxima, random live sets and bases.
+fn check_tracker_helpers<L: Lanes<B>, const B: usize>(lanes: L, name: &str) {
+    use crate::diag::CHUNK;
+    let mut rng = Rng(0x7AC + B as u64);
+    for case in 0..if cfg!(miri) { 8 } else { 512 } {
+        let rows = [[0i16; B]; STAGE_ROWS].map(|row| {
+            let mut row = row.map(|_| match rng.next() % 4 {
+                0 => NEG_INF16,
+                _ => (rng.next() % 64) as i16 - 32,
+            });
+            for _ in 0..rng.next() % 3 {
+                row[(rng.next() % B as u64) as usize] = (rng.next() % 96) as i16 - 48;
+            }
+            row
+        });
+        let base = (rng.next() % 2_000) as i32 - 1_000;
+        let keys = Lanes::<B>::max_keys(Portable, &rows);
+        let top = |d: usize| i32::from(*rows[d].iter().max().expect("lanes")) + base;
+        let floor: [i32; STAGE_ROWS] = std::array::from_fn(|d| match rng.next() % 4 {
+            0 => NEG_INF,
+            1 => top(d),
+            _ => top(d) + (rng.next() % 9) as i32 - 4,
+        });
+        let live = (rng.next() as u32) & (rng.next() as u32 | rng.next() as u32);
+        let (got, open) = lanes.max_keys_above(&rows, &floor, base, live);
+        for d in 0..STAGE_ROWS {
+            let must = live >> d & 1 != 0 && top(d) >= floor[d];
+            let may = live >> d & 1 != 0;
+            let is = open >> d & 1 != 0;
+            assert!(
+                !must || is,
+                "{name}: case {case} row {d} closed at {} vs floor {}",
+                top(d),
+                floor[d]
+            );
+            assert!(!is || may, "{name}: case {case} row {d} open but not live");
+            if is {
+                assert_eq!(got[d], keys[d], "{name}: case {case} row {d} key");
+            }
+        }
+        let below = (0..STAGE_ROWS).all(|d| live >> d & 1 == 0 || top(d) < floor[d]);
+        assert!(
+            !lanes.window_below(&rows, &floor, base, live) || below,
+            "{name}: case {case} window called below"
+        );
+        let masks: [u32; STAGE_ROWS] = std::array::from_fn(|_| match rng.next() % 3 {
+            0 => 0,
+            _ => rng.next() as u32 >> (rng.next() % 32),
+        });
+        assert_eq!(
+            lanes.nonzero_rows(&masks),
+            Lanes::<B>::nonzero_rows(Portable, &masks),
+            "{name}: case {case}"
+        );
+        let chunk: [i32; CHUNK] = std::array::from_fn(|_| (rng.next() % 200) as i32 - 100);
+        let other: [u32; CHUNK] = std::array::from_fn(|_| (rng.next() % 5) as u32);
+        let seen: [u32; CHUNK] =
+            std::array::from_fn(|d| other[d] - (rng.next() % 2) as u32 * other[d].min(1));
+        let cut = (rng.next() % 220) as i32 - 110;
+        assert_eq!(lanes.chunk_max(&chunk), *chunk.iter().max().expect("a chunk"), "{name}");
+        assert_eq!(lanes.chunk_any_below(&chunk, cut), chunk.iter().any(|&x| x < cut), "{name}");
+        assert_eq!(
+            lanes.chunk_short(&seen, &other),
+            Lanes::<B>::chunk_short(Portable, &seen, &other),
+            "{name}"
+        );
+    }
+}
+
+#[test]
+fn tracker_helpers_match_their_definitions() {
+    // Every impl that overrides a tracker helper, held to the default.
+    check_tracker_helpers::<_, MAX_STRIP>(Portable, "portable");
+    #[cfg(target_arch = "x86_64")]
+    if let Some(t) = x86::Avx512::detect() {
+        check_tracker_helpers(Avx512I16x32(t), "avx512x32");
     }
 }
 

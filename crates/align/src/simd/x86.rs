@@ -10,7 +10,7 @@
 use super::fill::{fill_segment, matrix_sub_rows, SegmentIo};
 use super::lanes::Lanes;
 use crate::block::{BlockCellsT, BlockCtx};
-use crate::diag::DiagTracker;
+use crate::diag::{DiagTracker, CHUNK};
 use crate::scoring::SubstMatrix;
 use crate::{BLOCK, MAX_BLOCK, MAX_STRIP, STAGE_ROWS};
 use std::arch::is_x86_feature_detected;
@@ -77,7 +77,7 @@ macro_rules! feature_level {
             tracker: &mut DiagTracker,
             cells: &BlockCellsT<i16, N>,
         ) {
-            tracker.fold_block(lanes, cells);
+            tracker.fold_block(lanes, cells, &mut true);
         }
     };
     ($features:literal, $token:ident, $segment:ident, $(#[$doc:meta])+) => {
@@ -370,6 +370,67 @@ fn transpose_32x32(_level: Avx512, v: &mut [__m512i; MAX_STRIP]) {
     }
 }
 
+/// Lane `8c + p` of the reduction tree's last vector holds row `4p + c`
+/// ([`row_maxima_32x32`]); this gathers row `16h + e` into both words of
+/// dword `e` of vector `h`.
+const ROW_MAXIMUM_TWICE: [[i16; MAX_STRIP]; 2] = {
+    let mut lane = [[0; MAX_STRIP]; 2];
+    let mut w = 0;
+    while w < 2 * MAX_STRIP {
+        let d = w / 2;
+        lane[d / 16][w % MAX_STRIP] = (8 * (d % 4) + d / 4) as i16;
+        w += 1;
+    }
+    lane
+};
+
+/// The largest lane of each of 32 rows of 32 `i16` lanes: a reduction tree
+/// whose every level halves the lanes left per row by pairing two vectors —
+/// first their 256-bit halves, then 128-bit chunks, then within chunks by
+/// words, dwords and qwords — so that five levels of 16, 8, 4, 2 and 1
+/// pairs leave the 32 maxima in one zmm, row `4p + c` in lane `8c + p`. The
+/// first level pairs halves as they load (a 256-bit insert from memory, on
+/// either vector port); the others take a shuffle pair and a `max` each.
+#[inline(always)]
+fn row_maxima_32x32(_level: Avx512, rows: &[[i16; MAX_STRIP]; STAGE_ROWS]) -> __m512i {
+    const HALF: usize = MAX_STRIP / 2;
+    // SAFETY: `_level` proves AVX-512BW/VL; each load reads 32 bytes of a
+    // 64-byte row.
+    unsafe {
+        // Rows 2k, 2k+1 → [2k's 16 | 2k+1's 16].
+        let mut v = [_mm512_setzero_si512(); 16];
+        for (k, pair) in v.iter_mut().zip(rows.as_chunks::<2>().0) {
+            let (a, b) = (pair[0].as_ptr(), pair[1].as_ptr());
+            let lo = _mm512_castsi256_si512(_mm256_loadu_si256(a.cast()));
+            let lo = _mm512_inserti64x4::<1>(lo, _mm256_loadu_si256(b.cast()));
+            let hi = _mm512_castsi256_si512(_mm256_loadu_si256(a.add(HALF).cast()));
+            let hi = _mm512_inserti64x4::<1>(hi, _mm256_loadu_si256(b.add(HALF).cast()));
+            *k = _mm512_max_epi16(lo, hi);
+        }
+        // → chunk c of vector k holds row 4k + c's 8.
+        let mut w = [_mm512_setzero_si512(); 8];
+        for (k, pair) in w.iter_mut().zip(v.as_chunks::<2>().0) {
+            let lo = _mm512_shuffle_i64x2::<0b10_00_10_00>(pair[0], pair[1]);
+            let hi = _mm512_shuffle_i64x2::<0b11_01_11_01>(pair[0], pair[1]);
+            *k = _mm512_max_epi16(lo, hi);
+        }
+        // Within chunks: 8 → 4 (two rows a chunk, by word), 4 → 2 (four, by
+        // dword), 2 → 1 (eight, by qword).
+        let mut x = [_mm512_setzero_si512(); 4];
+        for (k, pair) in x.iter_mut().zip(w.as_chunks::<2>().0) {
+            let (a, b) = (pair[0], pair[1]);
+            *k = _mm512_max_epi16(_mm512_unpacklo_epi16(a, b), _mm512_unpackhi_epi16(a, b));
+        }
+        let mut y = [_mm512_setzero_si512(); 2];
+        for (k, pair) in y.iter_mut().zip(x.as_chunks::<2>().0) {
+            let (a, b) = (pair[0], pair[1]);
+            *k = _mm512_max_epi16(_mm512_unpacklo_epi32(a, b), _mm512_unpackhi_epi32(a, b));
+        }
+        let (a, b) = (y[0], y[1]);
+        _mm512_max_epi16(_mm512_unpacklo_epi64(a, b), _mm512_unpackhi_epi64(a, b))
+    }
+}
+
 /// 32×i16 in a zmm with `__mmask32` predicates (B=32 on AVX-512BW): two of
 /// the 16-lane strip's block rows in one wavefront, on the same per-step
 /// dependency chain.
@@ -401,6 +462,133 @@ impl Lanes<MAX_STRIP> for Avx512I16x32 {
             };
         }
         keys
+    }
+
+    /// The window's 32 row maxima at once — a reduction tree over pairs of
+    /// rows ([`row_maxima_32x32`]), 3 instructions a row where a reduce per
+    /// row takes 10 — gathered twice into a dword per row, which makes each
+    /// both an `i32` for the floor compare (a shift) and a compare operand
+    /// for its row's first lane (a dword broadcast from memory is a plain
+    /// load; a word one takes the shuffle port the tree is busy on). Only
+    /// the rows that stay open look for their first lane.
+    #[inline(always)]
+    fn max_keys_above(
+        self,
+        rows: &[[i16; MAX_STRIP]; STAGE_ROWS],
+        floor: &[i32; STAGE_ROWS],
+        base: i32,
+        open: u32,
+    ) -> ([u32; STAGE_ROWS], u32) {
+        let mut twice = [0i32; STAGE_ROWS];
+        // SAFETY: `self` holds the AVX-512BW/VL token; the loads and stores
+        // of `floor` and `twice` touch 64 bytes of each half.
+        let (halves, below) = unsafe {
+            let mut halves = [_mm512_setzero_si512(); 2];
+            let maxima = row_maxima_32x32(self.0, rows);
+            let base = _mm512_set1_epi32(base);
+            let mut below = 0u32;
+            for (k, half) in halves.iter_mut().enumerate() {
+                *half = _mm512_permutexvar_epi16(self.load(&ROW_MAXIMUM_TWICE[k]), maxima);
+                _mm512_storeu_epi32(twice[16 * k..].as_mut_ptr(), *half);
+                let h = _mm512_add_epi32(_mm512_srai_epi32::<16>(*half), base);
+                let floor = _mm512_loadu_epi32(floor[16 * k..].as_ptr());
+                below |= u32::from(_mm512_cmplt_epi32_mask(h, floor)) << (16 * k);
+            }
+            (halves, below)
+        };
+        let open = open & !below;
+        let mut keys = [0; STAGE_ROWS];
+        if open == 0 {
+            return (keys, 0);
+        }
+        // The keys' high bits `(0x7FFF − h) << 5`, 16 rows an instruction.
+        // SAFETY: as above; the stores write 64 bytes of each half of `keys`.
+        unsafe {
+            let (top, low) = (_mm512_set1_epi32(i32::from(i16::MAX)), _mm512_set1_epi32(0xFFFF));
+            for (k, half) in halves.into_iter().enumerate() {
+                let y = _mm512_and_si512(_mm512_sub_epi32(top, _mm512_srai_epi32::<16>(half)), low);
+                _mm512_storeu_epi32(keys[16 * k..].as_mut_ptr().cast(), _mm512_slli_epi32::<5>(y));
+            }
+        }
+        // Every row's first lane, a fixed trip count: cheaper than a branch
+        // per open row once a few are. (Only the compare reads `twice`, so
+        // its broadcast stays a load.)
+        for (key, (row, &h)) in keys.iter_mut().zip(rows.iter().zip(&twice)) {
+            // SAFETY: as above.
+            let at = unsafe { _mm512_cmpeq_epi16_mask(self.load(row), _mm512_set1_epi32(h)) };
+            *key |= at.trailing_zeros();
+        }
+        (keys, open)
+    }
+
+    /// Two compares into mask registers.
+    #[inline(always)]
+    fn nonzero_rows(self, masks: &[u32; STAGE_ROWS]) -> u32 {
+        // SAFETY: `self` holds the AVX-512 token; the loads read the two
+        // halves of `masks`.
+        unsafe {
+            let lo = _mm512_loadu_epi32(masks.as_ptr().cast());
+            let hi = _mm512_loadu_epi32(masks[16..].as_ptr().cast());
+            u32::from(_mm512_test_epi32_mask(lo, lo))
+                | u32::from(_mm512_test_epi32_mask(hi, hi)) << 16
+        }
+    }
+
+    /// The window's largest lane — an element-wise `max` over its rows (no
+    /// shuffles), then one reduce — against the smallest live floor.
+    #[inline(always)]
+    fn window_below(
+        self,
+        rows: &[[i16; MAX_STRIP]; STAGE_ROWS],
+        floor: &[i32; STAGE_ROWS],
+        base: i32,
+        live: u32,
+    ) -> bool {
+        // SAFETY: `self` holds the AVX-512BW/VL token; the loads read each
+        // row's 64 bytes and the two halves of `floor`.
+        unsafe {
+            let mut top = self.load(&rows[0]);
+            for row in &rows[1..] {
+                top = _mm512_max_epi16(top, self.load(row));
+            }
+            let top =
+                _mm256_max_epi16(_mm512_castsi512_si256(top), _mm512_extracti64x4_epi64(top, 1));
+            let top = _mm512_reduce_max_epi32(_mm512_cvtepi16_epi32(top)) + base;
+            let (lo, hi) = (floor.as_ptr(), floor[16..].as_ptr());
+            let lo = _mm512_mask_reduce_min_epi32(live as u16, _mm512_loadu_epi32(lo));
+            let hi = _mm512_mask_reduce_min_epi32((live >> 16) as u16, _mm512_loadu_epi32(hi));
+            top < lo.min(hi)
+        }
+    }
+
+    /// One zmm of `i32`s: a reduce.
+    #[inline(always)]
+    fn chunk_max(self, v: &[i32; CHUNK]) -> i32 {
+        // SAFETY: `self` holds the AVX-512 token; the load reads `v`'s 64
+        // bytes.
+        unsafe { _mm512_reduce_max_epi32(_mm512_loadu_epi32(v.as_ptr())) }
+    }
+
+    /// One compare into a mask.
+    #[inline(always)]
+    fn chunk_any_below(self, v: &[i32; CHUNK], floor: i32) -> bool {
+        // SAFETY: as in `chunk_max`.
+        unsafe {
+            _mm512_cmplt_epi32_mask(_mm512_loadu_epi32(v.as_ptr()), _mm512_set1_epi32(floor)) != 0
+        }
+    }
+
+    /// One unsigned compare into a mask.
+    #[inline(always)]
+    fn chunk_short(self, seen: &[u32; CHUNK], expected: &[u32; CHUNK]) -> u32 {
+        // SAFETY: as in `chunk_max`, for both arrays.
+        unsafe {
+            let (seen, expected) = (seen.as_ptr().cast(), expected.as_ptr().cast());
+            u32::from(_mm512_cmplt_epu32_mask(
+                _mm512_loadu_epi32(seen),
+                _mm512_loadu_epi32(expected),
+            ))
+        }
     }
 
     /// No profile: lane `l`'s scores over the window's steps are one

@@ -157,7 +157,7 @@ impl<'a, const B: usize> Sweep<'a, B> {
         }
         rows.rcodes.clear();
         rows.rcodes.resize(B - 1, 0);
-        rows.rcodes.extend(reference.codes().map(i16::from));
+        reference.extend_lane_codes(&mut rows.rcodes);
         rows.rcodes.resize(padded_n + 2 * (B - 1), i16::from(reference.pad()));
         let staging = match tier {
             FillTier::I16 => {

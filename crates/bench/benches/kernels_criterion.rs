@@ -18,7 +18,7 @@ use agatha_align::sweep::{NorthRows, RowCarry, Sweep};
 use agatha_align::{PackedSeq, QueryProfile, Scoring, Task, BLOCK, BLOSUM62, MAX_BLOCK, MAX_STRIP};
 use agatha_core::{
     bucketing::build_warps,
-    kernel::{run_task, run_task_ws, KernelWorkspace, TaskRun},
+    kernel::{align_task_ws, run_task, run_task_ws, KernelWorkspace, TaskRun},
     trace::device_trace,
     warp_sim::simulate_warp,
     AgathaConfig, BatchEngine, JobMeta, OrderingStrategy, Pipeline,
@@ -174,6 +174,102 @@ fn fold_only<const B: usize>(
     fold.mul_f64(iters as f64 / blocks as f64)
 }
 
+/// One task swept the way `kernel::align_task_ws` sweeps it at tile side
+/// `B` (the plan's backend, a query profile where the lanes read one, the
+/// task's fill tier, each row one segment): fill + fold on `tracker` until
+/// it decides, or — with no tracker — the fill alone up to the row that
+/// reaches `stop` blocks. Returns the blocks swept.
+fn sweep_task<const B: usize>(
+    task: &Task,
+    s: &Scoring,
+    cfg: &AgathaConfig,
+    (rows, profile): (&mut NorthRows, &mut QueryProfile),
+    tracker: Option<&mut DiagTracker>,
+    stop: u64,
+) -> u64 {
+    let (n, m) = (task.ref_len(), task.query_len());
+    let ctx = BlockCtx::with_block_dim(n, m, s, B).with_backend(cfg.backend);
+    let ctx = if ctx.reads_profile() {
+        profile.prepare(&task.query, s);
+        ctx.with_profile(Some(&*profile))
+    } else {
+        ctx
+    };
+    let tier = ctx.fill_tier(cfg.fill_mode(), cfg.fill_precision);
+    let mut tracker = tracker;
+    if let Some(t) = tracker.as_deref_mut() {
+        t.reset(n, m, s);
+    }
+    let mut sweep = Sweep::<B>::new(ctx, tier, &task.reference, &task.query, rows, tracker);
+    let mut blocks = 0;
+    for bj in 0..ctx.query_blocks() {
+        let Some((lo, hi)) = ctx.row_block_range(bj) else { continue };
+        blocks += sweep.segment(&mut RowCarry::fresh(), bj, lo, hi);
+        if blocks >= stop || sweep.advance().is_some() {
+            break;
+        }
+    }
+    black_box(&sweep);
+    blocks
+}
+
+/// [`fold_only`] over a registered scenario's tasks on the kernel's own
+/// plan, one iteration being one block: a pass sweeps every task as the
+/// kernel does ([`sweep_task`] at the tile the plan resolves for it), with
+/// the tracker or the fill alone to the same block counts; the two kinds of
+/// pass alternate and the fold is the difference of their medians. With
+/// `kernel`, the time of `align_task_ws` itself per block instead — what
+/// the fold is a share of.
+fn scenario_fold(tasks: &[Task], s: &Scoring, kernel: bool, iters: u64) -> Duration {
+    let cfg = AgathaConfig::agatha();
+    let (mut rows, mut profile) = (NorthRows::default(), QueryProfile::new());
+    let mut tracker = DiagTracker::new(0, 0, s);
+    let mut pass = |fold: bool, stops: &[u64]| -> u64 {
+        let mut blocks = 0;
+        for (t, &stop) in tasks.iter().zip(stops) {
+            let (bufs, tracker) = ((&mut rows, &mut profile), fold.then_some(&mut tracker));
+            blocks += match cfg.block_dim_for(t.ref_len(), t.query_len(), s) {
+                MAX_STRIP => sweep_task::<MAX_STRIP>(t, s, &cfg, bufs, tracker, stop),
+                MAX_BLOCK => sweep_task::<MAX_BLOCK>(t, s, &cfg, bufs, tracker, stop),
+                _ => sweep_task::<BLOCK>(t, s, &cfg, bufs, tracker, stop),
+            };
+        }
+        blocks
+    };
+    let mut ws = KernelWorkspace::new();
+    let stops: Vec<u64> = tasks.iter().map(|t| align_task_ws(&mut ws, t, s, &cfg).blocks).collect();
+    let blocks: u64 = stops.iter().sum();
+    assert_eq!(pass(true, &vec![u64::MAX; tasks.len()]), blocks, "the sweep is the kernel's");
+    let passes = iters.div_ceil(blocks) as usize;
+    let (mut with_fold, mut fill_only) = (Vec::with_capacity(passes), Vec::with_capacity(passes));
+    for _ in 0..passes {
+        let t0 = Instant::now();
+        if kernel {
+            for t in tasks {
+                black_box(align_task_ws(&mut ws, t, s, &cfg));
+            }
+        } else {
+            black_box(pass(true, &stops));
+        }
+        let t1 = Instant::now();
+        if !kernel {
+            black_box(pass(false, &stops));
+        }
+        with_fold.push(t1 - t0);
+        fill_only.push(t1.elapsed());
+    }
+    let median = |passes: &mut Vec<Duration>| {
+        let mid = passes.len() / 2;
+        *passes.select_nth_unstable(mid).1
+    };
+    let spent = median(&mut with_fold).saturating_sub(if kernel {
+        Duration::ZERO
+    } else {
+        median(&mut fill_only)
+    });
+    spent.mul_f64(iters as f64 / blocks as f64)
+}
+
 fn bench_block_fold(c: &mut Criterion) {
     // What a block costs the tracker (`DiagTracker::on_block_i16`), per
     // backend level × geometry — including the levels the host's own
@@ -188,6 +284,19 @@ fn bench_block_fold(c: &mut Criterion) {
         ("short_w24", Task::from_strs(0, &short_r, &short_q), Scoring::new(2, 4, 4, 2, 100, 24)),
         ("kb_w100", Task::from_strs(1, &kb_r, &kb_q), Scoring::new(2, 4, 4, 2, 200, 100)),
     ];
+    // The kernel's own plan over a registered scenario's tasks (seed 1234):
+    // the tracker per block, and the whole of `align_task_ws` per block —
+    // the fold's share of the kernel is the first over the second.
+    for (name, reads) in [("dna-short", 300), ("dna-long", 200), ("protein-blosum62", 300)] {
+        let scenario = SCENARIOS.iter().find(|s| s.name == name).expect("a registered scenario");
+        let (tasks, s) = ((scenario.tasks)(1234, reads), (scenario.scoring)());
+        g.bench_function(format!("{name}/seed1234"), |b| {
+            b.iter_custom(|iters| scenario_fold(&tasks, &s, false, iters))
+        });
+        g.bench_function(format!("{name}/seed1234/kernel"), |b| {
+            b.iter_custom(|iters| scenario_fold(&tasks, &s, true, iters))
+        });
+    }
     for backend in supported_backends() {
         for (pair, task, s) in &pairs {
             g.bench_function(format!("{}/b8/{pair}", backend.name()), |b| {

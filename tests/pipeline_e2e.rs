@@ -4,9 +4,13 @@
 //! datasets by the scorecard (`cargo bench -p agatha-bench --bench
 //! scorecard`), and chunk invariance by `tests/work_ledger.rs`.
 
+use agatha_suite::align::Task;
 use agatha_suite::core::{AgathaConfig, OrderingStrategy, Pipeline, StreamOptions};
+use agatha_suite::datasets::genome::generate_genome;
+use agatha_suite::datasets::reads::sample_task;
 use agatha_suite::datasets::{generate, long_short_mix, DatasetSpec, Tech};
 use agatha_suite::gpu_sim::sched::schedule;
+use rand::{rngs::StdRng, SeedableRng};
 
 fn dataset(tech: Tech, seed: u64, reads: usize) -> agatha_suite::datasets::Dataset {
     generate(&DatasetSpec { name: format!("{} e2e", tech.name()), tech, seed, reads })
@@ -40,15 +44,27 @@ fn uneven_bucketing_beats_original_on_skewed_mix() {
     assert!(ub <= orig * 1.02, "UB must not lose on skewed mixes: {ub} vs {orig}");
 }
 
+/// `reads` CLR reads — its errors, spurious candidates, chimeras and
+/// far-right length peak alike — at an eighth of the technology's lengths:
+/// the same heavy-tailed mix for an eighth of the host kernel's cells.
+fn eighth_length_clr(seed: u64, reads: usize) -> Vec<Task> {
+    let mut profile = Tech::Clr.profile();
+    profile.len_log_mean -= 8f64.ln();
+    profile.max_len /= 8;
+    let genome = generate_genome(400_000, seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..reads).map(|id| sample_task(id as u32, &genome, &profile, &mut rng)).collect()
+}
+
 #[test]
 fn multi_gpu_scales() {
     // Needs enough warps that each device slice stays busy for several
     // rounds; with tiny batches the longest warp bounds every device count.
     // The warps do not depend on the device count, so one GPU's time is the
     // four-GPU run's warps scheduled on one device.
-    let d = dataset(Tech::Clr, 31, 480);
-    let pipeline = Pipeline::new(d.scoring, AgathaConfig::agatha()).with_gpus(4);
-    let rep = pipeline.align_batch(&d.tasks);
+    let tasks = eighth_length_clr(31, 480);
+    let pipeline = Pipeline::new(Tech::Clr.scoring(), AgathaConfig::agatha()).with_gpus(4);
+    let rep = pipeline.align_batch(&tasks);
     let spec = &pipeline.spec;
     let p1 = spec.cycles_to_ms(schedule(&rep.warp_cycles, spec.warp_slots()).makespan_cycles);
     let p4 = rep.elapsed_ms;

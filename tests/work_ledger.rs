@@ -30,6 +30,11 @@
 //! baselines' read counts: the stream line's device columns (the host
 //! column is the scenario lines' to pin) without the chunk count.
 //!
+//! One line, `tall-slice`, is a stream of four hand-made pairs rather than
+//! a scenario's: a device slice that crosses more than 64 block rows while
+//! three subwarps share its task, which no scenario stream reaches and which
+//! is the only place a 24-lane group's deal of rows shows.
+//!
 //! On a mismatch a test prints its scenario's differing lines. A change that moves
 //! a number on purpose edits the ledger by hand and names every moved line,
 //! with its reason, in CHANGES.md; there is no switch that rewrites it.
@@ -267,6 +272,50 @@ fn scenario(
     ((scenario.tasks)(1234, reads), pipeline)
 }
 
+/// The name of the one stream no registered scenario makes.
+const TALL: &str = "tall-slice";
+
+/// The tall-slice stream: one warp of four near-identical pairs under the
+/// default plan and an unbanded scoring. The 640-base pair crosses up to 80
+/// of the device's 8-row block rows per slice; the three shorter ones end
+/// one after another, so its subwarp's group grows to two, three and four
+/// subwarps over those slices. A group of three deals a slice's rows to 24
+/// lanes, whose pattern repeats every 24 rows — which only a slice of more
+/// than 64 rows tells from a deal that repeats every 64, and no scenario
+/// stream reaches one.
+fn tall_slice(cfg: AgathaConfig) -> (Vec<Task>, Pipeline) {
+    let mut x = 0x2545_f491_4f6c_dd1d_u64;
+    let reference: String = (0..640)
+        .map(|_| {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            b"ACGT"[(x >> 62) as usize] as char
+        })
+        .collect();
+    // A mismatch every 23rd base: no Z-drop, every pair runs to its end.
+    let query = |len: usize| -> String {
+        let flip = |(k, c): (usize, char)| {
+            if k % 23 == 11 {
+                if c == 'A' {
+                    'C'
+                } else {
+                    'A'
+                }
+            } else {
+                c
+            }
+        };
+        reference[..len].chars().enumerate().map(flip).collect()
+    };
+    let tasks = [640, 96, 192, 320]
+        .iter()
+        .enumerate()
+        .map(|(id, &len)| Task::from_strs(id as u32, &reference[..len], &query(len)))
+        .collect();
+    let mut pipeline = Pipeline::new(Scoring::preset_bwa().with_band(Scoring::NO_BAND), cfg);
+    pipeline.host_threads = 1;
+    (tasks, pipeline)
+}
+
 /// One scenario's lines, in a fixed order, then its whole-chunk one-worker
 /// line streamed again capped at `avx2`.
 fn ledger(name: &str) -> (Vec<String>, String) {
@@ -441,10 +490,30 @@ fn the_protein_blosum62_plans_are_unchanged() {
 }
 
 #[test]
+fn the_tall_slice_ledger_is_unchanged() {
+    let (tasks, pipeline) = tall_slice(AgathaConfig::agatha());
+    let got = stream_line(TALL, &tasks, &pipeline, usize::MAX);
+    let avx2 = AgathaConfig::agatha().with_backend(BackendChoice::Fixed(WavefrontBackend::Avx2));
+    let (tasks, capped) = tall_slice(avx2);
+    let capped = stream_line(TALL, &tasks, &capped, usize::MAX);
+    assert_eq!(
+        device_columns(&capped),
+        device_columns(&got),
+        "{TALL}: capping the backend at avx2 moved a column the host plan must not move"
+    );
+    let prefix = format!("{TALL} ");
+    let want = LEDGER.lines().find(|l| l.starts_with(&prefix)).expect("a tall-slice line");
+    for g in [got, capped] {
+        let w = as_rendered(want, &g);
+        assert_eq!(g, w, "the {TALL} work-ledger line differs:\n  ledger: {w}\n  now:    {g}");
+    }
+}
+
+#[test]
 fn every_ledger_line_belongs_to_a_stream() {
     let lines = LEDGER.lines().filter(|l| !l.is_empty());
     let expected =
-        STREAMS.len() * (CHUNKS.len() * THREADS.len() + Baseline::ALL.len() + plans().len());
+        STREAMS.len() * (CHUNKS.len() * THREADS.len() + Baseline::ALL.len() + plans().len()) + 1;
     assert_eq!(lines.clone().count(), expected, "one line per stream");
     for line in lines {
         let mut fields = line.split(' ');
@@ -459,6 +528,9 @@ fn every_ledger_line_belongs_to_a_stream() {
             assert!(plans().iter().any(|p| p.0 == plan), "unknown plan: {line}");
             scenario = fields.next().unwrap_or_default();
         }
-        assert!(STREAMS.iter().any(|s| s.0 == scenario), "unknown stream: {line}");
+        assert!(
+            scenario == TALL || STREAMS.iter().any(|s| s.0 == scenario),
+            "unknown stream: {line}"
+        );
     }
 }
