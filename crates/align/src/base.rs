@@ -89,11 +89,6 @@ pub fn codes_to_string(codes: &[u8]) -> String {
     codes.iter().map(|&c| Base::from_code(c).to_char()).collect()
 }
 
-/// Reverse complement of a code slice.
-pub fn reverse_complement(codes: &[u8]) -> Vec<u8> {
-    codes.iter().rev().map(|&c| Base::from_code(c).complement().code()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,12 +122,6 @@ mod tests {
     fn string_roundtrip() {
         let s = "AGATTACAN";
         assert_eq!(codes_to_string(&codes_from_str(s)), s);
-    }
-
-    #[test]
-    fn reverse_complement_known() {
-        let c = codes_from_str("AACGT");
-        assert_eq!(codes_to_string(&reverse_complement(&c)), "ACGTT");
     }
 
     #[test]

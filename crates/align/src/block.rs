@@ -7,7 +7,7 @@
 //! module parameterizes the whole layer over the block side `B ∈ {8, 16, 32}`
 //! so wider vectors have lanes to fill: the 16-wide geometry
 //! ([`crate::MAX_BLOCK`]) runs the i16 wavefront with 16 query rows to a
-//! vector instead of 8, the 32-wide one ([`crate::MAX_STRIP`], row segments
+//! vector instead of 8, the 32-wide one ([`crate::MAX_STRIP`], whole rows
 //! only) with 32 to a zmm. One rule, [`BlockCtx::geometry_for`], picks the side
 //! per task from the backend's lane width and the i16 gate — there is no
 //! flag or plan field for it — and every geometry is bit-identical to the
@@ -30,8 +30,8 @@
 //! diagonal — and the whole buffer folds with one tracker call.
 //! With the callback gone the fill itself is free to vectorise:
 //! [`FillMode::Simd`] — the default — runs the i16 wavefront kernel in
-//! [`crate::simd`] (a whole row segment as one wavefront through
-//! [`crate::sweep::Sweep::segment`], or block by block through
+//! [`crate::simd`] (a whole band row as one wavefront through
+//! [`crate::sweep::Sweep::row`], or block by block through
 //! [`compute_block_i16`] + `DiagTracker::on_block_i16`; the
 //! best detected x86-64 lanes, a portable wavefront elsewhere),
 //! bit-identical to [`FillMode::Scalar`], the row-major reference
@@ -753,9 +753,8 @@ pub fn compute_block_mode<const B: usize>(
 /// into an i16 buffer for [`crate::diag::DiagTracker::on_block_i16`].
 /// Boundary carries stay absolute `i32` scores at the interface (rebased
 /// exactly at entry and exit), so callers thread the same boundary state
-/// through both tiers. [`crate::sweep::Sweep::segment`] runs whole row
-/// segments as one wavefront instead; this is what drives a grid block by
-/// block.
+/// through both tiers. [`crate::sweep::Sweep::row`] runs a whole band row
+/// as one wavefront instead; this is what drives a grid block by block.
 ///
 /// Callers must only select this tier for tasks whose
 /// [`BlockCtx::i16_exact`] gate holds *at this geometry* — that is what

@@ -612,12 +612,6 @@ impl DiagTracker {
         self.total
     }
 
-    /// Running global maximum (the GMB contents).
-    #[inline]
-    pub fn global_max(&self) -> MaxCell {
-        self.global
-    }
-
     /// Reference-semantics cell count over finalized diagonals: a
     /// finalized diagonal saw exactly its expected cells and takes no more,
     /// so this is the sum of their `seen` — taken when asked for, not at

@@ -29,9 +29,10 @@
 //! ordered cross-check. The [`diag::DiagTracker`] in this crate is the
 //! shared mechanism that makes the termination semantics independent of
 //! tiling/execution order, and [`sweep::Sweep`] is the one block-row loop
-//! (west boundary and corner handed block to block, south boundary to the
-//! row below) that the kernel, the [`block::block_grid_align`] reference
-//! driver, the benches and the tests all drive.
+//! (each row one segment, west boundary and corner handed block to block
+//! within it, south boundary to the row below) that the kernel, the
+//! [`block::block_grid_align`] reference driver, the benches and the tests
+//! all drive.
 
 #![deny(unsafe_code)]
 
@@ -83,10 +84,9 @@ pub const MAX_BLOCK: usize = 16;
 
 /// Widest row strip: the 32-lane geometry, one AVX-512 zmm of i16 lanes per
 /// anti-diagonal. A 32×32 block has 63 anti-diagonals, more than one staging
-/// window, so this side runs only as whole row segments
-/// ([`sweep::Sweep::segment`]), which stage and fold window by window. Per-row
-/// storage (row carries, profile pad slots, the fill's window scratch) is
-/// sized for it.
+/// window, so this side runs only as whole rows ([`sweep::Sweep::row`]),
+/// which stage and fold window by window. Per-row storage (profile pad
+/// slots, the fill's window scratch) is sized for it.
 pub const MAX_STRIP: usize = 32;
 
 /// Anti-diagonals one staging buffer holds, at every `B`: a single block's

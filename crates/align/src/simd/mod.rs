@@ -4,7 +4,9 @@
 //! anti-diagonal depend only on the previous two), so each step's `B` lanes
 //! compute in parallel, and fills them: `kB + B − 1` steps cover `kB²`
 //! cells, 52 % lane occupancy for a single block, 90 % at `k = 8`, ≥ 95 % on
-//! the 20–27-block band rows production sweeps.
+//! the 20–27-block band rows production sweeps. The sweep
+//! ([`crate::sweep::Sweep::row`]) runs each band row as one segment, from
+//! the row's first block of the band to its last; nothing cuts a row.
 //!
 //! The recurrence is written **once** — `fill::fill_segment`, generic over
 //! the block side `B ∈ {8, 16, 32}` and a lane-primitive impl (`lanes::Lanes`:

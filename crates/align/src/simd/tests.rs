@@ -1284,51 +1284,35 @@ fn ties_resolve_to_the_smallest_i() {
     both(|b| vec![(b - 1, 2), (1, b)]);
 }
 
-/// The whole grid swept row by row in segments of `k` blocks (`None`: whole
-/// rows) as `backend`: the tracker, decided, and the north rows left behind.
-fn swept_in_segments<const B: usize>(
+/// The whole grid swept row-major on the i16 tier, as `ctx`'s backend: the
+/// tracker, decided, and the north rows left behind.
+fn swept_rows<const B: usize>(
     ctx: BlockCtx<'_>,
     (r, q): (&PackedSeq, &PackedSeq),
-    k: Option<i64>,
 ) -> (DiagTracker, crate::sweep::NorthRows) {
-    use crate::sweep::{NorthRows, RowCarry, Sweep};
+    use crate::sweep::{NorthRows, Sweep};
     let mut tracker = DiagTracker::new(r.len(), q.len(), ctx.scoring);
     let mut rows = NorthRows::default();
     let tier = crate::block::FillTier::I16;
-    let mut sweep = Sweep::<B>::new(ctx, tier, r, q, &mut rows, Some(&mut tracker));
-    for bj in 0..ctx.query_blocks() {
-        let Some((lo, hi)) = ctx.row_block_range(bj) else { continue };
-        let mut carry = RowCarry::fresh();
-        let mut from = lo;
-        while from <= hi {
-            let to = k.map_or(hi, |k| (from + k - 1).min(hi));
-            sweep.segment(&mut carry, bj, from, to);
-            from = to + 1;
-        }
-        if sweep.advance().is_some() {
-            break;
-        }
-    }
+    Sweep::<B>::new(ctx, tier, r, q, &mut rows, Some(&mut tracker)).row_major();
     (tracker, rows)
 }
 
 #[test]
-fn segment_length_changes_nothing() {
-    // A row cut into segments of 1, 2, 3 or 8 blocks or swept whole leaves
-    // the same tracker and the same north rows, on every backend: ramps,
-    // window boundaries and re-centrings move with the cuts, values do not.
+fn every_backend_sweeps_whole_rows_alike() {
+    // Every backend leaves the same tracker and the same north rows at every
+    // geometry, banded or not, on the fixed model and on a matrix read
+    // through its query profile: the lane impls differ, the values do not.
     use crate::profile::QueryProfile;
     use crate::scoring::BLOSUM62;
     fn check<const B: usize>(ctx: BlockCtx<'_>, pair: (&PackedSeq, &PackedSeq)) {
-        let want = swept_in_segments::<B>(ctx, pair, None);
+        let want = swept_rows::<B>(ctx, pair);
         for backend in supported_backends() {
             let ctx = ctx.with_backend(BackendChoice::Fixed(backend));
-            for k in [None, Some(1), Some(2), Some(3), Some(8)] {
-                let got = swept_in_segments::<B>(ctx, pair, k);
-                let what = format!("B={B} w={} {} k={k:?}", ctx.w, backend.name());
-                assert_eq!(got.0, want.0, "{what}: tracker");
-                assert!(got.1 == want.1, "{what}: north rows");
-            }
+            let got = swept_rows::<B>(ctx, pair);
+            let what = format!("B={B} w={} {}", ctx.w, backend.name());
+            assert_eq!(got.0, want.0, "{what}: tracker");
+            assert!(got.1 == want.1, "{what}: north rows");
         }
     }
     let mut rng = Rng(0x5E65);
@@ -1363,25 +1347,36 @@ fn segment_length_changes_nothing() {
 fn the_32_lane_ramps_match_the_scalar_tier() {
     // At 32 lanes a one-block segment is ramps only — 31 steps up, 31 down
     // — and its hold masks run up to lane 31, where a 32-bit shift by the
-    // full width overflows. One- and two-block segments on every backend,
-    // under bands whose edge crosses the ramps, against the scalar tier.
+    // full width overflows. References one strip wide (every row one block)
+    // and two strips wide (rows of one or two blocks; under a narrow band
+    // the lower rows start at the second, on a band-edge west column) on
+    // every backend, under bands whose edge crosses the ramps, against the
+    // scalar tier.
     use crate::block::FillTier;
     let mut rng = Rng(0x3232);
-    let (n, m) = if cfg!(miri) { (70, 66) } else { (150, 140) };
-    let rcodes: Vec<u8> = (0..n).map(|_| rng.code()).collect();
-    let qcodes: Vec<u8> =
-        (0..m).map(|k| if rng.next().is_multiple_of(9) { rng.code() } else { rcodes[k] }).collect();
-    let (r, q) = (PackedSeq::from_codes(&rcodes), PackedSeq::from_codes(&qcodes));
-    for w in [0, 5, 31, 32, 33, Scoring::NO_BAND] {
-        let sc = Scoring::new(2, 4, 4, 2, 40, w);
-        let ctx = BlockCtx::with_block_dim(n, m, &sc, MAX_STRIP);
-        let want = crate::sweep::grid_align::<MAX_STRIP>(ctx, FillTier::Scalar, &r, &q);
-        assert!(want.same_alignment(&crate::guided::guided_align(&r, &q, &sc)), "w={w}");
-        for backend in supported_backends() {
-            let ctx = ctx.with_backend(BackendChoice::Fixed(backend));
-            for k in [Some(1), Some(2), None] {
-                let got = swept_in_segments::<MAX_STRIP>(ctx, (&r, &q), k).0.take_result();
-                assert_eq!(got, want, "w={w} {} k={k:?}", backend.name());
+    let (m, lens): (usize, &[usize]) =
+        if cfg!(miri) { (66, &[32, 48]) } else { (140, &[1, 20, 32, 33, 50, 64]) };
+    let qcodes: Vec<u8> = (0..m).map(|_| rng.code()).collect();
+    let q = PackedSeq::from_codes(&qcodes);
+    for &n in lens {
+        // The query's head, mutated: the alignment runs down the diagonal
+        // to the reference's end, then only gaps remain.
+        let rcodes: Vec<u8> = qcodes[..n]
+            .iter()
+            .map(|&c| if rng.next().is_multiple_of(9) { rng.code() } else { c })
+            .collect();
+        let r = PackedSeq::from_codes(&rcodes);
+        for w in [0, 5, 31, 32, 33, Scoring::NO_BAND] {
+            let sc = Scoring::new(2, 4, 4, 2, 40, w);
+            let ctx = BlockCtx::with_block_dim(n, m, &sc, MAX_STRIP);
+            assert_eq!(ctx.ref_blocks() as usize, n.div_ceil(MAX_STRIP), "n={n}");
+            let want = crate::sweep::grid_align::<MAX_STRIP>(ctx, FillTier::Scalar, &r, &q);
+            let what = format!("n={n} w={w}");
+            assert!(want.same_alignment(&crate::guided::guided_align(&r, &q, &sc)), "{what}");
+            for backend in supported_backends() {
+                let ctx = ctx.with_backend(BackendChoice::Fixed(backend));
+                let got = crate::sweep::grid_align::<MAX_STRIP>(ctx, FillTier::I16, &r, &q);
+                assert_eq!(got, want, "{what} {}", backend.name());
             }
         }
     }

@@ -1,17 +1,17 @@
 //! The block-row sweep: the boundary-passing protocol of the block grid
 //! (§2.2), written once.
 //!
-//! A *segment* is a run of consecutive blocks `bi_from..=bi_to` of one
-//! query-block row `bj`, executed west to east. It takes its west boundary
-//! and corner from the segment before it and its north boundary from the
+//! A query-block row `bj` is swept as **one segment**: the blocks of its
+//! band range ([`BlockCtx::row_block_range`]), executed west to east. The
+//! row reads its west boundary and corner from the table edge or the band
+//! edge ([`west_init`], [`corner_read`]) and its north boundary from the
 //! rows stored by the block row above, and leaves its own south boundary in
-//! those rows for the row below. A row may be swept in one segment (the
-//! row-major schedule) or cut into several at any block (as the device's
-//! §4.2 slices cut it); what survives between two segments of a row —
-//! the west `H`/`E`, the corner, and whether the row has started — is its
-//! [`RowCarry`], so a sweep is resumable at every block.
+//! those rows for the row below — the only state that passes between rows.
+//! No corner or west column is carried from one segment to another: the
+//! §4.2 slices that cut a row into several exist only on the simulated
+//! device (`agatha_core::trace`), which the host never executes.
 //!
-//! On the i16 tier a segment is **one wavefront**
+//! On the i16 tier a row is **one wavefront**
 //! ([`crate::simd::segment_wavefront_i16`]): the `B` lanes are the block
 //! row's query rows and a step is one table anti-diagonal cut to them, so
 //! `k` blocks take `kB + B − 1` vector steps (≥ 95 % full lanes on a band
@@ -19,18 +19,17 @@
 //! north row's `H`/`F` at the next column enter at the strip's top lane and
 //! the bottom lane's `H`/`F` leave as the south boundary, `B − 1` columns
 //! behind — both through [`NorthRows`], read and overwritten in place; the
-//! west column is seeded into the lanes during the ramp-up and the east
-//! column read out of them after the ramp-down, which is why a segment still
-//! starts and ends on the carry's `i32` column. Staged anti-diagonals fold
-//! into the tracker a fixed window at a time. The scalar tier runs the same
-//! segment block by block.
+//! west column is seeded into the lanes during the ramp-up, which is why a
+//! row still starts on an `i32` column. Staged anti-diagonals fold into the
+//! tracker a fixed window at a time. The scalar tier runs the same row
+//! block by block.
 //!
-//! [`Sweep::segment`] is the one copy of that loop, and [`Sweep::row_major`]
-//! the one production schedule over it — each row as one segment. The AGAThA
-//! kernel (`agatha_core::kernel`) runs it on its reused workspace,
-//! [`grid_align`] is the same on buffers of its own (the reference driver
-//! [`crate::block::block_grid_align`] is its 8×8 case), and the benches and
-//! tests drive segments rather than the per-block functions.
+//! [`Sweep::row`] is the one copy of that loop, and [`Sweep::row_major`]
+//! the one schedule over it — every row top-down, a termination check after
+//! each. The AGAThA kernel (`agatha_core::kernel`) runs it on its reused
+//! workspace, [`grid_align`] is the same on buffers of its own (the
+//! reference driver [`crate::block::block_grid_align`] is its 8×8 case), and
+//! the benches and tests drive rows rather than the per-block functions.
 
 use std::ops::Range;
 
@@ -40,36 +39,10 @@ use crate::diag::DiagTracker;
 use crate::pack::PackedSeq;
 use crate::result::{GuidedResult, StopReason};
 use crate::simd::{segment_wavefront_i16, SegmentIo};
-use crate::{MAX_BLOCK, MAX_STRIP, NEG_INF};
-
-/// What one block row hands from a segment to the next: the west boundary
-/// and the corner its next block reads. Storage is sized for the widest
-/// geometry so one carry vector serves every block side (a sweep reborrows
-/// the first `B` lanes as `[i32; B]`, no copies).
-#[derive(Debug, Clone)]
-pub struct RowCarry {
-    west_h: [i32; MAX_STRIP],
-    west_e: [i32; MAX_STRIP],
-    corner: i32,
-    started: bool,
-}
-
-impl RowCarry {
-    /// The carry of a row no segment has touched yet: its first segment
-    /// reads the west boundary and the corner from the table edge or the
-    /// band edge.
-    pub fn fresh() -> RowCarry {
-        RowCarry {
-            west_h: [NEG_INF; MAX_STRIP],
-            west_e: [NEG_INF; MAX_STRIP],
-            corner: NEG_INF,
-            started: false,
-        }
-    }
-}
+use crate::{MAX_BLOCK, NEG_INF};
 
 /// A sweep's per-reference-position state, padded to whole blocks: the
-/// south boundary (`H`, `F`) of the block rows swept so far — what a segment
+/// south boundary (`H`, `F`) of the block rows swept so far — what a row
 /// reads as its north boundary and overwrites with its own south boundary —
 /// and the reference's residue codes as the wavefront's lanes read them.
 /// Grow-only and geometry-agnostic, so callers keep one across tasks;
@@ -95,7 +68,7 @@ impl NorthRows {
 /// tier was resolved.
 #[derive(Debug)]
 enum Staging<const B: usize> {
-    /// [`FillTier::I16`]: one window of a segment's wavefront at a time.
+    /// [`FillTier::I16`]: one window of a row's wavefront at a time.
     I16(BlockCellsT<i16, B>),
     /// [`FillTier::Scalar`]: filled by [`fill_scalar`], the scalar
     /// reference, block by block ([`scalar_segment`]).
@@ -174,37 +147,25 @@ impl<'a, const B: usize> Sweep<'a, B> {
         Sweep { ctx, query, rows, tracker, staging }
     }
 
-    /// Execute blocks `bi_from..=bi_to` of query-block row `bj`, resuming
-    /// from `carry` (and leaving it ready for the row's next segment): stage
-    /// the segment's cells, fold them into the tracker, store its south
-    /// boundary. Returns the blocks executed.
-    pub fn segment(&mut self, carry: &mut RowCarry, bj: i64, bi_from: i64, bi_to: i64) -> u64 {
-        if bi_from > bi_to {
-            return 0;
-        }
+    /// Execute query-block row `bj` as one segment — the blocks of its band
+    /// range, west to east, from the table or band edge: stage the row's
+    /// cells, fold them into the tracker, store its south boundary. Returns
+    /// the blocks executed (none for a row the band misses).
+    pub fn row(&mut self, bj: i64) -> u64 {
         let ctx = &self.ctx;
+        let Some((bi_from, bi_to)) = ctx.row_block_range(bj) else { return 0 };
         let (i0, j0) = (bi_from * B as i64, bj * B as i64);
         let span = i0 as usize..(bi_to + 1) as usize * B;
         let NorthRows { h: row_h, f: row_f, rcodes } = &mut *self.rows;
         let mut qblock = [0u8; B];
         self.query.unpack_block(j0 as usize, &mut qblock);
-        if !carry.started {
-            let (wh, we) = west_init::<B>(ctx, i0, j0);
-            carry.west_h[..B].copy_from_slice(&wh);
-            carry.west_e[..B].copy_from_slice(&we);
-            carry.corner = corner_read(ctx, i0, j0, row_h);
-            carry.started = true;
-        }
-        let lanes = "a carry holds the widest geometry's lanes";
-        let west_h: &mut [i32; B] = (&mut carry.west_h[..B]).try_into().expect(lanes);
-        let west_e: &mut [i32; B] = (&mut carry.west_e[..B]).try_into().expect(lanes);
+        let (mut west_h, mut west_e) = west_init::<B>(ctx, i0, j0);
+        let corner = corner_read(ctx, i0, j0, row_h);
         north_in_place(ctx, j0, span.clone(), row_h, row_f);
-        // The corner of the row's *next* segment, read before the fill turns
-        // the north boundary into this segment's south boundary.
-        let next_corner = row_h[span.end - 1];
-        // Lane codes from `B − 1` columns before the segment to as many after.
+        // Lane codes from `B − 1` columns before the row to as many after.
         let rcodes = &rcodes[span.start..span.end + 2 * (B - 1)];
         let (north_h, north_f) = (&mut row_h[span.clone()], &mut row_f[span]);
+        let tracker = self.tracker.as_deref_mut();
         match &mut self.staging {
             Staging::I16(cells) => segment_wavefront_i16(
                 ctx,
@@ -213,18 +174,17 @@ impl<'a, const B: usize> Sweep<'a, B> {
                     j0,
                     rcodes,
                     qcodes: &qblock,
-                    corner: carry.corner,
-                    west_h,
-                    west_e,
+                    corner,
+                    west_h: &mut west_h,
+                    west_e: &mut west_e,
                     north_h,
                     north_f,
                     cells,
-                    tracker: self.tracker.as_deref_mut(),
+                    tracker,
                 },
             ),
             Staging::Scalar(cells) => {
                 let cols = &rcodes[B - 1..];
-                let (corner, tracker) = (carry.corner, self.tracker.as_deref_mut());
                 let (row, west) = ((i0, j0), (&mut west_h[..], &mut west_e[..]));
                 if B <= MAX_BLOCK {
                     scalar_segment(
@@ -238,19 +198,15 @@ impl<'a, const B: usize> Sweep<'a, B> {
                 }
             }
         }
-        carry.corner = next_corner;
         (bi_to - bi_from + 1) as u64
     }
 
-    /// The row-major schedule: every block row as one segment with a fresh
-    /// carry, top-down, [`Sweep::advance`] after each, until the tracker
-    /// decides. Returns the blocks executed.
+    /// The row-major schedule: every block row, top-down, [`Sweep::advance`]
+    /// after each, until the tracker decides. Returns the blocks executed.
     pub fn row_major(&mut self) -> u64 {
-        let ctx = self.ctx;
         let mut blocks = 0;
-        for bj in 0..ctx.query_blocks() {
-            let Some((lo, hi)) = ctx.row_block_range(bj) else { continue };
-            blocks += self.segment(&mut RowCarry::fresh(), bj, lo, hi);
+        for bj in 0..self.ctx.query_blocks() {
+            blocks += self.row(bj);
             if self.advance().is_some() {
                 break;
             }
@@ -258,7 +214,7 @@ impl<'a, const B: usize> Sweep<'a, B> {
         blocks
     }
 
-    /// [`DiagTracker::advance`] over the segments fed so far. A fill-only
+    /// [`DiagTracker::advance`] over the rows fed so far. A fill-only
     /// sweep never stops.
     pub fn advance(&mut self) -> Option<StopReason> {
         self.tracker.as_deref_mut().and_then(DiagTracker::advance)
@@ -328,73 +284,52 @@ mod tests {
     use crate::profile::QueryProfile;
     use crate::scoring::{Scoring, BLOSUM62};
     use crate::simd::WavefrontBackend;
-    use crate::{BLOCK, MAX_BLOCK};
+    use crate::{BLOCK, MAX_BLOCK, MAX_STRIP};
 
-    /// Sweep the grid with the table cut into slices of block anti-diagonals,
-    /// `width` giving each slice's width in turn: every row's segment of the
-    /// slice, resumed from the row's carry, then `advance`. Returns the north
-    /// rows left behind.
-    fn sliced<const B: usize>(
+    /// Sweep the grid row-major, folded on `tracker` until it decides or —
+    /// with none — filled whole. Returns the north rows left behind and the
+    /// blocks executed.
+    fn swept<const B: usize>(
         ctx: BlockCtx<'_>,
         tier: FillTier,
         (r, q): (&PackedSeq, &PackedSeq),
         tracker: Option<&mut DiagTracker>,
-        mut width: impl FnMut() -> i64,
-    ) -> NorthRows {
+    ) -> (NorthRows, u64) {
         let mut rows = NorthRows::default();
-        let mut sweep = Sweep::<B>::new(ctx, tier, r, q, &mut rows, tracker);
-        let mut carries = vec![RowCarry::fresh(); ctx.query_blocks() as usize];
-        let mut d_lo = 0;
-        while d_lo < ctx.ref_blocks() + ctx.query_blocks() - 1 {
-            let d_hi = d_lo + width() - 1;
-            for bj in 0..ctx.query_blocks() {
-                let Some((lo, hi)) = ctx.row_block_range(bj) else { continue };
-                let (from, to) = ((d_lo - bj).max(lo), (d_hi - bj).min(hi));
-                if from <= to {
-                    let blocks = sweep.segment(&mut carries[bj as usize], bj, from, to);
-                    assert_eq!(blocks, (to - from + 1) as u64);
-                }
-            }
-            if sweep.advance().is_some() {
-                break;
-            }
-            d_lo = d_hi + 1;
-        }
-        rows
+        let blocks = Sweep::<B>::new(ctx, tier, r, q, &mut rows, tracker).row_major();
+        (rows, blocks)
     }
 
-    /// The resumability contract on one task at geometry `B`, on every tier
-    /// the gates admit: slices of random widths, one segment per row and the
-    /// scalar reference agree, and folding changes nothing the fill leaves.
-    /// Returns why the task stopped.
-    fn check_resumable<const B: usize>(
-        ctx: BlockCtx<'_>,
-        pair: (&PackedSeq, &PackedSeq),
-        next: &mut impl FnMut() -> u64,
-    ) -> StopReason {
+    /// The row protocol on one task at geometry `B`, on every tier the gates
+    /// admit: the row-major sweep matches the scalar guided reference and
+    /// the tiers agree on the result, a fill-only sweep executes every block
+    /// of the band, and folding changes nothing the fill leaves. Returns why
+    /// the task stopped.
+    fn check_rows<const B: usize>(ctx: BlockCtx<'_>, pair: (&PackedSeq, &PackedSeq)) -> StopReason {
         let (r, q) = pair;
         let what = format!("{}×{} B={B} w={}", r.len(), q.len(), ctx.w);
         let want = guided_align(r, q, ctx.scoring);
-        let any_width = ctx.ref_blocks() + ctx.query_blocks();
+        let band_blocks: u64 = (0..ctx.query_blocks())
+            .filter_map(|bj| ctx.row_block_range(bj))
+            .map(|(lo, hi)| (hi - lo + 1) as u64)
+            .sum();
+        let mut scalar_tier = None;
         let tiers = [(FillTier::Scalar, true), (FillTier::I16, ctx.i16_exact)];
         for (tier, _) in tiers.into_iter().filter(|&(_, admitted)| admitted) {
             let what = format!("{what} {}", tier.name());
-            let per_row = grid_align::<B>(ctx, tier, r, q);
-            assert!(per_row.same_alignment(&want), "{what}: {per_row:?} vs {want:?}");
-            assert_eq!(per_row.cells, want.cells, "{what}");
-
-            let mut random_width = || 1 + (next() % any_width as u64) as i64;
             let mut tracker = DiagTracker::new(r.len(), q.len(), ctx.scoring);
-            let folded = sliced::<B>(ctx, tier, pair, Some(&mut tracker), &mut random_width);
+            let (folded, _) = swept::<B>(ctx, tier, pair, Some(&mut tracker));
             let got = tracker.result();
-            assert_eq!(got, per_row, "{what}: random slices vs one segment per row");
+            assert!(got.same_alignment(&want), "{what}: {got:?} vs {want:?}");
+            assert_eq!(got.cells, want.cells, "{what}");
 
-            let whole_rows = sliced::<B>(ctx, tier, pair, None, || any_width);
-            let filled = sliced::<B>(ctx, tier, pair, None, &mut random_width);
-            assert_eq!(filled, whole_rows, "{what}: fill-only north rows, sliced vs whole rows");
+            let (filled, blocks) = swept::<B>(ctx, tier, pair, None);
+            assert_eq!(blocks, band_blocks, "{what}: a fill-only sweep runs the whole band");
             if got.stop == StopReason::Completed {
-                assert_eq!(folded, whole_rows, "{what}: north rows with and without the fold");
+                assert_eq!(folded, filled, "{what}: north rows with and without the fold");
             }
+            let first = scalar_tier.get_or_insert_with(|| got.clone());
+            assert_eq!(got, *first, "{what}: result against the scalar tier");
         }
         want.stop
     }
@@ -508,7 +443,7 @@ mod tests {
     }
 
     #[test]
-    fn a_sweep_is_resumable_at_any_block() {
+    fn the_row_sweep_is_exact_on_every_tier() {
         let mut x = 0x5EE9_u64;
         let mut next = move || {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -566,9 +501,9 @@ mod tests {
                     (&matrix, &protein, Some(&profile)),
                 ] {
                     let ctx = |b| BlockCtx::with_block_dim(n, m, sc, b).with_profile(profile);
-                    let stop = check_resumable::<BLOCK>(ctx(BLOCK), (r, q), &mut next);
-                    let wide = check_resumable::<MAX_BLOCK>(ctx(MAX_BLOCK), (r, q), &mut next);
-                    let strip = check_resumable::<MAX_STRIP>(ctx(MAX_STRIP), (r, q), &mut next);
+                    let stop = check_rows::<BLOCK>(ctx(BLOCK), (r, q));
+                    let wide = check_rows::<MAX_BLOCK>(ctx(MAX_BLOCK), (r, q));
+                    let strip = check_rows::<MAX_STRIP>(ctx(MAX_STRIP), (r, q));
                     assert_eq!((wide, strip), (stop, stop));
                     z_dropped += u32::from(stop.z_dropped());
                     completed += u32::from(stop == StopReason::Completed);

@@ -14,7 +14,7 @@ use agatha_align::block::{block_grid_align, BlockCtx, FillTier};
 use agatha_align::diag::DiagTracker;
 use agatha_align::guided::guided_align;
 use agatha_align::simd::{supported_backends, BackendChoice, WavefrontBackend};
-use agatha_align::sweep::{NorthRows, RowCarry, Sweep};
+use agatha_align::sweep::{NorthRows, Sweep};
 use agatha_align::{PackedSeq, QueryProfile, Scoring, Task, BLOCK, BLOSUM62, MAX_BLOCK, MAX_STRIP};
 use agatha_core::{
     bucketing::build_warps,
@@ -145,8 +145,7 @@ fn fold_only<const B: usize>(
             Sweep::<B>::new(ctx, FillTier::I16, &task.reference, &task.query, &mut rows, tracker);
         let mut blocks = 0;
         for bj in 0..ctx.query_blocks() {
-            let Some((lo, hi)) = ctx.row_block_range(bj) else { continue };
-            blocks += sweep.segment(&mut RowCarry::fresh(), bj, lo, hi);
+            blocks += sweep.row(bj);
             if fill_only.is_some_and(|stop| blocks >= stop) || sweep.advance().is_some() {
                 break;
             }
@@ -203,8 +202,7 @@ fn sweep_task<const B: usize>(
     let mut sweep = Sweep::<B>::new(ctx, tier, &task.reference, &task.query, rows, tracker);
     let mut blocks = 0;
     for bj in 0..ctx.query_blocks() {
-        let Some((lo, hi)) = ctx.row_block_range(bj) else { continue };
-        blocks += sweep.segment(&mut RowCarry::fresh(), bj, lo, hi);
+        blocks += sweep.row(bj);
         if blocks >= stop || sweep.advance().is_some() {
             break;
         }
@@ -316,12 +314,12 @@ fn bench_block_fold(c: &mut Criterion) {
 }
 
 /// Time of the i16 fill alone over segments of `k` blocks, one iteration
-/// being one block: row after row of an unbanded table, each row's first `k`
-/// blocks as one segment on a fresh carry (a fill-only [`Sweep`], fills
-/// capped at `backend`, a matrix model's query profile built off the clock
-/// where the lanes read one, as the kernel does), so every segment's inputs
-/// are the real boundaries of the rows above it. Only the segments are on
-/// the clock.
+/// being one block: row after row of an unbanded table `k` blocks wide —
+/// `task` with its reference cut to `kB` bases — each row one segment (a
+/// fill-only [`Sweep`], fills capped at `backend`, a matrix model's query
+/// profile built off the clock where the lanes read one, as the kernel
+/// does), so every segment's inputs are the real boundaries of the rows
+/// above it. Only the rows are on the clock.
 fn segment_fill<const B: usize>(
     task: &Task,
     s: &Scoring,
@@ -329,7 +327,8 @@ fn segment_fill<const B: usize>(
     k: i64,
     iters: u64,
 ) -> Duration {
-    let (n, m) = (task.ref_len(), task.query_len());
+    let reference = task.reference.slice(0, k as usize * B);
+    let (n, m) = (reference.len(), task.query_len());
     let ctx = BlockCtx::with_block_dim(n, m, s, B).with_backend(BackendChoice::Fixed(backend));
     let mut profile = QueryProfile::new();
     profile.prepare(&task.query, s);
@@ -338,11 +337,9 @@ fn segment_fill<const B: usize>(
     let (mut blocks, mut spent) = (0, Duration::ZERO);
     while blocks < iters {
         let mut sweep =
-            Sweep::<B>::new(ctx, FillTier::I16, &task.reference, &task.query, &mut rows, None);
+            Sweep::<B>::new(ctx, FillTier::I16, &reference, &task.query, &mut rows, None);
         let started = Instant::now();
-        for bj in 0..ctx.query_blocks() {
-            blocks += sweep.segment(&mut RowCarry::fresh(), bj, 0, k - 1);
-        }
+        blocks += sweep.row_major();
         spent += started.elapsed();
         black_box(&sweep);
     }

@@ -151,15 +151,6 @@ pub fn multi_gpu_schedule(
         .collect()
 }
 
-/// Multi-GPU makespan: each device schedules its contiguous share; the
-/// kernel finishes when the slowest device does.
-pub fn multi_gpu_makespan(latencies: &[f64], slots_per_gpu: usize, gpus: usize) -> f64 {
-    multi_gpu_schedule(latencies, slots_per_gpu, gpus)
-        .iter()
-        .map(|d| d.makespan_cycles)
-        .fold(0.0, f64::max)
-}
-
 /// Total-order wrapper for finite f64 latencies.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct F64Ord(f64);
@@ -242,8 +233,9 @@ mod tests {
         let lats: Vec<f64> = (1..=37).map(|x| (x % 11) as f64 + 1.0).collect();
         let reports = multi_gpu_schedule(&lats, 4, 3);
         assert_eq!(reports.len(), 3);
-        let worst = reports.iter().map(|d| d.makespan_cycles).fold(0.0, f64::max);
-        assert_eq!(worst, multi_gpu_makespan(&lats, 4, 3));
+        for (report, share) in reports.iter().zip(split_even(lats.len(), 3)) {
+            assert_eq!(report.makespan_cycles, makespan_cycles(&lats[share], 4));
+        }
         let warps: usize = reports.iter().map(|d| d.warps).sum();
         assert_eq!(warps, lats.len());
     }
@@ -251,8 +243,11 @@ mod tests {
     #[test]
     fn multi_gpu_scales_down() {
         let lats = vec![10.0; 64];
-        let one = multi_gpu_makespan(&lats, 4, 1);
-        let four = multi_gpu_makespan(&lats, 4, 4);
+        // The kernel finishes when the slowest device does.
+        let makespan = |gpus| {
+            multi_gpu_schedule(&lats, 4, gpus).iter().map(|d| d.makespan_cycles).fold(0.0, f64::max)
+        };
+        let (one, four) = (makespan(1), makespan(4));
         assert!(four < one);
         assert!((one / four - 4.0).abs() < 0.5, "expected ~4x, got {}", one / four);
     }

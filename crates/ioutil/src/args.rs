@@ -58,11 +58,6 @@ impl Args {
         Args { flags, positional }
     }
 
-    /// Parse from the process environment.
-    pub fn from_env() -> Args {
-        Args::parse(std::env::args().skip(1))
-    }
-
     /// Whether a flag was present.
     pub fn has(&self, name: &str) -> bool {
         self.flags.contains_key(name)
